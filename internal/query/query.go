@@ -565,7 +565,9 @@ func renderKeys(st *store.Store) ([]byte, string, error) {
 }
 
 // ingest accepts one artifact per POST body and feeds it to the store;
-// the generation bump implicitly retires the corpus's cache bucket.
+// the generation bump implicitly retires the corpus's cache bucket. A
+// rejection answers by class: 400 for a malformed body, 409 for a
+// conflict with the corpus, 503 for anything else (a failed persist).
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -586,7 +588,14 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.st.Ingest(data)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
+		status := http.StatusServiceUnavailable // persist failures, injected faults
+		switch {
+		case errors.Is(err, store.ErrMalformed):
+			status = http.StatusBadRequest
+		case errors.Is(err, store.ErrConflict):
+			status = http.StatusConflict
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	writeJSON(w, struct {

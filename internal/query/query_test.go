@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/safari-repro/hbmrh/internal/failpoint"
 	"github.com/safari-repro/hbmrh/internal/report"
 	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/stats"
@@ -382,6 +383,12 @@ func TestQueryIngestEndpoint(t *testing.T) {
 	if code, body = post(shard(1, 2)); code != http.StatusConflict {
 		t.Fatalf("conflicting ingest: %d %s", code, body)
 	}
+	// A body that is not an artifact is refused with 400.
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(`{"meta": garbage`)))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("garbage ingest: %d %s", w.Code, w.Body.Bytes())
+	}
 	// Re-posting the same shard is an idempotent duplicate.
 	code, body = post(shard(2, 2))
 	if code != http.StatusOK {
@@ -392,6 +399,36 @@ func TestQueryIngestEndpoint(t *testing.T) {
 	}
 	if !res.Duplicate {
 		t.Fatal("re-posted shard not reported as duplicate")
+	}
+}
+
+// TestQueryIngestPersistFailureIs503 pins the third ingest error class: a
+// well-formed, conflict-free shard whose object write fails is the
+// server's fault, not the client's — 503, and a retry succeeds.
+func TestQueryIngestPersistFailureIs503(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(st).Handler()
+	buf, err := shard(0, 2).MarshalIndented()
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(buf)))
+		return w
+	}
+	if err := failpoint.Arm("store/object/write=error@1"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(failpoint.Reset)
+	if w := post(); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("ingest with failed persist: %d %s", w.Code, w.Body.Bytes())
+	}
+	if w := post(); w.Code != http.StatusOK {
+		t.Fatalf("retry after failed persist: %d %s", w.Code, w.Body.Bytes())
 	}
 }
 

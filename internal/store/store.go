@@ -2,23 +2,25 @@
 // service: a content-addressed, append-only store of shard artifacts
 // with incrementally maintained merged views.
 //
-// Every ingested artifact is kept as its pristine canonical bytes,
-// addressed by their SHA-256 — re-ingesting a shard is an idempotent
-// no-op, and nothing in the store is ever rewritten in place. Artifacts
-// group into corpora keyed by (tool, config hash): the shards of one
-// fleet scan or sharded study land in one corpus, and ingest enforces
-// the same conflict matrix as results.Merge (format/build/axis/params
-// skew, overlapping seed ranges or job keys, duplicate chip seeds), so
-// a corpus can always merge. After each accepted ingest the corpus's
-// merged view advances incrementally: when the accepted shard extends the
-// already-merged contiguous prefix, only that shard is decoded and folded
-// into a clone of the running view (amortized O(1) decodes per ingest);
-// a full re-merge of fresh decodes via results.MergeShards — the exact
-// merge path `characterize merge` uses — runs only when ordering demands
-// it. Both paths perform the identical left fold in canonical shard
-// order, so query renders stay byte-identical to single-process renders
-// (pinned by a differential test over randomized arrival orders). The new
-// view is sealed (read-only quantile paths) and swapped in atomically, so
+// Every ingested artifact is decoded exactly once, re-encoded to its
+// canonical bytes and addressed by their SHA-256 — re-ingesting a shard
+// is an idempotent no-op, and nothing in the store is ever rewritten in
+// place. A corpus member keeps the decoded artifact, never mutated; the
+// persisted object is the durable copy. Artifacts group into corpora
+// keyed by (tool, config hash): the shards of one fleet scan or sharded
+// study land in one corpus, and ingest enforces the same conflict matrix
+// as results.Merge (format/build/axis/params skew, overlapping seed
+// ranges or job keys, duplicate chip seeds), so a corpus can always
+// merge. After each accepted ingest the corpus's merged view advances
+// incrementally: when the accepted shard extends the already-merged
+// contiguous prefix, only that shard is folded into a clone of the
+// running view (amortized O(1) work per ingest); a full re-merge of
+// member clones via results.MergeShards — the exact merge path
+// `characterize merge` uses — runs only when ordering demands it. Both
+// paths perform the identical left fold in canonical shard order, so
+// query renders stay byte-identical to single-process renders (pinned by
+// a differential test over randomized arrival orders). The new view is
+// sealed (read-only quantile paths) and swapped in atomically, so
 // concurrent readers always hold either the old complete view or the new
 // one, never a torn intermediate.
 //
@@ -29,16 +31,20 @@
 // its response cache on them for incremental invalidation.
 //
 // With a directory, accepted objects persist under objects/<sha256>.json
-// and Open replays them; with an empty path the store is purely
+// and Open replays them: objects are decoded on GOMAXPROCS goroutines and
+// admitted strictly in hash order, so a parallel replay reaches the same
+// state as a serial one. With an empty path the store is purely
 // in-memory (tests, one-shot queries).
 package store
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -46,6 +52,27 @@ import (
 	"github.com/safari-repro/hbmrh/internal/failpoint"
 	"github.com/safari-repro/hbmrh/internal/results"
 )
+
+// Ingest error classes, matched with errors.Is. ErrMalformed marks bytes
+// that do not decode to a valid, encodable artifact; ErrConflict marks an
+// artifact the merge gate refuses against its corpus (provenance or
+// structure skew, overlapping seed ranges, job slices or job keys,
+// duplicate chips, or a refused merge). Any other ingest error — a failed
+// persist, an injected fault — is neither.
+var (
+	ErrMalformed = errors.New("store: malformed artifact")
+	ErrConflict  = errors.New("store: artifact conflicts with its corpus")
+)
+
+// classified tags an error with its ingest class while keeping its
+// message, so quarantine reasons and HTTP error bodies read unchanged.
+type classified struct{ class, err error }
+
+func (e *classified) Error() string   { return e.err.Error() }
+func (e *classified) Unwrap() []error { return []error{e.class, e.err} }
+
+func malformed(err error) error { return &classified{ErrMalformed, err} }
+func conflict(err error) error  { return &classified{ErrConflict, err} }
 
 // Failpoint sites on the write path: the ingest gate (before any state
 // changes, so an injected failure must leave store and generations
@@ -99,13 +126,22 @@ type corpus struct {
 	mergedCount int
 }
 
-// member is one ingested shard: pristine bytes plus the provenance the
-// conflict checks need without re-decoding.
+// member is one accepted shard: its object address and the artifact its
+// one decode produced. The artifact is shared by every later fold and
+// conflict check and is never mutated — folds read it, and anything that
+// writes takes a Clone first. The object file is the durable copy.
 type member struct {
-	hash  string
-	data  []byte
-	meta  results.Meta
-	seeds []uint64 // chip seeds carried by the shard
+	hash string
+	art  *results.Artifact
+}
+
+// prepared is an artifact made ready for admit without touching store
+// state: decoded, re-encoded to its canonical bytes, and hashed.
+type prepared struct {
+	art    *results.Artifact
+	canon  []byte
+	hash   string
+	corpus string
 }
 
 // IngestResult reports what one ingest did.
@@ -163,24 +199,77 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	// Replay in name (= hash) order: deterministic, and ingest tolerates
-	// any arrival order via the pending set.
+	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+			names = append(names, e.Name())
 		}
-		path := filepath.Join(objects, e.Name())
-		data, err := os.ReadFile(path)
+	}
+	if err := s.replay(objects, names); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// replay reads and prepares the named objects on GOMAXPROCS goroutines
+// and admits them strictly in names order (ReadDir's name = hash order):
+// deterministic, and admit tolerates any arrival order via the pending
+// set. Admission hands out work at most 2×GOMAXPROCS objects ahead of
+// itself, which bounds the decoded artifacts held in flight. Quarantine
+// decisions happen at admit time in the same order, so the outcome is
+// exactly that of a serial replay. No goroutine outlives the return.
+func (s *Store) replay(objects string, names []string) error {
+	type outcome struct {
+		p   *prepared
+		err error
+	}
+	workers := runtime.GOMAXPROCS(0)
+	window := 2 * workers
+	done := make([]chan outcome, len(names))
+	for i := range done {
+		done[i] = make(chan outcome, 1)
+	}
+	// Sized to the lookahead window, so handing out work never blocks.
+	jobs := make(chan int, window)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				data, err := os.ReadFile(filepath.Join(objects, names[i]))
+				var p *prepared
+				if err == nil {
+					p, err = prepare(data)
+				}
+				done[i] <- outcome{p, err}
+			}
+		}()
+	}
+	defer func() {
+		close(jobs)
+		for range jobs {
+			// An early return discards the lookahead not yet started.
+		}
+		wg.Wait()
+	}()
+	next := 0
+	for i, name := range names {
+		for ; next < len(names) && next < i+window; next++ {
+			jobs <- next
+		}
+		o := <-done[i]
+		err := o.err
 		if err == nil {
-			_, err = s.ingest(data, false)
+			_, err = s.admit(o.p, false)
 		}
 		if err != nil {
-			if qerr := s.quarantine(objects, e.Name(), err); qerr != nil {
-				return nil, qerr
+			if qerr := s.quarantine(objects, name, err); qerr != nil {
+				return qerr
 			}
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // quarantine moves one condemned object file into objects/quarantine/
@@ -233,9 +322,21 @@ func CorpusID(m *results.Meta) string {
 // encoded bytes. Rejections (skewed provenance, overlapping ranges,
 // duplicate chips — the results.Merge conflict matrix) return an error
 // and leave the store unchanged; re-ingesting identical bytes is an
-// idempotent no-op reported via IngestResult.Duplicate.
+// idempotent no-op reported via IngestResult.Duplicate. Errors carry
+// their class: ErrMalformed, ErrConflict, or neither.
 func (s *Store) Ingest(data []byte) (IngestResult, error) {
-	return s.ingest(data, true)
+	// Live ingests only (replay is exempt: an injected replay failure
+	// would quarantine a pristine object). Firing before any work is the
+	// point — an ingest that fails here must be indistinguishable from one
+	// that never arrived.
+	if err := fpStoreIngest.Inject(); err != nil {
+		return IngestResult{}, err
+	}
+	p, err := prepare(data)
+	if err != nil {
+		return IngestResult{}, err
+	}
+	return s.admit(p, true)
 }
 
 // IngestArtifact ingests an in-memory artifact (fleet auto-ingest); the
@@ -244,7 +345,7 @@ func (s *Store) Ingest(data []byte) (IngestResult, error) {
 func (s *Store) IngestArtifact(a *results.Artifact) (IngestResult, error) {
 	buf, err := a.MarshalIndented()
 	if err != nil {
-		return IngestResult{}, fmt.Errorf("store: %w", err)
+		return IngestResult{}, malformed(fmt.Errorf("store: %w", err))
 	}
 	return s.Ingest(buf)
 }
@@ -271,35 +372,32 @@ func (s *Store) IngestFiles(args ...string) ([]IngestResult, error) {
 	return out, nil
 }
 
-func (s *Store) ingest(data []byte, persist bool) (IngestResult, error) {
-	// Live ingests only (replay is exempt: an injected replay failure
-	// would quarantine a pristine object). Firing before any work is the
-	// point — an ingest that fails here must be indistinguishable from one
-	// that never arrived.
-	if persist {
-		if err := fpStoreIngest.Inject(); err != nil {
-			return IngestResult{}, err
-		}
-	}
+// prepare is everything ingest does before it needs the store: the
+// shard's one decode, its canonical encoding and address, and its corpus
+// ID. It touches no state, so Open runs it on many objects at once.
+// Failures are ErrMalformed.
+func prepare(data []byte) (*prepared, error) {
 	a, err := results.Decode(data)
 	if err != nil {
-		return IngestResult{}, err
+		return nil, malformed(err)
 	}
 	// Canonicalize: the object's address is the hash of its deterministic
 	// encoding, so semantically identical artifacts (whatever whitespace
 	// they arrived with) dedup to one object.
 	canon, err := a.MarshalIndented()
 	if err != nil {
-		return IngestResult{}, err
+		return nil, malformed(err)
 	}
 	sum := sha256.Sum256(canon)
-	hash := hex.EncodeToString(sum[:])
-	id := CorpusID(&a.Meta)
+	return &prepared{art: a, canon: canon, hash: hex.EncodeToString(sum[:]), corpus: CorpusID(&a.Meta)}, nil
+}
 
-	m := &member{hash: hash, data: canon, meta: a.Meta}
-	for _, c := range a.Chips {
-		m.seeds = append(m.seeds, c.Seed)
-	}
+// admit runs the locked half of ingest on a prepared artifact: the
+// duplicate and conflict gate, the persist (live ingests only), the
+// canonical insert and the merged-view refresh.
+func (s *Store) admit(p *prepared, persist bool) (IngestResult, error) {
+	id, hash := p.corpus, p.hash
+	m := &member{hash: hash, art: p.art}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,8 +412,8 @@ func (s *Store) ingest(data []byte, persist bool) (IngestResult, error) {
 				Complete: c.mergedCount == len(c.members),
 			}, nil
 		}
-		if err := c.checkConflicts(m, a); err != nil {
-			return IngestResult{}, err
+		if err := c.checkConflicts(m); err != nil {
+			return IngestResult{}, conflict(err)
 		}
 	} else {
 		c = &corpus{id: id, byHash: map[string]*member{}}
@@ -328,14 +426,14 @@ func (s *Store) ingest(data []byte, persist bool) (IngestResult, error) {
 	// pins by tearing this exact write.
 	if persist && s.dir != "" {
 		path := filepath.Join(s.dir, "objects", hash+".json")
-		if err := writeObject(path, canon); err != nil {
+		if err := writeObject(path, p.canon); err != nil {
 			return IngestResult{}, fmt.Errorf("store: %w", err)
 		}
 	}
 	c.members = append(c.members, m)
 	c.byHash[hash] = m
 	sort.SliceStable(c.members, func(i, j int) bool {
-		a, b := &c.members[i].meta, &c.members[j].meta
+		a, b := &c.members[i].art.Meta, &c.members[j].art.Meta
 		if a.SeedFirst != b.SeedFirst {
 			return a.SeedFirst < b.SeedFirst
 		}
@@ -402,55 +500,54 @@ func writeObject(path string, data []byte) error {
 
 // checkConflicts applies the results.Merge conflict matrix between the
 // candidate and the corpus's existing members, without mutating anything:
-// provenance/structure skew via CompatibleWith against an existing
-// member, plus the cross-shard range and identity checks.
-func (c *corpus) checkConflicts(m *member, cand *results.Artifact) error {
-	ref, err := results.Decode(c.members[0].data)
-	if err != nil {
+// provenance/structure skew via CompatibleWith against the merged view
+// (which carries every member's meta, group and stream structure), plus
+// the cross-shard range and identity checks.
+func (c *corpus) checkConflicts(m *member) error {
+	if err := c.merged.CompatibleWith(m.art); err != nil {
 		return err
 	}
-	if err := ref.CompatibleWith(cand); err != nil {
-		return err
-	}
-	jobSliced := m.meta.JobCount > 0 || c.members[0].meta.JobCount > 0
-	if jobSliced && m.meta.JobAxis == results.AxisSeed {
+	mm := &m.art.Meta
+	jobSliced := mm.JobCount > 0 || c.members[0].art.Meta.JobCount > 0
+	if jobSliced && mm.JobAxis == results.AxisSeed {
 		return fmt.Errorf("results: seed-axis artifacts must carry seed-range provenance, not job slices")
 	}
 	seen := map[uint64]bool{}
 	keys := map[string]bool{}
 	for _, o := range c.members {
-		for _, s := range o.seeds {
-			seen[s] = true
+		om := &o.art.Meta
+		for _, chip := range o.art.Chips {
+			seen[chip.Seed] = true
 		}
 		if jobSliced {
-			if o.meta.SeedFirst != m.meta.SeedFirst || o.meta.SeedCount != m.meta.SeedCount {
+			if om.SeedFirst != mm.SeedFirst || om.SeedCount != mm.SeedCount {
 				return fmt.Errorf("results: %s-axis shards of different seed ranges: [%d,+%d) vs [%d,+%d)",
-					m.meta.JobAxis, o.meta.SeedFirst, o.meta.SeedCount, m.meta.SeedFirst, m.meta.SeedCount)
+					mm.JobAxis, om.SeedFirst, om.SeedCount, mm.SeedFirst, mm.SeedCount)
 			}
-			for _, k := range o.meta.JobKeys {
+			for _, k := range om.JobKeys {
 				keys[k] = true
 			}
-			lo, hi := m.meta.JobFirst, m.meta.JobFirst+m.meta.JobCount
-			if o.meta.JobFirst < hi && lo < o.meta.JobFirst+o.meta.JobCount {
+			lo, hi := mm.JobFirst, mm.JobFirst+mm.JobCount
+			if om.JobFirst < hi && lo < om.JobFirst+om.JobCount {
 				return fmt.Errorf("results: job slices [%d,+%d) and [%d,+%d) overlap (same shard merged twice?)",
-					o.meta.JobFirst, o.meta.JobCount, m.meta.JobFirst, m.meta.JobCount)
+					om.JobFirst, om.JobCount, mm.JobFirst, mm.JobCount)
 			}
 		} else {
-			lo, hi := m.meta.SeedFirst, m.meta.SeedFirst+uint64(m.meta.SeedCount)
-			if o.meta.SeedFirst < hi && lo < o.meta.SeedFirst+uint64(o.meta.SeedCount) {
+			lo, hi := mm.SeedFirst, mm.SeedFirst+uint64(mm.SeedCount)
+			if om.SeedFirst < hi && lo < om.SeedFirst+uint64(om.SeedCount) {
 				return fmt.Errorf("results: seed ranges [%d,+%d) and [%d,+%d) overlap (same shard merged twice?)",
-					o.meta.SeedFirst, o.meta.SeedCount, m.meta.SeedFirst, m.meta.SeedCount)
+					om.SeedFirst, om.SeedCount, mm.SeedFirst, mm.SeedCount)
 			}
 		}
 	}
-	for _, k := range m.meta.JobKeys {
+	for _, k := range mm.JobKeys {
 		if keys[k] {
 			return fmt.Errorf("results: job %q present in both artifacts (same shard merged twice?)", k)
 		}
 	}
-	for _, s := range m.seeds {
-		if seen[s] {
-			return fmt.Errorf("results: chip seed %#x present in both artifacts", s)
+	for _, chip := range m.art.Chips {
+		if seen[chip.Seed] {
+			return fmt.Errorf("results: chip seed %#x present in both artifacts", chip.Seed)
 		}
 	}
 	return nil
@@ -463,7 +560,7 @@ func (c *corpus) checkConflicts(m *member, cand *results.Artifact) error {
 // degenerate ordering the conflict matrix all but rules out, kept as a
 // defensive fallback rather than an assumption. Live ingests pass
 // through the store/merge failpoint so the degraded error path above is
-// torture-testable.
+// torture-testable. A merge the results layer refuses is ErrConflict.
 func (c *corpus) refresh(full bool, m *member, live bool) error {
 	if live {
 		if err := fpStoreMerge.Inject(); err != nil {
@@ -484,12 +581,14 @@ func (c *corpus) refresh(full bool, m *member, live bool) error {
 }
 
 // advance extends the merged view incrementally: members past the sealed
-// prefix are folded in, one fresh decode each, for as long as they stay
-// contiguous with the running view. Each shard is decoded and merged
-// exactly once over the corpus's life — amortized O(1) work per ingest
-// versus the O(n) re-decode of a full rebuild. The published view is
-// never mutated: the first fold clones it, the clone absorbs the shards
-// and is sealed, and a single pointer swap publishes it.
+// prefix are folded in, straight from their retained artifacts, for as
+// long as they stay contiguous with the running view. Each shard is
+// merged exactly once over the corpus's life — amortized O(1) work per
+// ingest versus the O(n) fold of a full rebuild. Neither the published
+// view nor any member is mutated: the first fold into a non-empty corpus
+// clones the view, the first fold into an empty one clones the member,
+// the clone absorbs the shards and is sealed, and a single pointer swap
+// publishes it.
 //
 // Byte-identity with rebuildFull is structural, not incidental:
 // results.MergeShards is a stable sort by (SeedFirst, JobFirst) followed
@@ -503,9 +602,9 @@ func (c *corpus) advance() error {
 	view := c.merged              // contiguity reference; starts at the published view
 	var working *results.Artifact // clone under construction; nil until the first fold
 	for n < len(c.members) {
-		next := &c.members[n].meta
+		a := c.members[n].art
 		if view != nil {
-			vm := &view.Meta
+			vm, next := &view.Meta, &a.Meta
 			if next.JobCount > 0 || vm.JobCount > 0 {
 				if next.JobFirst != vm.JobFirst+vm.JobCount {
 					break
@@ -514,18 +613,14 @@ func (c *corpus) advance() error {
 				break
 			}
 		}
-		a, err := results.Decode(c.members[n].data)
-		if err != nil {
-			return err
-		}
 		if view == nil {
-			working = a
+			working = a.Clone()
 		} else {
 			if working == nil {
 				working = c.merged.Clone()
 			}
 			if err := results.Merge(working, a); err != nil {
-				return err
+				return conflict(err)
 			}
 		}
 		view = working
@@ -538,15 +633,15 @@ func (c *corpus) advance() error {
 	return nil
 }
 
-// rebuildFull re-derives the merged view from pristine bytes: fresh
-// decodes of the maximal contiguous member prefix, merged in canonical
-// order via results.MergeShards (byte-for-byte the `characterize merge`
-// path), then sealed. The previous view is left untouched for readers
-// still holding it.
+// rebuildFull re-derives the merged view from scratch: clones of the
+// maximal contiguous member prefix (MergeShards consumes its inputs),
+// merged in canonical order via results.MergeShards (byte-for-byte the
+// `characterize merge` path), then sealed. The previous view is left
+// untouched for readers still holding it.
 func (c *corpus) rebuildFull() error {
 	n := 1
 	for n < len(c.members) {
-		prev, next := &c.members[n-1].meta, &c.members[n].meta
+		prev, next := &c.members[n-1].art.Meta, &c.members[n].art.Meta
 		if next.JobCount > 0 || prev.JobCount > 0 {
 			if next.JobFirst != prev.JobFirst+prev.JobCount {
 				break
@@ -559,15 +654,11 @@ func (c *corpus) rebuildFull() error {
 	shards := make([]*results.Artifact, n)
 	paths := make([]string, n)
 	for i := 0; i < n; i++ {
-		a, err := results.Decode(c.members[i].data)
-		if err != nil {
-			return err
-		}
-		shards[i], paths[i] = a, c.members[i].hash
+		shards[i], paths[i] = c.members[i].art.Clone(), c.members[i].hash
 	}
 	merged, err := results.MergeShards(shards, paths)
 	if err != nil {
-		return err
+		return conflict(err)
 	}
 	merged.Seal()
 	c.merged, c.mergedCount = merged, n

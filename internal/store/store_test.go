@@ -2,9 +2,14 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -226,8 +231,8 @@ func TestStoreRejectsConflicts(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s, _ := Open("")
 			base := ingest(t, s, shard(0, 2))
-			if _, err := s.IngestArtifact(make()); err == nil {
-				t.Fatalf("%s accepted", name)
+			if _, err := s.IngestArtifact(make()); !errors.Is(err, ErrConflict) {
+				t.Fatalf("%s: got %v, want an ErrConflict rejection", name, err)
 			}
 			if g := s.Generation(); g != base.StoreGen {
 				t.Fatalf("rejected ingest advanced store generation %d -> %d", base.StoreGen, g)
@@ -401,6 +406,26 @@ func TestStoreQuarantineCorruptObject(t *testing.T) {
 	}
 }
 
+// checkMembersPristine asserts that every member's artifact still
+// re-encodes to its object hash: nothing the store did after a shard's
+// one decode — folds, clones, rebuilds, conflict checks — mutated it.
+func checkMembersPristine(t *testing.T, s *Store) {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for id, c := range s.corpora {
+		for _, m := range c.members {
+			buf, err := m.art.MarshalIndented()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum := sha256.Sum256(buf); hex.EncodeToString(sum[:]) != m.hash {
+				t.Fatalf("corpus %s: member %.12s was mutated after ingest", id, m.hash)
+			}
+		}
+	}
+}
+
 // TestStoreIncrementalMatchesFullRebuild is the differential property
 // behind the incremental merge: for EVERY arrival permutation of a shard
 // set, the incrementally advanced store and a store forced onto the full
@@ -408,7 +433,10 @@ func TestStoreQuarantineCorruptObject(t *testing.T) {
 // single ingest — and the final view is byte-identical to a direct
 // `characterize merge` (results.MergeShards) over the same shards. Runs
 // on both sharding regimes (seed-axis fleet shards, job-slice sweep
-// shards).
+// shards). After every ingest, every member artifact of both stores must
+// still re-encode to its object hash: members are decoded once and
+// shared by every later fold, so any fold that wrote into one would
+// corrupt the views that follow.
 func TestStoreIncrementalMatchesFullRebuild(t *testing.T) {
 	type regime struct {
 		name   string
@@ -479,6 +507,8 @@ func TestStoreIncrementalMatchesFullRebuild(t *testing.T) {
 					if err != nil {
 						t.Fatalf("perm %d step %d: full-rebuild ingest: %v", pi, step, err)
 					}
+					checkMembersPristine(t, inc)
+					checkMembersPristine(t, full)
 					if ri.Pending != rf.Pending || ri.Complete != rf.Complete {
 						t.Fatalf("perm %d step %d: pending/complete diverge: inc %d/%v full %d/%v",
 							pi, step, ri.Pending, ri.Complete, rf.Pending, rf.Complete)
@@ -654,4 +684,220 @@ func TestStorePersistenceReload(t *testing.T) {
 	if r := ingest(t, re, shard(0, 2)); !r.Duplicate {
 		t.Fatal("reloaded store does not recognize its own object")
 	}
+}
+
+// copyDir copies a store directory tree (objects and any subdirectories).
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openWithProcs opens dir with GOMAXPROCS set to procs for the replay.
+func openWithProcs(t *testing.T, dir string, procs int) *Store {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestStoreParallelReplayMatchesSerial pins that replay's parallel
+// prepare changes nothing observable: a directory of 24 shards in two
+// corpora (one with a gap, so members replay as pending), plus a torn
+// object and a conflicting one, opens to identical quarantine records,
+// corpora, generations and renders under GOMAXPROCS 1 and 4.
+func TestStoreParallelReplayMatchesSerial(t *testing.T) {
+	src := t.TempDir()
+	s, err := Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 17; i++ {
+		if i != 7 { // leaves the gap [14,16): shards past it stay pending
+			ingest(t, s, shard(2*i, 2))
+		}
+	}
+	for i := uint64(0); i < 8; i++ {
+		other := shard(i, 1)
+		other.Meta.ConfigHash = "feedface"
+		ingest(t, s, other)
+	}
+	objects := filepath.Join(src, "objects")
+	names, err := filepath.Glob(filepath.Join(objects, "*.json"))
+	if err != nil || len(names) != 24 {
+		t.Fatalf("objects on disk: %d (err %v), want 24", len(names), err)
+	}
+	sort.Strings(names)
+	data, err := os.ReadFile(names[len(names)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(names[len(names)/2], data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	overlap, err := shard(1, 2).MarshalIndented() // overlaps [0,2) and [2,4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(overlap)
+	if err := os.WriteFile(filepath.Join(objects, hex.EncodeToString(sum[:])+".json"), overlap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	serialDir, parallelDir := t.TempDir(), t.TempDir()
+	copyDir(t, src, serialDir)
+	copyDir(t, src, parallelDir)
+	serial := openWithProcs(t, serialDir, 1)
+	parallel := openWithProcs(t, parallelDir, 4)
+
+	if q := serial.Quarantined(); len(q) != 2 {
+		t.Fatalf("serial replay quarantined %+v, want the torn and the conflicting object", q)
+	}
+	if !reflect.DeepEqual(serial.Quarantined(), parallel.Quarantined()) {
+		t.Fatalf("quarantine differs:\nserial   %+v\nparallel %+v", serial.Quarantined(), parallel.Quarantined())
+	}
+	if !reflect.DeepEqual(serial.Corpora(), parallel.Corpora()) || len(serial.Corpora()) != 2 {
+		t.Fatalf("corpora differ: serial %v, parallel %v", serial.Corpora(), parallel.Corpora())
+	}
+	if serial.Generation() != parallel.Generation() {
+		t.Fatalf("store generation: serial %d, parallel %d", serial.Generation(), parallel.Generation())
+	}
+	for _, id := range serial.Corpora() {
+		a, _ := serial.Snapshot(id)
+		b, _ := parallel.Snapshot(id)
+		if a.Gen != b.Gen || a.Members != b.Members || a.Pending != b.Pending || a.Complete != b.Complete {
+			t.Fatalf("%s: serial gen=%d members=%d pending=%d, parallel gen=%d members=%d pending=%d",
+				id, a.Gen, a.Members, a.Pending, b.Gen, b.Members, b.Pending)
+		}
+		gb, err := results.ParseGroupBy(a.Meta.GroupBy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ja, err := a.Merged.SummaryJSON(gb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb, err := b.Merged.SummaryJSON(gb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ja, jb) {
+			t.Fatalf("%s: SummaryJSON differs between serial and parallel replay", id)
+		}
+		ha, ra, err := a.Merged.SummaryCSV(gb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb, rb, err := b.Merged.SummaryCSV(gb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ha, hb) || !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("%s: SummaryCSV differs between serial and parallel replay", id)
+		}
+	}
+}
+
+// TestStoreOpenEarlyReturnStopsReplay fails replay on its first object —
+// torn, and unquarantinable because a plain file sits where the
+// quarantine directory belongs — while the lookahead is still preparing
+// the rest: Open must fail and leave no replay goroutine behind.
+func TestStoreOpenEarlyReturnStopsReplay(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 16; i++ {
+		ingest(t, s, shard(i, 1))
+	}
+	objects := filepath.Join(dir, "objects")
+	// "0000.json" sorts before every 64-hex-digit object name.
+	if err := os.WriteFile(filepath.Join(objects, "0000.json"), []byte(`{"meta":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(objects, "quarantine"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "quarantining 0000.json") {
+		t.Fatalf("open with an unquarantinable object: %v, want a quarantine failure", err)
+	}
+	// Match replay's goroutines by their stacks rather than counting: the
+	// runtime's finalizer goroutine counts as a user goroutine while it
+	// runs, which makes a bare NumGoroutine comparison flaky.
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "(*Store).replay") {
+		t.Fatalf("replay goroutines outlived Open's early return:\n%s", stacks)
+	}
+}
+
+// FuzzArtifactIngest feeds arbitrary bytes to a store already holding a
+// real shard of the same study. Nothing may panic; a rejection must be
+// classed ErrMalformed or ErrConflict and leave the store unchanged; an
+// acceptance must be canonical — re-ingesting the re-encoded artifact is
+// a duplicate at the same address. The base shard is prepared once and
+// admitted into every fresh store, which also exercises sharing one
+// member artifact across stores.
+func FuzzArtifactIngest(f *testing.F) {
+	base, err := os.ReadFile(filepath.Join("testdata", "shard-1of2.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	prepBase, err := prepare(base)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{}`))
+	f.Add(base)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, _ := Open("")
+		if _, err := s.admit(prepBase, false); err != nil {
+			t.Fatal(err)
+		}
+		gen := s.Generation()
+		r, err := s.Ingest(data)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrConflict) {
+				t.Fatalf("unclassified rejection: %v", err)
+			}
+			if s.Generation() != gen {
+				t.Fatalf("rejected ingest advanced the store generation %d -> %d", gen, s.Generation())
+			}
+			return
+		}
+		canon, err := s.corpora[r.Corpus].byHash[r.Hash].art.MarshalIndented()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := s.Ingest(canon)
+		if err != nil {
+			t.Fatalf("re-ingest of the canonical encoding: %v", err)
+		}
+		if !again.Duplicate || again.Hash != r.Hash {
+			t.Fatalf("canonical re-ingest: duplicate=%v hash %.12s, want a duplicate of %.12s", again.Duplicate, again.Hash, r.Hash)
+		}
+		checkMembersPristine(t, s)
+	})
 }
