@@ -8,7 +8,9 @@
 // Like the real infrastructure, programs express tight activation loops
 // with a LOOP instruction; the interpreter recognizes pure ACT/PRE hammer
 // loops and applies them in bulk so hammering 256K times costs O(1)
-// simulation work per loop instead of O(n) (see run.go).
+// simulation work per loop instead of O(n), and it activates rows that
+// the program rewrites in full before any read without computing the
+// sense's bitflips, which the writes would erase unseen (see run.go).
 package bender
 
 import (
@@ -263,10 +265,15 @@ func (b *Builder) Rd(ba addr.BankAddr, col int) *Builder {
 	return b.emit(Instr{Op: OpRd, Ch: ba.Channel, PC: ba.PseudoChannel, Bank: ba.Bank, Col: col})
 }
 
-// Wr emits a column write, interning the payload in the data table. The
-// map lookup with an inline string conversion is allocation-free on an
-// intern hit, which is every write after a pattern's first use.
+// Wr emits a column write, interning the payload in the data table.
 func (b *Builder) Wr(ba addr.BankAddr, col int, payload []byte) *Builder {
+	return b.wrIndex(ba, col, b.intern(payload))
+}
+
+// intern returns the data-table index of payload, adding a copy on first
+// use. The map lookup with an inline string conversion is allocation-free
+// on an intern hit, which is every lookup after a pattern's first use.
+func (b *Builder) intern(payload []byte) int {
 	idx, ok := b.dataIndex[string(payload)]
 	if !ok {
 		idx = len(b.prog.Data)
@@ -274,6 +281,11 @@ func (b *Builder) Wr(ba addr.BankAddr, col int, payload []byte) *Builder {
 		b.prog.Data = append(b.prog.Data, stored)
 		b.dataIndex[string(stored)] = idx
 	}
+	return idx
+}
+
+// wrIndex emits a column write of an already-interned payload.
+func (b *Builder) wrIndex(ba addr.BankAddr, col, idx int) *Builder {
 	return b.emit(Instr{Op: OpWr, Ch: ba.Channel, PC: ba.PseudoChannel, Bank: ba.Bank, Col: col, Data: idx})
 }
 
@@ -321,7 +333,8 @@ func (b *Builder) DisableECC() *Builder {
 const eccModeRegister = 4
 
 // WriteRowFill opens a row, fills every column with the byte pattern, and
-// closes the row, with all required waits.
+// closes the row, with all required waits. The payload is interned once
+// for the whole row.
 func (b *Builder) WriteRowFill(ba addr.BankAddr, row int, fill byte) *Builder {
 	if cap(b.fillBuf) < b.geom.ColumnBytes {
 		b.fillBuf = make([]byte, b.geom.ColumnBytes)
@@ -330,10 +343,11 @@ func (b *Builder) WriteRowFill(ba addr.BankAddr, row int, fill byte) *Builder {
 	for i := range payload {
 		payload[i] = fill
 	}
+	idx := b.intern(payload)
 	b.Act(ba, row)
 	b.Wait(b.timing.TRCD - b.timing.TCK)
 	for col := 0; col < b.geom.Columns; col++ {
-		b.Wr(ba, col, payload)
+		b.wrIndex(ba, col, idx)
 	}
 	b.closeRow(ba, int64(b.geom.Columns+1))
 	return b

@@ -3,6 +3,7 @@ package bender_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -578,5 +579,257 @@ func TestEndInsideLoopRejected(t *testing.T) {
 	}}
 	if err := p.Validate(g); err == nil {
 		t.Fatal("end inside loop accepted")
+	}
+}
+
+func TestWriteRowFillMatchesPerColumnBuild(t *testing.T) {
+	// WriteRowFill interns its payload once per row; the program must be
+	// exactly what per-column Wr calls build, data table included.
+	tm := config.SmallChip().Timing
+	g := config.SmallChip().Geometry
+	fills := []byte{0xFF, 0x00, 0xFF, 0x5A}
+	fast := bender.NewBuilder(tm, g)
+	slow := bender.NewBuilder(tm, g)
+	for i, fill := range fills {
+		bank, row := ba(i%2, 0, 1), 10+i
+		fast.WriteRowFill(bank, row, fill)
+
+		payload := bytes.Repeat([]byte{fill}, g.ColumnBytes)
+		slow.Act(bank, row)
+		slow.Wait(tm.TRCD - tm.TCK)
+		for col := 0; col < g.Columns; col++ {
+			slow.Wr(bank, col, payload)
+		}
+		slow.Wait(tm.TRAS - (int64(g.Columns+1)*tm.TCK + tm.TRCD - tm.TCK))
+		slow.Pre(bank)
+		slow.Wait(tm.TRP)
+	}
+	pf, err := fast.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := slow.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pf.Instrs, ps.Instrs) {
+		t.Fatalf("instructions differ:\n%s\nvs\n%s", bender.Disassemble(pf), bender.Disassemble(ps))
+	}
+	if !reflect.DeepEqual(pf.Data, ps.Data) {
+		t.Fatalf("data tables differ: %x vs %x", pf.Data, ps.Data)
+	}
+}
+
+// overwriteRecorder is a device that counts the activations the runner
+// issued as overwrite blocks.
+type overwriteRecorder struct {
+	*hbm.Device
+	overwrites int
+}
+
+func (o *overwriteRecorder) ActivateOverwrite(b addr.BankAddr, row int) error {
+	o.overwrites++
+	return o.Device.ActivateOverwrite(b, row)
+}
+
+// TestOverwriteBlockShapes pins which activations the runner elides the
+// sense flips of: only an ACT followed by waits and same-bank writes that
+// cover every column, closed by the bank's PRE, legal under tRCD/tRAS and
+// with no segment boundary inside. Every case also runs with the fast
+// path disabled and must agree on reads, errors, clock and activity
+// (flip counters aside: an elided sense counts no flips).
+func TestOverwriteBlockShapes(t *testing.T) {
+	cfg := config.SmallChip()
+	tm, g := cfg.Timing, cfg.Geometry
+	b0, b1 := ba(3, 1, 0), ba(3, 1, 1)
+	const row = 77
+	fill := bytes.Repeat([]byte{0xFF}, g.ColumnBytes)
+	open := func(b *bender.Builder, bank addr.BankAddr) {
+		b.Act(bank, row)
+		b.Wait(tm.TRCD - tm.TCK)
+	}
+	closeRow := func(b *bender.Builder, bank addr.BankAddr) {
+		b.Wait(tm.TRAS)
+		b.Pre(bank)
+		b.Wait(tm.TRP)
+	}
+	writeCols := func(b *bender.Builder, bank addr.BankAddr, cols ...int) {
+		for _, c := range cols {
+			b.Wr(bank, c, fill)
+		}
+	}
+	all := make([]int, g.Columns)
+	for c := range all {
+		all[c] = c
+	}
+	cases := []struct {
+		name  string
+		block func(b *bender.Builder) (bound int)
+		// elided is whether the block's ACT may skip its flips.
+		elided, wantErr, disableFast bool
+	}{
+		{name: "full fill", elided: true, block: func(b *bender.Builder) int {
+			b.WriteRowFill(b0, row, 0xFF)
+			return -1
+		}},
+		{name: "columns out of order, one twice", elided: true, block: func(b *bender.Builder) int {
+			open(b, b0)
+			writeCols(b, b0, 3, 0)
+			b.Wait(tm.TCK)
+			writeCols(b, b0, all...)
+			closeRow(b, b0)
+			return -1
+		}},
+		{name: "fast path disabled", disableFast: true, block: func(b *bender.Builder) int {
+			b.WriteRowFill(b0, row, 0xFF)
+			return -1
+		}},
+		{name: "partial cover", block: func(b *bender.Builder) int {
+			open(b, b0)
+			writeCols(b, b0, all[1:]...)
+			closeRow(b, b0)
+			return -1
+		}},
+		{name: "read inside", block: func(b *bender.Builder) int {
+			open(b, b0)
+			b.Rd(b0, 2)
+			writeCols(b, b0, all...)
+			closeRow(b, b0)
+			return -1
+		}},
+		{name: "write to another bank", block: func(b *bender.Builder) int {
+			open(b, b1)
+			open(b, b0)
+			writeCols(b, b0, all[:2]...)
+			writeCols(b, b1, 0)
+			writeCols(b, b0, all[2:]...)
+			closeRow(b, b0)
+			closeRow(b, b1)
+			return -1
+		}},
+		{name: "other opcode inside", block: func(b *bender.Builder) int {
+			open(b, b0)
+			writeCols(b, b0, all...)
+			b.MRS(3, 4, 0)
+			closeRow(b, b0)
+			return -1
+		}},
+		{name: "loop marker inside", block: func(b *bender.Builder) int {
+			open(b, b0)
+			b.Loop(1, func(b *bender.Builder) { writeCols(b, b0, all...) })
+			closeRow(b, b0)
+			return -1
+		}},
+		{name: "closed by another bank's precharge", block: func(b *bender.Builder) int {
+			open(b, b0)
+			writeCols(b, b0, all...)
+			b.Wait(tm.TRAS)
+			b.Pre(b1)
+			closeRow(b, b0)
+			return -1
+		}},
+		{name: "closed by precharge-all", block: func(b *bender.Builder) int {
+			open(b, b0)
+			writeCols(b, b0, all...)
+			b.Wait(tm.TRAS)
+			b.PreA(b0.Channel, b0.PseudoChannel)
+			b.Wait(tm.TRP)
+			return -1
+		}},
+		{name: "program ends before the precharge", block: func(b *bender.Builder) int {
+			open(b, b0)
+			writeCols(b, b0, all...)
+			b.End()
+			return -1
+		}},
+		{name: "segment boundary inside", block: func(b *bender.Builder) int {
+			open(b, b0)
+			writeCols(b, b0, all[:3]...)
+			bound := b.Len()
+			writeCols(b, b0, all[3:]...)
+			closeRow(b, b0)
+			return bound
+		}},
+		{name: "write before tRCD", wantErr: true, block: func(b *bender.Builder) int {
+			b.Act(b0, row)
+			writeCols(b, b0, all...)
+			closeRow(b, b0)
+			return -1
+		}},
+		{name: "precharge before tRAS", wantErr: true, block: func(b *bender.Builder) int {
+			open(b, b0)
+			writeCols(b, b0, all...)
+			b.Pre(b0)
+			b.Wait(tm.TRP)
+			return -1
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			exec := func(disableFast bool) (*overwriteRecorder, [][]byte, error) {
+				d := &overwriteRecorder{Device: newDevice(t)}
+				b := bender.NewBuilder(tm, g)
+				// Write the row, then idle for a minute so the block's ACT
+				// has retention flips to latch (or to skip).
+				b.WriteRowFill(b0, row, 0x00)
+				b.Wait(60_000_000_000_000)
+				start := b.Len()
+				bound := tc.block(b)
+				b.ReadRowOut(b0, row)
+				prog, err := b.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := bender.NewRunner(tm)
+				r.DisableFastPath = disableFast
+				var res *bender.Result
+				if bound >= 0 {
+					res, _, err = r.RunSegments(d, g, prog, []int{start, bound, len(prog.Instrs)}, nil)
+				} else {
+					res, err = r.Run(d, g, prog)
+				}
+				if err != nil {
+					return d, nil, err
+				}
+				return d, res.Reads, nil
+			}
+			fast, fastReads, fastErr := exec(tc.disableFast)
+			slow, slowReads, slowErr := exec(true)
+			if (fastErr != nil) != tc.wantErr || fmt.Sprint(fastErr) != fmt.Sprint(slowErr) {
+				t.Fatalf("errors: fast %v, slow %v (want error %v)", fastErr, slowErr, tc.wantErr)
+			}
+			// The set-up fill is itself an overwrite block, elided unless
+			// the fast path is off; the final read-out never is.
+			want := 0
+			if !tc.disableFast {
+				want = 1
+			}
+			if tc.elided {
+				want++
+			}
+			if fast.overwrites != want {
+				t.Errorf("%d overwrite activations, want %d", fast.overwrites, want)
+			}
+			if !reflect.DeepEqual(fastReads, slowReads) {
+				t.Error("reads diverge from the fast-path-disabled run")
+			}
+			if fast.Now() != slow.Now() {
+				t.Errorf("clocks diverge: %d vs %d", fast.Now(), slow.Now())
+			}
+			fs, ss := fast.Stats(), slow.Stats()
+			if !tc.elided && !tc.wantErr && fs.BitflipsCommitted != ss.BitflipsCommitted {
+				t.Errorf("flips counted %d, fast-path-disabled %d: a sense that was not elided lost flips",
+					fs.BitflipsCommitted, ss.BitflipsCommitted)
+			}
+			if tc.elided && fs.BitflipsCommitted >= ss.BitflipsCommitted {
+				t.Errorf("elided block still counted %d flips (disabled: %d); the dead sense was not skipped",
+					fs.BitflipsCommitted, ss.BitflipsCommitted)
+			}
+			fs.BitflipsCommitted, ss.BitflipsCommitted = 0, 0
+			fs.ECCCorrections, ss.ECCCorrections = 0, 0
+			if fs != ss {
+				t.Errorf("stats diverge:\nfast %+v\nslow %+v", fs, ss)
+			}
+		})
 	}
 }

@@ -32,6 +32,16 @@ type ReaderInto interface {
 	ReadInto(b addr.BankAddr, col int, dst []byte) error
 }
 
+// Overwriter is the optional Target extension for overwrite blocks: an
+// ACT whose row the program rewrites in full — WRs to every column, then
+// the bank's PRE, with nothing but waits in between — before anything can
+// read it. ActivateOverwrite must do everything Activate does except
+// latching the sense's bitflips, which the writes erase unobserved.
+// *hbm.Device implements it.
+type Overwriter interface {
+	ActivateOverwrite(b addr.BankAddr, row int) error
+}
+
 // Result carries a program's outputs.
 type Result struct {
 	// Reads holds the data of every OpRd in program order (the read FIFO).
@@ -62,9 +72,11 @@ type Runner struct {
 	// timing-legal and reproduce its exact simulated duration. With a
 	// zero Timing the fast path is disabled.
 	Timing config.Timing
-	// DisableFastPath forces per-iteration execution of all loops. The
-	// fast path is semantically equivalent (asserted by tests and an
-	// ablation benchmark); disabling it exists for those comparisons.
+	// DisableFastPath forces per-iteration execution of all loops and
+	// plain activations for overwrite blocks (see Overwriter). Both fast
+	// paths are semantically equivalent (asserted by tests, differential
+	// fuzzing and an ablation benchmark); disabling them exists for those
+	// comparisons.
 	DisableFastPath bool
 	// Trace, when non-nil, receives one line per executed command (and
 	// one summary line per bulk-applied hammer loop), timestamped with
@@ -77,6 +89,8 @@ type Runner struct {
 	readBuf []byte
 	jumps   []int32
 	frames  []loopFrame
+	// cover is the column bitset of overwriteBlock.
+	cover []uint64
 
 	// Segmented-run state (see RunSegments); segBounds is nil during a
 	// plain Run, which reduces the per-instruction overhead to one
@@ -240,6 +254,8 @@ func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
 	instrs := prog.Instrs
 	ri, hasRI := t.(ReaderInto)
 	fastOK := !r.DisableFastPath && r.Timing.TCK > 0
+	ow, hasOW := t.(Overwriter)
+	owOK := fastOK && hasOW
 	ip := 0
 	for ip < len(instrs) {
 		for r.segIdx < len(r.segBounds) && ip >= r.segBounds[r.segIdx] {
@@ -277,6 +293,20 @@ func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
 				r.frames = r.frames[:len(r.frames)-1]
 				ip++
 			}
+		case OpAct:
+			var err error
+			if owOK && r.overwriteBlock(instrs, ip, g.Columns) {
+				if r.Trace != nil {
+					r.traceInstr(t, in)
+				}
+				err = ow.ActivateOverwrite(addr.BankAddr{Channel: in.Ch, PseudoChannel: in.PC, Bank: in.Bank}, in.Row)
+			} else {
+				err = r.execInstr(t, prog, in)
+			}
+			if err != nil {
+				return r.wrapLoopErr(err)
+			}
+			ip++
 		case OpEnd:
 			// Execution halts; trailing instructions (if any) are ignored,
 			// matching the original recursive interpreter's semantics.
@@ -323,6 +353,61 @@ func (r *Runner) arenaAlloc(n int) []byte {
 	off := len(r.readBuf)
 	r.readBuf = r.readBuf[:off+n]
 	return r.readBuf[off : off+n : off+n]
+}
+
+// overwriteBlock reports whether the OpAct at instrs[act] opens an
+// overwrite block: it is followed only by OpWaits and same-bank OpWrs that
+// cover every column, then closed by the bank's OpPre. The block must
+// also be unable to stop part way, or the unsensed row could be observed
+// before it is fully rewritten: every WR must be at least tRCD after the
+// ACT and the PRE at least tRAS after it (the device would reject them
+// otherwise), and no RunSegments boundary — a cancellation check — may
+// fall inside it. Validation already guaranteed operand ranges and
+// payload sizes, so nothing else in the block can fail.
+func (r *Runner) overwriteBlock(instrs []Instr, act, columns int) bool {
+	a := instrs[act]
+	tm := r.Timing
+	words := (columns + 63) / 64
+	if cap(r.cover) < words {
+		r.cover = make([]uint64, words)
+	}
+	cover := r.cover[:words]
+	clear(cover)
+	covered := 0
+	// since is the simulated time from the ACT to the next command,
+	// saturated once it satisfies every constraint checked here.
+	limit := max(tm.TRCD, tm.TRAS)
+	since := tm.TCK
+	advance := func(ps int64) {
+		if ps >= limit-since {
+			since = limit
+		} else {
+			since += ps
+		}
+	}
+	for i := act + 1; i < len(instrs); i++ {
+		in := instrs[i]
+		switch in.Op {
+		case OpWait:
+			advance(in.Arg)
+		case OpWr:
+			if in.Ch != a.Ch || in.PC != a.PC || in.Bank != a.Bank || since < tm.TRCD {
+				return false
+			}
+			if w, bit := in.Col>>6, uint64(1)<<(uint(in.Col)&63); cover[w]&bit == 0 {
+				cover[w] |= bit
+				covered++
+			}
+			advance(tm.TCK)
+		case OpPre:
+			return in.Ch == a.Ch && in.PC == a.PC && in.Bank == a.Bank &&
+				covered == columns && since >= tm.TRAS &&
+				!(r.segIdx < len(r.segBounds) && r.segBounds[r.segIdx] <= i)
+		default:
+			return false
+		}
+	}
+	return false
 }
 
 // fastPathLegal checks that the loop body satisfies tRAS and tRP on its

@@ -53,7 +53,7 @@ func TestThresholdAggregatesConsistent(t *testing.T) {
 	}
 }
 
-func TestRetentionTiersMatchRetentionSec(t *testing.T) {
+func TestRetentionAggregatesMatchRetentionSec(t *testing.T) {
 	cfg := config.SmallChip()
 	m := newModel(t, cfg)
 	b := bank(2, 0, 3)
@@ -61,33 +61,26 @@ func TestRetentionTiersMatchRetentionSec(t *testing.T) {
 	bits := cfg.Geometry.RowBits()
 	p := m.Profile(b, row)
 
-	// Lite tier: memoized per-bit values equal the pure function.
-	for _, i := range []int{0, 1, 63, 64, 100, bits - 1} {
-		if got, want := m.RetentionAt(p, i), m.RetentionSec(b, row, i); got != want {
-			t.Fatalf("bit %d: lite RetentionAt %v != RetentionSec %v", i, got, want)
-		}
+	// The first call builds every bit; later calls return the same arrays.
+	sec, wordMin, minSec := m.Retention(p)
+	if again, _, _ := m.Retention(p); &again[0] != &sec[0] {
+		t.Fatal("second retention scan rebuilt the aggregates")
 	}
-
-	// First plan call: still lite. Second: promoted to full.
-	if _, _, _, full := m.RetentionPlan(p); full {
-		t.Fatal("first retention scan already on the full tier")
-	}
-	sec, wordMin, minSec, full := m.RetentionPlan(p)
-	if !full {
-		t.Fatal("second retention scan did not promote to the full tier")
-	}
-	wantMin := math.Inf(1)
+	wantMin, wantBit := math.Inf(1), -1
 	for i := 0; i < bits; i++ {
 		want := m.RetentionSec(b, row, i)
 		if sec[i] != want {
-			t.Fatalf("bit %d: full-tier Sec %v != RetentionSec %v", i, sec[i], want)
+			t.Fatalf("bit %d: Sec %v != RetentionSec %v", i, sec[i], want)
 		}
 		if want < wantMin {
-			wantMin = want
+			wantMin, wantBit = want, i
 		}
 	}
 	if minSec != wantMin {
 		t.Fatalf("row min %v, brute-force min %v", minSec, wantMin)
+	}
+	if gotMin, gotBit := m.RowMinRetention(b, row); gotMin != wantMin || gotBit != wantBit {
+		t.Fatalf("RowMinRetention = (%v, %d), brute force (%v, %d)", gotMin, gotBit, wantMin, wantBit)
 	}
 	for w := range wordMin {
 		min := math.Inf(1)
@@ -174,9 +167,9 @@ func BenchmarkProfileCompute(b *testing.B) {
 	}
 }
 
-// TestRetentionConcurrentAccess exercises the retention tier's locking
-// under the race detector: profiles are shared, so concurrent lite scans,
-// per-bit reads and full-tier promotions of one row must be safe.
+// TestRetentionConcurrentAccess exercises the retention build under the
+// race detector: profiles are shared, so concurrent first scans and
+// row-minimum queries of one row must build it once and agree.
 func TestRetentionConcurrentAccess(t *testing.T) {
 	cfg := config.SmallChip()
 	m := newModel(t, cfg)
@@ -190,18 +183,13 @@ func TestRetentionConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			switch g % 3 {
-			case 0:
-				m.RetentionLiteFlips(p, 1e9, 1.0, nil, nil)
-			case 1:
-				if got, want := m.RetentionAt(p, g), m.RetentionSec(b, row, g); got != want {
-					panic("concurrent RetentionAt diverged from RetentionSec")
+			if g%2 == 0 {
+				if sec, _ := m.RowMinRetention(b, row); sec <= 0 {
+					panic("non-positive row minimum under concurrency")
 				}
-			default:
-				m.RowMinRetention(b, row)
 			}
-			if sec, _, _, full := m.RetentionPlan(p); full && sec[0] != m.RetentionSec(b, row, 0) {
-				panic("full-tier Sec diverged under concurrency")
+			if sec, _, _ := m.Retention(p); sec[g] != m.RetentionSec(b, row, g) {
+				panic("Sec diverged from RetentionSec under concurrency")
 			}
 		}(g)
 	}

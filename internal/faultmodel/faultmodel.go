@@ -70,7 +70,7 @@ type cacheKey struct {
 // Slices are shared with the model's cache: callers must treat them as
 // read-only. The expensive per-bit aggregates — thresholds and retention
 // times, each a full pass of inverse-CDF and exp work — are built lazily
-// on first need (Model.Thresholds / Model.RetentionPlan): a row that is
+// on first need (Model.Thresholds / Model.Retention): a row that is
 // only ever sensed without meaningful disturbance never pays for its
 // threshold index, and a row always sensed inside the refresh window
 // never pays for its retention times.
@@ -103,40 +103,19 @@ type thrProfile struct {
 	ByThr []uint32
 }
 
-// retProfile holds the lazily-built retention state of one row. It has
-// two tiers. The lite tier memoizes individual bits on demand: a row's
-// first long-idle sense only evaluates the (expensive) lognormal for the
-// bits that are actually charged. A row scanned repeatedly is promoted to
-// the full tier, which completes every bit and derives the per-word and
-// per-row minima that let later scans skip work wholesale.
+// retProfile holds the lazily-built retention aggregates of one row,
+// immutable once built.
 type retProfile struct {
-	// mu guards every field below: unlike the threshold tier (immutable
-	// after its sync.Once build), the retention tier mutates shared state
-	// incrementally, and profiles are shared between concurrent model
-	// users. The lock is taken once per scan, not per bit.
-	mu sync.Mutex
 	// Sec[i] is bit i's retention time at the reference temperature, equal
-	// to Model.RetentionSec(bank, row, i) bit for bit. Valid only where
-	// done is set (always, once full).
+	// to Model.RetentionSec(bank, row, i) bit for bit.
 	Sec []float64
-	// done marks which Sec entries have been computed.
-	done []uint64
 	// WordMin[w] is the minimum Sec within 64-bit word w: when the elapsed
 	// time cannot reach a word's weakest cell, the whole word is skipped.
-	// Built at promotion to full.
 	WordMin []float64
 	// MinSec and MinBit are the row's weakest cell: the first bit holding
-	// the minimum retention time. Valid once full.
+	// the minimum retention time.
 	MinSec float64
 	MinBit int
-	full   bool
-	// scans counts retention scans over this row; the second scan
-	// triggers promotion to full.
-	scans int
-	// prefix is the coordinate hash folded up to (but excluding) the bit
-	// index; logMedian caches log(MedianSec).
-	prefix    uint64
-	logMedian float64
 }
 
 // IsTrue reports whether bit i is a true cell.
@@ -352,130 +331,52 @@ func radixSortUint64(keys, tmp []uint64) {
 
 // retention returns the lazily-built retention aggregates of a profile,
 // computing them on first use. The build costs one per-bit pass of the
-// exact RetentionSec math plus a sort; it is only paid for rows whose
-// sense actually clears the retention floor gate (or via RowMinRetention).
+// exact RetentionSec math; it is only paid for rows whose sense actually
+// clears the retention floor gate (or via RowMinRetention).
 func (m *Model) retention(p *RowProfile) *retProfile {
 	p.retOnce.Do(func() {
 		bits := m.cfg.Geometry.RowBits()
 		b, physRow := p.key.bank, p.key.row
+		r := m.cfg.Ret
+		rp := &retProfile{
+			Sec:     make([]float64, bits),
+			WordMin: make([]float64, (bits+63)/64),
+			MinSec:  math.Inf(1),
+		}
+		for w := range rp.WordMin {
+			rp.WordMin[w] = math.Inf(1)
+		}
 		// Prefix-fold the coordinate hash: Combine is a left fold, so
 		// Mix64(prefix ^ bit) equals Combine(..., bit) exactly.
-		p.ret = &retProfile{
-			Sec:  make([]float64, bits),
-			done: make([]uint64, (bits+63)/64),
-			prefix: rng.Combine(m.cfg.Seed, domRetention,
-				uint64(b.Channel), uint64(b.PseudoChannel), uint64(b.Bank), uint64(physRow)),
-			logMedian: math.Log(m.cfg.Ret.MedianSec),
+		prefix := rng.Combine(m.cfg.Seed, domRetention,
+			uint64(b.Channel), uint64(b.PseudoChannel), uint64(b.Bank), uint64(physRow))
+		logMedian := math.Log(r.MedianSec)
+		for i := 0; i < bits; i++ {
+			t := math.Exp(logMedian + r.Sigma*rng.Normal(rng.Mix64(prefix^uint64(i))))
+			if t < r.FloorSec {
+				t = r.FloorSec
+			}
+			rp.Sec[i] = t
+			if w := i >> 6; t < rp.WordMin[w] {
+				rp.WordMin[w] = t
+			}
+			if t < rp.MinSec {
+				rp.MinSec, rp.MinBit = t, i
+			}
 		}
+		p.ret = rp
 	})
 	return p.ret
 }
 
-// retSecAt returns bit i's retention time, computing and memoizing it on
-// first use — bit-identical to RetentionSec. The caller must hold rp.mu.
-func (m *Model) retSecAt(rp *retProfile, i int) float64 {
-	w, mask := i>>6, uint64(1)<<(uint(i)&63)
-	if rp.done[w]&mask != 0 {
-		return rp.Sec[i]
-	}
-	r := m.cfg.Ret
-	t := math.Exp(rp.logMedian + r.Sigma*rng.Normal(rng.Mix64(rp.prefix^uint64(i))))
-	if t < r.FloorSec {
-		t = r.FloorSec
-	}
-	rp.Sec[i] = t
-	rp.done[w] |= mask
-	return t
-}
-
-// retentionFull promotes a retention profile to the full tier: every bit
-// computed, plus the per-word and per-row minima. The caller must hold
-// rp.mu.
-func (m *Model) retentionFull(rp *retProfile) *retProfile {
-	if rp.full {
-		return rp
-	}
-	bits := m.cfg.Geometry.RowBits()
-	words := (bits + 63) / 64
-	rp.WordMin = make([]float64, words)
-	rp.MinSec = math.Inf(1)
-	for w := range rp.WordMin {
-		rp.WordMin[w] = math.Inf(1)
-	}
-	for i := 0; i < bits; i++ {
-		t := m.retSecAt(rp, i)
-		if w := i >> 6; t < rp.WordMin[w] {
-			rp.WordMin[w] = t
-		}
-		if t < rp.MinSec {
-			rp.MinSec, rp.MinBit = t, i
-		}
-	}
-	rp.full = true
-	return rp
-}
-
-// RetentionPlan tells the sense path how to run a retention scan over
-// this row, and counts the scan. On the full tier it returns the cached
-// per-bit times plus the word/row minima (full=true): the scan can gate
-// on the row minimum and skip whole words (the returned slices are
-// immutable once full, so reading them without the lock is safe). Before
-// that it returns full=false — the scan should run through
-// RetentionLiteFlips, so a row's first long-idle sense (the common case:
-// a freshly-touched row on a long-running device, about to be
-// overwritten anyway) only pays for the bits it actually inspects. The
-// second scan promotes the row to the full tier, so rows that are
-// profiled repeatedly (the U-TRR retention side channel) get the
-// aggregate-gated fast path.
-func (m *Model) RetentionPlan(p *RowProfile) (sec, wordMin []float64, minSec float64, full bool) {
+// Retention exposes a profile's retention aggregates: the per-bit
+// retention times at the reference temperature and their per-word and
+// per-row minima, so a retention scan can gate on the row minimum and
+// skip whole words. Building them on first use is the expensive step; see
+// retention.
+func (m *Model) Retention(p *RowProfile) (sec, wordMin []float64, minSec float64) {
 	rp := m.retention(p)
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	if !rp.full {
-		rp.scans++
-		if rp.scans >= 2 {
-			m.retentionFull(rp)
-		}
-	}
-	if rp.full {
-		return rp.Sec, rp.WordMin, rp.MinSec, true
-	}
-	return nil, nil, 0, false
-}
-
-// RetentionLiteFlips runs a lite-tier retention scan: it appends to dst
-// the bits that are charged under the row image data (LSB-first within
-// each byte; nil means the all-zero power-up pattern) and whose retention
-// time, scaled by tscale, is exceeded by elapsedSec — deriving and
-// memoizing the lognormal only for the charged bits it inspects. One
-// lock acquisition covers the whole scan.
-func (m *Model) RetentionLiteFlips(p *RowProfile, elapsedSec, tscale float64, data []byte, dst []int) []int {
-	rp := m.retention(p)
-	bits := m.cfg.Geometry.RowBits()
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	for i := 0; i < bits; i++ {
-		var v byte
-		if data != nil {
-			v = (data[i>>3] >> (uint(i) & 7)) & 1
-		}
-		if !Charged(p.IsTrue(i), v == 1) {
-			continue
-		}
-		if elapsedSec > m.retSecAt(rp, i)*tscale {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-// RetentionAt returns bit i's retention time, memoized; bit-identical to
-// RetentionSec.
-func (m *Model) RetentionAt(p *RowProfile, i int) float64 {
-	rp := m.retention(p)
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return m.retSecAt(rp, i)
+	return rp.Sec, rp.WordMin, rp.MinSec
 }
 
 // RetentionSec returns the retention time of one cell at the reference
@@ -497,9 +398,6 @@ func (m *Model) RetentionSec(b addr.BankAddr, physRow, bit int) float64 {
 // row's weakest cell determines when retention errors appear.
 func (m *Model) RowMinRetention(b addr.BankAddr, physRow int) (sec float64, bit int) {
 	rp := m.retention(m.Profile(b, physRow))
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	m.retentionFull(rp)
 	return rp.MinSec, rp.MinBit
 }
 

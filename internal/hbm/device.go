@@ -51,6 +51,10 @@ const (
 const farPast = math.MinInt64 / 4
 
 // Stats counts device activity, for tests, reports and ablations.
+// BitflipsCommitted and ECCCorrections count the flips of senses that
+// compute them: an ActivateOverwrite sense computes none, so flips a
+// row would have latched only to have every bit overwritten before any
+// read are not counted.
 type Stats struct {
 	Acts               int64
 	Precharges         int64
@@ -243,6 +247,25 @@ func (d *Device) row(bank *bankState, physRow int) *rowState {
 // (materializing any accumulated bitflips and restoring charge), disturbs
 // physical neighbours, and feeds the TRR sampler.
 func (d *Device) Activate(b addr.BankAddr, logicalRow int) error {
+	return d.activate(b, logicalRow, true)
+}
+
+// ActivateOverwrite is Activate for a row the caller fully rewrites
+// before anything reads it: every column written, then the bank's
+// precharge, with no read in between. It does everything Activate does —
+// timing checks, charge restore, neighbour disturbance, the TRR sample,
+// the activation count and the clock — except computing the sense's
+// bitflips. Those flips are unobservable: no other row of the bank can be
+// sensed while this one is open, and every bit is overwritten before the
+// row can be read or its data can couple into a neighbour's sense. The
+// DRAM Bender runner calls it for such overwrite blocks.
+func (d *Device) ActivateOverwrite(b addr.BankAddr, logicalRow int) error {
+	return d.activate(b, logicalRow, false)
+}
+
+// activate implements Activate and ActivateOverwrite; flips selects
+// whether the sense computes and commits bitflips.
+func (d *Device) activate(b addr.BankAddr, logicalRow int, flips bool) error {
 	pc, bank, err := d.bankAt(b)
 	if err != nil {
 		return err
@@ -263,7 +286,7 @@ func (d *Device) Activate(b addr.BankAddr, logicalRow int) error {
 		return fmt.Errorf("hbm: activate %v violates tRFC: %w", b, ErrTiming)
 	}
 	phys := d.mapper.ToPhysical(logicalRow)
-	d.senseAndRestore(b, bank, phys, d.now)
+	d.senseAndRestore(b, bank, phys, d.now, flips)
 	d.applyDisturb(b, phys, 1)
 	pc.eng.ObserveActivate(b.Bank, phys)
 	bank.open = phys
@@ -440,7 +463,7 @@ func (d *Device) Refresh(ch, pc int) error {
 		for k := 0; k < rowsPerRef; k++ {
 			phys := (p.refPtr + k) % g.Rows
 			if bank.rowAt(phys) != nil {
-				d.senseAndRestore(b, bank, phys, d.now)
+				d.senseAndRestore(b, bank, phys, d.now, true)
 			}
 		}
 	}
@@ -451,7 +474,7 @@ func (d *Device) Refresh(ch, pc int) error {
 		b := addr.BankAddr{Channel: ch, PseudoChannel: pc, Bank: vr.Bank}
 		bank := p.banks[vr.Bank]
 		for _, phys := range vr.Rows {
-			d.senseAndRestore(b, bank, phys, d.now)
+			d.senseAndRestore(b, bank, phys, d.now, true)
 			d.stats.TRRVictimRefreshes++
 		}
 	}
@@ -460,7 +483,7 @@ func (d *Device) Refresh(ch, pc int) error {
 		b := addr.BankAddr{Channel: ch, PseudoChannel: pc, Bank: p.docBank}
 		bank := p.banks[p.docBank]
 		for _, phys := range p.doc.OnRefresh() {
-			d.senseAndRestore(b, bank, phys, d.now)
+			d.senseAndRestore(b, bank, phys, d.now, true)
 			d.stats.TRRVictimRefreshes++
 		}
 	}
@@ -636,7 +659,7 @@ func (d *Device) hammer(b addr.BankAddr, logicalRows [2]int, nrows, n int, holdP
 	// Each aggressor is sensed on its first activation: accumulated
 	// faults materialize and its decay clock resets.
 	for _, p := range phys {
-		d.senseAndRestore(b, bank, p, d.now)
+		d.senseAndRestore(b, bank, p, d.now, true)
 	}
 	// Per-activation disturbance: the base unit plus any RowPress
 	// amplification from holding the row open beyond tRAS.

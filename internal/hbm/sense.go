@@ -30,7 +30,9 @@ func (d *Device) SetSenseReference(on bool) { d.senseRef = on }
 // each cell and drive it back, so any bitflip accumulated since the last
 // sense — from charge decay or from RowHammer disturbance — becomes
 // permanent data. Afterwards the row is fully charged and its disturbance
-// counter is reset.
+// counter is reset. With flips false only that restore happens: the
+// caller (ActivateOverwrite) guarantees every bit is overwritten before
+// anything could observe the latched data.
 //
 // On-die ECC, when enabled through the mode register, corrects words with
 // exactly one flipped bit at sense-out, as the HBM2 single-error-correcting
@@ -42,12 +44,15 @@ func (d *Device) SetSenseReference(on bool) { d.senseRef = on }
 // profile's precomputed aggregates to touch only the bits that can
 // possibly flip; it is bit-for-bit identical (pinned by differential fuzz
 // and golden tests) and allocation-free in steady state.
-func (d *Device) senseAndRestore(b addr.BankAddr, bank *bankState, physRow int, at int64) {
+func (d *Device) senseAndRestore(b addr.BankAddr, bank *bankState, physRow int, at int64, flips bool) {
 	rs := d.row(bank, physRow)
 	disturb := rs.disturb
 	elapsedSec := float64(at-rs.lastSense) * 1e-12
 	rs.disturb = 0
 	rs.lastSense = at
+	if !flips {
+		return
+	}
 
 	// Effective retention shrinks with temperature (Arrhenius factor).
 	tscale := d.cfg.Ret.Scale(d.tempC)
@@ -193,9 +198,7 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 	}
 
 	if retPass {
-		retSec, wordMin, minSec, full := d.fm.RetentionPlan(prof)
-		switch {
-		case full && elapsedSec > minSec*tscale:
+		if retSec, wordMin, minSec := d.fm.Retention(prof); elapsedSec > minSec*tscale {
 			for w := range wordMin {
 				if !(elapsedSec > wordMin[w]*tscale) {
 					continue // even the word's weakest cell survives
@@ -215,11 +218,6 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 					flips = append(flips, i)
 				}
 			}
-		case !full:
-			// Lite tier: the model scans charge-first under one lock, so
-			// the lognormal retention time is only derived for charged
-			// bits (and memoized for later scans).
-			flips = d.fm.RetentionLiteFlips(prof, elapsedSec, tscale, data, flips)
 		}
 	}
 

@@ -72,7 +72,7 @@ func applyOp(d *Device, op, a, b byte) (readout []byte, err error) {
 		return ReadRow(d, ba, lrow)
 	case 4:
 		// Idle up to ~25 s of simulated time: retention decay territory.
-		return nil, d.AdvanceTime(int64(b+1) * 100_000_000_000)
+		return nil, d.AdvanceTime((int64(b) + 1) * 100_000_000_000)
 	case 5:
 		d.SetTemperature(40 + float64(b%60))
 		return nil, nil
@@ -113,6 +113,13 @@ func compareDevices(t *testing.T, fast, ref *Device) {
 	if fast.Stats() != ref.Stats() {
 		t.Fatalf("stats diverge:\nfast %+v\nref  %+v", fast.Stats(), ref.Stats())
 	}
+	compareRows(t, fast, ref)
+}
+
+// compareRows fails the test unless every row of both devices has the
+// same data image, disturbance and charge clock.
+func compareRows(t *testing.T, fast, ref *Device) {
+	t.Helper()
 	g := fast.Geometry()
 	for ch := 0; ch < g.Channels; ch++ {
 		for pc := 0; pc < g.PseudoChannels; pc++ {
