@@ -191,6 +191,14 @@ func (l *SubarrayLayout) Locate(row int) (sa, offset int) {
 	return lo, row - l.starts[lo]
 }
 
+// Bounds returns the half-open row range [start, end) of the subarray
+// containing row, from a single Locate: every row in it shares row's
+// subarray. It panics like Locate for a row outside the layout.
+func (l *SubarrayLayout) Bounds(row int) (start, end int) {
+	sa, _ := l.Locate(row)
+	return l.starts[sa], l.starts[sa] + l.sizes[sa]
+}
+
 // SameSubarray reports whether two rows fall in the same subarray.
 func (l *SubarrayLayout) SameSubarray(a, b int) bool {
 	sa, _ := l.Locate(a)

@@ -18,15 +18,19 @@ import (
 //	rd   <ch> <pc> <bank> <col>
 //	wr   <ch> <pc> <bank> <col> fill <hexbyte>
 //	wr   <ch> <pc> <bank> <col> hex  <hexbytes>
+//	wrrow <ch> <pc> <bank> fill <hexbyte>
+//	wrrow <ch> <pc> <bank> hex  <hexbytes>
 //	ref  <ch> <pc>
-//	mrs  <ch> <reg> <value>
+//	mrs  <ch> <reg> <value>    (value 0..2^32-1)
 //	wait <picoseconds>
 //	loop <count>
 //	endloop
 //	end
 //
-// Blank lines and lines starting with '#' or ';' are ignored, as is
-// anything after '#' or ';' on a line.
+// A payload is one column: fill repeats one byte, hex spells every byte.
+// Integers take Go syntax (decimal, 0x, 0o, 0b). Blank lines and lines
+// starting with '#' or ';' are ignored, as is anything after '#' or ';' on
+// a line.
 func Assemble(src string, g addr.Geometry) (*Program, error) {
 	p := &Program{}
 	dataIndex := make(map[string]int)
@@ -56,7 +60,7 @@ func Assemble(src string, g addr.Geometry) (*Program, error) {
 		op := strings.ToLower(fields[0])
 		args := fields[1:]
 		n, err := parseInts(args)
-		if err != nil && op != "wr" {
+		if err != nil && op != "wr" && op != "wrrow" {
 			return nil, fail("%v", err)
 		}
 		switch op {
@@ -80,22 +84,27 @@ func Assemble(src string, g addr.Geometry) (*Program, error) {
 				return nil, fail("rd needs ch pc bank col")
 			}
 			p.Instrs = append(p.Instrs, Instr{Op: OpRd, Ch: int(n[0]), PC: int(n[1]), Bank: int(n[2]), Col: int(n[3])})
-		case "wr":
-			if len(args) != 6 {
-				return nil, fail("wr needs ch pc bank col (fill|hex) payload")
+		case "wr", "wrrow":
+			head, operands := 4, "ch pc bank col"
+			if op == "wrrow" {
+				head, operands = 3, "ch pc bank"
 			}
-			hd, err := parseInts(args[:4])
+			if len(args) != head+2 {
+				return nil, fail("%s needs %s (fill|hex) payload", op, operands)
+			}
+			hd, err := parseInts(args[:head])
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			payload, err := parsePayload(args[4], args[5], g.ColumnBytes)
+			payload, err := parsePayload(args[head], args[head+1], g.ColumnBytes)
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			p.Instrs = append(p.Instrs, Instr{
-				Op: OpWr, Ch: int(hd[0]), PC: int(hd[1]), Bank: int(hd[2]), Col: int(hd[3]),
-				Data: intern(payload),
-			})
+			in := Instr{Op: OpWrRow, Ch: int(hd[0]), PC: int(hd[1]), Bank: int(hd[2]), Data: intern(payload)}
+			if op == "wr" {
+				in.Op, in.Col = OpWr, int(hd[3])
+			}
+			p.Instrs = append(p.Instrs, in)
 		case "ref":
 			if len(n) != 2 {
 				return nil, fail("ref needs ch pc")
@@ -195,6 +204,8 @@ func Disassemble(p *Program) string {
 			fmt.Fprintf(&sb, "rd %d %d %d %d\n", in.Ch, in.PC, in.Bank, in.Col)
 		case OpWr:
 			fmt.Fprintf(&sb, "wr %d %d %d %d hex %s\n", in.Ch, in.PC, in.Bank, in.Col, hex.EncodeToString(p.Data[in.Data]))
+		case OpWrRow:
+			fmt.Fprintf(&sb, "wrrow %d %d %d hex %s\n", in.Ch, in.PC, in.Bank, hex.EncodeToString(p.Data[in.Data]))
 		case OpRef:
 			fmt.Fprintf(&sb, "ref %d %d\n", in.Ch, in.PC)
 		case OpMRS:

@@ -8,13 +8,16 @@
 // Like the real infrastructure, programs express tight activation loops
 // with a LOOP instruction; the interpreter recognizes pure ACT/PRE hammer
 // loops and applies them in bulk so hammering 256K times costs O(1)
-// simulation work per loop instead of O(n), and it activates rows that
-// the program rewrites in full before any read without computing the
-// sense's bitflips, which the writes would erase unseen (see run.go).
+// simulation work per loop instead of O(n). A row fill is one WRROW, which
+// writes a payload to every column of the open row, rather than one WR per
+// column; the interpreter activates a row that a WRROW rewrites in full
+// before any read without computing the sense's bitflips, which the write
+// would erase unseen (see run.go).
 package bender
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
@@ -30,6 +33,7 @@ const (
 	OpPreA                  // precharge all banks in a pseudo channel: ch pc
 	OpRd                    // read a column into the result FIFO: ch pc bank col
 	OpWr                    // write a column from the data table: ch pc bank col data
+	OpWrRow                 // write one data-table payload to every column of the open row: ch pc bank data
 	OpRef                   // periodic refresh: ch pc
 	OpMRS                   // mode register set: ch reg value
 	OpWait                  // advance time by Arg picoseconds
@@ -51,6 +55,8 @@ func (o Op) String() string {
 		return "rd"
 	case OpWr:
 		return "wr"
+	case OpWrRow:
+		return "wrrow"
 	case OpRef:
 		return "ref"
 	case OpMRS:
@@ -70,15 +76,16 @@ func (o Op) String() string {
 
 // Instr is one instruction. Field use depends on Op:
 //
-//	OpAct:  Ch, PC, Bank, Row
-//	OpPre:  Ch, PC, Bank
-//	OpPreA: Ch, PC
-//	OpRd:   Ch, PC, Bank, Col
-//	OpWr:   Ch, PC, Bank, Col, Data (index into Program.Data)
-//	OpRef:  Ch, PC
-//	OpMRS:  Ch, Row (register index), Arg (value)
-//	OpWait: Arg (picoseconds)
-//	OpLoop: Arg (iteration count)
+//	OpAct:   Ch, PC, Bank, Row
+//	OpPre:   Ch, PC, Bank
+//	OpPreA:  Ch, PC
+//	OpRd:    Ch, PC, Bank, Col
+//	OpWr:    Ch, PC, Bank, Col, Data (index into Program.Data)
+//	OpWrRow: Ch, PC, Bank, Data (index into Program.Data)
+//	OpRef:   Ch, PC
+//	OpMRS:   Ch, Row (register index), Arg (value, 0..2^32-1)
+//	OpWait:  Arg (picoseconds)
+//	OpLoop:  Arg (iteration count)
 type Instr struct {
 	Op           Op
 	Ch, PC, Bank int
@@ -90,8 +97,8 @@ type Instr struct {
 // Program is an executable command sequence plus its write-data table.
 type Program struct {
 	Instrs []Instr
-	// Data holds write payloads referenced by OpWr instructions. Each
-	// entry must be exactly one column long.
+	// Data holds write payloads referenced by OpWr and OpWrRow
+	// instructions. Each entry must be exactly one column long.
 	Data [][]byte
 
 	// validFor caches the geometry the program last validated against, so
@@ -139,8 +146,8 @@ func (p *Program) Validate(g addr.Geometry) error {
 			if !validBank(g, in) || in.Col < 0 || in.Col >= g.Columns {
 				return valErr(i, in.Op, "bank/column out of range")
 			}
-		case OpWr:
-			if !validBank(g, in) || in.Col < 0 || in.Col >= g.Columns {
+		case OpWr, OpWrRow:
+			if !validBank(g, in) || (in.Op == OpWr && (in.Col < 0 || in.Col >= g.Columns)) {
 				return valErr(i, in.Op, "bank/column out of range")
 			}
 			if in.Data < 0 || in.Data >= len(p.Data) {
@@ -155,6 +162,9 @@ func (p *Program) Validate(g addr.Geometry) error {
 			}
 			if in.Row < 0 {
 				return valErr(i, in.Op, "negative register index")
+			}
+			if in.Arg < 0 || in.Arg > math.MaxUint32 {
+				return valErr(i, in.Op, "value %d outside 32 bits", in.Arg)
 			}
 		case OpWait:
 			if in.Arg < 0 {
@@ -267,7 +277,13 @@ func (b *Builder) Rd(ba addr.BankAddr, col int) *Builder {
 
 // Wr emits a column write, interning the payload in the data table.
 func (b *Builder) Wr(ba addr.BankAddr, col int, payload []byte) *Builder {
-	return b.wrIndex(ba, col, b.intern(payload))
+	return b.emit(Instr{Op: OpWr, Ch: ba.Channel, PC: ba.PseudoChannel, Bank: ba.Bank, Col: col, Data: b.intern(payload)})
+}
+
+// WrRow emits a row write: the payload, interned in the data table, goes
+// to every column of the bank's open row.
+func (b *Builder) WrRow(ba addr.BankAddr, payload []byte) *Builder {
+	return b.emit(Instr{Op: OpWrRow, Ch: ba.Channel, PC: ba.PseudoChannel, Bank: ba.Bank, Data: b.intern(payload)})
 }
 
 // intern returns the data-table index of payload, adding a copy on first
@@ -282,11 +298,6 @@ func (b *Builder) intern(payload []byte) int {
 		b.dataIndex[string(stored)] = idx
 	}
 	return idx
-}
-
-// wrIndex emits a column write of an already-interned payload.
-func (b *Builder) wrIndex(ba addr.BankAddr, col, idx int) *Builder {
-	return b.emit(Instr{Op: OpWr, Ch: ba.Channel, PC: ba.PseudoChannel, Bank: ba.Bank, Col: col, Data: idx})
 }
 
 // Ref emits a periodic refresh.
@@ -332,9 +343,9 @@ func (b *Builder) DisableECC() *Builder {
 // (bender targets an interface, not the concrete device).
 const eccModeRegister = 4
 
-// WriteRowFill opens a row, fills every column with the byte pattern, and
-// closes the row, with all required waits. The payload is interned once
-// for the whole row.
+// WriteRowFill opens a row, fills every column with the byte pattern in
+// one WRROW, and closes the row, with all required waits. The WRROW takes
+// the Columns command slots of per-column writes, so the timing is theirs.
 func (b *Builder) WriteRowFill(ba addr.BankAddr, row int, fill byte) *Builder {
 	if cap(b.fillBuf) < b.geom.ColumnBytes {
 		b.fillBuf = make([]byte, b.geom.ColumnBytes)
@@ -343,12 +354,9 @@ func (b *Builder) WriteRowFill(ba addr.BankAddr, row int, fill byte) *Builder {
 	for i := range payload {
 		payload[i] = fill
 	}
-	idx := b.intern(payload)
 	b.Act(ba, row)
 	b.Wait(b.timing.TRCD - b.timing.TCK)
-	for col := 0; col < b.geom.Columns; col++ {
-		b.wrIndex(ba, col, idx)
-	}
+	b.WrRow(ba, payload)
 	b.closeRow(ba, int64(b.geom.Columns+1))
 	return b
 }

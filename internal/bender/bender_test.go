@@ -209,6 +209,16 @@ func TestProgramValidation(t *testing.T) {
 			Instrs: []bender.Instr{{Op: bender.OpWr}},
 			Data:   [][]byte{{1, 2, 3}},
 		},
+		"row write bad data index": {Instrs: []bender.Instr{{Op: bender.OpWrRow}}},
+		"row write short payload": {
+			Instrs: []bender.Instr{{Op: bender.OpWrRow}},
+			Data:   [][]byte{{1, 2, 3}},
+		},
+		"row write bank out of range": {
+			Instrs: []bender.Instr{{Op: bender.OpWrRow, Bank: g.Banks}},
+			Data:   [][]byte{make([]byte, g.ColumnBytes)},
+		},
+		"mode register value too wide": {Instrs: []bender.Instr{{Op: bender.OpMRS, Arg: 1 << 32}}},
 	}
 	for name, p := range cases {
 		p := p
@@ -229,6 +239,13 @@ wr 0 0 0 0 fill a5
 wr 0 0 0 1 hex ` + strings.Repeat("0f", g.ColumnBytes) + `
 wait 33000
 pre 0 0 0
+wait 14000
+act 0 0 1 100
+wait 14000
+wrrow 0 0 1 fill 3c
+wrrow 0 0 1 hex ` + strings.Repeat("c3", g.ColumnBytes) + `
+wait 33000
+pre 0 0 1
 wait 14000
 loop 1000
   act 0 0 0 99  ; aggressor
@@ -259,9 +276,25 @@ end
 			a.Row != b.Row || a.Col != b.Col || a.Arg != b.Arg {
 			t.Fatalf("instr %d differs: %+v vs %+v", i, a, b)
 		}
-		if a.Op == bender.OpWr && !bytes.Equal(p1.Data[a.Data], p2.Data[b.Data]) {
+		if (a.Op == bender.OpWr || a.Op == bender.OpWrRow) && !bytes.Equal(p1.Data[a.Data], p2.Data[b.Data]) {
 			t.Fatalf("instr %d payload differs", i)
 		}
+	}
+	var rowWrites int
+	for _, in := range p2.Instrs {
+		if in.Op == bender.OpWrRow {
+			want := bytes.Repeat([]byte{0x3c}, g.ColumnBytes)
+			if rowWrites == 1 {
+				want = bytes.Repeat([]byte{0xc3}, g.ColumnBytes)
+			}
+			if !bytes.Equal(p2.Data[in.Data], want) {
+				t.Fatalf("wrrow %d payload %x, want %x", rowWrites, p2.Data[in.Data], want)
+			}
+			rowWrites++
+		}
+	}
+	if rowWrites != 2 {
+		t.Fatalf("%d wrrow instructions survived the round trip, want 2", rowWrites)
 	}
 }
 
@@ -278,6 +311,16 @@ func TestAssembleErrors(t *testing.T) {
 		"endloop extra":  "endloop 3",
 		"row overflow":   "act 0 0 0 999999",
 		"nested unclose": "loop 2\nloop 3\nendloop",
+		"wrrow bad fill": "wrrow 0 0 0 fill zz",
+		"wrrow bad hex":  "wrrow 0 0 0 hex xyz",
+		"wrrow short":    "wrrow 0 0 0 hex abcd",
+		"wrrow no data":  "wrrow 0 0 0 fill",
+		"wrrow with col": "wrrow 0 0 0 0 fill ff",
+		"wrrow bank":     fmt.Sprintf("wrrow 0 0 %d fill ff", g.Banks),
+		"wrrow channel":  fmt.Sprintf("wrrow %d 0 0 fill ff", g.Channels),
+		"wrrow bad int":  "wrrow 0 x 0 fill ff",
+		"mrs negative":   "mrs 0 4 -1",
+		"mrs too wide":   "mrs 0 4 0x100000000",
 	}
 	for name, src := range cases {
 		if _, err := bender.Assemble(src, g); err == nil {
@@ -325,7 +368,7 @@ func TestRefreshBurstTriggersTRRPeriod(t *testing.T) {
 
 func TestOpStringCoversAll(t *testing.T) {
 	ops := []bender.Op{
-		bender.OpAct, bender.OpPre, bender.OpPreA, bender.OpRd, bender.OpWr,
+		bender.OpAct, bender.OpPre, bender.OpPreA, bender.OpRd, bender.OpWr, bender.OpWrRow,
 		bender.OpRef, bender.OpMRS, bender.OpWait, bender.OpLoop, bender.OpEndLoop, bender.OpEnd,
 	}
 	seen := map[string]bool{}
@@ -411,7 +454,7 @@ func TestTraceLogsCommands(t *testing.T) {
 	for _, want := range []string{
 		"mrs  ch0 MR4 = 0x0",
 		"act  ch0.pc0.ba0 row 9",
-		"wr   ch0.pc0.ba0 col 0",
+		"wrrow ch0.pc0.ba0 (payload 0)",
 		"double-sided hammer ch0.pc0.ba0 rows 8/10",
 		"(hold 33000 ps, bulk)",
 		"rd   ch0.pc0.ba0 col 0",
@@ -583,40 +626,69 @@ func TestEndInsideLoopRejected(t *testing.T) {
 }
 
 func TestWriteRowFillMatchesPerColumnBuild(t *testing.T) {
-	// WriteRowFill interns its payload once per row; the program must be
-	// exactly what per-column Wr calls build, data table included.
+	// WriteRowFill's single WRROW must leave the device exactly as the
+	// per-column spelling of the same fill does: the same reads, clock and
+	// every activity counter, with the fast paths on and off. (The hbm
+	// package's FuzzWriteRowEquivalence extends this to random programs
+	// and per-row physical state.)
 	tm := config.SmallChip().Timing
 	g := config.SmallChip().Geometry
 	fills := []byte{0xFF, 0x00, 0xFF, 0x5A}
-	fast := bender.NewBuilder(tm, g)
-	slow := bender.NewBuilder(tm, g)
-	for i, fill := range fills {
-		bank, row := ba(i%2, 0, 1), 10+i
-		fast.WriteRowFill(bank, row, fill)
-
-		payload := bytes.Repeat([]byte{fill}, g.ColumnBytes)
-		slow.Act(bank, row)
-		slow.Wait(tm.TRCD - tm.TCK)
-		for col := 0; col < g.Columns; col++ {
-			slow.Wr(bank, col, payload)
+	build := func(perColumn bool) *bender.Program {
+		b := bender.NewBuilder(tm, g)
+		for i, fill := range fills {
+			bank, row := ba(i%2, 0, 1), 10+i
+			if !perColumn {
+				b.WriteRowFill(bank, row, fill)
+				continue
+			}
+			b.Act(bank, row)
+			b.Wait(tm.TRCD - tm.TCK)
+			for col := 0; col < g.Columns; col++ {
+				b.Wr(bank, col, bytes.Repeat([]byte{fill}, g.ColumnBytes))
+			}
+			b.Wait(tm.TRAS - (int64(g.Columns+1)*tm.TCK + tm.TRCD - tm.TCK))
+			b.Pre(bank)
+			b.Wait(tm.TRP)
 		}
-		slow.Wait(tm.TRAS - (int64(g.Columns+1)*tm.TCK + tm.TRCD - tm.TCK))
-		slow.Pre(bank)
-		slow.Wait(tm.TRP)
+		for i := range fills {
+			b.ReadRowOut(ba(i%2, 0, 1), 10+i)
+		}
+		prog, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
 	}
-	pf, err := fast.Build()
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		reads   [][]byte
+		elapsed int64
+		now     int64
+		stats   hbm.Stats
 	}
-	ps, err := slow.Build()
-	if err != nil {
-		t.Fatal(err)
+	exec := func(perColumn, disableFast bool) outcome {
+		d := newDevice(t)
+		r := bender.NewRunner(tm)
+		r.DisableFastPath = disableFast
+		res, err := r.Run(d, g, build(perColumn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := make([][]byte, len(res.Reads))
+		for i, col := range res.Reads {
+			reads[i] = bytes.Clone(col)
+		}
+		return outcome{reads, res.Elapsed, d.Now(), d.Stats()}
 	}
-	if !reflect.DeepEqual(pf.Instrs, ps.Instrs) {
-		t.Fatalf("instructions differ:\n%s\nvs\n%s", bender.Disassemble(pf), bender.Disassemble(ps))
-	}
-	if !reflect.DeepEqual(pf.Data, ps.Data) {
-		t.Fatalf("data tables differ: %x vs %x", pf.Data, ps.Data)
+	for _, disableFast := range []bool{false, true} {
+		row, col := exec(false, disableFast), exec(true, disableFast)
+		if !reflect.DeepEqual(row, col) {
+			t.Fatalf("DisableFastPath=%v: WRROW fill and per-column fill diverge:\nrow    %+v\ncolumn %+v",
+				disableFast, row.stats, col.stats)
+		}
+		if want := int64(len(fills) * g.Columns); row.stats.Writes != want {
+			t.Fatalf("%d column writes counted, want %d", row.stats.Writes, want)
+		}
 	}
 }
 
@@ -633,9 +705,10 @@ func (o *overwriteRecorder) ActivateOverwrite(b addr.BankAddr, row int) error {
 }
 
 // TestOverwriteBlockShapes pins which activations the runner elides the
-// sense flips of: only an ACT followed by waits and same-bank writes that
-// cover every column, closed by the bank's PRE, legal under tRCD/tRAS and
-// with no segment boundary inside. Every case also runs with the fast
+// sense flips of: only an ACT followed by waits and same-bank row writes
+// (WRROW), closed by the bank's PRE, legal under tRCD/tRAS and with no
+// segment boundary inside. Per-column writes never elide, even when they
+// cover the whole row. Every case also runs with the fast
 // path disabled and must agree on reads, errors, clock and activity
 // (flip counters aside: an elided sense counts no flips).
 func TestOverwriteBlockShapes(t *testing.T) {
@@ -658,6 +731,7 @@ func TestOverwriteBlockShapes(t *testing.T) {
 			b.Wr(bank, c, fill)
 		}
 	}
+	writeRow := func(b *bender.Builder, bank addr.BankAddr) { b.WrRow(bank, fill) }
 	all := make([]int, g.Columns)
 	for c := range all {
 		all[c] = c
@@ -672,7 +746,22 @@ func TestOverwriteBlockShapes(t *testing.T) {
 			b.WriteRowFill(b0, row, 0xFF)
 			return -1
 		}},
-		{name: "columns out of order, one twice", elided: true, block: func(b *bender.Builder) int {
+		{name: "row written twice around a wait", elided: true, block: func(b *bender.Builder) int {
+			open(b, b0)
+			b.Wait(tm.TCK)
+			writeRow(b, b0)
+			b.Wait(tm.TCK)
+			writeRow(b, b0)
+			closeRow(b, b0)
+			return -1
+		}},
+		{name: "full per-column cover", block: func(b *bender.Builder) int {
+			open(b, b0)
+			writeCols(b, b0, all...)
+			closeRow(b, b0)
+			return -1
+		}},
+		{name: "columns out of order, one twice", block: func(b *bender.Builder) int {
 			open(b, b0)
 			writeCols(b, b0, 3, 0)
 			b.Wait(tm.TCK)
@@ -697,6 +786,13 @@ func TestOverwriteBlockShapes(t *testing.T) {
 			closeRow(b, b0)
 			return -1
 		}},
+		{name: "read before the row write", block: func(b *bender.Builder) int {
+			open(b, b0)
+			b.Rd(b0, 2)
+			writeRow(b, b0)
+			closeRow(b, b0)
+			return -1
+		}},
 		{name: "write to another bank", block: func(b *bender.Builder) int {
 			open(b, b1)
 			open(b, b0)
@@ -707,22 +803,31 @@ func TestOverwriteBlockShapes(t *testing.T) {
 			closeRow(b, b1)
 			return -1
 		}},
+		{name: "row write on a second open bank", block: func(b *bender.Builder) int {
+			open(b, b1)
+			open(b, b0)
+			writeRow(b, b1)
+			writeRow(b, b0)
+			closeRow(b, b0)
+			closeRow(b, b1)
+			return -1
+		}},
 		{name: "other opcode inside", block: func(b *bender.Builder) int {
 			open(b, b0)
-			writeCols(b, b0, all...)
+			writeRow(b, b0)
 			b.MRS(3, 4, 0)
 			closeRow(b, b0)
 			return -1
 		}},
 		{name: "loop marker inside", block: func(b *bender.Builder) int {
 			open(b, b0)
-			b.Loop(1, func(b *bender.Builder) { writeCols(b, b0, all...) })
+			b.Loop(1, func(b *bender.Builder) { writeRow(b, b0) })
 			closeRow(b, b0)
 			return -1
 		}},
 		{name: "closed by another bank's precharge", block: func(b *bender.Builder) int {
 			open(b, b0)
-			writeCols(b, b0, all...)
+			writeRow(b, b0)
 			b.Wait(tm.TRAS)
 			b.Pre(b1)
 			closeRow(b, b0)
@@ -730,7 +835,7 @@ func TestOverwriteBlockShapes(t *testing.T) {
 		}},
 		{name: "closed by precharge-all", block: func(b *bender.Builder) int {
 			open(b, b0)
-			writeCols(b, b0, all...)
+			writeRow(b, b0)
 			b.Wait(tm.TRAS)
 			b.PreA(b0.Channel, b0.PseudoChannel)
 			b.Wait(tm.TRP)
@@ -738,7 +843,7 @@ func TestOverwriteBlockShapes(t *testing.T) {
 		}},
 		{name: "program ends before the precharge", block: func(b *bender.Builder) int {
 			open(b, b0)
-			writeCols(b, b0, all...)
+			writeRow(b, b0)
 			b.End()
 			return -1
 		}},
@@ -750,15 +855,29 @@ func TestOverwriteBlockShapes(t *testing.T) {
 			closeRow(b, b0)
 			return bound
 		}},
+		{name: "segment boundary between act and row write", block: func(b *bender.Builder) int {
+			open(b, b0)
+			bound := b.Len()
+			writeRow(b, b0)
+			closeRow(b, b0)
+			return bound
+		}},
 		{name: "write before tRCD", wantErr: true, block: func(b *bender.Builder) int {
 			b.Act(b0, row)
 			writeCols(b, b0, all...)
 			closeRow(b, b0)
 			return -1
 		}},
+		{name: "row write before tRCD", wantErr: true, block: func(b *bender.Builder) int {
+			b.Act(b0, row)
+			b.Wait(tm.TRCD - 2*tm.TCK)
+			writeRow(b, b0)
+			closeRow(b, b0)
+			return -1
+		}},
 		{name: "precharge before tRAS", wantErr: true, block: func(b *bender.Builder) int {
 			open(b, b0)
-			writeCols(b, b0, all...)
+			writeRow(b, b0)
 			b.Pre(b0)
 			b.Wait(tm.TRP)
 			return -1

@@ -17,6 +17,9 @@ type Target interface {
 	PrechargeAll(ch, pc int) error
 	Read(b addr.BankAddr, col int) ([]byte, error)
 	Write(b addr.BankAddr, col int, data []byte) error
+	// WriteRow writes data to every column of the open row: the state,
+	// counters and clock that Columns back-to-back Writes of it leave.
+	WriteRow(b addr.BankAddr, data []byte) error
 	Refresh(ch, pc int) error
 	WriteModeRegister(ch, index int, value uint32) error
 	AdvanceTime(ps int64) error
@@ -33,10 +36,10 @@ type ReaderInto interface {
 }
 
 // Overwriter is the optional Target extension for overwrite blocks: an
-// ACT whose row the program rewrites in full — WRs to every column, then
-// the bank's PRE, with nothing but waits in between — before anything can
-// read it. ActivateOverwrite must do everything Activate does except
-// latching the sense's bitflips, which the writes erase unobserved.
+// ACT whose row the program rewrites in full — a WRROW, then the bank's
+// PRE, with nothing but waits in between — before anything can read it.
+// ActivateOverwrite must do everything Activate does except latching the
+// sense's bitflips, which the write erases unobserved.
 // *hbm.Device implements it.
 type Overwriter interface {
 	ActivateOverwrite(b addr.BankAddr, row int) error
@@ -89,8 +92,6 @@ type Runner struct {
 	readBuf []byte
 	jumps   []int32
 	frames  []loopFrame
-	// cover is the column bitset of overwriteBlock.
-	cover []uint64
 
 	// Segmented-run state (see RunSegments); segBounds is nil during a
 	// plain Run, which reduces the per-instruction overhead to one
@@ -356,24 +357,20 @@ func (r *Runner) arenaAlloc(n int) []byte {
 }
 
 // overwriteBlock reports whether the OpAct at instrs[act] opens an
-// overwrite block: it is followed only by OpWaits and same-bank OpWrs that
-// cover every column, then closed by the bank's OpPre. The block must
-// also be unable to stop part way, or the unsensed row could be observed
-// before it is fully rewritten: every WR must be at least tRCD after the
-// ACT and the PRE at least tRAS after it (the device would reject them
-// otherwise), and no RunSegments boundary — a cancellation check — may
-// fall inside it. Validation already guaranteed operand ranges and
-// payload sizes, so nothing else in the block can fail.
+// overwrite block: it is followed only by OpWaits and same-bank OpWrRows
+// (each covering the whole row), with at least one OpWrRow, then closed
+// by the bank's OpPre. The block must also be unable to stop part way, or
+// the unsensed row could be observed before it is fully rewritten: every
+// WRROW must be at least tRCD after the ACT and the PRE at least tRAS
+// after it (the device would reject them otherwise), and no RunSegments
+// boundary — a cancellation check — may fall inside it. Validation
+// already guaranteed operand ranges and payload sizes, so nothing else in
+// the block can fail. Per-column OpWrs end the block: a row rewritten
+// column by column is sensed in full, which is correct, just not elided.
 func (r *Runner) overwriteBlock(instrs []Instr, act, columns int) bool {
 	a := instrs[act]
 	tm := r.Timing
-	words := (columns + 63) / 64
-	if cap(r.cover) < words {
-		r.cover = make([]uint64, words)
-	}
-	cover := r.cover[:words]
-	clear(cover)
-	covered := 0
+	covered := false
 	// since is the simulated time from the ACT to the next command,
 	// saturated once it satisfies every constraint checked here.
 	limit := max(tm.TRCD, tm.TRAS)
@@ -390,18 +387,15 @@ func (r *Runner) overwriteBlock(instrs []Instr, act, columns int) bool {
 		switch in.Op {
 		case OpWait:
 			advance(in.Arg)
-		case OpWr:
+		case OpWrRow:
 			if in.Ch != a.Ch || in.PC != a.PC || in.Bank != a.Bank || since < tm.TRCD {
 				return false
 			}
-			if w, bit := in.Col>>6, uint64(1)<<(uint(in.Col)&63); cover[w]&bit == 0 {
-				cover[w] |= bit
-				covered++
-			}
-			advance(tm.TCK)
+			covered = true
+			advance(int64(columns) * tm.TCK)
 		case OpPre:
 			return in.Ch == a.Ch && in.PC == a.PC && in.Bank == a.Bank &&
-				covered == columns && since >= tm.TRAS &&
+				covered && since >= tm.TRAS &&
 				!(r.segIdx < len(r.segBounds) && r.segBounds[r.segIdx] <= i)
 		default:
 			return false
@@ -441,6 +435,8 @@ func (r *Runner) execInstr(t Target, prog *Program, in Instr) error {
 		return t.PrechargeAll(in.Ch, in.PC)
 	case OpWr:
 		return t.Write(ba, in.Col, prog.Data[in.Data])
+	case OpWrRow:
+		return t.WriteRow(ba, prog.Data[in.Data])
 	case OpRef:
 		return t.Refresh(in.Ch, in.PC)
 	case OpMRS:
@@ -535,6 +531,8 @@ func (r *Runner) traceInstr(t Target, in Instr) {
 		r.trace(t, "rd   ch%d.pc%d.ba%d col %d", in.Ch, in.PC, in.Bank, in.Col)
 	case OpWr:
 		r.trace(t, "wr   ch%d.pc%d.ba%d col %d (payload %d)", in.Ch, in.PC, in.Bank, in.Col, in.Data)
+	case OpWrRow:
+		r.trace(t, "wrrow ch%d.pc%d.ba%d (payload %d)", in.Ch, in.PC, in.Bank, in.Data)
 	case OpRef:
 		r.trace(t, "ref  ch%d.pc%d", in.Ch, in.PC)
 	case OpMRS:

@@ -439,6 +439,31 @@ func (d *Device) Write(b addr.BankAddr, col int, data []byte) error {
 	return nil
 }
 
+// WriteRow stores one column's data into every column of the open row:
+// the DRAM Bender WRROW. It leaves exactly the state, counters and clock
+// of Columns back-to-back Writes of data. Those writes share the bank, the
+// open row and the activation time, and each only advances the clock, so
+// the first one's access check stands for all of them.
+func (d *Device) WriteRow(b addr.BankAddr, data []byte) error {
+	bank, err := d.columnAccess(b, 0)
+	if err != nil {
+		return err
+	}
+	g := d.cfg.Geometry
+	n := g.ColumnBytes
+	if len(data) != n {
+		return fmt.Errorf("hbm: write of %d bytes, column holds %d: %w", len(data), n, ErrAddress)
+	}
+	row := d.row(bank, bank.open).bytes(d)
+	copy(row, data)
+	for filled := n; filled < len(row); filled *= 2 {
+		copy(row[filled:], row[:filled])
+	}
+	d.stats.Writes += int64(g.Columns)
+	d.now += int64(g.Columns) * d.cfg.Timing.TCK
+	return nil
+}
+
 // Refresh issues one periodic REF to a pseudo channel: it refreshes the
 // next chunk of rows in every bank, then lets the in-DRAM mitigations
 // (the proprietary TRR engine and, if engaged, the documented TRR mode)
@@ -564,13 +589,13 @@ func (d *Device) eccEnabled(ch int) bool {
 func (d *Device) applyDisturb(b addr.BankAddr, physRow int, scale float64) {
 	bank := d.pcs[b.Channel][b.PseudoChannel].banks[b.Bank]
 	radius := d.fm.BlastRadius()
-	rows := d.cfg.Geometry.Rows
+	lo, hi := d.layout.Bounds(physRow)
 	for dist := 1; dist <= radius; dist++ {
 		w := d.fm.DistanceWeight(dist) * scale
-		if victim := physRow - dist; victim >= 0 && d.layout.SameSubarray(physRow, victim) {
+		if victim := physRow - dist; victim >= lo {
 			d.row(bank, victim).disturb += w
 		}
-		if victim := physRow + dist; victim < rows && d.layout.SameSubarray(physRow, victim) {
+		if victim := physRow + dist; victim < hi {
 			d.row(bank, victim).disturb += w
 		}
 	}

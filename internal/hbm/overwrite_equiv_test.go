@@ -12,12 +12,13 @@ import (
 )
 
 // The DRAM Bender runner issues ActivateOverwrite for an ACT whose row the
-// program rewrites in full before anything reads it, skipping the sense's
-// bitflips. These tests run random programs twice — with the runner's
-// fast paths on and with DisableFastPath — and require identical reads,
-// errors, clocks, activity counters and per-row physical state. Only
-// BitflipsCommitted and ECCCorrections may differ: they no longer count
-// the dead flips.
+// program rewrites in full (one WRROW) before anything reads it, skipping
+// the sense's bitflips. These tests run random programs twice — with the
+// runner's fast paths on and with DisableFastPath — and require identical
+// reads, errors, clocks, activity counters and per-row physical state.
+// Only BitflipsCommitted and ECCCorrections may differ: they no longer
+// count the dead flips. The WRROW differential below also respells every
+// WRROW as per-column WRs and requires the same outcome.
 //
 // Hammer loops are emitted with unequal holds, a shape the bulk hammer
 // path declines, so both runs execute them per iteration: bulk
@@ -52,6 +53,7 @@ func overwriteProgram(d *Device, script []byte) (*bender.Program, []int) {
 		b.Wait(tm.TRP)
 	}
 	payload := func(v byte) []byte { return bytes.Repeat([]byte{v}, g.ColumnBytes) }
+	writeRow := func(ba addr.BankAddr, v byte) { b.WrRow(ba, payload(v)) }
 	writeCols := func(ba addr.BankAddr, from, to int, v byte) {
 		for col := from; col < to; col++ {
 			b.Wr(ba, col, payload(v))
@@ -72,8 +74,8 @@ func overwriteProgram(d *Device, script []byte) (*bender.Program, []int) {
 		phys := 40 + int(v)%16
 		row := m.ToLogical(phys)
 		mark()
-		switch op % 12 {
-		case 0: // full fill: elided
+		switch op % 16 {
+		case 0: // full WRROW fill: elided
 			b.WriteRowFill(ba, row, a^v)
 		case 1: // partial cover
 			open(ba, row)
@@ -116,29 +118,51 @@ func overwriteProgram(d *Device, script []byte) (*bender.Program, []int) {
 			b.Wait(tm.TRFC)
 		case 7:
 			b.ReadRowOut(ba, row)
-		case 8: // the writes inside a loop
+		case 8: // the row write inside a loop
 			open(ba, row)
-			b.Loop(1+int64(v%2), func(b *bender.Builder) { writeCols(ba, 0, cols, a) })
+			b.Loop(1+int64(v%2), func(b *bender.Builder) { writeRow(ba, a) })
 			closeRow(ba)
 		case 9: // toggle on-die ECC
 			b.MRS(ba.Channel, MRECC, uint32(v&1))
-		case 10: // a full fill with a segment boundary inside
+		case 10: // a full per-column cover with a segment boundary inside
 			open(ba, row)
 			writeCols(ba, 0, cols/2, a)
 			mark()
 			writeCols(ba, cols/2, cols, a)
 			closeRow(ba)
-		default:
+		case 11:
 			if v < 16 { // a write before tRCD: the program fails here
 				b.Act(ba, row)
 				writeCols(ba, 0, cols, a)
 				closeRow(ba)
-			} else { // a full fill with an extra wait: elided
+			} else { // a WRROW fill with an extra wait: elided
 				open(ba, row)
 				b.Wait(int64(v))
-				writeCols(ba, 0, cols, a)
+				writeRow(ba, a)
 				closeRow(ba)
 			}
+		case 12: // a WRROW before tRCD: the program fails here
+			b.Act(ba, row)
+			b.Wait(int64(v) % (tm.TRCD - tm.TCK))
+			writeRow(ba, a)
+			closeRow(ba)
+		case 13: // a read before the WRROW
+			open(ba, row)
+			b.Rd(ba, int(v)%cols)
+			writeRow(ba, a)
+			closeRow(ba)
+		case 14: // a WRROW on a second open bank inside the block
+			open(other, m.ToLogical(phys+1))
+			open(ba, row)
+			writeRow(other, v)
+			writeRow(ba, a)
+			closeRow(ba)
+			closeRow(other)
+		default: // a segment boundary between the ACT and the WRROW
+			open(ba, row)
+			mark()
+			writeRow(ba, a)
+			closeRow(ba)
 		}
 	}
 	mark()
@@ -150,6 +174,35 @@ func overwriteProgram(d *Device, script []byte) (*bender.Program, []int) {
 }
 
 var errStopped = errors.New("stopped at a segment boundary")
+
+// runScriptProgram runs a program built from script on d and returns its
+// reads, concatenated, and its elapsed time. With bounds it runs them as
+// segments and cancels at the boundary the rest of script's first byte
+// picks, as a cancelled context would: a block elided across it would
+// stop half rewritten.
+func runScriptProgram(d *Device, script []byte, prog *bender.Program, bounds []int,
+	disableFast bool) ([]byte, int64, error) {
+	r := bender.NewRunner(d.Config().Timing)
+	r.DisableFastPath = disableFast
+	var res *bender.Result
+	var err error
+	if bounds != nil {
+		checks, stopAt := 0, int(script[0]>>1)
+		check := func() error {
+			if checks++; checks == stopAt {
+				return errStopped
+			}
+			return nil
+		}
+		res, _, err = r.RunSegments(d, d.Geometry(), prog, bounds, check)
+	} else {
+		res, err = r.Run(d, d.Geometry(), prog)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return bytes.Join(res.Reads, nil), res.Elapsed, nil
+}
 
 // runOverwriteScript runs one script on a fast-path and a
 // fast-path-disabled device, fails the test on any divergence, and
@@ -166,28 +219,7 @@ func runOverwriteScript(t *testing.T, script []byte) int64 {
 	}
 	exec := func(d *Device, disableFast bool) ([]byte, int64, error) {
 		prog, bounds := overwriteProgram(d, script)
-		r := bender.NewRunner(d.Config().Timing)
-		r.DisableFastPath = disableFast
-		var res *bender.Result
-		var err error
-		if bounds != nil {
-			// Cancel at one boundary, as a cancelled context would: a
-			// block elided across it would stop half rewritten.
-			checks, stopAt := 0, int(script[0]>>1)
-			check := func() error {
-				if checks++; checks == stopAt {
-					return errStopped
-				}
-				return nil
-			}
-			res, _, err = r.RunSegments(d, d.Geometry(), prog, bounds, check)
-		} else {
-			res, err = r.Run(d, d.Geometry(), prog)
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		return bytes.Join(res.Reads, nil), res.Elapsed, nil
+		return runScriptProgram(d, script, prog, bounds, disableFast)
 	}
 	fReads, fElapsed, fErr := exec(fast, false)
 	sReads, sElapsed, sErr := exec(slow, true)
@@ -226,6 +258,9 @@ func FuzzOverwriteEquivalence(f *testing.F) {
 	f.Add([]byte{9, 0, 1, 10, 1, 8, 5, 0, 150, 11, 1, 8, 7, 1, 8}) // ECC on, split fill, idle, padded fill
 	f.Add([]byte{6, 4, 0, 0, 4, 3, 6, 4, 0, 4, 4, 3, 11, 4, 3})    // refreshes, hammer, failing fill
 	f.Add([]byte{9, 0, 0, 5, 0, 255, 10, 0, 3})                    // segmented: ECC off, idle, fill cancelled half way
+	f.Add([]byte{0, 5, 2, 5, 0, 200, 12, 5, 2, 13, 5, 2})          // fill, idle, WRROW before tRCD
+	f.Add([]byte{3, 1, 7, 5, 1, 220, 13, 1, 7, 14, 1, 7, 8, 1, 7}) // segmented: read before WRROW, second bank, looped WRROW
+	f.Add([]byte{5, 2, 6, 5, 2, 180, 15, 2, 6, 7, 2, 6})           // segmented: WRROW cancelled between ACT and WRROW
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 60 {
 			script = script[:60] // bound per-input work
@@ -254,5 +289,122 @@ func TestOverwriteEquivalenceRandomScripts(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Fatal("no round skipped a dead flip")
+	}
+}
+
+// expandRowWrites respells every OpWrRow of prog as one OpWr of the same
+// payload per column, in column order, and moves the segment bounds with
+// the instructions they precede.
+func expandRowWrites(prog *bender.Program, bounds []int, columns int) (*bender.Program, []int) {
+	out := &bender.Program{Data: prog.Data}
+	var moved []int
+	next := 0
+	for i, in := range prog.Instrs {
+		for ; next < len(bounds) && bounds[next] == i; next++ {
+			moved = append(moved, len(out.Instrs))
+		}
+		if in.Op != bender.OpWrRow {
+			out.Instrs = append(out.Instrs, in)
+			continue
+		}
+		for col := 0; col < columns; col++ {
+			wr := in
+			wr.Op, wr.Col = bender.OpWr, col
+			out.Instrs = append(out.Instrs, wr)
+		}
+	}
+	for ; next < len(bounds); next++ {
+		moved = append(moved, len(out.Instrs))
+	}
+	return out, moved
+}
+
+// runWriteRowScript runs one script's program as built (with WRROWs) and
+// respelled per column, each with the runner's fast paths on and off, and
+// fails the test on any divergence between the spellings: reads, errors,
+// clocks, every activity counter and every row's data, disturbance and
+// charge clock. With the fast paths on, only WRROW blocks are elided, so
+// there the WRROW spelling may count fewer flips, never more.
+func runWriteRowScript(t *testing.T, script []byte) {
+	t.Helper()
+	type outcome struct {
+		dev     *Device
+		reads   []byte
+		elapsed int64
+		err     error
+	}
+	exec := func(perColumn, disableFast bool) outcome {
+		d, err := New(equivConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, bounds := overwriteProgram(d, script)
+		if perColumn {
+			prog, bounds = expandRowWrites(prog, bounds, d.Geometry().Columns)
+		}
+		reads, elapsed, err := runScriptProgram(d, script, prog, bounds, disableFast)
+		return outcome{d, reads, elapsed, err}
+	}
+	for _, disableFast := range []bool{false, true} {
+		row, col := exec(false, disableFast), exec(true, disableFast)
+		if fmt.Sprint(row.err) != fmt.Sprint(col.err) {
+			t.Fatalf("DisableFastPath=%v: errors diverge: WRROW %v, per-column %v", disableFast, row.err, col.err)
+		}
+		if !bytes.Equal(row.reads, col.reads) || row.elapsed != col.elapsed {
+			t.Fatalf("DisableFastPath=%v: reads or elapsed diverge (elapsed %d vs %d)",
+				disableFast, row.elapsed, col.elapsed)
+		}
+		if row.dev.Now() != col.dev.Now() {
+			t.Fatalf("DisableFastPath=%v: clocks diverge: WRROW %d, per-column %d",
+				disableFast, row.dev.Now(), col.dev.Now())
+		}
+		rs, cs := row.dev.Stats(), col.dev.Stats()
+		if !disableFast {
+			if rs.BitflipsCommitted > cs.BitflipsCommitted {
+				t.Fatalf("WRROW spelling committed more flips (%d) than per-column (%d)",
+					rs.BitflipsCommitted, cs.BitflipsCommitted)
+			}
+			rs.BitflipsCommitted, cs.BitflipsCommitted = 0, 0
+			rs.ECCCorrections, cs.ECCCorrections = 0, 0
+		}
+		if rs != cs {
+			t.Fatalf("DisableFastPath=%v: stats diverge:\nWRROW      %+v\nper-column %+v", disableFast, rs, cs)
+		}
+		compareRows(t, row.dev, col.dev)
+	}
+}
+
+// FuzzWriteRowEquivalence is the differential fuzz target pinning WRROW to
+// the per-column writes it replaces, on the overwrite fuzzer's programs.
+// `go test` exercises the seed corpus; `go test
+// -fuzz=FuzzWriteRowEquivalence ./internal/hbm` digs.
+func FuzzWriteRowEquivalence(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 5, 0, 200, 0, 1, 3, 7, 1, 3})            // fill, idle, refill, read
+	f.Add([]byte{2, 6, 9, 5, 0, 255, 8, 6, 9, 14, 6, 9, 7, 6, 9})  // idle, looped WRROW, second bank, read
+	f.Add([]byte{9, 0, 1, 5, 1, 150, 11, 1, 8, 13, 1, 8, 7, 1, 8}) // ECC on, idle, padded fill, read before WRROW
+	f.Add([]byte{5, 4, 0, 0, 4, 3, 4, 4, 3, 15, 4, 3, 12, 4, 3})   // segmented: fill, hammer, boundary, failing WRROW
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 60 {
+			script = script[:60] // bound per-input work
+		}
+		runWriteRowScript(t, script)
+	})
+}
+
+// TestWriteRowEquivalenceRandomScripts complements the fuzz corpus with a
+// deterministic randomized sweep.
+func TestWriteRowEquivalenceRandomScripts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("randomized differential sweep")
+	}
+	s := rng.NewStream(0x3A_11)
+	for round := 0; round < 12; round++ {
+		script := make([]byte, 3*16)
+		for i := range script {
+			script[i] = byte(s.Next())
+		}
+		t.Run(fmt.Sprintf("round%02d", round), func(t *testing.T) {
+			runWriteRowScript(t, script)
+		})
 	}
 }

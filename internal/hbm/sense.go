@@ -90,8 +90,9 @@ func rowBit(buf []byte, i int) byte {
 // does not exist electrically; an unmaterialized neighbour holds the
 // power-up pattern (all zeros, a nil image).
 func (d *Device) neighbourData(bank *bankState, physRow int) (upData, downData []byte, hasUp, hasDown bool) {
-	hasUp = physRow > 0 && d.layout.SameSubarray(physRow, physRow-1)
-	hasDown = physRow < d.cfg.Geometry.Rows-1 && d.layout.SameSubarray(physRow, physRow+1)
+	lo, hi := d.layout.Bounds(physRow)
+	hasUp = physRow > lo
+	hasDown = physRow < hi-1
 	if hasUp {
 		if nb := bank.rowAt(physRow - 1); nb != nil {
 			upData = nb.data
