@@ -39,9 +39,10 @@ bench-query:
 # Sharded-fleet smoke, byte-comparing sharded-vs-single-process output
 # for two registry experiments (the distributable-fleet contract):
 #
-#   1. chipscan (the multichip registry entry): a 32-seed scan, 4 chips
-#      at a time, once in a single process and once as four serialized
-#      seed-range shards plus a merge.
+#   1. the multichip fleet scan (`characterize -experiment multichip`,
+#      exported by region): a 32-seed scan, 4 chips at a time, once in a
+#      single process and once as four serialized seed-range shards
+#      plus a `characterize merge`.
 #   2. rowpress (a newly lifted point-axis driver): once in a single
 #      process under the default queue planner and once as two job-slice
 #      shards under the weighted planner, merged through the generic
@@ -56,14 +57,14 @@ SMOKE_DIR := .smoke
 
 smoke:
 	rm -rf $(SMOKE_DIR) && mkdir -p $(SMOKE_DIR)
-	$(GO) run ./cmd/chipscan -chip small -chips 32 -rows 2 -parallel 4 \
-		-csv $(SMOKE_DIR)/single.csv -json $(SMOKE_DIR)/single.json
+	$(GO) run ./cmd/characterize -experiment multichip -seeds 32 -rows 2 -parallel 4 \
+		-group-by region -csv $(SMOKE_DIR)/single.csv -json $(SMOKE_DIR)/single.json
 	for i in 0 1 2 3; do \
-		$(GO) run ./cmd/chipscan -chip small -chips 32 -rows 2 -parallel 4 \
+		$(GO) run ./cmd/characterize -experiment multichip -seeds 32 -rows 2 -parallel 4 \
 			-shard $$i/4 -artifact $(SMOKE_DIR)/shard$$i.json >/dev/null || exit 1; \
 	done
-	$(GO) run ./cmd/chipscan merge -csv $(SMOKE_DIR)/merged.csv \
-		-json $(SMOKE_DIR)/merged.json $(SMOKE_DIR)/shard*.json
+	$(GO) run ./cmd/characterize merge -group-by region -csv $(SMOKE_DIR)/merged.csv \
+		-json $(SMOKE_DIR)/merged.json '$(SMOKE_DIR)/shard*.json'
 	cmp $(SMOKE_DIR)/single.csv $(SMOKE_DIR)/merged.csv
 	cmp $(SMOKE_DIR)/single.json $(SMOKE_DIR)/merged.json
 	# smoke-parallel: the same 32-seed scan flat-out at one chip per CPU
@@ -71,12 +72,12 @@ smoke:
 	# mutex profiling armed; byte-compare against the serial run so both
 	# parallel nondeterminism and dead mutex profiling fail the smoke.
 	p=$$(nproc); [ "$$p" -lt 8 ] && p=8; \
-	$(GO) run ./cmd/chipscan -chip small -chips 32 -rows 2 -parallel $$p \
-		-mutexprofile $(SMOKE_DIR)/chipscan-mutex.pprof \
+	$(GO) run ./cmd/characterize -experiment multichip -seeds 32 -rows 2 -parallel $$p \
+		-mutexprofile $(SMOKE_DIR)/multichip-mutex.pprof -group-by region \
 		-csv $(SMOKE_DIR)/parallel.csv -json $(SMOKE_DIR)/parallel.json >/dev/null
 	cmp $(SMOKE_DIR)/single.csv $(SMOKE_DIR)/parallel.csv
 	cmp $(SMOKE_DIR)/single.json $(SMOKE_DIR)/parallel.json
-	test -s $(SMOKE_DIR)/chipscan-mutex.pprof
+	test -s $(SMOKE_DIR)/multichip-mutex.pprof
 	$(GO) run ./cmd/characterize -experiment rowpress -rows 2 -hammers 60000 \
 		-csv $(SMOKE_DIR)/press.csv -json $(SMOKE_DIR)/press.json \
 		-artifact $(SMOKE_DIR)/press.bin

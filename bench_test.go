@@ -298,20 +298,21 @@ func BenchmarkEnginePoolWarm(b *testing.B) {
 
 // BenchmarkEngineChipscanStream measures the fleet path: chip instances
 // measured in parallel and folded through the engine's ordered streaming
-// reducer into per-region aggregates (the chipscan -chips pipeline).
+// reducer into per-region aggregates (the multichip registry scan).
 func BenchmarkEngineChipscanStream(b *testing.B) {
-	seeds := []uint64{101, 102, 103, 104, 105, 106}
+	cfg := hbmrh.SmallChip()
+	cfg.Seed = 101
 	for i := 0; i < b.N; i++ {
-		s, err := hbmrh.RunMultiChip(hbmrh.MultiChipOptions{
-			Base:          hbmrh.SmallChip(),
-			Seeds:         seeds,
-			RowsPerRegion: 2,
-			ChipWorkers:   4,
+		a, err := hbmrh.RunExperiment("multichip", hbmrh.ExperimentOptions{
+			Cfg:      cfg,
+			Seeds:    6,
+			Rows:     2,
+			Parallel: 4,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(s.Artifact.Groups) == 0 {
+		if len(a.Groups) == 0 {
 			b.Fatal("fleet aggregates missing")
 		}
 	}
@@ -320,7 +321,7 @@ func BenchmarkEngineChipscanStream(b *testing.B) {
 // BenchmarkStreamCodec measures the shard serialization boundary: one
 // sketched per-group accumulator (the unit a shard artifact carries per
 // region×channel metric) round-tripping through the versioned binary
-// codec, then merging into a second accumulator — the work `chipscan
+// codec, then merging into a second accumulator — the work `characterize
 // merge` pays per group per shard.
 func BenchmarkStreamCodec(b *testing.B) {
 	src := hbmrh.NewStatsStream(0, 1)
@@ -345,52 +346,32 @@ func BenchmarkStreamCodec(b *testing.B) {
 
 // --- Extension benchmarks (Section 6 future work, implemented) ---
 
-// BenchmarkExtRowPress regenerates the aggressor-on-time study.
-func BenchmarkExtRowPress(b *testing.B) {
+// benchExperiment runs one registry experiment per iteration and renders
+// its report, as `characterize -experiment NAME` does.
+func benchExperiment(b *testing.B, name string, o hbmrh.ExperimentOptions) {
 	for i := 0; i < b.N; i++ {
-		s, err := hbmrh.RunRowPress(hbmrh.RowPressOptions{
-			Cfg:             hbmrh.SmallChip(),
-			Bank:            hbmrh.BankAddr{Channel: 7},
-			Rows:            3,
-			HoldMultipliers: []int{1, 4, 16},
-		})
+		a, err := hbmrh.RunExperiment(name, o)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = s.Render()
+		_ = hbmrh.RenderExperimentArtifact(a)
 	}
+}
+
+// BenchmarkExtRowPress regenerates the aggressor-on-time study.
+func BenchmarkExtRowPress(b *testing.B) {
+	benchExperiment(b, "rowpress", hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: 3})
 }
 
 // BenchmarkExtTempSweep regenerates the temperature-sensitivity study,
 // PID settling included.
 func BenchmarkExtTempSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := hbmrh.RunTempSweep(hbmrh.TempSweepOptions{
-			Cfg:           hbmrh.SmallChip(),
-			Bank:          hbmrh.BankAddr{Channel: 7},
-			Rows:          3,
-			TemperaturesC: []float64{55, 85, 95},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = s.Render()
-	}
+	benchExperiment(b, "tempsweep", hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: 3})
 }
 
 // BenchmarkExtCrossChannel regenerates the interference probe.
 func BenchmarkExtCrossChannel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s, err := hbmrh.RunCrossChannel(hbmrh.CrossChannelOptions{
-			Cfg:              hbmrh.SmallChip(),
-			AggressorChannel: 4,
-			Rows:             2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = s.Render()
-	}
+	benchExperiment(b, "crosschannel", hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: 2})
 }
 
 // BenchmarkExtAdaptiveDefense measures the guarded hammering path under

@@ -53,6 +53,9 @@ func runFleet(args []string) {
 	if fs.NArg() != 0 {
 		log.Fatalf("fleet takes no positional arguments (got %q)", fs.Args())
 	}
+	if err := checkBudgets(*rows, *hammers, *seeds, *iterations); err != nil {
+		log.Fatal(err)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -115,5 +118,7 @@ func runFleet(args []string) {
 	if *progress {
 		fmt.Fprintf(os.Stderr, "fleet: done in %s\n", time.Since(start).Round(time.Millisecond))
 	}
-	exportArtifact(a, *groupBy, *csvOut, *jsonOut, *artifact)
+	if err := exportArtifact(os.Stdout, a, *groupBy, *csvOut, *jsonOut, *artifact); err != nil {
+		log.Fatal(err)
+	}
 }

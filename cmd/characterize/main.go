@@ -1,7 +1,7 @@
 // characterize is the front end of the experiment registry: every study
-// in the repo — the paper's figures and the extension studies — runs
-// through one pipeline that plans jobs, shards them, streams aggregates,
-// and serializes mergeable artifacts.
+// in the repo — the paper's figures, the multi-chip fleet scan and the
+// extension studies — runs through one pipeline that plans jobs, shards
+// them, streams aggregates, and serializes mergeable artifacts.
 //
 // Registry mode (the primary interface):
 //
@@ -9,17 +9,29 @@
 //	             [-hammers N] [-seeds N] [-iterations N] [-workers N]
 //	             [-parallel N] [-planner P] [-shard I/N] [-progress]
 //	             [-artifact FILE] [-csv FILE] [-json FILE] [-group-by AXIS]
+//	             [-mutexprofile FILE]
 //	characterize -experiment list
 //	characterize -experiment paper        # the paper suite: sweep+fig6+trrstudy
 //	characterize merge [-artifact FILE] [-csv FILE] [-json FILE]
 //	             [-group-by AXIS] shard.json|glob|dir...
+//
+// The fleet scan across chip instances (the paper's future work 1) is
+// -experiment multichip: -seeds N chips starting at the preset's seed,
+// exported by region, channel or region-channel with -group-by. The
+// extension studies are -experiment rowpress, tempsweep, crosschannel
+// and trrbypass (pass -chip paper to trrbypass: its nominal-refresh
+// attack needs the paper geometry's refresh-pointer cadence).
+//
+// -rows, -hammers, -seeds and -iterations must be >= 0; 0 selects the
+// experiment's default.
 //
 // Every registered experiment gains -shard i/N + artifact merge for
 // free: N shard processes produce artifacts that `characterize merge`
 // recombines into output byte-identical to a single-process run. merge
 // arguments may be files, globs or directories; failures name the
 // offending shard. The experiment is inferred from the artifacts and the
-// merged result renders with the experiment's own report.
+// merged result renders with the experiment's own report. An export axis
+// the artifact cannot derive is an error before anything is written.
 //
 // Fleet mode replaces the shard-launch shell loop with a coordinator:
 //
@@ -32,10 +44,10 @@
 // artifacts — output stays byte-identical to the single-process run. See
 // DESIGN.md §10.
 //
-// Figure mode (the original interface) renders the paper's evaluation
-// figures with ASCII plots and headline numbers:
+// Figure mode renders the paper's evaluation figures (Figs. 3-6) with
+// ASCII plots and headline numbers:
 //
-//	characterize [-chip paper|small] [-fig all|3|4|5|6|press|temp|cross]
+//	characterize [-chip paper|small] [-fig all|3|4|5|6]
 //	             [-rows N] [-bankrows N] [-hammers N] [-workers N]
 //	             [-progress] [-csv DIR]
 //
@@ -45,13 +57,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"syscall"
 
 	hbmrh "github.com/safari-repro/hbmrh"
@@ -78,7 +94,7 @@ func main() {
 	var (
 		experiment = flag.String("experiment", "", "registry experiment to run (see -experiment list), or: list, paper")
 		chip       = flag.String("chip", "small", "chip preset: paper or small")
-		fig        = flag.String("fig", "all", "figure mode: figure to regenerate (all, 3, 4, 5, 6, press, temp, cross or bypass)")
+		fig        = flag.String("fig", "all", "figure mode: figure to regenerate (all, 3, 4, 5 or 6)")
 		rows       = flag.Int("rows", 24, "sampling density: victim rows per region (figs 3-5) or per point")
 		bankRows   = flag.Int("bankrows", 16, "rows per bank region for fig 6 (paper: 100)")
 		hammers    = flag.Int("hammers", hbmrh.DefaultHammers, "hammer count / HCfirst ceiling")
@@ -93,8 +109,19 @@ func main() {
 		jsonOut    = flag.String("json", "", "registry mode: summary JSON file (\"-\" = stdout)")
 		artifact   = flag.String("artifact", "", "registry mode: serialized artifact file, the merge input (\"-\" = stdout)")
 		groupBy    = flag.String("group-by", "", "registry mode: export axis (default: the artifact's stored axis)")
+		mutexPro   = flag.String("mutexprofile", "", "write a runtime mutex-contention profile of the run to this file (lock convoys in the engine hot path show up here)")
 	)
 	flag.Parse()
+	if err := checkBudgets(*rows, *hammers, *seeds, *iterations); err != nil {
+		log.Fatal(err)
+	}
+	if *mutexPro != "" {
+		// Record every contended mutex event; the fleet scan's hot path
+		// is supposed to be contention-free, so the CI smoke runs it with
+		// profiling on to keep convoys visible.
+		runtime.SetMutexProfileFraction(1)
+		defer writeMutexProfile(*mutexPro)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -140,7 +167,35 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		exportArtifact(a, *groupBy, *csvOut, *jsonOut, *artifact)
+		if err := exportArtifact(os.Stdout, a, *groupBy, *csvOut, *jsonOut, *artifact); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+// checkBudgets rejects negative study budgets: 0 selects the
+// experiment's default, and a negative value is a typo, not a request
+// for the default.
+func checkBudgets(rows, hammers, seeds, iterations int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"rows", rows}, {"hammers", hammers}, {"seeds", seeds}, {"iterations", iterations}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d: must be >= 0 (0 = experiment default)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+func writeMutexProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer f.Close()
+	if err := pprof.Lookup("mutex").WriteTo(f, 0); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -182,48 +237,71 @@ func listExperiments() {
 
 // exportArtifact renders and exports one artifact: the experiment's
 // report on stdout (unless an export claims it) plus the requested
-// summary/artifact files.
-func exportArtifact(a *hbmrh.ResultsArtifact, groupBy, csvOut, jsonOut, artifact string) {
+// summary/artifact files. Every export is rendered before anything is
+// written, so an axis the artifact cannot derive fails cleanly with no
+// partial output.
+func exportArtifact(stdout io.Writer, a *hbmrh.ResultsArtifact, groupBy, csvOut, jsonOut, artifact string) error {
 	gb, err := hbmrh.ParseGroupBy(a.Meta.GroupBy)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if groupBy != "" {
 		if gb, err = hbmrh.ParseGroupBy(groupBy); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	stdout := 0
+	stdoutClaims := 0
 	for _, p := range []string{csvOut, jsonOut, artifact} {
 		if p == "-" {
-			stdout++
+			stdoutClaims++
 		}
 	}
-	if stdout > 1 {
-		log.Fatal("only one of -csv, -json, -artifact may claim stdout")
+	if stdoutClaims > 1 {
+		return fmt.Errorf("only one of -csv, -json, -artifact may claim stdout")
 	}
-	if stdout == 0 {
-		fmt.Print(hbmrh.RenderExperimentArtifact(a))
+	axisErr := func(err error) error {
+		return fmt.Errorf("%v (this artifact stores axis %q; pass -group-by %s)",
+			err, a.Meta.GroupBy, a.Meta.GroupBy)
 	}
+	var csvData, jsonData, artifactData []byte
 	if csvOut != "" {
-		if err := writeSummaryCSV(a, gb, csvOut); err != nil {
-			log.Fatal(err)
+		headers, rows, err := a.SummaryCSV(gb)
+		if err != nil {
+			return axisErr(err)
 		}
+		var buf bytes.Buffer
+		if err := report.WriteCSV(&buf, headers, rows); err != nil {
+			return err
+		}
+		csvData = buf.Bytes()
 	}
 	if jsonOut != "" {
-		js, err := a.SummaryJSON(gb)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := writeOut(jsonOut, js); err != nil {
-			log.Fatal(err)
+		if jsonData, err = a.SummaryJSON(gb); err != nil {
+			return axisErr(err)
 		}
 	}
 	if artifact != "" {
-		if err := a.WriteFile(artifact); err != nil {
-			log.Fatal(err)
+		if artifactData, err = a.MarshalIndented(); err != nil {
+			return err
 		}
 	}
+	if stdoutClaims == 0 {
+		if _, err := io.WriteString(stdout, hbmrh.RenderExperimentArtifact(a)); err != nil {
+			return err
+		}
+	}
+	for _, out := range []struct {
+		path string
+		data []byte
+	}{{csvOut, csvData}, {jsonOut, jsonData}, {artifact, artifactData}} {
+		if out.path == "" {
+			continue
+		}
+		if err := writeOut(stdout, out.path, out.data); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func runMerge(args []string) {
@@ -242,37 +320,29 @@ func runMerge(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	exportArtifact(merged, *groupBy, *csvOut, *jsonOut, *artifact)
+	if err := exportArtifact(os.Stdout, merged, *groupBy, *csvOut, *jsonOut, *artifact); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func writeSummaryCSV(a *hbmrh.ResultsArtifact, gb hbmrh.ResultsGroupBy, path string) error {
-	headers, rows, err := a.SummaryCSV(gb)
-	if err != nil {
-		return err
-	}
+// writeOut writes data to path; "-" writes to stdout.
+func writeOut(stdout io.Writer, path string, data []byte) error {
 	if path == "-" {
-		return report.WriteCSV(os.Stdout, headers, rows)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return report.WriteCSV(f, headers, rows)
-}
-
-func writeOut(path string, data []byte) error {
-	if path == "-" {
-		_, err := os.Stdout.Write(data)
+		_, err := stdout.Write(data)
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
 }
 
-// runFigures is the original figure-rendering mode, kept verbatim: the
-// registry's artifact pipeline carries distributions, while this mode
-// renders the paper's ASCII figures and headline comparisons.
+// runFigures is the figure-rendering mode for Figs. 3-6: the registry's
+// artifact pipeline carries distributions, while this mode renders the
+// paper's ASCII figures and headline comparisons from the per-row data.
 func runFigures(ctx context.Context, cfg *hbmrh.Config, fig string, rows, bankRows, hammers, workers int, progress bool, csvDir string) {
+	switch fig {
+	case "all", "3", "4", "5", "6":
+	default:
+		log.Fatalf("unknown -fig %q (figures: all, 3, 4, 5, 6; the extension studies run as -experiment rowpress, tempsweep, crosschannel or trrbypass)", fig)
+	}
 	// Progress rewrites one stderr line per stage; midLine tracks whether
 	// that line is unterminated so a fatal exit (Ctrl-C mid-stage) starts
 	// on a fresh line instead of overwriting the counter. The engine
@@ -366,60 +436,6 @@ func runFigures(ctx context.Context, cfg *hbmrh.Config, fig string, rows, bankRo
 				die(err)
 			}
 		}
-	}
-
-	// The extension studies run only when asked for explicitly ("all"
-	// covers the paper's own artifacts).
-	switch fig {
-	case "press":
-		s, err := hbmrh.RunRowPress(hbmrh.RowPressOptions{
-			Cfg:      cfg,
-			Bank:     hbmrh.BankAddr{Channel: 7},
-			Workers:  workers,
-			Ctx:      ctx,
-			Progress: track("rowpress points"),
-		})
-		if err != nil {
-			die(err)
-		}
-		fmt.Print(s.Render())
-	case "temp":
-		s, err := hbmrh.RunTempSweep(hbmrh.TempSweepOptions{
-			Cfg:      cfg,
-			Bank:     hbmrh.BankAddr{Channel: 7},
-			Workers:  workers,
-			Ctx:      ctx,
-			Progress: track("temperature setpoints"),
-		})
-		if err != nil {
-			die(err)
-		}
-		fmt.Print(s.Render())
-	case "cross":
-		s, err := hbmrh.RunCrossChannel(hbmrh.CrossChannelOptions{
-			Cfg:              cfg,
-			AggressorChannel: 4,
-			Ctx:              ctx,
-			Progress:         track("cross-channel arms"),
-		})
-		if err != nil {
-			die(err)
-		}
-		fmt.Print(s.Render())
-	case "bypass":
-		// Nominal-refresh pointer cadence matters: force paper geometry.
-		s, err := hbmrh.RunTRRBypass(hbmrh.TRRBypassOptions{
-			Bank:    hbmrh.BankAddr{Channel: 7},
-			Hammers: hammers,
-			Ctx:     ctx,
-		})
-		if err != nil {
-			die(err)
-		}
-		fmt.Print(s.Render())
-	case "all", "3", "4", "5", "6":
-	default:
-		log.Fatalf("unknown -fig %q", fig)
 	}
 }
 

@@ -12,6 +12,9 @@
 //   - Per-row measurements (BER, HCfirst, WCDP) via NewHarness.
 //   - Figure-level studies via RunSweep / Fig3 / Fig4 / Fig5 / RunFig6.
 //   - The Section 5 TRR discovery via RunTRRStudy.
+//   - Every study — the figures, the multi-chip fleet scan and the
+//     Section 5/6 extensions (rowpress, tempsweep, crosschannel,
+//     trrbypass) — as a shardable registry experiment via RunExperiment.
 //   - Row-mapping reverse engineering via Harness.RecoverMapping.
 //
 // The package is a thin facade over the internal subsystems; see DESIGN.md
@@ -198,48 +201,6 @@ func RunFig6(o Fig6Options) (*Fig6, error) { return experiments.RunFig6(o) }
 // RunTRRStudy reproduces the Section 5 U-TRR experiment.
 func RunTRRStudy(o TRRStudyOptions) (*TRRStudy, error) { return experiments.RunTRRStudy(o) }
 
-// Extension studies implementing the paper's Section 6 future work.
-type (
-	// RowPressOptions configures the aggressor-on-time study.
-	RowPressOptions = experiments.RowPressOptions
-	// RowPressStudy sweeps hold time vs HCfirst.
-	RowPressStudy = experiments.RowPressStudy
-	// TempSweepOptions configures the temperature study.
-	TempSweepOptions = experiments.TempSweepOptions
-	// TempSweepStudy sweeps chip temperature vs BER.
-	TempSweepStudy = experiments.TempSweepStudy
-	// CrossChannelOptions configures the interference probe.
-	CrossChannelOptions = experiments.CrossChannelOptions
-	// CrossChannelStudy probes vertical die-to-die interference.
-	CrossChannelStudy = experiments.CrossChannelStudy
-)
-
-// RunRowPress sweeps aggressor-on time against HCfirst.
-func RunRowPress(o RowPressOptions) (*RowPressStudy, error) { return experiments.RunRowPress(o) }
-
-// RunTempSweep measures RowHammer BER across PID-settled temperatures.
-func RunTempSweep(o TempSweepOptions) (*TempSweepStudy, error) { return experiments.RunTempSweep(o) }
-
-// RunCrossChannel probes for cross-channel RowHammer interference.
-func RunCrossChannel(o CrossChannelOptions) (*CrossChannelStudy, error) {
-	return experiments.RunCrossChannel(o)
-}
-
-// TRR bypass study (the Section 5 attack implication).
-type (
-	// TRRBypassOptions configures the sampler-blinding study.
-	TRRBypassOptions = experiments.TRRBypassOptions
-	// TRRBypassStudy compares naive vs decoy-assisted hammering under
-	// nominal refresh.
-	TRRBypassStudy = experiments.TRRBypassStudy
-)
-
-// RunTRRBypass shows that the uncovered mechanism protects naive attacks
-// but is defeated by a decoy activation before every REF.
-func RunTRRBypass(o TRRBypassOptions) (*TRRBypassStudy, error) {
-	return experiments.RunTRRBypass(o)
-}
-
 // U-TRR probe study (the Section 5 follow-up: how far the victim refresh
 // reaches and how deep the sampler is).
 type (
@@ -253,35 +214,6 @@ type (
 // radius and sampler depth on fresh devices.
 func RunUTRRProbe(o UTRRProbeOptions) (*UTRRProbeStudy, error) {
 	return experiments.RunUTRRProbe(o)
-}
-
-// Multi-chip study (future work 1: more chips, statistical significance),
-// built for fleet scale: per-chip row samples stream into region×channel
-// accumulators as chips complete, so a 200-seed scan aggregates in
-// O(regions × channels) resident sample memory with byte-identical output
-// at any ChipWorkers count. The aggregates live in a serializable results
-// Artifact, so a scan can run as contiguous seed-range shards on many
-// machines and merge back byte-identically (see MergeArtifacts).
-type (
-	// MultiChipOptions configures the chip-to-chip study.
-	MultiChipOptions = experiments.MultiChipOptions
-	// MultiChipStudy compares headline numbers across chip instances and
-	// carries the fleet-level aggregates as a results artifact.
-	MultiChipStudy = experiments.MultiChipStudy
-	// ChipSummary is one chip's fixed-size headline numbers.
-	ChipSummary = experiments.ChipSummary
-)
-
-// RunMultiChip reruns the headline measurements across several simulated
-// chip instances (seeds).
-func RunMultiChip(o MultiChipOptions) (*MultiChipStudy, error) {
-	return experiments.RunMultiChip(o)
-}
-
-// StudyFromArtifact reconstructs a renderable multi-chip study from a
-// loaded (typically merged) artifact.
-func StudyFromArtifact(a *ResultsArtifact, gb ResultsGroupBy) *MultiChipStudy {
-	return experiments.StudyFromArtifact(a, gb)
 }
 
 // The experiment registry: every study in the repo registers as a named

@@ -398,9 +398,14 @@ func mapWorkers[S, T any](o Options, n int,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Check for cancellation before paying setup cost (a pool
-			// lease can mean a full chip instantiation).
+			// Claim a job before paying setup cost: a pool lease can mean
+			// a full chip instantiation, which a cancelled run or a worker
+			// that finds no work left must not pay.
 			if failed.Load() || ctx.Err() != nil {
+				return
+			}
+			i, ok := assign.next(w)
+			if !ok {
 				return
 			}
 			s, release, err := setup()
@@ -411,14 +416,7 @@ func mapWorkers[S, T any](o Options, n int,
 				return
 			}
 			defer release()
-			for {
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				i, ok := assign.next(w)
-				if !ok {
-					return
-				}
+			for ; ok; i, ok = assign.next(w) {
 				r, err := fn(ctx, s, i)
 				if err == nil {
 					err = place(i, r)
@@ -437,6 +435,9 @@ func mapWorkers[S, T any](o Options, n int,
 						o.OnProgress(Progress{Done: d, Total: n})
 					}
 					progressMu.Unlock()
+				}
+				if failed.Load() || ctx.Err() != nil {
+					return
 				}
 			}
 		}(w)

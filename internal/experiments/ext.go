@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
-	"github.com/safari-repro/hbmrh/internal/engine"
 	"github.com/safari-repro/hbmrh/internal/hbm"
-	"github.com/safari-repro/hbmrh/internal/stats"
 	"github.com/safari-repro/hbmrh/internal/thermal"
 )
 
@@ -23,7 +20,7 @@ import (
 type RowPressOptions struct {
 	// Cfg is the device configuration; nil means config.PaperChip().
 	Cfg *config.Config
-	// Bank and Channel select where victims are tested.
+	// Bank selects where victims are tested.
 	Bank addr.BankAddr
 	// Rows is how many mid-bank victim rows are averaged per point.
 	Rows int
@@ -32,31 +29,9 @@ type RowPressOptions struct {
 	HoldMultipliers []int
 	// MaxHammers bounds the per-point HCfirst search.
 	MaxHammers int
-	// Workers bounds parallel sweep points; <= 0 means one per CPU.
-	Workers int
-	// Ctx cancels the study between sweep points.
-	Ctx context.Context
-	// Progress, if non-nil, receives an update per finished point.
-	Progress engine.ProgressFunc
 }
 
-// RowPressPoint is one sweep point: the mean HCfirst at a hold time.
-type RowPressPoint struct {
-	HoldMultiplier int
-	MeanHCFirst    float64
-	// FoundAll is false if some sampled row never flipped within the
-	// hammer budget at this hold time.
-	FoundAll bool
-}
-
-// RowPressStudy is the outcome of the aggressor-on-time study.
-type RowPressStudy struct {
-	Opts   RowPressOptions
-	Points []RowPressPoint
-}
-
-// setDefaults resolves the option defaults shared by RunRowPress and the
-// registry entry.
+// setDefaults resolves the option defaults of the registry entry.
 func (o *RowPressOptions) setDefaults() {
 	if o.Cfg == nil {
 		o.Cfg = config.PaperChip()
@@ -96,32 +71,6 @@ func rowPressPoint(h *core.Harness, o RowPressOptions, mult int) (hcs []float64,
 		hcs = append(hcs, float64(hc))
 	}
 	return hcs, foundAll, nil
-}
-
-// RunRowPress sweeps the aggressor hold time and measures how many
-// hammers the first bitflip needs: keeping aggressor rows open longer
-// amplifies read disturbance, so HCfirst falls as the hold grows.
-func RunRowPress(o RowPressOptions) (*RowPressStudy, error) {
-	o.setDefaults()
-	// One engine job per hold multiplier.
-	eo := engine.Options{Ctx: o.Ctx, Workers: o.Workers, OnProgress: o.Progress}
-	points, err := engine.MapHarness(eo, o.Cfg, len(o.HoldMultipliers),
-		func(_ context.Context, h *core.Harness, pi int) (RowPressPoint, error) {
-			mult := o.HoldMultipliers[pi]
-			hcs, foundAll, err := rowPressPoint(h, o, mult)
-			if err != nil {
-				return RowPressPoint{}, err
-			}
-			p := RowPressPoint{HoldMultiplier: mult, FoundAll: foundAll}
-			if len(hcs) > 0 {
-				p.MeanHCFirst = stats.Mean(hcs)
-			}
-			return p, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &RowPressStudy{Opts: o, Points: points}, nil
 }
 
 // rowPressExperiment lifts the RowPress sweep onto the registry: one
@@ -165,17 +114,6 @@ func rowPressExperiment() *Experiment {
 	}
 }
 
-// Render prints the sweep as a table.
-func (s *RowPressStudy) Render() string {
-	var sb strings.Builder
-	sb.WriteString("Extension: RowPress — HCfirst vs aggressor-on time\n")
-	sb.WriteString("hold (x tRAS)  mean HCfirst\n")
-	for _, p := range s.Points {
-		fmt.Fprintf(&sb, "%13d  %.0f\n", p.HoldMultiplier, p.MeanHCFirst)
-	}
-	return sb.String()
-}
-
 // TempSweepOptions configures the temperature-sensitivity study.
 type TempSweepOptions struct {
 	// Cfg is the device configuration; nil means config.PaperChip().
@@ -188,30 +126,9 @@ type TempSweepOptions struct {
 	TemperaturesC []float64
 	// Hammers is the per-row BER hammer count.
 	Hammers int
-	// Workers bounds parallel setpoints; <= 0 means one per CPU. Each
-	// setpoint keeps its own freshly settled device, so points stay
-	// independent at any worker count.
-	Workers int
-	// Ctx cancels the study between setpoints.
-	Ctx context.Context
-	// Progress, if non-nil, receives an update per settled setpoint.
-	Progress engine.ProgressFunc
 }
 
-// TempPoint is one temperature's measurement.
-type TempPoint struct {
-	TempC   float64
-	MeanBER float64 // percent
-}
-
-// TempSweepStudy is the outcome of the temperature study.
-type TempSweepStudy struct {
-	Opts   TempSweepOptions
-	Points []TempPoint
-}
-
-// setDefaults resolves the option defaults shared by RunTempSweep and
-// the registry entry.
+// setDefaults resolves the option defaults of the registry entry.
 func (o *TempSweepOptions) setDefaults() {
 	if o.Cfg == nil {
 		o.Cfg = config.PaperChip()
@@ -260,27 +177,6 @@ func tempSweepPoint(o TempSweepOptions, target float64) ([]float64, error) {
 	return bers, nil
 }
 
-// RunTempSweep drives the simulated heating-pad/fan rig to each setpoint
-// with its PID controller (as the paper's Arduino-based rig does), then
-// measures RowHammer BER: hotter chips flip more.
-func RunTempSweep(o TempSweepOptions) (*TempSweepStudy, error) {
-	o.setDefaults()
-	eo := engine.Options{Ctx: o.Ctx, Workers: o.Workers, OnProgress: o.Progress}
-	points, err := engine.Map(eo, len(o.TemperaturesC),
-		func(_ context.Context, i int) (TempPoint, error) {
-			target := o.TemperaturesC[i]
-			bers, err := tempSweepPoint(o, target)
-			if err != nil {
-				return TempPoint{}, err
-			}
-			return TempPoint{TempC: target, MeanBER: stats.Mean(bers)}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &TempSweepStudy{Opts: o, Points: points}, nil
-}
-
 // tempSweepExperiment lifts the temperature study onto the registry: one
 // point job per PID-settled setpoint, folding raw per-row BER samples
 // into a point-axis artifact.
@@ -318,17 +214,6 @@ func tempSweepExperiment() *Experiment {
 	}
 }
 
-// Render prints the sweep as a table.
-func (s *TempSweepStudy) Render() string {
-	var sb strings.Builder
-	sb.WriteString("Extension: RowHammer BER vs chip temperature (PID-settled)\n")
-	sb.WriteString("temp (C)  mean BER (%)\n")
-	for _, p := range s.Points {
-		fmt.Fprintf(&sb, "%8.0f  %.3f\n", p.TempC, p.MeanBER)
-	}
-	return sb.String()
-}
-
 // CrossChannelOptions configures the cross-channel interference probe.
 type CrossChannelOptions struct {
 	// Cfg is the device configuration; nil means config.PaperChip().
@@ -344,45 +229,9 @@ type CrossChannelOptions struct {
 	Activations int
 	// Rows probed.
 	Rows int
-	// Ctx cancels the probe between its two arms.
-	Ctx context.Context
-	// Progress, if non-nil, receives an update per finished arm.
-	Progress engine.ProgressFunc
 }
 
-// CrossChannelStudy is the outcome of the interference probe.
-type CrossChannelStudy struct {
-	Opts CrossChannelOptions
-	// BaselineFlips is the cross-channel flip count on the paper-default
-	// chip (no vertical coupling observed).
-	BaselineFlips int
-	// CoupledFlips is the flip count with SyntheticCoupling injected.
-	CoupledFlips int
-}
-
-// RunCrossChannel hammers rows in one channel and checks the same
-// physical rows of the vertically adjacent channels for bitflips —
-// the paper's future-work question 3. On the default chip nothing
-// crosses; the synthetic arm shows what the methodology would detect if
-// the dies did couple.
-func RunCrossChannel(o CrossChannelOptions) (*CrossChannelStudy, error) {
-	o.setDefaults()
-	s := &CrossChannelStudy{Opts: o}
-	// The two arms (as-is and synthetically coupled) are independent
-	// devices, so they run as parallel engine jobs.
-	arms := []float64{o.Cfg.Fault.VerticalCoupling, o.SyntheticCoupling}
-	eo := engine.Options{Ctx: o.Ctx, OnProgress: o.Progress}
-	flips, err := engine.Map(eo, len(arms),
-		func(_ context.Context, i int) (int, error) { return crossChannelArm(o, arms[i]) })
-	if err != nil {
-		return nil, err
-	}
-	s.BaselineFlips, s.CoupledFlips = flips[0], flips[1]
-	return s, nil
-}
-
-// setDefaults resolves the option defaults shared by RunCrossChannel and
-// the registry entry.
+// setDefaults resolves the option defaults of the registry entry.
 func (o *CrossChannelOptions) setDefaults() {
 	if o.Cfg == nil {
 		o.Cfg = config.PaperChip()
@@ -505,16 +354,4 @@ func crossChannelExperiment() *Experiment {
 			}, nil
 		},
 	}
-}
-
-// Render summarizes the probe.
-func (s *CrossChannelStudy) Render() string {
-	var sb strings.Builder
-	sb.WriteString("Extension: cross-channel interference probe (vertically stacked dies)\n")
-	fmt.Fprintf(&sb, "aggressor channel %d, %d activations per row, victims in channels +/- 2\n",
-		s.Opts.AggressorChannel, s.Opts.Activations)
-	fmt.Fprintf(&sb, "default chip:            %d cross-channel bitflips\n", s.BaselineFlips)
-	fmt.Fprintf(&sb, "synthetic coupling %.2f: %d cross-channel bitflips\n",
-		s.Opts.SyntheticCoupling, s.CoupledFlips)
-	return sb.String()
 }

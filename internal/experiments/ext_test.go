@@ -6,103 +6,115 @@ import (
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
+	"github.com/safari-repro/hbmrh/internal/core"
+	"github.com/safari-repro/hbmrh/internal/results"
+	"github.com/safari-repro/hbmrh/internal/stats"
 )
 
 func TestRowPressLowersHCFirst(t *testing.T) {
-	s, err := RunRowPress(RowPressOptions{
+	o := RowPressOptions{
 		Cfg:             config.SmallChip(),
 		Bank:            addr.BankAddr{Channel: 7, PseudoChannel: 0, Bank: 0},
 		Rows:            4,
 		HoldMultipliers: []int{1, 4, 16},
-	})
+	}
+	o.setDefaults()
+	h, err := core.NewHarnessFromConfig(o.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Points) != 3 {
-		t.Fatalf("%d points, want 3", len(s.Points))
-	}
-	for i := 1; i < len(s.Points); i++ {
-		prev, cur := s.Points[i-1], s.Points[i]
-		if !prev.FoundAll || !cur.FoundAll {
-			t.Fatalf("point %d: rows did not flip within the budget", i)
+	means := make([]float64, len(o.HoldMultipliers))
+	for i, mult := range o.HoldMultipliers {
+		hcs, foundAll, err := rowPressPoint(h, o, mult)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cur.MeanHCFirst >= prev.MeanHCFirst {
+		if !foundAll {
+			t.Fatalf("x%d: rows did not flip within the budget", mult)
+		}
+		means[i] = stats.Mean(hcs)
+	}
+	for i := 1; i < len(means); i++ {
+		if means[i] >= means[i-1] {
 			t.Fatalf("HCfirst did not fall with hold time: %v -> %v (x%d -> x%d)",
-				prev.MeanHCFirst, cur.MeanHCFirst, prev.HoldMultiplier, cur.HoldMultiplier)
+				means[i-1], means[i], o.HoldMultipliers[i-1], o.HoldMultipliers[i])
 		}
 	}
 	// At 16x tRAS the amplification is ~13x: the first flip needs far
 	// fewer hammers than at minimum timing.
-	if ratio := s.Points[0].MeanHCFirst / s.Points[2].MeanHCFirst; ratio < 4 {
+	if ratio := means[0] / means[2]; ratio < 4 {
 		t.Errorf("16x hold only improved HCfirst by %.1fx, want > 4x", ratio)
-	}
-	if !strings.Contains(s.Render(), "RowPress") {
-		t.Error("render missing title")
 	}
 }
 
 func TestTempSweepMonotone(t *testing.T) {
-	s, err := RunTempSweep(TempSweepOptions{
+	o := TempSweepOptions{
 		Cfg:           config.SmallChip(),
 		Bank:          addr.BankAddr{Channel: 7, PseudoChannel: 0, Bank: 0},
 		Rows:          4,
 		TemperaturesC: []float64{55, 85, 95},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(s.Points) != 3 {
-		t.Fatalf("%d points, want 3", len(s.Points))
+	o.setDefaults()
+	means := make([]float64, len(o.TemperaturesC))
+	for i, temp := range o.TemperaturesC {
+		bers, err := tempSweepPoint(o, temp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		means[i] = stats.Mean(bers)
 	}
-	for i := 1; i < len(s.Points); i++ {
-		if s.Points[i].MeanBER < s.Points[i-1].MeanBER {
+	for i := 1; i < len(means); i++ {
+		if means[i] < means[i-1] {
 			t.Fatalf("BER fell from %.3f%% at %.0fC to %.3f%% at %.0fC; hotter must be worse",
-				s.Points[i-1].MeanBER, s.Points[i-1].TempC,
-				s.Points[i].MeanBER, s.Points[i].TempC)
+				means[i-1], o.TemperaturesC[i-1], means[i], o.TemperaturesC[i])
 		}
 	}
-	if s.Points[0].MeanBER >= s.Points[2].MeanBER {
+	if means[0] >= means[2] {
 		t.Fatal("no temperature sensitivity at all")
-	}
-	if !strings.Contains(s.Render(), "temperature") {
-		t.Error("render missing title")
 	}
 }
 
 func TestCrossChannelProbe(t *testing.T) {
-	s, err := RunCrossChannel(CrossChannelOptions{
+	o := CrossChannelOptions{
 		Cfg:              config.SmallChip(),
 		AggressorChannel: 4,
 		Rows:             3,
-	})
+	}
+	o.setDefaults()
+	// The paper-default chip shows no cross-channel interference.
+	baseline, err := crossChannelArm(o, o.Cfg.Fault.VerticalCoupling)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The paper-default chip shows no cross-channel interference.
-	if s.BaselineFlips != 0 {
-		t.Fatalf("default chip leaked %d flips across channels", s.BaselineFlips)
+	if baseline != 0 {
+		t.Fatalf("default chip leaked %d flips across channels", baseline)
 	}
 	// The synthetic arm demonstrates the methodology would detect it.
-	if s.CoupledFlips == 0 {
-		t.Fatal("synthetic coupling produced no cross-channel flips")
+	coupled, err := crossChannelArm(o, o.SyntheticCoupling)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := s.Render()
-	for _, want := range []string{"cross-channel", "default chip", "synthetic"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
+	if coupled == 0 {
+		t.Fatal("synthetic coupling produced no cross-channel flips")
 	}
 }
 
+// TestMultiChipStability runs the multichip plan over a non-contiguous
+// seed list, which only the in-package plan (not the registry's seed
+// range) can express.
 func TestMultiChipStability(t *testing.T) {
-	s, err := RunMultiChip(MultiChipOptions{
+	o := MultiChipOptions{
 		Base:          config.SmallChip(),
 		Seeds:         []uint64{11, 22, 33},
 		RowsPerRegion: 6,
-	})
+	}
+	o.setDefaults()
+	p := multiChipPlan(o)
+	a, err := executePlan(p, Options{}, 0, len(p.Jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := StudyFromArtifact(a, results.ByRegion)
 	if len(s.Chips) != 3 {
 		t.Fatalf("%d chips, want 3", len(s.Chips))
 	}
@@ -136,25 +148,23 @@ func TestTRRBypassWithDecoy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-geometry nominal-refresh run")
 	}
-	s, err := RunTRRBypass(TRRBypassOptions{
-		Bank: addr.BankAddr{Channel: 7, PseudoChannel: 0, Bank: 0},
-	})
+	o := TRRBypassOptions{Bank: addr.BankAddr{Channel: 7, PseudoChannel: 0, Bank: 0}}
+	o.setDefaults()
+	protected, refs, err := runBypassArm(o, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ProtectedFlips != 0 {
-		t.Fatalf("TRR failed to protect a naive single-pair attack: %d flips", s.ProtectedFlips)
+	if protected != 0 {
+		t.Fatalf("TRR failed to protect a naive single-pair attack: %d flips", protected)
 	}
-	if s.BypassedFlips == 0 {
-		t.Fatal("decoy bypass induced no flips; the uncovered mechanism should be defeatable")
-	}
-	if s.Refreshes == 0 {
+	if refs == 0 {
 		t.Fatal("no refreshes issued; the study must run under nominal refresh")
 	}
-	out := s.Render()
-	for _, want := range []string{"decoy", "naive", "bypass"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
+	bypassed, _, err := runBypassArm(o, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bypassed == 0 {
+		t.Fatal("decoy bypass induced no flips; the uncovered mechanism should be defeatable")
 	}
 }

@@ -43,47 +43,22 @@ type MultiChipOptions struct {
 	RowsPerRegion int
 	// Workers bounds per-chip sweep parallelism.
 	Workers int
-	// ChipWorkers bounds how many chip instances are measured at once;
-	// <= 0 means one at a time (each chip already parallelizes its sweep
-	// across Workers devices).
-	ChipWorkers int
-	// Planner selects how chip jobs are assigned to workers; planner
-	// choice never changes the study's output (engine.Planner).
-	Planner engine.Planner
-	// GroupBy selects the axis of rendered and exported aggregates:
-	// region (default), channel, or region-channel. The study always
-	// folds the finest axis; this only picks the view.
-	GroupBy results.GroupBy
-	// Shard/ShardCount record which slice of a sharded fleet run this is
-	// (informational, written to the artifact; the caller slices Seeds).
-	// Zero values mean an unsharded run.
-	Shard, ShardCount int
-	// Ctx cancels the study; it is threaded into every per-chip sweep
-	// down to per-measurement granularity.
-	Ctx context.Context
-	// Progress, if non-nil, receives an update per finished chip.
-	Progress engine.ProgressFunc
 }
 
 // ChipSummary is one chip's headline numbers, carried through shard
 // artifacts as a results.ChipRecord.
 type ChipSummary = results.ChipRecord
 
-// MultiChipStudy aggregates the per-chip summaries and the fleet-level
-// distributions.
+// MultiChipStudy is the renderable view of a multichip artifact: the
+// per-chip summaries plus the fleet-level distributions.
 type MultiChipStudy struct {
-	Opts MultiChipOptions
 	// Chips holds one fixed-size summary per seed (no sample slices).
 	Chips []ChipSummary
 	// Artifact carries the provenance metadata and the region×channel
-	// streaming aggregates; identical for any ChipWorkers count, and the
-	// unit of shard serialization and merging.
+	// streaming aggregates.
 	Artifact *results.Artifact
-
-	// views memoizes derived axis views: Render plus the CSV and JSON
-	// exporters all read the same view at CLI exit, and deriving it
-	// re-clones and re-merges every fine-axis stream.
-	views map[results.GroupBy][]results.Group
+	// GroupBy selects the axis of the rendered aggregates.
+	GroupBy results.GroupBy
 }
 
 // multiChipMetrics are the artifact metric names, in group order.
@@ -141,9 +116,10 @@ type chipResult struct {
 
 // multiChipPlan decomposes a fleet scan over an explicit seed list: one
 // job per chip instance, folded in seed-index order into the
-// region×channel artifact. It is the shared core of RunMultiChip (which
-// takes a pre-sliced seed range) and the "multichip" registry entry
-// (which slices the full range itself via -shard).
+// region×channel artifact. The fold runs in strict seed-index order, so
+// the artifact is byte-identical at any parallelism — and, because the
+// accumulators merge exactly, also between a single run over all seeds
+// and a merge of contiguous seed-range shards.
 func multiChipPlan(o MultiChipOptions) *Plan {
 	jobs := make([]Job, len(o.Seeds))
 	for i, seed := range o.Seeds {
@@ -185,8 +161,7 @@ func multiChipPlan(o MultiChipOptions) *Plan {
 }
 
 // multiChipExperiment registers the fleet scan: the seed axis, sliced by
-// -shard into contiguous seed ranges exactly as cmd/chipscan always did
-// (chipscan is an alias for this entry).
+// -shard into contiguous seed ranges.
 func multiChipExperiment() *Experiment {
 	return &Experiment{
 		Name:  "multichip",
@@ -213,8 +188,7 @@ func multiChipExperiment() *Experiment {
 	}
 }
 
-// setDefaults resolves the option defaults shared by RunMultiChip and
-// the registry entry.
+// setDefaults resolves the option defaults of the registry entry.
 func (o *MultiChipOptions) setDefaults() {
 	if o.Base == nil {
 		o.Base = config.PaperChip()
@@ -227,47 +201,10 @@ func (o *MultiChipOptions) setDefaults() {
 	}
 }
 
-// RunMultiChip measures every seed's headline numbers and streams the
-// row-level distributions into the study's region×channel aggregates as
-// chips complete. The fold runs in strict seed-index order, so the
-// aggregated output is byte-identical for ChipWorkers=1 and ChipWorkers=N
-// — and, because the accumulators merge exactly, also byte-identical
-// between a single run over all seeds and a merge of contiguous seed-range
-// shards. It executes the same plan as the "multichip" registry entry.
-func RunMultiChip(o MultiChipOptions) (*MultiChipStudy, error) {
-	o.setDefaults()
-	chipWorkers := o.ChipWorkers
-	if chipWorkers <= 0 {
-		chipWorkers = 1
-	}
-	p := multiChipPlan(o)
-	a, err := executePlan(p, Options{
-		Ctx:      o.Ctx,
-		Parallel: chipWorkers,
-		Planner:  o.Planner,
-		Progress: o.Progress,
-	}, 0, len(p.Jobs))
-	if err != nil {
-		return nil, err
-	}
-	shard, shardCount := o.Shard, o.ShardCount
-	if shardCount <= 0 {
-		shard, shardCount = 0, 1
-	}
-	stampMeta(a, "multichip", p, 0, len(p.Jobs), shard, shardCount)
-	return &MultiChipStudy{Opts: o, Chips: a.Chips, Artifact: a}, nil
-}
-
-// StudyFromArtifact reconstructs a renderable study from a loaded (e.g.
-// merged) artifact: the chip records and aggregates come from the
-// artifact, gb selects the render axis. Measurement options are not
-// recoverable and stay zero.
+// StudyFromArtifact reconstructs a renderable study from a complete (e.g.
+// merged) multichip artifact; gb selects the render axis.
 func StudyFromArtifact(a *results.Artifact, gb results.GroupBy) *MultiChipStudy {
-	return &MultiChipStudy{
-		Opts:     MultiChipOptions{GroupBy: gb},
-		Chips:    a.Chips,
-		Artifact: a,
-	}
+	return &MultiChipStudy{Chips: a.Chips, Artifact: a, GroupBy: gb}
 }
 
 // measureChip runs one seed's headline measurements and condenses the
@@ -339,24 +276,6 @@ func metricScale(name string) float64 {
 	return 1
 }
 
-// Groups returns the study's aggregates at the configured view axis,
-// derived once per axis and memoized (the study's aggregates are final
-// once RunMultiChip or StudyFromArtifact returns).
-func (s *MultiChipStudy) Groups() ([]results.Group, error) {
-	if g, ok := s.views[s.Opts.GroupBy]; ok {
-		return g, nil
-	}
-	g, err := s.Artifact.View(s.Opts.GroupBy)
-	if err != nil {
-		return nil, err
-	}
-	if s.views == nil {
-		s.views = map[results.GroupBy][]results.Group{}
-	}
-	s.views[s.Opts.GroupBy] = g
-	return g, nil
-}
-
 // Render prints the chip-to-chip comparison and the fleet aggregates at
 // the configured axis.
 func (s *MultiChipStudy) Render() string {
@@ -376,8 +295,8 @@ func (s *MultiChipStudy) Render() string {
 			mins.Min(), mins.Max(), mins.Mean())
 	}
 	fmt.Fprintf(&sb, "\nfleet aggregate: per-row WCDP metrics streamed across all chips, by %s\n",
-		s.Opts.GroupBy)
-	groups, err := s.Groups()
+		s.GroupBy)
+	groups, err := s.Artifact.View(s.GroupBy)
 	if err != nil {
 		fmt.Fprintf(&sb, "(aggregates unavailable: %v)\n", err)
 		return sb.String()
@@ -386,37 +305,9 @@ func (s *MultiChipStudy) Render() string {
 	return sb.String()
 }
 
-// AggregateCSV exports the fleet-level distributions at the configured
-// axis, one row per group and metric. Metrics with no samples (e.g.
-// HCfirst when no row flipped) are skipped.
-func (s *MultiChipStudy) AggregateCSV() (headers []string, rows [][]string) {
-	groups, err := s.Groups()
-	if err != nil {
-		// RunMultiChip always stores the finest axis, so every view
-		// derives; a study reconstructed from a foreign artifact
-		// (StudyFromArtifact) can hold a coarser axis, and callers must
-		// pre-flight the view with Groups() first. Past that contract,
-		// failing loudly beats silently exporting nothing.
-		panic(err)
-	}
-	return results.SummaryCSVGroups(s.Opts.GroupBy, groups)
-}
-
-// AggregateJSON exports the artifact provenance, per-chip summaries and
-// the fleet-level distributions at the configured axis as deterministic
-// JSON (fixed field order, seeds in study order, snake_case keys).
-func (s *MultiChipStudy) AggregateJSON() ([]byte, error) {
-	groups, err := s.Groups()
-	if err != nil {
-		return nil, err
-	}
-	return s.Artifact.SummaryJSONGroups(groups)
-}
-
 // Report renders the full study report: the chip-to-chip comparison, the
-// fleet aggregates, and the stability epilogue. cmd/chipscan and the
-// registry's merge render share it, so their stdout reports cannot
-// diverge.
+// fleet aggregates, and the stability epilogue. It is the multichip
+// entry's registry render.
 func (s *MultiChipStudy) Report() string {
 	var sb strings.Builder
 	sb.WriteString(s.Render())

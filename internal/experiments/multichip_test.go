@@ -13,20 +13,17 @@ import (
 	"github.com/safari-repro/hbmrh/internal/stats"
 )
 
-// fleetStudy runs a small multi-chip scan with the given chip-level
-// parallelism.
-func fleetStudy(t testing.TB, chipWorkers int, seeds []uint64) *MultiChipStudy {
+// fleetStudy runs a small multichip registry scan over the contiguous
+// seeds [first, first+count) with the given chip-level parallelism.
+func fleetStudy(t testing.TB, parallel int, first uint64, count int) *MultiChipStudy {
 	t.Helper()
-	s, err := RunMultiChip(MultiChipOptions{
-		Base:          config.SmallChip(),
-		Seeds:         seeds,
-		RowsPerRegion: 3,
-		ChipWorkers:   chipWorkers,
-	})
+	cfg := *config.SmallChip()
+	cfg.Seed = first
+	a, err := Run("multichip", Options{Cfg: &cfg, Seeds: count, Rows: 3, Parallel: parallel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return StudyFromArtifact(a, results.ByRegion)
 }
 
 // regionView returns the study's aggregates at the region axis, keyed by
@@ -49,13 +46,13 @@ func regionView(t *testing.T, s *MultiChipStudy) map[string]map[string]*stats.St
 }
 
 // TestMultiChipStreamingMatchesBatch is the streaming-vs-batch
-// equivalence check at the study level: the aggregates that RunMultiChip
-// streams per region and channel must equal batch summaries of the same
+// equivalence check at the study level: the aggregates that the multichip
+// scan streams per region and channel must equal batch summaries of the same
 // rows recomputed from independent per-seed sweeps. The fleet is small
 // enough that the streams stay in exact mode, so equality is bitwise.
 func TestMultiChipStreamingMatchesBatch(t *testing.T) {
 	seeds := []uint64{5, 6, 7}
-	s := fleetStudy(t, 2, seeds)
+	s := fleetStudy(t, 2, seeds[0], len(seeds))
 
 	batchBER := map[results.Key][]float64{}
 	batchHC := map[results.Key][]float64{}
@@ -120,9 +117,8 @@ func TestMultiChipStreamingMatchesBatch(t *testing.T) {
 // output — render, CSV and JSON on every axis — for the same seed set at
 // any worker count, because the streaming fold runs in seed-index order.
 func TestMultiChipDeterministicAcrossChipWorkers(t *testing.T) {
-	seeds := []uint64{40, 41, 42, 43, 44, 45}
-	serial := fleetStudy(t, 1, seeds)
-	parallel := fleetStudy(t, 8, seeds)
+	serial := fleetStudy(t, 1, 40, 6)
+	parallel := fleetStudy(t, 8, 40, 6)
 
 	if !reflect.DeepEqual(serial.Chips, parallel.Chips) {
 		t.Fatalf("chip summaries differ across worker counts:\n%+v\nvs\n%+v",
@@ -132,17 +128,22 @@ func TestMultiChipDeterministicAcrossChipWorkers(t *testing.T) {
 		t.Fatalf("rendered output differs across worker counts:\n%s\nvs\n%s", a, b)
 	}
 	for _, gb := range []results.GroupBy{results.ByRegion, results.ByChannel, results.ByRegionChannel} {
-		serial.Opts.GroupBy, parallel.Opts.GroupBy = gb, gb
-		ha, ra := serial.AggregateCSV()
-		hb, rb := parallel.AggregateCSV()
-		if !reflect.DeepEqual(ha, hb) || !reflect.DeepEqual(ra, rb) {
-			t.Fatalf("%v: aggregate CSV differs across worker counts:\n%v\nvs\n%v", gb, ra, rb)
-		}
-		ja, err := serial.AggregateJSON()
+		ha, ra, err := serial.Artifact.SummaryCSV(gb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jb, err := parallel.AggregateJSON()
+		hb, rb, err := parallel.Artifact.SummaryCSV(gb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ha, hb) || !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("%v: aggregate CSV differs across worker counts:\n%v\nvs\n%v", gb, ra, rb)
+		}
+		ja, err := serial.Artifact.SummaryJSON(gb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb, err := parallel.Artifact.SummaryJSON(gb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,35 +159,28 @@ func TestMultiChipDeterministicAcrossChipWorkers(t *testing.T) {
 // on four machines — loaded back and merged must render byte-identical
 // CSV and JSON on every axis.
 func TestMultiChipShardMergeMatchesSingleProcess(t *testing.T) {
-	base := config.SmallChip()
 	const chips, shards = 32, 4
-	seeds := make([]uint64, chips)
-	for i := range seeds {
-		seeds[i] = base.Seed + uint64(i)
-	}
-	run := func(seedSlice []uint64, shard, shardCount int) *MultiChipStudy {
-		s, err := RunMultiChip(MultiChipOptions{
-			Base:          base,
-			Seeds:         seedSlice,
-			RowsPerRegion: 2,
-			ChipWorkers:   2,
-			Shard:         shard,
-			ShardCount:    shardCount,
+	run := func(shard, shardCount int) *results.Artifact {
+		a, err := Run("multichip", Options{
+			Cfg:        config.SmallChip(),
+			Seeds:      chips,
+			Rows:       2,
+			Parallel:   2,
+			Shard:      shard,
+			ShardCount: shardCount,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return a
 	}
-	single := run(seeds, 0, 0)
+	single := run(0, 0)
 
 	dir := t.TempDir()
 	paths := make([]string, shards)
 	for i := 0; i < shards; i++ {
-		lo, hi := results.ShardRange(chips, i, shards)
-		shardStudy := run(seeds[lo:hi], i, shards)
 		paths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.json", i))
-		if err := shardStudy.Artifact.WriteFile(paths[i]); err != nil {
+		if err := run(i, shards).WriteFile(paths[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,15 +199,15 @@ func TestMultiChipShardMergeMatchesSingleProcess(t *testing.T) {
 		}
 	}
 
-	if !reflect.DeepEqual(single.Artifact.Meta, merged.Meta) {
+	if !reflect.DeepEqual(single.Meta, merged.Meta) {
 		t.Fatalf("merged meta differs from single-process run:\n%+v\nvs\n%+v",
-			single.Artifact.Meta, merged.Meta)
+			single.Meta, merged.Meta)
 	}
 	if !reflect.DeepEqual(single.Chips, merged.Chips) {
 		t.Fatal("merged chip records differ from single-process run")
 	}
 	for _, gb := range []results.GroupBy{results.ByRegion, results.ByChannel, results.ByRegionChannel} {
-		hs, rs, err := single.Artifact.SummaryCSV(gb)
+		hs, rs, err := single.SummaryCSV(gb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +218,7 @@ func TestMultiChipShardMergeMatchesSingleProcess(t *testing.T) {
 		if !reflect.DeepEqual(hs, hm) || !reflect.DeepEqual(rs, rm) {
 			t.Fatalf("%v: sharded CSV differs from single-process run:\n%v\nvs\n%v", gb, rs, rm)
 		}
-		js, err := single.Artifact.SummaryJSON(gb)
+		js, err := single.SummaryJSON(gb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,8 +230,8 @@ func TestMultiChipShardMergeMatchesSingleProcess(t *testing.T) {
 			t.Fatalf("%v: sharded JSON differs from single-process run:\n%s\nvs\n%s", gb, js, jm)
 		}
 	}
-	// The reconstructed study renders like the original.
-	if a, b := single.Render(), StudyFromArtifact(merged, results.ByRegion).Render(); a != b {
+	// The merged artifact renders like the original.
+	if a, b := Render(single), Render(merged); a != b {
 		t.Fatalf("merged render differs:\n%s\nvs\n%s", a, b)
 	}
 }
@@ -255,7 +249,7 @@ func TestMultiChipRetainsNoSampleSlices(t *testing.T) {
 				ty.Field(i).Name, k)
 		}
 	}
-	s := fleetStudy(t, 2, []uint64{9, 10})
+	s := fleetStudy(t, 2, 9, 2)
 	channels := config.SmallChip().Geometry.Channels
 	if want := 3 * channels; len(s.Artifact.Groups) != want {
 		t.Fatalf("%d fine groups, want %d", len(s.Artifact.Groups), want)
@@ -263,14 +257,14 @@ func TestMultiChipRetainsNoSampleSlices(t *testing.T) {
 }
 
 func TestMultiChipRenderIncludesFleetAggregates(t *testing.T) {
-	s := fleetStudy(t, 1, []uint64{3, 4})
+	s := fleetStudy(t, 1, 3, 2)
 	out := s.Render()
 	for _, want := range []string{"chip-to-chip", "fleet aggregate", "first", "middle", "last", "BER%", "HCfirst"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-	s.Opts.GroupBy = results.ByChannel
+	s.GroupBy = results.ByChannel
 	out = s.Render()
 	if !strings.Contains(out, "by channel") || !strings.Contains(out, "channel 0") {
 		t.Errorf("channel-axis render missing channel groups:\n%s", out)
@@ -278,8 +272,11 @@ func TestMultiChipRenderIncludesFleetAggregates(t *testing.T) {
 }
 
 func TestMultiChipAggregateExports(t *testing.T) {
-	s := fleetStudy(t, 1, []uint64{3, 4})
-	headers, rows := s.AggregateCSV()
+	a := fleetStudy(t, 1, 3, 2).Artifact
+	headers, rows, err := a.SummaryCSV(results.ByRegion)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(headers) != 10 {
 		t.Fatalf("%d CSV headers", len(headers))
 	}
@@ -292,17 +289,18 @@ func TestMultiChipAggregateExports(t *testing.T) {
 		}
 	}
 	// The channel axis widens the export to one row per channel/metric.
-	s.Opts.GroupBy = results.ByRegionChannel
-	chHeaders, chRows := s.AggregateCSV()
+	chHeaders, chRows, err := a.SummaryCSV(results.ByRegionChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(chHeaders) != 11 {
 		t.Fatalf("%d CSV headers on the region-channel axis", len(chHeaders))
 	}
 	if len(chRows) <= len(rows) {
 		t.Fatalf("region-channel export has %d rows, region export %d", len(chRows), len(rows))
 	}
-	s.Opts.GroupBy = results.ByRegion
 
-	js, err := s.AggregateJSON()
+	js, err := a.SummaryJSON(results.ByRegion)
 	if err != nil {
 		t.Fatal(err)
 	}

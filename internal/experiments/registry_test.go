@@ -111,25 +111,6 @@ func TestPlannerEquivalenceMultiChipScan(t *testing.T) {
 	}
 }
 
-// TestRunMultiChipMatchesRegistryEntry pins that the facade-level
-// RunMultiChip and the registry's multichip entry execute the same plan:
-// identical artifacts for identical option sets.
-func TestRunMultiChipMatchesRegistryEntry(t *testing.T) {
-	cfg := config.SmallChip()
-	seeds := []uint64{cfg.Seed, cfg.Seed + 1, cfg.Seed + 2}
-	study, err := RunMultiChip(MultiChipOptions{Base: cfg, Seeds: seeds, RowsPerRegion: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := Run("multichip", Options{Cfg: cfg, Seeds: 3, Rows: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshal(t, study.Artifact), marshal(t, a)) {
-		t.Fatal("RunMultiChip artifact differs from registry run")
-	}
-}
-
 // TestLiftedExperimentsShardMergeMatchesSingleProcess is the refactor's
 // acceptance pin: for each newly lifted driver shape (spatial axis with
 // shared groups, point axis with per-job groups, single-job plans), a

@@ -8,6 +8,7 @@ import (
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/engine"
 	"github.com/safari-repro/hbmrh/internal/hbm"
+	"github.com/safari-repro/hbmrh/internal/results"
 )
 
 // TestMultiChipFastVsReferenceSenseByteIdentical is the end-to-end golden
@@ -16,12 +17,9 @@ import (
 // CSV/JSON artifacts — must be byte-identical whether devices sense via
 // the fast path or the straightforward reference implementation.
 func TestMultiChipFastVsReferenceSenseByteIdentical(t *testing.T) {
-	opts := MultiChipOptions{
-		Base:          config.SmallChip(),
-		Seeds:         []uint64{41, 42},
-		RowsPerRegion: 1,
-		ChipWorkers:   2,
-	}
+	cfg := *config.SmallChip()
+	cfg.Seed = 41
+	opts := Options{Cfg: &cfg, Seeds: 2, Rows: 1, Parallel: 2}
 	run := func(ref bool) (render, csv string, jsonOut []byte) {
 		t.Helper()
 		hbm.ForceReferenceSense(ref)
@@ -30,21 +28,24 @@ func TestMultiChipFastVsReferenceSenseByteIdentical(t *testing.T) {
 		// from an empty pool on both sides.
 		engine.SharedPool.Drain()
 		defer engine.SharedPool.Drain()
-		s, err := RunMultiChip(opts)
+		a, err := Run("multichip", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		headers, rows := s.AggregateCSV()
+		headers, rows, err := a.SummaryCSV(results.ByRegion)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var sb strings.Builder
 		sb.WriteString(strings.Join(headers, ","))
 		for _, r := range rows {
 			sb.WriteString("\n" + strings.Join(r, ","))
 		}
-		j, err := s.AggregateJSON()
+		j, err := a.SummaryJSON(results.ByRegion)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Render(), sb.String(), j
+		return Render(a), sb.String(), j
 	}
 	fastRender, fastCSV, fastJSON := run(false)
 	refRender, refCSV, refJSON := run(true)

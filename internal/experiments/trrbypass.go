@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"strconv"
-	"strings"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
-	"github.com/safari-repro/hbmrh/internal/engine"
 	"github.com/safari-repro/hbmrh/internal/hbm"
 	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/stats"
@@ -34,51 +31,21 @@ type TRRBypassOptions struct {
 	Bank addr.BankAddr
 	// Hammers is the double-sided hammer budget (paper: 256K).
 	Hammers int
-	// Ctx cancels the study between its two arms.
-	Ctx context.Context
 }
 
-// TRRBypassStudy compares the attack with and without the decoy.
-type TRRBypassStudy struct {
-	Opts TRRBypassOptions
-	// ProtectedFlips is the victim bitflip count when hammering naively
-	// under nominal refresh: the TRR samples the aggressors and protects
-	// the victim.
-	ProtectedFlips int
-	// BypassedFlips is the count with a decoy activation before every
-	// REF, blinding the sampler.
-	BypassedFlips int
-	// Refreshes is the number of periodic REFs issued per arm.
-	Refreshes int
-}
-
-// RunTRRBypass runs both arms: interleaved hammering with REFs at the
-// nominal tREFI cadence, without and with the decoy.
-func RunTRRBypass(o TRRBypassOptions) (*TRRBypassStudy, error) {
+// setDefaults resolves the option defaults of the registry entry.
+func (o *TRRBypassOptions) setDefaults() {
 	if o.Cfg == nil {
 		o.Cfg = config.PaperChip()
 	}
 	if o.Hammers <= 0 {
 		o.Hammers = core.DefaultHammers
 	}
-	s := &TRRBypassStudy{Opts: o}
-	// Both arms run under nominal refresh on their own fresh devices, so
-	// they are independent engine jobs: index 0 is the naive attack,
-	// index 1 the decoy-assisted one.
-	type arm struct{ flips, refs int }
-	arms, err := engine.Map(engine.Options{Ctx: o.Ctx}, 2,
-		func(_ context.Context, i int) (arm, error) {
-			flips, refs, err := runBypassArm(o, i == 1)
-			return arm{flips, refs}, err
-		})
-	if err != nil {
-		return nil, err
-	}
-	s.ProtectedFlips, s.Refreshes = arms[0].flips, arms[0].refs
-	s.BypassedFlips = arms[1].flips
-	return s, nil
 }
 
+// runBypassArm runs one arm on a fresh device: interleaved double-sided
+// hammering with REFs at the nominal tREFI cadence, with or without the
+// decoy. It returns the victim's bitflips and the REFs issued.
 func runBypassArm(o TRRBypassOptions, decoy bool) (flips, refs int, err error) {
 	d, err := hbm.New(o.Cfg)
 	if err != nil {
@@ -161,14 +128,9 @@ func trrBypassExperiment() *Experiment {
 		Title: "TRR bypass: naive vs decoy-assisted hammering under nominal refresh",
 		Plan: func(o Options) (*Plan, error) {
 			bo := TRRBypassOptions{Cfg: o.Cfg, Hammers: o.Hammers}
-			if bo.Cfg == nil {
-				bo.Cfg = config.PaperChip()
-			}
+			bo.setDefaults()
 			if err := bo.Cfg.Validate(); err != nil {
 				return nil, err
-			}
-			if bo.Hammers <= 0 {
-				bo.Hammers = core.DefaultHammers
 			}
 			arms := []string{"naive", "decoy"}
 			jobs := make([]Job, len(arms))
@@ -216,18 +178,4 @@ func trrBypassExperiment() *Experiment {
 			}, nil
 		},
 	}
-}
-
-// Render summarizes the two arms.
-func (s *TRRBypassStudy) Render() string {
-	var sb strings.Builder
-	sb.WriteString("Extension: defeating the uncovered TRR (Section 5 attack implication)\n")
-	fmt.Fprintf(&sb, "%d double-sided hammers interleaved with %d periodic REFs at tREFI\n",
-		s.Opts.Hammers, s.Refreshes)
-	fmt.Fprintf(&sb, "naive hammering (TRR samples the aggressors): %4d victim bitflips\n", s.ProtectedFlips)
-	fmt.Fprintf(&sb, "decoy activation before every REF:            %4d victim bitflips\n", s.BypassedFlips)
-	if s.ProtectedFlips == 0 && s.BypassedFlips > 0 {
-		sb.WriteString("=> the mitigation protects naive attacks but a sampler-aware attacker bypasses it\n")
-	}
-	return sb.String()
 }

@@ -24,13 +24,6 @@ func (a *Artifact) SummaryCSV(gb GroupBy) (headers []string, rows [][]string, er
 	if err != nil {
 		return nil, nil, err
 	}
-	headers, rows = SummaryCSVGroups(gb, groups)
-	return headers, rows, nil
-}
-
-// SummaryCSVGroups is SummaryCSV over an already-derived view, for
-// callers that memoize views (experiments.MultiChipStudy.Groups).
-func SummaryCSVGroups(gb GroupBy, groups []Group) (headers []string, rows [][]string) {
 	var keyCols []string
 	switch gb {
 	case ByRegion:
@@ -68,7 +61,7 @@ func SummaryCSVGroups(gb GroupBy, groups []Group) (headers []string, rows [][]st
 			))
 		}
 	}
-	return headers, rows
+	return headers, rows, nil
 }
 
 func fmtG(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -110,12 +103,6 @@ func (a *Artifact) SummaryJSON(gb GroupBy) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.SummaryJSONGroups(groups)
-}
-
-// SummaryJSONGroups is SummaryJSON over an already-derived view, for
-// callers that memoize views (experiments.MultiChipStudy.Groups).
-func (a *Artifact) SummaryJSONGroups(groups []Group) ([]byte, error) {
 	type groupJSON struct {
 		Region  string                  `json:"region,omitempty"`
 		Channel *int                    `json:"channel,omitempty"`

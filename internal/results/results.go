@@ -9,7 +9,7 @@
 // order-independently bit for bit, N shard artifacts produced on N
 // machines and merged with Merge render byte-identical summaries to a
 // single-process run over the union of their seed ranges — the property
-// that turns chipscan into a distributable fleet tool.
+// that turns the multichip scan into a distributable fleet tool.
 //
 // The schema is deliberately driver-agnostic: the multi-chip study emits
 // its fleet aggregates through it, and the figure drivers that produce
@@ -156,7 +156,7 @@ type ChipRecord struct {
 type Meta struct {
 	// Format is the schema version (FormatVersion at write time).
 	Format int `json:"format"`
-	// Tool names the producing driver ("chipscan", "sweep", "fig6");
+	// Tool names the producing experiment ("multichip", "sweep", "fig6");
 	// artifacts from different drivers never merge.
 	Tool string `json:"tool"`
 	// CodeVersion identifies the producing build; shards measured by

@@ -2,10 +2,13 @@ package results
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -323,4 +326,45 @@ func TestParseShardFlag(t *testing.T) {
 			t.Errorf("%q accepted", bad)
 		}
 	}
+}
+
+// canonicalShard is an independent oracle for ParseShardFlag's accepted
+// language: decimal I/N without signs, spaces or leading zeros.
+var canonicalShard = regexp.MustCompile(`^(0|[1-9][0-9]*)/([1-9][0-9]*)$`)
+
+// FuzzShardFlag pins the -shard trust boundary: ParseShardFlag never
+// panics, accepts exactly the canonical I/N with 0 <= I < N (plus "" for
+// unsharded), and every accepted value round-trips through "%d/%d". The
+// seed corpus lives in testdata/fuzz/FuzzShardFlag.
+func FuzzShardFlag(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		shard, of, err := ParseShardFlag(s)
+		if s == "" {
+			if shard != 0 || of != 0 || err != nil {
+				t.Fatalf("empty flag = %d/%d, %v; want unsharded", shard, of, err)
+			}
+			return
+		}
+		want := false
+		if m := canonicalShard.FindStringSubmatch(s); m != nil {
+			i, errI := strconv.Atoi(m[1])
+			n, errN := strconv.Atoi(m[2])
+			want = errI == nil && errN == nil && i < n
+		}
+		if err != nil {
+			if want {
+				t.Fatalf("canonical %q rejected: %v", s, err)
+			}
+			return
+		}
+		if !want {
+			t.Fatalf("non-canonical %q accepted as %d/%d", s, shard, of)
+		}
+		if shard < 0 || shard >= of {
+			t.Fatalf("%q accepted out of range: %d/%d", s, shard, of)
+		}
+		if got := fmt.Sprintf("%d/%d", shard, of); got != s {
+			t.Fatalf("%q parsed as %d/%d, which prints as %q", s, shard, of, got)
+		}
+	})
 }
