@@ -8,12 +8,14 @@ package hbmrh_test
 // cmd/utrr-discover.
 
 import (
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	hbmrh "github.com/safari-repro/hbmrh"
+	"github.com/safari-repro/hbmrh/internal/results"
 )
 
 func benchHarness(b *testing.B) *hbmrh.Harness {
@@ -318,30 +320,40 @@ func BenchmarkEngineChipscanStream(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamCodec measures the shard serialization boundary: one
-// sketched per-group accumulator (the unit a shard artifact carries per
-// region×channel metric) round-tripping through the versioned binary
-// codec, then merging into a second accumulator — the work `characterize
-// merge` pays per group per shard.
-func BenchmarkStreamCodec(b *testing.B) {
-	src := hbmrh.NewStatsStream(0, 1)
-	rng := rand.New(rand.NewSource(97))
-	for i := 0; i < 5000; i++ {
-		src.Add(rng.Float64())
+// BenchmarkArtifactCodec measures the artifact wire form where the
+// store pays for it on every ingest and replay: decoding an indented
+// shard artifact and re-encoding it canonically, in MB/s of artifact
+// bytes. The input is the committed store test shard, re-encoded in the
+// indented file form shard files and store objects use.
+func BenchmarkArtifactCodec(b *testing.B) {
+	compact, err := os.ReadFile(filepath.Join("internal", "store", "testdata", "shard-1of2.json"))
+	if err != nil {
+		b.Fatal(err)
 	}
-	acc := hbmrh.NewStatsStream(0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := src.MarshalBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var dec hbmrh.StatsStream
-		if err := dec.UnmarshalBinary(buf); err != nil {
-			b.Fatal(err)
-		}
-		acc.Merge(&dec)
+	a, err := results.Decode(compact)
+	if err != nil {
+		b.Fatal(err)
 	}
+	data, err := a.MarshalIndented()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			if _, err := results.Decode(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			if _, err := a.MarshalIndented(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- Extension benchmarks (Section 6 future work, implemented) ---

@@ -1,0 +1,270 @@
+package results
+
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"testing"
+
+	"github.com/safari-repro/hbmrh/internal/stats"
+)
+
+// The reference codec: encoding/json over mirrors of the schema whose
+// streams are plain structs, so nothing in the reference runs the
+// hand-written codec. Meta, ChipRecord and Key carry no JSON methods and
+// are used as they are: their struct tags define the format.
+type artifactRef struct {
+	Meta   Meta         `json:"meta"`
+	Chips  []ChipRecord `json:"chips,omitempty"`
+	Groups []groupRef   `json:"groups"`
+}
+
+type groupRef struct {
+	Key     Key         `json:"key"`
+	Metrics []metricRef `json:"metrics"`
+}
+
+type metricRef struct {
+	Name   string     `json:"name"`
+	Stream *streamRef `json:"stream"`
+}
+
+type streamRef struct {
+	V        int       `json:"v"`
+	Lo       float64   `json:"lo"`
+	Hi       float64   `json:"hi"`
+	Cutoff   int       `json:"cutoff"`
+	N        int64     `json:"n"`
+	Min      float64   `json:"min"`
+	Max      float64   `json:"max"`
+	Sum      []float64 `json:"sum"`
+	SumSq    []float64 `json:"sum_sq"`
+	Bins     []int64   `json:"bins"`
+	Sketched bool      `json:"sketched"`
+	Exact    []float64 `json:"exact,omitempty"`
+}
+
+// codecArtifacts returns artifacts covering every optional part of the
+// schema: chips, params, job provenance, point keys, empty and sketched
+// streams, and strings that need escaping.
+func codecArtifacts() map[string]*Artifact {
+	sketched := fineArtifact(3, 1)
+	for i := 0; i < 2000; i++ {
+		sketched.Groups[0].Metrics[0].Stream.Add(float64(i%97) / 97)
+	}
+	escaped := fineArtifact(0, 1)
+	escaped.Meta.Tool = "a<b>&\"c\"\\\n\t\x01\u2028\u2029\xff\u00e9"
+	escaped.Meta.Params["k\x7f<"] = "tiny 1e-7"
+	escaped.Chips[0].WCDPRatio = 1e-7
+	escaped.Chips = append(escaped.Chips, ChipRecord{Seed: 1<<64 - 1, MinHCFirst: -5, WCDPRatio: 1e21})
+	bare := &Artifact{Meta: Meta{Format: FormatVersion, GroupBy: "point"}}
+	empty := &Artifact{Meta: Meta{Format: FormatVersion, GroupBy: "point"}, Groups: []Group{
+		{Key: Key{Channel: NoChannel, Point: "p"}, Metrics: []Metric{}},
+		{Key: Key{Channel: NoChannel, Point: "q"}, Metrics: []Metric{{Name: "m", Stream: stats.NewStream(-1, 1)}}},
+	}}
+	return map[string]*Artifact{
+		"fine":     fineArtifact(0, 3),
+		"point":    pointArtifact([]string{"a", "b", "c"}, 1, 3),
+		"sketched": sketched,
+		"escaped":  escaped,
+		"bare":     bare,
+		"empty":    empty,
+	}
+}
+
+// refMarshal is the artifact file form as encoding/json writes it.
+func refMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(buf, '\n')
+}
+
+// TestArtifactCodecMatchesEncodingJSON pins the writer to
+// json.MarshalIndent of the artifact (streams through their MarshalJSON,
+// which the stats tests pin to encoding/json), and decode-then-encode to
+// encoding/json's decode-then-encode of the same bytes.
+func TestArtifactCodecMatchesEncodingJSON(t *testing.T) {
+	for name, a := range codecArtifacts() {
+		got, err := a.MarshalIndented()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := refMarshal(t, a); !bytes.Equal(got, want) {
+			t.Errorf("%s: encoding differs from encoding/json:\n%s\nvs\n%s", name, got, want)
+		}
+		var ref artifactRef
+		if err := json.Unmarshal(got, &ref); err != nil {
+			t.Fatalf("%s: encoding/json rejects the encoding: %v", name, err)
+		}
+		back, err := Decode(got)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		again, err := back.MarshalIndented()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refMarshal(t, ref); !bytes.Equal(again, want) {
+			t.Errorf("%s: decode/encode differs from encoding/json's:\n%s\nvs\n%s", name, again, want)
+		}
+	}
+}
+
+// TestArtifactDecodeAcceptsWhatEncodingJSONAccepts covers the lenient
+// corners of encoding/json's struct decoding that Decode must keep, and
+// the one place it is stricter.
+func TestArtifactDecodeAcceptsWhatEncodingJSONAccepts(t *testing.T) {
+	good, err := pointArtifact([]string{"a", "b"}, 0, 2).MarshalIndented()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact := new(bytes.Buffer)
+	if err := json.Compact(compact, good); err != nil {
+		t.Fatal(err)
+	}
+	c := compact.String()
+	accept := map[string]string{
+		"folded keys":       strings.Replace(c, `"meta"`, `"META"`, 1),
+		"kelvin sign key":   strings.Replace(c, `"key"`, `"\u212aey"`, 1),
+		"escaped key":       strings.Replace(c, `"format"`, `"for\u006dat"`, 1),
+		"unknown member":    strings.Replace(c, `{"meta":`, `{"extra":[{"x":[1,-2.5e3,true,null,"\ud83d\ude00"]}],"meta":`, 1),
+		"null members":      strings.Replace(c, `"shard":0`, `"shard":null,"chips":null,"extra":null`, 1),
+		"whitespace":        " \t\r\n" + c + " \n",
+		"deep at the limit": strings.Replace(c, `{"meta":`, `{"extra":`+strings.Repeat("[", 9999)+strings.Repeat("]", 9999)+`,"meta":`, 1),
+	}
+	for name, in := range accept {
+		if in == c && name != "whitespace" {
+			t.Fatalf("%s: mutation did not apply", name)
+		}
+		var ref artifactRef
+		if err := json.Unmarshal([]byte(in), &ref); err != nil {
+			t.Fatalf("%s: encoding/json rejects the case: %v", name, err)
+		}
+		a, err := Decode([]byte(in))
+		if err != nil {
+			t.Errorf("%s: Decode rejects what encoding/json accepts: %v", name, err)
+			continue
+		}
+		got, err := a.MarshalIndented()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refMarshal(t, ref); !bytes.Equal(got, want) {
+			t.Errorf("%s: decoded artifact differs from encoding/json's", name)
+		}
+	}
+	reject := map[string]string{
+		"duplicate member":     strings.Replace(c, `"tool":`, `"tool":"x","TOOL":`, 1),
+		"duplicate param":      strings.Replace(c, `"meta":{`, `"meta":{"params":{"a":"1","a":"2"},`, 1),
+		"float in int field":   strings.Replace(c, `"format":2`, `"format":2.0`, 1),
+		"exponent in int":      strings.Replace(c, `"format":2`, `"format":2e0`, 1),
+		"negative seed":        strings.Replace(c, `"seed_first":`, `"seed_first":-`, 1),
+		"int overflow":         strings.Replace(c, `"shard":0`, `"shard":9223372036854775808`, 1),
+		"float overflow":       strings.Replace(c, `"lo":0`, `"lo":1e999`, 1),
+		"plus sign":            strings.Replace(c, `"lo":0`, `"lo":+1`, 1),
+		"leading zero":         strings.Replace(c, `"shard":0`, `"shard":01`, 1),
+		"bare fraction":        strings.Replace(c, `"lo":0`, `"lo":.5`, 1),
+		"NaN":                  strings.Replace(c, `"lo":0`, `"lo":NaN`, 1),
+		"hex float":            strings.Replace(c, `"lo":0`, `"lo":0x1p-2`, 1),
+		"bad escape":           strings.Replace(c, `"tool":"`, `"tool":"\x`, 1),
+		"control character":    strings.Replace(c, `"tool":"`, "\"tool\":\"\x01", 1),
+		"string into int":      strings.Replace(c, `"format":2`, `"format":"2"`, 1),
+		"trailing comma":       strings.Replace(c, `"shard":0,`, `"shard":0,,`, 1),
+		"trailing data":        c + "{}",
+		"bad syntax in skip":   strings.Replace(c, `{"meta":`, `{"extra":[1,],"meta":`, 1),
+		"too deep in skip":     strings.Replace(c, `{"meta":`, `{"extra":`+strings.Repeat("[", 10000)+strings.Repeat("]", 10000)+`,"meta":`, 1),
+		"stream not an object": strings.Replace(c, `"stream":{`, `"stream":[{`, 1),
+	}
+	for name, in := range reject {
+		if in == c {
+			t.Fatalf("%s: mutation did not apply", name)
+		}
+		if _, err := Decode([]byte(in)); err == nil {
+			t.Errorf("%s: Decode accepted", name)
+		}
+	}
+}
+
+// FuzzArtifactCodec is the differential fuzzer of the artifact codec
+// against encoding/json over the reference mirrors: whatever Decode
+// accepts, encoding/json accepts too, and MarshalIndented reproduces
+// json.MarshalIndent of encoding/json's decode byte for byte; whatever
+// encoding/json accepts and Decode rejects either fails Decode's
+// validation (the canonical re-encoding is rejected as well) or repeats
+// a member name, the one thing Decode is stricter about. Seeds live in
+// testdata/fuzz/FuzzArtifactCodec.
+func FuzzArtifactCodec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := Decode(data)
+		var ref artifactRef
+		refErr := json.Unmarshal(data, &ref)
+		if err == nil {
+			if refErr != nil {
+				t.Fatalf("Decode accepted what encoding/json rejects: %v", refErr)
+			}
+			got, err := a.MarshalIndented()
+			if err != nil {
+				t.Fatalf("re-encoding an accepted artifact: %v", err)
+			}
+			if want := refMarshal(t, ref); !bytes.Equal(got, want) {
+				t.Fatalf("re-encoding differs from encoding/json's:\n%s\nvs\n%s", got, want)
+			}
+			return
+		}
+		if refErr != nil {
+			return
+		}
+		canon, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, cerr := Decode(canon); cerr == nil && !hasDuplicateKey(data) {
+			t.Fatalf("Decode rejects (%v) an input encoding/json accepts, with no duplicate member", err)
+		}
+	})
+}
+
+// hasDuplicateKey reports whether any object in the valid JSON data
+// names two members alike under case folding.
+func hasDuplicateKey(data []byte) bool {
+	type frame struct {
+		object, wantKey bool
+		keys            []string
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var stack []*frame
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return false
+		}
+		var top *frame
+		if len(stack) > 0 {
+			top = stack[len(stack)-1]
+		}
+		if d, ok := tok.(json.Delim); ok && (d == '}' || d == ']') {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		if top != nil && top.object {
+			if top.wantKey {
+				key := tok.(string)
+				for _, k := range top.keys {
+					if strings.EqualFold(k, key) {
+						return true
+					}
+				}
+				top.keys = append(top.keys, key)
+				top.wantKey = false
+				continue
+			}
+			top.wantKey = true
+		}
+		if d, ok := tok.(json.Delim); ok {
+			stack = append(stack, &frame{object: d == '{', wantKey: d == '{'})
+		}
+	}
+}

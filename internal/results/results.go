@@ -24,10 +24,15 @@
 // canonical contiguous partition all processes agree on, and
 // MergeShards folds shard files in canonical order — the merge path
 // under `characterize merge` and the fleet coordinator alike.
+//
+// Artifacts have one serialized form, the indented JSON file format that
+// shard files, fleet chunks and store objects share (codec.go):
+// MarshalIndented writes it and Decode reads it through the
+// non-reflective jsonwire codec, byte for byte what encoding/json would
+// write for the struct tags below.
 package results
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime/debug"
 
@@ -457,41 +462,6 @@ func (a *Artifact) Seal() {
 			a.Groups[i].Metrics[j].Stream.Seal()
 		}
 	}
-}
-
-// MarshalIndented renders the artifact as deterministic indented JSON
-// (fixed field order, map keys sorted, streams in their versioned wire
-// form) with a trailing newline — the artifact file format.
-func (a *Artifact) MarshalIndented() ([]byte, error) {
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
-}
-
-// Decode parses an artifact file produced by MarshalIndented (any JSON
-// encoding of the schema, strictly speaking) and validates its format
-// version and stored axis.
-func Decode(data []byte) (*Artifact, error) {
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("results: decoding artifact: %w", err)
-	}
-	if a.Meta.Format != FormatVersion {
-		return nil, fmt.Errorf("results: artifact format version %d, this build reads version %d", a.Meta.Format, FormatVersion)
-	}
-	if _, err := ParseGroupBy(a.Meta.GroupBy); err != nil {
-		return nil, err
-	}
-	for _, g := range a.Groups {
-		for _, m := range g.Metrics {
-			if m.Stream == nil {
-				return nil, fmt.Errorf("results: group %v metric %q has no stream", g.Key, m.Name)
-			}
-		}
-	}
-	return &a, nil
 }
 
 // ShardRange partitions n items into `of` contiguous shards and returns

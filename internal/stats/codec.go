@@ -1,286 +1,146 @@
 package stats
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
+
+	"github.com/safari-repro/hbmrh/internal/jsonwire"
 )
 
-// Stream codec: a stable, versioned wire format so shard accumulators can
-// leave their process — written to artifact files by one machine, read
-// and merged by another — without weakening any in-memory guarantee.
-// Both encodings capture the full accumulator state (domain, exact moment
-// sums, bin counts, extrema, and the raw sample while in exact mode), so
+// Stream codec: one stable, versioned JSON wire form so shard
+// accumulators can leave their process (written to artifact files by one
+// machine, read and merged by another) without weakening any in-memory
+// guarantee. The form captures the full accumulator state (domain, exact
+// moment sums, bin counts, extrema, and the raw sample while in exact
+// mode), so
 //
 //	decode(encode(s)) == s          bit for bit, and
 //	decode(encode(a)).Merge(decode(encode(b))) == a.Merge(b)
 //
-// also bit for bit. The binary format is the compact machine form; the
-// JSON form is what artifact files embed (internal/results) and is
-// human-inspectable. Both carry an explicit version and reject payloads
-// from a different version rather than guessing.
+// also bit for bit. The form is a JSON object, {"v":1,"lo":...}, that
+// artifact files embed (internal/results); it is written and read by the
+// non-reflective jsonwire codec, byte-identical to encoding/json's
+// encoding of the same fields. It carries an explicit version, and
+// payloads from a different version are rejected rather than guessed at.
 //
-// Values must be finite: JSON cannot represent NaN/Inf (encoding/json
-// errors), and the binary decoder rejects non-finite fields, so a stream
-// poisoned by non-finite samples fails loudly at the boundary instead of
-// silently corrupting a fleet aggregate.
+// Values must be finite: JSON cannot represent NaN/Inf, so encoding a
+// stream poisoned by non-finite samples fails loudly at the boundary
+// instead of silently corrupting a fleet aggregate.
 
-// StreamCodecVersion is the wire-format version of both the binary and
-// JSON stream encodings. Decoders reject any other version.
+// StreamCodecVersion is the wire-format version of the stream encoding.
+// Decoders reject any other version.
 const StreamCodecVersion = 1
 
-// streamMagic brands binary stream payloads so truncated or foreign bytes
-// fail fast.
-var streamMagic = [4]byte{'h', 'b', 's', 't'}
-
-// maxStreamSliceLen bounds decoded slice lengths before allocation, so a
-// corrupt or hostile length prefix cannot force a huge allocation beyond
-// what the payload itself carries.
-const maxStreamSliceLen = 1 << 24
-
-// MarshalBinary encodes the stream in the versioned little-endian binary
-// format. It never fails on streams produced by Add/Merge of finite
-// samples; non-finite state is rejected to keep the codec's round-trip
-// contract meaningful.
-func (s *Stream) MarshalBinary() ([]byte, error) {
+// WriteJSON writes the stream's wire form to w, failing w on non-finite
+// state.
+func (s *Stream) WriteJSON(w *jsonwire.Writer) {
 	if err := s.checkFinite(); err != nil {
-		return nil, err
+		w.Fail(err)
+		return
 	}
-	size := 4 + 2 + 1 + // magic, version, flags
-		8*6 + // lo, hi, cutoff, n, min, max
-		4 + 8*len(s.sum.partials) +
-		4 + 8*len(s.sumSq.partials) +
-		4 + 8*len(s.bins) +
-		4 + 8*len(s.exact)
-	buf := make([]byte, 0, size)
-	buf = append(buf, streamMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, StreamCodecVersion)
-	var flags byte
-	if s.sketched {
-		flags |= 1
+	w.Open('{')
+	w.Key("v")
+	w.Int(StreamCodecVersion)
+	w.Key("lo")
+	w.Float(s.lo)
+	w.Key("hi")
+	w.Float(s.hi)
+	w.Key("cutoff")
+	w.Int(int64(s.cutoff))
+	w.Key("n")
+	w.Int(s.n)
+	w.Key("min")
+	w.Float(s.min)
+	w.Key("max")
+	w.Float(s.max)
+	w.Key("sum")
+	w.Floats(s.sum.partials)
+	w.Key("sum_sq")
+	w.Floats(s.sumSq.partials)
+	w.Key("bins")
+	w.Ints(s.bins)
+	w.Key("sketched")
+	w.Bool(s.sketched)
+	if len(s.exact) > 0 {
+		w.Key("exact")
+		w.Floats(s.exact)
 	}
-	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.lo))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.hi))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.cutoff)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.n))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.min))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.max))
-	buf = appendFloats(buf, s.sum.partials)
-	buf = appendFloats(buf, s.sumSq.partials)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.bins)))
-	for _, c := range s.bins {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
-	}
-	buf = appendFloats(buf, s.exact)
-	return buf, nil
+	w.Close('}')
 }
 
-func appendFloats(buf []byte, xs []float64) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(xs)))
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return buf
+// MarshalJSON encodes the stream's compact wire form. float64 fields
+// use the shortest representation that parses back to the same bits.
+func (s *Stream) MarshalJSON() ([]byte, error) {
+	w := jsonwire.NewWriter(nil, false)
+	s.WriteJSON(w)
+	return w.Bytes(), w.Err()
 }
 
-// binReader walks a binary payload with bounds checking; the first
-// failure sticks so call sites stay linear.
-type binReader struct {
-	buf []byte
-	off int
-	err error
-}
+var streamFields = []string{"v", "lo", "hi", "cutoff", "n", "min", "max", "sum", "sum_sq", "bins", "sketched", "exact"}
 
-func (r *binReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("stats: decoding stream: "+format, args...)
-	}
-}
-
-func (r *binReader) take(n int) []byte {
-	if r.err != nil {
+// ReadStream decodes one stream from r: nil for null, otherwise a stream
+// whose version and structural invariants have been checked. Failures
+// fail r and return nil.
+func ReadStream(r *jsonwire.Reader) *Stream {
+	if r.Null() {
 		return nil
 	}
-	if len(r.buf)-r.off < n {
-		r.fail("truncated payload: need %d bytes at offset %d, have %d", n, r.off, len(r.buf)-r.off)
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *binReader) u16() uint16 {
-	if b := r.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-func (r *binReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *binReader) sliceLen(what string) int {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if n > maxStreamSliceLen {
-		r.fail("%s length %d exceeds limit", what, n)
-		return 0
-	}
-	// The payload must actually carry the elements it declares; checking
-	// here bounds the allocation to the payload size.
-	if len(r.buf)-r.off < int(n)*8 {
-		r.fail("truncated payload: %s declares %d elements past the end", what, n)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *binReader) floats(what string) []float64 {
-	n := r.sliceLen(what)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.f64()
-	}
-	return out
-}
-
-// UnmarshalBinary decodes a payload produced by MarshalBinary, validating
-// the magic, version and every structural invariant (declared lengths vs
-// payload size, Σbins == n, exact-mode consistency). Truncated,
-// version-skewed or foreign payloads are rejected with an error and leave
-// s untouched.
-func (s *Stream) UnmarshalBinary(data []byte) error {
-	r := &binReader{buf: data}
-	magic := r.take(4)
-	if r.err != nil {
-		return r.err
-	}
-	if [4]byte(magic) != streamMagic {
-		return fmt.Errorf("stats: decoding stream: bad magic %q", magic)
-	}
-	if v := r.u16(); r.err == nil && v != StreamCodecVersion {
-		return fmt.Errorf("stats: decoding stream: version %d, this build reads version %d", v, StreamCodecVersion)
-	}
-	flagBytes := r.take(1)
 	var d Stream
-	if r.err == nil {
-		flags := flagBytes[0]
-		d.sketched = flags&1 != 0
-		if rest := flags &^ 1; rest != 0 {
-			r.fail("unknown flag bits %#x", rest)
+	v := 0
+	r.Object(streamFields, func(field string) {
+		switch field {
+		case "v":
+			v = r.Int()
+		case "lo":
+			d.lo = r.Float()
+		case "hi":
+			d.hi = r.Float()
+		case "cutoff":
+			d.cutoff = r.Int()
+		case "n":
+			d.n = r.Int64()
+		case "min":
+			d.min = r.Float()
+		case "max":
+			d.max = r.Float()
+		case "sum":
+			d.sum.partials = r.Floats()
+		case "sum_sq":
+			d.sumSq.partials = r.Floats()
+		case "bins":
+			d.bins = r.Ints()
+		case "sketched":
+			d.sketched = r.Bool()
+		case "exact":
+			d.exact = r.Floats()
 		}
+	})
+	if r.Err() != nil {
+		return nil
 	}
-	d.lo = r.f64()
-	d.hi = r.f64()
-	d.cutoff = int(int64(r.u64()))
-	d.n = int64(r.u64())
-	d.min = r.f64()
-	d.max = r.f64()
-	d.sum = ExactSum{partials: r.floats("sum")}
-	d.sumSq = ExactSum{partials: r.floats("sum_sq")}
-	if n := r.sliceLen("bins"); r.err == nil && n > 0 {
-		d.bins = make([]int64, n)
-		for i := range d.bins {
-			d.bins[i] = int64(r.u64())
-		}
-	}
-	d.exact = r.floats("exact")
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(data) {
-		return fmt.Errorf("stats: decoding stream: %d trailing bytes", len(data)-r.off)
+	if v != StreamCodecVersion {
+		r.Fail(fmt.Errorf("stats: decoding stream JSON: version %d, this build reads version %d", v, StreamCodecVersion))
+		return nil
 	}
 	if err := d.validate(); err != nil {
-		return err
+		r.Fail(err)
+		return nil
 	}
-	*s = d
-	return nil
+	return &d
 }
 
-// streamJSON is the JSON wire form of a Stream; field order is the
-// marshal order, fixed for deterministic output.
-type streamJSON struct {
-	V        int       `json:"v"`
-	Lo       float64   `json:"lo"`
-	Hi       float64   `json:"hi"`
-	Cutoff   int       `json:"cutoff"`
-	N        int64     `json:"n"`
-	Min      float64   `json:"min"`
-	Max      float64   `json:"max"`
-	Sum      []float64 `json:"sum"`
-	SumSq    []float64 `json:"sum_sq"`
-	Bins     []int64   `json:"bins"`
-	Sketched bool      `json:"sketched"`
-	Exact    []float64 `json:"exact,omitempty"`
-}
-
-// MarshalJSON encodes the stream as a versioned JSON object. float64
-// fields round-trip exactly through encoding/json's shortest-form
-// encoding, so the JSON form carries the same bit-level guarantees as the
-// binary one.
-func (s *Stream) MarshalJSON() ([]byte, error) {
-	if err := s.checkFinite(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(streamJSON{
-		V:        StreamCodecVersion,
-		Lo:       s.lo,
-		Hi:       s.hi,
-		Cutoff:   s.cutoff,
-		N:        s.n,
-		Min:      s.min,
-		Max:      s.max,
-		Sum:      s.sum.partials,
-		SumSq:    s.sumSq.partials,
-		Bins:     s.bins,
-		Sketched: s.sketched,
-		Exact:    s.exact,
-	})
-}
-
-// UnmarshalJSON decodes the JSON form with the same validation as
-// UnmarshalBinary.
+// UnmarshalJSON decodes the wire form with ReadStream's validation. null
+// is rejected: a stream value has no empty form.
 func (s *Stream) UnmarshalJSON(data []byte) error {
-	var j streamJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	r := jsonwire.NewReader(data)
+	d := ReadStream(r)
+	if err := r.Finish(); err != nil {
 		return fmt.Errorf("stats: decoding stream JSON: %w", err)
 	}
-	if j.V != StreamCodecVersion {
-		return fmt.Errorf("stats: decoding stream JSON: version %d, this build reads version %d", j.V, StreamCodecVersion)
+	if d == nil {
+		return fmt.Errorf("stats: decoding stream JSON: null is not a stream")
 	}
-	d := Stream{
-		lo:       j.Lo,
-		hi:       j.Hi,
-		cutoff:   j.Cutoff,
-		n:        j.N,
-		min:      j.Min,
-		max:      j.Max,
-		sum:      ExactSum{partials: j.Sum},
-		sumSq:    ExactSum{partials: j.SumSq},
-		bins:     j.Bins,
-		sketched: j.Sketched,
-		exact:    j.Exact,
-	}
-	if err := d.validate(); err != nil {
-		return err
-	}
-	*s = d
+	*s = *d
 	return nil
 }
 

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -42,40 +41,74 @@ func codecStreams() map[string]*Stream {
 	}
 }
 
+// streamJSON mirrors the stream wire form for encoding/json: the
+// reference the hand-written codec must match byte for byte, and the
+// builder of hand-corrupted payloads.
+type streamJSON struct {
+	V        int       `json:"v"`
+	Lo       float64   `json:"lo"`
+	Hi       float64   `json:"hi"`
+	Cutoff   int       `json:"cutoff"`
+	N        int64     `json:"n"`
+	Min      float64   `json:"min"`
+	Max      float64   `json:"max"`
+	Sum      []float64 `json:"sum"`
+	SumSq    []float64 `json:"sum_sq"`
+	Bins     []int64   `json:"bins"`
+	Sketched bool      `json:"sketched"`
+	Exact    []float64 `json:"exact,omitempty"`
+}
+
+func mirrorOf(s *Stream) streamJSON {
+	return streamJSON{V: StreamCodecVersion, Lo: s.lo, Hi: s.hi, Cutoff: s.cutoff, N: s.n, Min: s.min, Max: s.max,
+		Sum: s.sum.partials, SumSq: s.sumSq.partials, Bins: s.bins, Sketched: s.sketched, Exact: s.exact}
+}
+
 func mustMarshal(t *testing.T, s *Stream) []byte {
 	t.Helper()
-	b, err := s.MarshalBinary()
+	b, err := s.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
+// TestStreamCodecRoundTripIdentity pins decode(encode(s)) == s bit for
+// bit, and the encoding to the bytes encoding/json writes for the same
+// fields, compact and indented.
 func TestStreamCodecRoundTripIdentity(t *testing.T) {
 	for name, s := range codecStreams() {
-		bin := mustMarshal(t, s)
-		var fromBin Stream
-		if err := fromBin.UnmarshalBinary(bin); err != nil {
-			t.Fatalf("%s: binary decode: %v", name, err)
-		}
-		if !reflect.DeepEqual(s, &fromBin) {
-			t.Errorf("%s: binary round trip drifted:\n%+v\nvs\n%+v", name, s, &fromBin)
-		}
-		js, err := json.Marshal(s)
+		js := mustMarshal(t, s)
+		want, err := json.Marshal(mirrorOf(s))
 		if err != nil {
-			t.Fatalf("%s: json encode: %v", name, err)
+			t.Fatal(err)
 		}
-		var fromJSON Stream
-		if err := json.Unmarshal(js, &fromJSON); err != nil {
-			t.Fatalf("%s: json decode: %v", name, err)
+		if !bytes.Equal(js, want) {
+			t.Errorf("%s: encoding drifted from encoding/json:\n%s\nvs\n%s", name, js, want)
 		}
-		if !reflect.DeepEqual(s, &fromJSON) {
-			t.Errorf("%s: JSON round trip drifted:\n%+v\nvs\n%+v", name, s, &fromJSON)
+		indented, err := json.MarshalIndent(struct{ S *Stream }{s}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIndented, err := json.MarshalIndent(struct{ S streamJSON }{mirrorOf(s)}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(indented, wantIndented) {
+			t.Errorf("%s: indented encoding drifted from encoding/json", name)
+		}
+		var dec struct{ S Stream }
+		if err := json.Unmarshal(indented, &dec); err != nil {
+			t.Fatalf("%s: decoding the indented form: %v", name, err)
+		}
+		d := dec.S
+		if !reflect.DeepEqual(s, &d) {
+			t.Errorf("%s: round trip drifted:\n%+v\nvs\n%+v", name, s, &d)
 		}
 		// A decoded stream must keep working as an accumulator.
-		fromBin.Add(0.25)
-		if fromBin.N() != s.N()+1 {
-			t.Errorf("%s: decoded stream broken: N=%d", name, fromBin.N())
+		d.Add(0.25)
+		if d.N() != s.N()+1 {
+			t.Errorf("%s: decoded stream broken: N=%d", name, d.N())
 		}
 	}
 }
@@ -93,10 +126,10 @@ func TestStreamCodecMergeAfterDecode(t *testing.T) {
 			b.Add(rng.Float64() * rng.Float64())
 		}
 		var da, db Stream
-		if err := da.UnmarshalBinary(mustMarshal(t, a)); err != nil {
+		if err := da.UnmarshalJSON(mustMarshal(t, a)); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.UnmarshalBinary(mustMarshal(t, b)); err != nil {
+		if err := db.UnmarshalJSON(mustMarshal(t, b)); err != nil {
 			t.Fatal(err)
 		}
 		direct := a.Clone()
@@ -113,44 +146,31 @@ func TestStreamCodecRejectsTruncation(t *testing.T) {
 		full := mustMarshal(t, s)
 		for cut := 0; cut < len(full); cut++ {
 			var d Stream
-			if err := d.UnmarshalBinary(full[:cut]); err == nil {
+			if err := d.UnmarshalJSON(full[:cut]); err == nil {
 				t.Fatalf("%s: truncation to %d/%d bytes decoded without error", name, cut, len(full))
 			}
 		}
 		var d Stream
-		if err := d.UnmarshalBinary(append(append([]byte{}, full...), 0)); err == nil {
+		if err := d.UnmarshalJSON(append(append([]byte{}, full...), '0')); err == nil {
 			t.Errorf("%s: trailing byte accepted", name)
 		}
 	}
 }
 
 func TestStreamCodecRejectsVersionSkewAndForeignBytes(t *testing.T) {
-	s := codecStreams()["sketched"]
-	full := mustMarshal(t, s)
-
-	skewed := append([]byte{}, full...)
-	binary.LittleEndian.PutUint16(skewed[4:], StreamCodecVersion+1)
-	var d Stream
-	if err := d.UnmarshalBinary(skewed); err == nil {
-		t.Error("version-skewed binary payload accepted")
-	}
-
-	foreign := append([]byte{}, full...)
-	copy(foreign, "nope")
-	if err := d.UnmarshalBinary(foreign); err == nil {
-		t.Error("payload with foreign magic accepted")
-	}
-
-	js, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	js := mustMarshal(t, codecStreams()["sketched"])
 	jsSkew := bytes.Replace(js, []byte(`{"v":1`), []byte(`{"v":2`), 1)
 	if bytes.Equal(js, jsSkew) {
 		t.Fatal("version field not found in JSON form")
 	}
-	if err := json.Unmarshal(jsSkew, &d); err == nil {
-		t.Error("version-skewed JSON payload accepted")
+	var d Stream
+	if err := d.UnmarshalJSON(jsSkew); err == nil {
+		t.Error("version-skewed payload accepted")
+	}
+	for _, foreign := range []string{"", "null", "[]", `"hbst"`, "{}", "hbst\x01\x00", `{"v":1}`} {
+		if err := d.UnmarshalJSON([]byte(foreign)); err == nil {
+			t.Errorf("foreign payload %q accepted", foreign)
+		}
 	}
 }
 
@@ -194,40 +214,55 @@ func TestStreamCodecRejectsCorruptState(t *testing.T) {
 func TestStreamCodecRejectsNonFiniteState(t *testing.T) {
 	s := NewStream(0, 1)
 	s.Add(math.NaN())
-	if _, err := s.MarshalBinary(); err == nil {
-		t.Error("binary encode of NaN-poisoned stream succeeded")
+	if _, err := s.MarshalJSON(); err == nil {
+		t.Error("encode of NaN-poisoned stream succeeded")
 	}
 	if _, err := json.Marshal(s); err == nil {
-		t.Error("JSON encode of NaN-poisoned stream succeeded")
+		t.Error("encoding/json encode of NaN-poisoned stream succeeded")
 	}
 }
 
-// FuzzStreamCodec throws arbitrary bytes at the binary decoder (it must
-// never panic, and anything it accepts must re-encode canonically) and
-// checks encode/decode identity from a seeded sample shape.
+// FuzzStreamCodec throws arbitrary bytes at the stream decoder. It must
+// never panic; anything it accepts encoding/json must accept into the
+// mirror too, the re-encoding must be the mirror's json.Marshal bytes,
+// the re-encoding must decode back to the same stream, and the decoded
+// stream must work as an accumulator.
 func FuzzStreamCodec(f *testing.F) {
 	for _, s := range codecStreams() {
-		b, err := s.MarshalBinary()
+		b, err := s.MarshalJSON()
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
 	}
-	f.Add([]byte("hbst"))
+	f.Add([]byte("null"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d Stream
-		if err := d.UnmarshalBinary(data); err != nil {
+		if err := d.UnmarshalJSON(data); err != nil {
 			return
 		}
-		// Accepted payloads must round-trip to the same bytes (the format
-		// has no redundant encodings) and produce a usable accumulator.
-		re, err := d.MarshalBinary()
+		var ref streamJSON
+		if err := json.Unmarshal(data, &ref); err != nil {
+			t.Fatalf("decoder accepted what encoding/json rejects: %v", err)
+		}
+		re, err := d.MarshalJSON()
 		if err != nil {
 			t.Fatalf("re-encode of accepted payload failed: %v", err)
 		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("accepted payload is not canonical:\n%x\nvs\n%x", data, re)
+		want, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re, want) {
+			t.Fatalf("re-encoding differs from encoding/json:\n%s\nvs\n%s", re, want)
+		}
+		var again Stream
+		if err := again.UnmarshalJSON(re); err != nil {
+			t.Fatalf("canonical re-encoding rejected: %v", err)
+		}
+		if !reflect.DeepEqual(&d, &again) {
+			t.Fatalf("canonical re-encoding decodes to a different stream:\n%+v\nvs\n%+v", &d, &again)
 		}
 		d.Add(0.5)
 		if d.N() < 1 {

@@ -33,7 +33,7 @@ import (
 // within one bin width of the nearest-rank empirical quantile (see
 // Quantile for the caveat on sparse/discrete distributions).
 //
-// A Stream serializes with MarshalBinary/MarshalJSON (versioned; see
+// A Stream serializes to one versioned JSON form (WriteJSON/ReadStream; see
 // codec.go), so shard accumulators can cross process and machine
 // boundaries and merge on the other side with the same guarantees.
 type Stream struct {

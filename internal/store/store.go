@@ -33,7 +33,8 @@
 // With a directory, accepted objects persist under objects/<sha256>.json
 // and Open replays them: objects are decoded on GOMAXPROCS goroutines and
 // admitted strictly in hash order, so a parallel replay reaches the same
-// state as a serial one. With an empty path the store is purely
+// state as a serial one. A file's name is its address: replay
+// quarantines an object whose canonical bytes hash to anything else. With an empty path the store is purely
 // in-memory (tests, one-shot queries).
 package store
 
@@ -180,7 +181,8 @@ type Snapshot struct {
 // opens an empty in-memory store. The directory is created if missing.
 //
 // An object that cannot be replayed — unreadable, torn by a crash
-// mid-write, or conflicting with already-replayed members — does not
+// mid-write, filed under a name that is not its hash, or conflicting
+// with already-replayed members — does not
 // fail the open: it is moved to objects/quarantine/ and recorded, and
 // replay continues with the rest. One corrupt file costs one shard (its
 // data returns on the next ingest of those bytes), not the whole store;
@@ -237,11 +239,7 @@ func (s *Store) replay(objects string, names []string) error {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				data, err := os.ReadFile(filepath.Join(objects, names[i]))
-				var p *prepared
-				if err == nil {
-					p, err = prepare(data)
-				}
+				p, err := prepareObject(objects, names[i])
 				done[i] <- outcome{p, err}
 			}
 		}()
@@ -270,6 +268,25 @@ func (s *Store) replay(objects string, names []string) error {
 		}
 	}
 	return nil
+}
+
+// prepareObject reads and prepares one object file. The file name is
+// the object's address, so an object whose canonical bytes hash to
+// anything else is ErrMalformed: a renamed or mis-copied file must not
+// be admitted under an address it does not have.
+func prepareObject(objects, name string) (*prepared, error) {
+	data, err := os.ReadFile(filepath.Join(objects, name))
+	if err != nil {
+		return nil, err
+	}
+	p, err := prepare(data)
+	if err != nil {
+		return nil, err
+	}
+	if want := strings.TrimSuffix(name, ".json"); p.hash != want {
+		return nil, malformed(fmt.Errorf("store: object %s has canonical hash %s", want, p.hash))
+	}
+	return p, nil
 }
 
 // quarantine moves one condemned object file into objects/quarantine/

@@ -406,6 +406,55 @@ func TestStoreQuarantineCorruptObject(t *testing.T) {
 	}
 }
 
+// TestStoreQuarantineMisnamedObject renames a valid object to another
+// address: replay must quarantine it as malformed, with a reason naming
+// both the file's hash and the content's, and open the rest of the store.
+func TestStoreQuarantineMisnamedObject(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := ingest(t, s, shard(0, 2)).Hash
+	kept := ingest(t, s, shard(2, 3)).Hash
+	objects := filepath.Join(dir, "objects")
+	sum := sha256.Sum256([]byte("some other object"))
+	wrong := hex.EncodeToString(sum[:])
+	if err := os.Rename(filepath.Join(objects, moved+".json"), filepath.Join(objects, wrong+".json")); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open with a misnamed object must degrade, not fail: %v", err)
+	}
+	q := re.Quarantined()
+	if len(q) != 1 || q[0].File != wrong+".json" {
+		t.Fatalf("quarantined %+v, want exactly the misnamed object", q)
+	}
+	if !strings.Contains(q[0].Reason, wrong) || !strings.Contains(q[0].Reason, moved) {
+		t.Errorf("quarantine reason %q does not name both hashes", q[0].Reason)
+	}
+	if _, err := os.Stat(filepath.Join(objects, "quarantine", wrong+".json")); err != nil {
+		t.Fatalf("misnamed object not moved into objects/quarantine/: %v", err)
+	}
+	snap, err := re.Resolve("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Members != 1 {
+		t.Fatalf("store serves %d member(s), want the 1 correctly named shard", snap.Members)
+	}
+	if _, err := os.Stat(filepath.Join(objects, kept+".json")); err != nil {
+		t.Fatalf("correctly named object moved: %v", err)
+	}
+	// The object's class is ErrMalformed, the class a live ingest of
+	// undecodable bytes gets.
+	if _, err := prepareObject(filepath.Join(objects, "quarantine"), wrong+".json"); !errors.Is(err, ErrMalformed) {
+		t.Errorf("misnamed object error %v, want ErrMalformed", err)
+	}
+}
+
 // checkMembersPristine asserts that every member's artifact still
 // re-encodes to its object hash: nothing the store did after a shard's
 // one decode — folds, clones, rebuilds, conflict checks — mutated it.
@@ -853,13 +902,54 @@ func TestStoreOpenEarlyReturnStopsReplay(t *testing.T) {
 	}
 }
 
+// checkMergedMatchesMergeShards asserts that every corpus's merged view
+// re-encodes to the same bytes as results.MergeShards over clones of its
+// merged member prefix, and that a corpus with pending members cannot
+// merge whole.
+func checkMergedMatchesMergeShards(t *testing.T, s *Store) {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for id, c := range s.corpora {
+		merge := func(members []*member) (*results.Artifact, error) {
+			shards := make([]*results.Artifact, len(members))
+			paths := make([]string, len(members))
+			for i, m := range members {
+				shards[i], paths[i] = m.art.Clone(), m.hash
+			}
+			return results.MergeShards(shards, paths)
+		}
+		want, err := merge(c.members[:c.mergedCount])
+		if err != nil {
+			t.Fatalf("corpus %s: MergeShards over the merged prefix: %v", id, err)
+		}
+		wantBytes, err := want.MarshalIndented()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotBytes, err := c.merged.MarshalIndented()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Fatalf("corpus %s: merged view differs from MergeShards over its %d merged members", id, c.mergedCount)
+		}
+		if c.mergedCount < len(c.members) {
+			if _, err := merge(c.members); err == nil {
+				t.Fatalf("corpus %s: %d pending member(s), yet MergeShards merges them all", id, len(c.members)-c.mergedCount)
+			}
+		}
+	}
+}
+
 // FuzzArtifactIngest feeds arbitrary bytes to a store already holding a
 // real shard of the same study. Nothing may panic; a rejection must be
 // classed ErrMalformed or ErrConflict and leave the store unchanged; an
-// acceptance must be canonical — re-ingesting the re-encoded artifact is
-// a duplicate at the same address. The base shard is prepared once and
-// admitted into every fresh store, which also exercises sharing one
-// member artifact across stores.
+// acceptance must leave every corpus's merged view byte-identical to
+// results.MergeShards over its merged members, and must be canonical —
+// re-ingesting the re-encoded artifact is a duplicate at the same
+// address. The base shard is prepared once and admitted into every fresh
+// store, which also exercises sharing one member artifact across stores.
 func FuzzArtifactIngest(f *testing.F) {
 	base, err := os.ReadFile(filepath.Join("testdata", "shard-1of2.json"))
 	if err != nil {
@@ -887,6 +977,7 @@ func FuzzArtifactIngest(f *testing.F) {
 			}
 			return
 		}
+		checkMergedMatchesMergeShards(t, s)
 		canon, err := s.corpora[r.Corpus].byHash[r.Hash].art.MarshalIndented()
 		if err != nil {
 			t.Fatal(err)

@@ -12,7 +12,7 @@ set -eu
 
 out=${1:-BENCH_engine.json}
 benchtime=${BENCHTIME:-3x}
-pattern='BenchmarkEngine|BenchmarkStreamCodec|BenchmarkSenseAndRestore|BenchmarkSenseColdRows|BenchmarkProfileCompute|BenchmarkQuery'
+pattern='BenchmarkEngine|BenchmarkArtifactCodec|BenchmarkSenseAndRestore|BenchmarkSenseColdRows|BenchmarkProfileCompute|BenchmarkQuery'
 command="go test -run '^\$' -bench '$pattern' -benchtime $benchtime -benchmem ./..."
 
 tmp=$(mktemp)
@@ -42,6 +42,12 @@ BEGIN { cpu = ENVIRON["CPU_ESC"]; note = ENVIRON["NOTE_ESC"] }
 /^Benchmark/ && NF >= 4 {
 	name = $1
 	sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
+	# Drop the "<x> MB/s" pair that benchmarks calling SetBytes print.
+	if ($6 == "MB/s") {
+		for (i = 5; i <= NF - 2; i++)
+			$i = $(i + 2)
+		NF -= 2
+	}
 	# With -benchmem the line carries "<B> B/op  <allocs> allocs/op";
 	# record both so the 0-allocs-per-probe invariant is machine-checkable
 	# from the JSON, not just test-asserted.
