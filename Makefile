@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-engine bench-scaling bench-query lint smoke paper-smoke torture ci
+.PHONY: build test bench bench-check lint smoke paper-smoke torture ci
 
 build:
 	$(GO) build ./...
@@ -16,25 +16,22 @@ test:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# The engine + sense + codec baselines: runs the suite and regenerates
-# BENCH_engine.json, recording nproc/GOMAXPROCS so multicore captures are
-# distinguishable from single-CPU container runs. Set BENCH_NOTE to
-# describe the refresh.
-bench-engine:
-	sh scripts/bench_engine.sh
-
-# The multicore scaling curve: chipscan-stream + sweep + contention
-# benchmarks at GOMAXPROCS in {1,2,4,8} clamped to nproc, regenerating
-# BENCH_scaling.json (schema in scripts/README.md).
-bench-scaling:
-	sh scripts/bench_scaling.sh
-
-# The serving data plane's latency budget + ingest throughput:
-# open-loop loadgen over the mixed endpoint set and the incremental-vs-
-# full-rebuild ingest benchmark, regenerating BENCH_query.json (schema
-# in scripts/README.md). Set BENCH_NOTE to describe the refresh.
-bench-query:
-	sh scripts/bench_query.sh
+# The end-to-end regression check (bench/README.md): the parent commit,
+# checked out in a worktree under .bench_check/, and this tree each run
+# the five-workload benchmark three times, alternating so drift on the
+# machine lands on both sides alike; fails when any pair's compare
+# reports a regressed end-to-end metric (or a run fails its own checks).
+bench-check:
+	rm -rf .bench_check && git worktree prune && mkdir -p .bench_check
+	git worktree add --detach .bench_check/parent HEAD~1
+	for i in 1 2 3; do \
+		(cd .bench_check/parent && bash bench/run.sh --out ../base$$i.json) || exit 1; \
+		bash bench/run.sh --out .bench_check/change$$i.json || exit 1; \
+	done
+	status=0; for i in 1 2 3; do \
+		bash bench/run.sh compare .bench_check/base$$i.json .bench_check/change$$i.json || status=1; \
+	done; \
+	git worktree remove --force .bench_check/parent; exit $$status
 
 # Sharded-fleet smoke, byte-comparing sharded-vs-single-process output
 # for two registry experiments (the distributable-fleet contract):
@@ -107,19 +104,20 @@ smoke:
 	$(GO) run ./cmd/resultsd -store $(SMOKE_DIR)/store -quiet \
 		-query '/v1/csv' > $(SMOKE_DIR)/store.csv
 	cmp $(SMOKE_DIR)/press.csv $(SMOKE_DIR)/store.csv
+	# The store's remaining views: /v1/render must answer 200 (-query
+	# exits non-zero otherwise) and /v1/artifact must byte-match the
+	# fleet's merged artifact.
+	$(GO) run ./cmd/resultsd -store $(SMOKE_DIR)/store -quiet \
+		-query '/v1/render' > $(SMOKE_DIR)/store-render.txt
+	test -s $(SMOKE_DIR)/store-render.txt
+	$(GO) run ./cmd/resultsd -store $(SMOKE_DIR)/store -quiet \
+		-query '/v1/artifact' > $(SMOKE_DIR)/store.bin
+	cmp $(SMOKE_DIR)/fleet.bin $(SMOKE_DIR)/store.bin
 	# Race-instrumented kill/resume + stall/retry: the fleet recovery
 	# paths under the race detector, beyond what -kill-after above covers.
 	$(GO) test -race -count=1 \
 		-run 'TestFleetKillResumeByteIdentical|TestFleetStallKillsAndRetries' \
 		./internal/fleet
-	# Load-harness smoke against the store just built above: a fixed
-	# closed-loop request count with the serving gates armed — zero
-	# 4xx/5xx, warm-cache hit rate >= 0.9, and 304 revalidation
-	# correctness (bodiless, only in answer to If-None-Match).
-	$(GO) run ./cmd/loadgen -store $(SMOKE_DIR)/store -requests 400 \
-		-concurrency 4 -gzip 0.25 -conditional 0.25 \
-		-endpoints '/v1/summary,/v1/csv,/v1/render,/v1/artifact' \
-		-check-304 -min-hit-rate 0.9 -max-5xx 0 -max-4xx 0
 	rm -rf $(SMOKE_DIR)
 
 # Crash-consistency torture: every registered failpoint site armed in
@@ -141,4 +139,9 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 
+# The benchmark is its own module (bench/go.mod), which the root
+# ./... patterns do not reach: vet and test it here so an internal API
+# change cannot break it with every other check green.
 ci: lint build test smoke
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...

@@ -223,7 +223,6 @@ func BenchmarkAblationRefreshBudgetGuard(b *testing.B) {
 }
 
 // --- Engine benchmarks (the shared parallel execution engine) ---
-// Baselines live in BENCH_engine.json; regenerate with `make bench-engine`.
 
 // benchEngineSweep regenerates the Figs. 3-5 sweep at a fixed worker
 // count; the serial/parallel pair quantifies multicore scaling of the

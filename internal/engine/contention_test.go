@@ -90,99 +90,29 @@ func TestPoolMaxIdleDefaultSnapshotsGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Side-by-side contention benchmarks: the pre-PR pool (one global mutex,
-// mutex-guarded stats) and the pre-PR ordered reduce (one mutex + cond +
-// map reorder buffer) are reimplemented here verbatim as baselines, so
-// BENCH_engine.json records the per-job overhead reduction next to the
-// sharded/lock-free implementations even on a 1-core box.
-
-// legacyPool is the pre-sharding DevicePool: one mutex for every key and
-// for Stats.
-type legacyPool struct {
-	mu            sync.Mutex
-	idle          map[uint64]*idleSet
-	st            PoolStats
-	MaxIdlePerKey int
-}
-
-func newLegacyPool() *legacyPool { return &legacyPool{idle: make(map[uint64]*idleSet)} }
-
-func (p *legacyPool) Get(cfg *config.Config) (*core.Harness, error) {
-	k := cfg.Hash()
-	p.mu.Lock()
-	if e := p.idle[k]; e != nil && len(e.harnesses) > 0 {
-		if sameConfig(&e.cfg, cfg) {
-			h := e.harnesses[len(e.harnesses)-1]
-			e.harnesses = e.harnesses[:len(e.harnesses)-1]
-			p.st.Reused++
-			p.mu.Unlock()
-			return h, nil
-		}
-		p.st.Collisions++
-	}
-	p.st.Created++
-	p.mu.Unlock()
-	return core.NewHarnessFromConfig(cfg)
-}
-
-func (p *legacyPool) Put(cfg *config.Config, h *core.Harness) {
-	if h == nil {
-		return
-	}
-	h.Reset()
-	k := cfg.Hash()
-	max := p.MaxIdlePerKey
-	if max <= 0 {
-		max = runtime.GOMAXPROCS(0)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e := p.idle[k]
-	if e == nil {
-		p.idle[k] = &idleSet{cfg: snapshot(cfg), harnesses: []*core.Harness{h}}
-		return
-	}
-	if !sameConfig(&e.cfg, cfg) {
-		p.st.Collisions++
-		p.st.Dropped++
-		return
-	}
-	if len(e.harnesses) >= max {
-		p.st.Dropped++
-		return
-	}
-	e.harnesses = append(e.harnesses, h)
-}
-
-func (p *legacyPool) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.st
-}
-
-// poolBench measures warm Get/Stats/Put cycles under heavy goroutine
+// BenchmarkEnginePoolGetPut measures warm Get/Stats/Put cycles under heavy goroutine
 // pressure: the synthetic lock-convoy probe. One benchmark iteration is
 // a fixed workload — 32 goroutines each running 64 cycles — so the
 // measurement is meaningful even at -benchtime 1x and spawn overhead is
 // amortized over 2048 cycles. The pool is pre-warmed so no cycle ever
 // builds a device: the benchmark isolates leasing overhead, which is
 // what a fine-grained engine run pays per worker.
-func poolBench(b *testing.B, get func(*config.Config) (*core.Harness, error),
-	put func(*config.Config, *core.Harness), stats func() PoolStats) {
+func BenchmarkEnginePoolGetPut(b *testing.B) {
+	p := NewDevicePool()
+	p.MaxIdlePerKey = 64
 	cfg := config.SmallChip()
 	const goroutines = 32
 	const cyclesPer = 64
 	hs := make([]*core.Harness, goroutines)
 	for i := range hs {
-		h, err := get(cfg)
+		h, err := p.Get(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		hs[i] = h
 	}
 	for _, h := range hs {
-		put(cfg, h)
+		p.Put(cfg, h)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -192,13 +122,13 @@ func poolBench(b *testing.B, get func(*config.Config) (*core.Harness, error),
 			go func() {
 				defer wg.Done()
 				for c := 0; c < cyclesPer; c++ {
-					h, err := get(cfg)
+					h, err := p.Get(cfg)
 					if err != nil {
 						b.Error(err)
 						return
 					}
-					_ = stats()
-					put(cfg, h)
+					_ = p.Stats()
+					p.Put(cfg, h)
 				}
 			}()
 		}
@@ -206,93 +136,22 @@ func poolBench(b *testing.B, get func(*config.Config) (*core.Harness, error),
 	}
 }
 
-func BenchmarkEnginePoolGetPut(b *testing.B) {
-	p := NewDevicePool()
-	p.MaxIdlePerKey = 64
-	poolBench(b, p.Get, p.Put, p.Stats)
-}
-
-func BenchmarkEnginePoolGetPutLegacy(b *testing.B) {
-	p := newLegacyPool()
-	p.MaxIdlePerKey = 64
-	poolBench(b, p.Get, p.Put, p.Stats)
-}
-
-// legacyReduceWorkers is the pre-PR ordered fold: a single mutex + cond
-// and a map reorder buffer, every completion (in-order or not) taking the
-// lock, folds running under it.
-func legacyReduceWorkers[T any](o Options, n int,
-	fn func(ctx context.Context, i int) (T, error),
-	fold func(i int, v T) error) error {
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	aborted := false
-	pending := make(map[int]T)
-	next := 0
-	window := o.workers(n)
-	return mapWorkers(o, n, noSetup,
-		func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) },
-		func(i int, v T) error {
-			mu.Lock()
-			defer mu.Unlock()
-			for i >= next+window && !aborted {
-				cond.Wait()
-			}
-			if aborted {
-				return nil
-			}
-			pending[i] = v
-			for {
-				w, ok := pending[next]
-				if !ok {
-					return nil
-				}
-				delete(pending, next)
-				if err := fold(next, w); err != nil {
-					return err
-				}
-				next++
-				cond.Broadcast()
-			}
-		},
-		func() {
-			mu.Lock()
-			aborted = true
-			mu.Unlock()
-			cond.Broadcast()
-		})
-}
-
 // reduceBenchJobs is sized so per-job engine overhead dominates: the jobs
 // themselves are a single integer return.
 const reduceBenchJobs = 2048
 
-func reduceBench(b *testing.B, run func(o Options, sink *int64) error) {
+func BenchmarkEngineReduceContended(b *testing.B) {
 	o := Options{Workers: 32}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sum int64
-		if err := run(o, &sum); err != nil {
+		err := Reduce(o, reduceBenchJobs,
+			func(_ context.Context, i int) (int, error) { return i, nil },
+			func(_ int, v int) error { sum += int64(v); return nil })
+		if err != nil {
 			b.Fatal(err)
 		}
 		if sum != int64(reduceBenchJobs)*(reduceBenchJobs-1)/2 {
 			b.Fatalf("fold lost results: sum %d", sum)
 		}
 	}
-}
-
-func BenchmarkEngineReduceContended(b *testing.B) {
-	reduceBench(b, func(o Options, sink *int64) error {
-		return Reduce(o, reduceBenchJobs,
-			func(_ context.Context, i int) (int, error) { return i, nil },
-			func(_ int, v int) error { *sink += int64(v); return nil })
-	})
-}
-
-func BenchmarkEngineReduceContendedLegacy(b *testing.B) {
-	reduceBench(b, func(o Options, sink *int64) error {
-		return legacyReduceWorkers(o, reduceBenchJobs,
-			func(_ context.Context, i int) (int, error) { return i, nil },
-			func(_ int, v int) error { *sink += int64(v); return nil })
-	})
 }

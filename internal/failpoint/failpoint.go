@@ -144,9 +144,13 @@ func Names() []string {
 
 // Arm parses a spec string and arms each named site, resetting its hit
 // counter so the schedule starts from the arming point. Unknown sites,
-// unknown actions and malformed clauses are errors (a typo must never
-// silently arm nothing).
+// unknown actions, malformed clauses and an argument on error or kill
+// are errors (a typo must never silently arm nothing). Arming is
+// all-or-nothing: every clause is validated before any site is armed,
+// so a rejected spec leaves every site as it was.
 func Arm(spec string) error {
+	var armSites []*Site
+	var armings []*arming
 	for _, clause := range strings.Split(spec, ";") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
@@ -165,13 +169,17 @@ func Arm(spec string) error {
 			a.hit = n
 			rest = rest[:at]
 		}
-		act, arg, _ := strings.Cut(rest, ":")
+		act, arg, hasArg := strings.Cut(rest, ":")
 		var err error
 		switch act {
-		case "error":
+		case "error", "kill":
 			a.act = ActError
-		case "kill":
-			a.act = ActKill
+			if act == "kill" {
+				a.act = ActKill
+			}
+			if hasArg {
+				return fmt.Errorf("failpoint: %s takes no argument in %q", act, clause)
+			}
 		case "stall":
 			a.act = ActStall
 			if a.stall, err = time.ParseDuration(arg); err != nil || a.stall <= 0 {
@@ -194,8 +202,11 @@ func Arm(spec string) error {
 		if s == nil {
 			return fmt.Errorf("failpoint: unknown site %q (catalog: %s)", name, strings.Join(Names(), ", "))
 		}
+		armSites, armings = append(armSites, s), append(armings, a)
+	}
+	for i, s := range armSites {
 		s.hits.Store(0)
-		s.arm.Store(a)
+		s.arm.Store(armings[i])
 	}
 	return nil
 }

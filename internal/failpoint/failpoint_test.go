@@ -178,6 +178,9 @@ func TestArmRejectsBadSpecs(t *testing.T) {
 		"test/parse=stall:xyz",
 		"test/parse=tear:-1",
 		"test/parse=tear:abc",
+		"test/parse=error:junk",
+		"test/parse=kill:",
+		"test/parse=kill:junk@2",
 	} {
 		if err := Arm(spec); err == nil {
 			t.Errorf("Arm(%q) accepted a bad spec", spec)
@@ -186,6 +189,25 @@ func TestArmRejectsBadSpecs(t *testing.T) {
 	// A bad clause must not have armed the site along the way.
 	if err := sites["test/parse"].Inject(); err != nil {
 		t.Fatalf("bad specs left the site armed: %v", err)
+	}
+}
+
+// TestArmIsAllOrNothing pins that a spec with one bad clause arms
+// nothing, even when the clauses before it name real sites.
+func TestArmIsAllOrNothing(t *testing.T) {
+	s := site(t, "test/atomic")
+	for _, spec := range []string{
+		"test/atomic=error;bogus",
+		"test/atomic=error; nosuchsite=error",
+		"test/atomic=error;test/atomic=explode",
+		"test/atomic=error;test/atomic=error:junk",
+	} {
+		if err := Arm(spec); err == nil {
+			t.Fatalf("Arm(%q) accepted a bad spec", spec)
+		}
+		if err := s.Inject(); err != nil {
+			t.Fatalf("rejected spec %q left its valid clause armed: %v", spec, err)
+		}
 	}
 }
 
@@ -246,4 +268,75 @@ func TestNamesSortedAndScheduleHitDeterministic(t *testing.T) {
 	if ScheduleHit(7, "x", 0) != 1 || ScheduleHit(7, "x", 1) != 1 {
 		t.Fatal("ScheduleHit must clamp max <= 1 to hit 1")
 	}
+}
+
+// FuzzFailpointSpec arms arbitrary specs over a small catalog whose
+// sites start in a known state (one armed, its hit counter advanced).
+// Arm must never panic; a rejected spec must leave every site's arming
+// and hit counter untouched; an accepted spec must arm exactly the
+// sites its clauses name, with fresh hit counters, and leave the rest
+// as they were.
+func FuzzFailpointSpec(f *testing.F) {
+	names := []string{"fuzz/a", "fuzz/b", "fuzz/c"}
+	for _, n := range names {
+		Register(n)
+	}
+	f.Cleanup(func() {
+		regMu.Lock()
+		defer regMu.Unlock()
+		for _, n := range names {
+			delete(sites, n)
+		}
+	})
+	for _, spec := range []string{
+		"", ";;", "fuzz/a=error", "fuzz/a=error;bogus", "fuzz/b=error:junk",
+		"fuzz/a=stall:5ms@2; fuzz/c=tear:3", "fuzz/c=tearkill:0@9;fuzz/a=kill",
+		"fuzz/a=error@0", "fuzz/b=kill;fuzz/b=stall:1s", "=error", "fuzz/a=tear:-1",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		Reset()
+		defer Reset()
+		if err := Arm("fuzz/b=stall:1h@7"); err != nil {
+			t.Fatal(err)
+		}
+		sites["fuzz/b"].Inject() // hit 1 of 7: advances the counter only
+		type state struct {
+			arm  *arming
+			hits uint64
+		}
+		before := map[string]state{}
+		for _, n := range names {
+			s := sites[n]
+			before[n] = state{s.arm.Load(), s.hits.Load()}
+		}
+		err := Arm(spec)
+		named := map[string]bool{}
+		if err == nil {
+			for _, clause := range strings.Split(spec, ";") {
+				if clause = strings.TrimSpace(clause); clause != "" {
+					name, _, _ := strings.Cut(clause, "=")
+					named[name] = true
+				}
+			}
+		}
+		for _, n := range names {
+			s := sites[n]
+			got := state{s.arm.Load(), s.hits.Load()}
+			switch {
+			case named[n]:
+				if got.arm == nil || got.arm == before[n].arm || got.hits != 0 {
+					t.Fatalf("Arm(%q) accepted but did not freshly arm %s: %+v", spec, n, got)
+				}
+			case got != before[n]:
+				t.Fatalf("Arm(%q) (err %v) changed unnamed site %s: %+v -> %+v", spec, err, n, before[n], got)
+			}
+		}
+		for name := range named {
+			if _, ok := before[name]; !ok {
+				t.Fatalf("Arm(%q) accepted a clause naming unknown site %q", spec, name)
+			}
+		}
+	})
 }

@@ -9,8 +9,7 @@ import (
 
 // benchSense measures the core probe cycle — a double-sided hammer burst
 // followed by a victim sense — on either sense implementation. The pair
-// quantifies what the profile-aggregate fast path buys per probe;
-// baselines live in BENCH_engine.json.
+// quantifies what the profile-aggregate fast path buys per probe.
 func benchSense(b *testing.B, ref bool) {
 	d, err := New(config.SmallChip())
 	if err != nil {

@@ -24,7 +24,8 @@
 // snapshot, conditional requests (If-None-Match) return 304 without
 // touching the body, and Accept-Encoding: gzip is served from the
 // pre-compressed bytes — ≤2 allocs per hit, pinned by
-// TestQueryHotPathAllocs and exercised at volume by cmd/loadgen.
+// TestQueryHotPathAllocs and exercised at volume by the benchmark's
+// serve workloads (bench/README.md).
 package query
 
 import (

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -945,4 +946,39 @@ func TestQuerySingleFlight(t *testing.T) {
 	if stats := s.Stats(); stats.Misses != 1 {
 		t.Fatalf("%d concurrent cold reads caused %d renders, want 1", n, stats.Misses)
 	}
+}
+
+// FuzzCacheKey is the differential check between the two cache-key
+// builders: for any raw query that passes the fast-path gate (no
+// %-escapes, '+' or ';'), keyScratch.build must produce the same key
+// bytes as cacheKey over net/url's parse of the same query, and the same
+// corpus key as its Get("key"). Seeds follow the serve mix's endpoints
+// and parameters.
+func FuzzCacheKey(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"/v1/summary", ""},
+		{"/v1/csv", ""},
+		{"/v1/distributions", "metric=wcdp_ber"},
+		{"/v1/safety", "key=abc"},
+		{"/v1/render", "group-by=region&key=abc"},
+		{"/v1/artifact", "key=abc&group-by=channel"},
+		{"/v1/keys", "b=2&a=1&b=1&a"},
+		{"/v1/summary", "&&key=&key=x&=v&k=="},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	var ks keyScratch
+	f.Fuzz(func(t *testing.T, path, raw string) {
+		if strings.ContainsAny(raw, "%+;") {
+			return
+		}
+		params, _ := url.ParseQuery(raw) // what the slow path's URL.Query sees
+		corpusKey := ks.build(path, raw)
+		if want := cacheKey(path, params); string(ks.key) != want {
+			t.Fatalf("build(%q, %q) key %q, cacheKey %q", path, raw, ks.key, want)
+		}
+		if want := params.Get("key"); corpusKey != want {
+			t.Fatalf("build(%q, %q) corpus key %q, Get(\"key\") %q", path, raw, corpusKey, want)
+		}
+	})
 }

@@ -97,7 +97,6 @@ type Store struct {
 	corpora     map[string]*corpus
 	ordered     []string // corpus IDs, sorted
 	quarantined []QuarantinedObject
-	fullRebuild bool
 }
 
 // QuarantinedObject records one object file Open moved aside instead of
@@ -456,7 +455,7 @@ func (s *Store) admit(p *prepared, persist bool) (IngestResult, error) {
 		}
 		return a.JobFirst < b.JobFirst
 	})
-	if err := c.refresh(s.fullRebuild, m, persist); err != nil {
+	if err := c.refresh(m, persist); err != nil {
 		// The conflict precheck mirrors everything Merge refuses, so a
 		// merge failure means the precheck has a hole (or an injected
 		// fault). Degrade rather than risk a torn corpus: drop the member,
@@ -572,26 +571,23 @@ func (c *corpus) checkConflicts(m *member) error {
 
 // refresh brings the corpus's merged view up to date after m was
 // inserted into the member order. The fast path is the incremental
-// advance; the full rebuild runs when forced (the differential baseline)
-// or when the new member landed inside the already-merged prefix — a
-// degenerate ordering the conflict matrix all but rules out, kept as a
-// defensive fallback rather than an assumption. Live ingests pass
+// advance; the full rebuild runs only when the new member landed inside
+// the already-merged prefix, i.e. it sorts below the lowest member
+// merged so far, which advance cannot fold forward. Live ingests pass
 // through the store/merge failpoint so the degraded error path above is
 // torture-testable. A merge the results layer refuses is ErrConflict.
-func (c *corpus) refresh(full bool, m *member, live bool) error {
+func (c *corpus) refresh(m *member, live bool) error {
 	if live {
 		if err := fpStoreMerge.Inject(); err != nil {
 			return err
 		}
 	}
-	if !full {
-		for p, mm := range c.members {
-			if mm == m {
-				if p >= c.mergedCount {
-					return c.advance()
-				}
-				break
+	for p, mm := range c.members {
+		if mm == m {
+			if p >= c.mergedCount {
+				return c.advance()
 			}
+			break
 		}
 	}
 	return c.rebuildFull()
@@ -607,13 +603,15 @@ func (c *corpus) refresh(full bool, m *member, live bool) error {
 // the clone absorbs the shards and is sealed, and a single pointer swap
 // publishes it.
 //
-// Byte-identity with rebuildFull is structural, not incidental:
-// results.MergeShards is a stable sort by (SeedFirst, JobFirst) followed
-// by a left fold of results.Merge, c.members is maintained in exactly
-// that order, and stats.Stream merges are exact (Shewchuk sums), so
-// folding the suffix into the previous fold's result IS the same left
-// fold. TestStoreIncrementalMatchesFullRebuild pins this over randomized
-// arrival orders.
+// Byte-identity with results.MergeShards over the contiguous member
+// prefix (what rebuildFull and `characterize merge` compute) is
+// structural, not incidental: MergeShards is a stable sort by
+// (SeedFirst, JobFirst) followed by a left fold of results.Merge,
+// c.members is maintained in exactly that order, and stats.Stream merges
+// are exact (Shewchuk sums), so folding the suffix into the previous
+// fold's result IS the same left fold.
+// TestStoreIncrementalMatchesFullRebuild pins this after every ingest of
+// randomized arrival orders.
 func (c *corpus) advance() error {
 	n := c.mergedCount
 	view := c.merged              // contiguity reference; starts at the published view
@@ -650,10 +648,11 @@ func (c *corpus) advance() error {
 	return nil
 }
 
-// rebuildFull re-derives the merged view from scratch: clones of the
-// maximal contiguous member prefix (MergeShards consumes its inputs),
-// merged in canonical order via results.MergeShards (byte-for-byte the
-// `characterize merge` path), then sealed. The previous view is left
+// rebuildFull re-derives the merged view from scratch, refresh's
+// fallback for a member that lands inside the merged prefix:
+// clones of the maximal contiguous member prefix (MergeShards consumes
+// its inputs), merged in canonical order via results.MergeShards
+// (byte-for-byte the `characterize merge` path), then sealed. The previous view is left
 // untouched for readers still holding it.
 func (c *corpus) rebuildFull() error {
 	n := 1
@@ -680,17 +679,6 @@ func (c *corpus) rebuildFull() error {
 	merged.Seal()
 	c.merged, c.mergedCount = merged, n
 	return nil
-}
-
-// ForceFullRebuild switches every subsequent ingest's merge maintenance
-// from the incremental advance to a full MergeShards rebuild — the
-// pre-incremental O(n²) behavior. It exists as the baseline for the
-// differential tests and the ingest-throughput benchmark
-// (cmd/loadgen -ingest-bench); production callers never need it.
-func (s *Store) ForceFullRebuild(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fullRebuild = on
 }
 
 // Snapshot returns an immutable view of one corpus by exact ID.

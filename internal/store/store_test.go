@@ -477,19 +477,19 @@ func checkMembersPristine(t *testing.T, s *Store) {
 
 // TestStoreIncrementalMatchesFullRebuild is the differential property
 // behind the incremental merge: for EVERY arrival permutation of a shard
-// set, the incrementally advanced store and a store forced onto the full
-// MergeShards rebuild publish byte-identical merged views after every
-// single ingest — and the final view is byte-identical to a direct
-// `characterize merge` (results.MergeShards) over the same shards. Runs
-// on both sharding regimes (seed-axis fleet shards, job-slice sweep
-// shards). After every ingest, every member artifact of both stores must
-// still re-encode to its object hash: members are decoded once and
-// shared by every later fold, so any fold that wrote into one would
-// corrupt the views that follow.
+// set, the store's pending count after every single ingest is the one
+// the arrived shards imply, and its merged view is byte-identical to
+// results.MergeShards (the `characterize merge` path) over the
+// contiguous run of arrived shards that starts at the lowest one — the
+// full rebuild the incremental advance replaces. Runs on both sharding
+// regimes (seed-axis fleet shards, job-slice sweep shards). After every
+// ingest, every member artifact must still re-encode to its object hash:
+// members are decoded once and shared by every later fold, so any fold
+// that wrote into one would corrupt the views that follow.
 func TestStoreIncrementalMatchesFullRebuild(t *testing.T) {
 	type regime struct {
 		name   string
-		shards []*results.Artifact
+		shards []*results.Artifact // contiguous, in canonical order
 	}
 	var seedShards []*results.Artifact
 	for first, count := uint64(0), 0; first < 9; first += uint64(count) {
@@ -504,7 +504,6 @@ func TestStoreIncrementalMatchesFullRebuild(t *testing.T) {
 		t.Run(reg.name, func(t *testing.T) {
 			blobs := make([][]byte, len(reg.shards))
 			fresh := make([]*results.Artifact, len(reg.shards))
-			paths := make([]string, len(reg.shards))
 			for i, a := range reg.shards {
 				buf, err := a.MarshalIndented()
 				if err != nil {
@@ -514,16 +513,31 @@ func TestStoreIncrementalMatchesFullRebuild(t *testing.T) {
 				if fresh[i], err = results.Decode(buf); err != nil {
 					t.Fatal(err)
 				}
-				paths[i] = "shard" + string(rune('a'+i))
 			}
-			direct, err := results.MergeShards(fresh, paths)
-			if err != nil {
-				t.Fatal(err)
+			// mergeRun is the reference view: MergeShards over clones of
+			// the given shard indices (MergeShards consumes its inputs).
+			mergeRun := func(idx []int) []byte {
+				t.Helper()
+				shards := make([]*results.Artifact, len(idx))
+				paths := make([]string, len(idx))
+				for i, si := range idx {
+					shards[i], paths[i] = fresh[si].Clone(), "shard"+string(rune('a'+si))
+				}
+				m, err := results.MergeShards(shards, paths)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf, err := m.MarshalIndented()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return buf
 			}
-			want, err := direct.MarshalIndented()
-			if err != nil {
-				t.Fatal(err)
+			all := make([]int, len(reg.shards))
+			for i := range all {
+				all[i] = i
 			}
+			want := mergeRun(all)
 
 			rng := rand.New(rand.NewSource(0xC0FFEE))
 			perms := [][]int{rng.Perm(len(blobs))} // plus identity and reverse below
@@ -538,68 +552,65 @@ func TestStoreIncrementalMatchesFullRebuild(t *testing.T) {
 			}
 
 			for pi, perm := range perms {
-				// Byte-compare the two stores after EVERY ingest on the first
-				// few permutations; the rest pin the (cheaper) final state —
-				// the per-step invariant is order-insensitive, so a few
-				// permutations of full coverage plus many of final coverage
-				// buys the property without a quadratic test bill.
+				// Byte-compare against the reference after EVERY ingest on
+				// the first few permutations; the rest pin the pending count
+				// at every step and the final bytes — the per-step invariant
+				// is order-insensitive, so a few permutations of full
+				// coverage plus many of final coverage buys the property
+				// without a quadratic test bill.
 				stepwise := pi < 3
-				inc, _ := Open("")
-				full, _ := Open("")
-				full.ForceFullRebuild(true)
+				st, _ := Open("")
+				arrived := make([]bool, len(blobs))
 				for step, si := range perm {
-					ri, err := inc.Ingest(blobs[si])
+					r, err := st.Ingest(blobs[si])
 					if err != nil {
-						t.Fatalf("perm %d step %d: incremental ingest: %v", pi, step, err)
+						t.Fatalf("perm %d step %d: ingest: %v", pi, step, err)
 					}
-					rf, err := full.Ingest(blobs[si])
-					if err != nil {
-						t.Fatalf("perm %d step %d: full-rebuild ingest: %v", pi, step, err)
+					checkMembersPristine(t, st)
+					arrived[si] = true
+					var members []int // arrived shards in canonical order
+					for i, ok := range arrived {
+						if ok {
+							members = append(members, i)
+						}
 					}
-					checkMembersPristine(t, inc)
-					checkMembersPristine(t, full)
-					if ri.Pending != rf.Pending || ri.Complete != rf.Complete {
-						t.Fatalf("perm %d step %d: pending/complete diverge: inc %d/%v full %d/%v",
-							pi, step, ri.Pending, ri.Complete, rf.Pending, rf.Complete)
+					run := 1 // the contiguous run from the lowest member
+					for run < len(members) && members[run] == members[run-1]+1 {
+						run++
+					}
+					if pending := len(members) - run; r.Pending != pending || r.Complete != (pending == 0) {
+						t.Fatalf("perm %d (%v) step %d: pending %d complete %v, want pending %d",
+							pi, perm, step, r.Pending, r.Complete, pending)
 					}
 					if !stepwise {
 						continue
 					}
-					si, err := inc.Resolve("")
-					if err != nil {
-						t.Fatal(err)
-					}
-					sf, err := full.Resolve("")
-					if err != nil {
-						t.Fatal(err)
-					}
-					bi, err := si.Merged.MarshalIndented()
-					if err != nil {
-						t.Fatal(err)
-					}
-					bf, err := sf.Merged.MarshalIndented()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(bi, bf) {
-						t.Fatalf("perm %d (%v) step %d: incremental view diverges from full rebuild", pi, perm, step)
-					}
-				}
-				for which, st := range map[string]*Store{"incremental": inc, "full-rebuild": full} {
 					snap, err := st.Resolve("")
 					if err != nil {
 						t.Fatal(err)
-					}
-					if !snap.Complete {
-						t.Fatalf("perm %d: %s corpus incomplete after all shards", pi, which)
 					}
 					got, err := snap.Merged.MarshalIndented()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("perm %d (%v): final %s view differs from direct MergeShards", pi, perm, which)
+					if !bytes.Equal(got, mergeRun(members[:run])) {
+						t.Fatalf("perm %d (%v) step %d: incremental view diverges from MergeShards over %v",
+							pi, perm, step, members[:run])
 					}
+				}
+				snap, err := st.Resolve("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !snap.Complete {
+					t.Fatalf("perm %d: corpus incomplete after all shards", pi)
+				}
+				got, err := snap.Merged.MarshalIndented()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("perm %d (%v): final view differs from direct MergeShards", pi, perm)
 				}
 			}
 		})
