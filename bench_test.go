@@ -51,10 +51,7 @@ func BenchmarkTable1Patterns(b *testing.B) {
 // benchSweep runs the Figs. 3-5 generator at the given sampling density.
 func benchSweep(b *testing.B, rowsPerRegion int) *hbmrh.Sweep {
 	b.Helper()
-	s, err := hbmrh.RunSweep(hbmrh.SweepOptions{
-		Cfg:           hbmrh.SmallChip(),
-		RowsPerRegion: rowsPerRegion,
-	})
+	s, err := hbmrh.RunSweep(hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: rowsPerRegion})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,10 +94,7 @@ func BenchmarkFig5RowProfile(b *testing.B) {
 // over every bank of the stack).
 func BenchmarkFig6BankScatter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f, err := hbmrh.RunFig6(hbmrh.Fig6Options{
-			Cfg:               hbmrh.SmallChip(),
-			RowsPerBankRegion: 2,
-		})
+		f, err := hbmrh.RunFig6(hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,10 +224,10 @@ func BenchmarkAblationRefreshBudgetGuard(b *testing.B) {
 func benchEngineSweep(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := hbmrh.RunSweep(hbmrh.SweepOptions{
-			Cfg:           hbmrh.SmallChip(),
-			RowsPerRegion: 4,
-			Workers:       workers,
+		if _, err := hbmrh.RunSweep(hbmrh.ExperimentOptions{
+			Cfg:      hbmrh.SmallChip(),
+			Rows:     4,
+			Parallel: workers,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -250,10 +244,7 @@ func BenchmarkEngineSweepParallel(b *testing.B) { benchEngineSweep(b, 0) }
 // one job per bank across the whole stack.
 func BenchmarkEngineFig6Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := hbmrh.RunFig6(hbmrh.Fig6Options{
-			Cfg:               hbmrh.SmallChip(),
-			RowsPerBankRegion: 2,
-		}); err != nil {
+		if _, err := hbmrh.RunFig6(hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -264,10 +255,10 @@ func BenchmarkEngineFig6Parallel(b *testing.B) {
 func BenchmarkEnginePoolCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hbmrh.DrainEnginePool()
-		if _, err := hbmrh.RunSweep(hbmrh.SweepOptions{
-			Cfg:           hbmrh.SmallChip(),
-			RowsPerRegion: 2,
-			Workers:       1,
+		if _, err := hbmrh.RunSweep(hbmrh.ExperimentOptions{
+			Cfg:      hbmrh.SmallChip(),
+			Rows:     2,
+			Parallel: 1,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -279,10 +270,10 @@ func BenchmarkEnginePoolCold(b *testing.B) {
 // device reuse buys per run.
 func BenchmarkEnginePoolWarm(b *testing.B) {
 	run := func() error {
-		_, err := hbmrh.RunSweep(hbmrh.SweepOptions{
-			Cfg:           hbmrh.SmallChip(),
-			RowsPerRegion: 2,
-			Workers:       1,
+		_, err := hbmrh.RunSweep(hbmrh.ExperimentOptions{
+			Cfg:      hbmrh.SmallChip(),
+			Rows:     2,
+			Parallel: 1,
 		})
 		return err
 	}

@@ -20,14 +20,23 @@ func main() {
 	log.SetPrefix("calibrate: ")
 	var (
 		rows     = flag.Int("rows", 30, "victim rows per region for the fig 3-5 sweep (0 = all)")
-		bankRows = flag.Int("bankrows", 8, "rows per bank region for fig 6 (paper: 100)")
+		bankRows = flag.Int("bankrows", 8, "rows per bank region for fig 6 (0 = the paper's 100)")
 		skip6    = flag.Bool("skip6", false, "skip the fig 6 bank study")
 		skipTRR  = flag.Bool("skiptrr", false, "skip the section 5 study")
 	)
 	flag.Parse()
+	// A negative budget is a typo, not a request for the default.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"rows", *rows}, {"bankrows", *bankRows}} {
+		if f.v < 0 {
+			log.Fatalf("-%s %d: must be >= 0", f.name, f.v)
+		}
+	}
 
 	cfg := hbmrh.PaperChip()
-	sweep, err := hbmrh.RunSweep(hbmrh.SweepOptions{Cfg: cfg, RowsPerRegion: *rows})
+	sweep, err := hbmrh.RunSweep(hbmrh.ExperimentOptions{Cfg: cfg, Rows: *rows})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +67,7 @@ func main() {
 	fmt.Printf("| BER peaks mid-subarray | yes | mid/edge %.2fx |\n", h5.MidOverEdge)
 
 	if !*skip6 {
-		f6, err := hbmrh.RunFig6(hbmrh.Fig6Options{Cfg: cfg, RowsPerBankRegion: *bankRows})
+		f6, err := hbmrh.RunFig6(hbmrh.ExperimentOptions{Cfg: cfg, Rows: *bankRows})
 		if err != nil {
 			log.Fatal(err)
 		}

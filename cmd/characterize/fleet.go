@@ -53,7 +53,7 @@ func runFleet(args []string) {
 	if fs.NArg() != 0 {
 		log.Fatalf("fleet takes no positional arguments (got %q)", fs.Args())
 	}
-	if err := checkBudgets(*rows, *hammers, *seeds, *iterations); err != nil {
+	if err := checkBudgets(*rows, 0, *hammers, *seeds, *iterations); err != nil {
 		log.Fatal(err)
 	}
 

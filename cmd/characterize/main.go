@@ -48,8 +48,14 @@
 // ASCII plots and headline numbers:
 //
 //	characterize [-chip paper|small] [-fig all|3|4|5|6]
-//	             [-rows N] [-bankrows N] [-hammers N] [-workers N]
-//	             [-progress] [-csv DIR]
+//	             [-rows N] [-bankrows N] [-hammers N] [-parallel N]
+//	             [-planner P] [-progress] [-csv DIR]
+//
+// It runs the registry's sweep and fig6 plans (the same jobs as
+// -experiment sweep and -experiment fig6), so -parallel, -planner and
+// -progress act as they do in registry mode; -workers, a per-job knob
+// neither plan reads, is ignored. -rows, -bankrows and -hammers must be
+// >= 0.
 //
 // Long runs are interruptible: Ctrl-C cancels the execution engine down
 // to per-measurement granularity, and -progress reports live job
@@ -96,12 +102,12 @@ func main() {
 		chip       = flag.String("chip", "small", "chip preset: paper or small")
 		fig        = flag.String("fig", "all", "figure mode: figure to regenerate (all, 3, 4, 5 or 6)")
 		rows       = flag.Int("rows", 24, "sampling density: victim rows per region (figs 3-5) or per point")
-		bankRows   = flag.Int("bankrows", 16, "rows per bank region for fig 6 (paper: 100)")
+		bankRows   = flag.Int("bankrows", 16, "rows per bank region for fig 6 (0 = the paper's 100)")
 		hammers    = flag.Int("hammers", hbmrh.DefaultHammers, "hammer count / HCfirst ceiling")
 		seeds      = flag.Int("seeds", 0, "chip instances for fleet experiments (0 = experiment default)")
 		iterations = flag.Int("iterations", 0, "U-TRR iterations for the TRR studies (0 = default)")
 		workers    = flag.Int("workers", 0, "parallel measurement devices per job (0 = auto)")
-		parallel   = flag.Int("parallel", 0, "concurrent plan jobs in registry mode (0 = one per CPU)")
+		parallel   = flag.Int("parallel", 0, "concurrent plan jobs (0 = one per CPU)")
 		planner    = flag.String("planner", "queue", "job planner: queue, contiguous, weighted or stealing (never changes output)")
 		shard      = flag.String("shard", "", "run one plan shard, as I/N (registry mode)")
 		progress   = flag.Bool("progress", false, "report engine job completion on stderr")
@@ -112,7 +118,7 @@ func main() {
 		mutexPro   = flag.String("mutexprofile", "", "write a runtime mutex-contention profile of the run to this file (lock convoys in the engine hot path show up here)")
 	)
 	flag.Parse()
-	if err := checkBudgets(*rows, *hammers, *seeds, *iterations); err != nil {
+	if err := checkBudgets(*rows, *bankRows, *hammers, *seeds, *iterations); err != nil {
 		log.Fatal(err)
 	}
 	if *mutexPro != "" {
@@ -133,17 +139,16 @@ func main() {
 		log.Fatalf("unknown -chip %q", *chip)
 	}
 
+	opts := registryOptions(ctx, cfg, *rows, *hammers, *seeds, *iterations, *workers, *parallel, *planner, *progress)
 	switch *experiment {
 	case "":
-		runFigures(ctx, cfg, *fig, *rows, *bankRows, *hammers, *workers, *progress, *csvOut)
+		runFigures(*fig, opts, *bankRows, *csvOut)
 	case "list":
 		listExperiments()
 	case "paper":
 		if *shard != "" || *artifact != "" || *csvOut != "" || *jsonOut != "" || *groupBy != "" {
 			log.Fatal("the paper suite runs several experiments; shard or export them individually (-shard/-artifact/-csv/-json/-group-by apply to single experiments)")
 		}
-		opts := registryOptions(ctx, cfg, *rows, *hammers, *seeds, *iterations, *workers, *parallel, *planner, *progress)
-		opts.Rows = *rows
 		for _, name := range []string{"sweep", "fig6", "trrstudy"} {
 			if name == "fig6" {
 				opts.Rows = *bankRows
@@ -158,7 +163,6 @@ func main() {
 			fmt.Println()
 		}
 	default:
-		opts := registryOptions(ctx, cfg, *rows, *hammers, *seeds, *iterations, *workers, *parallel, *planner, *progress)
 		var err error
 		if opts.Shard, opts.ShardCount, err = hbmrh.ParseShardFlag(*shard); err != nil {
 			log.Fatal(err)
@@ -176,11 +180,11 @@ func main() {
 // checkBudgets rejects negative study budgets: 0 selects the
 // experiment's default, and a negative value is a typo, not a request
 // for the default.
-func checkBudgets(rows, hammers, seeds, iterations int) error {
+func checkBudgets(rows, bankRows, hammers, seeds, iterations int) error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"rows", rows}, {"hammers", hammers}, {"seeds", seeds}, {"iterations", iterations}} {
+	}{{"rows", rows}, {"bankrows", bankRows}, {"hammers", hammers}, {"seeds", seeds}, {"iterations", iterations}} {
 		if f.v < 0 {
 			return fmt.Errorf("-%s %d: must be >= 0 (0 = experiment default)", f.name, f.v)
 		}
@@ -334,53 +338,23 @@ func writeOut(stdout io.Writer, path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// runFigures is the figure-rendering mode for Figs. 3-6: the registry's
-// artifact pipeline carries distributions, while this mode renders the
-// paper's ASCII figures and headline comparisons from the per-row data.
-func runFigures(ctx context.Context, cfg *hbmrh.Config, fig string, rows, bankRows, hammers, workers int, progress bool, csvDir string) {
+// runFigures is the figure-rendering mode for Figs. 3-6: it runs the
+// registry's sweep and fig6 plans through RunSweep/RunFig6, which keep the
+// per-row and per-bank data the ASCII figures and headline comparisons
+// draw (the registry artifacts carry distributions only). o.Rows is the
+// sweep's rows per region; the bank study samples bankRows per region.
+func runFigures(fig string, o hbmrh.ExperimentOptions, bankRows int, csvDir string) {
 	switch fig {
 	case "all", "3", "4", "5", "6":
 	default:
 		log.Fatalf("unknown -fig %q (figures: all, 3, 4, 5, 6; the extension studies run as -experiment rowpress, tempsweep, crosschannel or trrbypass)", fig)
 	}
-	// Progress rewrites one stderr line per stage; midLine tracks whether
-	// that line is unterminated so a fatal exit (Ctrl-C mid-stage) starts
-	// on a fresh line instead of overwriting the counter. The engine
-	// serializes callbacks and returns only after they finish, so die
-	// never races a progress write.
-	midLine := false
-	track := func(stage string) hbmrh.EngineProgressFunc {
-		if !progress {
-			return nil
-		}
-		return func(p hbmrh.EngineProgress) {
-			fmt.Fprintf(os.Stderr, "\r%s: %d/%d jobs", stage, p.Done, p.Total)
-			midLine = p.Done != p.Total
-			if !midLine {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	}
-	die := func(err error) {
-		if midLine {
-			fmt.Fprintln(os.Stderr)
-		}
-		log.Fatal(err)
-	}
-
 	want := func(f string) bool { return fig == "all" || fig == f }
 
 	if want("3") || want("4") || want("5") {
-		sweep, err := hbmrh.RunSweep(hbmrh.SweepOptions{
-			Cfg:           cfg,
-			Hammers:       hammers,
-			RowsPerRegion: rows,
-			Workers:       workers,
-			Ctx:           ctx,
-			Progress:      track("figs 3-5 sweep"),
-		})
+		sweep, err := hbmrh.RunSweep(o)
 		if err != nil {
-			die(err)
+			log.Fatal(err)
 		}
 		if want("3") {
 			f3 := hbmrh.Fig3{Sweep: sweep}
@@ -408,22 +382,16 @@ func runFigures(ctx context.Context, cfg *hbmrh.Config, fig string, rows, bankRo
 		if csvDir != "" {
 			hd, data := sweep.CSV()
 			if err := writeCSVFile(filepath.Join(csvDir, "sweep.csv"), hd, data); err != nil {
-				die(err)
+				log.Fatal(err)
 			}
 		}
 	}
 
 	if want("6") {
-		f6, err := hbmrh.RunFig6(hbmrh.Fig6Options{
-			Cfg:               cfg,
-			Hammers:           hammers,
-			RowsPerBankRegion: bankRows,
-			Workers:           workers,
-			Ctx:               ctx,
-			Progress:          track("fig 6 banks"),
-		})
+		o.Rows = bankRows
+		f6, err := hbmrh.RunFig6(o)
 		if err != nil {
-			die(err)
+			log.Fatal(err)
 		}
 		fmt.Print(f6.Render())
 		h := f6.Headlines()
@@ -433,7 +401,7 @@ func runFigures(ctx context.Context, cfg *hbmrh.Config, fig string, rows, bankRo
 		if csvDir != "" {
 			hd, data := f6.CSV()
 			if err := writeCSVFile(filepath.Join(csvDir, "fig6.csv"), hd, data); err != nil {
-				die(err)
+				log.Fatal(err)
 			}
 		}
 	}

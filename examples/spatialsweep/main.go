@@ -19,9 +19,9 @@ func main() {
 	// The sweep runs on the shared execution engine: one worker per CPU
 	// by default, with per-channel progress and results identical to a
 	// single-worker run.
-	sweep, err := hbmrh.RunSweep(hbmrh.SweepOptions{
-		Cfg:           hbmrh.SmallChip(),
-		RowsPerRegion: 16, // sample 16 victims per region; 0 tests every row
+	sweep, err := hbmrh.RunSweep(hbmrh.ExperimentOptions{
+		Cfg:  hbmrh.SmallChip(),
+		Rows: 16, // sample 16 victims per region; 0 tests every row
 		Progress: func(p hbmrh.EngineProgress) {
 			fmt.Fprintf(os.Stderr, "sweep: %d/%d channels\n", p.Done, p.Total)
 		},

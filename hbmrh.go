@@ -10,7 +10,9 @@
 //
 //   - Open a chip with Open(PaperChip()) or Open(SmallChip()).
 //   - Per-row measurements (BER, HCfirst, WCDP) via NewHarness.
-//   - Figure-level studies via RunSweep / Fig3 / Fig4 / Fig5 / RunFig6.
+//   - Figure-level studies via RunSweep / Fig3 / Fig4 / Fig5 / RunFig6,
+//     which run the registry's sweep and fig6 plans and keep the per-row
+//     and per-bank data the figures draw.
 //   - The Section 5 TRR discovery via RunTRRStudy.
 //   - Every study — the figures, the multi-chip fleet scan and the
 //     Section 5/6 extensions (rowpress, tempsweep, crosschannel,
@@ -170,8 +172,6 @@ func DrainEnginePool() { engine.SharedPool.Drain() }
 
 // Figure-level studies (Section 4) and the TRR study (Section 5).
 type (
-	// SweepOptions configures the shared spatial sweep behind Figs. 3-5.
-	SweepOptions = experiments.SweepOptions
 	// Sweep is the spatial dataset.
 	Sweep = experiments.Sweep
 	// RowResult is one victim row's measurements.
@@ -184,19 +184,19 @@ type (
 	Fig5 = experiments.Fig5
 	// Fig6 is the per-bank scatter figure.
 	Fig6 = experiments.Fig6
-	// Fig6Options configures the per-bank study.
-	Fig6Options = experiments.Fig6Options
 	// TRRStudy is the Section 5 result.
 	TRRStudy = experiments.TRRStudy
 	// TRRStudyOptions configures the Section 5 study.
 	TRRStudyOptions = experiments.TRRStudyOptions
 )
 
-// RunSweep measures BER and HCfirst for sampled rows in every channel.
-func RunSweep(o SweepOptions) (*Sweep, error) { return experiments.RunSweep(o) }
+// RunSweep measures BER and HCfirst for sampled rows (o.Rows per region)
+// in every channel by running the registry's sweep plan.
+func RunSweep(o ExperimentOptions) (*Sweep, error) { return experiments.RunSweep(o) }
 
-// RunFig6 measures per-bank BER statistics across the whole stack.
-func RunFig6(o Fig6Options) (*Fig6, error) { return experiments.RunFig6(o) }
+// RunFig6 measures per-bank BER statistics across the whole stack (o.Rows
+// per bank region) by running the registry's fig6 plan.
+func RunFig6(o ExperimentOptions) (*Fig6, error) { return experiments.RunFig6(o) }
 
 // RunTRRStudy reproduces the Section 5 U-TRR experiment.
 func RunTRRStudy(o TRRStudyOptions) (*TRRStudy, error) { return experiments.RunTRRStudy(o) }

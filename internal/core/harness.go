@@ -103,7 +103,7 @@ func (h *Harness) Reset() {
 // candidate — returns ctx.Err() once ctx is done, so a single huge
 // per-channel job (a full-resolution paper-geometry sweep) aborts within
 // one row's worth of work instead of running the channel to completion.
-// A nil ctx disarms the check. The engine's MapHarness arms every leased
+// A nil ctx disarms the check. The engine's ReduceHarness arms every leased
 // harness with the run's context; Reset (called on pool Put) disarms it.
 //
 // Cancellation never changes measured values: a measurement either

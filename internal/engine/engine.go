@@ -13,15 +13,14 @@
 //   - context cancellation between jobs and serialized progress callbacks,
 //     surfaced through the experiment options and cmd/characterize.
 //
-// Two execution shapes share the scheduler: Map materializes every
-// result placed by index, and Reduce/ReduceHarness stream results into
-// an ordered fold — the fold sees job i before job i+1 behind a bounded
-// backpressure window, so streaming aggregation stays deterministic at
-// any worker count (DESIGN.md §6). How job indexes reach workers is the
-// pluggable planner (Options.Planner, planner.go): shared-counter queue,
-// static or size-weighted contiguous blocks, or work stealing. Planner
-// choice never changes output, only assignment locality and fold overlap
-// (DESIGN.md §9).
+// One execution shape sits on the scheduler: Reduce/ReduceHarness stream
+// results into an ordered fold — the fold sees job i before job i+1
+// behind a bounded backpressure window, so streaming aggregation stays
+// deterministic at any worker count (DESIGN.md §6). How job indexes
+// reach workers is the pluggable planner (Options.Planner, planner.go):
+// shared-counter queue, static or size-weighted contiguous blocks, or
+// work stealing. Planner choice never changes output, only assignment
+// locality and fold overlap (DESIGN.md §9).
 package engine
 
 import (
@@ -56,7 +55,7 @@ type Options struct {
 	Workers int
 	// OnProgress, if non-nil, is invoked after every completed job.
 	OnProgress ProgressFunc
-	// Pool supplies warmed devices to MapHarness; nil means SharedPool.
+	// Pool supplies warmed devices to ReduceHarness; nil means SharedPool.
 	Pool *DevicePool
 	// Planner selects how job indexes are assigned to workers. The zero
 	// value is PlanQueue. Planner choice never changes a run's output,
@@ -93,28 +92,9 @@ func (o Options) pool() *DevicePool {
 	return SharedPool
 }
 
-// Map runs fn for every index in [0, n) across the worker pool and returns
-// the results in index order. The first job error (lowest recorded index)
-// aborts the run; if the context is cancelled before all jobs finish, Map
-// returns ctx.Err().
-func Map[T any](o Options, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, o.context().Err()
-	}
-	results := make([]T, n)
-	err := mapWorkers(o, n, noSetup,
-		func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) },
-		func(i int, v T) error { results[i] = v; return nil },
-		nil)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// harnessSetup builds the per-worker setup hook MapHarness and
-// ReduceHarness share: lease a warmed device from the pool and arm it
-// with the run's context so a cancellation aborts mid-measurement.
+// harnessSetup builds ReduceHarness's per-worker setup hook: lease a
+// warmed device from the pool and arm it with the run's context so a
+// cancellation aborts mid-measurement.
 func harnessSetup(o Options, cfg *config.Config) func() (*core.Harness, func(), error) {
 	pool := o.pool()
 	ctx := o.context()
@@ -130,34 +110,12 @@ func harnessSetup(o Options, cfg *config.Config) func() (*core.Harness, func(), 
 	}
 }
 
-// MapHarness is Map with a warmed characterization harness per worker,
-// leased from the device pool for the duration of the run and armed with
-// the run's context so a cancellation aborts the harness mid-measurement,
-// not just between jobs. Jobs must not depend on device history (all
-// Section 4 measurements rewrite their rows before hammering, so they do
-// not); retention- or temperature-sensitive studies should build fresh
-// devices through Map instead.
-func MapHarness[T any](o Options, cfg *config.Config, n int,
-	fn func(ctx context.Context, h *core.Harness, i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, o.context().Err()
-	}
-	results := make([]T, n)
-	err := mapWorkers(o, n, harnessSetup(o, cfg), fn,
-		func(i int, v T) error { results[i] = v; return nil },
-		nil)
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
 // Reduce runs fn for every index in [0, n) across the worker pool and
 // folds each result — in strict index order — into caller state via fold,
-// discarding it afterwards. This is the streaming alternative to Map for
-// runs whose aggregate is small but whose per-job results (or job count)
-// are large: resident memory is the fold state plus O(workers) unfolded
-// results, not O(n). The bound is enforced with backpressure, not just
+// discarding it afterwards. Resident memory is the fold state plus
+// O(workers) unfolded results, not O(n): a caller that wants every
+// result keeps them in its fold, and one that aggregates keeps only the
+// aggregate. The bound is enforced with backpressure, not just
 // scheduling luck: a worker whose completed index is more than one window
 // (= the worker count) ahead of the fold frontier parks until the frontier
 // advances, so a straggling early job cannot make later results pile up.
@@ -182,10 +140,13 @@ func Reduce[T any](o Options, n int, fn func(ctx context.Context, i int) (T, err
 		fold)
 }
 
-// ReduceHarness is Reduce with a warmed harness per worker, leased like
-// MapHarness: the streaming entry point for harness-backed studies whose
-// per-job results are folded away as they complete. The same MapHarness
-// caveat applies: jobs must not depend on device history.
+// ReduceHarness is Reduce with a warmed characterization harness per
+// worker, leased from the device pool for the duration of the run and
+// armed with the run's context so a cancellation aborts the harness
+// mid-measurement, not just between jobs. Jobs must not depend on device
+// history (all Section 4 measurements rewrite their rows before
+// hammering, so they do not); retention- or temperature-sensitive studies
+// build fresh devices through Reduce instead.
 func ReduceHarness[T any](o Options, cfg *config.Config, n int,
 	fn func(ctx context.Context, h *core.Harness, i int) (T, error),
 	fold func(i int, v T) error) error {
@@ -202,9 +163,8 @@ type reduceSlot[T any] struct {
 	v     T
 }
 
-// reduceWorkers is the shared ordered-fold core of Reduce and
-// ReduceHarness; see Reduce for the backpressure and determinism
-// contract.
+// reduceWorkers is the ordered-fold core of Reduce and ReduceHarness;
+// see Reduce for the backpressure and determinism contract.
 //
 // The reorder buffer is a lock-free ring of one window's worth of slots
 // instead of a single mutex + map: each completed job deposits into slot
@@ -245,7 +205,7 @@ func reduceWorkers[S, T any](o Options, n int,
 		}
 	}
 
-	return mapWorkers(o, n, setup, fn,
+	return runWorkers(o, n, setup, fn,
 		func(i int, v T) error {
 			idx := int64(i)
 			if idx >= next.Load()+int64(window) {
@@ -339,19 +299,19 @@ func drainRing[T any](slots []reduceSlot[T], next *atomic.Int64, folding *atomic
 
 func noSetup() (struct{}, func(), error) { return struct{}{}, func() {}, nil }
 
-// mapWorkers is the scheduler core: workers pull indexes from a shared
-// counter, each holding worker-local state S built by setup (a pooled
+// runWorkers is the scheduler core: workers take indexes from the
+// planner, each holding worker-local state S built by setup (a pooled
 // device, or nothing). Each completed job's result is handed to place with
-// its index — into a results slice (Map) or an ordered fold (Reduce) —
-// which is what makes the output independent of scheduling. A place error
-// aborts the run like a job error at that index.
+// its index — the reducer's ordered fold — which is what makes the output
+// independent of scheduling. A place error aborts the run like a job
+// error at that index.
 //
 // onAbort, when non-nil, is invoked exactly once as soon as the run starts
 // unwinding (a setup/job/place error, or context cancellation) and in any
-// case before mapWorkers returns. A blocking place implementation (the
+// case before runWorkers returns. A blocking place implementation (the
 // reducer's backpressure parking) must use it to release parked workers,
 // or an unwinding run would never join.
-func mapWorkers[S, T any](o Options, n int,
+func runWorkers[S, T any](o Options, n int,
 	setup func() (S, func(), error),
 	fn func(ctx context.Context, s S, i int) (T, error),
 	place func(i int, v T) error,
@@ -455,18 +415,4 @@ func mapWorkers[S, T any](o Options, n int,
 		}
 	}
 	return ctx.Err()
-}
-
-// Flatten concatenates per-job slices in job order, preserving the
-// engine's deterministic ordering end to end.
-func Flatten[T any](groups [][]T) []T {
-	total := 0
-	for _, g := range groups {
-		total += len(g)
-	}
-	out := make([]T, 0, total)
-	for _, g := range groups {
-		out = append(out, g...)
-	}
-	return out
 }

@@ -13,96 +13,22 @@ import (
 	"github.com/safari-repro/hbmrh/internal/core"
 )
 
-func TestMapResultsInIndexOrder(t *testing.T) {
-	const n = 64
-	got, err := Map(Options{Workers: 7}, n, func(_ context.Context, i int) (int, error) {
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("%d results, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("result %d = %d, want %d", i, v, i*i)
-		}
+func TestReduceMoreWorkersThanJobs(t *testing.T) {
+	var folded []int
+	err := Reduce(Options{Workers: 32}, 3,
+		func(_ context.Context, i int) (int, error) { return i, nil },
+		func(_ int, v int) error { folded = append(folded, v); return nil })
+	if err != nil || len(folded) != 3 {
+		t.Fatalf("got (%v, %v)", folded, err)
 	}
 }
 
-func TestMapIdenticalAcrossWorkerCounts(t *testing.T) {
-	run := func(workers int) []int {
-		out, err := Map(Options{Workers: workers}, 33, func(_ context.Context, i int) (int, error) {
-			return 3*i + 1, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a, b := run(1), run(8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("index %d differs across worker counts: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
-func TestMapPropagatesJobError(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := Map(Options{Workers: 3}, 16, func(_ context.Context, i int) (int, error) {
-		if i == 5 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the job error", err)
-	}
-}
-
-func TestMapZeroJobs(t *testing.T) {
-	out, err := Map(Options{}, 0, func(_ context.Context, i int) (int, error) {
-		t.Fatal("fn called for an empty job set")
-		return 0, nil
-	})
-	if err != nil || out != nil {
-		t.Fatalf("got (%v, %v), want (nil, nil)", out, err)
-	}
-}
-
-func TestMapMoreWorkersThanJobs(t *testing.T) {
-	out, err := Map(Options{Workers: 32}, 3, func(_ context.Context, i int) (int, error) {
-		return i, nil
-	})
-	if err != nil || len(out) != 3 {
-		t.Fatalf("got (%v, %v)", out, err)
-	}
-}
-
-func TestMapCancelledBeforeStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var calls atomic.Int64
-	_, err := Map(Options{Ctx: ctx, Workers: 4}, 100, func(context.Context, int) (int, error) {
-		calls.Add(1)
-		return 0, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls.Load() != 0 {
-		t.Fatalf("%d jobs ran on a pre-cancelled context", calls.Load())
-	}
-}
-
-func TestMapCancelMidRun(t *testing.T) {
+func TestReduceCancelMidRun(t *testing.T) {
 	const n = 100
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	_, err := Map(Options{
+	err := Reduce(Options{
 		Ctx:     ctx,
 		Workers: 4,
 		OnProgress: func(p Progress) {
@@ -116,7 +42,7 @@ func TestMapCancelMidRun(t *testing.T) {
 		calls.Add(1)
 		time.Sleep(time.Millisecond)
 		return 0, nil
-	})
+	}, func(int, int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -127,10 +53,10 @@ func TestMapCancelMidRun(t *testing.T) {
 	}
 }
 
-func TestMapProgressMonotoneAndComplete(t *testing.T) {
+func TestReduceProgressMonotoneAndComplete(t *testing.T) {
 	const n = 40
 	last := 0
-	_, err := Map(Options{
+	err := Reduce(Options{
 		Workers: 5,
 		OnProgress: func(p Progress) {
 			if p.Total != n {
@@ -141,7 +67,8 @@ func TestMapProgressMonotoneAndComplete(t *testing.T) {
 			}
 			last = p.Done
 		},
-	}, n, func(_ context.Context, i int) (int, error) { return i, nil })
+	}, n, func(_ context.Context, i int) (int, error) { return i, nil },
+		func(int, int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +306,7 @@ func TestReduceZeroJobs(t *testing.T) {
 	}
 }
 
-func TestMapHarnessArmsAndDisarmsContext(t *testing.T) {
+func TestReduceHarnessArmsAndDisarmsContext(t *testing.T) {
 	p := NewDevicePool()
 	cfg := config.SmallChip()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -387,14 +314,15 @@ func TestMapHarnessArmsAndDisarmsContext(t *testing.T) {
 	// While leased, the harness must observe the run's context: cancel and
 	// check a measurement fails with ctx.Err.
 	bank := addr.BankAddr{Channel: 7}
-	_, err := MapHarness(Options{Workers: 1, Pool: p, Ctx: ctx}, cfg, 1,
+	err := ReduceHarness(Options{Workers: 1, Pool: p, Ctx: ctx}, cfg, 1,
 		func(_ context.Context, h *core.Harness, i int) (int, error) {
 			cancel()
 			if _, berErr := h.BER(bank, 5, core.Table1()[0], 1024); !errors.Is(berErr, context.Canceled) {
 				t.Errorf("leased harness BER err = %v, want context.Canceled", berErr)
 			}
 			return i, nil
-		})
+		},
+		func(int, int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("run err = %v, want context.Canceled", err)
 	}
@@ -405,19 +333,6 @@ func TestMapHarnessArmsAndDisarmsContext(t *testing.T) {
 	}
 	if _, err := h.BER(bank, 5, core.Table1()[0], 1024); err != nil {
 		t.Fatalf("pooled harness still armed with a dead context: %v", err)
-	}
-}
-
-func TestFlattenPreservesOrder(t *testing.T) {
-	got := Flatten([][]int{{1, 2}, nil, {3}, {4, 5}})
-	want := []int{1, 2, 3, 4, 5}
-	if len(got) != len(want) {
-		t.Fatalf("len %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("index %d = %d, want %d", i, got[i], want[i])
-		}
 	}
 }
 
@@ -596,13 +511,14 @@ func TestPoolCapsIdleDevices(t *testing.T) {
 	}
 }
 
-func TestMapHarnessLeasesPerWorkerAndReturns(t *testing.T) {
+func TestReduceHarnessLeasesPerWorkerAndReturns(t *testing.T) {
 	p := NewDevicePool()
 	cfg := config.SmallChip()
 	seen := make(map[*core.Harness]bool)
 	var mu sync.Mutex
 	o := Options{Workers: 3, Pool: p}
-	out, err := MapHarness(o, cfg, 9, func(_ context.Context, h *core.Harness, i int) (int, error) {
+	folds := 0
+	err := ReduceHarness(o, cfg, 9, func(_ context.Context, h *core.Harness, i int) (int, error) {
 		if h == nil {
 			t.Error("nil harness leased")
 		}
@@ -610,12 +526,12 @@ func TestMapHarnessLeasesPerWorkerAndReturns(t *testing.T) {
 		seen[h] = true
 		mu.Unlock()
 		return i, nil
-	})
+	}, func(int, int) error { folds++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 9 {
-		t.Fatalf("%d results, want 9", len(out))
+	if folds != 9 {
+		t.Fatalf("%d results folded, want 9", folds)
 	}
 	st := p.Stats()
 	if st.Created != len(seen) {
@@ -625,9 +541,9 @@ func TestMapHarnessLeasesPerWorkerAndReturns(t *testing.T) {
 		t.Fatalf("%d harnesses created for 3 workers", st.Created)
 	}
 	// A second run over the same config must reuse the warmed devices.
-	if _, err := MapHarness(o, cfg, 4, func(_ context.Context, h *core.Harness, i int) (int, error) {
+	if err := ReduceHarness(o, cfg, 4, func(_ context.Context, h *core.Harness, i int) (int, error) {
 		return i, nil
-	}); err != nil {
+	}, func(int, int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if st := p.Stats(); st.Reused == 0 {
@@ -635,11 +551,12 @@ func TestMapHarnessLeasesPerWorkerAndReturns(t *testing.T) {
 	}
 }
 
-func TestMapHarnessSetupErrorSurfaces(t *testing.T) {
+func TestReduceHarnessSetupErrorSurfaces(t *testing.T) {
 	cfg := config.SmallChip()
 	cfg.SubarraySizes = []int{1} // breaks validation: sizes must sum to Rows
-	_, err := MapHarness(Options{Pool: NewDevicePool()}, cfg, 4,
-		func(_ context.Context, _ *core.Harness, i int) (int, error) { return i, nil })
+	err := ReduceHarness(Options{Pool: NewDevicePool()}, cfg, 4,
+		func(_ context.Context, _ *core.Harness, i int) (int, error) { return i, nil },
+		func(int, int) error { return nil })
 	if err == nil {
 		t.Fatal("invalid config did not surface a setup error")
 	}

@@ -8,10 +8,9 @@ import (
 
 // Planner selects how a run's job indexes are assigned to workers. Every
 // planner hands each index in [0, n) to exactly one worker exactly once.
-// Because Map places results by index and Reduce folds them in strict
-// index order, the planner changes only the schedule — never the output:
-// the same run is byte-identical under every planner at every worker
-// count.
+// Because Reduce folds results in strict index order, the planner
+// changes only the schedule — never the output: the same run is
+// byte-identical under every planner at every worker count.
 //
 // Every planner also maintains the block invariant Reduce's backpressure
 // relies on: at any moment each worker owns at most one contiguous

@@ -10,7 +10,7 @@ import (
 )
 
 // TestPlannerCoversEveryIndexExactlyOnce drives every planner through
-// Map over a range of job/worker shapes and checks the fundamental
+// Reduce over a range of job/worker shapes and checks the fundamental
 // planner contract: each index runs exactly once.
 func TestPlannerCoversEveryIndexExactlyOnce(t *testing.T) {
 	shapes := []struct{ n, workers int }{
@@ -25,13 +25,14 @@ func TestPlannerCoversEveryIndexExactlyOnce(t *testing.T) {
 				for i := range weights {
 					weights[i] = float64(1 + i%5)
 				}
-				_, err := Map(Options{Workers: sh.workers, Planner: p, Weights: weights}, sh.n,
+				err := Reduce(Options{Workers: sh.workers, Planner: p, Weights: weights}, sh.n,
 					func(_ context.Context, i int) (int, error) {
 						mu.Lock()
 						counts[i]++
 						mu.Unlock()
 						return i, nil
-					})
+					},
+					func(int, int) error { return nil })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -45,8 +46,8 @@ func TestPlannerCoversEveryIndexExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestPlannerOutputEquivalence checks that Map and Reduce produce
-// identical results under every planner at several worker counts, with
+// TestPlannerOutputEquivalence checks that Reduce folds identical
+// results under every planner at several worker counts, with
 // deliberately skewed job durations to shake out ordering bugs.
 func TestPlannerOutputEquivalence(t *testing.T) {
 	const n = 64
@@ -62,12 +63,8 @@ func TestPlannerOutputEquivalence(t *testing.T) {
 	var want []int
 	for _, p := range Planners() {
 		for _, workers := range []int{1, 3, 8} {
-			got, err := Map(Options{Workers: workers, Planner: p}, n, job)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var folded []int
-			err = Reduce(Options{Workers: workers, Planner: p}, n, job,
+			err := Reduce(Options{Workers: workers, Planner: p}, n, job,
 				func(i, v int) error {
 					if i != len(folded) {
 						return fmt.Errorf("fold out of order: got index %d, want %d", i, len(folded))
@@ -79,10 +76,7 @@ func TestPlannerOutputEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want == nil {
-				want = got
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("planner %v workers %d: Map diverged", p, workers)
+				want = folded
 			}
 			if !reflect.DeepEqual(folded, want) {
 				t.Fatalf("planner %v workers %d: Reduce diverged", p, workers)
@@ -179,10 +173,36 @@ func TestParsePlanner(t *testing.T) {
 	}
 }
 
+// FuzzParsePlanner pins the -planner trust boundary: ParsePlanner never
+// panics, and an accepted spelling is the canonical one — it is exactly
+// what the parsed planner prints as, and that parses back to the same
+// planner.
+func FuzzParsePlanner(f *testing.F) {
+	for _, p := range Planners() {
+		f.Add(p.String())
+	}
+	for _, s := range []string{"", "Queue", "queue ", "planner(0)", "frontier"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePlanner(s)
+		if err != nil {
+			return
+		}
+		if p.String() != s {
+			t.Fatalf("%q accepted as %v, which prints as %q", s, p, p.String())
+		}
+		if again, err := ParsePlanner(p.String()); err != nil || again != p {
+			t.Fatalf("%q: round trip gave %v, %v", s, again, err)
+		}
+	})
+}
+
 // TestWeightsLengthValidated pins the weights/jobs length check.
 func TestWeightsLengthValidated(t *testing.T) {
-	_, err := Map(Options{Planner: PlanWeighted, Weights: []float64{1, 2}}, 3,
-		func(_ context.Context, i int) (int, error) { return i, nil })
+	err := Reduce(Options{Planner: PlanWeighted, Weights: []float64{1, 2}}, 3,
+		func(_ context.Context, i int) (int, error) { return i, nil },
+		func(int, int) error { return nil })
 	if err == nil {
 		t.Fatal("want error for mismatched weights length")
 	}

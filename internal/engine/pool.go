@@ -20,7 +20,7 @@ import (
 // distinct configs (the multichip shape: one config per seed) never
 // contend on a lock, and the traffic counters are atomics so Stats()
 // never serializes Get/Put. Within one config all workers still funnel
-// through that key's shard lock, but mapWorkers leases one harness per
+// through that key's shard lock, but runWorkers leases one harness per
 // worker for the whole run (per-worker affinity), so the shard lock is
 // taken O(workers) times per run, not O(jobs).
 //

@@ -1,58 +1,23 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
-	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/stats"
 )
 
-// Artifact routing for the figure drivers that produce distributions:
-// the Figs. 3-5 sweep and the Fig. 6 bank scatter emit their summary
-// outputs through the same results.Artifact schema the multi-chip fleet
-// study uses, so one CSV/JSON renderer and one merge/compatibility path
-// serve every distribution export in the repo. (Drivers whose output is
-// a scalar or a curve — TRR period, RowPress slopes — have nothing to
-// gain from a distribution schema and keep their bespoke renders.)
-
-// Artifact condenses the sweep's per-row WCDP metrics into a
-// region×channel results artifact for the sweep's single chip instance.
-// The groups match the multi-chip study's schema, so a sweep artifact is
-// the single-chip degenerate case of a fleet artifact; the job
-// provenance matches an unsharded "sweep" registry run (one job per
-// channel).
-func (s *Sweep) Artifact() *results.Artifact {
-	channels := s.Opts.Cfg.Geometry.Channels
-	keys := make([]string, channels)
-	for ch := range keys {
-		keys[ch] = fmt.Sprintf("ch%d", ch)
-	}
-	a := &results.Artifact{
-		Meta: results.Meta{
-			Format:      results.FormatVersion,
-			Tool:        "sweep",
-			CodeVersion: results.CodeVersion(),
-			ConfigHash:  fmt.Sprintf("%016x", s.Opts.Cfg.Hash()),
-			GroupBy:     results.ByRegionChannel.String(),
-			SeedFirst:   s.Opts.Cfg.Seed,
-			SeedCount:   1,
-			ShardCount:  1,
-			JobAxis:     "channel",
-			JobCount:    channels,
-			JobKeys:     keys,
-			Params: map[string]string{
-				"rows_per_region": strconv.Itoa(s.Opts.RowsPerRegion),
-				"hammers":         strconv.Itoa(s.Opts.Hammers),
-			},
-		},
-		Groups: newFineGroups(s.Opts.Cfg),
-	}
-	foldSweepRows(s.Opts.Cfg, a.Groups, s.Rows)
-	return a
-}
+// Artifact routing for the figure studies that produce distributions:
+// the sweep and fig6 registry plans fold the Figs. 3-5 rows and the
+// Fig. 6 bank points into the same results.Artifact schema the
+// multi-chip fleet study uses, so one CSV/JSON renderer and one
+// merge/compatibility path serve every distribution export in the repo.
+// The sweep's region×channel groups match the multi-chip study's, so a
+// sweep artifact is the single-chip degenerate case of a fleet artifact.
+// (Drivers whose output is a scalar or a curve — TRR period, RowPress
+// slopes — have nothing to gain from a distribution schema and keep
+// their bespoke renders.)
 
 // Fig6 artifact metric names.
 const (
@@ -90,43 +55,4 @@ func addFig6Point(groups []results.Group, p BankPoint) {
 	if !math.IsNaN(p.CV) {
 		grp.Metrics[1].Stream.Add(p.CV)
 	}
-}
-
-// Artifact condenses the Fig. 6 scatter into a per-channel results
-// artifact — the figure's "channel variation dominates bank variation"
-// observation as data.
-func (f *Fig6) Artifact() *results.Artifact {
-	g := f.Opts.Cfg.Geometry
-	keys := make([]string, 0, g.Channels*g.PseudoChannels*g.Banks)
-	for ch := 0; ch < g.Channels; ch++ {
-		for pc := 0; pc < g.PseudoChannels; pc++ {
-			for ba := 0; ba < g.Banks; ba++ {
-				keys = append(keys, fmt.Sprintf("ch%d.pc%d.ba%d", ch, pc, ba))
-			}
-		}
-	}
-	a := &results.Artifact{
-		Meta: results.Meta{
-			Format:      results.FormatVersion,
-			Tool:        "fig6",
-			CodeVersion: results.CodeVersion(),
-			ConfigHash:  fmt.Sprintf("%016x", f.Opts.Cfg.Hash()),
-			GroupBy:     results.ByChannel.String(),
-			SeedFirst:   f.Opts.Cfg.Seed,
-			SeedCount:   1,
-			ShardCount:  1,
-			JobAxis:     "bank",
-			JobCount:    len(keys),
-			JobKeys:     keys,
-			Params: map[string]string{
-				"rows_per_bank_region": strconv.Itoa(f.Opts.RowsPerBankRegion),
-				"hammers":              strconv.Itoa(f.Opts.Hammers),
-			},
-		},
-		Groups: newFig6Groups(f.Opts.Cfg),
-	}
-	for _, p := range f.Points {
-		addFig6Point(a.Groups, p)
-	}
-	return a
 }

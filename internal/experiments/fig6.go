@@ -3,47 +3,16 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
-	"github.com/safari-repro/hbmrh/internal/engine"
 	"github.com/safari-repro/hbmrh/internal/report"
 	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/stats"
 )
-
-// Fig6Options configures the per-bank variation study.
-type Fig6Options struct {
-	// Cfg is the device configuration; nil means config.PaperChip().
-	Cfg *config.Config
-	// Hammers is the BER hammer count (paper: 256K).
-	Hammers int
-	// RowsPerBankRegion is how many rows are tested at the start, middle
-	// and end of each bank (paper: 100 each, 300 per bank).
-	RowsPerBankRegion int
-	// Workers is the number of parallel measurement devices; <= 0 means
-	// one per CPU. The engine shards per bank, so parallelism scales to
-	// the stack's full bank count, and results never depend on it.
-	Workers int
-	// Ctx cancels a running study between per-bank jobs.
-	Ctx context.Context
-	// Progress, if non-nil, receives an update as each bank finishes.
-	Progress engine.ProgressFunc
-}
-
-func (o *Fig6Options) setDefaults() {
-	if o.Cfg == nil {
-		o.Cfg = config.PaperChip()
-	}
-	if o.Hammers <= 0 {
-		o.Hammers = core.DefaultHammers
-	}
-	if o.RowsPerBankRegion <= 0 {
-		o.RowsPerBankRegion = 100
-	}
-}
 
 // BankPoint is one bank's marker in the Fig. 6 scatter: the mean and the
 // coefficient of variation of its per-row BER distribution.
@@ -55,50 +24,37 @@ type BankPoint struct {
 
 // Fig6 is the per-bank BER variation figure.
 type Fig6 struct {
-	Opts   Fig6Options
+	// Cfg is the chip the study measured.
+	Cfg    *config.Config
 	Points []BankPoint
 }
 
-// RunFig6 measures the BER distribution over the first, middle and last
-// RowsPerBankRegion rows of every bank in the stack (the paper's 300 rows
-// across all 256 banks). Each row's BER is taken under its best Table 1
-// pattern at the full hammer count — a BER-maximizing proxy for the WCDP
-// that avoids the per-row HCfirst search, which Fig. 6 does not need.
-func RunFig6(o Fig6Options) (*Fig6, error) {
-	o.setDefaults()
-	if err := o.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	g := o.Cfg.Geometry
-
-	// One job per bank: the engine's finest useful shard for this study,
-	// so parallelism scales to TotalBanks instead of the channel count.
-	// Index order (channel, pseudo channel, bank) matches the figure's
-	// point order.
-	n := g.Channels * g.PseudoChannels * g.Banks
-	eo := engine.Options{Ctx: o.Ctx, Workers: o.Workers, OnProgress: o.Progress}
-	points, err := engine.MapHarness(eo, o.Cfg, n,
-		func(_ context.Context, h *core.Harness, i int) (BankPoint, error) {
-			ba := addr.BankAddr{
-				Channel:       i / (g.PseudoChannels * g.Banks),
-				PseudoChannel: (i / g.Banks) % g.PseudoChannels,
-				Bank:          i % g.Banks,
-			}
-			pt, err := fig6Bank(h, o, ba)
-			if err != nil {
-				return BankPoint{}, fmt.Errorf("bank %v: %w", ba, err)
-			}
-			return pt, nil
-		})
+// RunFig6 runs the registry's fig6 plan: the BER distribution over the
+// first, middle and last o.Rows rows (default 100, the paper's 300 rows
+// per bank) of every bank in the stack, one job per bank. Each row's BER
+// is taken under its best Table 1 pattern at the full hammer count — a
+// BER-maximizing proxy for the WCDP that avoids the per-row HCfirst
+// search, which Fig. 6 does not need. o.Parallel bounds how many bank
+// jobs run at once; Shard/ShardCount are ignored, as RunSlice ignores
+// them.
+func RunFig6(o Options) (*Fig6, error) {
+	p, err := registry["fig6"].Plan(o)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig6{Opts: o, Points: points}, nil
+	f := &Fig6{Cfg: p.Cfg, Points: make([]BankPoint, 0, len(p.Jobs))}
+	err = runJobs(p, o, 0, len(p.Jobs), func(_ int, payload any) error {
+		f.Points = append(f.Points, payload.(BankPoint))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
-func fig6Bank(h *core.Harness, o Fig6Options, ba addr.BankAddr) (BankPoint, error) {
-	g := o.Cfg.Geometry
-	span := o.RowsPerBankRegion
+func fig6Bank(h *core.Harness, cfg *config.Config, span, hammers int, ba addr.BankAddr) (BankPoint, error) {
+	g := cfg.Geometry
 	regions := []core.Region{
 		{Name: "first", Start: 0, End: span},
 		{Name: "middle", Start: (g.Rows - span) / 2, End: (g.Rows-span)/2 + span},
@@ -119,7 +75,7 @@ func fig6Bank(h *core.Harness, o Fig6Options, ba addr.BankAddr) (BankPoint, erro
 	// per-row loop it replaces.
 	best := make([]float64, len(victims))
 	for _, p := range patterns {
-		rs, err := h.BERBatch(ba, victims, p, o.Hammers)
+		rs, err := h.BERBatch(ba, victims, p, hammers)
 		if err != nil {
 			return BankPoint{}, err
 		}
@@ -138,28 +94,27 @@ func fig6Bank(h *core.Harness, o Fig6Options, ba addr.BankAddr) (BankPoint, erro
 }
 
 // fig6Experiment lifts the per-bank variation study onto the registry:
-// one harness job per bank across the whole stack, folded into the
-// per-channel artifact Fig6.Artifact emits (bank mean BER and CV
-// distributions per channel), so the 256-bank scan shards by bank range.
+// one harness job per bank across the whole stack, in (channel, pseudo
+// channel, bank) order — the figure's point order — folded into the
+// per-channel artifact (bank mean BER and CV distributions per channel),
+// so the 256-bank scan shards by bank range. RunFig6 runs the same plan
+// and keeps the bank points instead.
 func fig6Experiment() *Experiment {
 	return &Experiment{
 		Name:  "fig6",
 		Title: "Fig. 6 bank scatter: per-bank BER mean/CV distributions per channel",
 		Plan: func(o Options) (*Plan, error) {
-			fo := Fig6Options{
-				Cfg:               o.Cfg,
-				Hammers:           o.Hammers,
-				RowsPerBankRegion: o.Rows,
-				Workers:           o.Workers,
-			}
-			fo.setDefaults()
-			if err := fo.Cfg.Validate(); err != nil {
+			cfg, hammers, err := section4Budget(o)
+			if err != nil {
 				return nil, err
 			}
-			g := fo.Cfg.Geometry
-			n := g.Channels * g.PseudoChannels * g.Banks
-			jobs := make([]Job, n)
-			for i := 0; i < n; i++ {
+			span := o.Rows
+			if span <= 0 {
+				span = 100
+			}
+			g := cfg.Geometry
+			jobs := make([]Job, g.Channels*g.PseudoChannels*g.Banks)
+			for i := range jobs {
 				ba := addr.BankAddr{
 					Channel:       i / (g.PseudoChannels * g.Banks),
 					PseudoChannel: (i / g.Banks) % g.PseudoChannels,
@@ -168,7 +123,7 @@ func fig6Experiment() *Experiment {
 				jobs[i] = Job{
 					Key: fmt.Sprintf("ch%d.pc%d.ba%d", ba.Channel, ba.PseudoChannel, ba.Bank),
 					Run: func(_ context.Context, h *core.Harness) (any, error) {
-						pt, err := fig6Bank(h, fo, ba)
+						pt, err := fig6Bank(h, cfg, span, hammers, ba)
 						if err != nil {
 							return nil, fmt.Errorf("bank %v: %w", ba, err)
 						}
@@ -178,17 +133,17 @@ func fig6Experiment() *Experiment {
 			}
 			return &Plan{
 				Axis:    "bank",
-				Cfg:     fo.Cfg,
+				Cfg:     cfg,
 				Harness: true,
 				Jobs:    jobs,
 				Params: map[string]string{
-					"rows_per_bank_region": strconv.Itoa(fo.RowsPerBankRegion),
-					"hammers":              strconv.Itoa(fo.Hammers),
+					"rows_per_bank_region": strconv.Itoa(span),
+					"hammers":              strconv.Itoa(hammers),
 				},
 				NewFold: func(lo, hi int) *Fold {
 					a := &results.Artifact{
 						Meta:   results.Meta{GroupBy: results.ByChannel.String()},
-						Groups: newFig6Groups(fo.Cfg),
+						Groups: newFig6Groups(cfg),
 					}
 					return &Fold{
 						Add: func(_ int, payload any) error {
@@ -204,10 +159,15 @@ func fig6Experiment() *Experiment {
 }
 
 // Render draws the scatter plot; each point's glyph is its channel digit,
-// matching the paper's colour coding.
+// matching the paper's colour coding. A bank whose sampled rows never
+// flipped has no CV (NaN) and so no place on the x axis; it is left out,
+// as addFig6Point leaves it out of the artifact's CV distribution.
 func (f *Fig6) Render() string {
 	pts := make([]report.Point, 0, len(f.Points))
 	for _, p := range f.Points {
+		if math.IsNaN(p.CV) {
+			continue
+		}
 		pts = append(pts, report.Point{
 			X:   p.CV,
 			Y:   p.MeanBER,
@@ -223,7 +183,9 @@ func (f *Fig6) Render() string {
 type Fig6Headlines struct {
 	// MeanLo/MeanHi bound the bank mean BER across the stack.
 	MeanLo, MeanHi float64
-	// CVLo/CVHi bound the coefficient of variation.
+	// CVLo/CVHi bound the coefficient of variation over the banks that
+	// flipped at all (an all-zero bank has no CV); both are 0 when none
+	// did.
 	CVLo, CVHi float64
 	// MaxIntraChannelSpread is the largest within-channel difference of
 	// bank mean BER (paper: up to 0.23 % in channel 7).
@@ -245,11 +207,15 @@ func (f *Fig6) Headlines() Fig6Headlines {
 	byCh := map[int][]float64{}
 	for _, p := range f.Points {
 		means = append(means, p.MeanBER)
-		cvs = append(cvs, p.CV)
+		if !math.IsNaN(p.CV) {
+			cvs = append(cvs, p.CV)
+		}
 		byCh[p.Bank.Channel] = append(byCh[p.Bank.Channel], p.MeanBER)
 	}
 	h.MeanLo, h.MeanHi = stats.MinMax(means)
-	h.CVLo, h.CVHi = stats.MinMax(cvs)
+	if len(cvs) > 0 {
+		h.CVLo, h.CVHi = stats.MinMax(cvs)
+	}
 	for _, ms := range byCh {
 		lo, hi := stats.MinMax(ms)
 		if hi-lo > h.MaxIntraChannelSpread {

@@ -50,7 +50,7 @@ func hcMetric(r RowResult, pi int) (float64, bool) {
 
 // boxGroups builds the Fig. 3/4 box-plot structure for a metric.
 func (s *Sweep) boxGroups(metric func(RowResult, int) (float64, bool)) []report.BoxGroup {
-	chs := s.Opts.Cfg.Geometry.Channels
+	chs := s.Cfg.Geometry.Channels
 	var groups []report.BoxGroup
 	for pi, name := range seriesNames() {
 		g := report.BoxGroup{Label: name}
@@ -98,7 +98,7 @@ type Fig3Headlines struct {
 
 // Headlines computes Fig3Headlines from the sweep.
 func (f Fig3) Headlines() Fig3Headlines {
-	chs := f.Sweep.Opts.Cfg.Geometry.Channels
+	chs := f.Sweep.Cfg.Geometry.Channels
 	h := Fig3Headlines{WCDPMeanBER: make([]float64, chs)}
 	wcdpIdx := len(core.Table1())
 	for ch := 0; ch < chs; ch++ {
@@ -166,7 +166,7 @@ type Fig4Headlines struct {
 
 // Headlines computes Fig4Headlines from the sweep.
 func (f Fig4) Headlines() Fig4Headlines {
-	chs := f.Sweep.Opts.Cfg.Geometry.Channels
+	chs := f.Sweep.Cfg.Geometry.Channels
 	h := Fig4Headlines{MinHCFirst: math.MaxInt, WCDPMeanHC: make([]float64, chs)}
 	wcdpIdx := len(core.Table1())
 	for ch := 0; ch < chs; ch++ {
@@ -219,7 +219,7 @@ func (f Fig5) Profile(region string) (xs []int, series []report.ProfileSeries) {
 // Render draws all three regional profiles.
 func (f Fig5) Render() string {
 	out := "Fig. 5: WCDP BER for rows across a bank (periodic within subarrays)\n"
-	for _, region := range core.Regions(f.Sweep.Opts.Cfg.Geometry.Rows) {
+	for _, region := range core.Regions(f.Sweep.Cfg.Geometry.Rows) {
 		xs, series := f.Profile(region.Name)
 		out += report.RenderProfile(fmt.Sprintf("region %q", region.Name), xs, series)
 	}
@@ -240,7 +240,7 @@ type Fig5Headlines struct {
 
 // Headlines computes Fig5Headlines from the sweep.
 func (f Fig5) Headlines() Fig5Headlines {
-	layout := f.Sweep.Opts.Cfg.Layout()
+	layout := f.Sweep.Cfg.Layout()
 	lastSA := layout.Count() - 1
 	var last, rest, mid, edge []float64
 	for _, r := range f.Sweep.Rows {

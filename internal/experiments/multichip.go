@@ -217,12 +217,7 @@ func measureChip(ctx context.Context, o MultiChipOptions, seed uint64) (chipResu
 	// chip is summarized, or a long seed scan keeps every instance's
 	// devices resident.
 	defer engine.SharedPool.DrainConfig(&cfg)
-	sweep, err := RunSweep(SweepOptions{
-		Cfg:           &cfg,
-		RowsPerRegion: o.RowsPerRegion,
-		Workers:       o.Workers,
-		Ctx:           ctx,
-	})
+	sweep, err := RunSweep(Options{Cfg: &cfg, Rows: o.RowsPerRegion, Parallel: o.Workers, Ctx: ctx})
 	if err != nil {
 		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
 	}

@@ -59,7 +59,7 @@ func TestMultiChipStreamingMatchesBatch(t *testing.T) {
 	for _, seed := range seeds {
 		cfg := *config.SmallChip()
 		cfg.Seed = seed
-		sweep, err := RunSweep(SweepOptions{Cfg: &cfg, RowsPerRegion: 3})
+		sweep, err := RunSweep(Options{Cfg: &cfg, Rows: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,52 +315,57 @@ func TestMultiChipAggregateExports(t *testing.T) {
 	}
 }
 
-// TestSweepAndFig6ArtifactsShareTheSchema pins the unified results layer:
-// the figure drivers that produce distributions emit the same artifact
-// shape the fleet study does, renderable by the same exporters.
-func TestSweepAndFig6ArtifactsShareTheSchema(t *testing.T) {
-	sweep, err := RunSweep(SweepOptions{Cfg: config.SmallChip(), RowsPerRegion: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa := sweep.Artifact()
-	channels := config.SmallChip().Geometry.Channels
-	if len(sa.Groups) != 3*channels {
-		t.Fatalf("sweep artifact has %d groups", len(sa.Groups))
-	}
-	total := 0
-	for _, g := range sa.Groups {
-		total += g.Metrics[0].Stream.N()
-	}
-	if total != len(sweep.Rows) {
-		t.Fatalf("sweep artifact folded %d BER samples for %d rows", total, len(sweep.Rows))
-	}
-	if _, _, err := sa.SummaryCSV(results.ByChannel); err != nil {
-		t.Fatalf("sweep artifact channel view: %v", err)
-	}
-	if _, err := sa.MarshalIndented(); err != nil {
-		t.Fatalf("sweep artifact serialize: %v", err)
-	}
-
-	f6, err := RunFig6(Fig6Options{Cfg: config.SmallChip(), RowsPerBankRegion: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa := f6.Artifact()
-	if len(fa.Groups) != channels {
-		t.Fatalf("fig6 artifact has %d groups", len(fa.Groups))
-	}
-	banksPerChannel := len(f6.Points) / channels
-	for _, g := range fa.Groups {
-		if n := g.Metrics[0].Stream.N(); n != banksPerChannel {
-			t.Fatalf("fig6 channel %d folded %d banks, want %d", g.Key.Channel, n, banksPerChannel)
+// TestTypedDriversMatchRegistryArtifacts pins the one execution path
+// of the Section 4 studies: RunSweep's rows and RunFig6's bank points,
+// folded the way the registry folds them, give groups byte-identical to
+// the sweep and fig6 artifacts of the same options.
+func TestTypedDriversMatchRegistryArtifacts(t *testing.T) {
+	o := Options{Cfg: config.SmallChip(), Rows: 2, Parallel: 3}
+	sameGroups := func(name string, groups []results.Group) {
+		t.Helper()
+		want, err := Run(name, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := &results.Artifact{Meta: want.Meta, Groups: groups}
+		gb, err := got.MarshalIndented()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := want.MarshalIndented()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb, wb) {
+			t.Fatalf("%s: typed driver's groups differ from the registry artifact's", name)
 		}
 	}
-	js, err := fa.SummaryJSON(results.ByChannel)
+
+	sweep, err := RunSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(js, []byte(`"bank_mean_ber_pct"`)) {
-		t.Fatalf("fig6 summary JSON missing metrics:\n%s", js)
+	groups := newFineGroups(sweep.Cfg)
+	foldSweepRows(sweep.Cfg, groups, sweep.Rows)
+	folded := 0
+	for _, g := range groups {
+		folded += g.Metrics[0].Stream.N()
 	}
+	if len(sweep.Rows) == 0 || folded != len(sweep.Rows) {
+		t.Fatalf("sweep: %d BER samples folded for %d rows", folded, len(sweep.Rows))
+	}
+	sameGroups("sweep", groups)
+
+	f6, err := RunFig6(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f6.Points) != f6.Cfg.Geometry.TotalBanks() {
+		t.Fatalf("fig6: %d bank points, want one per bank", len(f6.Points))
+	}
+	groups = newFig6Groups(f6.Cfg)
+	for _, p := range f6.Points {
+		addFig6Point(groups, p)
+	}
+	sameGroups("fig6", groups)
 }

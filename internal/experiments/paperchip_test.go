@@ -16,10 +16,7 @@ func TestPaperChipCalibrationSpotCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-geometry sweep is the heavyweight calibration check")
 	}
-	sweep, err := RunSweep(SweepOptions{
-		Cfg:           config.PaperChip(),
-		RowsPerRegion: 12,
-	})
+	sweep, err := RunSweep(Options{Cfg: config.PaperChip(), Rows: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,6 +270,17 @@ func RunSlice(name string, o Options, lo, hi int) (*results.Artifact, error) {
 // the payloads in job-index order.
 func executePlan(p *Plan, o Options, lo, hi int) (*results.Artifact, error) {
 	fold := p.NewFold(lo, hi)
+	if err := runJobs(p, o, lo, hi, fold.Add); err != nil {
+		return nil, err
+	}
+	return fold.Finish()
+}
+
+// runJobs runs the job slice [lo, hi) through the engine and hands each
+// payload to add with its plan job index, in job order. It is the one
+// place a plan meets the scheduler: registry runs fold the payloads into
+// an artifact, the typed figure drivers keep them.
+func runJobs(p *Plan, o Options, lo, hi int, add func(i int, payload any) error) error {
 	weights := make([]float64, hi-lo)
 	for i := range weights {
 		if w := p.Jobs[lo+i].Weight; w > 0 {
@@ -285,24 +296,17 @@ func executePlan(p *Plan, o Options, lo, hi int) (*results.Artifact, error) {
 		Planner:    o.Planner,
 		Weights:    weights,
 	}
-	var err error
+	fold := func(i int, v any) error { return add(lo+i, v) }
 	if p.Harness {
-		err = engine.ReduceHarness(eo, p.Cfg, hi-lo,
+		return engine.ReduceHarness(eo, p.Cfg, hi-lo,
 			func(ctx context.Context, h *core.Harness, i int) (any, error) {
 				return p.Jobs[lo+i].Run(ctx, h)
-			},
-			func(i int, v any) error { return fold.Add(lo+i, v) })
-	} else {
-		err = engine.Reduce(eo, hi-lo,
-			func(ctx context.Context, i int) (any, error) {
-				return p.Jobs[lo+i].Run(ctx, nil)
-			},
-			func(i int, v any) error { return fold.Add(lo+i, v) })
+			}, fold)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return fold.Finish()
+	return engine.Reduce(eo, hi-lo,
+		func(ctx context.Context, i int) (any, error) {
+			return p.Jobs[lo+i].Run(ctx, nil)
+		}, fold)
 }
 
 // stampMeta fills the provenance the run owns: schema and build

@@ -22,47 +22,8 @@ import (
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
-	"github.com/safari-repro/hbmrh/internal/engine"
 	"github.com/safari-repro/hbmrh/internal/results"
 )
-
-// SweepOptions configures the shared spatial sweep behind Figs. 3, 4
-// and 5.
-type SweepOptions struct {
-	// Cfg is the device configuration; nil means config.PaperChip().
-	Cfg *config.Config
-	// Hammers is the BER hammer count and the HCfirst search ceiling
-	// (paper: 256K).
-	Hammers int
-	// RowsPerRegion caps how many victim rows are sampled per region;
-	// 0 tests every row, as the paper does.
-	RowsPerRegion int
-	// PC and Bank select the bank tested in every channel.
-	PC, Bank int
-	// Workers is the number of parallel measurement devices; <= 0 means
-	// one per CPU. Results are independent of the worker count (the
-	// engine partitions work deterministically and every measurement is a
-	// pure function of the chip seed and its coordinates).
-	Workers int
-	// Ctx cancels a running sweep between per-channel jobs; nil means no
-	// cancellation.
-	Ctx context.Context
-	// Progress, if non-nil, receives an update as each channel finishes.
-	Progress engine.ProgressFunc
-}
-
-func (o *SweepOptions) setDefaults() {
-	if o.Cfg == nil {
-		o.Cfg = config.PaperChip()
-	}
-	if o.Hammers <= 0 {
-		o.Hammers = core.DefaultHammers
-	}
-}
-
-func (o *SweepOptions) engine() engine.Options {
-	return engine.Options{Ctx: o.Ctx, Workers: o.Workers, OnProgress: o.Progress}
-}
 
 // RowResult holds every measurement of one victim row: per-pattern BER
 // and HCfirst plus the row's worst-case data pattern selection.
@@ -89,35 +50,44 @@ func (r *RowResult) WCDPHCFirst() (int, bool) { return r.HCFirst[r.WCDP], r.Foun
 
 // Sweep is the complete spatial dataset for one bank across all channels.
 type Sweep struct {
-	Opts SweepOptions
+	// Cfg is the chip the sweep measured.
+	Cfg  *config.Config
 	Rows []RowResult
 }
 
-// RunSweep measures every sampled victim row in the paper's three regions
-// of one bank in every channel: per Table 1 pattern, the BER at the full
-// hammer count and the HCfirst search, then the WCDP choice.
-func RunSweep(o SweepOptions) (*Sweep, error) {
-	o.setDefaults()
-	if err := o.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	g := o.Cfg.Geometry
-	if o.PC < 0 || o.PC >= g.PseudoChannels || o.Bank < 0 || o.Bank >= g.Banks {
-		return nil, fmt.Errorf("experiments: bank pc%d.ba%d out of range", o.PC, o.Bank)
-	}
-
-	perChannel, err := engine.MapHarness(o.engine(), o.Cfg, g.Channels,
-		func(_ context.Context, h *core.Harness, ch int) ([]RowResult, error) {
-			rows, err := sweepChannel(h, o, ch)
-			if err != nil {
-				return nil, fmt.Errorf("channel %d: %w", ch, err)
-			}
-			return rows, nil
-		})
+// RunSweep runs the registry's sweep plan: per Table 1 pattern, the BER
+// at the full hammer count and the HCfirst search for every sampled
+// victim row (o.Rows per region; 0 tests every row) in the paper's three
+// regions of bank 0 in every channel, then the WCDP choice. o.Parallel
+// bounds how many channel jobs run at once; Shard/ShardCount are ignored,
+// as RunSlice ignores them.
+func RunSweep(o Options) (*Sweep, error) {
+	p, err := registry["sweep"].Plan(o)
 	if err != nil {
 		return nil, err
 	}
-	return &Sweep{Opts: o, Rows: engine.Flatten(perChannel)}, nil
+	s := &Sweep{Cfg: p.Cfg}
+	err = runJobs(p, o, 0, len(p.Jobs), func(_ int, payload any) error {
+		s.Rows = append(s.Rows, payload.([]RowResult)...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// section4Budget resolves the defaults the Section 4 plans share: the
+// paper chip and the paper's full hammer count.
+func section4Budget(o Options) (*config.Config, int, error) {
+	cfg, hammers := o.Cfg, o.Hammers
+	if cfg == nil {
+		cfg = config.PaperChip()
+	}
+	if hammers <= 0 {
+		hammers = core.DefaultHammers
+	}
+	return cfg, hammers, cfg.Validate()
 }
 
 // sweepChannel measures every sampled victim row of one channel's bank.
@@ -126,14 +96,14 @@ func RunSweep(o SweepOptions) (*Sweep, error) {
 // program assembly/validation/dispatch across the whole row set. Output
 // is byte-identical to per-row BER/HCFirst calls (pinned by the
 // core batch equivalence tests); only the probe grouping changes.
-func sweepChannel(h *core.Harness, o SweepOptions, ch int) ([]RowResult, error) {
-	g := o.Cfg.Geometry
-	ba := addr.BankAddr{Channel: ch, PseudoChannel: o.PC, Bank: o.Bank}
+func sweepChannel(h *core.Harness, cfg *config.Config, rowsPerRegion, hammers, ch int) ([]RowResult, error) {
+	g := cfg.Geometry
+	ba := addr.BankAddr{Channel: ch}
 	patterns := core.Table1()
 	var victims []int
 	var regions []string
 	for _, region := range core.Regions(g.Rows) {
-		for _, phys := range region.SampleRows(o.RowsPerRegion) {
+		for _, phys := range region.SampleRows(rowsPerRegion) {
 			if phys <= 0 || phys >= g.Rows-1 {
 				continue // bank-edge rows have no double-sided pair
 			}
@@ -153,11 +123,11 @@ func sweepChannel(h *core.Harness, o SweepOptions, ch int) ([]RowResult, error) 
 		}
 	}
 	for pi, p := range patterns {
-		bers, err := h.BERBatch(ba, victims, p, o.Hammers)
+		bers, err := h.BERBatch(ba, victims, p, hammers)
 		if err != nil {
 			return nil, err
 		}
-		hcs, founds, err := h.HCFirstBatch(ba, victims, p, o.Hammers)
+		hcs, founds, err := h.HCFirstBatch(ba, victims, p, hammers)
 		if err != nil {
 			return nil, err
 		}
@@ -197,32 +167,26 @@ func chooseWCDP(r RowResult) int {
 }
 
 // sweepExperiment lifts the Figs. 3-5 spatial sweep onto the registry:
-// one harness job per channel, folded into the region×channel artifact
-// Sweep.Artifact emits, so the sweep shards across machines like the
-// fleet scan (a -shard slice measures a contiguous channel range).
+// one harness job per channel, folded into the region×channel artifact,
+// so the sweep shards across machines like the fleet scan (a -shard
+// slice measures a contiguous channel range). RunSweep runs the same plan
+// and keeps the per-row payloads instead.
 func sweepExperiment() *Experiment {
 	return &Experiment{
 		Name:  "sweep",
 		Title: "Figs. 3-5 spatial sweep: per-row BER/HCfirst/WCDP across every channel",
 		Plan: func(o Options) (*Plan, error) {
-			so := SweepOptions{
-				Cfg:           o.Cfg,
-				Hammers:       o.Hammers,
-				RowsPerRegion: o.Rows,
-				Workers:       o.Workers,
-			}
-			so.setDefaults()
-			if err := so.Cfg.Validate(); err != nil {
+			cfg, hammers, err := section4Budget(o)
+			if err != nil {
 				return nil, err
 			}
-			g := so.Cfg.Geometry
-			jobs := make([]Job, g.Channels)
-			for ch := 0; ch < g.Channels; ch++ {
-				ch := ch
+			perRegion := o.Rows
+			jobs := make([]Job, cfg.Geometry.Channels)
+			for ch := range jobs {
 				jobs[ch] = Job{
 					Key: fmt.Sprintf("ch%d", ch),
 					Run: func(_ context.Context, h *core.Harness) (any, error) {
-						rows, err := sweepChannel(h, so, ch)
+						rows, err := sweepChannel(h, cfg, perRegion, hammers, ch)
 						if err != nil {
 							return nil, fmt.Errorf("channel %d: %w", ch, err)
 						}
@@ -232,21 +196,21 @@ func sweepExperiment() *Experiment {
 			}
 			return &Plan{
 				Axis:    "channel",
-				Cfg:     so.Cfg,
+				Cfg:     cfg,
 				Harness: true,
 				Jobs:    jobs,
 				Params: map[string]string{
-					"rows_per_region": strconv.Itoa(so.RowsPerRegion),
-					"hammers":         strconv.Itoa(so.Hammers),
+					"rows_per_region": strconv.Itoa(perRegion),
+					"hammers":         strconv.Itoa(hammers),
 				},
 				NewFold: func(lo, hi int) *Fold {
 					a := &results.Artifact{
 						Meta:   results.Meta{GroupBy: results.ByRegionChannel.String()},
-						Groups: newFineGroups(so.Cfg),
+						Groups: newFineGroups(cfg),
 					}
 					return &Fold{
 						Add: func(_ int, payload any) error {
-							foldSweepRows(so.Cfg, a.Groups, payload.([]RowResult))
+							foldSweepRows(cfg, a.Groups, payload.([]RowResult))
 							return nil
 						},
 						Finish: func() (*results.Artifact, error) { return a, nil },
@@ -259,7 +223,7 @@ func sweepExperiment() *Experiment {
 
 // ByChannel groups the sweep's rows per channel, in channel order.
 func (s *Sweep) ByChannel() [][]RowResult {
-	g := s.Opts.Cfg.Geometry
+	g := s.Cfg.Geometry
 	out := make([][]RowResult, g.Channels)
 	for _, r := range s.Rows {
 		out[r.Channel] = append(out[r.Channel], r)

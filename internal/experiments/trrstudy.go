@@ -9,7 +9,6 @@ import (
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
-	"github.com/safari-repro/hbmrh/internal/engine"
 	"github.com/safari-repro/hbmrh/internal/hbm"
 	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/stats"
@@ -52,16 +51,20 @@ func RunTRRStudy(o TRRStudyOptions) (*TRRStudy, error) {
 	if err := o.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// The study runs as one engine job on a fresh device: U-TRR leans on
-	// retention decay and the periodic-refresh pointer, i.e. accumulated
-	// device state, so a pool-warmed device would not reproduce it.
-	results, err := engine.Map(engine.Options{Ctx: o.Ctx}, 1,
-		func(ctx context.Context, _ int) (*utrr.Result, error) { return runUTRR(o, ctx) })
+	if o.Ctx != nil {
+		if err := o.Ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	// The study runs on a fresh device: U-TRR leans on retention decay and
+	// the periodic-refresh pointer, i.e. accumulated device state, so a
+	// pool-warmed device would not reproduce it.
+	r, err := runUTRR(o, o.Ctx)
 	if err != nil {
 		return nil, err
 	}
-	s := &TRRStudy{Opts: o, Result: results[0]}
-	s.Period, s.Periodic = results[0].InferPeriod()
+	s := &TRRStudy{Opts: o, Result: r}
+	s.Period, s.Periodic = r.InferPeriod()
 	return s, nil
 }
 

@@ -89,9 +89,11 @@ func utrrProbeArm(o UTRRProbeOptions, radius bool) (int, error) {
 // they run as parallel engine jobs.
 func RunUTRRProbe(o UTRRProbeOptions) (*UTRRProbeStudy, error) {
 	o.setDefaults()
+	var vals [2]int
 	eo := engine.Options{Ctx: o.Ctx, OnProgress: o.Progress}
-	vals, err := engine.Map(eo, 2,
-		func(_ context.Context, i int) (int, error) { return utrrProbeArm(o, i == 0) })
+	err := engine.Reduce(eo, len(vals),
+		func(_ context.Context, i int) (int, error) { return utrrProbeArm(o, i == 0) },
+		func(i, v int) error { vals[i] = v; return nil })
 	if err != nil {
 		return nil, err
 	}

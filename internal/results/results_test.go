@@ -281,6 +281,31 @@ func TestGroupByParseRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseGroupBy pins the -group-by trust boundary (flags and the
+// stored Meta.GroupBy of every decoded artifact): ParseGroupBy never
+// panics, and an accepted spelling is the canonical one — it is exactly
+// what the parsed axis prints as, and that parses back to the same axis.
+func FuzzParseGroupBy(f *testing.F) {
+	for _, gb := range []GroupBy{ByRegion, ByChannel, ByRegionChannel, ByPoint} {
+		f.Add(gb.String())
+	}
+	for _, s := range []string{"", "Region", "region ", "region-", "groupby(1)", "bank"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		gb, err := ParseGroupBy(s)
+		if err != nil {
+			return
+		}
+		if gb.String() != s {
+			t.Fatalf("%q accepted as %v, which prints as %q", s, gb, gb.String())
+		}
+		if again, err := ParseGroupBy(gb.String()); err != nil || again != gb {
+			t.Fatalf("%q: round trip gave %v, %v", s, again, err)
+		}
+	})
+}
+
 func TestKeyLabels(t *testing.T) {
 	for _, tc := range []struct {
 		key  Key

@@ -953,14 +953,47 @@ func checkMergedMatchesMergeShards(t *testing.T, s *Store) {
 	}
 }
 
+// tinyShard builds shard i of a two-seed study shaped like a multichip
+// fleet scan, small enough to be a cheap fuzz seed: one region×channel
+// group whose stream has four bins and holds the chip's one sample.
+func tinyShard(i int) *results.Artifact {
+	seed := uint64(11 + i)
+	st := stats.NewStreamSized(0, 1, 4, 4)
+	st.Add(float64(i+1) / 8)
+	return &results.Artifact{
+		Meta: results.Meta{
+			Format:      results.FormatVersion,
+			Tool:        "multichip",
+			CodeVersion: "test-build",
+			ConfigHash:  "0123456789abcdef",
+			GroupBy:     results.ByRegionChannel.String(),
+			SeedFirst:   seed,
+			SeedCount:   1,
+			Shard:       i,
+			ShardCount:  2,
+			JobAxis:     results.AxisSeed,
+			Params:      map[string]string{"rows_per_region": "1"},
+		},
+		Chips: []results.ChipRecord{{Seed: seed, MinHCFirst: 28672, WorstChannel: 7, TRRPeriod: 17}},
+		Groups: []results.Group{{
+			Key:     results.Key{Region: "first", Channel: 0},
+			Metrics: []results.Metric{{Name: "wcdp_ber", Stream: st}},
+		}},
+	}
+}
+
 // FuzzArtifactIngest feeds arbitrary bytes to a store already holding a
-// real shard of the same study. Nothing may panic; a rejection must be
-// classed ErrMalformed or ErrConflict and leave the store unchanged; an
+// real multichip shard. Nothing may panic; a rejection must be classed
+// ErrMalformed or ErrConflict and leave the store unchanged; an
 // acceptance must leave every corpus's merged view byte-identical to
 // results.MergeShards over its merged members, and must be canonical —
 // re-ingesting the re-encoded artifact is a duplicate at the same
 // address. The base shard is prepared once and admitted into every fresh
 // store, which also exercises sharing one member artifact across stores.
+//
+// The generated seeds are the two shards of one small multichip-shaped
+// study (tinyShard): about a kilobyte each, where the 59 KB base would
+// hold the fuzzer near one exec per second.
 func FuzzArtifactIngest(f *testing.F) {
 	base, err := os.ReadFile(filepath.Join("testdata", "shard-1of2.json"))
 	if err != nil {
@@ -971,7 +1004,13 @@ func FuzzArtifactIngest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add([]byte(`{}`))
-	f.Add(base)
+	for i := 0; i < 2; i++ {
+		data, err := tinyShard(i).MarshalIndented()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, _ := Open("")
 		if _, err := s.admit(prepBase, false); err != nil {
