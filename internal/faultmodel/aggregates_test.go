@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/safari-repro/hbmrh/internal/config"
-	"github.com/safari-repro/hbmrh/internal/rng"
 )
 
 // The sense fast path leans on three precomputed aggregates; these tests
@@ -18,25 +17,20 @@ func TestThresholdAggregatesConsistent(t *testing.T) {
 	m := newModel(t, cfg)
 	bits := cfg.Geometry.RowBits()
 	for _, row := range []int{0, 17, 500, cfg.Geometry.Rows - 1} {
-		thr, wordMin, byThr := m.Thresholds(m.Profile(bank(5, 1, 0), row))
-		if len(thr) != bits || len(byThr) != bits {
-			t.Fatalf("row %d: aggregate lengths %d/%d, want %d", row, len(thr), len(byThr), bits)
+		thr, wordMin, minThr := m.Thresholds(m.Profile(bank(5, 1, 0), row))
+		if len(thr) != bits || len(wordMin) != (bits+63)/64 {
+			t.Fatalf("row %d: aggregate lengths %d/%d, want %d/%d",
+				row, len(thr), len(wordMin), bits, (bits+63)/64)
 		}
-		// ByThr is a permutation of all bit indices...
-		seen := make([]bool, bits)
-		for _, ci := range byThr {
-			if seen[ci] {
-				t.Fatalf("row %d: bit %d appears twice in ByThr", row, ci)
+		// The row minimum is the exact minimum over every bit.
+		rowMin := float32(math.Inf(1))
+		for _, v := range thr {
+			if v < rowMin {
+				rowMin = v
 			}
-			seen[ci] = true
 		}
-		// ...sorted ascending by threshold with index tie-breaking.
-		for k := 1; k < bits; k++ {
-			a, b := byThr[k-1], byThr[k]
-			if thr[a] > thr[b] || (thr[a] == thr[b] && a >= b) {
-				t.Fatalf("row %d: ByThr not ascending at %d: bit %d (%v) before bit %d (%v)",
-					row, k, a, thr[a], b, thr[b])
-			}
+		if minThr != rowMin {
+			t.Fatalf("row %d: row minimum %v, brute-force min %v", row, minThr, rowMin)
 		}
 		// WordMin is the exact per-word minimum.
 		for w := range wordMin {
@@ -122,37 +116,6 @@ func TestProfileStampedeComputesOnce(t *testing.T) {
 	}
 }
 
-func TestRadixSortMatchesComparisonSort(t *testing.T) {
-	s := rng.NewStream(42)
-	for _, n := range []int{0, 1, 2, 3, 64, 1000, 4096} {
-		keys := make([]uint64, n)
-		for i := range keys {
-			keys[i] = s.Next()
-			if i%7 == 0 {
-				keys[i] &= 0xFFFF // exercise constant-byte pass skipping
-			}
-		}
-		want := append([]uint64(nil), keys...)
-		sortUint64Ref(want)
-		tmp := make([]uint64, n)
-		radixSortUint64(keys, tmp)
-		for i := range keys {
-			if keys[i] != want[i] {
-				t.Fatalf("n=%d: radix sort diverges at %d: %x != %x", n, i, keys[i], want[i])
-			}
-		}
-	}
-}
-
-// sortUint64Ref is a trivial comparison sort used as the oracle.
-func sortUint64Ref(xs []uint64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // BenchmarkProfileCompute measures a cold full profile build: orientation
 // pass plus lazily-forced threshold aggregates (the dominant cost), the
 // unit of work every fleet chip pays per touched row.
@@ -164,6 +127,45 @@ func BenchmarkProfileCompute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := m.Profile(bank(0, 0, 0), i%cfg.Geometry.Rows)
 		m.Thresholds(p)
+	}
+}
+
+// BenchmarkProfileComputePaper is BenchmarkProfileCompute at the paper
+// geometry's 8192-bit rows, the unit of work of every victim row a
+// paper-chip sweep senses.
+func BenchmarkProfileComputePaper(b *testing.B) {
+	cfg := config.PaperChip()
+	m := newModel(b, cfg)
+	m.SetCacheCap(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := m.Profile(bank(0, 0, 0), i%cfg.Geometry.Rows)
+		m.Thresholds(p)
+	}
+}
+
+// TestThresholdBuildAllocs pins the threshold build to three allocations:
+// the per-bit thresholds, the per-word minima and the struct holding
+// them. A transient sort buffer or a resident index would show up here.
+func TestThresholdBuildAllocs(t *testing.T) {
+	cfg := config.PaperChip()
+	m := newModel(t, cfg)
+	const runs = 20
+	profiles := make([]*RowProfile, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range profiles {
+		profiles[i] = m.Profile(bank(1, 0, 2), i)
+	}
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		m.Thresholds(profiles[next])
+		next++
+	})
+	if next != runs+1 {
+		t.Fatalf("built %d threshold tiers, want %d", next, runs+1)
+	}
+	if avg != 3 {
+		t.Fatalf("threshold build allocates %.1f times, want 3 (Thr, WordMin, the tier struct)", avg)
 	}
 }
 

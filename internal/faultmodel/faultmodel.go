@@ -16,11 +16,11 @@
 // floor. Data-dependent factors (neighbour coupling, intra-row pattern) are
 // applied by the device at sense time, because they depend on stored data.
 //
-// Row profiles additionally carry lazily-built aggregates — per-word
-// minimum thresholds, a threshold-sorted candidate index, and memoized
-// retention times with word/row minima — that let the device's sense fast
-// path skip work without changing a single output bit (see
-// internal/hbm/sense.go and DESIGN.md §8).
+// Row profiles additionally carry lazily-built aggregates — per-bit
+// thresholds with their word and row minima, and memoized retention times
+// with word/row minima — that let the device's sense fast path skip work
+// without changing a single output bit (see internal/hbm/sense.go and
+// DESIGN.md §8).
 package faultmodel
 
 import (
@@ -72,7 +72,7 @@ type cacheKey struct {
 // times, each a full pass of inverse-CDF and exp work — are built lazily
 // on first need (Model.Thresholds / Model.Retention): a row that is
 // only ever sensed without meaningful disturbance never pays for its
-// threshold index, and a row always sensed inside the refresh window
+// thresholds, and a row always sensed inside the refresh window
 // never pays for its retention times.
 type RowProfile struct {
 	// TrueCell has bit i set when cell i is a true cell (charged at 1).
@@ -94,13 +94,12 @@ type thrProfile struct {
 	// double-sided hammer units.
 	Thr []float32
 	// WordMin[w] is the minimum Thr within 64-bit word w: a word whose
-	// minimum exceeds the effective disturbance cannot flip, so a dense
-	// sense scan skips it wholesale.
+	// minimum exceeds the effective disturbance cannot flip, so the sense
+	// scan skips it wholesale.
 	WordMin []float32
-	// ByThr lists bit indices in ascending Thr order (ties broken by bit
-	// index), so a sparse sense scan visits only the bits that can
-	// possibly flip and exits early at the first too-strong candidate.
-	ByThr []uint32
+	// Min is the row's smallest Thr: a disturbance below it cannot flip
+	// any bit, so the sense scan skips the row.
+	Min float32
 }
 
 // retProfile holds the lazily-built retention aggregates of one row,
@@ -137,12 +136,14 @@ func New(cfg *config.Config) (*Model, error) {
 }
 
 // defaultCacheEntries derives the profile-cache entry capacity from the
-// byte budget and the per-row profile footprint (threshold, orientation,
-// candidate index, and retention aggregates).
+// byte budget and the per-row profile footprint: per bit, a float32
+// threshold and a float64 retention time; per 64-bit word, the orientation
+// word, a float32 threshold minimum and a float64 retention minimum; and
+// a fixed allowance for the structs and cache bookkeeping.
 func defaultCacheEntries(cfg *config.Config) int {
 	bits := cfg.Geometry.RowBits()
 	words := (bits + 63) / 64
-	perEntry := bits*(4+4+4+8) + words*(8+4) + 256
+	perEntry := bits*(4+8) + words*(8+4+8) + 256
 	n := DefaultCacheBytes / perEntry
 	if n < 64 {
 		n = 64
@@ -224,10 +225,10 @@ func (m *Model) computeProfile(b addr.BankAddr, physRow int) *RowProfile {
 }
 
 // thresholds returns the lazily-built threshold aggregates of a profile.
-// The build — a per-bit pass of inverse-CDF and exp work plus a radix
-// argsort — is only paid for rows that are ever sensed with enough
-// accumulated disturbance to possibly flip; aggressor rows, whose
-// disturbance is cleared by their own activations, never need it.
+// The build — one per-bit pass of inverse-CDF and exp work that also folds
+// the word and row minima — is only paid for rows that are ever sensed
+// with enough accumulated disturbance to possibly flip; aggressor rows,
+// whose disturbance is cleared by their own activations, never need it.
 func (m *Model) thresholds(p *RowProfile) *thrProfile {
 	p.thrOnce.Do(func() {
 		bits := m.cfg.Geometry.RowBits()
@@ -236,7 +237,7 @@ func (m *Model) thresholds(p *RowProfile) *thrProfile {
 		tp := &thrProfile{
 			Thr:     make([]float32, bits),
 			WordMin: make([]float32, words),
-			ByThr:   make([]uint32, bits),
+			Min:     float32(math.Inf(1)),
 		}
 		for w := range tp.WordMin {
 			tp.WordMin[w] = float32(math.Inf(1))
@@ -247,13 +248,6 @@ func (m *Model) thresholds(p *RowProfile) *thrProfile {
 		base := rng.Combine(m.cfg.Seed, domThreshold,
 			uint64(b.Channel), uint64(b.PseudoChannel), uint64(b.Bank), uint64(physRow))
 		sigma, zFloor, hcFloor := ch.Sigma, f.ZFloor, f.HCFloor
-		// Sort keys are packed (IEEE bits << 32 | index): thresholds are
-		// strictly positive, so their float32 bit patterns order exactly
-		// like the values and one integer sort yields the candidate index
-		// with deterministic index tie-breaking.
-		keys := make([]uint64, 2*bits)
-		tmp := keys[bits:]
-		keys = keys[:bits]
 		for i := 0; i < bits; i++ {
 			z := rng.Normal(rng.Mix64(base + uint64(i)))
 			if z < zFloor {
@@ -268,11 +262,11 @@ func (m *Model) thresholds(p *RowProfile) *thrProfile {
 			if w := i >> 6; t32 < tp.WordMin[w] {
 				tp.WordMin[w] = t32
 			}
-			keys[i] = uint64(math.Float32bits(t32))<<32 | uint64(i)
 		}
-		radixSortUint64(keys, tmp)
-		for i, k := range keys {
-			tp.ByThr[i] = uint32(k)
+		for _, wm := range tp.WordMin {
+			if wm < tp.Min {
+				tp.Min = wm
+			}
 		}
 		p.thr = tp
 	})
@@ -280,53 +274,12 @@ func (m *Model) thresholds(p *RowProfile) *thrProfile {
 }
 
 // Thresholds exposes a profile's disturbance-threshold aggregates: the
-// per-bit thresholds, the per-word minima, and the ascending-threshold
-// candidate index. Building them on first use is the expensive step; see
-// thresholds.
-func (m *Model) Thresholds(p *RowProfile) (thr, wordMin []float32, byThr []uint32) {
+// per-bit thresholds and their per-word and per-row minima, so a
+// disturbance scan can gate on the row minimum and skip whole words.
+// Building them on first use is the expensive step; see thresholds.
+func (m *Model) Thresholds(p *RowProfile) (thr, wordMin []float32, minThr float32) {
 	tp := m.thresholds(p)
-	return tp.Thr, tp.WordMin, tp.ByThr
-}
-
-// radixSortUint64 sorts keys ascending with an LSD byte radix, using tmp
-// (same length) as the scatter buffer. Passes whose byte is constant
-// across all keys are skipped, so the packed (float32 bits << 32 | index)
-// profile keys cost ~5 effective passes. This runs once per computed
-// profile; a comparison sort here was the single largest cost of profile
-// construction.
-func radixSortUint64(keys, tmp []uint64) {
-	if len(keys) == 0 {
-		return
-	}
-	src, dst := keys, tmp
-	var counts [256]int
-	for shift := uint(0); shift < 64; shift += 8 {
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, k := range src {
-			counts[byte(k>>shift)]++
-		}
-		if counts[byte(src[0]>>shift)] == len(src) {
-			continue // this byte is constant; the pass is a no-op
-		}
-		sum := 0
-		for i := range counts {
-			c := counts[i]
-			counts[i] = sum
-			sum += c
-		}
-		for _, k := range src {
-			d := byte(k >> shift)
-			dst[counts[d]] = k
-			counts[d]++
-		}
-		src, dst = dst, src
-	}
-	// An odd number of executed scatter passes leaves the result in tmp.
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
+	return tp.Thr, tp.WordMin, tp.Min
 }
 
 // retention returns the lazily-built retention aggregates of a profile,

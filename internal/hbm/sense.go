@@ -1,6 +1,7 @@
 package hbm
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -41,9 +42,9 @@ func (d *Device) SetSenseReference(on bool) { d.senseRef = on }
 //
 // Two implementations exist. senseReference is the straightforward
 // per-bit scan that defines the semantics. The default fast path uses the
-// profile's precomputed aggregates to touch only the bits that can
-// possibly flip; it is bit-for-bit identical (pinned by differential fuzz
-// and golden tests) and allocation-free in steady state.
+// profile's precomputed minima to skip rows and words that cannot flip;
+// it is bit-for-bit identical (pinned by differential fuzz and golden
+// tests) and allocation-free in steady state.
 func (d *Device) senseAndRestore(b addr.BankAddr, bank *bankState, physRow int, at int64, flips bool) {
 	rs := d.row(bank, physRow)
 	disturb := rs.disturb
@@ -74,6 +75,16 @@ func (d *Device) senseAndRestore(b addr.BankAddr, bank *bankState, physRow int, 
 		return
 	}
 	d.senseFast(b, bank, rs, physRow, disturb, elapsedSec, tscale, thrTemp, retPass, distPass)
+}
+
+// floor32 returns the largest float32 not above x, so that for every
+// float32 t, t <= floor32(x) exactly when float64(t) <= x.
+func floor32(x float64) float32 {
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
 }
 
 // rowBit returns bit i of a row image; a nil image is the power-up pattern
@@ -127,20 +138,20 @@ func (d *Device) disturbFlip(thr []float32, data, upData, downData []byte,
 	return disturb >= eff
 }
 
-// senseFast is the production sense path. It exploits three profile
-// aggregates, none of which change the flip criterion:
+// senseFast is the production sense path. It exploits two profile
+// aggregates, neither of which changes the flip criterion:
 //
-//   - ByThr, the ascending-threshold candidate index: the disturbance pass
-//     visits only bits whose threshold passes the quickThr screen, exiting
-//     at the first too-strong candidate. When the screen admits most of the
-//     row (extreme disturbance), it falls back to a word-ordered scan that
-//     skips whole 64-bit words via WordMinThr, preserving memory locality.
+//   - Threshold minima per row and per 64-bit word: the disturbance pass
+//     returns at once when the quickThr screen rejects the row's weakest
+//     cell, skips every word whose weakest cell fails the screen, and
+//     tests single bits only inside the words that remain.
 //   - Cached retention times with per-word and per-row minima: when elapsed
 //     time cannot reach even the row's weakest cell, the retention pass
 //     vanishes; otherwise it skips whole words via their minima and
 //     compares cached floats instead of re-deriving lognormal variates.
-//   - Scratch reuse: candidate bits accumulate into a device-owned buffer,
-//     and ECC filtering runs on the sorted buffer without a map.
+//
+// Candidate bits accumulate into a device-owned scratch buffer, and ECC
+// filtering runs on the sorted buffer without a map.
 func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physRow int,
 	disturb, elapsedSec, tscale, thrTemp float64, retPass, distPass bool) {
 	prof := d.fm.Profile(b, physRow)
@@ -149,43 +160,21 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 	flips := d.flipScratch[:0]
 
 	if distPass {
-		quickThr := disturb / (d.cfg.Fault.CouplingBoth * thrTemp)
-		thr, wordMin, byThr := d.fm.Thresholds(prof)
-		if n := len(byThr); n > 0 && float64(thr[byThr[0]]) <= quickThr {
+		// screen is the quickThr screen in float32: a threshold passes it
+		// exactly when its float64 value is at most quickThr.
+		screen := floor32(disturb / (d.cfg.Fault.CouplingBoth * thrTemp))
+		if thr, wordMin, minThr := d.fm.Thresholds(prof); minThr <= screen {
 			upData, downData, hasUp, hasDown := d.neighbourData(bank, physRow)
-			if float64(thr[byThr[n/2]]) <= quickThr {
-				// Dense: at least half the row passes the screen. A
-				// word-ordered scan touches memory sequentially and skips
-				// words whose minimum threshold exceeds the screen.
-				for w := range wordMin {
-					if float64(wordMin[w]) > quickThr {
+			for w, wm := range wordMin {
+				if wm > screen {
+					continue // even the word's weakest cell withstands the screen
+				}
+				lo := w << 6
+				for j, t := range thr[lo:min(lo+64, bits)] {
+					if t > screen {
 						continue
 					}
-					hi := (w + 1) << 6
-					if hi > bits {
-						hi = bits
-					}
-					for i := w << 6; i < hi; i++ {
-						if float64(thr[i]) > quickThr {
-							continue
-						}
-						v := rowBit(data, i)
-						if !faultmodel.Charged(prof.IsTrue(i), v == 1) {
-							continue
-						}
-						if d.disturbFlip(thr, data, upData, downData, hasUp, hasDown, i, bits, v, disturb, thrTemp) {
-							flips = append(flips, i)
-						}
-					}
-				}
-			} else {
-				// Sparse: visit candidates in ascending-threshold order and
-				// stop at the first one the screen rejects.
-				for _, ci := range byThr {
-					i := int(ci)
-					if float64(thr[i]) > quickThr {
-						break
-					}
+					i := lo + j
 					v := rowBit(data, i)
 					if !faultmodel.Charged(prof.IsTrue(i), v == 1) {
 						continue
@@ -226,9 +215,10 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 	if len(flips) == 0 {
 		return
 	}
-	// The passes emit bits in threshold / retention order and may both
-	// claim the same bit; sort and deduplicate to recover the reference
-	// path's ascending unique flip set.
+	// Each pass emits ascending bits, but the retention pass follows the
+	// disturbance pass and both may claim the same bit; sort and
+	// deduplicate to recover the reference path's ascending unique flip
+	// set.
 	slices.Sort(flips)
 	uniq := flips[:1]
 	for _, i := range flips[1:] {

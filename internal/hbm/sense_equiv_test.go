@@ -3,6 +3,8 @@ package hbm
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
@@ -202,6 +204,159 @@ func TestSenseEquivalenceRandomScripts(t *testing.T) {
 		t.Run(fmt.Sprintf("round%02d", round), func(t *testing.T) {
 			runScript(t, script)
 		})
+	}
+}
+
+// TestSenseEquivalencePaperRowWidth drives the fast and reference paths
+// on 8192-bit rows, the paper geometry's width, where the disturbance
+// scan walks 128 threshold words instead of equivConfig's 4. The double-
+// sided hammer counts climb from just below the victim's weakest cell
+// (the row-minimum gate must reject the row) through just above it (that
+// cell must flip) to a screen that admits nine in ten bits; one pressed
+// hammer and one long idle follow. The whole ladder runs with on-die ECC
+// off and again with it on.
+func TestSenseEquivalencePaperRowWidth(t *testing.T) {
+	cfg := equivConfig()
+	cfg.Geometry.Columns = 32
+	cfg.Geometry.ColumnBytes = 32
+	fast, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.SetSenseReference(true)
+	if bits := cfg.Geometry.RowBits(); bits != 8192 {
+		t.Fatalf("row width %d bits, want 8192", bits)
+	}
+
+	ba := addr.BankAddr{Channel: 7}
+	m := fast.Mapper()
+	layout := cfg.Layout()
+	phys := layout.Start(1) + layout.Size(1)/2
+	victim, up, down := m.ToLogical(phys), m.ToLogical(phys-1), m.ToLogical(phys+1)
+
+	// One double-sided hammer adds one disturbance unit at minimum
+	// timing and 85 C, and the screen divides by CouplingBoth.
+	prof := fast.fm.Profile(ba, phys)
+	thr, _, minThr := fast.fm.Thresholds(prof)
+	weakest := slices.Index(thr, minThr)
+	sorted := append([]float32(nil), thr...)
+	slices.Sort(sorted)
+	screen := func(t float32) int { return int(float64(t) * cfg.Fault.CouplingBoth) }
+	lo, hi := screen(minThr)+1, screen(sorted[len(sorted)*9/10])
+	counts := []int{lo - 1, lo}
+	for n := 2 * lo; n < hi; n *= 2 {
+		counts = append(counts, n)
+	}
+	counts = append(counts, hi)
+
+	s := rng.NewStream(0x8192)
+	pattern := func() []byte {
+		p := make([]byte, cfg.Geometry.RowBytes())
+		for i := range p {
+			p[i] = byte(s.Next())
+		}
+		return p
+	}
+	both := func(step string, f func(d *Device) error) {
+		t.Helper()
+		if fErr, rErr := f(fast), f(ref); fErr != nil || rErr != nil {
+			t.Fatalf("%s: fast %v, ref %v", step, fErr, rErr)
+		}
+	}
+	readVictim := func(step string) {
+		t.Helper()
+		fOut, fErr := ReadRow(fast, ba, victim)
+		rOut, rErr := ReadRow(ref, ba, victim)
+		if fErr != nil || rErr != nil {
+			t.Fatalf("%s: read: fast %v, ref %v", step, fErr, rErr)
+		}
+		if !bytes.Equal(fOut, rOut) {
+			t.Fatalf("%s: victim read-out diverges", step)
+		}
+		compareDevices(t, fast, ref)
+	}
+	// write lays fresh random data into the victim and both aggressors,
+	// then sets the victim's weakest cell up to flip at the gate: charged,
+	// opposite data in both aggressors, and equal data on either side in
+	// its own row.
+	setBit := func(p []byte, i int, v byte) {
+		p[i>>3] = p[i>>3]&^(1<<(uint(i)&7)) | v<<(uint(i)&7)
+	}
+	write := func(step string) {
+		t.Helper()
+		var v byte
+		if prof.IsTrue(weakest) {
+			v = 1
+		}
+		rows := map[int][]byte{up: pattern(), victim: pattern(), down: pattern()}
+		for i := max(weakest-1, 0); i <= min(weakest+1, len(thr)-1); i++ {
+			setBit(rows[victim], i, v)
+		}
+		setBit(rows[up], weakest, 1-v)
+		setBit(rows[down], weakest, 1-v)
+		for _, row := range []int{up, victim, down} {
+			both(step, func(d *Device) error { return WriteRow(d, ba, row, rows[row]) })
+		}
+	}
+
+	for _, ecc := range []uint32{0, 1} {
+		both("ecc", func(d *Device) error { return d.WriteModeRegister(ba.Channel, MRECC, ecc) })
+		for _, n := range counts {
+			step := fmt.Sprintf("ecc=%d hammers=%d", ecc, n)
+			write(step)
+			before := fast.Stats()
+			both(step, func(d *Device) error { return d.HammerPair(ba, up, down, n) })
+			readVictim(step)
+			after := fast.Stats()
+			sensed := after.BitflipsCommitted + after.ECCCorrections - before.BitflipsCommitted - before.ECCCorrections
+			if n < lo && sensed != 0 {
+				t.Fatalf("%s: %d flips below the row minimum", step, sensed)
+			}
+			if n == lo && sensed == 0 {
+				t.Fatalf("%s: the weakest cell did not flip at the gate", step)
+			}
+		}
+		step := fmt.Sprintf("ecc=%d pressed", ecc)
+		write(step)
+		hold := cfg.Timing.TRAS * 8
+		both(step, func(d *Device) error { return d.HammerPairHold(ba, up, down, lo, hold) })
+		readVictim(step)
+
+		step = fmt.Sprintf("ecc=%d idle", ecc)
+		write(step)
+		both(step, func(d *Device) error { return d.AdvanceTime(25_000_000_000_000) })
+		readVictim(step)
+	}
+	// The ladder must reach the dense screen: without flips it compared
+	// nothing.
+	if got, want := fast.Stats().BitflipsCommitted, int64(len(thr)/10); got < want {
+		t.Fatalf("ladder committed %d flips, want at least %d", got, want)
+	}
+}
+
+// TestFloor32ScreenIsExact pins the fast path's float32 screen: for
+// every float32 threshold t, t <= floor32(x) must agree with the float64
+// comparison the reference path makes, including at and around x itself
+// and beyond the float32 range.
+func TestFloor32ScreenIsExact(t *testing.T) {
+	s := rng.NewStream(0xF32)
+	xs := []float64{1, 0.1, 1e-40, 150_000.3, math.MaxFloat32, math.MaxFloat32 * 1.0000001, 1e300}
+	for i := 0; i < 2000; i++ {
+		xs = append(xs, math.Exp(40*s.Float64()-10))
+	}
+	for _, x := range xs {
+		f := floor32(x)
+		up := math.Nextafter32(f, float32(math.Inf(1)))
+		down := math.Nextafter32(f, float32(math.Inf(-1)))
+		for _, thr := range []float32{f, up, down, float32(x)} {
+			if got, want := thr <= f, float64(thr) <= x; got != want {
+				t.Fatalf("x=%v t=%v: float32 screen says %v, float64 comparison %v", x, thr, got, want)
+			}
+		}
 	}
 }
 

@@ -568,14 +568,15 @@ func renderKeys(st *store.Store) ([]byte, string, error) {
 // ingest accepts one artifact per POST body and feeds it to the store;
 // the generation bump implicitly retires the corpus's cache bucket. A
 // rejection answers by class: 400 for a malformed body, 409 for a
-// conflict with the corpus, 503 for anything else (a failed persist).
+// conflict with the corpus, 413 for a body over MaxIngestBytes, 503 for
+// anything transient (a failed persist, an injected fault).
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	if err := fpQueryIngest.Inject(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, MaxIngestBytes+1))

@@ -403,33 +403,38 @@ func TestQueryIngestEndpoint(t *testing.T) {
 	}
 }
 
-// TestQueryIngestPersistFailureIs503 pins the third ingest error class: a
-// well-formed, conflict-free shard whose object write fails is the
-// server's fault, not the client's — 503, and a retry succeeds.
+// TestQueryIngestPersistFailureIs503 pins the transient ingest error
+// class: a well-formed, conflict-free shard whose object write fails, or
+// whose POST meets an injected fault, is the server's fault, not the
+// client's — 503, and a retry succeeds.
 func TestQueryIngestPersistFailureIs503(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := New(st).Handler()
-	buf, err := shard(0, 2).MarshalIndented()
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := func() *httptest.ResponseRecorder {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(buf)))
-		return w
-	}
-	if err := failpoint.Arm("store/object/write=error@1"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(failpoint.Reset)
-	if w := post(); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("ingest with failed persist: %d %s", w.Code, w.Body.Bytes())
-	}
-	if w := post(); w.Code != http.StatusOK {
-		t.Fatalf("retry after failed persist: %d %s", w.Code, w.Body.Bytes())
+	for _, spec := range []string{"store/object/write=error@1", "query/ingest=error@1"} {
+		t.Run(spec[:strings.IndexByte(spec, '=')], func(t *testing.T) {
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := New(st).Handler()
+			buf, err := shard(0, 2).MarshalIndented()
+			if err != nil {
+				t.Fatal(err)
+			}
+			post := func() *httptest.ResponseRecorder {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(buf)))
+				return w
+			}
+			if err := failpoint.Arm(spec); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(failpoint.Reset)
+			if w := post(); w.Code != http.StatusServiceUnavailable {
+				t.Fatalf("ingest under %s: %d %s", spec, w.Code, w.Body.Bytes())
+			}
+			if w := post(); w.Code != http.StatusOK {
+				t.Fatalf("retry after %s: %d %s", spec, w.Code, w.Body.Bytes())
+			}
+		})
 	}
 }
 

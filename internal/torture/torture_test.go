@@ -39,11 +39,14 @@ const tortureSeed = 0xD15EA5ED
 // (delivered via Spec.WorkerFailpoints to every worker's first launch)
 // or an in-process spec (armed in this process, where the coordinator,
 // store and query service run), plus the stall gate when the fault is a
-// wedged worker.
+// wedged worker. ingest is the HTTP status the first POST /v1/ingest
+// must answer when the fault fires on the ingest path; zero means every
+// ingest must succeed.
 type plan struct {
 	worker string
 	inproc string
 	stall  time.Duration
+	ingest int
 }
 
 // schedule maps every registered site to its torture plan. Process-kill
@@ -90,22 +93,23 @@ func schedule(t *testing.T, site string) plan {
 		// attempt with backoff, not a fatal run error.
 		return plan{inproc: site + "=error@1"}
 	case "store/ingest":
-		return plan{inproc: site + "=error@1"}
+		return plan{inproc: site + "=error@1", ingest: http.StatusServiceUnavailable}
 	case "store/merge":
 		// Merge failure after a successful persist: the store must keep
 		// serving the previous sealed view (degraded), quarantine the
 		// accepted object, and the service-restart retry must restore full
 		// data from a clean re-ingest.
-		return plan{inproc: site + "=error@1"}
+		return plan{inproc: site + "=error@1", ingest: http.StatusServiceUnavailable}
 	case "store/object/write":
 		// Torn object persist: the store "crashes" mid-write, leaving a
 		// corrupt objects/*.json; reopening must quarantine it (degraded,
 		// not dead) and the re-ingest must restore full data.
-		return plan{inproc: site + "=tear:64@1"}
+		return plan{inproc: site + "=tear:64@1", ingest: http.StatusServiceUnavailable}
 	case "query/render":
 		return plan{inproc: site + "=error@1"}
 	case "query/ingest":
-		return plan{inproc: site + "=error@1"}
+		// An injected fault is transient: 503, like a failed persist.
+		return plan{inproc: site + "=error@1", ingest: http.StatusServiceUnavailable}
 	}
 	t.Fatalf("failpoint site %q has no torture schedule — every registered site must be tortured (add it to schedule())", site)
 	return plan{}
@@ -128,7 +132,8 @@ type outputs struct {
 // recovering from injected faults the way an operator (or supervisor)
 // would: a failed fleet run is re-run against the same journals, a
 // failed ingest restarts the service (reopen store + new server) and
-// retries, a failed query is retried.
+// retries, a failed query is retried. Only a plan's ingest fault may
+// fail an ingest, and it must fail the first one with the plan's class.
 func runCycle(t *testing.T, dir string, p plan) outputs {
 	t.Helper()
 	var logMu sync.Mutex
@@ -185,12 +190,21 @@ func runCycle(t *testing.T, dir string, p plan) outputs {
 		t.Fatalf("no shard artifacts in %s (err %v)", dir, err)
 	}
 	sort.Strings(shards)
-	for _, path := range shards {
+	for i, path := range shards {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if code, body := post(h, data); code != http.StatusOK {
+		want := http.StatusOK
+		if i == 0 && p.ingest != 0 {
+			want = p.ingest // the site fires on the first ingest
+		}
+		code, body := post(h, data)
+		if code != want {
+			t.Fatalf("ingest of %s: HTTP %d (%s), want %d",
+				filepath.Base(path), code, bytes.TrimSpace(body), want)
+		}
+		if code != http.StatusOK {
 			// Service "crash": reopen the store from disk — quarantining
 			// whatever the fault tore — and retry against the new instance.
 			t.Logf("ingest of %s failed (HTTP %d: %s); restarting the service and retrying",
