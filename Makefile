@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-check lint smoke paper-smoke torture ci
+.PHONY: build test bench bench-check golden-check lint smoke paper-smoke torture ci
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,17 @@ bench-check:
 		bash bench/run.sh compare .bench_check/base$$i.json .bench_check/change$$i.json || status=1; \
 	done; \
 	git worktree remove --force .bench_check/parent; exit $$status
+
+# Byte-identity of every benchmark input set: regenerate the study
+# digests of all of them in-process (bench/README.md) and compare with the
+# committed bench/golden.json. A bench run checks only its own seed's
+# set; this checks all 64 (~26 s on 2 cores).
+GOLDEN_OUT := .golden-check.json
+
+golden-check:
+	$(GO) -C bench run . golden > $(GOLDEN_OUT)
+	cmp $(GOLDEN_OUT) bench/golden.json
+	rm -f $(GOLDEN_OUT)
 
 # Sharded-fleet smoke, byte-comparing sharded-vs-single-process output
 # for two registry experiments (the distributable-fleet contract):

@@ -103,10 +103,38 @@ type Program struct {
 
 	// validFor caches the geometry the program last validated against, so
 	// re-running the same program (the harness's steady state) skips the
-	// per-instruction walk. Mutating Instrs/Data after validation is
-	// outside the API contract.
+	// per-instruction walk. SetLoopCount is the one supported change to a
+	// validated program; any other change to Instrs or Data after
+	// validation is outside the API contract.
 	validFor addr.Geometry
 	valid    bool
+	// jumps[i] is, for every OpLoop at index i, the index of its matching
+	// OpEndLoop; loops lists the top-level OpLoop indexes in order. Both
+	// are built by the validation walk, so a re-run builds neither.
+	jumps []int32
+	loops []int32
+	// gen identifies one validated instruction stream: it changes on every
+	// validation walk, so a runner's per-program caches (see
+	// Runner.overwritePlan) can tell a reused *Program with new contents
+	// from the one they were built for.
+	gen uint64
+}
+
+// SetLoopCount sets the iteration count of the OpLoop at instruction i to
+// n. A loop count is the one operand whose change keeps a validated
+// program valid, so the cached validation, jump table and runner plans
+// survive it: re-running a batched probe program at new hammer counts
+// pays no assembly, validation or planning. A non-loop index or a count
+// below 1 is rejected and leaves the program unchanged.
+func (p *Program) SetLoopCount(i int, n int64) error {
+	if i < 0 || i >= len(p.Instrs) || p.Instrs[i].Op != OpLoop {
+		return fmt.Errorf("bender: instr %d is not a loop", i)
+	}
+	if n <= 0 {
+		return valErr(i, OpLoop, "loop count %d must be positive", n)
+	}
+	p.Instrs[i].Arg = n
+	return nil
 }
 
 // valErr formats a per-instruction validation error. A plain function
@@ -117,15 +145,27 @@ func valErr(i int, op Op, f string, args ...any) error {
 }
 
 // Validate checks structural well-formedness against a geometry: operand
-// ranges, loop nesting, data table references and payload sizes. A
-// successful validation is cached per geometry, so the runner's
-// revalidation on every Run is a no-op for already-checked programs.
+// ranges, loop nesting, data table references and payload sizes, and
+// builds the loop jump table the runner executes with. A successful
+// validation is cached per geometry, so the runner's revalidation on
+// every Run is a no-op for already-checked programs.
 func (p *Program) Validate(g addr.Geometry) error {
 	if p.valid && p.validFor == g {
 		return nil
 	}
-	depth := 0
-	for i, in := range p.Instrs {
+	p.valid = false
+	p.gen++
+	if cap(p.jumps) < len(p.Instrs) {
+		p.jumps = make([]int32, len(p.Instrs))
+	}
+	p.jumps = p.jumps[:len(p.Instrs)]
+	p.loops = p.loops[:0]
+	// open is the innermost unclosed OpLoop; each open loop's jumps entry
+	// holds its enclosing loop until its OpEndLoop overwrites it, so the
+	// nesting stack needs no storage of its own.
+	depth, open := 0, int32(-1)
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
 		switch in.Op {
 		case OpAct:
 			if !validBank(g, in) {
@@ -174,12 +214,18 @@ func (p *Program) Validate(g addr.Geometry) error {
 			if in.Arg <= 0 {
 				return valErr(i, in.Op, "loop count %d must be positive", in.Arg)
 			}
+			if depth == 0 {
+				p.loops = append(p.loops, int32(i))
+			}
+			p.jumps[i] = open
+			open = int32(i)
 			depth++
 		case OpEndLoop:
 			depth--
 			if depth < 0 {
 				return valErr(i, in.Op, "endloop without loop")
 			}
+			open, p.jumps[open] = p.jumps[open], int32(i)
 		case OpEnd:
 			if depth != 0 {
 				return valErr(i, in.Op, "end inside loop")
@@ -196,7 +242,7 @@ func (p *Program) Validate(g addr.Geometry) error {
 	return nil
 }
 
-func validBank(g addr.Geometry, in Instr) bool {
+func validBank(g addr.Geometry, in *Instr) bool {
 	return addr.BankAddr{Channel: in.Ch, PseudoChannel: in.PC, Bank: in.Bank}.Valid(g)
 }
 
@@ -239,15 +285,16 @@ func (b *Builder) Reset() {
 // the Builder's buffers: it is valid until the next Reset or emit, and a
 // subsequent Build call reuses the same Program value.
 func (b *Builder) Build() (*Program, error) {
-	b.built = b.prog
-	if err := b.built.Validate(b.geom); err != nil {
+	if err := b.prog.Validate(b.geom); err != nil {
 		return nil, err
 	}
+	b.built = b.prog
 	return &b.built, nil
 }
 
 func (b *Builder) emit(in Instr) *Builder {
 	b.prog.Instrs = append(b.prog.Instrs, in)
+	b.prog.valid = false
 	return b
 }
 

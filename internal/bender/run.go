@@ -90,8 +90,17 @@ type Runner struct {
 	// Reusable execution scratch (see the type comment).
 	res     Result
 	readBuf []byte
-	jumps   []int32
 	frames  []loopFrame
+
+	// The overwrite-block plan (see overwritePlan) of the program last
+	// run with the fast path on, keyed by the program's identity and
+	// validation generation and by the timing and column count the
+	// decisions depend on.
+	owProg   *Program
+	owGen    uint64
+	owTiming config.Timing
+	owCols   int
+	owPlan   []int32
 
 	// Segmented-run state (see RunSegments); segBounds is nil during a
 	// plain Run, which reduces the per-instruction overhead to one
@@ -129,9 +138,6 @@ func (r *Runner) Run(t Target, g addr.Geometry, prog *Program) (*Result, error) 
 	if err := prog.Validate(g); err != nil {
 		return nil, err
 	}
-	if err := r.buildJumps(prog.Instrs); err != nil {
-		return nil, err
-	}
 	r.res.Reads = r.res.Reads[:0]
 	r.res.Elapsed = 0
 	r.readBuf = r.readBuf[:0]
@@ -146,11 +152,12 @@ func (r *Runner) Run(t Target, g addr.Geometry, prog *Program) (*Result, error) 
 
 // RunSegments is Run with intra-program boundaries: bounds[j] is the
 // instruction index (strictly ascending, at top level — not inside a
-// loop body) at which segment j ends, and the returned Segments record
-// each segment's read range and simulated duration. This is the batched
-// probe primitive: concatenating k probe programs and running them with
-// k boundaries pays validation, jump building, and dispatch setup once
-// while still attributing reads and elapsed time per probe.
+// loop body, which is rejected) at which segment j ends, and the
+// returned Segments record each segment's read range and simulated
+// duration. This is the batched probe primitive: concatenating k probe
+// programs and running them with k boundaries pays validation, jump
+// building, and dispatch setup once while still attributing reads and
+// elapsed time per probe.
 //
 // check, when non-nil, runs at every boundary except the last; a non-nil
 // error aborts execution with that error (the batched equivalent of
@@ -166,8 +173,16 @@ func (r *Runner) RunSegments(t Target, g addr.Geometry, prog *Program, bounds []
 	if err := prog.Validate(g); err != nil {
 		return nil, nil, err
 	}
-	if err := r.buildJumps(prog.Instrs); err != nil {
-		return nil, nil, err
+	// A bound b is inside a loop when some top-level loop L..E has
+	// L < b <= E. Both lists ascend, so one merge checks them all.
+	k := 0
+	for _, b := range bounds {
+		for k < len(prog.loops) && int(prog.jumps[prog.loops[k]]) < b {
+			k++
+		}
+		if k < len(prog.loops) && int(prog.loops[k]) < b {
+			return nil, nil, fmt.Errorf("bender: segment bound %d inside the loop at instr %d", b, prog.loops[k])
+		}
 	}
 	r.res.Reads = r.res.Reads[:0]
 	r.res.Elapsed = 0
@@ -210,34 +225,6 @@ func (r *Runner) markSegment(t Target) {
 	r.segIdx++
 }
 
-// buildJumps fills r.jumps so that for every OpLoop at index i,
-// r.jumps[i] is the index of its matching OpEndLoop. Validation already
-// guaranteed balanced nesting.
-func (r *Runner) buildJumps(instrs []Instr) error {
-	if cap(r.jumps) < len(instrs) {
-		r.jumps = make([]int32, len(instrs))
-	}
-	r.jumps = r.jumps[:len(instrs)]
-	stack := r.frames[:0] // borrow the frame scratch as a loop-index stack
-	for i, in := range instrs {
-		switch in.Op {
-		case OpLoop:
-			stack = append(stack, loopFrame{body: i})
-		case OpEndLoop:
-			if len(stack) == 0 {
-				return fmt.Errorf("bender: endloop without loop")
-			}
-			r.jumps[stack[len(stack)-1].body] = int32(i)
-			stack = stack[:len(stack)-1]
-		}
-	}
-	if len(stack) != 0 {
-		return fmt.Errorf("bender: unterminated loop")
-	}
-	r.frames = stack[:0] // keep any capacity the stack grew
-	return nil
-}
-
 // wrapLoopErr decorates an execution error with the iteration number of
 // every enclosing loop, innermost first, matching the recursive
 // interpreter's historical error format.
@@ -253,10 +240,14 @@ func (r *Runner) wrapLoopErr(err error) error {
 // tree construction, no recursion, no allocation.
 func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
 	instrs := prog.Instrs
+	jumps := prog.jumps
 	ri, hasRI := t.(ReaderInto)
 	fastOK := !r.DisableFastPath && r.Timing.TCK > 0
 	ow, hasOW := t.(Overwriter)
-	owOK := fastOK && hasOW
+	var owPlan []int32
+	if fastOK && hasOW {
+		owPlan = r.overwritePlan(prog, g.Columns)
+	}
 	ip := 0
 	for ip < len(instrs) {
 		for r.segIdx < len(r.segBounds) && ip >= r.segBounds[r.segIdx] {
@@ -267,10 +258,10 @@ func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
 				}
 			}
 		}
-		in := instrs[ip]
+		in := &instrs[ip]
 		switch in.Op {
 		case OpLoop:
-			end := int(r.jumps[ip])
+			end := int(jumps[ip])
 			if fastOK {
 				if h, ok := matchHammerLoop(instrs[ip+1 : end]); ok && h.uniform {
 					h.tck = r.Timing.TCK
@@ -294,9 +285,20 @@ func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
 				r.frames = r.frames[:len(r.frames)-1]
 				ip++
 			}
+		case OpWait:
+			if r.Trace != nil {
+				r.traceInstr(t, in)
+			}
+			if err := t.AdvanceTime(in.Arg); err != nil {
+				return r.wrapLoopErr(err)
+			}
+			ip++
 		case OpAct:
 			var err error
-			if owOK && r.overwriteBlock(instrs, ip, g.Columns) {
+			// An overwrite block stays one only if no segment boundary (a
+			// cancellation check) falls between its ACT and its PRE.
+			if owPlan != nil && owPlan[ip] >= 0 &&
+				!(r.segIdx < len(r.segBounds) && r.segBounds[r.segIdx] <= int(owPlan[ip])) {
 				if r.Trace != nil {
 					r.traceInstr(t, in)
 				}
@@ -356,19 +358,45 @@ func (r *Runner) arenaAlloc(n int) []byte {
 	return r.readBuf[off : off+n : off+n]
 }
 
-// overwriteBlock reports whether the OpAct at instrs[act] opens an
-// overwrite block: it is followed only by OpWaits and same-bank OpWrRows
-// (each covering the whole row), with at least one OpWrRow, then closed
-// by the bank's OpPre. The block must also be unable to stop part way, or
-// the unsensed row could be observed before it is fully rewritten: every
-// WRROW must be at least tRCD after the ACT and the PRE at least tRAS
-// after it (the device would reject them otherwise), and no RunSegments
-// boundary — a cancellation check — may fall inside it. Validation
+// overwritePlan returns, for every instruction of prog, the index of the
+// closing OpPre when the instruction is an OpAct opening an overwrite
+// block (see overwriteEnd), and -1 otherwise. The plan depends only on
+// the instruction stream, the timing and the column count, so it is
+// built once per validated program and reused by every re-run, including
+// runs after SetLoopCount; the segment-boundary condition is checked at
+// run time by exec.
+func (r *Runner) overwritePlan(prog *Program, columns int) []int32 {
+	if r.owProg == prog && r.owGen == prog.gen && r.owTiming == r.Timing && r.owCols == columns {
+		return r.owPlan
+	}
+	if cap(r.owPlan) < len(prog.Instrs) {
+		r.owPlan = make([]int32, len(prog.Instrs))
+	}
+	r.owPlan = r.owPlan[:len(prog.Instrs)]
+	for i := range prog.Instrs {
+		r.owPlan[i] = -1
+		if prog.Instrs[i].Op == OpAct {
+			r.owPlan[i] = int32(r.overwriteEnd(prog.Instrs, i, columns))
+		}
+	}
+	r.owProg, r.owGen, r.owTiming, r.owCols = prog, prog.gen, r.Timing, columns
+	return r.owPlan
+}
+
+// overwriteEnd returns the index of the closing OpPre when the OpAct at
+// instrs[act] opens an overwrite block, and -1 otherwise: it is followed
+// only by OpWaits and same-bank OpWrRows (each covering the whole row),
+// with at least one OpWrRow, then closed by the bank's OpPre. The block
+// must also be unable to stop part way, or the unsensed row could be
+// observed before it is fully rewritten: every WRROW must be at least
+// tRCD after the ACT and the PRE at least tRAS after it (the device would
+// reject them otherwise), and no RunSegments boundary — a cancellation
+// check — may fall inside it (exec checks that one per run). Validation
 // already guaranteed operand ranges and payload sizes, so nothing else in
 // the block can fail. Per-column OpWrs end the block: a row rewritten
 // column by column is sensed in full, which is correct, just not elided.
-func (r *Runner) overwriteBlock(instrs []Instr, act, columns int) bool {
-	a := instrs[act]
+func (r *Runner) overwriteEnd(instrs []Instr, act, columns int) int {
+	a := &instrs[act]
 	tm := r.Timing
 	covered := false
 	// since is the simulated time from the ACT to the next command,
@@ -383,25 +411,26 @@ func (r *Runner) overwriteBlock(instrs []Instr, act, columns int) bool {
 		}
 	}
 	for i := act + 1; i < len(instrs); i++ {
-		in := instrs[i]
+		in := &instrs[i]
 		switch in.Op {
 		case OpWait:
 			advance(in.Arg)
 		case OpWrRow:
 			if in.Ch != a.Ch || in.PC != a.PC || in.Bank != a.Bank || since < tm.TRCD {
-				return false
+				return -1
 			}
 			covered = true
 			advance(int64(columns) * tm.TCK)
 		case OpPre:
-			return in.Ch == a.Ch && in.PC == a.PC && in.Bank == a.Bank &&
-				covered && since >= tm.TRAS &&
-				!(r.segIdx < len(r.segBounds) && r.segBounds[r.segIdx] <= i)
+			if in.Ch == a.Ch && in.PC == a.PC && in.Bank == a.Bank && covered && since >= tm.TRAS {
+				return i
+			}
+			return -1
 		default:
-			return false
+			return -1
 		}
 	}
-	return false
+	return -1
 }
 
 // fastPathLegal checks that the loop body satisfies tRAS and tRP on its
@@ -421,7 +450,7 @@ func (r *Runner) fastPathLegal(h hammerShape) bool {
 // the wait between ACT and PRE plus the ACT command cycle itself.
 func (h hammerShape) hold() int64 { return h.minActHold + h.tck }
 
-func (r *Runner) execInstr(t Target, prog *Program, in Instr) error {
+func (r *Runner) execInstr(t Target, prog *Program, in *Instr) error {
 	ba := addr.BankAddr{Channel: in.Ch, PseudoChannel: in.PC, Bank: in.Bank}
 	if r.Trace != nil {
 		r.traceInstr(t, in)
@@ -441,8 +470,6 @@ func (r *Runner) execInstr(t Target, prog *Program, in Instr) error {
 		return t.Refresh(in.Ch, in.PC)
 	case OpMRS:
 		return t.WriteModeRegister(in.Ch, in.Row, uint32(in.Arg))
-	case OpWait:
-		return t.AdvanceTime(in.Arg)
 	default:
 		return fmt.Errorf("bender: cannot execute %s", in.Op)
 	}
@@ -519,7 +546,7 @@ func matchHammerLoop(body []Instr) (hammerShape, bool) {
 }
 
 // traceInstr renders one instruction for the trace log.
-func (r *Runner) traceInstr(t Target, in Instr) {
+func (r *Runner) traceInstr(t Target, in *Instr) {
 	switch in.Op {
 	case OpAct:
 		r.trace(t, "act  ch%d.pc%d.ba%d row %d", in.Ch, in.PC, in.Bank, in.Row)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
+	"github.com/safari-repro/hbmrh/internal/bender"
 )
 
 // maxProbeBatch bounds how many victim probes one batched program
@@ -30,171 +31,174 @@ func (h *Harness) BERBatch(ba addr.BankAddr, physVictims []int, p Pattern, hamme
 func (h *Harness) BERBatchHold(ba addr.BankAddr, physVictims []int, p Pattern, hammers int, holdPS int64) ([]BERResult, error) {
 	out := make([]BERResult, len(physVictims))
 	for lo := 0; lo < len(physVictims); lo += maxProbeBatch {
-		hi := lo + maxProbeBatch
-		if hi > len(physVictims) {
-			hi = len(physVictims)
+		hi := min(lo+maxProbeBatch, len(physVictims))
+		prog, err := h.buildProbes(ba, physVictims[lo:hi], hammers, p, holdPS)
+		if err != nil {
+			return nil, err
 		}
-		if err := h.probeBatch(ba, physVictims[lo:hi], nil, hammers, p, holdPS, out[lo:hi]); err != nil {
+		if err := h.runProbes(prog, p, holdPS, out[lo:hi]); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// probeBatch runs one batched probe program: for each victim, the Table 1
-// init layout, a double-sided hammer (counts[j] hammers, or uniformCount
-// when counts is nil), and a victim read-out, with a segment boundary
-// after each probe so elapsed time and the refresh budget stay
-// attributable per probe. Results land in out[j].
-func (h *Harness) probeBatch(ba addr.BankAddr, victims []int, counts []int, uniformCount int,
-	p Pattern, holdPS int64, out []BERResult) error {
-	if len(victims) == 0 {
-		return nil
-	}
-	if err := h.cancelled(); err != nil {
-		return err
-	}
+// buildProbes assembles one batched probe program: for each victim, the
+// Table 1 init layout, a double-sided hammer of hammers hammers, and a
+// victim read-out, with a segment boundary after each probe so elapsed
+// time and the refresh budget stay attributable per probe. It leaves the
+// boundaries in h.probeBounds and the index of each victim's hammer
+// OpLoop in h.probeLoops, so a caller can re-run the program at other
+// counts through Program.SetLoopCount. The program aliases the harness's
+// builder and is valid until the next buildProbes or measurement.
+func (h *Harness) buildProbes(ba addr.BankAddr, victims []int, hammers int, p Pattern, holdPS int64) (*bender.Program, error) {
 	rows := h.dev.Geometry().Rows
 	for _, v := range victims {
 		if v <= 0 || v >= rows-1 {
-			return fmt.Errorf("%w: physical row %d", ErrEdgeVictim, v)
+			return nil, fmt.Errorf("%w: physical row %d", ErrEdgeVictim, v)
 		}
 	}
 	m := h.dev.Mapper()
 	minTiming := holdPS <= h.dev.Config().Timing.TRAS
 	b := h.builder()
-	bounds := h.boundsScratch[:0]
-	for j, phys := range victims {
-		n := uniformCount
-		if counts != nil {
-			n = counts[j]
-		}
+	bounds, loops := h.probeBounds[:0], h.probeLoops[:0]
+	for _, phys := range victims {
 		la := m.ToLogical(phys - 1)
 		lb := m.ToLogical(phys + 1)
 		h.initPattern(b, ba, phys, p)
+		loops = append(loops, b.Len())
 		if minTiming {
-			b.HammerDouble(ba, la, lb, int64(n))
+			b.HammerDouble(ba, la, lb, int64(hammers))
 		} else {
-			b.HammerDoubleHold(ba, la, lb, int64(n), holdPS)
+			b.HammerDoubleHold(ba, la, lb, int64(hammers), holdPS)
 		}
 		b.ReadRowOut(ba, m.ToLogical(phys))
 		bounds = append(bounds, b.Len())
 	}
-	h.boundsScratch = bounds
-	prog, err := b.Build()
+	h.probeBounds, h.probeLoops = bounds, loops
+	return b.Build()
+}
+
+// runProbes runs a program from buildProbes (at whatever loop counts it
+// now holds) and stores probe j's measurement in out[j].
+func (h *Harness) runProbes(prog *bender.Program, p Pattern, holdPS int64, out []BERResult) error {
+	if err := h.cancelled(); err != nil {
+		return err
+	}
+	res, segs, err := h.runner.RunSegments(h.dev, h.dev.Geometry(), prog, h.probeBounds, h.checkCancel)
 	if err != nil {
 		return err
 	}
-	res, segs, err := h.runner.RunSegments(h.dev, h.dev.Geometry(), prog, bounds, h.cancelled)
-	if err != nil {
-		return err
-	}
+	minTiming := holdPS <= h.dev.Config().Timing.TRAS
 	bits := h.dev.Geometry().RowBits()
-	for j := range victims {
+	for j := range out {
 		seg := segs[j]
 		if h.EnforceBudget && minTiming && seg.Elapsed > RefreshBudget {
 			return fmt.Errorf("core: experiment took %.2f ms, over the 27 ms refresh budget",
 				float64(seg.Elapsed)/1e9)
 		}
-		flips := 0
-		for _, col := range res.Reads[seg.Reads[0]:seg.Reads[1]] {
-			for _, v := range col {
-				d := v ^ p.Victim
-				for d != 0 {
-					d &= d - 1
-					flips++
-				}
-			}
-		}
-		out[j] = BERResult{Flips: flips, Bits: bits, Elapsed: seg.Elapsed}
+		out[j] = BERResult{Flips: countFlips(res.Reads[seg.Reads[0]:seg.Reads[1]], p.Victim), Bits: bits, Elapsed: seg.Elapsed}
 	}
 	return nil
 }
 
 // HCFirstBatch measures HCfirst for a batch of victim rows in one bank
-// under one pattern, equivalent to calling HCFirst per victim in order
-// but running each search round as one batched probe program across all
-// still-active victims (a breadth-first binary search): the ceiling
-// probe for the whole batch first, then each halving round batched.
-// Every victim sees exactly the probe sequence the sequential search
-// would have issued, so results are identical.
-func (h *Harness) HCFirstBatch(ba addr.BankAddr, physVictims []int, p Pattern, maxHammers int) ([]int, []bool, error) {
+// under one pattern, equivalent to calling HCFirst per victim in order,
+// and returns the ceiling probe of each search as its BER at maxHammers
+// (the measurement BERBatch at maxHammers would make). Each chunk of up
+// to maxProbeBatch victims runs the search breadth-first: the ceiling
+// probe for the whole chunk, then each halving round batched across its
+// still-active victims. One probe program serves the ceiling and every
+// round, with only its hammer-loop counts changed between runs; it is
+// rebuilt only when the set of active victims shrinks — after the
+// ceiling when some victims do not flip, and when uneven search widths
+// make victims converge in different rounds. Every victim sees exactly
+// the probe sequence the sequential search would have issued, so results
+// are identical.
+func (h *Harness) HCFirstBatch(ba addr.BankAddr, physVictims []int, p Pattern, maxHammers int) (hc []int, found []bool, ber []BERResult, err error) {
 	return h.HCFirstBatchHold(ba, physVictims, p, maxHammers, h.dev.Config().Timing.TRAS)
 }
 
 // HCFirstBatchHold is HCFirstBatch with a per-activation hold time
-// (RowPress), equivalent to calling HCFirstHold per victim in order.
-func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Pattern, maxHammers int, holdPS int64) ([]int, []bool, error) {
+// (RowPress), equivalent to calling HCFirstHold and BERHold per victim in
+// order.
+func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Pattern, maxHammers int, holdPS int64) (hc []int, found []bool, ber []BERResult, err error) {
 	n := len(physVictims)
-	hc := make([]int, n)
-	found := make([]bool, n)
-	if n == 0 {
-		return hc, found, nil
-	}
-	res := make([]BERResult, n)
-	// Ceiling probe: a victim that does not flip at maxHammers is done.
+	hc = make([]int, n)
+	found = make([]bool, n)
+	ber = make([]BERResult, n)
 	for lo := 0; lo < n; lo += maxProbeBatch {
-		hi := lo + maxProbeBatch
-		if hi > n {
-			hi = n
-		}
-		if err := h.probeBatch(ba, physVictims[lo:hi], nil, maxHammers, p, holdPS, res[lo:hi]); err != nil {
-			return nil, nil, err
+		hi := min(lo+maxProbeBatch, n)
+		if err := h.hcFirstChunk(ba, physVictims[lo:hi], p, maxHammers, holdPS, hc[lo:hi], found[lo:hi], ber[lo:hi]); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	prec := h.HCPrecision
-	if prec < 1 {
-		prec = 1
+	return hc, found, ber, nil
+}
+
+// hcFirstChunk runs HCFirstBatchHold's search over at most maxProbeBatch
+// victims, writing each victim's HCfirst, found flag and ceiling BER.
+func (h *Harness) hcFirstChunk(ba addr.BankAddr, victims []int, p Pattern, maxHammers int, holdPS int64,
+	hc []int, found []bool, ceiling []BERResult) error {
+	if len(victims) == 0 {
+		return nil
 	}
-	los := make([]int, n)
-	his := make([]int, n)
-	var active []int // indexes into physVictims still binary-searching
-	for j := 0; j < n; j++ {
-		if res[j].Flips > 0 {
+	prog, err := h.buildProbes(ba, victims, maxHammers, p, holdPS)
+	if err != nil {
+		return err
+	}
+	if err := h.runProbes(prog, p, holdPS, ceiling); err != nil {
+		return err
+	}
+	prec := max(h.HCPrecision, 1)
+	// Per victim j, los[j] never flips and hc[j] (the search's hi)
+	// flips. active lists the victims still searching, in order; while
+	// current holds, the program's probe k is victim active[k].
+	var los, mids, activeBuf, vict [maxProbeBatch]int
+	var res [maxProbeBatch]BERResult
+	active := activeBuf[:0]
+	for j := range victims {
+		if ceiling[j].Flips > 0 {
 			found[j] = true
-			los[j], his[j] = 0, maxHammers
+			hc[j] = maxHammers
 			if maxHammers > prec {
 				active = append(active, j)
 			}
 		}
 	}
-	// Binary-search rounds: all active victims probe their midpoints in
-	// one batched program per round (chunked at maxProbeBatch).
-	vict := make([]int, 0, len(active))
-	mids := make([]int, 0, len(active))
+	current := len(active) == len(victims) // the program probes exactly the active victims
 	for len(active) > 0 {
-		vict = vict[:0]
-		mids = mids[:0]
-		for _, j := range active {
-			vict = append(vict, physVictims[j])
-			mids = append(mids, los[j]+(his[j]-los[j])/2)
+		if !current {
+			for k, j := range active {
+				vict[k] = victims[j]
+			}
+			if prog, err = h.buildProbes(ba, vict[:len(active)], maxHammers, p, holdPS); err != nil {
+				return err
+			}
+			current = true
 		}
-		for lo := 0; lo < len(vict); lo += maxProbeBatch {
-			hi := lo + maxProbeBatch
-			if hi > len(vict) {
-				hi = len(vict)
+		for k, j := range active {
+			mids[k] = los[j] + (hc[j]-los[j])/2
+			if err := prog.SetLoopCount(h.probeLoops[k], int64(mids[k])); err != nil {
+				return err
 			}
-			if err := h.probeBatch(ba, vict[lo:hi], mids[lo:hi], 0, p, holdPS, res[lo:hi]); err != nil {
-				return nil, nil, err
-			}
+		}
+		if err := h.runProbes(prog, p, holdPS, res[:len(active)]); err != nil {
+			return err
 		}
 		next := active[:0]
 		for k, j := range active {
 			if res[k].Flips > 0 {
-				his[j] = mids[k]
+				hc[j] = mids[k]
 			} else {
 				los[j] = mids[k]
 			}
-			if his[j]-los[j] > prec {
+			if hc[j]-los[j] > prec {
 				next = append(next, j)
 			}
 		}
+		current = len(next) == len(active)
 		active = next
 	}
-	for j := 0; j < n; j++ {
-		if found[j] {
-			hc[j] = his[j]
-		}
-	}
-	return hc, found, nil
+	return nil
 }

@@ -97,7 +97,7 @@ func TestHCFirstBatchMatchesSequential(t *testing.T) {
 	victims := []int{1, 50, 300, 600, 1022}
 	const maxHammers = 120_000
 	for _, p := range Table1()[:2] {
-		hcs, founds, err := h.HCFirstBatch(ba, victims, p, maxHammers)
+		hcs, founds, bers, err := h.HCFirstBatch(ba, victims, p, maxHammers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,11 +106,92 @@ func TestHCFirstBatchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hcs[j] != hc || founds[j] != found {
-				t.Fatalf("pattern %s row %d: batch (%d,%v) != sequential (%d,%v)",
-					p.Name, v, hcs[j], founds[j], hc, found)
+			ber, err := h.BER(ba, v, p, maxHammers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hcs[j] != hc || founds[j] != found || bers[j] != ber {
+				t.Fatalf("pattern %s row %d: batch (%d,%v,%+v) != sequential (%d,%v,%+v)",
+					p.Name, v, hcs[j], founds[j], bers[j], hc, found, ber)
 			}
 		}
+	}
+}
+
+// TestHCFirstBatchChunksLargeBatches drives more victims than
+// maxProbeBatch through the search, so a batch spans several probe
+// programs, at a ceiling whose halvings go uneven: after five rounds a
+// victim's search width is 4687 or 4688 (150000/32 = 4687.5), and a
+// precision of 4687 stops the first kind and not the second, so victims
+// converge in different rounds and the search rebuilds its program as its
+// active set shrinks.
+func TestHCFirstBatchChunksLargeBatches(t *testing.T) {
+	h := newTestHarness(t)
+	h.HCPrecision = 4687
+	ba := batchBank()
+	p := Table1()[0]
+	victims := make([]int, maxProbeBatch+9)
+	for i := range victims {
+		victims[i] = 1 + i*13
+	}
+	const maxHammers = 150_000
+	hcs, founds, bers, err := h.HCFirstBatch(ba, victims, p, maxHammers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hcs) != len(victims) || len(founds) != len(victims) || len(bers) != len(victims) {
+		t.Fatalf("got %d/%d/%d results for %d victims", len(hcs), len(founds), len(bers), len(victims))
+	}
+	flipped := 0
+	for j, v := range victims {
+		hc, found, err := h.HCFirst(ba, v, p, maxHammers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ber, err := h.BER(ba, v, p, maxHammers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hcs[j] != hc || founds[j] != found || bers[j] != ber {
+			t.Fatalf("row %d: batch (%d,%v,%+v) != sequential (%d,%v,%+v)", v, hcs[j], founds[j], bers[j], hc, found, ber)
+		}
+		if found {
+			flipped++
+		}
+	}
+	if flipped == 0 || flipped == len(victims) {
+		t.Fatalf("%d of %d victims flipped; the test needs both kinds to shrink the active set", flipped, len(victims))
+	}
+}
+
+// TestHCFirstBatchAllocsIndependentOfRounds pins program reuse in the
+// search: once warm, an HCfirst batch allocates only its result slices,
+// the same number of times whether the binary search takes one round or
+// seventeen, because a round re-runs the validated program instead of
+// assembling a new one.
+func TestHCFirstBatchAllocsIndependentOfRounds(t *testing.T) {
+	h := newTestHarness(t)
+	ba := batchBank()
+	p := Table1()[1]
+	victims := []int{5, 90, 333, 600, 901}
+	const maxHammers = 200_000
+	allocs := func(prec int) float64 {
+		h.HCPrecision = prec
+		search := func() {
+			if _, _, _, err := h.HCFirstBatch(ba, victims, p, maxHammers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		search() // warm: profiles, row states, builder, arena, scratch
+		search()
+		return testing.AllocsPerRun(10, search)
+	}
+	one, many := allocs(maxHammers/2), allocs(1)
+	if one != many {
+		t.Fatalf("warm HCFirstBatch allocates %.2f times with one round, %.2f with seventeen", one, many)
+	}
+	if one > 3 {
+		t.Fatalf("warm HCFirstBatch allocates %.2f times, want at most its 3 result slices", one)
 	}
 }
 
@@ -164,15 +245,20 @@ func TestBERBatchHonoursCancelledContext(t *testing.T) {
 // FuzzBatchProbeEquivalence is the batched-probe leg of the differential
 // sense fuzz: a batch of probes on a normal (fast-sense) device must
 // measure exactly what per-row sequential probes measure on a device
-// pinned to the reference sense path. Any divergence in the batch
-// concatenation, the segment accounting, or the fast sense path shows up
-// as a value mismatch.
+// pinned to the reference sense path. The batch is a BERBatch at the
+// fuzzed hammer count and an HCFirstBatch with that count as its ceiling
+// and a fuzzed precision — where the ratio is not a power of two,
+// victims converge in different rounds and the search rebuilds its
+// reused program — against sequential BER and HCFirst. Any divergence in
+// the batch concatenation, the program reuse, the segment accounting, or
+// the fast sense path shows up as a value mismatch.
 func FuzzBatchProbeEquivalence(f *testing.F) {
-	f.Add(uint8(0), []byte{10, 60, 200}, uint16(20_000))
-	f.Add(uint8(1), []byte{1, 1, 255}, uint16(50_000))
-	f.Add(uint8(2), []byte{128}, uint16(1))
-	f.Add(uint8(3), []byte{7, 9, 11, 13, 40, 80, 160, 220}, uint16(35_000))
-	f.Fuzz(func(t *testing.T, pi uint8, vraw []byte, rawHammers uint16) {
+	f.Add(uint8(0), []byte{10, 60, 200}, uint16(20_000), uint16(257))
+	f.Add(uint8(1), []byte{1, 1, 255}, uint16(50_000), uint16(601))
+	f.Add(uint8(2), []byte{128}, uint16(1), uint16(1))
+	f.Add(uint8(3), []byte{7, 9, 11, 13, 40, 80, 160, 220}, uint16(35_000), uint16(8))
+	f.Add(uint8(0), []byte{3, 30, 90, 150, 210, 250}, uint16(60_001), uint16(12))
+	f.Fuzz(func(t *testing.T, pi uint8, vraw []byte, rawHammers, rawPrec uint16) {
 		if len(vraw) == 0 || len(vraw) > 8 {
 			t.Skip()
 		}
@@ -197,8 +283,21 @@ func FuzzBatchProbeEquivalence(f *testing.F) {
 		}
 		p := Table1()[int(pi)%len(Table1())]
 		hammers := 1 + int(rawHammers)%DefaultHammers
+		// An even rawPrec picks a precision of hammers/2^k: after k rounds
+		// the search widths are the floor and ceiling of hammers/2^k, so
+		// when those differ victims converge in different rounds. An odd
+		// one picks any precision (below 1 searches to 1, like HCFirst).
+		prec := int(rawPrec >> 1)
+		if rawPrec&1 == 0 {
+			prec = hammers >> (1 + prec%18)
+		}
+		hFast.HCPrecision, hRef.HCPrecision = prec, prec
 		ba := batchBank()
 		batch, err := hFast.BERBatch(ba, victims, p, hammers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hcs, founds, ceilings, err := hFast.HCFirstBatch(ba, victims, p, hammers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,9 +306,17 @@ func FuzzBatchProbeEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if batch[j] != seq {
-				t.Fatalf("row %d: batched-on-fast %+v != sequential-on-reference %+v",
-					v, batch[j], seq)
+			if batch[j] != seq || ceilings[j] != seq {
+				t.Fatalf("row %d: batched-on-fast %+v (search ceiling %+v) != sequential-on-reference %+v",
+					v, batch[j], ceilings[j], seq)
+			}
+			hc, found, err := hRef.HCFirst(ba, v, p, hammers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hcs[j] != hc || founds[j] != found {
+				t.Fatalf("row %d: batched-on-fast HCfirst (%d,%v) != sequential-on-reference (%d,%v)",
+					v, hcs[j], founds[j], hc, found)
 			}
 		}
 	})

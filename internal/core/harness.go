@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/bender"
@@ -30,14 +32,18 @@ type Harness struct {
 	// instead of allocating a fresh instruction stream and payload table,
 	// which keeps the steady-state BER probe allocation-free.
 	bld *bender.Builder
-	// boundsScratch is the reusable segment-boundary slice of the
-	// batched probe path (batch.go).
-	boundsScratch []int
+	// probeBounds and probeLoops describe the last batched probe program
+	// (batch.go): its segment boundaries and each probe's hammer OpLoop.
+	probeBounds []int
+	probeLoops  []int
 
 	// ctx, when non-nil, aborts the measurement loops: every BER
 	// measurement (and therefore every HCfirst probe and WCDP candidate)
 	// checks it before touching the device. See SetContext.
 	ctx context.Context
+	// checkCancel is h.cancelled as a func value, made once so passing it
+	// to RunSegments on every batched run allocates nothing.
+	checkCancel func() error
 
 	// EnforceBudget makes BER fail if a measurement exceeds the 27 ms
 	// budget (on by default, as in the paper's methodology).
@@ -64,6 +70,7 @@ func NewHarness(d *hbm.Device) (*Harness, error) {
 		EnforceBudget: true,
 		HCPrecision:   DefaultHCPrecision,
 	}
+	h.checkCancel = h.cancelled
 	b := h.builder()
 	b.DisableECC()
 	prog, err := b.Build()
@@ -209,21 +216,28 @@ func (h *Harness) BERHold(ba addr.BankAddr, physVictim int, p Pattern, hammers i
 		return BERResult{}, fmt.Errorf("core: experiment took %.2f ms, over the 27 ms refresh budget",
 			float64(res.Elapsed)/1e9)
 	}
-	flips := 0
-	for _, col := range res.Reads {
-		for _, v := range col {
-			d := v ^ p.Victim
-			for d != 0 {
-				d &= d - 1
-				flips++
-			}
-		}
-	}
 	return BERResult{
-		Flips:   flips,
+		Flips:   countFlips(res.Reads, p.Victim),
 		Bits:    h.dev.Geometry().RowBits(),
 		Elapsed: res.Elapsed,
 	}, nil
+}
+
+// countFlips returns how many bits of a read-out differ from the fill
+// byte the victim row was written with.
+func countFlips(reads [][]byte, fill byte) int {
+	rep := uint64(fill) * 0x0101010101010101
+	n := 0
+	for _, col := range reads {
+		i := 0
+		for ; i+8 <= len(col); i += 8 {
+			n += bits.OnesCount64(binary.LittleEndian.Uint64(col[i:]) ^ rep)
+		}
+		for ; i < len(col); i++ {
+			n += bits.OnesCount8(col[i] ^ fill)
+		}
+	}
+	return n
 }
 
 // HCFirst measures the minimum hammer count that induces the first
@@ -288,16 +302,14 @@ type WCDPResult struct {
 // largest BER at the maximum hammer count.
 func (h *Harness) WCDP(ba addr.BankAddr, physVictim int, maxHammers int) (WCDPResult, error) {
 	best := WCDPResult{HCFirst: maxHammers + 1}
+	victim := []int{physVictim}
 	for _, p := range Table1() {
-		hc, found, err := h.HCFirst(ba, physVictim, p, maxHammers)
+		// The search's ceiling probe is the row's BER at maxHammers.
+		hc, found, ber, err := h.HCFirstBatch(ba, victim, p, maxHammers)
 		if err != nil {
 			return WCDPResult{}, err
 		}
-		ber, err := h.BER(ba, physVictim, p, maxHammers)
-		if err != nil {
-			return WCDPResult{}, err
-		}
-		cand := WCDPResult{Pattern: p, HCFirst: hc, Found: found, BER: ber.BER()}
+		cand := WCDPResult{Pattern: p, HCFirst: hc[0], Found: found[0], BER: ber[0].BER()}
 		if better(cand, best) {
 			best = cand
 		}

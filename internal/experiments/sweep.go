@@ -92,10 +92,11 @@ func section4Budget(o Options) (*config.Config, int, error) {
 
 // sweepChannel measures every sampled victim row of one channel's bank.
 // The inner loops run through the batched probe API: per pattern, one
-// BERBatch and one HCFirstBatch over all sampled rows, which amortizes
-// program assembly/validation/dispatch across the whole row set. Output
-// is byte-identical to per-row BER/HCFirst calls (pinned by the
-// core batch equivalence tests); only the probe grouping changes.
+// HCFirstBatch over all sampled rows, whose ceiling probe at hammers is
+// the row's BER, so each (row, pattern) pays one probe program build per
+// search instead of one per probe. Output is byte-identical to per-row
+// BER/HCFirst calls (pinned by the core batch equivalence tests); only
+// the probe grouping changes.
 func sweepChannel(h *core.Harness, cfg *config.Config, rowsPerRegion, hammers, ch int) ([]RowResult, error) {
 	g := cfg.Geometry
 	ba := addr.BankAddr{Channel: ch}
@@ -123,11 +124,7 @@ func sweepChannel(h *core.Harness, cfg *config.Config, rowsPerRegion, hammers, c
 		}
 	}
 	for pi, p := range patterns {
-		bers, err := h.BERBatch(ba, victims, p, hammers)
-		if err != nil {
-			return nil, err
-		}
-		hcs, founds, err := h.HCFirstBatch(ba, victims, p, hammers)
+		hcs, founds, bers, err := h.HCFirstBatch(ba, victims, p, hammers)
 		if err != nil {
 			return nil, err
 		}
