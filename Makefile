@@ -3,13 +3,19 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-check golden-check lint smoke paper-smoke torture ci
+.PHONY: build test engine-stress bench bench-check golden-check lint smoke paper-smoke torture ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test -race ./...
+
+# The engine's ordered fold and device pool under the race detector at
+# GOMAXPROCS 1, 2 and 8, ten times each, so the fold's wake, park and
+# abort paths interleave in many schedules (~11 s on 2 cores).
+engine-stress:
+	$(GO) test -race -count=10 -cpu 1,2,8 -run 'Reduce|Pool' ./internal/engine
 
 # One-iteration pass over every benchmark: a smoke test that the bench
 # harness still runs, not a measurement.

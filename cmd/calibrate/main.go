@@ -1,6 +1,6 @@
 // calibrate runs the paper-chip characterization at a chosen sampling
 // density and prints a paper-vs-measured comparison for every headline
-// number in the paper, in the markdown shape EXPERIMENTS.md records.
+// number in the paper, as markdown tables.
 //
 // Usage:
 //

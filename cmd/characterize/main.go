@@ -122,9 +122,8 @@ func main() {
 		log.Fatal(err)
 	}
 	if *mutexPro != "" {
-		// Record every contended mutex event; the fleet scan's hot path
-		// is supposed to be contention-free, so the CI smoke runs it with
-		// profiling on to keep convoys visible.
+		// Record every contended mutex event; the CI smoke runs the
+		// fleet scan with profiling on to keep lock convoys visible.
 		runtime.SetMutexProfileFraction(1)
 		defer writeMutexProfile(*mutexPro)
 	}

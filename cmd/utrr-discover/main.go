@@ -35,6 +35,11 @@ func main() {
 		csvPath    = flag.String("csv", "", "write per-iteration observations to this CSV file")
 	)
 	flag.Parse()
+	// A non-positive iteration count is a typo, not a request for the
+	// default.
+	if *iterations <= 0 {
+		log.Fatalf("-iterations %d: must be > 0", *iterations)
+	}
 
 	cfg := hbmrh.SmallChip()
 	if *chip == "paper" {

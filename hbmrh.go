@@ -20,8 +20,8 @@
 //   - Row-mapping reverse engineering via Harness.RecoverMapping.
 //
 // The package is a thin facade over the internal subsystems; see DESIGN.md
-// for the system inventory and EXPERIMENTS.md for paper-vs-measured
-// results.
+// for the system inventory, and run `go run ./cmd/calibrate` for the
+// paper-vs-measured comparison.
 package hbmrh
 
 import (

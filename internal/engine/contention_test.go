@@ -11,11 +11,11 @@ import (
 )
 
 // TestPoolStressGetPutStats hammers one pool from many goroutines across
-// both colliding traffic (all goroutines leasing the same config, so one
-// key's shard serializes them) and distinct configs (each landing on its
-// own shard), with Stats() reads interleaved. Run under -race (make test
-// does), it is the data-race probe for the sharded design; the
-// invariants below hold at any interleaving:
+// both colliding traffic (all goroutines leasing the same config) and
+// distinct configs, with Stats() reads interleaved. Run under -race
+// (make test and make engine-stress do), it is the data-race probe for
+// the pool's mutex and atomic counters; the invariants below hold at any
+// interleaving:
 //
 //	Created + Reused == total Gets  (every Get is exactly one of the two)
 //	idle(cfg) <= MaxIdlePerKey      (the per-key bound survives races)
@@ -140,6 +140,9 @@ func BenchmarkEnginePoolGetPut(b *testing.B) {
 // themselves are a single integer return.
 const reduceBenchJobs = 2048
 
+// BenchmarkEngineReduceContended measures Reduce's per-job overhead:
+// 32 workers deposit 2048 trivial results into the mutex-guarded ring,
+// so every completion contends for the fold lock.
 func BenchmarkEngineReduceContended(b *testing.B) {
 	o := Options{Workers: 32}
 	for i := 0; i < b.N; i++ {

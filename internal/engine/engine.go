@@ -1,6 +1,5 @@
 // Package engine is the shared parallel execution engine behind every
-// experiment driver. It replaces the per-driver worker pools the drivers
-// originally hand-rolled with one scheduler that owns:
+// experiment driver: one scheduler that owns:
 //
 //   - deterministic work partitioning: a run's jobs are indexed 0..n-1 and
 //     results are returned in index order, so the output is byte-identical
@@ -28,7 +27,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
@@ -53,7 +51,8 @@ type Options struct {
 	// Workers bounds parallelism. <= 0 means GOMAXPROCS, capped at the
 	// job count either way. Results never depend on the worker count.
 	Workers int
-	// OnProgress, if non-nil, is invoked after every completed job.
+	// OnProgress, if non-nil, is invoked after every completed job. It
+	// runs under the run's fold lock, so it should return quickly.
 	OnProgress ProgressFunc
 	// Pool supplies warmed devices to ReduceHarness; nil means SharedPool.
 	Pool *DevicePool
@@ -135,7 +134,7 @@ func harnessSetup(o Options, cfg *config.Config) func() (*core.Harness, func(), 
 // always admits.
 func Reduce[T any](o Options, n int, fn func(ctx context.Context, i int) (T, error),
 	fold func(i int, v T) error) error {
-	return reduceWorkers(o, n, noSetup,
+	return reduce(o, n, noSetup,
 		func(ctx context.Context, _ struct{}, i int) (T, error) { return fn(ctx, i) },
 		fold)
 }
@@ -150,172 +149,28 @@ func Reduce[T any](o Options, n int, fn func(ctx context.Context, i int) (T, err
 func ReduceHarness[T any](o Options, cfg *config.Config, n int,
 	fn func(ctx context.Context, h *core.Harness, i int) (T, error),
 	fold func(i int, v T) error) error {
-	return reduceWorkers(o, n, harnessSetup(o, cfg), fn, fold)
+	return reduce(o, n, harnessSetup(o, cfg), fn, fold)
 }
 
-// reduceSlot is one cell of the reorder ring. ready is a generation tag:
-// 0 when the cell is empty, i+1 when it holds job i's result. The atomic
-// store of ready publishes the plain write of v (and the folder's atomic
-// load of ready acquires it), so depositors and the folder never touch a
-// cell concurrently without a happens-before edge.
-type reduceSlot[T any] struct {
-	ready atomic.Int64
-	v     T
-}
-
-// reduceWorkers is the ordered-fold core of Reduce and ReduceHarness;
-// see Reduce for the backpressure and determinism contract.
+// reduce is the scheduler behind Reduce and ReduceHarness; see Reduce
+// for the backpressure and determinism contract. Workers take indexes
+// from the planner, each holding worker-local state S built by setup (a
+// pooled device, or nothing), and deposit every result into a ring of
+// one window's worth of slots (window = worker count).
 //
-// The reorder buffer is a lock-free ring of one window's worth of slots
-// instead of a single mutex + map: each completed job deposits into slot
-// i%window with two atomic ops, and whichever worker deposits the fold
-// frontier becomes the folder (a CAS-guarded critical section) and drains
-// the ring in index order. The old design serialized every completion —
-// including all the out-of-order ones that only needed buffering — behind
-// one lock held across fold calls; here out-of-order completions are
-// wait-free and only frontier handoff synchronizes. Parking for the
-// backpressure window is the slow path and keeps a conventional
-// mutex+cond, entered only when a worker is a full window ahead.
-func reduceWorkers[S, T any](o Options, n int,
+// One mutex guards the ring, the fold frontier, the failure flag and
+// progress. Holding it is what serializes fold and OnProgress, so neither
+// may wait on another job of the same run. The deposit that lands the
+// frontier folds every contiguous ready slot, and a worker a full window
+// ahead waits on the cond until a fold advances the frontier or the run
+// unwinds. Setup, job and fold errors are recorded and broadcast under
+// the mutex; cancellation is broadcast by context.AfterFunc, so parked
+// workers always wake. The run returns the error of the lowest failing
+// job index, then the first setup error, then ctx.Err().
+func reduce[S, T any](o Options, n int,
 	setup func() (S, func(), error),
 	fn func(ctx context.Context, s S, i int) (T, error),
 	fold func(i int, v T) error) error {
-	window := o.workers(n)
-	if window < 1 {
-		window = 1
-	}
-	slots := make([]reduceSlot[T], window)
-	var next atomic.Int64    // fold frontier: lowest unfolded index
-	var folding atomic.Int32 // 0 = no active folder, 1 = one folder draining
-	var aborted atomic.Bool
-	var parked atomic.Int32
-	var parkMu sync.Mutex
-	parkCond := sync.NewCond(&parkMu)
-
-	// wake releases backpressure-parked workers after the frontier moved.
-	// The atomic parked counter keeps the common case (nobody parked) to
-	// one load; parkers increment it under parkMu before re-checking the
-	// window, so a waker that loads parked==0 is guaranteed the parker's
-	// re-check will observe the already-advanced frontier.
-	wake := func() {
-		if parked.Load() > 0 {
-			parkMu.Lock()
-			parkCond.Broadcast()
-			parkMu.Unlock()
-		}
-	}
-
-	return runWorkers(o, n, setup, fn,
-		func(i int, v T) error {
-			idx := int64(i)
-			if idx >= next.Load()+int64(window) {
-				parkMu.Lock()
-				parked.Add(1)
-				for idx >= next.Load()+int64(window) && !aborted.Load() {
-					parkCond.Wait()
-				}
-				parked.Add(-1)
-				parkMu.Unlock()
-				if aborted.Load() {
-					return nil // run is unwinding; the fold stops at the failure point
-				}
-			}
-			// Fast path: this deposit IS the fold frontier and no folder
-			// is active (the common case when completions arrive roughly
-			// in order) — fold directly, skipping the ring round-trip.
-			if next.Load() == idx && folding.CompareAndSwap(0, 1) {
-				if err := fold(i, v); err != nil {
-					// Leave folding set: no later index may fold after an
-					// error, matching the abort contract.
-					return err
-				}
-				next.Store(idx + 1)
-				wake()
-				return drainRing(slots, &next, &folding, int64(window), fold, wake)
-			}
-			// Admission (i < next+window) guarantees slot i%window was
-			// folded and cleared before the frontier advanced past
-			// i-window, so the cell is ours alone.
-			s := &slots[i%window]
-			s.v = v
-			s.ready.Store(idx + 1)
-			for {
-				nx := next.Load()
-				if slots[nx%int64(window)].ready.Load() != nx+1 {
-					return nil // frontier not deposited; its depositor will fold
-				}
-				if !folding.CompareAndSwap(0, 1) {
-					// An active folder exists; it re-checks the frontier
-					// after releasing the flag, so our deposit is covered.
-					return nil
-				}
-				return drainRing(slots, &next, &folding, int64(window), fold, wake)
-			}
-		},
-		func() { // onAbort: wake parked workers so the run can unwind
-			aborted.Store(true)
-			parkMu.Lock()
-			parkCond.Broadcast()
-			parkMu.Unlock()
-		})
-}
-
-// drainRing folds every contiguously deposited slot starting at the
-// frontier, then releases the folder flag — re-checking afterwards for a
-// deposit that landed the new frontier between the last ring check and
-// the release (that depositor saw the flag held and moved on, so the
-// releasing folder must pick its work up). The caller must hold the
-// folding flag; on a fold error the flag is left set so no later index
-// can ever fold, matching the abort contract.
-func drainRing[T any](slots []reduceSlot[T], next *atomic.Int64, folding *atomic.Int32,
-	window int64, fold func(i int, v T) error, wake func()) error {
-	for {
-		for {
-			nx := next.Load()
-			c := &slots[nx%window]
-			if c.ready.Load() != nx+1 {
-				break
-			}
-			w := c.v
-			var zero T
-			c.v = zero
-			c.ready.Store(0)
-			if err := fold(int(nx), w); err != nil {
-				return err
-			}
-			next.Store(nx + 1)
-			wake()
-		}
-		folding.Store(0)
-		nx := next.Load()
-		if slots[nx%window].ready.Load() != nx+1 {
-			return nil
-		}
-		if !folding.CompareAndSwap(0, 1) {
-			return nil
-		}
-	}
-}
-
-func noSetup() (struct{}, func(), error) { return struct{}{}, func() {}, nil }
-
-// runWorkers is the scheduler core: workers take indexes from the
-// planner, each holding worker-local state S built by setup (a pooled
-// device, or nothing). Each completed job's result is handed to place with
-// its index — the reducer's ordered fold — which is what makes the output
-// independent of scheduling. A place error aborts the run like a job
-// error at that index.
-//
-// onAbort, when non-nil, is invoked exactly once as soon as the run starts
-// unwinding (a setup/job/place error, or context cancellation) and in any
-// case before runWorkers returns. A blocking place implementation (the
-// reducer's backpressure parking) must use it to release parked workers,
-// or an unwinding run would never join.
-func runWorkers[S, T any](o Options, n int,
-	setup func() (S, func(), error),
-	fn func(ctx context.Context, s S, i int) (T, error),
-	place func(i int, v T) error,
-	onAbort func()) error {
 	ctx := o.context()
 	if n <= 0 {
 		return ctx.Err()
@@ -326,32 +181,26 @@ func runWorkers[S, T any](o Options, n int,
 	workers := o.workers(n)
 	assign := o.Planner.plan(n, workers, o.Weights)
 
-	var abortOnce sync.Once
-	abort := func() {
-		if onAbort != nil {
-			abortOnce.Do(onAbort)
-		}
-	}
-	defer abort()
-	if onAbort != nil {
-		// Watch for cancellation while workers may be parked in place.
-		watcherDone := make(chan struct{})
-		defer close(watcherDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				abort()
-			case <-watcherDone:
-			}
-		}()
-	}
-
+	var mu sync.Mutex
+	cond := sync.NewCond(&mu)
+	ring := make([]T, workers) // slot i%workers holds job i's unfolded result
+	ready := make([]bool, workers)
+	next, done := 0, 0 // fold frontier (lowest unfolded index); completed jobs
+	failed := false
 	jobErrs := make([]error, n)
 	setupErrs := make([]error, workers)
-	var done atomic.Int64
-	var failed atomic.Bool
-	var progressMu sync.Mutex
-	reported := 0
+	stopped := func() bool { return failed || ctx.Err() != nil }
+	fail := func(slot *error, err error) {
+		*slot = err
+		failed = true
+		cond.Broadcast()
+	}
+	stopWake := context.AfterFunc(ctx, func() {
+		mu.Lock()
+		cond.Broadcast()
+		mu.Unlock()
+	})
+	defer stopWake()
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -361,7 +210,10 @@ func runWorkers[S, T any](o Options, n int,
 			// Claim a job before paying setup cost: a pool lease can mean
 			// a full chip instantiation, which a cancelled run or a worker
 			// that finds no work left must not pay.
-			if failed.Load() || ctx.Err() != nil {
+			mu.Lock()
+			stop := stopped()
+			mu.Unlock()
+			if stop {
 				return
 			}
 			i, ok := assign.next(w)
@@ -370,33 +222,50 @@ func runWorkers[S, T any](o Options, n int,
 			}
 			s, release, err := setup()
 			if err != nil {
-				setupErrs[w] = err
-				failed.Store(true)
-				abort()
+				mu.Lock()
+				fail(&setupErrs[w], err)
+				mu.Unlock()
 				return
 			}
 			defer release()
 			for ; ok; i, ok = assign.next(w) {
-				r, err := fn(ctx, s, i)
-				if err == nil {
-					err = place(i, r)
-				}
+				v, err := fn(ctx, s, i)
+				mu.Lock()
 				if err != nil {
-					jobErrs[i] = err
-					failed.Store(true)
-					abort()
+					fail(&jobErrs[i], err)
+					mu.Unlock()
 					return
 				}
-				d := int(done.Add(1))
-				if o.OnProgress != nil {
-					progressMu.Lock()
-					if d > reported {
-						reported = d
-						o.OnProgress(Progress{Done: d, Total: n})
-					}
-					progressMu.Unlock()
+				for i >= next+workers && !stopped() {
+					cond.Wait()
 				}
-				if failed.Load() || ctx.Err() != nil {
+				if stopped() {
+					mu.Unlock() // the run is unwinding; the fold stops at the failure point
+					return
+				}
+				ring[i%workers], ready[i%workers] = v, true
+				if i == next {
+					var zero T
+					for ready[next%workers] {
+						r := ring[next%workers]
+						ring[next%workers], ready[next%workers] = zero, false
+						if err := fold(next, r); err != nil {
+							// next stays put: no later index may fold.
+							fail(&jobErrs[next], err)
+							mu.Unlock()
+							return
+						}
+						next++
+					}
+					cond.Broadcast()
+				}
+				done++
+				if o.OnProgress != nil {
+					o.OnProgress(Progress{Done: done, Total: n})
+				}
+				stop := stopped()
+				mu.Unlock()
+				if stop {
 					return
 				}
 			}
@@ -416,3 +285,5 @@ func runWorkers[S, T any](o Options, n int,
 	}
 	return ctx.Err()
 }
+
+func noSetup() (struct{}, func(), error) { return struct{}{}, func() {}, nil }

@@ -449,10 +449,8 @@ func TestPoolRefusesKeyCollisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Put(cfg, h)
-	for i := range p.shards {
-		for _, e := range p.shards[i].idle {
-			e.cfg.Seed++ // now the resident snapshot disagrees with cfg
-		}
+	for _, e := range p.idle {
+		e.cfg.Seed++ // now the resident snapshot disagrees with cfg
 	}
 	h2, err := p.Get(cfg)
 	if err != nil {

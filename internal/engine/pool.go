@@ -16,13 +16,10 @@ import (
 // shared-nothing at the worker level: Get hands out exclusive ownership,
 // Put returns it; a harness is never used by two workers at once.
 //
-// The idle sets are sharded by config key so concurrent runs over
-// distinct configs (the multichip shape: one config per seed) never
-// contend on a lock, and the traffic counters are atomics so Stats()
-// never serializes Get/Put. Within one config all workers still funnel
-// through that key's shard lock, but runWorkers leases one harness per
-// worker for the whole run (per-worker affinity), so the shard lock is
-// taken O(workers) times per run, not O(jobs).
+// One mutex guards the idle sets, and the traffic counters are atomics
+// so Stats() never serializes Get/Put. The engine leases one harness per
+// worker for the whole run (per-worker affinity), so the lock is taken
+// O(workers) times per run, not O(jobs).
 //
 // Reuse is sound because every per-cell quantity of the simulated chip is
 // a pure function of (Seed, coordinates) and the Section 4 measurements
@@ -30,7 +27,8 @@ import (
 // outcome depends on accumulated device state (thermal setpoints, nominal
 // refresh cadence, retention decay) must not use the pool.
 type DevicePool struct {
-	shards [poolShards]poolShard
+	mu   sync.Mutex
+	idle map[uint64]*idleSet
 
 	created    atomic.Int64
 	reused     atomic.Int64
@@ -51,19 +49,6 @@ type DevicePool struct {
 	// (typically right after NewDevicePool); it is read without
 	// synchronization on every Put.
 	MaxIdlePerKey int
-}
-
-// poolShards is the number of independently locked idle-set shards.
-// Power of two so shard selection is a mask of the config hash.
-const poolShards = 32
-
-// poolShard is one lock's worth of idle sets. The pad keeps adjacent
-// shard locks off a shared cache line (false sharing would re-serialize
-// exactly the traffic sharding is meant to spread).
-type poolShard struct {
-	mu   sync.Mutex
-	idle map[uint64]*idleSet
-	_    [104]byte
 }
 
 // idleSet holds one configuration's warmed devices plus a deep snapshot
@@ -97,11 +82,7 @@ var SharedPool = NewDevicePool()
 // NewDevicePool returns an empty pool. The MaxIdlePerKey default is
 // pinned to GOMAXPROCS as observed here, not re-read later.
 func NewDevicePool() *DevicePool {
-	p := &DevicePool{maxIdle: runtime.GOMAXPROCS(0)}
-	for i := range p.shards {
-		p.shards[i].idle = make(map[uint64]*idleSet)
-	}
-	return p
+	return &DevicePool{idle: make(map[uint64]*idleSet), maxIdle: runtime.GOMAXPROCS(0)}
 }
 
 // snapshot deep-copies a config (cloning its slices) so the idle set's
@@ -114,46 +95,25 @@ func snapshot(cfg *config.Config) config.Config {
 	return c
 }
 
-// sameConfig reports deep equality of configuration contents. It uses
-// the hand-written comparator (not reflection) because it runs on every
-// warm Get hit and Put.
-func sameConfig(a, b *config.Config) bool { return a.Equal(b) }
-
-// key fingerprints the configuration by value, so two configs with equal
-// contents (e.g. per-seed copies of the same design sharing a seed) share
-// warmed devices regardless of pointer identity. The structural hash costs
-// one FNV pass over the fields, replacing the fmt.Sprintf("%+v") string
-// fingerprint that dominated Get/Put on fine-sharded runs (see the
-// BenchmarkConfigHash / BenchmarkConfigSprintfFingerprint pair).
-func (p *DevicePool) key(cfg *config.Config) uint64 {
-	return cfg.Hash()
-}
-
-// shard maps a config key to its shard. The hash is FNV-1a over the full
-// config, so the low bits are already well mixed.
-func (p *DevicePool) shard(k uint64) *poolShard {
-	return &p.shards[k&(poolShards-1)]
-}
-
 // Get leases a warmed harness for cfg, building one only when the idle
 // set is empty (or, vanishingly rarely, holds a hash-colliding config —
 // verified by contents before any device is handed out). The caller owns
-// it exclusively until Put.
+// it exclusively until Put. Configs are keyed by content (Config.Hash), so
+// content-equal copies share warmed devices regardless of pointer identity.
 func (p *DevicePool) Get(cfg *config.Config) (*core.Harness, error) {
-	k := p.key(cfg)
-	sh := p.shard(k)
-	sh.mu.Lock()
-	if e := sh.idle[k]; e != nil && len(e.harnesses) > 0 {
-		if sameConfig(&e.cfg, cfg) {
+	k := cfg.Hash()
+	p.mu.Lock()
+	if e := p.idle[k]; e != nil && len(e.harnesses) > 0 {
+		if e.cfg.Equal(cfg) {
 			h := e.harnesses[len(e.harnesses)-1]
 			e.harnesses = e.harnesses[:len(e.harnesses)-1]
-			sh.mu.Unlock()
+			p.mu.Unlock()
 			p.reused.Add(1)
 			return h, nil
 		}
 		p.collisions.Add(1)
 	}
-	sh.mu.Unlock()
+	p.mu.Unlock()
 	p.created.Add(1)
 	return core.NewHarnessFromConfig(cfg)
 }
@@ -165,20 +125,19 @@ func (p *DevicePool) Put(cfg *config.Config, h *core.Harness) {
 		return
 	}
 	h.Reset()
-	k := p.key(cfg)
+	k := cfg.Hash()
 	max := p.MaxIdlePerKey
 	if max <= 0 {
 		max = p.maxIdle
 	}
-	sh := p.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.idle[k]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e := p.idle[k]
 	if e == nil {
-		sh.idle[k] = &idleSet{cfg: snapshot(cfg), harnesses: []*core.Harness{h}}
+		p.idle[k] = &idleSet{cfg: snapshot(cfg), harnesses: []*core.Harness{h}}
 		return
 	}
-	if !sameConfig(&e.cfg, cfg) {
+	if !e.cfg.Equal(cfg) {
 		// Key collision with a different resident config: dropping the
 		// device is always safe; aliasing it never is.
 		p.collisions.Add(1)
@@ -205,12 +164,9 @@ func (p *DevicePool) Stats() PoolStats {
 
 // Drain empties the idle sets, releasing every cached device to the GC.
 func (p *DevicePool) Drain() {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		sh.idle = make(map[uint64]*idleSet)
-		sh.mu.Unlock()
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.idle = make(map[uint64]*idleSet)
 }
 
 // DrainConfig releases the idle devices warmed for one configuration.
@@ -218,21 +174,19 @@ func (p *DevicePool) Drain() {
 // call this per instance, or every seed's devices stay resident for the
 // process lifetime: keys are never evicted, only capped per key.
 func (p *DevicePool) DrainConfig(cfg *config.Config) {
-	k := p.key(cfg)
-	sh := p.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	delete(sh.idle, k)
+	k := cfg.Hash()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.idle, k)
 }
 
 // idleLen reports how many warmed devices are resident for cfg; it is a
 // test hook for asserting the MaxIdlePerKey bound.
 func (p *DevicePool) idleLen(cfg *config.Config) int {
-	k := p.key(cfg)
-	sh := p.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e := sh.idle[k]; e != nil {
+	k := cfg.Hash()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e := p.idle[k]; e != nil {
 		return len(e.harnesses)
 	}
 	return 0

@@ -168,3 +168,30 @@ func TestTRRBypassWithDecoy(t *testing.T) {
 		t.Fatal("decoy bypass induced no flips; the uncovered mechanism should be defeatable")
 	}
 }
+
+// TestRunUTRRProbeMatchesArtifact pins the typed driver to the registry:
+// RunUTRRProbe's radius and slots equal the utrrprobe artifact's
+// per-point values on the same chip.
+func TestRunUTRRProbeMatchesArtifact(t *testing.T) {
+	cfg := config.SmallChip()
+	s, err := RunUTRRProbe(UTRRProbeOptions{Cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Run("utrrprobe", Options{Cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"radius": s.NeighborRadius, "slots": s.SamplerSlots}
+	if len(a.Groups) != len(want) {
+		t.Fatalf("artifact has %d groups, want %d", len(a.Groups), len(want))
+	}
+	for _, g := range a.Groups {
+		st := g.Metrics[0].Stream
+		v, ok := want[g.Key.Point]
+		if !ok || st.N() != 1 || st.Min() != float64(v) {
+			t.Errorf("point %q: artifact n=%d value %v, RunUTRRProbe %d",
+				g.Key.Point, st.N(), st.Min(), v)
+		}
+	}
+}

@@ -85,15 +85,15 @@ func utrrProbeArm(o UTRRProbeOptions, radius bool) (int, error) {
 	return e.InferSamplerSlots(o.Bank, o.StartRow, o.MaxSlots)
 }
 
-// RunUTRRProbe runs both probes; they use independent fresh devices, so
-// they run as parallel engine jobs.
+// RunUTRRProbe runs the registry's utrrprobe plan at o's bank and search
+// bounds; the two probes use independent fresh devices, so they run as
+// parallel engine jobs.
 func RunUTRRProbe(o UTRRProbeOptions) (*UTRRProbeStudy, error) {
 	o.setDefaults()
+	p := utrrProbePlan(o)
 	var vals [2]int
-	eo := engine.Options{Ctx: o.Ctx, OnProgress: o.Progress}
-	err := engine.Reduce(eo, len(vals),
-		func(_ context.Context, i int) (int, error) { return utrrProbeArm(o, i == 0) },
-		func(i, v int) error { vals[i] = v; return nil })
+	err := runJobs(p, Options{Ctx: o.Ctx, Progress: o.Progress}, 0, len(p.Jobs),
+		func(i int, payload any) error { vals[i] = payload.(int); return nil })
 	if err != nil {
 		return nil, err
 	}
@@ -110,8 +110,34 @@ func (s *UTRRProbeStudy) Render() string {
 	return sb.String()
 }
 
-// utrrProbeExperiment lifts the probe study onto the registry: two point
-// jobs (radius, slots) on fresh devices.
+// utrrProbePlan is the probe study as a plan: two point jobs (radius,
+// slots) on fresh devices. o must have its defaults set.
+func utrrProbePlan(o UTRRProbeOptions) *Plan {
+	jobs := []Job{
+		{
+			Key: "radius",
+			Run: func(context.Context, *core.Harness) (any, error) { return utrrProbeArm(o, true) },
+		},
+		{
+			Key: "slots",
+			Run: func(context.Context, *core.Harness) (any, error) { return utrrProbeArm(o, false) },
+		},
+	}
+	bound := max(o.MaxDistance, o.MaxSlots)
+	return &Plan{
+		Axis: "point",
+		Cfg:  o.Cfg,
+		Jobs: jobs,
+		Params: map[string]string{
+			"max_distance": strconv.Itoa(o.MaxDistance),
+			"max_slots":    strconv.Itoa(o.MaxSlots),
+		},
+		NewFold: pointFold(jobs, "rows", 0, float64(bound+1)),
+	}
+}
+
+// utrrProbeExperiment lifts the probe study onto the registry at bank 0
+// and the default search bounds.
 func utrrProbeExperiment() *Experiment {
 	return &Experiment{
 		Name:  "utrrprobe",
@@ -122,34 +148,7 @@ func utrrProbeExperiment() *Experiment {
 			if err := po.Cfg.Validate(); err != nil {
 				return nil, err
 			}
-			jobs := []Job{
-				{
-					Key: "radius",
-					Run: func(_ context.Context, _ *core.Harness) (any, error) {
-						return utrrProbeArm(po, true)
-					},
-				},
-				{
-					Key: "slots",
-					Run: func(_ context.Context, _ *core.Harness) (any, error) {
-						return utrrProbeArm(po, false)
-					},
-				},
-			}
-			bound := po.MaxDistance
-			if po.MaxSlots > bound {
-				bound = po.MaxSlots
-			}
-			return &Plan{
-				Axis: "point",
-				Cfg:  po.Cfg,
-				Jobs: jobs,
-				Params: map[string]string{
-					"max_distance": strconv.Itoa(po.MaxDistance),
-					"max_slots":    strconv.Itoa(po.MaxSlots),
-				},
-				NewFold: pointFold(jobs, "rows", 0, float64(bound+1)),
-			}, nil
+			return utrrProbePlan(po), nil
 		},
 	}
 }

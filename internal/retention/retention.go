@@ -93,9 +93,16 @@ func (p *Profiler) RowRetention(b addr.BankAddr, row int) (float64, error) {
 // falls inside [loSec, hiSec], the convenient band the U-TRR experiment
 // needs (long enough to schedule commands inside T/2 windows, short
 // enough to keep iterations fast). It returns the row and its measured
-// retention time.
+// retention time. A bank outside the device geometry is an error that
+// names the bank.
 func (p *Profiler) FindRow(b addr.BankAddr, startRow, maxScan int, loSec, hiSec float64) (int, float64, error) {
 	g := p.dev.Geometry()
+	// An out-of-range bank is bad input, not a bank without a usable row:
+	// every probe would fail and the scan below would swallow the errors.
+	if !b.Valid(g) {
+		return 0, 0, fmt.Errorf("retention: bank %v out of range (%d channels, %d pseudo channels, %d banks)",
+			b, g.Channels, g.PseudoChannels, g.Banks)
+	}
 	if startRow < 0 || startRow >= g.Rows {
 		return 0, 0, fmt.Errorf("retention: start row %d out of range", startRow)
 	}

@@ -1,6 +1,7 @@
 package retention
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
@@ -158,5 +159,28 @@ func TestHotterChipProfilesShorterRetention(t *testing.T) {
 	hot := profileAt(95)
 	if hot >= cool {
 		t.Fatalf("retention at 95C (%v) not shorter than at 75C (%v)", hot, cool)
+	}
+}
+
+func TestFindRowRejectsOutOfRangeBank(t *testing.T) {
+	p := newProfiler(t)
+	g := config.SmallChip().Geometry
+	for _, tc := range []struct {
+		name string
+		b    addr.BankAddr
+	}{
+		{"channel too high", addr.BankAddr{Channel: g.Channels}},
+		{"channel negative", addr.BankAddr{Channel: -1}},
+		{"pseudo channel too high", addr.BankAddr{PseudoChannel: g.PseudoChannels}},
+		{"pseudo channel negative", addr.BankAddr{PseudoChannel: -1}},
+		{"bank too high", addr.BankAddr{Bank: g.Banks}},
+		{"bank negative", addr.BankAddr{Bank: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := p.FindRow(tc.b, 0, 256, 0.3, 8)
+			if err == nil || !strings.Contains(err.Error(), tc.b.String()+" out of range") {
+				t.Fatalf("FindRow(%v) err = %v, want an out-of-range error naming the bank", tc.b, err)
+			}
+		})
 	}
 }
