@@ -176,6 +176,6 @@ lint:
 # The benchmark is its own module (bench/go.mod), which the root
 # ./... patterns do not reach: vet and test it here so an internal API
 # change cannot break it with every other check green.
-ci: lint build test smoke
+ci: lint build test engine-stress smoke golden-check bench
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...

@@ -377,8 +377,8 @@ type (
 	// StatsStream is a mergeable, serializable streaming accumulator:
 	// exact-sum moments (order-independent merges, bit for bit) plus a
 	// fixed-marker quantile estimator with an exact-mode fallback for
-	// small samples, and a versioned binary/JSON codec for crossing
-	// process boundaries.
+	// small samples, and a versioned JSON codec for crossing process
+	// boundaries.
 	StatsStream = stats.Stream
 )
 

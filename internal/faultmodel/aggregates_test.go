@@ -2,7 +2,6 @@ package faultmodel
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"github.com/safari-repro/hbmrh/internal/config"
@@ -89,33 +88,6 @@ func TestRetentionAggregatesMatchRetentionSec(t *testing.T) {
 	}
 }
 
-// TestProfileStampedeComputesOnce pins the single-flight behaviour of the
-// profile cache: concurrent misses for one row must not each recompute
-// the full profile.
-func TestProfileStampedeComputesOnce(t *testing.T) {
-	cfg := config.SmallChip()
-	m := newModel(t, cfg)
-	const goroutines = 16
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			p := m.Profile(bank(4, 0, 0), 77)
-			if p == nil || len(p.TrueCell) == 0 {
-				panic("empty profile from stampede")
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if got := m.ProfileComputes(); got != 1 {
-		t.Fatalf("concurrent misses for one row computed the profile %d times, want 1", got)
-	}
-}
-
 // BenchmarkProfileCompute measures a cold full profile build: orientation
 // pass plus lazily-forced threshold aggregates (the dominant cost), the
 // unit of work every fleet chip pays per touched row.
@@ -167,34 +139,4 @@ func TestThresholdBuildAllocs(t *testing.T) {
 	if avg != 3 {
 		t.Fatalf("threshold build allocates %.1f times, want 3 (Thr, WordMin, the tier struct)", avg)
 	}
-}
-
-// TestRetentionConcurrentAccess exercises the retention build under the
-// race detector: profiles are shared, so concurrent first scans and
-// row-minimum queries of one row must build it once and agree.
-func TestRetentionConcurrentAccess(t *testing.T) {
-	cfg := config.SmallChip()
-	m := newModel(t, cfg)
-	b := bank(6, 1, 2)
-	const row = 9
-	p := m.Profile(b, row)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			if g%2 == 0 {
-				if sec, _ := m.RowMinRetention(b, row); sec <= 0 {
-					panic("non-positive row minimum under concurrency")
-				}
-			}
-			if sec, _, _ := m.Retention(p); sec[g] != m.RetentionSec(b, row, g) {
-				panic("Sec diverged from RetentionSec under concurrency")
-			}
-		}(g)
-	}
-	close(start)
-	wg.Wait()
 }

@@ -1,168 +1,78 @@
 package faultmodel
 
-import (
-	"sync"
-
-	"github.com/safari-repro/hbmrh/internal/rng"
-)
-
-// profileCache is a sharded, bounded cache of row profiles with
-// single-flight miss handling: concurrent misses for the same row block on
-// one computation instead of each recomputing the full profile (profiles
-// cost a per-bit pass of inverse-CDF and exp work, so a stampede under a
-// parallel sweep is real money). Sharding keeps unrelated rows off one
-// lock; eviction is deterministic LRU (a per-shard use counter stamped
-// under the shard lock), so a serial access pattern always evicts the same
-// entries.
+// profileCache is a bounded LRU cache of row profiles: a map for lookup
+// plus an intrusive doubly linked list in recency order, so get, put and
+// evict are O(1). Like the Model that owns it, it is not safe for
+// concurrent use. Eviction order decides only what is recomputed, never
+// what a profile holds: profiles are pure functions of their coordinates.
 type profileCache struct {
-	mu     sync.RWMutex // guards the shard table itself (rebuilt by setCap)
-	shards []cacheShard
-	cap    int // global entry capacity, split evenly across shards
-}
-
-type cacheShard struct {
-	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
-	tick    uint64 // per-shard use counter for deterministic LRU
-	cap     int
+	// root is the list sentinel: root.next is the most recently used
+	// entry and root.prev the least.
+	root cacheEntry
+	cap  int
 }
 
 type cacheEntry struct {
-	prof    *RowProfile
-	ready   chan struct{} // closed once prof is published
-	lastUse uint64
+	key        cacheKey
+	prof       *RowProfile
+	prev, next *cacheEntry
 }
-
-// shardTarget is the shard count used whenever the capacity is large
-// enough for sharding to make sense; tiny caps (ablation tests) collapse
-// to one shard so the global capacity bound stays exact.
-const shardTarget = 8
 
 func newProfileCache(capEntries int) *profileCache {
 	c := &profileCache{}
-	c.rebuild(capEntries)
+	c.setCap(capEntries)
 	return c
 }
 
-// rebuild resizes the shard table for a new capacity, dropping all cached
-// entries (profiles are pure functions of coordinates; dropping them only
-// costs recompute time).
-func (c *profileCache) rebuild(capEntries int) {
-	if capEntries < 1 {
-		capEntries = 1
-	}
-	n := shardTarget
-	if capEntries < 2*shardTarget {
-		n = 1
-	}
-	shards := make([]cacheShard, n)
-	per := capEntries / n
-	if per < 1 {
-		per = 1
-	}
-	for i := range shards {
-		// No size hint: most models touch a small, region-local set of
-		// rows, so preallocating cap-sized buckets wastes real memory on
-		// every pooled device.
-		shards[i] = cacheShard{entries: make(map[cacheKey]*cacheEntry), cap: per}
-	}
-	c.shards = shards
-	c.cap = per * n
-}
-
-func (c *profileCache) shardOf(key cacheKey) *cacheShard {
-	h := rng.Combine(uint64(key.bank.Channel), uint64(key.bank.PseudoChannel),
-		uint64(key.bank.Bank), uint64(key.row))
-	return &c.shards[h%uint64(len(c.shards))]
-}
-
-// get returns the cached profile for key, or blocks on an in-flight
-// computation for it. On a true miss it claims the key and returns
-// (nil, entry): the caller must compute the profile and publish it with
-// put(entry, prof).
-func (c *profileCache) get(key cacheKey) (*RowProfile, *cacheEntry) {
-	c.mu.RLock()
-	sh := c.shardOf(key)
-	c.mu.RUnlock()
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		if e.prof != nil {
-			sh.tick++
-			e.lastUse = sh.tick
-			sh.mu.Unlock()
-			return e.prof, nil
-		}
-		// Someone else is computing this row: wait off-lock.
-		sh.mu.Unlock()
-		<-e.ready
-		return e.prof, nil
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	if len(sh.entries) >= sh.cap {
-		sh.evictLocked()
-	}
-	sh.entries[key] = e
-	sh.mu.Unlock()
-	return nil, e
-}
-
-// put publishes a computed profile into the entry claimed by get and wakes
-// any waiters.
-func (c *profileCache) put(sh *cacheShard, e *cacheEntry, prof *RowProfile) {
-	sh.mu.Lock()
-	e.prof = prof
-	sh.tick++
-	e.lastUse = sh.tick
-	sh.mu.Unlock()
-	close(e.ready)
-}
-
-// shardFor re-resolves the shard of a key (the caller of get needs it for
-// put; resolving twice keeps get's signature simple).
-func (c *profileCache) shardFor(key cacheKey) *cacheShard {
-	c.mu.RLock()
-	sh := c.shardOf(key)
-	c.mu.RUnlock()
-	return sh
-}
-
-// evictLocked removes the least-recently-used completed entry. In-flight
-// entries are never evicted (their computers hold a reference and waiters
-// block on them).
-func (sh *cacheShard) evictLocked() {
-	var victim cacheKey
-	var best uint64
-	found := false
-	for k, e := range sh.entries {
-		if e.prof == nil {
-			continue
-		}
-		if !found || e.lastUse < best {
-			victim, best, found = k, e.lastUse, true
-		}
-	}
-	if found {
-		delete(sh.entries, victim)
-	}
-}
-
-// len reports the number of cached entries across all shards.
-func (c *profileCache) len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// setCap rebuilds the cache with a new global capacity.
+// setCap empties the cache and bounds it to n entries (at least one).
 func (c *profileCache) setCap(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rebuild(n)
+	// No size hint: most models touch a small, region-local set of rows,
+	// so preallocating cap-sized buckets wastes real memory on every
+	// pooled device.
+	c.entries = make(map[cacheKey]*cacheEntry)
+	c.root.prev, c.root.next = &c.root, &c.root
+	c.cap = max(n, 1)
 }
+
+// get returns the cached profile for key, marking it most recently used,
+// or nil on a miss.
+func (c *profileCache) get(key cacheKey) *RowProfile {
+	e := c.entries[key]
+	if e == nil {
+		return nil
+	}
+	if c.root.next != e {
+		c.unlink(e)
+		c.pushFront(e)
+	}
+	return e.prof
+}
+
+// put caches prof under key, which must be absent, evicting the least
+// recently used entry (whose node is reused) when the cache is full.
+func (c *profileCache) put(key cacheKey, prof *RowProfile) {
+	var e *cacheEntry
+	if len(c.entries) < c.cap {
+		e = new(cacheEntry)
+	} else {
+		e = c.root.prev
+		c.unlink(e)
+		delete(c.entries, e.key)
+	}
+	e.key, e.prof = key, prof
+	c.entries[key] = e
+	c.pushFront(e)
+}
+
+func (c *profileCache) unlink(e *cacheEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (c *profileCache) pushFront(e *cacheEntry) {
+	e.prev, e.next = &c.root, c.root.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// len reports the number of cached entries.
+func (c *profileCache) len() int { return len(c.entries) }

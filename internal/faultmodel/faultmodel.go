@@ -26,8 +26,6 @@ package faultmodel
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
@@ -50,15 +48,19 @@ const (
 // profiles are ~64x larger) stays within the same footprint.
 const DefaultCacheBytes = 256 << 20
 
-// Model evaluates the fault model for one chip instance.
+// Model evaluates the fault model for one chip instance. It belongs to
+// the hbm.Device that built it and, like that device, is not safe for
+// concurrent use: the engine's device pool leases each device to one
+// worker at a time, so the profile cache and the lazily-built tiers need
+// no synchronization.
 type Model struct {
 	cfg    *config.Config
 	layout *addr.SubarrayLayout
 
 	cache *profileCache
-	// computes counts full profile computations, for the stampede tests
-	// and cache-behaviour benchmarks.
-	computes atomic.Int64
+	// computes counts full profile computations, for the cache tests and
+	// cache-behaviour benchmarks.
+	computes int64
 }
 
 type cacheKey struct {
@@ -78,10 +80,8 @@ type RowProfile struct {
 	// TrueCell has bit i set when cell i is a true cell (charged at 1).
 	TrueCell []uint64
 
-	thrOnce sync.Once
-	thr     *thrProfile
-	retOnce sync.Once
-	ret     *retProfile
+	thr *thrProfile // nil until the first Thresholds call
+	ret *retProfile // nil until the first Retention call
 
 	// key records the row coordinates for the lazy builds.
 	key cacheKey
@@ -190,22 +190,20 @@ func (m *Model) rowScale(b addr.BankAddr, physRow int) float64 {
 }
 
 // Profile returns the cached per-bit profile of a physical row, computing
-// it on first use. Concurrent first uses of the same row compute it once:
-// latecomers block on the in-flight computation instead of duplicating it.
-// The returned profile is shared: treat it as read-only.
+// it on a miss. The returned profile is shared with the cache: treat it as
+// read-only.
 func (m *Model) Profile(b addr.BankAddr, physRow int) *RowProfile {
 	key := cacheKey{bank: b, row: physRow}
-	p, claim := m.cache.get(key)
-	if p != nil {
+	if p := m.cache.get(key); p != nil {
 		return p
 	}
-	p = m.computeProfile(b, physRow)
-	m.cache.put(m.cache.shardFor(key), claim, p)
+	p := m.computeProfile(b, physRow)
+	m.cache.put(key, p)
 	return p
 }
 
 func (m *Model) computeProfile(b addr.BankAddr, physRow int) *RowProfile {
-	m.computes.Add(1)
+	m.computes++
 	bits := m.cfg.Geometry.RowBits()
 	words := (bits + 63) / 64
 	prof := &RowProfile{
@@ -230,7 +228,7 @@ func (m *Model) computeProfile(b addr.BankAddr, physRow int) *RowProfile {
 // with enough accumulated disturbance to possibly flip; aggressor rows,
 // whose disturbance is cleared by their own activations, never need it.
 func (m *Model) thresholds(p *RowProfile) *thrProfile {
-	p.thrOnce.Do(func() {
+	if p.thr == nil {
 		bits := m.cfg.Geometry.RowBits()
 		words := (bits + 63) / 64
 		b, physRow := p.key.bank, p.key.row
@@ -269,7 +267,7 @@ func (m *Model) thresholds(p *RowProfile) *thrProfile {
 			}
 		}
 		p.thr = tp
-	})
+	}
 	return p.thr
 }
 
@@ -287,7 +285,7 @@ func (m *Model) Thresholds(p *RowProfile) (thr, wordMin []float32, minThr float3
 // exact RetentionSec math; it is only paid for rows whose sense actually
 // clears the retention floor gate (or via RowMinRetention).
 func (m *Model) retention(p *RowProfile) *retProfile {
-	p.retOnce.Do(func() {
+	if p.ret == nil {
 		bits := m.cfg.Geometry.RowBits()
 		b, physRow := p.key.bank, p.key.row
 		r := m.cfg.Ret
@@ -318,7 +316,7 @@ func (m *Model) retention(p *RowProfile) *retProfile {
 			}
 		}
 		p.ret = rp
-	})
+	}
 	return p.ret
 }
 
@@ -355,8 +353,8 @@ func (m *Model) RowMinRetention(b addr.BankAddr, physRow int) (sec float64, bit 
 }
 
 // ProfileComputes reports how many full profile computations the model has
-// performed (for the cache-stampede tests and ablation benchmarks).
-func (m *Model) ProfileComputes() int64 { return m.computes.Load() }
+// performed (for the cache tests and ablation benchmarks).
+func (m *Model) ProfileComputes() int64 { return m.computes }
 
 // Charged reports whether a cell holding the given bit value stores
 // charge. True cells are charged when storing 1, anti cells when storing

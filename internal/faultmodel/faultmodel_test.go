@@ -278,25 +278,32 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-func TestProfileConcurrentAccess(t *testing.T) {
-	cfg := config.SmallChip()
-	m := newModel(t, cfg)
-	m.SetCacheCap(8)
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for row := 0; row < 64; row++ {
-				p := m.Profile(bank(g%8, 0, 0), row)
-				thr, _, _ := m.Thresholds(p)
-				if len(thr) != cfg.Geometry.RowBits() {
-					panic("bad profile size")
-				}
-			}
-		}(g)
+// TestProfileCacheEvictsLeastRecentlyUsed pins the eviction order: with
+// room for three rows, touching rows 0, 1 and 2 and then row 0 again
+// leaves row 1 least recently used, so inserting row 3 must evict row 1.
+// FIFO would evict row 0 (inserted first), and so would MRU (touched
+// last); both fail here.
+func TestProfileCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	m := newModel(t, config.SmallChip())
+	m.SetCacheCap(3)
+	b := bank(0, 0, 0)
+	for _, row := range []int{0, 1, 2, 0, 3} {
+		m.Profile(b, row)
 	}
-	for g := 0; g < 8; g++ {
-		<-done
+	if got := m.ProfileComputes(); got != 4 {
+		t.Fatalf("touching rows 0, 1, 2, 0, 3 computed %d profiles, want 4", got)
+	}
+	for _, row := range []int{0, 2} {
+		before := m.ProfileComputes()
+		m.Profile(b, row)
+		if m.ProfileComputes() != before {
+			t.Fatalf("row %d was evicted; row 1 is the least recently used", row)
+		}
+	}
+	before := m.ProfileComputes()
+	m.Profile(b, 1)
+	if m.ProfileComputes() != before+1 {
+		t.Fatal("row 1 is still cached; inserting row 3 must evict it")
 	}
 }
 

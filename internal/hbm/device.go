@@ -66,7 +66,9 @@ type Stats struct {
 	BitflipsCommitted  int64
 }
 
-// Device is one simulated HBM2 stack.
+// Device is one simulated HBM2 stack. A Device, and the fault model it
+// owns, is not safe for concurrent use: the engine's device pool leases
+// each device to one worker at a time, so neither takes a lock.
 type Device struct {
 	cfg    *config.Config
 	fm     *faultmodel.Model

@@ -365,14 +365,17 @@ func (s *Server) cacheServe(w http.ResponseWriter, r *http.Request, bucketID str
 		return
 	}
 	s.misses++
-	if len(b.entries) >= s.maxPer {
-		for k, e := range b.entries {
-			select {
-			case <-e.done: // only evict completed entries
-				delete(b.entries, k)
-			default:
-			}
+	// Evict completed entries until there is room; in-flight ones have
+	// waiters and stay. Only a bucket of in-flight renders can outgrow
+	// maxPer.
+	for k, e := range b.entries {
+		if len(b.entries) < s.maxPer {
 			break
+		}
+		select {
+		case <-e.done:
+			delete(b.entries, k)
+		default:
 		}
 	}
 	e := &entry{done: make(chan struct{})}

@@ -953,6 +953,45 @@ func TestQuerySingleFlight(t *testing.T) {
 	}
 }
 
+// A full bucket must evict a finished entry whenever one exists, even
+// when the map hands it an in-flight one first: with room for two, one
+// render parked and one finished, a third key must leave two entries.
+// Map order is random, so the trials cover both iteration orders.
+func TestQueryCacheBucketBoundWithInFlightRender(t *testing.T) {
+	s, _ := newServer(t)
+	s.maxPer = 2
+	serve := func(key string, render func() ([]byte, string, error)) {
+		s.cacheServe(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/", nil),
+			"bucket", 1, "", key, render)
+	}
+	done := func() ([]byte, string, error) { return []byte("ok"), "text/plain", nil }
+	for trial := 0; trial < 32; trial++ {
+		s.mu.Lock()
+		delete(s.buckets, "bucket")
+		s.mu.Unlock()
+		started, release, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(finished)
+			serve("parked", func() ([]byte, string, error) {
+				close(started)
+				<-release
+				return done()
+			})
+		}()
+		<-started
+		serve("finished", done)
+		serve("third", done)
+		s.mu.Lock()
+		n := len(s.buckets["bucket"].entries)
+		s.mu.Unlock()
+		close(release)
+		<-finished
+		if n > s.maxPer {
+			t.Fatalf("trial %d: bucket holds %d entries, bound is %d", trial, n, s.maxPer)
+		}
+	}
+}
+
 // FuzzCacheKey is the differential check between the two cache-key
 // builders: for any raw query that passes the fast-path gate (no
 // %-escapes, '+' or ';'), keyScratch.build must produce the same key

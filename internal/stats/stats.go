@@ -13,8 +13,8 @@
 // not just approximately. That exactness is the base of the repo-wide
 // byte-identity guarantee: shard artifacts merged in any grouping render
 // the same bytes as a single-process run (see internal/results and
-// DESIGN.md §6-§7, §10). Streams serialize through a versioned binary
-// codec and a JSON form (codec.go), both validated on decode.
+// DESIGN.md §6-§7, §10). Streams serialize through one versioned JSON
+// form (codec.go), validated on decode.
 package stats
 
 import (

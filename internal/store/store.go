@@ -570,11 +570,11 @@ func (c *corpus) checkConflicts(m *member) error {
 }
 
 // refresh brings the corpus's merged view up to date after m was
-// inserted into the member order. The fast path is the incremental
-// advance; the full rebuild runs only when the new member landed inside
-// the already-merged prefix, i.e. it sorts below the lowest member
-// merged so far, which advance cannot fold forward. Live ingests pass
-// through the store/merge failpoint so the degraded error path above is
+// inserted into the member order. The fast path folds forward from the
+// published view; when the new member landed inside the already-merged
+// prefix, i.e. it sorts below the lowest member merged so far, the fold
+// restarts from an empty view instead. Live ingests pass through the
+// store/merge failpoint so the degraded error path above is
 // torture-testable. A merge the results layer refuses is ErrConflict.
 func (c *corpus) refresh(m *member, live bool) error {
 	if live {
@@ -585,40 +585,39 @@ func (c *corpus) refresh(m *member, live bool) error {
 	for p, mm := range c.members {
 		if mm == m {
 			if p >= c.mergedCount {
-				return c.advance()
+				return c.advance(c.merged, c.mergedCount)
 			}
 			break
 		}
 	}
-	return c.rebuildFull()
+	return c.advance(nil, 0)
 }
 
-// advance extends the merged view incrementally: members past the sealed
-// prefix are folded in, straight from their retained artifacts, for as
-// long as they stay contiguous with the running view. Each shard is
-// merged exactly once over the corpus's life — amortized O(1) work per
-// ingest versus the O(n) fold of a full rebuild. Neither the published
-// view nor any member is mutated: the first fold into a non-empty corpus
-// clones the view, the first fold into an empty one clones the member,
-// the clone absorbs the shards and is sealed, and a single pointer swap
-// publishes it.
+// advance folds members[n:] into view, the merge of members[:n], for as
+// long as they stay contiguous with the running view, and publishes the
+// result. From the published view each shard is merged exactly once over
+// the corpus's life — amortized O(1) work per ingest; from (nil, 0) it
+// re-derives the view from scratch. Neither the published view nor any
+// member is mutated: the first fold into a non-empty view clones it, the
+// first fold into an empty one clones the member, the clone absorbs the
+// shards and is sealed, and a single pointer swap publishes it — only on
+// success, so a refused merge leaves the previous view for its readers.
 //
 // Byte-identity with results.MergeShards over the contiguous member
-// prefix (what rebuildFull and `characterize merge` compute) is
-// structural, not incidental: MergeShards is a stable sort by
-// (SeedFirst, JobFirst) followed by a left fold of results.Merge,
-// c.members is maintained in exactly that order, and stats.Stream merges
-// are exact (Shewchuk sums), so folding the suffix into the previous
-// fold's result IS the same left fold.
-// TestStoreIncrementalMatchesFullRebuild pins this after every ingest of
-// randomized arrival orders.
-func (c *corpus) advance() error {
-	n := c.mergedCount
-	view := c.merged              // contiguity reference; starts at the published view
+// prefix (what `characterize merge` computes) is structural, not
+// incidental: MergeShards is a stable sort by (SeedFirst, JobFirst)
+// followed by a left fold of results.Merge, c.members is maintained in
+// exactly that order, and stats.Stream merges are exact (Shewchuk sums),
+// so folding the suffix into the previous fold's result IS the same left
+// fold. TestStoreIncrementalMatchesFullRebuild pins this after every
+// ingest of randomized arrival orders.
+func (c *corpus) advance(view *results.Artifact, n int) error {
 	var working *results.Artifact // clone under construction; nil until the first fold
-	for n < len(c.members) {
+	for ; n < len(c.members); n++ {
 		a := c.members[n].art
-		if view != nil {
+		if view == nil {
+			working = a.Clone()
+		} else {
 			vm, next := &view.Meta, &a.Meta
 			if next.JobCount > 0 || vm.JobCount > 0 {
 				if next.JobFirst != vm.JobFirst+vm.JobCount {
@@ -627,57 +626,19 @@ func (c *corpus) advance() error {
 			} else if next.SeedFirst != vm.SeedFirst+uint64(vm.SeedCount) {
 				break
 			}
-		}
-		if view == nil {
-			working = a.Clone()
-		} else {
 			if working == nil {
-				working = c.merged.Clone()
+				working = view.Clone()
 			}
 			if err := results.Merge(working, a); err != nil {
 				return conflict(err)
 			}
 		}
 		view = working
-		n++
 	}
 	if working != nil {
 		working.Seal()
 		c.merged, c.mergedCount = working, n
 	}
-	return nil
-}
-
-// rebuildFull re-derives the merged view from scratch, refresh's
-// fallback for a member that lands inside the merged prefix:
-// clones of the maximal contiguous member prefix (MergeShards consumes
-// its inputs), merged in canonical order via results.MergeShards
-// (byte-for-byte the `characterize merge` path), then sealed. The previous view is left
-// untouched for readers still holding it.
-func (c *corpus) rebuildFull() error {
-	n := 1
-	for n < len(c.members) {
-		prev, next := &c.members[n-1].art.Meta, &c.members[n].art.Meta
-		if next.JobCount > 0 || prev.JobCount > 0 {
-			if next.JobFirst != prev.JobFirst+prev.JobCount {
-				break
-			}
-		} else if next.SeedFirst != prev.SeedFirst+uint64(prev.SeedCount) {
-			break
-		}
-		n++
-	}
-	shards := make([]*results.Artifact, n)
-	paths := make([]string, n)
-	for i := 0; i < n; i++ {
-		shards[i], paths[i] = c.members[i].art.Clone(), c.members[i].hash
-	}
-	merged, err := results.MergeShards(shards, paths)
-	if err != nil {
-		return conflict(err)
-	}
-	merged.Seal()
-	c.merged, c.mergedCount = merged, n
 	return nil
 }
 
