@@ -67,9 +67,10 @@ golden-check:
 #      (-kill-after 0:1) after its first journaled chunk so the retry
 #      resumes it from the journal — CSV, JSON and artifact must still
 #      byte-match the single-process run from step 2 (DESIGN.md §10).
-#   4. figure mode (Figs. 3-6 through the registry's sweep and fig6
-#      plans) at -parallel 1 and -parallel 4: the rendered figures and
-#      the raw sweep.csv/fig6.csv exports must byte-match. The small
+#   4. the Figs. 3-6 studies (`-experiment sweep` and `-experiment
+#      fig6`) at -parallel 1 and -parallel 4: the rendered figures on
+#      stdout and the -artifact files, which carry the per-row and
+#      per-bank records the figures draw, must byte-match. The small
 #      hammer budget leaves some banks without a single flip, the case
 #      the Fig. 6 scatter must skip rather than crash on.
 SMOKE_DIR := .smoke
@@ -140,15 +141,16 @@ smoke:
 	$(GO) test -race -count=1 \
 		-run 'TestFleetKillResumeByteIdentical|TestFleetStallKillsAndRetries' \
 		./internal/fleet
-	for p in 1 4; do \
-		$(GO) run ./cmd/characterize -fig all -rows 2 -bankrows 2 -hammers 30000 \
-			-parallel $$p > $(SMOKE_DIR)/figs-p$$p.txt || exit 1; \
-		$(GO) run ./cmd/characterize -fig all -rows 2 -bankrows 2 -hammers 30000 \
-			-parallel $$p -csv $(SMOKE_DIR)/figs-csv-p$$p >/dev/null || exit 1; \
+	for e in sweep fig6; do \
+		for p in 1 4; do \
+			$(GO) run ./cmd/characterize -experiment $$e -rows 2 -hammers 30000 \
+				-parallel $$p > $(SMOKE_DIR)/$$e-p$$p.txt || exit 1; \
+			$(GO) run ./cmd/characterize -experiment $$e -rows 2 -hammers 30000 \
+				-parallel $$p -artifact $(SMOKE_DIR)/$$e-p$$p.json >/dev/null || exit 1; \
+		done; \
+		cmp $(SMOKE_DIR)/$$e-p1.txt $(SMOKE_DIR)/$$e-p4.txt || exit 1; \
+		cmp $(SMOKE_DIR)/$$e-p1.json $(SMOKE_DIR)/$$e-p4.json || exit 1; \
 	done
-	cmp $(SMOKE_DIR)/figs-p1.txt $(SMOKE_DIR)/figs-p4.txt
-	cmp $(SMOKE_DIR)/figs-csv-p1/sweep.csv $(SMOKE_DIR)/figs-csv-p4/sweep.csv
-	cmp $(SMOKE_DIR)/figs-csv-p1/fig6.csv $(SMOKE_DIR)/figs-csv-p4/fig6.csv
 	rm -rf $(SMOKE_DIR)
 
 # Crash-consistency torture: every registered failpoint site armed in
@@ -160,13 +162,11 @@ torture:
 	$(GO) test -race -count=1 -run TestTortureAllSites -v ./internal/torture
 
 # Reduced-budget paper suite on the paper-geometry chip: the nightly CI
-# smoke (sweep + fig6 + trrstudy through the registry; ~5 s), then
-# figure mode's Figs. 3-6 renders at the same budget.
+# smoke (sweep + fig6 + trrstudy through the registry, drawing Figs. 3-6
+# and the Section 5 result; ~5 s).
 paper-smoke:
 	$(GO) run ./cmd/characterize -chip paper -experiment paper \
 		-rows 2 -bankrows 2 -hammers 30000 -iterations 60 -parallel 2
-	$(GO) run ./cmd/characterize -chip paper -fig all \
-		-rows 2 -bankrows 2 -hammers 30000 -parallel 2
 
 lint:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \

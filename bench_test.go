@@ -1,7 +1,7 @@
 package hbmrh_test
 
-// Benchmark harness: one benchmark per paper artifact (Table 1 and
-// Figs. 3-6 of Section 4, plus the Section 5 U-TRR study), each running a
+// Benchmark harness: one benchmark per paper artifact (Table 1, Figs. 3-5
+// and Fig. 6 of Section 4, plus the Section 5 U-TRR study), each running a
 // scaled-down but structurally complete regeneration of that artifact per
 // iteration, plus ablation benchmarks for the design choices DESIGN.md
 // calls out. Full-resolution regeneration is cmd/characterize and
@@ -48,59 +48,17 @@ func BenchmarkTable1Patterns(b *testing.B) {
 	}
 }
 
-// benchSweep runs the Figs. 3-5 generator at the given sampling density.
-func benchSweep(b *testing.B, rowsPerRegion int) *hbmrh.Sweep {
-	b.Helper()
-	s, err := hbmrh.RunSweep(hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: rowsPerRegion})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-// BenchmarkFig3BERByChannel regenerates Fig. 3 (BER box plots by channel
-// and data pattern, plus headline ratios) from a fresh sweep.
-func BenchmarkFig3BERByChannel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSweep(b, 2)
-		f := hbmrh.Fig3{Sweep: s}
-		_ = f.Render()
-		_ = f.Headlines()
-	}
-}
-
-// BenchmarkFig4HCFirst regenerates Fig. 4 (HCfirst distributions).
-func BenchmarkFig4HCFirst(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSweep(b, 2)
-		f := hbmrh.Fig4{Sweep: s}
-		_ = f.Render()
-		_ = f.Headlines()
-	}
-}
-
-// BenchmarkFig5RowProfile regenerates Fig. 5 (BER vs row address with
-// subarray periodicity and the weak last subarray).
-func BenchmarkFig5RowProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSweep(b, 6)
-		f := hbmrh.Fig5{Sweep: s}
-		_ = f.Render()
-		_ = f.Headlines()
-	}
+// BenchmarkFigs3to5Sweep regenerates Figs. 3-5 (BER and HCfirst box
+// plots by channel and data pattern, the BER-vs-row-address profile, and
+// their headline numbers) from a fresh sweep.
+func BenchmarkFigs3to5Sweep(b *testing.B) {
+	benchExperiment(b, "sweep", hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: 2})
 }
 
 // BenchmarkFig6BankScatter regenerates Fig. 6 (per-bank mean BER vs CV
 // over every bank of the stack).
 func BenchmarkFig6BankScatter(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := hbmrh.RunFig6(hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = f.Render()
-		_ = f.Headlines()
-	}
+	benchExperiment(b, "fig6", hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: 2})
 }
 
 // BenchmarkSec5UTRR regenerates the Section 5 TRR-uncovering study.
@@ -224,7 +182,7 @@ func BenchmarkAblationRefreshBudgetGuard(b *testing.B) {
 func benchEngineSweep(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if _, err := hbmrh.RunSweep(hbmrh.ExperimentOptions{
+		if _, err := hbmrh.RunExperiment("sweep", hbmrh.ExperimentOptions{
 			Cfg:      hbmrh.SmallChip(),
 			Rows:     4,
 			Parallel: workers,
@@ -244,7 +202,7 @@ func BenchmarkEngineSweepParallel(b *testing.B) { benchEngineSweep(b, 0) }
 // one job per bank across the whole stack.
 func BenchmarkEngineFig6Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := hbmrh.RunFig6(hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: 2}); err != nil {
+		if _, err := hbmrh.RunExperiment("fig6", hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +213,7 @@ func BenchmarkEngineFig6Parallel(b *testing.B) {
 func BenchmarkEnginePoolCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hbmrh.DrainEnginePool()
-		if _, err := hbmrh.RunSweep(hbmrh.ExperimentOptions{
+		if _, err := hbmrh.RunExperiment("sweep", hbmrh.ExperimentOptions{
 			Cfg:      hbmrh.SmallChip(),
 			Rows:     2,
 			Parallel: 1,
@@ -270,7 +228,7 @@ func BenchmarkEnginePoolCold(b *testing.B) {
 // device reuse buys per run.
 func BenchmarkEnginePoolWarm(b *testing.B) {
 	run := func() error {
-		_, err := hbmrh.RunSweep(hbmrh.ExperimentOptions{
+		_, err := hbmrh.RunExperiment("sweep", hbmrh.ExperimentOptions{
 			Cfg:      hbmrh.SmallChip(),
 			Rows:     2,
 			Parallel: 1,

@@ -1,6 +1,8 @@
 // calibrate runs the paper-chip characterization at a chosen sampling
 // density and prints a paper-vs-measured comparison for every headline
-// number in the paper, as markdown tables.
+// number in the paper, as markdown tables. The paper's values come from
+// the experiments package's claims table, the one the figure reports
+// print from.
 //
 // Usage:
 //
@@ -13,6 +15,7 @@ import (
 	"log"
 
 	hbmrh "github.com/safari-repro/hbmrh"
+	"github.com/safari-repro/hbmrh/internal/experiments"
 )
 
 func main() {
@@ -36,55 +39,59 @@ func main() {
 	}
 
 	cfg := hbmrh.PaperChip()
-	sweep, err := hbmrh.RunSweep(hbmrh.ExperimentOptions{Cfg: cfg, Rows: *rows})
+	sweep, err := hbmrh.RunExperiment("sweep", hbmrh.ExperimentOptions{Cfg: cfg, Rows: *rows})
 	if err != nil {
 		log.Fatal(err)
 	}
-	h3 := hbmrh.Fig3{Sweep: sweep}.Headlines()
-	h4 := hbmrh.Fig4{Sweep: sweep}.Headlines()
-	h5 := hbmrh.Fig5{Sweep: sweep}.Headlines()
+	h3, h4, h5 := experiments.SweepHeadlines(sweep)
 
 	fmt.Println("## Per-channel WCDP means (sweep)")
 	fmt.Println()
 	fmt.Println("| channel | mean WCDP BER (%) | mean WCDP HCfirst |")
 	fmt.Println("|---|---|---|")
 	for ch := range h3.WCDPMeanBER {
-		fmt.Printf("| %d | %.3f | %.0f |\n", ch, h3.WCDPMeanBER[ch], h4.WCDPMeanHC[ch])
+		fmt.Printf("| %d | %.3f | %s |\n", ch, h3.WCDPMeanBER[ch], h4.WCDPMeanHC[ch].Format("%.0f"))
 	}
-	fmt.Println()
-	fmt.Println("## Headline comparison")
-	fmt.Println()
-	fmt.Println("| metric | paper | measured |")
-	fmt.Println("|---|---|---|")
-	fmt.Printf("| WCDP BER ratio, worst/best channel | 2.03x | %.2fx |\n", h3.MaxOverMinWCDP)
-	fmt.Printf("| max cross-channel BER spread | 79%% | %.0f%% |\n", h3.MaxSpreadPct)
-	fmt.Printf("| max per-row BER | 3.13%% | %.2f%% |\n", h3.MaxBER)
-	fmt.Printf("| min HCfirst | 14531 | %d |\n", h4.MinHCFirst)
-	fmt.Printf("| WCDP HCfirst channel spread | up to 20%% | %.0f%% |\n", h4.SpreadPct)
-	fmt.Printf("| ch0 mean HCfirst, Rowstripe0 | 57925 | %.0f |\n", h4.Ch0Rowstripe0)
-	fmt.Printf("| ch0 mean HCfirst, Rowstripe1 | 79179 | %.0f |\n", h4.Ch0Rowstripe1)
-	fmt.Printf("| last-subarray BER vs rest | far fewer flips | %.2fx |\n", h5.LastSubarrayRatio)
-	fmt.Printf("| BER peaks mid-subarray | yes | mid/edge %.2fx |\n", h5.MidOverEdge)
 
+	measured := map[string]string{
+		"fig3.channel_ratio":  fmt.Sprintf("%.2fx", h3.MaxOverMinWCDP),
+		"fig3.channel_spread": fmt.Sprintf("%.0f%%", h3.MaxSpreadPct),
+		"fig3.max_ber":        fmt.Sprintf("%.2f%%", h3.MaxBER),
+		"fig4.min_hcfirst":    fmt.Sprintf("%d", h4.MinHCFirst),
+		"fig4.channel_spread": fmt.Sprintf("%.0f%%", h4.SpreadPct),
+		"fig4.ch0_rs0":        h4.Ch0Rowstripe0.Format("%.0f"),
+		"fig4.ch0_rs1":        h4.Ch0Rowstripe1.Format("%.0f"),
+		"fig5.last_subarray":  h5.LastSubarrayRatio.Format("%.2fx"),
+		"fig5.mid_edge":       h5.MidOverEdge.Format("mid/edge %.2fx"),
+	}
 	if !*skip6 {
-		f6, err := hbmrh.RunFig6(hbmrh.ExperimentOptions{Cfg: cfg, Rows: *bankRows})
+		fig6, err := hbmrh.RunExperiment("fig6", hbmrh.ExperimentOptions{Cfg: cfg, Rows: *bankRows})
 		if err != nil {
 			log.Fatal(err)
 		}
-		h6 := f6.Headlines()
-		fmt.Printf("| bank mean BER range | 0.8-1.6%% | %.2f-%.2f%% |\n", h6.MeanLo, h6.MeanHi)
-		fmt.Printf("| bank BER CV range | 0.22-0.34 | %.2f-%.2f |\n", h6.CVLo, h6.CVHi)
-		fmt.Printf("| max within-channel bank spread | 0.23%% (ch7) | %.2f%% |\n", h6.MaxIntraChannelSpread)
-		fmt.Printf("| channel variation dominates banks | yes | cross/intra %.1fx |\n", h6.CrossOverIntra)
+		h6 := experiments.Fig6{Banks: fig6.Banks}.Headlines()
+		measured["fig6.bank_mean"] = fmt.Sprintf("%.2f-%.2f%%", h6.MeanLo, h6.MeanHi)
+		measured["fig6.bank_cv"] = fmt.Sprintf("%.2f-%.2f", h6.CVLo, h6.CVHi)
+		measured["fig6.intra_channel"] = fmt.Sprintf("%.2f%%", h6.MaxIntraChannelSpread)
+		measured["fig6.cross_over_intra"] = fmt.Sprintf("cross/intra %.1fx", h6.CrossOverIntra)
 	}
-
 	if !*skipTRR {
 		s, err := hbmrh.RunTRRStudy(hbmrh.TRRStudyOptions{Cfg: cfg,
 			Bank: hbmrh.BankAddr{Channel: 0, PseudoChannel: 0, Bank: 0}})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("| TRR victim refresh period | every 17 REFs | every %d REFs (periodic=%v) |\n",
-			s.Period, s.Periodic)
+		measured["sec5.trr_period"] = fmt.Sprintf("every %d REFs (periodic=%v)", s.Period, s.Periodic)
+	}
+
+	fmt.Println()
+	fmt.Println("## Headline comparison")
+	fmt.Println()
+	fmt.Println("| figure | metric | paper | measured |")
+	fmt.Println("|---|---|---|---|")
+	for _, c := range experiments.Claims() {
+		if m, ok := measured[c.ID]; ok {
+			fmt.Printf("| %s | %s | %s | %s |\n", c.Figure, c.Metric, c.PaperText(), m)
+		}
 	}
 }

@@ -3,7 +3,7 @@
 // extension studies — runs through one pipeline that plans jobs, shards
 // them, streams aggregates, and serializes mergeable artifacts.
 //
-// Registry mode (the primary interface):
+// Usage:
 //
 //	characterize -experiment NAME [-chip paper|small] [-rows N]
 //	             [-hammers N] [-seeds N] [-iterations N] [-workers N]
@@ -12,8 +12,16 @@
 //	             [-mutexprofile FILE]
 //	characterize -experiment list
 //	characterize -experiment paper        # the paper suite: sweep+fig6+trrstudy
+//	             [-bankrows N] [-iterations N]
 //	characterize merge [-artifact FILE] [-csv FILE] [-json FILE]
 //	             [-group-by AXIS] shard.json|glob|dir...
+//
+// Figs. 3-5 are -experiment sweep and Fig. 6 is -experiment fig6: their
+// reports draw the figures and headline numbers from the artifact's row
+// and bank records, so a merged, fleet-run or store-held artifact draws
+// the same figures as one process. -experiment paper runs both (fig6 at
+// -bankrows rows per bank region) plus the Section 5 TRR study. With no
+// -experiment, characterize lists the experiments and exits non-zero.
 //
 // The fleet scan across chip instances (the paper's future work 1) is
 // -experiment multichip: -seeds N chips starting at the preset's seed,
@@ -22,8 +30,8 @@
 // and trrbypass (pass -chip paper to trrbypass: its nominal-refresh
 // attack needs the paper geometry's refresh-pointer cadence).
 //
-// -rows, -hammers, -seeds and -iterations must be >= 0; 0 selects the
-// experiment's default.
+// -rows, -bankrows, -hammers, -seeds and -iterations must be >= 0; 0
+// selects the experiment's default.
 //
 // Every registered experiment gains -shard i/N + artifact merge for
 // free: N shard processes produce artifacts that `characterize merge`
@@ -44,19 +52,6 @@
 // artifacts — output stays byte-identical to the single-process run. See
 // DESIGN.md §10.
 //
-// Figure mode renders the paper's evaluation figures (Figs. 3-6) with
-// ASCII plots and headline numbers:
-//
-//	characterize [-chip paper|small] [-fig all|3|4|5|6]
-//	             [-rows N] [-bankrows N] [-hammers N] [-parallel N]
-//	             [-planner P] [-progress] [-csv DIR]
-//
-// It runs the registry's sweep and fig6 plans (the same jobs as
-// -experiment sweep and -experiment fig6), so -parallel, -planner and
-// -progress act as they do in registry mode; -workers, a per-job knob
-// neither plan reads, is ignored. -rows, -bankrows and -hammers must be
-// >= 0.
-//
 // Long runs are interruptible: Ctrl-C cancels the execution engine down
 // to per-measurement granularity, and -progress reports live job
 // completion on stderr.
@@ -71,7 +66,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
@@ -100,21 +94,20 @@ func main() {
 	var (
 		experiment = flag.String("experiment", "", "registry experiment to run (see -experiment list), or: list, paper")
 		chip       = flag.String("chip", "small", "chip preset: paper or small")
-		fig        = flag.String("fig", "all", "figure mode: figure to regenerate (all, 3, 4, 5 or 6)")
-		rows       = flag.Int("rows", 24, "sampling density: victim rows per region (figs 3-5) or per point")
-		bankRows   = flag.Int("bankrows", 16, "rows per bank region for fig 6 (0 = the paper's 100)")
+		rows       = flag.Int("rows", 24, "sampling density: victim rows per region (sweep), per bank region (fig6) or per point")
+		bankRows   = flag.Int("bankrows", 16, "rows per bank region for fig6 in the paper suite (0 = the paper's 100)")
 		hammers    = flag.Int("hammers", hbmrh.DefaultHammers, "hammer count / HCfirst ceiling")
 		seeds      = flag.Int("seeds", 0, "chip instances for fleet experiments (0 = experiment default)")
 		iterations = flag.Int("iterations", 0, "U-TRR iterations for the TRR studies (0 = default)")
 		workers    = flag.Int("workers", 0, "parallel measurement devices per job (0 = auto)")
 		parallel   = flag.Int("parallel", 0, "concurrent plan jobs (0 = one per CPU)")
 		planner    = flag.String("planner", "queue", "job planner: queue, contiguous, weighted or stealing (never changes output)")
-		shard      = flag.String("shard", "", "run one plan shard, as I/N (registry mode)")
+		shard      = flag.String("shard", "", "run one plan shard, as I/N")
 		progress   = flag.Bool("progress", false, "report engine job completion on stderr")
-		csvOut     = flag.String("csv", "", "figure mode: directory for raw CSV exports; registry mode: summary CSV file (\"-\" = stdout)")
-		jsonOut    = flag.String("json", "", "registry mode: summary JSON file (\"-\" = stdout)")
-		artifact   = flag.String("artifact", "", "registry mode: serialized artifact file, the merge input (\"-\" = stdout)")
-		groupBy    = flag.String("group-by", "", "registry mode: export axis (default: the artifact's stored axis)")
+		csvOut     = flag.String("csv", "", "summary CSV file (\"-\" = stdout)")
+		jsonOut    = flag.String("json", "", "summary JSON file (\"-\" = stdout)")
+		artifact   = flag.String("artifact", "", "serialized artifact file, the merge input (\"-\" = stdout)")
+		groupBy    = flag.String("group-by", "", "export axis (default: the artifact's stored axis)")
 		mutexPro   = flag.String("mutexprofile", "", "write a runtime mutex-contention profile of the run to this file (lock convoys in the engine hot path show up here)")
 	)
 	flag.Parse()
@@ -141,9 +134,10 @@ func main() {
 	opts := registryOptions(ctx, cfg, *rows, *hammers, *seeds, *iterations, *workers, *parallel, *planner, *progress)
 	switch *experiment {
 	case "":
-		runFigures(*fig, opts, *bankRows, *csvOut)
+		listExperiments(os.Stderr)
+		log.Fatal("no -experiment given (Figs. 3-5 are -experiment sweep, Fig. 6 is -experiment fig6)")
 	case "list":
-		listExperiments()
+		listExperiments(os.Stdout)
 	case "paper":
 		if *shard != "" || *artifact != "" || *csvOut != "" || *jsonOut != "" || *groupBy != "" {
 			log.Fatal("the paper suite runs several experiments; shard or export them individually (-shard/-artifact/-csv/-json/-group-by apply to single experiments)")
@@ -230,12 +224,12 @@ func registryOptions(ctx context.Context, cfg *hbmrh.Config, rows, hammers, seed
 	return o
 }
 
-func listExperiments() {
-	fmt.Println("registered experiments (run with -experiment NAME):")
+func listExperiments(w io.Writer) {
+	fmt.Fprintln(w, "registered experiments (run with -experiment NAME):")
 	for _, e := range hbmrh.Experiments() {
-		fmt.Printf("  %-13s %s\n", e.Name, e.Title)
+		fmt.Fprintf(w, "  %-13s %s\n", e.Name, e.Title)
 	}
-	fmt.Println("  paper         suite: sweep + fig6 + trrstudy at the given budget")
+	fmt.Fprintln(w, "  paper         suite: sweep + fig6 + trrstudy at the given budget")
 }
 
 // exportArtifact renders and exports one artifact: the experiment's
@@ -335,89 +329,4 @@ func writeOut(stdout io.Writer, path string, data []byte) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// runFigures is the figure-rendering mode for Figs. 3-6: it runs the
-// registry's sweep and fig6 plans through RunSweep/RunFig6, which keep the
-// per-row and per-bank data the ASCII figures and headline comparisons
-// draw (the registry artifacts carry distributions only). o.Rows is the
-// sweep's rows per region; the bank study samples bankRows per region.
-func runFigures(fig string, o hbmrh.ExperimentOptions, bankRows int, csvDir string) {
-	switch fig {
-	case "all", "3", "4", "5", "6":
-	default:
-		log.Fatalf("unknown -fig %q (figures: all, 3, 4, 5, 6; the extension studies run as -experiment rowpress, tempsweep, crosschannel or trrbypass)", fig)
-	}
-	want := func(f string) bool { return fig == "all" || fig == f }
-
-	if want("3") || want("4") || want("5") {
-		sweep, err := hbmrh.RunSweep(o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if want("3") {
-			f3 := hbmrh.Fig3{Sweep: sweep}
-			fmt.Print(f3.Render())
-			h := f3.Headlines()
-			fmt.Printf("headlines: max/min channel WCDP BER ratio %.2fx (paper 2.03x); "+
-				"max cross-channel spread %.0f%% (paper 79%%); max BER %.2f%% (paper 3.13%%)\n\n",
-				h.MaxOverMinWCDP, h.MaxSpreadPct, h.MaxBER)
-		}
-		if want("4") {
-			f4 := hbmrh.Fig4{Sweep: sweep}
-			fmt.Print(f4.Render())
-			h := f4.Headlines()
-			fmt.Printf("headlines: min HCfirst %d (paper 14531); channel spread %.0f%% (paper 20%%); "+
-				"ch0 RS0/RS1 mean %.0f/%.0f (paper 57925/79179)\n\n",
-				h.MinHCFirst, h.SpreadPct, h.Ch0Rowstripe0, h.Ch0Rowstripe1)
-		}
-		if want("5") {
-			f5 := hbmrh.Fig5{Sweep: sweep}
-			fmt.Print(f5.Render())
-			h := f5.Headlines()
-			fmt.Printf("headlines: last-subarray BER ratio %.2fx; mid/edge ratio %.2fx\n\n",
-				h.LastSubarrayRatio, h.MidOverEdge)
-		}
-		if csvDir != "" {
-			hd, data := sweep.CSV()
-			if err := writeCSVFile(filepath.Join(csvDir, "sweep.csv"), hd, data); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-
-	if want("6") {
-		o.Rows = bankRows
-		f6, err := hbmrh.RunFig6(o)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(f6.Render())
-		h := f6.Headlines()
-		fmt.Printf("headlines: bank mean BER %.2f-%.2f%% (paper 0.8-1.6%%); CV %.2f-%.2f (paper 0.22-0.34); "+
-			"cross/intra channel spread %.1fx\n",
-			h.MeanLo, h.MeanHi, h.CVLo, h.CVHi, h.CrossOverIntra)
-		if csvDir != "" {
-			hd, data := f6.CSV()
-			if err := writeCSVFile(filepath.Join(csvDir, "fig6.csv"), hd, data); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-}
-
-func writeCSVFile(path string, headers []string, rows [][]string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := report.WriteCSV(f, headers, rows); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d rows)\n", path, len(rows))
-	return nil
 }

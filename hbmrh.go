@@ -10,13 +10,14 @@
 //
 //   - Open a chip with Open(PaperChip()) or Open(SmallChip()).
 //   - Per-row measurements (BER, HCfirst, WCDP) via NewHarness.
-//   - Figure-level studies via RunSweep / Fig3 / Fig4 / Fig5 / RunFig6,
-//     which run the registry's sweep and fig6 plans and keep the per-row
-//     and per-bank data the figures draw.
 //   - The Section 5 TRR discovery via RunTRRStudy.
-//   - Every study — the figures, the multi-chip fleet scan and the
-//     Section 5/6 extensions (rowpress, tempsweep, crosschannel,
-//     trrbypass) — as a shardable registry experiment via RunExperiment.
+//   - Every study — the Figs. 3-6 sweep and fig6 studies, the multi-chip
+//     fleet scan and the Section 5/6 extensions (rowpress, tempsweep,
+//     crosschannel, trrbypass) — as a shardable registry experiment via
+//     RunExperiment, whose artifact RenderExperimentArtifact draws: the
+//     sweep and fig6 artifacts carry the per-row and per-bank records
+//     Figs. 3-6 draw, so a merged or store-held artifact renders the
+//     figures too.
 //   - Row-mapping reverse engineering via Harness.RecoverMapping.
 //
 // The package is a thin facade over the internal subsystems; see DESIGN.md
@@ -170,33 +171,13 @@ func ParsePlanner(s string) (EnginePlanner, error) { return engine.ParsePlanner(
 // pool, e.g. between studies of unrelated chip designs.
 func DrainEnginePool() { engine.SharedPool.Drain() }
 
-// Figure-level studies (Section 4) and the TRR study (Section 5).
+// The TRR study (Section 5).
 type (
-	// Sweep is the spatial dataset.
-	Sweep = experiments.Sweep
-	// RowResult is one victim row's measurements.
-	RowResult = experiments.RowResult
-	// Fig3 is the BER-by-channel/pattern figure.
-	Fig3 = experiments.Fig3
-	// Fig4 is the HCfirst figure.
-	Fig4 = experiments.Fig4
-	// Fig5 is the BER-vs-row-address figure.
-	Fig5 = experiments.Fig5
-	// Fig6 is the per-bank scatter figure.
-	Fig6 = experiments.Fig6
 	// TRRStudy is the Section 5 result.
 	TRRStudy = experiments.TRRStudy
 	// TRRStudyOptions configures the Section 5 study.
 	TRRStudyOptions = experiments.TRRStudyOptions
 )
-
-// RunSweep measures BER and HCfirst for sampled rows (o.Rows per region)
-// in every channel by running the registry's sweep plan.
-func RunSweep(o ExperimentOptions) (*Sweep, error) { return experiments.RunSweep(o) }
-
-// RunFig6 measures per-bank BER statistics across the whole stack (o.Rows
-// per bank region) by running the registry's fig6 plan.
-func RunFig6(o ExperimentOptions) (*Fig6, error) { return experiments.RunFig6(o) }
 
 // RunTRRStudy reproduces the Section 5 U-TRR experiment.
 func RunTRRStudy(o TRRStudyOptions) (*TRRStudy, error) { return experiments.RunTRRStudy(o) }

@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,26 +13,29 @@ import (
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/engine"
+	"github.com/safari-repro/hbmrh/internal/results"
 )
 
-func smallSweep(t testing.TB, rowsPerRegion int) *Sweep {
+// smallSweep runs the sweep experiment on the small chip.
+func smallSweep(t testing.TB, rowsPerRegion int) *results.Artifact {
 	t.Helper()
-	s, err := RunSweep(Options{Cfg: config.SmallChip(), Rows: rowsPerRegion})
+	a, err := Run("sweep", Options{Cfg: config.SmallChip(), Rows: rowsPerRegion})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return a
 }
 
 func TestSweepStructure(t *testing.T) {
-	s := smallSweep(t, 6)
-	g := s.Cfg.Geometry
+	a := smallSweep(t, 6)
+	cfg := config.SmallChip()
+	g, layout := cfg.Geometry, cfg.Layout()
 	// 8 channels x 3 regions x 6 rows, minus bank-edge skips.
-	if len(s.Rows) < g.Channels*3*5 {
-		t.Fatalf("sweep has %d rows, want at least %d", len(s.Rows), g.Channels*3*5)
+	if len(a.Rows) < g.Channels*3*5 {
+		t.Fatalf("sweep has %d rows, want at least %d", len(a.Rows), g.Channels*3*5)
 	}
 	regions := map[string]bool{}
-	for _, r := range s.Rows {
+	for _, r := range a.Rows {
 		if len(r.BER) != 4 || len(r.HCFirst) != 4 || len(r.Found) != 4 {
 			t.Fatalf("row %+v has wrong pattern arity", r)
 		}
@@ -44,6 +47,12 @@ func TestSweepStructure(t *testing.T) {
 				t.Fatalf("BER %v out of [0,1]", b)
 			}
 		}
+		sa, off := layout.Locate(r.PhysRow)
+		if r.Subarray != sa || r.SubarrayOffset != off || r.SubarraySize != layout.Size(sa) ||
+			r.LastSubarray != (sa == layout.Count()-1) {
+			t.Fatalf("row %d subarray record (%d, +%d of %d, last %v), layout says (%d, +%d of %d)",
+				r.PhysRow, r.Subarray, r.SubarrayOffset, r.SubarraySize, r.LastSubarray, sa, off, layout.Size(sa))
+		}
 		regions[r.Region] = true
 	}
 	for _, want := range []string{"first", "middle", "last"} {
@@ -53,65 +62,37 @@ func TestSweepStructure(t *testing.T) {
 	}
 }
 
-func TestSweepIndependentOfWorkerCount(t *testing.T) {
+// sameAcrossParallelism runs an experiment at 1 and 8 concurrent jobs
+// and requires byte-identical artifacts, records included.
+func sameAcrossParallelism(t *testing.T, name string) {
+	t.Helper()
 	opts := Options{Cfg: config.SmallChip(), Rows: 3}
 	opts.Parallel = 1
-	a, err := RunSweep(opts)
+	a, err := Run(name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallel = 8
-	b, err := RunSweep(opts)
+	b, err := Run(name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The engine guarantees byte-identical datasets at any worker count.
-	if len(a.Rows) != len(b.Rows) {
-		t.Fatalf("row counts differ across worker counts: %d vs %d", len(a.Rows), len(b.Rows))
+	if len(a.Rows)+len(a.Banks) == 0 {
+		t.Fatalf("%s artifact carries no records", name)
 	}
-	if !reflect.DeepEqual(a.Rows, b.Rows) {
-		for i := range a.Rows {
-			if !reflect.DeepEqual(a.Rows[i], b.Rows[i]) {
-				t.Fatalf("row %d differs across worker counts: %+v vs %+v",
-					i, a.Rows[i], b.Rows[i])
-			}
-		}
-		t.Fatalf("sweep datasets differ across worker counts: %d vs %d rows",
-			len(a.Rows), len(b.Rows))
+	if !bytes.Equal(marshal(t, a), marshal(t, b)) {
+		t.Fatalf("%s artifacts differ across worker counts", name)
 	}
 }
 
-func TestFig6IndependentOfWorkerCount(t *testing.T) {
-	opts := Options{Cfg: config.SmallChip(), Rows: 3}
-	opts.Parallel = 1
-	a, err := RunFig6(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Parallel = 8
-	b, err := RunFig6(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Points) != len(b.Points) {
-		t.Fatalf("point counts differ across worker counts: %d vs %d", len(a.Points), len(b.Points))
-	}
-	if !reflect.DeepEqual(a.Points, b.Points) {
-		for i := range a.Points {
-			if !reflect.DeepEqual(a.Points[i], b.Points[i]) {
-				t.Fatalf("bank point %d differs across worker counts: %+v vs %+v",
-					i, a.Points[i], b.Points[i])
-			}
-		}
-		t.Fatalf("fig6 datasets differ across worker counts: %d vs %d points",
-			len(a.Points), len(b.Points))
-	}
-}
+func TestSweepIndependentOfWorkerCount(t *testing.T) { sameAcrossParallelism(t, "sweep") }
+
+func TestFig6IndependentOfWorkerCount(t *testing.T) { sameAcrossParallelism(t, "fig6") }
 
 func TestSweepCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSweep(Options{Cfg: config.SmallChip(), Rows: 2, Ctx: ctx})
+	_, err := Run("sweep", Options{Cfg: config.SmallChip(), Rows: 2, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -121,7 +102,7 @@ func TestSweepCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var updates []int
-	_, err := RunSweep(Options{
+	_, err := Run("sweep", Options{
 		Cfg:      config.SmallChip(),
 		Rows:     2,
 		Parallel: 2,
@@ -158,7 +139,7 @@ func TestSweepCancelMidMeasurementPaperGeometry(t *testing.T) {
 	}()
 	var completed []int
 	start := time.Now()
-	_, err := RunSweep(Options{
+	_, err := Run("sweep", Options{
 		Cfg:      config.PaperChip(),
 		Rows:     0, // every row: the paper's full resolution
 		Parallel: 1,
@@ -206,8 +187,7 @@ func TestTRRStudyCancelMidIterations(t *testing.T) {
 }
 
 func TestFig3ChannelOrdering(t *testing.T) {
-	s := smallSweep(t, 8)
-	h := Fig3{s}.Headlines()
+	h, _, _ := SweepHeadlines(smallSweep(t, 8))
 	if len(h.WCDPMeanBER) != 8 {
 		t.Fatalf("%d channels in headlines, want 8", len(h.WCDPMeanBER))
 	}
@@ -231,8 +211,8 @@ func TestFig3ChannelOrdering(t *testing.T) {
 }
 
 func TestFig3RenderMentionsAllSeries(t *testing.T) {
-	s := smallSweep(t, 4)
-	out := Fig3{s}.Render()
+	f3, _, _ := sweepFigs(smallSweep(t, 4))
+	out := f3.Render()
 	for _, want := range []string{"Rowstripe0", "Rowstripe1", "Checkered0", "Checkered1", "WCDP", "ch0", "ch7"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fig3 render missing %q", want)
@@ -241,9 +221,8 @@ func TestFig3RenderMentionsAllSeries(t *testing.T) {
 }
 
 func TestFig4Headlines(t *testing.T) {
-	s := smallSweep(t, 8)
-	h := Fig4{s}.Headlines()
-	floor := int(s.Cfg.Fault.HCFloor)
+	_, h, _ := SweepHeadlines(smallSweep(t, 8))
+	floor := int(config.SmallChip().Fault.HCFloor)
 	if h.MinHCFirst < floor {
 		t.Errorf("min HCfirst %d below model floor %d", h.MinHCFirst, floor)
 	}
@@ -251,30 +230,29 @@ func TestFig4Headlines(t *testing.T) {
 		t.Errorf("min HCfirst %d above the search ceiling", h.MinHCFirst)
 	}
 	// Channel 7 hammers more easily than channel 0.
-	if h.WCDPMeanHC[7] >= h.WCDPMeanHC[0] {
-		t.Errorf("ch7 mean WCDP HCfirst %.0f not below ch0's %.0f", h.WCDPMeanHC[7], h.WCDPMeanHC[0])
+	if ch7, ch0 := h.WCDPMeanHC[7], h.WCDPMeanHC[0]; !ch7.OK || !ch0.OK || ch7.V >= ch0.V {
+		t.Errorf("ch7 mean WCDP HCfirst %+v not below ch0's %+v", ch7, ch0)
 	}
 	// Channel 0 is anti-cell rich: Rowstripe0 flips with fewer hammers.
-	if h.Ch0Rowstripe0 >= h.Ch0Rowstripe1 {
-		t.Errorf("ch0 Rowstripe0 mean HCfirst %.0f not below Rowstripe1's %.0f (paper: 57.9K vs 79.2K)",
-			h.Ch0Rowstripe0, h.Ch0Rowstripe1)
+	if rs0, rs1 := h.Ch0Rowstripe0, h.Ch0Rowstripe1; !rs0.OK || !rs1.OK || rs0.V >= rs1.V {
+		t.Errorf("ch0 Rowstripe0 mean HCfirst %+v not below Rowstripe1's %+v (paper: 57.9K vs 79.2K)",
+			rs0, rs1)
 	}
 }
 
 func TestFig5LastSubarrayIsWeak(t *testing.T) {
-	s := smallSweep(t, 10)
-	h := Fig5{s}.Headlines()
-	if h.LastSubarrayRatio <= 0 || h.LastSubarrayRatio >= 0.8 {
-		t.Errorf("last-subarray BER ratio = %.2f, want clearly below 0.8 (paper: far fewer flips)", h.LastSubarrayRatio)
+	_, _, h := SweepHeadlines(smallSweep(t, 10))
+	if r := h.LastSubarrayRatio; !r.OK || r.V <= 0 || r.V >= 0.8 {
+		t.Errorf("last-subarray BER ratio = %v, want clearly below 0.8 (paper: far fewer flips)", r)
 	}
-	if h.MidOverEdge <= 1 {
-		t.Errorf("mid/edge BER ratio = %.2f, want > 1 (BER peaks mid-subarray)", h.MidOverEdge)
+	if r := h.MidOverEdge; !r.OK || r.V <= 1 {
+		t.Errorf("mid/edge BER ratio = %v, want > 1 (BER peaks mid-subarray)", r)
 	}
 }
 
 func TestFig5ProfileShape(t *testing.T) {
-	s := smallSweep(t, 5)
-	xs, series := Fig5{s}.Profile("middle")
+	_, _, f := sweepFigs(smallSweep(t, 5))
+	xs, series := f.Profile("middle")
 	if len(series) != 8 {
 		t.Fatalf("%d channel series, want 8", len(series))
 	}
@@ -283,7 +261,7 @@ func TestFig5ProfileShape(t *testing.T) {
 			t.Fatalf("series %s has %d values for %d rows", sr.Label, len(sr.Values), len(xs))
 		}
 	}
-	out := Fig5{s}.Render()
+	out := f.Render()
 	for _, want := range []string{"first", "middle", "last"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Fig5 render missing region %q", want)
@@ -291,26 +269,43 @@ func TestFig5ProfileShape(t *testing.T) {
 	}
 }
 
+// TestSweepCSVExport pins the sweep's exports: the summary CSV and JSON
+// hold the region×channel distributions only, while the per-row data
+// travels in the artifact.
 func TestSweepCSVExport(t *testing.T) {
-	s := smallSweep(t, 2)
-	headers, rows := s.CSV()
-	if len(headers) != 8 {
-		t.Fatalf("%d headers", len(headers))
+	a := smallSweep(t, 2)
+	headers, rows, err := a.SummaryCSV(results.ByRegionChannel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rows) != len(s.Rows)*4 {
-		t.Fatalf("%d CSV rows for %d sweep rows", len(rows), len(s.Rows))
+	if len(headers) != 11 || headers[0] != "region" || headers[1] != "channel" {
+		t.Fatalf("headers %v", headers)
+	}
+	if len(rows) < len(a.Groups) || len(rows) > 2*len(a.Groups) {
+		t.Fatalf("%d CSV rows for %d groups of 2 metrics", len(rows), len(a.Groups))
+	}
+	js, err := a.SummaryJSON(results.ByRegionChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(js, []byte(`"phys_row"`)) || bytes.Contains(js, []byte(`"rows"`)) {
+		t.Error("summary JSON carries the row records")
+	}
+	if !bytes.Contains(marshal(t, a), []byte(`"phys_row"`)) {
+		t.Error("artifact lacks the row records")
 	}
 }
 
 func TestFig6BankScatter(t *testing.T) {
-	f, err := RunFig6(Options{Cfg: config.SmallChip(), Rows: 6})
+	a, err := Run("fig6", Options{Cfg: config.SmallChip(), Rows: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := f.Cfg.Geometry
-	if len(f.Points) != g.TotalBanks() {
-		t.Fatalf("%d bank points, want %d", len(f.Points), g.TotalBanks())
+	g := config.SmallChip().Geometry
+	if len(a.Banks) != g.TotalBanks() {
+		t.Fatalf("%d bank records, want %d", len(a.Banks), g.TotalBanks())
 	}
+	f := Fig6{Banks: a.Banks}
 	h := f.Headlines()
 	if h.MeanLo <= 0 || h.MeanHi <= h.MeanLo {
 		t.Errorf("mean BER range [%v, %v] implausible", h.MeanLo, h.MeanHi)
@@ -323,41 +318,72 @@ func TestFig6BankScatter(t *testing.T) {
 	if h.CrossOverIntra <= 1 {
 		t.Errorf("cross/intra channel spread ratio %.2f, want > 1", h.CrossOverIntra)
 	}
-	out := f.Render()
-	if !strings.Contains(out, "Fig. 6") {
-		t.Error("render missing title")
-	}
-	hd, rows := f.CSV()
-	if len(hd) != 5 || len(rows) != len(f.Points) {
-		t.Error("CSV export malformed")
+	out := Render(a)
+	if !strings.Contains(out, "Fig. 6") || !strings.Contains(out, "headlines: bank mean BER") {
+		t.Errorf("render:\n%s", out)
 	}
 }
 
 // TestFig6ExcludesNaNCVBanks pins the small-budget Fig. 6 render: at a
-// low hammer count some banks' sampled rows never flip, so their CV is
-// NaN (zero mean). The scatter and the CV range leave such banks out, as
-// the artifact's CV distribution does, instead of turning NaN into a
-// grid index.
+// low hammer count some banks' sampled rows never flip, so they have no
+// CV (zero mean). Their records carry no CV, and the scatter and the CV
+// range leave them out, as the artifact's CV distribution does.
 func TestFig6ExcludesNaNCVBanks(t *testing.T) {
-	f, err := RunFig6(Options{Cfg: config.SmallChip(), Rows: 2, Hammers: 30000})
+	a, err := Run("fig6", Options{Cfg: config.SmallChip(), Rows: 2, Hammers: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nan := 0
-	for _, p := range f.Points {
-		if math.IsNaN(p.CV) {
-			nan++
+	silent := 0
+	for _, b := range a.Banks {
+		if !b.HasCV() {
+			silent++
+			if b.CV != 0 {
+				t.Errorf("silent bank %+v carries a CV", b)
+			}
 		}
 	}
-	if nan == 0 || nan == len(f.Points) {
-		t.Fatalf("%d of %d banks have a NaN CV; the budget no longer mixes flipping and silent banks", nan, len(f.Points))
+	if silent == 0 || silent == len(a.Banks) {
+		t.Fatalf("%d of %d banks never flip; the budget no longer mixes flipping and silent banks", silent, len(a.Banks))
 	}
-	if out := f.Render(); !strings.Contains(out, "Fig. 6") || strings.Contains(out, "NaN") {
+	if n := bytes.Count(marshal(t, a), []byte(`"cv"`)); n != len(a.Banks)-silent {
+		t.Errorf("%d encoded CVs for %d flipping banks", n, len(a.Banks)-silent)
+	}
+	if out := Render(a); !strings.Contains(out, "Fig. 6") || strings.Contains(out, "NaN") {
 		t.Errorf("render:\n%s", out)
 	}
-	h := f.Headlines()
+	h := Fig6{Banks: a.Banks}.Headlines()
 	if math.IsNaN(h.CVLo) || math.IsNaN(h.CVHi) || h.CVLo <= 0 || h.CVHi < h.CVLo {
 		t.Errorf("CV range [%v, %v] over the flipping banks", h.CVLo, h.CVHi)
+	}
+}
+
+// TestHeadlinesWhenNothingFlips pins the no-flip headlines: at a hammer
+// budget below every row's HCfirst, the figures report "none" instead of
+// a sentinel minimum, the mean of an empty set or a 0/0 ratio.
+func TestHeadlinesWhenNothingFlips(t *testing.T) {
+	a, err := Run("sweep", Options{Cfg: config.SmallChip(), Rows: 2, Hammers: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range a.Rows {
+		if _, found := r.WCDPHCFirst(); found {
+			t.Fatalf("row %d flipped at 5000 hammers; the budget no longer leaves every row intact", r.PhysRow)
+		}
+	}
+	h3, h4, h5 := SweepHeadlines(a)
+	if h3.MaxBER != 0 || h4.MinHCFirst != 0 || h4.Ch0Rowstripe0.OK || h4.Ch0Rowstripe1.OK || h5.MidOverEdge.OK {
+		t.Errorf("no-flip headlines: %+v %+v %+v", h3, h4, h5)
+	}
+	out := Render(a)
+	for _, want := range []string{"min HCfirst none", "mean none/none", "mid/edge ratio none", "last-subarray BER ratio none"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
+	for _, bad := range []string{"NaN", "Inf", "9223372036854775807"} {
+		if strings.Contains(out, bad) {
+			t.Errorf("render contains %q:\n%s", bad, out)
+		}
 	}
 }
 

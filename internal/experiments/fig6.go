@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
@@ -14,46 +13,12 @@ import (
 	"github.com/safari-repro/hbmrh/internal/stats"
 )
 
-// BankPoint is one bank's marker in the Fig. 6 scatter: the mean and the
-// coefficient of variation of its per-row BER distribution.
-type BankPoint struct {
-	Bank    addr.BankAddr
-	MeanBER float64 // percent
-	CV      float64
-}
-
-// Fig6 is the per-bank BER variation figure.
-type Fig6 struct {
-	// Cfg is the chip the study measured.
-	Cfg    *config.Config
-	Points []BankPoint
-}
-
-// RunFig6 runs the registry's fig6 plan: the BER distribution over the
-// first, middle and last o.Rows rows (default 100, the paper's 300 rows
-// per bank) of every bank in the stack, one job per bank. Each row's BER
-// is taken under its best Table 1 pattern at the full hammer count — a
+// fig6Bank measures one bank's Fig. 6 marker: the BER distribution over
+// the first, middle and last span rows of the bank. Each row's BER is
+// taken under its best Table 1 pattern at the full hammer count — a
 // BER-maximizing proxy for the WCDP that avoids the per-row HCfirst
-// search, which Fig. 6 does not need. o.Parallel bounds how many bank
-// jobs run at once; Shard/ShardCount are ignored, as RunSlice ignores
-// them.
-func RunFig6(o Options) (*Fig6, error) {
-	p, err := registry["fig6"].Plan(o)
-	if err != nil {
-		return nil, err
-	}
-	f := &Fig6{Cfg: p.Cfg, Points: make([]BankPoint, 0, len(p.Jobs))}
-	err = runJobs(p, o, 0, len(p.Jobs), func(_ int, payload any) error {
-		f.Points = append(f.Points, payload.(BankPoint))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-func fig6Bank(h *core.Harness, cfg *config.Config, span, hammers int, ba addr.BankAddr) (BankPoint, error) {
+// search, which Fig. 6 does not need.
+func fig6Bank(h *core.Harness, cfg *config.Config, span, hammers int, ba addr.BankAddr) (results.BankRecord, error) {
 	g := cfg.Geometry
 	regions := []core.Region{
 		{Name: "first", Start: 0, End: span},
@@ -77,7 +42,7 @@ func fig6Bank(h *core.Harness, cfg *config.Config, span, hammers int, ba addr.Ba
 	for _, p := range patterns {
 		rs, err := h.BERBatch(ba, victims, p, hammers)
 		if err != nil {
-			return BankPoint{}, err
+			return results.BankRecord{}, err
 		}
 		for i, r := range rs {
 			if b := r.BER(); b > best[i] {
@@ -90,15 +55,59 @@ func fig6Bank(h *core.Harness, cfg *config.Config, span, hammers int, ba addr.Ba
 		bers[i] = b * 100
 	}
 	sum := stats.Summarize(bers)
-	return BankPoint{Bank: ba, MeanBER: sum.Mean, CV: sum.CV()}, nil
+	b := results.BankRecord{Channel: ba.Channel, PseudoChannel: ba.PseudoChannel, Bank: ba.Bank, MeanBER: sum.Mean}
+	if b.HasCV() {
+		b.CV = sum.CV()
+	}
+	return b, nil
 }
 
-// fig6Experiment lifts the per-bank variation study onto the registry:
-// one harness job per bank across the whole stack, in (channel, pseudo
-// channel, bank) order — the figure's point order — folded into the
-// per-channel artifact (bank mean BER and CV distributions per channel),
-// so the 256-bank scan shards by bank range. RunFig6 runs the same plan
-// and keeps the bank points instead.
+// Fig6 artifact metric names. The fig6 groups hold, per channel, the
+// distributions of bank mean BER and CV, so one CSV/JSON export and one
+// merge path serve it and every other study.
+const (
+	metricBankMeanBER = "bank_mean_ber_pct"
+	metricBankCV      = "bank_cv"
+)
+
+// newFig6Groups allocates the per-channel accumulators of the Fig. 6
+// artifact: each channel's distribution of per-bank mean BER (percent)
+// and coefficient of variation.
+func newFig6Groups(cfg *config.Config) []results.Group {
+	g := cfg.Geometry
+	out := make([]results.Group, 0, g.Channels)
+	for ch := 0; ch < g.Channels; ch++ {
+		out = append(out, results.Group{
+			Key: results.Key{Channel: ch},
+			Metrics: []results.Metric{
+				// Mean BER is already in percent; CV is dimensionless and
+				// in practice well under 10.
+				{Name: metricBankMeanBER, Stream: stats.NewStream(0, 100)},
+				{Name: metricBankCV, Stream: stats.NewStream(0, 10)},
+			},
+		})
+	}
+	return out
+}
+
+// addFig6Point streams one bank's scatter point into its channel group.
+func addFig6Point(groups []results.Group, b results.BankRecord) {
+	grp := &groups[b.Channel]
+	grp.Metrics[0].Stream.Add(b.MeanBER)
+	// An all-zero bank (zero mean) has no CV, so it is excluded from the
+	// CV distribution the way never-flipping rows are from HCfirst.
+	if b.HasCV() {
+		grp.Metrics[1].Stream.Add(b.CV)
+	}
+}
+
+// fig6Experiment registers the per-bank variation study: the BER
+// distribution over the first, middle and last o.Rows rows (default 100,
+// the paper's 300 rows per bank) of every bank in the stack. One harness
+// job per bank, in (channel, pseudo channel, bank) order — the figure's
+// point order — folded into the per-channel groups (bank mean BER and CV
+// distributions) plus one record per bank, so the 256-bank scan shards
+// by bank range and any merge of the slices draws the figure.
 func fig6Experiment() *Experiment {
 	return &Experiment{
 		Name:  "fig6",
@@ -147,7 +156,9 @@ func fig6Experiment() *Experiment {
 					}
 					return &Fold{
 						Add: func(_ int, payload any) error {
-							addFig6Point(a.Groups, payload.(BankPoint))
+							b := payload.(results.BankRecord)
+							addFig6Point(a.Groups, b)
+							a.Banks = append(a.Banks, b)
 							return nil
 						},
 						Finish: func() (*results.Artifact, error) { return a, nil },
@@ -155,23 +166,35 @@ func fig6Experiment() *Experiment {
 				},
 			}, nil
 		},
+		Render: renderFig6,
 	}
+}
+
+// Fig6 is the per-bank BER variation figure, drawn from a fig6
+// artifact's bank records.
+type Fig6 struct{ Banks []results.BankRecord }
+
+// renderFig6 is the fig6 entry's registry render: the scatter and its
+// headlines.
+func renderFig6(a *results.Artifact) string {
+	f := Fig6{Banks: a.Banks}
+	return renderHeader(a) + f.Render() + f.Headlines().String()
 }
 
 // Render draws the scatter plot; each point's glyph is its channel digit,
 // matching the paper's colour coding. A bank whose sampled rows never
-// flipped has no CV (NaN) and so no place on the x axis; it is left out,
-// as addFig6Point leaves it out of the artifact's CV distribution.
-func (f *Fig6) Render() string {
-	pts := make([]report.Point, 0, len(f.Points))
-	for _, p := range f.Points {
-		if math.IsNaN(p.CV) {
+// flipped has no CV and so no place on the x axis; it is left out, as
+// addFig6Point leaves it out of the artifact's CV distribution.
+func (f Fig6) Render() string {
+	pts := make([]report.Point, 0, len(f.Banks))
+	for _, b := range f.Banks {
+		if !b.HasCV() {
 			continue
 		}
 		pts = append(pts, report.Point{
-			X:   p.CV,
-			Y:   p.MeanBER,
-			Tag: rune('0' + p.Bank.Channel%10),
+			X:   b.CV,
+			Y:   b.MeanBER,
+			Tag: rune('0' + b.Channel%10),
 		})
 	}
 	return report.RenderScatter(
@@ -197,20 +220,20 @@ type Fig6Headlines struct {
 }
 
 // Headlines computes Fig6Headlines.
-func (f *Fig6) Headlines() Fig6Headlines {
+func (f Fig6) Headlines() Fig6Headlines {
 	h := Fig6Headlines{}
-	if len(f.Points) == 0 {
+	if len(f.Banks) == 0 {
 		return h
 	}
-	means := make([]float64, 0, len(f.Points))
-	cvs := make([]float64, 0, len(f.Points))
+	means := make([]float64, 0, len(f.Banks))
+	cvs := make([]float64, 0, len(f.Banks))
 	byCh := map[int][]float64{}
-	for _, p := range f.Points {
-		means = append(means, p.MeanBER)
-		if !math.IsNaN(p.CV) {
-			cvs = append(cvs, p.CV)
+	for _, b := range f.Banks {
+		means = append(means, b.MeanBER)
+		if b.HasCV() {
+			cvs = append(cvs, b.CV)
 		}
-		byCh[p.Bank.Channel] = append(byCh[p.Bank.Channel], p.MeanBER)
+		byCh[b.Channel] = append(byCh[b.Channel], b.MeanBER)
 	}
 	h.MeanLo, h.MeanHi = stats.MinMax(means)
 	if len(cvs) > 0 {
@@ -228,17 +251,9 @@ func (f *Fig6) Headlines() Fig6Headlines {
 	return h
 }
 
-// CSV exports the scatter's raw data.
-func (f *Fig6) CSV() (headers []string, rows [][]string) {
-	headers = []string{"channel", "pseudo_channel", "bank", "mean_ber_pct", "cv"}
-	for _, p := range f.Points {
-		rows = append(rows, []string{
-			strconv.Itoa(p.Bank.Channel),
-			strconv.Itoa(p.Bank.PseudoChannel),
-			strconv.Itoa(p.Bank.Bank),
-			strconv.FormatFloat(p.MeanBER, 'f', 5, 64),
-			strconv.FormatFloat(p.CV, 'f', 5, 64),
-		})
-	}
-	return headers, rows
+// String is the figure's headline line, with the paper's values.
+func (h Fig6Headlines) String() string {
+	return fmt.Sprintf("headlines: bank mean BER %.2f-%.2f%% (paper %s); CV %.2f-%.2f (paper %s); "+
+		"cross/intra channel spread %.1fx\n",
+		h.MeanLo, h.MeanHi, paper("fig6.bank_mean"), h.CVLo, h.CVHi, paper("fig6.bank_cv"), h.CrossOverIntra)
 }

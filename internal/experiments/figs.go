@@ -2,13 +2,18 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/report"
+	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/stats"
 )
+
+// Figs. 3-5 are drawn from a sweep artifact's row records. The regions
+// and the channel count come from its region×channel groups, which every
+// slice of the sweep carries in full, so a shard slice draws the same
+// axes as the whole run, with the unmeasured channels empty.
 
 // seriesNames returns the x-axis groups of Figs. 3-4: the four Table 1
 // patterns followed by the per-row worst-case pattern.
@@ -20,17 +25,59 @@ func seriesNames() []string {
 	return append(names, core.WCDPName)
 }
 
+// sweepAxes returns the region names and the channel count of a sweep
+// artifact's region×channel groups, which newFineGroups lays out region
+// by region.
+func sweepAxes(groups []results.Group) (regions []string, channels int) {
+	for _, g := range groups {
+		if len(regions) == 0 || regions[len(regions)-1] != g.Key.Region {
+			regions = append(regions, g.Key.Region)
+		}
+	}
+	if len(regions) > 0 {
+		channels = len(groups) / len(regions)
+	}
+	return regions, channels
+}
+
+// sweepFigs draws Figs. 3-5 from a sweep artifact.
+func sweepFigs(a *results.Artifact) (Fig3, Fig4, Fig5) {
+	regions, channels := sweepAxes(a.Groups)
+	return Fig3{Rows: a.Rows, Channels: channels},
+		Fig4{Rows: a.Rows, Channels: channels},
+		Fig5{Rows: a.Rows, Regions: regions, Channels: channels}
+}
+
+// SweepHeadlines computes the Figs. 3-5 headlines of a sweep artifact.
+func SweepHeadlines(a *results.Artifact) (Fig3Headlines, Fig4Headlines, Fig5Headlines) {
+	f3, f4, f5 := sweepFigs(a)
+	return f3.Headlines(), f4.Headlines(), f5.Headlines()
+}
+
+// renderSweep is the sweep entry's registry render: Figs. 3-5, each with
+// its headlines.
+func renderSweep(a *results.Artifact) string {
+	f3, f4, f5 := sweepFigs(a)
+	return renderHeader(a) +
+		f3.Render() + f3.Headlines().String() + "\n" +
+		f4.Render() + f4.Headlines().String() + "\n" +
+		f5.Render() + f5.Headlines().String() + "\n"
+}
+
 // distribution extracts, for one pattern index (len(Table1()) selects the
 // WCDP series) and channel, the per-row metric values.
-func (s *Sweep) distribution(patternIdx, channel int, metric func(RowResult, int) (float64, bool)) []float64 {
+func distribution(rows []results.RowRecord, patternIdx, channel int, metric func(results.RowRecord, int) (float64, bool)) []float64 {
 	var out []float64
-	for _, r := range s.Rows {
+	for _, r := range rows {
 		if r.Channel != channel {
 			continue
 		}
 		pi := patternIdx
-		if pi == len(r.BER) { // WCDP series
+		if pi == len(core.Table1()) { // WCDP series
 			pi = r.WCDP
+		}
+		if pi >= len(r.BER) {
+			continue // a record of fewer patterns than Table 1
 		}
 		if v, ok := metric(r, pi); ok {
 			out = append(out, v)
@@ -39,9 +86,9 @@ func (s *Sweep) distribution(patternIdx, channel int, metric func(RowResult, int
 	return out
 }
 
-func berMetric(r RowResult, pi int) (float64, bool) { return r.BER[pi] * 100, true } // percent
+func berMetric(r results.RowRecord, pi int) (float64, bool) { return r.BER[pi] * 100, true } // percent
 
-func hcMetric(r RowResult, pi int) (float64, bool) {
+func hcMetric(r results.RowRecord, pi int) (float64, bool) {
 	if !r.Found[pi] {
 		return 0, false // rows that never flip are excluded, as in Fig. 4
 	}
@@ -49,13 +96,12 @@ func hcMetric(r RowResult, pi int) (float64, bool) {
 }
 
 // boxGroups builds the Fig. 3/4 box-plot structure for a metric.
-func (s *Sweep) boxGroups(metric func(RowResult, int) (float64, bool)) []report.BoxGroup {
-	chs := s.Cfg.Geometry.Channels
+func boxGroups(rows []results.RowRecord, channels int, metric func(results.RowRecord, int) (float64, bool)) []report.BoxGroup {
 	var groups []report.BoxGroup
 	for pi, name := range seriesNames() {
 		g := report.BoxGroup{Label: name}
-		for ch := 0; ch < chs; ch++ {
-			vals := s.distribution(pi, ch, metric)
+		for ch := 0; ch < channels; ch++ {
+			vals := distribution(rows, pi, ch, metric)
 			if len(vals) == 0 {
 				continue
 			}
@@ -69,25 +115,63 @@ func (s *Sweep) boxGroups(metric func(RowResult, int) (float64, bool)) []report.
 	return groups
 }
 
+// Value is a headline number the budget may leave undefined: a mean over
+// no flipping row, or a ratio with an empty side or a zero denominator.
+// OK is false then, and the number reads "none", not a sentinel or NaN.
+type Value struct {
+	V  float64
+	OK bool
+}
+
+// meanOf is the mean of vals, undefined for an empty sample.
+func meanOf(vals []float64) Value {
+	if len(vals) == 0 {
+		return Value{}
+	}
+	return Value{V: stats.Mean(vals), OK: true}
+}
+
+// ratioOf is mean(num)/mean(den).
+func ratioOf(num, den []float64) Value {
+	n, d := meanOf(num), meanOf(den)
+	if !n.OK || !d.OK || d.V == 0 {
+		return Value{}
+	}
+	return Value{V: n.V / d.V, OK: true}
+}
+
+// Format formats the value, or reads "none" when it is undefined.
+func (v Value) Format(format string) string {
+	if !v.OK {
+		return "none"
+	}
+	return fmt.Sprintf(format, v.V)
+}
+
 // --- Fig. 3: BER across rows, channels and data patterns ---
 
-// Fig3 is the BER distribution figure.
-type Fig3 struct{ Sweep *Sweep }
+// Fig3 is the BER distribution figure over a sweep's row records.
+type Fig3 struct {
+	Rows     []results.RowRecord
+	Channels int
+}
 
 // Render draws the figure as ASCII box plots (BER in percent).
 func (f Fig3) Render() string {
 	return report.RenderBoxes(
 		"Fig. 3: RowHammer BER across DRAM rows, channels and data patterns",
-		"% BER", f.Sweep.boxGroups(berMetric))
+		"% BER", boxGroups(f.Rows, f.Channels, berMetric))
 }
 
 // Fig3Headlines carries the figure's quantitative takeaways, matching the
 // numbers the paper reports in its text.
 type Fig3Headlines struct {
-	// WCDPMeanBER is the mean WCDP BER per channel, in percent.
+	// WCDPMeanBER is the mean WCDP BER per channel, in percent; 0 for a
+	// channel the records do not cover (a shard slice).
 	WCDPMeanBER []float64
 	// MaxOverMinWCDP is the ratio of the best to worst channel's mean
-	// WCDP BER (paper: channel 7 is 2.03x channel 0).
+	// WCDP BER over the covered channels (paper: channel 7 is 2.03x
+	// channel 0); 0 when the worst channel never flipped.
 	MaxOverMinWCDP float64
 	// MaxSpreadPct is the largest cross-channel BER spread over all
 	// patterns: (max-min)/max of channel mean BER (paper: up to 79 %).
@@ -96,22 +180,26 @@ type Fig3Headlines struct {
 	MaxBER float64
 }
 
-// Headlines computes Fig3Headlines from the sweep.
+// Headlines computes Fig3Headlines from the records.
 func (f Fig3) Headlines() Fig3Headlines {
-	chs := f.Sweep.Cfg.Geometry.Channels
-	h := Fig3Headlines{WCDPMeanBER: make([]float64, chs)}
+	h := Fig3Headlines{WCDPMeanBER: make([]float64, f.Channels)}
 	wcdpIdx := len(core.Table1())
-	for ch := 0; ch < chs; ch++ {
-		h.WCDPMeanBER[ch] = stats.Mean(f.Sweep.distribution(wcdpIdx, ch, berMetric))
+	var covered []float64
+	for ch := range h.WCDPMeanBER {
+		if vals := distribution(f.Rows, wcdpIdx, ch, berMetric); len(vals) > 0 {
+			h.WCDPMeanBER[ch] = stats.Mean(vals)
+			covered = append(covered, h.WCDPMeanBER[ch])
+		}
 	}
-	lo, hi := stats.MinMax(h.WCDPMeanBER)
-	if lo > 0 {
-		h.MaxOverMinWCDP = hi / lo
+	if len(covered) > 0 {
+		if lo, hi := stats.MinMax(covered); lo > 0 {
+			h.MaxOverMinWCDP = hi / lo
+		}
 	}
 	for pi := range seriesNames() {
-		means := make([]float64, 0, chs)
-		for ch := 0; ch < chs; ch++ {
-			if vals := f.Sweep.distribution(pi, ch, berMetric); len(vals) > 0 {
+		means := make([]float64, 0, f.Channels)
+		for ch := 0; ch < f.Channels; ch++ {
+			if vals := distribution(f.Rows, pi, ch, berMetric); len(vals) > 0 {
 				means = append(means, stats.Mean(vals))
 			}
 		}
@@ -125,7 +213,7 @@ func (f Fig3) Headlines() Fig3Headlines {
 			}
 		}
 	}
-	for _, r := range f.Sweep.Rows {
+	for _, r := range f.Rows {
 		for _, b := range r.BER {
 			if b*100 > h.MaxBER {
 				h.MaxBER = b * 100
@@ -135,78 +223,114 @@ func (f Fig3) Headlines() Fig3Headlines {
 	return h
 }
 
+// String is the figure's headline line, with the paper's values.
+func (h Fig3Headlines) String() string {
+	return fmt.Sprintf("headlines: max/min channel WCDP BER ratio %.2fx (paper %s); "+
+		"max cross-channel spread %.0f%% (paper %s); max BER %.2f%% (paper %s)\n",
+		h.MaxOverMinWCDP, paper("fig3.channel_ratio"), h.MaxSpreadPct, paper("fig3.channel_spread"),
+		h.MaxBER, paper("fig3.max_ber"))
+}
+
 // --- Fig. 4: HCfirst across rows, channels and data patterns ---
 
-// Fig4 is the HCfirst distribution figure.
-type Fig4 struct{ Sweep *Sweep }
+// Fig4 is the HCfirst distribution figure over a sweep's row records.
+type Fig4 struct {
+	Rows     []results.RowRecord
+	Channels int
+}
 
 // Render draws the figure as ASCII box plots (hammer counts).
 func (f Fig4) Render() string {
 	return report.RenderBoxes(
 		"Fig. 4: minimum hammer count to induce the first bitflip (HCfirst)",
-		"hammers", f.Sweep.boxGroups(hcMetric))
+		"hammers", boxGroups(f.Rows, f.Channels, hcMetric))
 }
 
 // Fig4Headlines carries the figure's quantitative takeaways.
 type Fig4Headlines struct {
 	// MinHCFirst is the smallest HCfirst observed across all channels
-	// and patterns (paper: 14531).
+	// and patterns (paper: 14531); 0 when nothing flipped (a row that
+	// flips has a positive HCfirst).
 	MinHCFirst int
-	// WCDPMeanHC is the mean WCDP HCfirst per channel.
-	WCDPMeanHC []float64
-	// SpreadPct is the cross-channel spread of mean WCDP HCfirst:
-	// (max-min)/max (paper: up to 20 %).
+	// WCDPMeanHC is the mean WCDP HCfirst per channel, undefined for a
+	// channel with no flipping row.
+	WCDPMeanHC []Value
+	// SpreadPct is the cross-channel spread of mean WCDP HCfirst over the
+	// channels that flipped: (max-min)/max (paper: up to 20 %).
 	SpreadPct float64
 	// Ch0Rowstripe0 and Ch0Rowstripe1 are channel 0's mean HCfirst under
 	// the two stripe patterns (paper: 57925 and 79179), showing that the
 	// effective pattern is channel-dependent.
-	Ch0Rowstripe0 float64
-	Ch0Rowstripe1 float64
+	Ch0Rowstripe0 Value
+	Ch0Rowstripe1 Value
 }
 
-// Headlines computes Fig4Headlines from the sweep.
+// Headlines computes Fig4Headlines from the records.
 func (f Fig4) Headlines() Fig4Headlines {
-	chs := f.Sweep.Cfg.Geometry.Channels
-	h := Fig4Headlines{MinHCFirst: math.MaxInt, WCDPMeanHC: make([]float64, chs)}
+	h := Fig4Headlines{WCDPMeanHC: make([]Value, f.Channels)}
 	wcdpIdx := len(core.Table1())
-	for ch := 0; ch < chs; ch++ {
-		h.WCDPMeanHC[ch] = stats.Mean(f.Sweep.distribution(wcdpIdx, ch, hcMetric))
+	var flipped []float64
+	for ch := range h.WCDPMeanHC {
+		h.WCDPMeanHC[ch] = meanOf(distribution(f.Rows, wcdpIdx, ch, hcMetric))
+		if h.WCDPMeanHC[ch].OK {
+			flipped = append(flipped, h.WCDPMeanHC[ch].V)
+		}
 	}
-	lo, hi := stats.MinMax(h.WCDPMeanHC)
-	if hi > 0 {
+	if len(flipped) > 0 {
+		lo, hi := stats.MinMax(flipped)
 		h.SpreadPct = (hi - lo) / hi * 100
 	}
-	for _, r := range f.Sweep.Rows {
+	for _, r := range f.Rows {
 		for pi, found := range r.Found {
-			if found && r.HCFirst[pi] < h.MinHCFirst {
+			if found && (h.MinHCFirst == 0 || r.HCFirst[pi] < h.MinHCFirst) {
 				h.MinHCFirst = r.HCFirst[pi]
 			}
 		}
 	}
-	h.Ch0Rowstripe0 = stats.Mean(f.Sweep.distribution(0, 0, hcMetric))
-	h.Ch0Rowstripe1 = stats.Mean(f.Sweep.distribution(1, 0, hcMetric))
+	h.Ch0Rowstripe0 = meanOf(distribution(f.Rows, 0, 0, hcMetric))
+	h.Ch0Rowstripe1 = meanOf(distribution(f.Rows, 1, 0, hcMetric))
 	return h
+}
+
+// String is the figure's headline line, with the paper's values.
+func (h Fig4Headlines) String() string {
+	return fmt.Sprintf("headlines: min HCfirst %s (paper %s); channel spread %.0f%% (paper %s); "+
+		"ch0 RS0/RS1 mean %s/%s (paper %s/%s)\n",
+		Value{V: float64(h.MinHCFirst), OK: h.MinHCFirst > 0}.Format("%.0f"), paper("fig4.min_hcfirst"),
+		h.SpreadPct, paper("fig4.channel_spread"),
+		h.Ch0Rowstripe0.Format("%.0f"), h.Ch0Rowstripe1.Format("%.0f"),
+		paper("fig4.ch0_rs0"), paper("fig4.ch0_rs1"))
 }
 
 // --- Fig. 5: BER vs physical row address ---
 
-// Fig5 is the per-row WCDP BER profile over the three regions.
-type Fig5 struct{ Sweep *Sweep }
+// Fig5 is the per-row WCDP BER profile over the regions of a sweep's row
+// records.
+type Fig5 struct {
+	Rows     []results.RowRecord
+	Regions  []string
+	Channels int
+}
 
 // Profile returns, for one region, the sampled physical rows and one BER
-// series (percent) per channel.
+// series (percent) per channel. Every channel samples the same rows, in
+// ascending order, so the x axis is the first measured channel's.
 func (f Fig5) Profile(region string) (xs []int, series []report.ProfileSeries) {
-	byCh := f.Sweep.ByChannel()
+	byCh := make([][]results.RowRecord, f.Channels)
+	for _, r := range f.Rows {
+		if r.Region == region && r.Channel < f.Channels {
+			byCh[r.Channel] = append(byCh[r.Channel], r)
+		}
+	}
 	for ch, rows := range byCh {
 		var vals []float64
 		for _, r := range rows {
-			if r.Region != region {
-				continue
-			}
-			if ch == 0 {
+			vals = append(vals, r.WCDPBER()*100)
+		}
+		if xs == nil {
+			for _, r := range rows {
 				xs = append(xs, r.PhysRow)
 			}
-			vals = append(vals, r.WCDPBER()*100)
 		}
 		series = append(series, report.ProfileSeries{
 			Label:  "ch" + strconv.Itoa(ch),
@@ -216,12 +340,12 @@ func (f Fig5) Profile(region string) (xs []int, series []report.ProfileSeries) {
 	return xs, series
 }
 
-// Render draws all three regional profiles.
+// Render draws every region's profile.
 func (f Fig5) Render() string {
 	out := "Fig. 5: WCDP BER for rows across a bank (periodic within subarrays)\n"
-	for _, region := range core.Regions(f.Sweep.Cfg.Geometry.Rows) {
-		xs, series := f.Profile(region.Name)
-		out += report.RenderProfile(fmt.Sprintf("region %q", region.Name), xs, series)
+	for _, region := range f.Regions {
+		xs, series := f.Profile(region)
+		out += report.RenderProfile(fmt.Sprintf("region %q", region), xs, series)
 	}
 	return out
 }
@@ -231,59 +355,38 @@ type Fig5Headlines struct {
 	// LastSubarrayRatio is the mean WCDP BER of rows in the bank's final
 	// subarray divided by the mean over all other tested rows; the paper
 	// observes the last 832 rows substantially weaker (ratio << 1).
-	LastSubarrayRatio float64
+	LastSubarrayRatio Value
 	// MidOverEdge is the mean BER of rows in the middle third of their
 	// subarray over rows in the outer thirds; the paper observes BER
 	// peaking mid-subarray (ratio > 1).
-	MidOverEdge float64
+	MidOverEdge Value
 }
 
-// Headlines computes Fig5Headlines from the sweep.
+// Headlines computes Fig5Headlines from the records.
 func (f Fig5) Headlines() Fig5Headlines {
-	layout := f.Sweep.Cfg.Layout()
-	lastSA := layout.Count() - 1
 	var last, rest, mid, edge []float64
-	for _, r := range f.Sweep.Rows {
+	for _, r := range f.Rows {
 		ber := r.WCDPBER() * 100
-		sa, off := layout.Locate(r.PhysRow)
-		if sa == lastSA {
+		if r.LastSubarray {
 			last = append(last, ber)
+			continue
+		}
+		rest = append(rest, ber)
+		third := r.SubarraySize / 3
+		if r.SubarrayOffset >= third && r.SubarrayOffset < 2*third {
+			mid = append(mid, ber)
 		} else {
-			rest = append(rest, ber)
-			third := layout.Size(sa) / 3
-			if off >= third && off < 2*third {
-				mid = append(mid, ber)
-			} else {
-				edge = append(edge, ber)
-			}
+			edge = append(edge, ber)
 		}
 	}
-	h := Fig5Headlines{}
-	if len(last) > 0 && len(rest) > 0 {
-		h.LastSubarrayRatio = stats.Mean(last) / stats.Mean(rest)
+	return Fig5Headlines{
+		LastSubarrayRatio: ratioOf(last, rest),
+		MidOverEdge:       ratioOf(mid, edge),
 	}
-	if len(mid) > 0 && len(edge) > 0 {
-		h.MidOverEdge = stats.Mean(mid) / stats.Mean(edge)
-	}
-	return h
 }
 
-// CSV exports the sweep's raw per-row data (shared by Figs. 3-5).
-func (s *Sweep) CSV() (headers []string, rows [][]string) {
-	headers = []string{"channel", "region", "phys_row", "pattern", "ber_pct", "hc_first", "found", "is_wcdp"}
-	for _, r := range s.Rows {
-		for pi, p := range core.Table1() {
-			rows = append(rows, []string{
-				strconv.Itoa(r.Channel),
-				r.Region,
-				strconv.Itoa(r.PhysRow),
-				p.Name,
-				strconv.FormatFloat(r.BER[pi]*100, 'f', 5, 64),
-				strconv.Itoa(r.HCFirst[pi]),
-				strconv.FormatBool(r.Found[pi]),
-				strconv.FormatBool(pi == r.WCDP),
-			})
-		}
-	}
-	return headers, rows
+// String is the figure's headline line.
+func (h Fig5Headlines) String() string {
+	return fmt.Sprintf("headlines: last-subarray BER ratio %s; mid/edge ratio %s\n",
+		h.LastSubarrayRatio.Format("%.2fx"), h.MidOverEdge.Format("%.2fx"))
 }

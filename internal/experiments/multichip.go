@@ -91,7 +91,7 @@ func newFineGroups(cfg *config.Config) []results.Group {
 // foldSweepRows streams a sweep's per-row WCDP metrics into fine-axis
 // groups allocated by newFineGroups for the same design. Rows that never
 // flip are excluded from HCfirst, as in Fig. 4.
-func foldSweepRows(cfg *config.Config, groups []results.Group, rows []RowResult) {
+func foldSweepRows(cfg *config.Config, groups []results.Group, rows []results.RowRecord) {
 	channels := cfg.Geometry.Channels
 	regionIdx := make(map[string]int, 3)
 	for i, r := range core.Regions(cfg.Geometry.Rows) {
@@ -207,9 +207,9 @@ func StudyFromArtifact(a *results.Artifact, gb results.GroupBy) *MultiChipStudy 
 	return &MultiChipStudy{Chips: a.Chips, Artifact: a, GroupBy: gb}
 }
 
-// measureChip runs one seed's headline measurements and condenses the
-// sweep into the chip's summary plus fine-axis accumulators; the sweep's
-// per-row dataset is dropped when this returns.
+// measureChip runs one seed's headline measurements: the sweep plan,
+// whose fold gives the chip's fine-axis accumulators, condensed into the
+// chip's summary; the sweep's row records are dropped when this returns.
 func measureChip(ctx context.Context, o MultiChipOptions, seed uint64) (chipResult, error) {
 	cfg := *o.Base
 	cfg.Seed = seed
@@ -217,20 +217,21 @@ func measureChip(ctx context.Context, o MultiChipOptions, seed uint64) (chipResu
 	// chip is summarized, or a long seed scan keeps every instance's
 	// devices resident.
 	defer engine.SharedPool.DrainConfig(&cfg)
-	sweep, err := RunSweep(Options{Cfg: &cfg, Rows: o.RowsPerRegion, Parallel: o.Workers, Ctx: ctx})
+	p, err := registry["sweep"].Plan(Options{Cfg: &cfg, Rows: o.RowsPerRegion})
 	if err != nil {
 		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
 	}
-	h3 := Fig3{sweep}.Headlines()
-	h4 := Fig4{sweep}.Headlines()
+	sweep, err := executePlan(p, Options{Parallel: o.Workers, Ctx: ctx}, 0, len(p.Jobs))
+	if err != nil {
+		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
+	}
+	h3, h4, _ := SweepHeadlines(sweep)
 	worst := 0
 	for ch, ber := range h3.WCDPMeanBER {
 		if ber > h3.WCDPMeanBER[worst] {
 			worst = ch
 		}
 	}
-	groups := newFineGroups(o.Base)
-	foldSweepRows(o.Base, groups, sweep.Rows)
 	trr, err := RunTRRStudy(TRRStudyOptions{
 		Cfg:  &cfg,
 		Bank: addr.BankAddr{Channel: 0, PseudoChannel: 0, Bank: 0},
@@ -247,7 +248,7 @@ func measureChip(ctx context.Context, o MultiChipOptions, seed uint64) (chipResu
 			WorstChannel: worst,
 			TRRPeriod:    trr.Period,
 		},
-		groups: groups,
+		groups: sweep.Groups,
 	}, nil
 }
 

@@ -59,7 +59,7 @@ func TestMultiChipStreamingMatchesBatch(t *testing.T) {
 	for _, seed := range seeds {
 		cfg := *config.SmallChip()
 		cfg.Seed = seed
-		sweep, err := RunSweep(Options{Cfg: &cfg, Rows: 3})
+		sweep, err := Run("sweep", Options{Cfg: &cfg, Rows: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,38 +315,28 @@ func TestMultiChipAggregateExports(t *testing.T) {
 	}
 }
 
-// TestTypedDriversMatchRegistryArtifacts pins the one execution path
-// of the Section 4 studies: RunSweep's rows and RunFig6's bank points,
-// folded the way the registry folds them, give groups byte-identical to
-// the sweep and fig6 artifacts of the same options.
+// TestTypedDriversMatchRegistryArtifacts pins that the records the
+// sweep and fig6 artifacts carry are the payloads their groups were
+// folded from: refolding an artifact's records the way the registry
+// folds them gives groups byte-identical to the artifact's own, and
+// there is one record per swept row and per bank.
 func TestTypedDriversMatchRegistryArtifacts(t *testing.T) {
 	o := Options{Cfg: config.SmallChip(), Rows: 2, Parallel: 3}
-	sameGroups := func(name string, groups []results.Group) {
+	sameGroups := func(a *results.Artifact, groups []results.Group) {
 		t.Helper()
-		want, err := Run(name, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := &results.Artifact{Meta: want.Meta, Groups: groups}
-		gb, err := got.MarshalIndented()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, err := want.MarshalIndented()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gb, wb) {
-			t.Fatalf("%s: typed driver's groups differ from the registry artifact's", name)
+		got := &results.Artifact{Meta: a.Meta, Groups: groups}
+		want := &results.Artifact{Meta: a.Meta, Groups: a.Groups}
+		if !bytes.Equal(marshal(t, got), marshal(t, want)) {
+			t.Fatalf("%s: refolded records differ from the artifact's groups", a.Meta.Tool)
 		}
 	}
 
-	sweep, err := RunSweep(o)
+	sweep, err := Run("sweep", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := newFineGroups(sweep.Cfg)
-	foldSweepRows(sweep.Cfg, groups, sweep.Rows)
+	groups := newFineGroups(o.Cfg)
+	foldSweepRows(o.Cfg, groups, sweep.Rows)
 	folded := 0
 	for _, g := range groups {
 		folded += g.Metrics[0].Stream.N()
@@ -354,18 +344,18 @@ func TestTypedDriversMatchRegistryArtifacts(t *testing.T) {
 	if len(sweep.Rows) == 0 || folded != len(sweep.Rows) {
 		t.Fatalf("sweep: %d BER samples folded for %d rows", folded, len(sweep.Rows))
 	}
-	sameGroups("sweep", groups)
+	sameGroups(sweep, groups)
 
-	f6, err := RunFig6(o)
+	f6, err := Run("fig6", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f6.Points) != f6.Cfg.Geometry.TotalBanks() {
-		t.Fatalf("fig6: %d bank points, want one per bank", len(f6.Points))
+	if len(f6.Banks) != o.Cfg.Geometry.TotalBanks() {
+		t.Fatalf("fig6: %d bank records, want one per bank", len(f6.Banks))
 	}
-	groups = newFig6Groups(f6.Cfg)
-	for _, p := range f6.Points {
-		addFig6Point(groups, p)
+	groups = newFig6Groups(o.Cfg)
+	for _, b := range f6.Banks {
+		addFig6Point(groups, b)
 	}
-	sameGroups("fig6", groups)
+	sameGroups(f6, groups)
 }

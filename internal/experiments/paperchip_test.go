@@ -16,13 +16,11 @@ func TestPaperChipCalibrationSpotCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-geometry sweep is the heavyweight calibration check")
 	}
-	sweep, err := RunSweep(Options{Cfg: config.PaperChip(), Rows: 12})
+	sweep, err := Run("sweep", Options{Cfg: config.PaperChip(), Rows: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3 := Fig3{sweep}.Headlines()
-	h4 := Fig4{sweep}.Headlines()
-	h5 := Fig5{sweep}.Headlines()
+	h3, h4, h5 := SweepHeadlines(sweep)
 
 	// Paper: channel 7 is 2.03x channel 0 in mean WCDP BER.
 	if h3.MaxOverMinWCDP < 1.6 || h3.MaxOverMinWCDP > 2.7 {
@@ -37,21 +35,22 @@ func TestPaperChipCalibrationSpotCheck(t *testing.T) {
 		t.Errorf("min HCfirst %d outside the band (paper 14531)", h4.MinHCFirst)
 	}
 	// Paper: channel 0 stripe means 57925 (RS0) and 79179 (RS1).
-	if h4.Ch0Rowstripe0 < 48000 || h4.Ch0Rowstripe0 > 70000 {
-		t.Errorf("ch0 Rowstripe0 mean %.0f outside the band (paper 57925)", h4.Ch0Rowstripe0)
+	rs0, rs1 := h4.Ch0Rowstripe0.V, h4.Ch0Rowstripe1.V
+	if !h4.Ch0Rowstripe0.OK || rs0 < 48000 || rs0 > 70000 {
+		t.Errorf("ch0 Rowstripe0 mean %+v outside the band (paper 57925)", h4.Ch0Rowstripe0)
 	}
-	if h4.Ch0Rowstripe1 < 66000 || h4.Ch0Rowstripe1 > 95000 {
-		t.Errorf("ch0 Rowstripe1 mean %.0f outside the band (paper 79179)", h4.Ch0Rowstripe1)
+	if !h4.Ch0Rowstripe1.OK || rs1 < 66000 || rs1 > 95000 {
+		t.Errorf("ch0 Rowstripe1 mean %+v outside the band (paper 79179)", h4.Ch0Rowstripe1)
 	}
-	if h4.Ch0Rowstripe1 <= h4.Ch0Rowstripe0 {
+	if rs1 <= rs0 {
 		t.Error("ch0 Rowstripe1 must need more hammers than Rowstripe0")
 	}
 	// Paper: the last 832 rows show substantially fewer bitflips.
-	if h5.LastSubarrayRatio <= 0 || h5.LastSubarrayRatio >= 0.7 {
-		t.Errorf("last-subarray ratio %.2f outside the band", h5.LastSubarrayRatio)
+	if r := h5.LastSubarrayRatio; !r.OK || r.V <= 0 || r.V >= 0.7 {
+		t.Errorf("last-subarray ratio %v outside the band", r)
 	}
-	if h5.MidOverEdge <= 1.1 {
-		t.Errorf("mid/edge ratio %.2f; subarray periodicity missing", h5.MidOverEdge)
+	if r := h5.MidOverEdge; !r.OK || r.V <= 1.1 {
+		t.Errorf("mid/edge ratio %v; subarray periodicity missing", r)
 	}
 	// Paper geometry invariant: middle region rows sit in 768-row
 	// subarrays.

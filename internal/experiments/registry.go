@@ -279,7 +279,7 @@ func executePlan(p *Plan, o Options, lo, hi int) (*results.Artifact, error) {
 // runJobs runs the job slice [lo, hi) through the engine and hands each
 // payload to add with its plan job index, in job order. It is the one
 // place a plan meets the scheduler: registry runs fold the payloads into
-// an artifact, the typed figure drivers keep them.
+// an artifact, the U-TRR probe study keeps them.
 func runJobs(p *Plan, o Options, lo, hi int, add func(i int, payload any) error) error {
 	weights := make([]float64, hi-lo)
 	for i := range weights {
@@ -370,10 +370,10 @@ func pointFold(jobs []Job, metric string, lo, hi float64) func(int, int) *Fold {
 	}
 }
 
-// RenderArtifact is the generic experiment report: provenance header plus
-// the distribution summary at the artifact's stored axis. Registered
-// renderers build on or replace it.
-func RenderArtifact(a *results.Artifact) string {
+// renderHeader is the provenance header of an experiment report: the
+// experiment, its job count and axis, the chip config, and the shard
+// coordinates of a slice.
+func renderHeader(a *results.Artifact) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "experiment %s: %d job(s) on axis %q, chip config %s\n",
 		a.Meta.Tool, a.Meta.JobCount, a.Meta.JobAxis, a.Meta.ConfigHash)
@@ -381,18 +381,16 @@ func RenderArtifact(a *results.Artifact) string {
 		fmt.Fprintf(&sb, "shard %d/%d covering jobs [%d,+%d)\n",
 			a.Meta.Shard, a.Meta.ShardCount, a.Meta.JobFirst, a.Meta.JobCount)
 	}
-	sb.WriteString(results.RenderGroups(a.Groups,
-		func(name string) string { return name },
-		nil))
 	return sb.String()
 }
 
 // Render renders an artifact with its experiment's registered renderer,
-// falling back to the generic one for unknown tools (e.g. artifacts from
-// a newer build).
+// falling back to the generic report — the provenance header plus the
+// distribution summary at the stored axis — for experiments without one
+// and for unknown tools (e.g. artifacts from a newer build).
 func Render(a *results.Artifact) string {
 	if e, ok := registry[a.Meta.Tool]; ok && e.Render != nil {
 		return e.Render(a)
 	}
-	return RenderArtifact(a)
+	return renderHeader(a) + results.RenderGroups(a.Groups, func(name string) string { return name }, nil)
 }

@@ -16,7 +16,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
@@ -24,58 +23,6 @@ import (
 	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/results"
 )
-
-// RowResult holds every measurement of one victim row: per-pattern BER
-// and HCfirst plus the row's worst-case data pattern selection.
-type RowResult struct {
-	Channel int
-	PhysRow int
-	Region  string
-
-	// BER, HCFirst and Found are indexed like core.Table1().
-	BER     []float64
-	HCFirst []int
-	Found   []bool
-
-	// WCDP is the index of the row's worst-case data pattern.
-	WCDP int
-}
-
-// WCDPBER returns the row's BER under its worst-case pattern.
-func (r *RowResult) WCDPBER() float64 { return r.BER[r.WCDP] }
-
-// WCDPHCFirst returns the row's HCfirst under its worst-case pattern and
-// whether any pattern flipped at all.
-func (r *RowResult) WCDPHCFirst() (int, bool) { return r.HCFirst[r.WCDP], r.Found[r.WCDP] }
-
-// Sweep is the complete spatial dataset for one bank across all channels.
-type Sweep struct {
-	// Cfg is the chip the sweep measured.
-	Cfg  *config.Config
-	Rows []RowResult
-}
-
-// RunSweep runs the registry's sweep plan: per Table 1 pattern, the BER
-// at the full hammer count and the HCfirst search for every sampled
-// victim row (o.Rows per region; 0 tests every row) in the paper's three
-// regions of bank 0 in every channel, then the WCDP choice. o.Parallel
-// bounds how many channel jobs run at once; Shard/ShardCount are ignored,
-// as RunSlice ignores them.
-func RunSweep(o Options) (*Sweep, error) {
-	p, err := registry["sweep"].Plan(o)
-	if err != nil {
-		return nil, err
-	}
-	s := &Sweep{Cfg: p.Cfg}
-	err = runJobs(p, o, 0, len(p.Jobs), func(_ int, payload any) error {
-		s.Rows = append(s.Rows, payload.([]RowResult)...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
 
 // section4Budget resolves the defaults the Section 4 plans share: the
 // paper chip and the paper's full hammer count.
@@ -90,15 +37,17 @@ func section4Budget(o Options) (*config.Config, int, error) {
 	return cfg, hammers, cfg.Validate()
 }
 
-// sweepChannel measures every sampled victim row of one channel's bank.
+// sweepChannel measures every sampled victim row of one channel's bank
+// and records where each row sits in its subarray, which Fig. 5 reads.
 // The inner loops run through the batched probe API: per pattern, one
 // HCFirstBatch over all sampled rows, whose ceiling probe at hammers is
 // the row's BER, so each (row, pattern) pays one probe program build per
 // search instead of one per probe. Output is byte-identical to per-row
 // BER/HCFirst calls (pinned by the core batch equivalence tests); only
 // the probe grouping changes.
-func sweepChannel(h *core.Harness, cfg *config.Config, rowsPerRegion, hammers, ch int) ([]RowResult, error) {
+func sweepChannel(h *core.Harness, cfg *config.Config, rowsPerRegion, hammers, ch int) ([]results.RowRecord, error) {
 	g := cfg.Geometry
+	layout := cfg.Layout()
 	ba := addr.BankAddr{Channel: ch}
 	patterns := core.Table1()
 	var victims []int
@@ -112,15 +61,20 @@ func sweepChannel(h *core.Harness, cfg *config.Config, rowsPerRegion, hammers, c
 			regions = append(regions, region.Name)
 		}
 	}
-	out := make([]RowResult, len(victims))
+	out := make([]results.RowRecord, len(victims))
 	for i, phys := range victims {
-		out[i] = RowResult{
-			Channel: ch,
-			PhysRow: phys,
-			Region:  regions[i],
-			BER:     make([]float64, len(patterns)),
-			HCFirst: make([]int, len(patterns)),
-			Found:   make([]bool, len(patterns)),
+		sa, off := layout.Locate(phys)
+		out[i] = results.RowRecord{
+			Channel:        ch,
+			PhysRow:        phys,
+			Region:         regions[i],
+			BER:            make([]float64, len(patterns)),
+			HCFirst:        make([]int, len(patterns)),
+			Found:          make([]bool, len(patterns)),
+			Subarray:       sa,
+			SubarrayOffset: off,
+			SubarraySize:   layout.Size(sa),
+			LastSubarray:   sa == layout.Count()-1,
 		}
 	}
 	for pi, p := range patterns {
@@ -142,7 +96,7 @@ func sweepChannel(h *core.Harness, cfg *config.Config, rowsPerRegion, hammers, c
 // chooseWCDP applies the paper's worst-case pattern rule: smallest
 // HCfirst; ties (and the nothing-flipped case) broken by the largest BER
 // at the maximum hammer count.
-func chooseWCDP(r RowResult) int {
+func chooseWCDP(r results.RowRecord) int {
 	best := 0
 	for i := 1; i < len(r.BER); i++ {
 		switch {
@@ -163,11 +117,14 @@ func chooseWCDP(r RowResult) int {
 	return best
 }
 
-// sweepExperiment lifts the Figs. 3-5 spatial sweep onto the registry:
-// one harness job per channel, folded into the region×channel artifact,
-// so the sweep shards across machines like the fleet scan (a -shard
-// slice measures a contiguous channel range). RunSweep runs the same plan
-// and keeps the per-row payloads instead.
+// sweepExperiment registers the Figs. 3-5 spatial sweep: per Table 1
+// pattern, the BER at the full hammer count and the HCfirst search for
+// every sampled victim row (o.Rows per region; 0 tests every row) in the
+// paper's three regions of bank 0 in every channel, then the WCDP
+// choice. One harness job per channel, folded into the region×channel
+// groups plus one record per row, so a -shard slice measures a
+// contiguous channel range and any merge of the slices draws the
+// figures.
 func sweepExperiment() *Experiment {
 	return &Experiment{
 		Name:  "sweep",
@@ -207,7 +164,9 @@ func sweepExperiment() *Experiment {
 					}
 					return &Fold{
 						Add: func(_ int, payload any) error {
-							foldSweepRows(cfg, a.Groups, payload.([]RowResult))
+							rows := payload.([]results.RowRecord)
+							foldSweepRows(cfg, a.Groups, rows)
+							a.Rows = append(a.Rows, rows...)
 							return nil
 						},
 						Finish: func() (*results.Artifact, error) { return a, nil },
@@ -215,18 +174,6 @@ func sweepExperiment() *Experiment {
 				},
 			}, nil
 		},
+		Render: renderSweep,
 	}
-}
-
-// ByChannel groups the sweep's rows per channel, in channel order.
-func (s *Sweep) ByChannel() [][]RowResult {
-	g := s.Cfg.Geometry
-	out := make([][]RowResult, g.Channels)
-	for _, r := range s.Rows {
-		out[r.Channel] = append(out[r.Channel], r)
-	}
-	for _, rows := range out {
-		sort.Slice(rows, func(i, j int) bool { return rows[i].PhysRow < rows[j].PhysRow })
-	}
-	return out
 }

@@ -1,5 +1,5 @@
-// Package report renders experiment results as ASCII figures and tables
-// for terminals and logs, and exports raw data as CSV. It provides the
+// Package report renders experiment results as ASCII figures for
+// terminals and logs, and exports raw data as CSV. It provides the
 // three shapes the paper's figures need: grouped box-and-whiskers plots
 // (Figs. 3-4), per-row profiles as sparklines (Fig. 5), and scatter plots
 // (Fig. 6).
@@ -29,7 +29,8 @@ type BoxGroup struct {
 
 // RenderBoxes draws horizontal box-and-whiskers plots: whiskers span
 // min..max, the box spans Q1..Q3, '|' marks the median and 'o' the mean,
-// following the paper's plot conventions.
+// following the paper's plot conventions. With no box at all it draws
+// "(no data)", as the other plots do.
 func RenderBoxes(title, unit string, groups []BoxGroup) string {
 	const width = 56
 	lo, hi := math.Inf(1), math.Inf(-1)
@@ -39,7 +40,10 @@ func RenderBoxes(title, unit string, groups []BoxGroup) string {
 			hi = math.Max(hi, s.Summary.Max)
 		}
 	}
-	if math.IsInf(lo, 1) || hi == lo {
+	if math.IsInf(lo, 1) {
+		return title + "\n(no data)\n"
+	}
+	if hi == lo {
 		hi, lo = lo+1, lo-1
 	}
 	pos := func(v float64) int {
@@ -163,41 +167,6 @@ func RenderProfile(title string, xs []int, series []ProfileSeries) string {
 type ProfileSeries struct {
 	Label  string
 	Values []float64
-}
-
-// Table renders a fixed-width text table.
-func Table(headers []string, rows [][]string) string {
-	widths := make([]int, len(headers))
-	for i, hd := range headers {
-		widths[i] = len(hd)
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], c)
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(headers)
-	sep := make([]string, len(headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range rows {
-		writeRow(row)
-	}
-	return sb.String()
 }
 
 // WriteCSV emits headers plus rows in RFC 4180 format.

@@ -82,23 +82,6 @@ func TestRenderProfileEmpty(t *testing.T) {
 	}
 }
 
-func TestTableAlignment(t *testing.T) {
-	out := Table([]string{"channel", "ber"}, [][]string{
-		{"0", "1.00"},
-		{"7", "2.03"},
-	})
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("table has %d lines, want 4:\n%s", len(lines), out)
-	}
-	if lines[0] != "channel  ber " {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "-------") {
-		t.Errorf("separator = %q", lines[1])
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	var buf bytes.Buffer
 	err := WriteCSV(&buf, []string{"a", "b"}, [][]string{{"1", "x,y"}, {"2", "z"}})

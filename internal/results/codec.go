@@ -2,6 +2,7 @@ package results
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/safari-repro/hbmrh/internal/jsonwire"
@@ -37,24 +38,18 @@ func (a *Artifact) write(w *jsonwire.Writer) {
 	a.Meta.write(w)
 	if len(a.Chips) > 0 {
 		w.Key("chips")
-		w.Open('[')
-		for i := range a.Chips {
-			w.Next()
-			a.Chips[i].write(w)
-		}
-		w.Close(']')
+		writeList(w, a.Chips, func(c ChipRecord) { c.write(w) })
+	}
+	if len(a.Rows) > 0 {
+		w.Key("rows")
+		writeList(w, a.Rows, func(r RowRecord) { r.write(w) })
+	}
+	if len(a.Banks) > 0 {
+		w.Key("banks")
+		writeList(w, a.Banks, func(b BankRecord) { b.write(w) })
 	}
 	w.Key("groups")
-	if a.Groups == nil {
-		w.Null()
-	} else {
-		w.Open('[')
-		for i := range a.Groups {
-			w.Next()
-			a.Groups[i].write(w)
-		}
-		w.Close(']')
-	}
+	writeList(w, a.Groups, func(g Group) { g.write(w) })
 	w.Close('}')
 }
 
@@ -126,6 +121,64 @@ func (c *ChipRecord) write(w *jsonwire.Writer) {
 	w.Close('}')
 }
 
+func (r *RowRecord) write(w *jsonwire.Writer) {
+	w.Open('{')
+	w.Key("channel")
+	w.Int(int64(r.Channel))
+	w.Key("phys_row")
+	w.Int(int64(r.PhysRow))
+	w.Key("region")
+	w.String(r.Region)
+	w.Key("ber")
+	w.Floats(r.BER)
+	w.Key("hc_first")
+	writeList(w, r.HCFirst, func(v int) { w.Int(int64(v)) })
+	w.Key("found")
+	writeList(w, r.Found, w.Bool)
+	w.Key("wcdp")
+	w.Int(int64(r.WCDP))
+	w.Key("subarray")
+	w.Int(int64(r.Subarray))
+	w.Key("subarray_offset")
+	w.Int(int64(r.SubarrayOffset))
+	w.Key("subarray_size")
+	w.Int(int64(r.SubarraySize))
+	w.Key("last_subarray")
+	w.Bool(r.LastSubarray)
+	w.Close('}')
+}
+
+func (b *BankRecord) write(w *jsonwire.Writer) {
+	w.Open('{')
+	w.Key("channel")
+	w.Int(int64(b.Channel))
+	w.Key("pseudo_channel")
+	w.Int(int64(b.PseudoChannel))
+	w.Key("bank")
+	w.Int(int64(b.Bank))
+	w.Key("mean_ber_pct")
+	w.Float(b.MeanBER)
+	if b.CV != 0 {
+		w.Key("cv")
+		w.Float(b.CV)
+	}
+	w.Close('}')
+}
+
+// writeList writes xs element by element; a nil slice is null.
+func writeList[T any](w *jsonwire.Writer, xs []T, write func(T)) {
+	if xs == nil {
+		w.Null()
+		return
+	}
+	w.Open('[')
+	for _, x := range xs {
+		w.Next()
+		write(x)
+	}
+	w.Close(']')
+}
+
 func (g *Group) write(w *jsonwire.Writer) {
 	w.Open('{')
 	w.Key("key")
@@ -142,30 +195,25 @@ func (g *Group) write(w *jsonwire.Writer) {
 	}
 	w.Close('}')
 	w.Key("metrics")
-	if g.Metrics == nil {
-		w.Null()
-	} else {
-		w.Open('[')
-		for _, m := range g.Metrics {
-			w.Next()
-			w.Open('{')
-			w.Key("name")
-			w.String(m.Name)
-			w.Key("stream")
-			if m.Stream == nil {
-				w.Null()
-			} else {
-				m.Stream.WriteJSON(w)
-			}
-			w.Close('}')
+	writeList(w, g.Metrics, func(m Metric) {
+		w.Open('{')
+		w.Key("name")
+		w.String(m.Name)
+		w.Key("stream")
+		if m.Stream == nil {
+			w.Null()
+		} else {
+			m.Stream.WriteJSON(w)
 		}
-		w.Close(']')
-	}
+		w.Close('}')
+	})
 	w.Close('}')
 }
 
 // Decode parses an artifact file and validates its format version, its
-// stored axis and every stream.
+// stored axis, every stream and every row and bank record (see
+// RowRecord.validate), so that no report drawn from a decoded artifact
+// can index out of range or plot a non-finite value.
 //
 // It accepts what json.Unmarshal would accept into the Artifact schema
 // (any whitespace and member order, unknown members, member names
@@ -197,7 +245,52 @@ func Decode(data []byte) (*Artifact, error) {
 			}
 		}
 	}
+	for i := range a.Rows {
+		if err := a.Rows[i].validate(); err != nil {
+			return nil, fmt.Errorf("results: row record %d: %w", i, err)
+		}
+	}
+	for i := range a.Banks {
+		if err := a.Banks[i].validate(); err != nil {
+			return nil, fmt.Errorf("results: bank record %d: %w", i, err)
+		}
+	}
 	return &a, nil
+}
+
+// validate checks what the figure renderers rely on: per-pattern slices
+// of one length with the WCDP index inside them, no negative coordinate
+// or hammer count, every BER a fraction, and an offset inside its
+// subarray.
+func (r *RowRecord) validate() error {
+	n := len(r.BER)
+	switch {
+	case r.Channel < 0 || r.PhysRow < 0 || r.Subarray < 0 || r.SubarrayOffset < 0 || r.SubarrayOffset >= r.SubarraySize:
+		return fmt.Errorf("channel %d row %d at subarray %d offset %d of %d: out of range",
+			r.Channel, r.PhysRow, r.Subarray, r.SubarrayOffset, r.SubarraySize)
+	case len(r.HCFirst) != n || len(r.Found) != n || r.WCDP < 0 || r.WCDP >= n:
+		return fmt.Errorf("%d BER, %d HCfirst and %d found patterns with wcdp %d", n, len(r.HCFirst), len(r.Found), r.WCDP)
+	}
+	for i, b := range r.BER {
+		if !(b >= 0 && b <= 1) || r.HCFirst[i] < 0 {
+			return fmt.Errorf("pattern %d: BER %v outside [0, 1] or HCfirst %d negative", i, b, r.HCFirst[i])
+		}
+	}
+	return nil
+}
+
+// validate checks a bank record: non-negative coordinates, a mean BER
+// percentage and a finite, non-negative CV.
+func (b *BankRecord) validate() error {
+	switch {
+	case b.Channel < 0 || b.PseudoChannel < 0 || b.Bank < 0:
+		return fmt.Errorf("negative bank address %d.%d.%d", b.Channel, b.PseudoChannel, b.Bank)
+	case !(b.MeanBER >= 0 && b.MeanBER <= 100):
+		return fmt.Errorf("mean BER %v%% outside [0, 100]", b.MeanBER)
+	case !(b.CV >= 0 && b.CV <= math.MaxFloat64):
+		return fmt.Errorf("CV %v is negative or not finite", b.CV)
+	}
+	return nil
 }
 
 // readArray decodes an array whose elements read decodes: nil for null,
@@ -216,11 +309,14 @@ func readArray[T any](r *jsonwire.Reader, read func(*T)) []T {
 }
 
 var (
-	artifactFields = []string{"meta", "chips", "groups"}
+	artifactFields = []string{"meta", "chips", "rows", "banks", "groups"}
 	metaFields     = []string{"format", "tool", "code_version", "config_hash", "group_by",
 		"seed_first", "seed_count", "shard", "shard_count",
 		"job_axis", "job_first", "job_count", "job_keys", "params"}
-	chipFields   = []string{"seed", "min_hc_first", "wcdp_ratio", "worst_channel", "trr_period"}
+	chipFields = []string{"seed", "min_hc_first", "wcdp_ratio", "worst_channel", "trr_period"}
+	rowFields  = []string{"channel", "phys_row", "region", "ber", "hc_first", "found", "wcdp",
+		"subarray", "subarray_offset", "subarray_size", "last_subarray"}
+	bankFields   = []string{"channel", "pseudo_channel", "bank", "mean_ber_pct", "cv"}
 	groupFields  = []string{"key", "metrics"}
 	keyFields    = []string{"region", "channel", "point"}
 	metricFields = []string{"name", "stream"}
@@ -233,6 +329,10 @@ func (a *Artifact) read(r *jsonwire.Reader) {
 			a.Meta.read(r)
 		case "chips":
 			a.Chips = readArray(r, func(c *ChipRecord) { c.read(r) })
+		case "rows":
+			a.Rows = readArray(r, func(row *RowRecord) { row.read(r) })
+		case "banks":
+			a.Banks = readArray(r, func(b *BankRecord) { b.read(r) })
 		case "groups":
 			a.Groups = readArray(r, func(g *Group) { g.read(r) })
 		}
@@ -297,6 +397,52 @@ func (c *ChipRecord) read(r *jsonwire.Reader) {
 			c.WorstChannel = r.Int()
 		case "trr_period":
 			c.TRRPeriod = r.Int()
+		}
+	})
+}
+
+func (row *RowRecord) read(r *jsonwire.Reader) {
+	r.Object(rowFields, func(field string) {
+		switch field {
+		case "channel":
+			row.Channel = r.Int()
+		case "phys_row":
+			row.PhysRow = r.Int()
+		case "region":
+			row.Region = r.String()
+		case "ber":
+			row.BER = r.Floats()
+		case "hc_first":
+			row.HCFirst = readArray(r, func(v *int) { *v = r.Int() })
+		case "found":
+			row.Found = readArray(r, func(v *bool) { *v = r.Bool() })
+		case "wcdp":
+			row.WCDP = r.Int()
+		case "subarray":
+			row.Subarray = r.Int()
+		case "subarray_offset":
+			row.SubarrayOffset = r.Int()
+		case "subarray_size":
+			row.SubarraySize = r.Int()
+		case "last_subarray":
+			row.LastSubarray = r.Bool()
+		}
+	})
+}
+
+func (b *BankRecord) read(r *jsonwire.Reader) {
+	r.Object(bankFields, func(field string) {
+		switch field {
+		case "channel":
+			b.Channel = r.Int()
+		case "pseudo_channel":
+			b.PseudoChannel = r.Int()
+		case "bank":
+			b.Bank = r.Int()
+		case "mean_ber_pct":
+			b.MeanBER = r.Float()
+		case "cv":
+			b.CV = r.Float()
 		}
 	})
 }

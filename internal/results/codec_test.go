@@ -3,6 +3,8 @@ package results
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -11,11 +13,13 @@ import (
 
 // The reference codec: encoding/json over mirrors of the schema whose
 // streams are plain structs, so nothing in the reference runs the
-// hand-written codec. Meta, ChipRecord and Key carry no JSON methods and
+// hand-written codec. Meta, the records and Key carry no JSON methods and
 // are used as they are: their struct tags define the format.
 type artifactRef struct {
 	Meta   Meta         `json:"meta"`
 	Chips  []ChipRecord `json:"chips,omitempty"`
+	Rows   []RowRecord  `json:"rows,omitempty"`
+	Banks  []BankRecord `json:"banks,omitempty"`
 	Groups []groupRef   `json:"groups"`
 }
 
@@ -44,9 +48,28 @@ type streamRef struct {
 	Exact    []float64 `json:"exact,omitempty"`
 }
 
+// recordArtifact is a sweep-shaped artifact carrying row records and a
+// fig6-shaped one carrying bank records, one bank without a CV.
+func recordArtifacts() (sweep, fig6 *Artifact) {
+	sweep = pointArtifact([]string{"ch0", "ch1"}, 0, 2)
+	sweep.Rows = []RowRecord{
+		{Channel: 0, PhysRow: 1, Region: "first", BER: []float64{0, 1e-7, 0.03125, 1},
+			HCFirst: []int{0, 65536, 14500, 1}, Found: []bool{false, true, true, true}, WCDP: 3,
+			Subarray: 0, SubarrayOffset: 1, SubarraySize: 832},
+		{Channel: 1, PhysRow: 16383, Region: "la\"st", BER: []float64{0.5}, HCFirst: []int{7}, Found: []bool{true},
+			Subarray: 19, SubarrayOffset: 831, SubarraySize: 832, LastSubarray: true},
+	}
+	fig6 = pointArtifact([]string{"ch0.pc0.ba0", "ch0.pc0.ba1"}, 0, 2)
+	fig6.Banks = []BankRecord{
+		{Channel: 0, PseudoChannel: 1, Bank: 15, MeanBER: 1.25, CV: 0.3},
+		{Channel: 7, MeanBER: 0},
+	}
+	return sweep, fig6
+}
+
 // codecArtifacts returns artifacts covering every optional part of the
-// schema: chips, params, job provenance, point keys, empty and sketched
-// streams, and strings that need escaping.
+// schema: chips, row and bank records, params, job provenance, point
+// keys, empty and sketched streams, and strings that need escaping.
 func codecArtifacts() map[string]*Artifact {
 	sketched := fineArtifact(3, 1)
 	for i := 0; i < 2000; i++ {
@@ -62,7 +85,10 @@ func codecArtifacts() map[string]*Artifact {
 		{Key: Key{Channel: NoChannel, Point: "p"}, Metrics: []Metric{}},
 		{Key: Key{Channel: NoChannel, Point: "q"}, Metrics: []Metric{{Name: "m", Stream: stats.NewStream(-1, 1)}}},
 	}}
+	rows, banks := recordArtifacts()
 	return map[string]*Artifact{
+		"rows":     rows,
+		"banks":    banks,
 		"fine":     fineArtifact(0, 3),
 		"point":    pointArtifact([]string{"a", "b", "c"}, 1, 3),
 		"sketched": sketched,
@@ -156,11 +182,12 @@ func TestArtifactDecodeAcceptsWhatEncodingJSONAccepts(t *testing.T) {
 			t.Errorf("%s: decoded artifact differs from encoding/json's", name)
 		}
 	}
+	format := fmt.Sprintf(`"format":%d`, FormatVersion)
 	reject := map[string]string{
 		"duplicate member":     strings.Replace(c, `"tool":`, `"tool":"x","TOOL":`, 1),
 		"duplicate param":      strings.Replace(c, `"meta":{`, `"meta":{"params":{"a":"1","a":"2"},`, 1),
-		"float in int field":   strings.Replace(c, `"format":2`, `"format":2.0`, 1),
-		"exponent in int":      strings.Replace(c, `"format":2`, `"format":2e0`, 1),
+		"float in int field":   strings.Replace(c, format, format+".0", 1),
+		"exponent in int":      strings.Replace(c, format, format+"e0", 1),
 		"negative seed":        strings.Replace(c, `"seed_first":`, `"seed_first":-`, 1),
 		"int overflow":         strings.Replace(c, `"shard":0`, `"shard":9223372036854775808`, 1),
 		"float overflow":       strings.Replace(c, `"lo":0`, `"lo":1e999`, 1),
@@ -171,7 +198,7 @@ func TestArtifactDecodeAcceptsWhatEncodingJSONAccepts(t *testing.T) {
 		"hex float":            strings.Replace(c, `"lo":0`, `"lo":0x1p-2`, 1),
 		"bad escape":           strings.Replace(c, `"tool":"`, `"tool":"\x`, 1),
 		"control character":    strings.Replace(c, `"tool":"`, "\"tool\":\"\x01", 1),
-		"string into int":      strings.Replace(c, `"format":2`, `"format":"2"`, 1),
+		"string into int":      strings.Replace(c, format, fmt.Sprintf(`"format":"%d"`, FormatVersion), 1),
 		"trailing comma":       strings.Replace(c, `"shard":0,`, `"shard":0,,`, 1),
 		"trailing data":        c + "{}",
 		"bad syntax in skip":   strings.Replace(c, `{"meta":`, `{"extra":[1,],"meta":`, 1),
@@ -185,6 +212,76 @@ func TestArtifactDecodeAcceptsWhatEncodingJSONAccepts(t *testing.T) {
 		if _, err := Decode([]byte(in)); err == nil {
 			t.Errorf("%s: Decode accepted", name)
 		}
+	}
+}
+
+// TestArtifactDecodeRejectsBadRecords pins the record validation: row
+// and bank records arrive from disk and over ingest, and a record the
+// figure renderers could index out of range with, or plot a non-finite
+// or out-of-range value from, is malformed.
+func TestArtifactDecodeRejectsBadRecords(t *testing.T) {
+	sweep, fig6 := recordArtifacts()
+	rowCases := map[string]func(r *RowRecord){
+		"short hc_first":   func(r *RowRecord) { r.HCFirst = r.HCFirst[:1] },
+		"short found":      func(r *RowRecord) { r.Found = nil },
+		"no patterns":      func(r *RowRecord) { r.BER, r.HCFirst, r.Found, r.WCDP = []float64{}, []int{}, []bool{}, 0 },
+		"wcdp past end":    func(r *RowRecord) { r.WCDP = len(r.BER) },
+		"negative wcdp":    func(r *RowRecord) { r.WCDP = -1 },
+		"negative row":     func(r *RowRecord) { r.PhysRow = -1 },
+		"negative channel": func(r *RowRecord) { r.Channel = -1 },
+		"BER above one":    func(r *RowRecord) { r.BER[2] = 1.5 },
+		"negative BER":     func(r *RowRecord) { r.BER[2] = -0.25 },
+		"negative HCfirst": func(r *RowRecord) { r.HCFirst[1] = -3 },
+		"offset past size": func(r *RowRecord) { r.SubarrayOffset = r.SubarraySize },
+	}
+	for name, mutate := range rowCases {
+		a := sweep.Clone()
+		r := a.Rows[0]
+		r.BER = append([]float64(nil), r.BER...)
+		r.HCFirst = append([]int(nil), r.HCFirst...)
+		r.Found = append([]bool(nil), r.Found...)
+		mutate(&r)
+		a.Rows[0] = r
+		data, err := a.MarshalIndented()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "row record 0") {
+			t.Errorf("%s: Decode = %v, want a row record error", name, err)
+		}
+	}
+	bankCases := map[string]func(b *BankRecord){
+		"negative bank":    func(b *BankRecord) { b.Bank = -1 },
+		"negative channel": func(b *BankRecord) { b.Channel = -1 },
+		"mean above 100%":  func(b *BankRecord) { b.MeanBER = 101 },
+		"negative CV":      func(b *BankRecord) { b.CV = -0.5 },
+	}
+	for name, mutate := range bankCases {
+		a := fig6.Clone()
+		mutate(&a.Banks[0])
+		data, err := a.MarshalIndented()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "bank record 0") {
+			t.Errorf("%s: Decode = %v, want a bank record error", name, err)
+		}
+	}
+	// JSON has no NaN or infinity, and a BER past the float64 range is a
+	// syntax-level rejection.
+	good, err := sweep.MarshalIndented()
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := bytes.Replace(good, []byte("0.03125"), []byte("1e999"), 1)
+	if bytes.Equal(huge, good) {
+		t.Fatal("mutation did not apply")
+	}
+	if _, err := Decode(huge); err == nil {
+		t.Error("Decode accepted an infinite BER")
+	}
+	if _, err := (&Artifact{Meta: sweep.Meta, Banks: []BankRecord{{CV: math.NaN(), MeanBER: 1}}}).MarshalIndented(); err == nil {
+		t.Error("a NaN CV encoded")
 	}
 }
 

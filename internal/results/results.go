@@ -12,10 +12,14 @@
 // that turns the multichip scan into a distributable fleet tool.
 //
 // The schema is deliberately driver-agnostic: the multi-chip study emits
-// its fleet aggregates through it, and the figure drivers that produce
-// distributions (the Figs. 3-5 sweep, the Fig. 6 bank scatter) emit the
-// same shape, so every summary export in the repo shares one CSV/JSON
-// renderer and one merge path.
+// its fleet aggregates through it, and the figure studies (the Figs. 3-5
+// sweep, the Fig. 6 bank scatter) emit the same shape, so every summary
+// export in the repo shares one CSV/JSON renderer and one merge path.
+// Beside the groups, an artifact carries the fixed-size records its
+// study's report draws: one ChipRecord per chip, one RowRecord per swept
+// row, one BankRecord per Fig. 6 bank. Merge appends them in job order,
+// so a merged or store-held artifact renders what a single process
+// renders.
 //
 // Sharding has two regimes (DESIGN.md §7, §9): seed-axis artifacts
 // carry contiguous seed-range provenance, while every other axis
@@ -42,8 +46,9 @@ import (
 // FormatVersion is the artifact schema version. Merge refuses artifacts
 // of a different version; bump it on any incompatible schema change.
 // Version 2 added the planning-axis provenance (Meta.JobAxis/JobFirst/
-// JobCount/JobKeys, Key.Point) and its merge conflict checks.
-const FormatVersion = 2
+// JobCount/JobKeys, Key.Point) and its merge conflict checks; version 3
+// added the sweep's row records and fig6's bank records.
+const FormatVersion = 3
 
 // AxisSeed is the Meta.JobAxis value of fleet scans sharded by chip
 // seed, where SeedFirst/SeedCount carry the provenance and merges check
@@ -155,6 +160,55 @@ type ChipRecord struct {
 	TRRPeriod int `json:"trr_period"`
 }
 
+// RowRecord is one victim row of the Figs. 3-5 sweep: everything the
+// figures draw about it, so they render from any sweep artifact.
+type RowRecord struct {
+	Channel int    `json:"channel"`
+	PhysRow int    `json:"phys_row"`
+	Region  string `json:"region"`
+	// BER, HCFirst and Found are per data pattern, indexed like
+	// core.Table1(); Found is false where the pattern never flipped the
+	// row within the hammer budget.
+	BER     []float64 `json:"ber"`
+	HCFirst []int     `json:"hc_first"`
+	Found   []bool    `json:"found"`
+	// WCDP is the index of the row's worst-case data pattern.
+	WCDP int `json:"wcdp"`
+	// Subarray is the index of the row's subarray in its bank,
+	// SubarrayOffset the row's offset in it and SubarraySize its row
+	// count; LastSubarray marks the bank's final subarray, the weak one
+	// of Fig. 5.
+	Subarray       int  `json:"subarray"`
+	SubarrayOffset int  `json:"subarray_offset"`
+	SubarraySize   int  `json:"subarray_size"`
+	LastSubarray   bool `json:"last_subarray"`
+}
+
+// WCDPBER returns the row's BER under its worst-case pattern.
+func (r *RowRecord) WCDPBER() float64 { return r.BER[r.WCDP] }
+
+// WCDPHCFirst returns the row's HCfirst under its worst-case pattern and
+// whether any pattern flipped at all.
+func (r *RowRecord) WCDPHCFirst() (int, bool) { return r.HCFirst[r.WCDP], r.Found[r.WCDP] }
+
+// BankRecord is one bank's marker in the Fig. 6 scatter: the mean and
+// the coefficient of variation of its per-row BER distribution.
+type BankRecord struct {
+	Channel       int `json:"channel"`
+	PseudoChannel int `json:"pseudo_channel"`
+	Bank          int `json:"bank"`
+	// MeanBER is the bank's mean per-row BER, in percent.
+	MeanBER float64 `json:"mean_ber_pct"`
+	// CV is the coefficient of variation of the bank's per-row BER. A
+	// bank whose sampled rows never flip has none (see HasCV): CV is 0
+	// and left out of the encoding.
+	CV float64 `json:"cv,omitempty"`
+}
+
+// HasCV reports whether the bank has a coefficient of variation: a bank
+// with a zero mean BER never flipped, and its CV is undefined.
+func (b *BankRecord) HasCV() bool { return b.MeanBER > 0 }
+
 // Meta is an artifact's provenance: everything Merge must check before
 // two artifacts may be combined, plus the seed-range bookkeeping that
 // keeps shard unions canonical.
@@ -207,11 +261,14 @@ type Meta struct {
 	Params map[string]string `json:"params,omitempty"`
 }
 
-// Artifact is one serializable results payload: provenance, per-chip
-// records (for chip-granular studies) and the aggregation groups.
+// Artifact is one serializable results payload: provenance, the records
+// of the study's unit (chips, sweep rows or banks, each empty for the
+// other studies) and the aggregation groups.
 type Artifact struct {
 	Meta   Meta         `json:"meta"`
 	Chips  []ChipRecord `json:"chips,omitempty"`
+	Rows   []RowRecord  `json:"rows,omitempty"`
+	Banks  []BankRecord `json:"banks,omitempty"`
 	Groups []Group      `json:"groups"`
 }
 
@@ -346,6 +403,8 @@ func Merge(a, b *Artifact) error {
 		}
 	}
 	a.Chips = append(a.Chips, b.Chips...)
+	a.Rows = append(a.Rows, b.Rows...)
+	a.Banks = append(a.Banks, b.Banks...)
 	if jobSliced {
 		am.JobCount += bm.JobCount
 		am.JobKeys = append(am.JobKeys, bm.JobKeys...)
@@ -441,6 +500,10 @@ func (a *Artifact) Clone() *Artifact {
 		}
 	}
 	c.Chips = append([]ChipRecord(nil), a.Chips...)
+	// Records are never modified once folded, only appended to, so the
+	// copies share their per-pattern slices.
+	c.Rows = append([]RowRecord(nil), a.Rows...)
+	c.Banks = append([]BankRecord(nil), a.Banks...)
 	c.Groups = make([]Group, len(a.Groups))
 	for i, g := range a.Groups {
 		ms := make([]Metric, len(g.Metrics))

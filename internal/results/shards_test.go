@@ -368,3 +368,35 @@ func FuzzShardFlag(f *testing.F) {
 		}
 	})
 }
+
+// TestMergeAppendsRecordsInJobOrder pins the record half of a merge:
+// the row and bank records of contiguous job slices concatenate in job
+// order, so the merged records equal those of one run over the union,
+// and a merge into a Clone leaves the cloned artifact's records alone.
+func TestMergeAppendsRecordsInJobOrder(t *testing.T) {
+	points := []string{"ch0", "ch1", "ch2"}
+	withRecords := func(lo, hi int) *Artifact {
+		a := pointArtifact(points, lo, hi)
+		for i := lo; i < hi; i++ {
+			a.Rows = append(a.Rows, RowRecord{Channel: i, PhysRow: 10 + i, Region: "first",
+				BER: []float64{0.25}, HCFirst: []int{100 * i}, Found: []bool{true}, SubarraySize: 8})
+			a.Banks = append(a.Banks, BankRecord{Channel: i, MeanBER: float64(i)})
+		}
+		return a
+	}
+	want := withRecords(0, 3)
+	first := withRecords(0, 1)
+	merged := first.Clone()
+	for _, s := range []*Artifact{withRecords(1, 2), withRecords(2, 3)} {
+		if err := Merge(merged, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(merged.Rows, want.Rows) || !reflect.DeepEqual(merged.Banks, want.Banks) {
+		t.Fatalf("merged records\n%+v\n%+v\ndiffer from the single run's\n%+v\n%+v",
+			merged.Rows, merged.Banks, want.Rows, want.Banks)
+	}
+	if len(first.Rows) != 1 || len(first.Banks) != 1 {
+		t.Fatalf("merging into a clone grew the original: %d rows, %d banks", len(first.Rows), len(first.Banks))
+	}
+}

@@ -2,8 +2,8 @@
 // and the repo's distributable artifacts.
 //
 // The batch side is the figure vocabulary: box-and-whiskers five-number
-// summaries (Figs. 3-4, Summarize), means and coefficients of variation
-// (Fig. 6, Summary.CV), and fixed-range histograms.
+// summaries (Figs. 3-4, Summarize) and means and coefficients of
+// variation (Fig. 6, Summary.CV).
 //
 // The streaming side is what makes sharded runs merge exactly. Stream is
 // a bounded-memory accumulator (exact small-sample buffer up to a
@@ -168,53 +168,4 @@ func MinMax(xs []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// Histogram counts xs into equal-width bins spanning [lo, hi). Values
-// outside the range clamp to the first/last bin so totals are preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds a histogram of xs with the given number of bins.
-func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram range must be non-empty")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		} else if i >= bins {
-			i = bins - 1
-		}
-		h.Counts[i]++
-	}
-	return h
-}
-
-// Total returns the number of samples binned.
-func (h *Histogram) Total() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Mode returns the index of the fullest bin.
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
 }

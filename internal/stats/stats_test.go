@@ -143,36 +143,6 @@ func TestMeanAndMinMax(t *testing.T) {
 	}
 }
 
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram([]float64{0, 0.1, 0.5, 0.9, 1.5, -3}, 0, 1, 2)
-	if h.Total() != 6 {
-		t.Fatalf("total = %d, want 6", h.Total())
-	}
-	// -3 clamps into bin 0; 1.5 clamps into bin 1; 0.5 and 0.9 land in bin 1.
-	if h.Counts[0] != 3 || h.Counts[1] != 3 {
-		t.Fatalf("counts = %v, want [3 3]", h.Counts)
-	}
-	if h.Mode() != 0 { // tie resolves to the first bin
-		t.Errorf("mode = %d, want 0", h.Mode())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"zero bins": func() { NewHistogram(nil, 0, 1, 0) },
-		"bad range": func() { NewHistogram(nil, 1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: want panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestSummaryStringIsStable(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4})
 	want := "n=4 min=1 q1=1.5 med=2.5 q3=3.5 max=4 mean=2.5"
