@@ -73,6 +73,10 @@ golden-check:
 #      per-bank records the figures draw, must byte-match. The small
 #      hammer budget leaves some banks without a single flip, the case
 #      the Fig. 6 scatter must skip rather than crash on.
+#   5. the Section 5 studies: `utrr-discover` and `characterize
+#      -experiment trrstudy` (and, with -probe, `-experiment utrrprobe`)
+#      render one registry artifact with one renderer, so their stdout
+#      must byte-match.
 SMOKE_DIR := .smoke
 
 smoke:
@@ -151,6 +155,12 @@ smoke:
 		cmp $(SMOKE_DIR)/$$e-p1.txt $(SMOKE_DIR)/$$e-p4.txt || exit 1; \
 		cmp $(SMOKE_DIR)/$$e-p1.json $(SMOKE_DIR)/$$e-p4.json || exit 1; \
 	done
+	$(GO) run ./cmd/utrr-discover -iterations 40 > $(SMOKE_DIR)/utrr.txt
+	$(GO) run ./cmd/characterize -experiment trrstudy -iterations 40 > $(SMOKE_DIR)/trrstudy.txt
+	cmp $(SMOKE_DIR)/utrr.txt $(SMOKE_DIR)/trrstudy.txt
+	$(GO) run ./cmd/utrr-discover -probe > $(SMOKE_DIR)/utrr-probe.txt
+	$(GO) run ./cmd/characterize -experiment utrrprobe > $(SMOKE_DIR)/utrrprobe.txt
+	cmp $(SMOKE_DIR)/utrr-probe.txt $(SMOKE_DIR)/utrrprobe.txt
 	rm -rf $(SMOKE_DIR)
 
 # Crash-consistency torture: every registered failpoint site armed in

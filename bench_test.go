@@ -64,7 +64,7 @@ func BenchmarkFig6BankScatter(b *testing.B) {
 // BenchmarkSec5UTRR regenerates the Section 5 TRR-uncovering study.
 func BenchmarkSec5UTRR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := hbmrh.RunTRRStudy(hbmrh.TRRStudyOptions{
+		a, err := hbmrh.RunExperiment("trrstudy", hbmrh.ExperimentOptions{
 			Cfg:        hbmrh.SmallChip(),
 			Bank:       hbmrh.BankAddr{Channel: 1, PseudoChannel: 0, Bank: 0},
 			Iterations: 40,
@@ -72,7 +72,7 @@ func BenchmarkSec5UTRR(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !s.Periodic {
+		if _, periodic := hbmrh.TRRPeriod(a); !periodic {
 			b.Fatal("TRR period not uncovered")
 		}
 	}

@@ -76,12 +76,12 @@ func main() {
 		measured["fig6.cross_over_intra"] = fmt.Sprintf("cross/intra %.1fx", h6.CrossOverIntra)
 	}
 	if !*skipTRR {
-		s, err := hbmrh.RunTRRStudy(hbmrh.TRRStudyOptions{Cfg: cfg,
-			Bank: hbmrh.BankAddr{Channel: 0, PseudoChannel: 0, Bank: 0}})
+		trr, err := hbmrh.RunExperiment("trrstudy", hbmrh.ExperimentOptions{Cfg: cfg})
 		if err != nil {
 			log.Fatal(err)
 		}
-		measured["sec5.trr_period"] = fmt.Sprintf("every %d REFs (periodic=%v)", s.Period, s.Periodic)
+		period, periodic := hbmrh.TRRPeriod(trr)
+		measured["sec5.trr_period"] = fmt.Sprintf("every %d REFs (periodic=%v)", period, periodic)
 	}
 
 	fmt.Println()

@@ -1,9 +1,10 @@
 // utrr-discover reproduces Section 5 of the paper: it profiles a
 // retention-weak row and runs the U-TRR methodology to uncover the
-// proprietary in-DRAM Target Row Refresh mechanism and its period.
-// With -probe it runs the deeper follow-up probes instead (victim-refresh
-// neighbor radius and sampler depth), the registry's "utrrprobe"
-// experiment — `characterize -experiment utrrprobe` runs the same study
+// proprietary in-DRAM Target Row Refresh mechanism and its period (the
+// registry's "trrstudy" experiment). With -probe it runs the deeper
+// follow-up probes instead (victim-refresh neighbor radius and sampler
+// depth, the "utrrprobe" experiment). At the default bank
+// `characterize -experiment trrstudy|utrrprobe` prints the same report,
 // with sharding and artifact export.
 //
 // Usage:
@@ -32,15 +33,12 @@ func main() {
 		pc         = flag.Int("pc", 0, "pseudo channel of the profiled row")
 		bank       = flag.Int("bank", 0, "bank of the profiled row")
 		probe      = flag.Bool("probe", false, "run the deeper probes (neighbor radius + sampler depth) instead of the period study")
-		csvPath    = flag.String("csv", "", "write per-iteration observations to this CSV file")
+		csvPath    = flag.String("csv", "", "write the period study's per-iteration observations to this CSV file")
 	)
 	flag.Parse()
-	// A non-positive iteration count is a typo, not a request for the
-	// default.
-	if *iterations <= 0 {
-		log.Fatalf("-iterations %d: must be > 0", *iterations)
+	if err := checkFlags(*iterations, *probe, *csvPath); err != nil {
+		log.Fatal(err)
 	}
-
 	cfg := hbmrh.SmallChip()
 	if *chip == "paper" {
 		cfg = hbmrh.PaperChip()
@@ -48,19 +46,11 @@ func main() {
 		log.Fatalf("unknown -chip %q", *chip)
 	}
 
+	name := "trrstudy"
 	if *probe {
-		s, err := hbmrh.RunUTRRProbe(hbmrh.UTRRProbeOptions{
-			Cfg:  cfg,
-			Bank: hbmrh.BankAddr{Channel: *channel, PseudoChannel: *pc, Bank: *bank},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(s.Render())
-		return
+		name = "utrrprobe"
 	}
-
-	study, err := hbmrh.RunTRRStudy(hbmrh.TRRStudyOptions{
+	a, err := hbmrh.RunExperiment(name, hbmrh.ExperimentOptions{
 		Cfg:        cfg,
 		Bank:       hbmrh.BankAddr{Channel: *channel, PseudoChannel: *pc, Bank: *bank},
 		Iterations: *iterations,
@@ -68,11 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(study.Render())
-	if study.Periodic {
-		fmt.Printf("\npaper: \"this TRR mechanism performs a victim row refresh once every 17"+
-			" periodic REF commands\" — measured period: %d\n", study.Period)
-	}
+	fmt.Print(hbmrh.RenderExperimentArtifact(a))
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
@@ -80,10 +66,23 @@ func main() {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		hd, rows := study.CSV()
+		hd, rows := a.TRR[0].CSV()
 		if err := report.WriteCSV(f, hd, rows); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *csvPath)
 	}
+}
+
+// checkFlags rejects flag values the study cannot honour: a
+// non-positive iteration count is a typo, not a request for the default,
+// and -probe records no iterations for -csv to write.
+func checkFlags(iterations int, probe bool, csvPath string) error {
+	if iterations <= 0 {
+		return fmt.Errorf("-iterations %d: must be > 0", iterations)
+	}
+	if probe && csvPath != "" {
+		return fmt.Errorf("-csv writes the period study's iterations; -probe records none")
+	}
+	return nil
 }

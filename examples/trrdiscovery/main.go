@@ -1,7 +1,8 @@
 // TRR discovery: reproduce Section 5 of the paper. The U-TRR methodology
 // uses data-retention failures as a side channel to detect when the
 // chip's undisclosed Target Row Refresh mechanism refreshes a victim row,
-// exposing that it fires once every 17 periodic REF commands.
+// exposing how many periodic REF commands pass between its victim
+// refreshes.
 package main
 
 import (
@@ -12,33 +13,35 @@ import (
 )
 
 func main() {
-	study, err := hbmrh.RunTRRStudy(hbmrh.TRRStudyOptions{
+	bank := hbmrh.BankAddr{Channel: 1, PseudoChannel: 0, Bank: 2}
+	study, err := hbmrh.RunExperiment("trrstudy", hbmrh.ExperimentOptions{
 		Cfg:        hbmrh.SmallChip(),
-		Bank:       hbmrh.BankAddr{Channel: 1, PseudoChannel: 0, Bank: 2},
+		Bank:       bank,
 		Iterations: 100,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(study.Render())
-
-	if study.Periodic {
-		fmt.Printf("\nconclusion: proprietary TRR uncovered, victim refresh every %d REFs"+
-			" (the paper observes 17, resembling U-TRR's Vendor C)\n", study.Period)
-	}
+	fmt.Print(hbmrh.RenderExperimentArtifact(study))
 
 	// Control: a chip without the proprietary mitigation shows decay in
 	// every iteration.
 	cfg := hbmrh.SmallChip()
 	cfg.TRR.Enabled = false
-	control, err := hbmrh.RunTRRStudy(hbmrh.TRRStudyOptions{
+	control, err := hbmrh.RunExperiment("trrstudy", hbmrh.ExperimentOptions{
 		Cfg:        cfg,
-		Bank:       hbmrh.BankAddr{Channel: 1, PseudoChannel: 0, Bank: 2},
+		Bank:       bank,
 		Iterations: 40,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ncontrol chip without TRR: %d victim refreshes in %d iterations\n",
-		len(control.Result.Fires()), len(control.Result.Refreshed))
+	refreshed := control.TRR[0].Refreshed
+	fires := 0
+	for _, r := range refreshed {
+		if r {
+			fires++
+		}
+	}
+	fmt.Printf("\ncontrol chip without TRR: %d victim refreshes in %d iterations\n", fires, len(refreshed))
 }

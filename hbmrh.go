@@ -10,14 +10,15 @@
 //
 //   - Open a chip with Open(PaperChip()) or Open(SmallChip()).
 //   - Per-row measurements (BER, HCfirst, WCDP) via NewHarness.
-//   - The Section 5 TRR discovery via RunTRRStudy.
-//   - Every study — the Figs. 3-6 sweep and fig6 studies, the multi-chip
-//     fleet scan and the Section 5/6 extensions (rowpress, tempsweep,
-//     crosschannel, trrbypass) — as a shardable registry experiment via
-//     RunExperiment, whose artifact RenderExperimentArtifact draws: the
-//     sweep and fig6 artifacts carry the per-row and per-bank records
-//     Figs. 3-6 draw, so a merged or store-held artifact renders the
-//     figures too.
+//   - Every study — the Figs. 3-6 sweep and fig6 studies, the Section 5
+//     TRR discovery (trrstudy) and its probes (utrrprobe) at
+//     ExperimentOptions.Bank, the multi-chip fleet scan and the Section
+//     5/6 extensions (rowpress, tempsweep, crosschannel, trrbypass) — as
+//     a shardable registry experiment via RunExperiment, whose artifact
+//     RenderExperimentArtifact draws: the sweep, fig6 and trrstudy
+//     artifacts carry the per-row, per-bank and per-run records Figs. 3-6
+//     and Section 5 draw, so a merged or store-held artifact renders the
+//     figures and the TRR study too.
 //   - Row-mapping reverse engineering via Harness.RecoverMapping.
 //
 // The package is a thin facade over the internal subsystems; see DESIGN.md
@@ -171,32 +172,6 @@ func ParsePlanner(s string) (EnginePlanner, error) { return engine.ParsePlanner(
 // pool, e.g. between studies of unrelated chip designs.
 func DrainEnginePool() { engine.SharedPool.Drain() }
 
-// The TRR study (Section 5).
-type (
-	// TRRStudy is the Section 5 result.
-	TRRStudy = experiments.TRRStudy
-	// TRRStudyOptions configures the Section 5 study.
-	TRRStudyOptions = experiments.TRRStudyOptions
-)
-
-// RunTRRStudy reproduces the Section 5 U-TRR experiment.
-func RunTRRStudy(o TRRStudyOptions) (*TRRStudy, error) { return experiments.RunTRRStudy(o) }
-
-// U-TRR probe study (the Section 5 follow-up: how far the victim refresh
-// reaches and how deep the sampler is).
-type (
-	// UTRRProbeOptions configures the probe study.
-	UTRRProbeOptions = experiments.UTRRProbeOptions
-	// UTRRProbeStudy reports the TRR neighbor radius and sampler depth.
-	UTRRProbeStudy = experiments.UTRRProbeStudy
-)
-
-// RunUTRRProbe measures the uncovered TRR mechanism's victim-refresh
-// radius and sampler depth on fresh devices.
-func RunUTRRProbe(o UTRRProbeOptions) (*UTRRProbeStudy, error) {
-	return experiments.RunUTRRProbe(o)
-}
-
 // The experiment registry: every study in the repo registers as a named
 // experiment that decomposes into a plan of indexed jobs plus a
 // deterministic fold into a results artifact, so every study — not just
@@ -229,6 +204,10 @@ func RunExperiment(name string, o ExperimentOptions) (*ResultsArtifact, error) {
 // RenderExperimentArtifact renders an artifact with its experiment's
 // registered renderer (generic distribution render for unknown tools).
 func RenderExperimentArtifact(a *ResultsArtifact) string { return experiments.Render(a) }
+
+// TRRPeriod reads a trrstudy artifact's inferred TRR victim-refresh
+// period and whether the refreshes were strictly periodic.
+func TRRPeriod(a *ResultsArtifact) (period int, periodic bool) { return experiments.TRRPeriod(a) }
 
 // The fleet control plane: one coordinator partitions a registered
 // experiment across shard worker processes, streams their progress,

@@ -100,15 +100,15 @@ func TestPublicThermalRig(t *testing.T) {
 }
 
 func TestPublicTRRStudy(t *testing.T) {
-	s, err := hbmrh.RunTRRStudy(hbmrh.TRRStudyOptions{
+	a, err := hbmrh.RunExperiment("trrstudy", hbmrh.ExperimentOptions{
 		Cfg:  hbmrh.SmallChip(),
 		Bank: hbmrh.BankAddr{Channel: 0, PseudoChannel: 0, Bank: 0},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Periodic || s.Period != 17 {
-		t.Fatalf("period (%d, %v), want (17, true)", s.Period, s.Periodic)
+	if period, periodic := hbmrh.TRRPeriod(a); !periodic || period != 17 {
+		t.Fatalf("period (%d, %v), want (17, true)", period, periodic)
 	}
 }
 

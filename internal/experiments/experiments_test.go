@@ -172,7 +172,7 @@ func TestTRRStudyCancelMidIterations(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := RunTRRStudy(TRRStudyOptions{
+	_, err := Run("trrstudy", Options{
 		Cfg:        config.PaperChip(),
 		Bank:       addr.BankAddr{Channel: 0, PseudoChannel: 0, Bank: 0},
 		Iterations: 100000, // far more work than the cancel window allows
@@ -388,24 +388,66 @@ func TestHeadlinesWhenNothingFlips(t *testing.T) {
 }
 
 func TestTRRStudyReproducesSection5(t *testing.T) {
-	s, err := RunTRRStudy(TRRStudyOptions{
+	a, err := Run("trrstudy", Options{
 		Cfg:  config.SmallChip(),
 		Bank: addr.BankAddr{Channel: 2, PseudoChannel: 1, Bank: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Periodic || s.Period != 17 {
-		t.Fatalf("inferred period (%d, periodic=%v), paper observes 17", s.Period, s.Periodic)
+	if period, periodic := TRRPeriod(a); !periodic || period != 17 {
+		t.Fatalf("inferred period (%d, periodic=%v), paper observes 17", period, periodic)
 	}
-	out := s.Render()
-	for _, want := range []string{"every 17 REFs", "timeline", "#"} {
+	out := Render(a)
+	for _, want := range []string{"ch2.pc1.ba1", "every 17 REFs", "timeline", "#"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-	hd, rows := s.CSV()
-	if len(hd) != 2 || len(rows) != len(s.Result.Refreshed) {
+	if len(a.TRR) != 1 {
+		t.Fatalf("%d TRR records, want 1", len(a.TRR))
+	}
+	hd, rows := a.TRR[0].CSV()
+	if len(hd) != 2 || len(rows) != 100 || len(rows) != len(a.TRR[0].Refreshed) {
 		t.Error("CSV export malformed")
+	}
+}
+
+// TestSection5PlansRejectOutOfRangeBank pins the bank check both Section
+// 5 plans make before any device is built.
+func TestSection5PlansRejectOutOfRangeBank(t *testing.T) {
+	for _, name := range []string{"trrstudy", "utrrprobe"} {
+		for _, b := range []addr.BankAddr{{Channel: 99}, {Channel: -1}, {PseudoChannel: 2}, {Bank: 4}, {Bank: -1}} {
+			_, err := Run(name, Options{Cfg: config.SmallChip(), Bank: b})
+			if err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s at bank %v: err = %v, want an out of range error", name, b, err)
+			}
+		}
+	}
+}
+
+// TestUTRRProbeShardsAtDifferentBanksRefuseToMerge pins the bank in the
+// probe plan's params: shards measured in different banks are slices of
+// different studies. A lone slice renders the probe it did not run as
+// not measured.
+func TestUTRRProbeShardsAtDifferentBanksRefuseToMerge(t *testing.T) {
+	o := Options{Cfg: config.SmallChip(), ShardCount: 2}
+	first, err := Run("utrrprobe", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Shard, o.Bank = 1, addr.BankAddr{Channel: 1}
+	second, err := Run("utrrprobe", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := results.Merge(first, second); err == nil || !strings.Contains(err.Error(), "bank") {
+		t.Fatalf("merge of shards at different banks: err = %v, want a bank parameter error", err)
+	}
+	out := Render(first)
+	for _, want := range []string{"neighbor radius: +/- 1 row(s)", "sampler depth: not measured"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("shard 0/2 render missing %q:\n%s", want, out)
+		}
 	}
 }

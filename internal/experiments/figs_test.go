@@ -8,12 +8,13 @@ import (
 	"github.com/safari-repro/hbmrh/internal/results"
 )
 
-// TestFiguresRenderFromDecodedArtifacts pins that the figure reports
-// read nothing the artifact file drops: a sweep or fig6 artifact renders
-// the same bytes before and after a round trip through the codec, the
-// fig6 one at a budget that leaves banks without a CV.
+// TestFiguresRenderFromDecodedArtifacts pins that the figure and Section
+// 5 reports read nothing the artifact file drops: a sweep, fig6,
+// trrstudy or utrrprobe artifact renders the same bytes before and after
+// a round trip through the codec, the fig6 one at a budget that leaves
+// banks without a CV.
 func TestFiguresRenderFromDecodedArtifacts(t *testing.T) {
-	for _, name := range []string{"sweep", "fig6"} {
+	for _, name := range []string{"sweep", "fig6", "trrstudy", "utrrprobe"} {
 		a, err := Run(name, Options{Cfg: config.SmallChip(), Rows: 2, Hammers: 30000})
 		if err != nil {
 			t.Fatal(err)

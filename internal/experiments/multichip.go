@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/engine"
@@ -209,7 +208,9 @@ func StudyFromArtifact(a *results.Artifact, gb results.GroupBy) *MultiChipStudy 
 
 // measureChip runs one seed's headline measurements: the sweep plan,
 // whose fold gives the chip's fine-axis accumulators, condensed into the
-// chip's summary; the sweep's row records are dropped when this returns.
+// chip's summary, and the trrstudy plan, whose trr_period group gives
+// the chip's TRR period; both artifacts' records are dropped when this
+// returns.
 func measureChip(ctx context.Context, o MultiChipOptions, seed uint64) (chipResult, error) {
 	cfg := *o.Base
 	cfg.Seed = seed
@@ -232,21 +233,22 @@ func measureChip(ctx context.Context, o MultiChipOptions, seed uint64) (chipResu
 			worst = ch
 		}
 	}
-	trr, err := RunTRRStudy(TRRStudyOptions{
-		Cfg:  &cfg,
-		Bank: addr.BankAddr{Channel: 0, PseudoChannel: 0, Bank: 0},
-		Ctx:  ctx,
-	})
+	p, err = registry["trrstudy"].Plan(Options{Cfg: &cfg})
 	if err != nil {
 		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
 	}
+	trr, err := executePlan(p, Options{Parallel: 1, Ctx: ctx}, 0, len(p.Jobs))
+	if err != nil {
+		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
+	}
+	period, _ := TRRPeriod(trr)
 	return chipResult{
 		sum: ChipSummary{
 			Seed:         seed,
 			MinHCFirst:   h4.MinHCFirst,
 			WCDPRatio:    h3.MaxOverMinWCDP,
 			WorstChannel: worst,
-			TRRPeriod:    trr.Period,
+			TRRPeriod:    period,
 		},
 		groups: sweep.Groups,
 	}, nil

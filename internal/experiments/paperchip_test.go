@@ -70,14 +70,14 @@ func TestPaperChipTRRSpotCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-geometry U-TRR run")
 	}
-	s, err := RunTRRStudy(TRRStudyOptions{
+	a, err := Run("trrstudy", Options{
 		Cfg:  config.PaperChip(),
 		Bank: addr.BankAddr{Channel: 3, PseudoChannel: 1, Bank: 7},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Periodic || s.Period != 17 {
-		t.Fatalf("paper chip TRR period (%d, %v), want (17, true)", s.Period, s.Periodic)
+	if period, periodic := TRRPeriod(a); !periodic || period != 17 {
+		t.Fatalf("paper chip TRR period (%d, %v), want (17, true)", period, periodic)
 	}
 }

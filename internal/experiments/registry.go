@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/engine"
@@ -38,6 +39,9 @@ type Options struct {
 	Seeds int
 	// Iterations is the U-TRR iteration count for the TRR studies.
 	Iterations int
+	// Bank is where the Section 5 studies (trrstudy, utrrprobe) profile
+	// their rows; it must lie inside the chip.
+	Bank addr.BankAddr
 	// Workers bounds per-job device parallelism (e.g. devices per chip
 	// sweep inside one multichip job).
 	Workers int
@@ -267,20 +271,10 @@ func RunSlice(name string, o Options, lo, hi int) (*results.Artifact, error) {
 }
 
 // executePlan runs the job slice [lo, hi) through the engine and folds
-// the payloads in job-index order.
+// the payloads in job-index order. It is the one place a plan meets the
+// scheduler.
 func executePlan(p *Plan, o Options, lo, hi int) (*results.Artifact, error) {
-	fold := p.NewFold(lo, hi)
-	if err := runJobs(p, o, lo, hi, fold.Add); err != nil {
-		return nil, err
-	}
-	return fold.Finish()
-}
-
-// runJobs runs the job slice [lo, hi) through the engine and hands each
-// payload to add with its plan job index, in job order. It is the one
-// place a plan meets the scheduler: registry runs fold the payloads into
-// an artifact, the U-TRR probe study keeps them.
-func runJobs(p *Plan, o Options, lo, hi int, add func(i int, payload any) error) error {
+	f := p.NewFold(lo, hi)
 	weights := make([]float64, hi-lo)
 	for i := range weights {
 		if w := p.Jobs[lo+i].Weight; w > 0 {
@@ -296,17 +290,23 @@ func runJobs(p *Plan, o Options, lo, hi int, add func(i int, payload any) error)
 		Planner:    o.Planner,
 		Weights:    weights,
 	}
-	fold := func(i int, v any) error { return add(lo+i, v) }
+	fold := func(i int, v any) error { return f.Add(lo+i, v) }
+	var err error
 	if p.Harness {
-		return engine.ReduceHarness(eo, p.Cfg, hi-lo,
+		err = engine.ReduceHarness(eo, p.Cfg, hi-lo,
 			func(ctx context.Context, h *core.Harness, i int) (any, error) {
 				return p.Jobs[lo+i].Run(ctx, h)
 			}, fold)
+	} else {
+		err = engine.Reduce(eo, hi-lo,
+			func(ctx context.Context, i int) (any, error) {
+				return p.Jobs[lo+i].Run(ctx, nil)
+			}, fold)
 	}
-	return engine.Reduce(eo, hi-lo,
-		func(ctx context.Context, i int) (any, error) {
-			return p.Jobs[lo+i].Run(ctx, nil)
-		}, fold)
+	if err != nil {
+		return nil, err
+	}
+	return f.Finish()
 }
 
 // stampMeta fills the provenance the run owns: schema and build

@@ -15,116 +15,86 @@ import (
 	"github.com/safari-repro/hbmrh/internal/utrr"
 )
 
-// TRRStudyOptions configures the Section 5 experiment.
-type TRRStudyOptions struct {
-	// Cfg is the device configuration; nil means config.PaperChip().
-	Cfg *config.Config
-	// Bank selects where the profiled row lives.
-	Bank addr.BankAddr
-	// Iterations is the number of U-TRR iterations (paper: 100).
-	Iterations int
-	// StartRow is where the retention scan begins. It defaults to a row
-	// range the periodic-refresh pointer does not sweep during the run.
-	StartRow int
-	// Ctx aborts the study: before it starts, and between U-TRR
-	// iterations once running (a fleet chip job's TRR phase cancels as
-	// promptly as its sweep phase).
-	Ctx context.Context
-}
-
-// TRRStudy is the outcome of the Section 5 reproduction.
-type TRRStudy struct {
-	Opts   TRRStudyOptions
-	Result *utrr.Result
-	// Period is the inferred victim-refresh period (paper: 17), with
-	// Periodic indicating the fires were strictly periodic.
-	Period   int
-	Periodic bool
-}
-
-// RunTRRStudy reproduces Section 5: profile a retention-weak row, run the
-// U-TRR iterations, and infer the proprietary TRR mechanism's period.
-func RunTRRStudy(o TRRStudyOptions) (*TRRStudy, error) {
-	if o.Cfg == nil {
-		o.Cfg = config.PaperChip()
+// section5Setup resolves what the Section 5 plans share: the chip
+// (default config.PaperChip()) and the bank the study runs in, which
+// must lie inside the chip.
+func section5Setup(o Options) (*config.Config, error) {
+	cfg := o.Cfg
+	if cfg == nil {
+		cfg = config.PaperChip()
 	}
-	if err := o.Cfg.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if o.Ctx != nil {
-		if err := o.Ctx.Err(); err != nil {
-			return nil, err
-		}
+	if g := cfg.Geometry; !o.Bank.Valid(g) {
+		return nil, fmt.Errorf("bank %v out of range (%d channels, %d pseudo channels, %d banks)",
+			o.Bank, g.Channels, g.PseudoChannels, g.Banks)
 	}
-	// The study runs on a fresh device: U-TRR leans on retention decay and
-	// the periodic-refresh pointer, i.e. accumulated device state, so a
-	// pool-warmed device would not reproduce it.
-	r, err := runUTRR(o, o.Ctx)
+	return cfg, nil
+}
+
+// section5Device is a fresh device with ECC off (the Section 3.1 setup,
+// so raw retention errors are visible) and the experiment driving it.
+// U-TRR leans on retention decay and the periodic-refresh pointer, i.e.
+// accumulated device state, so a pool-warmed device would not reproduce
+// it.
+func section5Device(cfg *config.Config) (*utrr.Experiment, error) {
+	d, err := hbm.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &TRRStudy{Opts: o, Result: r}
-	s.Period, s.Periodic = r.InferPeriod()
-	return s, nil
-}
-
-func runUTRR(o TRRStudyOptions, ctx context.Context) (*utrr.Result, error) {
-	d, err := hbm.New(o.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Section 3.1 setup: ECC off so raw retention errors are visible.
-	for ch := 0; ch < o.Cfg.Geometry.Channels; ch++ {
+	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
 		if err := d.WriteModeRegister(ch, hbm.MRECC, 0); err != nil {
 			return nil, err
 		}
 	}
-	e := utrr.New(d)
-	e.Ctx = ctx
-	if o.Iterations > 0 {
-		e.Iterations = o.Iterations
-	}
-	start := o.StartRow
-	if start <= 0 {
-		// Keep clear of the rows the refresh pointer sweeps: one REF per
-		// iteration refreshes a couple of physical rows from address 0.
-		start = o.Cfg.Geometry.Rows / 4
-	}
-	return e.Run(o.Bank, start)
+	return utrr.New(d), nil
 }
 
-// trrStudyExperiment lifts the Section 5 U-TRR discovery onto the
-// registry. The study is one engine job on a fresh device (U-TRR leans
-// on accumulated retention state), so its plan has a single point job;
-// the artifact pipeline still buys it sharded merges (a one-job slice),
-// serialized artifacts and the shared exports.
+// section5StartRow is where the retention scans begin: clear of the rows
+// the refresh pointer sweeps, since one REF per iteration refreshes a
+// couple of physical rows from address 0.
+func section5StartRow(cfg *config.Config) int { return cfg.Geometry.Rows / 4 }
+
+// trrStudyExperiment is the Section 5 U-TRR discovery: profile a
+// retention-weak row in Options.Bank, run the U-TRR iterations, and infer
+// the proprietary TRR mechanism's period. The study is one engine job on
+// a fresh device, so its plan has a single point job; the artifact
+// carries the run as a TRR record beside the period groups.
 func trrStudyExperiment() *Experiment {
 	return &Experiment{
 		Name:  "trrstudy",
 		Title: "Section 5 U-TRR: uncover the in-DRAM TRR mechanism and its period",
 		Plan: func(o Options) (*Plan, error) {
-			to := TRRStudyOptions{Cfg: o.Cfg, Iterations: o.Iterations}
-			if to.Cfg == nil {
-				to.Cfg = config.PaperChip()
-			}
-			if err := to.Cfg.Validate(); err != nil {
+			cfg, err := section5Setup(o)
+			if err != nil {
 				return nil, err
 			}
-			iterations := to.Iterations
+			iterations := o.Iterations
 			if iterations <= 0 {
 				iterations = 100 // utrr.New default, pinned for params
 			}
+			bank := o.Bank
 			job := Job{
 				Key: "utrr",
 				Run: func(ctx context.Context, _ *core.Harness) (any, error) {
-					return runUTRR(to, ctx)
+					e, err := section5Device(cfg)
+					if err != nil {
+						return nil, err
+					}
+					e.Ctx = ctx
+					e.Iterations = iterations
+					return e.Run(bank, section5StartRow(cfg))
 				},
 			}
 			return &Plan{
-				Axis:   "point",
-				Cfg:    to.Cfg,
-				Jobs:   []Job{job},
-				Params: map[string]string{"iterations": strconv.Itoa(iterations)},
+				Axis: "point",
+				Cfg:  cfg,
+				Jobs: []Job{job},
+				Params: map[string]string{
+					"bank":       bank.String(),
+					"iterations": strconv.Itoa(iterations),
+				},
 				NewFold: func(lo, hi int) *Fold {
 					a := &results.Artifact{
 						Meta: results.Meta{GroupBy: results.ByPoint.String()},
@@ -149,6 +119,11 @@ func trrStudyExperiment() *Experiment {
 								ms[1].Stream.Add(0)
 							}
 							ms[2].Stream.Add(float64(len(r.Fires())))
+							a.TRR = append(a.TRR, results.TRRRecord{
+								Channel: bank.Channel, PseudoChannel: bank.PseudoChannel, Bank: bank.Bank,
+								Row: r.Row, Aggressor: r.Aggressor, RetentionSec: r.RetentionSec,
+								Refreshed: r.Refreshed,
+							})
 							return nil
 						},
 						Finish: func() (*results.Artifact, error) { return a, nil },
@@ -156,41 +131,57 @@ func trrStudyExperiment() *Experiment {
 				},
 			}, nil
 		},
+		Render: renderSection5,
 	}
 }
 
-// Render summarizes the study the way Section 5 reports it.
-func (s *TRRStudy) Render() string {
+// TRRPeriod reads the inferred victim-refresh period of a trrstudy
+// artifact from its trr_period group, and whether the fires were
+// strictly periodic from its periodic group; an artifact without the
+// measurement reads (0, false), as an aperiodic run does.
+func TRRPeriod(a *results.Artifact) (period int, periodic bool) {
+	if len(a.Groups) == 0 || len(a.Groups[0].Metrics) < 2 {
+		return 0, false
+	}
+	ms := a.Groups[0].Metrics
+	if ms[0].Stream.N() == 0 || ms[1].Stream.N() == 0 {
+		return 0, false
+	}
+	return int(ms[0].Stream.Min()), ms[1].Stream.Min() == 1
+}
+
+// renderSection5 is the trrstudy entry's registry render: the study the
+// way Section 5 reports it, drawn from the artifact's TRR record, with
+// the paper's period beside the measured one.
+func renderSection5(a *results.Artifact) string {
 	var sb strings.Builder
+	sb.WriteString(renderHeader(a))
 	sb.WriteString("Section 5: uncovering the proprietary in-DRAM TRR mechanism (U-TRR)\n")
-	fmt.Fprintf(&sb, "profiled row: %s row %d (retention %.2f s), aggressor row %d\n",
-		s.Opts.Bank, s.Result.Row, s.Result.RetentionSec, s.Result.Aggressor)
-	fires := s.Result.Fires()
-	fmt.Fprintf(&sb, "iterations: %d, victim refreshes observed: %d (at %v)\n",
-		len(s.Result.Refreshed), len(fires), fires)
-	if s.Periodic {
-		fmt.Fprintf(&sb, "=> the chip refreshes the sampled aggressor's victims once every %d REFs\n", s.Period)
-	} else {
-		sb.WriteString("=> no strictly periodic victim refresh observed\n")
-	}
-	// Iteration strip chart: '#' = refreshed by TRR, '.' = decayed.
-	glyphs := make([]byte, len(s.Result.Refreshed))
-	for i, r := range s.Result.Refreshed {
-		if r {
-			glyphs[i] = '#'
+	for _, t := range a.TRR {
+		r := utrr.Result{Row: t.Row, Aggressor: t.Aggressor, RetentionSec: t.RetentionSec, Refreshed: t.Refreshed}
+		bank := addr.BankAddr{Channel: t.Channel, PseudoChannel: t.PseudoChannel, Bank: t.Bank}
+		fmt.Fprintf(&sb, "profiled row: %s row %d (retention %.2f s), aggressor row %d\n",
+			bank, r.Row, r.RetentionSec, r.Aggressor)
+		fires := r.Fires()
+		fmt.Fprintf(&sb, "iterations: %d, victim refreshes observed: %d (at %v)\n",
+			len(r.Refreshed), len(fires), fires)
+		period, periodic := r.InferPeriod()
+		if periodic {
+			fmt.Fprintf(&sb, "=> the chip refreshes the sampled aggressor's victims once every %d REFs\n", period)
 		} else {
-			glyphs[i] = '.'
+			sb.WriteString("=> no strictly periodic victim refresh observed\n")
 		}
+		// Iteration strip chart: '#' = refreshed by TRR, '.' = decayed.
+		glyphs := make([]byte, len(r.Refreshed))
+		for i, ref := range r.Refreshed {
+			if ref {
+				glyphs[i] = '#'
+			} else {
+				glyphs[i] = '.'
+			}
+		}
+		fmt.Fprintf(&sb, "timeline: %s\n", glyphs)
+		fmt.Fprintf(&sb, "paper: TRR victim refresh %s\n", paper("sec5.trr_period"))
 	}
-	fmt.Fprintf(&sb, "timeline: %s\n", glyphs)
 	return sb.String()
-}
-
-// CSV exports the per-iteration observations.
-func (s *TRRStudy) CSV() (headers []string, rows [][]string) {
-	headers = []string{"iteration", "refreshed"}
-	for i, r := range s.Result.Refreshed {
-		rows = append(rows, []string{strconv.Itoa(i + 1), strconv.FormatBool(r)})
-	}
-	return headers, rows
 }

@@ -13,15 +13,22 @@ import (
 )
 
 // TestFiguresShardFleetStoreInvariant pins the one front end of Figs.
-// 3-6: the sweep and fig6 reports drawn from a single-process artifact
-// are byte-identical to those drawn from four shard files merged the way
+// 3-6 and Section 5: the sweep, fig6, trrstudy and utrrprobe reports
+// drawn from a single-process artifact are byte-identical to those drawn
+// from shard files (up to four, one per job at most) merged the way
 // `characterize merge` merges them, from a two-worker fleet run, and
 // from a store that replays the shard files from disk.
 func TestFiguresShardFleetStoreInvariant(t *testing.T) {
-	for _, study := range []Study{
-		{Experiment: "sweep", Chip: "small", Rows: 2, Hammers: 30000},
-		{Experiment: "fig6", Chip: "small", Rows: 2, Hammers: 30000},
+	for _, tc := range []struct {
+		study  Study
+		shards int
+	}{
+		{Study{Experiment: "sweep", Chip: "small", Rows: 2, Hammers: 30000}, 4},
+		{Study{Experiment: "fig6", Chip: "small", Rows: 2, Hammers: 30000}, 4},
+		{Study{Experiment: "trrstudy", Chip: "small", Iterations: 40}, 1},
+		{Study{Experiment: "utrrprobe", Chip: "small"}, 2},
 	} {
+		study := tc.study
 		t.Run(study.Experiment, func(t *testing.T) {
 			opts, err := study.options(context.Background())
 			if err != nil {
@@ -40,9 +47,9 @@ func TestFiguresShardFleetStoreInvariant(t *testing.T) {
 			}
 
 			dir := t.TempDir()
-			for i := 0; i < 4; i++ {
+			for i := 0; i < tc.shards; i++ {
 				o := opts
-				o.Shard, o.ShardCount = i, 4
+				o.Shard, o.ShardCount = i, tc.shards
 				shard, err := experiments.Run(study.Experiment, o)
 				if err != nil {
 					t.Fatal(err)
@@ -88,7 +95,7 @@ func TestFiguresShardFleetStoreInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !snap.Complete {
-				t.Fatalf("replayed store holds %d of the 4 shards", snap.Members)
+				t.Fatalf("replayed store holds %d of the %d shards", snap.Members, tc.shards)
 			}
 			check("the replayed store", snap.Merged)
 		})

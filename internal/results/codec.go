@@ -48,6 +48,10 @@ func (a *Artifact) write(w *jsonwire.Writer) {
 		w.Key("banks")
 		writeList(w, a.Banks, func(b BankRecord) { b.write(w) })
 	}
+	if len(a.TRR) > 0 {
+		w.Key("trr")
+		writeList(w, a.TRR, func(r TRRRecord) { r.write(w) })
+	}
 	w.Key("groups")
 	writeList(w, a.Groups, func(g Group) { g.write(w) })
 	w.Close('}')
@@ -165,6 +169,25 @@ func (b *BankRecord) write(w *jsonwire.Writer) {
 	w.Close('}')
 }
 
+func (r *TRRRecord) write(w *jsonwire.Writer) {
+	w.Open('{')
+	w.Key("channel")
+	w.Int(int64(r.Channel))
+	w.Key("pseudo_channel")
+	w.Int(int64(r.PseudoChannel))
+	w.Key("bank")
+	w.Int(int64(r.Bank))
+	w.Key("row")
+	w.Int(int64(r.Row))
+	w.Key("aggressor")
+	w.Int(int64(r.Aggressor))
+	w.Key("retention_s")
+	w.Float(r.RetentionSec)
+	w.Key("refreshed")
+	writeList(w, r.Refreshed, w.Bool)
+	w.Close('}')
+}
+
 // writeList writes xs element by element; a nil slice is null.
 func writeList[T any](w *jsonwire.Writer, xs []T, write func(T)) {
 	if xs == nil {
@@ -211,7 +234,7 @@ func (g *Group) write(w *jsonwire.Writer) {
 }
 
 // Decode parses an artifact file and validates its format version, its
-// stored axis, every stream and every row and bank record (see
+// stored axis, every stream and every row, bank and TRR record (see
 // RowRecord.validate), so that no report drawn from a decoded artifact
 // can index out of range or plot a non-finite value.
 //
@@ -255,6 +278,11 @@ func Decode(data []byte) (*Artifact, error) {
 			return nil, fmt.Errorf("results: bank record %d: %w", i, err)
 		}
 	}
+	for i := range a.TRR {
+		if err := a.TRR[i].validate(); err != nil {
+			return nil, fmt.Errorf("results: TRR record %d: %w", i, err)
+		}
+	}
 	return &a, nil
 }
 
@@ -293,6 +321,19 @@ func (b *BankRecord) validate() error {
 	return nil
 }
 
+// validate checks a TRR record: non-negative coordinates and a finite,
+// non-negative retention time.
+func (r *TRRRecord) validate() error {
+	switch {
+	case r.Channel < 0 || r.PseudoChannel < 0 || r.Bank < 0 || r.Row < 0 || r.Aggressor < 0:
+		return fmt.Errorf("bank %d.%d.%d row %d aggressor %d: negative coordinate",
+			r.Channel, r.PseudoChannel, r.Bank, r.Row, r.Aggressor)
+	case !(r.RetentionSec >= 0 && r.RetentionSec <= math.MaxFloat64):
+		return fmt.Errorf("retention %v s is negative or not finite", r.RetentionSec)
+	}
+	return nil
+}
+
 // readArray decodes an array whose elements read decodes: nil for null,
 // non-nil for [].
 func readArray[T any](r *jsonwire.Reader, read func(*T)) []T {
@@ -309,7 +350,7 @@ func readArray[T any](r *jsonwire.Reader, read func(*T)) []T {
 }
 
 var (
-	artifactFields = []string{"meta", "chips", "rows", "banks", "groups"}
+	artifactFields = []string{"meta", "chips", "rows", "banks", "trr", "groups"}
 	metaFields     = []string{"format", "tool", "code_version", "config_hash", "group_by",
 		"seed_first", "seed_count", "shard", "shard_count",
 		"job_axis", "job_first", "job_count", "job_keys", "params"}
@@ -317,6 +358,7 @@ var (
 	rowFields  = []string{"channel", "phys_row", "region", "ber", "hc_first", "found", "wcdp",
 		"subarray", "subarray_offset", "subarray_size", "last_subarray"}
 	bankFields   = []string{"channel", "pseudo_channel", "bank", "mean_ber_pct", "cv"}
+	trrFields    = []string{"channel", "pseudo_channel", "bank", "row", "aggressor", "retention_s", "refreshed"}
 	groupFields  = []string{"key", "metrics"}
 	keyFields    = []string{"region", "channel", "point"}
 	metricFields = []string{"name", "stream"}
@@ -333,6 +375,8 @@ func (a *Artifact) read(r *jsonwire.Reader) {
 			a.Rows = readArray(r, func(row *RowRecord) { row.read(r) })
 		case "banks":
 			a.Banks = readArray(r, func(b *BankRecord) { b.read(r) })
+		case "trr":
+			a.TRR = readArray(r, func(t *TRRRecord) { t.read(r) })
 		case "groups":
 			a.Groups = readArray(r, func(g *Group) { g.read(r) })
 		}
@@ -443,6 +487,27 @@ func (b *BankRecord) read(r *jsonwire.Reader) {
 			b.MeanBER = r.Float()
 		case "cv":
 			b.CV = r.Float()
+		}
+	})
+}
+
+func (t *TRRRecord) read(r *jsonwire.Reader) {
+	r.Object(trrFields, func(field string) {
+		switch field {
+		case "channel":
+			t.Channel = r.Int()
+		case "pseudo_channel":
+			t.PseudoChannel = r.Int()
+		case "bank":
+			t.Bank = r.Int()
+		case "row":
+			t.Row = r.Int()
+		case "aggressor":
+			t.Aggressor = r.Int()
+		case "retention_s":
+			t.RetentionSec = r.Float()
+		case "refreshed":
+			t.Refreshed = readArray(r, func(v *bool) { *v = r.Bool() })
 		}
 	})
 }

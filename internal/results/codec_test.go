@@ -20,6 +20,7 @@ type artifactRef struct {
 	Chips  []ChipRecord `json:"chips,omitempty"`
 	Rows   []RowRecord  `json:"rows,omitempty"`
 	Banks  []BankRecord `json:"banks,omitempty"`
+	TRR    []TRRRecord  `json:"trr,omitempty"`
 	Groups []groupRef   `json:"groups"`
 }
 
@@ -46,6 +47,18 @@ type streamRef struct {
 	Bins     []int64   `json:"bins"`
 	Sketched bool      `json:"sketched"`
 	Exact    []float64 `json:"exact,omitempty"`
+}
+
+// trrArtifact is a trrstudy-shaped artifact carrying TRR records, one
+// with no iterations.
+func trrArtifact() *Artifact {
+	a := pointArtifact([]string{"utrr"}, 0, 1)
+	a.TRR = []TRRRecord{
+		{Channel: 2, PseudoChannel: 1, Bank: 1, Row: 256, Aggressor: 257, RetentionSec: 0.8312,
+			Refreshed: []bool{false, true, false}},
+		{Row: 0, Aggressor: 1, RetentionSec: 1e-7},
+	}
+	return a
 }
 
 // recordArtifact is a sweep-shaped artifact carrying row records and a
@@ -89,6 +102,7 @@ func codecArtifacts() map[string]*Artifact {
 	return map[string]*Artifact{
 		"rows":     rows,
 		"banks":    banks,
+		"trr":      trrArtifact(),
 		"fine":     fineArtifact(0, 3),
 		"point":    pointArtifact([]string{"a", "b", "c"}, 1, 3),
 		"sketched": sketched,
@@ -267,8 +281,39 @@ func TestArtifactDecodeRejectsBadRecords(t *testing.T) {
 			t.Errorf("%s: Decode = %v, want a bank record error", name, err)
 		}
 	}
-	// JSON has no NaN or infinity, and a BER past the float64 range is a
-	// syntax-level rejection.
+	trrCases := map[string]func(r *TRRRecord){
+		"negative channel":   func(r *TRRRecord) { r.Channel = -1 },
+		"negative pc":        func(r *TRRRecord) { r.PseudoChannel = -1 },
+		"negative bank":      func(r *TRRRecord) { r.Bank = -1 },
+		"negative row":       func(r *TRRRecord) { r.Row = -1 },
+		"negative aggressor": func(r *TRRRecord) { r.Aggressor = -1 },
+		"negative retention": func(r *TRRRecord) { r.RetentionSec = -0.5 },
+	}
+	for name, mutate := range trrCases {
+		a := trrArtifact()
+		mutate(&a.TRR[0])
+		data, err := a.MarshalIndented()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "TRR record 0") {
+			t.Errorf("%s: Decode = %v, want a TRR record error", name, err)
+		}
+	}
+	// JSON has no NaN or infinity, and a BER or retention time past the
+	// float64 range is a syntax-level rejection.
+	trr, err := trrArtifact().MarshalIndented()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if huge := bytes.Replace(trr, []byte("0.8312"), []byte("1e999"), 1); bytes.Equal(huge, trr) {
+		t.Fatal("mutation did not apply")
+	} else if _, err := Decode(huge); err == nil {
+		t.Error("Decode accepted an infinite retention time")
+	}
+	if _, err := (&Artifact{Meta: sweep.Meta, TRR: []TRRRecord{{RetentionSec: math.Inf(1)}}}).MarshalIndented(); err == nil {
+		t.Error("an infinite retention time encoded")
+	}
 	good, err := sweep.MarshalIndented()
 	if err != nil {
 		t.Fatal(err)

@@ -17,9 +17,9 @@
 // export in the repo shares one CSV/JSON renderer and one merge path.
 // Beside the groups, an artifact carries the fixed-size records its
 // study's report draws: one ChipRecord per chip, one RowRecord per swept
-// row, one BankRecord per Fig. 6 bank. Merge appends them in job order,
-// so a merged or store-held artifact renders what a single process
-// renders.
+// row, one BankRecord per Fig. 6 bank, one TRRRecord per Section 5 U-TRR
+// run. Merge appends them in job order, so a merged or store-held
+// artifact renders what a single process renders.
 //
 // Sharding has two regimes (DESIGN.md §7, §9): seed-axis artifacts
 // carry contiguous seed-range provenance, while every other axis
@@ -39,6 +39,7 @@ package results
 import (
 	"fmt"
 	"runtime/debug"
+	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/stats"
 )
@@ -47,8 +48,9 @@ import (
 // of a different version; bump it on any incompatible schema change.
 // Version 2 added the planning-axis provenance (Meta.JobAxis/JobFirst/
 // JobCount/JobKeys, Key.Point) and its merge conflict checks; version 3
-// added the sweep's row records and fig6's bank records.
-const FormatVersion = 3
+// added the sweep's row records and fig6's bank records; version 4 added
+// the Section 5 study's TRR records.
+const FormatVersion = 4
 
 // AxisSeed is the Meta.JobAxis value of fleet scans sharded by chip
 // seed, where SeedFirst/SeedCount carry the provenance and merges check
@@ -209,6 +211,32 @@ type BankRecord struct {
 // with a zero mean BER never flipped, and its CV is undefined.
 func (b *BankRecord) HasCV() bool { return b.MeanBER > 0 }
 
+// TRRRecord is one U-TRR run of the Section 5 study: the profiled row,
+// its retention time and the aggressor next to it, and per iteration
+// whether an in-DRAM refresh restored the row before it decayed.
+type TRRRecord struct {
+	Channel       int `json:"channel"`
+	PseudoChannel int `json:"pseudo_channel"`
+	Bank          int `json:"bank"`
+	// Row is the profiled logical row; Aggressor is the logical row
+	// whose physical address neighbours it.
+	Row       int `json:"row"`
+	Aggressor int `json:"aggressor"`
+	// RetentionSec is the row's measured retention time.
+	RetentionSec float64 `json:"retention_s"`
+	// Refreshed[i] records whether iteration i found the row refreshed.
+	Refreshed []bool `json:"refreshed"`
+}
+
+// CSV exports the per-iteration observations, iterations numbered from 1.
+func (r *TRRRecord) CSV() (headers []string, rows [][]string) {
+	headers = []string{"iteration", "refreshed"}
+	for i, ref := range r.Refreshed {
+		rows = append(rows, []string{strconv.Itoa(i + 1), strconv.FormatBool(ref)})
+	}
+	return headers, rows
+}
+
 // Meta is an artifact's provenance: everything Merge must check before
 // two artifacts may be combined, plus the seed-range bookkeeping that
 // keeps shard unions canonical.
@@ -262,13 +290,14 @@ type Meta struct {
 }
 
 // Artifact is one serializable results payload: provenance, the records
-// of the study's unit (chips, sweep rows or banks, each empty for the
-// other studies) and the aggregation groups.
+// of the study's unit (chips, sweep rows, banks or U-TRR runs, each empty
+// for the other studies) and the aggregation groups.
 type Artifact struct {
 	Meta   Meta         `json:"meta"`
 	Chips  []ChipRecord `json:"chips,omitempty"`
 	Rows   []RowRecord  `json:"rows,omitempty"`
 	Banks  []BankRecord `json:"banks,omitempty"`
+	TRR    []TRRRecord  `json:"trr,omitempty"`
 	Groups []Group      `json:"groups"`
 }
 
@@ -405,6 +434,7 @@ func Merge(a, b *Artifact) error {
 	a.Chips = append(a.Chips, b.Chips...)
 	a.Rows = append(a.Rows, b.Rows...)
 	a.Banks = append(a.Banks, b.Banks...)
+	a.TRR = append(a.TRR, b.TRR...)
 	if jobSliced {
 		am.JobCount += bm.JobCount
 		am.JobKeys = append(am.JobKeys, bm.JobKeys...)
@@ -501,9 +531,10 @@ func (a *Artifact) Clone() *Artifact {
 	}
 	c.Chips = append([]ChipRecord(nil), a.Chips...)
 	// Records are never modified once folded, only appended to, so the
-	// copies share their per-pattern slices.
+	// copies share their per-pattern and per-iteration slices.
 	c.Rows = append([]RowRecord(nil), a.Rows...)
 	c.Banks = append([]BankRecord(nil), a.Banks...)
+	c.TRR = append([]TRRRecord(nil), a.TRR...)
 	c.Groups = make([]Group, len(a.Groups))
 	for i, g := range a.Groups {
 		ms := make([]Metric, len(g.Metrics))

@@ -370,7 +370,7 @@ func FuzzShardFlag(f *testing.F) {
 }
 
 // TestMergeAppendsRecordsInJobOrder pins the record half of a merge:
-// the row and bank records of contiguous job slices concatenate in job
+// the row, bank and TRR records of contiguous job slices concatenate in job
 // order, so the merged records equal those of one run over the union,
 // and a merge into a Clone leaves the cloned artifact's records alone.
 func TestMergeAppendsRecordsInJobOrder(t *testing.T) {
@@ -381,6 +381,7 @@ func TestMergeAppendsRecordsInJobOrder(t *testing.T) {
 			a.Rows = append(a.Rows, RowRecord{Channel: i, PhysRow: 10 + i, Region: "first",
 				BER: []float64{0.25}, HCFirst: []int{100 * i}, Found: []bool{true}, SubarraySize: 8})
 			a.Banks = append(a.Banks, BankRecord{Channel: i, MeanBER: float64(i)})
+			a.TRR = append(a.TRR, TRRRecord{Channel: i, Row: 256 + i, Refreshed: []bool{i == 1}})
 		}
 		return a
 	}
@@ -392,11 +393,12 @@ func TestMergeAppendsRecordsInJobOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(merged.Rows, want.Rows) || !reflect.DeepEqual(merged.Banks, want.Banks) {
-		t.Fatalf("merged records\n%+v\n%+v\ndiffer from the single run's\n%+v\n%+v",
-			merged.Rows, merged.Banks, want.Rows, want.Banks)
+	if !reflect.DeepEqual(merged.Rows, want.Rows) || !reflect.DeepEqual(merged.Banks, want.Banks) || !reflect.DeepEqual(merged.TRR, want.TRR) {
+		t.Fatalf("merged records\n%+v\n%+v\n%+v\ndiffer from the single run's\n%+v\n%+v\n%+v",
+			merged.Rows, merged.Banks, merged.TRR, want.Rows, want.Banks, want.TRR)
 	}
-	if len(first.Rows) != 1 || len(first.Banks) != 1 {
-		t.Fatalf("merging into a clone grew the original: %d rows, %d banks", len(first.Rows), len(first.Banks))
+	if len(first.Rows) != 1 || len(first.Banks) != 1 || len(first.TRR) != 1 {
+		t.Fatalf("merging into a clone grew the original: %d rows, %d banks, %d TRR runs",
+			len(first.Rows), len(first.Banks), len(first.TRR))
 	}
 }

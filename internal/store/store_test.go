@@ -809,19 +809,44 @@ func TestStoreParallelReplayMatchesSerial(t *testing.T) {
 		t.Fatalf("objects on disk: %d (err %v), want 24", len(names), err)
 	}
 	sort.Strings(names)
-	data, err := os.ReadFile(names[len(names)/2])
+	torn := names[len(names)/2]
+	data, err := os.ReadFile(torn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(names[len(names)/2], data[:len(data)/2], 0o644); err != nil {
+	if err := os.WriteFile(torn, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	overlap, err := shard(1, 2).MarshalIndented() // overlaps [0,2) and [2,4)
-	if err != nil {
-		t.Fatal(err)
+	// The conflicting object overlaps two stored shards, [2k,2k+2) and
+	// [2k+2,2k+4). Replay admits objects in address (hash) order and the
+	// first of two conflicting objects wins, so take the first k whose
+	// overlap sorts after both shards it overlaps, neither of them torn:
+	// the overlap is then the object quarantined as conflicting, whatever
+	// the encoding hashes to.
+	object := func(a *results.Artifact) (string, []byte) {
+		data, err := a.MarshalIndented()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		return filepath.Join(objects, hex.EncodeToString(sum[:])+".json"), data
 	}
-	sum := sha256.Sum256(overlap)
-	if err := os.WriteFile(filepath.Join(objects, hex.EncodeToString(sum[:])+".json"), overlap, 0o644); err != nil {
+	overlapPath := ""
+	var overlap []byte
+	for k := uint64(0); k < 16 && overlap == nil; k++ {
+		if k == 6 || k == 7 {
+			continue // [14,16) is the gap
+		}
+		lo, _ := object(shard(2*k, 2))
+		hi, _ := object(shard(2*k+2, 2))
+		if path, data := object(shard(2*k+1, 2)); lo != torn && hi != torn && path > lo && path > hi {
+			overlapPath, overlap = path, data
+		}
+	}
+	if overlap == nil {
+		t.Fatal("no overlapping shard sorts after both shards it overlaps")
+	}
+	if err := os.WriteFile(overlapPath, overlap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
