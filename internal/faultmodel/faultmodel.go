@@ -16,11 +16,12 @@
 // floor. Data-dependent factors (neighbour coupling, intra-row pattern) are
 // applied by the device at sense time, because they depend on stored data.
 //
-// Row profiles additionally carry lazily-built aggregates — per-bit
-// thresholds with their word and row minima, and memoized retention times
-// with word/row minima — that let the device's sense fast path skip work
-// without changing a single output bit (see internal/hbm/sense.go and
-// DESIGN.md §8).
+// Row profiles carry no per-bit state until a sense needs it. Orientation
+// (IsTrue) and the exact threshold (Threshold) are hashed on demand; the
+// lazily-built aggregates are 16-bit threshold keys with their word and
+// row minima, and memoized retention times with word/row minima. Both let
+// the device's sense fast path skip work without changing a single
+// output bit (see internal/hbm/sense.go and DESIGN.md §8).
 package faultmodel
 
 import (
@@ -68,38 +69,47 @@ type cacheKey struct {
 	row  int
 }
 
-// RowProfile holds the precomputed per-bit properties of one physical row.
-// Slices are shared with the model's cache: callers must treat them as
-// read-only. The expensive per-bit aggregates — thresholds and retention
-// times, each a full pass of inverse-CDF and exp work — are built lazily
-// on first need (Model.Thresholds / Model.Retention): a row that is
-// only ever sensed without meaningful disturbance never pays for its
-// thresholds, and a row always sensed inside the refresh window
-// never pays for its retention times.
+// RowProfile holds the per-row state of one physical row: the hash bases
+// and scale from which every per-bit property is derived, plus the
+// lazily-built aggregates. Slices are shared with the model's cache:
+// callers must treat them as read-only. Orientation and exact thresholds
+// are hashed per bit on demand (IsTrue, Model.Threshold) and never
+// stored; the aggregates — threshold keys (Model.Keys) and retention
+// times (Model.Retention) — are built on first need, so a row only ever
+// sensed without meaningful disturbance never pays for its keys, and a
+// row always sensed inside the refresh window never pays for its
+// retention times.
 type RowProfile struct {
-	// TrueCell has bit i set when cell i is a true cell (charged at 1).
-	TrueCell []uint64
-
-	thr *thrProfile // nil until the first Thresholds call
-	ret *retProfile // nil until the first Retention call
+	keys *keyProfile // nil until the first Keys call
+	ret  *retProfile // nil until the first Retention call
 
 	// key records the row coordinates for the lazy builds.
 	key cacheKey
+
+	// thrBase seeds bit i's threshold hash Mix64(thrBase+i); scale and
+	// sigma are the row's lognormal threshold multiplier and spread.
+	thrBase      uint64
+	scale, sigma float64
+	// orientBase seeds bit i's orientation hash h = Mix64(orientBase+i);
+	// the bit is a true cell when h>>11 < trueCut (see IsTrue).
+	orientBase, trueCut uint64
 }
 
-// thrProfile holds the lazily-built disturbance-threshold aggregates of
-// one row.
-type thrProfile struct {
-	// Thr[i] is the intrinsic disturbance threshold of bit i, in
-	// double-sided hammer units.
-	Thr []float32
-	// WordMin[w] is the minimum Thr within 64-bit word w: a word whose
-	// minimum exceeds the effective disturbance cannot flip, so the sense
+// keyProfile holds the lazily-built threshold keys of one row. Bit i's
+// key is the top 16 bits of Mix64(thrBase+i), the hash its threshold is
+// derived from. Every step from that hash to the threshold is monotone
+// non-decreasing (to within normInv's error, which Model.Cut's margin
+// covers), so a low key is necessary for a low threshold.
+type keyProfile struct {
+	// Keys[i] is bit i's threshold key.
+	Keys []uint16
+	// WordMin[w] is the minimum key within 64-bit word w: a word whose
+	// minimum exceeds the cut holds no bit that can flip, so the sense
 	// scan skips it wholesale.
-	WordMin []float32
-	// Min is the row's smallest Thr: a disturbance below it cannot flip
-	// any bit, so the sense scan skips the row.
-	Min float32
+	WordMin []uint16
+	// Min is the row's smallest key: when it exceeds the cut, the sense
+	// scan skips the row.
+	Min uint16
 }
 
 // retProfile holds the lazily-built retention aggregates of one row,
@@ -117,9 +127,12 @@ type retProfile struct {
 	MinBit int
 }
 
-// IsTrue reports whether bit i is a true cell.
+// IsTrue reports whether bit i is a true cell: rng.Bool(h, TrueCellFrac)
+// for its orientation hash h, as one integer compare. Bool tests
+// float64(h>>11)/2^53 < frac, both sides exact, which for the integer
+// h>>11 is h>>11 < ceil(frac*2^53).
 func (p *RowProfile) IsTrue(i int) bool {
-	return p.TrueCell[i/64]&(1<<(uint(i)%64)) != 0
+	return rng.Mix64(p.orientBase+uint64(i))>>11 < p.trueCut
 }
 
 // New builds a fault model for the given validated configuration.
@@ -136,14 +149,14 @@ func New(cfg *config.Config) (*Model, error) {
 }
 
 // defaultCacheEntries derives the profile-cache entry capacity from the
-// byte budget and the per-row profile footprint: per bit, a float32
-// threshold and a float64 retention time; per 64-bit word, the orientation
-// word, a float32 threshold minimum and a float64 retention minimum; and
-// a fixed allowance for the structs and cache bookkeeping.
+// byte budget and the per-row profile footprint: per bit, a 16-bit
+// threshold key and a float64 retention time; per 64-bit word, a key
+// minimum and a float64 retention minimum; and a fixed allowance for the
+// structs and cache bookkeeping.
 func defaultCacheEntries(cfg *config.Config) int {
 	bits := cfg.Geometry.RowBits()
 	words := (bits + 63) / 64
-	perEntry := bits*(4+8) + words*(8+4+8) + 256
+	perEntry := bits*(2+8) + words*(2+8) + 256
 	n := DefaultCacheBytes / perEntry
 	if n < 64 {
 		n = 64
@@ -202,82 +215,134 @@ func (m *Model) Profile(b addr.BankAddr, physRow int) *RowProfile {
 	return p
 }
 
+// computeProfile derives a row's hash bases and threshold scale; it does
+// no per-bit work.
 func (m *Model) computeProfile(b addr.BankAddr, physRow int) *RowProfile {
 	m.computes++
-	bits := m.cfg.Geometry.RowBits()
-	words := (bits + 63) / 64
-	prof := &RowProfile{
-		TrueCell: make([]uint64, words),
-		key:      cacheKey{bank: b, row: physRow},
-	}
 	ch := m.cfg.Fault.Channels[b.Channel]
-	orientBase := rng.Combine(m.cfg.Seed, domOrient,
-		uint64(b.Channel), uint64(b.PseudoChannel), uint64(b.Bank), uint64(physRow))
-	trueFrac := ch.TrueCellFrac
-	for i := 0; i < bits; i++ {
-		if rng.Bool(rng.Mix64(orientBase+uint64(i)), trueFrac) {
-			prof.TrueCell[i>>6] |= 1 << (uint(i) % 64)
-		}
-	}
-	return prof
-}
-
-// thresholds returns the lazily-built threshold aggregates of a profile.
-// The build — one per-bit pass of inverse-CDF and exp work that also folds
-// the word and row minima — is only paid for rows that are ever sensed
-// with enough accumulated disturbance to possibly flip; aggressor rows,
-// whose disturbance is cleared by their own activations, never need it.
-func (m *Model) thresholds(p *RowProfile) *thrProfile {
-	if p.thr == nil {
-		bits := m.cfg.Geometry.RowBits()
-		words := (bits + 63) / 64
-		b, physRow := p.key.bank, p.key.row
-		tp := &thrProfile{
-			Thr:     make([]float32, bits),
-			WordMin: make([]float32, words),
-			Min:     float32(math.Inf(1)),
-		}
-		for w := range tp.WordMin {
-			tp.WordMin[w] = float32(math.Inf(1))
-		}
-		ch := m.cfg.Fault.Channels[b.Channel]
-		f := m.cfg.Fault
-		scale := ch.MedianHC * m.rowScale(b, physRow)
-		base := rng.Combine(m.cfg.Seed, domThreshold,
+	coords := func(dom uint64) uint64 {
+		return rng.Combine(m.cfg.Seed, dom,
 			uint64(b.Channel), uint64(b.PseudoChannel), uint64(b.Bank), uint64(physRow))
-		sigma, zFloor, hcFloor := ch.Sigma, f.ZFloor, f.HCFloor
-		for i := 0; i < bits; i++ {
-			z := rng.Normal(rng.Mix64(base + uint64(i)))
-			if z < zFloor {
-				z = zFloor
-			}
-			thr := scale * math.Exp(sigma*z)
-			if thr < hcFloor {
-				thr = hcFloor
-			}
-			t32 := float32(thr)
-			tp.Thr[i] = t32
-			if w := i >> 6; t32 < tp.WordMin[w] {
-				tp.WordMin[w] = t32
-			}
-		}
-		for _, wm := range tp.WordMin {
-			if wm < tp.Min {
-				tp.Min = wm
-			}
-		}
-		p.thr = tp
 	}
-	return p.thr
+	return &RowProfile{
+		key:        cacheKey{bank: b, row: physRow},
+		thrBase:    coords(domThreshold),
+		scale:      ch.MedianHC * m.rowScale(b, physRow),
+		sigma:      ch.Sigma,
+		orientBase: coords(domOrient),
+		trueCut:    uint64(math.Ceil(ch.TrueCellFrac * (1 << 53))),
+	}
 }
 
-// Thresholds exposes a profile's disturbance-threshold aggregates: the
-// per-bit thresholds and their per-word and per-row minima, so a
-// disturbance scan can gate on the row minimum and skip whole words.
-// Building them on first use is the expensive step; see thresholds.
-func (m *Model) Thresholds(p *RowProfile) (thr, wordMin []float32, minThr float32) {
-	tp := m.thresholds(p)
-	return tp.Thr, tp.WordMin, tp.Min
+// Threshold returns the intrinsic disturbance threshold of bit i of a
+// row, in double-sided hammer units: the exact value every flip is
+// decided against. It is derived from the bit's hash on each call and
+// never cached.
+func (m *Model) Threshold(p *RowProfile, i int) float32 {
+	f := &m.cfg.Fault
+	z := rng.Normal(rng.Mix64(p.thrBase + uint64(i)))
+	if z < f.ZFloor {
+		z = f.ZFloor
+	}
+	thr := p.scale * math.Exp(p.sigma*z)
+	if thr < f.HCFloor {
+		thr = f.HCFloor
+	}
+	return float32(thr)
+}
+
+// keys returns the lazily-built threshold keys of a profile: one hash
+// pass with no float math that also folds the word and row minima. It is
+// only paid for rows that are ever sensed with enough accumulated
+// disturbance to possibly flip; aggressor rows, whose disturbance is
+// cleared by their own activations, never need it.
+func (m *Model) keys(p *RowProfile) *keyProfile {
+	if p.keys == nil {
+		bits := m.cfg.Geometry.RowBits()
+		kp := &keyProfile{
+			Keys:    make([]uint16, bits),
+			WordMin: make([]uint16, (bits+63)/64),
+			Min:     math.MaxUint16,
+		}
+		for w := range kp.WordMin {
+			lo := w << 6
+			wm := uint16(math.MaxUint16)
+			for j := range kp.Keys[lo:min(lo+64, bits)] {
+				k := uint16(rng.Mix64(p.thrBase+uint64(lo+j)) >> 48)
+				kp.Keys[lo+j] = k
+				wm = min(wm, k)
+			}
+			kp.WordMin[w] = wm
+			kp.Min = min(kp.Min, wm)
+		}
+		p.keys = kp
+	}
+	return p.keys
+}
+
+// Keys exposes a profile's threshold keys and their per-word and per-row
+// minima, so a disturbance scan can gate on the row minimum, skip whole
+// words, and derive exact thresholds (Threshold) only for bits whose key
+// passes Cut. Building them on first use is one hash per bit; see keys.
+func (m *Model) Keys(p *RowProfile) (keys, wordMin []uint16, minKey uint16) {
+	kp := m.keys(p)
+	return kp.Keys, kp.WordMin, kp.Min
+}
+
+// Margins of Cut. A bit of the row passes a screen s when float32(thr) <=
+// s, where thr = max(HCFloor, scale*Exp(sigma*max(ZFloor, normInv(u))))
+// and u = (h>>11)/2^53 for the bit's hash h, whose top 16 bits are its key
+// floor(u*2^16). Each step is monotone non-decreasing except normInv, so
+// Cut inverts the chain and widens it by one margin per step that can
+// round against it:
+//
+//   - cutRel inflates s relatively. Rounding thr to float32 moves it by at
+//     most 2^-24 relative; the product with scale, Exp's ulp error and
+//     the product sigma*z (|z| <= 7.04, the normInv range under the u
+//     clamp) add a few 2^-53; t = s*(1+cutRel) and t/scale round once
+//     each. 2^-22 covers their sum with room to spare.
+//   - cutZ widens z = Log(t/scale)/sigma absolutely. Acklam's normInv is
+//     within 1.15e-9 relative of the true inverse, 7.04*1.15e-9 = 8.1e-9
+//     absolute at |z| <= 7.04, plus its own float64 evaluation error and
+//     the ulps of Log and the division, each below 1e-14.
+//   - cutU inflates u = Erfc(-z/sqrt2)/2 relatively for Erfc's ulps and
+//     the rounding of its argument: (z^2+2)*2^-52, below 1.2e-14 at
+//     |z| <= 7.04, is far inside 2^-40.
+//
+// The clamps are monotone and only raise a threshold: a screen below
+// float32(HCFloor) admits no bit, and a bound below ZFloor admits none
+// either; otherwise a passing bit has max(ZFloor, z) <= bound, so z itself
+// is. A bit clamped from above (u > 1-1e-12) is admitted by returning the
+// largest key once the bound reaches the clamp. TestThresholdCutConservative
+// pins the margins: without them, 845 bits of its 4.19 M-bit sample carry
+// keys above their own threshold's cut.
+const (
+	cutRel = 1.0 / (1 << 22)
+	cutZ   = 1e-8
+	cutU   = 1.0 / (1 << 40)
+)
+
+// Cut returns the largest key that a bit of the row can carry when its
+// float32 threshold is at most screen, or -1 when no bit of the row can
+// have a threshold that low. It costs one Log and one Erfc. The cut is
+// conservative — a bit whose key exceeds it cannot pass the screen — but
+// not exact: a bit whose key passes must still be checked against its
+// exact Threshold.
+func (m *Model) Cut(p *RowProfile, screen float32) int {
+	f := &m.cfg.Fault
+	if !(screen >= float32(f.HCFloor)) {
+		return -1 // also rejects NaN
+	}
+	t := float64(screen) * (1 + cutRel)
+	z := math.Log(t/p.scale)/p.sigma + cutZ
+	if z < f.ZFloor {
+		return -1
+	}
+	u := math.Erfc(-z/math.Sqrt2) / 2 * (1 + cutU)
+	if u >= 1-1e-12 {
+		return math.MaxUint16
+	}
+	return int(u * (1 << 16))
 }
 
 // retention returns the lazily-built retention aggregates of a profile,

@@ -7,6 +7,7 @@ import (
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
+	"github.com/safari-repro/hbmrh/internal/rng"
 )
 
 func newModel(t testing.TB, cfg *config.Config) *Model {
@@ -22,6 +23,15 @@ func bank(ch, pc, ba int) addr.BankAddr {
 	return addr.BankAddr{Channel: ch, PseudoChannel: pc, Bank: ba}
 }
 
+// rowThresholds returns the exact threshold of every bit of a row.
+func rowThresholds(m *Model, p *RowProfile) []float32 {
+	thr := make([]float32, m.cfg.Geometry.RowBits())
+	for i := range thr {
+		thr[i] = m.Threshold(p, i)
+	}
+	return thr
+}
+
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	cfg := config.SmallChip()
 	cfg.SubarraySizes = []int{1}
@@ -35,16 +45,12 @@ func TestProfileDeterminism(t *testing.T) {
 	a, b := newModel(t, cfg), newModel(t, cfg)
 	pa := a.Profile(bank(3, 1, 2), 100)
 	pb := b.Profile(bank(3, 1, 2), 100)
-	ta, _, _ := a.Thresholds(pa)
-	tb, _, _ := b.Thresholds(pb)
-	for i := range ta {
-		if ta[i] != tb[i] {
+	for i := 0; i < cfg.Geometry.RowBits(); i++ {
+		if a.Threshold(pa, i) != b.Threshold(pb, i) {
 			t.Fatalf("bit %d: thresholds differ across identically-seeded models", i)
 		}
-	}
-	for i := range pa.TrueCell {
-		if pa.TrueCell[i] != pb.TrueCell[i] {
-			t.Fatalf("orientation word %d differs across identically-seeded models", i)
+		if pa.IsTrue(i) != pb.IsTrue(i) {
+			t.Fatalf("bit %d: orientation differs across identically-seeded models", i)
 		}
 	}
 }
@@ -53,8 +59,8 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	ca, cb := config.SmallChip(), config.SmallChip()
 	cb.Seed = ca.Seed + 1
 	ma, mb := newModel(t, ca), newModel(t, cb)
-	ta, _, _ := ma.Thresholds(ma.Profile(bank(0, 0, 0), 5))
-	tb, _, _ := mb.Thresholds(mb.Profile(bank(0, 0, 0), 5))
+	ta := rowThresholds(ma, ma.Profile(bank(0, 0, 0), 5))
+	tb := rowThresholds(mb, mb.Profile(bank(0, 0, 0), 5))
 	same := 0
 	for i := range ta {
 		if ta[i] == tb[i] {
@@ -70,8 +76,8 @@ func TestThresholdFloorHolds(t *testing.T) {
 	cfg := config.SmallChip()
 	m := newModel(t, cfg)
 	f := func(row uint16, bit uint16) bool {
-		thr, _, _ := m.Thresholds(m.Profile(bank(7, 0, 0), int(row)%cfg.Geometry.Rows))
-		return float64(thr[int(bit)%len(thr)]) >= cfg.Fault.HCFloor
+		p := m.Profile(bank(7, 0, 0), int(row)%cfg.Geometry.Rows)
+		return float64(m.Threshold(p, int(bit)%cfg.Geometry.RowBits())) >= cfg.Fault.HCFloor
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -100,13 +106,31 @@ func TestTrueCellFractionMatchesProfile(t *testing.T) {
 	}
 }
 
+// TestIsTrueMatchesBool pins IsTrue's integer compare to the rng.Bool
+// draw it replaces, at every channel's true-cell fraction and at the
+// extremes 0 and 1.
+func TestIsTrueMatchesBool(t *testing.T) {
+	cfg := config.SmallChip()
+	cfg.Fault.Channels[0].TrueCellFrac = 0
+	cfg.Fault.Channels[1].TrueCellFrac = 1
+	m := newModel(t, cfg)
+	for ch, prof := range cfg.Fault.Channels {
+		p := m.Profile(bank(ch, 1, 2), 40+ch)
+		for i := 0; i < cfg.Geometry.RowBits(); i++ {
+			if want := rng.Bool(rng.Mix64(p.orientBase+uint64(i)), prof.TrueCellFrac); p.IsTrue(i) != want {
+				t.Fatalf("channel %d bit %d: IsTrue %v, rng.Bool %v", ch, i, !want, want)
+			}
+		}
+	}
+}
+
 func TestChannel7HasLowerThresholds(t *testing.T) {
 	cfg := config.SmallChip()
 	m := newModel(t, cfg)
 	medianOf := func(ch int) float64 {
 		var vals []float64
 		for row := 10; row < 30; row++ {
-			thr, _, _ := m.Thresholds(m.Profile(bank(ch, 0, 0), row))
+			thr := rowThresholds(m, m.Profile(bank(ch, 0, 0), row))
 			for i := 0; i < len(thr); i += 7 {
 				vals = append(vals, float64(thr[i]))
 			}
@@ -264,15 +288,16 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("cache holds %d entries, cap is 4", got)
 	}
 	// Re-reading a row evicted earlier still returns identical data.
-	t1, _, _ := m.Thresholds(m.Profile(bank(0, 0, 0), 0))
-	t1 = append([]float32(nil), t1...)
+	k1, _, _ := m.Keys(m.Profile(bank(0, 0, 0), 0))
+	t1 := rowThresholds(m, m.Profile(bank(0, 0, 0), 0))
 	m.SetCacheCap(1)
 	for row := 1; row < 5; row++ {
 		m.Profile(bank(0, 0, 0), row)
 	}
-	t2, _, _ := m.Thresholds(m.Profile(bank(0, 0, 0), 0))
+	k2, _, _ := m.Keys(m.Profile(bank(0, 0, 0), 0))
+	t2 := rowThresholds(m, m.Profile(bank(0, 0, 0), 0))
 	for i := range t1 {
-		if t1[i] != t2[i] {
+		if t1[i] != t2[i] || k1[i] != k2[i] {
 			t.Fatal("profile changed after eviction and recompute")
 		}
 	}

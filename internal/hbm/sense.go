@@ -42,8 +42,8 @@ func (d *Device) SetSenseReference(on bool) { d.senseRef = on }
 //
 // Two implementations exist. senseReference is the straightforward
 // per-bit scan that defines the semantics. The default fast path uses the
-// profile's precomputed minima to skip rows and words that cannot flip;
-// it is bit-for-bit identical (pinned by differential fuzz and golden
+// profile's key and retention minima to skip rows and words that cannot
+// flip; it is bit-for-bit identical (pinned by differential fuzz and golden
 // tests) and allocation-free in steady state.
 func (d *Device) senseAndRestore(b addr.BankAddr, bank *bankState, physRow int, at int64, flips bool) {
 	rs := d.row(bank, physRow)
@@ -122,7 +122,7 @@ func (d *Device) neighbourData(bank *bankState, physRow int) (upData, downData [
 // accumulated disturbance reaches its threshold scaled by neighbour
 // coupling, intra-row pattern, and temperature. Shared verbatim by both
 // sense paths.
-func (d *Device) disturbFlip(thr []float32, data, upData, downData []byte,
+func (d *Device) disturbFlip(thr float32, data, upData, downData []byte,
 	hasUp, hasDown bool, i, bits int, v byte, disturb, thrTemp float64) bool {
 	opposite := 0
 	if hasUp && rowBit(upData, i) != v {
@@ -133,7 +133,7 @@ func (d *Device) disturbFlip(thr []float32, data, upData, downData []byte,
 	}
 	alternating := i > 0 && i < bits-1 &&
 		rowBit(data, i-1) != v && rowBit(data, i+1) != v
-	eff := float64(thr[i]) * d.fm.CouplingFactor(opposite) *
+	eff := float64(thr) * d.fm.CouplingFactor(opposite) *
 		d.fm.IntraRowFactor(alternating) * thrTemp
 	return disturb >= eff
 }
@@ -141,10 +141,13 @@ func (d *Device) disturbFlip(thr []float32, data, upData, downData []byte,
 // senseFast is the production sense path. It exploits two profile
 // aggregates, neither of which changes the flip criterion:
 //
-//   - Threshold minima per row and per 64-bit word: the disturbance pass
-//     returns at once when the quickThr screen rejects the row's weakest
-//     cell, skips every word whose weakest cell fails the screen, and
-//     tests single bits only inside the words that remain.
+//   - 16-bit threshold keys with per-row and per-64-bit-word minima: the
+//     quickThr screen becomes a key cut (faultmodel.Model.Cut), and the
+//     disturbance pass returns at once when the row's smallest key
+//     exceeds it, skips every word whose smallest key does, and skips
+//     every bit whose own key does. Only a charged bit whose key passes
+//     pays for its exact threshold, which then decides the screen and the
+//     flip as in the reference path.
 //   - Cached retention times with per-word and per-row minima: when elapsed
 //     time cannot reach even the row's weakest cell, the retention pass
 //     vanishes; otherwise it skips whole words via their minima and
@@ -163,20 +166,25 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 		// screen is the quickThr screen in float32: a threshold passes it
 		// exactly when its float64 value is at most quickThr.
 		screen := floor32(disturb / (d.cfg.Fault.CouplingBoth * thrTemp))
-		if thr, wordMin, minThr := d.fm.Thresholds(prof); minThr <= screen {
+		keys, wordMin, minKey := d.fm.Keys(prof)
+		if cut := d.fm.Cut(prof, screen); int(minKey) <= cut {
 			upData, downData, hasUp, hasDown := d.neighbourData(bank, physRow)
 			for w, wm := range wordMin {
-				if wm > screen {
+				if int(wm) > cut {
 					continue // even the word's weakest cell withstands the screen
 				}
 				lo := w << 6
-				for j, t := range thr[lo:min(lo+64, bits)] {
-					if t > screen {
+				for j, k := range keys[lo:min(lo+64, bits)] {
+					if int(k) > cut {
 						continue
 					}
 					i := lo + j
 					v := rowBit(data, i)
 					if !faultmodel.Charged(prof.IsTrue(i), v == 1) {
+						continue
+					}
+					thr := d.fm.Threshold(prof, i)
+					if thr > screen {
 						continue
 					}
 					if d.disturbFlip(thr, data, upData, downData, hasUp, hasDown, i, bits, v, disturb, thrTemp) {
@@ -242,9 +250,12 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 }
 
 // senseReference is the straightforward per-bit implementation that
-// defines sense semantics; the fast path must match it bit for bit. It is
-// retained as the oracle for the differential fuzz and golden tests and
-// for ablation benchmarks.
+// defines sense semantics; the fast path must match it bit for bit. It
+// derives each bit's orientation, threshold and retention time from the
+// model's definitions (IsTrue, Threshold, RetentionSec) and touches none
+// of the aggregates the fast path caches, so the two share no state that
+// could hide a bug. It is retained as the oracle for the differential
+// fuzz and golden tests and for ablation benchmarks.
 func (d *Device) senseReference(b addr.BankAddr, bank *bankState, rs *rowState, physRow int,
 	disturb, elapsedSec, tscale, thrTemp float64, retPass, distPass bool) {
 	prof := d.fm.Profile(b, physRow)
@@ -253,10 +264,6 @@ func (d *Device) senseReference(b addr.BankAddr, bank *bankState, rs *rowState, 
 
 	upData, downData, hasUp, hasDown := d.neighbourData(bank, physRow)
 
-	var thr []float32
-	if distPass {
-		thr, _, _ = d.fm.Thresholds(prof)
-	}
 	var flips []int
 	quickThr := disturb / (d.cfg.Fault.CouplingBoth * thrTemp)
 	for i := 0; i < bits; i++ {
@@ -265,8 +272,10 @@ func (d *Device) senseReference(b addr.BankAddr, bank *bankState, rs *rowState, 
 			continue // discharged cells have no charge to lose
 		}
 		flipped := false
-		if distPass && float64(thr[i]) <= quickThr {
-			flipped = d.disturbFlip(thr, data, upData, downData, hasUp, hasDown, i, bits, v, disturb, thrTemp)
+		if distPass {
+			if thr := d.fm.Threshold(prof, i); float64(thr) <= quickThr {
+				flipped = d.disturbFlip(thr, data, upData, downData, hasUp, hasDown, i, bits, v, disturb, thrTemp)
+			}
 		}
 		if !flipped && retPass {
 			if elapsedSec > d.fm.RetentionSec(b, physRow, i)*tscale {

@@ -181,6 +181,12 @@ func FuzzSenseEquivalence(f *testing.F) {
 	f.Add([]byte{2, 9, 0xA5, 0, 9, 60, 6, 9, 1, 0, 9, 60, 3, 9, 60}) // write, hammer, ECC on, hammer, read
 	f.Add([]byte{5, 0, 55, 8, 3, 200, 4, 3, 120, 3, 3, 77})          // cool, pressed hammer, idle, read
 	f.Add([]byte{7, 1, 1, 7, 1, 2, 0, 1, 90, 7, 1, 3})               // refreshes interleaved with hammering
+	// Key-cut edges, ECC off: write the victim, hammer, read it. The first
+	// ends 1548 hammers past one cell's flip point, with that cell alone
+	// admitted in its word; the second ends 15 hammers short of the row's
+	// first flip, with the key cut admitting the row.
+	f.Add([]byte{6, 1, 0, 2, 1, 70, 0, 1, 69, 3, 1, 70})
+	f.Add([]byte{6, 6, 0, 2, 6, 122, 0, 6, 121, 3, 6, 122})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 60 {
 			script = script[:60] // bound per-input work
@@ -209,12 +215,15 @@ func TestSenseEquivalenceRandomScripts(t *testing.T) {
 
 // TestSenseEquivalencePaperRowWidth drives the fast and reference paths
 // on 8192-bit rows, the paper geometry's width, where the disturbance
-// scan walks 128 threshold words instead of equivConfig's 4. The double-
-// sided hammer counts climb from just below the victim's weakest cell
-// (the row-minimum gate must reject the row) through just above it (that
-// cell must flip) to a screen that admits nine in ten bits; one pressed
-// hammer and one long idle follow. The whole ladder runs with on-die ECC
-// off and again with it on.
+// scan walks 128 key words instead of equivConfig's 4. The double-sided
+// hammer counts climb from just below the victim's weakest cell (the
+// row-minimum gate must reject the row) through just above it (that cell
+// must flip) to a screen that admits nine in ten bits. Two more counts put
+// the screen exactly on a quartile cell's threshold and one hammer below
+// it: that cell's word passes the screen only in part, the key cut must
+// admit the cell at the edge and its exact threshold must reject it one
+// hammer earlier. One pressed hammer and one long idle follow. The whole
+// ladder runs with on-die ECC off and again with it on.
 func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 	cfg := equivConfig()
 	cfg.Geometry.Columns = 32
@@ -241,17 +250,51 @@ func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 	// One double-sided hammer adds one disturbance unit at minimum
 	// timing and 85 C, and the screen divides by CouplingBoth.
 	prof := fast.fm.Profile(ba, phys)
-	thr, _, minThr := fast.fm.Thresholds(prof)
+	thr := make([]float32, cfg.Geometry.RowBits())
+	for i := range thr {
+		thr[i] = fast.fm.Threshold(prof, i)
+	}
+	minThr := slices.Min(thr)
 	weakest := slices.Index(thr, minThr)
-	sorted := append([]float32(nil), thr...)
+	sorted := slices.Clone(thr)
 	slices.Sort(sorted)
-	screen := func(t float32) int { return int(float64(t) * cfg.Fault.CouplingBoth) }
+	cb := cfg.Fault.CouplingBoth
+	screen := func(t float32) int { return int(float64(t) * cb) }
 	lo, hi := screen(minThr)+1, screen(sorted[len(sorted)*9/10])
 	counts := []int{lo - 1, lo}
 	for n := 2 * lo; n < hi; n *= 2 {
 		counts = append(counts, n)
 	}
 	counts = append(counts, hi)
+
+	// edge is the first hammer count whose float32 screen, the one the
+	// fast path derives its key cut from, admits the quartile cell.
+	quartile := slices.Index(thr, sorted[len(sorted)/4])
+	for d := 1; max(quartile-weakest, weakest-quartile) < 3 || quartile == 0 || quartile == len(thr)-1; d++ {
+		quartile = slices.Index(thr, sorted[len(sorted)/4+d])
+	}
+	edge := screen(thr[quartile]) - 1
+	for floor32(float64(edge)/cb) < thr[quartile] {
+		edge++
+	}
+	if floor32(float64(edge-1)/cb) >= thr[quartile] {
+		t.Fatalf("hammer count %d is not the first to admit threshold %v", edge, thr[quartile])
+	}
+	w := quartile >> 6
+	admitted := 0
+	for _, v := range thr[w<<6 : (w+1)<<6] {
+		if v <= floor32(float64(edge)/cb) {
+			admitted++
+		}
+	}
+	if admitted == 64 {
+		t.Fatalf("the quartile cell's word passes the screen whole at %d hammers", edge)
+	}
+	keys, _, _ := fast.fm.Keys(prof)
+	if cut := fast.fm.Cut(prof, floor32(float64(edge)/cb)); int(keys[quartile]) > cut {
+		t.Fatalf("the key cut %d rejects the quartile cell's key %d at its edge", cut, keys[quartile])
+	}
+	counts = append(counts, edge-1, edge)
 
 	s := rng.NewStream(0x8192)
 	pattern := func() []byte {
@@ -267,7 +310,7 @@ func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 			t.Fatalf("%s: fast %v, ref %v", step, fErr, rErr)
 		}
 	}
-	readVictim := func(step string) {
+	readVictim := func(step string) []byte {
 		t.Helper()
 		fOut, fErr := ReadRow(fast, ba, victim)
 		rOut, rErr := ReadRow(ref, ba, victim)
@@ -278,40 +321,48 @@ func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 			t.Fatalf("%s: victim read-out diverges", step)
 		}
 		compareDevices(t, fast, ref)
+		return fOut
 	}
 	// write lays fresh random data into the victim and both aggressors,
-	// then sets the victim's weakest cell up to flip at the gate: charged,
-	// opposite data in both aggressors, and equal data on either side in
-	// its own row.
+	// then sets the victim's weakest and quartile cells up to flip at
+	// their edges: charged, opposite data in both aggressors, and equal
+	// data on either side in their own row. It returns the victim's image.
 	setBit := func(p []byte, i int, v byte) {
 		p[i>>3] = p[i>>3]&^(1<<(uint(i)&7)) | v<<(uint(i)&7)
 	}
-	write := func(step string) {
+	write := func(step string) []byte {
 		t.Helper()
-		var v byte
-		if prof.IsTrue(weakest) {
-			v = 1
-		}
 		rows := map[int][]byte{up: pattern(), victim: pattern(), down: pattern()}
-		for i := max(weakest-1, 0); i <= min(weakest+1, len(thr)-1); i++ {
-			setBit(rows[victim], i, v)
+		for _, cell := range []int{weakest, quartile} {
+			var v byte
+			if prof.IsTrue(cell) {
+				v = 1
+			}
+			for i := max(cell-1, 0); i <= min(cell+1, len(thr)-1); i++ {
+				setBit(rows[victim], i, v)
+			}
+			setBit(rows[up], cell, 1-v)
+			setBit(rows[down], cell, 1-v)
 		}
-		setBit(rows[up], weakest, 1-v)
-		setBit(rows[down], weakest, 1-v)
 		for _, row := range []int{up, victim, down} {
 			both(step, func(d *Device) error { return WriteRow(d, ba, row, rows[row]) })
 		}
+		return rows[victim]
 	}
 
 	for _, ecc := range []uint32{0, 1} {
 		both("ecc", func(d *Device) error { return d.WriteModeRegister(ba.Channel, MRECC, ecc) })
 		for _, n := range counts {
 			step := fmt.Sprintf("ecc=%d hammers=%d", ecc, n)
-			write(step)
+			written := write(step)
 			before := fast.Stats()
 			both(step, func(d *Device) error { return d.HammerPair(ba, up, down, n) })
-			readVictim(step)
+			out := readVictim(step)
 			after := fast.Stats()
+			if flipped := rowBit(out, quartile) != rowBit(written, quartile); ecc == 0 &&
+				(n == edge-1 && flipped || n == edge && !flipped) {
+				t.Fatalf("%s: quartile cell flipped=%v at its edge %d", step, flipped, edge)
+			}
 			sensed := after.BitflipsCommitted + after.ECCCorrections - before.BitflipsCommitted - before.ECCCorrections
 			if n < lo && sensed != 0 {
 				t.Fatalf("%s: %d flips below the row minimum", step, sensed)
