@@ -77,6 +77,10 @@ golden-check:
 #      -experiment trrstudy` (and, with -probe, `-experiment utrrprobe`)
 #      render one registry artifact with one renderer, so their stdout
 #      must byte-match.
+#   6. the other extension studies (tempsweep, crosschannel, trrbypass)
+#      on the paper chip at a tiny budget: once in a single process and
+#      once as two job-slice shards plus a `characterize merge`; the CSV
+#      and the artifact must byte-match.
 SMOKE_DIR := .smoke
 
 smoke:
@@ -161,6 +165,18 @@ smoke:
 	$(GO) run ./cmd/utrr-discover -probe > $(SMOKE_DIR)/utrr-probe.txt
 	$(GO) run ./cmd/characterize -experiment utrrprobe > $(SMOKE_DIR)/utrrprobe.txt
 	cmp $(SMOKE_DIR)/utrr-probe.txt $(SMOKE_DIR)/utrrprobe.txt
+	for e in tempsweep crosschannel trrbypass; do \
+		$(GO) run ./cmd/characterize -experiment $$e -chip paper -rows 1 -hammers 30000 \
+			-csv $(SMOKE_DIR)/$$e.csv -artifact $(SMOKE_DIR)/$$e.bin >/dev/null || exit 1; \
+		for i in 0 1; do \
+			$(GO) run ./cmd/characterize -experiment $$e -chip paper -rows 1 -hammers 30000 \
+				-shard $$i/2 -artifact $(SMOKE_DIR)/$$e-shard$$i.json >/dev/null || exit 1; \
+		done; \
+		$(GO) run ./cmd/characterize merge -csv $(SMOKE_DIR)/$$e-merged.csv \
+			-artifact $(SMOKE_DIR)/$$e-merged.bin "$(SMOKE_DIR)/$$e-shard*.json" >/dev/null || exit 1; \
+		cmp $(SMOKE_DIR)/$$e.csv $(SMOKE_DIR)/$$e-merged.csv || exit 1; \
+		cmp $(SMOKE_DIR)/$$e.bin $(SMOKE_DIR)/$$e-merged.bin || exit 1; \
+	done
 	rm -rf $(SMOKE_DIR)
 
 # Crash-consistency torture: every registered failpoint site armed in

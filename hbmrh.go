@@ -130,12 +130,12 @@ func Regions(rows int) []Region { return core.Regions(rows) }
 // DefaultHammers is the paper's hammer count (256K).
 const DefaultHammers = core.DefaultHammers
 
-// Parallel execution engine. Every study driver runs on the shared
-// engine: deterministic work partitioning (results are byte-identical
-// for Workers=1 and Workers=N under the same seed), context cancellation
-// between jobs, progress callbacks, and a warmed-device pool reused
-// across runs. The knobs surface as Workers/Ctx/Progress fields on each
-// study's options.
+// Parallel execution engine. Every registered experiment runs on the
+// shared engine: deterministic work partitioning (results are
+// byte-identical for Parallel=1 and Parallel=N under the same seed),
+// context cancellation between jobs, progress callbacks, and a
+// warmed-device pool reused across runs. The knobs surface as the
+// Parallel/Planner/Ctx/Progress fields of ExperimentOptions.
 type (
 	// EngineProgress is one progress update of a running study.
 	EngineProgress = engine.Progress

@@ -64,9 +64,8 @@ func TestSweepStructure(t *testing.T) {
 
 // sameAcrossParallelism runs an experiment at 1 and 8 concurrent jobs
 // and requires byte-identical artifacts, records included.
-func sameAcrossParallelism(t *testing.T, name string) {
+func sameAcrossParallelism(t *testing.T, name string, opts Options) {
 	t.Helper()
-	opts := Options{Cfg: config.SmallChip(), Rows: 3}
 	opts.Parallel = 1
 	a, err := Run(name, opts)
 	if err != nil {
@@ -77,17 +76,39 @@ func sameAcrossParallelism(t *testing.T, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Rows)+len(a.Banks) == 0 {
-		t.Fatalf("%s artifact carries no records", name)
+	samples := len(a.Rows) + len(a.Banks) + len(a.Chips) + len(a.TRR)
+	for _, g := range a.Groups {
+		for _, m := range g.Metrics {
+			samples += m.Stream.N()
+		}
+	}
+	if samples == 0 {
+		t.Fatalf("%s artifact carries no measurements", name)
 	}
 	if !bytes.Equal(marshal(t, a), marshal(t, b)) {
 		t.Fatalf("%s artifacts differ across worker counts", name)
 	}
 }
 
-func TestSweepIndependentOfWorkerCount(t *testing.T) { sameAcrossParallelism(t, "sweep") }
+func TestSweepIndependentOfWorkerCount(t *testing.T) {
+	sameAcrossParallelism(t, "sweep", Options{Cfg: config.SmallChip(), Rows: 3})
+}
 
-func TestFig6IndependentOfWorkerCount(t *testing.T) { sameAcrossParallelism(t, "fig6") }
+func TestFig6IndependentOfWorkerCount(t *testing.T) {
+	sameAcrossParallelism(t, "fig6", Options{Cfg: config.SmallChip(), Rows: 3})
+}
+
+// TestEveryExperimentIndependentOfWorkerCount extends the worker-count
+// pin to every registered experiment at a tiny budget.
+func TestEveryExperimentIndependentOfWorkerCount(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.Name, func(t *testing.T) {
+			sameAcrossParallelism(t, e.Name, Options{
+				Cfg: config.SmallChip(), Rows: 1, Hammers: 30000, Seeds: 2, Iterations: 4,
+			})
+		})
+	}
+}
 
 func TestSweepCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

@@ -14,53 +14,66 @@ import (
 
 // Extension studies implementing the paper's Section 6 future-work
 // directions: RowPress sensitivity (aggressor-on time), temperature
-// sensitivity, and cross-channel interference.
+// sensitivity, and cross-channel interference. Each reads Cfg, Rows and
+// (except crosschannel) Hammers from Options and tests bank 0 of
+// channel 0; the settings below are fixed.
 
-// RowPressOptions configures the aggressor-on-time study.
-type RowPressOptions struct {
-	// Cfg is the device configuration; nil means config.PaperChip().
-	Cfg *config.Config
-	// Bank selects where victims are tested.
-	Bank addr.BankAddr
-	// Rows is how many mid-bank victim rows are averaged per point.
-	Rows int
-	// HoldMultipliers are the tRAS multiples to sweep (paper-adjacent
-	// work sweeps aggressor-on time; 1 = standard RowHammer).
-	HoldMultipliers []int
-	// MaxHammers bounds the per-point HCfirst search.
-	MaxHammers int
-}
+var (
+	// holdMultipliers are the tRAS multiples RowPress sweeps
+	// (paper-adjacent work sweeps aggressor-on time; 1 = standard
+	// RowHammer).
+	holdMultipliers = []int{1, 2, 4, 8, 16}
+	// setpointsC are the temperature study's setpoints; the thermal rig
+	// settles each.
+	setpointsC = []float64{55, 65, 75, 85, 95}
+)
 
-// setDefaults resolves the option defaults of the registry entry.
-func (o *RowPressOptions) setDefaults() {
-	if o.Cfg == nil {
-		o.Cfg = config.PaperChip()
+const (
+	// syntheticCoupling is the VerticalCoupling of the cross-channel
+	// probe's "what if" arm.
+	syntheticCoupling = 0.5
+	// crossActivations is how often the probe activates each aggressor
+	// row.
+	crossActivations = 1_000_000
+	// aggressorChannel is hammered by the cross-channel probe; victims are
+	// read in channel +/- 2.
+	aggressorChannel = 4
+)
+
+// midSubarrayRows places a study's n probe rows stride apart, starting a
+// quarter into the bank's middle subarray. reach is how many rows past a
+// probe row the study touches (1 for a double-sided victim's upper
+// aggressor). A placement that walks off the bank is a plan error naming
+// the largest n that fits.
+func midSubarrayRows(cfg *config.Config, n, stride, reach int) ([]int, error) {
+	layout := cfg.Layout()
+	sa := layout.Count() / 2
+	start := layout.Start(sa) + layout.Size(sa)/4
+	fit := 0
+	if last := cfg.Geometry.Rows - 1 - reach; last >= start {
+		fit = (last-start)/stride + 1
 	}
-	if o.Rows <= 0 {
-		o.Rows = 6
+	if n > fit {
+		return nil, fmt.Errorf("rows %d walks off the %d-row bank (probe rows start at %d, %d apart): at most %d fit",
+			n, cfg.Geometry.Rows, start, stride, fit)
 	}
-	if len(o.HoldMultipliers) == 0 {
-		o.HoldMultipliers = []int{1, 2, 4, 8, 16}
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = start + i*stride
 	}
-	if o.MaxHammers <= 0 {
-		o.MaxHammers = core.DefaultHammers
-	}
+	return rows, nil
 }
 
 // rowPressPoint measures one hold multiplier: the HCfirst samples of the
-// sampled victim rows (rows that never flip are excluded, with foundAll
+// victim rows (rows that never flip are excluded, with foundAll
 // cleared). Each sample is a pure function of (seed, bank, row, hold), so
 // pooled devices reproduce the sequential results exactly.
-func rowPressPoint(h *core.Harness, o RowPressOptions, mult int) (hcs []float64, foundAll bool, err error) {
-	layout := o.Cfg.Layout()
-	sa := layout.Count() / 2
-	start := layout.Start(sa) + layout.Size(sa)/4
-	tras := o.Cfg.Timing.TRAS
+func rowPressPoint(h *core.Harness, cfg *config.Config, bank addr.BankAddr, victims []int, hammers, mult int) (hcs []float64, foundAll bool, err error) {
+	tras := cfg.Timing.TRAS
 	pattern := core.Table1()[1] // Rowstripe1
 	foundAll = true
-	for i := 0; i < o.Rows; i++ {
-		phys := start + i*3
-		hc, found, err := h.HCFirstHold(o.Bank, phys, pattern, o.MaxHammers, tras*int64(mult))
+	for _, phys := range victims {
+		hc, found, err := h.HCFirstHold(bank, phys, pattern, hammers, tras*int64(mult))
 		if err != nil {
 			return nil, false, err
 		}
@@ -76,84 +89,55 @@ func rowPressPoint(h *core.Harness, o RowPressOptions, mult int) (hcs []float64,
 // rowPressExperiment lifts the RowPress sweep onto the registry: one
 // harness job per hold multiplier, weighted by the multiplier (longer
 // holds simulate more wall time), folding raw per-row HCfirst samples
-// into a point-axis artifact.
+// into a point-axis artifact. Options.Rows victim rows (default 6) are
+// sampled per point.
 func rowPressExperiment() *Experiment {
 	return &Experiment{
 		Name:  "rowpress",
 		Title: "RowPress extension: HCfirst distribution vs aggressor-on time",
 		Plan: func(o Options) (*Plan, error) {
-			ro := RowPressOptions{Cfg: o.Cfg, Rows: o.Rows, MaxHammers: o.Hammers}
-			ro.setDefaults()
-			if err := ro.Cfg.Validate(); err != nil {
+			cfg, err := resolveChip(o)
+			if err != nil {
 				return nil, err
 			}
-			jobs := make([]Job, len(ro.HoldMultipliers))
-			for i, mult := range ro.HoldMultipliers {
-				mult := mult
+			rows, hammers := orDefault(o.Rows, 6), orDefault(o.Hammers, core.DefaultHammers)
+			victims, err := midSubarrayRows(cfg, rows, 3, 1)
+			if err != nil {
+				return nil, err
+			}
+			jobs := make([]Job, len(holdMultipliers))
+			for i, mult := range holdMultipliers {
 				jobs[i] = Job{
 					Key:    fmt.Sprintf("hold_x%d", mult),
 					Weight: float64(mult),
 					Run: func(_ context.Context, h *core.Harness) (any, error) {
-						hcs, _, err := rowPressPoint(h, ro, mult)
+						hcs, _, err := rowPressPoint(h, cfg, addr.BankAddr{}, victims, hammers, mult)
 						return hcs, err
 					},
 				}
 			}
 			return &Plan{
 				Axis:    "point",
-				Cfg:     ro.Cfg,
+				Cfg:     cfg,
 				Harness: true,
 				Jobs:    jobs,
 				Params: map[string]string{
-					"rows":    strconv.Itoa(ro.Rows),
-					"hammers": strconv.Itoa(ro.MaxHammers),
+					"rows":    strconv.Itoa(rows),
+					"hammers": strconv.Itoa(hammers),
 				},
-				NewFold: pointFold(jobs, "hc_first", 0, float64(ro.MaxHammers)),
+				NewFold: pointFold(jobs, "hc_first", 0, float64(hammers)),
 			}, nil
 		},
 	}
 }
 
-// TempSweepOptions configures the temperature-sensitivity study.
-type TempSweepOptions struct {
-	// Cfg is the device configuration; nil means config.PaperChip().
-	Cfg *config.Config
-	// Bank selects where victims are tested.
-	Bank addr.BankAddr
-	// Rows is how many victim rows are averaged per temperature.
-	Rows int
-	// TemperaturesC are the setpoints; the thermal rig settles each.
-	TemperaturesC []float64
-	// Hammers is the per-row BER hammer count.
-	Hammers int
-}
-
-// setDefaults resolves the option defaults of the registry entry.
-func (o *TempSweepOptions) setDefaults() {
-	if o.Cfg == nil {
-		o.Cfg = config.PaperChip()
-	}
-	if o.Rows <= 0 {
-		o.Rows = 6
-	}
-	if len(o.TemperaturesC) == 0 {
-		o.TemperaturesC = []float64{55, 65, 75, 85, 95}
-	}
-	if o.Hammers <= 0 {
-		o.Hammers = core.DefaultHammers
-	}
-}
-
 // tempSweepPoint measures one setpoint: build a fresh device (temperature
 // changes persistent device state, so the warm pool is bypassed), settle
-// it with the PID rig as on the real bench, and return the sampled rows'
+// it with the PID rig as on the real bench, and return the victim rows'
 // BER in percent.
-func tempSweepPoint(o TempSweepOptions, target float64) ([]float64, error) {
-	layout := o.Cfg.Layout()
-	sa := layout.Count() / 2
-	start := layout.Start(sa) + layout.Size(sa)/4
+func tempSweepPoint(cfg *config.Config, bank addr.BankAddr, victims []int, hammers int, target float64) ([]float64, error) {
 	pattern := core.Table1()[1]
-	d, err := hbm.New(o.Cfg)
+	d, err := hbm.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -165,10 +149,9 @@ func tempSweepPoint(o TempSweepOptions, target float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	bers := make([]float64, 0, o.Rows)
-	for i := 0; i < o.Rows; i++ {
-		phys := start + i*3
-		r, err := h.BER(o.Bank, phys, pattern, o.Hammers)
+	bers := make([]float64, 0, len(victims))
+	for _, phys := range victims {
+		r, err := h.BER(bank, phys, pattern, hammers)
 		if err != nil {
 			return nil, err
 		}
@@ -179,34 +162,38 @@ func tempSweepPoint(o TempSweepOptions, target float64) ([]float64, error) {
 
 // tempSweepExperiment lifts the temperature study onto the registry: one
 // point job per PID-settled setpoint, folding raw per-row BER samples
-// into a point-axis artifact.
+// into a point-axis artifact. Options.Rows victim rows (default 6) are
+// sampled per setpoint.
 func tempSweepExperiment() *Experiment {
 	return &Experiment{
 		Name:  "tempsweep",
 		Title: "temperature extension: RowHammer BER distribution across PID-settled setpoints",
 		Plan: func(o Options) (*Plan, error) {
-			to := TempSweepOptions{Cfg: o.Cfg, Rows: o.Rows, Hammers: o.Hammers}
-			to.setDefaults()
-			if err := to.Cfg.Validate(); err != nil {
+			cfg, err := resolveChip(o)
+			if err != nil {
 				return nil, err
 			}
-			jobs := make([]Job, len(to.TemperaturesC))
-			for i, target := range to.TemperaturesC {
-				target := target
+			rows, hammers := orDefault(o.Rows, 6), orDefault(o.Hammers, core.DefaultHammers)
+			victims, err := midSubarrayRows(cfg, rows, 3, 1)
+			if err != nil {
+				return nil, err
+			}
+			jobs := make([]Job, len(setpointsC))
+			for i, target := range setpointsC {
 				jobs[i] = Job{
 					Key: fmt.Sprintf("t=%gC", target),
 					Run: func(_ context.Context, _ *core.Harness) (any, error) {
-						return tempSweepPoint(to, target)
+						return tempSweepPoint(cfg, addr.BankAddr{}, victims, hammers, target)
 					},
 				}
 			}
 			return &Plan{
 				Axis: "point",
-				Cfg:  to.Cfg,
+				Cfg:  cfg,
 				Jobs: jobs,
 				Params: map[string]string{
-					"rows":    strconv.Itoa(to.Rows),
-					"hammers": strconv.Itoa(to.Hammers),
+					"rows":    strconv.Itoa(rows),
+					"hammers": strconv.Itoa(hammers),
 				},
 				NewFold: pointFold(jobs, "ber_pct", 0, 100),
 			}, nil
@@ -214,44 +201,11 @@ func tempSweepExperiment() *Experiment {
 	}
 }
 
-// CrossChannelOptions configures the cross-channel interference probe.
-type CrossChannelOptions struct {
-	// Cfg is the device configuration; nil means config.PaperChip().
-	// The study runs it twice: once as-is and once with the synthetic
-	// vertical coupling below.
-	Cfg *config.Config
-	// SyntheticCoupling is the VerticalCoupling used for the "what if"
-	// arm of the study.
-	SyntheticCoupling float64
-	// AggressorChannel is hammered; victims are read in channel +/- 2.
-	AggressorChannel int
-	// Activations per probed row.
-	Activations int
-	// Rows probed.
-	Rows int
-}
-
-// setDefaults resolves the option defaults of the registry entry.
-func (o *CrossChannelOptions) setDefaults() {
-	if o.Cfg == nil {
-		o.Cfg = config.PaperChip()
-	}
-	if o.SyntheticCoupling <= 0 {
-		o.SyntheticCoupling = 0.5
-	}
-	if o.Activations <= 0 {
-		o.Activations = 1_000_000
-	}
-	if o.Rows <= 0 {
-		o.Rows = 4
-	}
-}
-
-// crossChannelArm measures one arm of the probe: hammer rows in the
-// aggressor channel of a fresh device with the given vertical coupling
-// and count bitflips in the same physical rows of channels +/- 2.
-func crossChannelArm(o CrossChannelOptions, coupling float64) (int, error) {
-	cfg := *o.Cfg
+// crossChannelArm measures one arm of the probe: hammer the probe rows in
+// the aggressor channel of a fresh device with the given vertical
+// coupling and count bitflips in the same physical rows of channels +/- 2.
+func crossChannelArm(base *config.Config, aggressor int, rows []int, coupling float64) (int, error) {
+	cfg := *base
 	cfg.Fault.VerticalCoupling = coupling
 	d, err := hbm.New(&cfg)
 	if err != nil {
@@ -260,19 +214,15 @@ func crossChannelArm(o CrossChannelOptions, coupling float64) (int, error) {
 	if _, err := core.NewHarness(d); err != nil { // ECC off
 		return 0, err
 	}
-	layout := cfg.Layout()
-	sa := layout.Count() / 2
-	start := layout.Start(sa) + layout.Size(sa)/4
 	g := cfg.Geometry
 	m := d.Mapper()
-	victimChannels := []int{o.AggressorChannel - 2, o.AggressorChannel + 2}
+	victimChannels := []int{aggressor - 2, aggressor + 2}
 	pattern := make([]byte, g.RowBytes())
 	for i := range pattern {
 		pattern[i] = 0xFF
 	}
 	flips := 0
-	for i := 0; i < o.Rows; i++ {
-		phys := start + i*5
+	for _, phys := range rows {
 		logical := m.ToLogical(phys)
 		for _, vch := range victimChannels {
 			if vch < 0 || vch >= g.Channels {
@@ -283,8 +233,8 @@ func crossChannelArm(o CrossChannelOptions, coupling float64) (int, error) {
 				return 0, err
 			}
 		}
-		ab := addr.BankAddr{Channel: o.AggressorChannel, PseudoChannel: 0, Bank: 0}
-		if err := d.HammerSingle(ab, logical, o.Activations); err != nil {
+		ab := addr.BankAddr{Channel: aggressor, PseudoChannel: 0, Bank: 0}
+		if err := d.HammerSingle(ab, logical, crossActivations); err != nil {
 			return 0, err
 		}
 		if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
@@ -307,48 +257,53 @@ func crossChannelArm(o CrossChannelOptions, coupling float64) (int, error) {
 
 // crossChannelExperiment lifts the interference probe onto the registry:
 // two point jobs — the chip as designed and the synthetically coupled
-// what-if — each counting cross-channel bitflips.
+// what-if — each counting cross-channel bitflips over Options.Rows probe
+// rows (default 4).
 func crossChannelExperiment() *Experiment {
 	return &Experiment{
 		Name:  "crosschannel",
 		Title: "cross-channel extension: vertical die-to-die interference probe",
 		Plan: func(o Options) (*Plan, error) {
-			co := CrossChannelOptions{Cfg: o.Cfg, Rows: o.Rows, AggressorChannel: 4}
-			co.setDefaults()
-			if err := co.Cfg.Validate(); err != nil {
+			cfg, err := resolveChip(o)
+			if err != nil {
 				return nil, err
 			}
-			if co.AggressorChannel >= co.Cfg.Geometry.Channels {
-				co.AggressorChannel = co.Cfg.Geometry.Channels / 2
+			rows := orDefault(o.Rows, 4)
+			probed, err := midSubarrayRows(cfg, rows, 5, 0)
+			if err != nil {
+				return nil, err
+			}
+			aggressor := aggressorChannel
+			if aggressor >= cfg.Geometry.Channels {
+				aggressor = cfg.Geometry.Channels / 2
 			}
 			arms := []struct {
 				key      string
 				coupling float64
 			}{
-				{"baseline", co.Cfg.Fault.VerticalCoupling},
-				{"coupled", co.SyntheticCoupling},
+				{"baseline", cfg.Fault.VerticalCoupling},
+				{"coupled", syntheticCoupling},
 			}
 			jobs := make([]Job, len(arms))
 			for i, arm := range arms {
-				coupling := arm.coupling
 				jobs[i] = Job{
 					Key: arm.key,
 					Run: func(_ context.Context, _ *core.Harness) (any, error) {
-						return crossChannelArm(co, coupling)
+						return crossChannelArm(cfg, aggressor, probed, arm.coupling)
 					},
 				}
 			}
 			// Flip ceiling: every probed row of both victim channels fully
 			// inverted.
-			maxFlips := float64(co.Rows*co.Cfg.Geometry.RowBytes()*8*2) + 1
+			maxFlips := float64(rows*cfg.Geometry.RowBytes()*8*2) + 1
 			return &Plan{
 				Axis: "point",
-				Cfg:  co.Cfg,
+				Cfg:  cfg,
 				Jobs: jobs,
 				Params: map[string]string{
-					"rows":        strconv.Itoa(co.Rows),
-					"activations": strconv.Itoa(co.Activations),
-					"coupling":    fmt.Sprintf("%g", co.SyntheticCoupling),
+					"rows":        strconv.Itoa(rows),
+					"activations": strconv.Itoa(crossActivations),
+					"coupling":    fmt.Sprintf("%g", syntheticCoupling),
 				},
 				NewFold: pointFold(jobs, "cross_flips", 0, maxFlips),
 			}, nil

@@ -7,25 +7,34 @@ import (
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
-	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/stats"
 )
 
-func TestRowPressLowersHCFirst(t *testing.T) {
-	o := RowPressOptions{
-		Cfg:             config.SmallChip(),
-		Bank:            addr.BankAddr{Channel: 7, PseudoChannel: 0, Bank: 0},
-		Rows:            4,
-		HoldMultipliers: []int{1, 4, 16},
-	}
-	o.setDefaults()
-	h, err := core.NewHarnessFromConfig(o.Cfg)
+// ch7 is where the extension tests measure: the paper's weakest channel.
+var ch7 = addr.BankAddr{Channel: 7, PseudoChannel: 0, Bank: 0}
+
+// smallVictims places n victim rows on the small chip as the extension
+// plans do.
+func smallVictims(t *testing.T, n, stride, reach int) []int {
+	t.Helper()
+	rows, err := midSubarrayRows(config.SmallChip(), n, stride, reach)
 	if err != nil {
 		t.Fatal(err)
 	}
-	means := make([]float64, len(o.HoldMultipliers))
-	for i, mult := range o.HoldMultipliers {
-		hcs, foundAll, err := rowPressPoint(h, o, mult)
+	return rows
+}
+
+func TestRowPressLowersHCFirst(t *testing.T) {
+	cfg := config.SmallChip()
+	victims := smallVictims(t, 4, 3, 1)
+	mults := []int{1, 4, 16}
+	h, err := core.NewHarnessFromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	means := make([]float64, len(mults))
+	for i, mult := range mults {
+		hcs, foundAll, err := rowPressPoint(h, cfg, ch7, victims, core.DefaultHammers, mult)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +46,7 @@ func TestRowPressLowersHCFirst(t *testing.T) {
 	for i := 1; i < len(means); i++ {
 		if means[i] >= means[i-1] {
 			t.Fatalf("HCfirst did not fall with hold time: %v -> %v (x%d -> x%d)",
-				means[i-1], means[i], o.HoldMultipliers[i-1], o.HoldMultipliers[i])
+				means[i-1], means[i], mults[i-1], mults[i])
 		}
 	}
 	// At 16x tRAS the amplification is ~13x: the first flip needs far
@@ -48,16 +57,12 @@ func TestRowPressLowersHCFirst(t *testing.T) {
 }
 
 func TestTempSweepMonotone(t *testing.T) {
-	o := TempSweepOptions{
-		Cfg:           config.SmallChip(),
-		Bank:          addr.BankAddr{Channel: 7, PseudoChannel: 0, Bank: 0},
-		Rows:          4,
-		TemperaturesC: []float64{55, 85, 95},
-	}
-	o.setDefaults()
-	means := make([]float64, len(o.TemperaturesC))
-	for i, temp := range o.TemperaturesC {
-		bers, err := tempSweepPoint(o, temp)
+	cfg := config.SmallChip()
+	victims := smallVictims(t, 4, 3, 1)
+	temps := []float64{55, 85, 95}
+	means := make([]float64, len(temps))
+	for i, temp := range temps {
+		bers, err := tempSweepPoint(cfg, ch7, victims, core.DefaultHammers, temp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +71,7 @@ func TestTempSweepMonotone(t *testing.T) {
 	for i := 1; i < len(means); i++ {
 		if means[i] < means[i-1] {
 			t.Fatalf("BER fell from %.3f%% at %.0fC to %.3f%% at %.0fC; hotter must be worse",
-				means[i-1], o.TemperaturesC[i-1], means[i], o.TemperaturesC[i])
+				means[i-1], temps[i-1], means[i], temps[i])
 		}
 	}
 	if means[0] >= means[2] {
@@ -75,14 +80,10 @@ func TestTempSweepMonotone(t *testing.T) {
 }
 
 func TestCrossChannelProbe(t *testing.T) {
-	o := CrossChannelOptions{
-		Cfg:              config.SmallChip(),
-		AggressorChannel: 4,
-		Rows:             3,
-	}
-	o.setDefaults()
+	cfg := config.SmallChip()
+	rows := smallVictims(t, 3, 5, 0)
 	// The paper-default chip shows no cross-channel interference.
-	baseline, err := crossChannelArm(o, o.Cfg.Fault.VerticalCoupling)
+	baseline, err := crossChannelArm(cfg, 4, rows, cfg.Fault.VerticalCoupling)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestCrossChannelProbe(t *testing.T) {
 		t.Fatalf("default chip leaked %d flips across channels", baseline)
 	}
 	// The synthetic arm demonstrates the methodology would detect it.
-	coupled, err := crossChannelArm(o, o.SyntheticCoupling)
+	coupled, err := crossChannelArm(cfg, 4, rows, syntheticCoupling)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,33 +104,27 @@ func TestCrossChannelProbe(t *testing.T) {
 // seed list, which only the in-package plan (not the registry's seed
 // range) can express.
 func TestMultiChipStability(t *testing.T) {
-	o := MultiChipOptions{
-		Base:          config.SmallChip(),
-		Seeds:         []uint64{11, 22, 33},
-		RowsPerRegion: 6,
-	}
-	o.setDefaults()
-	p := multiChipPlan(o)
+	p := multiChipPlan(config.SmallChip(), []uint64{11, 22, 33}, Options{Rows: 6})
 	a, err := executePlan(p, Options{}, 0, len(p.Jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := StudyFromArtifact(a, results.ByRegion)
-	if len(s.Chips) != 3 {
-		t.Fatalf("%d chips, want 3", len(s.Chips))
+	chips := a.Chips
+	if len(chips) != 3 {
+		t.Fatalf("%d chips, want 3", len(chips))
 	}
 	// Design-level observations are stable across chips.
-	worstStable, trrStable := s.StableObservations()
-	if !trrStable || s.Chips[0].TRRPeriod != 17 {
-		t.Fatalf("TRR period not stable at 17 across chips: %+v", s.Chips)
+	worstStable, trrStable := stableObservations(chips)
+	if !trrStable || chips[0].TRRPeriod != 17 {
+		t.Fatalf("TRR period not stable at 17 across chips: %+v", chips)
 	}
-	if !worstStable || s.Chips[0].WorstChannel != 7 {
-		t.Fatalf("worst channel not stable at 7 across chips: %+v", s.Chips)
+	if !worstStable || chips[0].WorstChannel != 7 {
+		t.Fatalf("worst channel not stable at 7 across chips: %+v", chips)
 	}
 	// Cell-level numbers vary chip to chip.
 	varies := false
-	for _, c := range s.Chips[1:] {
-		if c.MinHCFirst != s.Chips[0].MinHCFirst {
+	for _, c := range chips[1:] {
+		if c.MinHCFirst != chips[0].MinHCFirst {
 			varies = true
 		}
 		if c.MinHCFirst < int(config.SmallChip().Fault.HCFloor) {
@@ -139,7 +134,7 @@ func TestMultiChipStability(t *testing.T) {
 	if !varies {
 		t.Fatal("min HCfirst identical on all chips; seeds are not differentiating instances")
 	}
-	if !strings.Contains(s.Render(), "chip-to-chip") {
+	if !strings.Contains(renderMultichip(a), "chip-to-chip") {
 		t.Error("render missing title")
 	}
 }
@@ -148,9 +143,8 @@ func TestTRRBypassWithDecoy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-geometry nominal-refresh run")
 	}
-	o := TRRBypassOptions{Bank: addr.BankAddr{Channel: 7, PseudoChannel: 0, Bank: 0}}
-	o.setDefaults()
-	protected, refs, err := runBypassArm(o, false)
+	cfg := config.PaperChip()
+	protected, refs, err := runBypassArm(cfg, ch7, core.DefaultHammers, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +154,7 @@ func TestTRRBypassWithDecoy(t *testing.T) {
 	if refs == 0 {
 		t.Fatal("no refreshes issued; the study must run under nominal refresh")
 	}
-	bypassed, _, err := runBypassArm(o, true)
+	bypassed, _, err := runBypassArm(cfg, ch7, core.DefaultHammers, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,14 +113,11 @@ func fig6Experiment() *Experiment {
 		Name:  "fig6",
 		Title: "Fig. 6 bank scatter: per-bank BER mean/CV distributions per channel",
 		Plan: func(o Options) (*Plan, error) {
-			cfg, hammers, err := section4Budget(o)
+			cfg, err := resolveChip(o)
 			if err != nil {
 				return nil, err
 			}
-			span := o.Rows
-			if span <= 0 {
-				span = 100
-			}
+			span, hammers := orDefault(o.Rows, 100), orDefault(o.Hammers, core.DefaultHammers)
 			g := cfg.Geometry
 			jobs := make([]Job, g.Channels*g.PseudoChannels*g.Banks)
 			for i := range jobs {

@@ -29,37 +29,6 @@ import (
 // merge back into output byte-identical to a single-process run (the
 // accumulators merge order-independently bit for bit).
 
-// MultiChipOptions configures the study.
-type MultiChipOptions struct {
-	// Base is the chip design; each seed instantiates one chip of it.
-	// nil means config.PaperChip().
-	Base *config.Config
-	// Seeds are the chip instances to test. Shard artifacts record the
-	// range [Seeds[0], Seeds[0]+len(Seeds)) and merge only contiguously,
-	// so fleet shards must slice one ascending seed run (results.ShardRange).
-	Seeds []uint64
-	// RowsPerRegion is the sweep sampling density per chip.
-	RowsPerRegion int
-	// Workers bounds per-chip sweep parallelism.
-	Workers int
-}
-
-// ChipSummary is one chip's headline numbers, carried through shard
-// artifacts as a results.ChipRecord.
-type ChipSummary = results.ChipRecord
-
-// MultiChipStudy is the renderable view of a multichip artifact: the
-// per-chip summaries plus the fleet-level distributions.
-type MultiChipStudy struct {
-	// Chips holds one fixed-size summary per seed (no sample slices).
-	Chips []ChipSummary
-	// Artifact carries the provenance metadata and the region×channel
-	// streaming aggregates.
-	Artifact *results.Artifact
-	// GroupBy selects the axis of the rendered aggregates.
-	GroupBy results.GroupBy
-}
-
 // multiChipMetrics are the artifact metric names, in group order.
 const (
 	metricBER     = "wcdp_ber"
@@ -109,42 +78,51 @@ func foldSweepRows(cfg *config.Config, groups []results.Group, rows []results.Ro
 // chipResult is one finished chip: its headline summary plus its fine-axis
 // accumulators, ready to merge into the study's artifact and discard.
 type chipResult struct {
-	sum    ChipSummary
+	sum    results.ChipRecord
 	groups []results.Group
 }
 
 // multiChipPlan decomposes a fleet scan over an explicit seed list: one
-// job per chip instance, folded in seed-index order into the
-// region×channel artifact. The fold runs in strict seed-index order, so
-// the artifact is byte-identical at any parallelism — and, because the
-// accumulators merge exactly, also between a single run over all seeds
-// and a merge of contiguous seed-range shards.
-func multiChipPlan(o MultiChipOptions) *Plan {
-	jobs := make([]Job, len(o.Seeds))
-	for i, seed := range o.Seeds {
-		seed := seed
+// job per chip instance of cfg, folded in seed-index order into the
+// region×channel artifact. It reads Rows (default 8 per region), Hammers
+// and Iterations from o, pinned in Params, and Workers, which bounds each
+// chip's inner sweep parallelism. The fold runs in strict seed-index
+// order, so the artifact is byte-identical at any parallelism — and,
+// because the accumulators merge exactly, also between a single run over
+// all seeds and a merge of contiguous seed-range shards. Shard artifacts
+// record the range [seeds[0], seeds[0]+len(seeds)) and merge only
+// contiguously, so fleet shards must slice one ascending seed run
+// (results.ShardRange).
+func multiChipPlan(cfg *config.Config, seeds []uint64, o Options) *Plan {
+	rows := orDefault(o.Rows, 8)
+	hammers := orDefault(o.Hammers, core.DefaultHammers)
+	iterations := orDefault(o.Iterations, defaultIterations)
+	jobs := make([]Job, len(seeds))
+	for i, seed := range seeds {
 		jobs[i] = Job{
 			Key: fmt.Sprintf("seed:%#x", seed),
 			Run: func(ctx context.Context, _ *core.Harness) (any, error) {
-				return measureChip(ctx, o, seed)
+				return measureChip(ctx, cfg, seed, rows, hammers, iterations, o.Workers)
 			},
 		}
 	}
 	return &Plan{
 		Axis: results.AxisSeed,
-		Cfg:  o.Base,
+		Cfg:  cfg,
 		Jobs: jobs,
 		Params: map[string]string{
-			"rows_per_region": strconv.Itoa(o.RowsPerRegion),
+			"rows_per_region": strconv.Itoa(rows),
+			"hammers":         strconv.Itoa(hammers),
+			"iterations":      strconv.Itoa(iterations),
 		},
 		NewFold: func(lo, hi int) *Fold {
 			a := &results.Artifact{
 				Meta: results.Meta{
 					GroupBy:   results.ByRegionChannel.String(),
-					SeedFirst: o.Seeds[lo],
+					SeedFirst: seeds[lo],
 					SeedCount: hi - lo,
 				},
-				Groups: newFineGroups(o.Base),
+				Groups: newFineGroups(cfg),
 			}
 			return &Fold{
 				Add: func(_ int, payload any) error {
@@ -159,70 +137,46 @@ func multiChipPlan(o MultiChipOptions) *Plan {
 	}
 }
 
-// multiChipExperiment registers the fleet scan: the seed axis, sliced by
-// -shard into contiguous seed ranges.
+// multiChipExperiment registers the fleet scan: Options.Seeds chips
+// (default 3) starting at the chip's own seed, on the seed axis, sliced
+// by -shard into contiguous seed ranges.
 func multiChipExperiment() *Experiment {
 	return &Experiment{
 		Name:  "multichip",
 		Title: "fleet chip-to-chip scan: headline numbers + region×channel aggregates per seed",
 		Plan: func(o Options) (*Plan, error) {
-			mo := MultiChipOptions{
-				Base:          o.Cfg,
-				RowsPerRegion: o.Rows,
-				Workers:       o.Workers,
+			cfg, err := resolveChip(o)
+			if err != nil {
+				return nil, err
 			}
-			mo.setDefaults()
-			count := o.Seeds
-			if count > 0 {
-				mo.Seeds = make([]uint64, count)
-				for i := range mo.Seeds {
-					mo.Seeds[i] = mo.Base.Seed + uint64(i)
-				}
+			seeds := make([]uint64, orDefault(o.Seeds, 3))
+			for i := range seeds {
+				seeds[i] = cfg.Seed + uint64(i)
 			}
-			return multiChipPlan(mo), nil
+			return multiChipPlan(cfg, seeds, o), nil
 		},
-		Render: func(a *results.Artifact) string {
-			return StudyFromArtifact(a, results.ByRegion).Report()
-		},
+		Render: renderMultichip,
 	}
 }
 
-// setDefaults resolves the option defaults of the registry entry.
-func (o *MultiChipOptions) setDefaults() {
-	if o.Base == nil {
-		o.Base = config.PaperChip()
-	}
-	if len(o.Seeds) == 0 {
-		o.Seeds = []uint64{1, 2, 3}
-	}
-	if o.RowsPerRegion <= 0 {
-		o.RowsPerRegion = 8
-	}
-}
-
-// StudyFromArtifact reconstructs a renderable study from a complete (e.g.
-// merged) multichip artifact; gb selects the render axis.
-func StudyFromArtifact(a *results.Artifact, gb results.GroupBy) *MultiChipStudy {
-	return &MultiChipStudy{Chips: a.Chips, Artifact: a, GroupBy: gb}
-}
-
-// measureChip runs one seed's headline measurements: the sweep plan,
-// whose fold gives the chip's fine-axis accumulators, condensed into the
-// chip's summary, and the trrstudy plan, whose trr_period group gives
-// the chip's TRR period; both artifacts' records are dropped when this
-// returns.
-func measureChip(ctx context.Context, o MultiChipOptions, seed uint64) (chipResult, error) {
-	cfg := *o.Base
+// measureChip runs one seed's headline measurements: the sweep plan at
+// rows per region and the hammer ceiling, whose fold gives the chip's
+// fine-axis accumulators, condensed into the chip's summary, and the
+// trrstudy plan at the iteration count, whose trr_period group gives the
+// chip's TRR period; both artifacts' records are dropped when this
+// returns. workers bounds the inner sweep's parallelism.
+func measureChip(ctx context.Context, base *config.Config, seed uint64, rows, hammers, iterations, workers int) (chipResult, error) {
+	cfg := *base
 	cfg.Seed = seed
 	// Each seed is its own pool key; release its warmed devices once the
 	// chip is summarized, or a long seed scan keeps every instance's
 	// devices resident.
 	defer engine.SharedPool.DrainConfig(&cfg)
-	p, err := registry["sweep"].Plan(Options{Cfg: &cfg, Rows: o.RowsPerRegion})
+	p, err := registry["sweep"].Plan(Options{Cfg: &cfg, Rows: rows, Hammers: hammers})
 	if err != nil {
 		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
 	}
-	sweep, err := executePlan(p, Options{Parallel: o.Workers, Ctx: ctx}, 0, len(p.Jobs))
+	sweep, err := executePlan(p, Options{Parallel: workers, Ctx: ctx}, 0, len(p.Jobs))
 	if err != nil {
 		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
 	}
@@ -233,7 +187,7 @@ func measureChip(ctx context.Context, o MultiChipOptions, seed uint64) (chipResu
 			worst = ch
 		}
 	}
-	p, err = registry["trrstudy"].Plan(Options{Cfg: &cfg})
+	p, err = registry["trrstudy"].Plan(Options{Cfg: &cfg, Iterations: iterations})
 	if err != nil {
 		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
 	}
@@ -243,7 +197,7 @@ func measureChip(ctx context.Context, o MultiChipOptions, seed uint64) (chipResu
 	}
 	period, _ := TRRPeriod(trr)
 	return chipResult{
-		sum: ChipSummary{
+		sum: results.ChipRecord{
 			Seed:         seed,
 			MinHCFirst:   h4.MinHCFirst,
 			WCDPRatio:    h3.MaxOverMinWCDP,
@@ -274,60 +228,51 @@ func metricScale(name string) float64 {
 	return 1
 }
 
-// Render prints the chip-to-chip comparison and the fleet aggregates at
-// the configured axis.
-func (s *MultiChipStudy) Render() string {
+// renderMultichip is the multichip entry's registry render: the
+// chip-to-chip comparison, the fleet aggregates by region, and the
+// stability epilogue.
+func renderMultichip(a *results.Artifact) string {
 	var sb strings.Builder
 	sb.WriteString("Extension: chip-to-chip variation (future work 1)\n")
 	sb.WriteString("chip seed     min HCfirst  BER ratio  worst ch  TRR period\n")
-	for _, c := range s.Chips {
+	for _, c := range a.Chips {
 		fmt.Fprintf(&sb, "%#-12x  %11d  %8.2fx  %8d  %10d\n",
 			c.Seed, c.MinHCFirst, c.WCDPRatio, c.WorstChannel, c.TRRPeriod)
 	}
-	if len(s.Chips) > 1 {
+	if len(a.Chips) > 1 {
 		mins := stats.NewStream(0, float64(core.DefaultHammers))
-		for _, c := range s.Chips {
+		for _, c := range a.Chips {
 			mins.Add(float64(c.MinHCFirst))
 		}
 		fmt.Fprintf(&sb, "min HCfirst across chips: %.0f .. %.0f (mean %.0f)\n",
 			mins.Min(), mins.Max(), mins.Mean())
 	}
 	fmt.Fprintf(&sb, "\nfleet aggregate: per-row WCDP metrics streamed across all chips, by %s\n",
-		s.GroupBy)
-	groups, err := s.Artifact.View(s.GroupBy)
-	if err != nil {
+		results.ByRegion)
+	if groups, err := a.View(results.ByRegion); err != nil {
 		fmt.Fprintf(&sb, "(aggregates unavailable: %v)\n", err)
-		return sb.String()
+	} else {
+		sb.WriteString(results.RenderGroups(groups, metricLabel, metricScale))
 	}
-	sb.WriteString(results.RenderGroups(groups, metricLabel, metricScale))
-	return sb.String()
-}
-
-// Report renders the full study report: the chip-to-chip comparison, the
-// fleet aggregates, and the stability epilogue. It is the multichip
-// entry's registry render.
-func (s *MultiChipStudy) Report() string {
-	var sb strings.Builder
-	sb.WriteString(s.Render())
-	worstStable, trrStable := s.StableObservations()
+	worstStable, trrStable := stableObservations(a.Chips)
 	fmt.Fprintf(&sb, "\nstable across chips: worst channel = %v, TRR period = %v\n", worstStable, trrStable)
 	sb.WriteString("(design-level structure persists; exact cell-level numbers are per-chip)\n")
 	return sb.String()
 }
 
-// StableObservations reports which of the paper's key observations hold
+// stableObservations reports which of the paper's key observations hold
 // on every tested chip: the design-level ones (channel grouping, TRR
 // period) should; exact cell-level numbers should not.
-func (s *MultiChipStudy) StableObservations() (worstChannelStable, trrPeriodStable bool) {
-	if len(s.Chips) == 0 {
+func stableObservations(chips []results.ChipRecord) (worstChannelStable, trrPeriodStable bool) {
+	if len(chips) == 0 {
 		return false, false
 	}
 	worstChannelStable, trrPeriodStable = true, true
-	for _, c := range s.Chips[1:] {
-		if c.WorstChannel != s.Chips[0].WorstChannel {
+	for _, c := range chips[1:] {
+		if c.WorstChannel != chips[0].WorstChannel {
 			worstChannelStable = false
 		}
-		if c.TRRPeriod != s.Chips[0].TRRPeriod {
+		if c.TRRPeriod != chips[0].TRRPeriod {
 			trrPeriodStable = false
 		}
 	}

@@ -15,7 +15,7 @@ import (
 
 // fleetStudy runs a small multichip registry scan over the contiguous
 // seeds [first, first+count) with the given chip-level parallelism.
-func fleetStudy(t testing.TB, parallel int, first uint64, count int) *MultiChipStudy {
+func fleetStudy(t testing.TB, parallel int, first uint64, count int) *results.Artifact {
 	t.Helper()
 	cfg := *config.SmallChip()
 	cfg.Seed = first
@@ -23,14 +23,14 @@ func fleetStudy(t testing.TB, parallel int, first uint64, count int) *MultiChipS
 	if err != nil {
 		t.Fatal(err)
 	}
-	return StudyFromArtifact(a, results.ByRegion)
+	return a
 }
 
 // regionView returns the study's aggregates at the region axis, keyed by
 // region name and metric.
-func regionView(t *testing.T, s *MultiChipStudy) map[string]map[string]*stats.Stream {
+func regionView(t *testing.T, a *results.Artifact) map[string]map[string]*stats.Stream {
 	t.Helper()
-	groups, err := s.Artifact.View(results.ByRegion)
+	groups, err := a.View(results.ByRegion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +73,10 @@ func TestMultiChipStreamingMatchesBatch(t *testing.T) {
 	}
 
 	channels := config.SmallChip().Geometry.Channels
-	if want := 3 * channels; len(s.Artifact.Groups) != want {
-		t.Fatalf("%d fine groups, want %d", len(s.Artifact.Groups), want)
+	if want := 3 * channels; len(s.Groups) != want {
+		t.Fatalf("%d fine groups, want %d", len(s.Groups), want)
 	}
-	for _, g := range s.Artifact.Groups {
+	for _, g := range s.Groups {
 		ber, hc := g.Metrics[0].Stream, g.Metrics[1].Stream
 		if ber.Sketched() {
 			t.Fatalf("group %v: stream sketched on a tiny fleet", g.Key)
@@ -124,26 +124,26 @@ func TestMultiChipDeterministicAcrossChipWorkers(t *testing.T) {
 		t.Fatalf("chip summaries differ across worker counts:\n%+v\nvs\n%+v",
 			serial.Chips, parallel.Chips)
 	}
-	if a, b := serial.Render(), parallel.Render(); a != b {
+	if a, b := Render(serial), Render(parallel); a != b {
 		t.Fatalf("rendered output differs across worker counts:\n%s\nvs\n%s", a, b)
 	}
 	for _, gb := range []results.GroupBy{results.ByRegion, results.ByChannel, results.ByRegionChannel} {
-		ha, ra, err := serial.Artifact.SummaryCSV(gb)
+		ha, ra, err := serial.SummaryCSV(gb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hb, rb, err := parallel.Artifact.SummaryCSV(gb)
+		hb, rb, err := parallel.SummaryCSV(gb)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ha, hb) || !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("%v: aggregate CSV differs across worker counts:\n%v\nvs\n%v", gb, ra, rb)
 		}
-		ja, err := serial.Artifact.SummaryJSON(gb)
+		ja, err := serial.SummaryJSON(gb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jb, err := parallel.Artifact.SummaryJSON(gb)
+		jb, err := parallel.SummaryJSON(gb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,40 +239,44 @@ func TestMultiChipShardMergeMatchesSingleProcess(t *testing.T) {
 func TestMultiChipRetainsNoSampleSlices(t *testing.T) {
 	// The fleet contract: the study keeps fixed-size chip summaries and
 	// O(regions x channels) accumulators, never per-chip sample slices.
-	// ChipSummary staying slice-free is what the reflection walk pins
-	// down.
-	var c ChipSummary
+	// results.ChipRecord staying slice-free is what the reflection walk
+	// pins down.
+	var c results.ChipRecord
 	ty := reflect.TypeOf(c)
 	for i := 0; i < ty.NumField(); i++ {
 		if k := ty.Field(i).Type.Kind(); k == reflect.Slice || k == reflect.Map || k == reflect.Ptr {
-			t.Errorf("ChipSummary.%s is a %s; per-chip summaries must stay fixed-size",
+			t.Errorf("ChipRecord.%s is a %s; per-chip summaries must stay fixed-size",
 				ty.Field(i).Name, k)
 		}
 	}
-	s := fleetStudy(t, 2, 9, 2)
+	a := fleetStudy(t, 2, 9, 2)
 	channels := config.SmallChip().Geometry.Channels
-	if want := 3 * channels; len(s.Artifact.Groups) != want {
-		t.Fatalf("%d fine groups, want %d", len(s.Artifact.Groups), want)
+	if want := 3 * channels; len(a.Groups) != want {
+		t.Fatalf("%d fine groups, want %d", len(a.Groups), want)
 	}
 }
 
 func TestMultiChipRenderIncludesFleetAggregates(t *testing.T) {
-	s := fleetStudy(t, 1, 3, 2)
-	out := s.Render()
-	for _, want := range []string{"chip-to-chip", "fleet aggregate", "first", "middle", "last", "BER%", "HCfirst"} {
+	a := fleetStudy(t, 1, 3, 2)
+	out := Render(a)
+	for _, want := range []string{"chip-to-chip", "fleet aggregate", "by region", "first", "middle", "last", "BER%", "HCfirst"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-	s.GroupBy = results.ByChannel
-	out = s.Render()
-	if !strings.Contains(out, "by channel") || !strings.Contains(out, "channel 0") {
+	// The report is drawn by region; the same aggregates still view and
+	// render at the channel axis.
+	groups, err := a.View(results.ByChannel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := results.RenderGroups(groups, metricLabel, metricScale); !strings.Contains(out, "channel 0") {
 		t.Errorf("channel-axis render missing channel groups:\n%s", out)
 	}
 }
 
 func TestMultiChipAggregateExports(t *testing.T) {
-	a := fleetStudy(t, 1, 3, 2).Artifact
+	a := fleetStudy(t, 1, 3, 2)
 	headers, rows, err := a.SummaryCSV(results.ByRegion)
 	if err != nil {
 		t.Fatal(err)
@@ -315,12 +319,12 @@ func TestMultiChipAggregateExports(t *testing.T) {
 	}
 }
 
-// TestTypedDriversMatchRegistryArtifacts pins that the records the
-// sweep and fig6 artifacts carry are the payloads their groups were
-// folded from: refolding an artifact's records the way the registry
-// folds them gives groups byte-identical to the artifact's own, and
-// there is one record per swept row and per bank.
-func TestTypedDriversMatchRegistryArtifacts(t *testing.T) {
+// TestRecordsRefoldToArtifactGroups pins that the records the sweep and
+// fig6 artifacts carry are the payloads their groups were folded from:
+// refolding an artifact's records the way the registry folds them gives
+// groups byte-identical to the artifact's own, and there is one record
+// per swept row and per bank.
+func TestRecordsRefoldToArtifactGroups(t *testing.T) {
 	o := Options{Cfg: config.SmallChip(), Rows: 2, Parallel: 3}
 	sameGroups := func(a *results.Artifact, groups []results.Group) {
 		t.Helper()
@@ -358,4 +362,52 @@ func TestTypedDriversMatchRegistryArtifacts(t *testing.T) {
 		addFig6Point(groups, b)
 	}
 	sameGroups(f6, groups)
+}
+
+// TestMultiChipDefaultSeedsStartAtTheChip pins the default seed range:
+// Seeds 0 scans the same three chips as Seeds 3, starting at the chip's
+// own seed.
+func TestMultiChipDefaultSeedsStartAtTheChip(t *testing.T) {
+	o := Options{Cfg: config.SmallChip(), Rows: 1}
+	def, err := Run("multichip", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Seeds = 3
+	three, err := Run("multichip", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshal(t, def), marshal(t, three)) {
+		t.Fatal("Seeds 0 and Seeds 3 scan different chips")
+	}
+	if def.Meta.SeedFirst != config.SmallChip().Seed || def.Meta.SeedCount != 3 {
+		t.Fatalf("default seed range [%#x,+%d), want [%#x,+3)",
+			def.Meta.SeedFirst, def.Meta.SeedCount, config.SmallChip().Seed)
+	}
+}
+
+// TestMultiChipHonoursHammerCeiling pins that the per-chip sweep searches
+// HCfirst under Options.Hammers: no chip reports a first flip above the
+// ceiling, and some chip still flips under it, so the check is not
+// vacuous.
+func TestMultiChipHonoursHammerCeiling(t *testing.T) {
+	const ceiling = 26000
+	a, err := Run("multichip", Options{Cfg: config.SmallChip(), Rows: 1, Seeds: 2, Hammers: ceiling})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Meta.Params["hammers"]; got != fmt.Sprint(ceiling) {
+		t.Errorf("params hammers = %q, want %d", got, ceiling)
+	}
+	flipped := false
+	for _, c := range a.Chips {
+		if c.MinHCFirst > ceiling {
+			t.Errorf("chip %#x min HCfirst %d above the %d ceiling", c.Seed, c.MinHCFirst, ceiling)
+		}
+		flipped = flipped || c.MinHCFirst > 0
+	}
+	if !flipped {
+		t.Fatalf("no chip flipped under %d hammers: %+v", ceiling, a.Chips)
+	}
 }

@@ -35,9 +35,11 @@ type Options struct {
 	Rows int
 	// Hammers is the hammer budget / HCfirst search ceiling.
 	Hammers int
-	// Seeds is the chip-instance count for fleet experiments (multichip).
+	// Seeds is the chip-instance count for fleet experiments (multichip):
+	// Seeds chips starting at Cfg.Seed, 3 when zero.
 	Seeds int
-	// Iterations is the U-TRR iteration count for the TRR studies.
+	// Iterations is the U-TRR iteration count for the TRR studies
+	// (trrstudy, and the per-chip TRR period of multichip).
 	Iterations int
 	// Bank is where the Section 5 studies (trrstudy, utrrprobe) profile
 	// their rows; it must lie inside the chip.
@@ -60,6 +62,25 @@ type Options struct {
 	Ctx context.Context
 	// Progress, if non-nil, receives an update per finished job.
 	Progress engine.ProgressFunc
+}
+
+// resolveChip resolves the chip every plan runs on: Options.Cfg, or
+// config.PaperChip() when nil, validated before any job is built.
+func resolveChip(o Options) (*config.Config, error) {
+	cfg := o.Cfg
+	if cfg == nil {
+		cfg = config.PaperChip()
+	}
+	return cfg, cfg.Validate()
+}
+
+// orDefault resolves a budget knob: values <= 0 select the experiment's
+// default.
+func orDefault(v, def int) int {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
 // Job is one schedulable unit of an experiment plan. Its payload must be

@@ -3,9 +3,11 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/engine"
 	"github.com/safari-repro/hbmrh/internal/results"
@@ -201,5 +203,85 @@ func TestRenderedArtifactsMentionTheirAxis(t *testing.T) {
 	}
 	if fmt.Sprintf("%v", a.Meta.JobKeys) != "[baseline coupled]" {
 		t.Errorf("job keys %v", a.Meta.JobKeys)
+	}
+}
+
+// budgetKnobs are the Options fields each experiment documents reading
+// that shape what it measures (DESIGN.md §9). Cfg is pinned by the
+// config hash, the execution fields (Parallel, Planner, Workers, Shard,
+// Ctx, Progress) never change an artifact, and multichip's Seeds is its
+// plan axis, whose range the artifact's seed provenance carries.
+var budgetKnobs = map[string][]string{
+	"crosschannel": {"Rows"},
+	"fig6":         {"Rows", "Hammers"},
+	"multichip":    {"Rows", "Hammers", "Iterations"},
+	"rowpress":     {"Rows", "Hammers"},
+	"sweep":        {"Rows", "Hammers"},
+	"tempsweep":    {"Rows", "Hammers"},
+	"trrbypass":    {"Hammers"},
+	"trrstudy":     {"Bank", "Iterations"},
+	"utrrprobe":    {"Bank"},
+}
+
+// TestNoExperimentIgnoresItsKnobs pins that every knob an experiment
+// reads is pinned in its plan's Params: changing the field changes the
+// Params, so shards run with different budgets refuse to merge.
+func TestNoExperimentIgnoresItsKnobs(t *testing.T) {
+	base := Options{Cfg: config.SmallChip(), Rows: 2, Hammers: 20000, Seeds: 2, Iterations: 4}
+	vary := map[string]func(o *Options){
+		"Rows":       func(o *Options) { o.Rows = 3 },
+		"Hammers":    func(o *Options) { o.Hammers = 30000 },
+		"Iterations": func(o *Options) { o.Iterations = 5 },
+		"Bank":       func(o *Options) { o.Bank = addr.BankAddr{Channel: 1} },
+	}
+	for _, e := range All() {
+		knobs, ok := budgetKnobs[e.Name]
+		if !ok {
+			t.Errorf("%s: no documented knobs; add it to budgetKnobs", e.Name)
+			continue
+		}
+		want, err := Describe(e.Name, base)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		for _, knob := range knobs {
+			o := base
+			vary[knob](&o)
+			got, err := Describe(e.Name, o)
+			if err != nil {
+				t.Fatalf("%s with %s changed: %v", e.Name, knob, err)
+			}
+			if reflect.DeepEqual(got.Params, want.Params) {
+				t.Errorf("%s: changing %s leaves Params %v unchanged", e.Name, knob, got.Params)
+			}
+		}
+	}
+}
+
+// TestExtensionPlansRejectRowsOffTheBank pins the plan-time check on the
+// extension studies' victim placement: Rows that walk off the bank are
+// refused with the largest Rows that fits, and that Rows plans.
+func TestExtensionPlansRejectRowsOffTheBank(t *testing.T) {
+	cases := []struct {
+		name      string
+		rows, fit int
+	}{
+		{"rowpress", 400, 165},
+		{"tempsweep", 400, 165},
+		{"crosschannel", 200, 100},
+	}
+	for _, tc := range cases {
+		o := Options{Cfg: config.SmallChip(), Rows: tc.rows}
+		_, err := Describe(tc.name, o)
+		if want := fmt.Sprintf("at most %d fit", tc.fit); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s at rows %d: err = %v, want %q", tc.name, tc.rows, err, want)
+		}
+		for _, rows := range []int{tc.fit + 1, tc.fit} {
+			o.Rows = rows
+			_, err := Describe(tc.name, o)
+			if fits := rows <= tc.fit; (err == nil) != fits {
+				t.Errorf("%s at rows %d: err = %v, want fits = %v", tc.name, rows, err, fits)
+			}
+		}
 	}
 }

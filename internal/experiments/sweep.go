@@ -24,19 +24,6 @@ import (
 	"github.com/safari-repro/hbmrh/internal/results"
 )
 
-// section4Budget resolves the defaults the Section 4 plans share: the
-// paper chip and the paper's full hammer count.
-func section4Budget(o Options) (*config.Config, int, error) {
-	cfg, hammers := o.Cfg, o.Hammers
-	if cfg == nil {
-		cfg = config.PaperChip()
-	}
-	if hammers <= 0 {
-		hammers = core.DefaultHammers
-	}
-	return cfg, hammers, cfg.Validate()
-}
-
 // sweepChannel measures every sampled victim row of one channel's bank
 // and records where each row sits in its subarray, which Fig. 5 reads.
 // The inner loops run through the batched probe API: per pattern, one
@@ -130,11 +117,11 @@ func sweepExperiment() *Experiment {
 		Name:  "sweep",
 		Title: "Figs. 3-5 spatial sweep: per-row BER/HCfirst/WCDP across every channel",
 		Plan: func(o Options) (*Plan, error) {
-			cfg, hammers, err := section4Budget(o)
+			cfg, err := resolveChip(o)
 			if err != nil {
 				return nil, err
 			}
-			perRegion := o.Rows
+			perRegion, hammers := o.Rows, orDefault(o.Hammers, core.DefaultHammers)
 			jobs := make([]Job, cfg.Geometry.Channels)
 			for ch := range jobs {
 				jobs[ch] = Job{

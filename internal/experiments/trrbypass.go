@@ -19,43 +19,26 @@ import (
 // every REF. The sampler then always holds the decoy, the TRR spends its
 // fires refreshing the decoy's neighbours, and the true victim
 // accumulates the full hammer count under completely nominal refresh.
-
-// TRRBypassOptions configures the study.
-type TRRBypassOptions struct {
-	// Cfg is the device configuration; nil means config.PaperChip().
-	// The study models nominal operation (periodic REFs at tREFI), so
-	// the paper-geometry refresh pointer cadence matters; SmallChip's
-	// short bank makes the pointer sweep victims mid-attack.
-	Cfg *config.Config
-	// Bank is where the attack runs.
-	Bank addr.BankAddr
-	// Hammers is the double-sided hammer budget (paper: 256K).
-	Hammers int
-}
-
-// setDefaults resolves the option defaults of the registry entry.
-func (o *TRRBypassOptions) setDefaults() {
-	if o.Cfg == nil {
-		o.Cfg = config.PaperChip()
-	}
-	if o.Hammers <= 0 {
-		o.Hammers = core.DefaultHammers
-	}
-}
+//
+// The study models nominal operation (periodic REFs at tREFI), so the
+// paper-geometry refresh pointer cadence matters; SmallChip's short bank
+// makes the pointer sweep victims mid-attack. It reads Cfg and Hammers
+// (the double-sided hammer budget; paper: 256K) from Options and attacks
+// bank 0 of channel 0.
 
 // runBypassArm runs one arm on a fresh device: interleaved double-sided
 // hammering with REFs at the nominal tREFI cadence, with or without the
 // decoy. It returns the victim's bitflips and the REFs issued.
-func runBypassArm(o TRRBypassOptions, decoy bool) (flips, refs int, err error) {
-	d, err := hbm.New(o.Cfg)
+func runBypassArm(cfg *config.Config, bank addr.BankAddr, hammers int, decoy bool) (flips, refs int, err error) {
+	d, err := hbm.New(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
 	if _, err := core.NewHarness(d); err != nil { // ECC off
 		return 0, 0, err
 	}
-	tm := o.Cfg.Timing
-	layout := o.Cfg.Layout()
+	tm := cfg.Timing
+	layout := cfg.Layout()
 	// Place the victim late in the bank (but not in the hardened last
 	// subarray) so the refresh pointer does not sweep it mid-attack.
 	sa := layout.Count() - 2
@@ -76,7 +59,7 @@ func runBypassArm(o TRRBypassOptions, decoy bool) (flips, refs int, err error) {
 		if fill == 0x00 {
 			rowData = make([]byte, g.RowBytes())
 		}
-		if err := hbm.WriteRow(d, o.Bank, r, rowData); err != nil {
+		if err := hbm.WriteRow(d, bank, r, rowData); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -84,13 +67,13 @@ func runBypassArm(o TRRBypassOptions, decoy bool) (flips, refs int, err error) {
 	// Nominal refresh: one REF per tREFI, with the hammers that fit in
 	// between (one double-sided hammer occupies 2*tRC).
 	perREF := int(tm.TREFI / (2 * tm.TRC))
-	remaining := o.Hammers
+	remaining := hammers
 	for remaining > 0 {
 		chunk := perREF
 		if chunk > remaining {
 			chunk = remaining
 		}
-		if err := d.HammerPair(o.Bank, la, lb, chunk); err != nil {
+		if err := d.HammerPair(bank, la, lb, chunk); err != nil {
 			return 0, 0, err
 		}
 		remaining -= chunk
@@ -100,11 +83,11 @@ func runBypassArm(o TRRBypassOptions, decoy bool) (flips, refs int, err error) {
 		if decoy {
 			// The bypass: one decoy activation right before the REF, so
 			// the sampler forgets the real aggressors.
-			if err := hbm.RefreshRow(d, o.Bank, decoyRow); err != nil {
+			if err := hbm.RefreshRow(d, bank, decoyRow); err != nil {
 				return 0, 0, err
 			}
 		}
-		if err := d.Refresh(o.Bank.Channel, o.Bank.PseudoChannel); err != nil {
+		if err := d.Refresh(bank.Channel, bank.PseudoChannel); err != nil {
 			return 0, 0, err
 		}
 		refs++
@@ -112,7 +95,7 @@ func runBypassArm(o TRRBypassOptions, decoy bool) (flips, refs int, err error) {
 			return 0, 0, err
 		}
 	}
-	got, err := hbm.ReadRow(d, o.Bank, lv)
+	got, err := hbm.ReadRow(d, bank, lv)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -127,11 +110,11 @@ func trrBypassExperiment() *Experiment {
 		Name:  "trrbypass",
 		Title: "TRR bypass: naive vs decoy-assisted hammering under nominal refresh",
 		Plan: func(o Options) (*Plan, error) {
-			bo := TRRBypassOptions{Cfg: o.Cfg, Hammers: o.Hammers}
-			bo.setDefaults()
-			if err := bo.Cfg.Validate(); err != nil {
+			cfg, err := resolveChip(o)
+			if err != nil {
 				return nil, err
 			}
+			hammers := orDefault(o.Hammers, core.DefaultHammers)
 			arms := []string{"naive", "decoy"}
 			jobs := make([]Job, len(arms))
 			for i, name := range arms {
@@ -139,7 +122,7 @@ func trrBypassExperiment() *Experiment {
 				jobs[i] = Job{
 					Key: name,
 					Run: func(_ context.Context, _ *core.Harness) (any, error) {
-						flips, refs, err := runBypassArm(bo, decoy)
+						flips, refs, err := runBypassArm(cfg, addr.BankAddr{}, hammers, decoy)
 						if err != nil {
 							return nil, err
 						}
@@ -147,12 +130,12 @@ func trrBypassExperiment() *Experiment {
 					},
 				}
 			}
-			rowBits := float64(bo.Cfg.Geometry.RowBytes() * 8)
+			rowBits := float64(cfg.Geometry.RowBytes() * 8)
 			return &Plan{
 				Axis:   "point",
-				Cfg:    bo.Cfg,
+				Cfg:    cfg,
 				Jobs:   jobs,
-				Params: map[string]string{"hammers": strconv.Itoa(bo.Hammers)},
+				Params: map[string]string{"hammers": strconv.Itoa(hammers)},
 				NewFold: func(lo, hi int) *Fold {
 					a := &results.Artifact{Meta: results.Meta{GroupBy: results.ByPoint.String()}}
 					for _, name := range arms {
@@ -160,7 +143,7 @@ func trrBypassExperiment() *Experiment {
 							Key: results.Key{Channel: results.NoChannel, Point: name},
 							Metrics: []results.Metric{
 								{Name: "victim_flips", Stream: stats.NewStream(0, rowBits)},
-								{Name: "refreshes", Stream: stats.NewStream(0, float64(bo.Hammers+1))},
+								{Name: "refreshes", Stream: stats.NewStream(0, float64(hammers+1))},
 							},
 						})
 					}

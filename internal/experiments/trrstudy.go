@@ -15,23 +15,19 @@ import (
 	"github.com/safari-repro/hbmrh/internal/utrr"
 )
 
-// section5Setup resolves what the Section 5 plans share: the chip
-// (default config.PaperChip()) and the bank the study runs in, which
-// must lie inside the chip.
-func section5Setup(o Options) (*config.Config, error) {
-	cfg := o.Cfg
-	if cfg == nil {
-		cfg = config.PaperChip()
+// checkBank rejects a Section 5 bank outside the chip, before any
+// device is built.
+func checkBank(cfg *config.Config, bank addr.BankAddr) error {
+	if g := cfg.Geometry; !bank.Valid(g) {
+		return fmt.Errorf("bank %v out of range (%d channels, %d pseudo channels, %d banks)",
+			bank, g.Channels, g.PseudoChannels, g.Banks)
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if g := cfg.Geometry; !o.Bank.Valid(g) {
-		return nil, fmt.Errorf("bank %v out of range (%d channels, %d pseudo channels, %d banks)",
-			o.Bank, g.Channels, g.PseudoChannels, g.Banks)
-	}
-	return cfg, nil
+	return nil
 }
+
+// defaultIterations is the U-TRR iteration count when Options.Iterations
+// is zero: the utrr.New default, pinned for params.
+const defaultIterations = 100
 
 // section5Device is a fresh device with ECC off (the Section 3.1 setup,
 // so raw retention errors are visible) and the experiment driving it.
@@ -66,15 +62,14 @@ func trrStudyExperiment() *Experiment {
 		Name:  "trrstudy",
 		Title: "Section 5 U-TRR: uncover the in-DRAM TRR mechanism and its period",
 		Plan: func(o Options) (*Plan, error) {
-			cfg, err := section5Setup(o)
+			cfg, err := resolveChip(o)
 			if err != nil {
 				return nil, err
 			}
-			iterations := o.Iterations
-			if iterations <= 0 {
-				iterations = 100 // utrr.New default, pinned for params
+			bank, iterations := o.Bank, orDefault(o.Iterations, defaultIterations)
+			if err := checkBank(cfg, bank); err != nil {
+				return nil, err
 			}
-			bank := o.Bank
 			job := Job{
 				Key: "utrr",
 				Run: func(ctx context.Context, _ *core.Harness) (any, error) {

@@ -32,11 +32,14 @@ func utrrProbeExperiment() *Experiment {
 		Name:  "utrrprobe",
 		Title: "U-TRR probe: TRR victim-refresh radius and sampler depth",
 		Plan: func(o Options) (*Plan, error) {
-			cfg, err := section5Setup(o)
+			cfg, err := resolveChip(o)
 			if err != nil {
 				return nil, err
 			}
 			bank, start := o.Bank, section5StartRow(cfg)
+			if err := checkBank(cfg, bank); err != nil {
+				return nil, err
+			}
 			jobs := []Job{
 				{
 					Key: "radius",
