@@ -129,9 +129,14 @@ func Banks(g Geometry, fn func(BankAddr)) {
 
 // SubarrayLayout describes how a bank's rows split into subarrays. The
 // paper reverse-engineers subarrays of 832 and 768 rows in the tested chip.
+//
+// The device asks for a row's subarray on every sense and every disturb,
+// so the layout resolves it once, at construction, into a per-row table:
+// every query below is a table lookup.
 type SubarrayLayout struct {
 	sizes  []int
-	starts []int // starts[i] is the first row of subarray i
+	starts []int   // starts[i] is the first row of subarray i
+	of     []int32 // of[row] is the subarray containing row
 	rows   int
 }
 
@@ -153,6 +158,12 @@ func NewSubarrayLayout(sizes []int) (*SubarrayLayout, error) {
 		l.starts[i] = l.rows
 		l.rows += s
 	}
+	l.of = make([]int32, l.rows)
+	for i := range sizes {
+		for row := l.starts[i]; row < l.End(i); row++ {
+			l.of[row] = int32(i)
+		}
+	}
 	return l, nil
 }
 
@@ -171,45 +182,49 @@ func (l *SubarrayLayout) Start(i int) int { return l.starts[i] }
 // End returns one past the last row of subarray i.
 func (l *SubarrayLayout) End(i int) int { return l.starts[i] + l.sizes[i] }
 
+// subarray returns the index of the subarray containing row. It panics if
+// row is outside the layout, which indicates a geometry/layout mismatch
+// bug.
+func (l *SubarrayLayout) subarray(row int) int {
+	if uint(row) >= uint(len(l.of)) {
+		l.outside(row)
+	}
+	return int(l.of[row])
+}
+
+// outside panics for a row outside the layout. It is a function of its
+// own so that the lookups calling it stay small enough to inline.
+//
+//go:noinline
+func (l *SubarrayLayout) outside(row int) {
+	panic(fmt.Sprintf("addr: row %d outside subarray layout of %d rows", row, l.rows))
+}
+
 // Locate returns the subarray index containing row, and the row's offset
 // within that subarray. It panics if row is outside the layout, which
 // indicates a geometry/layout mismatch bug.
 func (l *SubarrayLayout) Locate(row int) (sa, offset int) {
-	if row < 0 || row >= l.rows {
-		panic(fmt.Sprintf("addr: row %d outside subarray layout of %d rows", row, l.rows))
-	}
-	// Binary search over starts.
-	lo, hi := 0, len(l.starts)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if l.starts[mid] <= row {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo, row - l.starts[lo]
+	sa = l.subarray(row)
+	return sa, row - l.starts[sa]
 }
 
 // Bounds returns the half-open row range [start, end) of the subarray
-// containing row, from a single Locate: every row in it shares row's
-// subarray. It panics like Locate for a row outside the layout.
+// containing row: every row in it shares row's subarray. It panics like
+// Locate for a row outside the layout.
 func (l *SubarrayLayout) Bounds(row int) (start, end int) {
-	sa, _ := l.Locate(row)
+	sa := l.subarray(row)
 	return l.starts[sa], l.starts[sa] + l.sizes[sa]
 }
 
 // SameSubarray reports whether two rows fall in the same subarray.
 func (l *SubarrayLayout) SameSubarray(a, b int) bool {
-	sa, _ := l.Locate(a)
-	sb, _ := l.Locate(b)
-	return sa == sb
+	return l.subarray(a) == l.subarray(b)
 }
 
 // IsEdge reports whether the row is the first or last row of its subarray.
 // Edge rows have only one in-subarray neighbour, which is how the paper's
 // single-sided hammering reverse-engineers subarray boundaries.
 func (l *SubarrayLayout) IsEdge(row int) bool {
-	sa, off := l.Locate(row)
-	return off == 0 || off == l.sizes[sa]-1
+	start, end := l.Bounds(row)
+	return row == start || row == end-1
 }

@@ -12,7 +12,9 @@
 // writes a payload to every column of the open row, rather than one WR per
 // column; the interpreter activates a row that a WRROW rewrites in full
 // before any read without computing the sense's bitflips, which the write
-// would erase unseen (see run.go).
+// would erase unseen (see run.go). Validation proves every operand in
+// range once per program, and the interpreter drives the device's
+// unchecked core with the banks validation resolved (see ResolvedTarget).
 package bender
 
 import (
@@ -95,6 +97,15 @@ type Instr struct {
 }
 
 // Program is an executable command sequence plus its write-data table.
+//
+// Validation (Validate, or a Runner's run, which validates first) proves
+// every operand in range and resolves each bank command's bank to its
+// BankAddr.Flat index once; the runner then executes the program on the
+// device's unchecked core (see ResolvedTarget), which trusts that table.
+// After validation, SetLoopCount is the one supported change to a
+// program: any other change to Instrs or Data is outside the API
+// contract, and the runner would execute the resolved banks and the
+// validated operands it no longer matches.
 type Program struct {
 	Instrs []Instr
 	// Data holds write payloads referenced by OpWr and OpWrRow
@@ -103,20 +114,22 @@ type Program struct {
 
 	// validFor caches the geometry the program last validated against, so
 	// re-running the same program (the harness's steady state) skips the
-	// per-instruction walk. SetLoopCount is the one supported change to a
-	// validated program; any other change to Instrs or Data after
-	// validation is outside the API contract.
+	// per-instruction walk.
 	validFor addr.Geometry
 	valid    bool
 	// jumps[i] is, for every OpLoop at index i, the index of its matching
-	// OpEndLoop; loops lists the top-level OpLoop indexes in order. Both
-	// are built by the validation walk, so a re-run builds neither.
+	// OpEndLoop; loops lists the top-level OpLoop indexes in order;
+	// banks[i] is, for every bank command (OpAct, OpPre, OpRd, OpWr,
+	// OpWrRow) at index i, the BankAddr.Flat index of its bank under
+	// validFor. All three are built by the validation walk, so a re-run
+	// builds none of them.
 	jumps []int32
 	loops []int32
+	banks []int32
 	// gen identifies one validated instruction stream: it changes on every
-	// validation walk, so a runner's per-program caches (see
-	// Runner.overwritePlan) can tell a reused *Program with new contents
-	// from the one they were built for.
+	// validation walk, so a runner's per-program plan (see Runner.planFor)
+	// can tell a reused *Program with new contents from the one it was
+	// built for.
 	gen uint64
 }
 
@@ -146,7 +159,8 @@ func valErr(i int, op Op, f string, args ...any) error {
 
 // Validate checks structural well-formedness against a geometry: operand
 // ranges, loop nesting, data table references and payload sizes, and
-// builds the loop jump table the runner executes with. A successful
+// builds the loop jump table and the resolved bank table the runner
+// executes with. A successful
 // validation is cached per geometry, so the runner's revalidation on
 // every Run is a no-op for already-checked programs.
 func (p *Program) Validate(g addr.Geometry) error {
@@ -157,8 +171,10 @@ func (p *Program) Validate(g addr.Geometry) error {
 	p.gen++
 	if cap(p.jumps) < len(p.Instrs) {
 		p.jumps = make([]int32, len(p.Instrs))
+		p.banks = make([]int32, len(p.Instrs))
 	}
 	p.jumps = p.jumps[:len(p.Instrs)]
+	p.banks = p.banks[:len(p.Instrs)]
 	p.loops = p.loops[:0]
 	// open is the innermost unclosed OpLoop; each open loop's jumps entry
 	// holds its enclosing loop until its OpEndLoop overwrites it, so the
@@ -166,6 +182,7 @@ func (p *Program) Validate(g addr.Geometry) error {
 	depth, open := 0, int32(-1)
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
+		p.banks[i] = int32(bankOf(in).Flat(g)) // meaningful once validBank holds
 		switch in.Op {
 		case OpAct:
 			if !validBank(g, in) {
@@ -242,8 +259,11 @@ func (p *Program) Validate(g addr.Geometry) error {
 	return nil
 }
 
-func validBank(g addr.Geometry, in *Instr) bool {
-	return addr.BankAddr{Channel: in.Ch, PseudoChannel: in.PC, Bank: in.Bank}.Valid(g)
+func validBank(g addr.Geometry, in *Instr) bool { return bankOf(in).Valid(g) }
+
+// bankOf returns the bank an instruction's Ch, PC and Bank operands name.
+func bankOf(in *Instr) addr.BankAddr {
+	return addr.BankAddr{Channel: in.Ch, PseudoChannel: in.PC, Bank: in.Bank}
 }
 
 // Builder assembles programs with the inter-command waits the timing

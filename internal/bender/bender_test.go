@@ -699,9 +699,11 @@ type overwriteRecorder struct {
 	overwrites int
 }
 
-func (o *overwriteRecorder) ActivateOverwrite(b addr.BankAddr, row int) error {
-	o.overwrites++
-	return o.Device.ActivateOverwrite(b, row)
+func (o *overwriteRecorder) ActivateResolved(bank, row int, overwrite bool) error {
+	if overwrite {
+		o.overwrites++
+	}
+	return o.Device.ActivateResolved(bank, row, overwrite)
 }
 
 // TestOverwriteBlockShapes pins which activations the runner elides the

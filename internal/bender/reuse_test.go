@@ -2,6 +2,7 @@ package bender_test
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -231,5 +232,32 @@ func TestRunnerPlanFollowsProgramContents(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("a runner reused across builder programs diverges from a fresh one")
+	}
+}
+
+// TestRunnerChecksAddressesOffTheDeviceGeometry pins the guard on the
+// device's unchecked core: a program validated against a geometry other
+// than the device's has banks the device may not have, so the runner
+// must issue it through the checked commands, which reject them, rather
+// than resolve them into the device's bank table.
+func TestRunnerChecksAddressesOffTheDeviceGeometry(t *testing.T) {
+	d := newDevice(t)
+	wide := d.Geometry()
+	wide.Channels *= 2
+	b := bender.NewBuilder(d.Config().Timing, wide)
+	b.Act(ba(wide.Channels-1, 0, 0), 5)
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, disableFast := range []bool{false, true} {
+		r := bender.NewRunner(d.Config().Timing)
+		r.DisableFastPath = disableFast
+		if _, err := r.Run(d, wide, prog); !errors.Is(err, hbm.ErrAddress) {
+			t.Fatalf("DisableFastPath=%v: running a bank outside the device gave %v, want ErrAddress", disableFast, err)
+		}
+	}
+	if d.Stats() != (hbm.Stats{}) || d.Now() != 0 {
+		t.Fatalf("the rejected command touched the device: %+v at %d ps", d.Stats(), d.Now())
 	}
 }

@@ -3,6 +3,7 @@ package bender
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
@@ -28,21 +29,30 @@ type Target interface {
 	Now() int64
 }
 
-// ReaderInto is the optional Target extension the interpreter prefers for
-// column reads: the device copies into a runner-owned arena instead of
-// allocating a fresh slice per read. *hbm.Device implements it.
-type ReaderInto interface {
-	ReadInto(b addr.BankAddr, col int, dst []byte) error
-}
-
-// Overwriter is the optional Target extension for overwrite blocks: an
-// ACT whose row the program rewrites in full — a WRROW, then the bank's
-// PRE, with nothing but waits in between — before anything can read it.
-// ActivateOverwrite must do everything Activate does except latching the
-// sense's bitflips, which the write erases unobserved.
-// *hbm.Device implements it.
-type Overwriter interface {
-	ActivateOverwrite(b addr.BankAddr, row int) error
+// ResolvedTarget is the optional Target extension the interpreter
+// executes validated programs through: the device's unchecked core. Each
+// method is a bank command of Target taking the bank as the BankAddr.Flat
+// index Program.Validate resolved, and skipping the address proof the
+// checked method makes; every timing and bank-state check, and its
+// error, stays. The interpreter uses it only when Geometry equals the
+// geometry the program was validated against. *hbm.Device implements it.
+type ResolvedTarget interface {
+	Geometry() addr.Geometry
+	// ActivateResolved is Activate. With overwrite it opens an overwrite
+	// block — an ACT whose row the program rewrites in full (a WRROW,
+	// then the bank's PRE, with nothing but waits in between) before
+	// anything can read it — and must do everything Activate does except
+	// latching the sense's bitflips, which the write erases unobserved.
+	ActivateResolved(bank, row int, overwrite bool) error
+	PrechargeResolved(bank int) error
+	// ReadResolved reads a column into dst, a runner-owned arena slice,
+	// instead of allocating a fresh slice per read.
+	ReadResolved(bank, col int, dst []byte) error
+	WriteResolved(bank, col int, data []byte) error
+	WriteRowResolved(bank int, data []byte) error
+	// HammerResolved is HammerSingleHold (nrows 1) or HammerPairHold
+	// (nrows 2) of rows[:nrows].
+	HammerResolved(bank int, rows [2]int, nrows, n int, holdPS int64) error
 }
 
 // Result carries a program's outputs.
@@ -76,7 +86,7 @@ type Runner struct {
 	// zero Timing the fast path is disabled.
 	Timing config.Timing
 	// DisableFastPath forces per-iteration execution of all loops and
-	// plain activations for overwrite blocks (see Overwriter). Both fast
+	// plain activations for overwrite blocks (see ResolvedTarget). Both fast
 	// paths are semantically equivalent (asserted by tests, differential
 	// fuzzing and an ablation benchmark); disabling them exists for those
 	// comparisons.
@@ -92,25 +102,40 @@ type Runner struct {
 	readBuf []byte
 	frames  []loopFrame
 
-	// The overwrite-block plan (see overwritePlan) of the program last
-	// run with the fast path on, keyed by the program's identity and
-	// validation generation and by the timing and column count the
-	// decisions depend on.
-	owProg   *Program
-	owGen    uint64
-	owTiming config.Timing
-	owCols   int
-	owPlan   []int32
+	// plan is the fast-path plan of the program last run with the fast
+	// path on (see planFor).
+	plan plan
 
 	// Segmented-run state (see RunSegments); segBounds is nil during a
-	// plain Run, which reduces the per-instruction overhead to one
-	// length comparison.
+	// plain Run.
 	segBounds   []int
 	segIdx      int
 	segs        []Segment
 	segCheck    func() error
 	segLastRead int
 	segLastNow  int64
+}
+
+// plan is the runner's per-program fast-path plan: every decision that
+// depends only on the instruction stream, the timing and the column
+// count, made once per validated program and reused by every re-run,
+// including runs after SetLoopCount, which changes none of them (a loop
+// count is no part of a hammer shape, and an overwrite block holds no
+// loop). It is keyed by the program's identity and validation generation
+// and by the timing and column count.
+type plan struct {
+	prog   *Program
+	gen    uint64
+	timing config.Timing
+	cols   int
+	// at[i] is, for an OpAct opening an overwrite block (see
+	// overwriteEnd), the index of the block's closing OpPre; for an
+	// OpLoop the bulk hammer path applies to (see matchHammerLoop and
+	// fastPathLegal), the index of its shape in hammers; and -1
+	// otherwise. Whether a segment boundary splits an overwrite block is
+	// checked at run time by exec.
+	at      []int32
+	hammers []hammerShape
 }
 
 // loopFrame tracks one active loop: where its body starts, its total
@@ -237,45 +262,47 @@ func (r *Runner) wrapLoopErr(err error) error {
 }
 
 // exec runs the whole program with an explicit loop stack — no per-run
-// tree construction, no recursion, no allocation.
+// tree construction, no recursion, no allocation. Bank commands go to the
+// device's unchecked core when it has one (see ResolvedTarget), with the
+// banks validation resolved.
 func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
-	instrs := prog.Instrs
-	jumps := prog.jumps
-	ri, hasRI := t.(ReaderInto)
-	fastOK := !r.DisableFastPath && r.Timing.TCK > 0
-	ow, hasOW := t.(Overwriter)
-	var owPlan []int32
-	if fastOK && hasOW {
-		owPlan = r.overwritePlan(prog, g.Columns)
+	instrs, jumps, banks := prog.Instrs, prog.jumps, prog.banks
+	rt, _ := t.(ResolvedTarget)
+	if rt != nil && rt.Geometry() != g {
+		rt = nil
 	}
+	var pl *plan
+	if !r.DisableFastPath && r.Timing.TCK > 0 {
+		pl = r.planFor(prog, g.Columns)
+	}
+	// bound is the next segment boundary; exec runs straight to it.
+	bound := r.nextBound()
 	ip := 0
 	for ip < len(instrs) {
-		for r.segIdx < len(r.segBounds) && ip >= r.segBounds[r.segIdx] {
-			r.markSegment(t)
-			if r.segCheck != nil {
-				if err := r.segCheck(); err != nil {
-					return err
+		if ip >= bound {
+			for r.segIdx < len(r.segBounds) && ip >= r.segBounds[r.segIdx] {
+				r.markSegment(t)
+				if r.segCheck != nil {
+					if err := r.segCheck(); err != nil {
+						return err
+					}
 				}
 			}
+			bound = r.nextBound()
 		}
 		in := &instrs[ip]
 		switch in.Op {
 		case OpLoop:
-			end := int(jumps[ip])
-			if fastOK {
-				if h, ok := matchHammerLoop(instrs[ip+1 : end]); ok && h.uniform {
-					h.tck = r.Timing.TCK
-					if r.fastPathLegal(h) {
-						if err := r.runHammerFast(t, h, in.Arg); err != nil {
-							return r.wrapLoopErr(err)
-						}
-						ip = end + 1
-						continue
-					}
+			if pl != nil && pl.at[ip] >= 0 {
+				if err := r.runHammerFast(t, rt, &pl.hammers[pl.at[ip]], in.Arg); err != nil {
+					return r.wrapLoopErr(err)
 				}
+				ip = int(jumps[ip]) + 1
+				continue
 			}
 			r.frames = append(r.frames, loopFrame{body: ip + 1, total: in.Arg, left: in.Arg})
 			ip++
+			continue
 		case OpEndLoop:
 			f := &r.frames[len(r.frames)-1]
 			f.left--
@@ -285,61 +312,81 @@ func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
 				r.frames = r.frames[:len(r.frames)-1]
 				ip++
 			}
-		case OpWait:
-			if r.Trace != nil {
-				r.traceInstr(t, in)
-			}
-			if err := t.AdvanceTime(in.Arg); err != nil {
-				return r.wrapLoopErr(err)
-			}
-			ip++
-		case OpAct:
-			var err error
-			// An overwrite block stays one only if no segment boundary (a
-			// cancellation check) falls between its ACT and its PRE.
-			if owPlan != nil && owPlan[ip] >= 0 &&
-				!(r.segIdx < len(r.segBounds) && r.segBounds[r.segIdx] <= int(owPlan[ip])) {
-				if r.Trace != nil {
-					r.traceInstr(t, in)
-				}
-				err = ow.ActivateOverwrite(addr.BankAddr{Channel: in.Ch, PseudoChannel: in.PC, Bank: in.Bank}, in.Row)
-			} else {
-				err = r.execInstr(t, prog, in)
-			}
-			if err != nil {
-				return r.wrapLoopErr(err)
-			}
-			ip++
+			continue
 		case OpEnd:
 			// Execution halts; trailing instructions (if any) are ignored,
 			// matching the original recursive interpreter's semantics.
 			return nil
-		case OpRd:
-			ba := addr.BankAddr{Channel: in.Ch, PseudoChannel: in.PC, Bank: in.Bank}
-			if r.Trace != nil {
-				r.traceInstr(t, in)
-			}
-			var data []byte
-			var err error
-			if hasRI {
-				data = r.arenaAlloc(g.ColumnBytes)
-				err = ri.ReadInto(ba, in.Col, data)
-			} else {
-				data, err = t.Read(ba, in.Col)
-			}
-			if err != nil {
-				return r.wrapLoopErr(err)
-			}
-			r.res.Reads = append(r.res.Reads, data)
-			ip++
-		default:
-			if err := r.execInstr(t, prog, in); err != nil {
-				return r.wrapLoopErr(err)
-			}
-			ip++
 		}
+		if r.Trace != nil {
+			r.traceInstr(t, in)
+		}
+		var err error
+		switch in.Op {
+		case OpWait:
+			err = t.AdvanceTime(in.Arg)
+		case OpAct:
+			if rt != nil {
+				// An overwrite block stays one only if no segment boundary
+				// (a cancellation check) falls between its ACT and its PRE.
+				overwrite := pl != nil && pl.at[ip] >= 0 && int(pl.at[ip]) < bound
+				err = rt.ActivateResolved(int(banks[ip]), in.Row, overwrite)
+			} else {
+				err = t.Activate(bankOf(in), in.Row)
+			}
+		case OpPre:
+			if rt != nil {
+				err = rt.PrechargeResolved(int(banks[ip]))
+			} else {
+				err = t.Precharge(bankOf(in))
+			}
+		case OpRd:
+			var data []byte
+			if rt != nil {
+				data = r.arenaAlloc(g.ColumnBytes)
+				err = rt.ReadResolved(int(banks[ip]), in.Col, data)
+			} else {
+				data, err = t.Read(bankOf(in), in.Col)
+			}
+			if err == nil {
+				r.res.Reads = append(r.res.Reads, data)
+			}
+		case OpWr:
+			if rt != nil {
+				err = rt.WriteResolved(int(banks[ip]), in.Col, prog.Data[in.Data])
+			} else {
+				err = t.Write(bankOf(in), in.Col, prog.Data[in.Data])
+			}
+		case OpWrRow:
+			if rt != nil {
+				err = rt.WriteRowResolved(int(banks[ip]), prog.Data[in.Data])
+			} else {
+				err = t.WriteRow(bankOf(in), prog.Data[in.Data])
+			}
+		case OpPreA:
+			err = t.PrechargeAll(in.Ch, in.PC)
+		case OpRef:
+			err = t.Refresh(in.Ch, in.PC)
+		case OpMRS:
+			err = t.WriteModeRegister(in.Ch, in.Row, uint32(in.Arg))
+		default:
+			err = fmt.Errorf("bender: cannot execute %s", in.Op)
+		}
+		if err != nil {
+			return r.wrapLoopErr(err)
+		}
+		ip++
 	}
 	return nil
+}
+
+// nextBound returns the next segment boundary of a segmented run, or
+// math.MaxInt when none is left (always, in a plain Run).
+func (r *Runner) nextBound() int {
+	if r.segIdx < len(r.segBounds) {
+		return r.segBounds[r.segIdx]
+	}
+	return math.MaxInt
 }
 
 // arenaAlloc carves n bytes out of the runner's read arena. When a block
@@ -358,29 +405,38 @@ func (r *Runner) arenaAlloc(n int) []byte {
 	return r.readBuf[off : off+n : off+n]
 }
 
-// overwritePlan returns, for every instruction of prog, the index of the
-// closing OpPre when the instruction is an OpAct opening an overwrite
-// block (see overwriteEnd), and -1 otherwise. The plan depends only on
-// the instruction stream, the timing and the column count, so it is
-// built once per validated program and reused by every re-run, including
-// runs after SetLoopCount; the segment-boundary condition is checked at
-// run time by exec.
-func (r *Runner) overwritePlan(prog *Program, columns int) []int32 {
-	if r.owProg == prog && r.owGen == prog.gen && r.owTiming == r.Timing && r.owCols == columns {
-		return r.owPlan
+// planFor returns prog's fast-path plan (see plan), building it on the
+// program's first run with this timing and column count.
+func (r *Runner) planFor(prog *Program, columns int) *plan {
+	pl := &r.plan
+	if pl.prog == prog && pl.gen == prog.gen && pl.timing == r.Timing && pl.cols == columns {
+		return pl
 	}
-	if cap(r.owPlan) < len(prog.Instrs) {
-		r.owPlan = make([]int32, len(prog.Instrs))
+	if cap(pl.at) < len(prog.Instrs) {
+		pl.at = make([]int32, len(prog.Instrs))
 	}
-	r.owPlan = r.owPlan[:len(prog.Instrs)]
+	pl.at = pl.at[:len(prog.Instrs)]
+	pl.hammers = pl.hammers[:0]
 	for i := range prog.Instrs {
-		r.owPlan[i] = -1
-		if prog.Instrs[i].Op == OpAct {
-			r.owPlan[i] = int32(r.overwriteEnd(prog.Instrs, i, columns))
+		pl.at[i] = -1
+		switch prog.Instrs[i].Op {
+		case OpAct:
+			pl.at[i] = int32(r.overwriteEnd(prog.Instrs, i, columns))
+		case OpLoop:
+			h, ok := matchHammerLoop(prog.Instrs[i+1 : prog.jumps[i]])
+			if !ok || !h.uniform {
+				continue
+			}
+			h.tck = r.Timing.TCK
+			h.bank = int(prog.banks[i+1])
+			if r.fastPathLegal(h) {
+				pl.at[i] = int32(len(pl.hammers))
+				pl.hammers = append(pl.hammers, h)
+			}
 		}
 	}
-	r.owProg, r.owGen, r.owTiming, r.owCols = prog, prog.gen, r.Timing, columns
-	return r.owPlan
+	pl.prog, pl.gen, pl.timing, pl.cols = prog, prog.gen, r.Timing, columns
+	return pl
 }
 
 // overwriteEnd returns the index of the closing OpPre when the OpAct at
@@ -450,34 +506,10 @@ func (r *Runner) fastPathLegal(h hammerShape) bool {
 // the wait between ACT and PRE plus the ACT command cycle itself.
 func (h hammerShape) hold() int64 { return h.minActHold + h.tck }
 
-func (r *Runner) execInstr(t Target, prog *Program, in *Instr) error {
-	ba := addr.BankAddr{Channel: in.Ch, PseudoChannel: in.PC, Bank: in.Bank}
-	if r.Trace != nil {
-		r.traceInstr(t, in)
-	}
-	switch in.Op {
-	case OpAct:
-		return t.Activate(ba, in.Row)
-	case OpPre:
-		return t.Precharge(ba)
-	case OpPreA:
-		return t.PrechargeAll(in.Ch, in.PC)
-	case OpWr:
-		return t.Write(ba, in.Col, prog.Data[in.Data])
-	case OpWrRow:
-		return t.WriteRow(ba, prog.Data[in.Data])
-	case OpRef:
-		return t.Refresh(in.Ch, in.PC)
-	case OpMRS:
-		return t.WriteModeRegister(in.Ch, in.Row, uint32(in.Arg))
-	default:
-		return fmt.Errorf("bender: cannot execute %s", in.Op)
-	}
-}
-
 // hammerShape describes a recognized pure hammer loop.
 type hammerShape struct {
-	bank  addr.BankAddr
+	addr  addr.BankAddr
+	bank  int    // addr's BankAddr.Flat index
 	rows  [2]int // 1 (single-sided) or 2 (double-sided) aggressors
 	nrows int
 	// perIterWaits is the sum of explicit waits in one iteration.
@@ -507,17 +539,16 @@ func matchHammerLoop(body []Instr) (hammerShape, bool) {
 		if g[0].Op != OpAct || g[1].Op != OpWait || g[2].Op != OpPre || g[3].Op != OpWait {
 			return h, false
 		}
-		ba := addr.BankAddr{Channel: g[0].Ch, PseudoChannel: g[0].PC, Bank: g[0].Bank}
-		pb := addr.BankAddr{Channel: g[2].Ch, PseudoChannel: g[2].PC, Bank: g[2].Bank}
-		if ba != pb {
+		ba := bankOf(&g[0])
+		if bankOf(&g[2]) != ba {
 			return h, false
 		}
 		if gi == 0 {
-			h.bank = ba
+			h.addr = ba
 			h.minActHold = g[1].Arg
 			h.minPreGap = g[3].Arg
 			h.uniform = true
-		} else if ba != h.bank {
+		} else if ba != h.addr {
 			return h, false
 		}
 		if g[1].Arg != h.minActHold {
@@ -569,26 +600,30 @@ func (r *Runner) traceInstr(t Target, in *Instr) {
 	}
 }
 
-// runHammerFast applies a recognized hammer loop in bulk, then pads the
-// clock so the total elapsed time matches per-iteration execution
-// exactly. fastPathLegal already proved the pad is non-negative.
-func (r *Runner) runHammerFast(t Target, h hammerShape, count int64) error {
+// runHammerFast applies a recognized hammer loop in bulk, on the
+// device's unchecked core when rt is non-nil, then pads the clock so the
+// total elapsed time matches per-iteration execution exactly.
+// fastPathLegal already proved the pad is non-negative.
+func (r *Runner) runHammerFast(t Target, rt ResolvedTarget, h *hammerShape, count int64) error {
 	n := int(count)
 	hold := h.hold()
 	if r.Trace != nil { // guard so the variadic args are not boxed per call
 		if h.nrows == 2 {
 			r.trace(t, "loop %dx: double-sided hammer %v rows %d/%d (hold %d ps, bulk)",
-				count, h.bank, h.rows[0], h.rows[1], hold)
+				count, h.addr, h.rows[0], h.rows[1], hold)
 		} else {
 			r.trace(t, "loop %dx: single-sided hammer %v row %d (hold %d ps, bulk)",
-				count, h.bank, h.rows[0], hold)
+				count, h.addr, h.rows[0], hold)
 		}
 	}
 	var err error
-	if h.nrows == 2 {
-		err = t.HammerPairHold(h.bank, h.rows[0], h.rows[1], n, hold)
-	} else {
-		err = t.HammerSingleHold(h.bank, h.rows[0], n, hold)
+	switch {
+	case rt != nil:
+		err = rt.HammerResolved(h.bank, h.rows, h.nrows, n, hold)
+	case h.nrows == 2:
+		err = t.HammerPairHold(h.addr, h.rows[0], h.rows[1], n, hold)
+	default:
+		err = t.HammerSingleHold(h.addr, h.rows[0], n, hold)
 	}
 	if err != nil {
 		return err

@@ -33,3 +33,62 @@ func TestBERProbeSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state BER probe allocates %.2f times per run, want 0", avg)
 	}
 }
+
+// BenchmarkRunnerBatchedProbe isolates the runner→device layer: it
+// re-runs one steady-state batched BER probe program (maxProbeBatch
+// victims of one bank, the shape HCFirstBatch searches with) at
+// alternating hammer counts set through SetLoopCount, so an iteration
+// pays no assembly, validation or planning, only execution. Besides
+// ns/op it reports ns per ACT command the runner issues (the fills' and
+// read-outs'; a hammer loop's activations are applied in bulk, at O(1)
+// cost per loop, and are not counted), and it fails if an iteration
+// allocates.
+func BenchmarkRunnerBatchedProbe(b *testing.B) {
+	h, err := NewHarnessFromConfig(config.SmallChip())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ba := addr.BankAddr{Channel: 7}
+	rows := h.Device().Geometry().Rows
+	victims := make([]int, maxProbeBatch)
+	for i := range victims {
+		victims[i] = 1 + i*((rows-2)/len(victims))
+	}
+	p := Table1()[1]
+	tras := h.Device().Config().Timing.TRAS
+	prog, err := h.buildProbes(ba, victims, 20_000, p, tras)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]BERResult, len(victims))
+	counts := [2]int64{20_000, 10_000}
+	i := 0
+	var hammerActs int64 // activations the hammer loops applied in bulk
+	run := func() {
+		for _, loop := range h.probeLoops {
+			if err := prog.SetLoopCount(loop, counts[i%2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := h.runProbes(prog, p, tras, out); err != nil {
+			b.Fatal(err)
+		}
+		hammerActs += 2 * counts[i%2] * int64(len(h.probeLoops))
+		i++
+	}
+	run() // warm: profiles, row states, the runner's plan, the read arena
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		b.Fatalf("a batched probe run allocates %.2f times, want 0", allocs)
+	}
+	acts := h.Device().Stats().Acts
+	hammerActs = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		run()
+	}
+	b.StopTimer()
+	commands := h.Device().Stats().Acts - acts - hammerActs
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(commands), "ns/act")
+}

@@ -228,24 +228,46 @@ func metricScale(name string) float64 {
 	return 1
 }
 
+// chipHCFirst is a chip's min HCfirst, undefined when no sampled row
+// flipped under the hammer ceiling (the record holds 0 then).
+func chipHCFirst(c results.ChipRecord) Value {
+	return Value{V: float64(c.MinHCFirst), OK: c.MinHCFirst > 0}
+}
+
+// chipWorstDefined reports whether a chip's worst channel was measured.
+// Its record holds a BER ratio of 0 when some channel never flipped, and
+// then cannot tell a measured worst channel from measureChip's fallback
+// to channel 0, so neither the ratio nor the channel is defined.
+func chipWorstDefined(c results.ChipRecord) bool { return c.WCDPRatio > 0 }
+
 // renderMultichip is the multichip entry's registry render: the
 // chip-to-chip comparison, the fleet aggregates by region, and the
-// stability epilogue.
+// stability epilogue. Undefined headlines read "none".
 func renderMultichip(a *results.Artifact) string {
 	var sb strings.Builder
 	sb.WriteString("Extension: chip-to-chip variation (future work 1)\n")
 	sb.WriteString("chip seed     min HCfirst  BER ratio  worst ch  TRR period\n")
 	for _, c := range a.Chips {
-		fmt.Fprintf(&sb, "%#-12x  %11d  %8.2fx  %8d  %10d\n",
-			c.Seed, c.MinHCFirst, c.WCDPRatio, c.WorstChannel, c.TRRPeriod)
+		ratio, worst := "none", "none"
+		if chipWorstDefined(c) {
+			ratio, worst = fmt.Sprintf("%.2fx", c.WCDPRatio), fmt.Sprint(c.WorstChannel)
+		}
+		fmt.Fprintf(&sb, "%#-12x  %11s  %9s  %8s  %10d\n",
+			c.Seed, chipHCFirst(c).Format("%.0f"), ratio, worst, c.TRRPeriod)
 	}
 	if len(a.Chips) > 1 {
 		mins := stats.NewStream(0, float64(core.DefaultHammers))
 		for _, c := range a.Chips {
-			mins.Add(float64(c.MinHCFirst))
+			if hc := chipHCFirst(c); hc.OK {
+				mins.Add(hc.V)
+			}
 		}
-		fmt.Fprintf(&sb, "min HCfirst across chips: %.0f .. %.0f (mean %.0f)\n",
-			mins.Min(), mins.Max(), mins.Mean())
+		if mins.N() == 0 {
+			sb.WriteString("min HCfirst across chips: none\n")
+		} else {
+			fmt.Fprintf(&sb, "min HCfirst across chips: %.0f .. %.0f (mean %.0f)\n",
+				mins.Min(), mins.Max(), mins.Mean())
+		}
 	}
 	fmt.Fprintf(&sb, "\nfleet aggregate: per-row WCDP metrics streamed across all chips, by %s\n",
 		results.ByRegion)
@@ -262,18 +284,29 @@ func renderMultichip(a *results.Artifact) string {
 
 // stableObservations reports which of the paper's key observations hold
 // on every tested chip: the design-level ones (channel grouping, TRR
-// period) should; exact cell-level numbers should not.
+// period) should; exact cell-level numbers should not. The worst channel
+// is compared across the chips that define one (see chipWorstDefined),
+// and is not stable when fewer than two do.
 func stableObservations(chips []results.ChipRecord) (worstChannelStable, trrPeriodStable bool) {
 	if len(chips) == 0 {
 		return false, false
 	}
-	worstChannelStable, trrPeriodStable = true, true
+	trrPeriodStable = true
 	for _, c := range chips[1:] {
-		if c.WorstChannel != chips[0].WorstChannel {
-			worstChannelStable = false
-		}
 		if c.TRRPeriod != chips[0].TRRPeriod {
 			trrPeriodStable = false
+		}
+	}
+	var defined []results.ChipRecord
+	for _, c := range chips {
+		if chipWorstDefined(c) {
+			defined = append(defined, c)
+		}
+	}
+	worstChannelStable = len(defined) >= 2
+	for _, c := range defined {
+		if c.WorstChannel != defined[0].WorstChannel {
+			worstChannelStable = false
 		}
 	}
 	return worstChannelStable, trrPeriodStable

@@ -411,3 +411,66 @@ func TestMultiChipHonoursHammerCeiling(t *testing.T) {
 		t.Fatalf("no chip flipped under %d hammers: %+v", ceiling, a.Chips)
 	}
 }
+
+// TestMultiChipNoFlipChipReadsNone is the repro of a chip with no flip
+// under the ceiling: its row reads "none" where it printed a 0 HCfirst,
+// and the across-chip line streams only the chip that flipped (it read
+// "0 .. 23663 (mean 11832)"). The chip record keeps its 0.
+func TestMultiChipNoFlipChipReadsNone(t *testing.T) {
+	a, err := Run("multichip", Options{Cfg: config.SmallChip(), Rows: 1, Seeds: 2, Hammers: 26000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Chips) != 2 || a.Chips[0].MinHCFirst == 0 || a.Chips[1].MinHCFirst != 0 {
+		t.Fatalf("want one chip that flips and one that does not: %+v", a.Chips)
+	}
+	out := renderMultichip(a)
+	noFlip := fmt.Sprintf("%#-12x  %11s", a.Chips[1].Seed, "none")
+	if !strings.Contains(out, noFlip) {
+		t.Errorf("the chip without a flip does not read none:\n%s", out)
+	}
+	hc := a.Chips[0].MinHCFirst
+	if want := fmt.Sprintf("min HCfirst across chips: %d .. %d (mean %d)\n", hc, hc, hc); !strings.Contains(out, want) {
+		t.Errorf("across-chip line is not %q:\n%s", want, out)
+	}
+	none := []results.ChipRecord{{Seed: 1, WCDPRatio: 2}, {Seed: 2, WCDPRatio: 2}}
+	if out := renderMultichip(&results.Artifact{Chips: none}); !strings.Contains(out, "min HCfirst across chips: none\n") {
+		t.Errorf("no chip flipped, yet the across-chip line is not none:\n%s", out)
+	}
+}
+
+// TestMultiChipUndefinedWorstChannelReadsNone is the repro of chips whose
+// worst channel is undefined (a BER ratio of 0): their ratio and worst
+// channel read "none", and the stability epilogue no longer reports the
+// channel-0 fallbacks as a stable worst channel.
+func TestMultiChipUndefinedWorstChannelReadsNone(t *testing.T) {
+	a, err := Run("multichip", Options{Cfg: config.SmallChip(), Rows: 1, Seeds: 3, Hammers: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := renderMultichip(a)
+	for _, c := range a.Chips {
+		if c.WCDPRatio != 0 {
+			t.Fatalf("chip %#x has a BER ratio %v; the repro needs none", c.Seed, c.WCDPRatio)
+		}
+		if row := fmt.Sprintf("%#-12x  %11s  %9s  %8s", c.Seed, "none", "none", "none"); !strings.Contains(out, row) {
+			t.Errorf("chip %#x row does not read none:\n%s", c.Seed, out)
+		}
+	}
+	if !strings.Contains(out, "worst channel = false") {
+		t.Errorf("undefined worst channels reported stable:\n%s", out)
+	}
+	for _, tc := range []struct {
+		name  string
+		chips []results.ChipRecord
+		want  bool
+	}{
+		{"one defined", []results.ChipRecord{{WCDPRatio: 2, WorstChannel: 7}, {WorstChannel: 0}}, false},
+		{"two agree, one undefined", []results.ChipRecord{{WorstChannel: 0}, {WCDPRatio: 2, WorstChannel: 7}, {WCDPRatio: 3, WorstChannel: 7}}, true},
+		{"two disagree", []results.ChipRecord{{WCDPRatio: 2, WorstChannel: 7}, {WCDPRatio: 3, WorstChannel: 6}}, false},
+	} {
+		if got, _ := stableObservations(tc.chips); got != tc.want {
+			t.Errorf("%s: worst channel stable = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

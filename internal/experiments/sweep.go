@@ -19,7 +19,6 @@ import (
 	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
-	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/results"
 )
@@ -32,9 +31,7 @@ import (
 // search instead of one per probe. Output is byte-identical to per-row
 // BER/HCFirst calls (pinned by the core batch equivalence tests); only
 // the probe grouping changes.
-func sweepChannel(h *core.Harness, cfg *config.Config, rowsPerRegion, hammers, ch int) ([]results.RowRecord, error) {
-	g := cfg.Geometry
-	layout := cfg.Layout()
+func sweepChannel(h *core.Harness, g addr.Geometry, layout *addr.SubarrayLayout, rowsPerRegion, hammers, ch int) ([]results.RowRecord, error) {
 	ba := addr.BankAddr{Channel: ch}
 	patterns := core.Table1()
 	var victims []int
@@ -122,12 +119,13 @@ func sweepExperiment() *Experiment {
 				return nil, err
 			}
 			perRegion, hammers := o.Rows, orDefault(o.Hammers, core.DefaultHammers)
+			layout := cfg.Layout() // once per plan, not per job: its row table costs 4 bytes a row
 			jobs := make([]Job, cfg.Geometry.Channels)
 			for ch := range jobs {
 				jobs[ch] = Job{
 					Key: fmt.Sprintf("ch%d", ch),
 					Run: func(_ context.Context, h *core.Harness) (any, error) {
-						rows, err := sweepChannel(h, cfg, perRegion, hammers, ch)
+						rows, err := sweepChannel(h, cfg.Geometry, layout, perRegion, hammers, ch)
 						if err != nil {
 							return nil, fmt.Errorf("channel %d: %w", ch, err)
 						}

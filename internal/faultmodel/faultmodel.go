@@ -464,7 +464,7 @@ func (m *Model) DistanceWeight(distance int) float64 {
 }
 
 // BlastRadius returns the maximum distance with nonzero disturbance.
-func (m *Model) BlastRadius() int { return m.cfg.Fault.BlastRadius() }
+func (m *Model) BlastRadius() int { return len(m.cfg.Fault.DistanceWeights) }
 
 // CacheLen reports the number of cached row profiles (for tests and
 // ablation benchmarks).

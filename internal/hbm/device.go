@@ -78,8 +78,12 @@ type Device struct {
 	now   int64 // simulated time in picoseconds
 	tempC float64
 
-	pcs      [][]*pseudoChannel // indexed [channel][pseudo channel]
-	modeRegs [][]uint32         // indexed [channel][register]
+	// pcs holds the pseudo channels, indexed channel*PseudoChannels +
+	// pseudo channel; banks holds every bank, indexed by BankAddr.Flat,
+	// so each pseudo channel's banks are one contiguous run of it.
+	pcs      []pseudoChannel
+	banks    []bankState
+	modeRegs [][]uint32 // indexed [channel][register]
 
 	stats Stats
 
@@ -92,7 +96,7 @@ type Device struct {
 }
 
 type pseudoChannel struct {
-	banks   []*bankState
+	banks   []bankState // this pseudo channel's run of Device.banks
 	eng     *trr.Engine
 	doc     *trr.DocumentedMode
 	docBank int
@@ -101,7 +105,9 @@ type pseudoChannel struct {
 }
 
 type bankState struct {
-	open    int // physical row latched in the row buffer, -1 when precharged
+	addr    addr.BankAddr  // the bank's own address, for the fault model and errors
+	pc      *pseudoChannel // the pseudo channel the bank belongs to
+	open    int            // physical row latched in the row buffer, -1 when precharged
 	lastAct int64
 	lastPre int64
 	// rows holds the materialized physical rows, indexed by physical row
@@ -160,31 +166,33 @@ func New(cfg *config.Config) (*Device, error) {
 		senseRef: forceReferenceSense.Load(),
 	}
 	g := cfg.Geometry
-	d.pcs = make([][]*pseudoChannel, g.Channels)
-	d.modeRegs = make([][]uint32, g.Channels)
-	for ch := 0; ch < g.Channels; ch++ {
-		d.pcs[ch] = make([]*pseudoChannel, g.PseudoChannels)
-		for pc := 0; pc < g.PseudoChannels; pc++ {
-			eng, err := trr.NewEngine(cfg.TRR, g.Banks, g.Rows)
-			if err != nil {
-				return nil, fmt.Errorf("hbm: %w", err)
-			}
-			banks := make([]*bankState, g.Banks)
-			for b := range banks {
-				banks[b] = &bankState{
-					open:    -1,
-					lastAct: farPast,
-					lastPre: farPast,
-				}
-			}
-			d.pcs[ch][pc] = &pseudoChannel{
-				banks:   banks,
-				eng:     eng,
-				doc:     trr.NewDocumentedMode(g.Rows, cfg.TRR.NeighborRadius),
-				docBank: -1,
-				lastRef: farPast,
+	d.pcs = make([]pseudoChannel, g.Channels*g.PseudoChannels)
+	d.banks = make([]bankState, g.TotalBanks())
+	for i := range d.pcs {
+		eng, err := trr.NewEngine(cfg.TRR, g.Banks, g.Rows)
+		if err != nil {
+			return nil, fmt.Errorf("hbm: %w", err)
+		}
+		pc := &d.pcs[i]
+		*pc = pseudoChannel{
+			banks:   d.banks[i*g.Banks : (i+1)*g.Banks],
+			eng:     eng,
+			doc:     trr.NewDocumentedMode(g.Rows, cfg.TRR.NeighborRadius),
+			docBank: -1,
+			lastRef: farPast,
+		}
+		for b := range pc.banks {
+			pc.banks[b] = bankState{
+				addr:    addr.BankAddr{Channel: i / g.PseudoChannels, PseudoChannel: i % g.PseudoChannels, Bank: b},
+				pc:      pc,
+				open:    -1,
+				lastAct: farPast,
+				lastPre: farPast,
 			}
 		}
+	}
+	d.modeRegs = make([][]uint32, g.Channels)
+	for ch := range d.modeRegs {
 		d.modeRegs[ch] = make([]uint32, NumModeRegisters)
 		d.modeRegs[ch][MRECC] = MRECCEnable // ECC enabled at power-up
 	}
@@ -225,12 +233,29 @@ func (d *Device) Temperature() float64 { return d.tempC }
 // does. Retention times scale with the Arrhenius factor at sense time.
 func (d *Device) SetTemperature(c float64) { d.tempC = c }
 
-func (d *Device) bankAt(b addr.BankAddr) (*pseudoChannel, *bankState, error) {
-	if !b.Valid(d.cfg.Geometry) {
-		return nil, nil, fmt.Errorf("hbm: bank %v: %w", b, ErrAddress)
+// Checked and resolved commands. Every bank command has one core, an
+// unexported method that takes the resolved *bankState and performs the
+// command's timing and bank-state checks and its effects. The public
+// checked methods (Activate, Precharge, ReadInto, ...) first prove the
+// address in range — the bank, then the row or column — and then call
+// the core. The *Resolved methods call the same core on a bank given as
+// its BankAddr.Flat index and skip that proof: the DRAM Bender runner
+// issues them for programs whose validation already proved every operand
+// in range. Out-of-range operands to a *Resolved method panic or address
+// the wrong cell; everything else should use the checked methods.
+
+// bankAt is the address proof of a checked bank command.
+func (d *Device) bankAt(b addr.BankAddr) (*bankState, error) {
+	g := d.cfg.Geometry
+	if !b.Valid(g) {
+		return nil, fmt.Errorf("hbm: bank %v: %w", b, ErrAddress)
 	}
-	pc := d.pcs[b.Channel][b.PseudoChannel]
-	return pc, pc.banks[b.Bank], nil
+	return &d.banks[b.Flat(g)], nil
+}
+
+// pcAt returns a pseudo channel the caller has proven in range.
+func (d *Device) pcAt(ch, pc int) *pseudoChannel {
+	return &d.pcs[ch*d.cfg.Geometry.PseudoChannels+pc]
 }
 
 func (d *Device) row(bank *bankState, physRow int) *rowState {
@@ -249,7 +274,11 @@ func (d *Device) row(bank *bankState, physRow int) *rowState {
 // (materializing any accumulated bitflips and restoring charge), disturbs
 // physical neighbours, and feeds the TRR sampler.
 func (d *Device) Activate(b addr.BankAddr, logicalRow int) error {
-	return d.activate(b, logicalRow, true)
+	bank, err := d.activateAt(b, logicalRow)
+	if err != nil {
+		return err
+	}
+	return d.activate(bank, logicalRow, true)
 }
 
 // ActivateOverwrite is Activate for a row the caller fully rewrites
@@ -260,37 +289,53 @@ func (d *Device) Activate(b addr.BankAddr, logicalRow int) error {
 // bitflips. Those flips are unobservable: no other row of the bank can be
 // sensed while this one is open, and every bit is overwritten before the
 // row can be read or its data can couple into a neighbour's sense. The
-// DRAM Bender runner calls it for such overwrite blocks.
+// DRAM Bender runner opens such overwrite blocks through its resolved
+// form, ActivateResolved with overwrite set.
 func (d *Device) ActivateOverwrite(b addr.BankAddr, logicalRow int) error {
-	return d.activate(b, logicalRow, false)
-}
-
-// activate implements Activate and ActivateOverwrite; flips selects
-// whether the sense computes and commits bitflips.
-func (d *Device) activate(b addr.BankAddr, logicalRow int, flips bool) error {
-	pc, bank, err := d.bankAt(b)
+	bank, err := d.activateAt(b, logicalRow)
 	if err != nil {
 		return err
 	}
+	return d.activate(bank, logicalRow, false)
+}
+
+// ActivateResolved is Activate, or with overwrite ActivateOverwrite, on
+// the bank at flat index bank, without the address proof.
+func (d *Device) ActivateResolved(bank, logicalRow int, overwrite bool) error {
+	return d.activate(&d.banks[bank], logicalRow, !overwrite)
+}
+
+// activateAt is the address proof of an activation.
+func (d *Device) activateAt(b addr.BankAddr, logicalRow int) (*bankState, error) {
+	bank, err := d.bankAt(b)
+	if err != nil {
+		return nil, err
+	}
 	if logicalRow < 0 || logicalRow >= d.cfg.Geometry.Rows {
-		return fmt.Errorf("hbm: activate row %d: %w", logicalRow, ErrAddress)
+		return nil, fmt.Errorf("hbm: activate row %d: %w", logicalRow, ErrAddress)
 	}
+	return bank, nil
+}
+
+// activate is the core of Activate and ActivateOverwrite; flips selects
+// whether the sense computes and commits bitflips.
+func (d *Device) activate(bank *bankState, logicalRow int, flips bool) error {
 	if bank.open != -1 {
-		return fmt.Errorf("hbm: activate %v while row %d open: %w", b, bank.open, ErrState)
+		return fmt.Errorf("hbm: activate %v while row %d open: %w", bank.addr, bank.open, ErrState)
 	}
-	t := d.cfg.Timing
+	t := &d.cfg.Timing
 	switch {
 	case d.now-bank.lastPre < t.TRP:
-		return fmt.Errorf("hbm: activate %v violates tRP: %w", b, ErrTiming)
+		return fmt.Errorf("hbm: activate %v violates tRP: %w", bank.addr, ErrTiming)
 	case d.now-bank.lastAct < t.TRC:
-		return fmt.Errorf("hbm: activate %v violates tRC: %w", b, ErrTiming)
-	case d.now-pc.lastRef < t.TRFC:
-		return fmt.Errorf("hbm: activate %v violates tRFC: %w", b, ErrTiming)
+		return fmt.Errorf("hbm: activate %v violates tRC: %w", bank.addr, ErrTiming)
+	case d.now-bank.pc.lastRef < t.TRFC:
+		return fmt.Errorf("hbm: activate %v violates tRFC: %w", bank.addr, ErrTiming)
 	}
 	phys := d.mapper.ToPhysical(logicalRow)
-	d.senseAndRestore(b, bank, phys, d.now, flips)
-	d.applyDisturb(b, phys, 1)
-	pc.eng.ObserveActivate(b.Bank, phys)
+	d.senseAndRestore(bank, phys, d.now, flips)
+	d.applyDisturb(bank, phys, 1)
+	bank.pc.eng.ObserveActivate(bank.addr.Bank, phys)
 	bank.open = phys
 	bank.lastAct = d.now
 	d.stats.Acts++
@@ -303,7 +348,7 @@ func (d *Device) activate(b addr.BankAddr, logicalRow int, flips bool) error {
 // holdPS: the RowPress read-disturb amplification. Minimum-timing
 // activations (hold = tRAS) earn nothing.
 func (d *Device) rowPressExtra(holdPS int64) float64 {
-	f := d.cfg.Fault
+	f := &d.cfg.Fault
 	tras := d.cfg.Timing.TRAS
 	if f.RowPressGain <= 0 || holdPS <= tras {
 		return 0
@@ -320,17 +365,26 @@ func (d *Device) rowPressExtra(holdPS int64) float64 {
 // disturbance on their neighbours, settled here where the hold time is
 // known.
 func (d *Device) Precharge(b addr.BankAddr) error {
-	_, bank, err := d.bankAt(b)
+	bank, err := d.bankAt(b)
 	if err != nil {
 		return err
 	}
+	return d.precharge(bank)
+}
+
+// PrechargeResolved is Precharge on the bank at flat index bank, without
+// the address proof.
+func (d *Device) PrechargeResolved(bank int) error { return d.precharge(&d.banks[bank]) }
+
+// precharge is the core of Precharge.
+func (d *Device) precharge(bank *bankState) error {
 	if bank.open != -1 {
 		hold := d.now - bank.lastAct
 		if hold < d.cfg.Timing.TRAS {
-			return fmt.Errorf("hbm: precharge %v violates tRAS: %w", b, ErrTiming)
+			return fmt.Errorf("hbm: precharge %v violates tRAS: %w", bank.addr, ErrTiming)
 		}
 		if extra := d.rowPressExtra(hold); extra > 0 {
-			d.applyDisturb(b, bank.open, extra)
+			d.applyDisturb(bank, bank.open, extra)
 		}
 		bank.open = -1
 		bank.lastPre = d.now
@@ -345,16 +399,16 @@ func (d *Device) PrechargeAll(ch, pc int) error {
 	if err := d.checkPC(ch, pc); err != nil {
 		return err
 	}
-	for bank := 0; bank < d.cfg.Geometry.Banks; bank++ {
-		b := addr.BankAddr{Channel: ch, PseudoChannel: pc, Bank: bank}
-		state := d.pcs[ch][pc].banks[bank]
+	banks := d.pcAt(ch, pc).banks
+	for i := range banks {
+		state := &banks[i]
 		if state.open != -1 {
 			hold := d.now - state.lastAct
 			if hold < d.cfg.Timing.TRAS {
-				return fmt.Errorf("hbm: precharge-all %v violates tRAS: %w", b, ErrTiming)
+				return fmt.Errorf("hbm: precharge-all %v violates tRAS: %w", state.addr, ErrTiming)
 			}
 			if extra := d.rowPressExtra(hold); extra > 0 {
-				d.applyDisturb(b, state.open, extra)
+				d.applyDisturb(state, state.open, extra)
 			}
 			state.open = -1
 			state.lastPre = d.now
@@ -373,21 +427,28 @@ func (d *Device) checkPC(ch, pc int) error {
 	return nil
 }
 
-func (d *Device) columnAccess(b addr.BankAddr, col int) (*bankState, error) {
-	_, bank, err := d.bankAt(b)
+// columnAt is the address proof of a column access.
+func (d *Device) columnAt(b addr.BankAddr, col int) (*bankState, error) {
+	bank, err := d.bankAt(b)
 	if err != nil {
 		return nil, err
 	}
 	if col < 0 || col >= d.cfg.Geometry.Columns {
 		return nil, fmt.Errorf("hbm: column %d: %w", col, ErrAddress)
 	}
+	return bank, nil
+}
+
+// columnAccess is the bank-state and timing check every column access
+// core makes first.
+func (d *Device) columnAccess(bank *bankState) error {
 	if bank.open == -1 {
-		return nil, fmt.Errorf("hbm: column access to precharged bank %v: %w", b, ErrState)
+		return fmt.Errorf("hbm: column access to precharged bank %v: %w", bank.addr, ErrState)
 	}
 	if d.now-bank.lastAct < d.cfg.Timing.TRCD {
-		return nil, fmt.Errorf("hbm: column access to %v violates tRCD: %w", b, ErrTiming)
+		return fmt.Errorf("hbm: column access to %v violates tRCD: %w", bank.addr, ErrTiming)
 	}
-	return bank, nil
+	return nil
 }
 
 // Read returns the data of one column of the open row. Bitflips were
@@ -402,10 +463,25 @@ func (d *Device) Read(b addr.BankAddr, col int) ([]byte, error) {
 
 // ReadInto reads one column of the open row into a caller-provided buffer
 // of exactly ColumnBytes, avoiding Read's per-call allocation — the hot
-// read-out path (bender.Runner) reuses one arena across a whole program.
+// read-out path (bender.Runner, through ReadResolved) reuses one arena
+// across a whole program.
 func (d *Device) ReadInto(b addr.BankAddr, col int, dst []byte) error {
-	bank, err := d.columnAccess(b, col)
+	bank, err := d.columnAt(b, col)
 	if err != nil {
+		return err
+	}
+	return d.read(bank, col, dst)
+}
+
+// ReadResolved is ReadInto on the bank at flat index bank, without the
+// address proof.
+func (d *Device) ReadResolved(bank, col int, dst []byte) error {
+	return d.read(&d.banks[bank], col, dst)
+}
+
+// read is the core of ReadInto.
+func (d *Device) read(bank *bankState, col int, dst []byte) error {
+	if err := d.columnAccess(bank); err != nil {
 		return err
 	}
 	n := d.cfg.Geometry.ColumnBytes
@@ -426,8 +502,22 @@ func (d *Device) ReadInto(b addr.BankAddr, col int, dst []byte) error {
 // Write stores data into one column of the open row, fully recharging the
 // written cells.
 func (d *Device) Write(b addr.BankAddr, col int, data []byte) error {
-	bank, err := d.columnAccess(b, col)
+	bank, err := d.columnAt(b, col)
 	if err != nil {
+		return err
+	}
+	return d.write(bank, col, data)
+}
+
+// WriteResolved is Write on the bank at flat index bank, without the
+// address proof.
+func (d *Device) WriteResolved(bank, col int, data []byte) error {
+	return d.write(&d.banks[bank], col, data)
+}
+
+// write is the core of Write.
+func (d *Device) write(bank *bankState, col int, data []byte) error {
+	if err := d.columnAccess(bank); err != nil {
 		return err
 	}
 	n := d.cfg.Geometry.ColumnBytes
@@ -447,8 +537,22 @@ func (d *Device) Write(b addr.BankAddr, col int, data []byte) error {
 // open row and the activation time, and each only advances the clock, so
 // the first one's access check stands for all of them.
 func (d *Device) WriteRow(b addr.BankAddr, data []byte) error {
-	bank, err := d.columnAccess(b, 0)
+	bank, err := d.bankAt(b)
 	if err != nil {
+		return err
+	}
+	return d.writeRow(bank, data)
+}
+
+// WriteRowResolved is WriteRow on the bank at flat index bank, without
+// the address proof.
+func (d *Device) WriteRowResolved(bank int, data []byte) error {
+	return d.writeRow(&d.banks[bank], data)
+}
+
+// writeRow is the core of WriteRow.
+func (d *Device) writeRow(bank *bankState, data []byte) error {
+	if err := d.columnAccess(bank); err != nil {
 		return err
 	}
 	g := d.cfg.Geometry
@@ -474,23 +578,23 @@ func (d *Device) Refresh(ch, pc int) error {
 	if err := d.checkPC(ch, pc); err != nil {
 		return err
 	}
-	p := d.pcs[ch][pc]
+	p := d.pcAt(ch, pc)
 	if d.now-p.lastRef < d.cfg.Timing.TRFC {
 		return fmt.Errorf("hbm: refresh ch%d.pc%d violates tRFC: %w", ch, pc, ErrTiming)
 	}
-	for i, bank := range p.banks {
-		if bank.open != -1 {
+	for i := range p.banks {
+		if p.banks[i].open != -1 {
 			return fmt.Errorf("hbm: refresh ch%d.pc%d with bank %d open: %w", ch, pc, i, ErrState)
 		}
 	}
 	g := d.cfg.Geometry
 	rowsPerRef := (g.Rows + d.cfg.Timing.RefsPerWindow() - 1) / d.cfg.Timing.RefsPerWindow()
-	for bi, bank := range p.banks {
-		b := addr.BankAddr{Channel: ch, PseudoChannel: pc, Bank: bi}
+	for i := range p.banks {
+		bank := &p.banks[i]
 		for k := 0; k < rowsPerRef; k++ {
 			phys := (p.refPtr + k) % g.Rows
 			if bank.rowAt(phys) != nil {
-				d.senseAndRestore(b, bank, phys, d.now, true)
+				d.senseAndRestore(bank, phys, d.now, true)
 			}
 		}
 	}
@@ -498,19 +602,17 @@ func (d *Device) Refresh(ch, pc int) error {
 
 	// Proprietary TRR: victim refreshes every RefPeriod REFs.
 	for _, vr := range p.eng.OnRefresh() {
-		b := addr.BankAddr{Channel: ch, PseudoChannel: pc, Bank: vr.Bank}
-		bank := p.banks[vr.Bank]
+		bank := &p.banks[vr.Bank]
 		for _, phys := range vr.Rows {
-			d.senseAndRestore(b, bank, phys, d.now, true)
+			d.senseAndRestore(bank, phys, d.now, true)
 			d.stats.TRRVictimRefreshes++
 		}
 	}
 	// Documented TRR mode, if the controller engaged it.
 	if p.doc.Active() && p.docBank >= 0 {
-		b := addr.BankAddr{Channel: ch, PseudoChannel: pc, Bank: p.docBank}
-		bank := p.banks[p.docBank]
+		bank := &p.banks[p.docBank]
 		for _, phys := range p.doc.OnRefresh() {
-			d.senseAndRestore(b, bank, phys, d.now, true)
+			d.senseAndRestore(bank, phys, d.now, true)
 			d.stats.TRRVictimRefreshes++
 		}
 	}
@@ -538,7 +640,7 @@ func (d *Device) EnterTRRMode(ch, pc, bank int, targets []int) error {
 		}
 		phys[i] = d.mapper.ToPhysical(t)
 	}
-	p := d.pcs[ch][pc]
+	p := d.pcAt(ch, pc)
 	if err := p.doc.Enter(phys); err != nil {
 		return fmt.Errorf("hbm: %w", err)
 	}
@@ -551,8 +653,9 @@ func (d *Device) ExitTRRMode(ch, pc int) error {
 	if err := d.checkPC(ch, pc); err != nil {
 		return err
 	}
-	d.pcs[ch][pc].doc.Exit()
-	d.pcs[ch][pc].docBank = -1
+	p := d.pcAt(ch, pc)
+	p.doc.Exit()
+	p.docBank = -1
 	return nil
 }
 
@@ -588,8 +691,7 @@ func (d *Device) eccEnabled(ch int) bool {
 // When VerticalCoupling is configured (the paper's cross-channel
 // interference question), a fraction of the distance-1 disturbance leaks
 // to the same physical row of the vertically adjacent channels.
-func (d *Device) applyDisturb(b addr.BankAddr, physRow int, scale float64) {
-	bank := d.pcs[b.Channel][b.PseudoChannel].banks[b.Bank]
+func (d *Device) applyDisturb(bank *bankState, physRow int, scale float64) {
 	radius := d.fm.BlastRadius()
 	lo, hi := d.layout.Bounds(physRow)
 	for dist := 1; dist <= radius; dist++ {
@@ -603,12 +705,14 @@ func (d *Device) applyDisturb(b addr.BankAddr, physRow int, scale float64) {
 	}
 	if vc := d.cfg.Fault.VerticalCoupling; vc > 0 {
 		w := vc * d.fm.DistanceWeight(1) * scale
-		for vch := b.Channel - 2; vch <= b.Channel+2; vch += 4 {
-			if vch < 0 || vch >= d.cfg.Geometry.Channels {
+		g := d.cfg.Geometry
+		for _, vch := range [2]int{bank.addr.Channel - 2, bank.addr.Channel + 2} {
+			if vch < 0 || vch >= g.Channels {
 				continue
 			}
-			vbank := d.pcs[vch][b.PseudoChannel].banks[b.Bank]
-			d.row(vbank, physRow).disturb += w
+			vb := bank.addr
+			vb.Channel = vch
+			d.row(&d.banks[vb.Flat(g)], physRow).disturb += w
 		}
 	}
 }
@@ -619,35 +723,53 @@ func (d *Device) applyDisturb(b addr.BankAddr, physRow int, scale float64) {
 // would run, applied in one step for simulation speed; timing-wise it
 // occupies n*2*tRC.
 func (d *Device) HammerPair(b addr.BankAddr, rowA, rowB, n int) error {
-	return d.hammer(b, [2]int{rowA, rowB}, 2, n, d.cfg.Timing.TRAS)
+	return d.hammerAt(b, [2]int{rowA, rowB}, 2, n, d.cfg.Timing.TRAS)
 }
 
 // HammerSingle performs n single-sided hammers (n activations) of one
 // logical aggressor row at minimum timing, occupying n*tRC.
 func (d *Device) HammerSingle(b addr.BankAddr, row, n int) error {
-	return d.hammer(b, [2]int{row}, 1, n, d.cfg.Timing.TRAS)
+	return d.hammerAt(b, [2]int{row}, 1, n, d.cfg.Timing.TRAS)
 }
 
 // HammerPairHold is HammerPair with each activation held open for holdPS
 // (>= tRAS) before its precharge, accumulating RowPress amplification.
 // Each activation occupies holdPS+tRP.
 func (d *Device) HammerPairHold(b addr.BankAddr, rowA, rowB, n int, holdPS int64) error {
-	return d.hammer(b, [2]int{rowA, rowB}, 2, n, holdPS)
+	return d.hammerAt(b, [2]int{rowA, rowB}, 2, n, holdPS)
 }
 
 // HammerSingleHold is HammerSingle with a per-activation hold time.
 func (d *Device) HammerSingleHold(b addr.BankAddr, row, n int, holdPS int64) error {
-	return d.hammer(b, [2]int{row}, 1, n, holdPS)
+	return d.hammerAt(b, [2]int{row}, 1, n, holdPS)
 }
 
-// hammer applies a one- or two-aggressor hammer burst. Aggressors arrive
-// in a fixed-size array (never more than two) so the hot probe loop stays
-// allocation-free.
-func (d *Device) hammer(b addr.BankAddr, logicalRows [2]int, nrows, n int, holdPS int64) error {
-	pc, bank, err := d.bankAt(b)
+// HammerResolved is HammerSingleHold (nrows 1) or HammerPairHold (nrows
+// 2) of the aggressors rows[:nrows] on the bank at flat index bank,
+// without the address proof.
+func (d *Device) HammerResolved(bank int, rows [2]int, nrows, n int, holdPS int64) error {
+	return d.hammer(&d.banks[bank], rows, nrows, n, holdPS)
+}
+
+// hammerAt proves a hammer burst's address and runs it on the core.
+func (d *Device) hammerAt(b addr.BankAddr, logicalRows [2]int, nrows, n int, holdPS int64) error {
+	bank, err := d.bankAt(b)
 	if err != nil {
 		return err
 	}
+	for _, r := range logicalRows[:nrows] {
+		if r < 0 || r >= d.cfg.Geometry.Rows {
+			return fmt.Errorf("hbm: hammer row %d: %w", r, ErrAddress)
+		}
+	}
+	return d.hammer(bank, logicalRows, nrows, n, holdPS)
+}
+
+// hammer is the core of the hammer bursts: one or two aggressors.
+// Aggressors arrive in a fixed-size array (never more than two) so the
+// hot probe loop stays allocation-free.
+func (d *Device) hammer(bank *bankState, logicalRows [2]int, nrows, n int, holdPS int64) error {
+	b, pc := bank.addr, bank.pc
 	if n <= 0 {
 		return fmt.Errorf("hbm: hammer count %d must be positive: %w", n, ErrAddress)
 	}
@@ -669,9 +791,6 @@ func (d *Device) hammer(b addr.BankAddr, logicalRows [2]int, nrows, n int, holdP
 	var physArr [2]int
 	phys := physArr[:nrows]
 	for i, r := range logicalRows[:nrows] {
-		if r < 0 || r >= d.cfg.Geometry.Rows {
-			return fmt.Errorf("hbm: hammer row %d: %w", r, ErrAddress)
-		}
 		phys[i] = d.mapper.ToPhysical(r)
 		for j := 0; j < i; j++ {
 			if phys[j] == phys[i] {
@@ -686,13 +805,13 @@ func (d *Device) hammer(b addr.BankAddr, logicalRows [2]int, nrows, n int, holdP
 	// Each aggressor is sensed on its first activation: accumulated
 	// faults materialize and its decay clock resets.
 	for _, p := range phys {
-		d.senseAndRestore(b, bank, p, d.now, true)
+		d.senseAndRestore(bank, p, d.now, true)
 	}
 	// Per-activation disturbance: the base unit plus any RowPress
 	// amplification from holding the row open beyond tRAS.
 	perAct := 1 + d.rowPressExtra(holdPS)
 	for _, p := range phys {
-		d.applyDisturb(b, p, float64(n)*perAct)
+		d.applyDisturb(bank, p, float64(n)*perAct)
 		pc.eng.ObserveActivate(b.Bank, p)
 	}
 	// The aggressors alternate, so each is re-sensed every other

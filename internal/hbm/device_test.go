@@ -265,7 +265,7 @@ func TestDisturbanceDoesNotCrossSubarrayBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The row across the boundary must have accumulated no disturbance.
-	bank := d.pcs[b.Channel][b.PseudoChannel].banks[b.Bank]
+	bank := d.bankOf(b.Channel, b.PseudoChannel, b.Bank)
 	if rs := bank.rowAt(edge + 1); rs != nil && rs.disturb != 0 {
 		t.Fatalf("row %d across the subarray boundary accumulated %v disturbance", edge+1, rs.disturb)
 	}
@@ -311,8 +311,8 @@ func TestHammerPairMatchesExplicitActPreLoop(t *testing.T) {
 		}
 	}
 
-	bb := bulk.pcs[b.Channel][b.PseudoChannel].banks[b.Bank]
-	lb2 := loop.pcs[b.Channel][b.PseudoChannel].banks[b.Bank]
+	bb := bulk.bankOf(b.Channel, b.PseudoChannel, b.Bank)
+	lb2 := loop.bankOf(b.Channel, b.PseudoChannel, b.Bank)
 	for phys, rsLoop := range lb2.rows {
 		if rsLoop == nil {
 			continue

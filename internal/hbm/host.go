@@ -88,7 +88,7 @@ func closeRow(d *Device, b addr.BankAddr) error {
 }
 
 func (d *Device) lastActOf(b addr.BankAddr) int64 {
-	_, bank, err := d.bankAt(b)
+	bank, err := d.bankAt(b)
 	if err != nil {
 		return farPast
 	}

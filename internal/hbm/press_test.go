@@ -140,8 +140,8 @@ func TestExplicitLongHoldMatchesBulkPress(t *testing.T) {
 		}
 	}
 
-	bb := bulk.pcs[b.Channel][b.PseudoChannel].banks[b.Bank]
-	lb2 := loop.pcs[b.Channel][b.PseudoChannel].banks[b.Bank]
+	bb := bulk.bankOf(b.Channel, b.PseudoChannel, b.Bank)
+	lb2 := loop.bankOf(b.Channel, b.PseudoChannel, b.Bank)
 	for phys, rsLoop := range lb2.rows {
 		if rsLoop == nil {
 			continue
@@ -198,7 +198,7 @@ func TestVerticalCouplingOffByDefault(t *testing.T) {
 	}
 	// The same row of the vertically adjacent channels must be untouched.
 	for _, vch := range []int{2, 6} {
-		vbank := d.pcs[vch][0].banks[0]
+		vbank := d.bankOf(vch, 0, 0)
 		if rs := vbank.rowAt(phys); rs != nil && rs.disturb != 0 {
 			t.Fatalf("channel %d row %d disturbed %v with coupling disabled", vch, phys, rs.disturb)
 		}
@@ -216,7 +216,7 @@ func TestVerticalCouplingDisturbsAdjacentDies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, vch := range []int{2, 6} {
-		vbank := d.pcs[vch][0].banks[0]
+		vbank := d.bankOf(vch, 0, 0)
 		rs := vbank.rowAt(phys)
 		if rs == nil || rs.disturb == 0 {
 			t.Fatalf("channel %d row %d not disturbed despite vertical coupling", vch, phys)
@@ -228,7 +228,7 @@ func TestVerticalCouplingDisturbsAdjacentDies(t *testing.T) {
 	}
 	// Channels on the same die (+/-1) must be untouched.
 	for _, sch := range []int{3, 5} {
-		sbank := d.pcs[sch][0].banks[0]
+		sbank := d.bankOf(sch, 0, 0)
 		if rs := sbank.rowAt(phys); rs != nil && rs.disturb != 0 {
 			t.Fatalf("same-die channel %d disturbed; coupling is vertical only", sch)
 		}

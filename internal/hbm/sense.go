@@ -45,7 +45,7 @@ func (d *Device) SetSenseReference(on bool) { d.senseRef = on }
 // profile's key and retention minima to skip rows and words that cannot
 // flip; it is bit-for-bit identical (pinned by differential fuzz and golden
 // tests) and allocation-free in steady state.
-func (d *Device) senseAndRestore(b addr.BankAddr, bank *bankState, physRow int, at int64, flips bool) {
+func (d *Device) senseAndRestore(bank *bankState, physRow int, at int64, flips bool) {
 	rs := d.row(bank, physRow)
 	disturb := rs.disturb
 	elapsedSec := float64(at-rs.lastSense) * 1e-12
@@ -71,10 +71,10 @@ func (d *Device) senseAndRestore(b addr.BankAddr, bank *bankState, physRow int, 
 		return
 	}
 	if d.senseRef {
-		d.senseReference(b, bank, rs, physRow, disturb, elapsedSec, tscale, thrTemp, retPass, distPass)
+		d.senseReference(bank.addr, bank, rs, physRow, disturb, elapsedSec, tscale, thrTemp, retPass, distPass)
 		return
 	}
-	d.senseFast(b, bank, rs, physRow, disturb, elapsedSec, tscale, thrTemp, retPass, distPass)
+	d.senseFast(bank.addr, bank, rs, physRow, disturb, elapsedSec, tscale, thrTemp, retPass, distPass)
 }
 
 // floor32 returns the largest float32 not above x, so that for every

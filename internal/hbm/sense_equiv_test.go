@@ -120,14 +120,19 @@ func compareDevices(t *testing.T, fast, ref *Device) {
 
 // compareRows fails the test unless every row of both devices has the
 // same data image, disturbance and charge clock.
+// bankOf returns the state of bank ch.pc.bk, for white-box checks.
+func (d *Device) bankOf(ch, pc, bk int) *bankState {
+	return &d.banks[addr.BankAddr{Channel: ch, PseudoChannel: pc, Bank: bk}.Flat(d.cfg.Geometry)]
+}
+
 func compareRows(t *testing.T, fast, ref *Device) {
 	t.Helper()
 	g := fast.Geometry()
 	for ch := 0; ch < g.Channels; ch++ {
 		for pc := 0; pc < g.PseudoChannels; pc++ {
 			for bk := 0; bk < g.Banks; bk++ {
-				fb := fast.pcs[ch][pc].banks[bk]
-				rb := ref.pcs[ch][pc].banks[bk]
+				fb := fast.bankOf(ch, pc, bk)
+				rb := ref.bankOf(ch, pc, bk)
 				for phys := 0; phys < g.Rows; phys++ {
 					fr, rr := fb.rowAt(phys), rb.rowAt(phys)
 					var fd, rd []byte
