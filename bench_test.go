@@ -341,9 +341,8 @@ func BenchmarkExtAdaptiveDefense(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := h.Device()
-	guard := hbmrh.NewDefenseGuard(d, hbmrh.UniformPolicy{T: 8000})
-	m := d.Mapper()
+	guard := hbmrh.NewDefenseGuard(h, hbmrh.UniformPolicy{T: 8000})
+	m := h.Device().Mapper()
 	row := midSubarrayRow(h)
 	bank := hbmrh.BankAddr{Channel: 7, PseudoChannel: 0, Bank: 0}
 	b.ResetTimer()

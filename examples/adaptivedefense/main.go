@@ -63,29 +63,24 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dev := hh.Device()
-		guard := hbmrh.NewDefenseGuard(dev, policy)
-		m := dev.Mapper()
-		pattern := make([]byte, dev.Geometry().RowBytes())
-		for i := range pattern {
-			pattern[i] = 0xFF
-		}
+		guard := hbmrh.NewDefenseGuard(hh, policy)
+		m := hh.Device().Mapper()
+		lv := m.ToLogical(probe)
 		flips := 0
 		for ch := 0; ch < cfg.Geometry.Channels; ch++ {
 			b := hbmrh.BankAddr{Channel: ch}
-			lv := m.ToLogical(probe)
-			if err := hbmrh.WriteRow(dev, b, lv, pattern); err != nil {
+			if _, err := hh.Exec(func(bb *hbmrh.BenderBuilder) { bb.WriteRowFill(b, lv, 0xFF) }); err != nil {
 				log.Fatal(err)
 			}
 			if err := guard.Hammer(b, m.ToLogical(probe-1), m.ToLogical(probe+1),
 				3*hbmrh.DefaultHammers); err != nil {
 				log.Fatal(err)
 			}
-			got, err := hbmrh.ReadRow(dev, b, lv)
+			res, err := hh.Exec(func(bb *hbmrh.BenderBuilder) { bb.ReadRowOut(b, lv) })
 			if err != nil {
 				log.Fatal(err)
 			}
-			flips += hbmrh.CountMismatches(got, pattern)
+			flips += hbmrh.CountFlips(res.Reads, 0xFF)
 		}
 		return flips, guard.Stats().PreventiveRefreshes
 	}

@@ -9,7 +9,9 @@
 // the paper's full characterization pipeline on top of it:
 //
 //   - Open a chip with Open(PaperChip()) or Open(SmallChip()).
-//   - Per-row measurements (BER, HCfirst, WCDP) via NewHarness.
+//   - Per-row measurements (BER, HCfirst, WCDP) via NewHarness, and
+//     any other command sequence as a DRAM Bender program run by
+//     Harness.Exec, with CountFlips over its reads.
 //   - Every study — the Figs. 3-6 sweep and fig6 studies, the Section 5
 //     TRR discovery (trrstudy) and its probes (utrrprobe) at
 //     ExperimentOptions.Bank, the multi-chip fleet scan and the Section
@@ -75,19 +77,6 @@ func SmallChip() *Config { return config.SmallChip() }
 // Open powers up a simulated chip.
 func Open(cfg *Config) (*Device, error) { return hbm.New(cfg) }
 
-// Host-level row helpers (timing-correct ACT/RD/WR/PRE sequences).
-var (
-	// WriteRow writes a full row image.
-	WriteRow = hbm.WriteRow
-	// ReadRow reads a full row image; pending bitflips materialize at the
-	// activation, as in real DRAM.
-	ReadRow = hbm.ReadRow
-	// RefreshRow refreshes one row via activate + precharge.
-	RefreshRow = hbm.RefreshRow
-	// CountMismatches counts differing bits between two row images.
-	CountMismatches = hbm.CountMismatches
-)
-
 // Mode register constants (the paper disables ECC through MRECC).
 const (
 	MRECC       = hbm.MRECC
@@ -115,6 +104,10 @@ func NewHarness(d *Device) (*Harness, error) { return core.NewHarness(d) }
 
 // NewHarnessFromConfig builds a fresh device plus harness.
 func NewHarnessFromConfig(cfg *Config) (*Harness, error) { return core.NewHarnessFromConfig(cfg) }
+
+// CountFlips counts the bits of a program's reads that differ from the
+// fill byte the rows were written with.
+func CountFlips(reads [][]byte, fill byte) int { return core.CountFlips(reads, fill) }
 
 // Table1 returns the paper's four data patterns.
 func Table1() []Pattern { return core.Table1() }
@@ -358,8 +351,8 @@ type (
 	AdaptivePolicy = defense.Adaptive
 )
 
-// NewDefenseGuard wraps a device's activation path with the policy.
-func NewDefenseGuard(d *Device, p DefensePolicy) *DefenseGuard { return defense.NewGuard(d, p) }
+// NewDefenseGuard wraps a harness's activation path with the policy.
+func NewDefenseGuard(h *Harness, p DefensePolicy) *DefenseGuard { return defense.NewGuard(h, p) }
 
 // SafetyFromHCFirst derives a guard threshold from a measured HCfirst.
 func SafetyFromHCFirst(hcFirst int) int { return defense.SafetyFromHCFirst(hcFirst) }
@@ -391,11 +384,11 @@ type (
 	RecoveredMap = mapping.RecoveredMap
 )
 
-// NewRetentionProfiler returns a profiler over the device.
-func NewRetentionProfiler(d *Device) *RetentionProfiler { return retention.NewProfiler(d) }
+// NewRetentionProfiler returns a profiler that runs on the harness.
+func NewRetentionProfiler(h *Harness) *RetentionProfiler { return retention.NewProfiler(h) }
 
-// NewUTRR returns a U-TRR experiment over the device.
-func NewUTRR(d *Device) *UTRRExperiment { return utrr.New(d) }
+// NewUTRR returns a U-TRR experiment that runs on the harness.
+func NewUTRR(h *Harness) *UTRRExperiment { return utrr.New(h) }
 
 // NewThermalController wires the PID rig to a device, starting at the
 // given lab ambient temperature.

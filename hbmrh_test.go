@@ -45,24 +45,23 @@ func TestPublicHammerFlow(t *testing.T) {
 }
 
 func TestPublicRowIO(t *testing.T) {
-	d, err := hbmrh.Open(hbmrh.SmallChip())
+	h, err := hbmrh.NewHarnessFromConfig(hbmrh.SmallChip())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := hbmrh.BankAddr{Channel: 2, PseudoChannel: 1, Bank: 3}
-	row := make([]byte, d.Geometry().RowBytes())
-	for i := range row {
-		row[i] = byte(i)
-	}
-	if err := hbmrh.WriteRow(d, b, 7, row); err != nil {
-		t.Fatal(err)
-	}
-	got, err := hbmrh.ReadRow(d, b, 7)
+	res, err := h.Exec(func(bb *hbmrh.BenderBuilder) {
+		bb.WriteRowFill(b, 7, 0xA5)
+		bb.ReadRowOut(b, 7)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hbmrh.CountMismatches(got, row) != 0 {
-		t.Fatal("round trip corrupted data")
+	if n := len(res.Reads); n != h.Device().Geometry().Columns {
+		t.Fatalf("%d column reads, want one per column", n)
+	}
+	if n := hbmrh.CountFlips(res.Reads, 0xA5); n != 0 {
+		t.Fatalf("round trip flipped %d bits", n)
 	}
 }
 
@@ -113,14 +112,11 @@ func TestPublicTRRStudy(t *testing.T) {
 }
 
 func TestPublicRetentionProfiler(t *testing.T) {
-	d, err := hbmrh.Open(hbmrh.SmallChip())
+	h, err := hbmrh.NewHarnessFromConfig(hbmrh.SmallChip()) // ECC off
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hbmrh.NewHarness(d); err != nil { // disables ECC
-		t.Fatal(err)
-	}
-	p := hbmrh.NewRetentionProfiler(d)
+	p := hbmrh.NewRetentionProfiler(h)
 	T, err := p.RowRetention(hbmrh.BankAddr{Channel: 0, PseudoChannel: 0, Bank: 0}, 33)
 	if err != nil {
 		t.Fatal(err)

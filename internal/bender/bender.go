@@ -440,6 +440,16 @@ func (b *Builder) ReadRowOut(ba addr.BankAddr, row int) *Builder {
 	return b
 }
 
+// RefreshRow opens a row and closes it again with the required waits,
+// restoring its charge: the activate-precharge refresh of the U-TRR
+// methodology and of a controller's preventive refresh. It occupies
+// tCK + tRAS + tRP, one tCK more than HammerSingle(ba, row, 1).
+func (b *Builder) RefreshRow(ba addr.BankAddr, row int) *Builder {
+	b.Act(ba, row)
+	b.Wait(b.timing.TRCD - b.timing.TCK)
+	return b.closeRow(ba, 1)
+}
+
 // closeRow pads to tRAS from the activate (which happened cmds commands
 // ago), precharges, and waits out tRP.
 func (b *Builder) closeRow(ba addr.BankAddr, cmds int64) *Builder {

@@ -97,7 +97,7 @@ func (h *Harness) runProbes(prog *bender.Program, p Pattern, holdPS int64, out [
 			return fmt.Errorf("core: experiment took %.2f ms, over the 27 ms refresh budget",
 				float64(seg.Elapsed)/1e9)
 		}
-		out[j] = BERResult{Flips: countFlips(res.Reads[seg.Reads[0]:seg.Reads[1]], p.Victim), Bits: bits, Elapsed: seg.Elapsed}
+		out[j] = BERResult{Flips: CountFlips(res.Reads[seg.Reads[0]:seg.Reads[1]], p.Victim), Bits: bits, Elapsed: seg.Elapsed}
 	}
 	return nil
 }

@@ -71,13 +71,7 @@ func NewHarness(d *hbm.Device) (*Harness, error) {
 		HCPrecision:   DefaultHCPrecision,
 	}
 	h.checkCancel = h.cancelled
-	b := h.builder()
-	b.DisableECC()
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := h.runner.Run(d, d.Geometry(), prog); err != nil {
+	if _, err := h.Exec(func(b *bender.Builder) { b.DisableECC() }); err != nil {
 		return nil, fmt.Errorf("core: disabling ECC: %w", err)
 	}
 	return h, nil
@@ -132,6 +126,21 @@ func (h *Harness) cancelled() error {
 func (h *Harness) builder() *bender.Builder {
 	h.bld.Reset()
 	return h.bld
+}
+
+// Exec runs the program build assembles on the harness's reusable
+// builder: the one way studies outside the per-row measurements reach
+// the device. It returns the armed context's error, before touching the
+// device, once that context is done (see SetContext). The Result and its
+// Reads are owned by the harness's runner and valid until its next
+// program runs.
+func (h *Harness) Exec(build func(*bender.Builder)) (*bender.Result, error) {
+	if err := h.cancelled(); err != nil {
+		return nil, err
+	}
+	b := h.builder()
+	build(b)
+	return h.run(b)
 }
 
 func (h *Harness) run(b *bender.Builder) (*bender.Result, error) {
@@ -217,15 +226,16 @@ func (h *Harness) BERHold(ba addr.BankAddr, physVictim int, p Pattern, hammers i
 			float64(res.Elapsed)/1e9)
 	}
 	return BERResult{
-		Flips:   countFlips(res.Reads, p.Victim),
+		Flips:   CountFlips(res.Reads, p.Victim),
 		Bits:    h.dev.Geometry().RowBits(),
 		Elapsed: res.Elapsed,
 	}, nil
 }
 
-// countFlips returns how many bits of a read-out differ from the fill
-// byte the victim row was written with.
-func countFlips(reads [][]byte, fill byte) int {
+// CountFlips returns how many bits of a read-out (a program's Result
+// Reads, or a slice of them) differ from the fill byte the rows were
+// written with.
+func CountFlips(reads [][]byte, fill byte) int {
 	rep := uint64(fill) * 0x0101010101010101
 	n := 0
 	for _, col := range reads {

@@ -16,7 +16,8 @@ import (
 	"fmt"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
-	"github.com/safari-repro/hbmrh/internal/hbm"
+	"github.com/safari-repro/hbmrh/internal/bender"
+	"github.com/safari-repro/hbmrh/internal/core"
 )
 
 // Policy yields the per-channel activation threshold at which a row's
@@ -75,12 +76,12 @@ type Stats struct {
 	PreventiveRefreshes int64
 }
 
-// Guard wraps a device's activation path with the preventive-refresh
-// defense. Drive hammering through Hammer (the guarded equivalent of
-// Device.HammerPair) so the guard sees every activation, as a memory
+// Guard wraps a harness's activation path with the preventive-refresh
+// defense. Drive hammering through Hammer (the guarded equivalent of a
+// HammerDouble program) so the guard sees every activation, as a memory
 // controller would.
 type Guard struct {
-	dev    *hbm.Device
+	h      *core.Harness
 	policy Policy
 
 	counters map[counterKey]int
@@ -92,10 +93,10 @@ type counterKey struct {
 	row  int // logical row
 }
 
-// NewGuard wraps dev with the policy.
-func NewGuard(dev *hbm.Device, policy Policy) *Guard {
+// NewGuard wraps the harness's device with the policy.
+func NewGuard(h *core.Harness, policy Policy) *Guard {
 	return &Guard{
-		dev:      dev,
+		h:        h,
 		policy:   policy,
 		counters: make(map[counterKey]int),
 	}
@@ -110,8 +111,8 @@ func (g *Guard) Stats() Stats { return g.stats }
 // neighbours and retires its counter. Hammering is chunked so thresholds
 // are honoured mid-burst. Passing the same row as both aggressors is
 // allowed and counts both activations of each hammer against that one
-// row's counter (the device-level HammerPair would reject the aliased
-// pair; the guard degrades it to the single-row hammer path).
+// row's counter (a HammerDouble program would reject the aliased pair;
+// the guard degrades it to a HammerSingle program).
 func (g *Guard) Hammer(b addr.BankAddr, rowA, rowB, n int) error {
 	thr := g.policy.Threshold(b.Channel)
 	if thr <= 0 {
@@ -150,14 +151,14 @@ func (g *Guard) Hammer(b addr.BankAddr, rowA, rowB, n int) error {
 			}
 			continue
 		}
-		if sameRow {
-			if err := g.dev.HammerSingle(b, rowA, 2*chunk); err != nil {
-				return err
+		if _, err := g.h.Exec(func(bb *bender.Builder) {
+			if sameRow {
+				bb.HammerSingle(b, rowA, int64(2*chunk))
+			} else {
+				bb.HammerDouble(b, rowA, rowB, int64(chunk))
 			}
-		} else if err := g.dev.HammerPair(b, rowA, rowB, chunk); err != nil {
-			return err
-		}
-		if err := g.dev.AdvanceTime(g.dev.Config().Timing.TRP); err != nil {
+			bb.Wait(g.h.Device().Config().Timing.TRP)
+		}); err != nil {
 			return err
 		}
 		if sameRow {
@@ -206,16 +207,21 @@ func (g *Guard) flushSaturated(b addr.BankAddr, rowA, rowB, thr int, sameRow boo
 // supported mappings only because the guard, like the paper's defender,
 // uses the recovered physical adjacency: translate through the mapper.
 func (g *Guard) refreshNeighbours(b addr.BankAddr, logicalRow int) error {
-	m := g.dev.Mapper()
+	d := g.h.Device()
+	m := d.Mapper()
 	phys := m.ToPhysical(logicalRow)
-	for _, p := range []int{phys - 1, phys + 1} {
-		if p < 0 || p >= g.dev.Geometry().Rows {
-			continue
+	refreshed := int64(0)
+	_, err := g.h.Exec(func(bb *bender.Builder) {
+		for _, p := range []int{phys - 1, phys + 1} {
+			if p >= 0 && p < d.Geometry().Rows {
+				bb.RefreshRow(b, m.ToLogical(p))
+				refreshed++
+			}
 		}
-		if err := hbm.RefreshRow(g.dev, b, m.ToLogical(p)); err != nil {
-			return err
-		}
-		g.stats.PreventiveRefreshes++
+	})
+	if err != nil {
+		return err
 	}
+	g.stats.PreventiveRefreshes += refreshed
 	return nil
 }

@@ -4,48 +4,48 @@ import (
 	"testing"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
+	"github.com/safari-repro/hbmrh/internal/bender"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
-	"github.com/safari-repro/hbmrh/internal/hbm"
 )
 
 func bankAddr(ch int) addr.BankAddr {
 	return addr.BankAddr{Channel: ch, PseudoChannel: 0, Bank: 0}
 }
 
-// attack hammers one victim per channel under the guard and returns the
-// total bitflips plus the guard's refresh spend.
-func attack(t *testing.T, policy func(d *hbm.Device) Policy) (flips int, s Stats) {
+func newHarness(t *testing.T) *core.Harness {
 	t.Helper()
-	cfg := config.SmallChip()
-	h, err := core.NewHarnessFromConfig(cfg)
+	h, err := core.NewHarnessFromConfig(config.SmallChip())
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := h.Device()
-	g := NewGuard(d, policy(d))
+	return h
+}
+
+// attack hammers one victim per channel under the guard and returns the
+// total bitflips plus the guard's refresh spend.
+func attack(t *testing.T, policy Policy) (flips int, s Stats) {
+	t.Helper()
+	cfg := config.SmallChip()
+	h := newHarness(t)
+	g := NewGuard(h, policy)
 	layout := cfg.Layout()
 	phys := layout.Start(1) + layout.Size(1)/2
-	m := d.Mapper()
-	pattern := make([]byte, d.Geometry().RowBytes())
-	for i := range pattern {
-		pattern[i] = 0xFF
-	}
+	m := h.Device().Mapper()
+	lv, la, lb := m.ToLogical(phys), m.ToLogical(phys-1), m.ToLogical(phys+1)
 	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
 		b := bankAddr(ch)
-		lv := m.ToLogical(phys)
-		la, lb := m.ToLogical(phys-1), m.ToLogical(phys+1)
-		if err := hbm.WriteRow(d, b, lv, pattern); err != nil {
+		if _, err := h.Exec(func(bb *bender.Builder) { bb.WriteRowFill(b, lv, 0xFF) }); err != nil {
 			t.Fatal(err)
 		}
 		if err := g.Hammer(b, la, lb, 3*core.DefaultHammers); err != nil {
 			t.Fatal(err)
 		}
-		got, err := hbm.ReadRow(d, b, lv)
+		res, err := h.Exec(func(bb *bender.Builder) { bb.ReadRowOut(b, lv) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		flips += hbm.CountMismatches(got, pattern)
+		flips += core.CountFlips(res.Reads, 0xFF)
 	}
 	return flips, g.Stats()
 }
@@ -82,7 +82,7 @@ func TestGuardPreventsAllFlips(t *testing.T) {
 	profile := measuredHCFirst(t, config.SmallChip())
 
 	uniformT := SafetyFromHCFirst(minOf(profile))
-	flips, uniStats := attack(t, func(*hbm.Device) Policy { return Uniform{T: uniformT} })
+	flips, uniStats := attack(t, Uniform{T: uniformT})
 	if flips != 0 {
 		t.Fatalf("uniform guard leaked %d flips", flips)
 	}
@@ -91,7 +91,7 @@ func TestGuardPreventsAllFlips(t *testing.T) {
 	for ch, hc := range profile {
 		adaptive[ch] = SafetyFromHCFirst(hc)
 	}
-	flips, adaStats := attack(t, func(*hbm.Device) Policy { return Adaptive{PerChannel: adaptive} })
+	flips, adaStats := attack(t, Adaptive{PerChannel: adaptive})
 	if flips != 0 {
 		t.Fatalf("adaptive guard leaked %d flips", flips)
 	}
@@ -111,7 +111,7 @@ func TestGuardPreventsAllFlips(t *testing.T) {
 func TestUnguardedAttackFlips(t *testing.T) {
 	// Control: with an absurdly high threshold the guard never fires and
 	// the attack succeeds, proving the attack used is actually dangerous.
-	flips, s := attack(t, func(*hbm.Device) Policy { return Uniform{T: 1 << 30} })
+	flips, s := attack(t, Uniform{T: 1 << 30})
 	if flips == 0 {
 		t.Fatal("attack harmless even without defense; test is vacuous")
 	}
@@ -121,12 +121,7 @@ func TestUnguardedAttackFlips(t *testing.T) {
 }
 
 func TestGuardRejectsBadThreshold(t *testing.T) {
-	cfg := config.SmallChip()
-	d, err := hbm.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGuard(d, Uniform{T: 0})
+	g := NewGuard(newHarness(t), Uniform{T: 0})
 	if err := g.Hammer(bankAddr(0), 10, 12, 100); err == nil {
 		t.Fatal("zero threshold accepted")
 	}
@@ -137,11 +132,7 @@ func TestAdaptiveOutOfRangeChannelErrors(t *testing.T) {
 	// channel outside the characterized slice panicked the guard. It must
 	// surface as an error through Guard.Hammer instead.
 	cfg := config.SmallChip()
-	d, err := hbm.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGuard(d, Adaptive{PerChannel: []int{1000, 1000}})
+	g := NewGuard(newHarness(t), Adaptive{PerChannel: []int{1000, 1000}})
 	for _, ch := range []int{len([]int{1000, 1000}), cfg.Geometry.Channels - 1, -1} {
 		if err := g.Hammer(bankAddr(ch), 10, 12, 100); err == nil {
 			t.Fatalf("channel %d outside the characterized set accepted", ch)
@@ -156,15 +147,12 @@ func TestAdaptiveOutOfRangeChannelErrors(t *testing.T) {
 func TestGuardSameRowAggressors(t *testing.T) {
 	// Regression: rowA == rowB incremented the shared counter once per
 	// list entry, overshooting the threshold by up to a chunk (and the
-	// device layer would reject the aliased HammerPair outright). The
-	// guard must degrade to single-row hammering with exact accounting.
-	cfg := config.SmallChip()
-	d, err := hbm.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// device layer would reject the aliased double-sided hammer outright).
+	// The guard must degrade to single-row hammering with exact
+	// accounting.
+	h := newHarness(t)
 	const thr, hammers = 100, 5000
-	g := NewGuard(d, Uniform{T: thr})
+	g := NewGuard(h, Uniform{T: thr})
 	if err := g.Hammer(bankAddr(0), 20, 20, hammers); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +167,7 @@ func TestGuardSameRowAggressors(t *testing.T) {
 		t.Fatalf("spent %d preventive refreshes, want %d", s.PreventiveRefreshes, want)
 	}
 	// An unguardable doubled-aggressor threshold is an error, not a hang.
-	g = NewGuard(d, Uniform{T: 1})
+	g = NewGuard(h, Uniform{T: 1})
 	if err := g.Hammer(bankAddr(0), 20, 20, 10); err == nil {
 		t.Fatal("threshold 1 accepted for a doubled aggressor")
 	}
@@ -189,13 +177,8 @@ func TestGuardCounterTableBounded(t *testing.T) {
 	// Regression: saturation zeroed counters instead of deleting them, so
 	// the table grew by one entry per row ever hammered. Rows whose
 	// counters saturate must leave no residue.
-	cfg := config.SmallChip()
-	d, err := hbm.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const thr = 64
-	g := NewGuard(d, Uniform{T: thr})
+	g := NewGuard(newHarness(t), Uniform{T: thr})
 	b := bankAddr(0)
 	for row := 10; row < 200; row += 4 {
 		// Exactly thr activations per aggressor: each pair saturates and

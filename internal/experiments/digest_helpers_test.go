@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"github.com/safari-repro/hbmrh/internal/addr"
+	"github.com/safari-repro/hbmrh/internal/bender"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/defense"
-	"github.com/safari-repro/hbmrh/internal/hbm"
 	"github.com/safari-repro/hbmrh/internal/retention"
 )
 
@@ -17,7 +17,7 @@ func findRowSmall() (int, float64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	p := retention.NewProfiler(h.Device())
+	p := retention.NewProfiler(h)
 	return p.FindRow(addr.BankAddr{}, section5StartRow(cfg), 256, 0.3, 8)
 }
 
@@ -32,27 +32,22 @@ func guardAttack(p defense.Policy, sameRow bool) (int, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	d := h.Device()
-	layout, m := cfg.Layout(), d.Mapper()
+	layout, m := cfg.Layout(), h.Device().Mapper()
 	phys := layout.Start(1) + layout.Size(1)/2
 	lv, la, lb := m.ToLogical(phys), m.ToLogical(phys-1), m.ToLogical(phys+1)
 	if sameRow {
 		la = lb
 	}
-	pattern := make([]byte, d.Geometry().RowBytes())
-	for i := range pattern {
-		pattern[i] = 0xFF
-	}
-	if err := hbm.WriteRow(d, ch7, lv, pattern); err != nil {
+	if _, err := h.Exec(func(b *bender.Builder) { b.WriteRowFill(ch7, lv, 0xFF) }); err != nil {
 		return 0, 0, err
 	}
-	g := defense.NewGuard(d, p)
+	g := defense.NewGuard(h, p)
 	if err := g.Hammer(ch7, la, lb, 3*core.DefaultHammers); err != nil {
 		return 0, 0, err
 	}
-	got, err := hbm.ReadRow(d, ch7, lv)
+	res, err := h.Exec(func(b *bender.Builder) { b.ReadRowOut(ch7, lv) })
 	if err != nil {
 		return 0, 0, err
 	}
-	return hbm.CountMismatches(got, pattern), g.Stats().PreventiveRefreshes, nil
+	return core.CountFlips(res.Reads, 0xFF), g.Stats().PreventiveRefreshes, nil
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
+	"github.com/safari-repro/hbmrh/internal/bender"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/hbm"
@@ -201,58 +202,42 @@ func tempSweepExperiment() *Experiment {
 	}
 }
 
-// crossChannelArm measures one arm of the probe: hammer the probe rows in
-// the aggressor channel of a fresh device with the given vertical
-// coupling and count bitflips in the same physical rows of channels +/- 2.
+// crossChannelArm measures one arm of the probe as one program on a
+// fresh harness with the given vertical coupling: hammer the probe rows
+// in the aggressor channel and count bitflips in the same physical rows
+// of channels +/- 2.
 func crossChannelArm(base *config.Config, aggressor int, rows []int, coupling float64) (int, error) {
 	cfg := *base
 	cfg.Fault.VerticalCoupling = coupling
-	d, err := hbm.New(&cfg)
+	h, err := core.NewHarnessFromConfig(&cfg) // ECC off
 	if err != nil {
 		return 0, err
 	}
-	if _, err := core.NewHarness(d); err != nil { // ECC off
+	m := h.Device().Mapper()
+	ab := addr.BankAddr{Channel: aggressor}
+	var victims []addr.BankAddr
+	for _, vch := range []int{aggressor - 2, aggressor + 2} {
+		if vch >= 0 && vch < cfg.Geometry.Channels {
+			victims = append(victims, addr.BankAddr{Channel: vch})
+		}
+	}
+	res, err := h.Exec(func(b *bender.Builder) {
+		for _, phys := range rows {
+			logical := m.ToLogical(phys)
+			for _, vb := range victims {
+				b.WriteRowFill(vb, logical, 0xFF)
+			}
+			b.HammerSingle(ab, logical, crossActivations)
+			b.Wait(cfg.Timing.TRP)
+			for _, vb := range victims {
+				b.ReadRowOut(vb, logical)
+			}
+		}
+	})
+	if err != nil {
 		return 0, err
 	}
-	g := cfg.Geometry
-	m := d.Mapper()
-	victimChannels := []int{aggressor - 2, aggressor + 2}
-	pattern := make([]byte, g.RowBytes())
-	for i := range pattern {
-		pattern[i] = 0xFF
-	}
-	flips := 0
-	for _, phys := range rows {
-		logical := m.ToLogical(phys)
-		for _, vch := range victimChannels {
-			if vch < 0 || vch >= g.Channels {
-				continue
-			}
-			vb := addr.BankAddr{Channel: vch, PseudoChannel: 0, Bank: 0}
-			if err := hbm.WriteRow(d, vb, logical, pattern); err != nil {
-				return 0, err
-			}
-		}
-		ab := addr.BankAddr{Channel: aggressor, PseudoChannel: 0, Bank: 0}
-		if err := d.HammerSingle(ab, logical, crossActivations); err != nil {
-			return 0, err
-		}
-		if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
-			return 0, err
-		}
-		for _, vch := range victimChannels {
-			if vch < 0 || vch >= g.Channels {
-				continue
-			}
-			vb := addr.BankAddr{Channel: vch, PseudoChannel: 0, Bank: 0}
-			got, err := hbm.ReadRow(d, vb, logical)
-			if err != nil {
-				return 0, err
-			}
-			flips += hbm.CountMismatches(got, pattern)
-		}
-	}
-	return flips, nil
+	return core.CountFlips(res.Reads, 0xFF), nil
 }
 
 // crossChannelExperiment lifts the interference probe onto the registry:

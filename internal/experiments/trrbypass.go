@@ -5,9 +5,9 @@ import (
 	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
+	"github.com/safari-repro/hbmrh/internal/bender"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
-	"github.com/safari-repro/hbmrh/internal/hbm"
 	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/stats"
 )
@@ -26,15 +26,13 @@ import (
 // (the double-sided hammer budget; paper: 256K) from Options and attacks
 // bank 0 of channel 0.
 
-// runBypassArm runs one arm on a fresh device: interleaved double-sided
-// hammering with REFs at the nominal tREFI cadence, with or without the
-// decoy. It returns the victim's bitflips and the REFs issued.
+// runBypassArm runs one arm as one program on a fresh harness:
+// interleaved double-sided hammering with REFs at the nominal tREFI
+// cadence, with or without the decoy. It returns the victim's bitflips
+// and the REFs issued.
 func runBypassArm(cfg *config.Config, bank addr.BankAddr, hammers int, decoy bool) (flips, refs int, err error) {
-	d, err := hbm.New(cfg)
+	h, err := core.NewHarnessFromConfig(cfg) // ECC off
 	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := core.NewHarness(d); err != nil { // ECC off
 		return 0, 0, err
 	}
 	tm := cfg.Timing
@@ -43,63 +41,43 @@ func runBypassArm(cfg *config.Config, bank addr.BankAddr, hammers int, decoy boo
 	// subarray) so the refresh pointer does not sweep it mid-attack.
 	sa := layout.Count() - 2
 	physVictim := layout.Start(sa) + layout.Size(sa)/2
-	m := d.Mapper()
+	m := h.Device().Mapper()
 	lv := m.ToLogical(physVictim)
 	la := m.ToLogical(physVictim - 1)
 	lb := m.ToLogical(physVictim + 1)
 	decoyRow := m.ToLogical(physVictim + 16) // outside the blast radius
 
-	g := d.Geometry()
-	pattern := make([]byte, g.RowBytes())
-	for i := range pattern {
-		pattern[i] = 0xFF
-	}
-	for r, fill := range map[int]byte{lv: 0xFF, la: 0x00, lb: 0x00} {
-		rowData := pattern
-		if fill == 0x00 {
-			rowData = make([]byte, g.RowBytes())
-		}
-		if err := hbm.WriteRow(d, bank, r, rowData); err != nil {
-			return 0, 0, err
-		}
-	}
-
 	// Nominal refresh: one REF per tREFI, with the hammers that fit in
 	// between (one double-sided hammer occupies 2*tRC).
 	perREF := int(tm.TREFI / (2 * tm.TRC))
-	remaining := hammers
-	for remaining > 0 {
-		chunk := perREF
-		if chunk > remaining {
-			chunk = remaining
-		}
-		if err := d.HammerPair(bank, la, lb, chunk); err != nil {
-			return 0, 0, err
-		}
-		remaining -= chunk
-		if err := d.AdvanceTime(tm.TRP); err != nil {
-			return 0, 0, err
-		}
+	interval := func(b *bender.Builder, n int) {
+		b.HammerDouble(bank, la, lb, int64(n))
+		b.Wait(tm.TRP)
 		if decoy {
 			// The bypass: one decoy activation right before the REF, so
 			// the sampler forgets the real aggressors.
-			if err := hbm.RefreshRow(d, bank, decoyRow); err != nil {
-				return 0, 0, err
-			}
+			b.RefreshRow(bank, decoyRow)
 		}
-		if err := d.Refresh(bank.Channel, bank.PseudoChannel); err != nil {
-			return 0, 0, err
-		}
-		refs++
-		if err := d.AdvanceTime(tm.TRFC); err != nil {
-			return 0, 0, err
-		}
+		b.Ref(bank.Channel, bank.PseudoChannel)
+		b.Wait(tm.TRFC)
 	}
-	got, err := hbm.ReadRow(d, bank, lv)
+	full, rest := hammers/perREF, hammers%perREF
+	res, err := h.Exec(func(b *bender.Builder) {
+		b.WriteRowFill(bank, lv, 0xFF)
+		b.WriteRowFill(bank, la, 0x00)
+		b.WriteRowFill(bank, lb, 0x00)
+		if full > 0 {
+			b.Loop(int64(full), func(b *bender.Builder) { interval(b, perREF) })
+		}
+		if rest > 0 {
+			interval(b, rest)
+		}
+		b.ReadRowOut(bank, lv)
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	return hbm.CountMismatches(got, pattern), refs, nil
+	return core.CountFlips(res.Reads, 0xFF), full + min(rest, 1), nil
 }
 
 // trrBypassExperiment lifts the sampler-blinding attack comparison onto

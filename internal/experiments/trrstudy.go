@@ -9,7 +9,6 @@ import (
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
-	"github.com/safari-repro/hbmrh/internal/hbm"
 	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/stats"
 	"github.com/safari-repro/hbmrh/internal/utrr"
@@ -29,22 +28,18 @@ func checkBank(cfg *config.Config, bank addr.BankAddr) error {
 // is zero: the utrr.New default, pinned for params.
 const defaultIterations = 100
 
-// section5Device is a fresh device with ECC off (the Section 3.1 setup,
-// so raw retention errors are visible) and the experiment driving it.
-// U-TRR leans on retention decay and the periodic-refresh pointer, i.e.
-// accumulated device state, so a pool-warmed device would not reproduce
-// it.
-func section5Device(cfg *config.Config) (*utrr.Experiment, error) {
-	d, err := hbm.New(cfg)
+// section5Experiment is the U-TRR experiment on a fresh device behind a
+// harness (ECC off, the Section 3.1 setup, so raw retention errors are
+// visible) armed with the job's context. U-TRR leans on retention decay
+// and the periodic-refresh pointer, i.e. accumulated device state, so a
+// pool-warmed device would not reproduce it.
+func section5Experiment(ctx context.Context, cfg *config.Config) (*utrr.Experiment, error) {
+	h, err := core.NewHarnessFromConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
-		if err := d.WriteModeRegister(ch, hbm.MRECC, 0); err != nil {
-			return nil, err
-		}
-	}
-	return utrr.New(d), nil
+	h.SetContext(ctx)
+	return utrr.New(h), nil
 }
 
 // section5StartRow is where the retention scans begin: clear of the rows
@@ -73,11 +68,10 @@ func trrStudyExperiment() *Experiment {
 			job := Job{
 				Key: "utrr",
 				Run: func(ctx context.Context, _ *core.Harness) (any, error) {
-					e, err := section5Device(cfg)
+					e, err := section5Experiment(ctx, cfg)
 					if err != nil {
 						return nil, err
 					}
-					e.Ctx = ctx
 					e.Iterations = iterations
 					return e.Run(bank, section5StartRow(cfg))
 				},

@@ -43,8 +43,8 @@ func utrrProbeExperiment() *Experiment {
 			jobs := []Job{
 				{
 					Key: "radius",
-					Run: func(context.Context, *core.Harness) (any, error) {
-						e, err := section5Device(cfg)
+					Run: func(ctx context.Context, _ *core.Harness) (any, error) {
+						e, err := section5Experiment(ctx, cfg)
 						if err != nil {
 							return nil, err
 						}
@@ -53,8 +53,8 @@ func utrrProbeExperiment() *Experiment {
 				},
 				{
 					Key: "slots",
-					Run: func(context.Context, *core.Harness) (any, error) {
-						e, err := section5Device(cfg)
+					Run: func(ctx context.Context, _ *core.Harness) (any, error) {
+						e, err := section5Experiment(ctx, cfg)
 						if err != nil {
 							return nil, err
 						}

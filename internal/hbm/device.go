@@ -717,29 +717,19 @@ func (d *Device) applyDisturb(bank *bankState, physRow int, scale float64) {
 	}
 }
 
-// HammerPair performs n double-sided hammers: n alternating activate+
-// precharge pairs of the two logical aggressor rows at minimum timing.
-// It is the bulk equivalent of the ACT/PRE loop a DRAM Bender program
-// would run, applied in one step for simulation speed; timing-wise it
-// occupies n*2*tRC.
-func (d *Device) HammerPair(b addr.BankAddr, rowA, rowB, n int) error {
-	return d.hammerAt(b, [2]int{rowA, rowB}, 2, n, d.cfg.Timing.TRAS)
-}
-
-// HammerSingle performs n single-sided hammers (n activations) of one
-// logical aggressor row at minimum timing, occupying n*tRC.
-func (d *Device) HammerSingle(b addr.BankAddr, row, n int) error {
-	return d.hammerAt(b, [2]int{row}, 1, n, d.cfg.Timing.TRAS)
-}
-
-// HammerPairHold is HammerPair with each activation held open for holdPS
-// (>= tRAS) before its precharge, accumulating RowPress amplification.
-// Each activation occupies holdPS+tRP.
+// HammerPairHold performs n double-sided hammers: n alternating
+// activate+precharge pairs of the two logical aggressor rows, each
+// activation held open for holdPS (>= tRAS; tRAS is minimum timing,
+// anything longer accumulates RowPress amplification) before its
+// precharge. It is the bulk equivalent of the ACT/PRE loop a DRAM Bender
+// program runs, applied in one step for simulation speed; each
+// activation occupies holdPS+tRP.
 func (d *Device) HammerPairHold(b addr.BankAddr, rowA, rowB, n int, holdPS int64) error {
 	return d.hammerAt(b, [2]int{rowA, rowB}, 2, n, holdPS)
 }
 
-// HammerSingleHold is HammerSingle with a per-activation hold time.
+// HammerSingleHold is HammerPairHold's single-sided form: n activations
+// of one logical aggressor row.
 func (d *Device) HammerSingleHold(b addr.BankAddr, row, n int, holdPS int64) error {
 	return d.hammerAt(b, [2]int{row}, 1, n, holdPS)
 }

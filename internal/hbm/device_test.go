@@ -44,7 +44,7 @@ func doubleSidedSetup(t *testing.T, d *Device, b addr.BankAddr, physVictim int, 
 	m := d.Mapper()
 	lv, la, lb := m.ToLogical(physVictim), m.ToLogical(physVictim-1), m.ToLogical(physVictim+1)
 	for r, pat := range map[int]byte{lv: victim, la: aggr, lb: aggr} {
-		if err := WriteRow(d, b, r, rowPattern(d, pat)); err != nil {
+		if err := writeRow(d, b, r, rowPattern(d, pat)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func doubleSidedSetup(t *testing.T, d *Device, b addr.BankAddr, physVictim int, 
 
 func TestPowerUpReadsZero(t *testing.T) {
 	d := newDevice(t, config.SmallChip())
-	got, err := ReadRow(d, bankAddr(0, 0, 0), 5)
+	got, err := readRow(d, bankAddr(0, 0, 0), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +71,10 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	for i := range want {
 		want[i] = byte(i * 7)
 	}
-	if err := WriteRow(d, b, 100, want); err != nil {
+	if err := writeRow(d, b, 100, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRow(d, b, 100)
+	got, err := readRow(d, b, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,10 @@ func TestAddressValidation(t *testing.T) {
 	if err := d.Activate(bankAddr(0, 0, 0), g.Rows); !errors.Is(err, ErrAddress) {
 		t.Fatal("bad row accepted")
 	}
-	if err := d.HammerPair(bankAddr(0, 0, 0), 5, 5, 10); !errors.Is(err, ErrAddress) {
+	if err := d.HammerPairHold(bankAddr(0, 0, 0), 5, 5, 10, d.Config().Timing.TRAS); !errors.Is(err, ErrAddress) {
 		t.Fatal("hammering the same physical row twice accepted")
 	}
-	if err := d.HammerPair(bankAddr(0, 0, 0), 5, 7, 0); !errors.Is(err, ErrAddress) {
+	if err := d.HammerPairHold(bankAddr(0, 0, 0), 5, 7, 0, d.Config().Timing.TRAS); !errors.Is(err, ErrAddress) {
 		t.Fatal("zero hammer count accepted")
 	}
 	if _, err := d.ReadModeRegister(0, NumModeRegisters); !errors.Is(err, ErrAddress) {
@@ -196,17 +196,17 @@ func TestDoubleSidedHammerFlipsVictim(t *testing.T) {
 	b := bankAddr(7, 0, 0) // channel 7: the most vulnerable channel
 	phys := midSubarrayRow(d, 1)
 	lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
-	if err := d.HammerPair(b, la, lb, 256*1024); err != nil {
+	if err := d.HammerPairHold(b, la, lb, 256*1024, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRow(d, b, lv)
+	got, err := readRow(d, b, lv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flips := CountMismatches(got, rowPattern(d, 0xFF))
+	flips := countMismatches(got, rowPattern(d, 0xFF))
 	if flips == 0 {
 		t.Fatal("256K double-sided hammers induced no bitflips in channel 7")
 	}
@@ -219,11 +219,11 @@ func TestDoubleSidedHammerFlipsVictim(t *testing.T) {
 	}
 	// Aggressors are sensed every activation and must be intact.
 	for _, r := range []int{la, lb} {
-		gotA, err := ReadRow(d, b, r)
+		gotA, err := readRow(d, b, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := CountMismatches(gotA, rowPattern(d, 0x00)); n != 0 {
+		if n := countMismatches(gotA, rowPattern(d, 0x00)); n != 0 {
 			t.Fatalf("aggressor row %d has %d flips; aggressors self-refresh", r, n)
 		}
 	}
@@ -238,17 +238,17 @@ func TestHammerBelowThresholdFlipsNothing(t *testing.T) {
 	lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
 	// HCFloor is the absolute minimum threshold: hammering below it can
 	// never flip anything.
-	if err := d.HammerPair(b, la, lb, int(cfg.Fault.HCFloor)-1); err != nil {
+	if err := d.HammerPairHold(b, la, lb, int(cfg.Fault.HCFloor)-1, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRow(d, b, lv)
+	got, err := readRow(d, b, lv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := CountMismatches(got, rowPattern(d, 0xFF)); n != 0 {
+	if n := countMismatches(got, rowPattern(d, 0xFF)); n != 0 {
 		t.Fatalf("%d flips below the absolute threshold floor", n)
 	}
 }
@@ -261,7 +261,7 @@ func TestDisturbanceDoesNotCrossSubarrayBoundary(t *testing.T) {
 	l := d.fm.Layout()
 	edge := l.End(0) - 1 // last physical row of subarray 0
 	m := d.Mapper()
-	if err := d.HammerSingle(b, m.ToLogical(edge), 300000); err != nil {
+	if err := d.HammerSingleHold(b, m.ToLogical(edge), 300000, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	// The row across the boundary must have accumulated no disturbance.
@@ -286,7 +286,7 @@ func TestHammerPairMatchesExplicitActPreLoop(t *testing.T) {
 	bulk := newDevice(t, cfg)
 	la := bulk.Mapper().ToLogical(phys - 1)
 	lb := bulk.Mapper().ToLogical(phys + 1)
-	if err := bulk.HammerPair(b, la, lb, n); err != nil {
+	if err := bulk.HammerPairHold(b, la, lb, n, bulk.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 
@@ -337,17 +337,17 @@ func TestECCReducesObservedFlips(t *testing.T) {
 		b := bankAddr(7, 0, 0)
 		phys := midSubarrayRow(d, 1)
 		lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
-		if err := d.HammerPair(b, la, lb, 80000); err != nil {
+		if err := d.HammerPairHold(b, la, lb, 80000, d.Config().Timing.TRAS); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadRow(d, b, lv)
+		got, err := readRow(d, b, lv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return CountMismatches(got, rowPattern(d, 0xFF)), d.Stats()
+		return countMismatches(got, rowPattern(d, 0xFF)), d.Stats()
 	}
 	offFlips, _ := run(false)
 	onFlips, onStats := run(true)
@@ -374,7 +374,7 @@ func TestTRRMitigatesInterleavedHammering(t *testing.T) {
 		lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
 		const chunks, perChunk = 64, 4096
 		for i := 0; i < chunks; i++ {
-			if err := d.HammerPair(b, la, lb, perChunk); err != nil {
+			if err := d.HammerPairHold(b, la, lb, perChunk, d.Config().Timing.TRAS); err != nil {
 				t.Fatal(err)
 			}
 			if withRefs {
@@ -394,11 +394,11 @@ func TestTRRMitigatesInterleavedHammering(t *testing.T) {
 		if err := d.AdvanceTime(tm.TRP); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadRow(d, b, lv)
+		got, err := readRow(d, b, lv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return CountMismatches(got, rowPattern(d, 0xFF))
+		return countMismatches(got, rowPattern(d, 0xFF))
 	}
 
 	without := run(false)
@@ -417,24 +417,24 @@ func TestRetentionFailuresAppearAfterLongWait(t *testing.T) {
 	disableECC(t, d)
 	b := bankAddr(0, 0, 0)
 	const row = 200
-	if err := WriteRow(d, b, row, rowPattern(d, 0xFF)); err != nil {
+	if err := writeRow(d, b, row, rowPattern(d, 0xFF)); err != nil {
 		t.Fatal(err)
 	}
 	// Wait far beyond the median retention time (30 s).
 	if err := d.AdvanceTime(300e12); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRow(d, b, row)
+	got, err := readRow(d, b, row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flips := CountMismatches(got, rowPattern(d, 0xFF))
+	flips := countMismatches(got, rowPattern(d, 0xFF))
 	if flips == 0 {
 		t.Fatal("no retention failures after 300 s without refresh")
 	}
 	// A second read immediately after must be stable: the first
 	// activation restored the (now corrupted) data.
-	again, err := ReadRow(d, b, row)
+	again, err := readRow(d, b, row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,17 +450,17 @@ func TestHigherTemperatureAcceleratesRetentionLoss(t *testing.T) {
 		disableECC(t, d)
 		d.SetTemperature(tempC)
 		b := bankAddr(0, 0, 0)
-		if err := WriteRow(d, b, 300, rowPattern(d, 0xFF)); err != nil {
+		if err := writeRow(d, b, 300, rowPattern(d, 0xFF)); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(40e12); err != nil { // 40 s
 			t.Fatal(err)
 		}
-		got, err := ReadRow(d, b, 300)
+		got, err := readRow(d, b, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return CountMismatches(got, rowPattern(d, 0xFF))
+		return countMismatches(got, rowPattern(d, 0xFF))
 	}
 	cool := countAfter(65)
 	hot := countAfter(105)
@@ -475,7 +475,7 @@ func TestRefreshPreventsRetentionLoss(t *testing.T) {
 	disableECC(t, d)
 	b := bankAddr(0, 0, 0)
 	const row = 64
-	if err := WriteRow(d, b, row, rowPattern(d, 0xAA)); err != nil {
+	if err := writeRow(d, b, row, rowPattern(d, 0xAA)); err != nil {
 		t.Fatal(err)
 	}
 	// Refresh the row every 100 ms (below the retention floor) for 5 s
@@ -484,15 +484,15 @@ func TestRefreshPreventsRetentionLoss(t *testing.T) {
 		if err := d.AdvanceTime(100e9); err != nil {
 			t.Fatal(err)
 		}
-		if err := RefreshRow(d, b, row); err != nil {
+		if err := refreshRow(d, b, row); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := ReadRow(d, b, row)
+	got, err := readRow(d, b, row)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := CountMismatches(got, rowPattern(d, 0xAA)); n != 0 {
+	if n := countMismatches(got, rowPattern(d, 0xAA)); n != 0 {
 		t.Fatalf("%d retention failures despite 2 s refresh cadence", n)
 	}
 }
@@ -505,13 +505,13 @@ func TestDeterminismAcrossDevices(t *testing.T) {
 		b := bankAddr(6, 1, 3)
 		phys := midSubarrayRow(d, 1)
 		lv, la, lb := doubleSidedSetup(t, d, b, phys, 0x55, 0xAA)
-		if err := d.HammerPair(b, la, lb, 200000); err != nil {
+		if err := d.HammerPairHold(b, la, lb, 200000, d.Config().Timing.TRAS); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadRow(d, b, lv)
+		got, err := readRow(d, b, lv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -526,10 +526,10 @@ func TestStatsCounters(t *testing.T) {
 	cfg := config.SmallChip()
 	d := newDevice(t, cfg)
 	b := bankAddr(0, 0, 0)
-	if err := WriteRow(d, b, 1, rowPattern(d, 0x0F)); err != nil {
+	if err := writeRow(d, b, 1, rowPattern(d, 0x0F)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadRow(d, b, 1); err != nil {
+	if _, err := readRow(d, b, 1); err != nil {
 		t.Fatal(err)
 	}
 	s := d.Stats()
@@ -558,7 +558,7 @@ func TestDocumentedTRRModeProtectsTargets(t *testing.T) {
 	}
 	const chunks, perChunk = 64, 4096
 	for i := 0; i < chunks; i++ {
-		if err := d.HammerPair(b, la, lb, perChunk); err != nil {
+		if err := d.HammerPairHold(b, la, lb, perChunk, d.Config().Timing.TRAS); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRFC); err != nil {
@@ -571,11 +571,11 @@ func TestDocumentedTRRModeProtectsTargets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := ReadRow(d, b, lv)
+	got, err := readRow(d, b, lv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := CountMismatches(got, rowPattern(d, 0xFF)); n != 0 {
+	if n := countMismatches(got, rowPattern(d, 0xFF)); n != 0 {
 		t.Fatalf("documented TRR mode left %d flips; every REF refreshes the victim", n)
 	}
 	if err := d.ExitTRRMode(b.Channel, b.PseudoChannel); err != nil {
@@ -595,17 +595,17 @@ func TestRefreshRequiresTRFCSpacing(t *testing.T) {
 
 func TestWriteRowRejectsWrongLength(t *testing.T) {
 	d := newDevice(t, config.SmallChip())
-	err := WriteRow(d, bankAddr(0, 0, 0), 0, []byte{1, 2, 3})
+	err := writeRow(d, bankAddr(0, 0, 0), 0, []byte{1, 2, 3})
 	if !errors.Is(err, ErrAddress) {
 		t.Fatalf("err = %v, want ErrAddress", err)
 	}
 }
 
 func TestCountMismatches(t *testing.T) {
-	if n := CountMismatches([]byte{0xFF, 0x00}, []byte{0xFE, 0x01}); n != 2 {
+	if n := countMismatches([]byte{0xFF, 0x00}, []byte{0xFE, 0x01}); n != 2 {
 		t.Fatalf("CountMismatches = %d, want 2", n)
 	}
-	if n := CountMismatches([]byte{0xAB}, []byte{0xAB}); n != 0 {
+	if n := countMismatches([]byte{0xAB}, []byte{0xAB}); n != 0 {
 		t.Fatalf("CountMismatches = %d, want 0", n)
 	}
 }
@@ -628,17 +628,17 @@ func TestBankIsolation(t *testing.T) {
 	}
 	for i, l := range locs {
 		b := bankAddr(l.ch, l.pc, l.ba)
-		if err := WriteRow(d, b, row, rowPattern(d, fill+byte(i))); err != nil {
+		if err := writeRow(d, b, row, rowPattern(d, fill+byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, l := range locs {
 		b := bankAddr(l.ch, l.pc, l.ba)
-		got, err := ReadRow(d, b, row)
+		got, err := readRow(d, b, row)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := CountMismatches(got, rowPattern(d, fill+byte(i))); n != 0 {
+		if n := countMismatches(got, rowPattern(d, fill+byte(i))); n != 0 {
 			t.Fatalf("%v row %d aliased with another bank (%d flips)", b, row, n)
 		}
 	}
@@ -676,7 +676,7 @@ func TestHammerDifferentLogicalSamePhysicalRejected(t *testing.T) {
 	cfg := config.SmallChip()
 	cfg.Mapping = config.MappingDirect
 	d := newDevice(t, cfg)
-	if err := d.HammerPair(bankAddr(0, 0, 0), 9, 9, 5); !errors.Is(err, ErrAddress) {
+	if err := d.HammerPairHold(bankAddr(0, 0, 0), 9, 9, 5, d.Config().Timing.TRAS); !errors.Is(err, ErrAddress) {
 		t.Fatalf("err = %v, want ErrAddress for same-row pair", err)
 	}
 }

@@ -30,11 +30,11 @@ func TestRowPressAmplifiesDisturbance(t *testing.T) {
 		if err := d.AdvanceTime(tm.TRP); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadRow(d, b, lv)
+		got, err := readRow(d, b, lv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return CountMismatches(got, rowPattern(d, 0x00))
+		return countMismatches(got, rowPattern(d, 0x00))
 	}
 
 	base := flipsAtHold(tm.TRAS)
@@ -63,11 +63,11 @@ func TestRowPressMonotoneInHoldTime(t *testing.T) {
 		if err := d.AdvanceTime(tm.TRP); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadRow(d, b, lv)
+		got, err := readRow(d, b, lv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flips := CountMismatches(got, rowPattern(d, 0xFF))
+		flips := countMismatches(got, rowPattern(d, 0xFF))
 		if flips < prev {
 			t.Fatalf("flips decreased when hold grew to %dx tRAS: %d -> %d", mult, prev, flips)
 		}
@@ -168,17 +168,17 @@ func TestHotterChipFlipsMoreUnderHammering(t *testing.T) {
 		b := bankAddr(7, 0, 0)
 		phys := midSubarrayRow(d, 1)
 		lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
-		if err := d.HammerPair(b, la, lb, 200000); err != nil {
+		if err := d.HammerPairHold(b, la, lb, 200000, d.Config().Timing.TRAS); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadRow(d, b, lv)
+		got, err := readRow(d, b, lv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return CountMismatches(got, rowPattern(d, 0xFF))
+		return countMismatches(got, rowPattern(d, 0xFF))
 	}
 	cool := flipsAt(55)
 	hot := flipsAt(95)
@@ -193,7 +193,7 @@ func TestVerticalCouplingOffByDefault(t *testing.T) {
 	b := bankAddr(4, 0, 0)
 	phys := midSubarrayRow(d, 1)
 	la := d.Mapper().ToLogical(phys)
-	if err := d.HammerSingle(b, la, 300000); err != nil {
+	if err := d.HammerSingleHold(b, la, 300000, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	// The same row of the vertically adjacent channels must be untouched.
@@ -212,7 +212,7 @@ func TestVerticalCouplingDisturbsAdjacentDies(t *testing.T) {
 	b := bankAddr(4, 0, 0)
 	phys := midSubarrayRow(d, 1)
 	la := d.Mapper().ToLogical(phys)
-	if err := d.HammerSingle(b, la, 100000); err != nil {
+	if err := d.HammerSingleHold(b, la, 100000, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	for _, vch := range []int{2, 6} {
@@ -245,21 +245,21 @@ func TestVerticalCouplingCanInduceCrossChannelFlips(t *testing.T) {
 	phys := midSubarrayRow(d, 1)
 	victim := bankAddr(5, 0, 0) // die 2; aggressor die 3 via ch7
 	lv := d.Mapper().ToLogical(phys)
-	if err := WriteRow(d, victim, lv, rowPattern(d, 0xFF)); err != nil {
+	if err := writeRow(d, victim, lv, rowPattern(d, 0xFF)); err != nil {
 		t.Fatal(err)
 	}
 	aggrBank := bankAddr(7, 0, 0)
-	if err := d.HammerSingle(aggrBank, lv, 1000000); err != nil {
+	if err := d.HammerSingleHold(aggrBank, lv, 1000000, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRow(d, victim, lv)
+	got, err := readRow(d, victim, lv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if CountMismatches(got, rowPattern(d, 0xFF)) == 0 {
+	if countMismatches(got, rowPattern(d, 0xFF)) == 0 {
 		t.Fatal("no cross-channel flips despite strong vertical coupling")
 	}
 }
@@ -286,7 +286,7 @@ func TestRandomAccessIntegrityProperty(t *testing.T) {
 		row := next(g.Rows)
 		if next(2) == 0 {
 			fill := byte(next(256))
-			if err := WriteRow(d, b, row, rowPattern(d, fill)); err != nil {
+			if err := writeRow(d, b, row, rowPattern(d, fill)); err != nil {
 				t.Fatal(err)
 			}
 			if written[b] == nil {
@@ -295,11 +295,11 @@ func TestRandomAccessIntegrityProperty(t *testing.T) {
 			written[b][row] = fill
 		} else if fills, ok := written[b]; ok {
 			if fill, ok := fills[row]; ok {
-				got, err := ReadRow(d, b, row)
+				got, err := readRow(d, b, row)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n := CountMismatches(got, rowPattern(d, fill)); n != 0 {
+				if n := countMismatches(got, rowPattern(d, fill)); n != 0 {
 					t.Fatalf("step %d: %d spurious flips in %v row %d", step, n, b, row)
 				}
 			}
@@ -323,21 +323,21 @@ func TestNeighbourWritesDoNotDisturb(t *testing.T) {
 	phys := midSubarrayRow(d, 1)
 	m := d.Mapper()
 	lv := m.ToLogical(phys)
-	if err := WriteRow(d, b, lv, rowPattern(d, 0xFF)); err != nil {
+	if err := writeRow(d, b, lv, rowPattern(d, 0xFF)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
 		for _, p := range []int{phys - 1, phys + 1} {
-			if err := WriteRow(d, b, m.ToLogical(p), rowPattern(d, byte(i))); err != nil {
+			if err := writeRow(d, b, m.ToLogical(p), rowPattern(d, byte(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	got, err := ReadRow(d, b, lv)
+	got, err := readRow(d, b, lv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := CountMismatches(got, rowPattern(d, 0xFF)); n != 0 {
+	if n := countMismatches(got, rowPattern(d, 0xFF)); n != 0 {
 		t.Fatalf("%d flips from 400 neighbour writes; thresholds are tens of thousands", n)
 	}
 }

@@ -6,18 +6,17 @@ import (
 	"github.com/safari-repro/hbmrh/internal/addr"
 )
 
-// Host-side convenience operations. These compose device commands with the
-// waits the timing rules require, the way a host library above the testing
-// infrastructure would. The characterization pipeline proper goes through
-// DRAM Bender programs (internal/bender); these helpers serve tests,
-// examples and tools.
+// Test-only row helpers. They compose device commands with the waits the
+// timing rules require, so the device's own tests can drive it without a
+// DRAM Bender program; everything outside this package reaches the device
+// through programs (internal/bender).
 
-// WriteRow opens a logical row, writes the full row image, and closes it.
+// writeRow opens a logical row, writes the full row image, and closes it.
 // data must be exactly one row long.
-func WriteRow(d *Device, b addr.BankAddr, logicalRow int, data []byte) error {
+func writeRow(d *Device, b addr.BankAddr, logicalRow int, data []byte) error {
 	g := d.Geometry()
 	if len(data) != g.RowBytes() {
-		return fmt.Errorf("hbm: WriteRow of %d bytes, row holds %d: %w", len(data), g.RowBytes(), ErrAddress)
+		return fmt.Errorf("hbm: writeRow of %d bytes, row holds %d: %w", len(data), g.RowBytes(), ErrAddress)
 	}
 	if err := openRow(d, b, logicalRow); err != nil {
 		return err
@@ -31,9 +30,9 @@ func WriteRow(d *Device, b addr.BankAddr, logicalRow int, data []byte) error {
 	return closeRow(d, b)
 }
 
-// ReadRow opens a logical row, reads the full row image, and closes it.
+// readRow opens a logical row, reads the full row image, and closes it.
 // Activation senses the row, so any pending bitflips materialize here.
-func ReadRow(d *Device, b addr.BankAddr, logicalRow int) ([]byte, error) {
+func readRow(d *Device, b addr.BankAddr, logicalRow int) ([]byte, error) {
 	g := d.Geometry()
 	if err := openRow(d, b, logicalRow); err != nil {
 		return nil, err
@@ -52,9 +51,9 @@ func ReadRow(d *Device, b addr.BankAddr, logicalRow int) ([]byte, error) {
 	return out, nil
 }
 
-// RefreshRow refreshes one row by activating and precharging it, the
+// refreshRow refreshes one row by activating and precharging it, the
 // building block of the U-TRR methodology's step 2.
-func RefreshRow(d *Device, b addr.BankAddr, logicalRow int) error {
+func refreshRow(d *Device, b addr.BankAddr, logicalRow int) error {
 	if err := openRow(d, b, logicalRow); err != nil {
 		return err
 	}
@@ -102,9 +101,9 @@ func waitUntil(d *Device, deadline int64) error {
 	return nil
 }
 
-// CountMismatches compares a read row image against the written pattern
+// countMismatches compares a read row image against the written pattern
 // and returns the number of differing bits.
-func CountMismatches(got, want []byte) int {
+func countMismatches(got, want []byte) int {
 	n := 0
 	for i := range got {
 		d := got[i] ^ want[i]

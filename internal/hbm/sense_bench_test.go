@@ -23,7 +23,7 @@ func benchSense(b *testing.B, ref bool) {
 	la, lb, lv := m.ToLogical(phys-1), m.ToLogical(phys+1), m.ToLogical(phys)
 	tm := d.Config().Timing
 	cycle := func() {
-		if err := d.HammerPair(ba, la, lb, 150_000); err != nil {
+		if err := d.HammerPairHold(ba, la, lb, 150_000, d.Config().Timing.TRAS); err != nil {
 			b.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRP); err != nil {
@@ -72,7 +72,7 @@ func BenchmarkSenseColdRows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		phys := 1 + (i*3)%(rows-2)
-		if err := d.HammerPair(ba, m.ToLogical(phys-1), m.ToLogical(phys+1), 150_000); err != nil {
+		if err := d.HammerPairHold(ba, m.ToLogical(phys-1), m.ToLogical(phys+1), 150_000, d.Config().Timing.TRAS); err != nil {
 			b.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRP); err != nil {

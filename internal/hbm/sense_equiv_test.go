@@ -64,14 +64,14 @@ func applyOp(d *Device, op, a, b byte) (readout []byte, err error) {
 	hammers := 20_000 + int(b)*2_000
 	switch op % 9 {
 	case 0:
-		return nil, d.HammerPair(ba, m.ToLogical(physVictim-1), m.ToLogical(physVictim+1), hammers)
+		return nil, d.HammerPairHold(ba, m.ToLogical(physVictim-1), m.ToLogical(physVictim+1), hammers, d.Config().Timing.TRAS)
 	case 1:
-		return nil, d.HammerSingle(ba, m.ToLogical(physVictim), hammers)
+		return nil, d.HammerSingleHold(ba, m.ToLogical(physVictim), hammers, d.Config().Timing.TRAS)
 	case 2:
 		pattern := bytes.Repeat([]byte{a ^ b}, g.RowBytes())
-		return nil, WriteRow(d, ba, lrow, pattern)
+		return nil, writeRow(d, ba, lrow, pattern)
 	case 3:
-		return ReadRow(d, ba, lrow)
+		return readRow(d, ba, lrow)
 	case 4:
 		// Idle up to ~25 s of simulated time: retention decay territory.
 		return nil, d.AdvanceTime((int64(b) + 1) * 100_000_000_000)
@@ -317,8 +317,8 @@ func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 	}
 	readVictim := func(step string) []byte {
 		t.Helper()
-		fOut, fErr := ReadRow(fast, ba, victim)
-		rOut, rErr := ReadRow(ref, ba, victim)
+		fOut, fErr := readRow(fast, ba, victim)
+		rOut, rErr := readRow(ref, ba, victim)
 		if fErr != nil || rErr != nil {
 			t.Fatalf("%s: read: fast %v, ref %v", step, fErr, rErr)
 		}
@@ -350,7 +350,7 @@ func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 			setBit(rows[down], cell, 1-v)
 		}
 		for _, row := range []int{up, victim, down} {
-			both(step, func(d *Device) error { return WriteRow(d, ba, row, rows[row]) })
+			both(step, func(d *Device) error { return writeRow(d, ba, row, rows[row]) })
 		}
 		return rows[victim]
 	}
@@ -361,7 +361,7 @@ func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 			step := fmt.Sprintf("ecc=%d hammers=%d", ecc, n)
 			written := write(step)
 			before := fast.Stats()
-			both(step, func(d *Device) error { return d.HammerPair(ba, up, down, n) })
+			both(step, func(d *Device) error { return d.HammerPairHold(ba, up, down, n, d.Config().Timing.TRAS) })
 			out := readVictim(step)
 			after := fast.Stats()
 			if flipped := rowBit(out, quartile) != rowBit(written, quartile); ecc == 0 &&
@@ -432,7 +432,7 @@ func TestSenseSteadyStateAllocs(t *testing.T) {
 	la, lb, lv := m.ToLogical(phys-1), m.ToLogical(phys+1), m.ToLogical(phys)
 	tm := d.Config().Timing
 	cycle := func() {
-		if err := d.HammerPair(ba, la, lb, 150_000); err != nil {
+		if err := d.HammerPairHold(ba, la, lb, 150_000, d.Config().Timing.TRAS); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRP); err != nil {
@@ -468,7 +468,7 @@ func TestReadIntoMatchesRead(t *testing.T) {
 	}
 	ba := addr.BankAddr{Channel: 2}
 	pattern := bytes.Repeat([]byte{0x5A}, d.Geometry().RowBytes())
-	if err := WriteRow(d, ba, 5, pattern); err != nil {
+	if err := writeRow(d, ba, 5, pattern); err != nil {
 		t.Fatal(err)
 	}
 	if err := openRow(d, ba, 5); err != nil {

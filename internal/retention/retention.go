@@ -6,15 +6,18 @@
 package retention
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
-	"github.com/safari-repro/hbmrh/internal/hbm"
+	"github.com/safari-repro/hbmrh/internal/bender"
+	"github.com/safari-repro/hbmrh/internal/core"
 )
 
-// Profiler measures per-row retention times on a device.
+// Profiler measures per-row retention times through a harness's DRAM
+// Bender programs.
 type Profiler struct {
-	dev *hbm.Device
+	h *core.Harness
 	// Pattern is the byte written to every cell before waiting. The
 	// measured retention time is that of the weakest cell charged under
 	// this pattern, so it is pattern-dependent, as on real silicon.
@@ -28,29 +31,27 @@ type Profiler struct {
 
 // NewProfiler returns a profiler with the defaults used throughout the
 // reproduction: all-ones data, a 64-second ceiling, 5 % precision.
-func NewProfiler(d *hbm.Device) *Profiler {
-	return &Profiler{dev: d, Pattern: 0xFF, MaxSec: 64, Precision: 0.05}
+func NewProfiler(h *core.Harness) *Profiler {
+	return &Profiler{h: h, Pattern: 0xFF, MaxSec: 64, Precision: 0.05}
 }
 
-// Probe writes the pattern to the row, waits waitSec of simulated time,
-// reads the row back and returns the number of retention errors.
+// errTooStrong marks a row that shows no retention error within MaxSec,
+// the one probe failure FindRow's scan skips.
+var errTooStrong = errors.New("shows no errors")
+
+// Probe runs one program that writes the pattern to the row, waits
+// waitSec of simulated time and reads the row back, and returns the
+// number of retention errors.
 func (p *Profiler) Probe(b addr.BankAddr, row int, waitSec float64) (int, error) {
-	g := p.dev.Geometry()
-	pattern := make([]byte, g.RowBytes())
-	for i := range pattern {
-		pattern[i] = p.Pattern
-	}
-	if err := hbm.WriteRow(p.dev, b, row, pattern); err != nil {
-		return 0, fmt.Errorf("retention: %w", err)
-	}
-	if err := p.dev.AdvanceTime(int64(waitSec * 1e12)); err != nil {
-		return 0, fmt.Errorf("retention: %w", err)
-	}
-	got, err := hbm.ReadRow(p.dev, b, row)
+	res, err := p.h.Exec(func(bb *bender.Builder) {
+		bb.WriteRowFill(b, row, p.Pattern)
+		bb.Wait(int64(waitSec * 1e12))
+		bb.ReadRowOut(b, row)
+	})
 	if err != nil {
 		return 0, fmt.Errorf("retention: %w", err)
 	}
-	return hbm.CountMismatches(got, pattern), nil
+	return core.CountFlips(res.Reads, p.Pattern), nil
 }
 
 // RowRetention finds the smallest wait time (within Precision) at which
@@ -71,7 +72,7 @@ func (p *Profiler) RowRetention(b addr.BankAddr, row int) (float64, error) {
 		lo = hi
 		hi *= 2
 		if hi > p.MaxSec {
-			return 0, fmt.Errorf("retention: row %v/%d shows no errors within %.0f s", b, row, p.MaxSec)
+			return 0, fmt.Errorf("retention: row %v/%d %w within %.0f s", b, row, errTooStrong, p.MaxSec)
 		}
 	}
 	for hi-lo > p.Precision*hi {
@@ -96,7 +97,7 @@ func (p *Profiler) RowRetention(b addr.BankAddr, row int) (float64, error) {
 // retention time. A bank outside the device geometry is an error that
 // names the bank.
 func (p *Profiler) FindRow(b addr.BankAddr, startRow, maxScan int, loSec, hiSec float64) (int, float64, error) {
-	g := p.dev.Geometry()
+	g := p.h.Device().Geometry()
 	// An out-of-range bank is bad input, not a bank without a usable row:
 	// every probe would fail and the scan below would swallow the errors.
 	if !b.Valid(g) {
@@ -112,8 +113,11 @@ func (p *Profiler) FindRow(b addr.BankAddr, startRow, maxScan int, loSec, hiSec 
 	for i := 0; i < maxScan && startRow+i < g.Rows; i++ {
 		row := startRow + i
 		t, err := p.RowRetention(b, row)
-		if err != nil {
+		if errors.Is(err, errTooStrong) {
 			continue // row too strong for the band; keep scanning
+		}
+		if err != nil {
+			return 0, 0, err
 		}
 		if t >= loSec && t <= hiSec {
 			return row, t, nil

@@ -1,29 +1,31 @@
 package retention
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
-	"github.com/safari-repro/hbmrh/internal/hbm"
+	"github.com/safari-repro/hbmrh/internal/core"
 )
 
-func newProfiler(t testing.TB) *Profiler {
+// newHarness is a fresh small chip behind a harness, which turns ECC off
+// (paper Section 3.1): with ECC on, single retention errors would be
+// corrected away.
+func newHarness(t testing.TB) *core.Harness {
 	t.Helper()
-	cfg := config.SmallChip()
-	d, err := hbm.New(cfg)
+	h, err := core.NewHarnessFromConfig(config.SmallChip())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Characterization always runs with ECC off (paper Section 3.1);
-	// with ECC on, single retention errors would be corrected away.
-	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
-		if err := d.WriteModeRegister(ch, hbm.MRECC, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return NewProfiler(d)
+	return h
+}
+
+func newProfiler(t testing.TB) *Profiler {
+	t.Helper()
+	return NewProfiler(newHarness(t))
 }
 
 func bankAddr() addr.BankAddr {
@@ -136,19 +138,10 @@ func TestFindRowRejectsBadStart(t *testing.T) {
 }
 
 func TestHotterChipProfilesShorterRetention(t *testing.T) {
-	cfg := config.SmallChip()
 	profileAt := func(tempC float64) float64 {
-		d, err := hbm.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ch := 0; ch < cfg.Geometry.Channels; ch++ {
-			if err := d.WriteModeRegister(ch, hbm.MRECC, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		d.SetTemperature(tempC)
-		p := NewProfiler(d)
+		h := newHarness(t)
+		h.Device().SetTemperature(tempC)
+		p := NewProfiler(h)
 		T, err := p.RowRetention(bankAddr(), 23)
 		if err != nil {
 			t.Fatal(err)
@@ -182,5 +175,22 @@ func TestFindRowRejectsOutOfRangeBank(t *testing.T) {
 				t.Fatalf("FindRow(%v) err = %v, want an out-of-range error naming the bank", tc.b, err)
 			}
 		})
+	}
+}
+
+// A cancelled harness context stops the scan at its first probe instead
+// of being skipped like a row too strong for the band.
+func TestFindRowStopsOnCancel(t *testing.T) {
+	h := newHarness(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	h.SetContext(ctx)
+	t0 := h.Device().Now()
+	_, _, err := NewProfiler(h).FindRow(bankAddr(), 0, 64, 0.2, 8)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("FindRow err = %v, want context.Canceled", err)
+	}
+	if now := h.Device().Now(); now != t0 {
+		t.Fatalf("cancelled scan advanced the device clock %d -> %d", t0, now)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
-	"github.com/safari-repro/hbmrh/internal/hbm"
 )
 
 // Deeper probing of the proprietary mechanism, the follow-up the paper
@@ -12,6 +11,10 @@ import (
 // mechanism as part of future work"): how far around a sampled aggressor
 // the victim refresh reaches, and how many distinct aggressors the
 // sampler can track between REFs.
+
+// probeIterations is how many six-step iterations a probe runs: two
+// generous TRR periods, enough for any period up to 32.
+const probeIterations = 64
 
 // InferNeighborRadius determines how many rows on each side of a sampled
 // aggressor the mitigation refreshes. It profiles a retention-weak row R
@@ -27,12 +30,12 @@ func (e *Experiment) InferNeighborRadius(b addr.BankAddr, startRow, maxDistance 
 	if err != nil {
 		return 0, fmt.Errorf("utrr: %w", err)
 	}
-	m := e.dev.Mapper()
+	m := e.h.Device().Mapper()
 	pR := m.ToPhysical(row)
 	radius := 0
 	for d := 1; d <= maxDistance; d++ {
 		pAggr := pR + d
-		if pAggr >= e.dev.Geometry().Rows {
+		if pAggr >= e.h.Device().Geometry().Rows {
 			pAggr = pR - d
 			if pAggr < 0 {
 				break
@@ -53,35 +56,14 @@ func (e *Experiment) InferNeighborRadius(b addr.BankAddr, startRow, maxDistance 
 // full TRR period (estimated pessimistically) and reports whether the
 // profiled row was ever refreshed by the mitigation.
 func (e *Experiment) observeFire(b addr.BankAddr, row int, T float64, logicalAggr int) (bool, error) {
-	// Two generous periods: works for any period up to 32.
-	const iterations = 64
-	g := e.dev.Geometry()
-	pattern := make([]byte, g.RowBytes())
-	for i := range pattern {
-		pattern[i] = e.prof.Pattern
-	}
+	rows, aggrs := []int{row}, []int{logicalAggr}
 	half := int64(T / 2 * 1e12)
-	for it := 0; it < iterations; it++ {
-		if err := hbm.WriteRow(e.dev, b, row, pattern); err != nil {
-			return false, err
-		}
-		if err := e.dev.AdvanceTime(half); err != nil {
-			return false, err
-		}
-		if err := hbm.RefreshRow(e.dev, b, logicalAggr); err != nil {
-			return false, err
-		}
-		if err := e.dev.Refresh(b.Channel, b.PseudoChannel); err != nil {
-			return false, err
-		}
-		if err := e.dev.AdvanceTime(half); err != nil {
-			return false, err
-		}
-		got, err := hbm.ReadRow(e.dev, b, row)
+	for it := 0; it < probeIterations; it++ {
+		n, err := e.iterate(b, rows, aggrs, half)
 		if err != nil {
 			return false, err
 		}
-		if hbm.CountMismatches(got, pattern) == 0 {
+		if n == 1 {
 			return true, nil
 		}
 	}
@@ -100,83 +82,44 @@ func (e *Experiment) InferSamplerSlots(b addr.BankAddr, startRow, maxSlots int) 
 	if maxSlots < 1 {
 		return 0, fmt.Errorf("utrr: maxSlots %d must be at least 1", maxSlots)
 	}
-	g := e.dev.Geometry()
-	m := e.dev.Mapper()
+	g := e.h.Device().Geometry()
+	m := e.h.Device().Mapper()
 
 	// Find maxSlots retention-weak rows, spaced so their aggressors and
 	// victims never overlap.
-	type probe struct {
-		row, aggr int
-		T         float64
-	}
+	var rows, aggrs []int
 	// All probes share the two maxT/2 waits, so every probed row must
 	// decay within maxT yet survive maxT/2 when refreshed mid-iteration:
 	// the retention band must span less than a factor of two.
 	bandLo, bandHi := e.BandLo, e.BandLo*1.9
-	var probes []probe
+	maxT := 0.0
 	next := startRow
-	for len(probes) < maxSlots {
+	for len(rows) < maxSlots {
 		row, T, err := e.prof.FindRow(b, next, e.ScanRows, bandLo, bandHi)
 		if err != nil {
-			return 0, fmt.Errorf("utrr: only found %d probe rows: %w", len(probes), err)
+			return 0, fmt.Errorf("utrr: only found %d probe rows: %w", len(rows), err)
 		}
 		pR := m.ToPhysical(row)
 		pAggr := pR + 1
 		if pAggr >= g.Rows {
 			pAggr = pR - 1
 		}
-		probes = append(probes, probe{row: row, aggr: m.ToLogical(pAggr), T: T})
+		rows = append(rows, row)
+		aggrs = append(aggrs, m.ToLogical(pAggr))
+		maxT = max(maxT, T)
 		next = row + 8 // keep blast radii and victims disjoint
 	}
-	maxT := 0.0
-	for _, p := range probes {
-		if p.T > maxT {
-			maxT = p.T
-		}
-	}
 
-	pattern := make([]byte, g.RowBytes())
-	for i := range pattern {
-		pattern[i] = e.prof.Pattern
-	}
+	// Activate each aggressor once per iteration; a depth-s sampler
+	// retains the last s distinct rows.
 	half := int64(maxT / 2 * 1e12)
-	const iterations = 64
 	best := 0
-	for it := 0; it < iterations; it++ {
-		for _, p := range probes {
-			if err := hbm.WriteRow(e.dev, b, p.row, pattern); err != nil {
-				return 0, err
-			}
-		}
-		if err := e.dev.AdvanceTime(half); err != nil {
+	for it := 0; it < probeIterations; it++ {
+		refreshed, err := e.iterate(b, rows, aggrs, half)
+		if err != nil {
 			return 0, err
 		}
-		// Activate each aggressor once; a depth-s sampler retains the
-		// last s distinct rows.
-		for _, p := range probes {
-			if err := hbm.RefreshRow(e.dev, b, p.aggr); err != nil {
-				return 0, err
-			}
-		}
-		if err := e.dev.Refresh(b.Channel, b.PseudoChannel); err != nil {
-			return 0, err
-		}
-		if err := e.dev.AdvanceTime(half); err != nil {
-			return 0, err
-		}
-		refreshed := 0
-		for _, p := range probes {
-			got, err := hbm.ReadRow(e.dev, b, p.row)
-			if err != nil {
-				return 0, err
-			}
-			if hbm.CountMismatches(got, pattern) == 0 {
-				refreshed++
-			}
-		}
-		if refreshed > best {
-			best = refreshed
-		}
+		best = max(best, refreshed)
 	}
 	return best, nil
 }

@@ -20,24 +20,20 @@
 package utrr
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
-	"github.com/safari-repro/hbmrh/internal/hbm"
+	"github.com/safari-repro/hbmrh/internal/bender"
+	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/retention"
 )
 
-// Experiment drives the U-TRR loop on one device.
+// Experiment drives the U-TRR loop through a harness's DRAM Bender
+// programs, one program per iteration. Cancellation is the harness's:
+// every program checks the context SetContext armed before it runs.
 type Experiment struct {
-	dev  *hbm.Device
+	h    *core.Harness
 	prof *retention.Profiler
-
-	// Ctx, when non-nil, aborts the run between iterations (and before
-	// the up-front retention scan) with Ctx.Err(). Simulated time costs
-	// nothing, so one iteration's wall time is a handful of row
-	// operations — per-iteration checks keep cancellation prompt.
-	Ctx context.Context
 
 	// Iterations is the number of six-step iterations (paper: 100).
 	Iterations int
@@ -50,10 +46,10 @@ type Experiment struct {
 }
 
 // New returns an experiment with the paper's parameters.
-func New(d *hbm.Device) *Experiment {
+func New(h *core.Harness) *Experiment {
 	return &Experiment{
-		dev:        d,
-		prof:       retention.NewProfiler(d),
+		h:          h,
+		prof:       retention.NewProfiler(h),
 		Iterations: 100,
 		BandLo:     0.3,
 		BandHi:     8,
@@ -61,12 +57,38 @@ func New(d *hbm.Device) *Experiment {
 	}
 }
 
-// cancelled returns the armed context's error, if any.
-func (e *Experiment) cancelled() error {
-	if e.Ctx == nil {
-		return nil
+// iterate runs steps 2-6 of one iteration as one program over k profiled
+// rows and their would-be aggressors: write every row, wait half, refresh
+// every aggressor once, issue one REF, wait half again, read every row
+// back. It returns how many rows read back without a retention error,
+// i.e. were refreshed by an in-DRAM mechanism in between.
+func (e *Experiment) iterate(b addr.BankAddr, rows, aggrs []int, half int64) (int, error) {
+	fill := e.prof.Pattern
+	res, err := e.h.Exec(func(bb *bender.Builder) {
+		for _, r := range rows {
+			bb.WriteRowFill(b, r, fill)
+		}
+		bb.Wait(half)
+		for _, a := range aggrs {
+			bb.RefreshRow(b, a)
+		}
+		bb.Ref(b.Channel, b.PseudoChannel)
+		bb.Wait(half)
+		for _, r := range rows {
+			bb.ReadRowOut(b, r)
+		}
+	})
+	if err != nil {
+		return 0, err
 	}
-	return e.Ctx.Err()
+	cols := e.h.Device().Geometry().Columns
+	refreshed := 0
+	for i := range rows {
+		if core.CountFlips(res.Reads[i*cols:(i+1)*cols], fill) == 0 {
+			refreshed++
+		}
+	}
+	return refreshed, nil
 }
 
 // Result is the outcome of a U-TRR run.
@@ -116,15 +138,12 @@ func (r *Result) InferPeriod() (int, bool) {
 // comes from the reverse-engineering step (core.RecoverMapping); here it
 // is read from the device for speed.
 func (e *Experiment) Run(b addr.BankAddr, startRow int) (*Result, error) {
-	if err := e.cancelled(); err != nil {
-		return nil, err
-	}
-	g := e.dev.Geometry()
+	g := e.h.Device().Geometry()
 	row, T, err := e.prof.FindRow(b, startRow, e.ScanRows, e.BandLo, e.BandHi)
 	if err != nil {
 		return nil, fmt.Errorf("utrr: %w", err)
 	}
-	m := e.dev.Mapper()
+	m := e.h.Device().Mapper()
 	pR := m.ToPhysical(row)
 	pAggr := pR + 1
 	if pAggr >= g.Rows {
@@ -136,42 +155,14 @@ func (e *Experiment) Run(b addr.BankAddr, startRow int) (*Result, error) {
 		RetentionSec: T,
 		Refreshed:    make([]bool, e.Iterations),
 	}
-
-	pattern := make([]byte, g.RowBytes())
-	for i := range pattern {
-		pattern[i] = e.prof.Pattern
-	}
+	rows, aggrs := []int{row}, []int{res.Aggressor}
 	half := int64(T / 2 * 1e12)
-	for it := 0; it < e.Iterations; it++ {
-		if err := e.cancelled(); err != nil {
-			return nil, err
-		}
-		// Steps 1-2: restore R's data and charge, wait T/2.
-		if err := hbm.WriteRow(e.dev, b, row, pattern); err != nil {
-			return nil, fmt.Errorf("utrr: iteration %d: %w", it, err)
-		}
-		if err := e.dev.AdvanceTime(half); err != nil {
-			return nil, err
-		}
-		// Step 3: one activation of the neighbouring row, for the TRR
-		// sampler to observe.
-		if err := hbm.RefreshRow(e.dev, b, res.Aggressor); err != nil {
-			return nil, fmt.Errorf("utrr: iteration %d: %w", it, err)
-		}
-		// Step 4: a single periodic REF triggers the mitigation.
-		if err := e.dev.Refresh(b.Channel, b.PseudoChannel); err != nil {
-			return nil, fmt.Errorf("utrr: iteration %d: %w", it, err)
-		}
-		// Step 5: second half of the decay window.
-		if err := e.dev.AdvanceTime(half); err != nil {
-			return nil, err
-		}
-		// Step 6: errors mean nothing refreshed R in between.
-		got, err := hbm.ReadRow(e.dev, b, row)
+	for it := range res.Refreshed {
+		n, err := e.iterate(b, rows, aggrs, half)
 		if err != nil {
 			return nil, fmt.Errorf("utrr: iteration %d: %w", it, err)
 		}
-		res.Refreshed[it] = hbm.CountMismatches(got, pattern) == 0
+		res.Refreshed[it] = n == 1
 	}
 	return res, nil
 }

@@ -1,26 +1,24 @@
 package utrr
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
-	"github.com/safari-repro/hbmrh/internal/hbm"
+	"github.com/safari-repro/hbmrh/internal/core"
 )
 
+// newExperiment runs on a fresh harness, which turns ECC off: the
+// methodology needs raw retention errors, as in §3.1.
 func newExperiment(t testing.TB, cfg *config.Config) *Experiment {
 	t.Helper()
-	d, err := hbm.New(cfg)
+	h, err := core.NewHarnessFromConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The methodology needs raw retention errors: ECC off, as in §3.1.
-	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
-		if err := d.WriteModeRegister(ch, hbm.MRECC, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return New(d)
+	return New(h)
 }
 
 func bankAddr() addr.BankAddr {
@@ -196,5 +194,21 @@ func TestProbeArgumentValidation(t *testing.T) {
 	}
 	if _, err := e.InferSamplerSlots(bankAddr(), startRow, 0); err == nil {
 		t.Error("maxSlots 0 accepted")
+	}
+}
+
+// The harness context cancels a run: with the context done, the run
+// stops at its first program and reports the context's error.
+func TestRunStopsOnHarnessContext(t *testing.T) {
+	h, err := core.NewHarnessFromConfig(config.SmallChip())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(h)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	h.SetContext(ctx)
+	if _, err := e.Run(bankAddr(), startRow); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
 }
