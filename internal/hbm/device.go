@@ -77,6 +77,10 @@ type Device struct {
 
 	now   int64 // simulated time in picoseconds
 	tempC float64
+	// tscale and thrTemp are the retention and RowHammer-threshold
+	// temperature factors at tempC, which every sense applies; they
+	// change only with the temperature (see SetTemperature).
+	tscale, thrTemp float64
 
 	// pcs holds the pseudo channels, indexed channel*PseudoChannels +
 	// pseudo channel; banks holds every bank, indexed by BankAddr.Flat,
@@ -162,9 +166,9 @@ func New(cfg *config.Config) (*Device, error) {
 		fm:       fm,
 		mapper:   mapper,
 		layout:   fm.Layout(),
-		tempC:    cfg.Ret.RefTempC,
 		senseRef: forceReferenceSense.Load(),
 	}
+	d.SetTemperature(cfg.Ret.RefTempC)
 	g := cfg.Geometry
 	d.pcs = make([]pseudoChannel, g.Channels*g.PseudoChannels)
 	d.banks = make([]bankState, g.TotalBanks())
@@ -231,7 +235,14 @@ func (d *Device) Temperature() float64 { return d.tempC }
 
 // SetTemperature sets the ambient chip temperature, as the thermal rig
 // does. Retention times scale with the Arrhenius factor at sense time.
-func (d *Device) SetTemperature(c float64) { d.tempC = c }
+func (d *Device) SetTemperature(c float64) {
+	d.tempC = c
+	// Effective retention shrinks with temperature (Arrhenius factor).
+	d.tscale = d.cfg.Ret.Scale(c)
+	// RowHammer thresholds also scale (mildly) with temperature; hotter
+	// chips flip with fewer hammers when the slope is negative.
+	d.thrTemp = max(1+d.cfg.Fault.TempSlopePerC*(c-d.cfg.Ret.RefTempC), 0.05)
+}
 
 // Checked and resolved commands. Every bank command has one core, an
 // unexported method that takes the resolved *bankState and performs the

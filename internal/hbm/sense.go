@@ -55,15 +55,10 @@ func (d *Device) senseAndRestore(bank *bankState, physRow int, at int64, flips b
 		return
 	}
 
-	// Effective retention shrinks with temperature (Arrhenius factor).
-	tscale := d.cfg.Ret.Scale(d.tempC)
+	// The temperature factors (see SetTemperature) scale retention and
+	// the RowHammer thresholds.
+	tscale, thrTemp := d.tscale, d.thrTemp
 	retPass := elapsedSec > d.cfg.Ret.FloorSec*tscale
-	// RowHammer thresholds also scale (mildly) with temperature; hotter
-	// chips flip with fewer hammers when the slope is negative.
-	thrTemp := 1 + d.cfg.Fault.TempSlopePerC*(d.tempC-d.cfg.Ret.RefTempC)
-	if thrTemp < 0.05 {
-		thrTemp = 0.05
-	}
 	// No cell threshold is below HCFloor and no data-coupling factor is
 	// below CouplingBoth, so lower disturbance cannot flip anything.
 	distPass := disturb >= d.cfg.Fault.HCFloor*d.cfg.Fault.CouplingBoth*thrTemp
