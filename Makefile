@@ -81,6 +81,8 @@ golden-check:
 #      on the paper chip at a tiny budget: once in a single process and
 #      once as two job-slice shards plus a `characterize merge`; the CSV
 #      and the artifact must byte-match.
+#   7. every runnable example in examples/ (~0.6 s each) must exit 0, so
+#      a library change that breaks one fails here.
 SMOKE_DIR := .smoke
 
 smoke:
@@ -176,6 +178,9 @@ smoke:
 			-artifact $(SMOKE_DIR)/$$e-merged.bin "$(SMOKE_DIR)/$$e-shard*.json" >/dev/null || exit 1; \
 		cmp $(SMOKE_DIR)/$$e.csv $(SMOKE_DIR)/$$e-merged.csv || exit 1; \
 		cmp $(SMOKE_DIR)/$$e.bin $(SMOKE_DIR)/$$e-merged.bin || exit 1; \
+	done
+	for e in $$(ls examples); do \
+		$(GO) run ./examples/$$e >/dev/null || exit 1; \
 	done
 	rm -rf $(SMOKE_DIR)
 

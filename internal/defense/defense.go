@@ -210,7 +210,7 @@ func (g *Guard) refreshNeighbours(b addr.BankAddr, logicalRow int) error {
 	d := g.h.Device()
 	m := d.Mapper()
 	phys := m.ToPhysical(logicalRow)
-	refreshed := int64(0)
+	var refreshed int64
 	_, err := g.h.Exec(func(bb *bender.Builder) {
 		for _, p := range []int{phys - 1, phys + 1} {
 			if p >= 0 && p < d.Geometry().Rows {
