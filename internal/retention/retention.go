@@ -99,7 +99,7 @@ func (p *Profiler) RowRetention(b addr.BankAddr, row int) (float64, error) {
 func (p *Profiler) FindRow(b addr.BankAddr, startRow, maxScan int, loSec, hiSec float64) (int, float64, error) {
 	g := p.h.Device().Geometry()
 	// An out-of-range bank is bad input, not a bank without a usable row:
-	// every probe would fail and the scan below would swallow the errors.
+	// reject it with an error naming it before any probe runs.
 	if !b.Valid(g) {
 		return 0, 0, fmt.Errorf("retention: bank %v out of range (%d channels, %d pseudo channels, %d banks)",
 			b, g.Channels, g.PseudoChannels, g.Banks)
