@@ -304,6 +304,46 @@ func BenchmarkArtifactCodec(b *testing.B) {
 	})
 }
 
+// BenchmarkStoreOpen measures store replay, most of a query server's
+// start-up: Open on a directory of 32 one-seed small-chip multichip
+// shards (about 440 KB each), the store shape the serve benchmarks open.
+// Every object is read, decoded, re-encoded to its canonical bytes,
+// hashed against its file name and admitted.
+func BenchmarkStoreOpen(b *testing.B) {
+	const shards = 32
+	dir := b.TempDir()
+	st, err := hbmrh.OpenArtifactStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < shards; i++ {
+		a, err := hbmrh.RunExperiment("multichip", hbmrh.ExperimentOptions{
+			Cfg: hbmrh.SmallChip(), Rows: 1, Seeds: shards, Parallel: 1, Workers: 1,
+			Shard: i, ShardCount: shards,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, err := a.MarshalIndented()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Ingest(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for b.Loop() {
+		re, err := hbmrh.OpenArtifactStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if q := re.Quarantined(); len(q) != 0 {
+			b.Fatalf("replay quarantined %+v", q)
+		}
+	}
+}
+
 // --- Extension benchmarks (Section 6 future work, implemented) ---
 
 // benchExperiment runs one registry experiment per iteration and renders
@@ -390,7 +430,11 @@ func queryBenchHandler(b *testing.B) http.Handler {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := st.IngestArtifact(a); err != nil {
+		data, err := a.MarshalIndented()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Ingest(data); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -185,8 +185,15 @@ func (w *Writer) Floats(xs []float64) {
 }
 
 // Ints writes an integer array; a nil slice is null.
-func (w *Writer) Ints(xs []int64) {
-	writeArray(w, xs, func(dst []byte, x int64) []byte { return strconv.AppendInt(dst, x, 10) })
+func (w *Writer) Ints(xs []int64) { writeArray(w, xs, appendInt) }
+
+// appendInt appends x in decimal. Stream bins are mostly single digits,
+// mostly 0: those are one byte, the same byte strconv.AppendInt writes.
+func appendInt(dst []byte, x int64) []byte {
+	if 0 <= x && x <= 9 {
+		return append(dst, byte('0'+x))
+	}
+	return strconv.AppendInt(dst, x, 10)
 }
 
 // Strings writes a string array; a nil slice is null.
@@ -566,16 +573,69 @@ func (r *Reader) Floats() []float64 {
 }
 
 // Ints decodes an int64 array: nil for null, non-nil for [].
+//
+// Stream bins make up most of an artifact: thousands of small
+// non-negative integers, one per indented line. A tight loop takes each
+// element that is such a plain integer of at most 18 digits, after a
+// comma and a whitespace run it matches in one compare against the
+// previous run. Anything else (a sign, a fraction, an exponent, null, a
+// 19th digit, a leading zero before a digit, whitespace other than
+// spaces and newlines or before a comma, a missing element, the closing
+// bracket) goes from that element's separator to the per-element path,
+// more and Int64, so the inputs accepted, the values decoded, the depth
+// accounting and the error messages are theirs.
 func (r *Reader) Ints() []int64 {
 	if r.Null() {
 		return nil
 	}
-	r.ints = r.ints[:0]
-	r.Array(func() { r.ints = append(r.ints, r.Int64()) })
+	out := r.ints[:0]
+	if r.open('[', "array") {
+		d, i := r.data, r.pos
+		var run []byte // the whitespace before the previous element
+		for first := true; ; first = false {
+			j := i
+			if !first && j < len(d) && d[j] == ',' {
+				j++
+			}
+			if first || j > i {
+				w := j
+				if n := len(run); n > 0 && j+n <= len(d) && string(d[j:j+n]) == string(run) {
+					j += n
+				}
+				for j < len(d) && (d[j] == ' ' || d[j] == '\n') {
+					j++
+				}
+				run = d[w:j]
+				var v int64
+				e := j
+				for e < len(d) && '0' <= d[e] && d[e] <= '9' {
+					v = v*10 + int64(d[e]-'0')
+					e++
+				}
+				if n := e - j; n > 0 && n <= 18 && (n == 1 || d[j] != '0') &&
+					(e == len(d) || d[e] != '.' && d[e] != 'e' && d[e] != 'E') {
+					out = append(out, v)
+					i = e
+					continue
+				}
+			}
+			// The per-element path, from the separator on.
+			r.pos = i
+			if !r.more(first, ']') {
+				break
+			}
+			out = append(out, r.Int64())
+			if r.err != nil {
+				break
+			}
+			i = r.pos
+		}
+	}
+	r.ints = out
 	if r.err != nil {
 		return nil
 	}
-	return append(make([]int64, 0, len(r.ints)), r.ints...)
+	return append(make([]int64, 0, len(out)), out...)
 }
 
 // Skip validates and discards one value.

@@ -3,6 +3,7 @@ package jsonwire
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -141,4 +142,41 @@ func TestReaderStringsMatchEncodingJSON(t *testing.T) {
 			t.Errorf("String(%s) aliases its input", in)
 		}
 	}
+}
+
+// FuzzReaderInts holds Ints, its tight loop and the per-element path
+// behind it, to encoding/json: both accept or both reject each input, and
+// an accepted input decodes to the same values. The seeds are stream bins
+// as an artifact lays them out, indented and compact, and every element
+// shape the tight loop hands over.
+func FuzzReaderInts(f *testing.F) {
+	bins := make([]int64, 40)
+	bins[3], bins[17], bins[39] = 7, 123456, 10
+	indented, err := json.MarshalIndent(bins, "          ", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	compact, err := json.Marshal(bins)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(indented)
+	f.Add(compact)
+	for _, s := range []string{"[01]", "[-0]", "[1,]", "[,1]", "[1 2]", "[1e2]", "[1.0]", "[1234567890123456789]",
+		"[123456789012345678]", "[1,null]", "[\n\t 1 ,\t\n2\r\n,  3 ]", "[\n  1,\n  2,\n   3,\n 4\n]", "null", "[]", " [ ] "} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want []int64
+		wantErr := json.Unmarshal(data, &want)
+		r := NewReader(data)
+		got := r.Ints()
+		err := r.Finish()
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("Ints(%q) error %v; encoding/json: %v", data, err, wantErr)
+		}
+		if err == nil && (!slices.Equal(got, want) || (got == nil) != (want == nil)) {
+			t.Fatalf("Ints(%q) = %#v; encoding/json: %#v", data, got, want)
+		}
+	})
 }

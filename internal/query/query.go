@@ -123,14 +123,23 @@ var (
 	gzipHeader = []string{"gzip"}
 )
 
+// gzipWriters recycles the compressors of cache fills: a gzip writer
+// holds several hundred kilobytes of deflate state, which a fresh one per
+// fill allocated and cleared every time. Reset makes a pooled writer
+// write exactly the bytes a new one would.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 // newVariant seals one rendered body into its served form.
 func newVariant(corpus string, gen uint64, body []byte, ctype string) *variant {
 	sum := sha256.Sum256(body)
 	etag := `"` + hex.EncodeToString(sum[:]) + `"`
 	var zbuf bytes.Buffer
-	zw := gzip.NewWriter(&zbuf)
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(&zbuf)
 	zw.Write(body) // writes to a bytes.Buffer cannot fail
 	zw.Close()
+	zw.Reset(nil) // the pool holds no response body
+	gzipWriters.Put(zw)
 	v := &variant{
 		body:     body,
 		gzbody:   zbuf.Bytes(),

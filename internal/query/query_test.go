@@ -68,6 +68,15 @@ func shard(seedFirst uint64, seedCount int) *results.Artifact {
 	return a
 }
 
+// ingestArtifact ingests a's file form, as ingesting its shard file does.
+func ingestArtifact(st *store.Store, a *results.Artifact) (store.IngestResult, error) {
+	data, err := a.MarshalIndented()
+	if err != nil {
+		return store.IngestResult{}, err
+	}
+	return st.Ingest(data)
+}
+
 func newServer(t *testing.T, shards ...*results.Artifact) (*Server, *store.Store) {
 	t.Helper()
 	st, err := store.Open("")
@@ -75,7 +84,7 @@ func newServer(t *testing.T, shards ...*results.Artifact) (*Server, *store.Store
 		t.Fatal(err)
 	}
 	for _, a := range shards {
-		if _, err := st.IngestArtifact(a); err != nil {
+		if _, err := ingestArtifact(st, a); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,7 +283,7 @@ func TestQueryHealthzDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.IngestArtifact(shard(0, 2)); err != nil {
+	if _, err := ingestArtifact(st, shard(0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	objects, err := filepath.Glob(filepath.Join(dir, "objects", "*.json"))
@@ -328,7 +337,7 @@ func TestQueryCacheHitsAndInvalidation(t *testing.T) {
 
 	// Ingest bumps the generation: next read misses and re-renders over
 	// the extended corpus.
-	if _, err := st.IngestArtifact(shard(2, 2)); err != nil {
+	if _, err := ingestArtifact(st, shard(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	_, third := get(t, h, "/v1/summary?group-by=channel")
@@ -489,7 +498,7 @@ func TestQueryConcurrentReadsAndIngest(t *testing.T) {
 		defer wg.Done()
 		<-start
 		for i := 1; i < 4; i++ {
-			if _, err := st.IngestArtifact(fresh(i)); err != nil {
+			if _, err := ingestArtifact(st, fresh(i)); err != nil {
 				errc <- err
 				return
 			}
@@ -634,7 +643,7 @@ func TestQueryETagConditional(t *testing.T) {
 	}
 
 	// Ingest: the same validator must now miss and see fresh bytes.
-	if _, err := st.IngestArtifact(shard(2, 2)); err != nil {
+	if _, err := ingestArtifact(st, shard(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	req = httptest.NewRequest(http.MethodGet, "/v1/summary?group-by=channel", nil)
@@ -727,7 +736,7 @@ func TestQueryKeysCached(t *testing.T) {
 	}
 
 	// Any ingest (store-wide generation) invalidates the listing.
-	if _, err := st.IngestArtifact(shard(2, 2)); err != nil {
+	if _, err := ingestArtifact(st, shard(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	_, third := get(t, h, "/v1/keys")
@@ -766,6 +775,32 @@ func (w *nullResponseWriter) reset() {
 		delete(w.h, k)
 	}
 	w.status, w.n = 0, 0
+}
+
+// TestVariantGzipMatchesFreshWriter pins that the pooled gzip writers
+// change no byte: each cache fill's gzip body equals what a fresh
+// gzip.NewWriter writes for the same identity body, over fills of
+// different sizes in a row, so later fills reuse writers earlier ones
+// left in the pool.
+func TestVariantGzipMatchesFreshWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	large := make([]byte, 200<<10)
+	for i := range large {
+		large[i] = "0123456789,\n"[rng.Intn(12)]
+	}
+	for round := 0; round < 2; round++ {
+		for _, body := range [][]byte{large, nil, []byte("ok\n"), large[:70<<10]} {
+			var want bytes.Buffer
+			zw := gzip.NewWriter(&want)
+			zw.Write(body)
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if v := newVariant("c", 1, body, "text/plain"); !bytes.Equal(v.gzbody, want.Bytes()) {
+				t.Fatalf("round %d, %d-byte body: pooled gzip body differs from a fresh writer's", round, len(body))
+			}
+		}
+	}
 }
 
 // TestQueryHotPathAllocs pins the serving data plane's hot path at ≤2
@@ -869,7 +904,7 @@ func TestQueryReadersDuringIncrementalIngest(t *testing.T) {
 		defer wg.Done()
 		<-start
 		for _, i := range []int{2, 1, 3} {
-			if _, err := st.IngestArtifact(fresh(i)); err != nil {
+			if _, err := ingestArtifact(st, fresh(i)); err != nil {
 				errc <- err
 				return
 			}

@@ -23,11 +23,16 @@ import (
 // order, omitempty fields left out when empty, nil slices as null, map
 // keys sorted, streams in their versioned wire form. It fails only on
 // non-finite values, which JSON cannot represent.
-func (a *Artifact) MarshalIndented() ([]byte, error) {
-	w := jsonwire.NewWriter(nil, true)
+func (a *Artifact) MarshalIndented() ([]byte, error) { return a.AppendIndented(nil) }
+
+// AppendIndented appends the artifact file form (see MarshalIndented) to
+// dst and returns the extended buffer, so a caller that encodes many
+// artifacts can reuse one. On failure it returns dst unextended.
+func (a *Artifact) AppendIndented(dst []byte) ([]byte, error) {
+	w := jsonwire.NewWriter(dst, true)
 	a.write(w)
 	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("results: encoding artifact: %w", err)
+		return dst, fmt.Errorf("results: encoding artifact: %w", err)
 	}
 	return append(w.Bytes(), '\n'), nil
 }

@@ -43,9 +43,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -136,7 +138,8 @@ type member struct {
 }
 
 // prepared is an artifact made ready for admit without touching store
-// state: decoded, re-encoded to its canonical bytes, and hashed.
+// state: decoded, re-encoded to its canonical bytes, and hashed. canon
+// holds those bytes only when admit is to persist them.
 type prepared struct {
 	art    *results.Artifact
 	canon  []byte
@@ -216,9 +219,13 @@ func Open(dir string) (*Store, error) {
 // and admits them strictly in names order (ReadDir's name = hash order):
 // deterministic, and admit tolerates any arrival order via the pending
 // set. Admission hands out work at most 2×GOMAXPROCS objects ahead of
-// itself, which bounds the decoded artifacts held in flight. Quarantine
-// decisions happen at admit time in the same order, so the outcome is
-// exactly that of a serial replay. No goroutine outlives the return.
+// itself, which bounds the decoded artifacts held in flight. Each worker
+// reads and canonically encodes every object it prepares into its own
+// two buffers (a decoded artifact shares no memory with its bytes, and
+// the canonical bytes are only hashed), so a replay allocates them once
+// per worker, not once per object. Quarantine decisions happen at admit
+// time in the same order, so the outcome is exactly that of a serial
+// replay. No goroutine outlives the return.
 func (s *Store) replay(objects string, names []string) error {
 	type outcome struct {
 		p   *prepared
@@ -237,8 +244,9 @@ func (s *Store) replay(objects string, names []string) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			var b replayBuffers
 			for i := range jobs {
-				p, err := prepareObject(objects, names[i])
+				p, err := b.prepareObject(objects, names[i])
 				done[i] <- outcome{p, err}
 			}
 		}()
@@ -269,16 +277,21 @@ func (s *Store) replay(objects string, names []string) error {
 	return nil
 }
 
+// replayBuffers are one replay worker's read and canonical-encode
+// buffers, reused for every object it prepares.
+type replayBuffers struct{ data, canon []byte }
+
 // prepareObject reads and prepares one object file. The file name is
 // the object's address, so an object whose canonical bytes hash to
 // anything else is ErrMalformed: a renamed or mis-copied file must not
 // be admitted under an address it does not have.
-func prepareObject(objects, name string) (*prepared, error) {
-	data, err := os.ReadFile(filepath.Join(objects, name))
-	if err != nil {
+func (b *replayBuffers) prepareObject(objects, name string) (*prepared, error) {
+	var err error
+	if b.data, err = readFile(filepath.Join(objects, name), b.data[:0]); err != nil {
 		return nil, err
 	}
-	p, err := prepare(data)
+	p, canon, err := prepare(b.data, b.canon)
+	b.canon = canon
 	if err != nil {
 		return nil, err
 	}
@@ -286,6 +299,33 @@ func prepareObject(objects, name string) (*prepared, error) {
 		return nil, malformed(fmt.Errorf("store: object %s has canonical hash %s", want, p.hash))
 	}
 	return p, nil
+}
+
+// readFile appends the contents of the named file to buf, failing as
+// os.ReadFile does.
+func readFile(name string, buf []byte) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	// One allocation for the whole file, and room to read the EOF.
+	if info, err := f.Stat(); err == nil && int64(int(info.Size())) == info.Size() {
+		buf = slices.Grow(buf, int(info.Size())+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // quarantine moves one condemned object file into objects/quarantine/
@@ -348,22 +388,16 @@ func (s *Store) Ingest(data []byte) (IngestResult, error) {
 	if err := fpStoreIngest.Inject(); err != nil {
 		return IngestResult{}, err
 	}
-	p, err := prepare(data)
+	// The canonical encoding is about as long as data when data arrives
+	// in the file form, as shards and fleet chunks do.
+	p, canon, err := prepare(data, make([]byte, 0, len(data)))
 	if err != nil {
 		return IngestResult{}, err
 	}
-	return s.admit(p, true)
-}
-
-// IngestArtifact ingests an in-memory artifact (fleet auto-ingest); the
-// artifact is re-encoded to its canonical bytes first, so the stored
-// object is identical to ingesting the written shard file.
-func (s *Store) IngestArtifact(a *results.Artifact) (IngestResult, error) {
-	buf, err := a.MarshalIndented()
-	if err != nil {
-		return IngestResult{}, malformed(fmt.Errorf("store: %w", err))
+	if s.dir != "" {
+		p.canon = canon
 	}
-	return s.Ingest(buf)
+	return s.admit(p, true)
 }
 
 // IngestFiles ingests each path (files, globs or directories, expanded
@@ -390,22 +424,24 @@ func (s *Store) IngestFiles(args ...string) ([]IngestResult, error) {
 
 // prepare is everything ingest does before it needs the store: the
 // shard's one decode, its canonical encoding and address, and its corpus
-// ID. It touches no state, so Open runs it on many objects at once.
+// ID. It touches no state, so Open runs it on many objects at once. The
+// canonical bytes are written over canon's contents and returned, grown
+// as needed, beside the prepared artifact, which does not hold them.
 // Failures are ErrMalformed.
-func prepare(data []byte) (*prepared, error) {
+func prepare(data, canon []byte) (*prepared, []byte, error) {
 	a, err := results.Decode(data)
 	if err != nil {
-		return nil, malformed(err)
+		return nil, canon, malformed(err)
 	}
 	// Canonicalize: the object's address is the hash of its deterministic
 	// encoding, so semantically identical artifacts (whatever whitespace
 	// they arrived with) dedup to one object.
-	canon, err := a.MarshalIndented()
+	canon, err = a.AppendIndented(canon[:0])
 	if err != nil {
-		return nil, malformed(err)
+		return nil, canon, malformed(err)
 	}
 	sum := sha256.Sum256(canon)
-	return &prepared{art: a, canon: canon, hash: hex.EncodeToString(sum[:]), corpus: CorpusID(&a.Meta)}, nil
+	return &prepared{art: a, hash: hex.EncodeToString(sum[:]), corpus: CorpusID(&a.Meta)}, canon, nil
 }
 
 // admit runs the locked half of ingest on a prepared artifact: the

@@ -93,9 +93,18 @@ func jobShard(first, count int) *results.Artifact {
 	return a
 }
 
+// ingestArtifact ingests a's file form, as ingesting its shard file does.
+func ingestArtifact(s *Store, a *results.Artifact) (IngestResult, error) {
+	data, err := a.MarshalIndented()
+	if err != nil {
+		return IngestResult{}, err
+	}
+	return s.Ingest(data)
+}
+
 func ingest(t *testing.T, s *Store, a *results.Artifact) IngestResult {
 	t.Helper()
-	r, err := s.IngestArtifact(a)
+	r, err := ingestArtifact(s, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +240,7 @@ func TestStoreRejectsConflicts(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s, _ := Open("")
 			base := ingest(t, s, shard(0, 2))
-			if _, err := s.IngestArtifact(make()); !errors.Is(err, ErrConflict) {
+			if _, err := ingestArtifact(s, make()); !errors.Is(err, ErrConflict) {
 				t.Fatalf("%s: got %v, want an ErrConflict rejection", name, err)
 			}
 			if g := s.Generation(); g != base.StoreGen {
@@ -254,14 +263,14 @@ func TestStoreRejectsJobSliceConflicts(t *testing.T) {
 		ingest(t, s, jobShard(0, 2))
 		b := jobShard(2, 2)
 		b.Meta.JobKeys = []string{"p1", "p3"} // p1 already covered
-		if _, err := s.IngestArtifact(b); err == nil || !strings.Contains(err.Error(), "present in both") {
+		if _, err := ingestArtifact(s, b); err == nil || !strings.Contains(err.Error(), "present in both") {
 			t.Fatalf("overlapping job keys accepted: %v", err)
 		}
 	})
 	t.Run("slice overlap", func(t *testing.T) {
 		s, _ := Open("")
 		ingest(t, s, jobShard(0, 3))
-		if _, err := s.IngestArtifact(jobShard(2, 2)); err == nil {
+		if _, err := ingestArtifact(s, jobShard(2, 2)); err == nil {
 			t.Fatal("overlapping job slices accepted")
 		}
 	})
@@ -270,7 +279,7 @@ func TestStoreRejectsJobSliceConflicts(t *testing.T) {
 		ingest(t, s, jobShard(0, 2))
 		b := jobShard(2, 2)
 		b.Meta.SeedFirst = 9
-		if _, err := s.IngestArtifact(b); err == nil {
+		if _, err := ingestArtifact(s, b); err == nil {
 			t.Fatal("job shards of different seed ranges accepted")
 		}
 	})
@@ -450,7 +459,7 @@ func TestStoreQuarantineMisnamedObject(t *testing.T) {
 	}
 	// The object's class is ErrMalformed, the class a live ingest of
 	// undecodable bytes gets.
-	if _, err := prepareObject(filepath.Join(objects, "quarantine"), wrong+".json"); !errors.Is(err, ErrMalformed) {
+	if _, err := new(replayBuffers).prepareObject(filepath.Join(objects, "quarantine"), wrong+".json"); !errors.Is(err, ErrMalformed) {
 		t.Errorf("misnamed object error %v, want ErrMalformed", err)
 	}
 }
@@ -641,7 +650,7 @@ func TestStoreMergeFailureKeepsPreviousView(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(failpoint.Reset)
-	if _, err := s.IngestArtifact(shard(2, 3)); err == nil {
+	if _, err := ingestArtifact(s, shard(2, 3)); err == nil {
 		t.Fatal("ingest with injected merge failure succeeded")
 	}
 
@@ -696,7 +705,7 @@ func TestStoreMergeFailureKeepsPreviousView(t *testing.T) {
 	if err := failpoint.Arm("store/merge=error@1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mem.IngestArtifact(shard(2, 3)); err == nil {
+	if _, err := ingestArtifact(mem, shard(2, 3)); err == nil {
 		t.Fatal("in-memory ingest with injected merge failure succeeded")
 	}
 	if q := mem.Quarantined(); len(q) != 1 {
@@ -904,6 +913,56 @@ func TestStoreParallelReplayMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestStoreReplayBuffersNotAliased opens a directory of far more objects
+// than replay's lookahead window, of several sizes, at GOMAXPROCS 4: each
+// worker reads and encodes many objects into the same two buffers, a
+// shorter object over a longer one's bytes. Every member must still
+// re-encode to its address, so no decoded artifact shares a worker's
+// buffer, and the store must equal a serial replay of the same directory.
+func TestStoreReplayBuffersNotAliased(t *testing.T) {
+	const procs = 4
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := uint64(0)
+	for i := 0; i < 5*procs; i++ {
+		n := 1 + i%3
+		ingest(t, s, shard(seed, n))
+		seed += uint64(n)
+	}
+	parallel := openWithProcs(t, dir, procs)
+	checkMembersPristine(t, parallel)
+	serial := openWithProcs(t, dir, 1)
+	if q := append(serial.Quarantined(), parallel.Quarantined()...); len(q) != 0 {
+		t.Fatalf("replay quarantined %+v", q)
+	}
+	if !reflect.DeepEqual(serial.Corpora(), parallel.Corpora()) || serial.Generation() != parallel.Generation() {
+		t.Fatalf("serial replay: corpora %v at generation %d; parallel: %v at %d",
+			serial.Corpora(), serial.Generation(), parallel.Corpora(), parallel.Generation())
+	}
+	for _, id := range serial.Corpora() {
+		a, _ := serial.Snapshot(id)
+		b, _ := parallel.Snapshot(id)
+		if a.Gen != b.Gen || a.Members != b.Members || a.Pending != b.Pending || a.Members != 5*procs {
+			t.Fatalf("%s: serial gen=%d members=%d pending=%d, parallel gen=%d members=%d pending=%d",
+				id, a.Gen, a.Members, a.Pending, b.Gen, b.Members, b.Pending)
+		}
+		wa, err := a.Merged.MarshalIndented()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := b.Merged.MarshalIndented()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wa, wb) {
+			t.Fatalf("%s: merged view differs between serial and parallel replay", id)
+		}
+	}
+}
+
 // TestStoreOpenEarlyReturnStopsReplay fails replay on its first object —
 // torn, and unquarantinable because a plain file sits where the
 // quarantine directory belongs — while the lookahead is still preparing
@@ -1024,7 +1083,7 @@ func FuzzArtifactIngest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	prepBase, err := prepare(base)
+	prepBase, _, err := prepare(base, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
