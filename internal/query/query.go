@@ -125,8 +125,9 @@ var (
 
 // gzipWriters recycles the compressors of cache fills: a gzip writer
 // holds several hundred kilobytes of deflate state, which a fresh one per
-// fill allocated and cleared every time. Reset makes a pooled writer
-// write exactly the bytes a new one would.
+// fill allocated every time. Reset makes a pooled writer write exactly
+// the bytes a new one would; it also clears that state, so a fill resets
+// its writer once, onto its own buffer.
 var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
 // newVariant seals one rendered body into its served form.
@@ -138,7 +139,6 @@ func newVariant(corpus string, gen uint64, body []byte, ctype string) *variant {
 	zw.Reset(&zbuf)
 	zw.Write(body) // writes to a bytes.Buffer cannot fail
 	zw.Close()
-	zw.Reset(nil) // the pool holds no response body
 	gzipWriters.Put(zw)
 	v := &variant{
 		body:     body,
