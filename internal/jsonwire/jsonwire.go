@@ -25,6 +25,7 @@
 package jsonwire
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -599,8 +600,8 @@ func (r *Reader) Ints() []int64 {
 			}
 			if first || j > i {
 				w := j
-				if n := len(run); n > 0 && j+n <= len(d) && string(d[j:j+n]) == string(run) {
-					j += n
+				if len(run) > 0 && hasRun(d[j:], run) {
+					j += len(run)
 				}
 				for j < len(d) && (d[j] == ' ' || d[j] == '\n') {
 					j++
@@ -635,7 +636,24 @@ func (r *Reader) Ints() []int64 {
 	if r.err != nil {
 		return nil
 	}
-	return append(make([]int64, 0, len(out)), out...)
+	// make and copy: the copy fills the new slice without clearing it first.
+	ints := make([]int64, len(out))
+	copy(ints, out)
+	return ints
+}
+
+// hasRun reports whether b starts with run. An indentation run of 8 to
+// 16 bytes, the bins' depth in an artifact, takes two word compares.
+func hasRun(b, run []byte) bool {
+	n := len(run)
+	switch {
+	case n > len(b):
+		return false
+	case 8 <= n && n <= 16:
+		return binary.LittleEndian.Uint64(b) == binary.LittleEndian.Uint64(run) &&
+			binary.LittleEndian.Uint64(b[n-8:]) == binary.LittleEndian.Uint64(run[n-8:])
+	}
+	return string(b[:n]) == string(run)
 }
 
 // Skip validates and discards one value.
