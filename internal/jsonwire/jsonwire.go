@@ -600,7 +600,7 @@ func (r *Reader) Ints() []int64 {
 			}
 			if first || j > i {
 				w := j
-				if len(run) > 0 && hasRun(d[j:], run) {
+				if hasRun(d[j:], run) {
 					j += len(run)
 				}
 				for j < len(d) && (d[j] == ' ' || d[j] == '\n') {
