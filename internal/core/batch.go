@@ -137,7 +137,9 @@ func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Patter
 }
 
 // hcFirstChunk runs HCFirstBatchHold's search over at most maxProbeBatch
-// victims, writing each victim's HCfirst, found flag and ceiling BER.
+// victims, writing each victim's HCfirst, found flag and ceiling BER: the
+// ceiling probe for the whole chunk, then bisect over the victims that
+// flipped, reusing the ceiling program when they all did.
 func (h *Harness) hcFirstChunk(ba addr.BankAddr, victims []int, p Pattern, maxHammers int, holdPS int64,
 	hc []int, found []bool, ceiling []BERResult) error {
 	if len(victims) == 0 {
@@ -150,36 +152,83 @@ func (h *Harness) hcFirstChunk(ba addr.BankAddr, victims []int, p Pattern, maxHa
 	if err := h.runProbes(prog, p, holdPS, ceiling); err != nil {
 		return err
 	}
-	prec := max(h.HCPrecision, 1)
-	// Per victim j, los[j] never flips and hc[j] (the search's hi)
-	// flips. active lists the victims still searching, in order; while
-	// current holds, the program's probe k is victim active[k].
-	var los, mids, activeBuf, vict [maxProbeBatch]int
-	var res [maxProbeBatch]BERResult
-	active := activeBuf[:0]
+	var idx, vict, los, his [maxProbeBatch]int
+	n := 0
 	for j := range victims {
 		if ceiling[j].Flips > 0 {
-			found[j] = true
-			hc[j] = maxHammers
-			if maxHammers > prec {
-				active = append(active, j)
-			}
+			found[j], hc[j] = true, maxHammers
+			idx[n], vict[n], his[n] = j, victims[j], maxHammers
+			n++
 		}
 	}
-	current := len(active) == len(victims) // the program probes exactly the active victims
+	if n < len(victims) {
+		prog = nil
+	}
+	if err := h.bisect(ba, vict[:n], p, holdPS, los[:n], his[:n], nil, prog); err != nil {
+		return err
+	}
+	for k, j := range idx[:n] {
+		hc[j] = his[k]
+	}
+	return nil
+}
+
+// bisect is the HCfirst binary search, batched over at most
+// maxProbeBatch victims under one pattern. Victim k's bracket is
+// (lo[k], hi[k]]: lo[k] is known not to flip it and hi[k] to flip it.
+// Each round probes every victim whose bracket is still wider than
+// HCPrecision at mid = lo+(hi-lo)/2, all in one program, and keeps the
+// half holding the first flip, so a bracket ends as the leaf of the one
+// search tree every search from (0, maxHammers] walks, and hi[k] as the
+// HCfirst. A victim with flipAt non-nil is known to flip at flipAt[k]
+// and, flips being monotone in the hammer count, at any count above it:
+// a mid at or above flipAt[k] moves hi without a probe. prog, when
+// non-nil, is a buildProbes program over exactly victims under p; it
+// serves the first round if every victim needs one. A round re-runs the
+// round before's program with new loop counts, and the program is
+// rebuilt only when the set of searching victims shrinks. Every victim
+// sees the probes its own sequential search would issue, minus the
+// ones flipAt answers, so the brackets are the sequential ones.
+func (h *Harness) bisect(ba addr.BankAddr, victims []int, p Pattern, holdPS int64,
+	lo, hi, flipAt []int, prog *bender.Program) error {
+	prec := max(h.HCPrecision, 1)
+	// searching skips the rounds flipAt answers and reports whether
+	// victim k still needs a probe.
+	searching := func(k int) bool {
+		for hi[k]-lo[k] > prec {
+			mid := lo[k] + (hi[k]-lo[k])/2
+			if flipAt == nil || mid < flipAt[k] {
+				return true
+			}
+			hi[k] = mid
+		}
+		return false
+	}
+	// active lists the victims still searching, in order; while current
+	// holds, the program's probe i is victim active[i].
+	var activeBuf, mids, vict [maxProbeBatch]int
+	var res [maxProbeBatch]BERResult
+	active := activeBuf[:0]
+	for k := range victims {
+		if searching(k) {
+			active = append(active, k)
+		}
+	}
+	current := prog != nil && len(active) == len(victims)
 	for len(active) > 0 {
 		if !current {
-			for k, j := range active {
-				vict[k] = victims[j]
+			for i, k := range active {
+				vict[i] = victims[k]
 			}
-			if prog, err = h.buildProbes(ba, vict[:len(active)], maxHammers, p, holdPS); err != nil {
+			var err error
+			if prog, err = h.buildProbes(ba, vict[:len(active)], hi[active[0]], p, holdPS); err != nil {
 				return err
 			}
 			current = true
 		}
-		for k, j := range active {
-			mids[k] = los[j] + (hc[j]-los[j])/2
-			if err := prog.SetLoopCount(h.probeLoops[k], int64(mids[k])); err != nil {
+		for i, k := range active {
+			mids[i] = lo[k] + (hi[k]-lo[k])/2
+			if err := prog.SetLoopCount(h.probeLoops[i], int64(mids[i])); err != nil {
 				return err
 			}
 		}
@@ -187,14 +236,14 @@ func (h *Harness) hcFirstChunk(ba addr.BankAddr, victims []int, p Pattern, maxHa
 			return err
 		}
 		next := active[:0]
-		for k, j := range active {
-			if res[k].Flips > 0 {
-				hc[j] = mids[k]
+		for i, k := range active {
+			if res[i].Flips > 0 {
+				hi[k] = mids[i]
 			} else {
-				los[j] = mids[k]
+				lo[k] = mids[i]
 			}
-			if hc[j]-los[j] > prec {
-				next = append(next, j)
+			if searching(k) {
+				next = append(next, k)
 			}
 		}
 		current = len(next) == len(active)

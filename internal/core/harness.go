@@ -143,6 +143,19 @@ func (h *Harness) Exec(build func(*bender.Builder)) (*bender.Result, error) {
 	return h.run(b)
 }
 
+// RunProgram runs an already-built program on the harness's device: Exec
+// for a program its caller assembles once and re-runs, such as the same
+// loop iteration run many times, so the runner keeps its plan for the
+// program instead of assembling, validating and planning it again. Like
+// Exec, it returns the armed context's error before touching the device,
+// and the Result is owned by the harness's runner.
+func (h *Harness) RunProgram(prog *bender.Program) (*bender.Result, error) {
+	if err := h.cancelled(); err != nil {
+		return nil, err
+	}
+	return h.runner.Run(h.dev, h.dev.Geometry(), prog)
+}
+
 func (h *Harness) run(b *bender.Builder) (*bender.Result, error) {
 	prog, err := b.Build()
 	if err != nil {
@@ -293,53 +306,4 @@ func (h *Harness) HCFirstHold(ba addr.BankAddr, physVictim int, p Pattern, maxHa
 		}
 	}
 	return hi, true, nil
-}
-
-// WCDPResult reports the worst-case data pattern of one row.
-type WCDPResult struct {
-	Pattern Pattern
-	// HCFirst is the row's minimum hammer count under the worst pattern;
-	// Found is false if no pattern flips within maxHammers.
-	HCFirst int
-	Found   bool
-	// BER is the row's bit error rate under the worst pattern at
-	// maxHammers hammers.
-	BER float64
-}
-
-// WCDP determines the worst-case data pattern of a row per the paper's
-// definition: the pattern with the smallest HCfirst; ties broken by the
-// largest BER at the maximum hammer count.
-func (h *Harness) WCDP(ba addr.BankAddr, physVictim int, maxHammers int) (WCDPResult, error) {
-	best := WCDPResult{HCFirst: maxHammers + 1}
-	victim := []int{physVictim}
-	for _, p := range Table1() {
-		// The search's ceiling probe is the row's BER at maxHammers.
-		hc, found, ber, err := h.HCFirstBatch(ba, victim, p, maxHammers)
-		if err != nil {
-			return WCDPResult{}, err
-		}
-		cand := WCDPResult{Pattern: p, HCFirst: hc[0], Found: found[0], BER: ber[0].BER()}
-		if better(cand, best) {
-			best = cand
-		}
-	}
-	if !best.Found {
-		best.HCFirst = 0
-	}
-	return best, nil
-}
-
-// better reports whether a beats b as the worst-case pattern.
-func better(a, b WCDPResult) bool {
-	if a.Found != b.Found {
-		return a.Found
-	}
-	if !a.Found {
-		return a.BER > b.BER
-	}
-	if a.HCFirst != b.HCFirst {
-		return a.HCFirst < b.HCFirst
-	}
-	return a.BER > b.BER
 }

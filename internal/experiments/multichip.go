@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/engine"
@@ -83,10 +84,10 @@ type chipResult struct {
 }
 
 // multiChipPlan decomposes a fleet scan over an explicit seed list: one
-// job per chip instance of cfg, folded in seed-index order into the
-// region×channel artifact. It reads Rows (default 8 per region), Hammers
-// and Iterations from o, pinned in Params, and Workers, which bounds each
-// chip's inner sweep parallelism. The fold runs in strict seed-index
+// job per chip instance of cfg (measureChip), folded in seed-index order
+// into the region×channel artifact. It reads Rows (default 8 per
+// region), Hammers and Iterations from o, pinned in Params, and Workers,
+// which bounds how many of a chip's per-channel WCDP jobs run at once. The fold runs in strict seed-index
 // order, so the artifact is byte-identical at any parallelism — and,
 // because the accumulators merge exactly, also between a single run over
 // all seeds and a merge of contiguous seed-range shards. Shard artifacts
@@ -159,12 +160,15 @@ func multiChipExperiment() *Experiment {
 	}
 }
 
-// measureChip runs one seed's headline measurements: the sweep plan at
-// rows per region and the hammer ceiling, whose fold gives the chip's
-// fine-axis accumulators, condensed into the chip's summary, and the
-// trrstudy plan at the iteration count, whose trr_period group gives the
-// chip's TRR period; both artifacts' records are dropped when this
-// returns. workers bounds the inner sweep's parallelism.
+// measureChip runs one seed's headline measurements and condenses them
+// into the chip's summary. The row scan is one harness job per channel
+// (wcdpChannel: the worst-case pattern's BER and HCfirst of rows per
+// region, searched up to the hammer ceiling), folded like the sweep into
+// the chip's fine-axis accumulators, its headlines drawn by
+// SweepHeadlines; the trrstudy plan at the iteration count gives the
+// chip's TRR period through its trr_period group. Both artifacts'
+// records are dropped when this returns. workers bounds the row scan's
+// parallelism.
 func measureChip(ctx context.Context, base *config.Config, seed uint64, rows, hammers, iterations, workers int) (chipResult, error) {
 	cfg := *base
 	cfg.Seed = seed
@@ -172,15 +176,14 @@ func measureChip(ctx context.Context, base *config.Config, seed uint64, rows, ha
 	// chip is summarized, or a long seed scan keeps every instance's
 	// devices resident.
 	defer engine.SharedPool.DrainConfig(&cfg)
-	p, err := registry["sweep"].Plan(Options{Cfg: &cfg, Rows: rows, Hammers: hammers})
+	p := channelPlan(&cfg, func(h *core.Harness, ch int) ([]results.RowRecord, error) {
+		return wcdpChannel(h, cfg.Geometry, rows, hammers, ch)
+	})
+	scan, err := executePlan(p, Options{Parallel: workers, Ctx: ctx}, 0, len(p.Jobs))
 	if err != nil {
 		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
 	}
-	sweep, err := executePlan(p, Options{Parallel: workers, Ctx: ctx}, 0, len(p.Jobs))
-	if err != nil {
-		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
-	}
-	h3, h4, _ := SweepHeadlines(sweep)
+	h3, h4, _ := SweepHeadlines(scan)
 	worst := 0
 	for ch, ber := range h3.WCDPMeanBER {
 		if ber > h3.WCDPMeanBER[worst] {
@@ -204,8 +207,35 @@ func measureChip(ctx context.Context, base *config.Config, seed uint64, rows, ha
 			WorstChannel: worst,
 			TRRPeriod:    period,
 		},
-		groups: sweep.Groups,
+		groups: scan.Groups,
 	}, nil
+}
+
+// wcdpChannel measures the worst-case data pattern of one channel's
+// sampled victim rows (sampleVictims) in one WCDPBatch. Its records hold
+// only that pattern's BER, HCfirst and found flag, at index 0 (WCDP 0),
+// which is all foldSweepRows and the multichip headlines read: the same
+// values, in the same order, as the sweep's records of the same rows.
+func wcdpChannel(h *core.Harness, g addr.Geometry, rowsPerRegion, hammers, ch int) ([]results.RowRecord, error) {
+	victims, regions := sampleVictims(g, rowsPerRegion)
+	ws, err := h.WCDPBatch(addr.BankAddr{Channel: ch}, victims, hammers)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]results.RowRecord, len(ws))
+	bers, hcs, founds := make([]float64, len(ws)), make([]int, len(ws)), make([]bool, len(ws))
+	for i, w := range ws {
+		bers[i], hcs[i], founds[i] = w.BER, w.HCFirst, w.Found
+		out[i] = results.RowRecord{
+			Channel: ch,
+			PhysRow: victims[i],
+			Region:  regions[i],
+			BER:     bers[i : i+1 : i+1],
+			HCFirst: hcs[i : i+1 : i+1],
+			Found:   founds[i : i+1 : i+1],
+		}
+	}
+	return out, nil
 }
 
 // metricLabel maps artifact metric names to report labels.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/safari-repro/hbmrh/internal/config"
+	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/stats"
 )
@@ -472,5 +473,74 @@ func TestMultiChipUndefinedWorstChannelReadsNone(t *testing.T) {
 		if got, _ := stableObservations(tc.chips); got != tc.want {
 			t.Errorf("%s: worst channel stable = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestMultiChipGroupsMatchSweep pins the pruned per-chip scan to the
+// sweep: a one-seed multichip artifact's groups, which it folds from
+// WCDP-only row records, re-encode byte for byte like the sweep
+// artifact's groups for that seed, folded from every pattern's search.
+func TestMultiChipGroupsMatchSweep(t *testing.T) {
+	for _, c := range []struct {
+		seed          uint64
+		rows, hammers int
+	}{{11, 3, 0}, {12, 2, 90_001}} {
+		cfg := *config.SmallChip()
+		cfg.Seed = c.seed
+		chip, err := Run("multichip", Options{Cfg: &cfg, Seeds: 1, Rows: c.rows, Hammers: c.hammers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep, err := Run("sweep", Options{Cfg: &cfg, Rows: c.rows, Hammers: c.hammers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		encode := func(a *results.Artifact) []byte {
+			b, err := (&results.Artifact{Meta: results.Meta{GroupBy: a.Meta.GroupBy}, Groups: a.Groups}).MarshalIndented()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		if got, want := encode(chip), encode(sweep); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: multichip groups (%d bytes) differ from the sweep's (%d bytes)", c.seed, len(got), len(want))
+		}
+	}
+}
+
+// TestMultiChipReadsAtMostHalfTheSweep pins the saving of the pruned
+// search: on the same chip, the per-channel jobs multichip runs read out
+// at most half the victim rows the sweep's four full searches read.
+func TestMultiChipReadsAtMostHalfTheSweep(t *testing.T) {
+	cfg := config.SmallChip()
+	layout := cfg.Layout()
+	reads := func(measure func(h *core.Harness, ch int) error) int64 {
+		var n int64
+		for ch := 0; ch < cfg.Geometry.Channels; ch++ {
+			h, err := core.NewHarnessFromConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := h.Device().Stats().Reads
+			if err := measure(h, ch); err != nil {
+				t.Fatal(err)
+			}
+			n += h.Device().Stats().Reads - before
+		}
+		return n
+	}
+	const rows = 8
+	wcdp := reads(func(h *core.Harness, ch int) error {
+		_, err := wcdpChannel(h, cfg.Geometry, rows, core.DefaultHammers, ch)
+		return err
+	})
+	sweep := reads(func(h *core.Harness, ch int) error {
+		_, err := sweepChannel(h, cfg.Geometry, layout, rows, core.DefaultHammers, ch)
+		return err
+	})
+	cols := int64(cfg.Geometry.Columns)
+	t.Logf("victim read-outs: multichip %d, sweep %d", wcdp/cols, sweep/cols)
+	if 2*wcdp > sweep {
+		t.Fatalf("multichip read %d victim rows, more than half the sweep's %d", wcdp/cols, sweep/cols)
 	}
 }

@@ -44,8 +44,8 @@ type Options struct {
 	// Bank is where the Section 5 studies (trrstudy, utrrprobe) profile
 	// their rows; it must lie inside the chip.
 	Bank addr.BankAddr
-	// Workers bounds per-job device parallelism (e.g. devices per chip
-	// sweep inside one multichip job).
+	// Workers bounds per-job device parallelism (e.g. the per-channel
+	// jobs inside one multichip chip job).
 	Workers int
 	// Parallel bounds how many plan jobs run at once; <= 0 means one per
 	// CPU.

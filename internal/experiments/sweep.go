@@ -19,9 +19,28 @@ import (
 	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
+	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/results"
 )
+
+// sampleVictims lists the victim rows a channel job measures:
+// rowsPerRegion rows sampled from each of the paper's regions (0 tests
+// every row), each with its region's name, leaving out the bank-edge rows
+// that have no double-sided aggressor pair. The sweep and the multichip
+// scan sample through it.
+func sampleVictims(g addr.Geometry, rowsPerRegion int) (victims []int, regions []string) {
+	for _, region := range core.Regions(g.Rows) {
+		for _, phys := range region.SampleRows(rowsPerRegion) {
+			if phys <= 0 || phys >= g.Rows-1 {
+				continue
+			}
+			victims = append(victims, phys)
+			regions = append(regions, region.Name)
+		}
+	}
+	return victims, regions
+}
 
 // sweepChannel measures every sampled victim row of one channel's bank
 // and records where each row sits in its subarray, which Fig. 5 reads.
@@ -34,17 +53,7 @@ import (
 func sweepChannel(h *core.Harness, g addr.Geometry, layout *addr.SubarrayLayout, rowsPerRegion, hammers, ch int) ([]results.RowRecord, error) {
 	ba := addr.BankAddr{Channel: ch}
 	patterns := core.Table1()
-	var victims []int
-	var regions []string
-	for _, region := range core.Regions(g.Rows) {
-		for _, phys := range region.SampleRows(rowsPerRegion) {
-			if phys <= 0 || phys >= g.Rows-1 {
-				continue // bank-edge rows have no double-sided pair
-			}
-			victims = append(victims, phys)
-			regions = append(regions, region.Name)
-		}
-	}
+	victims, regions := sampleVictims(g, rowsPerRegion)
 	out := make([]results.RowRecord, len(victims))
 	for i, phys := range victims {
 		sa, off := layout.Locate(phys)
@@ -120,45 +129,56 @@ func sweepExperiment() *Experiment {
 			}
 			perRegion, hammers := o.Rows, orDefault(o.Hammers, core.DefaultHammers)
 			layout := cfg.Layout() // once per plan, not per job: its row table costs 4 bytes a row
-			jobs := make([]Job, cfg.Geometry.Channels)
-			for ch := range jobs {
-				jobs[ch] = Job{
-					Key: fmt.Sprintf("ch%d", ch),
-					Run: func(_ context.Context, h *core.Harness) (any, error) {
-						rows, err := sweepChannel(h, cfg.Geometry, layout, perRegion, hammers, ch)
-						if err != nil {
-							return nil, fmt.Errorf("channel %d: %w", ch, err)
-						}
-						return rows, nil
-					},
-				}
+			p := channelPlan(cfg, func(h *core.Harness, ch int) ([]results.RowRecord, error) {
+				return sweepChannel(h, cfg.Geometry, layout, perRegion, hammers, ch)
+			})
+			p.Params = map[string]string{
+				"rows_per_region": strconv.Itoa(perRegion),
+				"hammers":         strconv.Itoa(hammers),
 			}
-			return &Plan{
-				Axis:    "channel",
-				Cfg:     cfg,
-				Harness: true,
-				Jobs:    jobs,
-				Params: map[string]string{
-					"rows_per_region": strconv.Itoa(perRegion),
-					"hammers":         strconv.Itoa(hammers),
-				},
-				NewFold: func(lo, hi int) *Fold {
-					a := &results.Artifact{
-						Meta:   results.Meta{GroupBy: results.ByRegionChannel.String()},
-						Groups: newFineGroups(cfg),
-					}
-					return &Fold{
-						Add: func(_ int, payload any) error {
-							rows := payload.([]results.RowRecord)
-							foldSweepRows(cfg, a.Groups, rows)
-							a.Rows = append(a.Rows, rows...)
-							return nil
-						},
-						Finish: func() (*results.Artifact, error) { return a, nil },
-					}
-				},
-			}, nil
+			return p, nil
 		},
 		Render: renderSweep,
+	}
+}
+
+// channelPlan plans one harness job per channel of cfg, measure giving
+// the channel's row records, folded in channel order into the
+// region×channel groups plus the records. The sweep and the per-chip
+// scan of multichip plan through it.
+func channelPlan(cfg *config.Config, measure func(h *core.Harness, ch int) ([]results.RowRecord, error)) *Plan {
+	jobs := make([]Job, cfg.Geometry.Channels)
+	for ch := range jobs {
+		jobs[ch] = Job{
+			Key: fmt.Sprintf("ch%d", ch),
+			Run: func(_ context.Context, h *core.Harness) (any, error) {
+				rows, err := measure(h, ch)
+				if err != nil {
+					return nil, fmt.Errorf("channel %d: %w", ch, err)
+				}
+				return rows, nil
+			},
+		}
+	}
+	return &Plan{
+		Axis:    "channel",
+		Cfg:     cfg,
+		Harness: true,
+		Jobs:    jobs,
+		NewFold: func(lo, hi int) *Fold {
+			a := &results.Artifact{
+				Meta:   results.Meta{GroupBy: results.ByRegionChannel.String()},
+				Groups: newFineGroups(cfg),
+			}
+			return &Fold{
+				Add: func(_ int, payload any) error {
+					rows := payload.([]results.RowRecord)
+					foldSweepRows(cfg, a.Groups, rows)
+					a.Rows = append(a.Rows, rows...)
+					return nil
+				},
+				Finish: func() (*results.Artifact, error) { return a, nil },
+			}
+		},
 	}
 }

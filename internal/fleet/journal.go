@@ -240,7 +240,7 @@ func validateJournal(dir string, want JournalHeader, data []byte) ([]ChunkRecord
 			return nil, fmt.Errorf("%w: %s: record %d names file %q for slice [%d,%d), want %q",
 				ErrJournal, journalPath(dir), i+1, rec.File, rec.Lo, rec.Hi, chunkFileName(rec.Lo, rec.Hi))
 		}
-		if err := verifyChunkFile(dir, rec); err != nil {
+		if _, err := readChunkFile(dir, rec); err != nil {
 			return nil, err
 		}
 		done = append(done, rec)
@@ -263,18 +263,18 @@ func strictUnmarshal(line []byte, v any) error {
 	return nil
 }
 
-// verifyChunkFile checks a record's artifact file exists and hashes to
-// the journaled digest.
-func verifyChunkFile(dir string, rec ChunkRecord) error {
+// readChunkFile reads a record's artifact file and checks that it hashes
+// to the journaled digest, returning the verified bytes.
+func readChunkFile(dir string, rec ChunkRecord) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(dir, rec.File))
 	if err != nil {
-		return fmt.Errorf("%w: chunk [%d,%d): %v", ErrJournal, rec.Lo, rec.Hi, err)
+		return nil, fmt.Errorf("%w: chunk [%d,%d): %v", ErrJournal, rec.Lo, rec.Hi, err)
 	}
 	if sum := sha256Hex(data); sum != rec.SHA256 {
-		return fmt.Errorf("%w: chunk file %s corrupt: sha256 %s, journal records %s",
+		return nil, fmt.Errorf("%w: chunk file %s corrupt: sha256 %s, journal records %s",
 			ErrJournal, filepath.Join(dir, rec.File), sum, rec.SHA256)
 	}
-	return nil
+	return data, nil
 }
 
 func sha256Hex(data []byte) string {
@@ -326,12 +326,18 @@ func (j *Journal) Append(a *results.Artifact, lo, hi int) error {
 	return nil
 }
 
-// ReadChunk loads and re-verifies one journaled chunk artifact.
+// ReadChunk loads and re-verifies one journaled chunk artifact, reading
+// its file once: the bytes that pass the hash check are the ones decoded.
 func (j *Journal) ReadChunk(rec ChunkRecord) (*results.Artifact, error) {
-	if err := verifyChunkFile(j.dir, rec); err != nil {
+	data, err := readChunkFile(j.dir, rec)
+	if err != nil {
 		return nil, err
 	}
-	return results.ReadFile(filepath.Join(j.dir, rec.File))
+	a, err := results.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", filepath.Join(j.dir, rec.File), err)
+	}
+	return a, nil
 }
 
 // Close releases the journal file handle.

@@ -126,14 +126,18 @@ type corpus struct {
 	// readers across later ingests.
 	merged      *results.Artifact
 	mergedCount int
+	// mergedBytes is the largest canonical object size among the merged
+	// members (Snapshot.ObjectBytes).
+	mergedBytes int
 }
 
-// member is one accepted shard: its object address and the artifact its
-// one decode produced. The artifact is shared by every later fold and
+// member is one accepted shard: its object address, its canonical
+// object size in bytes, and the artifact its one decode produced. The artifact is shared by every later fold and
 // conflict check and is never mutated — folds read it, and anything that
 // writes takes a Clone first. The object file is the durable copy.
 type member struct {
 	hash string
+	size int
 	art  *results.Artifact
 }
 
@@ -143,6 +147,7 @@ type member struct {
 type prepared struct {
 	art    *results.Artifact
 	canon  []byte
+	size   int // len of the canonical bytes, held or not
 	hash   string
 	corpus string
 }
@@ -174,9 +179,14 @@ type Snapshot struct {
 	StoreGen uint64
 	Meta     results.Meta
 	Merged   *results.Artifact
-	Members  int
-	Pending  int
-	Complete bool
+	// ObjectBytes is the largest canonical object size, in bytes, among
+	// the members Merged folds. Merged carries the same groups as each of
+	// them plus all their records, so it encodes to about that much and
+	// more; it sizes the buffer Merged is encoded into.
+	ObjectBytes int
+	Members     int
+	Pending     int
+	Complete    bool
 }
 
 // Open opens the store at dir, replaying any persisted objects; dir ""
@@ -441,7 +451,7 @@ func prepare(data, canon []byte) (*prepared, []byte, error) {
 		return nil, canon, malformed(err)
 	}
 	sum := sha256.Sum256(canon)
-	return &prepared{art: a, hash: hex.EncodeToString(sum[:]), corpus: CorpusID(&a.Meta)}, canon, nil
+	return &prepared{art: a, size: len(canon), hash: hex.EncodeToString(sum[:]), corpus: CorpusID(&a.Meta)}, canon, nil
 }
 
 // admit runs the locked half of ingest on a prepared artifact: the
@@ -449,7 +459,7 @@ func prepare(data, canon []byte) (*prepared, []byte, error) {
 // canonical insert and the merged-view refresh.
 func (s *Store) admit(p *prepared, persist bool) (IngestResult, error) {
 	id, hash := p.corpus, p.hash
-	m := &member{hash: hash, art: p.art}
+	m := &member{hash: hash, size: p.size, art: p.art}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -674,6 +684,10 @@ func (c *corpus) advance(view *results.Artifact, n int) error {
 	if working != nil {
 		working.Seal()
 		c.merged, c.mergedCount = working, n
+		c.mergedBytes = 0
+		for _, m := range c.members[:n] {
+			c.mergedBytes = max(c.mergedBytes, m.size)
+		}
 	}
 	return nil
 }
@@ -760,13 +774,14 @@ func (s *Store) ResolveID(key string) (id string, gen uint64, err error) {
 
 func (s *Store) snapshotLocked(c *corpus) *Snapshot {
 	return &Snapshot{
-		Corpus:   c.id,
-		Gen:      c.gen,
-		StoreGen: s.gen,
-		Meta:     c.merged.Meta,
-		Merged:   c.merged,
-		Members:  len(c.members),
-		Pending:  len(c.members) - c.mergedCount,
-		Complete: c.mergedCount == len(c.members),
+		Corpus:      c.id,
+		Gen:         c.gen,
+		StoreGen:    s.gen,
+		Meta:        c.merged.Meta,
+		Merged:      c.merged,
+		ObjectBytes: c.mergedBytes,
+		Members:     len(c.members),
+		Pending:     len(c.members) - c.mergedCount,
+		Complete:    c.mergedCount == len(c.members),
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/safari-repro/hbmrh/internal/failpoint"
 	"github.com/safari-repro/hbmrh/internal/results"
@@ -990,10 +991,20 @@ func TestStoreOpenEarlyReturnStopsReplay(t *testing.T) {
 	}
 	// Match replay's goroutines by their stacks rather than counting: the
 	// runtime's finalizer goroutine counts as a user goroutine while it
-	// runs, which makes a bare NumGoroutine comparison flaky.
+	// runs, which makes a bare NumGoroutine comparison flaky. Open's
+	// wg.Wait can return while a worker is still inside its deferred
+	// wg.Done, so poll until the frames are gone: a worker that is still
+	// replaying after the deadline is a real leak.
 	buf := make([]byte, 1<<20)
-	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "(*Store).replay") {
-		t.Fatalf("replay goroutines outlived Open's early return:\n%s", stacks)
+	for deadline := time.Now().Add(3 * time.Second); ; {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "(*Store).replay") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replay goroutines outlived Open's early return:\n%s", stacks)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -56,10 +56,12 @@ func (e *Experiment) InferNeighborRadius(b addr.BankAddr, startRow, maxDistance 
 // full TRR period (estimated pessimistically) and reports whether the
 // profiled row was ever refreshed by the mitigation.
 func (e *Experiment) observeFire(b addr.BankAddr, row int, T float64, logicalAggr int) (bool, error) {
-	rows, aggrs := []int{row}, []int{logicalAggr}
-	half := int64(T / 2 * 1e12)
+	prog, err := e.iteration(b, []int{row}, []int{logicalAggr}, int64(T/2*1e12))
+	if err != nil {
+		return false, err
+	}
 	for it := 0; it < probeIterations; it++ {
-		n, err := e.iterate(b, rows, aggrs, half)
+		n, err := e.refreshedRows(prog, 1)
 		if err != nil {
 			return false, err
 		}
@@ -112,10 +114,13 @@ func (e *Experiment) InferSamplerSlots(b addr.BankAddr, startRow, maxSlots int) 
 
 	// Activate each aggressor once per iteration; a depth-s sampler
 	// retains the last s distinct rows.
-	half := int64(maxT / 2 * 1e12)
+	prog, err := e.iteration(b, rows, aggrs, int64(maxT/2*1e12))
+	if err != nil {
+		return 0, err
+	}
 	best := 0
 	for it := 0; it < probeIterations; it++ {
-		refreshed, err := e.iterate(b, rows, aggrs, half)
+		refreshed, err := e.refreshedRows(prog, len(rows))
 		if err != nil {
 			return 0, err
 		}

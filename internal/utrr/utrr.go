@@ -29,8 +29,9 @@ import (
 )
 
 // Experiment drives the U-TRR loop through a harness's DRAM Bender
-// programs, one program per iteration. Cancellation is the harness's:
-// every program checks the context SetContext armed before it runs.
+// programs: each loop builds its iteration program once and runs it once
+// per iteration. Cancellation is the harness's: every run checks the
+// context SetContext armed before it starts.
 type Experiment struct {
 	h    *core.Harness
 	prof *retention.Profiler
@@ -57,34 +58,41 @@ func New(h *core.Harness) *Experiment {
 	}
 }
 
-// iterate runs steps 2-6 of one iteration as one program over k profiled
-// rows and their would-be aggressors: write every row, wait half, refresh
-// every aggressor once, issue one REF, wait half again, read every row
-// back. It returns how many rows read back without a retention error,
-// i.e. were refreshed by an in-DRAM mechanism in between.
-func (e *Experiment) iterate(b addr.BankAddr, rows, aggrs []int, half int64) (int, error) {
-	fill := e.prof.Pattern
-	res, err := e.h.Exec(func(bb *bender.Builder) {
-		for _, r := range rows {
-			bb.WriteRowFill(b, r, fill)
-		}
-		bb.Wait(half)
-		for _, a := range aggrs {
-			bb.RefreshRow(b, a)
-		}
-		bb.Ref(b.Channel, b.PseudoChannel)
-		bb.Wait(half)
-		for _, r := range rows {
-			bb.ReadRowOut(b, r)
-		}
-	})
+// iteration assembles steps 2-6 of one iteration as one program over k
+// profiled rows and their would-be aggressors: write every row, wait
+// half, refresh every aggressor once, issue one REF, wait half again,
+// read every row back. A loop builds it once and re-runs it every
+// iteration (refreshedRows).
+func (e *Experiment) iteration(b addr.BankAddr, rows, aggrs []int, half int64) (*bender.Program, error) {
+	d := e.h.Device()
+	bb := bender.NewBuilder(d.Config().Timing, d.Geometry())
+	for _, r := range rows {
+		bb.WriteRowFill(b, r, e.prof.Pattern)
+	}
+	bb.Wait(half)
+	for _, a := range aggrs {
+		bb.RefreshRow(b, a)
+	}
+	bb.Ref(b.Channel, b.PseudoChannel)
+	bb.Wait(half)
+	for _, r := range rows {
+		bb.ReadRowOut(b, r)
+	}
+	return bb.Build()
+}
+
+// refreshedRows runs one iteration program over rows profiled rows and
+// returns how many read back without a retention error, i.e. were
+// refreshed by an in-DRAM mechanism in between.
+func (e *Experiment) refreshedRows(prog *bender.Program, rows int) (int, error) {
+	res, err := e.h.RunProgram(prog)
 	if err != nil {
 		return 0, err
 	}
 	cols := e.h.Device().Geometry().Columns
 	refreshed := 0
 	for i := range rows {
-		if core.CountFlips(res.Reads[i*cols:(i+1)*cols], fill) == 0 {
+		if core.CountFlips(res.Reads[i*cols:(i+1)*cols], e.prof.Pattern) == 0 {
 			refreshed++
 		}
 	}
@@ -155,10 +163,12 @@ func (e *Experiment) Run(b addr.BankAddr, startRow int) (*Result, error) {
 		RetentionSec: T,
 		Refreshed:    make([]bool, e.Iterations),
 	}
-	rows, aggrs := []int{row}, []int{res.Aggressor}
-	half := int64(T / 2 * 1e12)
+	prog, err := e.iteration(b, []int{row}, []int{res.Aggressor}, int64(T/2*1e12))
+	if err != nil {
+		return nil, fmt.Errorf("utrr: %w", err)
+	}
 	for it := range res.Refreshed {
-		n, err := e.iterate(b, rows, aggrs, half)
+		n, err := e.refreshedRows(prog, 1)
 		if err != nil {
 			return nil, fmt.Errorf("utrr: iteration %d: %w", it, err)
 		}
