@@ -28,31 +28,17 @@ func (h *Harness) WCDP(ba addr.BankAddr, physVictim int, maxHammers int) (WCDPRe
 	return out[0], nil
 }
 
-// better reports whether a beats b as the worst-case pattern: the rule
-// WCDPBatch's search reaches without measuring every pattern's HCfirst.
-func better(a, b WCDPResult) bool {
-	if a.Found != b.Found {
-		return a.Found
-	}
-	if !a.Found {
-		return a.BER > b.BER
-	}
-	if a.HCFirst != b.HCFirst {
-		return a.HCFirst < b.HCFirst
-	}
-	return a.BER > b.BER
-}
-
 // numPatterns is len(Table1()), the patterns a WCDP search compares.
 const numPatterns = 4
 
 // WCDPBatch determines the worst-case data pattern of each victim row in
-// one bank, equivalent to taking, per victim, the best under better of
-// the four Table 1 patterns' HCFirstBatch results (the earliest pattern
-// winning a full tie, Rowstripe0 when nothing flips), but without
-// measuring every pattern's HCfirst. It bisects one pattern fully and
-// settles each other pattern with one or two probes at the ends of that
-// pattern's final bracket.
+// one bank by the paper's rule: the smallest HCfirst, ties broken by the
+// largest BER at maxHammers and then by the earliest Table 1 pattern
+// (Rowstripe0 when nothing flips). Its results are what four
+// HCFirstBatch searches would give, but it does not measure every
+// pattern's HCfirst: it bisects one pattern fully and settles each other
+// pattern with one or two probes at the ends of that pattern's final
+// bracket, then probes the ceilings the BER tie-break needs.
 //
 // Every HCfirst search from (0, maxHammers] walks the same tree of
 // brackets, halving at mid = lo+(hi-lo)/2 until a bracket is no wider
@@ -62,10 +48,8 @@ const numPatterns = 4
 // (lo, hi], a pattern that does not flip at hi has a larger HCfirst; one
 // that flips at hi but not at lo (or at hi when lo is 0) shares the leaf
 // and ties; one that flips at lo has a strictly smaller HCfirst and
-// becomes the incumbent. Ties go to the largest BER at maxHammers and
-// then the earliest pattern, as in better. Probes are pure functions of
-// the probe itself, so the answers are the ones the four full searches
-// would have measured.
+// becomes the incumbent. Probes are pure functions of the probe itself,
+// so every answer is one the four full searches would have measured.
 //
 // Victims are searched maxProbeBatch at a time, every step batched
 // across the chunk as in HCFirstBatch. The first pattern each victim

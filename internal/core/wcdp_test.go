@@ -9,6 +9,21 @@ import (
 	"github.com/safari-repro/hbmrh/internal/hbm"
 )
 
+// better reports whether a beats b as the worst-case pattern: the
+// paper's rule applied to full search results.
+func better(a, b WCDPResult) bool {
+	if a.Found != b.Found {
+		return a.Found
+	}
+	if !a.Found {
+		return a.BER > b.BER
+	}
+	if a.HCFirst != b.HCFirst {
+		return a.HCFirst < b.HCFirst
+	}
+	return a.BER > b.BER
+}
+
 // fullSearchWCDP is the WCDP oracle: the full HCfirst search under every
 // Table 1 pattern, the best under better kept in Table 1 order (so the
 // earliest pattern wins a full tie, Rowstripe0 when nothing flips).

@@ -132,9 +132,10 @@ type corpus struct {
 }
 
 // member is one accepted shard: its object address, its canonical
-// object size in bytes, and the artifact its one decode produced. The artifact is shared by every later fold and
-// conflict check and is never mutated — folds read it, and anything that
-// writes takes a Clone first. The object file is the durable copy.
+// object size in bytes, and the artifact its one decode produced. The
+// artifact is shared by every later fold and conflict check and is never
+// mutated — folds read it, and anything that writes takes a Clone first.
+// The object file is the durable copy.
 type member struct {
 	hash string
 	size int
