@@ -74,11 +74,13 @@ type wcdpRow struct {
 	ceil  [numPatterns]BERResult
 	known uint8
 	// inc is the incumbent pattern, -1 while no pattern has flipped; its
-	// HCfirst leaf is (lo, hi], and tied holds the other patterns whose
-	// HCfirst equals hi.
+	// HCfirst leaf is (lo, hi], tied holds the other patterns whose
+	// HCfirst equals hi, and lost the ones known to have a larger one (or
+	// none): a ceiling that did not flip, or a beaten incumbent.
 	inc    int
 	lo, hi int
 	tied   uint8
+	lost   uint8
 }
 
 // wcdpSearch is WCDPBatch's state across one call's chunks.
@@ -188,6 +190,7 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 			if res[i].Flips > 0 {
 				s.rows[j].inc, s.rows[j].hi = q, s.max
 			} else {
+				s.rows[j].lost |= 1 << q
 				next = append(next, j)
 			}
 		}
@@ -219,7 +222,7 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 	for q := range numPatterns {
 		bit := uint8(1) << q
 		sel := s.where(selBuf[:0], func(r *wcdpRow) bool {
-			return r.inc >= 0 && r.inc != q && (r.known&bit == 0 || r.ceil[q].Flips > 0)
+			return r.inc >= 0 && r.inc != q && r.lost&bit == 0
 		})
 		if len(sel) == 0 {
 			continue
@@ -256,6 +259,7 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 				continue
 			}
 			flipAt[len(wins)] = r.lo
+			r.lost |= 1 << r.inc
 			r.inc, r.tied, r.lo, r.hi = q, 0, 0, s.max
 			wins = append(wins, j)
 		}
