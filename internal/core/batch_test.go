@@ -321,3 +321,74 @@ func FuzzBatchProbeEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// TestProbeDeviceWork pins the device work of the batched searches: the
+// exact command counters and simulated clock a fresh device shows after
+// an HCfirst search whose ceiling/precision ratio is not a power of two
+// (victims converge in different rounds) with some victims that never
+// flip, a two-chunk WCDP search, and a pressed (RowPress) HCfirst
+// search. The figures were recorded before the searches ran every step
+// on one program per chunk and pattern, so they show that the same
+// probes run and that a skipped probe issues no command.
+func TestProbeDeviceWork(t *testing.T) {
+	cases := []struct {
+		name  string
+		run   func(h *Harness) (flipped, total int, err error)
+		stats hbm.Stats
+		now   int64
+	}{
+		{"hcfirst-uneven", func(h *Harness) (int, int, error) {
+			h.HCPrecision = 4687
+			victims := spreadVictims(h.Device().Geometry().Rows, 20)
+			_, found, _, err := h.HCFirstBatch(batchBank(), victims, Table1()[0], 150_000)
+			return countTrue(found), len(victims), err
+		},
+			hbm.Stats{Acts: 19689019, Precharges: 19689019, Reads: 704, Writes: 11576, BitflipsCommitted: 45}, 925386463638},
+		{"wcdp-two-chunks", func(h *Harness) (int, int, error) {
+			h.HCPrecision = 1000
+			victims := spreadVictims(h.Device().Geometry().Rows, maxProbeBatch+7)
+			res, err := h.WCDPBatch(addr.BankAddr{Channel: 4}, victims, 180_000)
+			n := 0
+			for _, r := range res {
+				if r.Found {
+					n++
+				}
+			}
+			return n, len(victims), err
+		},
+			hbm.Stats{Acts: 223851408, Precharges: 223851408, Reads: 9200, Writes: 155168, BitflipsCommitted: 1273}, 10521050418964},
+		{"hcfirst-hold", func(h *Harness) (int, int, error) {
+			victims := spreadVictims(h.Device().Geometry().Rows, 9)
+			hold := 4 * h.Device().Config().Timing.TRAS
+			_, found, _, err := h.HCFirstBatchHold(addr.BankAddr{Channel: 1}, victims, Table1()[1], 60_000, hold)
+			return countTrue(found), len(victims), err
+		},
+			hbm.Stats{Acts: 5338144, Precharges: 5338144, Reads: 576, Writes: 9232, BitflipsCommitted: 49}, 779249705844},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			h := newTestHarness(t)
+			flipped, total, err := c.run(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if flipped == 0 || flipped == total {
+				t.Fatalf("%d of %d victims flipped; the case needs victims that flip and victims that do not", flipped, total)
+			}
+			d := h.Device()
+			if d.Stats() != c.stats || d.Now() != c.now {
+				t.Fatalf("device work %#v at %d ps, want %#v at %d ps", d.Stats(), d.Now(), c.stats, c.now)
+			}
+		})
+	}
+}
+
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
+}

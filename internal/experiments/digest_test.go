@@ -17,7 +17,10 @@ import (
 // retention.FindRow result and of the guard's (flips, preventive
 // refreshes) for fixed attacks. The digests were taken before these
 // studies moved onto DRAM Bender programs, so any change in command
-// order, timing or flip counting on their path shows up here.
+// order, timing or flip counting on their path shows up here. The
+// fig6, rowpress and tempsweep digests were taken before their probes
+// moved onto one batched program per chunk and pattern, which pins the
+// per-row BER and HCfirst probes they make.
 func TestSection5StudyDigests(t *testing.T) {
 	small, paper := config.SmallChip(), config.PaperChip()
 	study := func(name string, o Options) func() (string, error) {
@@ -46,6 +49,9 @@ func TestSection5StudyDigests(t *testing.T) {
 		{"utrrprobe/small", study("utrrprobe", Options{Cfg: small}), "ea642044391772863f429d1c10288b2cacaed55b41d1f7acf2e362838d824ef4"},
 		{"trrbypass/small", study("trrbypass", Options{Cfg: small}), "7d104ecc501caa4cd505e2eb5866da82bf7efb7ed6a72c1dfd7d7786cdfd02f2"},
 		{"crosschannel/small", study("crosschannel", Options{Cfg: small}), "dcf48d90c353587b94a641198c1ab809d3774938f0839fc91520e27979a1749d"},
+		{"fig6/small", study("fig6", Options{Cfg: small, Rows: 2}), "0c5eba20a1e53b5b133a5b589d246753376fa022ba7a68be4a759b51444ff997"},
+		{"rowpress/small", study("rowpress", Options{Cfg: small}), "ca0851be837e19c9264cdc60a66ef532d47f4eb663be16e1b376eeebd5f8b61a"},
+		{"tempsweep/small", study("tempsweep", Options{Cfg: small}), "40f8d1e28acc5bc1a9953cfb33c9e465c3ba508349c9a05cc968d6b0f0deac8e"},
 		{"trrbypass/paper", study("trrbypass", Options{Cfg: paper, Rows: 1, Hammers: 30000}), "ab5465e5819c4b3e27460e80daf894c87ea5b2cbe258d02cc7acc64268455e60"},
 		{"crosschannel/paper", study("crosschannel", Options{Cfg: paper, Rows: 1, Hammers: 30000}), "3c1cc1b7aee60b4b13e8e629f8274d753a332170e902e49ed549651d76f7cfa4"},
 		{"retention/findrow", func() (string, error) {
