@@ -9,9 +9,11 @@
 // the paper's full characterization pipeline on top of it:
 //
 //   - Open a chip with Open(PaperChip()) or Open(SmallChip()).
-//   - Per-row measurements (BER, HCfirst, WCDP) via NewHarness, and
-//     any other command sequence as a DRAM Bender program run by
-//     Harness.Exec, with CountFlips over its reads.
+//   - Per-row measurements via NewHarness: BERBatch, HCFirstBatch (and
+//     HCFirstBatchHold, the RowPress variant) and WCDPBatch over up to
+//     64 victim rows per program, with BER, HCFirst and WCDP as their
+//     one-row forms; and any other command sequence as a DRAM Bender
+//     program run by Harness.Exec, with CountFlips over its reads.
 //   - Every study — the Figs. 3-6 sweep and fig6 studies, the Section 5
 //     TRR discovery (trrstudy) and its probes (utrrprobe) at
 //     ExperimentOptions.Bank, the multi-chip fleet scan and the Section

@@ -127,10 +127,13 @@ type Program struct {
 	loops []int32
 	banks []int32
 	// gen identifies one validated instruction stream: it changes on every
-	// validation walk, so a runner's per-program plan (see Runner.planFor)
-	// can tell a reused *Program with new contents from the one it was
-	// built for.
+	// validation walk, so a plan (see Runner.planFor) can tell a reused
+	// *Program with new contents from the one it was made for.
 	gen uint64
+	// plan is the fast-path plan a runner made for this program, kept with
+	// the program so a caller alternating between several programs plans
+	// each once (see Runner.planFor).
+	plan *plan
 }
 
 // SetLoopCount sets the iteration count of the OpLoop at instruction i to
@@ -308,7 +311,14 @@ func (b *Builder) Build() (*Program, error) {
 	if err := b.prog.Validate(b.geom); err != nil {
 		return nil, err
 	}
+	// The built program keeps its plan's storage, marked stale: a run
+	// plans the new contents into it.
+	pl := b.built.plan
+	if pl != nil {
+		pl.gen = 0
+	}
 	b.built = b.prog
+	b.built.plan = pl
 	return &b.built, nil
 }
 

@@ -905,7 +905,7 @@ func TestOverwriteBlockShapes(t *testing.T) {
 				r.DisableFastPath = disableFast
 				var res *bender.Result
 				if bound >= 0 {
-					res, _, err = r.RunSegments(d, g, prog, []int{start, bound, len(prog.Instrs)}, nil)
+					res, _, err = r.RunSegments(d, g, prog, []int{start, bound, len(prog.Instrs)}, allLive(3), nil)
 				} else {
 					res, err = r.Run(d, g, prog)
 				}

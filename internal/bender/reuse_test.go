@@ -49,11 +49,16 @@ func outcome(t *testing.T, r *bender.Runner, d *hbm.Device, prog *bender.Program
 	if err != nil {
 		t.Fatal(err)
 	}
-	reads := make([][]byte, len(res.Reads))
-	for i, col := range res.Reads {
-		reads[i] = bytes.Clone(col)
+	return runOutcome{reads: cloneReads(res.Reads), elapsed: res.Elapsed, stats: d.Stats(), now: d.Now()}
+}
+
+// cloneReads copies a Result's reads out of the runner's arena.
+func cloneReads(reads [][]byte) [][]byte {
+	out := make([][]byte, len(reads))
+	for i, col := range reads {
+		out[i] = bytes.Clone(col)
 	}
-	return runOutcome{reads: reads, elapsed: res.Elapsed, stats: d.Stats(), now: d.Now()}
+	return out
 }
 
 // TestSetLoopCountRerunMatchesFreshBuild pins program reuse: re-running a
@@ -164,7 +169,7 @@ func TestRunSegmentsRejectsBoundInsideLoop(t *testing.T) {
 			d := newDevice(t)
 			r := bender.NewRunner(tm)
 			r.DisableFastPath = disableFast
-			_, _, err := r.RunSegments(d, g, prog, bounds, nil)
+			_, _, err := r.RunSegments(d, g, prog, bounds, allLive(len(bounds)), nil)
 			if err == nil || !strings.Contains(err.Error(), "inside the loop") {
 				t.Errorf("fast path disabled %v, bounds %v: got %v, want a bound-inside-loop error", disableFast, bounds, err)
 			}
@@ -175,12 +180,92 @@ func TestRunSegmentsRejectsBoundInsideLoop(t *testing.T) {
 		d := newDevice(t)
 		r := bender.NewRunner(tm)
 		r.DisableFastPath = disableFast
-		_, segs, err := r.RunSegments(d, g, prog, []int{outer, afterHammer, end}, nil)
+		_, segs, err := r.RunSegments(d, g, prog, []int{outer, afterHammer, end}, allLive(3), nil)
 		if err != nil {
 			t.Fatalf("fast path disabled %v: bounds around the loop rejected: %v", disableFast, err)
 		}
 		if len(segs) != 3 || segs[1].Elapsed <= 0 {
 			t.Fatalf("fast path disabled %v: segments %+v", disableFast, segs)
+		}
+	}
+}
+
+// allLive returns a RunSegments mask that runs all n segments.
+func allLive(n int) []bool {
+	live := make([]bool, n)
+	for i := range live {
+		live[i] = true
+	}
+	return live
+}
+
+// TestRunSegmentsSkipsDeadSegments pins the live mask: a run with a
+// dead segment equals a run of the program without it — same reads,
+// clock and counters — and records the dead segment as no reads and no
+// time, while a mask that does not match the bounds is an error before
+// anything runs.
+func TestRunSegmentsSkipsDeadSegments(t *testing.T) {
+	cfg := config.SmallChip()
+	tm, g := cfg.Timing, cfg.Geometry
+	bank := ba(7, 0, 1)
+	m := newDevice(t).Mapper()
+	// probe emits one probe on physical victim v; three make the program.
+	probe := func(b *bender.Builder, v int) {
+		lv, la, lb := m.ToLogical(v), m.ToLogical(v-1), m.ToLogical(v+1)
+		b.DisableECC()
+		b.WriteRowFill(bank, lv, 0xFF)
+		b.WriteRowFill(bank, la, 0x00)
+		b.WriteRowFill(bank, lb, 0x00)
+		b.HammerDouble(bank, la, lb, 200_000)
+		b.ReadRowOut(bank, lv)
+	}
+	victims := []int{40, 300, 900}
+	for _, disableFast := range []bool{false, true} {
+		b := bender.NewBuilder(tm, g)
+		var bounds []int
+		for _, v := range victims {
+			probe(b, v)
+			bounds = append(bounds, b.Len())
+		}
+		prog, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := newDevice(t)
+		r := bender.NewRunner(tm)
+		r.DisableFastPath = disableFast
+		for _, live := range [][]bool{nil, {true, false}, allLive(4)} {
+			if _, _, err := r.RunSegments(d, g, prog, bounds, live, nil); err == nil {
+				t.Fatalf("mask of %d for %d segments accepted", len(live), len(bounds))
+			}
+		}
+		if d.Now() != 0 || d.Stats() != (hbm.Stats{}) {
+			t.Fatal("a run with a mismatched mask touched the device")
+		}
+		res, segs, err := r.RunSegments(d, g, prog, bounds, []bool{true, false, true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := runOutcome{reads: cloneReads(res.Reads), elapsed: res.Elapsed, stats: d.Stats(), now: d.Now()}
+		if segs[1] != (bender.Segment{Reads: [2]int{segs[0].Reads[1], segs[0].Reads[1]}}) || segs[0].Elapsed <= 0 || segs[2].Elapsed <= 0 {
+			t.Fatalf("fast path disabled %v: segments %+v", disableFast, segs)
+		}
+
+		b = bender.NewBuilder(tm, g)
+		probe(b, victims[0])
+		probe(b, victims[2])
+		if prog, err = b.Build(); err != nil {
+			t.Fatal(err)
+		}
+		r = bender.NewRunner(tm)
+		r.DisableFastPath = disableFast
+		want := outcome(t, r, newDevice(t), prog)
+		if countFlips(&bender.Result{Reads: want.reads}, 0xFF) == 0 {
+			t.Fatal("the live probes flipped nothing; the comparison shows little")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fast path disabled %v: skipping a segment differs from leaving it out (stats %+v vs %+v)",
+				disableFast, got.stats, want.stats)
 		}
 	}
 }

@@ -102,13 +102,10 @@ type Runner struct {
 	readBuf []byte
 	frames  []loopFrame
 
-	// plan is the fast-path plan of the program last run with the fast
-	// path on (see planFor).
-	plan plan
-
 	// Segmented-run state (see RunSegments); segBounds is nil during a
 	// plain Run.
 	segBounds   []int
+	segLive     []bool
 	segIdx      int
 	segs        []Segment
 	segCheck    func() error
@@ -116,13 +113,14 @@ type Runner struct {
 	segLastNow  int64
 }
 
-// plan is the runner's per-program fast-path plan: every decision that
-// depends only on the instruction stream, the timing and the column
-// count, made once per validated program and reused by every re-run,
-// including runs after SetLoopCount, which changes none of them (a loop
-// count is no part of a hammer shape, and an overwrite block holds no
-// loop). It is keyed by the program's identity and validation generation
-// and by the timing and column count.
+// plan is a program's fast-path plan: every decision that depends only
+// on the instruction stream, the timing and the column count, made once
+// per validated program and reused by every re-run, including runs after
+// SetLoopCount, which changes none of them (a loop count is no part of a
+// hammer shape, and an overwrite block holds no loop). The program holds
+// it (Program.plan), keyed by the program's identity (a copied Program
+// shares the pointer, not the plan's validity) and validation
+// generation and by the runner's timing and the column count.
 type plan struct {
 	prog   *Program
 	gen    uint64
@@ -184,12 +182,20 @@ func (r *Runner) Run(t Target, g addr.Geometry, prog *Program) (*Result, error) 
 // building, and dispatch setup once while still attributing reads and
 // elapsed time per probe.
 //
+// live, as long as bounds, says which segments run: a dead segment is
+// skipped without issuing a command, and its Segment records no reads
+// and no time, so a run equals one of the program with the dead
+// segments left out. Instructions after the last bound always run.
+//
 // check, when non-nil, runs at every boundary except the last; a non-nil
 // error aborts execution with that error (the batched equivalent of
 // checking cancellation between probes). The Result and Segments are
 // owned by the Runner and valid until the next Run/RunSegments.
-func (r *Runner) RunSegments(t Target, g addr.Geometry, prog *Program, bounds []int,
+func (r *Runner) RunSegments(t Target, g addr.Geometry, prog *Program, bounds []int, live []bool,
 	check func() error) (*Result, []Segment, error) {
+	if len(live) != len(bounds) {
+		return nil, nil, fmt.Errorf("bender: %d live flags for %d segments", len(live), len(bounds))
+	}
 	for j, b := range bounds {
 		if b < 0 || b > len(prog.Instrs) || (j > 0 && b <= bounds[j-1]) {
 			return nil, nil, fmt.Errorf("bender: segment bounds not ascending within program")
@@ -214,6 +220,7 @@ func (r *Runner) RunSegments(t Target, g addr.Geometry, prog *Program, bounds []
 	r.readBuf = r.readBuf[:0]
 	r.frames = r.frames[:0]
 	r.segBounds = bounds
+	r.segLive = live
 	r.segIdx = 0
 	r.segs = r.segs[:0]
 	r.segCheck = check
@@ -231,6 +238,7 @@ func (r *Runner) RunSegments(t Target, g addr.Geometry, prog *Program, bounds []
 		r.res.Elapsed = t.Now() - start
 	}
 	r.segBounds = nil
+	r.segLive = nil
 	r.segCheck = nil
 	if err != nil {
 		return nil, nil, err
@@ -275,9 +283,13 @@ func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
 	if !r.DisableFastPath && r.Timing.TCK > 0 {
 		pl = r.planFor(prog, g.Columns)
 	}
-	// bound is the next segment boundary; exec runs straight to it.
+	// bound is the next segment boundary; exec runs straight to it, or
+	// jumps to it when the segment is dead.
 	bound := r.nextBound()
 	ip := 0
+	if r.deadSegment() {
+		ip = bound
+	}
 	for ip < len(instrs) {
 		if ip >= bound {
 			for r.segIdx < len(r.segBounds) && ip >= r.segBounds[r.segIdx] {
@@ -289,6 +301,10 @@ func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
 				}
 			}
 			bound = r.nextBound()
+			if r.deadSegment() {
+				ip = bound
+				continue
+			}
 		}
 		in := &instrs[ip]
 		switch in.Op {
@@ -389,6 +405,12 @@ func (r *Runner) nextBound() int {
 	return math.MaxInt
 }
 
+// deadSegment reports whether the segment a segmented run is in is one
+// its live mask skips.
+func (r *Runner) deadSegment() bool {
+	return r.segIdx < len(r.segLive) && !r.segLive[r.segIdx]
+}
+
 // arenaAlloc carves n bytes out of the runner's read arena. When a block
 // fills up, a larger one is started; slices handed out earlier keep their
 // old backing block alive, so they stay valid until the next Run.
@@ -408,7 +430,10 @@ func (r *Runner) arenaAlloc(n int) []byte {
 // planFor returns prog's fast-path plan (see plan), building it on the
 // program's first run with this timing and column count.
 func (r *Runner) planFor(prog *Program, columns int) *plan {
-	pl := &r.plan
+	if prog.plan == nil {
+		prog.plan = new(plan)
+	}
+	pl := prog.plan
 	if pl.prog == prog && pl.gen == prog.gen && pl.timing == r.Timing && pl.cols == columns {
 		return pl
 	}

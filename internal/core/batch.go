@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/bender"
+	"github.com/safari-repro/hbmrh/internal/config"
 )
 
 // maxProbeBatch bounds how many victim probes one batched program
@@ -14,240 +17,262 @@ import (
 // probe's cost.
 const maxProbeBatch = 64
 
-// BERBatch measures BER for a batch of victim rows in one bank under one
-// pattern, each at the same hammer count. It is byte-equivalent to
-// calling BER per victim in order — per-cell fault quantities are pure
-// functions of (seed, coordinates) and every probe rewrites its victim,
-// aggressor and outer rows before hammering, so probe concatenation
-// cannot change any measured value — but builds and validates a single
-// program per maxProbeBatch victims, amortizing program assembly,
-// validation, payload interning and dispatch across the batch.
-func (h *Harness) BERBatch(ba addr.BankAddr, physVictims []int, p Pattern, hammers int) ([]BERResult, error) {
-	return h.BERBatchHold(ba, physVictims, p, hammers, h.dev.Config().Timing.TRAS)
+// probeProg is one chunk's probe program under one pattern: for each of
+// the chunk's victims, in order, the Table 1 init layout, a double-sided
+// hammer loop and a victim read-out, with a segment boundary after each
+// probe so elapsed time and the refresh budget stay attributable per
+// probe. A run sets each probe's hammer count or skips the probe (see
+// runProbes), so probe j is always chunk victim j, and a search builds
+// the program once per chunk however its set of searching victims
+// changes.
+type probeProg struct {
+	bld  *bender.Builder
+	prog *bender.Program
+	// timing and geom are the device parameters a pooled slot's bld
+	// builds for (see getProbe).
+	timing config.Timing
+	geom   addr.Geometry
+	// bounds[j] is the instruction probe j ends at, loops[j] the index of
+	// its hammer OpLoop, and live the mask of the last run.
+	bounds []int
+	loops  []int
+	live   []bool
+	// fill is the victim row's fill byte, which flips are counted
+	// against; minTiming is false for pressed (RowPress) hammers, which
+	// the refresh budget does not cover.
+	fill      byte
+	minTiming bool
 }
 
-// BERBatchHold is BERBatch with a per-activation hold time (RowPress),
-// equivalent to calling BERHold per victim in order.
-func (h *Harness) BERBatchHold(ba addr.BankAddr, physVictims []int, p Pattern, hammers int, holdPS int64) ([]BERResult, error) {
-	out := make([]BERResult, len(physVictims))
-	for lo := 0; lo < len(physVictims); lo += maxProbeBatch {
-		hi := min(lo+maxProbeBatch, len(physVictims))
-		prog, err := h.buildProbes(ba, physVictims[lo:hi], hammers, p, holdPS)
-		if err != nil {
-			return nil, err
-		}
-		if err := h.runProbes(prog, p, holdPS, out[lo:hi]); err != nil {
-			return nil, err
-		}
+// probePool recycles the probe programs of WCDP searches, and with them
+// their builders' instruction and payload buffers, across calls and
+// harnesses: a fleet scan makes a harness per chip, and growing fresh
+// buffers for the four programs of each would dominate its allocation.
+var probePool sync.Pool
+
+// getProbe takes a probe program slot for h's device from probePool; the
+// caller puts it back once it has consumed the slot's last run.
+func (h *Harness) getProbe() *probeProg {
+	t, g := h.dev.Config().Timing, h.dev.Geometry()
+	if pp, ok := probePool.Get().(*probeProg); ok && pp.timing == t && pp.geom == g {
+		return pp
 	}
-	return out, nil
+	return &probeProg{bld: bender.NewBuilder(t, g), timing: t, geom: g}
 }
 
-// buildProbes assembles one batched probe program: for each victim, the
-// Table 1 init layout, a double-sided hammer of hammers hammers, and a
-// victim read-out, with a segment boundary after each probe so elapsed
-// time and the refresh budget stay attributable per probe. It leaves the
-// boundaries in h.probeBounds and the index of each victim's hammer
-// OpLoop in h.probeLoops, so a caller can re-run the program at other
-// counts through Program.SetLoopCount. The program aliases the harness's
-// builder and is valid until the next buildProbes or measurement.
-func (h *Harness) buildProbes(ba addr.BankAddr, victims []int, hammers int, p Pattern, holdPS int64) (*bender.Program, error) {
+// buildProbes assembles pp over victims under p, each probe hammering
+// hammers times with each activation held open for holdPS. The program
+// aliases pp's builder and is valid until pp is built again.
+func (h *Harness) buildProbes(pp *probeProg, ba addr.BankAddr, victims []int, p Pattern, hammers int, holdPS int64) error {
 	rows := h.dev.Geometry().Rows
 	for _, v := range victims {
 		if v <= 0 || v >= rows-1 {
-			return nil, fmt.Errorf("%w: physical row %d", ErrEdgeVictim, v)
+			return fmt.Errorf("%w: physical row %d", ErrEdgeVictim, v)
 		}
 	}
 	m := h.dev.Mapper()
-	minTiming := holdPS <= h.dev.Config().Timing.TRAS
-	b := h.builder()
-	bounds, loops := h.probeBounds[:0], h.probeLoops[:0]
+	pp.fill = p.Victim
+	pp.minTiming = holdPS <= h.dev.Config().Timing.TRAS
+	b := pp.bld
+	b.Reset()
+	pp.bounds, pp.loops = pp.bounds[:0], pp.loops[:0]
 	for _, phys := range victims {
 		la := m.ToLogical(phys - 1)
 		lb := m.ToLogical(phys + 1)
 		h.initPattern(b, ba, phys, p)
-		loops = append(loops, b.Len())
-		if minTiming {
+		pp.loops = append(pp.loops, b.Len())
+		if pp.minTiming {
 			b.HammerDouble(ba, la, lb, int64(hammers))
 		} else {
 			b.HammerDoubleHold(ba, la, lb, int64(hammers), holdPS)
 		}
 		b.ReadRowOut(ba, m.ToLogical(phys))
-		bounds = append(bounds, b.Len())
+		pp.bounds = append(pp.bounds, b.Len())
 	}
-	h.probeBounds, h.probeLoops = bounds, loops
-	return b.Build()
+	pp.live = slices.Grow(pp.live[:0], len(victims))[:len(victims)]
+	var err error
+	pp.prog, err = b.Build()
+	return err
 }
 
-// runProbes runs a program from buildProbes (at whatever loop counts it
-// now holds) and stores probe j's measurement in out[j].
-func (h *Harness) runProbes(prog *bender.Program, p Pattern, holdPS int64, out []BERResult) error {
+// runProbes runs pp with probe j at counts[j] hammers, skipping every
+// probe whose count is 0, and stores each run probe's measurement in
+// out[j]. A skipped probe issues no command; probes are pure (each
+// rewrites its rows before it hammers), so the run equals one of a
+// program built over the live probes alone.
+func (h *Harness) runProbes(pp *probeProg, counts []int, out []BERResult) error {
 	if err := h.cancelled(); err != nil {
 		return err
 	}
-	res, segs, err := h.runner.RunSegments(h.dev, h.dev.Geometry(), prog, h.probeBounds, h.checkCancel)
+	for j, n := range counts {
+		pp.live[j] = n > 0
+		if n > 0 {
+			if err := pp.prog.SetLoopCount(pp.loops[j], int64(n)); err != nil {
+				return err
+			}
+		}
+	}
+	res, segs, err := h.runner.RunSegments(h.dev, h.dev.Geometry(), pp.prog, pp.bounds, pp.live, h.checkCancel)
 	if err != nil {
 		return err
 	}
-	minTiming := holdPS <= h.dev.Config().Timing.TRAS
 	bits := h.dev.Geometry().RowBits()
-	for j := range out {
+	for j, n := range counts {
+		if n == 0 {
+			continue
+		}
 		seg := segs[j]
-		if h.EnforceBudget && minTiming && seg.Elapsed > RefreshBudget {
+		if h.EnforceBudget && pp.minTiming && seg.Elapsed > RefreshBudget {
 			return fmt.Errorf("core: experiment took %.2f ms, over the 27 ms refresh budget",
 				float64(seg.Elapsed)/1e9)
 		}
-		out[j] = BERResult{Flips: CountFlips(res.Reads[seg.Reads[0]:seg.Reads[1]], p.Victim), Bits: bits, Elapsed: seg.Elapsed}
+		out[j] = BERResult{Flips: CountFlips(res.Reads[seg.Reads[0]:seg.Reads[1]], pp.fill), Bits: bits, Elapsed: seg.Elapsed}
+	}
+	return nil
+}
+
+// BERBatch measures BER for a batch of victim rows in one bank under one
+// pattern, each at the same hammer count: what BER measures per victim,
+// in order. Per-cell fault quantities are pure functions of (seed,
+// coordinates) and every probe rewrites its victim, aggressor and outer
+// rows before hammering, so probe concatenation cannot change any
+// measured value; one program per maxProbeBatch victims amortizes
+// assembly, validation, payload interning and dispatch across the batch.
+func (h *Harness) BERBatch(ba addr.BankAddr, physVictims []int, p Pattern, hammers int) ([]BERResult, error) {
+	out := make([]BERResult, len(physVictims))
+	if err := h.berBatch(ba, physVictims, p, hammers, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// berBatch is BERBatch into out, which BER passes on its stack.
+func (h *Harness) berBatch(ba addr.BankAddr, victims []int, p Pattern, hammers int, out []BERResult) error {
+	var counts [maxProbeBatch]int
+	pp := &h.probe
+	for lo := 0; lo < len(victims); lo += maxProbeBatch {
+		chunk := victims[lo:min(lo+maxProbeBatch, len(victims))]
+		if err := h.buildProbes(pp, ba, chunk, p, hammers, h.dev.Config().Timing.TRAS); err != nil {
+			return err
+		}
+		for j := range chunk {
+			counts[j] = hammers
+		}
+		if err := h.runProbes(pp, counts[:len(chunk)], out[lo:]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // HCFirstBatch measures HCfirst for a batch of victim rows in one bank
-// under one pattern, equivalent to calling HCFirst per victim in order,
-// and returns the ceiling probe of each search as its BER at maxHammers
-// (the measurement BERBatch at maxHammers would make). Each chunk of up
-// to maxProbeBatch victims runs the search breadth-first: the ceiling
-// probe for the whole chunk, then each halving round batched across its
-// still-active victims. One probe program serves the ceiling and every
-// round, with only its hammer-loop counts changed between runs; it is
-// rebuilt only when the set of active victims shrinks — after the
-// ceiling when some victims do not flip, and when uneven search widths
-// make victims converge in different rounds. Every victim sees exactly
-// the probe sequence the sequential search would have issued, so results
-// are identical.
+// under one pattern, what HCFirst measures per victim, and returns the
+// ceiling probe of each search as its BER at maxHammers (the measurement
+// BERBatch at maxHammers would make). Each chunk of up to maxProbeBatch
+// victims runs the search breadth-first on one program: the ceiling
+// probe for the whole chunk, then each halving round over its
+// still-searching victims, with the other probes skipped. Every victim
+// sees exactly the probe sequence a search of its own would issue.
 func (h *Harness) HCFirstBatch(ba addr.BankAddr, physVictims []int, p Pattern, maxHammers int) (hc []int, found []bool, ber []BERResult, err error) {
 	return h.HCFirstBatchHold(ba, physVictims, p, maxHammers, h.dev.Config().Timing.TRAS)
 }
 
-// HCFirstBatchHold is HCFirstBatch with a per-activation hold time
-// (RowPress), equivalent to calling HCFirstHold and BERHold per victim in
-// order.
+// HCFirstBatchHold is HCFirstBatch with each aggressor activation held
+// open for holdPS before its precharge — the RowPress access pattern the
+// paper lists as future work. The 27 ms refresh budget is enforced only
+// for minimum-timing probes: pressed probes intentionally trade time for
+// amplification.
 func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Pattern, maxHammers int, holdPS int64) (hc []int, found []bool, ber []BERResult, err error) {
 	n := len(physVictims)
 	hc = make([]int, n)
 	found = make([]bool, n)
 	ber = make([]BERResult, n)
-	for lo := 0; lo < n; lo += maxProbeBatch {
-		hi := min(lo+maxProbeBatch, n)
-		if err := h.hcFirstChunk(ba, physVictims[lo:hi], p, maxHammers, holdPS, hc[lo:hi], found[lo:hi], ber[lo:hi]); err != nil {
+	var counts, lo, hi [maxProbeBatch]int
+	var flipped [maxProbeBatch]int
+	pp := &h.probe
+	for c := 0; c < n; c += maxProbeBatch {
+		chunk := physVictims[c:min(c+maxProbeBatch, n)]
+		if err := h.buildProbes(pp, ba, chunk, p, maxHammers, holdPS); err != nil {
 			return nil, nil, nil, err
+		}
+		for j := range chunk {
+			counts[j] = maxHammers
+		}
+		if err := h.runProbes(pp, counts[:len(chunk)], ber[c:]); err != nil {
+			return nil, nil, nil, err
+		}
+		active := flipped[:0]
+		for j := range chunk {
+			if ber[c+j].Flips > 0 {
+				lo[j], hi[j] = 0, maxHammers
+				active = append(active, j)
+			}
+		}
+		if err := h.bisect(pp, active, lo[:], hi[:], nil); err != nil {
+			return nil, nil, nil, err
+		}
+		for _, j := range active {
+			found[c+j], hc[c+j] = true, hi[j]
 		}
 	}
 	return hc, found, ber, nil
 }
 
-// hcFirstChunk runs HCFirstBatchHold's search over at most maxProbeBatch
-// victims, writing each victim's HCfirst, found flag and ceiling BER: the
-// ceiling probe for the whole chunk, then bisect over the victims that
-// flipped, reusing the ceiling program when they all did.
-func (h *Harness) hcFirstChunk(ba addr.BankAddr, victims []int, p Pattern, maxHammers int, holdPS int64,
-	hc []int, found []bool, ceiling []BERResult) error {
-	if len(victims) == 0 {
-		return nil
-	}
-	prog, err := h.buildProbes(ba, victims, maxHammers, p, holdPS)
-	if err != nil {
-		return err
-	}
-	if err := h.runProbes(prog, p, holdPS, ceiling); err != nil {
-		return err
-	}
-	var idx, vict, los, his [maxProbeBatch]int
-	n := 0
-	for j := range victims {
-		if ceiling[j].Flips > 0 {
-			found[j], hc[j] = true, maxHammers
-			idx[n], vict[n], his[n] = j, victims[j], maxHammers
-			n++
-		}
-	}
-	if n < len(victims) {
-		prog = nil
-	}
-	if err := h.bisect(ba, vict[:n], p, holdPS, los[:n], his[:n], nil, prog); err != nil {
-		return err
-	}
-	for k, j := range idx[:n] {
-		hc[j] = his[k]
-	}
-	return nil
-}
-
-// bisect is the HCfirst binary search, batched over at most
-// maxProbeBatch victims under one pattern. Victim k's bracket is
-// (lo[k], hi[k]]: lo[k] is known not to flip it and hi[k] to flip it.
-// Each round probes every victim whose bracket is still wider than
-// HCPrecision at mid = lo+(hi-lo)/2, all in one program, and keeps the
-// half holding the first flip, so a bracket ends as the leaf of the one
-// search tree every search from (0, maxHammers] walks, and hi[k] as the
-// HCfirst. A victim with flipAt non-nil is known to flip at flipAt[k]
-// and, flips being monotone in the hammer count, at any count above it:
-// a mid at or above flipAt[k] moves hi without a probe. prog, when
-// non-nil, is a buildProbes program over exactly victims under p; it
-// serves the first round if every victim needs one. A round re-runs the
-// round before's program with new loop counts, and the program is
-// rebuilt only when the set of searching victims shrinks. Every victim
-// sees the probes its own sequential search would issue, minus the
-// ones flipAt answers, so the brackets are the sequential ones.
-func (h *Harness) bisect(ba addr.BankAddr, victims []int, p Pattern, holdPS int64,
-	lo, hi, flipAt []int, prog *bender.Program) error {
+// bisect is the HCfirst binary search on pp, batched over the chunk
+// victims in active. Victim j's bracket is (lo[j], hi[j]]: lo[j] is
+// known not to flip it and hi[j] to flip it. Each round probes every
+// victim whose bracket is still wider than HCPrecision at mid =
+// lo+(hi-lo)/2, all in one run that skips the other probes, and keeps
+// the half holding the first flip, so a bracket ends as the leaf of the
+// one search tree every search from (0, maxHammers] walks, and hi[j] as
+// the HCfirst. A victim with flipAt non-nil is known to flip at
+// flipAt[j] and, flips being monotone in the hammer count, at any count
+// above it: a mid at or above flipAt[j] moves hi without a probe. Every
+// victim sees the probes its own search would issue, minus the ones
+// flipAt answers.
+func (h *Harness) bisect(pp *probeProg, active []int, lo, hi, flipAt []int) error {
 	prec := max(h.HCPrecision, 1)
 	// searching skips the rounds flipAt answers and reports whether
-	// victim k still needs a probe.
-	searching := func(k int) bool {
-		for hi[k]-lo[k] > prec {
-			mid := lo[k] + (hi[k]-lo[k])/2
-			if flipAt == nil || mid < flipAt[k] {
+	// victim j still needs a probe.
+	searching := func(j int) bool {
+		for hi[j]-lo[j] > prec {
+			mid := lo[j] + (hi[j]-lo[j])/2
+			if flipAt == nil || mid < flipAt[j] {
 				return true
 			}
-			hi[k] = mid
+			hi[j] = mid
 		}
 		return false
 	}
-	// active lists the victims still searching, in order; while current
-	// holds, the program's probe i is victim active[i].
-	var activeBuf, mids, vict [maxProbeBatch]int
+	var buf, counts [maxProbeBatch]int
 	var res [maxProbeBatch]BERResult
-	active := activeBuf[:0]
-	for k := range victims {
-		if searching(k) {
-			active = append(active, k)
+	next := buf[:0]
+	for _, j := range active {
+		if searching(j) {
+			next = append(next, j)
 		}
 	}
-	current := prog != nil && len(active) == len(victims)
-	for len(active) > 0 {
-		if !current {
-			for i, k := range active {
-				vict[i] = victims[k]
-			}
-			var err error
-			if prog, err = h.buildProbes(ba, vict[:len(active)], hi[active[0]], p, holdPS); err != nil {
-				return err
-			}
-			current = true
+	n := len(pp.loops)
+	for len(next) > 0 {
+		clear(counts[:n])
+		for _, j := range next {
+			counts[j] = lo[j] + (hi[j]-lo[j])/2
 		}
-		for i, k := range active {
-			mids[i] = lo[k] + (hi[k]-lo[k])/2
-			if err := prog.SetLoopCount(h.probeLoops[i], int64(mids[i])); err != nil {
-				return err
-			}
-		}
-		if err := h.runProbes(prog, p, holdPS, res[:len(active)]); err != nil {
+		if err := h.runProbes(pp, counts[:n], res[:n]); err != nil {
 			return err
 		}
-		next := active[:0]
-		for i, k := range active {
-			if res[i].Flips > 0 {
-				hi[k] = mids[i]
+		still := next[:0]
+		for _, j := range next {
+			if res[j].Flips > 0 {
+				hi[j] = counts[j]
 			} else {
-				lo[k] = mids[i]
+				lo[j] = counts[j]
 			}
-			if searching(k) {
-				next = append(next, k)
+			if searching(j) {
+				still = append(still, j)
 			}
 		}
-		current = len(next) == len(active)
-		active = next
+		next = still
 	}
 	return nil
 }

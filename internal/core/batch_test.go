@@ -21,6 +21,7 @@ func TestBERBatchMatchesSequential(t *testing.T) {
 	h := newTestHarness(t)
 	ba := batchBank()
 	rows := h.Device().Geometry().Rows
+	tras := h.Device().Config().Timing.TRAS
 	victims := []int{1, 2, 100, 101, 512, rows / 3, rows - 2}
 	const hammers = 40_000
 	for _, p := range Table1() {
@@ -29,35 +30,13 @@ func TestBERBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("pattern %s: batch: %v", p.Name, err)
 		}
 		for j, v := range victims {
-			seq, err := h.BER(ba, v, p, hammers)
+			seq, err := seqBER(h, ba, v, p, hammers, tras)
 			if err != nil {
 				t.Fatalf("pattern %s row %d: sequential: %v", p.Name, v, err)
 			}
 			if batch[j] != seq {
 				t.Fatalf("pattern %s row %d: batch %+v != sequential %+v", p.Name, v, batch[j], seq)
 			}
-		}
-	}
-}
-
-func TestBERBatchHoldMatchesSequential(t *testing.T) {
-	h := newTestHarness(t)
-	ba := batchBank()
-	p := Table1()[0]
-	victims := []int{3, 200, 700}
-	hold := 3 * h.Device().Config().Timing.TRAS // pressed: budget not enforced
-	const hammers = 5_000
-	batch, err := h.BERBatchHold(ba, victims, p, hammers, hold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, v := range victims {
-		seq, err := h.BERHold(ba, v, p, hammers, hold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch[j] != seq {
-			t.Fatalf("row %d: batch %+v != sequential %+v", v, batch[j], seq)
 		}
 	}
 }
@@ -80,8 +59,9 @@ func TestBERBatchChunksLargeBatches(t *testing.T) {
 	if len(batch) != len(victims) {
 		t.Fatalf("got %d results for %d victims", len(batch), len(victims))
 	}
+	tras := h.Device().Config().Timing.TRAS
 	for _, j := range []int{0, maxProbeBatch - 1, maxProbeBatch, len(victims) - 1} {
-		seq, err := h.BER(ba, victims[j], p, hammers)
+		seq, err := seqBER(h, ba, victims[j], p, hammers, tras)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,6 +74,7 @@ func TestBERBatchChunksLargeBatches(t *testing.T) {
 func TestHCFirstBatchMatchesSequential(t *testing.T) {
 	h := newTestHarness(t)
 	ba := batchBank()
+	tras := h.Device().Config().Timing.TRAS
 	victims := []int{1, 50, 300, 600, 1022}
 	const maxHammers = 120_000
 	for _, p := range Table1()[:2] {
@@ -102,11 +83,11 @@ func TestHCFirstBatchMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j, v := range victims {
-			hc, found, err := h.HCFirst(ba, v, p, maxHammers)
+			hc, found, err := seqHCFirst(h, ba, v, p, maxHammers, tras)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ber, err := h.BER(ba, v, p, maxHammers)
+			ber, err := seqBER(h, ba, v, p, maxHammers, tras)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,8 +104,8 @@ func TestHCFirstBatchMatchesSequential(t *testing.T) {
 // programs, at a ceiling whose halvings go uneven: after five rounds a
 // victim's search width is 4687 or 4688 (150000/32 = 4687.5), and a
 // precision of 4687 stops the first kind and not the second, so victims
-// converge in different rounds and the search rebuilds its program as its
-// active set shrinks.
+// converge in different rounds and the search skips more probes of its
+// program as its active set shrinks.
 func TestHCFirstBatchChunksLargeBatches(t *testing.T) {
 	h := newTestHarness(t)
 	h.HCPrecision = 4687
@@ -142,13 +123,14 @@ func TestHCFirstBatchChunksLargeBatches(t *testing.T) {
 	if len(hcs) != len(victims) || len(founds) != len(victims) || len(bers) != len(victims) {
 		t.Fatalf("got %d/%d/%d results for %d victims", len(hcs), len(founds), len(bers), len(victims))
 	}
+	tras := h.Device().Config().Timing.TRAS
 	flipped := 0
 	for j, v := range victims {
-		hc, found, err := h.HCFirst(ba, v, p, maxHammers)
+		hc, found, err := seqHCFirst(h, ba, v, p, maxHammers, tras)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ber, err := h.BER(ba, v, p, maxHammers)
+		ber, err := seqBER(h, ba, v, p, maxHammers, tras)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +203,7 @@ func TestBERBatchEnforcesBudgetPerProbe(t *testing.T) {
 	if _, err := h.BERBatch(ba, []int{10, 20}, p, DefaultHammers); err != nil {
 		t.Fatalf("per-probe budget misapplied to the whole batch: %v", err)
 	}
-	_, seqErr := h.BER(ba, 10, p, 500_000)
+	_, seqErr := seqBER(h, ba, 10, p, 500_000, h.Device().Config().Timing.TRAS)
 	if seqErr == nil || !strings.Contains(seqErr.Error(), "refresh budget") {
 		t.Fatalf("sequential 500K-hammer probe should exceed the budget, got %v", seqErr)
 	}
@@ -244,21 +226,24 @@ func TestBERBatchHonoursCancelledContext(t *testing.T) {
 
 // FuzzBatchProbeEquivalence is the batched-probe leg of the differential
 // sense fuzz: a batch of probes on a normal (fast-sense) device must
-// measure exactly what per-row sequential probes measure on a device
-// pinned to the reference sense path. The batch is a BERBatch at the
-// fuzzed hammer count and an HCFirstBatch with that count as its ceiling
-// and a fuzzed precision — where the ratio is not a power of two,
-// victims converge in different rounds and the search rebuilds its
-// reused program — against sequential BER and HCFirst. Any divergence in
-// the batch concatenation, the program reuse, the segment accounting, or
-// the fast sense path shows up as a value mismatch.
+// measure exactly what the sequential oracle measures one probe at a
+// time on a device pinned to the reference sense path. The batch is a
+// BERBatch at the fuzzed hammer count and an HCFirstBatchHold with that
+// count as its ceiling, a fuzzed precision and a fuzzed hold multiplier
+// (1 is minimum timing; above it the probes are pressed, RowPress, and
+// the refresh budget does not apply) — where the ceiling/precision ratio
+// is not a power of two, victims converge in different rounds and the
+// search skips different probes of its program each round — against
+// sequential BER and HCfirst. Any divergence in the batch concatenation,
+// the probe skipping, the segment accounting, or the fast sense path
+// shows up as a value mismatch.
 func FuzzBatchProbeEquivalence(f *testing.F) {
-	f.Add(uint8(0), []byte{10, 60, 200}, uint16(20_000), uint16(257))
-	f.Add(uint8(1), []byte{1, 1, 255}, uint16(50_000), uint16(601))
-	f.Add(uint8(2), []byte{128}, uint16(1), uint16(1))
-	f.Add(uint8(3), []byte{7, 9, 11, 13, 40, 80, 160, 220}, uint16(35_000), uint16(8))
-	f.Add(uint8(0), []byte{3, 30, 90, 150, 210, 250}, uint16(60_001), uint16(12))
-	f.Fuzz(func(t *testing.T, pi uint8, vraw []byte, rawHammers, rawPrec uint16) {
+	f.Add(uint8(0), []byte{10, 60, 200}, uint16(20_000), uint16(257), uint8(0))
+	f.Add(uint8(1), []byte{1, 1, 255}, uint16(50_000), uint16(601), uint8(0))
+	f.Add(uint8(2), []byte{128}, uint16(1), uint16(1), uint8(0))
+	f.Add(uint8(3), []byte{7, 9, 11, 13, 40, 80, 160, 220}, uint16(35_000), uint16(8), uint8(0))
+	f.Add(uint8(0), []byte{3, 30, 90, 150, 210, 250}, uint16(60_001), uint16(12), uint8(0))
+	f.Fuzz(func(t *testing.T, pi uint8, vraw []byte, rawHammers, rawPrec uint16, rawHold uint8) {
 		if len(vraw) == 0 || len(vraw) > 8 {
 			t.Skip()
 		}
@@ -292,31 +277,40 @@ func FuzzBatchProbeEquivalence(f *testing.F) {
 			prec = hammers >> (1 + prec%18)
 		}
 		hFast.HCPrecision, hRef.HCPrecision = prec, prec
+		tras := cfg.Timing.TRAS
+		hold := tras * int64(1+rawHold%16)
 		ba := batchBank()
 		batch, err := hFast.BERBatch(ba, victims, p, hammers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hcs, founds, ceilings, err := hFast.HCFirstBatch(ba, victims, p, hammers)
+		hcs, founds, ceilings, err := hFast.HCFirstBatchHold(ba, victims, p, hammers, hold)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j, v := range victims {
-			seq, err := hRef.BER(ba, v, p, hammers)
+			seq, err := seqBER(hRef, ba, v, p, hammers, tras)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if batch[j] != seq || ceilings[j] != seq {
-				t.Fatalf("row %d: batched-on-fast %+v (search ceiling %+v) != sequential-on-reference %+v",
-					v, batch[j], ceilings[j], seq)
+			if batch[j] != seq {
+				t.Fatalf("row %d: batched-on-fast %+v != sequential-on-reference %+v", v, batch[j], seq)
 			}
-			hc, found, err := hRef.HCFirst(ba, v, p, hammers)
+			pressed, err := seqBER(hRef, ba, v, p, hammers, hold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ceilings[j] != pressed {
+				t.Fatalf("row %d, hold %d ps: search ceiling on fast %+v != sequential-on-reference %+v",
+					v, hold, ceilings[j], pressed)
+			}
+			hc, found, err := seqHCFirst(hRef, ba, v, p, hammers, hold)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if hcs[j] != hc || founds[j] != found {
-				t.Fatalf("row %d: batched-on-fast HCfirst (%d,%v) != sequential-on-reference (%d,%v)",
-					v, hcs[j], founds[j], hc, found)
+				t.Fatalf("row %d, hold %d ps: batched-on-fast HCfirst (%d,%v) != sequential-on-reference (%d,%v)",
+					v, hold, hcs[j], founds[j], hc, found)
 			}
 		}
 	})

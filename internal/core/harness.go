@@ -32,10 +32,9 @@ type Harness struct {
 	// instead of allocating a fresh instruction stream and payload table,
 	// which keeps the steady-state BER probe allocation-free.
 	bld *bender.Builder
-	// probeBounds and probeLoops describe the last batched probe program
-	// (batch.go): its segment boundaries and each probe's hammer OpLoop.
-	probeBounds []int
-	probeLoops  []int
+	// probe is the probe program of BERBatch and HCFirstBatch, built on
+	// bld (batch.go); WCDPBatch takes its four from probePool.
+	probe probeProg
 
 	// ctx, when non-nil, aborts the measurement loops: every BER
 	// measurement (and therefore every HCfirst probe and WCDP candidate)
@@ -71,6 +70,7 @@ func NewHarness(d *hbm.Device) (*Harness, error) {
 		HCPrecision:   DefaultHCPrecision,
 	}
 	h.checkCancel = h.cancelled
+	h.probe.bld = h.bld
 	if _, err := h.Exec(func(b *bender.Builder) { b.DisableECC() }); err != nil {
 		return nil, fmt.Errorf("core: disabling ECC: %w", err)
 	}
@@ -198,51 +198,11 @@ func (r BERResult) BER() float64 { return float64(r.Flips) / float64(r.Bits) }
 // BER runs the paper's per-row BER experiment: initialize the Table 1
 // layout around the physical victim, hammer the two adjacent rows
 // double-sided at minimum timing, read the victim back and count
-// bitflips.
+// bitflips. It is a one-row BERBatch.
 func (h *Harness) BER(ba addr.BankAddr, physVictim int, p Pattern, hammers int) (BERResult, error) {
-	return h.BERHold(ba, physVictim, p, hammers, h.dev.Config().Timing.TRAS)
-}
-
-// BERHold is BER with each aggressor activation held open for holdPS
-// before its precharge — the RowPress access pattern the paper lists as
-// future work. The 27 ms refresh budget is enforced only for
-// minimum-timing runs: pressed runs intentionally trade time for
-// amplification.
-func (h *Harness) BERHold(ba addr.BankAddr, physVictim int, p Pattern, hammers int, holdPS int64) (BERResult, error) {
-	if err := h.cancelled(); err != nil {
-		return BERResult{}, err
-	}
-	rows := h.dev.Geometry().Rows
-	if physVictim <= 0 || physVictim >= rows-1 {
-		return BERResult{}, fmt.Errorf("%w: physical row %d", ErrEdgeVictim, physVictim)
-	}
-	m := h.dev.Mapper()
-	lv := m.ToLogical(physVictim)
-	la := m.ToLogical(physVictim - 1)
-	lb := m.ToLogical(physVictim + 1)
-
-	minTiming := holdPS <= h.dev.Config().Timing.TRAS
-	b := h.builder()
-	h.initPattern(b, ba, physVictim, p)
-	if minTiming {
-		b.HammerDouble(ba, la, lb, int64(hammers))
-	} else {
-		b.HammerDoubleHold(ba, la, lb, int64(hammers), holdPS)
-	}
-	b.ReadRowOut(ba, lv)
-	res, err := h.run(b)
-	if err != nil {
-		return BERResult{}, err
-	}
-	if h.EnforceBudget && minTiming && res.Elapsed > RefreshBudget {
-		return BERResult{}, fmt.Errorf("core: experiment took %.2f ms, over the 27 ms refresh budget",
-			float64(res.Elapsed)/1e9)
-	}
-	return BERResult{
-		Flips:   CountFlips(res.Reads, p.Victim),
-		Bits:    h.dev.Geometry().RowBits(),
-		Elapsed: res.Elapsed,
-	}, nil
+	var out [1]BERResult
+	err := h.berBatch(ba, []int{physVictim}, p, hammers, out[:])
+	return out[0], err
 }
 
 // CountFlips returns how many bits of a read-out (a program's Result
@@ -267,43 +227,11 @@ func CountFlips(reads [][]byte, fill byte) int {
 // bitflip in the victim, searching up to maxHammers (the paper uses up to
 // 256K). found is false when even maxHammers flips nothing. Bitflips are
 // monotone in the hammer count, so exponential-plus-binary search is
-// exact to HCPrecision.
+// exact to HCPrecision. It is a one-row HCFirstBatch.
 func (h *Harness) HCFirst(ba addr.BankAddr, physVictim int, p Pattern, maxHammers int) (hc int, found bool, err error) {
-	return h.HCFirstHold(ba, physVictim, p, maxHammers, h.dev.Config().Timing.TRAS)
-}
-
-// HCFirstHold is HCFirst with a per-activation hold time (RowPress).
-func (h *Harness) HCFirstHold(ba addr.BankAddr, physVictim int, p Pattern, maxHammers int, holdPS int64) (hc int, found bool, err error) {
-	probe := func(n int) (bool, error) {
-		r, err := h.BERHold(ba, physVictim, p, n, holdPS)
-		if err != nil {
-			return false, err
-		}
-		return r.Flips > 0, nil
-	}
-	flips, err := probe(maxHammers)
+	hcs, founds, _, err := h.HCFirstBatch(ba, []int{physVictim}, p, maxHammers)
 	if err != nil {
 		return 0, false, err
 	}
-	if !flips {
-		return 0, false, nil
-	}
-	lo, hi := 0, maxHammers // lo: no flips; hi: flips
-	prec := h.HCPrecision
-	if prec < 1 {
-		prec = 1
-	}
-	for hi-lo > prec {
-		mid := lo + (hi-lo)/2
-		flips, err := probe(mid)
-		if err != nil {
-			return 0, false, err
-		}
-		if flips {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, true, nil
+	return hcs[0], founds[0], nil
 }

@@ -54,26 +54,24 @@ func BenchmarkRunnerBatchedProbe(b *testing.B) {
 	for i := range victims {
 		victims[i] = 1 + i*((rows-2)/len(victims))
 	}
-	p := Table1()[1]
-	tras := h.Device().Config().Timing.TRAS
-	prog, err := h.buildProbes(ba, victims, 20_000, p, tras)
-	if err != nil {
+	pp := &h.probe
+	if err := h.buildProbes(pp, ba, victims, Table1()[1], 20_000, h.Device().Config().Timing.TRAS); err != nil {
 		b.Fatal(err)
 	}
 	out := make([]BERResult, len(victims))
-	counts := [2]int64{20_000, 10_000}
+	counts := make([]int, len(victims))
+	hammers := [2]int{20_000, 10_000}
 	i := 0
 	var hammerActs int64 // activations the hammer loops applied in bulk
 	run := func() {
-		for _, loop := range h.probeLoops {
-			if err := prog.SetLoopCount(loop, counts[i%2]); err != nil {
-				b.Fatal(err)
-			}
+		n := hammers[i%2]
+		for j := range counts {
+			counts[j] = n
 		}
-		if err := h.runProbes(prog, p, tras, out); err != nil {
+		if err := h.runProbes(pp, counts, out); err != nil {
 			b.Fatal(err)
 		}
-		hammerActs += 2 * counts[i%2] * int64(len(h.probeLoops))
+		hammerActs += 2 * int64(n) * int64(len(victims))
 		i++
 	}
 	run() // warm: profiles, row states, the runner's plan, the read arena

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
@@ -118,22 +119,88 @@ func TestBERInVulnerableChannel(t *testing.T) {
 	}
 }
 
+// TestBERMonotoneInHammerCount checks the premise every HCfirst search
+// rests on — bitflips are monotone in the hammer count — against the
+// paper's definition, through the sequential oracle, at paper geometry
+// over a fixed sample of channels, regions and patterns. At HCPrecision
+// 1 the victim flips at its HCfirst and not one hammer below it, and
+// along an ascending grid of counts each read-out's flipped bits
+// include every bit flipped at the count before (the bits themselves,
+// not just their number). The batched searches skip probes on the
+// strength of this property.
 func TestBERMonotoneInHammerCount(t *testing.T) {
-	h := newTestHarness(t)
-	b := ba(7, 0, 0)
-	row := midRow(h, 1)
-	p := Table1()[1]
-	low, err := h.BER(b, row, p, 64*1024)
+	h, err := NewHarnessFromConfig(config.PaperChip())
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := h.BER(b, row, p, 256*1024)
-	if err != nil {
-		t.Fatal(err)
+	h.HCPrecision = 1
+	tras := h.Device().Config().Timing.TRAS
+	regions := Regions(h.Device().Geometry().Rows)
+	const steps = 16
+	found, flipped := 0, 0
+	for _, ch := range []int{0, 3, 7} {
+		for ri, r := range regions {
+			for pi, p := range Table1() {
+				b := ba(ch, ri%2, (ch+pi)%h.Device().Geometry().Banks)
+				row := r.Start + (r.End-r.Start)/2 + pi
+				t.Run(fmt.Sprintf("ch%d/%s/%s", ch, r.Name, p.Name), func(t *testing.T) {
+					hc, ok, err := seqHCFirst(h, b, row, p, DefaultHammers, tras)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ok {
+						found++
+						at, err := seqBER(h, b, row, p, hc, tras)
+						if err != nil {
+							t.Fatal(err)
+						}
+						below, err := seqBER(h, b, row, p, hc-1, tras)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if at.Flips == 0 || below.Flips != 0 {
+							t.Fatalf("HCfirst %d: %d flips at it, %d one hammer below", hc, at.Flips, below.Flips)
+						}
+					}
+					var prev []byte
+					for k := 1; k <= steps; k++ {
+						n := DefaultHammers * k / steps
+						reads, _, err := seqProbe(h, b, row, p, n, tras)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cur := flippedBits(reads, p.Victim)
+						for i := range prev {
+							if prev[i]&^cur[i] != 0 {
+								t.Fatalf("byte %d: bits %08b flipped at %d hammers but not at %d",
+									i, prev[i]&^cur[i], DefaultHammers*(k-1)/steps, n)
+							}
+						}
+						if k == steps && CountFlips(reads, p.Victim) > 0 {
+							flipped++
+						}
+						prev = cur
+					}
+				})
+			}
+		}
 	}
-	if low.Flips > high.Flips {
-		t.Fatalf("flips decreased with hammer count: %d @64K vs %d @256K", low.Flips, high.Flips)
+	if found == 0 || flipped == 0 {
+		t.Fatalf("%d searches found an HCfirst and %d grids flipped a bit; the sample checks nothing", found, flipped)
 	}
+	t.Logf("%d of %d searches found an HCfirst; %d grids flipped a bit", found, 3*len(regions)*len(Table1()), flipped)
+}
+
+// flippedBits returns, byte by byte across a read-out, the bits that
+// differ from the fill byte.
+func flippedBits(reads [][]byte, fill byte) []byte {
+	var out []byte
+	for _, col := range reads {
+		for _, v := range col {
+			out = append(out, v^fill)
+		}
+	}
+	return out
 }
 
 func TestBERRejectsBankEdgeVictims(t *testing.T) {
@@ -350,21 +417,21 @@ func TestExtendedPatternShapes(t *testing.T) {
 func TestBERHoldAmplifies(t *testing.T) {
 	h := newTestHarness(t)
 	b := ba(0, 0, 0) // weakest channel: minimum-timing hammers at this count do nothing
-	row := midRow(h, 1)
+	victims := []int{midRow(h, 1)}
 	tras := h.Device().Config().Timing.TRAS
 	const hammers = 8000
-	base, err := h.BERHold(b, row, Table1()[0], hammers, tras)
+	_, _, base, err := h.HCFirstBatchHold(b, victims, Table1()[0], hammers, tras)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pressed, err := h.BERHold(b, row, Table1()[0], hammers, tras*40)
+	_, _, pressed, err := h.HCFirstBatchHold(b, victims, Table1()[0], hammers, tras*40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Flips != 0 {
-		t.Fatalf("premise broken: %d flips at minimum timing", base.Flips)
+	if base[0].Flips != 0 {
+		t.Fatalf("premise broken: %d flips at minimum timing", base[0].Flips)
 	}
-	if pressed.Flips == 0 {
+	if pressed[0].Flips == 0 {
 		t.Fatal("no RowPress amplification through the harness")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"github.com/safari-repro/hbmrh/internal/addr"
-	"github.com/safari-repro/hbmrh/internal/bender"
 )
 
 // WCDPResult reports the worst-case data pattern of one row.
@@ -51,13 +50,22 @@ const numPatterns = 4
 // becomes the incumbent. Probes are pure functions of the probe itself,
 // so every answer is one the four full searches would have measured.
 //
-// Victims are searched maxProbeBatch at a time, every step batched
-// across the chunk as in HCFirstBatch. The first pattern each victim
+// Victims are searched maxProbeBatch at a time, every step one run of
+// the chunk's program under the step's pattern, built on the chunk's
+// first probe under it, with the probes of the victims the step does
+// not need skipped. The first pattern each victim
 // tries at the ceiling is the previous chunk's last winner (Rowstripe0
 // for the first chunk); the guess changes only how many probes run.
 func (h *Harness) WCDPBatch(ba addr.BankAddr, physVictims []int, maxHammers int) ([]WCDPResult, error) {
 	out := make([]WCDPResult, len(physVictims))
 	s := wcdpSearch{h: h, ba: ba, patterns: Table1(), max: maxHammers, tras: h.dev.Config().Timing.TRAS}
+	defer func() {
+		for _, pp := range s.progs {
+			if pp != nil {
+				probePool.Put(pp)
+			}
+		}
+	}()
 	for lo := 0; lo < len(physVictims); lo += maxProbeBatch {
 		hi := min(lo+maxProbeBatch, len(physVictims))
 		if err := s.chunk(physVictims[lo:hi], out[lo:hi]); err != nil {
@@ -73,17 +81,18 @@ type wcdpRow struct {
 	// ceil holds the BER probes at maxHammers of the patterns in known.
 	ceil  [numPatterns]BERResult
 	known uint8
-	// inc is the incumbent pattern, -1 while no pattern has flipped; its
-	// HCfirst leaf is (lo, hi], tied holds the other patterns whose
-	// HCfirst equals hi, and lost the ones known to have a larger one (or
-	// none): a ceiling that did not flip, or a beaten incumbent.
-	inc    int
-	lo, hi int
-	tied   uint8
-	lost   uint8
+	// inc is the incumbent pattern, -1 while no pattern has flipped (its
+	// HCfirst leaf is the search's (lo, hi]); tied holds the other
+	// patterns whose HCfirst equals hi, and lost the ones known to have a
+	// larger one (or none): a ceiling that did not flip, or a beaten
+	// incumbent.
+	inc  int
+	tied uint8
+	lost uint8
 }
 
-// wcdpSearch is WCDPBatch's state across one call's chunks.
+// wcdpSearch is WCDPBatch's state across one call's chunks. Every index
+// j is a chunk victim's, which is also its probe's in each program.
 type wcdpSearch struct {
 	h        *Harness
 	ba       addr.BankAddr
@@ -94,59 +103,70 @@ type wcdpSearch struct {
 	guess int
 
 	victims []int
-	rows    [maxProbeBatch]wcdpRow
-	vict    [maxProbeBatch]int
-	res     [maxProbeBatch]BERResult
+	// progs[q] is the program under pattern q, taken from probePool on
+	// first use; built holds the patterns whose program is built over
+	// this chunk's victims.
+	progs [numPatterns]*probeProg
+	built uint8
+	rows  [maxProbeBatch]wcdpRow
+	// lo and hi are victim j's incumbent leaf (lo[j], hi[j]].
+	lo, hi [maxProbeBatch]int
+	res    [maxProbeBatch]BERResult
+}
+
+// program returns the chunk's probe program under pattern q, building
+// it on first use.
+func (s *wcdpSearch) program(q int) (*probeProg, error) {
+	if s.progs[q] == nil {
+		s.progs[q] = s.h.getProbe()
+	}
+	pp := s.progs[q]
+	if s.built&(1<<q) == 0 {
+		if err := s.h.buildProbes(pp, s.ba, s.victims, s.patterns[q], s.max, s.tras); err != nil {
+			return nil, err
+		}
+		s.built |= 1 << q
+	}
+	return pp, nil
 }
 
 // probe runs pattern q on the chunk victims sel, victim j at count(j),
-// in one program (prog, when non-nil, already probes exactly sel under
-// q), records the probes at maxHammers as ceilings, and returns the
-// program and the measurements, probe i being victim sel[i].
-func (s *wcdpSearch) probe(sel []int, q int, count func(j int) int, prog *bender.Program) (*bender.Program, []BERResult, error) {
-	if prog == nil {
-		for i, j := range sel {
-			s.vict[i] = s.victims[j]
-		}
-		var err error
-		if prog, err = s.h.buildProbes(s.ba, s.vict[:len(sel)], s.max, s.patterns[q], s.tras); err != nil {
-			return nil, nil, err
-		}
+// skipping the other victims, records the probes at maxHammers as
+// ceilings, and returns the measurements, indexed by chunk victim.
+func (s *wcdpSearch) probe(sel []int, q int, count func(j int) int) ([]BERResult, error) {
+	pp, err := s.program(q)
+	if err != nil {
+		return nil, err
 	}
-	for i, j := range sel {
-		if err := prog.SetLoopCount(s.h.probeLoops[i], int64(count(j))); err != nil {
-			return nil, nil, err
-		}
+	var counts [maxProbeBatch]int
+	for _, j := range sel {
+		counts[j] = count(j)
 	}
-	res := s.res[:len(sel)]
-	if err := s.h.runProbes(prog, s.patterns[q], s.tras, res); err != nil {
-		return nil, nil, err
+	n := len(s.victims)
+	if err := s.h.runProbes(pp, counts[:n], s.res[:n]); err != nil {
+		return nil, err
 	}
-	for i, j := range sel {
-		if count(j) == s.max {
-			s.rows[j].ceil[q] = res[i]
+	for _, j := range sel {
+		if counts[j] == s.max {
+			s.rows[j].ceil[q] = s.res[j]
 			s.rows[j].known |= 1 << q
 		}
 	}
-	return prog, res, nil
+	return s.res[:n], nil
 }
 
 // bisect runs Harness.bisect under pattern q over the chunk victims sel
-// from their rows' brackets; flipAt, if non-nil, holds per victim of sel
-// a count known to flip it.
-func (s *wcdpSearch) bisect(sel []int, q int, flipAt []int, prog *bender.Program) error {
-	var vict, lo, hi [maxProbeBatch]int
-	n := len(sel)
-	for i, j := range sel {
-		vict[i], lo[i], hi[i] = s.victims[j], s.rows[j].lo, s.rows[j].hi
+// from their leaves; flipAt, if non-nil, holds per chunk victim a count
+// known to flip it.
+func (s *wcdpSearch) bisect(sel []int, q int, flipAt []int) error {
+	if len(sel) == 0 {
+		return nil
 	}
-	if err := s.h.bisect(s.ba, vict[:n], s.patterns[q], s.tras, lo[:n], hi[:n], flipAt, prog); err != nil {
+	pp, err := s.program(q)
+	if err != nil {
 		return err
 	}
-	for i, j := range sel {
-		s.rows[j].lo, s.rows[j].hi = lo[i], hi[i]
-	}
-	return nil
+	return s.h.bisect(pp, sel, s.lo[:], s.hi[:], flipAt)
 }
 
 // ceilingOrder is the pattern a victim probes in ceiling round r: the
@@ -163,57 +183,41 @@ func (s *wcdpSearch) ceilingOrder(r int) int {
 
 // chunk searches at most maxProbeBatch victims, writing their results.
 func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
-	s.victims = victims
+	s.victims, s.built = victims, 0
 	atMax := func(int) int { return s.max }
-	atHi := func(j int) int { return s.rows[j].hi }
-	atLo := func(j int) int { return s.rows[j].lo }
+	atHi := func(j int) int { return s.hi[j] }
+	atLo := func(j int) int { return s.lo[j] }
 	var selBuf, nextBuf, flipAt [maxProbeBatch]int
 
 	// 1. Ceiling probes, until each victim has a pattern that flips: its
-	// incumbent, with the whole range as its bracket.
+	// incumbent, with the whole range as its leaf.
 	pending := selBuf[:0]
 	for j := range victims {
 		s.rows[j] = wcdpRow{inc: -1}
 		pending = append(pending, j)
 	}
-	var prog *bender.Program
-	reuse := -1 // the pattern whose incumbents are exactly prog's probes
 	for r := 0; r < numPatterns && len(pending) > 0; r++ {
 		q := s.ceilingOrder(r)
-		var res []BERResult
-		var err error
-		if prog, res, err = s.probe(pending, q, atMax, nil); err != nil {
+		res, err := s.probe(pending, q, atMax)
+		if err != nil {
 			return err
 		}
 		next := pending[:0]
-		for i, j := range pending {
-			if res[i].Flips > 0 {
-				s.rows[j].inc, s.rows[j].hi = q, s.max
+		for _, j := range pending {
+			if res[j].Flips > 0 {
+				s.rows[j].inc, s.lo[j], s.hi[j] = q, 0, s.max
 			} else {
 				s.rows[j].lost |= 1 << q
 				next = append(next, j)
 			}
 		}
-		if len(next) == 0 {
-			reuse = q
-		}
 		pending = next
 	}
 
-	// 2. Bisect each incumbent group, first the one prog probes.
-	incumbents := func(q int) []int {
-		return s.where(selBuf[:0], func(r *wcdpRow) bool { return r.inc == q })
-	}
-	if reuse >= 0 {
-		if err := s.bisect(incumbents(reuse), reuse, nil, prog); err != nil {
-			return err
-		}
-	}
+	// 2. Bisect each incumbent group.
 	for q := range numPatterns {
-		if q == reuse {
-			continue
-		}
-		if err := s.bisect(incumbents(q), q, nil, nil); err != nil {
+		inc := s.where(selBuf[:0], func(r *wcdpRow) bool { return r.inc == q })
+		if err := s.bisect(inc, q, nil); err != nil {
 			return err
 		}
 	}
@@ -227,17 +231,16 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 		if len(sel) == 0 {
 			continue
 		}
-		prog, res, err := s.probe(sel, q, atHi, nil)
+		res, err := s.probe(sel, q, atHi)
 		if err != nil {
 			return err
 		}
 		inside := nextBuf[:0] // flipped at hi with lo > 0: probe lo
-		for i, j := range sel {
-			r := &s.rows[j]
+		for _, j := range sel {
 			switch {
-			case res[i].Flips == 0: // a larger HCfirst: loses
-			case r.lo == 0:
-				r.tied |= bit
+			case res[j].Flips == 0: // a larger HCfirst: loses
+			case s.lo[j] == 0:
+				s.rows[j].tied |= bit
 			default:
 				inside = append(inside, j)
 			}
@@ -245,28 +248,22 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 		if len(inside) == 0 {
 			continue
 		}
-		if len(inside) != len(sel) {
-			prog = nil
-		}
-		if prog, res, err = s.probe(inside, q, atLo, prog); err != nil {
+		if res, err = s.probe(inside, q, atLo); err != nil {
 			return err
 		}
 		wins := selBuf[:0] // sel is spent; inside is read ahead of wins
-		for i, j := range inside {
+		for _, j := range inside {
 			r := &s.rows[j]
-			if res[i].Flips == 0 {
+			if res[j].Flips == 0 {
 				r.tied |= bit
 				continue
 			}
-			flipAt[len(wins)] = r.lo
+			flipAt[j] = s.lo[j]
 			r.lost |= 1 << r.inc
-			r.inc, r.tied, r.lo, r.hi = q, 0, 0, s.max
+			r.inc, r.tied, s.lo[j], s.hi[j] = q, 0, 0, s.max
 			wins = append(wins, j)
 		}
-		if len(wins) != len(inside) {
-			prog = nil
-		}
-		if err := s.bisect(wins, q, flipAt[:len(wins)], prog); err != nil {
+		if err := s.bisect(wins, q, flipAt[:]); err != nil {
 			return err
 		}
 	}
@@ -280,7 +277,7 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 		if len(sel) == 0 {
 			continue
 		}
-		if _, _, err := s.probe(sel, q, atMax, nil); err != nil {
+		if _, err := s.probe(sel, q, atMax); err != nil {
 			return err
 		}
 	}
@@ -293,7 +290,7 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 			continue
 		}
 		w := r.pick(r.tied | 1<<r.inc)
-		out[j] = WCDPResult{Pattern: s.patterns[w], HCFirst: r.hi, Found: true, BER: r.ceil[w].BER()}
+		out[j] = WCDPResult{Pattern: s.patterns[w], HCFirst: s.hi[j], Found: true, BER: r.ceil[w].BER()}
 		s.guess = w
 	}
 	return nil

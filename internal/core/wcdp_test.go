@@ -24,19 +24,25 @@ func better(a, b WCDPResult) bool {
 	return a.BER > b.BER
 }
 
-// fullSearchWCDP is the WCDP oracle: the full HCfirst search under every
-// Table 1 pattern, the best under better kept in Table 1 order (so the
-// earliest pattern wins a full tie, Rowstripe0 when nothing flips).
+// fullSearchWCDP is the WCDP oracle: the sequential HCfirst search and
+// ceiling BER under every Table 1 pattern, the best under better kept in
+// Table 1 order (so the earliest pattern wins a full tie, Rowstripe0
+// when nothing flips).
 func fullSearchWCDP(t testing.TB, h *Harness, ba addr.BankAddr, victims []int, maxHammers int) []WCDPResult {
 	t.Helper()
+	tras := h.Device().Config().Timing.TRAS
 	out := make([]WCDPResult, len(victims))
 	for pi, p := range Table1() {
-		hcs, founds, bers, err := h.HCFirstBatch(ba, victims, p, maxHammers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range victims {
-			cand := WCDPResult{Pattern: p, HCFirst: hcs[j], Found: founds[j], BER: bers[j].BER()}
+		for j, v := range victims {
+			hc, found, err := seqHCFirst(h, ba, v, p, maxHammers, tras)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ber, err := seqBER(h, ba, v, p, maxHammers, tras)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cand := WCDPResult{Pattern: p, HCFirst: hc, Found: found, BER: ber.BER()}
 			if pi == 0 || better(cand, out[j]) {
 				out[j] = cand
 			}

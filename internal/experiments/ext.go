@@ -70,19 +70,18 @@ func midSubarrayRows(cfg *config.Config, n, stride, reach int) ([]int, error) {
 // cleared). Each sample is a pure function of (seed, bank, row, hold), so
 // pooled devices reproduce the sequential results exactly.
 func rowPressPoint(h *core.Harness, cfg *config.Config, bank addr.BankAddr, victims []int, hammers, mult int) (hcs []float64, foundAll bool, err error) {
-	tras := cfg.Timing.TRAS
 	pattern := core.Table1()[1] // Rowstripe1
+	hc, found, _, err := h.HCFirstBatchHold(bank, victims, pattern, hammers, cfg.Timing.TRAS*int64(mult))
+	if err != nil {
+		return nil, false, err
+	}
 	foundAll = true
-	for _, phys := range victims {
-		hc, found, err := h.HCFirstHold(bank, phys, pattern, hammers, tras*int64(mult))
-		if err != nil {
-			return nil, false, err
-		}
-		if !found {
+	for i, f := range found {
+		if !f {
 			foundAll = false
 			continue
 		}
-		hcs = append(hcs, float64(hc))
+		hcs = append(hcs, float64(hc[i]))
 	}
 	return hcs, foundAll, nil
 }
@@ -150,13 +149,13 @@ func tempSweepPoint(cfg *config.Config, bank addr.BankAddr, victims []int, hamme
 	if err != nil {
 		return nil, err
 	}
-	bers := make([]float64, 0, len(victims))
-	for _, phys := range victims {
-		r, err := h.BER(bank, phys, pattern, hammers)
-		if err != nil {
-			return nil, err
-		}
-		bers = append(bers, r.BER()*100)
+	rs, err := h.BERBatch(bank, victims, pattern, hammers)
+	if err != nil {
+		return nil, err
+	}
+	bers := make([]float64, len(rs))
+	for i, r := range rs {
+		bers[i] = r.BER() * 100
 	}
 	return bers, nil
 }

@@ -194,7 +194,11 @@ func runScriptProgram(d *Device, script []byte, prog *bender.Program, bounds []i
 			}
 			return nil
 		}
-		res, _, err = r.RunSegments(d, d.Geometry(), prog, bounds, check)
+		live := make([]bool, len(bounds))
+		for i := range live {
+			live[i] = true
+		}
+		res, _, err = r.RunSegments(d, d.Geometry(), prog, bounds, live, check)
 	} else {
 		res, err = r.Run(d, d.Geometry(), prog)
 	}

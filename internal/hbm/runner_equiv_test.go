@@ -44,11 +44,13 @@ func runnerConfig() *config.Config {
 }
 
 // runnerScript is a decoded script: the program and, for a segmented
-// run, its bounds and the boundary whose cancellation check stops it.
+// run, its bounds, which segments run, and the boundary whose
+// cancellation check stops it.
 type runnerScript struct {
 	prog   *bender.Program
-	bounds []int // nil for a plain Run
-	stopAt int   // the check that fails, counting from 1; 0 never fails
+	bounds []int  // nil for a plain Run
+	live   []bool // live[j]: segment j runs
+	stopAt int    // the check that fails, counting from 1; 0 never fails
 }
 
 // decodeRunnerScript decodes a script: the first byte's low bit selects a
@@ -56,8 +58,9 @@ type runnerScript struct {
 // overwriteProgram); then every 4 bytes (op, a, b, c) emit one command
 // shape on the bank a names, at the row or column b names, with a wait c
 // picks. Byte values at the top of a range name out-of-range operands
-// and broken structure, which validation must reject.
-func decodeRunnerScript(d *Device, script []byte) runnerScript {
+// and broken structure, which validation must reject. Segment j of a
+// segmented run runs when bit j%64 of live is set.
+func decodeRunnerScript(d *Device, script []byte, live uint64) runnerScript {
 	g := d.Geometry()
 	tm := d.Config().Timing
 	m := d.Mapper()
@@ -257,6 +260,9 @@ func decodeRunnerScript(d *Device, script []byte) runnerScript {
 		emit(bender.Instr{Op: bender.OpEndLoop})
 	}
 	mark()
+	for j := range rs.bounds {
+		rs.live = append(rs.live, live&(1<<(j%64)) != 0)
+	}
 	rs.prog = p
 	return rs
 }
@@ -308,7 +314,7 @@ func runWithRunner(t bender.Target, d *Device, rs runnerScript, disableFast bool
 	var segs []bender.Segment
 	var err error
 	if rs.bounds != nil {
-		res, segs, err = r.RunSegments(t, d.Geometry(), rs.prog, rs.bounds, rs.stopCheck())
+		res, segs, err = r.RunSegments(t, d.Geometry(), rs.prog, rs.bounds, rs.live, rs.stopCheck())
 	} else {
 		res, err = r.Run(t, d.Geometry(), rs.prog)
 	}
@@ -341,7 +347,8 @@ type checkedRun struct {
 
 // runChecked validates the script's program as the runner does —
 // ascending bounds, the program, no bound inside a loop — and then runs
-// it on d through the public checked methods, unrolling loops.
+// it on d through the public checked methods, unrolling loops and
+// omitting the dead segments.
 func runChecked(d *Device, rs runnerScript) runOutcome {
 	instrs := rs.prog.Instrs
 	for j, b := range rs.bounds {
@@ -398,6 +405,10 @@ func (c *checkedRun) exec(from, to int, top bool) error {
 			if err := c.check(); err != nil {
 				return err
 			}
+		}
+		if top && c.k < len(c.rs.bounds) && !c.rs.live[c.k] {
+			ip = c.rs.bounds[c.k] - 1 // the loop's ip++ lands on the bound
+			continue
 		}
 		in := instrs[ip]
 		if in.Op == bender.OpLoop {
@@ -512,7 +523,7 @@ func compareOutcomes(t *testing.T, what string, x, y runOutcome, dx, dy *Device)
 
 // runRunnerScript runs both differentials on one script and returns the
 // outcome and the counters of the plain interpreter's run.
-func runRunnerScript(t *testing.T, script []byte) (runOutcome, Stats) {
+func runRunnerScript(t *testing.T, script []byte, live uint64) (runOutcome, Stats) {
 	t.Helper()
 	var devs [4]*Device
 	var scripts [4]runnerScript
@@ -521,7 +532,7 @@ func runRunnerScript(t *testing.T, script []byte) (runOutcome, Stats) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		devs[i], scripts[i] = d, decodeRunnerScript(d, script)
+		devs[i], scripts[i] = d, decodeRunnerScript(d, script, live)
 	}
 	ref := runChecked(devs[0], scripts[0])
 	slow := runWithRunner(devs[1], devs[1], scripts[1], true)
@@ -538,22 +549,25 @@ func runRunnerScript(t *testing.T, script []byte) (runOutcome, Stats) {
 // more); `go test -fuzz=FuzzRunnerMatchesCheckedCommands ./internal/hbm`
 // digs.
 func FuzzRunnerMatchesCheckedCommands(f *testing.F) {
-	f.Add([]byte{0, 12, 0, 3, 2, 8, 0, 0, 247, 14, 0, 3, 0})                                        // fill, idle, read-out
-	f.Add([]byte{1, 7, 4, 0, 0, 12, 4, 9, 4, 9, 4, 8, 252, 13, 0, 0, 0, 14, 4, 9, 0, 9, 4, 8, 201}) // segmented: ECC off, fill, bulk hammer, boundary, read-out, slow hammer
-	f.Add([]byte{0, 0, 0, 3, 1, 2, 0, 1, 0, 3, 0, 1, 0, 1, 0, 0, 3})                                // act, mistimed read
-	f.Add([]byte{0, 10, 0, 1, 0, 12, 1, 2, 2, 11, 0, 0, 0, 7, 0, 1, 0})                             // looped fill, ECC
-	f.Add([]byte{0, 0, 0xF1, 3, 2, 14, 0, 0xF8, 0})                                                 // bank and row out of range
-	f.Add([]byte{0, 12, 0, 3, 2, 2, 0, 0xF9, 3, 3, 0, 0, 0xFE})                                     // column out of range, short payload
-	f.Add([]byte{0, 12, 0, 3, 1, 6, 0, 0, 6, 0, 0, 3, 0, 6, 0, 0, 6})                               // WRROW before tRCD
-	f.Add([]byte{5, 12, 0, 3, 2, 13, 0, 0, 0, 12, 0, 4, 2, 13, 0, 0, 0, 8, 0, 0, 3})                // segmented, stopped at the second boundary
-	f.Add([]byte{1, 10, 0, 0, 0, 13, 0, 0, 0xFF, 11, 0, 0, 0})                                      // a bound inside a loop
-	f.Add([]byte{0, 10, 0, 0, 0xFF, 11, 0, 0, 0, 15, 0, 0, 0, 11, 0, 0, 0xFF})                      // zero count, end, stray endloop
-	f.Add([]byte{0, 9, 6, 40, 120, 5, 6, 0, 4, 15, 0, 0, 0, 14, 6, 40, 0})                          // hammer, prea, end before the read-out
-	f.Fuzz(func(t *testing.T, script []byte) {
+	const all = ^uint64(0)                                                                                        // every segment live
+	f.Add([]byte{0, 12, 0, 3, 2, 8, 0, 0, 247, 14, 0, 3, 0}, all)                                                 // fill, idle, read-out
+	f.Add([]byte{1, 7, 4, 0, 0, 12, 4, 9, 4, 9, 4, 8, 252, 13, 0, 0, 0, 14, 4, 9, 0, 9, 4, 8, 201}, all)          // segmented: ECC off, fill, bulk hammer, boundary, read-out, slow hammer
+	f.Add([]byte{0, 0, 0, 3, 1, 2, 0, 1, 0, 3, 0, 1, 0, 1, 0, 0, 3}, all)                                         // act, mistimed read
+	f.Add([]byte{0, 10, 0, 1, 0, 12, 1, 2, 2, 11, 0, 0, 0, 7, 0, 1, 0}, all)                                      // looped fill, ECC
+	f.Add([]byte{0, 0, 0xF1, 3, 2, 14, 0, 0xF8, 0}, all)                                                          // bank and row out of range
+	f.Add([]byte{0, 12, 0, 3, 2, 2, 0, 0xF9, 3, 3, 0, 0, 0xFE}, all)                                              // column out of range, short payload
+	f.Add([]byte{0, 12, 0, 3, 1, 6, 0, 0, 6, 0, 0, 3, 0, 6, 0, 0, 6}, all)                                        // WRROW before tRCD
+	f.Add([]byte{5, 12, 0, 3, 2, 13, 0, 0, 0, 12, 0, 4, 2, 13, 0, 0, 0, 8, 0, 0, 3}, all)                         // segmented, stopped at the second boundary
+	f.Add([]byte{1, 10, 0, 0, 0, 13, 0, 0, 0xFF, 11, 0, 0, 0}, all)                                               // a bound inside a loop
+	f.Add([]byte{0, 10, 0, 0, 0xFF, 11, 0, 0, 0, 15, 0, 0, 0, 11, 0, 0, 0xFF}, all)                               // zero count, end, stray endloop
+	f.Add([]byte{0, 9, 6, 40, 120, 5, 6, 0, 4, 15, 0, 0, 0, 14, 6, 40, 0}, all)                                   // hammer, prea, end before the read-out
+	f.Add([]byte{1, 7, 4, 0, 0, 12, 4, 9, 4, 9, 4, 8, 252, 13, 0, 0, 0, 14, 4, 9, 0, 9, 4, 8, 201}, uint64(0b10)) // segmented, the fill and bulk hammer skipped
+	f.Add([]byte{5, 12, 0, 3, 2, 13, 0, 0, 0, 12, 0, 4, 2, 13, 0, 0, 0, 8, 0, 0, 3}, uint64(0b101))               // segmented, the middle segment skipped, stopped at the second boundary
+	f.Fuzz(func(t *testing.T, script []byte, live uint64) {
 		if len(script) > 65 {
 			script = script[:65] // bound per-input work
 		}
-		runRunnerScript(t, script)
+		runRunnerScript(t, script, live)
 	})
 }
 
@@ -588,8 +602,9 @@ func TestRunnerMatchesCheckedCommandsRandomScripts(t *testing.T) {
 				}
 			}
 		}
+		live := s.Next() // segments run where its bits are set
 		t.Run(fmt.Sprintf("round%02d", round), func(t *testing.T) {
-			out, stats := runRunnerScript(t, script)
+			out, stats := runRunnerScript(t, script, live)
 			classes[errorClass(out.err)]++
 			flips += stats.BitflipsCommitted
 		})
