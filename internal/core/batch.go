@@ -187,8 +187,7 @@ func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Patter
 	hc = make([]int, n)
 	found = make([]bool, n)
 	ber = make([]BERResult, n)
-	var counts, lo, hi [maxProbeBatch]int
-	var flipped [maxProbeBatch]int
+	var counts, lo, hi, buf [maxProbeBatch]int
 	pp := &h.probe
 	for c := 0; c < n; c += maxProbeBatch {
 		chunk := physVictims[c:min(c+maxProbeBatch, n)]
@@ -201,7 +200,7 @@ func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Patter
 		if err := h.runProbes(pp, counts[:len(chunk)], ber[c:]); err != nil {
 			return nil, nil, nil, err
 		}
-		active := flipped[:0]
+		active := buf[:0]
 		for j := range chunk {
 			if ber[c+j].Flips > 0 {
 				lo[j], hi[j] = 0, maxHammers

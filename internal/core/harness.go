@@ -226,8 +226,8 @@ func CountFlips(reads [][]byte, fill byte) int {
 // HCFirst measures the minimum hammer count that induces the first
 // bitflip in the victim, searching up to maxHammers (the paper uses up to
 // 256K). found is false when even maxHammers flips nothing. Bitflips are
-// monotone in the hammer count, so exponential-plus-binary search is
-// exact to HCPrecision. It is a one-row HCFirstBatch.
+// monotone in the hammer count, so binary search is exact to
+// HCPrecision. It is a one-row HCFirstBatch.
 func (h *Harness) HCFirst(ba addr.BankAddr, physVictim int, p Pattern, maxHammers int) (hc int, found bool, err error) {
 	hcs, founds, _, err := h.HCFirstBatch(ba, []int{physVictim}, p, maxHammers)
 	if err != nil {

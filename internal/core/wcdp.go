@@ -53,9 +53,9 @@ const numPatterns = 4
 // Victims are searched maxProbeBatch at a time, every step one run of
 // the chunk's program under the step's pattern, built on the chunk's
 // first probe under it, with the probes of the victims the step does
-// not need skipped. The first pattern each victim
-// tries at the ceiling is the previous chunk's last winner (Rowstripe0
-// for the first chunk); the guess changes only how many probes run.
+// not need skipped. The first pattern each victim tries at the ceiling
+// is the previous chunk's last winner (Rowstripe0 for the first chunk);
+// the guess changes only how many probes run.
 func (h *Harness) WCDPBatch(ba addr.BankAddr, physVictims []int, maxHammers int) ([]WCDPResult, error) {
 	out := make([]WCDPResult, len(physVictims))
 	s := wcdpSearch{h: h, ba: ba, patterns: Table1(), max: maxHammers, tras: h.dev.Config().Timing.TRAS}
