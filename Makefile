@@ -73,10 +73,11 @@ golden-check:
 #      per-bank records the figures draw, must byte-match. The small
 #      hammer budget leaves some banks without a single flip, the case
 #      the Fig. 6 scatter must skip rather than crash on.
-#   5. the Section 5 studies: `utrr-discover` and `characterize
-#      -experiment trrstudy` (and, with -probe, `-experiment utrrprobe`)
-#      render one registry artifact with one renderer, so their stdout
-#      must byte-match.
+#   5. the Section 5 studies: `characterize -experiment trrstudy` at a
+#      non-default bank (-channel 2 -pc 1 -bank 1), once in a single
+#      process and once through `characterize fleet` with one worker,
+#      whose argv carries the bank; the artifacts must byte-match.
+#      `-experiment utrrprobe` must run.
 #   6. the other extension studies (tempsweep, crosschannel, trrbypass)
 #      on the paper chip at a tiny budget: once in a single process and
 #      once as two job-slice shards plus a `characterize merge`; the CSV
@@ -161,12 +162,12 @@ smoke:
 		cmp $(SMOKE_DIR)/$$e-p1.txt $(SMOKE_DIR)/$$e-p4.txt || exit 1; \
 		cmp $(SMOKE_DIR)/$$e-p1.json $(SMOKE_DIR)/$$e-p4.json || exit 1; \
 	done
-	$(GO) run ./cmd/utrr-discover -iterations 40 > $(SMOKE_DIR)/utrr.txt
-	$(GO) run ./cmd/characterize -experiment trrstudy -iterations 40 > $(SMOKE_DIR)/trrstudy.txt
-	cmp $(SMOKE_DIR)/utrr.txt $(SMOKE_DIR)/trrstudy.txt
-	$(GO) run ./cmd/utrr-discover -probe > $(SMOKE_DIR)/utrr-probe.txt
+	$(GO) run ./cmd/characterize -experiment trrstudy -iterations 40 -channel 2 -pc 1 -bank 1 \
+		-artifact $(SMOKE_DIR)/trrstudy.bin > $(SMOKE_DIR)/trrstudy.txt
+	$(GO) run ./cmd/characterize fleet -experiment trrstudy -iterations 40 -channel 2 -pc 1 -bank 1 \
+		-workers 1 -artifact $(SMOKE_DIR)/trrstudy-fleet.bin >/dev/null
+	cmp $(SMOKE_DIR)/trrstudy.bin $(SMOKE_DIR)/trrstudy-fleet.bin
 	$(GO) run ./cmd/characterize -experiment utrrprobe > $(SMOKE_DIR)/utrrprobe.txt
-	cmp $(SMOKE_DIR)/utrr-probe.txt $(SMOKE_DIR)/utrrprobe.txt
 	for e in tempsweep crosschannel trrbypass; do \
 		$(GO) run ./cmd/characterize -experiment $$e -chip paper -rows 1 -hammers 30000 \
 			-csv $(SMOKE_DIR)/$$e.csv -artifact $(SMOKE_DIR)/$$e.bin >/dev/null || exit 1; \

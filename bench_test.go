@@ -4,8 +4,7 @@ package hbmrh_test
 // and Fig. 6 of Section 4, plus the Section 5 U-TRR study), each running a
 // scaled-down but structurally complete regeneration of that artifact per
 // iteration, plus ablation benchmarks for the design choices DESIGN.md
-// calls out. Full-resolution regeneration is cmd/characterize and
-// cmd/utrr-discover.
+// calls out. Full-resolution regeneration is cmd/characterize.
 
 import (
 	"net/http"

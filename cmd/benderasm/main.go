@@ -18,6 +18,7 @@ import (
 	"os"
 
 	hbmrh "github.com/safari-repro/hbmrh"
+	"github.com/safari-repro/hbmrh/internal/config"
 )
 
 func main() {
@@ -33,11 +34,9 @@ func main() {
 		log.Fatal("usage: benderasm [-chip paper|small] [-dis] PROGRAM.bend")
 	}
 
-	cfg := hbmrh.SmallChip()
-	if *chip == "paper" {
-		cfg = hbmrh.PaperChip()
-	} else if *chip != "small" {
-		log.Fatalf("unknown -chip %q", *chip)
+	cfg, err := config.Preset(*chip)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	src, err := os.ReadFile(flag.Arg(0))

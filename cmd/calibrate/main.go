@@ -28,17 +28,13 @@ func main() {
 		skipTRR  = flag.Bool("skiptrr", false, "skip the section 5 study")
 	)
 	flag.Parse()
-	// A negative budget is a typo, not a request for the default.
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"rows", *rows}, {"bankrows", *bankRows}} {
-		if f.v < 0 {
-			log.Fatalf("-%s %d: must be >= 0", f.name, f.v)
-		}
-	}
 
 	cfg := hbmrh.PaperChip()
+	// Plan fig6 before the sweep runs, so a -bankrows the registry
+	// refuses fails before minutes of measurement.
+	if _, err := experiments.Describe("fig6", hbmrh.ExperimentOptions{Cfg: cfg, Rows: *bankRows}); err != nil {
+		log.Fatal(err)
+	}
 	sweep, err := hbmrh.RunExperiment("sweep", hbmrh.ExperimentOptions{Cfg: cfg, Rows: *rows})
 	if err != nil {
 		log.Fatal(err)

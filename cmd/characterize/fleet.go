@@ -17,20 +17,14 @@ import (
 // runFleet is the `characterize fleet` subcommand: one command that
 // partitions an experiment across local shard worker processes, watches
 // them, retries failures and stragglers from their journals, and merges
-// the result. -workers here counts shard worker processes (the registry
-// mode's per-job device knob is -job-workers).
+// the result. It takes the same study flags as single-process
+// characterize (fleet.Study.RegisterFlags); -workers here counts shard
+// worker processes.
 func runFleet(args []string) {
 	fs := flag.NewFlagSet("characterize fleet", flag.ExitOnError)
+	var study hbmrh.FleetStudy
+	study.RegisterFlags(fs)
 	var (
-		experiment = fs.String("experiment", "", "registry experiment to run (see characterize -experiment list)")
-		chip       = fs.String("chip", "small", "chip preset: paper or small")
-		rows       = fs.Int("rows", 24, "sampling density: victim rows per region or per point")
-		hammers    = fs.Int("hammers", hbmrh.DefaultHammers, "hammer count / HCfirst ceiling")
-		seeds      = fs.Int("seeds", 0, "chip instances for fleet experiments (0 = experiment default)")
-		iterations = fs.Int("iterations", 0, "U-TRR iterations for the TRR studies (0 = default)")
-		jobWorkers = fs.Int("job-workers", 0, "parallel measurement devices per job (0 = auto)")
-		parallel   = fs.Int("parallel", 0, "concurrent plan jobs per worker process (0 = one per CPU)")
-		planner    = fs.String("planner", "queue", "job planner: queue, contiguous, weighted or stealing")
 		workers    = fs.Int("workers", 2, "shard worker processes")
 		chunk      = fs.Int("chunk", 1, "jobs per checkpoint: each worker journals a sealed artifact every N jobs")
 		dir        = fs.String("dir", "", "journal + shard directory (default: a temp dir; a fixed dir makes reruns resume)")
@@ -47,31 +41,18 @@ func runFleet(args []string) {
 		groupBy    = fs.String("group-by", "", "export axis (default: the artifact's stored axis)")
 	)
 	fs.Parse(args)
-	if *experiment == "" {
+	if study.Experiment == "" {
 		log.Fatal("fleet needs -experiment NAME (see characterize -experiment list)")
 	}
 	if fs.NArg() != 0 {
 		log.Fatalf("fleet takes no positional arguments (got %q)", fs.Args())
-	}
-	if err := checkBudgets(*rows, 0, *hammers, *seeds, *iterations); err != nil {
-		log.Fatal(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	spec := hbmrh.FleetSpec{
-		Study: hbmrh.FleetStudy{
-			Experiment: *experiment,
-			Chip:       *chip,
-			Rows:       *rows,
-			Hammers:    *hammers,
-			Seeds:      *seeds,
-			Iterations: *iterations,
-			JobWorkers: *jobWorkers,
-			Parallel:   *parallel,
-			Planner:    *planner,
-		},
+		Study:            study,
 		Workers:          *workers,
 		Chunk:            *chunk,
 		Dir:              *dir,
@@ -98,12 +79,7 @@ func runFleet(args []string) {
 		spec.KillAfter = map[int]int{i: k}
 	}
 	if *progress {
-		spec.Progress = func(p hbmrh.EngineProgress) {
-			fmt.Fprintf(os.Stderr, "\rjobs: %d/%d", p.Done, p.Total)
-			if p.Done == p.Total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
+		spec.Progress = printProgress
 		spec.Log = func(format string, a ...any) {
 			line := fmt.Sprintf(format, a...)
 			fmt.Fprintln(os.Stderr, strings.TrimRight(line, "\n"))

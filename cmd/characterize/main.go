@@ -6,10 +6,10 @@
 // Usage:
 //
 //	characterize -experiment NAME [-chip paper|small] [-rows N]
-//	             [-hammers N] [-seeds N] [-iterations N] [-workers N]
-//	             [-parallel N] [-planner P] [-shard I/N] [-progress]
-//	             [-artifact FILE] [-csv FILE] [-json FILE] [-group-by AXIS]
-//	             [-mutexprofile FILE]
+//	             [-hammers N] [-seeds N] [-iterations N] [-job-workers N]
+//	             [-parallel N] [-planner P] [-channel N -pc N -bank N]
+//	             [-shard I/N] [-progress] [-artifact FILE] [-csv FILE]
+//	             [-json FILE] [-group-by AXIS] [-mutexprofile FILE]
 //	characterize -experiment list
 //	characterize -experiment paper        # the paper suite: sweep+fig6+trrstudy
 //	             [-bankrows N] [-iterations N]
@@ -30,8 +30,16 @@
 // and trrbypass (pass -chip paper to trrbypass: its nominal-refresh
 // attack needs the paper geometry's refresh-pointer cadence).
 //
-// -rows, -bankrows, -hammers, -seeds and -iterations must be >= 0; 0
-// selects the experiment's default.
+// Section 5 is -experiment trrstudy (the U-TRR period study) and
+// -experiment utrrprobe (the deeper probes), run in the bank -channel,
+// -pc and -bank name.
+//
+// The study flags (-experiment, -chip, -rows, -hammers, -seeds,
+// -iterations, -job-workers, -parallel, -planner, -channel, -pc, -bank)
+// are declared once, by fleet.Study.RegisterFlags, for characterize,
+// characterize fleet and the fleet workers. Every numeric knob must be
+// >= 0, which the registry checks when it plans; 0 selects the
+// experiment's default.
 //
 // Every registered experiment gains -shard i/N + artifact merge for
 // free: N shard processes produce artifacts that `characterize merge`
@@ -71,6 +79,7 @@ import (
 	"syscall"
 
 	hbmrh "github.com/safari-repro/hbmrh"
+	"github.com/safari-repro/hbmrh/internal/experiments"
 	"github.com/safari-repro/hbmrh/internal/report"
 )
 
@@ -91,29 +100,19 @@ func main() {
 			os.Exit(hbmrh.FleetWorkerMain(os.Args[2:]))
 		}
 	}
+	var study hbmrh.FleetStudy
+	study.RegisterFlags(flag.CommandLine)
 	var (
-		experiment = flag.String("experiment", "", "registry experiment to run (see -experiment list), or: list, paper")
-		chip       = flag.String("chip", "small", "chip preset: paper or small")
-		rows       = flag.Int("rows", 24, "sampling density: victim rows per region (sweep), per bank region (fig6) or per point")
-		bankRows   = flag.Int("bankrows", 16, "rows per bank region for fig6 in the paper suite (0 = the paper's 100)")
-		hammers    = flag.Int("hammers", hbmrh.DefaultHammers, "hammer count / HCfirst ceiling")
-		seeds      = flag.Int("seeds", 0, "chip instances for fleet experiments (0 = experiment default)")
-		iterations = flag.Int("iterations", 0, "U-TRR iterations for the TRR studies (0 = default)")
-		workers    = flag.Int("workers", 0, "parallel measurement devices per job (0 = auto)")
-		parallel   = flag.Int("parallel", 0, "concurrent plan jobs (0 = one per CPU)")
-		planner    = flag.String("planner", "queue", "job planner: queue, contiguous, weighted or stealing (never changes output)")
-		shard      = flag.String("shard", "", "run one plan shard, as I/N")
-		progress   = flag.Bool("progress", false, "report engine job completion on stderr")
-		csvOut     = flag.String("csv", "", "summary CSV file (\"-\" = stdout)")
-		jsonOut    = flag.String("json", "", "summary JSON file (\"-\" = stdout)")
-		artifact   = flag.String("artifact", "", "serialized artifact file, the merge input (\"-\" = stdout)")
-		groupBy    = flag.String("group-by", "", "export axis (default: the artifact's stored axis)")
-		mutexPro   = flag.String("mutexprofile", "", "write a runtime mutex-contention profile of the run to this file (lock convoys in the engine hot path show up here)")
+		bankRows = flag.Int("bankrows", 16, "rows per bank region for fig6 in the paper suite (0 = the paper's 100)")
+		shard    = flag.String("shard", "", "run one plan shard, as I/N")
+		progress = flag.Bool("progress", false, "report engine job completion on stderr")
+		csvOut   = flag.String("csv", "", "summary CSV file (\"-\" = stdout)")
+		jsonOut  = flag.String("json", "", "summary JSON file (\"-\" = stdout)")
+		artifact = flag.String("artifact", "", "serialized artifact file, the merge input (\"-\" = stdout)")
+		groupBy  = flag.String("group-by", "", "export axis (default: the artifact's stored axis)")
+		mutexPro = flag.String("mutexprofile", "", "write a runtime mutex-contention profile of the run to this file (lock convoys in the engine hot path show up here)")
 	)
 	flag.Parse()
-	if err := checkBudgets(*rows, *bankRows, *hammers, *seeds, *iterations); err != nil {
-		log.Fatal(err)
-	}
 	if *mutexPro != "" {
 		// Record every contended mutex event; the CI smoke runs the
 		// fleet scan with profiling on to keep lock convoys visible.
@@ -124,15 +123,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cfg := hbmrh.SmallChip()
-	if *chip == "paper" {
-		cfg = hbmrh.PaperChip()
-	} else if *chip != "small" {
-		log.Fatalf("unknown -chip %q", *chip)
+	opts, err := study.Options(ctx)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	opts := registryOptions(ctx, cfg, *rows, *hammers, *seeds, *iterations, *workers, *parallel, *planner, *progress)
-	switch *experiment {
+	if *progress {
+		opts.Progress = printProgress
+	}
+	switch study.Experiment {
 	case "":
 		listExperiments(os.Stderr)
 		log.Fatal("no -experiment given (Figs. 3-5 are -experiment sweep, Fig. 6 is -experiment fig6)")
@@ -142,13 +140,21 @@ func main() {
 		if *shard != "" || *artifact != "" || *csvOut != "" || *jsonOut != "" || *groupBy != "" {
 			log.Fatal("the paper suite runs several experiments; shard or export them individually (-shard/-artifact/-csv/-json/-group-by apply to single experiments)")
 		}
-		for _, name := range []string{"sweep", "fig6", "trrstudy"} {
-			if name == "fig6" {
-				opts.Rows = *bankRows
-			} else {
-				opts.Rows = *rows
+		suite := []struct {
+			name string
+			rows int
+		}{{"sweep", study.Rows}, {"fig6", *bankRows}, {"trrstudy", study.Rows}}
+		// Plan the whole suite before measuring any of it, so a knob the
+		// registry refuses fails before the first study runs.
+		for _, e := range suite {
+			opts.Rows = e.rows
+			if _, err := experiments.Describe(e.name, opts); err != nil {
+				log.Fatal(err)
 			}
-			a, err := hbmrh.RunExperiment(name, opts)
+		}
+		for _, e := range suite {
+			opts.Rows = e.rows
+			a, err := hbmrh.RunExperiment(e.name, opts)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -156,11 +162,10 @@ func main() {
 			fmt.Println()
 		}
 	default:
-		var err error
 		if opts.Shard, opts.ShardCount, err = hbmrh.ParseShardFlag(*shard); err != nil {
 			log.Fatal(err)
 		}
-		a, err := hbmrh.RunExperiment(*experiment, opts)
+		a, err := hbmrh.RunExperiment(study.Experiment, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -168,21 +173,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-}
-
-// checkBudgets rejects negative study budgets: 0 selects the
-// experiment's default, and a negative value is a typo, not a request
-// for the default.
-func checkBudgets(rows, bankRows, hammers, seeds, iterations int) error {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"rows", rows}, {"bankrows", bankRows}, {"hammers", hammers}, {"seeds", seeds}, {"iterations", iterations}} {
-		if f.v < 0 {
-			return fmt.Errorf("-%s %d: must be >= 0 (0 = experiment default)", f.name, f.v)
-		}
-	}
-	return nil
 }
 
 func writeMutexProfile(path string) {
@@ -196,32 +186,12 @@ func writeMutexProfile(path string) {
 	}
 }
 
-// registryOptions maps the CLI flags onto the registry's uniform knobs.
-func registryOptions(ctx context.Context, cfg *hbmrh.Config, rows, hammers, seeds, iterations, workers, parallel int, planner string, progress bool) hbmrh.ExperimentOptions {
-	plan, err := hbmrh.ParsePlanner(planner)
-	if err != nil {
-		log.Fatal(err)
+// printProgress reports live job completion on stderr (-progress).
+func printProgress(p hbmrh.EngineProgress) {
+	fmt.Fprintf(os.Stderr, "\rjobs: %d/%d", p.Done, p.Total)
+	if p.Done == p.Total {
+		fmt.Fprintln(os.Stderr)
 	}
-	o := hbmrh.ExperimentOptions{
-		Cfg:        cfg,
-		Rows:       rows,
-		Hammers:    hammers,
-		Seeds:      seeds,
-		Iterations: iterations,
-		Workers:    workers,
-		Parallel:   parallel,
-		Planner:    plan,
-		Ctx:        ctx,
-	}
-	if progress {
-		o.Progress = func(p hbmrh.EngineProgress) {
-			fmt.Fprintf(os.Stderr, "\rjobs: %d/%d", p.Done, p.Total)
-			if p.Done == p.Total {
-				fmt.Fprintln(os.Stderr)
-			}
-		}
-	}
-	return o
 }
 
 func listExperiments(w io.Writer) {

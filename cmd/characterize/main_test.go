@@ -10,40 +10,6 @@ import (
 	hbmrh "github.com/safari-repro/hbmrh"
 )
 
-func TestCheckBudgets(t *testing.T) {
-	cases := []struct {
-		name                                       string
-		rows, bankRows, hammers, seeds, iterations int
-		wantErr                                    string
-	}{
-		{"defaults", 0, 0, 0, 0, 0, ""},
-		{"explicit", 2, 2, 30000, 32, 60, ""},
-		{"negative rows", -1, 0, 0, 0, 0, "-rows -1"},
-		{"negative bankrows", 0, -2, 0, 0, 0, "-bankrows -2"},
-		{"negative hammers", 0, 0, -5, 0, 0, "-hammers -5"},
-		{"negative seeds", 0, 0, 0, -2, 0, "-seeds -2"},
-		{"negative iterations", 0, 0, 0, 0, -3, "-iterations -3"},
-		{"first offender named", -1, 0, 0, -2, 0, "-rows -1"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := checkBudgets(tc.rows, tc.bankRows, tc.hammers, tc.seeds, tc.iterations)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.HasPrefix(err.Error(), tc.wantErr+":") {
-				t.Fatalf("error = %v, want prefix %q", err, tc.wantErr)
-			}
-			if strings.Contains(err.Error(), "\n") {
-				t.Fatalf("error spans lines: %q", err)
-			}
-		})
-	}
-}
-
 // TestExportArtifactUnderivableAxisWritesNothing pins the export
 // pre-flight: asking a point-axis artifact for a channel view fails with
 // the stored-axis hint before the report or any export file is written.

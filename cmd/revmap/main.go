@@ -14,6 +14,7 @@ import (
 	"log"
 
 	hbmrh "github.com/safari-repro/hbmrh"
+	"github.com/safari-repro/hbmrh/internal/config"
 )
 
 func main() {
@@ -27,11 +28,9 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := hbmrh.SmallChip()
-	if *chip == "paper" {
-		cfg = hbmrh.PaperChip()
-	} else if *chip != "small" {
-		log.Fatalf("unknown -chip %q", *chip)
+	cfg, err := config.Preset(*chip)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	h, err := hbmrh.NewHarnessFromConfig(cfg)

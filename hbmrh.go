@@ -159,10 +159,6 @@ const (
 	PlanStealing = engine.PlanStealing
 )
 
-// ParsePlanner parses a planner flag value ("queue", "contiguous",
-// "weighted", "stealing").
-func ParsePlanner(s string) (EnginePlanner, error) { return engine.ParsePlanner(s) }
-
 // DrainEnginePool releases every warmed device cached by the shared
 // pool, e.g. between studies of unrelated chip designs.
 func DrainEnginePool() { engine.SharedPool.Drain() }

@@ -451,3 +451,15 @@ func SmallChip() *Config {
 		Mapping:       MappingXorSwizzle,
 	}
 }
+
+// Preset returns the configuration a -chip flag names: "paper"
+// (PaperChip) or "small" (SmallChip, also the empty name).
+func Preset(name string) (*Config, error) {
+	switch name {
+	case "", "small":
+		return SmallChip(), nil
+	case "paper":
+		return PaperChip(), nil
+	}
+	return nil, fmt.Errorf("unknown chip preset %q (want paper or small)", name)
+}

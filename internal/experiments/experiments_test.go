@@ -428,9 +428,8 @@ func TestTRRStudyReproducesSection5(t *testing.T) {
 	if len(a.TRR) != 1 {
 		t.Fatalf("%d TRR records, want 1", len(a.TRR))
 	}
-	hd, rows := a.TRR[0].CSV()
-	if len(hd) != 2 || len(rows) != 100 || len(rows) != len(a.TRR[0].Refreshed) {
-		t.Error("CSV export malformed")
+	if got := len(a.TRR[0].Refreshed); got != 100 {
+		t.Errorf("TRR record holds %d iterations, want 100", got)
 	}
 }
 

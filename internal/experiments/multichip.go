@@ -76,11 +76,12 @@ func foldSweepRows(cfg *config.Config, groups []results.Group, rows []results.Ro
 	}
 }
 
-// chipResult is one finished chip: its headline summary plus its fine-axis
-// accumulators, ready to merge into the study's artifact and discard.
+// chipResult is one finished chip: its headline summary plus its WCDP
+// row records, which the fold streams into the study's fine-axis
+// accumulators and then drops.
 type chipResult struct {
-	sum    results.ChipRecord
-	groups []results.Group
+	sum  results.ChipRecord
+	rows []results.RowRecord
 }
 
 // multiChipPlan decomposes a fleet scan over an explicit seed list: one
@@ -129,7 +130,7 @@ func multiChipPlan(cfg *config.Config, seeds []uint64, o Options) *Plan {
 				Add: func(_ int, payload any) error {
 					r := payload.(chipResult)
 					a.Chips = append(a.Chips, r.sum)
-					results.MergeGroups(a.Groups, r.groups)
+					foldSweepRows(cfg, a.Groups, r.rows)
 					return nil
 				},
 				Finish: func() (*results.Artifact, error) { return a, nil },
@@ -163,12 +164,10 @@ func multiChipExperiment() *Experiment {
 // measureChip runs one seed's headline measurements and condenses them
 // into the chip's summary. The row scan is one harness job per channel
 // (wcdpChannel: the worst-case pattern's BER and HCfirst of rows per
-// region, searched up to the hammer ceiling), folded like the sweep into
-// the chip's fine-axis accumulators, its headlines drawn by
-// SweepHeadlines; the trrstudy plan at the iteration count gives the
-// chip's TRR period through its trr_period group. Both artifacts'
-// records are dropped when this returns. workers bounds the row scan's
-// parallelism.
+// region, searched up to the hammer ceiling), its rows gathered in
+// channel order and its headlines drawn by Fig3 and Fig4; the Section 5
+// U-TRR run at the iteration count gives the chip's TRR period. workers
+// bounds the row scan's parallelism.
 func measureChip(ctx context.Context, base *config.Config, seed uint64, rows, hammers, iterations, workers int) (chipResult, error) {
 	cfg := *base
 	cfg.Seed = seed
@@ -176,29 +175,41 @@ func measureChip(ctx context.Context, base *config.Config, seed uint64, rows, ha
 	// chip is summarized, or a long seed scan keeps every instance's
 	// devices resident.
 	defer engine.SharedPool.DrainConfig(&cfg)
-	p := channelPlan(&cfg, func(h *core.Harness, ch int) ([]results.RowRecord, error) {
-		return wcdpChannel(h, cfg.Geometry, rows, hammers, ch)
-	})
-	scan, err := executePlan(p, Options{Parallel: workers, Ctx: ctx}, 0, len(p.Jobs))
+	channels := cfg.Geometry.Channels
+	var scan []results.RowRecord
+	err := engine.ReduceHarness(engine.Options{Ctx: ctx, Workers: workers}, &cfg, channels,
+		func(_ context.Context, h *core.Harness, ch int) ([]results.RowRecord, error) {
+			rs, err := wcdpChannel(h, cfg.Geometry, rows, hammers, ch)
+			if err != nil {
+				return nil, fmt.Errorf("channel %d: %w", ch, err)
+			}
+			return rs, nil
+		},
+		func(_ int, rs []results.RowRecord) error {
+			scan = append(scan, rs...)
+			return nil
+		})
 	if err != nil {
 		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
 	}
-	h3, h4, _ := SweepHeadlines(scan)
+	h3 := Fig3{Rows: scan, Channels: channels}.Headlines()
+	h4 := Fig4{Rows: scan, Channels: channels}.Headlines()
 	worst := 0
 	for ch, ber := range h3.WCDPMeanBER {
 		if ber > h3.WCDPMeanBER[worst] {
 			worst = ch
 		}
 	}
-	p, err = registry["trrstudy"].Plan(Options{Cfg: &cfg, Iterations: iterations})
+	e, err := section5Experiment(ctx, &cfg)
 	if err != nil {
 		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
 	}
-	trr, err := executePlan(p, Options{Parallel: 1, Ctx: ctx}, 0, len(p.Jobs))
+	e.Iterations = iterations
+	trr, err := e.Run(addr.BankAddr{}, section5StartRow(&cfg))
 	if err != nil {
 		return chipResult{}, fmt.Errorf("experiments: chip %#x: %w", seed, err)
 	}
-	period, _ := TRRPeriod(trr)
+	period, _ := trr.InferPeriod()
 	return chipResult{
 		sum: results.ChipRecord{
 			Seed:         seed,
@@ -207,7 +218,7 @@ func measureChip(ctx context.Context, base *config.Config, seed uint64, rows, ha
 			WorstChannel: worst,
 			TRRPeriod:    period,
 		},
-		groups: scan.Groups,
+		rows: scan,
 	}, nil
 }
 

@@ -47,7 +47,7 @@ type Options struct {
 	// Workers bounds per-job device parallelism (e.g. the per-channel
 	// jobs inside one multichip chip job).
 	Workers int
-	// Parallel bounds how many plan jobs run at once; <= 0 means one per
+	// Parallel bounds how many plan jobs run at once; 0 means one per
 	// CPU.
 	Parallel int
 	// Planner selects the job-to-worker assignment strategy; planner
@@ -64,9 +64,23 @@ type Options struct {
 	Progress engine.ProgressFunc
 }
 
-// resolveChip resolves the chip every plan runs on: Options.Cfg, or
-// config.PaperChip() when nil, validated before any job is built.
+// resolveChip checks the options and resolves the chip every plan runs
+// on: Options.Cfg, or config.PaperChip() when nil, validated before any
+// job is built. Every plan calls it first, so it is the one place a
+// negative knob is refused: 0 selects a default, and a negative value is
+// a typo, not a request for one.
 func resolveChip(o Options) (*config.Config, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Rows", o.Rows}, {"Hammers", o.Hammers}, {"Seeds", o.Seeds},
+		{"Iterations", o.Iterations}, {"Parallel", o.Parallel}, {"Workers", o.Workers},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("%s %d: must be >= 0 (0 selects the default)", f.name, f.v)
+		}
+	}
 	cfg := o.Cfg
 	if cfg == nil {
 		cfg = config.PaperChip()

@@ -285,3 +285,23 @@ func TestExtensionPlansRejectRowsOffTheBank(t *testing.T) {
 		}
 	}
 }
+
+// TestPlansRejectNegativeKnobs pins the one options check: every
+// registered experiment refuses each negative numeric knob at plan time,
+// with an error naming the field and the value, whether or not the
+// experiment reads that knob.
+func TestPlansRejectNegativeKnobs(t *testing.T) {
+	for i, field := range []string{"Rows", "Hammers", "Seeds", "Iterations", "Parallel", "Workers"} {
+		t.Run(field, func(t *testing.T) {
+			o := Options{Cfg: config.SmallChip()}
+			v := -1 - i
+			reflect.ValueOf(&o).Elem().FieldByName(field).SetInt(int64(v))
+			want := fmt.Sprintf("%s %d: must be >= 0", field, v)
+			for _, e := range All() {
+				if _, err := e.Plan(o); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: err = %v, want %q", e.Name, err, want)
+				}
+			}
+		})
+	}
+}

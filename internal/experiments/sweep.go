@@ -19,7 +19,6 @@ import (
 	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
-	"github.com/safari-repro/hbmrh/internal/config"
 	"github.com/safari-repro/hbmrh/internal/core"
 	"github.com/safari-repro/hbmrh/internal/results"
 )
@@ -129,56 +128,45 @@ func sweepExperiment() *Experiment {
 			}
 			perRegion, hammers := o.Rows, orDefault(o.Hammers, core.DefaultHammers)
 			layout := cfg.Layout() // once per plan, not per job: its row table costs 4 bytes a row
-			p := channelPlan(cfg, func(h *core.Harness, ch int) ([]results.RowRecord, error) {
-				return sweepChannel(h, cfg.Geometry, layout, perRegion, hammers, ch)
-			})
-			p.Params = map[string]string{
-				"rows_per_region": strconv.Itoa(perRegion),
-				"hammers":         strconv.Itoa(hammers),
+			jobs := make([]Job, cfg.Geometry.Channels)
+			for ch := range jobs {
+				jobs[ch] = Job{
+					Key: fmt.Sprintf("ch%d", ch),
+					Run: func(_ context.Context, h *core.Harness) (any, error) {
+						rows, err := sweepChannel(h, cfg.Geometry, layout, perRegion, hammers, ch)
+						if err != nil {
+							return nil, fmt.Errorf("channel %d: %w", ch, err)
+						}
+						return rows, nil
+					},
+				}
 			}
-			return p, nil
+			return &Plan{
+				Axis:    "channel",
+				Cfg:     cfg,
+				Harness: true,
+				Jobs:    jobs,
+				Params: map[string]string{
+					"rows_per_region": strconv.Itoa(perRegion),
+					"hammers":         strconv.Itoa(hammers),
+				},
+				NewFold: func(lo, hi int) *Fold {
+					a := &results.Artifact{
+						Meta:   results.Meta{GroupBy: results.ByRegionChannel.String()},
+						Groups: newFineGroups(cfg),
+					}
+					return &Fold{
+						Add: func(_ int, payload any) error {
+							rows := payload.([]results.RowRecord)
+							foldSweepRows(cfg, a.Groups, rows)
+							a.Rows = append(a.Rows, rows...)
+							return nil
+						},
+						Finish: func() (*results.Artifact, error) { return a, nil },
+					}
+				},
+			}, nil
 		},
 		Render: renderSweep,
-	}
-}
-
-// channelPlan plans one harness job per channel of cfg, measure giving
-// the channel's row records, folded in channel order into the
-// region×channel groups plus the records. The sweep and the per-chip
-// scan of multichip plan through it.
-func channelPlan(cfg *config.Config, measure func(h *core.Harness, ch int) ([]results.RowRecord, error)) *Plan {
-	jobs := make([]Job, cfg.Geometry.Channels)
-	for ch := range jobs {
-		jobs[ch] = Job{
-			Key: fmt.Sprintf("ch%d", ch),
-			Run: func(_ context.Context, h *core.Harness) (any, error) {
-				rows, err := measure(h, ch)
-				if err != nil {
-					return nil, fmt.Errorf("channel %d: %w", ch, err)
-				}
-				return rows, nil
-			},
-		}
-	}
-	return &Plan{
-		Axis:    "channel",
-		Cfg:     cfg,
-		Harness: true,
-		Jobs:    jobs,
-		NewFold: func(lo, hi int) *Fold {
-			a := &results.Artifact{
-				Meta:   results.Meta{GroupBy: results.ByRegionChannel.String()},
-				Groups: newFineGroups(cfg),
-			}
-			return &Fold{
-				Add: func(_ int, payload any) error {
-					rows := payload.([]results.RowRecord)
-					foldSweepRows(cfg, a.Groups, rows)
-					a.Rows = append(a.Rows, rows...)
-					return nil
-				},
-				Finish: func() (*results.Artifact, error) { return a, nil },
-			}
-		},
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"github.com/safari-repro/hbmrh/internal/results"
 )
 
-// The U-TRR probe study: utrr-discover's deeper follow-up to Section 5
+// The U-TRR probe study: the trrstudy's deeper follow-up to Section 5
 // (the paper's "we intend to uncover more details of the proprietary TRR
 // mechanism"). Two probes on fresh devices in Options.Bank: how far
 // around a sampled aggressor the victim refresh reaches (neighbor

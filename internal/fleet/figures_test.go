@@ -30,7 +30,7 @@ func TestFiguresShardFleetStoreInvariant(t *testing.T) {
 	} {
 		study := tc.study
 		t.Run(study.Experiment, func(t *testing.T) {
-			opts, err := study.options(context.Background())
+			opts, err := study.Options(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

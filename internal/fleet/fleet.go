@@ -123,7 +123,7 @@ func Run(s Spec) (*results.Artifact, error) {
 	} else if retries < 0 {
 		retries = 0
 	}
-	opts, err := s.options(ctx)
+	opts, err := s.Options(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -437,34 +437,18 @@ func (r *run) watchStall(ctx context.Context, proc Proc, sink *eventSink) (stall
 }
 
 // workerArgv renders one worker assignment as the WorkerCommand argv —
-// the whole coordinator→worker protocol.
+// the whole coordinator→worker protocol: the study's own flags
+// (Study.args) plus the worker's slice, journal and fault injection.
 func (r *run) workerArgv(i, lo, hi int, dir, out string, dieAfter int, failpoints string) []string {
-	s := r.spec
-	planner := s.Planner
-	if planner == "" {
-		planner = "queue"
-	}
-	chip := s.Chip
-	if chip == "" {
-		chip = "small"
-	}
-	argv := []string{WorkerCommand,
-		"-experiment", s.Experiment,
-		"-chip", chip,
-		"-rows", strconv.Itoa(s.Rows),
-		"-hammers", strconv.Itoa(s.Hammers),
-		"-seeds", strconv.Itoa(s.Seeds),
-		"-iterations", strconv.Itoa(s.Iterations),
-		"-job-workers", strconv.Itoa(s.JobWorkers),
-		"-parallel", strconv.Itoa(s.Parallel),
-		"-planner", planner,
+	argv := append([]string{WorkerCommand}, r.spec.Study.args()...)
+	argv = append(argv,
 		"-worker", strconv.Itoa(i),
 		"-lo", strconv.Itoa(lo),
 		"-hi", strconv.Itoa(hi),
 		"-chunk", strconv.Itoa(r.chunk),
 		"-dir", dir,
 		"-out", out,
-	}
+	)
 	if dieAfter > 0 {
 		argv = append(argv, "-die-after", strconv.Itoa(dieAfter))
 	}

@@ -38,7 +38,7 @@ func testStudy() Study {
 // returns the artifact's canonical bytes.
 func singleProcessBytes(t *testing.T, s Study) []byte {
 	t.Helper()
-	opts, err := s.options(context.Background())
+	opts, err := s.Options(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFleetKillResumeByteIdentical(t *testing.T) {
 // (the start event's Done carries the journaled count).
 func TestWorkerResumeInProcess(t *testing.T) {
 	s := testStudy()
-	opts, err := s.options(context.Background())
+	opts, err := s.Options(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

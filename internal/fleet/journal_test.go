@@ -18,7 +18,7 @@ import (
 func testJournal(t testing.TB, dir string, chunks int) JournalHeader {
 	t.Helper()
 	s := testStudy()
-	opts, err := s.options(context.Background())
+	opts, err := s.Options(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

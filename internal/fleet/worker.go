@@ -11,8 +11,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"github.com/safari-repro/hbmrh/internal/config"
-	"github.com/safari-repro/hbmrh/internal/engine"
 	"github.com/safari-repro/hbmrh/internal/experiments"
 	"github.com/safari-repro/hbmrh/internal/failpoint"
 	"github.com/safari-repro/hbmrh/internal/results"
@@ -26,58 +24,6 @@ var (
 	fpWorkerChunk = failpoint.Register("fleet/worker/chunk")
 	fpWorkerOut   = failpoint.Register("fleet/worker/out")
 )
-
-// Study is the serializable experiment selection a fleet run forwards to
-// every worker: the registry experiment plus the uniform knob set, with
-// the chip as a preset name so the whole study crosses the process (and,
-// later, machine) boundary as flags.
-type Study struct {
-	// Experiment is the registry name (experiments.Lookup).
-	Experiment string
-	// Chip is the config preset: "paper" or "small" ("" means small).
-	Chip string
-	// Rows/Hammers/Seeds/Iterations are the registry sampling knobs.
-	Rows, Hammers, Seeds, Iterations int
-	// JobWorkers bounds per-job device parallelism
-	// (experiments.Options.Workers).
-	JobWorkers int
-	// Parallel bounds concurrent plan jobs inside one worker process.
-	Parallel int
-	// Planner is the engine planner name; "" means queue. Planner choice
-	// never changes artifacts, so workers may even disagree on it.
-	Planner string
-}
-
-// options resolves the study into registry options for one process.
-func (s Study) options(ctx context.Context) (experiments.Options, error) {
-	var cfg *config.Config
-	switch s.Chip {
-	case "", "small":
-		cfg = config.SmallChip()
-	case "paper":
-		cfg = config.PaperChip()
-	default:
-		return experiments.Options{}, fmt.Errorf("fleet: unknown chip preset %q (want paper or small)", s.Chip)
-	}
-	planner := engine.PlanQueue
-	if s.Planner != "" {
-		var err error
-		if planner, err = engine.ParsePlanner(s.Planner); err != nil {
-			return experiments.Options{}, err
-		}
-	}
-	return experiments.Options{
-		Cfg:        cfg,
-		Rows:       s.Rows,
-		Hammers:    s.Hammers,
-		Seeds:      s.Seeds,
-		Iterations: s.Iterations,
-		Workers:    s.JobWorkers,
-		Parallel:   s.Parallel,
-		Planner:    planner,
-		Ctx:        ctx,
-	}, nil
-}
 
 // WorkerSpec is one shard worker's assignment.
 type WorkerSpec struct {
@@ -138,7 +84,7 @@ var errInjected = errors.New("fleet: injected worker death")
 // streams), the shard artifact is byte-identical no matter how many times
 // the worker died on the way.
 func RunWorker(ctx context.Context, w WorkerSpec, events io.Writer) error {
-	opts, err := w.options(ctx)
+	opts, err := w.Options(ctx)
 	if err != nil {
 		return err
 	}
@@ -233,41 +179,20 @@ func RunWorker(ctx context.Context, w WorkerSpec, events io.Writer) error {
 // always the same build — which the artifact code-version merge gate then
 // verifies end to end.
 func WorkerMain(args []string) int {
-	fs := flag.NewFlagSet("fleet-worker", flag.ContinueOnError)
-	var w WorkerSpec
-	fs.StringVar(&w.Experiment, "experiment", "", "registry experiment")
-	fs.StringVar(&w.Chip, "chip", "small", "chip preset: paper or small")
-	fs.IntVar(&w.Rows, "rows", 0, "sampling density")
-	fs.IntVar(&w.Hammers, "hammers", 0, "hammer count / HCfirst ceiling")
-	fs.IntVar(&w.Seeds, "seeds", 0, "chip instances for fleet experiments")
-	fs.IntVar(&w.Iterations, "iterations", 0, "U-TRR iterations")
-	fs.IntVar(&w.JobWorkers, "job-workers", 0, "devices per job")
-	fs.IntVar(&w.Parallel, "parallel", 0, "concurrent plan jobs")
-	fs.StringVar(&w.Planner, "planner", "queue", "engine planner")
-	fs.IntVar(&w.Worker, "worker", 0, "shard index (event labeling)")
-	fs.IntVar(&w.Lo, "lo", 0, "job slice start")
-	fs.IntVar(&w.Hi, "hi", 0, "job slice end (exclusive)")
-	fs.IntVar(&w.Chunk, "chunk", 1, "jobs per checkpoint")
-	fs.StringVar(&w.Dir, "dir", "", "journal directory")
-	fs.StringVar(&w.Out, "out", "", "shard artifact output file")
-	fs.IntVar(&w.DieAfter, "die-after", 0, "fault injection: exit after N journaled chunks")
-	failpoints := fs.String("failpoints", "", "failpoint spec armed in this worker process (see internal/failpoint)")
-	if err := fs.Parse(args); err != nil {
+	w, failpoints, err := parseWorkerArgs(args)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fleet-worker:", err)
 		return 2
 	}
-	if w.Experiment == "" || w.Dir == "" || w.Out == "" {
-		fmt.Fprintln(os.Stderr, "fleet-worker: -experiment, -dir and -out are required")
-		return 2
-	}
-	if *failpoints != "" {
-		if err := failpoint.Arm(*failpoints); err != nil {
+	if failpoints != "" {
+		if err := failpoint.Arm(failpoints); err != nil {
 			fmt.Fprintln(os.Stderr, "fleet-worker:", err)
 			return 2
 		}
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err := RunWorker(ctx, w, os.Stdout)
+	err = RunWorker(ctx, w, os.Stdout)
 	switch {
 	case err == nil:
 		return 0
@@ -280,4 +205,27 @@ func WorkerMain(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
+}
+
+// parseWorkerArgs parses a worker's argv (subcommand name excluded): the
+// study's flags through Study.RegisterFlags, then the worker's own.
+func parseWorkerArgs(args []string) (w WorkerSpec, failpoints string, err error) {
+	fs := flag.NewFlagSet("fleet-worker", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // WorkerMain reports the error on one line
+	w.RegisterFlags(fs)
+	fs.IntVar(&w.Worker, "worker", 0, "shard index (event labeling)")
+	fs.IntVar(&w.Lo, "lo", 0, "job slice start")
+	fs.IntVar(&w.Hi, "hi", 0, "job slice end (exclusive)")
+	fs.IntVar(&w.Chunk, "chunk", 1, "jobs per checkpoint")
+	fs.StringVar(&w.Dir, "dir", "", "journal directory")
+	fs.StringVar(&w.Out, "out", "", "shard artifact output file")
+	fs.IntVar(&w.DieAfter, "die-after", 0, "fault injection: exit after N journaled chunks")
+	fs.StringVar(&failpoints, "failpoints", "", "failpoint spec armed in this worker process (see internal/failpoint)")
+	if err := fs.Parse(args); err != nil {
+		return w, "", err
+	}
+	if w.Experiment == "" || w.Dir == "" || w.Out == "" {
+		return w, "", errors.New("-experiment, -dir and -out are required")
+	}
+	return w, failpoints, nil
 }

@@ -39,7 +39,6 @@ package results
 import (
 	"fmt"
 	"runtime/debug"
-	"strconv"
 
 	"github.com/safari-repro/hbmrh/internal/stats"
 )
@@ -226,15 +225,6 @@ type TRRRecord struct {
 	RetentionSec float64 `json:"retention_s"`
 	// Refreshed[i] records whether iteration i found the row refreshed.
 	Refreshed []bool `json:"refreshed"`
-}
-
-// CSV exports the per-iteration observations, iterations numbered from 1.
-func (r *TRRRecord) CSV() (headers []string, rows [][]string) {
-	headers = []string{"iteration", "refreshed"}
-	for i, ref := range r.Refreshed {
-		rows = append(rows, []string{strconv.Itoa(i + 1), strconv.FormatBool(ref)})
-	}
-	return headers, rows
 }
 
 // Meta is an artifact's provenance: everything Merge must check before
@@ -443,24 +433,6 @@ func Merge(a, b *Artifact) error {
 	}
 	am.Shard, am.ShardCount = 0, 1
 	return nil
-}
-
-// MergeGroups folds src's streams into dst without metadata checks; the
-// group structures must align (the in-process fold of one study, where
-// every per-chip group set comes from the same allocator). It panics on
-// structural mismatch, like stats.Stream.Merge.
-func MergeGroups(dst, src []Group) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("results: merging misaligned group sets: %d vs %d", len(dst), len(src)))
-	}
-	for i := range dst {
-		if dst[i].Key != src[i].Key || len(dst[i].Metrics) != len(src[i].Metrics) {
-			panic(fmt.Sprintf("results: merging misaligned group %d: %v vs %v", i, dst[i].Key, src[i].Key))
-		}
-		for j := range dst[i].Metrics {
-			dst[i].Metrics[j].Stream.Merge(src[i].Metrics[j].Stream)
-		}
-	}
 }
 
 // View derives the artifact's groups at the requested axis. The stored
