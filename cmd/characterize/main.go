@@ -140,17 +140,9 @@ func main() {
 		if *shard != "" || *artifact != "" || *csvOut != "" || *jsonOut != "" || *groupBy != "" {
 			log.Fatal("the paper suite runs several experiments; shard or export them individually (-shard/-artifact/-csv/-json/-group-by apply to single experiments)")
 		}
-		suite := []struct {
-			name string
-			rows int
-		}{{"sweep", study.Rows}, {"fig6", *bankRows}, {"trrstudy", study.Rows}}
-		// Plan the whole suite before measuring any of it, so a knob the
-		// registry refuses fails before the first study runs.
-		for _, e := range suite {
-			opts.Rows = e.rows
-			if _, err := experiments.Describe(e.name, opts); err != nil {
-				log.Fatal(err)
-			}
+		suite, err := paperSuite(opts, study.Rows, *bankRows)
+		if err != nil {
+			log.Fatal(err)
 		}
 		for _, e := range suite {
 			opts.Rows = e.rows
@@ -173,6 +165,26 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// paperStudy is one experiment of the paper suite and the rows it runs.
+type paperStudy struct {
+	name string
+	rows int
+}
+
+// paperSuite lists the paper suite (-rows for sweep and trrstudy,
+// -bankrows for fig6) and plans all of it before anything is measured,
+// so a knob the registry refuses fails before the first study runs.
+func paperSuite(opts experiments.Options, rows, bankRows int) ([]paperStudy, error) {
+	suite := []paperStudy{{"sweep", rows}, {"fig6", bankRows}, {"trrstudy", rows}}
+	for _, e := range suite {
+		opts.Rows = e.rows
+		if _, err := experiments.Describe(e.name, opts); err != nil {
+			return nil, err
+		}
+	}
+	return suite, nil
 }
 
 func writeMutexProfile(path string) {

@@ -10,6 +10,37 @@ import (
 	hbmrh "github.com/safari-repro/hbmrh"
 )
 
+// TestPaperSuiteRefusesNegativeRows pins the paper suite's pre-flight: a
+// negative -rows or -bankrows is refused while the suite is planned,
+// naming the experiment that receives it, and the flag defaults plan.
+func TestPaperSuiteRefusesNegativeRows(t *testing.T) {
+	opts := hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip()}
+	if suite, err := paperSuite(opts, 0, 16); err != nil || len(suite) != 3 {
+		t.Fatalf("defaults: suite = %v, err = %v", suite, err)
+	}
+	for _, tc := range []struct {
+		name           string
+		rows, bankRows int
+		want           string
+	}{
+		{"rows", -1, 16, "planning sweep: Rows -1: must be >= 0"},
+		{"bankrows", 0, -2, "planning fig6: Rows -2: must be >= 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			suite, err := paperSuite(opts, tc.rows, tc.bankRows)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			if suite != nil {
+				t.Fatalf("suite = %v, want none on a refused knob", suite)
+			}
+			if strings.Contains(err.Error(), "\n") {
+				t.Fatalf("error spans lines: %q", err)
+			}
+		})
+	}
+}
+
 // TestExportArtifactUnderivableAxisWritesNothing pins the export
 // pre-flight: asking a point-axis artifact for a channel view fails with
 // the stored-axis hint before the report or any export file is written.
