@@ -67,6 +67,10 @@ golden-check:
 #      (-kill-after 0:1) after its first journaled chunk so the retry
 #      resumes it from the journal — CSV, JSON and artifact must still
 #      byte-match the single-process run from step 2 (DESIGN.md §10).
+#      Then the benchmark's fleet-cycle shape: an 8-seed multichip scan
+#      on 2 workers at one job per chunk, worker 1 killed after its
+#      second journaled chunk; the artifact must byte-match the
+#      single-process multichip run.
 #   4. the Figs. 3-6 studies (`-experiment sweep` and `-experiment
 #      fig6`) at -parallel 1 and -parallel 4: the rendered figures on
 #      stdout and the -artifact files, which carry the per-row and
@@ -131,6 +135,12 @@ smoke:
 	cmp $(SMOKE_DIR)/press.csv $(SMOKE_DIR)/fleet.csv
 	cmp $(SMOKE_DIR)/press.json $(SMOKE_DIR)/fleet.json
 	cmp $(SMOKE_DIR)/press.bin $(SMOKE_DIR)/fleet.bin
+	$(GO) run ./cmd/characterize -experiment multichip -seeds 8 -rows 1 \
+		-artifact $(SMOKE_DIR)/chips.bin >/dev/null
+	$(GO) run ./cmd/characterize fleet -experiment multichip -seeds 8 -rows 1 \
+		-workers 2 -chunk 1 -kill-after 1:2 -dir $(SMOKE_DIR)/fleet-chips \
+		-artifact $(SMOKE_DIR)/fleet-chips.bin >/dev/null
+	cmp $(SMOKE_DIR)/chips.bin $(SMOKE_DIR)/fleet-chips.bin
 	$(GO) run ./cmd/resultsd -store $(SMOKE_DIR)/store -quiet \
 		-query '/v1/summary' '$(SMOKE_DIR)/fleet/shard-*.json' \
 		> $(SMOKE_DIR)/store.json

@@ -79,6 +79,7 @@ import (
 	"syscall"
 
 	hbmrh "github.com/safari-repro/hbmrh"
+	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/experiments"
 	"github.com/safari-repro/hbmrh/internal/report"
 )
@@ -145,8 +146,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, e := range suite {
-			opts.Rows = e.rows
-			a, err := hbmrh.RunExperiment(e.name, opts)
+			a, err := hbmrh.RunExperiment(e.name, e.opts)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -167,20 +167,25 @@ func main() {
 	}
 }
 
-// paperStudy is one experiment of the paper suite and the rows it runs.
+// paperStudy is one experiment of the paper suite and the options it
+// runs with.
 type paperStudy struct {
 	name string
-	rows int
+	opts experiments.Options
 }
 
 // paperSuite lists the paper suite (-rows for sweep and trrstudy,
-// -bankrows for fig6) and plans all of it before anything is measured,
-// so a knob the registry refuses fails before the first study runs.
+// -bankrows for fig6, -channel/-pc/-bank for trrstudy alone, the one of
+// the three that reads them) and plans all of it before anything is
+// measured, so a knob the registry refuses fails before the first study
+// runs.
 func paperSuite(opts experiments.Options, rows, bankRows int) ([]paperStudy, error) {
-	suite := []paperStudy{{"sweep", rows}, {"fig6", bankRows}, {"trrstudy", rows}}
+	sweep, fig6, trr := opts, opts, opts
+	sweep.Rows, fig6.Rows, trr.Rows = rows, bankRows, rows
+	sweep.Bank, fig6.Bank = addr.BankAddr{}, addr.BankAddr{}
+	suite := []paperStudy{{"sweep", sweep}, {"fig6", fig6}, {"trrstudy", trr}}
 	for _, e := range suite {
-		opts.Rows = e.rows
-		if _, err := experiments.Describe(e.name, opts); err != nil {
+		if _, err := experiments.Describe(e.name, e.opts); err != nil {
 			return nil, err
 		}
 	}

@@ -41,6 +41,26 @@ func TestPaperSuiteRefusesNegativeRows(t *testing.T) {
 	}
 }
 
+// TestPaperSuitePassesBankToTRRStudyOnly pins that -channel/-pc/-bank
+// reach trrstudy, the one suite study that reads them, and that sweep
+// and fig6, which refuse a bank they do not read, plan without it.
+func TestPaperSuitePassesBankToTRRStudyOnly(t *testing.T) {
+	bank := hbmrh.BankAddr{Channel: 2, PseudoChannel: 1, Bank: 1}
+	suite, err := paperSuite(hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Bank: bank}, 0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range suite {
+		want := hbmrh.BankAddr{}
+		if e.name == "trrstudy" {
+			want = bank
+		}
+		if e.opts.Bank != want {
+			t.Errorf("%s runs at bank %v, want %v", e.name, e.opts.Bank, want)
+		}
+	}
+}
+
 // TestExportArtifactUnderivableAxisWritesNothing pins the export
 // pre-flight: asking a point-axis artifact for a channel view fails with
 // the stored-axis hint before the report or any export file is written.

@@ -42,7 +42,8 @@ type Options struct {
 	// (trrstudy, and the per-chip TRR period of multichip).
 	Iterations int
 	// Bank is where the Section 5 studies (trrstudy, utrrprobe) profile
-	// their rows; it must lie inside the chip.
+	// their rows; it must lie inside the chip. The experiments that read
+	// it say so (Experiment.ReadsBank); the others refuse a non-zero one.
 	Bank addr.BankAddr
 	// Workers bounds per-job device parallelism (e.g. the per-channel
 	// jobs inside one multichip chip job).
@@ -155,6 +156,10 @@ type Experiment struct {
 	Title string
 	// Plan decomposes a run for one option set.
 	Plan func(o Options) (*Plan, error)
+	// ReadsBank declares that Plan reads Options.Bank. Run, Describe and
+	// RunSlice refuse a non-zero Bank for every other experiment, which
+	// would otherwise measure its usual banks and say nothing.
+	ReadsBank bool
 	// Render renders a complete (unsharded or merged) artifact as the
 	// experiment's report; nil means the generic distribution render.
 	Render func(a *results.Artifact) string
@@ -206,18 +211,38 @@ func Lookup(name string) (*Experiment, error) {
 	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", name, strings.Join(names, ", "))
 }
 
+// plan looks up a registered experiment and plans it for o, refusing a
+// Bank the experiment does not read.
+func plan(name string, o Options) (*Experiment, *Plan, error) {
+	e, err := Lookup(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !e.ReadsBank && o.Bank != (addr.BankAddr{}) {
+		var readers []string
+		for _, r := range All() {
+			if r.ReadsBank {
+				readers = append(readers, r.Name)
+			}
+		}
+		return nil, nil, fmt.Errorf("experiments: planning %s: Bank %v: %s does not read it (only %s do)",
+			name, o.Bank, name, strings.Join(readers, " and "))
+	}
+	p, err := e.Plan(o)
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: planning %s: %w", name, err)
+	}
+	return e, p, nil
+}
+
 // Run plans, shards and executes a registered experiment, returning the
 // (possibly shard-slice) artifact. The artifact is byte-identical for any
 // Parallel count and Planner, and merging all shards of one option set
 // reproduces the unsharded artifact.
 func Run(name string, o Options) (*results.Artifact, error) {
-	e, err := Lookup(name)
+	e, p, err := plan(name, o)
 	if err != nil {
 		return nil, err
-	}
-	p, err := e.Plan(o)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: planning %s: %w", name, err)
 	}
 	shard, of := o.Shard, o.ShardCount
 	if of <= 0 {
@@ -259,13 +284,9 @@ type PlanInfo struct {
 
 // Describe plans a registered experiment and returns its PlanInfo.
 func Describe(name string, o Options) (PlanInfo, error) {
-	e, err := Lookup(name)
+	_, p, err := plan(name, o)
 	if err != nil {
 		return PlanInfo{}, err
-	}
-	p, err := e.Plan(o)
-	if err != nil {
-		return PlanInfo{}, fmt.Errorf("experiments: planning %s: %w", name, err)
 	}
 	return PlanInfo{
 		Jobs:       len(p.Jobs),
@@ -285,13 +306,9 @@ func Describe(name string, o Options) (PlanInfo, error) {
 // over the union would have produced — the invariant checkpoint/resume
 // rests on.
 func RunSlice(name string, o Options, lo, hi int) (*results.Artifact, error) {
-	e, err := Lookup(name)
+	e, p, err := plan(name, o)
 	if err != nil {
 		return nil, err
-	}
-	p, err := e.Plan(o)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: planning %s: %w", name, err)
 	}
 	if lo < 0 || hi > len(p.Jobs) || lo >= hi {
 		return nil, fmt.Errorf("experiments: slice [%d,%d) of %s out of range (the plan has %d %s jobs)",

@@ -207,7 +207,8 @@ func TestRenderedArtifactsMentionTheirAxis(t *testing.T) {
 }
 
 // budgetKnobs are the Options fields each experiment documents reading
-// that shape what it measures (DESIGN.md §9). Cfg is pinned by the
+// that shape what it measures (DESIGN.md §9), besides Bank, which the
+// registry entry declares (Experiment.ReadsBank). Cfg is pinned by the
 // config hash, the execution fields (Parallel, Planner, Workers, Shard,
 // Ctx, Progress) never change an artifact, and multichip's Seeds is its
 // plan axis, whose range the artifact's seed provenance carries.
@@ -219,8 +220,8 @@ var budgetKnobs = map[string][]string{
 	"sweep":        {"Rows", "Hammers"},
 	"tempsweep":    {"Rows", "Hammers"},
 	"trrbypass":    {"Hammers"},
-	"trrstudy":     {"Bank", "Iterations"},
-	"utrrprobe":    {"Bank"},
+	"trrstudy":     {"Iterations"},
+	"utrrprobe":    {},
 }
 
 // TestNoExperimentIgnoresItsKnobs pins that every knob an experiment
@@ -239,6 +240,9 @@ func TestNoExperimentIgnoresItsKnobs(t *testing.T) {
 		if !ok {
 			t.Errorf("%s: no documented knobs; add it to budgetKnobs", e.Name)
 			continue
+		}
+		if e.ReadsBank {
+			knobs = append(knobs, "Bank")
 		}
 		want, err := Describe(e.Name, base)
 		if err != nil {
@@ -282,6 +286,36 @@ func TestExtensionPlansRejectRowsOffTheBank(t *testing.T) {
 			if fits := rows <= tc.fit; (err == nil) != fits {
 				t.Errorf("%s at rows %d: err = %v, want fits = %v", tc.name, rows, err, fits)
 			}
+		}
+	}
+}
+
+// TestPlansRefuseUnreadBank pins the Bank check over every registered
+// experiment: one that declares ReadsBank plans at a non-zero bank, and
+// every other one refuses it through Describe, Run and RunSlice alike,
+// with a one-line error naming the knob and the experiment.
+// (TestNoExperimentIgnoresItsKnobs pins that a declared reader's Params
+// move with Bank.)
+func TestPlansRefuseUnreadBank(t *testing.T) {
+	o := Options{Cfg: config.SmallChip(), Rows: 1, Bank: addr.BankAddr{Channel: 1, Bank: 3}}
+	for _, e := range All() {
+		if e.ReadsBank {
+			if _, err := Describe(e.Name, o); err != nil {
+				t.Errorf("%s declares ReadsBank but refuses Bank %v: %v", e.Name, o.Bank, err)
+			}
+			continue
+		}
+		_, derr := Describe(e.Name, o)
+		_, rerr := Run(e.Name, o)
+		_, serr := RunSlice(e.Name, o, 0, 1)
+		want := fmt.Sprintf("planning %s: Bank ch1.pc0.ba3: %s does not read it", e.Name, e.Name)
+		for entry, err := range map[string]error{"Describe": derr, "Run": rerr, "RunSlice": serr} {
+			if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "\n") {
+				t.Errorf("%s via %s: err = %v, want one line containing %q", e.Name, entry, err, want)
+			}
+		}
+		if _, err := Describe(e.Name, Options{Cfg: o.Cfg, Rows: 1}); err != nil {
+			t.Errorf("%s at the zero bank: %v", e.Name, err)
 		}
 	}
 }

@@ -54,8 +54,9 @@ func section5StartRow(cfg *config.Config) int { return cfg.Geometry.Rows / 4 }
 // carries the run as a TRR record beside the period groups.
 func trrStudyExperiment() *Experiment {
 	return &Experiment{
-		Name:  "trrstudy",
-		Title: "Section 5 U-TRR: uncover the in-DRAM TRR mechanism and its period",
+		Name:      "trrstudy",
+		ReadsBank: true,
+		Title:     "Section 5 U-TRR: uncover the in-DRAM TRR mechanism and its period",
 		Plan: func(o Options) (*Plan, error) {
 			cfg, err := resolveChip(o)
 			if err != nil {

@@ -29,8 +29,9 @@ const (
 // parallel engine jobs.
 func utrrProbeExperiment() *Experiment {
 	return &Experiment{
-		Name:  "utrrprobe",
-		Title: "U-TRR probe: TRR victim-refresh radius and sampler depth",
+		Name:      "utrrprobe",
+		ReadsBank: true,
+		Title:     "U-TRR probe: TRR victim-refresh radius and sampler depth",
 		Plan: func(o Options) (*Plan, error) {
 			cfg, err := resolveChip(o)
 			if err != nil {

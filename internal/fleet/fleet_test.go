@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +16,7 @@ import (
 
 	"github.com/safari-repro/hbmrh/internal/engine"
 	"github.com/safari-repro/hbmrh/internal/experiments"
+	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/store"
 )
 
@@ -156,11 +160,93 @@ func TestFleetKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkerResumeInProcess drives RunWorker directly: die after one
-// chunk, resume, and check the shard artifact equals an uninterrupted
-// slice run. It also checks the resumed session skipped the sealed chunk
-// (the start event's Done carries the journaled count).
+// TestWorkerResumeInProcess drives RunWorker directly: die after one or
+// two sealed chunks (single-job chunks, and two-job chunks whose last
+// chunk is short), resume, and check the shard artifact equals an
+// uninterrupted slice run. It also checks the resumed session skipped
+// the sealed chunks (the start event's Done carries the journaled count)
+// and that the journal sealed them in compact JSON.
 func TestWorkerResumeInProcess(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		hi, chunk, dieAfter int
+		resumedDone         int
+	}{
+		{"chunk1/kill-after-1", 3, 1, 1, 1},
+		{"chunk1/kill-after-2", 3, 1, 2, 2},
+		{"chunk2/kill-after-1", 5, 2, 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, want := resumeSpec(t, tc.hi, tc.chunk)
+			events := killAndResume(t, w, tc.dieAfter, nil)
+			start := fmt.Sprintf(`"event":"start","worker":0,"lo":0,"hi":%d,"done":%d`, tc.hi, tc.resumedDone)
+			if !strings.Contains(events, start) {
+				t.Fatalf("resumed worker did not report the journaled chunks (want %s):\n%s", start, events)
+			}
+			chunk, err := os.ReadFile(filepath.Join(w.Dir, chunkFileName(0, tc.chunk)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.ContainsRune(chunk, '\n') {
+				t.Fatal("sealed chunk is not in compact JSON")
+			}
+			if got := readFile(t, w.Out); !bytes.Equal(got, want) {
+				t.Fatalf("resumed shard artifact differs from uninterrupted slice run")
+			}
+		})
+	}
+}
+
+// TestWorkerResumesIndentedChunks resumes a journal whose sealed chunks
+// are in the indented artifact file form, as builds that journaled in
+// that form left them: each still hashes against its record, is not
+// rerun, and the shard comes out byte-identical.
+func TestWorkerResumesIndentedChunks(t *testing.T) {
+	w, want := resumeSpec(t, 3, 1)
+	events := killAndResume(t, w, 2, func() {
+		j := readFile(t, journalPath(w.Dir))
+		lines := strings.SplitAfter(string(j), "\n")
+		for i, line := range lines[1 : len(lines)-1] {
+			var rec ChunkRecord
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(w.Dir, rec.File)
+			a, err := results.Decode(readFile(t, path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			indented, err := a.MarshalIndented()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, indented, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rec.SHA256 = sha256Hex(indented)
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines[i+1] = string(b) + "\n"
+		}
+		if err := os.WriteFile(journalPath(w.Dir), []byte(strings.Join(lines, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !strings.Contains(events, `"event":"start","worker":0,"lo":0,"hi":3,"done":2`) {
+		t.Fatalf("resumed worker reran the indented chunks:\n%s", events)
+	}
+	if got := readFile(t, w.Out); !bytes.Equal(got, want) {
+		t.Fatalf("shard resumed from indented chunks differs from uninterrupted slice run")
+	}
+}
+
+// resumeSpec returns a worker over the test study's job slice [0,hi) in
+// chunk-job chunks, journaling into a fresh directory, and the file form
+// of an uninterrupted RunSlice over the same slice.
+func resumeSpec(t *testing.T, hi, chunk int) (WorkerSpec, []byte) {
+	t.Helper()
 	s := testStudy()
 	opts, err := s.Options(context.Background())
 	if err != nil {
@@ -170,40 +256,10 @@ func TestWorkerResumeInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Jobs < 3 {
-		t.Fatalf("test study plans %d jobs, want >= 3", info.Jobs)
+	if info.Jobs < hi {
+		t.Fatalf("test study plans %d jobs, want >= %d", info.Jobs, hi)
 	}
-	dir := t.TempDir()
-	w := WorkerSpec{
-		Study: s,
-		Lo:    0, Hi: 3,
-		Chunk: 1,
-		Dir:   dir,
-		Out:   dir + "/shard.json",
-	}
-
-	kill := w
-	kill.DieAfter = 1
-	if err := RunWorker(context.Background(), kill, io.Discard); !errors.Is(err, errInjected) {
-		t.Fatalf("DieAfter run: got %v, want injected death", err)
-	}
-	if _, err := os.Stat(w.Out); !os.IsNotExist(err) {
-		t.Fatalf("killed worker wrote its shard artifact anyway (err %v)", err)
-	}
-
-	var events strings.Builder
-	if err := RunWorker(context.Background(), w, &events); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(events.String(), `"event":"start","worker":0,"lo":0,"hi":3,"done":1`) {
-		t.Fatalf("resumed worker did not report the journaled chunk:\n%s", events.String())
-	}
-
-	got, err := os.ReadFile(w.Out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole, err := experiments.RunSlice(s.Experiment, opts, 0, 3)
+	whole, err := experiments.RunSlice(s.Experiment, opts, 0, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +267,40 @@ func TestWorkerResumeInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != string(want) {
-		t.Fatalf("resumed shard artifact differs from uninterrupted slice run")
+	dir := t.TempDir()
+	return WorkerSpec{Study: s, Lo: 0, Hi: hi, Chunk: chunk, Dir: dir, Out: filepath.Join(dir, "shard.json")}, want
+}
+
+// killAndResume runs w until it dies after dieAfter sealed chunks, calls
+// between (if non-nil) on the journal it left, resumes w to completion
+// and returns the resumed session's events.
+func killAndResume(t *testing.T, w WorkerSpec, dieAfter int, between func()) string {
+	t.Helper()
+	kill := w
+	kill.DieAfter = dieAfter
+	if err := RunWorker(context.Background(), kill, io.Discard); !errors.Is(err, errInjected) {
+		t.Fatalf("DieAfter run: got %v, want injected death", err)
 	}
+	if _, err := os.Stat(w.Out); !os.IsNotExist(err) {
+		t.Fatalf("killed worker wrote its shard artifact anyway (err %v)", err)
+	}
+	if between != nil {
+		between()
+	}
+	var events strings.Builder
+	if err := RunWorker(context.Background(), w, &events); err != nil {
+		t.Fatal(err)
+	}
+	return events.String()
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // flakyLauncher hangs (or fails) the first Start per worker, then

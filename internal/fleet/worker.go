@@ -78,11 +78,15 @@ const (
 var errInjected = errors.New("fleet: injected worker death")
 
 // RunWorker measures one shard as a sequence of journaled chunks and
-// writes the merged shard artifact. Killed workers resume: completed
-// chunks are loaded from the journal and only the remainder reruns, and
-// because slice artifacts merge exactly (results.Merge over exact-sum
-// streams), the shard artifact is byte-identical no matter how many times
-// the worker died on the way.
+// writes the merged shard artifact. Killed workers resume: the chunks a
+// previous session journaled are read back, re-verified and folded first,
+// in record order, and only the remainder reruns. Each fresh chunk folds
+// into the running shard right after the journal seals it, so the shard
+// is the same left fold over the same chunk sequence whichever session
+// measured each chunk. Because slice artifacts merge exactly
+// (results.Merge over exact-sum streams) and a chunk decodes to what was
+// encoded (the codec's round trip), the shard artifact is byte-identical
+// no matter how many times the worker died on the way.
 func RunWorker(ctx context.Context, w WorkerSpec, events io.Writer) error {
 	opts, err := w.Options(ctx)
 	if err != nil {
@@ -113,6 +117,29 @@ func RunWorker(ctx context.Context, w WorkerSpec, events io.Writer) error {
 	}
 	defer j.Close()
 
+	// The running shard: nil until the first chunk folds in, which it
+	// then becomes.
+	var shard *results.Artifact
+	fold := func(a *results.Artifact, lo, hi int) error {
+		if shard == nil {
+			shard = a
+			return nil
+		}
+		if err := results.Merge(shard, a); err != nil {
+			return fmt.Errorf("fleet: worker %d merging chunk [%d,%d): %w", w.Worker, lo, hi, err)
+		}
+		return nil
+	}
+	for _, rec := range j.Done() {
+		a, err := j.ReadChunk(rec)
+		if err != nil {
+			return err
+		}
+		if err := fold(a, rec.Lo, rec.Hi); err != nil {
+			return err
+		}
+	}
+
 	emit := func(e Event) {
 		e.Worker = w.Worker
 		e.Lo, e.Hi = w.Lo, w.Hi
@@ -135,31 +162,17 @@ func RunWorker(ctx context.Context, w WorkerSpec, events io.Writer) error {
 		if err := j.Append(art, a, b); err != nil {
 			return err
 		}
+		if err := fold(art, a, b); err != nil {
+			return err
+		}
 		emit(Event{Event: "chunk", Done: b - w.Lo})
 		if sealed++; w.DieAfter > 0 && sealed >= w.DieAfter {
 			return errInjected
 		}
 	}
 
-	// Reassemble the shard from the journal — every chunk, including the
-	// ones sealed seconds ago, reloads from disk, so what merges is
-	// exactly what a resumed process would have merged.
 	if err := fpWorkerOut.Inject(); err != nil {
 		return fmt.Errorf("fleet: worker %d sealing shard: %w", w.Worker, err)
-	}
-	var shard *results.Artifact
-	for _, rec := range j.Done() {
-		a, err := j.ReadChunk(rec)
-		if err != nil {
-			return err
-		}
-		if shard == nil {
-			shard = a
-			continue
-		}
-		if err := results.Merge(shard, a); err != nil {
-			return fmt.Errorf("fleet: worker %d merging chunk [%d,%d): %w", w.Worker, rec.Lo, rec.Hi, err)
-		}
 	}
 	data, err := shard.MarshalIndented()
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -151,6 +153,82 @@ func TestArtifactCodecMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("%s: decode/encode differs from encoding/json's:\n%s\nvs\n%s", name, again, want)
 		}
 	}
+}
+
+// checkCompactForm pins AppendCompact to the file form of a decoded
+// artifact: json.Indent of the compact bytes plus a newline is the
+// artifact's AppendIndented, and the compact bytes decode to an artifact
+// that re-encodes to those same file bytes. The fleet journal seals
+// chunks compact and writes shards in the file form, so this is the
+// round trip a resumed worker rests on. (An artifact built in memory
+// with invalid UTF-8 in a string does not round-trip in either form:
+// the encoders write U+FFFD for it.)
+func checkCompactForm(t *testing.T, a *Artifact) {
+	t.Helper()
+	file, err := a.AppendIndented(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, err := a.AppendCompact(nil)
+	if err != nil {
+		t.Fatalf("compact encoding: %v", err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, compact, "", "  "); err != nil {
+		t.Fatalf("compact encoding is not JSON: %v", err)
+	}
+	indented.WriteByte('\n')
+	if !bytes.Equal(indented.Bytes(), file) {
+		t.Fatalf("indented compact encoding differs from the file form:\n%s\nvs\n%s", indented.Bytes(), file)
+	}
+	back, err := Decode(compact)
+	if err != nil {
+		t.Fatalf("decoding the compact encoding: %v", err)
+	}
+	again, err := back.AppendIndented(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, file) {
+		t.Fatal("the compact encoding decodes to an artifact whose file form differs")
+	}
+}
+
+// TestArtifactCompactForm holds AppendCompact to json.Marshal of the
+// artifact, and checkCompactForm to the decoded codec artifacts and to
+// the committed one-seed multichip shard, whose compact bytes must also
+// re-encode unchanged.
+func TestArtifactCompactForm(t *testing.T) {
+	for name, a := range codecArtifacts() {
+		want, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := a.AppendCompact(nil); !bytes.Equal(got, want) {
+			t.Errorf("%s: compact encoding differs from json.Marshal:\n%s\nvs\n%s", name, got, want)
+		}
+		file, err := a.AppendIndented(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		back, err := Decode(file)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		t.Run(name, func(t *testing.T) { checkCompactForm(t, back) })
+	}
+	data, err := os.ReadFile(filepath.Join("..", "store", "testdata", "shard-1of2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compact, err := a.AppendCompact(nil); err != nil || !bytes.Equal(compact, bytes.TrimSuffix(data, []byte("\n"))) {
+		t.Errorf("the committed compact shard does not re-encode to its own bytes (err %v)", err)
+	}
+	t.Run("shard-1of2", func(t *testing.T) { checkCompactForm(t, a) })
 }
 
 // TestArtifactDecodeAcceptsWhatEncodingJSONAccepts covers the lenient
@@ -332,8 +410,10 @@ func TestArtifactDecodeRejectsBadRecords(t *testing.T) {
 
 // FuzzArtifactCodec is the differential fuzzer of the artifact codec
 // against encoding/json over the reference mirrors: whatever Decode
-// accepts, encoding/json accepts too, and MarshalIndented reproduces
-// json.MarshalIndent of encoding/json's decode byte for byte; whatever
+// accepts, encoding/json accepts too, MarshalIndented reproduces
+// json.MarshalIndent of encoding/json's decode byte for byte, and the
+// compact form indents to and decodes back to those bytes
+// (checkCompactForm); whatever
 // encoding/json accepts and Decode rejects either fails Decode's
 // validation (the canonical re-encoding is rejected as well) or repeats
 // a member name, the one thing Decode is stricter about. Seeds live in
@@ -354,6 +434,7 @@ func FuzzArtifactCodec(f *testing.F) {
 			if want := refMarshal(t, ref); !bytes.Equal(got, want) {
 				t.Fatalf("re-encoding differs from encoding/json's:\n%s\nvs\n%s", got, want)
 			}
+			checkCompactForm(t, a)
 			return
 		}
 		if refErr != nil {
