@@ -10,12 +10,14 @@ import (
 	"github.com/safari-repro/hbmrh/internal/config"
 )
 
-// maxProbeBatch bounds how many victim probes one batched program
+// MaxProbeBatch bounds how many victim probes one batched program
 // carries, so paper-geometry sweeps (thousands of sampled rows per bank)
 // cannot build unbounded instruction streams or read arenas. 64 probes
 // amortize program validation and dispatch to well under 2% of one
-// probe's cost.
-const maxProbeBatch = 64
+// probe's cost. Studies that run several patterns over one victim list
+// walk it in chunks of this size, every pattern on a chunk before the
+// next, so a victim's profile is built once however long the list.
+const MaxProbeBatch = 64
 
 // probeProg is one chunk's probe program under one pattern: for each of
 // the chunk's victims, in order, the Table 1 init layout, a double-sided
@@ -136,7 +138,7 @@ func (h *Harness) runProbes(pp *probeProg, counts []int, out []BERResult) error 
 // in order. Per-cell fault quantities are pure functions of (seed,
 // coordinates) and every probe rewrites its victim, aggressor and outer
 // rows before hammering, so probe concatenation cannot change any
-// measured value; one program per maxProbeBatch victims amortizes
+// measured value; one program per MaxProbeBatch victims amortizes
 // assembly, validation, payload interning and dispatch across the batch.
 func (h *Harness) BERBatch(ba addr.BankAddr, physVictims []int, p Pattern, hammers int) ([]BERResult, error) {
 	out := make([]BERResult, len(physVictims))
@@ -148,10 +150,10 @@ func (h *Harness) BERBatch(ba addr.BankAddr, physVictims []int, p Pattern, hamme
 
 // berBatch is BERBatch into out, which BER passes on its stack.
 func (h *Harness) berBatch(ba addr.BankAddr, victims []int, p Pattern, hammers int, out []BERResult) error {
-	var counts [maxProbeBatch]int
+	var counts [MaxProbeBatch]int
 	pp := &h.probe
-	for lo := 0; lo < len(victims); lo += maxProbeBatch {
-		chunk := victims[lo:min(lo+maxProbeBatch, len(victims))]
+	for lo := 0; lo < len(victims); lo += MaxProbeBatch {
+		chunk := victims[lo:min(lo+MaxProbeBatch, len(victims))]
 		if err := h.buildProbes(pp, ba, chunk, p, hammers, h.dev.Config().Timing.TRAS); err != nil {
 			return err
 		}
@@ -168,7 +170,7 @@ func (h *Harness) berBatch(ba addr.BankAddr, victims []int, p Pattern, hammers i
 // HCFirstBatch measures HCfirst for a batch of victim rows in one bank
 // under one pattern, what HCFirst measures per victim, and returns the
 // ceiling probe of each search as its BER at maxHammers (the measurement
-// BERBatch at maxHammers would make). Each chunk of up to maxProbeBatch
+// BERBatch at maxHammers would make). Each chunk of up to MaxProbeBatch
 // victims runs the search breadth-first on one program: the ceiling
 // probe for the whole chunk, then each halving round over its
 // still-searching victims, with the other probes skipped. Every victim
@@ -187,10 +189,10 @@ func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Patter
 	hc = make([]int, n)
 	found = make([]bool, n)
 	ber = make([]BERResult, n)
-	var counts, lo, hi, buf [maxProbeBatch]int
+	var counts, lo, hi, buf [MaxProbeBatch]int
 	pp := &h.probe
-	for c := 0; c < n; c += maxProbeBatch {
-		chunk := physVictims[c:min(c+maxProbeBatch, n)]
+	for c := 0; c < n; c += MaxProbeBatch {
+		chunk := physVictims[c:min(c+MaxProbeBatch, n)]
 		if err := h.buildProbes(pp, ba, chunk, p, maxHammers, holdPS); err != nil {
 			return nil, nil, nil, err
 		}
@@ -243,8 +245,8 @@ func (h *Harness) bisect(pp *probeProg, active []int, lo, hi, flipAt []int) erro
 		}
 		return false
 	}
-	var buf, counts [maxProbeBatch]int
-	var res [maxProbeBatch]BERResult
+	var buf, counts [MaxProbeBatch]int
+	var res [MaxProbeBatch]BERResult
 	next := buf[:0]
 	for _, j := range active {
 		if searching(j) {

@@ -41,13 +41,13 @@ func TestBERBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBERBatchChunksLargeBatches drives more victims than maxProbeBatch so
+// TestBERBatchChunksLargeBatches drives more victims than MaxProbeBatch so
 // the chunked path (several programs per batch call) is exercised.
 func TestBERBatchChunksLargeBatches(t *testing.T) {
 	h := newTestHarness(t)
 	ba := batchBank()
 	p := Table1()[1]
-	victims := make([]int, maxProbeBatch+9)
+	victims := make([]int, MaxProbeBatch+9)
 	for i := range victims {
 		victims[i] = 1 + i*3
 	}
@@ -60,7 +60,7 @@ func TestBERBatchChunksLargeBatches(t *testing.T) {
 		t.Fatalf("got %d results for %d victims", len(batch), len(victims))
 	}
 	tras := h.Device().Config().Timing.TRAS
-	for _, j := range []int{0, maxProbeBatch - 1, maxProbeBatch, len(victims) - 1} {
+	for _, j := range []int{0, MaxProbeBatch - 1, MaxProbeBatch, len(victims) - 1} {
 		seq, err := seqBER(h, ba, victims[j], p, hammers, tras)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestHCFirstBatchMatchesSequential(t *testing.T) {
 }
 
 // TestHCFirstBatchChunksLargeBatches drives more victims than
-// maxProbeBatch through the search, so a batch spans several probe
+// MaxProbeBatch through the search, so a batch spans several probe
 // programs, at a ceiling whose halvings go uneven: after five rounds a
 // victim's search width is 4687 or 4688 (150000/32 = 4687.5), and a
 // precision of 4687 stops the first kind and not the second, so victims
@@ -111,7 +111,7 @@ func TestHCFirstBatchChunksLargeBatches(t *testing.T) {
 	h.HCPrecision = 4687
 	ba := batchBank()
 	p := Table1()[0]
-	victims := make([]int, maxProbeBatch+9)
+	victims := make([]int, MaxProbeBatch+9)
 	for i := range victims {
 		victims[i] = 1 + i*13
 	}
@@ -340,7 +340,7 @@ func TestProbeDeviceWork(t *testing.T) {
 			hbm.Stats{Acts: 19689019, Precharges: 19689019, Reads: 704, Writes: 11576, BitflipsCommitted: 45}, 925386463638},
 		{"wcdp-two-chunks", func(h *Harness) (int, int, error) {
 			h.HCPrecision = 1000
-			victims := spreadVictims(h.Device().Geometry().Rows, maxProbeBatch+7)
+			victims := spreadVictims(h.Device().Geometry().Rows, MaxProbeBatch+7)
 			res, err := h.WCDPBatch(addr.BankAddr{Channel: 4}, victims, 180_000)
 			n := 0
 			for _, r := range res {
@@ -385,4 +385,30 @@ func countTrue(bs []bool) int {
 		}
 	}
 	return n
+}
+
+// TestHCFirstBatchBuildsEachLadderOnce pins the sense engine's per-row
+// work on the paper's search: HCFirstBatch at the default hammer count,
+// under every Table 1 pattern in turn, computes each victim's profile
+// and builds its threshold ladder once, and never rebuilds one. Each
+// search's first probe is its ceiling, whose screen every later probe
+// of the victim stays under, so the first build covers them all.
+func TestHCFirstBatchBuildsEachLadderOnce(t *testing.T) {
+	h := newTestHarness(t)
+	victims := spreadVictims(h.Device().Geometry().Rows, 20)
+	flipped := 0
+	for _, p := range Table1() {
+		_, found, _, err := h.HCFirstBatch(batchBank(), victims, p, DefaultHammers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped += countTrue(found)
+	}
+	if flipped == 0 {
+		t.Fatal("no search found a flip: the probes never sensed below their ceiling")
+	}
+	n := int64(len(victims))
+	if c := h.Device().ModelCounters(); c.ProfileComputes != n || c.LadderBuilds != n || c.LadderRebuilds != 0 {
+		t.Fatalf("%d victims under four patterns: %+v, want %d profiles, %d ladders and no rebuild", n, c, n, n)
+	}
 }

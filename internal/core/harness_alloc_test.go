@@ -35,7 +35,7 @@ func TestBERProbeSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkRunnerBatchedProbe isolates the runner→device layer: it
-// re-runs one steady-state batched BER probe program (maxProbeBatch
+// re-runs one steady-state batched BER probe program (MaxProbeBatch
 // victims of one bank, the shape HCFirstBatch searches with) at
 // alternating hammer counts set through SetLoopCount, so an iteration
 // pays no assembly, validation or planning, only execution. Besides
@@ -50,7 +50,7 @@ func BenchmarkRunnerBatchedProbe(b *testing.B) {
 	}
 	ba := addr.BankAddr{Channel: 7}
 	rows := h.Device().Geometry().Rows
-	victims := make([]int, maxProbeBatch)
+	victims := make([]int, MaxProbeBatch)
 	for i := range victims {
 		victims[i] = 1 + i*((rows-2)/len(victims))
 	}

@@ -50,7 +50,7 @@ const numPatterns = 4
 // becomes the incumbent. Probes are pure functions of the probe itself,
 // so every answer is one the four full searches would have measured.
 //
-// Victims are searched maxProbeBatch at a time, every step one run of
+// Victims are searched MaxProbeBatch at a time, every step one run of
 // the chunk's program under the step's pattern, built on the chunk's
 // first probe under it, with the probes of the victims the step does
 // not need skipped. The first pattern each victim tries at the ceiling
@@ -66,8 +66,8 @@ func (h *Harness) WCDPBatch(ba addr.BankAddr, physVictims []int, maxHammers int)
 			}
 		}
 	}()
-	for lo := 0; lo < len(physVictims); lo += maxProbeBatch {
-		hi := min(lo+maxProbeBatch, len(physVictims))
+	for lo := 0; lo < len(physVictims); lo += MaxProbeBatch {
+		hi := min(lo+MaxProbeBatch, len(physVictims))
 		if err := s.chunk(physVictims[lo:hi], out[lo:hi]); err != nil {
 			return nil, err
 		}
@@ -108,10 +108,10 @@ type wcdpSearch struct {
 	// this chunk's victims.
 	progs [numPatterns]*probeProg
 	built uint8
-	rows  [maxProbeBatch]wcdpRow
+	rows  [MaxProbeBatch]wcdpRow
 	// lo and hi are victim j's incumbent leaf (lo[j], hi[j]].
-	lo, hi [maxProbeBatch]int
-	res    [maxProbeBatch]BERResult
+	lo, hi [MaxProbeBatch]int
+	res    [MaxProbeBatch]BERResult
 }
 
 // program returns the chunk's probe program under pattern q, building
@@ -138,7 +138,7 @@ func (s *wcdpSearch) probe(sel []int, q int, count func(j int) int) ([]BERResult
 	if err != nil {
 		return nil, err
 	}
-	var counts [maxProbeBatch]int
+	var counts [MaxProbeBatch]int
 	for _, j := range sel {
 		counts[j] = count(j)
 	}
@@ -181,13 +181,13 @@ func (s *wcdpSearch) ceilingOrder(r int) int {
 	return r - 1
 }
 
-// chunk searches at most maxProbeBatch victims, writing their results.
+// chunk searches at most MaxProbeBatch victims, writing their results.
 func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 	s.victims, s.built = victims, 0
 	atMax := func(int) int { return s.max }
 	atHi := func(j int) int { return s.hi[j] }
 	atLo := func(j int) int { return s.lo[j] }
-	var selBuf, nextBuf, flipAt [maxProbeBatch]int
+	var selBuf, nextBuf, flipAt [MaxProbeBatch]int
 
 	// 1. Ceiling probes, until each victim has a pattern that flips: its
 	// incumbent, with the whole range as its leaf.

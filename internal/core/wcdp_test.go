@@ -95,7 +95,7 @@ func TestWCDPBatchMatchesFullSearch(t *testing.T) {
 		{"ch6-one-leaf", 1, 6, false, 6, 200_000, 200_000},
 		{"ch2-ecc", 6, 2, true, 6, DefaultHammers, DefaultHCPrecision},
 		{"ch1-no-flip", 7, 1, false, 6, 3_000, DefaultHCPrecision},
-		{"ch4-chunks", 8, 4, false, maxProbeBatch + 7, 180_000, 1000},
+		{"ch4-chunks", 8, 4, false, MaxProbeBatch + 7, 180_000, 1000},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

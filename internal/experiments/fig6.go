@@ -35,18 +35,20 @@ func fig6Bank(h *core.Harness, cfg *config.Config, span, hammers int, ba addr.Ba
 			victims = append(victims, phys)
 		}
 	}
-	// Batched probes: one BERBatch per pattern across every sampled row of
-	// the bank, keeping the best BER per row — value-identical to the
-	// per-row loop it replaces.
+	// Batched probes, chunk-major: for each chunk of core.MaxProbeBatch
+	// rows, one BERBatch per pattern, keeping the best BER per row —
+	// value-identical to the per-row loop it replaces, and each row's
+	// profile and ladder are built once for all four patterns.
 	best := make([]float64, len(victims))
-	for _, p := range patterns {
-		rs, err := h.BERBatch(ba, victims, p, hammers)
-		if err != nil {
-			return results.BankRecord{}, err
-		}
-		for i, r := range rs {
-			if b := r.BER(); b > best[i] {
-				best[i] = b
+	for lo := 0; lo < len(victims); lo += core.MaxProbeBatch {
+		chunk := victims[lo:min(lo+core.MaxProbeBatch, len(victims))]
+		for _, p := range patterns {
+			rs, err := h.BERBatch(ba, chunk, p, hammers)
+			if err != nil {
+				return results.BankRecord{}, err
+			}
+			for i, r := range rs {
+				best[lo+i] = max(best[lo+i], r.BER())
 			}
 		}
 	}

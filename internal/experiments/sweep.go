@@ -43,11 +43,13 @@ func sampleVictims(g addr.Geometry, rowsPerRegion int) (victims []int, regions [
 
 // sweepChannel measures every sampled victim row of one channel's bank
 // and records where each row sits in its subarray, which Fig. 5 reads.
-// The inner loops run through the batched probe API: per pattern, one
-// HCFirstBatch over all sampled rows, whose ceiling probe at hammers is
-// the row's BER, so each (row, pattern) pays one probe program build per
-// search instead of one per probe. Output is byte-identical to per-row
-// BER/HCFirst calls (pinned by the core batch equivalence tests); only
+// The inner loops run through the batched probe API, chunk-major: for
+// each chunk of core.MaxProbeBatch victims, one HCFirstBatch per pattern,
+// whose ceiling probe at hammers is the row's BER. A victim's fault-model
+// profile and threshold ladder are then built once for all four
+// patterns, even when the channel's victims outnumber the profile cache.
+// Output is byte-identical to per-row BER/HCFirst calls in any order
+// (probes are pure; pinned by the core batch equivalence tests); only
 // the probe grouping changes.
 func sweepChannel(h *core.Harness, g addr.Geometry, layout *addr.SubarrayLayout, rowsPerRegion, hammers, ch int) ([]results.RowRecord, error) {
 	ba := addr.BankAddr{Channel: ch}
@@ -69,14 +71,18 @@ func sweepChannel(h *core.Harness, g addr.Geometry, layout *addr.SubarrayLayout,
 			LastSubarray:   sa == layout.Count()-1,
 		}
 	}
-	for pi, p := range patterns {
-		hcs, founds, bers, err := h.HCFirstBatch(ba, victims, p, hammers)
-		if err != nil {
-			return nil, err
-		}
-		for i := range out {
-			out[i].BER[pi] = bers[i].BER()
-			out[i].HCFirst[pi], out[i].Found[pi] = hcs[i], founds[i]
+	for lo := 0; lo < len(victims); lo += core.MaxProbeBatch {
+		chunk := victims[lo:min(lo+core.MaxProbeBatch, len(victims))]
+		for pi, p := range patterns {
+			hcs, founds, bers, err := h.HCFirstBatch(ba, chunk, p, hammers)
+			if err != nil {
+				return nil, err
+			}
+			for i := range chunk {
+				r := &out[lo+i]
+				r.BER[pi] = bers[i].BER()
+				r.HCFirst[pi], r.Found[pi] = hcs[i], founds[i]
+			}
 		}
 	}
 	for i := range out {

@@ -1,8 +1,10 @@
 package faultmodel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/safari-repro/hbmrh/internal/config"
@@ -13,42 +15,99 @@ import (
 // pin their invariants against brute force so the fast path's skipping
 // logic can never drift from the per-bit model.
 
-func TestThresholdAggregatesConsistent(t *testing.T) {
-	cfg := config.SmallChip()
+// keyOf returns bit i's threshold key: the top 16 bits of the hash its
+// threshold is derived from, which Cut bounds.
+func keyOf(p *RowProfile, i int) int { return int(rng.Mix64(p.thrBase+uint64(i)) >> 48) }
+
+// paperScreen is the quickThr screen of a victim after the paper's
+// 256K double-sided hammers at minimum timing and 85 C.
+const paperScreen = float32(256 << 10)
+
+// bruteLadder returns every bit whose exact threshold is at most screen,
+// sorted by (Thr, Bit): what Ladder must return.
+func bruteLadder(thr []float32, screen float32) []Rung {
+	var want []Rung
+	for i, t := range thr {
+		if t <= screen {
+			want = append(want, Rung{Thr: t, Bit: int32(i)})
+		}
+	}
+	slices.SortFunc(want, func(a, b Rung) int {
+		return cmp.Or(cmp.Compare(a.Thr, b.Thr), cmp.Compare(a.Bit, b.Bit))
+	})
+	return want
+}
+
+// TestLadderMatchesThresholds pins Model.Ladder against brute force at
+// the small chip's and the paper's row width: for screens below the
+// floor, at it, at the 256K-hammer screen, at the quartile threshold,
+// admitting every bit, NaN and +Inf, the ladder must be exactly the bits
+// whose float32 threshold passes, in (Thr, Bit) order. Each row sees the
+// screens rising and then falling on one profile, so the ladder is built
+// once, widened by rebuilds and then only cut down; a fresh profile per
+// screen pins each screen's first build too.
+func TestLadderMatchesThresholds(t *testing.T) {
+	for _, cfg := range []*config.Config{config.SmallChip(), config.PaperChip()} {
+		m := newModel(t, cfg)
+		g := cfg.Geometry
+		floor := float32(cfg.Fault.HCFloor)
+		for _, row := range []int{1, 17, g.Rows / 2, g.Rows - 2} {
+			b := bank(7, 1, row%g.Banks)
+			p := m.Profile(b, row)
+			thr := rowThresholds(m, p)
+			sorted := slices.Sorted(slices.Values(thr))
+			screens := []float32{
+				0, math.Nextafter32(floor, 0), floor, sorted[0],
+				paperScreen, sorted[len(sorted)/4], sorted[len(sorted)-1],
+				float32(math.Inf(1)),
+			}
+			slices.Sort(screens)
+			screens = append(screens, float32(math.NaN()))
+			for i := len(screens) - 2; i >= 0; i-- {
+				screens = append(screens, screens[i])
+			}
+			for _, screen := range screens {
+				got := m.Ladder(p, screen)
+				if want := bruteLadder(thr, screen); !slices.Equal(got, want) {
+					t.Fatalf("%d-bit row %d, screen %v: ladder of %d rungs, brute force %d",
+						g.RowBits(), row, screen, len(got), len(want))
+				}
+				fresh := m.computeProfile(b, row)
+				if got := m.Ladder(fresh, screen); !slices.Equal(got, bruteLadder(thr, screen)) {
+					t.Fatalf("%d-bit row %d, screen %v: first build differs from brute force", g.RowBits(), row, screen)
+				}
+				if screen != screen || screen < floor {
+					if !math.IsInf(float64(fresh.cover), -1) {
+						t.Fatalf("screen %v was recorded as the cover %v", screen, fresh.cover)
+					}
+				}
+			}
+			if !math.IsInf(float64(p.cover), 1) || len(p.rungs) != g.RowBits() {
+				t.Fatalf("%d-bit row %d: +Inf left the cover at %v with %d rungs", g.RowBits(), row, p.cover, len(p.rungs))
+			}
+		}
+	}
+}
+
+// TestLadderRebuildsGeometrically pins the cover's growth: a rising
+// screen rebuilds the ladder only when it passes the cover, and each
+// rebuild at least doubles it, so screens rising one hammer at a time
+// from the floor rebuild the ladder a logarithmic number of times.
+func TestLadderRebuildsGeometrically(t *testing.T) {
+	cfg := config.PaperChip()
 	m := newModel(t, cfg)
-	bits := cfg.Geometry.RowBits()
-	for _, row := range []int{0, 17, 500, cfg.Geometry.Rows - 1} {
-		p := m.Profile(bank(5, 1, 0), row)
-		keys, wordMin, minKey := m.Keys(p)
-		if len(keys) != bits || len(wordMin) != (bits+63)/64 {
-			t.Fatalf("row %d: aggregate lengths %d/%d, want %d/%d",
-				row, len(keys), len(wordMin), bits, (bits+63)/64)
-		}
-		// Each key is the top 16 bits of the hash its threshold is
-		// derived from.
-		for i, k := range keys {
-			if want := uint16(rng.Mix64(p.thrBase+uint64(i)) >> 48); k != want {
-				t.Fatalf("row %d bit %d: key %d, want %d", row, i, k, want)
-			}
-		}
-		// The row minimum is the exact minimum over every bit.
-		rowMin := uint16(math.MaxUint16)
-		for _, k := range keys {
-			rowMin = min(rowMin, k)
-		}
-		if minKey != rowMin {
-			t.Fatalf("row %d: row minimum %d, brute-force min %d", row, minKey, rowMin)
-		}
-		// WordMin is the exact per-word minimum.
-		for w := range wordMin {
-			wm := uint16(math.MaxUint16)
-			for i := w * 64; i < (w+1)*64 && i < bits; i++ {
-				wm = min(wm, keys[i])
-			}
-			if wordMin[w] != wm {
-				t.Fatalf("row %d word %d: WordMin %d, brute-force min %d", row, w, wordMin[w], wm)
-			}
-		}
+	p := m.Profile(bank(7, 0, 3), 1234)
+	floor := float32(cfg.Fault.HCFloor)
+	for s := floor; s <= paperScreen; s += 97 {
+		m.Ladder(p, s)
+	}
+	c := m.Counters()
+	// Covers run floor, 2 floor, 4 floor, ... past 256K: five rebuilds.
+	if c.LadderBuilds != 1 || c.LadderRebuilds != 5 {
+		t.Fatalf("%d builds and %d rebuilds, want 1 and 5", c.LadderBuilds, c.LadderRebuilds)
+	}
+	if p.cover != 32*floor {
+		t.Fatalf("cover %v, want %v", p.cover, 32*floor)
 	}
 }
 
@@ -57,17 +116,17 @@ func TestThresholdAggregatesConsistent(t *testing.T) {
 // their key by more than one (a margin so wide it admits a second key
 // bucket). It returns the first offender of the kind it counts first.
 func cutViolations(m *Model, p *RowProfile) (loose, tight int, first string) {
-	keys, _, _ := m.Keys(p)
 	f := m.cfg.Fault
 	hcFloor, zFloor := float32(f.HCFloor), float32(p.scale*math.Exp(p.sigma*f.ZFloor))
 	var firstTight string
-	for i, k := range keys {
+	for i := range m.cfg.Geometry.RowBits() {
+		k := keyOf(p, i)
 		thr := m.Threshold(p, i)
 		cut := m.Cut(p, thr)
 		switch {
-		case int(k) > cut:
+		case k > cut:
 			loose++
-		case thr != hcFloor && thr != zFloor && cut > int(k)+1:
+		case thr != hcFloor && thr != zFloor && cut > k+1:
 			tight++
 			if firstTight == "" {
 				firstTight = fmt.Sprintf("%v row %d bit %d: key %d, threshold %v, cut %d",
@@ -180,14 +239,13 @@ func FuzzThresholdCut(f *testing.F) {
 		g := cfg.Geometry
 		p := m.Profile(bank(int(channel)%g.Channels, int(row)%g.PseudoChannels, int(row>>1)%g.Banks),
 			int(row)%g.Rows)
-		keys, _, _ := m.Keys(p)
 		cut := m.Cut(p, screen)
-		self := int(row) % len(keys)
-		if k, selfCut := keys[self], m.Cut(p, m.Threshold(p, self)); int(k) > selfCut {
+		self := int(row) % g.RowBits()
+		if k, selfCut := keyOf(p, self), m.Cut(p, m.Threshold(p, self)); k > selfCut {
 			t.Fatalf("bit %d: key %d above the cut %d of its own threshold", self, k, selfCut)
 		}
-		for i, k := range keys {
-			if thr := m.Threshold(p, i); thr <= screen && int(k) > cut {
+		for i := range g.RowBits() {
+			if thr, k := m.Threshold(p, i), keyOf(p, i); thr <= screen && k > cut {
 				t.Fatalf("bit %d: threshold %v passes screen %v, but key %d is above cut %d",
 					i, thr, screen, k, cut)
 			}
@@ -238,8 +296,9 @@ func TestRetentionAggregatesMatchRetentionSec(t *testing.T) {
 }
 
 // BenchmarkProfileCompute measures a cold full profile build: the hash
-// bases and threshold scale plus the lazily-forced key tier, the unit of
-// work every fleet chip pays per touched row.
+// bases and threshold scale plus the lazily-built ladder at the
+// 256K-hammer screen, the unit of work every fleet chip pays per sensed
+// victim row.
 func BenchmarkProfileCompute(b *testing.B) {
 	cfg := config.SmallChip()
 	m := newModel(b, cfg)
@@ -247,7 +306,7 @@ func BenchmarkProfileCompute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := m.Profile(bank(0, 0, 0), i%cfg.Geometry.Rows)
-		m.Keys(p)
+		m.Ladder(p, paperScreen)
 	}
 }
 
@@ -262,31 +321,34 @@ func BenchmarkProfileComputePaper(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := m.Profile(bank(0, 0, 0), i%cfg.Geometry.Rows)
-		m.Keys(p)
+		m.Ladder(p, paperScreen)
 	}
 }
 
-// TestThresholdBuildAllocs pins the key-tier build to three allocations:
-// the per-bit keys, the per-word key minima and the struct holding them.
-// A transient buffer, a resident float tier or an orientation bitmap
-// would show up here.
+// TestThresholdBuildAllocs pins the ladder build to one allocation: the
+// exact-size rung slice, copied out of the model's reused scratch. A
+// per-bit tier, an append-grown ladder or an orientation bitmap would
+// show up here. Every channel-7 paper-width row holds rungs at the
+// 256K-hammer screen.
 func TestThresholdBuildAllocs(t *testing.T) {
 	cfg := config.PaperChip()
 	m := newModel(t, cfg)
 	const runs = 20
 	profiles := make([]*RowProfile, runs+1) // AllocsPerRun adds a warm-up call
 	for i := range profiles {
-		profiles[i] = m.Profile(bank(1, 0, 2), i)
+		profiles[i] = m.Profile(bank(7, 0, 2), 100+i)
 	}
 	next := 0
 	avg := testing.AllocsPerRun(runs, func() {
-		m.Keys(profiles[next])
+		if len(m.Ladder(profiles[next], paperScreen)) == 0 {
+			t.Fatalf("row %d: empty ladder at the 256K-hammer screen", 100+next)
+		}
 		next++
 	})
 	if next != runs+1 {
-		t.Fatalf("built %d key tiers, want %d", next, runs+1)
+		t.Fatalf("built %d ladders, want %d", next, runs+1)
 	}
-	if avg != 3 {
-		t.Fatalf("key-tier build allocates %.1f times, want 3 (Keys, WordMin, the tier struct)", avg)
+	if avg != 1 {
+		t.Fatalf("ladder build allocates %.1f times, want 1 (the rung slice)", avg)
 	}
 }

@@ -18,15 +18,18 @@
 //
 // Row profiles carry no per-bit state until a sense needs it. Orientation
 // (IsTrue) and the exact threshold (Threshold) are hashed on demand; the
-// lazily-built aggregates are 16-bit threshold keys with their word and
-// row minima, and memoized retention times with word/row minima. Both let
-// the device's sense fast path skip work without changing a single
-// output bit (see internal/hbm/sense.go and DESIGN.md §8).
+// lazily-built aggregates are a threshold ladder (the row's weakest bits
+// with their exact thresholds, in threshold order) and memoized retention
+// times with word/row minima. Both let the device's sense fast path skip
+// work without changing a single output bit (see internal/hbm/sense.go
+// and DESIGN.md §8).
 package faultmodel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
@@ -58,10 +61,22 @@ type Model struct {
 	cfg    *config.Config
 	layout *addr.SubarrayLayout
 
-	cache *profileCache
-	// computes counts full profile computations, for the cache tests and
-	// cache-behaviour benchmarks.
-	computes int64
+	cache    *profileCache
+	counters Counters
+	// rungScratch collects a ladder build's rungs before they are copied
+	// into the ladder's exact-size slice.
+	rungScratch []Rung
+}
+
+// Counters reports the work a model has done since it was built, so the
+// cost of a study's profile and ladder recomputes shows without a
+// profiler.
+type Counters struct {
+	// ProfileComputes counts full profile computations (cache misses).
+	ProfileComputes int64
+	// LadderBuilds counts first builds of a profile's threshold ladder,
+	// and LadderRebuilds the rebuilds that widen one to a larger cover.
+	LadderBuilds, LadderRebuilds int64
 }
 
 type cacheKey struct {
@@ -73,15 +88,20 @@ type cacheKey struct {
 // and scale from which every per-bit property is derived, plus the
 // lazily-built aggregates. Slices are shared with the model's cache:
 // callers must treat them as read-only. Orientation and exact thresholds
-// are hashed per bit on demand (IsTrue, Model.Threshold) and never
-// stored; the aggregates — threshold keys (Model.Keys) and retention
-// times (Model.Retention) — are built on first need, so a row only ever
-// sensed without meaningful disturbance never pays for its keys, and a
-// row always sensed inside the refresh window never pays for its
-// retention times.
+// are hashed per bit on demand (IsTrue, Model.Threshold); the aggregates
+// — the threshold ladder (Model.Ladder) and retention times
+// (Model.Retention) — are built on first need, so a row only ever sensed
+// without meaningful disturbance never pays for its ladder, and a row
+// always sensed inside the refresh window never pays for its retention
+// times.
 type RowProfile struct {
-	keys *keyProfile // nil until the first Keys call
-	ret  *retProfile // nil until the first Retention call
+	// rungs is the threshold ladder: every bit whose float32 threshold is
+	// at most cover, with that threshold, sorted by (Thr, Bit). cover is
+	// -Inf until the first Ladder call that needs it builds the ladder.
+	rungs []Rung
+	cover float32
+
+	ret *retProfile // nil until the first Retention call
 
 	// key records the row coordinates for the lazy builds.
 	key cacheKey
@@ -95,21 +115,11 @@ type RowProfile struct {
 	orientBase, trueCut uint64
 }
 
-// keyProfile holds the lazily-built threshold keys of one row. Bit i's
-// key is the top 16 bits of Mix64(thrBase+i), the hash its threshold is
-// derived from. Every step from that hash to the threshold is monotone
-// non-decreasing (to within normInv's error, which Model.Cut's margin
-// covers), so a low key is necessary for a low threshold.
-type keyProfile struct {
-	// Keys[i] is bit i's threshold key.
-	Keys []uint16
-	// WordMin[w] is the minimum key within 64-bit word w: a word whose
-	// minimum exceeds the cut holds no bit that can flip, so the sense
-	// scan skips it wholesale.
-	WordMin []uint16
-	// Min is the row's smallest key: when it exceeds the cut, the sense
-	// scan skips the row.
-	Min uint16
+// Rung is one bit of a threshold ladder: its index in the row and its
+// exact threshold, Model.Threshold of that bit.
+type Rung struct {
+	Thr float32
+	Bit int32
 }
 
 // retProfile holds the lazily-built retention aggregates of one row,
@@ -149,14 +159,16 @@ func New(cfg *config.Config) (*Model, error) {
 }
 
 // defaultCacheEntries derives the profile-cache entry capacity from the
-// byte budget and the per-row profile footprint: per bit, a 16-bit
-// threshold key and a float64 retention time; per 64-bit word, a key
-// minimum and a float64 retention minimum; and a fixed allowance for the
-// structs and cache bookkeeping.
+// byte budget and the most a cached row profile can hold, so
+// DefaultCacheBytes bounds the cache whatever its rows are asked: per
+// bit, a rung of a ladder that admits every bit (8 B) and a float64
+// retention time; per 64-bit word, a float64 retention minimum; and a
+// fixed allowance for the structs and cache bookkeeping. A ladder
+// usually holds a few hundred rungs, far below its worst case.
 func defaultCacheEntries(cfg *config.Config) int {
 	bits := cfg.Geometry.RowBits()
 	words := (bits + 63) / 64
-	perEntry := bits*(2+8) + words*(2+8) + 256
+	perEntry := bits*(8+8) + words*8 + 256
 	n := DefaultCacheBytes / perEntry
 	if n < 64 {
 		n = 64
@@ -218,13 +230,14 @@ func (m *Model) Profile(b addr.BankAddr, physRow int) *RowProfile {
 // computeProfile derives a row's hash bases and threshold scale; it does
 // no per-bit work.
 func (m *Model) computeProfile(b addr.BankAddr, physRow int) *RowProfile {
-	m.computes++
+	m.counters.ProfileComputes++
 	ch := m.cfg.Fault.Channels[b.Channel]
 	coords := func(dom uint64) uint64 {
 		return rng.Combine(m.cfg.Seed, dom,
 			uint64(b.Channel), uint64(b.PseudoChannel), uint64(b.Bank), uint64(physRow))
 	}
 	return &RowProfile{
+		cover:      float32(math.Inf(-1)),
 		key:        cacheKey{bank: b, row: physRow},
 		thrBase:    coords(domThreshold),
 		scale:      ch.MedianHC * m.rowScale(b, physRow),
@@ -236,11 +249,16 @@ func (m *Model) computeProfile(b addr.BankAddr, physRow int) *RowProfile {
 
 // Threshold returns the intrinsic disturbance threshold of bit i of a
 // row, in double-sided hammer units: the exact value every flip is
-// decided against. It is derived from the bit's hash on each call and
-// never cached.
+// decided against. It is derived from the bit's hash on each call; the
+// ladder caches it only for the row's weakest bits.
 func (m *Model) Threshold(p *RowProfile, i int) float32 {
+	return m.threshold(p, rng.Mix64(p.thrBase+uint64(i)))
+}
+
+// threshold derives a bit's threshold from its hash Mix64(thrBase+i).
+func (m *Model) threshold(p *RowProfile, h uint64) float32 {
 	f := &m.cfg.Fault
-	z := rng.Normal(rng.Mix64(p.thrBase + uint64(i)))
+	z := rng.Normal(h)
 	if z < f.ZFloor {
 		z = f.ZFloor
 	}
@@ -251,42 +269,68 @@ func (m *Model) Threshold(p *RowProfile, i int) float32 {
 	return float32(thr)
 }
 
-// keys returns the lazily-built threshold keys of a profile: one hash
-// pass with no float math that also folds the word and row minima. It is
-// only paid for rows that are ever sensed with enough accumulated
-// disturbance to possibly flip; aggressor rows, whose disturbance is
-// cleared by their own activations, never need it.
-func (m *Model) keys(p *RowProfile) *keyProfile {
-	if p.keys == nil {
-		bits := m.cfg.Geometry.RowBits()
-		kp := &keyProfile{
-			Keys:    make([]uint16, bits),
-			WordMin: make([]uint16, (bits+63)/64),
-			Min:     math.MaxUint16,
-		}
-		for w := range kp.WordMin {
-			lo := w << 6
-			wm := uint16(math.MaxUint16)
-			for j := range kp.Keys[lo:min(lo+64, bits)] {
-				k := uint16(rng.Mix64(p.thrBase+uint64(lo+j)) >> 48)
-				kp.Keys[lo+j] = k
-				wm = min(wm, k)
-			}
-			kp.WordMin[w] = wm
-			kp.Min = min(kp.Min, wm)
-		}
-		p.keys = kp
+// ladderGrowth is the factor by which a rebuilt ladder's cover at least
+// grows, so a row sensed at slowly rising disturbance rebuilds its
+// ladder a logarithmic number of times.
+const ladderGrowth = 2
+
+// Ladder returns the prefix of the row's threshold ladder whose
+// thresholds are at most screen: exactly the bits i with float32
+// Threshold(p, i) <= screen, with those thresholds, sorted by (Thr, Bit).
+// A NaN screen, or one below float32(HCFloor), admits no bit and builds
+// nothing. The ladder is built on the first call that needs it, to cover
+// that call's screen; a later screen above the cover rebuilds it to at
+// least ladderGrowth times the old cover. The result is shared with the
+// profile and valid until the next Ladder call on it.
+func (m *Model) Ladder(p *RowProfile, screen float32) []Rung {
+	if !(screen >= float32(m.cfg.Fault.HCFloor)) {
+		return nil // also rejects NaN
 	}
-	return p.keys
+	if screen > p.cover {
+		m.buildLadder(p, screen)
+	}
+	n, _ := slices.BinarySearchFunc(p.rungs, screen, func(r Rung, s float32) int {
+		if r.Thr <= s {
+			return -1
+		}
+		return 1
+	})
+	return p.rungs[:n]
 }
 
-// Keys exposes a profile's threshold keys and their per-word and per-row
-// minima, so a disturbance scan can gate on the row minimum, skip whole
-// words, and derive exact thresholds (Threshold) only for bits whose key
-// passes Cut. Building them on first use is one hash per bit; see keys.
-func (m *Model) Keys(p *RowProfile) (keys, wordMin []uint16, minKey uint16) {
-	kp := m.keys(p)
-	return kp.Keys, kp.WordMin, kp.Min
+// buildLadder (re)builds p's ladder to cover screen, in one hash pass:
+// Cut at the cover screens out every bit whose key shows its threshold
+// exceeds the cover, and only the bits that pass pay for their exact
+// threshold. The rungs are collected in the model's scratch and copied
+// into one exact-size slice, the build's only allocation.
+func (m *Model) buildLadder(p *RowProfile, screen float32) {
+	cover := screen
+	if math.IsInf(float64(p.cover), -1) {
+		m.counters.LadderBuilds++
+	} else {
+		m.counters.LadderRebuilds++
+		cover = max(screen, p.cover*ladderGrowth)
+	}
+	cut := m.Cut(p, cover)
+	rungs := m.rungScratch[:0]
+	bits := m.cfg.Geometry.RowBits()
+	for i := 0; i < bits; i++ {
+		h := rng.Mix64(p.thrBase + uint64(i))
+		if int(h>>48) > cut {
+			continue
+		}
+		if thr := m.threshold(p, h); thr <= cover {
+			rungs = append(rungs, Rung{Thr: thr, Bit: int32(i)})
+		}
+	}
+	m.rungScratch = rungs
+	slices.SortFunc(rungs, func(a, b Rung) int {
+		return cmp.Or(cmp.Compare(a.Thr, b.Thr), cmp.Compare(a.Bit, b.Bit))
+	})
+	p.rungs, p.cover = nil, cover
+	if len(rungs) > 0 {
+		p.rungs = slices.Clone(rungs)
+	}
 }
 
 // Margins of Cut. A bit of the row passes a screen s when float32(thr) <=
@@ -324,10 +368,11 @@ const (
 
 // Cut returns the largest key that a bit of the row can carry when its
 // float32 threshold is at most screen, or -1 when no bit of the row can
-// have a threshold that low. It costs one Log and one Erfc. The cut is
-// conservative — a bit whose key exceeds it cannot pass the screen — but
-// not exact: a bit whose key passes must still be checked against its
-// exact Threshold.
+// have a threshold that low. A bit's key is the top 16 bits of its
+// threshold hash, Mix64(thrBase+i)>>48. It costs one Log and one Erfc.
+// The cut is conservative — a bit whose key exceeds it cannot pass the
+// screen — but not exact: a bit whose key passes must still be checked
+// against its exact Threshold, as the ladder build does.
 func (m *Model) Cut(p *RowProfile, screen float32) int {
 	f := &m.cfg.Fault
 	if !(screen >= float32(f.HCFloor)) {
@@ -417,9 +462,8 @@ func (m *Model) RowMinRetention(b addr.BankAddr, physRow int) (sec float64, bit 
 	return rp.MinSec, rp.MinBit
 }
 
-// ProfileComputes reports how many full profile computations the model has
-// performed (for the cache tests and ablation benchmarks).
-func (m *Model) ProfileComputes() int64 { return m.computes }
+// Counters reports the model's profile and ladder work so far.
+func (m *Model) Counters() Counters { return m.counters }
 
 // Charged reports whether a cell holding the given bit value stores
 // charge. True cells are charged when storing 1, anti cells when storing

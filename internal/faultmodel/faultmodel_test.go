@@ -2,6 +2,7 @@ package faultmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -288,18 +289,17 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("cache holds %d entries, cap is 4", got)
 	}
 	// Re-reading a row evicted earlier still returns identical data.
-	k1, _, _ := m.Keys(m.Profile(bank(0, 0, 0), 0))
+	inf := float32(math.Inf(1))
+	l1 := m.Ladder(m.Profile(bank(0, 0, 0), 0), inf)
 	t1 := rowThresholds(m, m.Profile(bank(0, 0, 0), 0))
 	m.SetCacheCap(1)
 	for row := 1; row < 5; row++ {
 		m.Profile(bank(0, 0, 0), row)
 	}
-	k2, _, _ := m.Keys(m.Profile(bank(0, 0, 0), 0))
+	l2 := m.Ladder(m.Profile(bank(0, 0, 0), 0), inf)
 	t2 := rowThresholds(m, m.Profile(bank(0, 0, 0), 0))
-	for i := range t1 {
-		if t1[i] != t2[i] || k1[i] != k2[i] {
-			t.Fatal("profile changed after eviction and recompute")
-		}
+	if !slices.Equal(t1, t2) || !slices.Equal(l1, l2) {
+		t.Fatal("profile changed after eviction and recompute")
 	}
 }
 
@@ -315,19 +315,19 @@ func TestProfileCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	for _, row := range []int{0, 1, 2, 0, 3} {
 		m.Profile(b, row)
 	}
-	if got := m.ProfileComputes(); got != 4 {
+	if got := m.Counters().ProfileComputes; got != 4 {
 		t.Fatalf("touching rows 0, 1, 2, 0, 3 computed %d profiles, want 4", got)
 	}
 	for _, row := range []int{0, 2} {
-		before := m.ProfileComputes()
+		before := m.Counters().ProfileComputes
 		m.Profile(b, row)
-		if m.ProfileComputes() != before {
+		if m.Counters().ProfileComputes != before {
 			t.Fatalf("row %d was evicted; row 1 is the least recently used", row)
 		}
 	}
-	before := m.ProfileComputes()
+	before := m.Counters().ProfileComputes
 	m.Profile(b, 1)
-	if m.ProfileComputes() != before+1 {
+	if m.Counters().ProfileComputes != before+1 {
 		t.Fatal("row 1 is still cached; inserting row 3 must evict it")
 	}
 }

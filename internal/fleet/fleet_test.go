@@ -242,6 +242,54 @@ func TestWorkerResumesIndentedChunks(t *testing.T) {
 	}
 }
 
+// TestWorkerResumesFromVerifiedBytes pins that a resume reads each
+// sealed chunk once: the worker dies after two chunks, its journal is
+// reopened, and every sealed chunk file is deleted before the resumed
+// session runs. The session must fold the bytes the open verified and
+// still write the uninterrupted shard. Every file the worker wrote, the
+// chunk sealed this session and the shard included, must carry the
+// journal's permission bits.
+func TestWorkerResumesFromVerifiedBytes(t *testing.T) {
+	w, want := resumeSpec(t, 3, 1)
+	kill := w
+	kill.DieAfter = 2
+	if err := RunWorker(context.Background(), kill, io.Discard); !errors.Is(err, errInjected) {
+		t.Fatalf("DieAfter run: got %v, want injected death", err)
+	}
+	j, opts, err := w.open(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(j.Done()) != 2 {
+		t.Fatalf("reopened journal holds %d chunks, want 2", len(j.Done()))
+	}
+	for _, rec := range j.Done() {
+		if err := os.Remove(filepath.Join(w.Dir, rec.File)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.run(j, opts, io.Discard); err != nil {
+		t.Fatalf("resume after the sealed chunk files were deleted: %v", err)
+	}
+	if got := readFile(t, w.Out); !bytes.Equal(got, want) {
+		t.Fatal("resumed shard artifact differs from uninterrupted slice run")
+	}
+	mode := func(path string) os.FileMode {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	jm := mode(journalPath(w.Dir))
+	for _, path := range []string{filepath.Join(w.Dir, chunkFileName(2, 3)), w.Out} {
+		if m := mode(path); m != jm {
+			t.Fatalf("%s has mode %v, the journal %v", filepath.Base(path), m, jm)
+		}
+	}
+}
+
 // resumeSpec returns a worker over the test study's job slice [0,hi) in
 // chunk-job chunks, journaling into a fresh directory, and the file form
 // of an uninterrupted RunSlice over the same slice.

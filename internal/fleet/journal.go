@@ -129,6 +129,12 @@ type Journal struct {
 	f      *os.File
 	header JournalHeader
 	done   []ChunkRecord
+	// sealed holds, for each record of a resumed journal, the chunk bytes
+	// OpenJournal read and hash-checked, until Resume folds them.
+	sealed [][]byte
+	// mode is the journal file's permission bits, which the worker's
+	// chunk and shard files get too.
+	mode os.FileMode
 }
 
 // journalPath returns the journal file path for a worker directory.
@@ -143,8 +149,8 @@ func chunkFileName(lo, hi int) string { return fmt.Sprintf("chunk-%d-%d.json", l
 // want, the record sequence for contiguity from want.Lo, and every
 // referenced chunk file's presence and hash; any damage beyond a torn
 // final line returns an error wrapping ErrJournal. The returned journal
-// is positioned to append the next chunk, and Done lists the chunks that
-// need not rerun.
+// is positioned to append the next chunk, Done lists the chunks that
+// need not rerun, and Resume folds the chunk bytes the check verified.
 func OpenJournal(dir string, want JournalHeader) (*Journal, error) {
 	want.Journal, want.Version = journalMagic, JournalVersion
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -158,7 +164,7 @@ func OpenJournal(dir string, want JournalHeader) (*Journal, error) {
 	case err != nil:
 		return nil, err
 	}
-	done, err := validateJournal(dir, want, data)
+	done, sealed, err := validateJournal(dir, want, data)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +172,17 @@ func OpenJournal(dir string, want JournalHeader) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{dir: dir, f: f, header: want, done: done}, nil
+	return newJournal(dir, f, want, done, sealed)
+}
+
+// newJournal wraps an open journal file, recording its permission bits.
+func newJournal(dir string, f *os.File, hdr JournalHeader, done []ChunkRecord, sealed [][]byte) (*Journal, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &Journal{dir: dir, f: f, header: hdr, done: done, sealed: sealed, mode: fi.Mode().Perm()}, nil
 }
 
 // createJournal starts a fresh journal: header line written, synced, and
@@ -193,15 +209,16 @@ func createJournal(dir string, hdr JournalHeader) (*Journal, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Journal{dir: dir, f: f, header: hdr}, nil
+	return newJournal(dir, f, hdr, nil, nil)
 }
 
 // validateJournal parses and checks journal bytes against the expected
-// header, returning the usable chunk records. A torn final line (no
-// trailing newline) is dropped; everything else must be pristine.
-func validateJournal(dir string, want JournalHeader, data []byte) ([]ChunkRecord, error) {
+// header, returning the usable chunk records and the verified bytes of
+// each record's chunk file. A torn final line (no trailing newline) is
+// dropped; everything else must be pristine.
+func validateJournal(dir string, want JournalHeader, data []byte) ([]ChunkRecord, [][]byte, error) {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: %s: empty journal (header never committed)", ErrJournal, journalPath(dir))
+		return nil, nil, fmt.Errorf("%w: %s: empty journal (header never committed)", ErrJournal, journalPath(dir))
 	}
 	// A torn tail is the final write the kill interrupted: drop it. Every
 	// line before it was followed by a synced write, so damage there is
@@ -214,29 +231,30 @@ func validateJournal(dir string, want JournalHeader, data []byte) ([]ChunkRecord
 		lines = lines[:len(lines)-1]
 	}
 	if len(lines) == 0 {
-		return nil, fmt.Errorf("%w: %s: header line torn", ErrJournal, journalPath(dir))
+		return nil, nil, fmt.Errorf("%w: %s: header line torn", ErrJournal, journalPath(dir))
 	}
 	var hdr JournalHeader
 	if err := strictUnmarshal(lines[0], &hdr); err != nil {
-		return nil, fmt.Errorf("%w: %s: bad header: %v", ErrJournal, journalPath(dir), err)
+		return nil, nil, fmt.Errorf("%w: %s: bad header: %v", ErrJournal, journalPath(dir), err)
 	}
 	if hdr.Journal != journalMagic || hdr.Version != JournalVersion {
-		return nil, fmt.Errorf("%w: %s: journal %q version %d, this build writes %q version %d",
+		return nil, nil, fmt.Errorf("%w: %s: journal %q version %d, this build writes %q version %d",
 			ErrJournal, journalPath(dir), hdr.Journal, hdr.Version, journalMagic, JournalVersion)
 	}
 	if !hdr.equal(want) {
-		return nil, fmt.Errorf("%w: %s: journal belongs to a different run (experiment/config/code/params/slice mismatch)",
+		return nil, nil, fmt.Errorf("%w: %s: journal belongs to a different run (experiment/config/code/params/slice mismatch)",
 			ErrJournal, journalPath(dir))
 	}
 	var done []ChunkRecord
+	var sealed [][]byte
 	next := hdr.Lo
 	for i, line := range lines[1:] {
 		var rec ChunkRecord
 		if err := strictUnmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("%w: %s: record %d: %v", ErrJournal, journalPath(dir), i+1, err)
+			return nil, nil, fmt.Errorf("%w: %s: record %d: %v", ErrJournal, journalPath(dir), i+1, err)
 		}
 		if rec.Lo != next || rec.Hi <= rec.Lo || rec.Hi > hdr.Hi {
-			return nil, fmt.Errorf("%w: %s: record %d covers [%d,%d), want a slice starting at %d within [%d,%d)",
+			return nil, nil, fmt.Errorf("%w: %s: record %d covers [%d,%d), want a slice starting at %d within [%d,%d)",
 				ErrJournal, journalPath(dir), i+1, rec.Lo, rec.Hi, next, hdr.Lo, hdr.Hi)
 		}
 		// The file name re-derives from the slice, so a corrupted Lo/Hi (or
@@ -244,16 +262,18 @@ func validateJournal(dir string, want JournalHeader, data []byte) ([]ChunkRecord
 		// without this, a bit-flipped Hi on the final record would pass the
 		// hash check against the old file and silently skip jobs on resume.
 		if rec.File != chunkFileName(rec.Lo, rec.Hi) {
-			return nil, fmt.Errorf("%w: %s: record %d names file %q for slice [%d,%d), want %q",
+			return nil, nil, fmt.Errorf("%w: %s: record %d names file %q for slice [%d,%d), want %q",
 				ErrJournal, journalPath(dir), i+1, rec.File, rec.Lo, rec.Hi, chunkFileName(rec.Lo, rec.Hi))
 		}
-		if _, err := readChunkFile(dir, rec); err != nil {
-			return nil, err
+		chunk, err := readChunkFile(dir, rec)
+		if err != nil {
+			return nil, nil, err
 		}
 		done = append(done, rec)
+		sealed = append(sealed, chunk)
 		next = rec.Hi
 	}
-	return done, nil
+	return done, sealed, nil
 }
 
 // strictUnmarshal parses one journal line, rejecting unknown fields so a
@@ -312,7 +332,7 @@ func (j *Journal) Append(a *results.Artifact, lo, hi int) error {
 		return err
 	}
 	name := chunkFileName(lo, hi)
-	if err := writeFileSync(filepath.Join(j.dir, name), data); err != nil {
+	if err := writeFileSync(filepath.Join(j.dir, name), data, j.mode); err != nil {
 		return err
 	}
 	rec := ChunkRecord{Lo: lo, Hi: hi, File: name, SHA256: sha256Hex(data)}
@@ -333,34 +353,46 @@ func (j *Journal) Append(a *results.Artifact, lo, hi int) error {
 	return nil
 }
 
-// ReadChunk loads and re-verifies one journaled chunk artifact, reading
-// its file once: the bytes that pass the hash check are the ones decoded.
-func (j *Journal) ReadChunk(rec ChunkRecord) (*results.Artifact, error) {
-	data, err := readChunkFile(j.dir, rec)
-	if err != nil {
-		return nil, err
+// Resume decodes the chunks a resumed journal sealed and hands each to
+// fold, in record order. It decodes the bytes OpenJournal read and
+// hash-checked, so no chunk file is read or hashed twice, and releases
+// them as it goes; a second call folds nothing.
+func (j *Journal) Resume(fold func(rec ChunkRecord, a *results.Artifact) error) error {
+	for i, data := range j.sealed {
+		rec := j.done[i]
+		j.sealed[i] = nil
+		a, err := results.Decode(data)
+		if err != nil {
+			return fmt.Errorf("%s: %w", filepath.Join(j.dir, rec.File), err)
+		}
+		if err := fold(rec, a); err != nil {
+			return err
+		}
 	}
-	a, err := results.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Join(j.dir, rec.File), err)
-	}
-	return a, nil
+	j.sealed = nil
+	return nil
 }
 
 // Close releases the journal file handle.
 func (j *Journal) Close() error { return j.f.Close() }
 
-// writeFileSync writes data to path atomically: temp file in the same
-// directory, sync, rename. Each of the three durability steps carries a
-// failpoint site; a kill between any two leaves either no file or the
-// complete old/new file, never a torn visible one — which the torture
-// harness proves by crashing at each site in turn.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync writes data to path atomically with permission bits
+// perm: temp file in the same directory, sync, rename. Each of the three
+// durability steps carries a failpoint site; a kill between any two
+// leaves either no file or the complete old/new file, never a torn
+// visible one — which the torture harness proves by crashing at each
+// site in turn.
+func writeFileSync(path string, data []byte, perm os.FileMode) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
+	// CreateTemp makes the file 0600 whatever the umask.
+	if err := tmp.Chmod(perm); err != nil {
+		tmp.Close()
+		return err
+	}
 	if _, err := fpFileWrite.Write(tmp, data); err != nil {
 		tmp.Close()
 		return err

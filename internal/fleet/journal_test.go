@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -72,8 +73,15 @@ func TestJournalResume(t *testing.T) {
 	if len(j.Done()) != 2 || j.Resumed() != 2 {
 		t.Fatalf("resumed journal: %d chunks, resume at %d; want 2 chunks, resume at 2", len(j.Done()), j.Resumed())
 	}
-	if _, err := j.ReadChunk(j.Done()[1]); err != nil {
-		t.Fatalf("reading sealed chunk: %v", err)
+	var folded []ChunkRecord
+	if err := j.Resume(func(rec ChunkRecord, _ *results.Artifact) error {
+		folded = append(folded, rec)
+		return nil
+	}); err != nil {
+		t.Fatalf("reading sealed chunks: %v", err)
+	}
+	if !reflect.DeepEqual(folded, j.Done()) {
+		t.Fatalf("resume folded %+v, journal records %+v", folded, j.Done())
 	}
 }
 

@@ -79,30 +79,38 @@ var errInjected = errors.New("fleet: injected worker death")
 
 // RunWorker measures one shard as a sequence of journaled chunks and
 // writes the merged shard artifact. Killed workers resume: the chunks a
-// previous session journaled are read back, re-verified and folded first,
-// in record order, and only the remainder reruns. Each fresh chunk folds
-// into the running shard right after the journal seals it, so the shard
-// is the same left fold over the same chunk sequence whichever session
-// measured each chunk. Because slice artifacts merge exactly
-// (results.Merge over exact-sum streams) and a chunk decodes to what was
-// encoded (the codec's round trip), the shard artifact is byte-identical
-// no matter how many times the worker died on the way.
+// previous session journaled, verified once when the journal opens, are
+// folded first, in record order, and only the remainder reruns. Each
+// fresh chunk folds into the running shard right after the journal
+// seals it, so the shard is the same left fold over the same chunk
+// sequence whichever session measured each chunk. Because slice
+// artifacts merge exactly (results.Merge over exact-sum streams) and a
+// chunk decodes to what was encoded (the codec's round trip), the shard
+// artifact is byte-identical no matter how many times the worker died on
+// the way.
 func RunWorker(ctx context.Context, w WorkerSpec, events io.Writer) error {
-	opts, err := w.Options(ctx)
+	j, opts, err := w.open(ctx)
 	if err != nil {
 		return err
+	}
+	defer j.Close()
+	return w.run(j, opts, events)
+}
+
+// open resolves w's study, checks its job slice against the plan and
+// opens (or resumes) its journal.
+func (w WorkerSpec) open(ctx context.Context) (*Journal, experiments.Options, error) {
+	opts, err := w.Options(ctx)
+	if err != nil {
+		return nil, opts, err
 	}
 	info, err := experiments.Describe(w.Experiment, opts)
 	if err != nil {
-		return err
+		return nil, opts, err
 	}
 	if w.Lo < 0 || w.Hi > info.Jobs || w.Lo >= w.Hi {
-		return fmt.Errorf("fleet: worker %d slice [%d,%d) out of range (plan has %d %s jobs)",
+		return nil, opts, fmt.Errorf("fleet: worker %d slice [%d,%d) out of range (plan has %d %s jobs)",
 			w.Worker, w.Lo, w.Hi, info.Jobs, info.Axis)
-	}
-	chunk := w.Chunk
-	if chunk <= 0 {
-		chunk = 1
 	}
 	j, err := OpenJournal(w.Dir, JournalHeader{
 		Experiment:  w.Experiment,
@@ -112,11 +120,16 @@ func RunWorker(ctx context.Context, w WorkerSpec, events io.Writer) error {
 		Lo:          w.Lo,
 		Hi:          w.Hi,
 	})
-	if err != nil {
-		return err
-	}
-	defer j.Close()
+	return j, opts, err
+}
 
+// run folds the chunks j resumed, measures and seals the rest of w's
+// slice on j and writes the shard.
+func (w WorkerSpec) run(j *Journal, opts experiments.Options, events io.Writer) error {
+	chunk := w.Chunk
+	if chunk <= 0 {
+		chunk = 1
+	}
 	// The running shard: nil until the first chunk folds in, which it
 	// then becomes.
 	var shard *results.Artifact
@@ -130,14 +143,10 @@ func RunWorker(ctx context.Context, w WorkerSpec, events io.Writer) error {
 		}
 		return nil
 	}
-	for _, rec := range j.Done() {
-		a, err := j.ReadChunk(rec)
-		if err != nil {
-			return err
-		}
-		if err := fold(a, rec.Lo, rec.Hi); err != nil {
-			return err
-		}
+	if err := j.Resume(func(rec ChunkRecord, a *results.Artifact) error {
+		return fold(a, rec.Lo, rec.Hi)
+	}); err != nil {
+		return err
 	}
 
 	emit := func(e Event) {
@@ -178,7 +187,7 @@ func RunWorker(ctx context.Context, w WorkerSpec, events io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileSync(w.Out, data); err != nil {
+	if err := writeFileSync(w.Out, data, j.mode); err != nil {
 		return err
 	}
 	emit(Event{Event: "done", Done: w.Hi - w.Lo})

@@ -217,6 +217,20 @@ func (d *Device) Mapper() mapping.Mapper { return d.mapper }
 // Stats returns a snapshot of the activity counters.
 func (d *Device) Stats() Stats { return d.stats }
 
+// ModelCounters reports the fault model's work: how many row profiles it
+// computed and how often it built or widened a threshold ladder. They
+// count computation, not device activity, so unlike Stats they differ
+// between implementations that the equivalence tests hold to equal
+// Stats: the reference sense path builds no ladder, and a dead sense
+// computes no profile.
+func (d *Device) ModelCounters() faultmodel.Counters { return d.fm.Counters() }
+
+// SetProfileCacheCap bounds the fault model's row-profile cache to n
+// entries, dropping every cached profile: a testing and ablation hook
+// for studies whose working set exceeds the cache (see
+// faultmodel.Model.SetCacheCap).
+func (d *Device) SetProfileCacheCap(n int) { d.fm.SetCacheCap(n) }
+
 // Now returns the simulated time in picoseconds since power-up.
 func (d *Device) Now() int64 { return d.now }
 

@@ -41,9 +41,9 @@ func (d *Device) SetSenseReference(on bool) { d.senseRef = on }
 // modelled).
 //
 // Two implementations exist. senseReference is the straightforward
-// per-bit scan that defines the semantics. The default fast path uses the
-// profile's key and retention minima to skip rows and words that cannot
-// flip; it is bit-for-bit identical (pinned by differential fuzz and golden
+// per-bit scan that defines the semantics. The default fast path visits
+// only the bits the profile's threshold ladder admits and uses the
+// retention minima to skip rows and words that cannot flip; it is bit-for-bit identical (pinned by differential fuzz and golden
 // tests) and allocation-free in steady state.
 func (d *Device) senseAndRestore(bank *bankState, physRow int, at int64, flips bool) {
 	rs := d.row(bank, physRow)
@@ -136,13 +136,11 @@ func (d *Device) disturbFlip(thr float32, data, upData, downData []byte,
 // senseFast is the production sense path. It exploits two profile
 // aggregates, neither of which changes the flip criterion:
 //
-//   - 16-bit threshold keys with per-row and per-64-bit-word minima: the
-//     quickThr screen becomes a key cut (faultmodel.Model.Cut), and the
-//     disturbance pass returns at once when the row's smallest key
-//     exceeds it, skips every word whose smallest key does, and skips
-//     every bit whose own key does. Only a charged bit whose key passes
-//     pays for its exact threshold, which then decides the screen and the
-//     flip as in the reference path.
+//   - The threshold ladder (faultmodel.Model.Ladder): the row's bits that
+//     pass the quickThr screen, with their exact thresholds. The
+//     disturbance pass walks that prefix alone and runs only the charge
+//     check and disturbFlip on each rung, with the threshold the ladder
+//     cached.
 //   - Cached retention times with per-word and per-row minima: when elapsed
 //     time cannot reach even the row's weakest cell, the retention pass
 //     vanishes; otherwise it skips whole words via their minima and
@@ -161,30 +159,16 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 		// screen is the quickThr screen in float32: a threshold passes it
 		// exactly when its float64 value is at most quickThr.
 		screen := floor32(disturb / (d.cfg.Fault.CouplingBoth * thrTemp))
-		keys, wordMin, minKey := d.fm.Keys(prof)
-		if cut := d.fm.Cut(prof, screen); int(minKey) <= cut {
+		if rungs := d.fm.Ladder(prof, screen); len(rungs) > 0 {
 			upData, downData, hasUp, hasDown := d.neighbourData(bank, physRow)
-			for w, wm := range wordMin {
-				if int(wm) > cut {
-					continue // even the word's weakest cell withstands the screen
+			for _, r := range rungs {
+				i := int(r.Bit)
+				v := rowBit(data, i)
+				if !faultmodel.Charged(prof.IsTrue(i), v == 1) {
+					continue
 				}
-				lo := w << 6
-				for j, k := range keys[lo:min(lo+64, bits)] {
-					if int(k) > cut {
-						continue
-					}
-					i := lo + j
-					v := rowBit(data, i)
-					if !faultmodel.Charged(prof.IsTrue(i), v == 1) {
-						continue
-					}
-					thr := d.fm.Threshold(prof, i)
-					if thr > screen {
-						continue
-					}
-					if d.disturbFlip(thr, data, upData, downData, hasUp, hasDown, i, bits, v, disturb, thrTemp) {
-						flips = append(flips, i)
-					}
+				if d.disturbFlip(r.Thr, data, upData, downData, hasUp, hasDown, i, bits, v, disturb, thrTemp) {
+					flips = append(flips, i)
 				}
 			}
 		}
@@ -218,10 +202,10 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 	if len(flips) == 0 {
 		return
 	}
-	// Each pass emits ascending bits, but the retention pass follows the
-	// disturbance pass and both may claim the same bit; sort and
-	// deduplicate to recover the reference path's ascending unique flip
-	// set.
+	// The disturbance pass emits bits in threshold order and the
+	// retention pass, which follows it, may claim the same bits again;
+	// sort and deduplicate to recover the reference path's ascending
+	// unique flip set.
 	slices.Sort(flips)
 	uniq := flips[:1]
 	for _, i := range flips[1:] {

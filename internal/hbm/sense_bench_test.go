@@ -57,7 +57,7 @@ func BenchmarkSenseAndRestoreFast(b *testing.B) { benchSense(b, false) }
 func BenchmarkSenseAndRestoreReference(b *testing.B) { benchSense(b, true) }
 
 // BenchmarkSenseColdRows measures first-touch sensing: every iteration
-// probes a fresh victim row whose profile (hash bases, threshold keys,
+// probes a fresh victim row whose profile (hash bases, threshold ladder,
 // retention) must be built from scratch — the fleet chipscan's dominant
 // cost, since each seed's rows are visited once.
 func BenchmarkSenseColdRows(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/config"
+	"github.com/safari-repro/hbmrh/internal/faultmodel"
 	"github.com/safari-repro/hbmrh/internal/rng"
 )
 
@@ -186,12 +187,17 @@ func FuzzSenseEquivalence(f *testing.F) {
 	f.Add([]byte{2, 9, 0xA5, 0, 9, 60, 6, 9, 1, 0, 9, 60, 3, 9, 60}) // write, hammer, ECC on, hammer, read
 	f.Add([]byte{5, 0, 55, 8, 3, 200, 4, 3, 120, 3, 3, 77})          // cool, pressed hammer, idle, read
 	f.Add([]byte{7, 1, 1, 7, 1, 2, 0, 1, 90, 7, 1, 3})               // refreshes interleaved with hammering
-	// Key-cut edges, ECC off: write the victim, hammer, read it. The first
+	// Screen edges, ECC off: write the victim, hammer, read it. The first
 	// ends 1548 hammers past one cell's flip point, with that cell alone
 	// admitted in its word; the second ends 15 hammers short of the row's
-	// first flip, with the key cut admitting the row.
+	// first flip.
 	f.Add([]byte{6, 1, 0, 2, 1, 70, 0, 1, 69, 3, 1, 70})
 	f.Add([]byte{6, 6, 0, 2, 6, 122, 0, 6, 121, 3, 6, 122})
+	// Rising disturbance on one row, ECC off: the victim of the seed
+	// above is read 15 hammers short of its first flip, which builds its
+	// ladder, then hammered three times over before the next read, whose
+	// screen passes the ladder's cover and rebuilds it mid-script.
+	f.Add([]byte{6, 6, 0, 2, 6, 122, 0, 6, 121, 3, 6, 122, 0, 6, 121, 0, 6, 121, 0, 6, 121, 3, 6, 122})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 60 {
 			script = script[:60] // bound per-input work
@@ -219,16 +225,15 @@ func TestSenseEquivalenceRandomScripts(t *testing.T) {
 }
 
 // TestSenseEquivalencePaperRowWidth drives the fast and reference paths
-// on 8192-bit rows, the paper geometry's width, where the disturbance
-// scan walks 128 key words instead of equivConfig's 4. The double-sided
-// hammer counts climb from just below the victim's weakest cell (the
-// row-minimum gate must reject the row) through just above it (that cell
-// must flip) to a screen that admits nine in ten bits. Two more counts put
-// the screen exactly on a quartile cell's threshold and one hammer below
-// it: that cell's word passes the screen only in part, the key cut must
-// admit the cell at the edge and its exact threshold must reject it one
+// on 8192-bit rows, the paper geometry's width, 128 words to
+// equivConfig's 4. The double-sided hammer counts climb from just below
+// the victim's weakest cell (nothing may flip) through just above it
+// (that cell must flip) to a screen that admits nine in ten bits. Two
+// more counts put the screen exactly on a quartile cell's threshold and
+// one hammer below it: that cell's word passes the screen only in part,
+// the threshold ladder must admit the cell at the edge and reject it one
 // hammer earlier. One pressed hammer and one long idle follow. The whole
-// ladder runs with on-die ECC off and again with it on.
+// ladder of counts runs with on-die ECC off and again with it on.
 func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 	cfg := equivConfig()
 	cfg.Geometry.Columns = 32
@@ -273,7 +278,7 @@ func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 	counts = append(counts, hi)
 
 	// edge is the first hammer count whose float32 screen, the one the
-	// fast path derives its key cut from, admits the quartile cell.
+	// fast path cuts its ladder at, admits the quartile cell.
 	quartile := slices.Index(thr, sorted[len(sorted)/4])
 	for d := 1; max(quartile-weakest, weakest-quartile) < 3 || quartile == 0 || quartile == len(thr)-1; d++ {
 		quartile = slices.Index(thr, sorted[len(sorted)/4+d])
@@ -295,9 +300,13 @@ func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 	if admitted == 64 {
 		t.Fatalf("the quartile cell's word passes the screen whole at %d hammers", edge)
 	}
-	keys, _, _ := fast.fm.Keys(prof)
-	if cut := fast.fm.Cut(prof, floor32(float64(edge)/cb)); int(keys[quartile]) > cut {
-		t.Fatalf("the key cut %d rejects the quartile cell's key %d at its edge", cut, keys[quartile])
+	onLadder := func(n int) bool {
+		return slices.ContainsFunc(fast.fm.Ladder(prof, floor32(float64(n)/cb)),
+			func(r faultmodel.Rung) bool { return int(r.Bit) == quartile })
+	}
+	if !onLadder(edge) || onLadder(edge-1) {
+		t.Fatalf("the ladder admits the quartile cell at %d hammers: %v, at %d: %v; want only at its edge",
+			edge, onLadder(edge), edge-1, onLadder(edge-1))
 	}
 	counts = append(counts, edge-1, edge)
 
