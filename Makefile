@@ -63,14 +63,18 @@ golden-check:
 #      `characterize merge` with a shard glob — pinning that neither
 #      sharding nor planner choice changes the artifacts.
 #   3. the fleet control plane: the same rowpress study through
-#      `characterize fleet` with 2 shard workers, with worker 0 killed
-#      (-kill-after 0:1) after its first journaled chunk so the retry
-#      resumes it from the journal — CSV, JSON and artifact must still
-#      byte-match the single-process run from step 2 (DESIGN.md §10).
-#      Then the benchmark's fleet-cycle shape: an 8-seed multichip scan
-#      on 2 workers at one job per chunk, worker 1 killed after its
-#      second journaled chunk; the artifact must byte-match the
-#      single-process multichip run.
+#      `characterize fleet` with 2 shard workers, every worker killed
+#      after its first journaled chunk (-failpoints
+#      'fleet/worker/chunk=kill@2': the kill fires on the second arrival
+#      at the top of a chunk) so the retries resume them from their
+#      journals — CSV, JSON and artifact must still byte-match the
+#      single-process run from step 2 (DESIGN.md §10). Then the
+#      benchmark's fleet-cycle shape: an 8-seed multichip scan on 2
+#      workers at one job per chunk, every worker killed after its
+#      second journaled chunk (kill@3); the artifact must byte-match the
+#      single-process multichip run. A kill that never fires would pass
+#      both cmps, so each step also greps the coordinator's -progress
+#      log for every worker's death and relaunch.
 #   4. the Figs. 3-6 studies (`-experiment sweep` and `-experiment
 #      fig6`) at -parallel 1 and -parallel 4: the rendered figures on
 #      stdout and the -artifact files, which carry the per-row and
@@ -129,17 +133,25 @@ smoke:
 	cmp $(SMOKE_DIR)/press.json $(SMOKE_DIR)/press-merged.json
 	cmp $(SMOKE_DIR)/press.bin $(SMOKE_DIR)/press-merged.bin
 	$(GO) run ./cmd/characterize fleet -experiment rowpress -rows 2 -hammers 60000 \
-		-workers 2 -kill-after 0:1 -dir $(SMOKE_DIR)/fleet -progress \
+		-workers 2 -failpoints 'fleet/worker/chunk=kill@2' -dir $(SMOKE_DIR)/fleet -progress \
 		-csv $(SMOKE_DIR)/fleet.csv -json $(SMOKE_DIR)/fleet.json \
-		-artifact $(SMOKE_DIR)/fleet.bin >/dev/null
+		-artifact $(SMOKE_DIR)/fleet.bin >/dev/null 2>$(SMOKE_DIR)/fleet.log
+	for i in 0 1; do \
+		grep -q "worker $$i died (failpoint)" $(SMOKE_DIR)/fleet.log || exit 1; \
+		grep -q "worker $$i: attempt 2" $(SMOKE_DIR)/fleet.log || exit 1; \
+	done
 	cmp $(SMOKE_DIR)/press.csv $(SMOKE_DIR)/fleet.csv
 	cmp $(SMOKE_DIR)/press.json $(SMOKE_DIR)/fleet.json
 	cmp $(SMOKE_DIR)/press.bin $(SMOKE_DIR)/fleet.bin
 	$(GO) run ./cmd/characterize -experiment multichip -seeds 8 -rows 1 \
 		-artifact $(SMOKE_DIR)/chips.bin >/dev/null
 	$(GO) run ./cmd/characterize fleet -experiment multichip -seeds 8 -rows 1 \
-		-workers 2 -chunk 1 -kill-after 1:2 -dir $(SMOKE_DIR)/fleet-chips \
-		-artifact $(SMOKE_DIR)/fleet-chips.bin >/dev/null
+		-workers 2 -chunk 1 -failpoints 'fleet/worker/chunk=kill@3' -dir $(SMOKE_DIR)/fleet-chips \
+		-progress -artifact $(SMOKE_DIR)/fleet-chips.bin >/dev/null 2>$(SMOKE_DIR)/fleet-chips.log
+	for i in 0 1; do \
+		grep -q "worker $$i died (failpoint)" $(SMOKE_DIR)/fleet-chips.log || exit 1; \
+		grep -q "worker $$i: attempt 2" $(SMOKE_DIR)/fleet-chips.log || exit 1; \
+	done
 	cmp $(SMOKE_DIR)/chips.bin $(SMOKE_DIR)/fleet-chips.bin
 	$(GO) run ./cmd/resultsd -store $(SMOKE_DIR)/store -quiet \
 		-query '/v1/summary' '$(SMOKE_DIR)/fleet/shard-*.json' \
@@ -158,7 +170,7 @@ smoke:
 		-query '/v1/artifact' > $(SMOKE_DIR)/store.bin
 	cmp $(SMOKE_DIR)/fleet.bin $(SMOKE_DIR)/store.bin
 	# Race-instrumented kill/resume + stall/retry: the fleet recovery
-	# paths under the race detector, beyond what -kill-after above covers.
+	# paths under the race detector, beyond what the kills above cover.
 	$(GO) test -race -count=1 \
 		-run 'TestFleetKillResumeByteIdentical|TestFleetStallKillsAndRetries' \
 		./internal/fleet

@@ -31,8 +31,7 @@ func runFleet(args []string) {
 		retries    = fs.Int("retries", 2, "relaunches per failed or stalled shard (-1 = none)")
 		backoff    = fs.Bool("retry-backoff", true, "capped exponential backoff with deterministic jitter between relaunches")
 		stall      = fs.Duration("stall", 0, "straggler gate: kill and retry a worker silent for this long (0 = off)")
-		killAfter  = fs.String("kill-after", "", "fault injection for tests: I:K kills worker I after K journaled chunks (first launch only)")
-		failpoints = fs.String("failpoints", "", "failpoint spec armed in every worker's first launch (internal/failpoint; relaunches come back clean)")
+		failpoints = fs.String("failpoints", "", "failpoint spec armed in every worker's first launch, e.g. fleet/worker/chunk=kill@2 kills each worker after one journaled chunk (internal/failpoint; relaunches come back clean)")
 		progress   = fs.Bool("progress", false, "stream aggregate job completion and worker lifecycle on stderr")
 		storeDir   = fs.String("store", "", "artifact store directory: auto-ingest every shard after the merge (serve with resultsd)")
 		csvOut     = fs.String("csv", "", "summary CSV file (\"-\" = stdout)")
@@ -70,13 +69,6 @@ func runFleet(args []string) {
 			log.Fatal(err)
 		}
 		spec.Store = st
-	}
-	if *killAfter != "" {
-		var i, k int
-		if _, err := fmt.Sscanf(*killAfter, "%d:%d", &i, &k); err != nil || fmt.Sprintf("%d:%d", i, k) != *killAfter || k < 1 {
-			log.Fatalf("bad -kill-after %q: want I:K, e.g. 0:1", *killAfter)
-		}
-		spec.KillAfter = map[int]int{i: k}
 	}
 	if *progress {
 		spec.Progress = printProgress

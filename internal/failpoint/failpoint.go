@@ -20,9 +20,10 @@
 // ships, not a test build.
 //
 // Arming is explicit and process-local. Tests call Arm/Reset; worker
-// subprocesses receive a spec via the fleet's -failpoints flag (first
-// launch only, so relaunched workers come back clean, mirroring
-// -kill-after); standalone binaries may opt in to the HBMRH_FAILPOINTS
+// subprocesses receive a spec via the fleet's -failpoints flag, which
+// the coordinator checks with Validate before any launch and passes to
+// each worker's first launch only, so relaunched workers come back
+// clean; standalone binaries may opt in to the HBMRH_FAILPOINTS
 // environment variable via ArmFromEnv. Nothing arms implicitly.
 //
 // Spec grammar (semicolon-separated clauses):
@@ -64,8 +65,8 @@ import (
 var ErrInjected = errors.New("failpoint: injected fault")
 
 // ExitCode is the process exit status of kill and tearkill actions —
-// distinct from the fleet's ExitInjected/ExitJournal so coordinator logs
-// name the cause.
+// distinct from the fleet's ExitJournal so coordinator logs name the
+// cause.
 const ExitCode = 5
 
 // EnvVar is the spec variable ArmFromEnv reads.
@@ -149,8 +150,30 @@ func Names() []string {
 // all-or-nothing: every clause is validated before any site is armed,
 // so a rejected spec leaves every site as it was.
 func Arm(spec string) error {
-	var armSites []*Site
-	var armings []*arming
+	armSites, armings, err := parse(spec)
+	if err != nil {
+		return err
+	}
+	for i, s := range armSites {
+		s.hits.Store(0)
+		s.arm.Store(armings[i])
+	}
+	return nil
+}
+
+// Validate parses spec exactly as Arm does and returns Arm's error for
+// it, arming nothing: a process that hands a spec to another one (the
+// fleet coordinator to its workers) refuses a typo before it launches
+// anything.
+func Validate(spec string) error {
+	_, _, err := parse(spec)
+	return err
+}
+
+// parse checks every clause of spec against the grammar and the site
+// catalog, returning each clause's site and the state arming it
+// installs, in spec order.
+func parse(spec string) (armSites []*Site, armings []*arming, err error) {
 	for _, clause := range strings.Split(spec, ";") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
@@ -158,19 +181,18 @@ func Arm(spec string) error {
 		}
 		name, rest, ok := strings.Cut(clause, "=")
 		if !ok {
-			return fmt.Errorf("failpoint: bad clause %q: want site=action[:arg][@hit]", clause)
+			return nil, nil, fmt.Errorf("failpoint: bad clause %q: want site=action[:arg][@hit]", clause)
 		}
 		a := &arming{hit: 1}
 		if at := strings.LastIndex(rest, "@"); at >= 0 {
 			n, err := strconv.ParseUint(rest[at+1:], 10, 64)
 			if err != nil || n == 0 {
-				return fmt.Errorf("failpoint: bad hit index in %q (want @N, N >= 1)", clause)
+				return nil, nil, fmt.Errorf("failpoint: bad hit index in %q (want @N, N >= 1)", clause)
 			}
 			a.hit = n
 			rest = rest[:at]
 		}
 		act, arg, hasArg := strings.Cut(rest, ":")
-		var err error
 		switch act {
 		case "error", "kill":
 			a.act = ActError
@@ -178,12 +200,12 @@ func Arm(spec string) error {
 				a.act = ActKill
 			}
 			if hasArg {
-				return fmt.Errorf("failpoint: %s takes no argument in %q", act, clause)
+				return nil, nil, fmt.Errorf("failpoint: %s takes no argument in %q", act, clause)
 			}
 		case "stall":
 			a.act = ActStall
 			if a.stall, err = time.ParseDuration(arg); err != nil || a.stall <= 0 {
-				return fmt.Errorf("failpoint: bad stall duration in %q", clause)
+				return nil, nil, fmt.Errorf("failpoint: bad stall duration in %q", clause)
 			}
 		case "tear", "tearkill":
 			a.act = ActTear
@@ -191,24 +213,20 @@ func Arm(spec string) error {
 				a.act = ActTearKill
 			}
 			if a.tear, err = strconv.Atoi(arg); err != nil || a.tear < 0 {
-				return fmt.Errorf("failpoint: bad tear offset in %q (want a byte count)", clause)
+				return nil, nil, fmt.Errorf("failpoint: bad tear offset in %q (want a byte count)", clause)
 			}
 		default:
-			return fmt.Errorf("failpoint: unknown action %q in %q", act, clause)
+			return nil, nil, fmt.Errorf("failpoint: unknown action %q in %q", act, clause)
 		}
 		regMu.Lock()
 		s := sites[name]
 		regMu.Unlock()
 		if s == nil {
-			return fmt.Errorf("failpoint: unknown site %q (catalog: %s)", name, strings.Join(Names(), ", "))
+			return nil, nil, fmt.Errorf("failpoint: unknown site %q in %q (catalog: %s)", name, clause, strings.Join(Names(), ", "))
 		}
 		armSites, armings = append(armSites, s), append(armings, a)
 	}
-	for i, s := range armSites {
-		s.hits.Store(0)
-		s.arm.Store(armings[i])
-	}
-	return nil
+	return armSites, armings, nil
 }
 
 // ArmFromEnv arms from the HBMRH_FAILPOINTS environment variable, a

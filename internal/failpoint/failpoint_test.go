@@ -182,8 +182,13 @@ func TestArmRejectsBadSpecs(t *testing.T) {
 		"test/parse=kill:",
 		"test/parse=kill:junk@2",
 	} {
-		if err := Arm(spec); err == nil {
+		err := Arm(spec)
+		if err == nil {
 			t.Errorf("Arm(%q) accepted a bad spec", spec)
+			continue
+		}
+		if verr := Validate(spec); verr == nil || verr.Error() != err.Error() {
+			t.Errorf("Validate(%q) = %v, want Arm's error %q", spec, verr, err)
 		}
 	}
 	// A bad clause must not have armed the site along the way.
@@ -208,6 +213,18 @@ func TestArmIsAllOrNothing(t *testing.T) {
 		if err := s.Inject(); err != nil {
 			t.Fatalf("rejected spec %q left its valid clause armed: %v", spec, err)
 		}
+	}
+}
+
+// TestValidateArmsNothing pins that a spec Validate accepts is one Arm
+// accepts, and that validating it leaves the site disarmed.
+func TestValidateArmsNothing(t *testing.T) {
+	s := site(t, "test/validate")
+	if err := Validate("test/validate=error; test/validate=kill@3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Inject(); err != nil {
+		t.Fatalf("Validate armed the site: %v", err)
 	}
 }
 

@@ -63,14 +63,13 @@ type Spec struct {
 	// stall detection (jobs of wildly different cost make "no news" a
 	// poor death signal at small timeouts).
 	StallTimeout time.Duration
-	// KillAfter injects faults for testing: worker i's FIRST launch gets
-	// -die-after KillAfter[i] and exits abruptly after sealing that many
-	// chunks. Retries relaunch it without the flag.
-	KillAfter map[int]int
 	// WorkerFailpoints, when non-empty, is a failpoint spec
 	// (internal/failpoint) passed to every worker's FIRST launch via
-	// -failpoints — the torture harness's hook for crashing workers at
-	// exact durability steps. Like KillAfter, relaunches come back clean.
+	// -failpoints, the one way to inject a worker fault: kill@K+1 on
+	// fleet/worker/chunk kills each worker after K sealed chunks, and
+	// the torture harness crashes workers at exact durability steps.
+	// Relaunches come back clean, so every killed worker resumes. Run
+	// refuses a malformed spec before launching any worker.
 	WorkerFailpoints string
 	// Backoff is the base delay of the capped exponential backoff between
 	// a worker's relaunches: attempt n waits ~Backoff·2ⁿ (capped at 30s),
@@ -122,6 +121,11 @@ func Run(s Spec) (*results.Artifact, error) {
 		retries = 2
 	} else if retries < 0 {
 		retries = 0
+	}
+	// Workers would each refuse a bad spec and exit, and their clean
+	// relaunches would finish a run that injected nothing.
+	if err := failpoint.Validate(s.WorkerFailpoints); err != nil {
+		return nil, err
 	}
 	opts, err := s.Options(ctx)
 	if err != nil {
@@ -293,15 +297,14 @@ func (r *run) observe(worker int, e Event) {
 // journal (ExitJournal) wipes the worker directory so the relaunch
 // starts the shard fresh.
 func (r *run) shard(ctx context.Context, i, lo, hi int, out string) error {
-	dieAfter := r.spec.KillAfter[i]
 	failpoints := r.spec.WorkerFailpoints
 	workerDir := filepath.Join(r.dir, fmt.Sprintf("worker-%d", i))
 	for attempt := 0; ; attempt++ {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		argv := r.workerArgv(i, lo, hi, workerDir, out, dieAfter, failpoints)
-		dieAfter, failpoints = 0, "" // injected faults fire on the first launch only
+		argv := r.workerArgv(i, lo, hi, workerDir, out, failpoints)
+		failpoints = "" // injected faults fire on the first launch only
 		sink := &eventSink{last: time.Now(), onEvent: func(e Event) { r.observe(i, e) }}
 		stderr := newTailBuffer(4 << 10)
 		proc, lerr := r.launcher.Start(ctx, argv, sink, stderr)
@@ -337,8 +340,6 @@ func (r *run) shard(ctx context.Context, i, lo, hi int, out string) error {
 		switch {
 		case wasStalled:
 			r.logf("fleet: worker %d stalled (no event for %s); killed", i, r.spec.StallTimeout)
-		case code == ExitInjected:
-			r.logf("fleet: worker %d died (injected)", i)
 		case code == failpoint.ExitCode:
 			r.logf("fleet: worker %d died (failpoint)", i)
 		case code == ExitJournal:
@@ -439,7 +440,7 @@ func (r *run) watchStall(ctx context.Context, proc Proc, sink *eventSink) (stall
 // workerArgv renders one worker assignment as the WorkerCommand argv —
 // the whole coordinator→worker protocol: the study's own flags
 // (Study.args) plus the worker's slice, journal and fault injection.
-func (r *run) workerArgv(i, lo, hi int, dir, out string, dieAfter int, failpoints string) []string {
+func (r *run) workerArgv(i, lo, hi int, dir, out, failpoints string) []string {
 	argv := append([]string{WorkerCommand}, r.spec.Study.args()...)
 	argv = append(argv,
 		"-worker", strconv.Itoa(i),
@@ -449,9 +450,6 @@ func (r *run) workerArgv(i, lo, hi int, dir, out string, dieAfter int, failpoint
 		"-dir", dir,
 		"-out", out,
 	)
-	if dieAfter > 0 {
-		argv = append(argv, "-die-after", strconv.Itoa(dieAfter))
-	}
 	if failpoints != "" {
 		argv = append(argv, "-failpoints", failpoints)
 	}

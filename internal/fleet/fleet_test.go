@@ -16,6 +16,7 @@ import (
 
 	"github.com/safari-repro/hbmrh/internal/engine"
 	"github.com/safari-repro/hbmrh/internal/experiments"
+	"github.com/safari-repro/hbmrh/internal/failpoint"
 	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/store"
 )
@@ -129,19 +130,20 @@ func TestFleetAutoIngest(t *testing.T) {
 	}
 }
 
-// TestFleetKillResumeByteIdentical kills worker 0 after its first sealed
-// chunk; the relaunch must resume from the journal and the merged
-// artifact must still match the single-process bytes.
+// TestFleetKillResumeByteIdentical kills every worker after its first
+// sealed chunk (a kill at the second arrival at the top of a chunk);
+// the relaunches must resume from the journals and the merged artifact
+// must still match the single-process bytes.
 func TestFleetKillResumeByteIdentical(t *testing.T) {
 	want := singleProcessBytes(t, testStudy())
 	var logs []string
 	var mu sync.Mutex
 	got := fleetBytes(t, Spec{
-		Study:     testStudy(),
-		Workers:   2,
-		Dir:       t.TempDir(),
-		Retries:   2,
-		KillAfter: map[int]int{0: 1},
+		Study:            testStudy(),
+		Workers:          2,
+		Dir:              t.TempDir(),
+		Retries:          2,
+		WorkerFailpoints: "fleet/worker/chunk=kill@2",
 		Log: func(format string, a ...any) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -152,7 +154,7 @@ func TestFleetKillResumeByteIdentical(t *testing.T) {
 		t.Fatalf("artifact after kill+resume differs from single-process run")
 	}
 	joined := strings.Join(logs, "\n")
-	if !strings.Contains(joined, "died (injected)") {
+	if !strings.Contains(joined, "died (failpoint)") {
 		t.Fatalf("injected death never fired; log:\n%s", joined)
 	}
 	if !strings.Contains(joined, "worker 0: attempt 2") {
@@ -160,7 +162,7 @@ func TestFleetKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkerResumeInProcess drives RunWorker directly: die after one or
+// TestWorkerResumeInProcess drives RunWorker directly: fail after one or
 // two sealed chunks (single-job chunks, and two-job chunks whose last
 // chunk is short), resume, and check the shard artifact equals an
 // uninterrupted slice run. It also checks the resumed session skipped
@@ -168,17 +170,17 @@ func TestFleetKillResumeByteIdentical(t *testing.T) {
 // and that the journal sealed them in compact JSON.
 func TestWorkerResumeInProcess(t *testing.T) {
 	for _, tc := range []struct {
-		name                string
-		hi, chunk, dieAfter int
-		resumedDone         int
+		name              string
+		hi, chunk, sealed int
+		resumedDone       int
 	}{
-		{"chunk1/kill-after-1", 3, 1, 1, 1},
-		{"chunk1/kill-after-2", 3, 1, 2, 2},
-		{"chunk2/kill-after-1", 5, 2, 1, 2},
+		{"chunk1/fail-after-1", 3, 1, 1, 1},
+		{"chunk1/fail-after-2", 3, 1, 2, 2},
+		{"chunk2/fail-after-1", 5, 2, 1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, want := resumeSpec(t, tc.hi, tc.chunk)
-			events := killAndResume(t, w, tc.dieAfter, nil)
+			events := killAndResume(t, w, tc.sealed, nil)
 			start := fmt.Sprintf(`"event":"start","worker":0,"lo":0,"hi":%d,"done":%d`, tc.hi, tc.resumedDone)
 			if !strings.Contains(events, start) {
 				t.Fatalf("resumed worker did not report the journaled chunks (want %s):\n%s", start, events)
@@ -251,10 +253,9 @@ func TestWorkerResumesIndentedChunks(t *testing.T) {
 // journal's permission bits.
 func TestWorkerResumesFromVerifiedBytes(t *testing.T) {
 	w, want := resumeSpec(t, 3, 1)
-	kill := w
-	kill.DieAfter = 2
-	if err := RunWorker(context.Background(), kill, io.Discard); !errors.Is(err, errInjected) {
-		t.Fatalf("DieAfter run: got %v, want injected death", err)
+	failAfter(t, 2)
+	if err := RunWorker(context.Background(), w, io.Discard); !errors.Is(err, failpoint.ErrInjected) {
+		t.Fatalf("failpoint run: got %v, want an injected fault", err)
 	}
 	j, opts, err := w.open(context.Background())
 	if err != nil {
@@ -319,15 +320,24 @@ func resumeSpec(t *testing.T, hi, chunk int) (WorkerSpec, []byte) {
 	return WorkerSpec{Study: s, Lo: 0, Hi: hi, Chunk: chunk, Dir: dir, Out: filepath.Join(dir, "shard.json")}, want
 }
 
-// killAndResume runs w until it dies after dieAfter sealed chunks, calls
+// failAfter arms the top of the worker's chunk loop to fail in process
+// after sealed chunks, disarming it when the test ends.
+func failAfter(t *testing.T, sealed int) {
+	t.Helper()
+	t.Cleanup(failpoint.Reset)
+	if err := failpoint.Arm(fmt.Sprintf("fleet/worker/chunk=error@%d", sealed+1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// killAndResume runs w until it fails after sealed chunks, calls
 // between (if non-nil) on the journal it left, resumes w to completion
 // and returns the resumed session's events.
-func killAndResume(t *testing.T, w WorkerSpec, dieAfter int, between func()) string {
+func killAndResume(t *testing.T, w WorkerSpec, sealed int, between func()) string {
 	t.Helper()
-	kill := w
-	kill.DieAfter = dieAfter
-	if err := RunWorker(context.Background(), kill, io.Discard); !errors.Is(err, errInjected) {
-		t.Fatalf("DieAfter run: got %v, want injected death", err)
+	failAfter(t, sealed)
+	if err := RunWorker(context.Background(), w, io.Discard); !errors.Is(err, failpoint.ErrInjected) {
+		t.Fatalf("failpoint run: got %v, want an injected fault", err)
 	}
 	if _, err := os.Stat(w.Out); !os.IsNotExist(err) {
 		t.Fatalf("killed worker wrote its shard artifact anyway (err %v)", err)
@@ -521,4 +531,40 @@ type launcherFunc func(context.Context, []string, io.Writer, io.Writer) (Proc, e
 
 func (f launcherFunc) Start(ctx context.Context, argv []string, stdout, stderr io.Writer) (Proc, error) {
 	return f(ctx, argv, stdout, stderr)
+}
+
+// TestFleetRefusesBadWorkerFailpoints pins that a typo in
+// WorkerFailpoints fails the run with failpoint.Arm's own error before
+// any worker launches. Workers would each refuse the spec, and their
+// clean relaunches would finish a run that injected nothing.
+func TestFleetRefusesBadWorkerFailpoints(t *testing.T) {
+	const spec = "fleet/worker/chnk=kill@2"
+	want := failpoint.Validate(spec)
+	if want == nil {
+		t.Fatalf("failpoint.Validate(%q) accepted the typo", spec)
+	}
+	launches := 0
+	dir := filepath.Join(t.TempDir(), "fleet")
+	_, err := Run(Spec{
+		Study:            testStudy(),
+		Workers:          2,
+		Dir:              dir,
+		WorkerFailpoints: spec,
+		Launcher: launcherFunc(func(ctx context.Context, argv []string, stdout, stderr io.Writer) (Proc, error) {
+			launches++
+			return LocalLauncher{}.Start(ctx, argv, stdout, stderr)
+		}),
+	})
+	if err == nil || err.Error() != want.Error() {
+		t.Fatalf("Run = %v, want %v", err, want)
+	}
+	if !strings.Contains(err.Error(), `"`+spec+`"`) {
+		t.Errorf("error %q does not name the bad clause", err)
+	}
+	if launches != 0 {
+		t.Fatalf("%d worker(s) launched before the spec was refused", launches)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("the refused run created its directory (stat err %v)", err)
+	}
 }

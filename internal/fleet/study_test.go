@@ -39,7 +39,7 @@ func TestStudyArgsRoundTrip(t *testing.T) {
 	n := 0
 	fillNonZero(t, reflect.ValueOf(&s).Elem(), "", &n)
 	r := &run{spec: Spec{Study: s}, chunk: 3}
-	argv := r.workerArgv(1, 2, 5, "journal", "shard.json", 4, "site=error@1")
+	argv := r.workerArgv(1, 2, 5, "journal", "shard.json", "site=error@1")
 	if argv[0] != WorkerCommand {
 		t.Fatalf("argv[0] = %q, want %q", argv[0], WorkerCommand)
 	}
@@ -47,7 +47,7 @@ func TestStudyArgsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parsing %q: %v", argv, err)
 	}
-	want := WorkerSpec{Study: s, Worker: 1, Lo: 2, Hi: 5, Chunk: 3, Dir: "journal", Out: "shard.json", DieAfter: 4}
+	want := WorkerSpec{Study: s, Worker: 1, Lo: 2, Hi: 5, Chunk: 3, Dir: "journal", Out: "shard.json"}
 	if w != want || failpoints != "site=error@1" {
 		t.Errorf("worker spec = %+v (failpoints %q), want %+v\n(argv %q)", w, failpoints, want, argv)
 	}

@@ -39,11 +39,6 @@ type WorkerSpec struct {
 	Dir string
 	// Out is where the finished shard artifact is written.
 	Out string
-	// DieAfter, when positive, makes the worker exit abruptly (skipping
-	// the shard merge and Out) after journaling that many chunks this
-	// session — the fault-injection hook behind the kill/resume tests and
-	// the CI smoke.
-	DieAfter int
 }
 
 // Event is one progress record a worker emits, one JSON line per event,
@@ -63,19 +58,12 @@ type Event struct {
 	Total int `json:"total"`
 }
 
-// Worker exit codes, the coordinator's retry protocol: any non-zero exit
-// triggers a relaunch (the journal makes relaunches resume), and
-// ExitJournal additionally wipes the worker directory first because the
-// journal itself was rejected.
-const (
-	// ExitJournal signals an unusable journal (ErrJournal).
-	ExitJournal = 4
-	// ExitInjected signals a DieAfter-injected death.
-	ExitInjected = 3
-)
-
-// errInjected is RunWorker's DieAfter sentinel.
-var errInjected = errors.New("fleet: injected worker death")
+// ExitJournal is the worker exit status of an unusable journal
+// (ErrJournal). It is one half of the coordinator's retry protocol: any
+// non-zero exit triggers a relaunch (the journal makes relaunches
+// resume), and ExitJournal additionally wipes the worker directory
+// first because the journal itself was rejected.
+const ExitJournal = 4
 
 // RunWorker measures one shard as a sequence of journaled chunks and
 // writes the merged shard artifact. Killed workers resume: the chunks a
@@ -158,7 +146,6 @@ func (w WorkerSpec) run(j *Journal, opts experiments.Options, events io.Writer) 
 	}
 	emit(Event{Event: "start", Done: j.Resumed() - w.Lo})
 
-	sealed := 0
 	for a := j.Resumed(); a < w.Hi; a = min(a+chunk, w.Hi) {
 		b := min(a+chunk, w.Hi)
 		if err := fpWorkerChunk.Inject(); err != nil {
@@ -175,9 +162,6 @@ func (w WorkerSpec) run(j *Journal, opts experiments.Options, events io.Writer) 
 			return err
 		}
 		emit(Event{Event: "chunk", Done: b - w.Lo})
-		if sealed++; w.DieAfter > 0 && sealed >= w.DieAfter {
-			return errInjected
-		}
 	}
 
 	if err := fpWorkerOut.Inject(); err != nil {
@@ -218,8 +202,6 @@ func WorkerMain(args []string) int {
 	switch {
 	case err == nil:
 		return 0
-	case errors.Is(err, errInjected):
-		return ExitInjected
 	case errors.Is(err, ErrJournal):
 		fmt.Fprintln(os.Stderr, err)
 		return ExitJournal
@@ -241,7 +223,6 @@ func parseWorkerArgs(args []string) (w WorkerSpec, failpoints string, err error)
 	fs.IntVar(&w.Chunk, "chunk", 1, "jobs per checkpoint")
 	fs.StringVar(&w.Dir, "dir", "", "journal directory")
 	fs.StringVar(&w.Out, "out", "", "shard artifact output file")
-	fs.IntVar(&w.DieAfter, "die-after", 0, "fault injection: exit after N journaled chunks")
 	fs.StringVar(&failpoints, "failpoints", "", "failpoint spec armed in this worker process (see internal/failpoint)")
 	if err := fs.Parse(args); err != nil {
 		return w, "", err

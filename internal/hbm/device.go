@@ -162,11 +162,10 @@ func New(cfg *config.Config) (*Device, error) {
 		return nil, fmt.Errorf("hbm: %w", err)
 	}
 	d := &Device{
-		cfg:      cfg,
-		fm:       fm,
-		mapper:   mapper,
-		layout:   fm.Layout(),
-		senseRef: forceReferenceSense.Load(),
+		cfg:    cfg,
+		fm:     fm,
+		mapper: mapper,
+		layout: fm.Layout(),
 	}
 	d.SetTemperature(cfg.Ret.RefTempC)
 	g := cfg.Geometry

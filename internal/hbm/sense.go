@@ -3,27 +3,16 @@ package hbm
 import (
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/faultmodel"
 )
 
-// forceReferenceSense, when set, makes newly-powered devices use the
-// straightforward reference sense implementation instead of the fast path.
-// It exists for the differential equivalence tests and ablation
-// benchmarks; production code never sets it. Devices read it once at New,
-// so pooled devices keep the path they were built with (drain the engine
-// pool when toggling it in tests).
-var forceReferenceSense atomic.Bool
-
-// ForceReferenceSense selects the sense implementation for devices powered
-// up after the call: the reference path when on, the fast path otherwise.
-// Testing/ablation hook only — both paths are bit-identical by contract
-// (see FuzzSenseEquivalence and DESIGN.md §8).
-func ForceReferenceSense(on bool) { forceReferenceSense.Store(on) }
-
-// SetSenseReference selects this device's sense implementation directly.
+// SetSenseReference selects this device's sense implementation: the
+// reference path when on, the fast path (the default) otherwise. It is a
+// hook for the differential equivalence tests and ablation benchmarks —
+// both paths are bit-identical by contract (see FuzzSenseEquivalence and
+// DESIGN.md §8).
 func (d *Device) SetSenseReference(on bool) { d.senseRef = on }
 
 // senseAndRestore models what the sense amplifiers do when a row is

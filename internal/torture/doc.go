@@ -10,10 +10,10 @@
 //
 // The repo's signature invariant — any interleaving of crashes and
 // resumes yields the same bytes — stops being a property sampled by one
-// hand-placed kill (-kill-after) and becomes an exhaustively checked
-// one: a new durability-critical code path is expected to register a
-// failpoint site, and the harness fails if a registered site has no
-// torture schedule. DESIGN.md §13 documents the byte-identity argument
+// kill and becomes an exhaustively checked one: a new
+// durability-critical code path is expected to register a failpoint
+// site, and the harness fails if a registered site has no torture
+// schedule. DESIGN.md §13 documents the byte-identity argument
 // per fault class.
 //
 // The package is test-only; the harness lives in torture_test.go.
