@@ -3,11 +3,9 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -70,12 +68,10 @@ func runFleet(args []string) {
 		}
 		spec.Store = st
 	}
+	pl := &progressLine{w: os.Stderr}
 	if *progress {
-		spec.Progress = printProgress
-		spec.Log = func(format string, a ...any) {
-			line := fmt.Sprintf(format, a...)
-			fmt.Fprintln(os.Stderr, strings.TrimRight(line, "\n"))
-		}
+		spec.Progress = pl.progress
+		spec.Log = pl.logf
 	}
 
 	start := time.Now()
@@ -84,7 +80,7 @@ func runFleet(args []string) {
 		log.Fatal(err)
 	}
 	if *progress {
-		fmt.Fprintf(os.Stderr, "fleet: done in %s\n", time.Since(start).Round(time.Millisecond))
+		pl.logf("fleet: done in %s", time.Since(start).Round(time.Millisecond))
 	}
 	if err := exportArtifact(os.Stdout, a, *groupBy, *csvOut, *jsonOut, *artifact); err != nil {
 		log.Fatal(err)

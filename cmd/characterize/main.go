@@ -76,6 +76,8 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
+	"sync"
 	"syscall"
 
 	hbmrh "github.com/safari-repro/hbmrh"
@@ -129,7 +131,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *progress {
-		opts.Progress = printProgress
+		opts.Progress = (&progressLine{w: os.Stderr}).progress
 	}
 	switch study.Experiment {
 	case "":
@@ -203,12 +205,37 @@ func writeMutexProfile(path string) {
 	}
 }
 
-// printProgress reports live job completion on stderr (-progress).
-func printProgress(p hbmrh.EngineProgress) {
-	fmt.Fprintf(os.Stderr, "\rjobs: %d/%d", p.Done, p.Total)
-	if p.Done == p.Total {
-		fmt.Fprintln(os.Stderr)
+// progressLine is -progress on a terminal: live job completion drawn
+// and redrawn as one line ("\rjobs: N/M") on w, with log lines kept off
+// it. A log line first ends an open progress line, so it never shares
+// one with a redraw; the next redraw starts below it. Fleet progress and
+// log lines arrive from different goroutines, hence the lock.
+type progressLine struct {
+	mu   sync.Mutex
+	w    io.Writer
+	open bool // the current line holds a progress redraw
+}
+
+// progress redraws the progress line, ending it once every job is done.
+func (p *progressLine) progress(e hbmrh.EngineProgress) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fmt.Fprintf(p.w, "\rjobs: %d/%d", e.Done, e.Total)
+	p.open = e.Done != e.Total
+	if !p.open {
+		fmt.Fprintln(p.w)
 	}
+}
+
+// logf writes one log line on a line of its own.
+func (p *progressLine) logf(format string, a ...any) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.open {
+		fmt.Fprintln(p.w)
+		p.open = false
+	}
+	fmt.Fprintln(p.w, strings.TrimRight(fmt.Sprintf(format, a...), "\n"))
 }
 
 func listExperiments(w io.Writer) {

@@ -105,3 +105,37 @@ func TestExportArtifactUnderivableAxisWritesNothing(t *testing.T) {
 		t.Fatalf("csv export: %q, %v", data, err)
 	}
 }
+
+// TestProgressLineKeepsLogLinesOffRedraws pins -progress on a terminal:
+// the progress redraws ("\rjobs: N/M", no newline) and the fleet
+// coordinator's log lines go to one writer, and no log line may land on
+// the line a redraw holds (as in "jobs: 2/5fleet: worker 1 died").
+func TestProgressLineKeepsLogLinesOffRedraws(t *testing.T) {
+	var out bytes.Buffer
+	p := &progressLine{w: &out}
+	logs := []string{"fleet: worker 1 died (failpoint)", "fleet: relaunching shard 1", "fleet: done in 1s"}
+	p.progress(hbmrh.EngineProgress{Done: 1, Total: 5})
+	p.progress(hbmrh.EngineProgress{Done: 2, Total: 5})
+	p.logf("%s\n", logs[0])
+	p.logf("%s", logs[1])
+	p.progress(hbmrh.EngineProgress{Done: 3, Total: 5})
+	p.progress(hbmrh.EngineProgress{Done: 5, Total: 5})
+	p.logf("%s", logs[2])
+	lines := strings.Split(out.String(), "\n")
+	seen := 0
+	for _, line := range lines {
+		if !strings.Contains(line, "fleet:") {
+			continue
+		}
+		if strings.Contains(line, "jobs:") {
+			t.Errorf("log line shares a line with a progress redraw: %q", line)
+		}
+		if line != logs[seen] {
+			t.Errorf("log line %d = %q, want %q", seen, line, logs[seen])
+		}
+		seen++
+	}
+	if seen != len(logs) || lines[len(lines)-1] != "" {
+		t.Fatalf("%d of %d log lines, output %q: want every log line whole and the output ending in a newline", seen, len(logs), out.String())
+	}
+}

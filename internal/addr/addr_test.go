@@ -21,7 +21,7 @@ func TestPaperGeometryCapacity(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	const wantBytes = 4 << 30 // 4 GiB stack density, as in the paper
+	const wantBytes int64 = 4 << 30 // 4 GiB stack density, as in the paper
 	if got := g.TotalBytes(); got != wantBytes {
 		t.Fatalf("TotalBytes() = %d, want %d", got, wantBytes)
 	}

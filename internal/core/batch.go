@@ -44,6 +44,13 @@ type probeProg struct {
 	// the refresh budget does not cover.
 	fill      byte
 	minTiming bool
+	// ba, victims, aggr and hold are the bank, the victims, the
+	// aggressor fill and the hammer hold the program was built over,
+	// which a search predicts its victims' first flips for.
+	ba      addr.BankAddr
+	victims []int
+	aggr    byte
+	hold    int64
 }
 
 // probePool recycles the probe programs of WCDP searches, and with them
@@ -73,7 +80,9 @@ func (h *Harness) buildProbes(pp *probeProg, ba addr.BankAddr, victims []int, p 
 		}
 	}
 	m := h.dev.Mapper()
-	pp.fill = p.Victim
+	pp.fill, pp.aggr = p.Victim, p.Aggressor
+	pp.ba, pp.hold = ba, holdPS
+	pp.victims = append(pp.victims[:0], victims...)
 	pp.minTiming = holdPS <= h.dev.Config().Timing.TRAS
 	b := pp.bld
 	b.Reset()
@@ -109,6 +118,7 @@ func (h *Harness) runProbes(pp *probeProg, counts []int, out []BERResult) error 
 	for j, n := range counts {
 		pp.live[j] = n > 0
 		if n > 0 {
+			h.probes.live++
 			if err := pp.prog.SetLoopCount(pp.loops[j], int64(n)); err != nil {
 				return err
 			}
@@ -172,9 +182,10 @@ func (h *Harness) berBatch(ba addr.BankAddr, victims []int, p Pattern, hammers i
 // ceiling probe of each search as its BER at maxHammers (the measurement
 // BERBatch at maxHammers would make). Each chunk of up to MaxProbeBatch
 // victims runs the search breadth-first on one program: the ceiling
-// probe for the whole chunk, then each halving round over its
-// still-searching victims, with the other probes skipped. Every victim
-// sees exactly the probe sequence a search of its own would issue.
+// probe for the whole chunk, then bisect's hint checks and halving
+// rounds over its still-searching victims, with the other probes
+// skipped. Every answer is read off probes the device ran, and equals
+// what a search of the victim's own would find.
 func (h *Harness) HCFirstBatch(ba addr.BankAddr, physVictims []int, p Pattern, maxHammers int) (hc []int, found []bool, ber []BERResult, err error) {
 	return h.HCFirstBatchHold(ba, physVictims, p, maxHammers, h.dev.Config().Timing.TRAS)
 }
@@ -190,6 +201,7 @@ func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Patter
 	found = make([]bool, n)
 	ber = make([]BERResult, n)
 	var counts, lo, hi, buf [MaxProbeBatch]int
+	var span [MaxProbeBatch]int64
 	pp := &h.probe
 	for c := 0; c < n; c += MaxProbeBatch {
 		chunk := physVictims[c:min(c+MaxProbeBatch, n)]
@@ -199,17 +211,18 @@ func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Patter
 		for j := range chunk {
 			counts[j] = maxHammers
 		}
+		h.probes.ceiling += len(chunk)
 		if err := h.runProbes(pp, counts[:len(chunk)], ber[c:]); err != nil {
 			return nil, nil, nil, err
 		}
 		active := buf[:0]
 		for j := range chunk {
-			if ber[c+j].Flips > 0 {
-				lo[j], hi[j] = 0, maxHammers
+			if r := ber[c+j]; r.Flips > 0 {
+				lo[j], hi[j], span[j] = 0, maxHammers, r.Elapsed
 				active = append(active, j)
 			}
 		}
-		if err := h.bisect(pp, active, lo[:], hi[:], nil); err != nil {
+		if err := h.bisect(pp, active, lo[:], hi[:], nil, span[:]); err != nil {
 			return nil, nil, nil, err
 		}
 		for _, j := range active {
@@ -219,56 +232,133 @@ func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Patter
 	return hc, found, ber, nil
 }
 
+// probeCounts counts the probes a harness ran, by kind, so tests can pin
+// what a search costs.
+type probeCounts struct {
+	// live counts every probe runProbes ran, of any kind.
+	live int
+	// ceiling counts the probes at a search's ceiling; hint the probes
+	// at the ends of a predicted leaf; fallback the halving-round probes
+	// after them, one per victim a round probes.
+	ceiling, hint, fallback int
+	// searches counts the victims bisect searched: those with a known
+	// flip at the ceiling.
+	searches int
+}
+
 // bisect is the HCfirst binary search on pp, batched over the chunk
-// victims in active. Victim j's bracket is (lo[j], hi[j]]: lo[j] is
-// known not to flip it and hi[j] to flip it. Each round probes every
-// victim whose bracket is still wider than HCPrecision at mid =
-// lo+(hi-lo)/2, all in one run that skips the other probes, and keeps
-// the half holding the first flip, so a bracket ends as the leaf of the
-// one search tree every search from (0, maxHammers] walks, and hi[j] as
-// the HCfirst. A victim with flipAt non-nil is known to flip at
-// flipAt[j] and, flips being monotone in the hammer count, at any count
-// above it: a mid at or above flipAt[j] moves hi without a probe. Every
-// victim sees the probes its own search would issue, minus the ones
-// flipAt answers.
-func (h *Harness) bisect(pp *probeProg, active []int, lo, hi, flipAt []int) error {
+// victims in active. Victim j's search starts at the root (lo[j], hi[j]]
+// of the one search tree every search from (0, maxHammers] walks, hi[j]
+// known to flip it and lo[j] not; flipAt, if non-nil, holds per victim a
+// count flipAt[j] also known to flip it. A node (lo, hi] wider than
+// HCPrecision halves at mid = lo+(hi-lo)/2 into the half holding the
+// first flip, so the search ends at a leaf, which it leaves in (lo[j],
+// hi[j]], with hi[j] the HCfirst.
+//
+// The search first asks the device which count first flips the victim
+// (hbm.Device.FirstFlipBurst; span[j] bounds its probe's duration at
+// hi[j], the ceiling probe's), walks the tree to the leaf (lo', hi']
+// holding that count, and probes the leaf's ends: all victims' hi' in
+// one run, then the lo' of those that flipped at hi' in another, with no
+// probe for an end whose answer is already known. Every probe only adds
+// a fact — a count known to flip the victim, or one known not to — and
+// the ordinary bisection then walks the tree from the root through those
+// facts: a mid at or above a flipping count moves hi, one at or below a
+// count that does not flip moves lo, each without a probe, and any other
+// mid is probed in a halving round batched over the chunk. Flips are
+// monotone in the hammer count, so a victim that flips at hi' and not at
+// lo' walks straight to the predicted leaf, which is then the leaf the
+// plain bisection reaches; a wrong prediction costs the rounds its facts
+// leave open, never the answer.
+func (h *Harness) bisect(pp *probeProg, active []int, lo, hi, flipAt []int, span []int64) error {
 	prec := max(h.HCPrecision, 1)
-	// searching skips the rounds flipAt answers and reports whether
-	// victim j still needs a probe.
+	// yes[j] is the smallest count known to flip victim j, no[j] the
+	// largest known not to; leafLo and leafHi are its predicted leaf.
+	var yes, no, leafLo, leafHi, buf, counts [MaxProbeBatch]int
+	var res [MaxProbeBatch]BERResult
+	for _, j := range active {
+		yes[j], no[j] = hi[j], lo[j]
+		if flipAt != nil {
+			yes[j] = min(yes[j], flipAt[j])
+		}
+		l, u := lo[j], hi[j]
+		if t := h.hint(pp, j, hi[j], span[j]); t > 0 {
+			for u-l > prec {
+				if mid := l + (u-l)/2; t <= mid {
+					u = mid
+				} else {
+					l = mid
+				}
+			}
+		}
+		leafLo[j], leafHi[j] = l, u
+	}
+	h.probes.searches += len(active)
+	n := len(pp.loops)
+	// run probes each victim of sel at counts[j] and records what the
+	// probe shows.
+	run := func(sel []int) error {
+		if err := h.runProbes(pp, counts[:n], res[:n]); err != nil {
+			return err
+		}
+		for _, j := range sel {
+			if res[j].Flips > 0 {
+				yes[j] = counts[j]
+			} else {
+				no[j] = counts[j]
+			}
+		}
+		return nil
+	}
+	for _, end := range [2]*[MaxProbeBatch]int{&leafHi, &leafLo} {
+		clear(counts[:n])
+		sel := buf[:0]
+		for _, j := range active {
+			if c := end[j]; no[j] < c && c < yes[j] {
+				counts[j] = c
+				sel = append(sel, j)
+			}
+		}
+		if len(sel) == 0 {
+			continue
+		}
+		h.probes.hint += len(sel)
+		if err := run(sel); err != nil {
+			return err
+		}
+	}
+	// searching walks victim j down the tree as far as its facts reach
+	// and reports whether it still needs a probe.
 	searching := func(j int) bool {
 		for hi[j]-lo[j] > prec {
-			mid := lo[j] + (hi[j]-lo[j])/2
-			if flipAt == nil || mid < flipAt[j] {
+			switch mid := lo[j] + (hi[j]-lo[j])/2; {
+			case mid >= yes[j]:
+				hi[j] = mid
+			case mid <= no[j]:
+				lo[j] = mid
+			default:
 				return true
 			}
-			hi[j] = mid
 		}
 		return false
 	}
-	var buf, counts [MaxProbeBatch]int
-	var res [MaxProbeBatch]BERResult
 	next := buf[:0]
 	for _, j := range active {
 		if searching(j) {
 			next = append(next, j)
 		}
 	}
-	n := len(pp.loops)
 	for len(next) > 0 {
 		clear(counts[:n])
 		for _, j := range next {
 			counts[j] = lo[j] + (hi[j]-lo[j])/2
 		}
-		if err := h.runProbes(pp, counts[:n], res[:n]); err != nil {
+		h.probes.fallback += len(next)
+		if err := run(next); err != nil {
 			return err
 		}
 		still := next[:0]
 		for _, j := range next {
-			if res[j].Flips > 0 {
-				hi[j] = counts[j]
-			} else {
-				lo[j] = counts[j]
-			}
 			if searching(j) {
 				still = append(still, j)
 			}
@@ -276,4 +366,15 @@ func (h *Harness) bisect(pp *probeProg, active []int, lo, hi, flipAt []int) erro
 		next = still
 	}
 	return nil
+}
+
+// hint returns the count the device predicts first flips chunk victim j
+// of pp, searched up to maxN, or 0 when it predicts none; hintShift moves
+// it.
+func (h *Harness) hint(pp *probeProg, j, maxN int, span int64) int {
+	n, ok := h.dev.FirstFlipBurst(pp.ba, pp.victims[j], pp.fill, pp.aggr, pp.hold, span, maxN)
+	if !ok {
+		n = 0
+	}
+	return n + h.hintShift
 }

@@ -236,14 +236,21 @@ func TestBERBatchHonoursCancelledContext(t *testing.T) {
 // search skips different probes of its program each round — against
 // sequential BER and HCfirst. Any divergence in the batch concatenation,
 // the probe skipping, the segment accounting, or the fast sense path
-// shows up as a value mismatch.
+// shows up as a value mismatch. A fuzzed shift moves every predicted
+// first flip the batched search checks, by part of a leaf, by a leaf,
+// by many, or past the ceiling (hintShift): a wrong prediction may cost
+// probes but must not change an answer.
 func FuzzBatchProbeEquivalence(f *testing.F) {
-	f.Add(uint8(0), []byte{10, 60, 200}, uint16(20_000), uint16(257), uint8(0))
-	f.Add(uint8(1), []byte{1, 1, 255}, uint16(50_000), uint16(601), uint8(0))
-	f.Add(uint8(2), []byte{128}, uint16(1), uint16(1), uint8(0))
-	f.Add(uint8(3), []byte{7, 9, 11, 13, 40, 80, 160, 220}, uint16(35_000), uint16(8), uint8(0))
-	f.Add(uint8(0), []byte{3, 30, 90, 150, 210, 250}, uint16(60_001), uint16(12), uint8(0))
-	f.Fuzz(func(t *testing.T, pi uint8, vraw []byte, rawHammers, rawPrec uint16, rawHold uint8) {
+	f.Add(uint8(0), []byte{10, 60, 200}, uint16(20_000), uint16(257), uint8(0), int32(0))
+	f.Add(uint8(1), []byte{1, 1, 255}, uint16(50_000), uint16(601), uint8(0), int32(0))
+	f.Add(uint8(2), []byte{128}, uint16(1), uint16(1), uint8(0), int32(0))
+	f.Add(uint8(3), []byte{7, 9, 11, 13, 40, 80, 160, 220}, uint16(35_000), uint16(8), uint8(0), int32(0))
+	f.Add(uint8(0), []byte{3, 30, 90, 150, 210, 250}, uint16(60_001), uint16(12), uint8(0), int32(0))
+	f.Add(uint8(1), []byte{20, 70, 140, 230}, uint16(40_000), uint16(1), uint8(0), int32(-1))
+	f.Add(uint8(2), []byte{5, 100, 200}, uint16(30_000), uint16(601), uint8(3), int32(300))
+	f.Add(uint8(3), []byte{9, 99, 199}, uint16(50_000), uint16(257), uint8(0), int32(-37*128))
+	f.Add(uint8(0), []byte{33, 133, 233}, uint16(45_000), uint16(8), uint8(1), int32(DefaultHammers))
+	f.Fuzz(func(t *testing.T, pi uint8, vraw []byte, rawHammers, rawPrec uint16, rawHold uint8, shift int32) {
 		if len(vraw) == 0 || len(vraw) > 8 {
 			t.Skip()
 		}
@@ -277,6 +284,7 @@ func FuzzBatchProbeEquivalence(f *testing.F) {
 			prec = hammers >> (1 + prec%18)
 		}
 		hFast.HCPrecision, hRef.HCPrecision = prec, prec
+		hFast.hintShift = int(shift)
 		tras := cfg.Timing.TRAS
 		hold := tras * int64(1+rawHold%16)
 		ba := batchBank()
@@ -321,9 +329,12 @@ func FuzzBatchProbeEquivalence(f *testing.F) {
 // an HCfirst search whose ceiling/precision ratio is not a power of two
 // (victims converge in different rounds) with some victims that never
 // flip, a two-chunk WCDP search, and a pressed (RowPress) HCfirst
-// search. The figures were recorded before the searches ran every step
-// on one program per chunk and pattern, so they show that the same
-// probes run and that a skipped probe issues no command.
+// search. The figures were recorded when the searches began to check
+// each victim's predicted leaf before any halving round, and the WCDP
+// search to try each victim's predicted winner first, which cut them to
+// between a third and a half (the plain bisection's were 19689019,
+// 223851408 and 5338144 ACTs), so they show which probes run and that a
+// skipped probe issues no command.
 func TestProbeDeviceWork(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -337,7 +348,7 @@ func TestProbeDeviceWork(t *testing.T) {
 			_, found, _, err := h.HCFirstBatch(batchBank(), victims, Table1()[0], 150_000)
 			return countTrue(found), len(victims), err
 		},
-			hbm.Stats{Acts: 19689019, Precharges: 19689019, Reads: 704, Writes: 11576, BitflipsCommitted: 45}, 925386463638},
+			hbm.Stats{Acts: 10922624, Precharges: 10922624, Reads: 344, Writes: 5736, BitflipsCommitted: 33}, 513364607488},
 		{"wcdp-two-chunks", func(h *Harness) (int, int, error) {
 			h.HCPrecision = 1000
 			victims := spreadVictims(h.Device().Geometry().Rows, MaxProbeBatch+7)
@@ -350,14 +361,14 @@ func TestProbeDeviceWork(t *testing.T) {
 			}
 			return n, len(victims), err
 		},
-			hbm.Stats{Acts: 223851408, Precharges: 223851408, Reads: 9200, Writes: 155168, BitflipsCommitted: 1273}, 10521050418964},
+			hbm.Stats{Acts: 80461562, Precharges: 80461562, Reads: 3360, Writes: 56784, BitflipsCommitted: 533}, 3781705952316},
 		{"hcfirst-hold", func(h *Harness) (int, int, error) {
 			victims := spreadVictims(h.Device().Geometry().Rows, 9)
 			hold := 4 * h.Device().Config().Timing.TRAS
 			_, found, _, err := h.HCFirstBatchHold(addr.BankAddr{Channel: 1}, victims, Table1()[1], 60_000, hold)
 			return countTrue(found), len(victims), err
 		},
-			hbm.Stats{Acts: 5338144, Precharges: 5338144, Reads: 576, Writes: 9232, BitflipsCommitted: 49}, 779249705844},
+			hbm.Stats{Acts: 2062639, Precharges: 2062639, Reads: 184, Writes: 2960, BitflipsCommitted: 26}, 301107055066},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -410,5 +421,110 @@ func TestHCFirstBatchBuildsEachLadderOnce(t *testing.T) {
 	n := int64(len(victims))
 	if c := h.Device().ModelCounters(); c.ProfileComputes != n || c.LadderBuilds != n || c.LadderRebuilds != 0 {
 		t.Fatalf("%d victims under four patterns: %+v, want %d profiles, %d ladders and no rebuild", n, c, n, n)
+	}
+}
+
+// TestHintedSearchProbeCounts pins what the predicted-leaf search costs
+// on the shape of the sweep-paper benchmark: the paper chip, 8 rows per
+// region in bank 0 of every channel, every Table 1 pattern through
+// HCFirstBatch at the default budget and precision. The plain bisection
+// ran 8,777 probes there, one ceiling probe per search plus 11 halving
+// rounds per flipping one. Now a flipping search checks the ends of its
+// predicted leaf, and a halving round runs only where a prediction
+// missed.
+func TestHintedSearchProbeCounts(t *testing.T) {
+	h, err := NewHarnessFromConfig(config.PaperChip())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := h.Device().Geometry()
+	var victims []int
+	for _, r := range Regions(g.Rows) {
+		for _, v := range r.SampleRows(8) {
+			if v > 0 && v < g.Rows-1 {
+				victims = append(victims, v)
+			}
+		}
+	}
+	for ch := range g.Channels {
+		for _, p := range Table1() {
+			if _, _, _, err := h.HCFirstBatch(addr.BankAddr{Channel: ch}, victims, p, DefaultHammers); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c := h.probes
+	t.Logf("probes %+v", c)
+	if c.live > 2600 {
+		t.Errorf("%d live probes, want at most 2600 (the plain bisection ran 8777)", c.live)
+	}
+	if c.searches == 0 || 20*c.fallback >= c.searches {
+		t.Errorf("%d halving-round probes over %d flipping searches, want under 5%%", c.fallback, c.searches)
+	}
+	if c.live != c.ceiling+c.hint+c.fallback {
+		t.Errorf("live probes %d != ceiling %d + hint %d + fallback %d", c.live, c.ceiling, c.hint, c.fallback)
+	}
+}
+
+// TestFirstFlipBurstMatchesProbes pins the device's prediction to the
+// probe the searches run: across channels, patterns, RowPress holds, an
+// ECC-on channel and a hot chip, the predicted count flips the victim's
+// read-out and one hammer fewer does not. The searches stay exact
+// whatever the prediction says; this pins that it says what the probe
+// shows, which is what makes them cheap.
+func TestFirstFlipBurstMatchesProbes(t *testing.T) {
+	cfg := config.SmallChip()
+	tras := cfg.Timing.TRAS
+	checked := 0
+	for _, c := range []struct {
+		ch    int
+		hold  int64
+		ecc   bool
+		tempC float64
+	}{
+		{7, tras, false, 85}, {2, tras, true, 85}, {4, 4 * tras, false, 85}, {1, 16 * tras, false, 85}, {5, tras, false, 95},
+	} {
+		h, err := NewHarnessFromConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.ecc {
+			enableECC(t, h, c.ch)
+		}
+		h.Device().SetTemperature(c.tempC)
+		ba := addr.BankAddr{Channel: c.ch}
+		for _, v := range spreadVictims(cfg.Geometry.Rows, 12) {
+			for _, p := range Table1() {
+				top, err := seqBER(h, ba, v, p, DefaultHammers, c.hold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, ok := h.Device().FirstFlipBurst(ba, v, p.Victim, p.Aggressor, c.hold, top.Elapsed, DefaultHammers)
+				if !ok {
+					if top.Flips > 0 {
+						t.Errorf("ch%d row %d %s hold %d: no prediction, but the ceiling flips", c.ch, v, p.Name, c.hold)
+					}
+					continue
+				}
+				at, err := seqBER(h, ba, v, p, n, c.hold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				below := BERResult{}
+				if n > 1 {
+					if below, err = seqBER(h, ba, v, p, n-1, c.hold); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if at.Flips == 0 || below.Flips != 0 {
+					t.Errorf("ch%d row %d %s hold %d: predicted %d, %d flips there and %d one below",
+						c.ch, v, p.Name, c.hold, n, at.Flips, below.Flips)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("%d predictions checked; the cases should flip most of their 240 searches", checked)
 	}
 }

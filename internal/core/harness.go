@@ -51,6 +51,13 @@ type Harness struct {
 	// HCPrecision is the absolute hammer-count resolution of the HCfirst
 	// binary search.
 	HCPrecision int
+
+	// probes counts the probes the harness ran, by kind.
+	probes probeCounts
+	// hintShift is added to every predicted first flip bisect walks to.
+	// It is 0 outside tests, which move it to check that a wrong
+	// prediction costs probes, never the answer.
+	hintShift int
 }
 
 // DefaultHCPrecision is the HCfirst binary-search resolution a fresh
@@ -97,6 +104,7 @@ func (h *Harness) Reset() {
 	h.ctx = nil
 	h.EnforceBudget = true
 	h.HCPrecision = DefaultHCPrecision
+	h.hintShift = 0
 }
 
 // SetContext arms mid-measurement cancellation: every subsequent BER
@@ -227,7 +235,8 @@ func CountFlips(reads [][]byte, fill byte) int {
 // bitflip in the victim, searching up to maxHammers (the paper uses up to
 // 256K). found is false when even maxHammers flips nothing. Bitflips are
 // monotone in the hammer count, so binary search is exact to
-// HCPrecision. It is a one-row HCFirstBatch.
+// HCPrecision (FuzzHCFirstDefinition checks both against the paper's
+// definition). It is a one-row HCFirstBatch.
 func (h *Harness) HCFirst(ba addr.BankAddr, physVictim int, p Pattern, maxHammers int) (hc int, found bool, err error) {
 	hcs, founds, _, err := h.HCFirstBatch(ba, []int{physVictim}, p, maxHammers)
 	if err != nil {

@@ -54,8 +54,9 @@ const numPatterns = 4
 // the chunk's program under the step's pattern, built on the chunk's
 // first probe under it, with the probes of the victims the step does
 // not need skipped. The first pattern each victim tries at the ceiling
-// is the previous chunk's last winner (Rowstripe0 for the first chunk);
-// the guess changes only how many probes run.
+// is the one the device predicts flips it first
+// (hbm.Device.FirstFlipBurst), Rowstripe0 when it predicts none; the
+// guess changes only how many probes run.
 func (h *Harness) WCDPBatch(ba addr.BankAddr, physVictims []int, maxHammers int) ([]WCDPResult, error) {
 	out := make([]WCDPResult, len(physVictims))
 	s := wcdpSearch{h: h, ba: ba, patterns: Table1(), max: maxHammers, tras: h.dev.Config().Timing.TRAS}
@@ -99,8 +100,6 @@ type wcdpSearch struct {
 	patterns []Pattern
 	max      int
 	tras     int64
-	// guess is the pattern the next chunk probes first at the ceiling.
-	guess int
 
 	victims []int
 	// progs[q] is the program under pattern q, taken from probePool on
@@ -109,8 +108,12 @@ type wcdpSearch struct {
 	progs [numPatterns]*probeProg
 	built uint8
 	rows  [MaxProbeBatch]wcdpRow
-	// lo and hi are victim j's incumbent leaf (lo[j], hi[j]].
+	// guess[j] is the pattern victim j probes first at the ceiling.
+	guess [MaxProbeBatch]int
+	// lo and hi are victim j's incumbent leaf (lo[j], hi[j]], and span[j]
+	// the duration of its first ceiling probe, which bounds every probe's.
 	lo, hi [MaxProbeBatch]int
+	span   [MaxProbeBatch]int64
 	res    [MaxProbeBatch]BERResult
 }
 
@@ -156,8 +159,8 @@ func (s *wcdpSearch) probe(sel []int, q int, count func(j int) int) ([]BERResult
 }
 
 // bisect runs Harness.bisect under pattern q over the chunk victims sel
-// from their leaves; flipAt, if non-nil, holds per chunk victim a count
-// known to flip it.
+// from the search tree's root; flipAt, if non-nil, holds per chunk
+// victim a count known to flip it.
 func (s *wcdpSearch) bisect(sel []int, q int, flipAt []int) error {
 	if len(sel) == 0 {
 		return nil
@@ -166,16 +169,31 @@ func (s *wcdpSearch) bisect(sel []int, q int, flipAt []int) error {
 	if err != nil {
 		return err
 	}
-	return s.h.bisect(pp, sel, s.lo[:], s.hi[:], flipAt)
+	return s.h.bisect(pp, sel, s.lo[:], s.hi[:], flipAt, s.span[:])
 }
 
-// ceilingOrder is the pattern a victim probes in ceiling round r: the
-// guess, then the others in Table 1 order.
-func (s *wcdpSearch) ceilingOrder(r int) int {
-	if r == 0 {
-		return s.guess
+// predictWinner returns the pattern the device predicts flips chunk
+// victim j first, the earliest on equal counts, or 0 when it predicts
+// no flip under any pattern.
+func (s *wcdpSearch) predictWinner(j int) int {
+	w, first := 0, 0
+	for q, p := range s.patterns {
+		n, ok := s.h.dev.FirstFlipBurst(s.ba, s.victims[j], p.Victim, p.Aggressor, s.tras, 0, s.max)
+		if ok && (first == 0 || n < first) {
+			w, first = q, n
+		}
 	}
-	if r-1 >= s.guess {
+	return w
+}
+
+// ceilingOrder is the pattern victim j probes in ceiling round r: its
+// guess, then the others in Table 1 order.
+func (s *wcdpSearch) ceilingOrder(j, r int) int {
+	g := s.guess[j]
+	if r == 0 {
+		return g
+	}
+	if r-1 >= g {
 		return r
 	}
 	return r - 1
@@ -187,31 +205,47 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 	atMax := func(int) int { return s.max }
 	atHi := func(j int) int { return s.hi[j] }
 	atLo := func(j int) int { return s.lo[j] }
-	var selBuf, nextBuf, flipAt [MaxProbeBatch]int
+	var selBuf, nextBuf, groupBuf, flipAt [MaxProbeBatch]int
 
 	// 1. Ceiling probes, until each victim has a pattern that flips: its
-	// incumbent, with the whole range as its leaf.
-	pending := selBuf[:0]
+	// incumbent, with the whole range as its leaf. A round runs once per
+	// pattern some victim probes in it.
+	pending, next := selBuf[:0], nextBuf[:0]
 	for j := range victims {
 		s.rows[j] = wcdpRow{inc: -1}
+		s.guess[j] = s.predictWinner(j)
 		pending = append(pending, j)
 	}
 	for r := 0; r < numPatterns && len(pending) > 0; r++ {
-		q := s.ceilingOrder(r)
-		res, err := s.probe(pending, q, atMax)
-		if err != nil {
-			return err
-		}
-		next := pending[:0]
-		for _, j := range pending {
-			if res[j].Flips > 0 {
-				s.rows[j].inc, s.lo[j], s.hi[j] = q, 0, s.max
-			} else {
-				s.rows[j].lost |= 1 << q
-				next = append(next, j)
+		next = next[:0]
+		for q := range numPatterns {
+			sel := groupBuf[:0]
+			for _, j := range pending {
+				if s.ceilingOrder(j, r) == q {
+					sel = append(sel, j)
+				}
+			}
+			if len(sel) == 0 {
+				continue
+			}
+			s.h.probes.ceiling += len(sel)
+			res, err := s.probe(sel, q, atMax)
+			if err != nil {
+				return err
+			}
+			for _, j := range sel {
+				if r == 0 {
+					s.span[j] = res[j].Elapsed
+				}
+				if res[j].Flips > 0 {
+					s.rows[j].inc, s.lo[j], s.hi[j] = q, 0, s.max
+				} else {
+					s.rows[j].lost |= 1 << q
+					next = append(next, j)
+				}
 			}
 		}
-		pending = next
+		pending, next = next, pending
 	}
 
 	// 2. Bisect each incumbent group.
@@ -277,6 +311,7 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 		if len(sel) == 0 {
 			continue
 		}
+		s.h.probes.ceiling += len(sel)
 		if _, err := s.probe(sel, q, atMax); err != nil {
 			return err
 		}
@@ -286,12 +321,10 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 		if r.inc < 0 { // nothing flipped: every ceiling is known
 			w := r.pick(1<<numPatterns - 1)
 			out[j] = WCDPResult{Pattern: s.patterns[w], BER: r.ceil[w].BER()}
-			s.guess = w
 			continue
 		}
 		w := r.pick(r.tied | 1<<r.inc)
 		out[j] = WCDPResult{Pattern: s.patterns[w], HCFirst: s.hi[j], Found: true, BER: r.ceil[w].BER()}
-		s.guess = w
 	}
 	return nil
 }

@@ -75,8 +75,7 @@ func spreadVictims(rows, n int) []int {
 // ceiling that is not a power of two, precisions from 1 up to half the
 // ceiling and beyond it (where patterns share a leaf and the BER
 // tie-break decides), a ceiling too low for any flip, and more victims
-// than one probe program carries, so the next chunk's first guess comes
-// from the one before.
+// than one probe program carries.
 func TestWCDPBatchMatchesFullSearch(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -156,15 +155,21 @@ func TestWCDPIsOneRowBatch(t *testing.T) {
 // what the four full HCfirst searches pick on a device pinned to the
 // reference sense path, for fuzzed rows, channel, ECC, ceiling and
 // precision. A pruning step that trusts a probe it should not shows up
-// as a different pattern, HCfirst or BER.
+// as a different pattern, HCfirst or BER. A fuzzed shift moves every
+// predicted first flip the incumbent and winner bisections check
+// (hintShift), so wrong predictions must leave the answers alone too.
 func FuzzWCDPEquivalence(f *testing.F) {
-	f.Add(uint8(7), false, []byte{10, 60, 200}, uint32(DefaultHammers), uint32(DefaultHCPrecision))
-	f.Add(uint8(0), false, []byte{1, 128, 255}, uint32(200_001), uint32(1))
-	f.Add(uint8(2), true, []byte{30, 90, 150}, uint32(DefaultHammers), uint32(128))
-	f.Add(uint8(5), false, []byte{7, 9, 11, 13, 40, 80, 160, 220}, uint32(100_000), uint32(50_000))
-	f.Add(uint8(1), false, []byte{100}, uint32(3_000), uint32(128))
-	f.Add(uint8(4), false, []byte{3, 250}, uint32(77_777), uint32(77_777))
-	f.Fuzz(func(t *testing.T, ch uint8, ecc bool, vraw []byte, rawHammers, rawPrec uint32) {
+	f.Add(uint8(7), false, []byte{10, 60, 200}, uint32(DefaultHammers), uint32(DefaultHCPrecision), int32(0))
+	f.Add(uint8(0), false, []byte{1, 128, 255}, uint32(200_001), uint32(1), int32(0))
+	f.Add(uint8(2), true, []byte{30, 90, 150}, uint32(DefaultHammers), uint32(128), int32(0))
+	f.Add(uint8(5), false, []byte{7, 9, 11, 13, 40, 80, 160, 220}, uint32(100_000), uint32(50_000), int32(0))
+	f.Add(uint8(1), false, []byte{100}, uint32(3_000), uint32(128), int32(0))
+	f.Add(uint8(4), false, []byte{3, 250}, uint32(77_777), uint32(77_777), int32(0))
+	f.Add(uint8(7), false, []byte{15, 115, 215}, uint32(DefaultHammers), uint32(DefaultHCPrecision), int32(DefaultHCPrecision))
+	f.Add(uint8(6), true, []byte{25, 125, 225}, uint32(DefaultHammers), uint32(DefaultHCPrecision), int32(-40*DefaultHCPrecision))
+	f.Add(uint8(3), false, []byte{45, 145, 245}, uint32(150_000), uint32(1), int32(-1))
+	f.Add(uint8(5), false, []byte{55, 155}, uint32(180_000), uint32(1000), int32(DefaultHammers))
+	f.Fuzz(func(t *testing.T, ch uint8, ecc bool, vraw []byte, rawHammers, rawPrec uint32, shift int32) {
 		if len(vraw) == 0 || len(vraw) > 8 {
 			t.Skip()
 		}
@@ -195,6 +200,7 @@ func FuzzWCDPEquivalence(f *testing.F) {
 		maxHammers := 1 + int(rawHammers%DefaultHammers)
 		hFast.HCPrecision = int(rawPrec % (DefaultHammers + 1))
 		hRef.HCPrecision = hFast.HCPrecision
+		hFast.hintShift = int(shift)
 		got, err := hFast.WCDPBatch(ba, victims, maxHammers)
 		if err != nil {
 			t.Fatal(err)

@@ -95,8 +95,11 @@ type Device struct {
 	// path (testing/ablation only; both are bit-identical).
 	senseRef bool
 	// flipScratch is the reusable flip accumulator of the sense fast
-	// path, so steady-state probing allocates nothing per sense.
+	// path, so steady-state probing allocates nothing per sense;
+	// fillScratch and wordScratch are FirstFlipBurst's.
 	flipScratch []int
+	fillScratch []byte
+	wordScratch []int
 }
 
 type pseudoChannel struct {
@@ -365,6 +368,18 @@ func (d *Device) activate(bank *bankState, logicalRow int, flips bool) error {
 	d.stats.Acts++
 	d.now += t.TCK
 	return nil
+}
+
+// actDose returns the disturbance factor of one activation held open for
+// holdPS: the base unit plus its RowPress amplification (rowPressExtra).
+func (d *Device) actDose(holdPS int64) float64 { return 1 + d.rowPressExtra(holdPS) }
+
+// rowWriteHold is how long a full-row write at minimum timing holds its
+// row open: tRCD to the first column write, one tCK per column, and no
+// less than tRAS before the precharge may close it.
+func (d *Device) rowWriteHold() int64 {
+	t := &d.cfg.Timing
+	return max(t.TRAS, t.TRCD+int64(d.cfg.Geometry.Columns)*t.TCK)
 }
 
 // rowPressExtra returns the additional disturbance factor (beyond the
@@ -741,6 +756,17 @@ func (d *Device) applyDisturb(bank *bankState, physRow int, scale float64) {
 	}
 }
 
+// doseOn returns the disturbance applyDisturb(bank, aggressor, scale)
+// adds to physical row victim of the same bank: the distance weight times
+// scale within the aggressor's subarray and blast radius, 0 beyond them.
+func (d *Device) doseOn(aggressor, victim int, scale float64) float64 {
+	lo, hi := d.layout.Bounds(aggressor)
+	if victim < lo || victim >= hi {
+		return 0
+	}
+	return d.fm.DistanceWeight(max(victim-aggressor, aggressor-victim)) * scale
+}
+
 // HammerPairHold performs n double-sided hammers: n alternating
 // activate+precharge pairs of the two logical aggressor rows, each
 // activation held open for holdPS (>= tRAS; tRAS is minimum timing,
@@ -823,7 +849,7 @@ func (d *Device) hammer(bank *bankState, logicalRows [2]int, nrows, n int, holdP
 	}
 	// Per-activation disturbance: the base unit plus any RowPress
 	// amplification from holding the row open beyond tRAS.
-	perAct := 1 + d.rowPressExtra(holdPS)
+	perAct := d.actDose(holdPS)
 	for _, p := range phys {
 		d.applyDisturb(bank, p, float64(n)*perAct)
 		pc.eng.ObserveActivate(b.Bank, p)

@@ -47,10 +47,8 @@ func (d *Device) senseAndRestore(bank *bankState, physRow int, at int64, flips b
 	// The temperature factors (see SetTemperature) scale retention and
 	// the RowHammer thresholds.
 	tscale, thrTemp := d.tscale, d.thrTemp
-	retPass := elapsedSec > d.cfg.Ret.FloorSec*tscale
-	// No cell threshold is below HCFloor and no data-coupling factor is
-	// below CouplingBoth, so lower disturbance cannot flip anything.
-	distPass := disturb >= d.cfg.Fault.HCFloor*d.cfg.Fault.CouplingBoth*thrTemp
+	retPass := d.decays(elapsedSec, tscale)
+	distPass := d.disturbs(disturb, thrTemp)
 	if !retPass && !distPass {
 		return
 	}
@@ -59,6 +57,28 @@ func (d *Device) senseAndRestore(bank *bankState, physRow int, at int64, flips b
 		return
 	}
 	d.senseFast(bank.addr, bank, rs, physRow, disturb, elapsedSec, tscale, thrTemp, retPass, distPass)
+}
+
+// decays reports whether elapsedSec since a row's last sense can outlast
+// the retention floor at retention scale tscale: the gate of the sense's
+// retention pass.
+func (d *Device) decays(elapsedSec, tscale float64) bool {
+	return elapsedSec > d.cfg.Ret.FloorSec*tscale
+}
+
+// disturbs reports whether disturb can flip any cell at threshold
+// temperature factor thrTemp: no cell threshold is below HCFloor and no
+// data-coupling factor is below CouplingBoth, so lower disturbance cannot
+// flip anything. It gates the sense's disturbance pass.
+func (d *Device) disturbs(disturb, thrTemp float64) bool {
+	return disturb >= d.cfg.Fault.HCFloor*d.cfg.Fault.CouplingBoth*thrTemp
+}
+
+// disturbScreen is the disturbance pass's quickThr screen in float32: a
+// bit whose threshold exceeds it cannot flip at disturb, and a float32
+// threshold passes it exactly when its float64 value is at most quickThr.
+func (d *Device) disturbScreen(disturb, thrTemp float64) float32 {
+	return floor32(disturb / (d.cfg.Fault.CouplingBoth * thrTemp))
 }
 
 // floor32 returns the largest float32 not above x, so that for every
@@ -80,14 +100,18 @@ func rowBit(buf []byte, i int) byte {
 	return (buf[i>>3] >> (uint(i) & 7)) & 1
 }
 
-// neighbourData resolves the row images of the two physically adjacent
-// rows for coupling evaluation. A neighbour beyond the subarray boundary
-// does not exist electrically; an unmaterialized neighbour holds the
-// power-up pattern (all zeros, a nil image).
-func (d *Device) neighbourData(bank *bankState, physRow int) (upData, downData []byte, hasUp, hasDown bool) {
+// neighbours reports which of a row's two physically adjacent rows exist
+// electrically: a neighbour beyond the subarray boundary does not.
+func (d *Device) neighbours(physRow int) (hasUp, hasDown bool) {
 	lo, hi := d.layout.Bounds(physRow)
-	hasUp = physRow > lo
-	hasDown = physRow < hi-1
+	return physRow > lo, physRow < hi-1
+}
+
+// neighbourData resolves the row images of the two physically adjacent
+// rows for coupling evaluation (see neighbours); an unmaterialized
+// neighbour holds the power-up pattern (all zeros, a nil image).
+func (d *Device) neighbourData(bank *bankState, physRow int) (upData, downData []byte, hasUp, hasDown bool) {
+	hasUp, hasDown = d.neighbours(physRow)
 	if hasUp {
 		if nb := bank.rowAt(physRow - 1); nb != nil {
 			upData = nb.data
@@ -103,11 +127,18 @@ func (d *Device) neighbourData(bank *bankState, physRow int) (upData, downData [
 
 // disturbFlip evaluates the full data-dependent disturbance criterion for
 // one bit that already passed the threshold screen: the bit flips when the
-// accumulated disturbance reaches its threshold scaled by neighbour
-// coupling, intra-row pattern, and temperature. Shared verbatim by both
-// sense paths.
+// accumulated disturbance reaches its effective threshold. Shared
+// verbatim by both sense paths.
 func (d *Device) disturbFlip(thr float32, data, upData, downData []byte,
 	hasUp, hasDown bool, i, bits int, v byte, disturb, thrTemp float64) bool {
+	return disturb >= d.effThreshold(thr, data, upData, downData, hasUp, hasDown, i, bits, v, thrTemp)
+}
+
+// effThreshold returns the disturbance at which bit i of a row, holding
+// v, flips: its threshold thr scaled by neighbour coupling, intra-row
+// pattern, and temperature.
+func (d *Device) effThreshold(thr float32, data, upData, downData []byte,
+	hasUp, hasDown bool, i, bits int, v byte, thrTemp float64) float64 {
 	opposite := 0
 	if hasUp && rowBit(upData, i) != v {
 		opposite++
@@ -117,9 +148,8 @@ func (d *Device) disturbFlip(thr float32, data, upData, downData []byte,
 	}
 	alternating := i > 0 && i < bits-1 &&
 		rowBit(data, i-1) != v && rowBit(data, i+1) != v
-	eff := float64(thr) * d.fm.CouplingFactor(opposite) *
+	return float64(thr) * d.fm.CouplingFactor(opposite) *
 		d.fm.IntraRowFactor(alternating) * thrTemp
-	return disturb >= eff
 }
 
 // senseFast is the production sense path. It exploits two profile
@@ -145,10 +175,7 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 	flips := d.flipScratch[:0]
 
 	if distPass {
-		// screen is the quickThr screen in float32: a threshold passes it
-		// exactly when its float64 value is at most quickThr.
-		screen := floor32(disturb / (d.cfg.Fault.CouplingBoth * thrTemp))
-		if rungs := d.fm.Ladder(prof, screen); len(rungs) > 0 {
+		if rungs := d.fm.Ladder(prof, d.disturbScreen(disturb, thrTemp)); len(rungs) > 0 {
 			upData, downData, hasUp, hasDown := d.neighbourData(bank, physRow)
 			for _, r := range rungs {
 				i := int(r.Bit)
