@@ -201,7 +201,6 @@ func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Patter
 	found = make([]bool, n)
 	ber = make([]BERResult, n)
 	var counts, lo, hi, buf [MaxProbeBatch]int
-	var span [MaxProbeBatch]int64
 	pp := &h.probe
 	for c := 0; c < n; c += MaxProbeBatch {
 		chunk := physVictims[c:min(c+MaxProbeBatch, n)]
@@ -218,11 +217,11 @@ func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Patter
 		active := buf[:0]
 		for j := range chunk {
 			if r := ber[c+j]; r.Flips > 0 {
-				lo[j], hi[j], span[j] = 0, maxHammers, r.Elapsed
+				lo[j], hi[j] = 0, maxHammers
 				active = append(active, j)
 			}
 		}
-		if err := h.bisect(pp, active, lo[:], hi[:], nil, span[:]); err != nil {
+		if err := h.bisect(pp, active, lo[:], hi[:], nil); err != nil {
 			return nil, nil, nil, err
 		}
 		for _, j := range active {
@@ -237,9 +236,12 @@ func (h *Harness) HCFirstBatchHold(ba addr.BankAddr, physVictims []int, p Patter
 type probeCounts struct {
 	// live counts every probe runProbes ran, of any kind.
 	live int
-	// ceiling counts the probes at a search's ceiling; hint the probes
-	// at the ends of a predicted leaf; fallback the halving-round probes
-	// after them, one per victim a round probes.
+	// ceiling counts HCFirstBatchHold's probes at its searches' ceiling;
+	// hint the probes at the ends of a predicted leaf and fallback the
+	// halving-round probes after them, one per victim a round probes,
+	// both counted in bisect for every search that runs it. A harness
+	// that ran only HCfirst searches has live == ceiling+hint+fallback;
+	// WCDPBatch's ceiling and settle probes count as live only.
 	ceiling, hint, fallback int
 	// searches counts the victims bisect searched: those with a known
 	// flip at the ceiling.
@@ -256,8 +258,7 @@ type probeCounts struct {
 // hi[j]], with hi[j] the HCfirst.
 //
 // The search first asks the device which count first flips the victim
-// (hbm.Device.FirstFlipBurst; span[j] bounds its probe's duration at
-// hi[j], the ceiling probe's), walks the tree to the leaf (lo', hi']
+// (hbm.Device.FirstFlipBurst), walks the tree to the leaf (lo', hi']
 // holding that count, and probes the leaf's ends: all victims' hi' in
 // one run, then the lo' of those that flipped at hi' in another, with no
 // probe for an end whose answer is already known. Every probe only adds
@@ -270,7 +271,7 @@ type probeCounts struct {
 // lo' walks straight to the predicted leaf, which is then the leaf the
 // plain bisection reaches; a wrong prediction costs the rounds its facts
 // leave open, never the answer.
-func (h *Harness) bisect(pp *probeProg, active []int, lo, hi, flipAt []int, span []int64) error {
+func (h *Harness) bisect(pp *probeProg, active []int, lo, hi, flipAt []int) error {
 	prec := max(h.HCPrecision, 1)
 	// yes[j] is the smallest count known to flip victim j, no[j] the
 	// largest known not to; leafLo and leafHi are its predicted leaf.
@@ -282,7 +283,7 @@ func (h *Harness) bisect(pp *probeProg, active []int, lo, hi, flipAt []int, span
 			yes[j] = min(yes[j], flipAt[j])
 		}
 		l, u := lo[j], hi[j]
-		if t := h.hint(pp, j, hi[j], span[j]); t > 0 {
+		if t := h.hint(pp, j, hi[j]); t > 0 {
 			for u-l > prec {
 				if mid := l + (u-l)/2; t <= mid {
 					u = mid
@@ -371,8 +372,8 @@ func (h *Harness) bisect(pp *probeProg, active []int, lo, hi, flipAt []int, span
 // hint returns the count the device predicts first flips chunk victim j
 // of pp, searched up to maxN, or 0 when it predicts none; hintShift moves
 // it.
-func (h *Harness) hint(pp *probeProg, j, maxN int, span int64) int {
-	n, ok := h.dev.FirstFlipBurst(pp.ba, pp.victims[j], pp.fill, pp.aggr, pp.hold, span, maxN)
+func (h *Harness) hint(pp *probeProg, j, maxN int) int {
+	n, ok := h.dev.FirstFlipBurst(pp.ba, pp.victims[j], pp.fill, pp.aggr, pp.hold, maxN)
 	if !ok {
 		n = 0
 	}

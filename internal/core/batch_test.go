@@ -499,7 +499,7 @@ func TestFirstFlipBurstMatchesProbes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				n, ok := h.Device().FirstFlipBurst(ba, v, p.Victim, p.Aggressor, c.hold, top.Elapsed, DefaultHammers)
+				n, ok := h.Device().FirstFlipBurst(ba, v, p.Victim, p.Aggressor, c.hold, DefaultHammers)
 				if !ok {
 					if top.Flips > 0 {
 						t.Errorf("ch%d row %d %s hold %d: no prediction, but the ceiling flips", c.ch, v, p.Name, c.hold)

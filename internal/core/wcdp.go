@@ -110,10 +110,8 @@ type wcdpSearch struct {
 	rows  [MaxProbeBatch]wcdpRow
 	// guess[j] is the pattern victim j probes first at the ceiling.
 	guess [MaxProbeBatch]int
-	// lo and hi are victim j's incumbent leaf (lo[j], hi[j]], and span[j]
-	// the duration of its first ceiling probe, which bounds every probe's.
+	// lo and hi are victim j's incumbent leaf (lo[j], hi[j]].
 	lo, hi [MaxProbeBatch]int
-	span   [MaxProbeBatch]int64
 	res    [MaxProbeBatch]BERResult
 }
 
@@ -169,7 +167,7 @@ func (s *wcdpSearch) bisect(sel []int, q int, flipAt []int) error {
 	if err != nil {
 		return err
 	}
-	return s.h.bisect(pp, sel, s.lo[:], s.hi[:], flipAt, s.span[:])
+	return s.h.bisect(pp, sel, s.lo[:], s.hi[:], flipAt)
 }
 
 // predictWinner returns the pattern the device predicts flips chunk
@@ -178,7 +176,7 @@ func (s *wcdpSearch) bisect(sel []int, q int, flipAt []int) error {
 func (s *wcdpSearch) predictWinner(j int) int {
 	w, first := 0, 0
 	for q, p := range s.patterns {
-		n, ok := s.h.dev.FirstFlipBurst(s.ba, s.victims[j], p.Victim, p.Aggressor, s.tras, 0, s.max)
+		n, ok := s.h.dev.FirstFlipBurst(s.ba, s.victims[j], p.Victim, p.Aggressor, s.tras, s.max)
 		if ok && (first == 0 || n < first) {
 			w, first = q, n
 		}
@@ -228,15 +226,11 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 			if len(sel) == 0 {
 				continue
 			}
-			s.h.probes.ceiling += len(sel)
 			res, err := s.probe(sel, q, atMax)
 			if err != nil {
 				return err
 			}
 			for _, j := range sel {
-				if r == 0 {
-					s.span[j] = res[j].Elapsed
-				}
 				if res[j].Flips > 0 {
 					s.rows[j].inc, s.lo[j], s.hi[j] = q, 0, s.max
 				} else {
@@ -311,7 +305,6 @@ func (s *wcdpSearch) chunk(victims []int, out []WCDPResult) error {
 		if len(sel) == 0 {
 			continue
 		}
-		s.h.probes.ceiling += len(sel)
 		if _, err := s.probe(sel, q, atMax); err != nil {
 			return err
 		}

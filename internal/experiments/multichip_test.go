@@ -510,53 +510,32 @@ func TestMultiChipGroupsMatchSweep(t *testing.T) {
 
 // TestMultiChipReadsAtMostHalfTheSweep pins the saving of the pruned
 // search: on the same chip, the per-channel jobs multichip runs read out
-// at most half the victim rows the sweep's four full searches read, plus
-// one per search that finds no flip. A full search costs a flipping
-// pattern three read-outs, its ceiling and the two ends of its predicted
-// leaf, and the pruned search needs one read-out per fact it rests on:
-// the winner's ceiling, its leaf's two ends and one per other pattern,
-// six for a victim all four patterns flip, exactly half of the sweep's
-// twelve. A pattern that never flips costs one read-out in either
-// search, so it cannot be halved.
+// at most six rows per victim, half the twelve the sweep's four full
+// searches read for a victim every pattern flips (each search its
+// ceiling and the two ends of its predicted leaf). The pruned search
+// reads the winner's ceiling and its leaf's two ends, and settles each
+// other pattern with one read-out at that leaf; a second read-out per
+// pattern, or a third, comes only from a tie or a predicted winner that
+// another pattern beats.
 func TestMultiChipReadsAtMostHalfTheSweep(t *testing.T) {
 	cfg := config.SmallChip()
-	layout := cfg.Layout()
-	reads := func(measure func(h *core.Harness, ch int) error) int64 {
-		var n int64
-		for ch := 0; ch < cfg.Geometry.Channels; ch++ {
-			h, err := core.NewHarnessFromConfig(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := h.Device().Stats().Reads
-			if err := measure(h, ch); err != nil {
-				t.Fatal(err)
-			}
-			n += h.Device().Stats().Reads - before
+	var reads, victims int64
+	for ch := 0; ch < cfg.Geometry.Channels; ch++ {
+		h, err := core.NewHarnessFromConfig(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return n
+		before := h.Device().Stats().Reads
+		recs, err := wcdpChannel(h, cfg.Geometry, 8, core.DefaultHammers, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads += h.Device().Stats().Reads - before
+		victims += int64(len(recs))
 	}
-	const rows = 8
-	wcdp := reads(func(h *core.Harness, ch int) error {
-		_, err := wcdpChannel(h, cfg.Geometry, rows, core.DefaultHammers, ch)
-		return err
-	})
-	var unflipped int64
-	sweep := reads(func(h *core.Harness, ch int) error {
-		recs, err := sweepChannel(h, cfg.Geometry, layout, rows, core.DefaultHammers, ch)
-		for _, r := range recs {
-			for _, f := range r.Found {
-				if !f {
-					unflipped++
-				}
-			}
-		}
-		return err
-	})
-	cols := int64(cfg.Geometry.Columns)
-	t.Logf("victim read-outs: multichip %d, sweep %d, of them %d searches that found no flip", wcdp/cols, sweep/cols, unflipped)
-	if 2*wcdp > sweep+2*unflipped*cols {
-		t.Fatalf("multichip read %d victim rows, more than half the sweep's %d plus its %d searches that found no flip",
-			wcdp/cols, sweep/cols, unflipped)
+	rows := reads / int64(cfg.Geometry.Columns)
+	t.Logf("victim read-outs: multichip %d over %d victims", rows, victims)
+	if rows > 6*victims {
+		t.Fatalf("multichip read %d victim rows, more than six for each of its %d victims", rows, victims)
 	}
 }

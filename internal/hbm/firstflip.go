@@ -15,8 +15,7 @@ import (
 // aggrFill, every row above the victim within the blast radius written
 // after it (each a full-row write at minimum timing), n activations of
 // the lower then the upper neighbour, each held open for holdPS, and the
-// victim read out. spanPS bounds the simulated time from the victim's
-// write to its read-out at maxN activations per neighbour.
+// victim read out.
 //
 // The prediction runs the code the device runs on that probe: the dose
 // applyDisturb and hammer add to the victim, the charge check, the
@@ -26,9 +25,9 @@ import (
 // flipping count is a binary search over n. ok is false when no count up
 // to maxN flips the victim, or when the probe could run long enough for
 // charge decay, which the prediction does not model, to flip a cell
-// first. It is a prediction, not a measurement: a search verifies it
-// with probes.
-func (d *Device) FirstFlipBurst(b addr.BankAddr, victim int, victimFill, aggrFill byte, holdPS, spanPS int64, maxN int) (n int, ok bool) {
+// first (probeSpan bounds its duration). It is a prediction, not a
+// measurement: a search verifies it with probes.
+func (d *Device) FirstFlipBurst(b addr.BankAddr, victim int, victimFill, aggrFill byte, holdPS int64, maxN int) (n int, ok bool) {
 	g := d.cfg.Geometry
 	if !b.Valid(g) || victim <= 0 || victim >= g.Rows-1 || maxN < 1 || holdPS < d.cfg.Timing.TRAS {
 		return 0, false
@@ -103,11 +102,26 @@ func (d *Device) FirstFlipBurst(b addr.BankAddr, victim int, victimFill, aggrFil
 	if best > maxN {
 		return 0, false
 	}
-	period := 2 * (holdPS + d.cfg.Timing.TRP)
-	if d.decays(float64(spanPS-int64(maxN-best)*period)*1e-12, d.tscale) {
+	if d.decays(float64(d.probeSpan(holdPS, best))*1e-12, d.tscale) {
 		return 0, false
 	}
 	return best, true
+}
+
+// probeLeadRows bounds the rows an HCfirst probe writes after its victim
+// (the characterization harness writes eight, out to its pattern
+// radius), so probeSpan holds for any layout up to that size.
+const probeLeadRows = 16
+
+// probeSpan bounds the simulated picoseconds from an HCfirst probe's
+// victim write to its read-out's activation at n bursts held for holdPS:
+// probeLeadRows row writes, each a row cycle of rowWriteHold, a
+// precharge and tRP, then n bursts of two activations, each held for
+// holdPS and followed by tRP, then the read-out's activate.
+func (d *Device) probeSpan(holdPS int64, n int) int64 {
+	t := &d.cfg.Timing
+	write := d.rowWriteHold() + t.TCK + t.TRP
+	return probeLeadRows*write + int64(n)*2*(holdPS+t.TRP) + t.TCK
 }
 
 // fillImages returns row images of the victim's fill and of its
