@@ -111,7 +111,7 @@ func benchHammerPath(b *testing.B, disableFast bool) {
 	tm := d.Config().Timing
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(d, d.Geometry(), prog); err != nil {
+		if _, err := runner.Run(d, prog); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

@@ -60,7 +60,7 @@ func main() {
 	if *trace {
 		runner.Trace = os.Stderr
 	}
-	res, err := runner.Run(dev, dev.Geometry(), prog)
+	res, err := runner.Run(dev, prog)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -373,10 +373,13 @@ type (
 	// the builder's buffers and is valid until the next Reset, emit or
 	// Build on the same builder.
 	BenderBuilder = bender.Builder
-	// BenderRunner executes programs against a device. A runner owns its
-	// result buffers: the Result returned by Run — including every Reads
-	// entry — is valid only until the next Run on the same runner; copy
-	// anything that must outlive it.
+	// BenderRunner executes programs against a device: Run(dev, prog)
+	// validates the program against the device's geometry and issues one
+	// device command per instruction, with hammer loops applied in bulk.
+	// The zero value is ready to use. A runner owns its result buffers:
+	// the Result returned by Run — including every Reads entry — is valid
+	// only until the next Run on the same runner; copy anything that must
+	// outlive it.
 	BenderRunner = bender.Runner
 	// RecoveredMap is a reverse-engineered physical row layout.
 	RecoveredMap = mapping.RecoveredMap
@@ -400,10 +403,10 @@ func NewBenderBuilder(d *Device) *BenderBuilder {
 	return bender.NewBuilder(d.Config().Timing, d.Geometry())
 }
 
-// NewBenderRunner returns a program runner with the loop fast path armed.
-func NewBenderRunner(d *Device) *BenderRunner {
-	return bender.NewRunner(d.Config().Timing)
-}
+// NewBenderRunner returns a program runner for d with its fast paths
+// armed. A runner reads the timing and geometry from the device it runs
+// on, so one runner serves any device.
+func NewBenderRunner(d *Device) *BenderRunner { return new(bender.Runner) }
 
 // AssembleProgram parses the textual DRAM Bender program format.
 func AssembleProgram(src string, g Geometry) (*BenderProgram, error) {

@@ -75,7 +75,7 @@ func TestPublicProgramAssembly(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := hbmrh.NewBenderRunner(d)
-	if _, err := r.Run(d, d.Geometry(), prog); err != nil {
+	if _, err := r.Run(d, prog); err != nil {
 		t.Fatal(err)
 	}
 	text := hbmrh.DisassembleProgram(prog)

@@ -13,8 +13,9 @@
 // column; the interpreter activates a row that a WRROW rewrites in full
 // before any read without computing the sense's bitflips, which the write
 // would erase unseen (see run.go). Validation proves every operand in
-// range once per program, and the interpreter drives the device's
-// unchecked core with the banks validation resolved (see ResolvedTarget).
+// range once per program and resolves each bank command's bank to its
+// flat index, which is how the interpreter addresses the device (see
+// Target).
 package bender
 
 import (
@@ -98,14 +99,14 @@ type Instr struct {
 
 // Program is an executable command sequence plus its write-data table.
 //
-// Validation (Validate, or a Runner's run, which validates first) proves
-// every operand in range and resolves each bank command's bank to its
-// BankAddr.Flat index once; the runner then executes the program on the
-// device's unchecked core (see ResolvedTarget), which trusts that table.
-// After validation, SetLoopCount is the one supported change to a
-// program: any other change to Instrs or Data is outside the API
-// contract, and the runner would execute the resolved banks and the
-// validated operands it no longer matches.
+// Validation (Validate, or a Runner's run, which validates first against
+// the target's geometry) proves every operand in range and resolves each
+// bank command's bank to its BankAddr.Flat index once; the runner then
+// addresses the device with that table (see Target). After validation,
+// SetLoopCount is the one supported change to a program: any other change
+// to Instrs or Data is outside the API contract, and the runner would
+// execute the resolved banks and the validated operands it no longer
+// matches.
 type Program struct {
 	Instrs []Instr
 	// Data holds write payloads referenced by OpWr and OpWrRow

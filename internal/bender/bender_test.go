@@ -29,8 +29,8 @@ func ba(ch, pc, bank int) addr.BankAddr {
 
 func run(t testing.TB, d *hbm.Device, p *bender.Program) *bender.Result {
 	t.Helper()
-	r := bender.NewRunner(d.Config().Timing)
-	res, err := r.Run(d, d.Geometry(), p)
+	r := new(bender.Runner)
+	res, err := r.Run(d, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +118,8 @@ func TestFastPathMatchesSlowPathExactly(t *testing.T) {
 	exec := func(disableFast bool) (*bender.Result, int64, hbm.Stats) {
 		d := newDevice(t)
 		prog := buildHammerProgram(t, d, ba(7, 0, 0), phys, n)
-		r := bender.NewRunner(d.Config().Timing)
-		r.DisableFastPath = disableFast
-		res, err := r.Run(d, d.Geometry(), prog)
+		r := &bender.Runner{DisableFastPath: disableFast}
+		res, err := r.Run(d, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,6 +145,51 @@ func TestFastPathMatchesSlowPathExactly(t *testing.T) {
 	}
 	if fastStats.Acts != slowStats.Acts {
 		t.Errorf("activation counts diverge: %d vs %d", fastStats.Acts, slowStats.Acts)
+	}
+}
+
+// TestFastPathCarriesLoopCountPast32Bits pins the bulk hammer path at a
+// loop count that does not fit 32 bits: every iteration's two ACTs and
+// two PREs are counted, and the clock advances by the loop body's own
+// per-iteration time, pad included (each PRE waits one tCK longer than
+// tRP needs), n times. A count narrowed to a 32-bit int hammers 3 times.
+func TestFastPathCarriesLoopCountPast32Bits(t *testing.T) {
+	const n = int64(1)<<32 + 3
+	d := newDevice(t)
+	tm := d.Config().Timing
+	layout := d.Config().Layout()
+	phys := layout.Start(1) + layout.Size(1)/2
+	m := d.Mapper()
+	bank := ba(7, 0, 0)
+	b := bender.NewBuilder(tm, d.Geometry())
+	b.Loop(n, func(b *bender.Builder) {
+		for _, row := range []int{m.ToLogical(phys - 1), m.ToLogical(phys + 1)} {
+			b.Act(bank, row)
+			b.Wait(tm.TRAS - tm.TCK)
+			b.Pre(bank)
+			b.Wait(tm.TRP)
+		}
+	})
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	r := &bender.Runner{Trace: &trace}
+	res, err := r.Run(d, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(trace.String(), "bulk") {
+		t.Fatalf("the loop ran off the bulk path:\n%s", trace.String())
+	}
+	if s := d.Stats(); s.Acts != 2*n || s.Precharges != 2*n {
+		t.Errorf("acts=%d precharges=%d, want %d each", s.Acts, s.Precharges, 2*n)
+	}
+	perIter := 2 * (tm.TRAS + tm.TRP + tm.TCK)
+	if res.Elapsed != n*perIter || d.Now() != n*perIter {
+		t.Errorf("elapsed %d ps, clock %d ps, want %d iterations of %d ps = %d",
+			res.Elapsed, d.Now(), n, perIter, n*perIter)
 	}
 }
 
@@ -407,9 +451,8 @@ func TestHammerDoubleHoldFastMatchesSlow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := bender.NewRunner(tm)
-		r.DisableFastPath = disableFast
-		res, err := r.Run(d, d.Geometry(), prog)
+		r := &bender.Runner{DisableFastPath: disableFast}
+		res, err := r.Run(d, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,9 +488,9 @@ func TestTraceLogsCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	r := bender.NewRunner(tm)
+	r := new(bender.Runner)
 	r.Trace = &buf
-	if _, err := r.Run(d, d.Geometry(), prog); err != nil {
+	if _, err := r.Run(d, prog); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -488,10 +531,8 @@ func TestTraceSlowPathLogsEveryIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	r := bender.NewRunner(tm)
-	r.Trace = &buf
-	r.DisableFastPath = true
-	if _, err := r.Run(d, d.Geometry(), prog); err != nil {
+	r := &bender.Runner{Trace: &buf, DisableFastPath: true}
+	if _, err := r.Run(d, prog); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(buf.String(), "act  "); got != 3 {
@@ -538,8 +579,8 @@ func TestLoopErrorReportsIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bender.NewRunner(d.Config().Timing)
-	_, err = r.Run(d, d.Geometry(), prog)
+	r := new(bender.Runner)
+	_, err = r.Run(d, prog)
 	if err == nil {
 		t.Fatal("double activation accepted")
 	}
@@ -559,8 +600,8 @@ func TestRunnerReusesResultAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bender.NewRunner(d.Config().Timing)
-	res1, err := r.Run(d, d.Geometry(), prog)
+	r := new(bender.Runner)
+	res1, err := r.Run(d, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +615,7 @@ func TestRunnerReusesResultAcrossRuns(t *testing.T) {
 			}
 		}
 	}
-	res2, err := r.Run(d, d.Geometry(), prog)
+	res2, err := r.Run(d, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +627,7 @@ func TestRunnerReusesResultAcrossRuns(t *testing.T) {
 func TestBuilderResetReusesBuffers(t *testing.T) {
 	d := newDevice(t)
 	b := bender.NewBuilder(d.Config().Timing, d.Geometry())
-	r := bender.NewRunner(d.Config().Timing)
+	r := new(bender.Runner)
 	// Three programs from one builder, Reset in between: a fresh payload
 	// interned after a Reset (0x55), then a repeat of the first fill to
 	// prove the intern table persisted across both Resets. All must
@@ -599,7 +640,7 @@ func TestBuilderResetReusesBuffers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Run(d, d.Geometry(), prog)
+		res, err := r.Run(d, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,9 +709,8 @@ func TestWriteRowFillMatchesPerColumnBuild(t *testing.T) {
 	}
 	exec := func(perColumn, disableFast bool) outcome {
 		d := newDevice(t)
-		r := bender.NewRunner(tm)
-		r.DisableFastPath = disableFast
-		res, err := r.Run(d, g, build(perColumn))
+		r := &bender.Runner{DisableFastPath: disableFast}
+		res, err := r.Run(d, build(perColumn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -699,11 +739,11 @@ type overwriteRecorder struct {
 	overwrites int
 }
 
-func (o *overwriteRecorder) ActivateResolved(bank, row int, overwrite bool) error {
+func (o *overwriteRecorder) Activate(bank, row int, overwrite bool) error {
 	if overwrite {
 		o.overwrites++
 	}
-	return o.Device.ActivateResolved(bank, row, overwrite)
+	return o.Device.Activate(bank, row, overwrite)
 }
 
 // TestOverwriteBlockShapes pins which activations the runner elides the
@@ -901,13 +941,12 @@ func TestOverwriteBlockShapes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r := bender.NewRunner(tm)
-				r.DisableFastPath = disableFast
+				r := &bender.Runner{DisableFastPath: disableFast}
 				var res *bender.Result
 				if bound >= 0 {
-					res, _, err = r.RunSegments(d, g, prog, []int{start, bound, len(prog.Instrs)}, allLive(3), nil)
+					res, _, err = r.RunSegments(d, prog, []int{start, bound, len(prog.Instrs)}, allLive(3), nil)
 				} else {
-					res, err = r.Run(d, g, prog)
+					res, err = r.Run(d, prog)
 				}
 				if err != nil {
 					return d, nil, err

@@ -2,7 +2,6 @@ package bender_test
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -45,7 +44,7 @@ type runOutcome struct {
 
 func outcome(t *testing.T, r *bender.Runner, d *hbm.Device, prog *bender.Program) runOutcome {
 	t.Helper()
-	res, err := r.Run(d, d.Geometry(), prog)
+	res, err := r.Run(d, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +71,8 @@ func TestSetLoopCountRerunMatchesFreshBuild(t *testing.T) {
 	counts := []int64{40_000, 9_000, 70_000} // down, then up past the first count
 	for _, disableFast := range []bool{false, true} {
 		dReuse, dFresh := newDevice(t), newDevice(t)
-		rReuse := bender.NewRunner(dReuse.Config().Timing)
-		rFresh := bender.NewRunner(dFresh.Config().Timing)
-		rReuse.DisableFastPath, rFresh.DisableFastPath = disableFast, disableFast
+		rReuse := &bender.Runner{DisableFastPath: disableFast}
+		rFresh := &bender.Runner{DisableFastPath: disableFast}
 		reused, loop := probeProgram(t, dReuse, bank, phys, counts[0])
 		flips := 0
 		for i, n := range counts {
@@ -123,8 +121,8 @@ func TestSetLoopCountRejectsAndLeavesProgramUnchanged(t *testing.T) {
 	}
 	fresh, _ := probeProgram(t, d, ba(7, 0, 0), phys, 2000)
 	dFresh := newDevice(t)
-	got := outcome(t, bender.NewRunner(d.Config().Timing), d, prog)
-	want := outcome(t, bender.NewRunner(dFresh.Config().Timing), dFresh, fresh)
+	got := outcome(t, new(bender.Runner), d, prog)
+	want := outcome(t, new(bender.Runner), dFresh, fresh)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("program run after rejected SetLoopCount calls diverges from a fresh build")
 	}
@@ -167,9 +165,8 @@ func TestRunSegmentsRejectsBoundInsideLoop(t *testing.T) {
 			{outer, afterHammer + 4, end}, // a legal bound, then the inner OpEndLoop
 		} {
 			d := newDevice(t)
-			r := bender.NewRunner(tm)
-			r.DisableFastPath = disableFast
-			_, _, err := r.RunSegments(d, g, prog, bounds, allLive(len(bounds)), nil)
+			r := &bender.Runner{DisableFastPath: disableFast}
+			_, _, err := r.RunSegments(d, prog, bounds, allLive(len(bounds)), nil)
 			if err == nil || !strings.Contains(err.Error(), "inside the loop") {
 				t.Errorf("fast path disabled %v, bounds %v: got %v, want a bound-inside-loop error", disableFast, bounds, err)
 			}
@@ -178,9 +175,8 @@ func TestRunSegmentsRejectsBoundInsideLoop(t *testing.T) {
 			}
 		}
 		d := newDevice(t)
-		r := bender.NewRunner(tm)
-		r.DisableFastPath = disableFast
-		_, segs, err := r.RunSegments(d, g, prog, []int{outer, afterHammer, end}, allLive(3), nil)
+		r := &bender.Runner{DisableFastPath: disableFast}
+		_, segs, err := r.RunSegments(d, prog, []int{outer, afterHammer, end}, allLive(3), nil)
 		if err != nil {
 			t.Fatalf("fast path disabled %v: bounds around the loop rejected: %v", disableFast, err)
 		}
@@ -232,17 +228,16 @@ func TestRunSegmentsSkipsDeadSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := newDevice(t)
-		r := bender.NewRunner(tm)
-		r.DisableFastPath = disableFast
+		r := &bender.Runner{DisableFastPath: disableFast}
 		for _, live := range [][]bool{nil, {true, false}, allLive(4)} {
-			if _, _, err := r.RunSegments(d, g, prog, bounds, live, nil); err == nil {
+			if _, _, err := r.RunSegments(d, prog, bounds, live, nil); err == nil {
 				t.Fatalf("mask of %d for %d segments accepted", len(live), len(bounds))
 			}
 		}
 		if d.Now() != 0 || d.Stats() != (hbm.Stats{}) {
 			t.Fatal("a run with a mismatched mask touched the device")
 		}
-		res, segs, err := r.RunSegments(d, g, prog, bounds, []bool{true, false, true}, nil)
+		res, segs, err := r.RunSegments(d, prog, bounds, []bool{true, false, true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,8 +252,7 @@ func TestRunSegmentsSkipsDeadSegments(t *testing.T) {
 		if prog, err = b.Build(); err != nil {
 			t.Fatal(err)
 		}
-		r = bender.NewRunner(tm)
-		r.DisableFastPath = disableFast
+		r = &bender.Runner{DisableFastPath: disableFast}
 		want := outcome(t, r, newDevice(t), prog)
 		if countFlips(&bender.Result{Reads: want.reads}, 0xFF) == 0 {
 			t.Fatal("the live probes flipped nothing; the comparison shows little")
@@ -305,13 +299,13 @@ func TestRunnerPlanFollowsProgramContents(t *testing.T) {
 	// One builder and runner for both programs.
 	dShared := newDevice(t)
 	bShared := bender.NewBuilder(tm, g)
-	rShared := bender.NewRunner(tm)
+	rShared := new(bender.Runner)
 	outcome(t, rShared, dShared, build(bShared, first))
 	got := outcome(t, rShared, dShared, build(bShared, second))
 	// A fresh builder and runner for the second program.
 	dFresh := newDevice(t)
-	outcome(t, bender.NewRunner(tm), dFresh, build(bender.NewBuilder(tm, g), first))
-	want := outcome(t, bender.NewRunner(tm), dFresh, build(bender.NewBuilder(tm, g), second))
+	outcome(t, new(bender.Runner), dFresh, build(bender.NewBuilder(tm, g), first))
+	want := outcome(t, new(bender.Runner), dFresh, build(bender.NewBuilder(tm, g), second))
 	if n := countFlips(&bender.Result{Reads: want.reads}, 0x00); n == 0 {
 		t.Fatal("the read-out saw no retention flips; the test cannot tell a stale plan")
 	}
@@ -320,29 +314,34 @@ func TestRunnerPlanFollowsProgramContents(t *testing.T) {
 	}
 }
 
-// TestRunnerChecksAddressesOffTheDeviceGeometry pins the guard on the
-// device's unchecked core: a program validated against a geometry other
-// than the device's has banks the device may not have, so the runner
-// must issue it through the checked commands, which reject them, rather
-// than resolve them into the device's bank table.
+// TestRunnerChecksAddressesOffTheDeviceGeometry pins that a run
+// validates against the target's own geometry: a program built and
+// validated for a wider geometry names a bank the device does not have,
+// so the runner must re-validate it and refuse it before any command
+// runs, rather than resolve that bank into the device's bank table.
 func TestRunnerChecksAddressesOffTheDeviceGeometry(t *testing.T) {
 	d := newDevice(t)
 	wide := d.Geometry()
 	wide.Channels *= 2
 	b := bender.NewBuilder(d.Config().Timing, wide)
+	b.Act(ba(0, 0, 0), 5)
+	b.Wait(d.Config().Timing.TRAS)
+	b.Pre(ba(0, 0, 0))
 	b.Act(ba(wide.Channels-1, 0, 0), 5)
 	prog, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, disableFast := range []bool{false, true} {
-		r := bender.NewRunner(d.Config().Timing)
-		r.DisableFastPath = disableFast
-		if _, err := r.Run(d, wide, prog); !errors.Is(err, hbm.ErrAddress) {
-			t.Fatalf("DisableFastPath=%v: running a bank outside the device gave %v, want ErrAddress", disableFast, err)
+		r := &bender.Runner{DisableFastPath: disableFast}
+		if _, err := r.Run(d, prog); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("DisableFastPath=%v: running a bank outside the device gave %v, want a validation error", disableFast, err)
+		}
+		if _, _, err := r.RunSegments(d, prog, []int{len(prog.Instrs)}, []bool{true}, nil); err == nil {
+			t.Fatalf("DisableFastPath=%v: a segmented run of a bank outside the device succeeded", disableFast)
 		}
 	}
 	if d.Stats() != (hbm.Stats{}) || d.Now() != 0 {
-		t.Fatalf("the rejected command touched the device: %+v at %d ps", d.Stats(), d.Now())
+		t.Fatalf("the refused program touched the device: %+v at %d ps", d.Stats(), d.Now())
 	}
 }

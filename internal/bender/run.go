@@ -9,50 +9,38 @@ import (
 	"github.com/safari-repro/hbmrh/internal/config"
 )
 
-// Target is the device-side interface the interpreter drives. It is the
-// command-level surface of the simulated HBM2 stack; *hbm.Device
-// implements it.
+// Target is the device-side interface the interpreter drives: the
+// command-level surface of the simulated HBM2 stack, which *hbm.Device
+// implements. Each bank command takes its bank as the BankAddr.Flat index
+// Program.Validate resolved and returns an error wrapping hbm.ErrAddress
+// for an operand outside the device.
 type Target interface {
-	Activate(b addr.BankAddr, row int) error
-	Precharge(b addr.BankAddr) error
+	// Config is the device's configuration: the runner validates programs
+	// against its geometry and plans fast paths with its timing.
+	Config() *config.Config
+	Now() int64
+	AdvanceTime(ps int64) error
+	// Activate opens a row. With overwrite it opens an overwrite block —
+	// an ACT whose row the program rewrites in full (a WRROW, then the
+	// bank's PRE, with nothing but waits in between) before anything can
+	// read it — and must do everything a plain activation does except
+	// latching the sense's bitflips, which the write erases unobserved.
+	Activate(bank, row int, overwrite bool) error
+	Precharge(bank int) error
 	PrechargeAll(ch, pc int) error
-	Read(b addr.BankAddr, col int) ([]byte, error)
-	Write(b addr.BankAddr, col int, data []byte) error
+	// Read reads a column into dst, a runner-owned arena slice, instead
+	// of allocating a fresh slice per read.
+	Read(bank, col int, dst []byte) error
+	Write(bank, col int, data []byte) error
 	// WriteRow writes data to every column of the open row: the state,
 	// counters and clock that Columns back-to-back Writes of it leave.
-	WriteRow(b addr.BankAddr, data []byte) error
+	WriteRow(bank int, data []byte) error
+	// Hammer applies n rounds of the ACT/PRE hammer loop on the
+	// aggressors rows[:nrows] (one or two), each activation held open for
+	// holdPS, in one step.
+	Hammer(bank int, rows [2]int, nrows int, n, holdPS int64) error
 	Refresh(ch, pc int) error
 	WriteModeRegister(ch, index int, value uint32) error
-	AdvanceTime(ps int64) error
-	HammerPairHold(b addr.BankAddr, rowA, rowB, n int, holdPS int64) error
-	HammerSingleHold(b addr.BankAddr, row, n int, holdPS int64) error
-	Now() int64
-}
-
-// ResolvedTarget is the optional Target extension the interpreter
-// executes validated programs through: the device's unchecked core. Each
-// method is a bank command of Target taking the bank as the BankAddr.Flat
-// index Program.Validate resolved, and skipping the address proof the
-// checked method makes; every timing and bank-state check, and its
-// error, stays. The interpreter uses it only when Geometry equals the
-// geometry the program was validated against. *hbm.Device implements it.
-type ResolvedTarget interface {
-	Geometry() addr.Geometry
-	// ActivateResolved is Activate. With overwrite it opens an overwrite
-	// block — an ACT whose row the program rewrites in full (a WRROW,
-	// then the bank's PRE, with nothing but waits in between) before
-	// anything can read it — and must do everything Activate does except
-	// latching the sense's bitflips, which the write erases unobserved.
-	ActivateResolved(bank, row int, overwrite bool) error
-	PrechargeResolved(bank int) error
-	// ReadResolved reads a column into dst, a runner-owned arena slice,
-	// instead of allocating a fresh slice per read.
-	ReadResolved(bank, col int, dst []byte) error
-	WriteResolved(bank, col int, data []byte) error
-	WriteRowResolved(bank int, data []byte) error
-	// HammerResolved is HammerSingleHold (nrows 1) or HammerPairHold
-	// (nrows 2) of rows[:nrows].
-	HammerResolved(bank int, rows [2]int, nrows, n int, holdPS int64) error
 }
 
 // Result carries a program's outputs.
@@ -75,21 +63,19 @@ type Segment struct {
 	Elapsed int64
 }
 
-// Runner executes programs against a Target. A Runner owns reusable
-// execution state (the result, the read arena, the loop bookkeeping), so
-// steady-state program execution allocates nothing: the Result returned
-// by Run — including every Reads entry — is valid only until the next Run
-// on the same Runner.
+// Runner executes programs against a Target. Its zero value is ready to
+// use, with the fast paths armed; it takes the geometry and timing from
+// the target on every run. A Runner owns reusable execution state (the
+// result, the read arena, the loop bookkeeping), so steady-state program
+// execution allocates nothing: the Result returned by Run — including
+// every Reads entry — is valid only until the next Run on the same
+// Runner.
 type Runner struct {
-	// Timing lets the loop fast path prove a hammer loop is
-	// timing-legal and reproduce its exact simulated duration. With a
-	// zero Timing the fast path is disabled.
-	Timing config.Timing
 	// DisableFastPath forces per-iteration execution of all loops and
-	// plain activations for overwrite blocks (see ResolvedTarget). Both fast
-	// paths are semantically equivalent (asserted by tests, differential
-	// fuzzing and an ablation benchmark); disabling them exists for those
-	// comparisons.
+	// plain activations for overwrite blocks (see Target.Activate). Both
+	// fast paths are semantically equivalent (asserted by tests,
+	// differential fuzzing and an ablation benchmark); disabling them
+	// exists for those comparisons.
 	DisableFastPath bool
 	// Trace, when non-nil, receives one line per executed command (and
 	// one summary line per bulk-applied hammer loop), timestamped with
@@ -120,7 +106,7 @@ type Runner struct {
 // hammer shape, and an overwrite block holds no loop). The program holds
 // it (Program.plan), keyed by the program's identity (a copied Program
 // shares the pointer, not the plan's validity) and validation
-// generation and by the runner's timing and the column count.
+// generation and by the target's timing and column count.
 type plan struct {
 	prog   *Program
 	gen    uint64
@@ -151,14 +137,12 @@ func (r *Runner) trace(t Target, format string, args ...any) {
 	fmt.Fprintf(r.Trace, "[%14d ps] %s\n", t.Now(), fmt.Sprintf(format, args...))
 }
 
-// NewRunner returns a Runner with the loop fast path armed for the given
-// timing parameters.
-func NewRunner(t config.Timing) *Runner { return &Runner{Timing: t} }
-
-// Run validates and executes prog against t. The returned Result and its
-// Reads slices are owned by the Runner and valid until the next Run.
-func (r *Runner) Run(t Target, g addr.Geometry, prog *Program) (*Result, error) {
-	if err := prog.Validate(g); err != nil {
+// Run validates prog against t's geometry and executes it. The returned
+// Result and its Reads slices are owned by the Runner and valid until the
+// next Run.
+func (r *Runner) Run(t Target, prog *Program) (*Result, error) {
+	cfg := t.Config()
+	if err := prog.Validate(cfg.Geometry); err != nil {
 		return nil, err
 	}
 	r.res.Reads = r.res.Reads[:0]
@@ -166,7 +150,7 @@ func (r *Runner) Run(t Target, g addr.Geometry, prog *Program) (*Result, error) 
 	r.readBuf = r.readBuf[:0]
 	r.frames = r.frames[:0]
 	start := t.Now()
-	if err := r.exec(t, g, prog); err != nil {
+	if err := r.exec(t, cfg, prog); err != nil {
 		return nil, err
 	}
 	r.res.Elapsed = t.Now() - start
@@ -191,7 +175,7 @@ func (r *Runner) Run(t Target, g addr.Geometry, prog *Program) (*Result, error) 
 // error aborts execution with that error (the batched equivalent of
 // checking cancellation between probes). The Result and Segments are
 // owned by the Runner and valid until the next Run/RunSegments.
-func (r *Runner) RunSegments(t Target, g addr.Geometry, prog *Program, bounds []int, live []bool,
+func (r *Runner) RunSegments(t Target, prog *Program, bounds []int, live []bool,
 	check func() error) (*Result, []Segment, error) {
 	if len(live) != len(bounds) {
 		return nil, nil, fmt.Errorf("bender: %d live flags for %d segments", len(live), len(bounds))
@@ -201,7 +185,8 @@ func (r *Runner) RunSegments(t Target, g addr.Geometry, prog *Program, bounds []
 			return nil, nil, fmt.Errorf("bender: segment bounds not ascending within program")
 		}
 	}
-	if err := prog.Validate(g); err != nil {
+	cfg := t.Config()
+	if err := prog.Validate(cfg.Geometry); err != nil {
 		return nil, nil, err
 	}
 	// A bound b is inside a loop when some top-level loop L..E has
@@ -227,7 +212,7 @@ func (r *Runner) RunSegments(t Target, g addr.Geometry, prog *Program, bounds []
 	r.segLastRead = 0
 	start := t.Now()
 	r.segLastNow = start
-	err := r.exec(t, g, prog)
+	err := r.exec(t, cfg, prog)
 	if err == nil {
 		// Close any boundaries at or past the final instruction (the
 		// last bound is typically len(Instrs)). No check between them:
@@ -271,17 +256,12 @@ func (r *Runner) wrapLoopErr(err error) error {
 
 // exec runs the whole program with an explicit loop stack — no per-run
 // tree construction, no recursion, no allocation. Bank commands go to the
-// device's unchecked core when it has one (see ResolvedTarget), with the
-// banks validation resolved.
-func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
+// device with the banks validation resolved, one call per opcode.
+func (r *Runner) exec(t Target, cfg *config.Config, prog *Program) error {
 	instrs, jumps, banks := prog.Instrs, prog.jumps, prog.banks
-	rt, _ := t.(ResolvedTarget)
-	if rt != nil && rt.Geometry() != g {
-		rt = nil
-	}
 	var pl *plan
-	if !r.DisableFastPath && r.Timing.TCK > 0 {
-		pl = r.planFor(prog, g.Columns)
+	if !r.DisableFastPath {
+		pl = planFor(prog, cfg.Timing, cfg.Geometry.Columns)
 	}
 	// bound is the next segment boundary; exec runs straight to it, or
 	// jumps to it when the segment is dead.
@@ -310,7 +290,7 @@ func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
 		switch in.Op {
 		case OpLoop:
 			if pl != nil && pl.at[ip] >= 0 {
-				if err := r.runHammerFast(t, rt, &pl.hammers[pl.at[ip]], in.Arg); err != nil {
+				if err := r.runHammerFast(t, &pl.hammers[pl.at[ip]], in.Arg); err != nil {
 					return r.wrapLoopErr(err)
 				}
 				ip = int(jumps[ip]) + 1
@@ -342,43 +322,21 @@ func (r *Runner) exec(t Target, g addr.Geometry, prog *Program) error {
 		case OpWait:
 			err = t.AdvanceTime(in.Arg)
 		case OpAct:
-			if rt != nil {
-				// An overwrite block stays one only if no segment boundary
-				// (a cancellation check) falls between its ACT and its PRE.
-				overwrite := pl != nil && pl.at[ip] >= 0 && int(pl.at[ip]) < bound
-				err = rt.ActivateResolved(int(banks[ip]), in.Row, overwrite)
-			} else {
-				err = t.Activate(bankOf(in), in.Row)
-			}
+			// An overwrite block stays one only if no segment boundary (a
+			// cancellation check) falls between its ACT and its PRE.
+			overwrite := pl != nil && pl.at[ip] >= 0 && int(pl.at[ip]) < bound
+			err = t.Activate(int(banks[ip]), in.Row, overwrite)
 		case OpPre:
-			if rt != nil {
-				err = rt.PrechargeResolved(int(banks[ip]))
-			} else {
-				err = t.Precharge(bankOf(in))
-			}
+			err = t.Precharge(int(banks[ip]))
 		case OpRd:
-			var data []byte
-			if rt != nil {
-				data = r.arenaAlloc(g.ColumnBytes)
-				err = rt.ReadResolved(int(banks[ip]), in.Col, data)
-			} else {
-				data, err = t.Read(bankOf(in), in.Col)
-			}
-			if err == nil {
+			data := r.arenaAlloc(cfg.Geometry.ColumnBytes)
+			if err = t.Read(int(banks[ip]), in.Col, data); err == nil {
 				r.res.Reads = append(r.res.Reads, data)
 			}
 		case OpWr:
-			if rt != nil {
-				err = rt.WriteResolved(int(banks[ip]), in.Col, prog.Data[in.Data])
-			} else {
-				err = t.Write(bankOf(in), in.Col, prog.Data[in.Data])
-			}
+			err = t.Write(int(banks[ip]), in.Col, prog.Data[in.Data])
 		case OpWrRow:
-			if rt != nil {
-				err = rt.WriteRowResolved(int(banks[ip]), prog.Data[in.Data])
-			} else {
-				err = t.WriteRow(bankOf(in), prog.Data[in.Data])
-			}
+			err = t.WriteRow(int(banks[ip]), prog.Data[in.Data])
 		case OpPreA:
 			err = t.PrechargeAll(in.Ch, in.PC)
 		case OpRef:
@@ -429,12 +387,12 @@ func (r *Runner) arenaAlloc(n int) []byte {
 
 // planFor returns prog's fast-path plan (see plan), building it on the
 // program's first run with this timing and column count.
-func (r *Runner) planFor(prog *Program, columns int) *plan {
+func planFor(prog *Program, tm config.Timing, columns int) *plan {
 	if prog.plan == nil {
 		prog.plan = new(plan)
 	}
 	pl := prog.plan
-	if pl.prog == prog && pl.gen == prog.gen && pl.timing == r.Timing && pl.cols == columns {
+	if pl.prog == prog && pl.gen == prog.gen && pl.timing == tm && pl.cols == columns {
 		return pl
 	}
 	if cap(pl.at) < len(prog.Instrs) {
@@ -446,21 +404,18 @@ func (r *Runner) planFor(prog *Program, columns int) *plan {
 		pl.at[i] = -1
 		switch prog.Instrs[i].Op {
 		case OpAct:
-			pl.at[i] = int32(r.overwriteEnd(prog.Instrs, i, columns))
+			pl.at[i] = int32(overwriteEnd(prog.Instrs, i, tm, columns))
 		case OpLoop:
 			h, ok := matchHammerLoop(prog.Instrs[i+1 : prog.jumps[i]])
-			if !ok || !h.uniform {
+			if !ok || !h.uniform || !h.arm(tm) {
 				continue
 			}
-			h.tck = r.Timing.TCK
 			h.bank = int(prog.banks[i+1])
-			if r.fastPathLegal(h) {
-				pl.at[i] = int32(len(pl.hammers))
-				pl.hammers = append(pl.hammers, h)
-			}
+			pl.at[i] = int32(len(pl.hammers))
+			pl.hammers = append(pl.hammers, h)
 		}
 	}
-	pl.prog, pl.gen, pl.timing, pl.cols = prog, prog.gen, r.Timing, columns
+	pl.prog, pl.gen, pl.timing, pl.cols = prog, prog.gen, tm, columns
 	return pl
 }
 
@@ -476,9 +431,8 @@ func (r *Runner) planFor(prog *Program, columns int) *plan {
 // already guaranteed operand ranges and payload sizes, so nothing else in
 // the block can fail. Per-column OpWrs end the block: a row rewritten
 // column by column is sensed in full, which is correct, just not elided.
-func (r *Runner) overwriteEnd(instrs []Instr, act, columns int) int {
+func overwriteEnd(instrs []Instr, act int, tm config.Timing, columns int) int {
 	a := &instrs[act]
-	tm := r.Timing
 	covered := false
 	// since is the simulated time from the ACT to the next command,
 	// saturated once it satisfies every constraint checked here.
@@ -514,22 +468,22 @@ func (r *Runner) overwriteEnd(instrs []Instr, act, columns int) int {
 	return -1
 }
 
-// fastPathLegal checks that the loop body satisfies tRAS and tRP on its
-// own, so bulk application cannot mask a timing bug, and that the bulk
-// path's hold-derived activation period never exceeds the body's actual
-// per-iteration time (the pad must be non-negative).
-func (r *Runner) fastPathLegal(h hammerShape) bool {
-	tm := r.Timing
+// arm checks that the loop body satisfies tRAS and tRP on its own, so
+// bulk application cannot mask a timing bug, and that the bulk path's
+// hold-derived activation period never exceeds the body's actual
+// per-iteration time, and sets the hold and the per-iteration clock pad
+// the bulk path applies. It reports whether the bulk path may run.
+func (h *hammerShape) arm(tm config.Timing) bool {
 	if h.minActHold < tm.TRAS-tm.TCK || h.minPreGap < tm.TRP-tm.TCK {
 		return false
 	}
+	// The modelled open time is the wait between ACT and PRE plus the ACT
+	// command cycle itself.
+	h.hold = h.minActHold + tm.TCK
 	slowPer := h.perIterWaits + int64(h.nrows)*2*tm.TCK
-	return slowPer >= int64(h.nrows)*(h.hold()+tm.TRP)
+	h.pad = slowPer - int64(h.nrows)*(h.hold+tm.TRP)
+	return h.pad >= 0
 }
-
-// hold returns the per-activation open time the bulk path should model:
-// the wait between ACT and PRE plus the ACT command cycle itself.
-func (h hammerShape) hold() int64 { return h.minActHold + h.tck }
 
 // hammerShape describes a recognized pure hammer loop.
 type hammerShape struct {
@@ -546,7 +500,10 @@ type hammerShape struct {
 	minActHold int64
 	minPreGap  int64
 	uniform    bool
-	tck        int64
+	// hold is the per-activation open time the bulk path models, and pad
+	// what one iteration of the loop takes beyond the bulk path's
+	// nrows*(hold+tRP); arm sets both.
+	hold, pad int64
 }
 
 // matchHammerLoop recognizes the canonical hammer body the paper's tests
@@ -625,38 +582,23 @@ func (r *Runner) traceInstr(t Target, in *Instr) {
 	}
 }
 
-// runHammerFast applies a recognized hammer loop in bulk, on the
-// device's unchecked core when rt is non-nil, then pads the clock so the
-// total elapsed time matches per-iteration execution exactly.
-// fastPathLegal already proved the pad is non-negative.
-func (r *Runner) runHammerFast(t Target, rt ResolvedTarget, h *hammerShape, count int64) error {
-	n := int(count)
-	hold := h.hold()
+// runHammerFast applies a recognized hammer loop in bulk, then pads the
+// clock so the total elapsed time matches per-iteration execution
+// exactly. arm already proved the pad is non-negative.
+func (r *Runner) runHammerFast(t Target, h *hammerShape, count int64) error {
 	if r.Trace != nil { // guard so the variadic args are not boxed per call
 		if h.nrows == 2 {
 			r.trace(t, "loop %dx: double-sided hammer %v rows %d/%d (hold %d ps, bulk)",
-				count, h.addr, h.rows[0], h.rows[1], hold)
+				count, h.addr, h.rows[0], h.rows[1], h.hold)
 		} else {
 			r.trace(t, "loop %dx: single-sided hammer %v row %d (hold %d ps, bulk)",
-				count, h.addr, h.rows[0], hold)
+				count, h.addr, h.rows[0], h.hold)
 		}
 	}
-	var err error
-	switch {
-	case rt != nil:
-		err = rt.HammerResolved(h.bank, h.rows, h.nrows, n, hold)
-	case h.nrows == 2:
-		err = t.HammerPairHold(h.addr, h.rows[0], h.rows[1], n, hold)
-	default:
-		err = t.HammerSingleHold(h.addr, h.rows[0], n, hold)
-	}
-	if err != nil {
+	if err := t.Hammer(h.bank, h.rows, h.nrows, count, h.hold); err != nil {
 		return err
 	}
-	tm := r.Timing
-	slowPer := h.perIterWaits + int64(h.nrows)*2*tm.TCK
-	bulkPer := int64(h.nrows) * (hold + tm.TRP)
-	if pad := count * (slowPer - bulkPer); pad > 0 {
+	if pad := count * h.pad; pad > 0 {
 		return t.AdvanceTime(pad)
 	}
 	return nil

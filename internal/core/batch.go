@@ -124,7 +124,7 @@ func (h *Harness) runProbes(pp *probeProg, counts []int, out []BERResult) error 
 			}
 		}
 	}
-	res, segs, err := h.runner.RunSegments(h.dev, h.dev.Geometry(), pp.prog, pp.bounds, pp.live, h.checkCancel)
+	res, segs, err := h.runner.RunSegments(h.dev, pp.prog, pp.bounds, pp.live, h.checkCancel)
 	if err != nil {
 		return err
 	}

@@ -71,7 +71,7 @@ const DefaultHCPrecision = 128
 func NewHarness(d *hbm.Device) (*Harness, error) {
 	h := &Harness{
 		dev:           d,
-		runner:        bender.NewRunner(d.Config().Timing),
+		runner:        new(bender.Runner),
 		bld:           bender.NewBuilder(d.Config().Timing, d.Geometry()),
 		EnforceBudget: true,
 		HCPrecision:   DefaultHCPrecision,
@@ -161,7 +161,7 @@ func (h *Harness) RunProgram(prog *bender.Program) (*bender.Result, error) {
 	if err := h.cancelled(); err != nil {
 		return nil, err
 	}
-	return h.runner.Run(h.dev, h.dev.Geometry(), prog)
+	return h.runner.Run(h.dev, prog)
 }
 
 func (h *Harness) run(b *bender.Builder) (*bender.Result, error) {
@@ -169,7 +169,7 @@ func (h *Harness) run(b *bender.Builder) (*bender.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.runner.Run(h.dev, h.dev.Geometry(), prog)
+	return h.runner.Run(h.dev, prog)
 }
 
 // initPattern emits writes for the victim, aggressor and outer rows of

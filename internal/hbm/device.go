@@ -52,7 +52,7 @@ const farPast = math.MinInt64 / 4
 
 // Stats counts device activity, for tests, reports and ablations.
 // BitflipsCommitted and ECCCorrections count the flips of senses that
-// compute them: an ActivateOverwrite sense computes none, so flips a
+// compute them: an overwrite Activate's sense computes none, so flips a
 // row would have latched only to have every bit overwritten before any
 // read are not counted.
 type Stats struct {
@@ -260,25 +260,15 @@ func (d *Device) SetTemperature(c float64) {
 	d.thrTemp = max(1+d.cfg.Fault.TempSlopePerC*(c-d.cfg.Ret.RefTempC), 0.05)
 }
 
-// Checked and resolved commands. Every bank command has one core, an
-// unexported method that takes the resolved *bankState and performs the
-// command's timing and bank-state checks and its effects. The public
-// checked methods (Activate, Precharge, ReadInto, ...) first prove the
-// address in range — the bank, then the row or column — and then call
-// the core. The *Resolved methods call the same core on a bank given as
-// its BankAddr.Flat index and skip that proof: the DRAM Bender runner
-// issues them for programs whose validation already proved every operand
-// in range. Out-of-range operands to a *Resolved method panic or address
-// the wrong cell; everything else should use the checked methods.
+// Bank commands. Each bank command is one method that takes its bank as
+// the BankAddr.Flat index Program.Validate resolves, checks that index and
+// its row or column with one compare each (ErrAddress when out of range),
+// and then makes the command's timing and bank-state checks and applies
+// its effects. A command refused for its address changes no state,
+// counter or clock.
 
-// bankAt is the address proof of a checked bank command.
-func (d *Device) bankAt(b addr.BankAddr) (*bankState, error) {
-	g := d.cfg.Geometry
-	if !b.Valid(g) {
-		return nil, fmt.Errorf("hbm: bank %v: %w", b, ErrAddress)
-	}
-	return &d.banks[b.Flat(g)], nil
-}
+// errBank reports a flat bank index outside the device.
+func errBank(bank int) error { return fmt.Errorf("hbm: bank %d: %w", bank, ErrAddress) }
 
 // pcAt returns a pseudo channel the caller has proven in range.
 func (d *Device) pcAt(ch, pc int) *pseudoChannel {
@@ -300,71 +290,42 @@ func (d *Device) row(bank *bankState, physRow int) *rowState {
 // Activate opens a logical row: it checks tRP/tRC/tRFC, senses the row
 // (materializing any accumulated bitflips and restoring charge), disturbs
 // physical neighbours, and feeds the TRR sampler.
-func (d *Device) Activate(b addr.BankAddr, logicalRow int) error {
-	bank, err := d.activateAt(b, logicalRow)
-	if err != nil {
-		return err
-	}
-	return d.activate(bank, logicalRow, true)
-}
-
-// ActivateOverwrite is Activate for a row the caller fully rewrites
+//
+// With overwrite set, the caller promises to rewrite the row in full
 // before anything reads it: every column written, then the bank's
-// precharge, with no read in between. It does everything Activate does —
-// timing checks, charge restore, neighbour disturbance, the TRR sample,
-// the activation count and the clock — except computing the sense's
-// bitflips. Those flips are unobservable: no other row of the bank can be
-// sensed while this one is open, and every bit is overwritten before the
-// row can be read or its data can couple into a neighbour's sense. The
-// DRAM Bender runner opens such overwrite blocks through its resolved
-// form, ActivateResolved with overwrite set.
-func (d *Device) ActivateOverwrite(b addr.BankAddr, logicalRow int) error {
-	bank, err := d.activateAt(b, logicalRow)
-	if err != nil {
-		return err
+// precharge, with no read in between. The activation then does everything
+// else it does — timing checks, charge restore, neighbour disturbance, the
+// TRR sample, the activation count and the clock — except computing the
+// sense's bitflips. Those flips are unobservable: no other row of the bank
+// can be sensed while this one is open, and every bit is overwritten
+// before the row can be read or its data can couple into a neighbour's
+// sense. The DRAM Bender runner sets it for such overwrite blocks.
+func (d *Device) Activate(bank, logicalRow int, overwrite bool) error {
+	if uint(bank) >= uint(len(d.banks)) {
+		return errBank(bank)
 	}
-	return d.activate(bank, logicalRow, false)
-}
-
-// ActivateResolved is Activate, or with overwrite ActivateOverwrite, on
-// the bank at flat index bank, without the address proof.
-func (d *Device) ActivateResolved(bank, logicalRow int, overwrite bool) error {
-	return d.activate(&d.banks[bank], logicalRow, !overwrite)
-}
-
-// activateAt is the address proof of an activation.
-func (d *Device) activateAt(b addr.BankAddr, logicalRow int) (*bankState, error) {
-	bank, err := d.bankAt(b)
-	if err != nil {
-		return nil, err
+	if uint(logicalRow) >= uint(d.cfg.Geometry.Rows) {
+		return fmt.Errorf("hbm: activate row %d: %w", logicalRow, ErrAddress)
 	}
-	if logicalRow < 0 || logicalRow >= d.cfg.Geometry.Rows {
-		return nil, fmt.Errorf("hbm: activate row %d: %w", logicalRow, ErrAddress)
-	}
-	return bank, nil
-}
-
-// activate is the core of Activate and ActivateOverwrite; flips selects
-// whether the sense computes and commits bitflips.
-func (d *Device) activate(bank *bankState, logicalRow int, flips bool) error {
-	if bank.open != -1 {
-		return fmt.Errorf("hbm: activate %v while row %d open: %w", bank.addr, bank.open, ErrState)
+	bk := &d.banks[bank]
+	if bk.open != -1 {
+		return fmt.Errorf("hbm: activate %v while row %d open: %w", bk.addr, bk.open, ErrState)
 	}
 	t := &d.cfg.Timing
 	switch {
-	case d.now-bank.lastPre < t.TRP:
-		return fmt.Errorf("hbm: activate %v violates tRP: %w", bank.addr, ErrTiming)
-	case d.now-bank.lastAct < t.TRC:
-		return fmt.Errorf("hbm: activate %v violates tRC: %w", bank.addr, ErrTiming)
-	case d.now-bank.pc.lastRef < t.TRFC:
-		return fmt.Errorf("hbm: activate %v violates tRFC: %w", bank.addr, ErrTiming)
+	case d.now-bk.lastPre < t.TRP:
+		return fmt.Errorf("hbm: activate %v violates tRP: %w", bk.addr, ErrTiming)
+	case d.now-bk.lastAct < t.TRC:
+		return fmt.Errorf("hbm: activate %v violates tRC: %w", bk.addr, ErrTiming)
+	case d.now-bk.pc.lastRef < t.TRFC:
+		return fmt.Errorf("hbm: activate %v violates tRFC: %w", bk.addr, ErrTiming)
 	}
 	phys := d.mapper.ToPhysical(logicalRow)
-	d.senseAndRestore(bank, phys, d.now, flips)
-	d.applyDisturb(bank, phys, 1)
-	bank.pc.eng.ObserveActivate(bank.addr.Bank, phys)
-	bank.open = phys
-	bank.lastAct = d.now
+	d.senseAndRestore(bk, phys, d.now, !overwrite)
+	d.applyDisturb(bk, phys, 1)
+	bk.pc.eng.ObserveActivate(bk.addr.Bank, phys)
+	bk.open = phys
+	bk.lastAct = d.now
 	d.stats.Acts++
 	d.now += t.TCK
 	return nil
@@ -403,58 +364,51 @@ func (d *Device) rowPressExtra(holdPS int64) float64 {
 // in real DRAM. Rows held open beyond tRAS impart extra RowPress
 // disturbance on their neighbours, settled here where the hold time is
 // known.
-func (d *Device) Precharge(b addr.BankAddr) error {
-	bank, err := d.bankAt(b)
-	if err != nil {
-		return err
+func (d *Device) Precharge(bank int) error {
+	if uint(bank) >= uint(len(d.banks)) {
+		return errBank(bank)
 	}
-	return d.precharge(bank)
-}
-
-// PrechargeResolved is Precharge on the bank at flat index bank, without
-// the address proof.
-func (d *Device) PrechargeResolved(bank int) error { return d.precharge(&d.banks[bank]) }
-
-// precharge is the core of Precharge.
-func (d *Device) precharge(bank *bankState) error {
-	if bank.open != -1 {
-		hold := d.now - bank.lastAct
-		if hold < d.cfg.Timing.TRAS {
-			return fmt.Errorf("hbm: precharge %v violates tRAS: %w", bank.addr, ErrTiming)
-		}
-		if extra := d.rowPressExtra(hold); extra > 0 {
-			d.applyDisturb(bank, bank.open, extra)
-		}
-		bank.open = -1
-		bank.lastPre = d.now
+	if err := d.closeRow(&d.banks[bank], "precharge"); err != nil {
+		return err
 	}
 	d.stats.Precharges++
 	d.now += d.cfg.Timing.TCK
 	return nil
 }
 
-// PrechargeAll precharges every bank in a pseudo channel.
+// PrechargeAll precharges every bank in a pseudo channel: one command, so
+// one precharge count and one clock step.
 func (d *Device) PrechargeAll(ch, pc int) error {
 	if err := d.checkPC(ch, pc); err != nil {
 		return err
 	}
 	banks := d.pcAt(ch, pc).banks
 	for i := range banks {
-		state := &banks[i]
-		if state.open != -1 {
-			hold := d.now - state.lastAct
-			if hold < d.cfg.Timing.TRAS {
-				return fmt.Errorf("hbm: precharge-all %v violates tRAS: %w", state.addr, ErrTiming)
-			}
-			if extra := d.rowPressExtra(hold); extra > 0 {
-				d.applyDisturb(state, state.open, extra)
-			}
-			state.open = -1
-			state.lastPre = d.now
+		if err := d.closeRow(&banks[i], "precharge-all"); err != nil {
+			return err
 		}
 	}
 	d.stats.Precharges++
 	d.now += d.cfg.Timing.TCK
+	return nil
+}
+
+// closeRow closes a bank's open row, if it has one, for the command cmd
+// names in its error: the tRAS check, the RowPress disturbance the hold
+// earned, and the precharged state.
+func (d *Device) closeRow(bank *bankState, cmd string) error {
+	if bank.open == -1 {
+		return nil
+	}
+	hold := d.now - bank.lastAct
+	if hold < d.cfg.Timing.TRAS {
+		return fmt.Errorf("hbm: %s %v violates tRAS: %w", cmd, bank.addr, ErrTiming)
+	}
+	if extra := d.rowPressExtra(hold); extra > 0 {
+		d.applyDisturb(bank, bank.open, extra)
+	}
+	bank.open = -1
+	bank.lastPre = d.now
 	return nil
 }
 
@@ -466,68 +420,40 @@ func (d *Device) checkPC(ch, pc int) error {
 	return nil
 }
 
-// columnAt is the address proof of a column access.
-func (d *Device) columnAt(b addr.BankAddr, col int) (*bankState, error) {
-	bank, err := d.bankAt(b)
-	if err != nil {
-		return nil, err
+// columnAccess proves a column access's bank and column in range and
+// makes the bank-state and timing check every column access makes first,
+// returning the bank.
+func (d *Device) columnAccess(bank, col int) (*bankState, error) {
+	if uint(bank) >= uint(len(d.banks)) {
+		return nil, errBank(bank)
 	}
-	if col < 0 || col >= d.cfg.Geometry.Columns {
+	if uint(col) >= uint(d.cfg.Geometry.Columns) {
 		return nil, fmt.Errorf("hbm: column %d: %w", col, ErrAddress)
 	}
-	return bank, nil
+	bk := &d.banks[bank]
+	if bk.open == -1 {
+		return nil, fmt.Errorf("hbm: column access to precharged bank %v: %w", bk.addr, ErrState)
+	}
+	if d.now-bk.lastAct < d.cfg.Timing.TRCD {
+		return nil, fmt.Errorf("hbm: column access to %v violates tRCD: %w", bk.addr, ErrTiming)
+	}
+	return bk, nil
 }
 
-// columnAccess is the bank-state and timing check every column access
-// core makes first.
-func (d *Device) columnAccess(bank *bankState) error {
-	if bank.open == -1 {
-		return fmt.Errorf("hbm: column access to precharged bank %v: %w", bank.addr, ErrState)
-	}
-	if d.now-bank.lastAct < d.cfg.Timing.TRCD {
-		return fmt.Errorf("hbm: column access to %v violates tRCD: %w", bank.addr, ErrTiming)
-	}
-	return nil
-}
-
-// Read returns the data of one column of the open row. Bitflips were
+// Read reads one column of the open row into dst, a caller-provided
+// buffer of exactly ColumnBytes, so the hot read-out path (the DRAM
+// Bender runner) reuses one arena across a whole program. Bitflips were
 // already materialized when the row was sensed at activation.
-func (d *Device) Read(b addr.BankAddr, col int) ([]byte, error) {
-	out := make([]byte, d.cfg.Geometry.ColumnBytes)
-	if err := d.ReadInto(b, col, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadInto reads one column of the open row into a caller-provided buffer
-// of exactly ColumnBytes, avoiding Read's per-call allocation — the hot
-// read-out path (bender.Runner, through ReadResolved) reuses one arena
-// across a whole program.
-func (d *Device) ReadInto(b addr.BankAddr, col int, dst []byte) error {
-	bank, err := d.columnAt(b, col)
+func (d *Device) Read(bank, col int, dst []byte) error {
+	bk, err := d.columnAccess(bank, col)
 	if err != nil {
-		return err
-	}
-	return d.read(bank, col, dst)
-}
-
-// ReadResolved is ReadInto on the bank at flat index bank, without the
-// address proof.
-func (d *Device) ReadResolved(bank, col int, dst []byte) error {
-	return d.read(&d.banks[bank], col, dst)
-}
-
-// read is the core of ReadInto.
-func (d *Device) read(bank *bankState, col int, dst []byte) error {
-	if err := d.columnAccess(bank); err != nil {
 		return err
 	}
 	n := d.cfg.Geometry.ColumnBytes
 	if len(dst) != n {
 		return fmt.Errorf("hbm: read into %d bytes, column holds %d: %w", len(dst), n, ErrAddress)
 	}
-	rs := d.row(bank, bank.open)
+	rs := d.row(bk, bk.open)
 	if rs.data == nil {
 		clear(dst) // unmaterialized row: power-up pattern
 	} else {
@@ -540,30 +466,16 @@ func (d *Device) read(bank *bankState, col int, dst []byte) error {
 
 // Write stores data into one column of the open row, fully recharging the
 // written cells.
-func (d *Device) Write(b addr.BankAddr, col int, data []byte) error {
-	bank, err := d.columnAt(b, col)
+func (d *Device) Write(bank, col int, data []byte) error {
+	bk, err := d.columnAccess(bank, col)
 	if err != nil {
-		return err
-	}
-	return d.write(bank, col, data)
-}
-
-// WriteResolved is Write on the bank at flat index bank, without the
-// address proof.
-func (d *Device) WriteResolved(bank, col int, data []byte) error {
-	return d.write(&d.banks[bank], col, data)
-}
-
-// write is the core of Write.
-func (d *Device) write(bank *bankState, col int, data []byte) error {
-	if err := d.columnAccess(bank); err != nil {
 		return err
 	}
 	n := d.cfg.Geometry.ColumnBytes
 	if len(data) != n {
 		return fmt.Errorf("hbm: write of %d bytes, column holds %d: %w", len(data), n, ErrAddress)
 	}
-	rs := d.row(bank, bank.open)
+	rs := d.row(bk, bk.open)
 	copy(rs.bytes(d)[col*n:(col+1)*n], data)
 	d.stats.Writes++
 	d.now += d.cfg.Timing.TCK
@@ -574,24 +486,10 @@ func (d *Device) write(bank *bankState, col int, data []byte) error {
 // the DRAM Bender WRROW. It leaves exactly the state, counters and clock
 // of Columns back-to-back Writes of data. Those writes share the bank, the
 // open row and the activation time, and each only advances the clock, so
-// the first one's access check stands for all of them.
-func (d *Device) WriteRow(b addr.BankAddr, data []byte) error {
-	bank, err := d.bankAt(b)
+// the first one's access check (column 0's) stands for all of them.
+func (d *Device) WriteRow(bank int, data []byte) error {
+	bk, err := d.columnAccess(bank, 0)
 	if err != nil {
-		return err
-	}
-	return d.writeRow(bank, data)
-}
-
-// WriteRowResolved is WriteRow on the bank at flat index bank, without
-// the address proof.
-func (d *Device) WriteRowResolved(bank int, data []byte) error {
-	return d.writeRow(&d.banks[bank], data)
-}
-
-// writeRow is the core of WriteRow.
-func (d *Device) writeRow(bank *bankState, data []byte) error {
-	if err := d.columnAccess(bank); err != nil {
 		return err
 	}
 	g := d.cfg.Geometry
@@ -599,7 +497,7 @@ func (d *Device) writeRow(bank *bankState, data []byte) error {
 	if len(data) != n {
 		return fmt.Errorf("hbm: write of %d bytes, column holds %d: %w", len(data), n, ErrAddress)
 	}
-	row := d.row(bank, bank.open).bytes(d)
+	row := d.row(bk, bk.open).bytes(d)
 	copy(row, data)
 	for filled := n; filled < len(row); filled *= 2 {
 		copy(row[filled:], row[:filled])
@@ -767,77 +665,56 @@ func (d *Device) doseOn(aggressor, victim int, scale float64) float64 {
 	return d.fm.DistanceWeight(max(victim-aggressor, aggressor-victim)) * scale
 }
 
-// HammerPairHold performs n double-sided hammers: n alternating
-// activate+precharge pairs of the two logical aggressor rows, each
-// activation held open for holdPS (>= tRAS; tRAS is minimum timing,
-// anything longer accumulates RowPress amplification) before its
-// precharge. It is the bulk equivalent of the ACT/PRE loop a DRAM Bender
-// program runs, applied in one step for simulation speed; each
-// activation occupies holdPS+tRP.
-func (d *Device) HammerPairHold(b addr.BankAddr, rowA, rowB, n int, holdPS int64) error {
-	return d.hammerAt(b, [2]int{rowA, rowB}, 2, n, holdPS)
-}
-
-// HammerSingleHold is HammerPairHold's single-sided form: n activations
-// of one logical aggressor row.
-func (d *Device) HammerSingleHold(b addr.BankAddr, row, n int, holdPS int64) error {
-	return d.hammerAt(b, [2]int{row}, 1, n, holdPS)
-}
-
-// HammerResolved is HammerSingleHold (nrows 1) or HammerPairHold (nrows
-// 2) of the aggressors rows[:nrows] on the bank at flat index bank,
-// without the address proof.
-func (d *Device) HammerResolved(bank int, rows [2]int, nrows, n int, holdPS int64) error {
-	return d.hammer(&d.banks[bank], rows, nrows, n, holdPS)
-}
-
-// hammerAt proves a hammer burst's address and runs it on the core.
-func (d *Device) hammerAt(b addr.BankAddr, logicalRows [2]int, nrows, n int, holdPS int64) error {
-	bank, err := d.bankAt(b)
-	if err != nil {
-		return err
+// Hammer performs n hammers of the logical aggressors rows[:nrows], one
+// (single-sided) or two (double-sided): n rounds of activate+precharge of
+// each aggressor in turn, each activation held open for holdPS (>= tRAS;
+// tRAS is minimum timing, anything longer accumulates RowPress
+// amplification) before its precharge. It is the bulk equivalent of the
+// ACT/PRE loop a DRAM Bender program runs, applied in one step for
+// simulation speed; each activation occupies holdPS+tRP. Aggressors arrive
+// in a fixed-size array so the hot probe loop stays allocation-free.
+func (d *Device) Hammer(bank int, rows [2]int, nrows int, n, holdPS int64) error {
+	if uint(bank) >= uint(len(d.banks)) {
+		return errBank(bank)
 	}
-	for _, r := range logicalRows[:nrows] {
-		if r < 0 || r >= d.cfg.Geometry.Rows {
+	if uint(nrows-1) > 1 {
+		return fmt.Errorf("hbm: hammer of %d aggressors: %w", nrows, ErrAddress)
+	}
+	for _, r := range rows[:nrows] {
+		if uint(r) >= uint(d.cfg.Geometry.Rows) {
 			return fmt.Errorf("hbm: hammer row %d: %w", r, ErrAddress)
 		}
 	}
-	return d.hammer(bank, logicalRows, nrows, n, holdPS)
-}
-
-// hammer is the core of the hammer bursts: one or two aggressors.
-// Aggressors arrive in a fixed-size array (never more than two) so the
-// hot probe loop stays allocation-free.
-func (d *Device) hammer(bank *bankState, logicalRows [2]int, nrows, n int, holdPS int64) error {
-	b, pc := bank.addr, bank.pc
+	bk := &d.banks[bank]
+	b, pc := bk.addr, bk.pc
 	if n <= 0 {
 		return fmt.Errorf("hbm: hammer count %d must be positive: %w", n, ErrAddress)
 	}
 	if holdPS < d.cfg.Timing.TRAS {
 		return fmt.Errorf("hbm: hammer hold %d ps violates tRAS: %w", holdPS, ErrTiming)
 	}
-	if bank.open != -1 {
-		return fmt.Errorf("hbm: hammer %v while row %d open: %w", b, bank.open, ErrState)
+	if bk.open != -1 {
+		return fmt.Errorf("hbm: hammer %v while row %d open: %w", b, bk.open, ErrState)
 	}
 	t := d.cfg.Timing
 	switch {
-	case d.now-bank.lastPre < t.TRP:
+	case d.now-bk.lastPre < t.TRP:
 		return fmt.Errorf("hbm: hammer %v violates tRP: %w", b, ErrTiming)
-	case d.now-bank.lastAct < t.TRC:
+	case d.now-bk.lastAct < t.TRC:
 		return fmt.Errorf("hbm: hammer %v violates tRC: %w", b, ErrTiming)
 	case d.now-pc.lastRef < t.TRFC:
 		return fmt.Errorf("hbm: hammer %v violates tRFC: %w", b, ErrTiming)
 	}
 	var physArr [2]int
 	phys := physArr[:nrows]
-	for i, r := range logicalRows[:nrows] {
+	for i, r := range rows[:nrows] {
 		phys[i] = d.mapper.ToPhysical(r)
 		for j := 0; j < i; j++ {
 			if phys[j] == phys[i] {
 				// Boxing the array (not a slice of the parameter) keeps the
 				// aggressor array off the heap on the no-error path; only
 				// nrows==2 can reach here, so it renders identically.
-				return fmt.Errorf("hbm: hammer rows %v map to the same physical row: %w", logicalRows, ErrAddress)
+				return fmt.Errorf("hbm: hammer rows %v map to the same physical row: %w", rows, ErrAddress)
 			}
 		}
 	}
@@ -845,13 +722,13 @@ func (d *Device) hammer(bank *bankState, logicalRows [2]int, nrows, n int, holdP
 	// Each aggressor is sensed on its first activation: accumulated
 	// faults materialize and its decay clock resets.
 	for _, p := range phys {
-		d.senseAndRestore(bank, p, d.now, true)
+		d.senseAndRestore(bk, p, d.now, true)
 	}
 	// Per-activation disturbance: the base unit plus any RowPress
 	// amplification from holding the row open beyond tRAS.
 	perAct := d.actDose(holdPS)
 	for _, p := range phys {
-		d.applyDisturb(bank, p, float64(n)*perAct)
+		d.applyDisturb(bk, p, float64(n)*perAct)
 		pc.eng.ObserveActivate(b.Bank, p)
 	}
 	// The aggressors alternate, so each is re-sensed every other
@@ -860,9 +737,9 @@ func (d *Device) hammer(bank *bankState, logicalRows [2]int, nrows, n int, holdP
 	// of the burst. The only residue is from the final round: aggressors
 	// activated after row i's last activation each disturb it once more.
 	actPeriod := holdPS + t.TRP
-	end := d.now + int64(n)*int64(nrows)*actPeriod
+	end := d.now + n*int64(nrows)*actPeriod
 	for _, p := range phys {
-		rs := d.row(bank, p)
+		rs := d.row(bk, p)
 		rs.disturb = 0
 		rs.lastSense = end
 	}
@@ -873,18 +750,18 @@ func (d *Device) hammer(bank *bankState, logicalRows [2]int, nrows, n int, holdP
 				dist = -dist
 			}
 			if d.layout.SameSubarray(p, q) {
-				d.row(bank, p).disturb += d.fm.DistanceWeight(dist) * perAct
+				d.row(bk, p).disturb += d.fm.DistanceWeight(dist) * perAct
 			}
 		}
 	}
-	d.stats.Acts += int64(n * nrows)
-	d.stats.Precharges += int64(n * nrows)
+	d.stats.Acts += n * int64(nrows)
+	d.stats.Precharges += n * int64(nrows)
 	// Match the explicit loop's bookkeeping: its final iteration issues
 	// the last ACT at end-actPeriod and the last PRE at end-tRP (the
 	// trailing tRP wait is part of the loop body).
 	d.now = end
-	bank.lastAct = end - actPeriod
-	bank.lastPre = end - t.TRP
-	bank.open = -1
+	bk.lastAct = end - actPeriod
+	bk.lastPre = end - t.TRP
+	bk.open = -1
 	return nil
 }

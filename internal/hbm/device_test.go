@@ -86,19 +86,20 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestBankStateMachineErrors(t *testing.T) {
 	d := newDevice(t, config.SmallChip())
 	b := bankAddr(0, 0, 0)
-	if err := d.Activate(b, 10); err != nil {
+	if err := d.Activate(flat(d, b), 10, false); err != nil {
 		t.Fatal(err)
 	}
 	// Activating an already-open bank is illegal.
-	if err := d.Activate(b, 11); !errors.Is(err, ErrState) {
+	if err := d.Activate(flat(d, b), 11, false); !errors.Is(err, ErrState) {
 		t.Fatalf("double activate: err = %v, want ErrState", err)
 	}
 	// Column access before tRCD is a timing violation.
-	if _, err := d.Read(b, 0); !errors.Is(err, ErrTiming) {
+	col := make([]byte, d.Geometry().ColumnBytes)
+	if err := d.Read(flat(d, b), 0, col); !errors.Is(err, ErrTiming) {
 		t.Fatalf("early read: err = %v, want ErrTiming", err)
 	}
 	// Precharge before tRAS is a timing violation.
-	if err := d.Precharge(b); !errors.Is(err, ErrTiming) {
+	if err := d.Precharge(flat(d, b)); !errors.Is(err, ErrTiming) {
 		t.Fatalf("early precharge: err = %v, want ErrTiming", err)
 	}
 	// Refresh with a bank open is illegal.
@@ -112,7 +113,8 @@ func TestBankStateMachineErrors(t *testing.T) {
 
 func TestColumnAccessOnPrechargedBank(t *testing.T) {
 	d := newDevice(t, config.SmallChip())
-	if _, err := d.Read(bankAddr(0, 0, 0), 0); !errors.Is(err, ErrState) {
+	col := make([]byte, d.Geometry().ColumnBytes)
+	if err := d.Read(0, 0, col); !errors.Is(err, ErrState) {
 		t.Fatalf("read on precharged bank: err = %v, want ErrState", err)
 	}
 }
@@ -120,16 +122,16 @@ func TestColumnAccessOnPrechargedBank(t *testing.T) {
 func TestAddressValidation(t *testing.T) {
 	d := newDevice(t, config.SmallChip())
 	g := d.Geometry()
-	if err := d.Activate(bankAddr(g.Channels, 0, 0), 0); !errors.Is(err, ErrAddress) {
+	if err := d.Activate(flat(d, bankAddr(g.Channels, 0, 0)), 0, false); !errors.Is(err, ErrAddress) {
 		t.Fatal("bad channel accepted")
 	}
-	if err := d.Activate(bankAddr(0, 0, 0), g.Rows); !errors.Is(err, ErrAddress) {
+	if err := d.Activate(flat(d, bankAddr(0, 0, 0)), g.Rows, false); !errors.Is(err, ErrAddress) {
 		t.Fatal("bad row accepted")
 	}
-	if err := d.HammerPairHold(bankAddr(0, 0, 0), 5, 5, 10, d.Config().Timing.TRAS); !errors.Is(err, ErrAddress) {
+	if err := hammerPair(d, bankAddr(0, 0, 0), 5, 5, 10, d.Config().Timing.TRAS); !errors.Is(err, ErrAddress) {
 		t.Fatal("hammering the same physical row twice accepted")
 	}
-	if err := d.HammerPairHold(bankAddr(0, 0, 0), 5, 7, 0, d.Config().Timing.TRAS); !errors.Is(err, ErrAddress) {
+	if err := hammerPair(d, bankAddr(0, 0, 0), 5, 7, 0, d.Config().Timing.TRAS); !errors.Is(err, ErrAddress) {
 		t.Fatal("zero hammer count accepted")
 	}
 	if _, err := d.ReadModeRegister(0, NumModeRegisters); !errors.Is(err, ErrAddress) {
@@ -137,26 +139,88 @@ func TestAddressValidation(t *testing.T) {
 	}
 }
 
-func TestTRPEnforcedAfterPrecharge(t *testing.T) {
+// TestBankCommandsRejectOutOfRangeAddresses pins the address check of
+// every bank command: a flat bank, row or column index outside the
+// device, on either side, is ErrAddress and leaves the counters and the
+// clock as they were. Bank 0 has a row open past tRCD, so the same
+// commands at in-range addresses would pass their state and timing
+// checks.
+func TestBankCommandsRejectOutOfRangeAddresses(t *testing.T) {
 	d := newDevice(t, config.SmallChip())
-	b := bankAddr(0, 0, 0)
+	g := d.Geometry()
 	tm := d.Config().Timing
-	if err := d.Activate(b, 1); err != nil {
+	if err := d.Activate(0, 10, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AdvanceTime(tm.TRAS); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Precharge(b); err != nil {
+	col := make([]byte, g.ColumnBytes)
+	banks, rows, cols := g.TotalBanks(), g.Rows, g.Columns
+	cases := []struct {
+		name string
+		cmd  func() error
+	}{
+		{"activate bank -1", func() error { return d.Activate(-1, 0, false) }},
+		{"activate bank past the end", func() error { return d.Activate(banks, 0, true) }},
+		{"activate row -1", func() error { return d.Activate(1, -1, false) }},
+		{"activate row past the end", func() error { return d.Activate(1, rows, false) }},
+		{"precharge bank -1", func() error { return d.Precharge(-1) }},
+		{"precharge bank past the end", func() error { return d.Precharge(banks) }},
+		{"read bank -1", func() error { return d.Read(-1, 0, col) }},
+		{"read bank past the end", func() error { return d.Read(banks, 0, col) }},
+		{"read column -1", func() error { return d.Read(0, -1, col) }},
+		{"read column past the end", func() error { return d.Read(0, cols, col) }},
+		{"write bank -1", func() error { return d.Write(-1, 0, col) }},
+		{"write bank past the end", func() error { return d.Write(banks, 0, col) }},
+		{"write column -1", func() error { return d.Write(0, -1, col) }},
+		{"write column past the end", func() error { return d.Write(0, cols, col) }},
+		{"row write bank -1", func() error { return d.WriteRow(-1, col) }},
+		{"row write bank past the end", func() error { return d.WriteRow(banks, col) }},
+		{"hammer bank -1", func() error { return d.Hammer(-1, [2]int{1, 3}, 2, 10, tm.TRAS) }},
+		{"hammer bank past the end", func() error { return d.Hammer(banks, [2]int{1, 3}, 2, 10, tm.TRAS) }},
+		{"hammer first row -1", func() error { return d.Hammer(1, [2]int{-1, 3}, 2, 10, tm.TRAS) }},
+		{"hammer second row past the end", func() error { return d.Hammer(1, [2]int{1, rows}, 2, 10, tm.TRAS) }},
+		{"hammer single row past the end", func() error { return d.Hammer(1, [2]int{rows}, 1, 10, tm.TRAS) }},
+		{"hammer no aggressor", func() error { return d.Hammer(1, [2]int{1, 3}, 0, 10, tm.TRAS) }},
+		{"hammer three aggressors", func() error { return d.Hammer(1, [2]int{1, 3}, 3, 10, tm.TRAS) }},
+	}
+	for _, tc := range cases {
+		stats, now := d.Stats(), d.Now()
+		if err := tc.cmd(); !errors.Is(err, ErrAddress) {
+			t.Errorf("%s: err = %v, want ErrAddress", tc.name, err)
+		}
+		if d.Stats() != stats || d.Now() != now {
+			t.Errorf("%s: the refused command moved the device from %+v at %d ps to %+v at %d ps",
+				tc.name, stats, now, d.Stats(), d.Now())
+		}
+	}
+	// The open row is still usable: only the addresses were wrong.
+	if err := d.Read(0, cols-1, col); err != nil {
+		t.Fatalf("in-range read after the refused commands: %v", err)
+	}
+}
+
+func TestTRPEnforcedAfterPrecharge(t *testing.T) {
+	d := newDevice(t, config.SmallChip())
+	b := bankAddr(0, 0, 0)
+	tm := d.Config().Timing
+	if err := d.Activate(flat(d, b), 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Activate(b, 2); !errors.Is(err, ErrTiming) {
+	if err := d.AdvanceTime(tm.TRAS); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Precharge(flat(d, b)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Activate(flat(d, b), 2, false); !errors.Is(err, ErrTiming) {
 		t.Fatalf("activate before tRP: err = %v, want ErrTiming", err)
 	}
 	if err := d.AdvanceTime(tm.TRP); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Activate(b, 2); err != nil {
+	if err := d.Activate(flat(d, b), 2, false); err != nil {
 		t.Fatalf("activate after tRP: %v", err)
 	}
 }
@@ -196,7 +260,7 @@ func TestDoubleSidedHammerFlipsVictim(t *testing.T) {
 	b := bankAddr(7, 0, 0) // channel 7: the most vulnerable channel
 	phys := midSubarrayRow(d, 1)
 	lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
-	if err := d.HammerPairHold(b, la, lb, 256*1024, d.Config().Timing.TRAS); err != nil {
+	if err := hammerPair(d, b, la, lb, 256*1024, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
@@ -238,7 +302,7 @@ func TestHammerBelowThresholdFlipsNothing(t *testing.T) {
 	lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
 	// HCFloor is the absolute minimum threshold: hammering below it can
 	// never flip anything.
-	if err := d.HammerPairHold(b, la, lb, int(cfg.Fault.HCFloor)-1, d.Config().Timing.TRAS); err != nil {
+	if err := hammerPair(d, b, la, lb, int(cfg.Fault.HCFloor)-1, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
@@ -261,7 +325,7 @@ func TestDisturbanceDoesNotCrossSubarrayBoundary(t *testing.T) {
 	l := d.fm.Layout()
 	edge := l.End(0) - 1 // last physical row of subarray 0
 	m := d.Mapper()
-	if err := d.HammerSingleHold(b, m.ToLogical(edge), 300000, d.Config().Timing.TRAS); err != nil {
+	if err := hammerSingle(d, b, m.ToLogical(edge), 300000, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	// The row across the boundary must have accumulated no disturbance.
@@ -286,7 +350,7 @@ func TestHammerPairMatchesExplicitActPreLoop(t *testing.T) {
 	bulk := newDevice(t, cfg)
 	la := bulk.Mapper().ToLogical(phys - 1)
 	lb := bulk.Mapper().ToLogical(phys + 1)
-	if err := bulk.HammerPairHold(b, la, lb, n, bulk.Config().Timing.TRAS); err != nil {
+	if err := hammerPair(bulk, b, la, lb, n, bulk.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 
@@ -296,13 +360,13 @@ func TestHammerPairMatchesExplicitActPreLoop(t *testing.T) {
 			// Hold each row open for exactly tRAS (the command cycle
 			// plus tRAS-tCK), as the program builder emits, so no
 			// RowPress amplification accrues.
-			if err := loop.Activate(b, r); err != nil {
+			if err := loop.Activate(flat(loop, b), r, false); err != nil {
 				t.Fatal(err)
 			}
 			if err := loop.AdvanceTime(tm.TRAS - tm.TCK); err != nil {
 				t.Fatal(err)
 			}
-			if err := loop.Precharge(b); err != nil {
+			if err := loop.Precharge(flat(loop, b)); err != nil {
 				t.Fatal(err)
 			}
 			if err := loop.AdvanceTime(tm.TRP - tm.TCK); err != nil {
@@ -337,7 +401,7 @@ func TestECCReducesObservedFlips(t *testing.T) {
 		b := bankAddr(7, 0, 0)
 		phys := midSubarrayRow(d, 1)
 		lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
-		if err := d.HammerPairHold(b, la, lb, 80000, d.Config().Timing.TRAS); err != nil {
+		if err := hammerPair(d, b, la, lb, 80000, d.Config().Timing.TRAS); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
@@ -374,7 +438,7 @@ func TestTRRMitigatesInterleavedHammering(t *testing.T) {
 		lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
 		const chunks, perChunk = 64, 4096
 		for i := 0; i < chunks; i++ {
-			if err := d.HammerPairHold(b, la, lb, perChunk, d.Config().Timing.TRAS); err != nil {
+			if err := hammerPair(d, b, la, lb, perChunk, d.Config().Timing.TRAS); err != nil {
 				t.Fatal(err)
 			}
 			if withRefs {
@@ -505,7 +569,7 @@ func TestDeterminismAcrossDevices(t *testing.T) {
 		b := bankAddr(6, 1, 3)
 		phys := midSubarrayRow(d, 1)
 		lv, la, lb := doubleSidedSetup(t, d, b, phys, 0x55, 0xAA)
-		if err := d.HammerPairHold(b, la, lb, 200000, d.Config().Timing.TRAS); err != nil {
+		if err := hammerPair(d, b, la, lb, 200000, d.Config().Timing.TRAS); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
@@ -558,7 +622,7 @@ func TestDocumentedTRRModeProtectsTargets(t *testing.T) {
 	}
 	const chunks, perChunk = 64, 4096
 	for i := 0; i < chunks; i++ {
-		if err := d.HammerPairHold(b, la, lb, perChunk, d.Config().Timing.TRAS); err != nil {
+		if err := hammerPair(d, b, la, lb, perChunk, d.Config().Timing.TRAS); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRFC); err != nil {
@@ -648,7 +712,7 @@ func TestPrechargeAllClosesOpenRows(t *testing.T) {
 	d := newDevice(t, config.SmallChip())
 	tm := d.Config().Timing
 	for ba := 0; ba < 3; ba++ {
-		if err := d.Activate(bankAddr(1, 0, ba), 10+ba); err != nil {
+		if err := d.Activate(flat(d, bankAddr(1, 0, ba)), 10+ba, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -663,7 +727,7 @@ func TestPrechargeAllClosesOpenRows(t *testing.T) {
 	}
 	// All banks must re-activate cleanly (they were closed).
 	for ba := 0; ba < 3; ba++ {
-		if err := d.Activate(bankAddr(1, 0, ba), 20+ba); err != nil {
+		if err := d.Activate(flat(d, bankAddr(1, 0, ba)), 20+ba, false); err != nil {
 			t.Fatalf("bank %d not precharged: %v", ba, err)
 		}
 	}
@@ -676,7 +740,7 @@ func TestHammerDifferentLogicalSamePhysicalRejected(t *testing.T) {
 	cfg := config.SmallChip()
 	cfg.Mapping = config.MappingDirect
 	d := newDevice(t, cfg)
-	if err := d.HammerPairHold(bankAddr(0, 0, 0), 9, 9, 5, d.Config().Timing.TRAS); !errors.Is(err, ErrAddress) {
+	if err := hammerPair(d, bankAddr(0, 0, 0), 9, 9, 5, d.Config().Timing.TRAS); !errors.Is(err, ErrAddress) {
 		t.Fatalf("err = %v, want ErrAddress for same-row pair", err)
 	}
 }

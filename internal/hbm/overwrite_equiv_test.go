@@ -11,9 +11,9 @@ import (
 	"github.com/safari-repro/hbmrh/internal/rng"
 )
 
-// The DRAM Bender runner issues ActivateOverwrite for an ACT whose row the
-// program rewrites in full (one WRROW) before anything reads it, skipping
-// the sense's bitflips. These tests run random programs twice — with the
+// The DRAM Bender runner issues an overwrite Activate for an ACT whose
+// row the program rewrites in full (one WRROW) before anything reads it,
+// skipping the sense's bitflips. These tests run random programs twice — with the
 // runner's fast paths on and with DisableFastPath — and require identical
 // reads, errors, clocks, activity counters and per-row physical state.
 // Only BitflipsCommitted and ECCCorrections may differ: they no longer
@@ -182,8 +182,7 @@ var errStopped = errors.New("stopped at a segment boundary")
 // stop half rewritten.
 func runScriptProgram(d *Device, script []byte, prog *bender.Program, bounds []int,
 	disableFast bool) ([]byte, int64, error) {
-	r := bender.NewRunner(d.Config().Timing)
-	r.DisableFastPath = disableFast
+	r := &bender.Runner{DisableFastPath: disableFast}
 	var res *bender.Result
 	var err error
 	if bounds != nil {
@@ -198,9 +197,9 @@ func runScriptProgram(d *Device, script []byte, prog *bender.Program, bounds []i
 		for i := range live {
 			live[i] = true
 		}
-		res, _, err = r.RunSegments(d, d.Geometry(), prog, bounds, live, check)
+		res, _, err = r.RunSegments(d, prog, bounds, live, check)
 	} else {
-		res, err = r.Run(d, d.Geometry(), prog)
+		res, err = r.Run(d, prog)
 	}
 	if err != nil {
 		return nil, 0, err

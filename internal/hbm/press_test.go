@@ -24,7 +24,7 @@ func TestRowPressAmplifiesDisturbance(t *testing.T) {
 		lv, la, lb := doubleSidedSetup(t, d, b, phys, 0x00, 0xFF)
 		// Far below normal HCfirst: only RowPress amplification can
 		// make these few activations flip anything.
-		if err := d.HammerPairHold(b, la, lb, 8000, hold); err != nil {
+		if err := hammerPair(d, b, la, lb, 8000, hold); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRP); err != nil {
@@ -57,7 +57,7 @@ func TestRowPressMonotoneInHoldTime(t *testing.T) {
 		b := bankAddr(7, 0, 0)
 		phys := midSubarrayRow(d, 1)
 		lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
-		if err := d.HammerPairHold(b, la, lb, 20000, tm.TRAS*mult); err != nil {
+		if err := hammerPair(d, b, la, lb, 20000, tm.TRAS*mult); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRP); err != nil {
@@ -101,7 +101,7 @@ func TestRowPressZeroAtMinimumTiming(t *testing.T) {
 
 func TestHammerHoldBelowTRASRejected(t *testing.T) {
 	d := newDevice(t, config.SmallChip())
-	err := d.HammerPairHold(bankAddr(0, 0, 0), 5, 7, 10, d.cfg.Timing.TRAS-1)
+	err := hammerPair(d, bankAddr(0, 0, 0), 5, 7, 10, d.cfg.Timing.TRAS-1)
 	if !errors.Is(err, ErrTiming) {
 		t.Fatalf("err = %v, want ErrTiming", err)
 	}
@@ -118,20 +118,20 @@ func TestExplicitLongHoldMatchesBulkPress(t *testing.T) {
 	bulk := newDevice(t, cfg)
 	la := bulk.Mapper().ToLogical(phys - 1)
 	lb := bulk.Mapper().ToLogical(phys + 1)
-	if err := bulk.HammerPairHold(b, la, lb, n, hold); err != nil {
+	if err := hammerPair(bulk, b, la, lb, n, hold); err != nil {
 		t.Fatal(err)
 	}
 
 	loop := newDevice(t, cfg)
 	for i := 0; i < n; i++ {
 		for _, r := range []int{la, lb} {
-			if err := loop.Activate(b, r); err != nil {
+			if err := loop.Activate(flat(loop, b), r, false); err != nil {
 				t.Fatal(err)
 			}
 			if err := loop.AdvanceTime(hold - tm.TCK); err != nil {
 				t.Fatal(err)
 			}
-			if err := loop.Precharge(b); err != nil {
+			if err := loop.Precharge(flat(loop, b)); err != nil {
 				t.Fatal(err)
 			}
 			if err := loop.AdvanceTime(tm.TRP - tm.TCK); err != nil {
@@ -168,7 +168,7 @@ func TestHotterChipFlipsMoreUnderHammering(t *testing.T) {
 		b := bankAddr(7, 0, 0)
 		phys := midSubarrayRow(d, 1)
 		lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
-		if err := d.HammerPairHold(b, la, lb, 200000, d.Config().Timing.TRAS); err != nil {
+		if err := hammerPair(d, b, la, lb, 200000, d.Config().Timing.TRAS); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {
@@ -193,7 +193,7 @@ func TestVerticalCouplingOffByDefault(t *testing.T) {
 	b := bankAddr(4, 0, 0)
 	phys := midSubarrayRow(d, 1)
 	la := d.Mapper().ToLogical(phys)
-	if err := d.HammerSingleHold(b, la, 300000, d.Config().Timing.TRAS); err != nil {
+	if err := hammerSingle(d, b, la, 300000, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	// The same row of the vertically adjacent channels must be untouched.
@@ -212,7 +212,7 @@ func TestVerticalCouplingDisturbsAdjacentDies(t *testing.T) {
 	b := bankAddr(4, 0, 0)
 	phys := midSubarrayRow(d, 1)
 	la := d.Mapper().ToLogical(phys)
-	if err := d.HammerSingleHold(b, la, 100000, d.Config().Timing.TRAS); err != nil {
+	if err := hammerSingle(d, b, la, 100000, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	for _, vch := range []int{2, 6} {
@@ -249,7 +249,7 @@ func TestVerticalCouplingCanInduceCrossChannelFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	aggrBank := bankAddr(7, 0, 0)
-	if err := d.HammerSingleHold(aggrBank, lv, 1000000, d.Config().Timing.TRAS); err != nil {
+	if err := hammerSingle(d, aggrBank, lv, 1000000, d.Config().Timing.TRAS); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AdvanceTime(cfg.Timing.TRP); err != nil {

@@ -23,7 +23,7 @@ func writeRow(d *Device, b addr.BankAddr, logicalRow int, data []byte) error {
 	}
 	n := g.ColumnBytes
 	for col := 0; col < g.Columns; col++ {
-		if err := d.Write(b, col, data[col*n:(col+1)*n]); err != nil {
+		if err := d.Write(flat(d, b), col, data[col*n:(col+1)*n]); err != nil {
 			return err
 		}
 	}
@@ -37,13 +37,12 @@ func readRow(d *Device, b addr.BankAddr, logicalRow int) ([]byte, error) {
 	if err := openRow(d, b, logicalRow); err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, g.RowBytes())
+	out := make([]byte, g.RowBytes())
+	n := g.ColumnBytes
 	for col := 0; col < g.Columns; col++ {
-		chunk, err := d.Read(b, col)
-		if err != nil {
+		if err := d.Read(flat(d, b), col, out[col*n:(col+1)*n]); err != nil {
 			return nil, err
 		}
-		out = append(out, chunk...)
 	}
 	if err := closeRow(d, b); err != nil {
 		return nil, err
@@ -64,7 +63,7 @@ func refreshRow(d *Device, b addr.BankAddr, logicalRow int) error {
 func openRow(d *Device, b addr.BankAddr, logicalRow int) error {
 	t := d.Config().Timing
 	start := d.Now()
-	if err := d.Activate(b, logicalRow); err != nil {
+	if err := d.Activate(flat(d, b), logicalRow, false); err != nil {
 		return err
 	}
 	return waitUntil(d, start+t.TRCD)
@@ -80,18 +79,32 @@ func closeRow(d *Device, b addr.BankAddr) error {
 	if err := waitUntil(d, bankStart+t.TRAS); err != nil {
 		return err
 	}
-	if err := d.Precharge(b); err != nil {
+	if err := d.Precharge(flat(d, b)); err != nil {
 		return err
 	}
 	return d.AdvanceTime(t.TRP)
 }
 
 func (d *Device) lastActOf(b addr.BankAddr) int64 {
-	bank, err := d.bankAt(b)
-	if err != nil {
+	if !b.Valid(d.cfg.Geometry) {
 		return farPast
 	}
-	return bank.lastAct
+	return d.banks[flat(d, b)].lastAct
+}
+
+// flat returns bank b's BankAddr.Flat index, the address every bank
+// command takes.
+func flat(d *Device, b addr.BankAddr) int { return b.Flat(d.cfg.Geometry) }
+
+// hammerPair runs n double-sided hammers of rows la and lb in bank b,
+// each activation held open for holdPS.
+func hammerPair(d *Device, b addr.BankAddr, la, lb, n int, holdPS int64) error {
+	return d.Hammer(flat(d, b), [2]int{la, lb}, 2, int64(n), holdPS)
+}
+
+// hammerSingle runs n single-sided hammers of row in bank b.
+func hammerSingle(d *Device, b addr.BankAddr, row, n int, holdPS int64) error {
+	return d.Hammer(flat(d, b), [2]int{row}, 1, int64(n), holdPS)
 }
 
 func waitUntil(d *Device, deadline int64) error {

@@ -14,22 +14,16 @@ import (
 	"github.com/safari-repro/hbmrh/internal/rng"
 )
 
-// The DRAM Bender runner executes validated programs on the device's
-// unchecked core (the *Resolved methods), with the banks validation
-// resolved. These tests decode random byte scripts into programs —
-// out-of-range banks, rows and columns, mistimed commands, nested loops,
-// bad loop structure and segment bounds included — and pin that core to
-// the public checked methods twice:
-//
-//   - The runner, with its fast paths off, against a plain interpreter
-//     that validates the program the way the runner does and then issues
-//     every instruction through the public checked methods, unrolling
-//     loops. Same error class (and the same message for device errors),
-//     reads, segments, clock, counters and row state.
-//   - The runner with its fast paths on, once on the device and once on
-//     a view that routes every resolved command back through the checked
-//     methods. Both make the same bulk-hammer and overwrite decisions, so
-//     everything, bitflip counters included, must agree.
+// The DRAM Bender runner executes validated programs on the device with
+// the banks validation resolved, through its loop stack, segment
+// boundaries, live masks and cancellation checks. These tests decode
+// random byte scripts into programs — out-of-range banks, rows and
+// columns, mistimed commands, nested loops, bad loop structure and
+// segment bounds included — and pin the runner, with its fast paths off,
+// to a plain interpreter that validates the program the way the runner
+// does and then issues every instruction as one device command, unrolling
+// loops. Same error class (and the same message for device errors),
+// reads, segments, clock, counters and row state.
 
 // runnerConfig is equivConfig with RowHammer thresholds a hundredth as
 // high, so the hammer loops the plain interpreter unrolls flip bits while
@@ -305,18 +299,18 @@ func (rs runnerScript) stopCheck() func() error {
 	}
 }
 
-// runWithRunner runs the script's program on t, a view of d, through a
-// fresh runner.
-func runWithRunner(t bender.Target, d *Device, rs runnerScript, disableFast bool) runOutcome {
-	r := bender.NewRunner(d.Config().Timing)
-	r.DisableFastPath = disableFast
+// runWithRunner runs the script's program on d through a fresh runner
+// with its fast paths off: the bulk hammer sums disturbance in another
+// floating-point order, and an overwrite activation counts no flips.
+func runWithRunner(d *Device, rs runnerScript) runOutcome {
+	r := &bender.Runner{DisableFastPath: true}
 	var res *bender.Result
 	var segs []bender.Segment
 	var err error
 	if rs.bounds != nil {
-		res, segs, err = r.RunSegments(t, d.Geometry(), rs.prog, rs.bounds, rs.live, rs.stopCheck())
+		res, segs, err = r.RunSegments(d, rs.prog, rs.bounds, rs.live, rs.stopCheck())
 	} else {
-		res, err = r.Run(t, d.Geometry(), rs.prog)
+		res, err = r.Run(d, rs.prog)
 	}
 	if err != nil {
 		return runOutcome{err: err}
@@ -332,7 +326,7 @@ func runWithRunner(t bender.Target, d *Device, rs runnerScript, disableFast bool
 var errHalt = errors.New("halt")
 
 // checkedRun is the plain interpreter: the script's program, executed
-// instruction by instruction through the public checked methods.
+// instruction by instruction on the device's commands.
 type checkedRun struct {
 	d      *Device
 	rs     runnerScript
@@ -347,8 +341,8 @@ type checkedRun struct {
 
 // runChecked validates the script's program as the runner does —
 // ascending bounds, the program, no bound inside a loop — and then runs
-// it on d through the public checked methods, unrolling loops and
-// omitting the dead segments.
+// it on d one command per instruction, unrolling loops and omitting the
+// dead segments.
 func runChecked(d *Device, rs runnerScript) runOutcome {
 	instrs := rs.prog.Instrs
 	for j, b := range rs.bounds {
@@ -427,28 +421,28 @@ func (c *checkedRun) exec(from, to int, top bool) error {
 	return nil
 }
 
-// step issues one instruction through the public checked methods.
+// step issues one instruction as one device command.
 func (c *checkedRun) step(in bender.Instr) error {
 	d := c.d
-	ba := addr.BankAddr{Channel: in.Ch, PseudoChannel: in.PC, Bank: in.Bank}
+	bank := addr.BankAddr{Channel: in.Ch, PseudoChannel: in.PC, Bank: in.Bank}.Flat(d.Geometry())
 	switch in.Op {
 	case bender.OpAct:
-		return d.Activate(ba, in.Row)
+		return d.Activate(bank, in.Row, false)
 	case bender.OpPre:
-		return d.Precharge(ba)
+		return d.Precharge(bank)
 	case bender.OpPreA:
 		return d.PrechargeAll(in.Ch, in.PC)
 	case bender.OpRd:
 		buf := make([]byte, d.Geometry().ColumnBytes)
-		if err := d.ReadInto(ba, in.Col, buf); err != nil {
+		if err := d.Read(bank, in.Col, buf); err != nil {
 			return err
 		}
 		c.reads = append(c.reads, buf)
 		return nil
 	case bender.OpWr:
-		return d.Write(ba, in.Col, c.rs.prog.Data[in.Data])
+		return d.Write(bank, in.Col, c.rs.prog.Data[in.Data])
 	case bender.OpWrRow:
-		return d.WriteRow(ba, c.rs.prog.Data[in.Data])
+		return d.WriteRow(bank, c.rs.prog.Data[in.Data])
 	case bender.OpRef:
 		return d.Refresh(in.Ch, in.PC)
 	case bender.OpMRS:
@@ -461,41 +455,6 @@ func (c *checkedRun) step(in bender.Instr) error {
 		return errHalt
 	}
 	return fmt.Errorf("cannot execute %s", in.Op)
-}
-
-// checkedCore is a view of a device whose resolved commands go back
-// through the public checked methods, so a runner driving it makes the
-// fast-path decisions a runner driving the device's unchecked core makes.
-type checkedCore struct{ *Device }
-
-func (c checkedCore) bank(flat int) addr.BankAddr { return addr.BankFromFlat(c.Geometry(), flat) }
-
-func (c checkedCore) ActivateResolved(bank, row int, overwrite bool) error {
-	if overwrite {
-		return c.ActivateOverwrite(c.bank(bank), row)
-	}
-	return c.Activate(c.bank(bank), row)
-}
-
-func (c checkedCore) PrechargeResolved(bank int) error { return c.Precharge(c.bank(bank)) }
-
-func (c checkedCore) ReadResolved(bank, col int, dst []byte) error {
-	return c.ReadInto(c.bank(bank), col, dst)
-}
-
-func (c checkedCore) WriteResolved(bank, col int, data []byte) error {
-	return c.Write(c.bank(bank), col, data)
-}
-
-func (c checkedCore) WriteRowResolved(bank int, data []byte) error {
-	return c.WriteRow(c.bank(bank), data)
-}
-
-func (c checkedCore) HammerResolved(bank int, rows [2]int, nrows, n int, holdPS int64) error {
-	if nrows == 2 {
-		return c.HammerPairHold(c.bank(bank), rows[0], rows[1], n, holdPS)
-	}
-	return c.HammerSingleHold(c.bank(bank), rows[0], n, holdPS)
 }
 
 // compareOutcomes fails the test unless two runs of one script agree on
@@ -521,12 +480,12 @@ func compareOutcomes(t *testing.T, what string, x, y runOutcome, dx, dy *Device)
 	compareRows(t, dx, dy)
 }
 
-// runRunnerScript runs both differentials on one script and returns the
+// runRunnerScript runs the differential on one script and returns the
 // outcome and the counters of the plain interpreter's run.
 func runRunnerScript(t *testing.T, script []byte, live uint64) (runOutcome, Stats) {
 	t.Helper()
-	var devs [4]*Device
-	var scripts [4]runnerScript
+	var devs [2]*Device
+	var scripts [2]runnerScript
 	for i := range devs {
 		d, err := New(runnerConfig())
 		if err != nil {
@@ -535,17 +494,14 @@ func runRunnerScript(t *testing.T, script []byte, live uint64) (runOutcome, Stat
 		devs[i], scripts[i] = d, decodeRunnerScript(d, script, live)
 	}
 	ref := runChecked(devs[0], scripts[0])
-	slow := runWithRunner(devs[1], devs[1], scripts[1], true)
-	compareOutcomes(t, "checked commands vs runner without fast paths", ref, slow, devs[0], devs[1])
-	core := runWithRunner(devs[2], devs[2], scripts[2], false)
-	view := runWithRunner(checkedCore{devs[3]}, devs[3], scripts[3], false)
-	compareOutcomes(t, "unchecked core vs checked view with fast paths", core, view, devs[2], devs[3])
+	slow := runWithRunner(devs[1], scripts[1])
+	compareOutcomes(t, "plain interpreter vs runner without fast paths", ref, slow, devs[0], devs[1])
 	return ref, devs[0].Stats()
 }
 
 // FuzzRunnerMatchesCheckedCommands is the differential fuzz target
-// pinning the runner's unchecked device core to the public checked
-// commands. `go test` exercises the seed corpus (testdata/fuzz holds
+// pinning the runner to the plain interpreter: one device command per
+// instruction. `go test` exercises the seed corpus (testdata/fuzz holds
 // more); `go test -fuzz=FuzzRunnerMatchesCheckedCommands ./internal/hbm`
 // digs.
 func FuzzRunnerMatchesCheckedCommands(f *testing.F) {

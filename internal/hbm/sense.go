@@ -21,7 +21,7 @@ func (d *Device) SetSenseReference(on bool) { d.senseRef = on }
 // sense — from charge decay or from RowHammer disturbance — becomes
 // permanent data. Afterwards the row is fully charged and its disturbance
 // counter is reset. With flips false only that restore happens: the
-// caller (ActivateOverwrite) guarantees every bit is overwritten before
+// caller (an overwrite Activate) guarantees every bit is overwritten before
 // anything could observe the latched data.
 //
 // On-die ECC, when enabled through the mode register, corrects words with

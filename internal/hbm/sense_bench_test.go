@@ -23,19 +23,19 @@ func benchSense(b *testing.B, ref bool) {
 	la, lb, lv := m.ToLogical(phys-1), m.ToLogical(phys+1), m.ToLogical(phys)
 	tm := d.Config().Timing
 	cycle := func() {
-		if err := d.HammerPairHold(ba, la, lb, 150_000, d.Config().Timing.TRAS); err != nil {
+		if err := hammerPair(d, ba, la, lb, 150_000, d.Config().Timing.TRAS); err != nil {
 			b.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRP); err != nil {
 			b.Fatal(err)
 		}
-		if err := d.Activate(ba, lv); err != nil {
+		if err := d.Activate(flat(d, ba), lv, false); err != nil {
 			b.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRAS); err != nil {
 			b.Fatal(err)
 		}
-		if err := d.Precharge(ba); err != nil {
+		if err := d.Precharge(flat(d, ba)); err != nil {
 			b.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRP); err != nil {
@@ -72,7 +72,7 @@ func BenchmarkSenseColdRows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		phys := 1 + (i*3)%(rows-2)
-		if err := d.HammerPairHold(ba, m.ToLogical(phys-1), m.ToLogical(phys+1), 150_000, d.Config().Timing.TRAS); err != nil {
+		if err := hammerPair(d, ba, m.ToLogical(phys-1), m.ToLogical(phys+1), 150_000, d.Config().Timing.TRAS); err != nil {
 			b.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRP); err != nil {

@@ -2,6 +2,7 @@ package hbm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -65,9 +66,9 @@ func applyOp(d *Device, op, a, b byte) (readout []byte, err error) {
 	hammers := 20_000 + int(b)*2_000
 	switch op % 9 {
 	case 0:
-		return nil, d.HammerPairHold(ba, m.ToLogical(physVictim-1), m.ToLogical(physVictim+1), hammers, d.Config().Timing.TRAS)
+		return nil, hammerPair(d, ba, m.ToLogical(physVictim-1), m.ToLogical(physVictim+1), hammers, d.Config().Timing.TRAS)
 	case 1:
-		return nil, d.HammerSingleHold(ba, m.ToLogical(physVictim), hammers, d.Config().Timing.TRAS)
+		return nil, hammerSingle(d, ba, m.ToLogical(physVictim), hammers, d.Config().Timing.TRAS)
 	case 2:
 		pattern := bytes.Repeat([]byte{a ^ b}, g.RowBytes())
 		return nil, writeRow(d, ba, lrow, pattern)
@@ -85,7 +86,7 @@ func applyOp(d *Device, op, a, b byte) (readout []byte, err error) {
 		return nil, d.Refresh(ba.Channel, ba.PseudoChannel)
 	default:
 		hold := d.cfg.Timing.TRAS * int64(1+b%20)
-		return nil, d.HammerPairHold(ba, m.ToLogical(physVictim-1), m.ToLogical(physVictim+1), hammers/4, hold)
+		return nil, hammerPair(d, ba, m.ToLogical(physVictim-1), m.ToLogical(physVictim+1), hammers/4, hold)
 	}
 }
 
@@ -370,7 +371,7 @@ func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 			step := fmt.Sprintf("ecc=%d hammers=%d", ecc, n)
 			written := write(step)
 			before := fast.Stats()
-			both(step, func(d *Device) error { return d.HammerPairHold(ba, up, down, n, d.Config().Timing.TRAS) })
+			both(step, func(d *Device) error { return hammerPair(d, ba, up, down, n, d.Config().Timing.TRAS) })
 			out := readVictim(step)
 			after := fast.Stats()
 			if flipped := rowBit(out, quartile) != rowBit(written, quartile); ecc == 0 &&
@@ -388,7 +389,7 @@ func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 		step := fmt.Sprintf("ecc=%d pressed", ecc)
 		write(step)
 		hold := cfg.Timing.TRAS * 8
-		both(step, func(d *Device) error { return d.HammerPairHold(ba, up, down, lo, hold) })
+		both(step, func(d *Device) error { return hammerPair(d, ba, up, down, lo, hold) })
 		readVictim(step)
 
 		step = fmt.Sprintf("ecc=%d idle", ecc)
@@ -441,19 +442,19 @@ func TestSenseSteadyStateAllocs(t *testing.T) {
 	la, lb, lv := m.ToLogical(phys-1), m.ToLogical(phys+1), m.ToLogical(phys)
 	tm := d.Config().Timing
 	cycle := func() {
-		if err := d.HammerPairHold(ba, la, lb, 150_000, d.Config().Timing.TRAS); err != nil {
+		if err := hammerPair(d, ba, la, lb, 150_000, d.Config().Timing.TRAS); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRP); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Activate(ba, lv); err != nil {
+		if err := d.Activate(flat(d, ba), lv, false); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRAS); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Precharge(ba); err != nil {
+		if err := d.Precharge(flat(d, ba)); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.AdvanceTime(tm.TRP); err != nil {
@@ -467,9 +468,10 @@ func TestSenseSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestReadIntoMatchesRead pins the caller-provided-buffer read variant to
-// the allocating one.
-func TestReadIntoMatchesRead(t *testing.T) {
+// TestReadFillsCallerBuffer pins Read's caller-provided buffer: it
+// receives the column's bytes, must be exactly one column long, and reads
+// the power-up pattern from a row never written.
+func TestReadFillsCallerBuffer(t *testing.T) {
 	cfg := equivConfig()
 	d, err := New(cfg)
 	if err != nil {
@@ -477,6 +479,7 @@ func TestReadIntoMatchesRead(t *testing.T) {
 	}
 	ba := addr.BankAddr{Channel: 2}
 	pattern := bytes.Repeat([]byte{0x5A}, d.Geometry().RowBytes())
+	pattern[cfg.Geometry.ColumnBytes] = 0xA5 // the first byte of column 1
 	if err := writeRow(d, ba, 5, pattern); err != nil {
 		t.Fatal(err)
 	}
@@ -484,19 +487,16 @@ func TestReadIntoMatchesRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeRow(d, ba)
-	want, err := d.Read(ba, 1)
-	if err != nil {
+	n := cfg.Geometry.ColumnBytes
+	dst := make([]byte, n)
+	if err := d.Read(flat(d, ba), 1, dst); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]byte, d.Geometry().ColumnBytes)
-	if err := d.ReadInto(ba, 1, dst); err != nil {
-		t.Fatal(err)
+	if want := pattern[n : 2*n]; !bytes.Equal(dst, want) {
+		t.Fatalf("Read = %x, want %x", dst, want)
 	}
-	if !bytes.Equal(want, dst) {
-		t.Fatalf("ReadInto = %x, Read = %x", dst, want)
-	}
-	if err := d.ReadInto(ba, 1, dst[:2]); err == nil {
-		t.Fatal("short destination buffer accepted")
+	if err := d.Read(flat(d, ba), 1, dst[:2]); !errors.Is(err, ErrAddress) {
+		t.Fatalf("short destination buffer: err = %v, want ErrAddress", err)
 	}
 	// An unmaterialized row reads as the power-up pattern.
 	unb := addr.BankAddr{Channel: 3}
@@ -507,7 +507,7 @@ func TestReadIntoMatchesRead(t *testing.T) {
 	for i := range dst {
 		dst[i] = 0xFF
 	}
-	if err := d.ReadInto(unb, 0, dst); err != nil {
+	if err := d.Read(flat(d, unb), 0, dst); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range dst {
