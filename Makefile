@@ -62,7 +62,14 @@ golden-check:
 #   1. the multichip fleet scan (`characterize -experiment multichip`,
 #      exported by region): a 32-seed scan, 4 chips at a time, once in a
 #      single process and once as four serialized seed-range shards
-#      plus a `characterize merge`.
+#      plus a `characterize merge`. Then a scan sized to cross the
+#      stream's exact→sketch boundary in the merge (128 seeds, 9 rows
+#      per region: 288 samples per group in each of four shards, 1,152
+#      merged, against the cutoff of 1,024): the single-process
+#      artifact, the `characterize merge` artifact and the store's
+#      /v1/artifact must byte-match, and a grep checks that the merged
+#      artifact holds sketched streams and no shard does, so the step
+#      fails if the sizes stop crossing.
 #   2. rowpress (a newly lifted point-axis driver): once in a single
 #      process under the default queue planner and once as two job-slice
 #      shards under the weighted planner, merged through the generic
@@ -112,6 +119,20 @@ smoke:
 		-json $(SMOKE_DIR)/merged.json '$(SMOKE_DIR)/shard*.json'
 	cmp $(SMOKE_DIR)/single.csv $(SMOKE_DIR)/merged.csv
 	cmp $(SMOKE_DIR)/single.json $(SMOKE_DIR)/merged.json
+	$(GO) run ./cmd/characterize -experiment multichip -seeds 128 -rows 9 -parallel 4 \
+		-artifact $(SMOKE_DIR)/cross.bin >/dev/null
+	for i in 0 1 2 3; do \
+		$(GO) run ./cmd/characterize -experiment multichip -seeds 128 -rows 9 -parallel 4 \
+			-shard $$i/4 -artifact $(SMOKE_DIR)/cross-shard$$i.json >/dev/null || exit 1; \
+	done
+	$(GO) run ./cmd/characterize merge -artifact $(SMOKE_DIR)/cross-merged.bin \
+		'$(SMOKE_DIR)/cross-shard*.json' >/dev/null
+	$(GO) run ./cmd/resultsd -store $(SMOKE_DIR)/cross-store -quiet \
+		-query '/v1/artifact' '$(SMOKE_DIR)/cross-shard*.json' > $(SMOKE_DIR)/cross-store.bin
+	cmp $(SMOKE_DIR)/cross.bin $(SMOKE_DIR)/cross-merged.bin
+	cmp $(SMOKE_DIR)/cross.bin $(SMOKE_DIR)/cross-store.bin
+	grep -q '"sketched": true' $(SMOKE_DIR)/cross-merged.bin
+	! grep -q '"sketched": true' $(SMOKE_DIR)/cross-shard*.json
 	# smoke-parallel: the same 32-seed scan flat-out at one chip per CPU
 	# (at least 8 so goroutines really interleave on small CI boxes) with
 	# mutex profiling armed; byte-compare against the serial run so both

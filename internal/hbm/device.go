@@ -368,48 +368,58 @@ func (d *Device) Precharge(bank int) error {
 	if uint(bank) >= uint(len(d.banks)) {
 		return errBank(bank)
 	}
-	if err := d.closeRow(&d.banks[bank], "precharge"); err != nil {
+	bk := &d.banks[bank]
+	if err := d.checkTRAS(bk, "precharge"); err != nil {
 		return err
 	}
+	d.closeRow(bk)
 	d.stats.Precharges++
 	d.now += d.cfg.Timing.TCK
 	return nil
 }
 
 // PrechargeAll precharges every bank in a pseudo channel: one command, so
-// one precharge count and one clock step.
+// one precharge count and one clock step. A bank that may not close yet
+// refuses the whole command before any bank closes.
 func (d *Device) PrechargeAll(ch, pc int) error {
 	if err := d.checkPC(ch, pc); err != nil {
 		return err
 	}
 	banks := d.pcAt(ch, pc).banks
 	for i := range banks {
-		if err := d.closeRow(&banks[i], "precharge-all"); err != nil {
+		if err := d.checkTRAS(&banks[i], "precharge-all"); err != nil {
 			return err
 		}
+	}
+	for i := range banks {
+		d.closeRow(&banks[i])
 	}
 	d.stats.Precharges++
 	d.now += d.cfg.Timing.TCK
 	return nil
 }
 
-// closeRow closes a bank's open row, if it has one, for the command cmd
-// names in its error: the tRAS check, the RowPress disturbance the hold
-// earned, and the precharged state.
-func (d *Device) closeRow(bank *bankState, cmd string) error {
-	if bank.open == -1 {
-		return nil
-	}
-	hold := d.now - bank.lastAct
-	if hold < d.cfg.Timing.TRAS {
+// checkTRAS refuses to close a bank's open row before tRAS, for the
+// command cmd names in its error.
+func (d *Device) checkTRAS(bank *bankState, cmd string) error {
+	if bank.open != -1 && d.now-bank.lastAct < d.cfg.Timing.TRAS {
 		return fmt.Errorf("hbm: %s %v violates tRAS: %w", cmd, bank.addr, ErrTiming)
 	}
-	if extra := d.rowPressExtra(hold); extra > 0 {
+	return nil
+}
+
+// closeRow closes a bank's open row, if it has one, after checkTRAS has
+// allowed it: the RowPress disturbance the hold earned, and the
+// precharged state.
+func (d *Device) closeRow(bank *bankState) {
+	if bank.open == -1 {
+		return
+	}
+	if extra := d.rowPressExtra(d.now - bank.lastAct); extra > 0 {
 		d.applyDisturb(bank, bank.open, extra)
 	}
 	bank.open = -1
 	bank.lastPre = d.now
-	return nil
 }
 
 func (d *Device) checkPC(ch, pc int) error {

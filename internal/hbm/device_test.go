@@ -733,6 +733,54 @@ func TestPrechargeAllClosesOpenRows(t *testing.T) {
 	}
 }
 
+// TestPrechargeAllRefusedClosesNothing opens two banks of one pseudo
+// channel tRAS apart: a PREA refused for tRAS on the later bank must
+// leave every bank open, uncounted and undisturbed, with the clock where
+// it was.
+func TestPrechargeAllRefusedClosesNothing(t *testing.T) {
+	d := newDevice(t, config.SmallChip())
+	tm := d.Config().Timing
+	b0, b1 := flat(d, bankAddr(0, 0, 0)), flat(d, bankAddr(0, 0, 1))
+	if err := d.Activate(b0, 10, false); err != nil {
+		t.Fatal(err)
+	}
+	// Held well past tRAS, bank 0's close would settle RowPress.
+	if err := d.AdvanceTime(3 * tm.TRAS); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Activate(b1, 20, false); err != nil {
+		t.Fatal(err)
+	}
+	phys := d.banks[b0].open
+	disturb := func() [2]float64 {
+		return [2]float64{d.banks[b0].rowAt(phys - 1).disturb, d.banks[b0].rowAt(phys + 1).disturb}
+	}
+	before, stats, now := disturb(), d.Stats(), d.Now()
+	if err := d.PrechargeAll(0, 0); !errors.Is(err, ErrTiming) {
+		t.Fatalf("PREA before bank 1's tRAS: err = %v, want ErrTiming", err)
+	}
+	for _, b := range []int{b0, b1} {
+		if d.banks[b].open == -1 {
+			t.Errorf("refused PREA closed bank %v", d.banks[b].addr)
+		}
+	}
+	if d.Stats() != stats || d.Now() != now {
+		t.Errorf("refused PREA moved the device: stats %+v → %+v, clock %d → %d", stats, d.Stats(), now, d.Now())
+	}
+	if got := disturb(); got != before {
+		t.Errorf("refused PREA settled RowPress on bank 0's neighbours: %v → %v", before, got)
+	}
+	if err := d.AdvanceTime(tm.TRAS); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PrechargeAll(0, 0); err != nil {
+		t.Fatalf("PREA after tRAS: %v", err)
+	}
+	if got := disturb(); got[0] <= before[0] || got[1] <= before[1] {
+		t.Errorf("PREA did not settle bank 0's RowPress: %v → %v", before, got)
+	}
+}
+
 func TestHammerDifferentLogicalSamePhysicalRejected(t *testing.T) {
 	// With the xor-swizzle mapping, two different logical rows can never
 	// collide physically (it is a bijection), so construct the collision

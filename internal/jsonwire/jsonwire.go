@@ -20,7 +20,8 @@
 // nesting limit. It is stricter in one respect: a member that appears
 // twice in one object (after case folding) is an error, where
 // encoding/json lets the last one win. Decoded strings and slices never
-// alias the input. Errors are sticky: after the first, every read
+// alias the input; only IntsScratch's slice aliases the reader's own
+// scratch. Errors are sticky: after the first, every read
 // returns a zero value and Finish reports that error.
 package jsonwire
 
@@ -574,6 +575,25 @@ func (r *Reader) Floats() []float64 {
 }
 
 // Ints decodes an int64 array: nil for null, non-nil for [].
+func (r *Reader) Ints() []int64 {
+	if r.Null() {
+		return nil
+	}
+	out := r.IntsScratch()
+	if r.err != nil {
+		return nil
+	}
+	// make and copy: the copy fills the new slice without clearing it first.
+	ints := make([]int64, len(out))
+	copy(ints, out)
+	return ints
+}
+
+// IntsScratch decodes an int64 array into the reader's scratch and
+// returns it without copying: nil for null and on error, possibly nil
+// for []. The slice is the caller's to read and modify until the next
+// Ints or IntsScratch call on r, which reuses it; a caller that keeps the
+// values past that copies them.
 //
 // Stream bins make up most of an artifact: thousands of small
 // non-negative integers, one per indented line. A tight loop takes each
@@ -585,7 +605,7 @@ func (r *Reader) Floats() []float64 {
 // bracket) goes from that element's separator to the per-element path,
 // more and Int64, so the inputs accepted, the values decoded, the depth
 // accounting and the error messages are theirs.
-func (r *Reader) Ints() []int64 {
+func (r *Reader) IntsScratch() []int64 {
 	if r.Null() {
 		return nil
 	}
@@ -636,10 +656,7 @@ func (r *Reader) Ints() []int64 {
 	if r.err != nil {
 		return nil
 	}
-	// make and copy: the copy fills the new slice without clearing it first.
-	ints := make([]int64, len(out))
-	copy(ints, out)
-	return ints
+	return out
 }
 
 // hasRun reports whether b starts with run. An indentation run of 8 to

@@ -144,8 +144,8 @@ func TestReaderStringsMatchEncodingJSON(t *testing.T) {
 	}
 }
 
-// FuzzReaderInts holds Ints, its tight loop and the per-element path
-// behind it, to encoding/json: both accept or both reject each input, and
+// FuzzReaderInts holds Ints and IntsScratch, their tight loop and the
+// per-element path behind it, to encoding/json: both accept or both reject each input, and
 // an accepted input decodes to the same values. The seeds are stream bins
 // as an artifact lays them out, indented and compact, and every element
 // shape the tight loop hands over.
@@ -177,6 +177,17 @@ func FuzzReaderInts(f *testing.F) {
 		}
 		if err == nil && (!slices.Equal(got, want) || (got == nil) != (want == nil)) {
 			t.Fatalf("Ints(%q) = %#v; encoding/json: %#v", data, got, want)
+		}
+		// IntsScratch decodes the same values over a scratch left dirty
+		// by an earlier, longer array.
+		r = NewReader(data)
+		r.ints = []int64{-1, -2, -3, -4, -5, -6, -7, -8}[:3]
+		scratch := r.IntsScratch()
+		if err := r.Finish(); (err == nil) != (wantErr == nil) {
+			t.Fatalf("IntsScratch(%q) error %v; encoding/json: %v", data, err, wantErr)
+		}
+		if err == nil && !slices.Equal(scratch, want) {
+			t.Fatalf("IntsScratch(%q) = %#v; encoding/json: %#v", data, scratch, want)
 		}
 	})
 }

@@ -63,6 +63,11 @@ var (
 // MaxIngestBytes bounds a POST /v1/ingest body.
 const MaxIngestBytes = 256 << 20
 
+// ingestPrealloc bounds what a request's Content-Length can make ingest
+// reserve before the bytes arrive: a lying header holds at most this
+// much memory that the body never fills.
+const ingestPrealloc = 8 << 20
+
 // DefaultCacheEntries bounds one corpus generation's cache bucket.
 const DefaultCacheEntries = 256
 
@@ -591,7 +596,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, MaxIngestBytes+1))
+	data, err := readIngestBody(r.Body, r.ContentLength, MaxIngestBytes)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -621,6 +626,19 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 		Pending   int    `json:"pending"`
 		Complete  bool   `json:"complete"`
 	}{res.Corpus, res.Hash, res.Duplicate, res.Gen, res.StoreGen, res.Pending, res.Complete})
+}
+
+// readIngestBody reads at most limit+1 bytes of body, so a longer body
+// reads as longer than limit. The buffer starts at the declared length
+// (negative when unknown), capped at ingestPrealloc and limit, plus the
+// bytes.MinRead that ReadFrom needs free to see the end: an honest
+// Content-Length reads into one allocation, where io.ReadAll doubles its
+// way up from 512 bytes. Past that the buffer grows with the bytes
+// received.
+func readIngestBody(body io.Reader, declared, limit int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(declared, 0), ingestPrealloc, limit)+bytes.MinRead))
+	_, err := buf.ReadFrom(io.LimitReader(body, limit+1))
+	return buf.Bytes(), err
 }
 
 // renderSummary is the JSON export: byte-identical to `characterize`'s

@@ -412,6 +412,50 @@ func TestQueryIngestEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueryIngestContentLength posts one shard under a Content-Length
+// that is honest, short, long or absent. Each ingests: the bytes that
+// arrive are the body. The header only sizes the buffer: an honest one
+// reads into a single allocation, and a lying one reserves no more than
+// ingestPrealloc beyond what growth with the received bytes would.
+func TestQueryIngestContentLength(t *testing.T) {
+	buf, err := shard(0, 2).MarshalIndented()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(buf))
+	for _, tc := range []struct {
+		name     string
+		declared int64
+	}{{"honest", n}, {"short", n / 2}, {"long", 1 << 40}, {"absent", -1}} {
+		s, _ := newServer(t)
+		req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(buf))
+		req.ContentLength = tc.declared
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s Content-Length: ingest %d %s", tc.name, w.Code, w.Body.Bytes())
+		}
+		data, err := readIngestBody(bytes.NewReader(buf), tc.declared, MaxIngestBytes)
+		if err != nil || !bytes.Equal(data, buf) {
+			t.Fatalf("%s Content-Length: read %d of %d bytes, err %v", tc.name, len(data), n, err)
+		}
+		if c := cap(data); c > max(2*len(buf), ingestPrealloc)+bytes.MinRead {
+			t.Errorf("%s Content-Length: %d-byte buffer for a %d-byte body", tc.name, c, n)
+		}
+		if tc.declared == n && cap(data) != len(buf)+bytes.MinRead {
+			t.Errorf("honest Content-Length: buffer grew to %d for a %d-byte body", cap(data), n)
+		}
+	}
+	// Over the limit, limit+1 bytes come back whatever the header says,
+	// which the handler answers with 413.
+	for _, declared := range []int64{-1, 10, 100, 1 << 40} {
+		data, err := readIngestBody(bytes.NewReader(buf), declared, 100)
+		if err != nil || len(data) != 101 || !bytes.Equal(data, buf[:101]) {
+			t.Errorf("Content-Length %d over a 100-byte limit: read %d bytes, err %v", declared, len(data), err)
+		}
+	}
+}
+
 // TestQueryIngestPersistFailureIs503 pins the transient ingest error
 // class: a well-formed, conflict-free shard whose object write fails, or
 // whose POST meets an injected fault, is the server's fault, not the

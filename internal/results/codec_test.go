@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -229,6 +230,31 @@ func TestArtifactCompactForm(t *testing.T) {
 		t.Errorf("the committed compact shard does not re-encode to its own bytes (err %v)", err)
 	}
 	t.Run("shard-1of2", func(t *testing.T) { checkCompactForm(t, a) })
+}
+
+// TestArtifactDecodeFootprint pins what decoding the committed one-seed
+// multichip shard (24 groups, 48 exact-mode streams) allocates: about
+// 28 KB, where holding each stream's 512-bin histogram took 224 KB. The
+// budget leaves room for the sample and record slices, not for one
+// histogram per stream.
+func TestArtifactDecodeFootprint(t *testing.T) {
+	const budget = 48 << 10
+	data, err := os.ReadFile(filepath.Join("..", "store", "testdata", "shard-1of2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budget {
+		t.Errorf("decoding the one-seed shard allocates %d bytes, budget %d", per, budget)
+	}
 }
 
 // TestArtifactDecodeAcceptsWhatEncodingJSONAccepts covers the lenient

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/safari-repro/hbmrh/internal/jsonwire"
 )
@@ -58,7 +59,14 @@ func (s *Stream) WriteJSON(w *jsonwire.Writer) {
 	w.Key("sum_sq")
 	w.Floats(s.sumSq.partials)
 	w.Key("bins")
-	w.Ints(s.bins)
+	if s.sketched {
+		w.Ints(s.bins)
+	} else {
+		h := histScratch.Get().(*[]int64)
+		*h = s.histogram(*h)
+		w.Ints(*h)
+		histScratch.Put(h)
+	}
 	w.Key("sketched")
 	w.Bool(s.sketched)
 	if len(s.exact) > 0 {
@@ -67,6 +75,10 @@ func (s *Stream) WriteJSON(w *jsonwire.Writer) {
 	}
 	w.Close('}')
 }
+
+// histScratch holds the histograms exact-mode encodes derive, so writing
+// a stream allocates none.
+var histScratch = sync.Pool{New: func() any { return new([]int64) }}
 
 // MarshalJSON encodes the stream's compact wire form. float64 fields
 // use the shortest representation that parses back to the same bits.
@@ -80,12 +92,15 @@ var streamFields = []string{"v", "lo", "hi", "cutoff", "n", "min", "max", "sum",
 
 // ReadStream decodes one stream from r: nil for null, otherwise a stream
 // whose version and structural invariants have been checked. Failures
-// fail r and return nil.
+// fail r and return nil. The bins are parsed into r's scratch: a sketched
+// stream copies them, an exact one checks them against its sample and
+// keeps none.
 func ReadStream(r *jsonwire.Reader) *Stream {
 	if r.Null() {
 		return nil
 	}
 	var d Stream
+	var bins []int64
 	v := 0
 	r.Object(streamFields, func(field string) {
 		switch field {
@@ -108,11 +123,15 @@ func ReadStream(r *jsonwire.Reader) *Stream {
 		case "sum_sq":
 			d.sumSq.partials = r.Floats()
 		case "bins":
-			d.bins = r.Ints()
+			bins = r.IntsScratch()
 		case "sketched":
 			d.sketched = r.Bool()
 		case "exact":
-			d.exact = r.Floats()
+			// Empty, the sample is nil, as Add leaves it and as the
+			// encoding, which omits it, decodes.
+			if d.exact = r.Floats(); len(d.exact) == 0 {
+				d.exact = nil
+			}
 		}
 	})
 	if r.Err() != nil {
@@ -122,9 +141,14 @@ func ReadStream(r *jsonwire.Reader) *Stream {
 		r.Fail(fmt.Errorf("stats: decoding stream JSON: version %d, this build reads version %d", v, StreamCodecVersion))
 		return nil
 	}
-	if err := d.validate(); err != nil {
+	d.nbins = len(bins)
+	if err := d.validate(bins); err != nil {
 		r.Fail(err)
 		return nil
+	}
+	if d.sketched {
+		d.bins = make([]int64, len(bins))
+		copy(d.bins, bins)
 	}
 	return &d
 }
@@ -162,9 +186,11 @@ func (s *Stream) checkFinite() error {
 }
 
 // validate checks the structural invariants every Stream built by
-// Add/Merge satisfies; decoders apply it so a corrupt payload cannot
-// materialize an accumulator that later panics or silently mis-merges.
-func (s *Stream) validate() error {
+// Add/Merge satisfies against the decoded bin counts; decoders apply it
+// so a corrupt payload cannot materialize an accumulator that later
+// panics or silently mis-merges. An exact stream's bins must be its
+// sample's histogram: they are subtracted from bins in place.
+func (s *Stream) validate(bins []int64) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("stats: decoding stream: invalid state: "+format, args...)
 	}
@@ -177,14 +203,14 @@ func (s *Stream) validate() error {
 	if s.cutoff < 0 {
 		return fail("negative cutoff %d", s.cutoff)
 	}
-	if len(s.bins) == 0 {
+	if len(bins) == 0 {
 		return fail("no bins")
 	}
 	if s.n < 0 {
 		return fail("negative sample count %d", s.n)
 	}
 	var total int64
-	for i, c := range s.bins {
+	for i, c := range bins {
 		if c < 0 {
 			return fail("negative count in bin %d", i)
 		}
@@ -202,6 +228,15 @@ func (s *Stream) validate() error {
 		}
 	} else if int64(len(s.exact)) != s.n {
 		return fail("exact-mode sample holds %d values for n=%d", len(s.exact), s.n)
+	} else {
+		for _, x := range s.exact {
+			bins[s.binOf(x)]--
+		}
+		for i, c := range bins {
+			if c != 0 {
+				return fail("bin %d holds %d more than the exact-mode sample puts there", i, c)
+			}
+		}
 	}
 	if s.n == 0 {
 		if s.min != 0 || s.max != 0 || len(s.sum.partials) != 0 || len(s.sumSq.partials) != 0 {

@@ -59,9 +59,15 @@ type streamJSON struct {
 	Exact    []float64 `json:"exact,omitempty"`
 }
 
+// mirrorOf fills the mirror from the stream's state. An exact stream
+// holds no bins: the wire form carries its sample's histogram.
 func mirrorOf(s *Stream) streamJSON {
+	bins := s.bins
+	if !s.sketched {
+		bins = s.histogram(nil)
+	}
 	return streamJSON{V: StreamCodecVersion, Lo: s.lo, Hi: s.hi, Cutoff: s.cutoff, N: s.n, Min: s.min, Max: s.max,
-		Sum: s.sum.partials, SumSq: s.sumSq.partials, Bins: s.bins, Sketched: s.sketched, Exact: s.exact}
+		Sum: s.sum.partials, SumSq: s.sumSq.partials, Bins: bins, Sketched: s.sketched, Exact: s.exact}
 }
 
 func mustMarshal(t *testing.T, s *Stream) []byte {
@@ -180,12 +186,14 @@ func TestStreamCodecRejectsCorruptState(t *testing.T) {
 			Sum: []float64{1}, SumSq: []float64{0.82}, Bins: []int64{1, 1}, Exact: []float64{0.1, 0.9}}
 	}
 	cases := map[string]func(*streamJSON){
-		"empty domain":       func(j *streamJSON) { j.Hi = j.Lo },
-		"no bins":            func(j *streamJSON) { j.Bins = nil },
-		"negative bin":       func(j *streamJSON) { j.Bins = []int64{3, -1} },
-		"bin sum mismatch":   func(j *streamJSON) { j.Bins = []int64{1, 2} },
-		"negative n":         func(j *streamJSON) { j.N = -1; j.Bins = []int64{0, 0}; j.Exact = nil },
-		"exact len mismatch": func(j *streamJSON) { j.Exact = j.Exact[:1] },
+		"empty domain":     func(j *streamJSON) { j.Hi = j.Lo },
+		"no bins":          func(j *streamJSON) { j.Bins = nil },
+		"negative bin":     func(j *streamJSON) { j.Bins = []int64{3, -1} },
+		"bin sum mismatch": func(j *streamJSON) { j.Bins = []int64{1, 2} },
+		// Σbins == N, but the counts are not the sample's histogram.
+		"bins disagree with sample": func(j *streamJSON) { j.Bins = []int64{2, 0} },
+		"negative n":                func(j *streamJSON) { j.N = -1; j.Bins = []int64{0, 0}; j.Exact = nil },
+		"exact len mismatch":        func(j *streamJSON) { j.Exact = j.Exact[:1] },
 		"sketched with raw sample": func(j *streamJSON) {
 			j.Sketched = true
 		},

@@ -31,7 +31,11 @@ import (
 // values and Summary is bit-identical to Summarize; past the cutoff the
 // buffer is dropped and quantiles are interpolated from the bins, landing
 // within one bin width of the nearest-rank empirical quantile (see
-// Quantile for the caveat on sparse/discrete distributions).
+// Quantile for the caveat on sparse/discrete distributions). An exact
+// stream holds no bin counts: they are a function of the sample, built
+// when the stream sketches (an Add or a Merge past the cutoff) and, into
+// pooled scratch, when it encodes. A decoded exact stream is a sample
+// and a few scalars, not a sample plus a dense histogram.
 //
 // A Stream serializes to one versioned JSON form (WriteJSON/ReadStream; see
 // codec.go), so shard accumulators can cross process and machine
@@ -44,7 +48,11 @@ type Stream struct {
 	sum, sumSq ExactSum
 	min, max   float64
 
-	bins []int64
+	// nbins is the bin count. bins holds the counts only once sketched;
+	// while exact they are a function of exact (see histogram) and bins
+	// is nil.
+	nbins int
+	bins  []int64
 	// exact holds the raw sample while n <= cutoff; nil once sketched.
 	// Insertion order is load-bearing: the codec serializes it verbatim,
 	// so shard-merge byte-identity forbids reordering it in place.
@@ -87,7 +95,7 @@ func NewStreamSized(lo, hi float64, cutoff, bins int) *Stream {
 	if bins <= 0 {
 		panic("stats: stream needs at least one bin")
 	}
-	return &Stream{lo: lo, hi: hi, cutoff: cutoff, bins: make([]int64, bins)}
+	return &Stream{lo: lo, hi: hi, cutoff: cutoff, nbins: bins}
 }
 
 // Add folds one sample into the stream.
@@ -105,25 +113,52 @@ func (s *Stream) Add(x float64) {
 			s.max = x
 		}
 	}
-	s.bins[s.binOf(x)]++
-	if !s.sketched {
-		s.exact = append(s.exact, x)
-		s.sortedExact = nil
-		if len(s.exact) > s.cutoff {
-			s.exact, s.sketched = nil, true
-		}
+	if s.sketched {
+		s.bins[s.binOf(x)]++
+		return
+	}
+	s.exact = append(s.exact, x)
+	s.sortedExact = nil
+	if len(s.exact) > s.cutoff {
+		s.sketch()
 	}
 }
 
+// sketch leaves exact mode: the histogram is built from the sample,
+// which is dropped.
+func (s *Stream) sketch() {
+	s.bins = s.histogram(nil)
+	s.exact, s.sortedExact, s.sketched = nil, nil, true
+}
+
+// histogram returns the bin counts of the exact sample in dst, reusing
+// its capacity when it has nbins.
+func (s *Stream) histogram(dst []int64) []int64 {
+	if cap(dst) < s.nbins {
+		dst = make([]int64, s.nbins)
+	} else {
+		dst = dst[:s.nbins]
+		clear(dst)
+	}
+	for _, x := range s.exact {
+		dst[s.binOf(x)]++
+	}
+	return dst
+}
+
+// binOf returns x's bin. The position is clamped while still a float:
+// converting an out-of-range float to int is implementation-defined,
+// and would put a huge sample in bin 0, differently on 32- and 64-bit
+// platforms.
 func (s *Stream) binOf(x float64) int {
-	i := int((x - s.lo) / (s.hi - s.lo) * float64(len(s.bins)))
-	if i < 0 {
+	f := (x - s.lo) / (s.hi - s.lo) * float64(s.nbins)
+	if !(f >= 0) { // NaN too
 		return 0
 	}
-	if i >= len(s.bins) {
-		return len(s.bins) - 1
+	if f >= float64(s.nbins) {
+		return s.nbins - 1
 	}
-	return i
+	return int(f)
 }
 
 // CompatibleWith reports whether two streams share the same domain,
@@ -131,9 +166,9 @@ func (s *Stream) binOf(x float64) int {
 // aggregation always do; artifact-level merging (internal/results) calls
 // this to turn a mismatch into an error instead of a panic.
 func (s *Stream) CompatibleWith(o *Stream) error {
-	if s.lo != o.lo || s.hi != o.hi || s.cutoff != o.cutoff || len(s.bins) != len(o.bins) {
+	if s.lo != o.lo || s.hi != o.hi || s.cutoff != o.cutoff || s.nbins != o.nbins {
 		return fmt.Errorf("stats: incompatible streams: [%g,%g)/%d/%d vs [%g,%g)/%d/%d",
-			s.lo, s.hi, s.cutoff, len(s.bins), o.lo, o.hi, o.cutoff, len(o.bins))
+			s.lo, s.hi, s.cutoff, s.nbins, o.lo, o.hi, o.cutoff, o.nbins)
 	}
 	return nil
 }
@@ -160,15 +195,23 @@ func (s *Stream) Merge(o *Stream) {
 		s.max = o.max
 	}
 	s.n += o.n
-	for i, c := range o.bins {
-		s.bins[i] += c
-	}
-	if s.sketched || o.sketched || len(s.exact)+len(o.exact) > s.cutoff {
-		s.exact, s.sketched = nil, true
-	} else {
-		s.exact = append(s.exact, o.exact...)
-	}
 	s.sortedExact = nil
+	if !s.sketched && !o.sketched && len(s.exact)+len(o.exact) <= s.cutoff {
+		s.exact = append(s.exact, o.exact...)
+		return
+	}
+	if !s.sketched {
+		s.sketch()
+	}
+	if o.sketched {
+		for i, c := range o.bins {
+			s.bins[i] += c
+		}
+		return
+	}
+	for _, x := range o.exact {
+		s.bins[s.binOf(x)]++
+	}
 }
 
 // Clone returns a deep copy of the stream; mutating the copy never
@@ -266,7 +309,7 @@ func (s *Stream) Quantile(q float64) float64 {
 		}
 		return sorted[i] + frac*(sorted[i+1]-sorted[i])
 	}
-	w := (s.hi - s.lo) / float64(len(s.bins))
+	w := (s.hi - s.lo) / float64(s.nbins)
 	var cum int64
 	for i, c := range s.bins {
 		if c == 0 {
@@ -346,5 +389,5 @@ func (s *Stream) QuantileTolerance() float64 {
 	if !s.sketched {
 		return 0
 	}
-	return (s.hi - s.lo) / float64(len(s.bins))
+	return (s.hi - s.lo) / float64(s.nbins)
 }

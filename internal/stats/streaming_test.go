@@ -1,10 +1,14 @@
 package stats
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"github.com/safari-repro/hbmrh/internal/jsonwire"
 )
 
 // sampleSets returns the shapes the equivalence suite runs over: uniform,
@@ -156,6 +160,109 @@ func TestStreamMergeCrossesExactCutoff(t *testing.T) {
 	}
 }
 
+// TestStreamExactMergeAcrossCutoffEncodesAsOneStream crosses the
+// exact→sketch boundary by merge: two exact shards whose union passes
+// the cutoff must encode byte for byte as one stream fed every sample,
+// in either merge order and after a decode round trip of the shards.
+// The samples are multiples of 1/1024, so every moment sum is exact in
+// one partial and the wire form cannot depend on how the sums were
+// grouped.
+func TestStreamExactMergeAcrossCutoffEncodesAsOneStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sample := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(1280)-128) / 1024 // out of domain at both ends too
+		}
+		return xs
+	}
+	xa, xb := sample(40), sample(30)
+	shard := func(xs []float64) *Stream {
+		s := NewStreamSized(0, 1, 64, 32)
+		for _, x := range xs {
+			s.Add(x)
+		}
+		return s
+	}
+	whole := shard(append(append([]float64(nil), xa...), xb...))
+	if !whole.Sketched() {
+		t.Fatal("the whole sample does not pass the cutoff")
+	}
+	want, err := whole.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func(s *Stream) *Stream {
+		var d Stream
+		if err := d.UnmarshalJSON(mustMarshal(t, s)); err != nil {
+			t.Fatal(err)
+		}
+		return &d
+	}
+	for _, tc := range []struct {
+		name string
+		a, b *Stream
+	}{
+		{"a+b", shard(xa), shard(xb)},
+		{"b+a", shard(xb), shard(xa)},
+		{"decoded a+b", roundTrip(shard(xa)), roundTrip(shard(xb))},
+		{"decoded b+a", roundTrip(shard(xb)), roundTrip(shard(xa))},
+	} {
+		if tc.a.Sketched() || tc.b.Sketched() {
+			t.Fatalf("%s: a shard sketched below its cutoff", tc.name)
+		}
+		tc.a.Merge(tc.b)
+		if got := mustMarshal(t, tc.a); !bytes.Equal(got, want) {
+			t.Errorf("%s: merged encoding differs from one stream fed every sample:\n%s\nvs\n%s", tc.name, got, want)
+		}
+		if got := mustMarshal(t, roundTrip(tc.a)); !bytes.Equal(got, want) {
+			t.Errorf("%s: merged stream does not survive a round trip", tc.name)
+		}
+	}
+}
+
+// TestStreamExactHoldsNoBins pins the exact-mode footprint: Add, Clone,
+// a Merge that stays under the cutoff and a decode hold no bin array,
+// encoding allocates nothing, and the stream pays for its histogram only
+// when it sketches.
+func TestStreamExactHoldsNoBins(t *testing.T) {
+	const nbins = DefaultStreamBins
+	binBytes := uint64(nbins * 8)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	a, b := NewStreamSized(0, 1, 64, nbins), NewStreamSized(0, 1, 64, nbins)
+	for i := 0; i < 10; i++ {
+		a.Add(float64(i) / 10)
+		b.Add(float64(i)/10 + 0.05)
+	}
+	var c *Stream
+	if n := allocated(func() { c = a.Clone() }); n >= binBytes || c.bins != nil {
+		t.Errorf("Clone of an exact stream allocated %d bytes (bins %v)", n, c.bins != nil)
+	}
+	if n := allocated(func() { c.Merge(b) }); n >= binBytes || c.bins != nil {
+		t.Errorf("exact Merge allocated %d bytes (bins %v)", n, c.bins != nil)
+	}
+	var d Stream
+	if err := d.UnmarshalJSON(mustMarshal(t, c)); err != nil || d.bins != nil || d.nbins != nbins {
+		t.Errorf("decoded exact stream: err %v, holds bins %v, nbins %d", err, d.bins != nil, d.nbins)
+	}
+	w := jsonwire.NewWriter(make([]byte, 0, 1<<20), false)
+	if allocs := testing.AllocsPerRun(100, func() { c.WriteJSON(w) }); allocs != 0 || w.Err() != nil {
+		t.Errorf("encoding an exact stream: %.0f allocs/op (err %v), want 0", allocs, w.Err())
+	}
+	for c.N() <= 64 {
+		c.Add(0.5)
+	}
+	if !c.Sketched() || len(c.bins) != nbins || c.exact != nil {
+		t.Errorf("crossing the cutoff: sketched %v, %d bins, exact %v", c.Sketched(), len(c.bins), c.exact != nil)
+	}
+}
+
 func TestStreamMergeEmptyAndIntoEmpty(t *testing.T) {
 	empty := NewStream(0, 1)
 	full := streamOf([]float64{0.2, 0.4, 0.6})
@@ -203,6 +310,23 @@ func TestStreamOutOfDomainValuesClampIntoEdgeBins(t *testing.T) {
 	// Quantile extremes follow the true extrema, not the clamped domain.
 	if s.Quantile(0) != -0.5 || s.Quantile(1) != 2.0 {
 		t.Fatalf("quantile extremes %v/%v", s.Quantile(0), s.Quantile(1))
+	}
+}
+
+// TestStreamHugeValuesClampIntoTopBin pins binOf past the range of int:
+// a sample whose bin position overflows the conversion must land in the
+// top bin on every platform, not wherever the conversion wraps.
+func TestStreamHugeValuesClampIntoTopBin(t *testing.T) {
+	for _, x := range []float64{1 << 40, 1e30, -1e30} {
+		s := NewStreamSized(0, 1, 0, 16)
+		s.Add(x)
+		want := 15
+		if x < 0 {
+			want = 0
+		}
+		if s.bins[want] != 1 {
+			t.Errorf("sample %g: bins %v, want its count in bin %d", x, s.bins, want)
+		}
 	}
 }
 

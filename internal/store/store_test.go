@@ -1077,6 +1077,60 @@ func tinyShard(i int) *results.Artifact {
 	}
 }
 
+// TestStoreRejectsExactBinsDisagreeingWithSample tampers with the
+// committed one-seed multichip shard: one exact-mode stream's count moves
+// to the next bin, so Σbins still equals N but the bins are no longer the
+// sample's histogram. The artifact decode must fail with the stream
+// decoder's error, and the ingest with ErrMalformed.
+func TestStoreRejectsExactBinsDisagreeingWithSample(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "shard-1of2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := moveExactBinCount(t, data)
+	if _, err := results.Decode(tampered); err == nil || !strings.Contains(err.Error(), "stats: decoding stream: invalid state") {
+		t.Fatalf("decode of the tampered shard: err = %v", err)
+	}
+	s, _ := Open("")
+	if _, err := s.Ingest(tampered); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("ingest of the tampered shard: err = %v, want ErrMalformed", err)
+	}
+	if s.Generation() != 0 {
+		t.Fatal("rejected ingest advanced the store generation")
+	}
+	if _, err := s.Ingest(data); err != nil {
+		t.Fatalf("ingest of the pristine shard: %v", err)
+	}
+}
+
+// moveExactBinCount moves one count of an exact-mode stream in a
+// compact artifact from a bin holding 1 to the empty bin after it.
+func moveExactBinCount(t *testing.T, data []byte) []byte {
+	t.Helper()
+	const open, exactTail = `"bins":[`, `],"sketched":false,"exact":[`
+	for off := 0; ; {
+		i := bytes.Index(data[off:], []byte(open))
+		if i < 0 {
+			t.Fatal("no non-empty exact-mode stream in the shard")
+		}
+		start := off + i + len(open)
+		end := start + bytes.IndexByte(data[start:], ']')
+		off = end
+		if !bytes.HasPrefix(data[end:], []byte(exactTail)) {
+			continue
+		}
+		counts := strings.Split(string(data[start:end]), ",")
+		for k := 0; k+1 < len(counts); k++ {
+			if counts[k] == "1" && counts[k+1] == "0" {
+				counts[k], counts[k+1] = "0", "1"
+				out := append([]byte(nil), data[:start]...)
+				out = append(out, strings.Join(counts, ",")...)
+				return append(out, data[end:]...)
+			}
+		}
+	}
+}
+
 // FuzzArtifactIngest feeds arbitrary bytes to a store already holding a
 // real multichip shard. Nothing may panic; a rejection must be classed
 // ErrMalformed or ErrConflict and leave the store unchanged; an
