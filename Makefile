@@ -100,9 +100,10 @@ golden-check:
 #      whose argv carries the bank; the artifacts must byte-match.
 #      `-experiment utrrprobe` must run.
 #   6. the other extension studies (tempsweep, crosschannel, trrbypass)
-#      on the paper chip at a tiny budget: once in a single process and
-#      once as two job-slice shards plus a `characterize merge`; the CSV
-#      and the artifact must byte-match.
+#      on the paper chip at a tiny budget, each given only the knobs it
+#      reads (the registry refuses the others): once in a single process
+#      and once as two job-slice shards plus a `characterize merge`; the
+#      CSV and the artifact must byte-match.
 #   7. every runnable example in examples/ (~0.6 s each) must exit 0, so
 #      a library change that breaks one fails here.
 SMOKE_DIR := .smoke
@@ -217,11 +218,12 @@ smoke:
 		-workers 1 -artifact $(SMOKE_DIR)/trrstudy-fleet.bin >/dev/null
 	cmp $(SMOKE_DIR)/trrstudy.bin $(SMOKE_DIR)/trrstudy-fleet.bin
 	$(GO) run ./cmd/characterize -experiment utrrprobe > $(SMOKE_DIR)/utrrprobe.txt
-	for e in tempsweep crosschannel trrbypass; do \
-		$(GO) run ./cmd/characterize -experiment $$e -chip paper -rows 1 -hammers 30000 \
+	for s in 'tempsweep -rows 1 -hammers 30000' 'crosschannel -rows 1' 'trrbypass -hammers 30000'; do \
+		e=$${s%% *}; \
+		$(GO) run ./cmd/characterize -experiment $$s -chip paper \
 			-csv $(SMOKE_DIR)/$$e.csv -artifact $(SMOKE_DIR)/$$e.bin >/dev/null || exit 1; \
 		for i in 0 1; do \
-			$(GO) run ./cmd/characterize -experiment $$e -chip paper -rows 1 -hammers 30000 \
+			$(GO) run ./cmd/characterize -experiment $$s -chip paper \
 				-shard $$i/2 -artifact $(SMOKE_DIR)/$$e-shard$$i.json >/dev/null || exit 1; \
 		done; \
 		$(GO) run ./cmd/characterize merge -csv $(SMOKE_DIR)/$$e-merged.csv \
@@ -244,10 +246,19 @@ torture:
 
 # Reduced-budget paper suite on the paper-geometry chip: the nightly CI
 # smoke (sweep + fig6 + trrstudy through the registry, drawing Figs. 3-6
-# and the Section 5 result; ~5 s).
+# and the Section 5 result; ~5 s). It fails unless the report ends in the
+# paper-vs-measured table with one row, measured, per claim in
+# internal/experiments/claims.go.
+PAPER_OUT := .paper-smoke.txt
+
 paper-smoke:
 	$(GO) run ./cmd/characterize -chip paper -experiment paper \
-		-rows 2 -bankrows 2 -hammers 30000 -iterations 60 -parallel 2
+		-rows 2 -bankrows 2 -hammers 30000 -iterations 60 -parallel 2 > $(PAPER_OUT)
+	cat $(PAPER_OUT)
+	grep -qx '| figure | metric | paper | measured |' $(PAPER_OUT)
+	test "$$(grep -c '^| \(Fig\|Sec\)\. [0-9]* | [^|]* | [^|]* | [^ |][^|]* |$$' $(PAPER_OUT))" \
+		-eq "$$(grep -c '{ID: "' internal/experiments/claims.go)"
+	rm -f $(PAPER_OUT)
 
 lint:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then \

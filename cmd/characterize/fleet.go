@@ -38,6 +38,7 @@ func runFleet(args []string) {
 		groupBy    = fs.String("group-by", "", "export axis (default: the artifact's stored axis)")
 	)
 	fs.Parse(args)
+	study.DropUnreadDefaults(fs)
 	if study.Experiment == "" {
 		log.Fatal("fleet needs -experiment NAME (see characterize -experiment list)")
 	}

@@ -20,8 +20,9 @@
 // reports draw the figures and headline numbers from the artifact's row
 // and bank records, so a merged, fleet-run or store-held artifact draws
 // the same figures as one process. -experiment paper runs both (fig6 at
-// -bankrows rows per bank region) plus the Section 5 TRR study. With no
-// -experiment, characterize lists the experiments and exits non-zero.
+// -bankrows rows per bank region) plus the Section 5 TRR study, then the
+// paper-vs-measured table of every claim. With no -experiment,
+// characterize lists the experiments and exits non-zero.
 //
 // The fleet scan across chip instances (the paper's future work 1) is
 // -experiment multichip: -seeds N chips starting at the preset's seed,
@@ -39,7 +40,8 @@
 // are declared once, by fleet.Study.RegisterFlags, for characterize,
 // characterize fleet and the fleet workers. Every numeric knob must be
 // >= 0, which the registry checks when it plans; 0 selects the
-// experiment's default.
+// experiment's default. A knob the experiment does not read is refused
+// when set; the -rows and -hammers defaults reach only its readers.
 //
 // Every registered experiment gains -shard i/N + artifact merge for
 // free: N shard processes produce artifacts that `characterize merge`
@@ -81,7 +83,6 @@ import (
 	"syscall"
 
 	hbmrh "github.com/safari-repro/hbmrh"
-	"github.com/safari-repro/hbmrh/internal/addr"
 	"github.com/safari-repro/hbmrh/internal/experiments"
 	"github.com/safari-repro/hbmrh/internal/report"
 )
@@ -116,6 +117,7 @@ func main() {
 		mutexPro = flag.String("mutexprofile", "", "write a runtime mutex-contention profile of the run to this file (lock convoys in the engine hot path show up here)")
 	)
 	flag.Parse()
+	study.DropUnreadDefaults(flag.CommandLine)
 	if *mutexPro != "" {
 		// Record every contended mutex event; the CI smoke runs the
 		// fleet scan with profiling on to keep lock convoys visible.
@@ -147,6 +149,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		var arts []*hbmrh.ResultsArtifact
 		for _, e := range suite {
 			a, err := hbmrh.RunExperiment(e.name, e.opts)
 			if err != nil {
@@ -154,7 +157,9 @@ func main() {
 			}
 			fmt.Print(hbmrh.RenderExperimentArtifact(a))
 			fmt.Println()
+			arts = append(arts, a)
 		}
+		fmt.Print(experiments.ClaimsTable(arts...))
 	default:
 		if opts.Shard, opts.ShardCount, err = hbmrh.ParseShardFlag(*shard); err != nil {
 			log.Fatal(err)
@@ -176,20 +181,27 @@ type paperStudy struct {
 	opts experiments.Options
 }
 
-// paperSuite lists the paper suite (-rows for sweep and trrstudy,
-// -bankrows for fig6, -channel/-pc/-bank for trrstudy alone, the one of
-// the three that reads them) and plans all of it before anything is
-// measured, so a knob the registry refuses fails before the first study
-// runs.
+// paperSuite lists the paper suite, handing each study only the knobs it
+// reads (-bankrows is fig6's Rows), and plans all of it before anything
+// is measured, so a knob the registry refuses, or one no suite study
+// reads, fails before the first study runs.
 func paperSuite(opts experiments.Options, rows, bankRows int) ([]paperStudy, error) {
-	sweep, fig6, trr := opts, opts, opts
-	sweep.Rows, fig6.Rows, trr.Rows = rows, bankRows, rows
-	sweep.Bank, fig6.Bank = addr.BankAddr{}, addr.BankAddr{}
-	suite := []paperStudy{{"sweep", sweep}, {"fig6", fig6}, {"trrstudy", trr}}
-	for _, e := range suite {
-		if _, err := experiments.Describe(e.name, e.opts); err != nil {
+	suite := []paperStudy{{"sweep", opts}, {"fig6", opts}, {"trrstudy", opts}}
+	suite[0].opts.Rows, suite[1].opts.Rows = rows, bankRows
+	var reads []string
+	for i, s := range suite {
+		e, err := experiments.Lookup(s.name)
+		if err != nil {
 			return nil, err
 		}
+		reads = append(reads, e.Reads...)
+		suite[i].opts = e.Narrow(s.opts)
+		if _, err := experiments.Describe(s.name, suite[i].opts); err != nil {
+			return nil, err
+		}
+	}
+	if err := experiments.CheckReads(opts, "the paper suite", reads); err != nil {
+		return nil, err
 	}
 	return suite, nil
 }

@@ -61,6 +61,28 @@ func TestPaperSuitePassesBankToTRRStudyOnly(t *testing.T) {
 	}
 }
 
+// TestPaperSuiteHandsEachStudyItsKnobs pins that the paper suite hands
+// each study only the knobs it reads (-hammers to sweep and fig6,
+// -iterations to trrstudy) and refuses a knob none of them reads.
+func TestPaperSuiteHandsEachStudyItsKnobs(t *testing.T) {
+	opts := hbmrh.ExperimentOptions{Cfg: hbmrh.SmallChip(), Rows: 5, Hammers: 30000, Iterations: 7}
+	suite, err := paperSuite(opts, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][3]int{"sweep": {5, 30000, 0}, "fig6": {2, 30000, 0}, "trrstudy": {0, 0, 7}}
+	for _, e := range suite {
+		if got := [3]int{e.opts.Rows, e.opts.Hammers, e.opts.Iterations}; got != want[e.name] {
+			t.Errorf("%s runs at rows/hammers/iterations %v, want %v", e.name, got, want[e.name])
+		}
+	}
+	opts.Seeds = 3
+	_, err = paperSuite(opts, 5, 2)
+	if wantErr := "Seeds 3: the paper suite does not read it (read by multichip)"; err == nil || err.Error() != wantErr {
+		t.Errorf("-seeds 3: err = %v, want %q", err, wantErr)
+	}
+}
+
 // TestExportArtifactUnderivableAxisWritesNothing pins the export
 // pre-flight: asking a point-axis artifact for a channel view fails with
 // the stored-axis hint before the report or any export file is written.

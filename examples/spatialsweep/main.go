@@ -15,7 +15,7 @@ import (
 func main() {
 	fmt.Println("note: this demo runs the scaled-down SmallChip; shapes and orderings match")
 	fmt.Println("the paper, while absolute HCfirst values sit higher (fewer cells per row).")
-	fmt.Println("Use `go run ./cmd/calibrate` for the full-geometry paper-number comparison.")
+	fmt.Println("Use `go run ./cmd/characterize -chip paper -experiment paper` for the paper comparison.")
 	fmt.Println()
 	// The sweep runs on the shared execution engine: one worker per CPU
 	// by default, with per-channel progress and results identical to a

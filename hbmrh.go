@@ -26,8 +26,8 @@
 //   - Row-mapping reverse engineering via Harness.RecoverMapping.
 //
 // The package is a thin facade over the internal subsystems; see DESIGN.md
-// for the system inventory, and run `go run ./cmd/calibrate` for the
-// paper-vs-measured comparison.
+// for the system inventory, and run `go run ./cmd/characterize -chip paper
+// -experiment paper` for the paper-vs-measured comparison.
 package hbmrh
 
 import (
@@ -196,8 +196,8 @@ func RunExperiment(name string, o ExperimentOptions) (*ResultsArtifact, error) {
 // registered renderer (generic distribution render for unknown tools).
 func RenderExperimentArtifact(a *ResultsArtifact) string { return experiments.Render(a) }
 
-// TRRPeriod reads a trrstudy artifact's inferred TRR victim-refresh
-// period and whether the refreshes were strictly periodic.
+// TRRPeriod reads the inferred TRR victim-refresh period off a trrstudy
+// artifact's TRR record, and whether the refreshes were strictly periodic.
 func TRRPeriod(a *ResultsArtifact) (period int, periodic bool) { return experiments.TRRPeriod(a) }
 
 // The fleet control plane: one coordinator partitions a registered

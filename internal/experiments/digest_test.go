@@ -52,8 +52,8 @@ func TestSection5StudyDigests(t *testing.T) {
 		{"fig6/small", study("fig6", Options{Cfg: small, Rows: 2}), "0c5eba20a1e53b5b133a5b589d246753376fa022ba7a68be4a759b51444ff997"},
 		{"rowpress/small", study("rowpress", Options{Cfg: small}), "ca0851be837e19c9264cdc60a66ef532d47f4eb663be16e1b376eeebd5f8b61a"},
 		{"tempsweep/small", study("tempsweep", Options{Cfg: small}), "40f8d1e28acc5bc1a9953cfb33c9e465c3ba508349c9a05cc968d6b0f0deac8e"},
-		{"trrbypass/paper", study("trrbypass", Options{Cfg: paper, Rows: 1, Hammers: 30000}), "ab5465e5819c4b3e27460e80daf894c87ea5b2cbe258d02cc7acc64268455e60"},
-		{"crosschannel/paper", study("crosschannel", Options{Cfg: paper, Rows: 1, Hammers: 30000}), "3c1cc1b7aee60b4b13e8e629f8274d753a332170e902e49ed549651d76f7cfa4"},
+		{"trrbypass/paper", study("trrbypass", Options{Cfg: paper, Hammers: 30000}), "ab5465e5819c4b3e27460e80daf894c87ea5b2cbe258d02cc7acc64268455e60"},
+		{"crosschannel/paper", study("crosschannel", Options{Cfg: paper, Rows: 1}), "3c1cc1b7aee60b4b13e8e629f8274d753a332170e902e49ed549651d76f7cfa4"},
 		{"retention/findrow", func() (string, error) {
 			row, sec, err := findRowSmall()
 			return fmt.Sprintf("%d %v", row, sec), err

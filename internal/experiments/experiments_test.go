@@ -99,13 +99,14 @@ func TestFig6IndependentOfWorkerCount(t *testing.T) {
 }
 
 // TestEveryExperimentIndependentOfWorkerCount extends the worker-count
-// pin to every registered experiment at a tiny budget.
+// pin to every registered experiment at a tiny budget, each given the
+// knobs it reads.
 func TestEveryExperimentIndependentOfWorkerCount(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.Name, func(t *testing.T) {
-			sameAcrossParallelism(t, e.Name, Options{
+			sameAcrossParallelism(t, e.Name, e.Narrow(Options{
 				Cfg: config.SmallChip(), Rows: 1, Hammers: 30000, Seeds: 2, Iterations: 4,
-			})
+			}))
 		})
 	}
 }
@@ -221,10 +222,10 @@ func TestFig3ChannelOrdering(t *testing.T) {
 		}
 	}
 	if h.MaxOverMinWCDP <= 1.3 {
-		t.Errorf("max/min channel BER ratio = %.2f, want a clear spread (paper: 2.03)", h.MaxOverMinWCDP)
+		t.Errorf("max/min channel BER ratio = %.2f, want a clear spread (paper %s)", h.MaxOverMinWCDP, paper("fig3.channel_ratio"))
 	}
-	if h.MaxSpreadPct <= 30 {
-		t.Errorf("max cross-channel spread = %.1f%%, want substantial (paper: 79%%)", h.MaxSpreadPct)
+	if !h.MaxSpreadPct.OK || h.MaxSpreadPct.V <= 30 {
+		t.Errorf("max cross-channel spread = %+v, want substantial (paper %s)", h.MaxSpreadPct, paper("fig3.channel_spread"))
 	}
 	if h.MaxBER <= 0 {
 		t.Error("no bitflips anywhere")
@@ -256,15 +257,15 @@ func TestFig4Headlines(t *testing.T) {
 	}
 	// Channel 0 is anti-cell rich: Rowstripe0 flips with fewer hammers.
 	if rs0, rs1 := h.Ch0Rowstripe0, h.Ch0Rowstripe1; !rs0.OK || !rs1.OK || rs0.V >= rs1.V {
-		t.Errorf("ch0 Rowstripe0 mean HCfirst %+v not below Rowstripe1's %+v (paper: 57.9K vs 79.2K)",
-			rs0, rs1)
+		t.Errorf("ch0 Rowstripe0 mean HCfirst %+v not below Rowstripe1's %+v (paper %s vs %s)",
+			rs0, rs1, paper("fig4.ch0_rs0"), paper("fig4.ch0_rs1"))
 	}
 }
 
 func TestFig5LastSubarrayIsWeak(t *testing.T) {
 	_, _, h := SweepHeadlines(smallSweep(t, 10))
 	if r := h.LastSubarrayRatio; !r.OK || r.V <= 0 || r.V >= 0.8 {
-		t.Errorf("last-subarray BER ratio = %v, want clearly below 0.8 (paper: far fewer flips)", r)
+		t.Errorf("last-subarray BER ratio = %v, want clearly below 0.8 (paper %s)", r, paper("fig5.last_subarray"))
 	}
 	if r := h.MidOverEdge; !r.OK || r.V <= 1 {
 		t.Errorf("mid/edge BER ratio = %v, want > 1 (BER peaks mid-subarray)", r)
@@ -396,7 +397,8 @@ func TestHeadlinesWhenNothingFlips(t *testing.T) {
 		t.Errorf("no-flip headlines: %+v %+v %+v", h3, h4, h5)
 	}
 	out := Render(a)
-	for _, want := range []string{"min HCfirst none", "mean none/none", "mid/edge ratio none", "last-subarray BER ratio none"} {
+	for _, want := range []string{"min HCfirst none", "Rowstripe0 mean HCfirst none", "Rowstripe1 mean HCfirst none",
+		"mid/edge ratio none", "last-subarray BER ratio none"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

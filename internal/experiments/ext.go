@@ -94,6 +94,7 @@ func rowPressPoint(h *core.Harness, cfg *config.Config, bank addr.BankAddr, vict
 func rowPressExperiment() *Experiment {
 	return &Experiment{
 		Name:  "rowpress",
+		Reads: []string{"Rows", "Hammers"},
 		Title: "RowPress extension: HCfirst distribution vs aggressor-on time",
 		Plan: func(o Options) (*Plan, error) {
 			cfg, err := resolveChip(o)
@@ -167,6 +168,7 @@ func tempSweepPoint(cfg *config.Config, bank addr.BankAddr, victims []int, hamme
 func tempSweepExperiment() *Experiment {
 	return &Experiment{
 		Name:  "tempsweep",
+		Reads: []string{"Rows", "Hammers"},
 		Title: "temperature extension: RowHammer BER distribution across PID-settled setpoints",
 		Plan: func(o Options) (*Plan, error) {
 			cfg, err := resolveChip(o)
@@ -246,6 +248,7 @@ func crossChannelArm(base *config.Config, aggressor int, rows []int, coupling fl
 func crossChannelExperiment() *Experiment {
 	return &Experiment{
 		Name:  "crosschannel",
+		Reads: []string{"Rows"},
 		Title: "cross-channel extension: vertical die-to-die interference probe",
 		Plan: func(o Options) (*Plan, error) {
 			cfg, err := resolveChip(o)

@@ -113,6 +113,7 @@ func addFig6Point(groups []results.Group, b results.BankRecord) {
 func fig6Experiment() *Experiment {
 	return &Experiment{
 		Name:  "fig6",
+		Reads: []string{"Rows", "Hammers"},
 		Title: "Fig. 6 bank scatter: per-bank BER mean/CV distributions per channel",
 		Plan: func(o Options) (*Plan, error) {
 			cfg, err := resolveChip(o)
@@ -174,10 +175,9 @@ func fig6Experiment() *Experiment {
 type Fig6 struct{ Banks []results.BankRecord }
 
 // renderFig6 is the fig6 entry's registry render: the scatter and its
-// headlines.
+// claims' headlines.
 func renderFig6(a *results.Artifact) string {
-	f := Fig6{Banks: a.Banks}
-	return renderHeader(a) + f.Render() + f.Headlines().String()
+	return renderHeader(a) + Fig6{Banks: a.Banks}.Render() + headlines("Fig. 6", measureFig6(a))
 }
 
 // Render draws the scatter plot; each point's glyph is its channel digit,
@@ -248,11 +248,4 @@ func (f Fig6) Headlines() Fig6Headlines {
 		h.CrossOverIntra = (h.MeanHi - h.MeanLo) / h.MaxIntraChannelSpread
 	}
 	return h
-}
-
-// String is the figure's headline line, with the paper's values.
-func (h Fig6Headlines) String() string {
-	return fmt.Sprintf("headlines: bank mean BER %.2f-%.2f%% (paper %s); CV %.2f-%.2f (paper %s); "+
-		"cross/intra channel spread %.1fx\n",
-		h.MeanLo, h.MeanHi, paper("fig6.bank_mean"), h.CVLo, h.CVHi, paper("fig6.bank_cv"), h.CrossOverIntra)
 }

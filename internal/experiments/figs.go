@@ -55,13 +55,14 @@ func SweepHeadlines(a *results.Artifact) (Fig3Headlines, Fig4Headlines, Fig5Head
 }
 
 // renderSweep is the sweep entry's registry render: Figs. 3-5, each with
-// its headlines.
+// its claims' headlines.
 func renderSweep(a *results.Artifact) string {
 	f3, f4, f5 := sweepFigs(a)
+	m := measureSweep(a)
 	return renderHeader(a) +
-		f3.Render() + f3.Headlines().String() + "\n" +
-		f4.Render() + f4.Headlines().String() + "\n" +
-		f5.Render() + f5.Headlines().String() + "\n"
+		f3.Render() + headlines("Fig. 3", m) + "\n" +
+		f4.Render() + headlines("Fig. 4", m) + "\n" +
+		f5.Render() + headlines("Fig. 5", m) + "\n"
 }
 
 // distribution extracts, for one pattern index (len(Table1()) selects the
@@ -171,11 +172,13 @@ type Fig3Headlines struct {
 	WCDPMeanBER []float64
 	// MaxOverMinWCDP is the ratio of the best to worst channel's mean
 	// WCDP BER over the covered channels (paper: channel 7 is 2.03x
-	// channel 0); 0 when the worst channel never flipped.
+	// channel 0); 0 when fewer than two are covered or the worst never
+	// flipped.
 	MaxOverMinWCDP float64
 	// MaxSpreadPct is the largest cross-channel BER spread over all
-	// patterns: (max-min)/max of channel mean BER (paper: up to 79 %).
-	MaxSpreadPct float64
+	// patterns: (max-min)/max of channel mean BER (paper: up to 79 %);
+	// undefined when no pattern has two covered channels and a flip.
+	MaxSpreadPct Value
 	// MaxBER is the highest per-row BER observed anywhere, in percent.
 	MaxBER float64
 }
@@ -191,7 +194,7 @@ func (f Fig3) Headlines() Fig3Headlines {
 			covered = append(covered, h.WCDPMeanBER[ch])
 		}
 	}
-	if len(covered) > 0 {
+	if len(covered) > 1 {
 		if lo, hi := stats.MinMax(covered); lo > 0 {
 			h.MaxOverMinWCDP = hi / lo
 		}
@@ -208,8 +211,8 @@ func (f Fig3) Headlines() Fig3Headlines {
 		}
 		mlo, mhi := stats.MinMax(means)
 		if mhi > 0 {
-			if spread := (mhi - mlo) / mhi * 100; spread > h.MaxSpreadPct {
-				h.MaxSpreadPct = spread
+			if spread := (mhi - mlo) / mhi * 100; !h.MaxSpreadPct.OK || spread > h.MaxSpreadPct.V {
+				h.MaxSpreadPct = Value{V: spread, OK: true}
 			}
 		}
 	}
@@ -221,14 +224,6 @@ func (f Fig3) Headlines() Fig3Headlines {
 		}
 	}
 	return h
-}
-
-// String is the figure's headline line, with the paper's values.
-func (h Fig3Headlines) String() string {
-	return fmt.Sprintf("headlines: max/min channel WCDP BER ratio %.2fx (paper %s); "+
-		"max cross-channel spread %.0f%% (paper %s); max BER %.2f%% (paper %s)\n",
-		h.MaxOverMinWCDP, paper("fig3.channel_ratio"), h.MaxSpreadPct, paper("fig3.channel_spread"),
-		h.MaxBER, paper("fig3.max_ber"))
 }
 
 // --- Fig. 4: HCfirst across rows, channels and data patterns ---
@@ -256,8 +251,8 @@ type Fig4Headlines struct {
 	// channel with no flipping row.
 	WCDPMeanHC []Value
 	// SpreadPct is the cross-channel spread of mean WCDP HCfirst over the
-	// channels that flipped: (max-min)/max (paper: up to 20 %).
-	SpreadPct float64
+	// channels that flipped, (max-min)/max; undefined when none did.
+	SpreadPct Value
 	// Ch0Rowstripe0 and Ch0Rowstripe1 are channel 0's mean HCfirst under
 	// the two stripe patterns (paper: 57925 and 79179), showing that the
 	// effective pattern is channel-dependent.
@@ -278,7 +273,7 @@ func (f Fig4) Headlines() Fig4Headlines {
 	}
 	if len(flipped) > 0 {
 		lo, hi := stats.MinMax(flipped)
-		h.SpreadPct = (hi - lo) / hi * 100
+		h.SpreadPct = Value{V: (hi - lo) / hi * 100, OK: true}
 	}
 	for _, r := range f.Rows {
 		for pi, found := range r.Found {
@@ -290,16 +285,6 @@ func (f Fig4) Headlines() Fig4Headlines {
 	h.Ch0Rowstripe0 = meanOf(distribution(f.Rows, 0, 0, hcMetric))
 	h.Ch0Rowstripe1 = meanOf(distribution(f.Rows, 1, 0, hcMetric))
 	return h
-}
-
-// String is the figure's headline line, with the paper's values.
-func (h Fig4Headlines) String() string {
-	return fmt.Sprintf("headlines: min HCfirst %s (paper %s); channel spread %.0f%% (paper %s); "+
-		"ch0 RS0/RS1 mean %s/%s (paper %s/%s)\n",
-		Value{V: float64(h.MinHCFirst), OK: h.MinHCFirst > 0}.Format("%.0f"), paper("fig4.min_hcfirst"),
-		h.SpreadPct, paper("fig4.channel_spread"),
-		h.Ch0Rowstripe0.Format("%.0f"), h.Ch0Rowstripe1.Format("%.0f"),
-		paper("fig4.ch0_rs0"), paper("fig4.ch0_rs1"))
 }
 
 // --- Fig. 5: BER vs physical row address ---
@@ -383,10 +368,4 @@ func (f Fig5) Headlines() Fig5Headlines {
 		LastSubarrayRatio: ratioOf(last, rest),
 		MidOverEdge:       ratioOf(mid, edge),
 	}
-}
-
-// String is the figure's headline line.
-func (h Fig5Headlines) String() string {
-	return fmt.Sprintf("headlines: last-subarray BER ratio %s; mid/edge ratio %s\n",
-		h.LastSubarrayRatio.Format("%.2fx"), h.MidOverEdge.Format("%.2fx"))
 }

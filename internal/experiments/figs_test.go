@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +17,11 @@ import (
 // banks without a CV.
 func TestFiguresRenderFromDecodedArtifacts(t *testing.T) {
 	for _, name := range []string{"sweep", "fig6", "trrstudy", "utrrprobe"} {
-		a, err := Run(name, Options{Cfg: config.SmallChip(), Rows: 2, Hammers: 30000})
+		e, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Run(name, e.Narrow(Options{Cfg: config.SmallChip(), Rows: 2, Hammers: 30000}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,18 +69,96 @@ func TestFiguresRenderFromLoneSlices(t *testing.T) {
 		}
 	}
 	out = Render(fig6)
-	for _, want := range []string{"Fig. 6", "(no data)", "bank mean BER 0.00-0.00%", "CV 0.00-0.00"} {
+	for _, want := range []string{"Fig. 6", "(no data)", "bank mean BER 0.00-0.00%", "bank BER CV none"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("all-zero fig6 slice render missing %q:\n%s", want, out)
 		}
 	}
 }
 
+// TestEveryClaimIsMeasured pins the claims table against the artifacts
+// that measure it: on small-chip sweep, fig6 and trrstudy artifacts every
+// claim, and only the claims of the artifact's tool, gets a measured
+// text, printed in its figure's headline line and in the comparison
+// table. A sweep whose hammer budget is below every threshold reads
+// "none" for min HCfirst and the channel ratio and spread, not a
+// sentinel, and so does a one-channel slice for the ratio and spread.
+func TestEveryClaimIsMeasured(t *testing.T) {
+	var arts []*results.Artifact
+	measured, rendered := map[string]string{}, map[string]string{}
+	for _, name := range []string{"sweep", "fig6", "trrstudy"} {
+		e, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Run(name, e.Narrow(Options{Cfg: config.SmallChip(), Rows: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		arts = append(arts, a)
+		for id, v := range measures[name](a) {
+			measured[id], rendered[id] = v, Render(a)
+			if i := slices.IndexFunc(claims, func(c Claim) bool { return c.ID == id }); i < 0 || claims[i].Tool != name {
+				t.Errorf("%s measures %q, which is not one of its claims", name, id)
+			}
+		}
+	}
+	if len(measured) != len(claims) {
+		t.Errorf("%d measured claims for %d in the table", len(measured), len(claims))
+	}
+	table := ClaimsTable(arts...)
+	for _, c := range claims {
+		v := measured[c.ID]
+		if v == "" {
+			t.Errorf("%s: not measured", c.ID)
+			continue
+		}
+		if headline := c.Metric + " " + v + " (paper " + c.PaperText() + ")"; !strings.Contains(rendered[c.ID], headline) {
+			t.Errorf("%s: %s report lacks %q", c.ID, c.Tool, headline)
+		}
+		if row := "| " + c.Figure + " | " + c.Metric + " | " + c.PaperText() + " | " + v + " |\n"; !strings.Contains(table, row) {
+			t.Errorf("%s: table lacks %q:\n%s", c.ID, row, table)
+		}
+	}
+
+	quiet, err := Run("sweep", Options{Cfg: config.SmallChip(), Rows: 2, Hammers: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := measureSweep(quiet)
+	for _, id := range []string{"fig4.min_hcfirst", "fig3.channel_ratio", "fig3.channel_spread"} {
+		if m[id] != "none" {
+			t.Errorf("%s at 5000 hammers reads %q, want none", id, m[id])
+		}
+	}
+	slice, err := Run("sweep", Options{Cfg: config.SmallChip(), Rows: 2, Shard: 0, ShardCount: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = measureSweep(slice)
+	for _, id := range []string{"fig3.channel_ratio", "fig3.channel_spread"} {
+		if m[id] != "none" {
+			t.Errorf("%s on a one-channel slice reads %q, want none", id, m[id])
+		}
+	}
+}
+
+// paper is the report text of the paper value of the claim with the
+// given ID, for test messages. An unknown ID panics.
+func paper(id string) string {
+	for _, c := range claims {
+		if c.ID == id {
+			return c.PaperText()
+		}
+	}
+	panic(fmt.Sprintf("experiments: no paper claim %q", id))
+}
+
 // TestClaimsTable pins the paper-value table: unique IDs, every claim
 // printable, and min HCfirst marked as set by calibration.
 func TestClaimsTable(t *testing.T) {
 	seen := map[string]bool{}
-	for _, c := range Claims() {
+	for _, c := range claims {
 		if seen[c.ID] || c.ID == "" || c.Figure == "" || c.Metric == "" || c.Paper == "" {
 			t.Errorf("claim %+v: duplicate or incomplete", c)
 		}

@@ -145,6 +145,7 @@ func multiChipPlan(cfg *config.Config, seeds []uint64, o Options) *Plan {
 func multiChipExperiment() *Experiment {
 	return &Experiment{
 		Name:  "multichip",
+		Reads: []string{"Rows", "Hammers", "Seeds", "Iterations", "Workers"},
 		Title: "fleet chip-to-chip scan: headline numbers + region×channel aggregates per seed",
 		Plan: func(o Options) (*Plan, error) {
 			cfg, err := resolveChip(o)

@@ -10,8 +10,8 @@ import (
 // TestPaperChipCalibrationSpotCheck is the calibration regression net: it
 // runs the full-geometry paper chip at low sampling density and asserts
 // every headline number stays inside a tolerant band around the paper's
-// reported values. cmd/calibrate produces the full table; this test keeps
-// refactors honest. Skipped in -short runs (several seconds).
+// reported values. `characterize -chip paper -experiment paper` prints
+// the full table; this test keeps refactors honest. Skipped in -short runs (several seconds).
 func TestPaperChipCalibrationSpotCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-geometry sweep is the heavyweight calibration check")
@@ -24,23 +24,23 @@ func TestPaperChipCalibrationSpotCheck(t *testing.T) {
 
 	// Paper: channel 7 is 2.03x channel 0 in mean WCDP BER.
 	if h3.MaxOverMinWCDP < 1.6 || h3.MaxOverMinWCDP > 2.7 {
-		t.Errorf("channel BER ratio %.2fx outside the calibration band (paper 2.03x)", h3.MaxOverMinWCDP)
+		t.Errorf("channel BER ratio %.2fx outside the calibration band (paper %s)", h3.MaxOverMinWCDP, paper("fig3.channel_ratio"))
 	}
 	// Paper: up to 79% cross-channel BER spread.
-	if h3.MaxSpreadPct < 60 || h3.MaxSpreadPct > 95 {
-		t.Errorf("cross-channel spread %.0f%% outside the band (paper 79%%)", h3.MaxSpreadPct)
+	if s := h3.MaxSpreadPct; !s.OK || s.V < 60 || s.V > 95 {
+		t.Errorf("cross-channel spread %+v outside the band (paper %s)", s, paper("fig3.channel_spread"))
 	}
 	// Paper: minimum HCfirst 14531; the model floors at 14500.
 	if h4.MinHCFirst < 14500 || h4.MinHCFirst > 20000 {
-		t.Errorf("min HCfirst %d outside the band (paper 14531)", h4.MinHCFirst)
+		t.Errorf("min HCfirst %d outside the band (paper %s)", h4.MinHCFirst, paper("fig4.min_hcfirst"))
 	}
 	// Paper: channel 0 stripe means 57925 (RS0) and 79179 (RS1).
 	rs0, rs1 := h4.Ch0Rowstripe0.V, h4.Ch0Rowstripe1.V
 	if !h4.Ch0Rowstripe0.OK || rs0 < 48000 || rs0 > 70000 {
-		t.Errorf("ch0 Rowstripe0 mean %+v outside the band (paper 57925)", h4.Ch0Rowstripe0)
+		t.Errorf("ch0 Rowstripe0 mean %+v outside the band (paper %s)", h4.Ch0Rowstripe0, paper("fig4.ch0_rs0"))
 	}
 	if !h4.Ch0Rowstripe1.OK || rs1 < 66000 || rs1 > 95000 {
-		t.Errorf("ch0 Rowstripe1 mean %+v outside the band (paper 79179)", h4.Ch0Rowstripe1)
+		t.Errorf("ch0 Rowstripe1 mean %+v outside the band (paper %s)", h4.Ch0Rowstripe1, paper("fig4.ch0_rs1"))
 	}
 	if rs1 <= rs0 {
 		t.Error("ch0 Rowstripe1 must need more hammers than Rowstripe0")

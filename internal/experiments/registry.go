@@ -3,7 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
@@ -24,8 +26,8 @@ import (
 // CSV/JSON export, progress and cancellation, and a pluggable scheduler
 // (engine.Planner) — all without per-driver plumbing.
 
-// Options is the uniform knob set of a registry run. Not every experiment
-// reads every field; zero values select each experiment's defaults.
+// Options is the uniform knob set of a registry run. Each experiment reads
+// the knobs it declares (Experiment.Reads); zero values select defaults.
 type Options struct {
 	// Cfg is the chip design; nil means config.PaperChip().
 	Cfg *config.Config
@@ -42,8 +44,7 @@ type Options struct {
 	// (trrstudy, and the per-chip TRR period of multichip).
 	Iterations int
 	// Bank is where the Section 5 studies (trrstudy, utrrprobe) profile
-	// their rows; it must lie inside the chip. The experiments that read
-	// it say so (Experiment.ReadsBank); the others refuse a non-zero one.
+	// their rows; it must lie inside the chip.
 	Bank addr.BankAddr
 	// Workers bounds per-job device parallelism (e.g. the per-channel
 	// jobs inside one multichip chip job).
@@ -71,15 +72,9 @@ type Options struct {
 // negative knob is refused: 0 selects a default, and a negative value is
 // a typo, not a request for one.
 func resolveChip(o Options) (*config.Config, error) {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"Rows", o.Rows}, {"Hammers", o.Hammers}, {"Seeds", o.Seeds},
-		{"Iterations", o.Iterations}, {"Parallel", o.Parallel}, {"Workers", o.Workers},
-	} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("%s %d: must be >= 0 (0 selects the default)", f.name, f.v)
+	for _, k := range []string{"Rows", "Hammers", "Seeds", "Iterations", "Parallel", "Workers"} {
+		if v := knob(&o, k).Int(); v < 0 {
+			return nil, fmt.Errorf("%s %d: must be >= 0 (0 selects the default)", k, v)
 		}
 	}
 	cfg := o.Cfg
@@ -156,16 +151,22 @@ type Experiment struct {
 	Title string
 	// Plan decomposes a run for one option set.
 	Plan func(o Options) (*Plan, error)
-	// ReadsBank declares that Plan reads Options.Bank. Run, Describe and
-	// RunSlice refuse a non-zero Bank for every other experiment, which
-	// would otherwise measure its usual banks and say nothing.
-	ReadsBank bool
+	// Reads names the knobs (see knobs) Plan reads; planning refuses a
+	// non-zero one it does not read, which would otherwise say nothing.
+	Reads []string
 	// Render renders a complete (unsharded or merged) artifact as the
 	// experiment's report; nil means the generic distribution render.
 	Render func(a *results.Artifact) string
 }
 
 var registry = map[string]*Experiment{}
+
+// knobs are the Options fields an experiment declares reading
+// (Experiment.Reads).
+var knobs = []string{"Rows", "Hammers", "Seeds", "Iterations", "Workers", "Bank"}
+
+// knob is the Options field of o that the knob name names.
+func knob(o *Options, name string) reflect.Value { return reflect.ValueOf(o).Elem().FieldByName(name) }
 
 // register adds an experiment at init time; duplicate names are a
 // programming error.
@@ -174,6 +175,34 @@ func register(e *Experiment) {
 		panic(fmt.Sprintf("experiments: duplicate registration of %q", e.Name))
 	}
 	registry[e.Name] = e
+}
+
+// Narrow returns o with every knob e does not read zeroed: the options a
+// suite hands each of its studies.
+func (e *Experiment) Narrow(o Options) Options {
+	for _, k := range knobs {
+		if !slices.Contains(e.Reads, k) {
+			knob(&o, k).SetZero()
+		}
+	}
+	return o
+}
+
+// CheckReads refuses a non-zero knob of o that is not among reads, the
+// knobs of the study named who, naming the experiments that read it.
+func CheckReads(o Options, who string, reads []string) error {
+	for _, k := range knobs {
+		if v := knob(&o, k); !v.IsZero() && !slices.Contains(reads, k) {
+			var readers []string
+			for _, e := range All() {
+				if slices.Contains(e.Reads, k) {
+					readers = append(readers, e.Name)
+				}
+			}
+			return fmt.Errorf("%s %v: %s does not read it (read by %s)", k, v.Interface(), who, strings.Join(readers, ", "))
+		}
+	}
+	return nil
 }
 
 func init() {
@@ -191,10 +220,9 @@ func init() {
 // All returns every registered experiment, sorted by name.
 func All() []*Experiment {
 	out := make([]*Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
+	for _, name := range slices.Sorted(maps.Keys(registry)) {
+		out = append(out, registry[name])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -203,30 +231,19 @@ func Lookup(name string) (*Experiment, error) {
 	if e, ok := registry[name]; ok {
 		return e, nil
 	}
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", name, strings.Join(names, ", "))
+	names := strings.Join(slices.Sorted(maps.Keys(registry)), ", ")
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", name, names)
 }
 
 // plan looks up a registered experiment and plans it for o, refusing a
-// Bank the experiment does not read.
+// knob the experiment does not read.
 func plan(name string, o Options) (*Experiment, *Plan, error) {
 	e, err := Lookup(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !e.ReadsBank && o.Bank != (addr.BankAddr{}) {
-		var readers []string
-		for _, r := range All() {
-			if r.ReadsBank {
-				readers = append(readers, r.Name)
-			}
-		}
-		return nil, nil, fmt.Errorf("experiments: planning %s: Bank %v: %s does not read it (only %s do)",
-			name, o.Bank, name, strings.Join(readers, " and "))
+	if err := CheckReads(o, name, e.Reads); err != nil {
+		return nil, nil, fmt.Errorf("experiments: planning %s: %w", name, err)
 	}
 	p, err := e.Plan(o)
 	if err != nil {

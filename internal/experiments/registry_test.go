@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -206,57 +207,74 @@ func TestRenderedArtifactsMentionTheirAxis(t *testing.T) {
 	}
 }
 
-// budgetKnobs are the Options fields each experiment documents reading
-// that shape what it measures (DESIGN.md §9), besides Bank, which the
-// registry entry declares (Experiment.ReadsBank). Cfg is pinned by the
-// config hash, the execution fields (Parallel, Planner, Workers, Shard,
-// Ctx, Progress) never change an artifact, and multichip's Seeds is its
-// plan axis, whose range the artifact's seed provenance carries.
-var budgetKnobs = map[string][]string{
-	"crosschannel": {"Rows"},
-	"fig6":         {"Rows", "Hammers"},
-	"multichip":    {"Rows", "Hammers", "Iterations"},
-	"rowpress":     {"Rows", "Hammers"},
-	"sweep":        {"Rows", "Hammers"},
-	"tempsweep":    {"Rows", "Hammers"},
-	"trrbypass":    {"Hammers"},
-	"trrstudy":     {"Iterations"},
-	"utrrprobe":    {},
-}
-
 // TestNoExperimentIgnoresItsKnobs pins that every knob an experiment
-// reads is pinned in its plan's Params: changing the field changes the
-// Params, so shards run with different budgets refuse to merge.
+// declares reading (Experiment.Reads) shapes its plan: changing Rows,
+// Hammers, Iterations or Bank changes the plan's Params, so shards run
+// with different budgets refuse to merge, and changing multichip's Seeds,
+// its plan axis, changes the job count, whose seed range the artifact's
+// provenance carries. Workers bounds device parallelism inside a job and
+// never changes an artifact, so no plan shows it.
 func TestNoExperimentIgnoresItsKnobs(t *testing.T) {
 	base := Options{Cfg: config.SmallChip(), Rows: 2, Hammers: 20000, Seeds: 2, Iterations: 4}
 	vary := map[string]func(o *Options){
 		"Rows":       func(o *Options) { o.Rows = 3 },
 		"Hammers":    func(o *Options) { o.Hammers = 30000 },
+		"Seeds":      func(o *Options) { o.Seeds = 3 },
 		"Iterations": func(o *Options) { o.Iterations = 5 },
 		"Bank":       func(o *Options) { o.Bank = addr.BankAddr{Channel: 1} },
 	}
 	for _, e := range All() {
-		knobs, ok := budgetKnobs[e.Name]
-		if !ok {
-			t.Errorf("%s: no documented knobs; add it to budgetKnobs", e.Name)
-			continue
-		}
-		if e.ReadsBank {
-			knobs = append(knobs, "Bank")
-		}
-		want, err := Describe(e.Name, base)
+		o := e.Narrow(base)
+		want, err := Describe(e.Name, o)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		for _, knob := range knobs {
-			o := base
-			vary[knob](&o)
-			got, err := Describe(e.Name, o)
+		for _, knob := range e.Reads {
+			if knob == "Workers" {
+				continue
+			}
+			changed := o
+			vary[knob](&changed)
+			got, err := Describe(e.Name, changed)
 			if err != nil {
 				t.Fatalf("%s with %s changed: %v", e.Name, knob, err)
 			}
-			if reflect.DeepEqual(got.Params, want.Params) {
+			if knob == "Seeds" && got.Jobs == want.Jobs {
+				t.Errorf("%s: changing Seeds leaves %d jobs", e.Name, got.Jobs)
+			}
+			if knob != "Seeds" && reflect.DeepEqual(got.Params, want.Params) {
 				t.Errorf("%s: changing %s leaves Params %v unchanged", e.Name, knob, got.Params)
+			}
+		}
+	}
+}
+
+// TestPlansRefuseUnreadKnobs pins the knob check over every registered
+// experiment and every knob it does not declare reading: a non-zero one
+// is refused at plan time with one line naming the experiment, the knob
+// and value, and the experiments that read it.
+func TestPlansRefuseUnreadKnobs(t *testing.T) {
+	for _, e := range All() {
+		for _, k := range knobs {
+			if slices.Contains(e.Reads, k) {
+				continue
+			}
+			o := Options{Cfg: config.SmallChip()}
+			if k == "Bank" {
+				o.Bank = addr.BankAddr{Channel: 1, Bank: 3}
+			} else {
+				knob(&o, k).SetInt(7)
+			}
+			var readers []string
+			for _, r := range All() {
+				if slices.Contains(r.Reads, k) {
+					readers = append(readers, r.Name)
+				}
+			}
+			want := fmt.Sprintf("planning %s: %s %v: %s does not read it (read by %s)", e.Name, k, knob(&o, k), e.Name, strings.Join(readers, ", "))
+			_, err := Describe(e.Name, o)
+			if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "\n") {
+				t.Errorf("%s with %s: err = %v, want one line containing %q", e.Name, k, err, want)
 			}
 		}
 	}
@@ -291,17 +309,18 @@ func TestExtensionPlansRejectRowsOffTheBank(t *testing.T) {
 }
 
 // TestPlansRefuseUnreadBank pins the Bank check over every registered
-// experiment: one that declares ReadsBank plans at a non-zero bank, and
+// experiment: one that declares reading Bank plans at a non-zero bank, and
 // every other one refuses it through Describe, Run and RunSlice alike,
 // with a one-line error naming the knob and the experiment.
 // (TestNoExperimentIgnoresItsKnobs pins that a declared reader's Params
 // move with Bank.)
 func TestPlansRefuseUnreadBank(t *testing.T) {
-	o := Options{Cfg: config.SmallChip(), Rows: 1, Bank: addr.BankAddr{Channel: 1, Bank: 3}}
 	for _, e := range All() {
-		if e.ReadsBank {
+		o := e.Narrow(Options{Cfg: config.SmallChip(), Rows: 1})
+		o.Bank = addr.BankAddr{Channel: 1, Bank: 3}
+		if slices.Contains(e.Reads, "Bank") {
 			if _, err := Describe(e.Name, o); err != nil {
-				t.Errorf("%s declares ReadsBank but refuses Bank %v: %v", e.Name, o.Bank, err)
+				t.Errorf("%s declares reading Bank but refuses Bank %v: %v", e.Name, o.Bank, err)
 			}
 			continue
 		}
@@ -314,7 +333,8 @@ func TestPlansRefuseUnreadBank(t *testing.T) {
 				t.Errorf("%s via %s: err = %v, want one line containing %q", e.Name, entry, err, want)
 			}
 		}
-		if _, err := Describe(e.Name, Options{Cfg: o.Cfg, Rows: 1}); err != nil {
+		o.Bank = addr.BankAddr{}
+		if _, err := Describe(e.Name, o); err != nil {
 			t.Errorf("%s at the zero bank: %v", e.Name, err)
 		}
 	}

@@ -126,6 +126,7 @@ func chooseWCDP(r results.RowRecord) int {
 func sweepExperiment() *Experiment {
 	return &Experiment{
 		Name:  "sweep",
+		Reads: []string{"Rows", "Hammers"},
 		Title: "Figs. 3-5 spatial sweep: per-row BER/HCfirst/WCDP across every channel",
 		Plan: func(o Options) (*Plan, error) {
 			cfg, err := resolveChip(o)

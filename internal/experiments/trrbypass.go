@@ -86,6 +86,7 @@ func runBypassArm(cfg *config.Config, bank addr.BankAddr, hammers int, decoy boo
 func trrBypassExperiment() *Experiment {
 	return &Experiment{
 		Name:  "trrbypass",
+		Reads: []string{"Hammers"},
 		Title: "TRR bypass: naive vs decoy-assisted hammering under nominal refresh",
 		Plan: func(o Options) (*Plan, error) {
 			cfg, err := resolveChip(o)

@@ -54,9 +54,9 @@ func section5StartRow(cfg *config.Config) int { return cfg.Geometry.Rows / 4 }
 // carries the run as a TRR record beside the period groups.
 func trrStudyExperiment() *Experiment {
 	return &Experiment{
-		Name:      "trrstudy",
-		ReadsBank: true,
-		Title:     "Section 5 U-TRR: uncover the in-DRAM TRR mechanism and its period",
+		Name:  "trrstudy",
+		Reads: []string{"Iterations", "Bank"},
+		Title: "Section 5 U-TRR: uncover the in-DRAM TRR mechanism and its period",
 		Plan: func(o Options) (*Plan, error) {
 			cfg, err := resolveChip(o)
 			if err != nil {
@@ -125,42 +125,36 @@ func trrStudyExperiment() *Experiment {
 	}
 }
 
-// TRRPeriod reads the inferred victim-refresh period of a trrstudy
-// artifact from its trr_period group, and whether the fires were
-// strictly periodic from its periodic group; an artifact without the
-// measurement reads (0, false), as an aperiodic run does.
+// trrResult is the U-TRR run a TRR record holds.
+func trrResult(t results.TRRRecord) *utrr.Result {
+	return &utrr.Result{Row: t.Row, Aggressor: t.Aggressor, RetentionSec: t.RetentionSec, Refreshed: t.Refreshed}
+}
+
+// TRRPeriod reads a trrstudy artifact's inferred victim-refresh period
+// off its TRR record, and whether the fires were strictly periodic; an
+// artifact without the record reads (0, false), as an aperiodic run does.
 func TRRPeriod(a *results.Artifact) (period int, periodic bool) {
-	if len(a.Groups) == 0 || len(a.Groups[0].Metrics) < 2 {
+	if len(a.TRR) == 0 {
 		return 0, false
 	}
-	ms := a.Groups[0].Metrics
-	if ms[0].Stream.N() == 0 || ms[1].Stream.N() == 0 {
-		return 0, false
-	}
-	return int(ms[0].Stream.Min()), ms[1].Stream.Min() == 1
+	return trrResult(a.TRR[0]).InferPeriod()
 }
 
 // renderSection5 is the trrstudy entry's registry render: the study the
-// way Section 5 reports it, drawn from the artifact's TRR record, with
-// the paper's period beside the measured one.
+// way Section 5 reports it, drawn from the artifact's TRR record, and its
+// claim's headline.
 func renderSection5(a *results.Artifact) string {
 	var sb strings.Builder
 	sb.WriteString(renderHeader(a))
 	sb.WriteString("Section 5: uncovering the proprietary in-DRAM TRR mechanism (U-TRR)\n")
 	for _, t := range a.TRR {
-		r := utrr.Result{Row: t.Row, Aggressor: t.Aggressor, RetentionSec: t.RetentionSec, Refreshed: t.Refreshed}
+		r := trrResult(t)
 		bank := addr.BankAddr{Channel: t.Channel, PseudoChannel: t.PseudoChannel, Bank: t.Bank}
 		fmt.Fprintf(&sb, "profiled row: %s row %d (retention %.2f s), aggressor row %d\n",
 			bank, r.Row, r.RetentionSec, r.Aggressor)
 		fires := r.Fires()
 		fmt.Fprintf(&sb, "iterations: %d, victim refreshes observed: %d (at %v)\n",
 			len(r.Refreshed), len(fires), fires)
-		period, periodic := r.InferPeriod()
-		if periodic {
-			fmt.Fprintf(&sb, "=> the chip refreshes the sampled aggressor's victims once every %d REFs\n", period)
-		} else {
-			sb.WriteString("=> no strictly periodic victim refresh observed\n")
-		}
 		// Iteration strip chart: '#' = refreshed by TRR, '.' = decayed.
 		glyphs := make([]byte, len(r.Refreshed))
 		for i, ref := range r.Refreshed {
@@ -171,7 +165,7 @@ func renderSection5(a *results.Artifact) string {
 			}
 		}
 		fmt.Fprintf(&sb, "timeline: %s\n", glyphs)
-		fmt.Fprintf(&sb, "paper: TRR victim refresh %s\n", paper("sec5.trr_period"))
 	}
+	sb.WriteString(headlines("Sec. 5", measureSection5(a)))
 	return sb.String()
 }

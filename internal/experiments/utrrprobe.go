@@ -29,9 +29,9 @@ const (
 // parallel engine jobs.
 func utrrProbeExperiment() *Experiment {
 	return &Experiment{
-		Name:      "utrrprobe",
-		ReadsBank: true,
-		Title:     "U-TRR probe: TRR victim-refresh radius and sampler depth",
+		Name:  "utrrprobe",
+		Reads: []string{"Bank"},
+		Title: "U-TRR probe: TRR victim-refresh radius and sampler depth",
 		Plan: func(o Options) (*Plan, error) {
 			cfg, err := resolveChip(o)
 			if err != nil {

@@ -53,6 +53,25 @@ func (s *Study) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Bank.Bank, "bank", 0, "bank of the Section 5 studies' profiled row")
 }
 
+// DropUnreadDefaults zeroes -rows and -hammers, the non-zero defaults,
+// where fs left them unset and the experiment does not read them; a set
+// knob goes on to the registry, which refuses it where unread.
+func (s *Study) DropUnreadDefaults(fs *flag.FlagSet) {
+	e, err := experiments.Lookup(s.Experiment)
+	if err != nil {
+		return
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	read := e.Narrow(experiments.Options{Rows: s.Rows, Hammers: s.Hammers})
+	if !set["rows"] {
+		s.Rows = read.Rows
+	}
+	if !set["hammers"] {
+		s.Hammers = read.Hammers
+	}
+}
+
 // args renders s as the flags RegisterFlags declares, every one of them,
 // so a process that parses them holds a study equal to s.
 func (s Study) args() []string {

@@ -1,12 +1,16 @@
 package fleet
 
 import (
+	"context"
+	"flag"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/safari-repro/hbmrh/internal/addr"
+	"github.com/safari-repro/hbmrh/internal/core"
+	"github.com/safari-repro/hbmrh/internal/experiments"
 )
 
 // fillNonZero sets every field of v, recursing into structs, to a
@@ -81,5 +85,45 @@ func TestFleetSection5AtBank(t *testing.T) {
 	got := fleetBytes(t, Spec{Study: s, Workers: 1, Dir: t.TempDir()})
 	if string(got) != string(want) {
 		t.Fatalf("fleet artifact differs from the single-process run:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestDropUnreadDefaults pins how a parsed study meets the registry's
+// unread-knob check: the non-zero defaults of -rows and -hammers reach
+// only the experiments that read them, and a knob set on the command
+// line stays, so the registry refuses it where it is unread.
+func TestDropUnreadDefaults(t *testing.T) {
+	parse := func(args ...string) Study {
+		var s Study
+		fs := flag.NewFlagSet("study", flag.ContinueOnError)
+		s.RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		s.DropUnreadDefaults(fs)
+		return s
+	}
+	for _, tc := range []struct {
+		args          []string
+		rows, hammers int
+	}{
+		{[]string{"-experiment", "sweep"}, 24, core.DefaultHammers},
+		{[]string{"-experiment", "crosschannel"}, 24, 0},
+		{[]string{"-experiment", "trrbypass", "-hammers", "30000"}, 0, 30000},
+		{[]string{"-experiment", "trrstudy"}, 0, 0},
+		{[]string{"-experiment", "trrbypass", "-rows", "24"}, 24, core.DefaultHammers},
+		{[]string{"-experiment", "paper"}, 24, core.DefaultHammers},
+	} {
+		s := parse(tc.args...)
+		if s.Rows != tc.rows || s.Hammers != tc.hammers {
+			t.Errorf("%q: rows %d, hammers %d; want %d, %d", tc.args, s.Rows, s.Hammers, tc.rows, tc.hammers)
+		}
+	}
+	o, err := parse("-experiment", "trrbypass", "-rows", "24").Options(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := experiments.Describe("trrbypass", o); err == nil || !strings.Contains(err.Error(), "Rows 24: trrbypass does not read it") {
+		t.Errorf("-rows 24 to trrbypass: err = %v", err)
 	}
 }

@@ -295,8 +295,9 @@ type Reader struct {
 	pos   int
 	depth int
 	err   error
-	// Scratch arrays reused across Floats/Ints calls, so each decoded
-	// slice is allocated once at its exact length.
+	// Scratch arrays reused across Floats/IntsScratch calls: Floats
+	// allocates each decoded slice once at its exact length, and
+	// IntsScratch hands out its scratch.
 	floats []float64
 	ints   []int64
 }
@@ -574,26 +575,11 @@ func (r *Reader) Floats() []float64 {
 	return append(make([]float64, 0, len(r.floats)), r.floats...)
 }
 
-// Ints decodes an int64 array: nil for null, non-nil for [].
-func (r *Reader) Ints() []int64 {
-	if r.Null() {
-		return nil
-	}
-	out := r.IntsScratch()
-	if r.err != nil {
-		return nil
-	}
-	// make and copy: the copy fills the new slice without clearing it first.
-	ints := make([]int64, len(out))
-	copy(ints, out)
-	return ints
-}
-
 // IntsScratch decodes an int64 array into the reader's scratch and
 // returns it without copying: nil for null and on error, possibly nil
 // for []. The slice is the caller's to read and modify until the next
-// Ints or IntsScratch call on r, which reuses it; a caller that keeps the
-// values past that copies them.
+// IntsScratch call on r, which reuses it; a caller that keeps the values
+// past that copies them.
 //
 // Stream bins make up most of an artifact: thousands of small
 // non-negative integers, one per indented line. A tight loop takes each

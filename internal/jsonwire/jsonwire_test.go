@@ -144,11 +144,12 @@ func TestReaderStringsMatchEncodingJSON(t *testing.T) {
 	}
 }
 
-// FuzzReaderInts holds Ints and IntsScratch, their tight loop and the
-// per-element path behind it, to encoding/json: both accept or both reject each input, and
-// an accepted input decodes to the same values. The seeds are stream bins
-// as an artifact lays them out, indented and compact, and every element
-// shape the tight loop hands over.
+// FuzzReaderInts holds IntsScratch, its tight loop and the per-element
+// path behind it, to encoding/json: both accept or both reject each
+// input, and an accepted input decodes to the same values, over a fresh
+// scratch and over one left dirty by an earlier, longer array. The seeds
+// are stream bins as an artifact lays them out, indented and compact, and
+// every element shape the tight loop hands over.
 func FuzzReaderInts(f *testing.F) {
 	bins := make([]int64, 40)
 	bins[3], bins[17], bins[39] = 7, 123456, 10
@@ -169,25 +170,19 @@ func FuzzReaderInts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want []int64
 		wantErr := json.Unmarshal(data, &want)
-		r := NewReader(data)
-		got := r.Ints()
-		err := r.Finish()
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("Ints(%q) error %v; encoding/json: %v", data, err, wantErr)
-		}
-		if err == nil && (!slices.Equal(got, want) || (got == nil) != (want == nil)) {
-			t.Fatalf("Ints(%q) = %#v; encoding/json: %#v", data, got, want)
-		}
-		// IntsScratch decodes the same values over a scratch left dirty
-		// by an earlier, longer array.
-		r = NewReader(data)
-		r.ints = []int64{-1, -2, -3, -4, -5, -6, -7, -8}[:3]
-		scratch := r.IntsScratch()
-		if err := r.Finish(); (err == nil) != (wantErr == nil) {
-			t.Fatalf("IntsScratch(%q) error %v; encoding/json: %v", data, err, wantErr)
-		}
-		if err == nil && !slices.Equal(scratch, want) {
-			t.Fatalf("IntsScratch(%q) = %#v; encoding/json: %#v", data, scratch, want)
+		for _, dirty := range []bool{false, true} {
+			r := NewReader(data)
+			if dirty {
+				r.ints = []int64{-1, -2, -3, -4, -5, -6, -7, -8}[:3]
+			}
+			got := r.IntsScratch()
+			err := r.Finish()
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("IntsScratch(%q), dirty scratch %v: error %v; encoding/json: %v", data, dirty, err, wantErr)
+			}
+			if err == nil && !slices.Equal(got, want) {
+				t.Fatalf("IntsScratch(%q), dirty scratch %v: %#v; encoding/json: %#v", data, dirty, got, want)
+			}
 		}
 	})
 }
