@@ -268,16 +268,16 @@ func BenchmarkEngineChipscanStream(b *testing.B) {
 }
 
 // BenchmarkArtifactCodec measures the artifact wire form where the
-// store pays for it on every ingest and replay: decoding an indented
-// shard artifact and re-encoding it canonically, in MB/s of artifact
-// bytes. The input is the committed store test shard, re-encoded in the
-// indented file form shard files and store objects use.
+// store pays for it on every ingest and replay: decoding a shard
+// artifact and re-encoding it canonically, in MB/s of artifact bytes.
+// The input is the committed store test shard, re-encoded in the file
+// form shard files and store objects use (71 KB).
 func BenchmarkArtifactCodec(b *testing.B) {
-	compact, err := os.ReadFile(filepath.Join("internal", "store", "testdata", "shard-1of2.json"))
+	committed, err := os.ReadFile(filepath.Join("internal", "store", "testdata", "shard-1of2.json"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := results.Decode(compact)
+	a, err := results.Decode(committed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func BenchmarkArtifactCodec(b *testing.B) {
 
 // BenchmarkStoreOpen measures store replay, most of a query server's
 // start-up: Open on a directory of 32 one-seed small-chip multichip
-// shards (about 440 KB each), the store shape the serve benchmarks open.
+// shards (about 70 KB each), the store shape the serve benchmarks open.
 // Every object is read, decoded, re-encoded to its canonical bytes,
 // hashed against its file name and admitted.
 func BenchmarkStoreOpen(b *testing.B) {

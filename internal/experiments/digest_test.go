@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -13,11 +14,13 @@ import (
 
 // TestSection5StudyDigests pins the outputs of every study that drives
 // retention decay, TRR or the defense guard: the SHA-256 of each study's
-// indented artifact (code_version cleared, so any build compares), of a
-// retention.FindRow result and of the guard's (flips, preventive
-// refreshes) for fixed attacks. The digests were taken before these
-// studies moved onto DRAM Bender programs, so any change in command
-// order, timing or flip counting on their path shows up here. The
+// artifact as json.MarshalIndent(a, "", "  ") lays it out plus a
+// newline, the file layout the digests were taken in (code_version
+// cleared, so any build compares), of a retention.FindRow result and of
+// the guard's (flips, preventive refreshes) for fixed attacks. The
+// digests were taken before these studies moved onto DRAM Bender
+// programs, so any change in command order, timing or flip counting on
+// their path shows up here. The
 // fig6, rowpress and tempsweep digests were taken before their probes
 // moved onto one batched program per chunk and pattern, which pins the
 // per-row BER and HCfirst probes they make.
@@ -30,8 +33,8 @@ func TestSection5StudyDigests(t *testing.T) {
 				return "", err
 			}
 			a.Meta.CodeVersion = ""
-			data, err := a.MarshalIndented()
-			return string(data), err
+			data, err := json.MarshalIndent(a, "", "  ")
+			return string(data) + "\n", err
 		}
 	}
 	guard := func(p defense.Policy, sameRow bool) func() (string, error) {

@@ -122,6 +122,12 @@ func fig6Experiment() *Experiment {
 			}
 			span, hammers := orDefault(o.Rows, 100), orDefault(o.Hammers, core.DefaultHammers)
 			g := cfg.Geometry
+			// The first, middle and last span rows are three disjoint
+			// regions only while 3*span fits in the bank.
+			if fit := g.Rows / 3; span > fit {
+				return nil, fmt.Errorf("rows %d per region overlaps the first, middle and last regions of the %d-row bank: at most %d fit",
+					span, g.Rows, fit)
+			}
 			jobs := make([]Job, g.Channels*g.PseudoChannels*g.Banks)
 			for i := range jobs {
 				ba := addr.BankAddr{

@@ -152,6 +152,9 @@ func multiChipExperiment() *Experiment {
 			if err != nil {
 				return nil, err
 			}
+			if err := checkRowsPerRegion(cfg.Geometry, orDefault(o.Rows, 8)); err != nil {
+				return nil, err
+			}
 			seeds := make([]uint64, orDefault(o.Seeds, 3))
 			for i := range seeds {
 				seeds[i] = cfg.Seed + uint64(i)

@@ -308,6 +308,37 @@ func TestExtensionPlansRejectRowsOffTheBank(t *testing.T) {
 	}
 }
 
+// TestRegionPlansRejectRowsPastTheRegion pins the plan-time bound on
+// the studies that sample the paper's row regions: a sweep or multichip
+// Rows larger than the regions, or a fig6 Rows whose three regions would
+// overlap, is refused with the largest Rows that fits, and that Rows
+// plans. Before the bound, -rows 5000 and -rows 100000 measured the same
+// rows under different Params.
+func TestRegionPlansRejectRowsPastTheRegion(t *testing.T) {
+	cases := []struct {
+		name      string
+		cfg       *config.Config
+		rows, fit int
+	}{
+		{"sweep", config.SmallChip(), 5000, 192},
+		{"sweep", config.PaperChip(), 100000, 3072},
+		{"multichip", config.SmallChip(), 100000, 192},
+		{"fig6", config.SmallChip(), 400, 341},
+	}
+	for _, tc := range cases {
+		for _, rows := range []int{tc.rows, tc.fit + 1, tc.fit} {
+			_, err := Describe(tc.name, Options{Cfg: tc.cfg, Rows: rows})
+			want := fmt.Sprintf("at most %d fit", tc.fit)
+			switch {
+			case rows > tc.fit && (err == nil || !strings.Contains(err.Error(), want)):
+				t.Errorf("%s at rows %d: err = %v, want %q", tc.name, rows, err, want)
+			case rows <= tc.fit && err != nil:
+				t.Errorf("%s at rows %d: %v", tc.name, rows, err)
+			}
+		}
+	}
+}
+
 // TestPlansRefuseUnreadBank pins the Bank check over every registered
 // experiment: one that declares reading Bank plans at a non-zero bank, and
 // every other one refuses it through Describe, Run and RunSlice alike,

@@ -41,6 +41,23 @@ func sampleVictims(g addr.Geometry, rowsPerRegion int) (victims []int, regions [
 	return victims, regions
 }
 
+// checkRowsPerRegion refuses a per-region row count larger than the
+// paper regions sampleVictims samples from. A region holds no more rows
+// than its size, so a larger count would measure the same rows as the
+// size does under different Params; the error names the largest count
+// that fits.
+func checkRowsPerRegion(g addr.Geometry, rowsPerRegion int) error {
+	fit := g.Rows
+	for _, r := range core.Regions(g.Rows) {
+		fit = min(fit, r.Rows())
+	}
+	if rowsPerRegion > fit {
+		return fmt.Errorf("rows %d exceeds the %d-row regions of the %d-row bank: at most %d fit",
+			rowsPerRegion, fit, g.Rows, fit)
+	}
+	return nil
+}
+
 // sweepChannel measures every sampled victim row of one channel's bank
 // and records where each row sits in its subarray, which Fig. 5 reads.
 // The inner loops run through the batched probe API, chunk-major: for
@@ -134,6 +151,9 @@ func sweepExperiment() *Experiment {
 				return nil, err
 			}
 			perRegion, hammers := o.Rows, orDefault(o.Hammers, core.DefaultHammers)
+			if err := checkRowsPerRegion(cfg.Geometry, perRegion); err != nil {
+				return nil, err
+			}
 			layout := cfg.Layout() // once per plan, not per job: its row table costs 4 bytes a row
 			jobs := make([]Job, cfg.Geometry.Channels)
 			for ch := range jobs {

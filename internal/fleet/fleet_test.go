@@ -167,7 +167,7 @@ func TestFleetKillResumeByteIdentical(t *testing.T) {
 // chunk is short), resume, and check the shard artifact equals an
 // uninterrupted slice run. It also checks the resumed session skipped
 // the sealed chunks (the start event's Done carries the journaled count)
-// and that the journal sealed them in compact JSON.
+// and that the journal sealed them in the artifact file form.
 func TestWorkerResumeInProcess(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
@@ -189,8 +189,12 @@ func TestWorkerResumeInProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bytes.ContainsRune(chunk, '\n') {
-				t.Fatal("sealed chunk is not in compact JSON")
+			a, err := results.Decode(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if file, err := a.MarshalIndented(); err != nil || !bytes.Equal(chunk, file) {
+				t.Fatalf("sealed chunk is not in the artifact file form (err %v)", err)
 			}
 			if got := readFile(t, w.Out); !bytes.Equal(got, want) {
 				t.Fatalf("resumed shard artifact differs from uninterrupted slice run")
@@ -200,9 +204,10 @@ func TestWorkerResumeInProcess(t *testing.T) {
 }
 
 // TestWorkerResumesIndentedChunks resumes a journal whose sealed chunks
-// are in the indented artifact file form, as builds that journaled in
-// that form left them: each still hashes against its record, is not
-// rerun, and the shard comes out byte-identical.
+// are laid out one number a line, as json.MarshalIndent lays them out:
+// each still hashes against its record, is not rerun, and the shard
+// comes out byte-identical. The layout a chunk was sealed in does not
+// matter to a resume.
 func TestWorkerResumesIndentedChunks(t *testing.T) {
 	w, want := resumeSpec(t, 3, 1)
 	events := killAndResume(t, w, 2, func() {
@@ -218,7 +223,7 @@ func TestWorkerResumesIndentedChunks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			indented, err := a.MarshalIndented()
+			indented, err := json.MarshalIndent(a, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,14 +36,14 @@ var (
 // Layout (one directory per worker):
 //
 //	journal                  header line + one record line per chunk
-//	chunk-<lo>-<hi>.json     sealed slice artifact, compact JSON
+//	chunk-<lo>-<hi>.json     sealed slice artifact, artifact file form
 //
-// Chunk files hold the artifact schema in compact JSON
-// (results.Artifact.AppendCompact), not the indented file form of shard
-// outputs: only a resuming worker reads them, Decode accepts either
-// form, and a chunk sealed in the indented form by an earlier build
-// still hashes against its record and resumes. The shard a worker
-// writes from them is in the file form.
+// Chunk files hold the artifact file form (results.Artifact.AppendIndented),
+// as the shard a worker writes from them does. A chunk is verified
+// against the SHA-256 of its file bytes, not re-encoded, and Decode
+// accepts any whitespace, so the layout a chunk was sealed in does not
+// matter to a resume; a journal from an earlier build is refused by its
+// code version in any case.
 //
 // The journal file is JSONL. Line 1 is the header — the run identity a
 // resume must match (journal format version, experiment, config hash,
@@ -322,12 +322,12 @@ func (j *Journal) Resumed() int {
 	return j.done[len(j.done)-1].Hi
 }
 
-// Append seals one completed chunk: the artifact is written in compact
-// JSON to a temporary file, synced, renamed to its canonical name, and
+// Append seals one completed chunk: the artifact is written in the file
+// form to a temporary file, synced, renamed to its canonical name, and
 // only then recorded (and synced) in the journal. A kill between any two of those
 // steps leaves the journal pointing only at complete artifacts.
 func (j *Journal) Append(a *results.Artifact, lo, hi int) error {
-	data, err := a.AppendCompact(nil)
+	data, err := a.MarshalIndented()
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,9 @@
 // Package jsonwire is the non-reflective JSON codec under the artifact
-// file format: a Writer that appends values laid out exactly as
-// encoding/json's Marshal (compact) or MarshalIndent(v, "", "  ") lays
-// them out, and a single-pass Reader that accepts what encoding/json's
-// Unmarshal accepts into a struct, less one thing.
+// file format: a Writer that appends values laid out as encoding/json's
+// Marshal (compact) or MarshalIndent(v, "", "  ") lays them out, except
+// that an indenting writer puts each array of numbers on one line, and a
+// single-pass Reader that accepts what encoding/json's Unmarshal accepts
+// into a struct, less one thing.
 //
 // The Writer reproduces encoding/json's bytes: ES6-style float
 // formatting ('f' unless the exponent is below -6 or at least 21, with
@@ -26,7 +27,6 @@
 package jsonwire
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -45,6 +45,9 @@ type Writer struct {
 	buf    []byte
 	indent bool
 	depth  int
+	// line is the depth of the outermost open container OpenLine
+	// started, 0 when there is none: inside it nothing is indented.
+	line int
 	// empty is true while the innermost open container has no members.
 	empty bool
 	err   error
@@ -52,7 +55,8 @@ type Writer struct {
 
 // NewWriter returns a writer appending to buf: indented like
 // json.MarshalIndent(v, "", "  ") when indent is set, compact like
-// json.Marshal otherwise.
+// json.Marshal otherwise. Either way Ints, Floats and OpenLine write
+// their arrays on one line, in compact form.
 func NewWriter(buf []byte, indent bool) *Writer {
 	return &Writer{buf: buf, indent: indent}
 }
@@ -77,6 +81,15 @@ func (w *Writer) Open(bracket byte) {
 	w.empty = true
 }
 
+// OpenLine starts an object or array written on one line, in compact
+// form, whatever the writer's indent; so is everything inside it.
+func (w *Writer) OpenLine(bracket byte) {
+	w.Open(bracket)
+	if w.line == 0 {
+		w.line = w.depth
+	}
+}
+
 // Close ends the innermost object ('}') or array (']').
 func (w *Writer) Close(bracket byte) {
 	w.depth--
@@ -85,6 +98,9 @@ func (w *Writer) Close(bracket byte) {
 	}
 	w.buf = append(w.buf, bracket)
 	w.empty = false
+	if w.depth < w.line {
+		w.line = 0
+	}
 }
 
 // Next starts the next array element.
@@ -101,7 +117,7 @@ func (w *Writer) Next() {
 func (w *Writer) Key(k string) {
 	w.Next()
 	w.buf = appendString(w.buf, k)
-	if w.indent {
+	if w.indent && w.line == 0 {
 		w.buf = append(w.buf, ':', ' ')
 	} else {
 		w.buf = append(w.buf, ':')
@@ -117,7 +133,7 @@ const separators = ",\n                                                         
 // a closing bracket.
 func (w *Writer) separator() string {
 	switch n := 2 + 2*w.depth; {
-	case !w.indent:
+	case !w.indent || w.line != 0:
 		return ","
 	case n <= len(separators):
 		return separators[:n]
@@ -176,7 +192,7 @@ func appendFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// Floats writes a float array; a nil slice is null.
+// Floats writes a float array on one line; a nil slice is null.
 func (w *Writer) Floats(xs []float64) {
 	for _, x := range xs {
 		if !w.finite(x) {
@@ -186,7 +202,7 @@ func (w *Writer) Floats(xs []float64) {
 	writeArray(w, xs, appendFloat)
 }
 
-// Ints writes an integer array; a nil slice is null.
+// Ints writes an integer array on one line; a nil slice is null.
 func (w *Writer) Ints(xs []int64) { writeArray(w, xs, appendInt) }
 
 // appendInt appends x in decimal. Stream bins are mostly single digits,
@@ -198,30 +214,23 @@ func appendInt(dst []byte, x int64) []byte {
 	return strconv.AppendInt(dst, x, 10)
 }
 
-// Strings writes a string array; a nil slice is null.
-func (w *Writer) Strings(xs []string) { writeArray(w, xs, appendString) }
-
-// writeArray writes xs with appendElem, appending to a local slice and
-// reusing one separator: the elements of stream arrays are most of an
-// artifact's bytes.
+// writeArray writes xs on one line with appendElem, appending to a local
+// slice: the elements of stream arrays are most of an artifact's bytes.
 func writeArray[T any](w *Writer, xs []T, appendElem func([]byte, T) []byte) {
 	if xs == nil {
 		w.Null()
 		return
 	}
-	w.Open('[')
-	if len(xs) > 0 {
-		sep := w.separator()
-		w.reserve(len(xs) * (len(sep) + 4))
-		buf := append(w.buf, sep[1:]...)
-		for i, x := range xs {
-			if i > 0 {
-				buf = append(buf, sep...)
-			}
-			buf = appendElem(buf, x)
+	w.OpenLine('[')
+	w.reserve(len(xs) * 5)
+	buf := w.buf
+	for i, x := range xs {
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		w.buf, w.empty = buf, false
+		buf = appendElem(buf, x)
 	}
+	w.buf = buf
 	w.Close(']')
 }
 
@@ -582,15 +591,14 @@ func (r *Reader) Floats() []float64 {
 // past that copies them.
 //
 // Stream bins make up most of an artifact: thousands of small
-// non-negative integers, one per indented line. A tight loop takes each
-// element that is such a plain integer of at most 18 digits, after a
-// comma and a whitespace run it matches in one compare against the
-// previous run. Anything else (a sign, a fraction, an exponent, null, a
-// 19th digit, a leading zero before a digit, whitespace other than
-// spaces and newlines or before a comma, a missing element, the closing
-// bracket) goes from that element's separator to the per-element path,
-// more and Int64, so the inputs accepted, the values decoded, the depth
-// accounting and the error messages are theirs.
+// non-negative integers on one line. A tight loop takes each element
+// that is such a plain integer of at most 18 digits, right after the
+// opening bracket or a comma. Anything else (whitespace, a sign, a
+// fraction, an exponent, null, a 19th digit, a leading zero before a
+// digit, a missing element, the closing bracket) goes from that
+// element's separator to the per-element path, more and Int64, so the
+// inputs accepted, the values decoded, the depth accounting and the
+// error messages are theirs.
 func (r *Reader) IntsScratch() []int64 {
 	if r.Null() {
 		return nil
@@ -598,21 +606,12 @@ func (r *Reader) IntsScratch() []int64 {
 	out := r.ints[:0]
 	if r.open('[', "array") {
 		d, i := r.data, r.pos
-		var run []byte // the whitespace before the previous element
 		for first := true; ; first = false {
 			j := i
 			if !first && j < len(d) && d[j] == ',' {
 				j++
 			}
 			if first || j > i {
-				w := j
-				if hasRun(d[j:], run) {
-					j += len(run)
-				}
-				for j < len(d) && (d[j] == ' ' || d[j] == '\n') {
-					j++
-				}
-				run = d[w:j]
 				var v int64
 				e := j
 				for e < len(d) && '0' <= d[e] && d[e] <= '9' {
@@ -643,20 +642,6 @@ func (r *Reader) IntsScratch() []int64 {
 		return nil
 	}
 	return out
-}
-
-// hasRun reports whether b starts with run. An indentation run of 8 to
-// 16 bytes, the bins' depth in an artifact, takes two word compares.
-func hasRun(b, run []byte) bool {
-	n := len(run)
-	switch {
-	case n > len(b):
-		return false
-	case 8 <= n && n <= 16:
-		return binary.LittleEndian.Uint64(b) == binary.LittleEndian.Uint64(run) &&
-			binary.LittleEndian.Uint64(b[n-8:]) == binary.LittleEndian.Uint64(run[n-8:])
-	}
-	return string(b[:n]) == string(run)
 }
 
 // Skip validates and discards one value.

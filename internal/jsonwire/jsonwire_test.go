@@ -1,8 +1,10 @@
 package jsonwire
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"regexp"
 	"slices"
 	"testing"
 )
@@ -45,8 +47,15 @@ func TestWriterScalarsMatchEncodingJSON(t *testing.T) {
 	}
 }
 
+// numberArray matches a non-empty array of numbers as
+// json.MarshalIndent lays it out, one element a line. (It would also
+// match inside a string; the values below have no such strings.)
+var numberArray = regexp.MustCompile(`\[[\s0-9eE+.,-]+\]`)
+
 // TestWriterLayoutMatchesMarshalIndent pins nesting, empty containers
-// and null slices, indented and compact.
+// and null slices, indented and compact. The indented reference is
+// json.MarshalIndent's output with each array of numbers joined onto
+// one line; a string array keeps one element a line.
 func TestWriterLayoutMatchesMarshalIndent(t *testing.T) {
 	type inner struct {
 		A []int64   `json:"a"`
@@ -54,7 +63,7 @@ func TestWriterLayoutMatchesMarshalIndent(t *testing.T) {
 		C []string  `json:"c"`
 		D struct{}  `json:"d"`
 	}
-	v := []inner{{A: []int64{1, -2}, B: []float64{}, C: nil}, {}}
+	v := []inner{{A: []int64{1, -2}, B: []float64{}, C: nil}, {A: []int64{}, B: []float64{0.5, 1e-7, 3}, C: []string{"x", "y"}}, {}}
 	write := func(w *Writer) {
 		w.Open('[')
 		for _, x := range v {
@@ -65,7 +74,16 @@ func TestWriterLayoutMatchesMarshalIndent(t *testing.T) {
 			w.Key("b")
 			w.Floats(x.B)
 			w.Key("c")
-			w.Strings(x.C)
+			if x.C == nil {
+				w.Null()
+			} else {
+				w.Open('[')
+				for _, c := range x.C {
+					w.Next()
+					w.String(c)
+				}
+				w.Close(']')
+			}
 			w.Key("d")
 			w.Open('{')
 			w.Close('}')
@@ -79,6 +97,7 @@ func TestWriterLayoutMatchesMarshalIndent(t *testing.T) {
 		want, err := json.Marshal(v)
 		if indent {
 			want, err = json.MarshalIndent(v, "", "  ")
+			want = numberArray.ReplaceAllFunc(want, func(a []byte) []byte { return bytes.Join(bytes.Fields(a), nil) })
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -148,8 +167,9 @@ func TestReaderStringsMatchEncodingJSON(t *testing.T) {
 // path behind it, to encoding/json: both accept or both reject each
 // input, and an accepted input decodes to the same values, over a fresh
 // scratch and over one left dirty by an earlier, longer array. The seeds
-// are stream bins as an artifact lays them out, indented and compact, and
-// every element shape the tight loop hands over.
+// are stream bins as an artifact lays them out, on one line and one a
+// line as earlier builds did, and every element shape the tight loop
+// hands over.
 func FuzzReaderInts(f *testing.F) {
 	bins := make([]int64, 40)
 	bins[3], bins[17], bins[39] = 7, 123456, 10

@@ -11,50 +11,38 @@ import (
 
 // The artifact file format is the indented JSON encoding/json's
 // MarshalIndent(a, "", "  ") produces for the struct tags in results.go,
-// plus a trailing newline. Shard files, merged artifacts and store
-// objects use it, and store objects are addressed by its SHA-256, so
-// these bytes must never drift: the codec below writes and reads the
-// schema directly through jsonwire instead of reflecting over the
-// structs, and FuzzArtifactCodec holds it to encoding/json in both
-// directions. Fleet journal chunks, which only their own worker reads
-// back, use the compact form of the same schema (AppendCompact): one
-// writer, two whitespace settings.
+// with each array of numbers on one line in compact form, plus a
+// trailing newline. Shard files, fleet journal chunks, merged artifacts
+// and store objects all use it, and store objects are addressed by its
+// SHA-256. Objects keep MarshalIndent's layout, so the files stay
+// readable; the number arrays (stream bins, samples and sums, row BERs
+// and HCfirsts) are most of an artifact's values, and one line each
+// keeps a one-seed multichip shard at 71 KB where one bin a line took
+// 443 KB. The codec below writes and reads the schema directly through
+// jsonwire instead of reflecting over the structs, and FuzzArtifactCodec
+// holds it to encoding/json in both directions. Decode accepts any
+// whitespace, so files laid out by earlier builds, one number a line,
+// still decode; the store re-addresses its objects from such builds when
+// it opens (see store.Open).
 
-// MarshalIndented renders the artifact as deterministic indented JSON
-// with a trailing newline: the artifact file format. The bytes are
-// exactly json.MarshalIndent(a, "", "  ") plus "\n": fields in struct
-// order, omitempty fields left out when empty, nil slices as null, map
-// keys sorted, streams in their versioned wire form. It fails only on
-// non-finite values, which JSON cannot represent.
+// MarshalIndented renders the artifact in the artifact file format:
+// deterministic indented JSON, each array of numbers on one line, with a
+// trailing newline. Fields come in struct order, omitempty fields are
+// left out when empty, nil slices are null, map keys sorted, streams in
+// their versioned wire form. It fails only on non-finite values, which
+// JSON cannot represent.
 func (a *Artifact) MarshalIndented() ([]byte, error) { return a.AppendIndented(nil) }
 
 // AppendIndented appends the artifact file form (see MarshalIndented) to
 // dst and returns the extended buffer, so a caller that encodes many
 // artifacts can reuse one. On failure it returns dst unextended.
 func (a *Artifact) AppendIndented(dst []byte) ([]byte, error) {
-	b, err := a.appendJSON(dst, true)
-	if err != nil {
-		return dst, err
-	}
-	return append(b, '\n'), nil
-}
-
-// AppendCompact appends the artifact in compact JSON, exactly
-// json.Marshal(a) with no trailing newline, to dst. It is the file form
-// without its whitespace (json.Indent of it plus "\n" is the file form)
-// and Decode reads both alike. A one-seed multichip artifact is 59 KB
-// in it against 443 KB indented, nearly all of the difference the
-// per-bin lines of its histograms; the fleet journal seals its chunks in
-// it. On failure it returns dst unextended.
-func (a *Artifact) AppendCompact(dst []byte) ([]byte, error) { return a.appendJSON(dst, false) }
-
-func (a *Artifact) appendJSON(dst []byte, indent bool) ([]byte, error) {
-	w := jsonwire.NewWriter(dst, indent)
+	w := jsonwire.NewWriter(dst, true)
 	a.write(w)
 	if err := w.Err(); err != nil {
 		return dst, fmt.Errorf("results: encoding artifact: %w", err)
 	}
-	return w.Bytes(), nil
+	return append(w.Bytes(), '\n'), nil
 }
 
 func (a *Artifact) write(w *jsonwire.Writer) {
@@ -116,7 +104,7 @@ func (m *Meta) write(w *jsonwire.Writer) {
 	}
 	if len(m.JobKeys) > 0 {
 		w.Key("job_keys")
-		w.Strings(m.JobKeys)
+		writeList(w, m.JobKeys, w.String)
 	}
 	if len(m.Params) > 0 {
 		w.Key("params")
@@ -161,7 +149,16 @@ func (r *RowRecord) write(w *jsonwire.Writer) {
 	w.Key("ber")
 	w.Floats(r.BER)
 	w.Key("hc_first")
-	writeList(w, r.HCFirst, func(v int) { w.Int(int64(v)) })
+	if r.HCFirst == nil {
+		w.Null()
+	} else {
+		w.OpenLine('[')
+		for _, v := range r.HCFirst {
+			w.Next()
+			w.Int(int64(v))
+		}
+		w.Close(']')
+	}
 	w.Key("found")
 	writeList(w, r.Found, w.Bool)
 	w.Key("wcdp")

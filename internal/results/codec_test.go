@@ -94,6 +94,7 @@ func codecArtifacts() map[string]*Artifact {
 	escaped := fineArtifact(0, 1)
 	escaped.Meta.Tool = "a<b>&\"c\"\\\n\t\x01\u2028\u2029\xff\u00e9"
 	escaped.Meta.Params["k\x7f<"] = "tiny 1e-7"
+	escaped.Meta.Params["list"] = "[1, 2]"
 	escaped.Chips[0].WCDPRatio = 1e-7
 	escaped.Chips = append(escaped.Chips, ChipRecord{Seed: 1<<64 - 1, MinHCFirst: -5, WCDPRatio: 1e21})
 	bare := &Artifact{Meta: Meta{Format: FormatVersion, GroupBy: "point"}}
@@ -115,20 +116,67 @@ func codecArtifacts() map[string]*Artifact {
 	}
 }
 
-// refMarshal is the artifact file form as encoding/json writes it.
+// refMarshal is the artifact file form built from encoding/json's
+// output: json.MarshalIndent(v, "", "  ") with each array of numbers
+// joined onto one line (refFileForm), plus a newline.
 func refMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	return append(refFileForm(refMarshalIndent(t, v)), '\n')
+}
+
+// refMarshalIndent is json.MarshalIndent(v, "", "  "): the layout
+// earlier builds wrote, one number a line.
+func refMarshalIndent(t *testing.T, v any) []byte {
 	t.Helper()
 	buf, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(buf, '\n')
+	return buf
 }
 
-// TestArtifactCodecMatchesEncodingJSON pins the writer to
-// json.MarshalIndent of the artifact (streams through their MarshalJSON,
-// which the stats tests pin to encoding/json), and decode-then-encode to
-// encoding/json's decode-then-encode of the same bytes.
+// refFileForm joins each non-empty array in indented JSON whose elements
+// are all numbers onto one line, dropping its whitespace. Brackets
+// inside strings are left alone.
+func refFileForm(indented []byte) []byte {
+	out := make([]byte, 0, len(indented))
+	inString := false
+	for i := 0; i < len(indented); i++ {
+		c := indented[i]
+		switch {
+		case inString && c == '\\':
+			out = append(out, c, indented[i+1])
+			i++
+			continue
+		case inString && c == '"':
+			inString = false
+		case c == '"':
+			inString = true
+		case !inString && c == '[':
+			end := i + bytes.IndexByte(indented[i:], ']')
+			elems := bytes.Fields(bytes.ReplaceAll(indented[i+1:end], []byte(","), []byte(" ")))
+			numbers := len(elems) > 0
+			for _, e := range elems {
+				numbers = numbers && len(bytes.Trim(e, "0123456789-+.eE")) == 0
+			}
+			if numbers {
+				out = append(out, '[')
+				out = append(out, bytes.Join(elems, []byte(","))...)
+				out = append(out, ']')
+				i = end
+				continue
+			}
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestArtifactCodecMatchesEncodingJSON pins the writer to the file form
+// built from json.MarshalIndent of the artifact (streams through their
+// MarshalJSON, which the stats tests pin to encoding/json), and
+// decode-then-encode to encoding/json's decode-then-encode of the same
+// bytes.
 func TestArtifactCodecMatchesEncodingJSON(t *testing.T) {
 	for name, a := range codecArtifacts() {
 		got, err := a.MarshalIndented()
@@ -153,71 +201,41 @@ func TestArtifactCodecMatchesEncodingJSON(t *testing.T) {
 		if want := refMarshal(t, ref); !bytes.Equal(again, want) {
 			t.Errorf("%s: decode/encode differs from encoding/json's:\n%s\nvs\n%s", name, again, want)
 		}
+		t.Run(name, func(t *testing.T) { checkOldLayout(t, back) })
 	}
 }
 
-// checkCompactForm pins AppendCompact to the file form of a decoded
-// artifact: json.Indent of the compact bytes plus a newline is the
-// artifact's AppendIndented, and the compact bytes decode to an artifact
-// that re-encodes to those same file bytes. The fleet journal seals
-// chunks compact and writes shards in the file form, so this is the
-// round trip a resumed worker rests on. (An artifact built in memory
-// with invalid UTF-8 in a string does not round-trip in either form:
-// the encoders write U+FFFD for it.)
-func checkCompactForm(t *testing.T, a *Artifact) {
+// checkOldLayout pins the round trip a store opened on objects from an
+// earlier build rests on: the artifact laid out as json.MarshalIndent
+// lays it out, one number a line, decodes to an artifact whose file form
+// is the artifact's own. (An artifact built in memory with invalid UTF-8
+// in a string does not round-trip in either layout: the encoders write
+// U+FFFD for it.)
+func checkOldLayout(t *testing.T, a *Artifact) {
 	t.Helper()
-	file, err := a.AppendIndented(nil)
+	file, err := a.MarshalIndented()
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := a.AppendCompact(nil)
+	back, err := Decode(refMarshalIndent(t, a))
 	if err != nil {
-		t.Fatalf("compact encoding: %v", err)
+		t.Fatalf("decoding the one-number-a-line layout: %v", err)
 	}
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, compact, "", "  "); err != nil {
-		t.Fatalf("compact encoding is not JSON: %v", err)
-	}
-	indented.WriteByte('\n')
-	if !bytes.Equal(indented.Bytes(), file) {
-		t.Fatalf("indented compact encoding differs from the file form:\n%s\nvs\n%s", indented.Bytes(), file)
-	}
-	back, err := Decode(compact)
-	if err != nil {
-		t.Fatalf("decoding the compact encoding: %v", err)
-	}
-	again, err := back.AppendIndented(nil)
+	again, err := back.MarshalIndented()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again, file) {
-		t.Fatal("the compact encoding decodes to an artifact whose file form differs")
+		t.Fatal("the one-number-a-line layout decodes to an artifact whose file form differs")
 	}
 }
 
-// TestArtifactCompactForm holds AppendCompact to json.Marshal of the
-// artifact, and checkCompactForm to the decoded codec artifacts and to
-// the committed one-seed multichip shard, whose compact bytes must also
-// re-encode unchanged.
-func TestArtifactCompactForm(t *testing.T) {
-	for name, a := range codecArtifacts() {
-		want, err := json.Marshal(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := a.AppendCompact(nil); !bytes.Equal(got, want) {
-			t.Errorf("%s: compact encoding differs from json.Marshal:\n%s\nvs\n%s", name, got, want)
-		}
-		file, err := a.AppendIndented(nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		back, err := Decode(file)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		t.Run(name, func(t *testing.T) { checkCompactForm(t, back) })
-	}
+// TestArtifactFileFootprint bounds the file form of the committed
+// one-seed multichip shard (48 streams of 512 bins each): 71,289 bytes,
+// where one number a line took about 443 KB. It also holds the shard to
+// checkOldLayout.
+func TestArtifactFileFootprint(t *testing.T) {
+	const budget = 80 << 10
 	data, err := os.ReadFile(filepath.Join("..", "store", "testdata", "shard-1of2.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -226,10 +244,15 @@ func TestArtifactCompactForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compact, err := a.AppendCompact(nil); err != nil || !bytes.Equal(compact, bytes.TrimSuffix(data, []byte("\n"))) {
-		t.Errorf("the committed compact shard does not re-encode to its own bytes (err %v)", err)
+	file, err := a.MarshalIndented()
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Run("shard-1of2", func(t *testing.T) { checkCompactForm(t, a) })
+	if len(file) > budget {
+		t.Errorf("the one-seed shard's file form is %d bytes, budget %d", len(file), budget)
+	}
+	t.Logf("file form: %d bytes", len(file))
+	checkOldLayout(t, a)
 }
 
 // TestArtifactDecodeFootprint pins what decoding the committed one-seed
@@ -436,10 +459,10 @@ func TestArtifactDecodeRejectsBadRecords(t *testing.T) {
 
 // FuzzArtifactCodec is the differential fuzzer of the artifact codec
 // against encoding/json over the reference mirrors: whatever Decode
-// accepts, encoding/json accepts too, MarshalIndented reproduces
-// json.MarshalIndent of encoding/json's decode byte for byte, and the
-// compact form indents to and decodes back to those bytes
-// (checkCompactForm); whatever
+// accepts, encoding/json accepts too, MarshalIndented reproduces the
+// file form built from json.MarshalIndent of encoding/json's decode
+// byte for byte, and the one-number-a-line layout decodes back to those
+// bytes (checkOldLayout); whatever
 // encoding/json accepts and Decode rejects either fails Decode's
 // validation (the canonical re-encoding is rejected as well) or repeats
 // a member name, the one thing Decode is stricter about. Seeds live in
@@ -460,7 +483,7 @@ func FuzzArtifactCodec(f *testing.F) {
 			if want := refMarshal(t, ref); !bytes.Equal(got, want) {
 				t.Fatalf("re-encoding differs from encoding/json's:\n%s\nvs\n%s", got, want)
 			}
-			checkCompactForm(t, a)
+			checkOldLayout(t, a)
 			return
 		}
 		if refErr != nil {

@@ -32,8 +32,9 @@
 // Artifacts have one serialized form, the indented JSON file format that
 // shard files, fleet chunks and store objects share (codec.go):
 // MarshalIndented writes it and Decode reads it through the
-// non-reflective jsonwire codec, byte for byte what encoding/json would
-// write for the struct tags below.
+// non-reflective jsonwire codec. It is what encoding/json's
+// MarshalIndent writes for the struct tags below, with each array of
+// numbers on one line.
 package results
 
 import (

@@ -34,7 +34,10 @@
 // and Open replays them: objects are decoded on GOMAXPROCS goroutines and
 // admitted strictly in hash order, so a parallel replay reaches the same
 // state as a serial one. A file's name is its address: replay
-// quarantines an object whose canonical bytes hash to anything else. With an empty path the store is purely
+// quarantines an object whose canonical bytes hash to anything else,
+// unless its file bytes hash to its name. Such an object is intact but
+// was written by a build with another canonical layout, and Open moves
+// it to its current address. With an empty path the store is purely
 // in-memory (tests, one-shot queries).
 package store
 
@@ -201,6 +204,14 @@ type Snapshot struct {
 // data returns on the next ingest of those bytes), not the whole store;
 // Quarantined reports the damage and the query service surfaces it as a
 // degraded /healthz.
+//
+// An object whose file bytes hash to its name but whose canonical bytes
+// do not was persisted by a build that laid the file form out otherwise
+// (one number a line, before number arrays went on one line). It is
+// intact: replay admits it, and once every object is replayed Open
+// writes its canonical bytes under their address, syncs them and the
+// directory, and only then removes the old file. A crash in between
+// leaves both files, which replay to one member.
 func Open(dir string) (*Store, error) {
 	s := &Store{dir: dir, corpora: map[string]*corpus{}}
 	if dir == "" {
@@ -239,7 +250,10 @@ func Open(dir string) (*Store, error) {
 // replay. No goroutine outlives the return.
 func (s *Store) replay(objects string, names []string) error {
 	type outcome struct {
-		p   *prepared
+		p *prepared
+		// old is set for an intact object filed under the hash of its
+		// file bytes, not of its canonical bytes.
+		old bool
 		err error
 	}
 	workers := runtime.GOMAXPROCS(0)
@@ -257,8 +271,8 @@ func (s *Store) replay(objects string, names []string) error {
 			defer wg.Done()
 			var b replayBuffers
 			for i := range jobs {
-				p, err := b.prepareObject(objects, names[i])
-				done[i] <- outcome{p, err}
+				p, old, err := b.prepareObject(objects, names[i])
+				done[i] <- outcome{p, old, err}
 			}
 		}()
 	}
@@ -269,6 +283,7 @@ func (s *Store) replay(objects string, names []string) error {
 		}
 		wg.Wait()
 	}()
+	var moves []move
 	next := 0
 	for i, name := range names {
 		for ; next < len(names) && next < i+window; next++ {
@@ -283,9 +298,70 @@ func (s *Store) replay(objects string, names []string) error {
 			if qerr := s.quarantine(objects, name, err); qerr != nil {
 				return qerr
 			}
+			continue
+		}
+		if o.old {
+			moves = append(moves, move{name, o.p})
 		}
 	}
-	return nil
+	return readdress(objects, moves)
+}
+
+// move is an intact object replay admitted from a file named by the hash
+// of its bytes, to be filed under the hash of its canonical bytes.
+type move struct {
+	from string
+	p    *prepared
+}
+
+// readdress files each moved object under its canonical address and
+// then removes the file it was replayed from. It runs once every object
+// is replayed, so no replay worker reads a file it writes. An address
+// that is already a file was replayed intact from it (a damaged one was
+// quarantined away), so only the old file goes. The new files and the
+// directory are synced before any old file is removed: a crash leaves
+// either both files or the new one.
+func readdress(objects string, moves []move) error {
+	if len(moves) == 0 {
+		return nil
+	}
+	var canon []byte
+	for _, m := range moves {
+		path := filepath.Join(objects, m.p.hash+".json")
+		if _, err := os.Stat(path); err == nil {
+			continue
+		}
+		var err error
+		if canon, err = m.p.art.AppendIndented(canon[:0]); err != nil {
+			return fmt.Errorf("store: re-addressing %s: %w", m.from, err)
+		}
+		if err := writeObject(path, canon); err != nil {
+			return fmt.Errorf("store: re-addressing %s: %w", m.from, err)
+		}
+	}
+	if err := syncDir(objects); err != nil {
+		return fmt.Errorf("store: re-addressing: %w", err)
+	}
+	for _, m := range moves {
+		if err := os.Remove(filepath.Join(objects, m.from)); err != nil {
+			return fmt.Errorf("store: re-addressing %s: %w", m.from, err)
+		}
+	}
+	return syncDir(objects)
+}
+
+// syncDir syncs a directory, making the entries created and removed in
+// it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // replayBuffers are one replay worker's read and canonical-encode
@@ -295,21 +371,24 @@ type replayBuffers struct{ data, canon []byte }
 // prepareObject reads and prepares one object file. The file name is
 // the object's address, so an object whose canonical bytes hash to
 // anything else is ErrMalformed: a renamed or mis-copied file must not
-// be admitted under an address it does not have.
-func (b *replayBuffers) prepareObject(objects, name string) (*prepared, error) {
-	var err error
+// be admitted under an address it does not have. The exception is a
+// file whose own bytes hash to its name: it is intact, laid out by an
+// earlier build, and old reports it.
+func (b *replayBuffers) prepareObject(objects, name string) (p *prepared, old bool, err error) {
 	if b.data, err = readFile(filepath.Join(objects, name), b.data[:0]); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	p, canon, err := prepare(b.data, b.canon)
-	b.canon = canon
+	p, b.canon, err = prepare(b.data, b.canon)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if want := strings.TrimSuffix(name, ".json"); p.hash != want {
-		return nil, malformed(fmt.Errorf("store: object %s has canonical hash %s", want, p.hash))
+		if sum := sha256.Sum256(b.data); hex.EncodeToString(sum[:]) == want {
+			return p, true, nil
+		}
+		return nil, false, malformed(fmt.Errorf("store: object %s has canonical hash %s", want, p.hash))
 	}
-	return p, nil
+	return p, false, nil
 }
 
 // readFile appends the contents of the named file to buf, failing as

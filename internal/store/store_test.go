@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -460,8 +461,156 @@ func TestStoreQuarantineMisnamedObject(t *testing.T) {
 	}
 	// The object's class is ErrMalformed, the class a live ingest of
 	// undecodable bytes gets.
-	if _, err := new(replayBuffers).prepareObject(filepath.Join(objects, "quarantine"), wrong+".json"); !errors.Is(err, ErrMalformed) {
+	if _, _, err := new(replayBuffers).prepareObject(filepath.Join(objects, "quarantine"), wrong+".json"); !errors.Is(err, ErrMalformed) {
 		t.Errorf("misnamed object error %v, want ErrMalformed", err)
+	}
+}
+
+// oldLayoutStore persists shards in a store directory, then rewrites
+// each object as a build that wrote the file form one number a line left
+// it: json.MarshalIndent of the artifact plus a newline, filed under the
+// hash of those bytes. keepNew leaves the canonical file beside it, as a
+// crash between re-addressing's write and its remove does. It returns
+// the canonical and the old object names, and the merged summary.
+func oldLayoutStore(t *testing.T, dir string, keepNew bool) (canon, old []string, summary []byte) {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := filepath.Join(dir, "objects")
+	for _, a := range []*results.Artifact{shard(0, 2), shard(2, 3), shard(5, 1)} {
+		hash := ingest(t, s, a).Hash
+		data, err := json.MarshalIndent(a, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, '\n')
+		sum := sha256.Sum256(data)
+		name := hex.EncodeToString(sum[:]) + ".json"
+		if name == hash+".json" {
+			t.Fatal("the one-number-a-line layout hashes like the file form")
+		}
+		if err := os.WriteFile(filepath.Join(objects, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if !keepNew {
+			if err := os.Remove(filepath.Join(objects, hash+".json")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		canon, old = append(canon, hash+".json"), append(old, name)
+	}
+	snap, err := s.Resolve("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if summary, err = snap.Merged.SummaryJSON(results.ByChannel); err != nil {
+		t.Fatal(err)
+	}
+	return canon, old, summary
+}
+
+// checkReaddressed opens a store built by oldLayoutStore and checks that
+// every object was admitted, nothing quarantined, each canonical file
+// holds its canonical bytes and each old file is gone; a second open
+// must then find nothing left to move.
+func checkReaddressed(t *testing.T, dir string, canon, old []string, summary []byte) {
+	t.Helper()
+	for pass := 0; pass < 2; pass++ {
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatalf("open %d: %v", pass, err)
+		}
+		if q := re.Quarantined(); len(q) != 0 {
+			t.Fatalf("open %d quarantined %+v", pass, q)
+		}
+		snap, err := re.Resolve("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Members != len(canon) || !snap.Complete {
+			t.Fatalf("open %d: members=%d complete=%v, want %d complete", pass, snap.Members, snap.Complete, len(canon))
+		}
+		got, err := snap.Merged.SummaryJSON(results.ByChannel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, summary) {
+			t.Fatalf("open %d renders different bytes than the store that wrote the objects", pass)
+		}
+		objects := filepath.Join(dir, "objects")
+		for i, name := range canon {
+			data, err := os.ReadFile(filepath.Join(objects, name))
+			if err != nil {
+				t.Fatalf("open %d: object not at its address: %v", pass, err)
+			}
+			if sum := sha256.Sum256(data); hex.EncodeToString(sum[:])+".json" != name {
+				t.Fatalf("open %d: %s does not hold its canonical bytes", pass, name)
+			}
+			if _, err := os.Stat(filepath.Join(objects, old[i])); !os.IsNotExist(err) {
+				t.Fatalf("open %d: the old-layout file %s is still there (stat: %v)", pass, old[i], err)
+			}
+		}
+		if entries, err := os.ReadDir(objects); err != nil || len(entries) != len(canon) {
+			t.Fatalf("open %d: objects/ holds %d entries (err %v), want the %d objects", pass, len(entries), err, len(canon))
+		}
+	}
+}
+
+// TestStoreOpenReaddressesOldLayout opens a store whose objects were all
+// persisted one number a line, each named by the hash of its file bytes:
+// Open admits them, files each under the hash of its canonical bytes and
+// removes the old file.
+func TestStoreOpenReaddressesOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	canon, old, summary := oldLayoutStore(t, dir, false)
+	checkReaddressed(t, dir, canon, old, summary)
+}
+
+// TestStoreOpenReaddressesAfterCrash opens a store that died between
+// re-addressing's write and its remove: each object is there in both
+// layouts, and replays to one member.
+func TestStoreOpenReaddressesAfterCrash(t *testing.T) {
+	dir := t.TempDir()
+	canon, old, summary := oldLayoutStore(t, dir, true)
+	checkReaddressed(t, dir, canon, old, summary)
+}
+
+// TestStoreOpenQuarantinesTamperedOldLayout changes one byte of an
+// old-layout object, a space that leaves it decoding to the same
+// artifact: its file bytes no longer hash to its name, so it is
+// quarantined, not re-addressed.
+func TestStoreOpenQuarantinesTamperedOldLayout(t *testing.T) {
+	dir := t.TempDir()
+	canon, old, _ := oldLayoutStore(t, dir, false)
+	objects := filepath.Join(dir, "objects")
+	victim := filepath.Join(objects, old[0])
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.IndexByte(data, ' ')
+	data[i] = '\t'
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := re.Quarantined()
+	if len(q) != 1 || q[0].File != old[0] {
+		t.Fatalf("quarantined %+v, want exactly the tampered object", q)
+	}
+	if _, err := os.Stat(filepath.Join(objects, "quarantine", old[0])); err != nil {
+		t.Fatalf("tampered object not moved into objects/quarantine/: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(objects, canon[0])); !os.IsNotExist(err) {
+		t.Fatalf("the tampered object was re-addressed (stat: %v)", err)
+	}
+	if snap, err := re.Resolve(""); err != nil || snap.Members != len(canon)-1 {
+		t.Fatalf("members=%d err=%v, want the %d intact objects", snap.Members, err, len(canon)-1)
 	}
 }
 
