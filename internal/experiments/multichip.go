@@ -139,9 +139,14 @@ func multiChipPlan(cfg *config.Config, seeds []uint64, o Options) *Plan {
 	}
 }
 
+// maxSeeds caps multichip's Options.Seeds. Planning allocates a seed
+// and a job per chip before any job runs, so a larger count is refused
+// there rather than paid for in memory.
+const maxSeeds = 1 << 20
+
 // multiChipExperiment registers the fleet scan: Options.Seeds chips
-// (default 3) starting at the chip's own seed, on the seed axis, sliced
-// by -shard into contiguous seed ranges.
+// (default 3, at most maxSeeds) starting at the chip's own seed, on the
+// seed axis, sliced by -shard into contiguous seed ranges.
 func multiChipExperiment() *Experiment {
 	return &Experiment{
 		Name:  "multichip",
@@ -155,7 +160,11 @@ func multiChipExperiment() *Experiment {
 			if err := checkRowsPerRegion(cfg.Geometry, orDefault(o.Rows, 8)); err != nil {
 				return nil, err
 			}
-			seeds := make([]uint64, orDefault(o.Seeds, 3))
+			n := orDefault(o.Seeds, 3)
+			if n > maxSeeds {
+				return nil, fmt.Errorf("Seeds %d: too large, at most %d chips per scan", n, maxSeeds)
+			}
+			seeds := make([]uint64, n)
 			for i := range seeds {
 				seeds[i] = cfg.Seed + uint64(i)
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -388,5 +389,20 @@ func TestPlansRejectNegativeKnobs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMultiChipRefusesOversizedSeeds pins the Seeds cap: a count above
+// it is refused at plan time, before the plan allocates a seed per chip,
+// with an error naming the knob, the value and the cap. 1<<40 would ask
+// for 8 TB of seeds; a 32-bit build plans its largest int instead.
+func TestMultiChipRefusesOversizedSeeds(t *testing.T) {
+	huge := int(min(int64(1)<<40, math.MaxInt))
+	for _, n := range []int{maxSeeds + 1, huge} {
+		_, _, err := plan("multichip", Options{Cfg: config.SmallChip(), Seeds: n})
+		want := fmt.Sprintf("Seeds %d: too large, at most %d", n, maxSeeds)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Seeds %d: err = %v, want %q", n, err, want)
+		}
 	}
 }

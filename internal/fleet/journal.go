@@ -135,6 +135,8 @@ type Journal struct {
 	// mode is the journal file's permission bits, which the worker's
 	// chunk and shard files get too.
 	mode os.FileMode
+	// buf is the encode buffer Append reuses from chunk to chunk.
+	buf []byte
 }
 
 // journalPath returns the journal file path for a worker directory.
@@ -322,15 +324,17 @@ func (j *Journal) Resumed() int {
 	return j.done[len(j.done)-1].Hi
 }
 
-// Append seals one completed chunk: the artifact is written in the file
-// form to a temporary file, synced, renamed to its canonical name, and
-// only then recorded (and synced) in the journal. A kill between any two of those
+// Append seals one completed chunk: the artifact is encoded in the file
+// form into a buffer the journal reuses from chunk to chunk, written to a
+// temporary file, synced, renamed to its canonical name, and only then
+// recorded (and synced) in the journal. A kill between any two of those
 // steps leaves the journal pointing only at complete artifacts.
 func (j *Journal) Append(a *results.Artifact, lo, hi int) error {
-	data, err := a.MarshalIndented()
+	data, err := a.AppendIndented(j.buf[:0])
 	if err != nil {
 		return err
 	}
+	j.buf = data
 	name := chunkFileName(lo, hi)
 	if err := writeFileSync(filepath.Join(j.dir, name), data, j.mode); err != nil {
 		return err

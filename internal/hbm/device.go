@@ -96,10 +96,13 @@ type Device struct {
 	senseRef bool
 	// flipScratch is the reusable flip accumulator of the sense fast
 	// path, so steady-state probing allocates nothing per sense;
-	// fillScratch and wordScratch are FirstFlipBurst's.
+	// wordScratch is FirstFlipBurst's.
 	flipScratch []int
-	fillScratch []byte
 	wordScratch []int
+	// spare is the free list of row-sized buffers: a uniform WriteRow
+	// hands its row's buffer back, and the next row to materialize an
+	// image takes it.
+	spare [][]byte
 }
 
 type pseudoChannel struct {
@@ -117,11 +120,25 @@ type bankState struct {
 	open    int            // physical row latched in the row buffer, -1 when precharged
 	lastAct int64
 	lastPre int64
-	// rows holds the materialized physical rows, indexed by physical row
-	// number. The slice itself materializes on the bank's first touched
-	// row; untouched banks cost nothing. Direct indexing replaced a
-	// map[int]*rowState that dominated the disturb/sense hot path.
-	rows []*rowState
+	// rows is the bank's page directory: entry p holds physical rows
+	// p*rowsPerPage to (p+1)*rowsPerPage-1 once any of them has been
+	// touched, nil before. The directory itself materializes on the
+	// bank's first touched row; untouched banks cost nothing.
+	rows []*rowPage
+}
+
+// rowsPerPage is how many consecutive physical rows one page of a bank's
+// row directory holds. A probe touches the 17 rows around its victim and
+// the blast radius around its aggressors, so a page this size is mostly
+// used where it is allocated, and the directory stays small (1,024
+// entries for the paper chip's 16,384 rows).
+const rowsPerPage = 16
+
+// rowPage holds rowsPerPage consecutive rows of a bank by value. Bit k of
+// live is set once row k has been touched.
+type rowPage struct {
+	live uint16
+	rows [rowsPerPage]rowState
 }
 
 // rowAt returns the materialized state of a physical row, or nil when the
@@ -130,28 +147,77 @@ func (bk *bankState) rowAt(phys int) *rowState {
 	if bk.rows == nil {
 		return nil
 	}
-	return bk.rows[phys]
+	pg := bk.rows[phys/rowsPerPage]
+	if pg == nil || pg.live&(1<<(phys%rowsPerPage)) == 0 {
+		return nil
+	}
+	return &pg.rows[phys%rowsPerPage]
 }
 
 // rowState tracks the mutable physical condition of one row. Rows
 // materialize lazily: an untouched row holds all-zero data, fully charged
-// at power-up (time 0). The data image itself materializes even more
-// lazily: a nil data slice means the power-up pattern (all zeros), so rows
-// that only ever accumulate disturbance — every hammer victim that never
-// flips — never allocate a row-sized backing array.
+// at power-up (time 0).
 type rowState struct {
-	data      []byte
+	img       rowImage
 	lastSense int64   // when charge was last restored
 	disturb   float64 // disturbance units accumulated since lastSense
 }
 
-// bytes returns the row's data image, materializing the backing array on
-// first real need (a write or a committed bitflip).
-func (rs *rowState) bytes(d *Device) []byte {
-	if rs.data == nil {
-		rs.data = make([]byte, d.cfg.Geometry.RowBytes())
+// rowImage is a row's data. A nil data slice means every byte holds fill:
+// the power-up pattern is the zero image, and a row written in full with
+// one repeated byte — every row a Table 1 probe sets up — holds no
+// row-sized buffer. Only a non-uniform write or a committed bitflip
+// materializes one.
+type rowImage struct {
+	data []byte
+	fill byte
+}
+
+// bit returns bit i of the image.
+func (im rowImage) bit(i int) byte {
+	b := im.fill
+	if im.data != nil {
+		b = im.data[i>>3]
 	}
-	return rs.data
+	return (b >> (uint(i) & 7)) & 1
+}
+
+// bytes returns the row's data buffer, materializing it from the fill on
+// first real need (a single-column write or a committed bitflip).
+func (rs *rowState) bytes(d *Device) []byte {
+	if rs.img.data == nil {
+		rs.img.data = d.newImage()
+		repeat(rs.img.data, []byte{rs.img.fill})
+	}
+	return rs.img.data
+}
+
+// setFill makes the row hold fill in every byte, handing any buffer it
+// held back to the device's free list.
+func (rs *rowState) setFill(d *Device, fill byte) {
+	if rs.img.data != nil {
+		d.spare = append(d.spare, rs.img.data)
+	}
+	rs.img = rowImage{fill: fill}
+}
+
+// newImage returns a row-sized buffer of unspecified contents: one from
+// the free list when it holds any, a new one otherwise.
+func (d *Device) newImage() []byte {
+	if n := len(d.spare); n > 0 {
+		buf := d.spare[n-1]
+		d.spare = d.spare[:n-1]
+		return buf
+	}
+	return make([]byte, d.cfg.Geometry.RowBytes())
+}
+
+// repeat fills buf with copies of a non-empty pattern no longer than it,
+// doubling the filled prefix with each copy.
+func repeat(buf, pattern []byte) {
+	for n := copy(buf, pattern); n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
+	}
 }
 
 // New powers up a device from the given configuration.
@@ -275,16 +341,19 @@ func (d *Device) pcAt(ch, pc int) *pseudoChannel {
 	return &d.pcs[ch*d.cfg.Geometry.PseudoChannels+pc]
 }
 
+// row returns the state of a physical row, materializing it (and its page,
+// and the bank's directory) on first touch.
 func (d *Device) row(bank *bankState, physRow int) *rowState {
 	if bank.rows == nil {
-		bank.rows = make([]*rowState, d.cfg.Geometry.Rows)
+		bank.rows = make([]*rowPage, (d.cfg.Geometry.Rows+rowsPerPage-1)/rowsPerPage)
 	}
-	rs := bank.rows[physRow]
-	if rs == nil {
-		rs = &rowState{}
-		bank.rows[physRow] = rs
+	pg := bank.rows[physRow/rowsPerPage]
+	if pg == nil {
+		pg = new(rowPage)
+		bank.rows[physRow/rowsPerPage] = pg
 	}
-	return rs
+	pg.live |= 1 << (physRow % rowsPerPage)
+	return &pg.rows[physRow%rowsPerPage]
 }
 
 // Activate opens a logical row: it checks tRP/tRC/tRFC, senses the row
@@ -463,11 +532,10 @@ func (d *Device) Read(bank, col int, dst []byte) error {
 	if len(dst) != n {
 		return fmt.Errorf("hbm: read into %d bytes, column holds %d: %w", len(dst), n, ErrAddress)
 	}
-	rs := d.row(bk, bk.open)
-	if rs.data == nil {
-		clear(dst) // unmaterialized row: power-up pattern
+	if img := d.row(bk, bk.open).img; img.data == nil {
+		repeat(dst, []byte{img.fill})
 	} else {
-		copy(dst, rs.data[col*n:(col+1)*n])
+		copy(dst, img.data[col*n:(col+1)*n])
 	}
 	d.stats.Reads++
 	d.now += d.cfg.Timing.TCK
@@ -507,14 +575,28 @@ func (d *Device) WriteRow(bank int, data []byte) error {
 	if len(data) != n {
 		return fmt.Errorf("hbm: write of %d bytes, column holds %d: %w", len(data), n, ErrAddress)
 	}
-	row := d.row(bk, bk.open).bytes(d)
-	copy(row, data)
-	for filled := n; filled < len(row); filled *= 2 {
-		copy(row[filled:], row[:filled])
+	rs := d.row(bk, bk.open)
+	if uniform(data) {
+		rs.setFill(d, data[0])
+	} else {
+		if rs.img.data == nil {
+			rs.img.data = d.newImage()
+		}
+		repeat(rs.img.data, data)
 	}
 	d.stats.Writes += int64(g.Columns)
 	d.now += int64(g.Columns) * d.cfg.Timing.TCK
 	return nil
+}
+
+// uniform reports whether every byte of a non-empty buf equals its first.
+func uniform(buf []byte) bool {
+	for _, b := range buf[1:] {
+		if b != buf[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // Refresh issues one periodic REF to a pseudo channel: it refreshes the

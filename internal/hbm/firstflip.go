@@ -54,7 +54,7 @@ func (d *Device) FirstFlipBurst(b addr.BankAddr, victim int, victimFill, aggrFil
 	}
 	prof := d.fm.Profile(b, victim)
 	rungs := d.fm.Ladder(prof, d.disturbScreen(top, thrTemp))
-	data, aggr := d.fillImages(victimFill, aggrFill)
+	data, aggr := rowImage{fill: victimFill}, rowImage{fill: aggrFill}
 	hasUp, hasDown := d.neighbours(victim)
 	// No effective threshold is below its threshold times the smallest
 	// coupling and intra-row factors, and the ladder ascends, so once the
@@ -72,7 +72,7 @@ func (d *Device) FirstFlipBurst(b addr.BankAddr, victim int, victimFill, aggrFil
 			break
 		}
 		i := int(r.Bit)
-		v := rowBit(data, i)
+		v := data.bit(i)
 		if !faultmodel.Charged(prof.IsTrue(i), v == 1) {
 			continue
 		}
@@ -122,20 +122,6 @@ func (d *Device) probeSpan(holdPS int64, n int) int64 {
 	t := &d.cfg.Timing
 	write := d.rowWriteHold() + t.TCK + t.TRP
 	return probeLeadRows*write + int64(n)*2*(holdPS+t.TRP) + t.TCK
-}
-
-// fillImages returns row images of the victim's fill and of its
-// neighbours', in device scratch reused across calls.
-func (d *Device) fillImages(victimFill, aggrFill byte) (data, aggr []byte) {
-	n := d.cfg.Geometry.RowBytes()
-	if len(d.fillScratch) != 2*n {
-		d.fillScratch = make([]byte, 2*n)
-	}
-	data, aggr = d.fillScratch[:n], d.fillScratch[n:]
-	for i := range data {
-		data[i], aggr[i] = victimFill, aggrFill
-	}
-	return data, aggr
 }
 
 // wordFlips returns FirstFlipBurst's per-ECC-word scratch, zeroed: entry

@@ -386,6 +386,8 @@ func FuzzWriteRowEquivalence(f *testing.F) {
 	f.Add([]byte{2, 6, 9, 5, 0, 255, 8, 6, 9, 14, 6, 9, 7, 6, 9})  // idle, looped WRROW, second bank, read
 	f.Add([]byte{9, 0, 1, 5, 1, 150, 11, 1, 8, 13, 1, 8, 7, 1, 8}) // ECC on, idle, padded fill, read before WRROW
 	f.Add([]byte{5, 4, 0, 0, 4, 3, 4, 4, 3, 15, 4, 3, 12, 4, 3})   // segmented: fill, hammer, boundary, failing WRROW
+	// 0xFF fill, decay, read (flips commit), uniform rewrite, decay, read
+	f.Add([]byte{0, 11, 244, 5, 0, 255, 7, 11, 244, 0, 11, 244, 5, 0, 255, 7, 11, 244})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 60 {
 			script = script[:60] // bound per-input work

@@ -142,7 +142,8 @@ func TestExplicitLongHoldMatchesBulkPress(t *testing.T) {
 
 	bb := bulk.bankOf(b.Channel, b.PseudoChannel, b.Bank)
 	lb2 := loop.bankOf(b.Channel, b.PseudoChannel, b.Bank)
-	for phys, rsLoop := range lb2.rows {
+	for phys := 0; phys < loop.Geometry().Rows; phys++ {
+		rsLoop := lb2.rowAt(phys)
 		if rsLoop == nil {
 			continue
 		}

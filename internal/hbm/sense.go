@@ -91,15 +91,6 @@ func floor32(x float64) float32 {
 	return f
 }
 
-// rowBit returns bit i of a row image; a nil image is the power-up pattern
-// (all zeros).
-func rowBit(buf []byte, i int) byte {
-	if buf == nil {
-		return 0
-	}
-	return (buf[i>>3] >> (uint(i) & 7)) & 1
-}
-
 // neighbours reports which of a row's two physically adjacent rows exist
 // electrically: a neighbour beyond the subarray boundary does not.
 func (d *Device) neighbours(physRow int) (hasUp, hasDown bool) {
@@ -109,45 +100,45 @@ func (d *Device) neighbours(physRow int) (hasUp, hasDown bool) {
 
 // neighbourData resolves the row images of the two physically adjacent
 // rows for coupling evaluation (see neighbours); an unmaterialized
-// neighbour holds the power-up pattern (all zeros, a nil image).
-func (d *Device) neighbourData(bank *bankState, physRow int) (upData, downData []byte, hasUp, hasDown bool) {
+// neighbour holds the power-up pattern (all zeros, the zero image).
+func (d *Device) neighbourData(bank *bankState, physRow int) (up, down rowImage, hasUp, hasDown bool) {
 	hasUp, hasDown = d.neighbours(physRow)
 	if hasUp {
 		if nb := bank.rowAt(physRow - 1); nb != nil {
-			upData = nb.data
+			up = nb.img
 		}
 	}
 	if hasDown {
 		if nb := bank.rowAt(physRow + 1); nb != nil {
-			downData = nb.data
+			down = nb.img
 		}
 	}
-	return upData, downData, hasUp, hasDown
+	return up, down, hasUp, hasDown
 }
 
 // disturbFlip evaluates the full data-dependent disturbance criterion for
 // one bit that already passed the threshold screen: the bit flips when the
 // accumulated disturbance reaches its effective threshold. Shared
 // verbatim by both sense paths.
-func (d *Device) disturbFlip(thr float32, data, upData, downData []byte,
+func (d *Device) disturbFlip(thr float32, data, up, down rowImage,
 	hasUp, hasDown bool, i, bits int, v byte, disturb, thrTemp float64) bool {
-	return disturb >= d.effThreshold(thr, data, upData, downData, hasUp, hasDown, i, bits, v, thrTemp)
+	return disturb >= d.effThreshold(thr, data, up, down, hasUp, hasDown, i, bits, v, thrTemp)
 }
 
 // effThreshold returns the disturbance at which bit i of a row, holding
 // v, flips: its threshold thr scaled by neighbour coupling, intra-row
 // pattern, and temperature.
-func (d *Device) effThreshold(thr float32, data, upData, downData []byte,
+func (d *Device) effThreshold(thr float32, data, up, down rowImage,
 	hasUp, hasDown bool, i, bits int, v byte, thrTemp float64) float64 {
 	opposite := 0
-	if hasUp && rowBit(upData, i) != v {
+	if hasUp && up.bit(i) != v {
 		opposite++
 	}
-	if hasDown && rowBit(downData, i) != v {
+	if hasDown && down.bit(i) != v {
 		opposite++
 	}
 	alternating := i > 0 && i < bits-1 &&
-		rowBit(data, i-1) != v && rowBit(data, i+1) != v
+		data.bit(i-1) != v && data.bit(i+1) != v
 	return float64(thr) * d.fm.CouplingFactor(opposite) *
 		d.fm.IntraRowFactor(alternating) * thrTemp
 }
@@ -171,19 +162,19 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 	disturb, elapsedSec, tscale, thrTemp float64, retPass, distPass bool) {
 	prof := d.fm.Profile(b, physRow)
 	bits := d.cfg.Geometry.RowBits()
-	data := rs.data
+	data := rs.img
 	flips := d.flipScratch[:0]
 
 	if distPass {
 		if rungs := d.fm.Ladder(prof, d.disturbScreen(disturb, thrTemp)); len(rungs) > 0 {
-			upData, downData, hasUp, hasDown := d.neighbourData(bank, physRow)
+			up, down, hasUp, hasDown := d.neighbourData(bank, physRow)
 			for _, r := range rungs {
 				i := int(r.Bit)
-				v := rowBit(data, i)
+				v := data.bit(i)
 				if !faultmodel.Charged(prof.IsTrue(i), v == 1) {
 					continue
 				}
-				if d.disturbFlip(r.Thr, data, upData, downData, hasUp, hasDown, i, bits, v, disturb, thrTemp) {
+				if d.disturbFlip(r.Thr, data, up, down, hasUp, hasDown, i, bits, v, disturb, thrTemp) {
 					flips = append(flips, i)
 				}
 			}
@@ -204,7 +195,7 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 					if !(elapsedSec > retSec[i]*tscale) {
 						continue
 					}
-					v := rowBit(data, i)
+					v := data.bit(i)
 					if !faultmodel.Charged(prof.IsTrue(i), v == 1) {
 						continue
 					}
@@ -237,9 +228,9 @@ func (d *Device) senseFast(b addr.BankAddr, bank *bankState, rs *rowState, physR
 	if len(flips) == 0 {
 		return
 	}
-	data = rs.bytes(d)
+	buf := rs.bytes(d)
 	for _, i := range flips {
-		data[i>>3] ^= 1 << (uint(i) & 7)
+		buf[i>>3] ^= 1 << (uint(i) & 7)
 	}
 	d.stats.BitflipsCommitted += int64(len(flips))
 }
@@ -255,21 +246,21 @@ func (d *Device) senseReference(b addr.BankAddr, bank *bankState, rs *rowState, 
 	disturb, elapsedSec, tscale, thrTemp float64, retPass, distPass bool) {
 	prof := d.fm.Profile(b, physRow)
 	bits := d.cfg.Geometry.RowBits()
-	data := rs.data
+	data := rs.img
 
-	upData, downData, hasUp, hasDown := d.neighbourData(bank, physRow)
+	up, down, hasUp, hasDown := d.neighbourData(bank, physRow)
 
 	var flips []int
 	quickThr := disturb / (d.cfg.Fault.CouplingBoth * thrTemp)
 	for i := 0; i < bits; i++ {
-		v := rowBit(data, i)
+		v := data.bit(i)
 		if !faultmodel.Charged(prof.IsTrue(i), v == 1) {
 			continue // discharged cells have no charge to lose
 		}
 		flipped := false
 		if distPass {
 			if thr := d.fm.Threshold(prof, i); float64(thr) <= quickThr {
-				flipped = d.disturbFlip(thr, data, upData, downData, hasUp, hasDown, i, bits, v, disturb, thrTemp)
+				flipped = d.disturbFlip(thr, data, up, down, hasUp, hasDown, i, bits, v, disturb, thrTemp)
 			}
 		}
 		if !flipped && retPass {
@@ -288,9 +279,9 @@ func (d *Device) senseReference(b addr.BankAddr, bank *bankState, rs *rowState, 
 	if d.eccEnabled(b.Channel) {
 		flips = d.eccFilter(flips)
 	}
-	data = rs.bytes(d)
+	buf := rs.bytes(d)
 	for _, i := range flips {
-		data[i>>3] ^= 1 << (uint(i) & 7)
+		buf[i>>3] ^= 1 << (uint(i) & 7)
 	}
 	d.stats.BitflipsCommitted += int64(len(flips))
 }

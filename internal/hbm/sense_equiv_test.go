@@ -90,17 +90,11 @@ func applyOp(d *Device, op, a, b byte) (readout []byte, err error) {
 	}
 }
 
-// rowImagesEqual compares two row images where nil means the all-zero
-// power-up pattern.
-func rowImagesEqual(x, y []byte) bool {
-	if x == nil {
-		x, y = y, x
-	}
-	if y != nil {
-		return bytes.Equal(x, y)
-	}
-	for _, v := range x {
-		if v != 0 {
+// rowImagesEqual compares two row images bit by bit, so an image held
+// as its fill equals the same bytes held in a buffer.
+func rowImagesEqual(x, y rowImage, bits int) bool {
+	for i := 0; i < bits; i++ {
+		if x.bit(i) != y.bit(i) {
 			return false
 		}
 	}
@@ -137,20 +131,20 @@ func compareRows(t *testing.T, fast, ref *Device) {
 				rb := ref.bankOf(ch, pc, bk)
 				for phys := 0; phys < g.Rows; phys++ {
 					fr, rr := fb.rowAt(phys), rb.rowAt(phys)
-					var fd, rd []byte
+					var fd, rd rowImage
 					var fdist, rdist float64
 					var fsense, rsense int64
 					if fr != nil {
-						fd, fdist, fsense = fr.data, fr.disturb, fr.lastSense
+						fd, fdist, fsense = fr.img, fr.disturb, fr.lastSense
 					}
 					if rr != nil {
-						rd, rdist, rsense = rr.data, rr.disturb, rr.lastSense
+						rd, rdist, rsense = rr.img, rr.disturb, rr.lastSense
 					}
 					if fdist != rdist || fsense != rsense {
 						t.Fatalf("ch%d.pc%d.ba%d row %d: disturb/lastSense diverge: fast (%v, %d), ref (%v, %d)",
 							ch, pc, bk, phys, fdist, fsense, rdist, rsense)
 					}
-					if !rowImagesEqual(fd, rd) {
+					if (fr != nil || rr != nil) && !rowImagesEqual(fd, rd, g.RowBits()) {
 						t.Fatalf("ch%d.pc%d.ba%d row %d: data diverges", ch, pc, bk, phys)
 					}
 				}
@@ -374,7 +368,7 @@ func TestSenseEquivalencePaperRowWidth(t *testing.T) {
 			both(step, func(d *Device) error { return hammerPair(d, ba, up, down, n, d.Config().Timing.TRAS) })
 			out := readVictim(step)
 			after := fast.Stats()
-			if flipped := rowBit(out, quartile) != rowBit(written, quartile); ecc == 0 &&
+			if flipped := (rowImage{data: out}).bit(quartile) != (rowImage{data: written}).bit(quartile); ecc == 0 &&
 				(n == edge-1 && flipped || n == edge && !flipped) {
 				t.Fatalf("%s: quartile cell flipped=%v at its edge %d", step, flipped, edge)
 			}

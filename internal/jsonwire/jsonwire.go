@@ -1,9 +1,9 @@
 // Package jsonwire is the non-reflective JSON codec under the artifact
 // file format: a Writer that appends values laid out as encoding/json's
 // Marshal (compact) or MarshalIndent(v, "", "  ") lays them out, except
-// that an indenting writer puts each array of numbers on one line, and a
-// single-pass Reader that accepts what encoding/json's Unmarshal accepts
-// into a struct, less one thing.
+// that an indenting writer puts each array of numbers or bools on one
+// line, and a single-pass Reader that accepts what encoding/json's
+// Unmarshal accepts into a struct, less one thing.
 //
 // The Writer reproduces encoding/json's bytes: ES6-style float
 // formatting ('f' unless the exponent is below -6 or at least 21, with
@@ -27,6 +27,7 @@
 package jsonwire
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -55,8 +56,8 @@ type Writer struct {
 
 // NewWriter returns a writer appending to buf: indented like
 // json.MarshalIndent(v, "", "  ") when indent is set, compact like
-// json.Marshal otherwise. Either way Ints, Floats and OpenLine write
-// their arrays on one line, in compact form.
+// json.Marshal otherwise. Either way Ints, Floats, Bools and OpenLine
+// write their arrays on one line, in compact form.
 func NewWriter(buf []byte, indent bool) *Writer {
 	return &Writer{buf: buf, indent: indent}
 }
@@ -202,8 +203,50 @@ func (w *Writer) Floats(xs []float64) {
 	writeArray(w, xs, appendFloat)
 }
 
-// Ints writes an integer array on one line; a nil slice is null.
-func (w *Writer) Ints(xs []int64) { writeArray(w, xs, appendInt) }
+// Bools writes a bool array on one line; a nil slice is null.
+func (w *Writer) Bools(xs []bool) { writeArray(w, xs, strconv.AppendBool) }
+
+// Ints writes an integer array on one line; a nil slice is null. Stream
+// bins are mostly runs of zeros: each run is copied from zeroRun rather
+// than formatted zero by zero.
+func (w *Writer) Ints(xs []int64) {
+	if xs == nil {
+		w.Null()
+		return
+	}
+	w.OpenLine('[')
+	w.reserve(len(xs) * 5)
+	buf := w.buf
+	for i := 0; i < len(xs); {
+		if xs[i] != 0 {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendInt(buf, xs[i])
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(xs) && xs[j] == 0 {
+			j++
+		}
+		skip := 0
+		if i == 0 {
+			skip = 1 // the first element has no comma
+		}
+		for n := 2 * (j - i); n > 0; n -= len(zeroRun) {
+			buf = append(buf, zeroRun[skip:min(n, len(zeroRun))]...)
+			skip = 0
+		}
+		i = j
+	}
+	w.buf = buf
+	w.Close(']')
+}
+
+// zeroRun is 64 zeros as Ints writes them after another element.
+const zeroRun = ",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0" +
+	",0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"
 
 // appendInt appends x in decimal. Stream bins are mostly single digits,
 // mostly 0: those are one byte, the same byte strconv.AppendInt writes.
@@ -584,6 +627,9 @@ func (r *Reader) Floats() []float64 {
 	return append(make([]float64, 0, len(r.floats)), r.floats...)
 }
 
+// zeroQuad is ",0,0,0,0" read as a little-endian uint64.
+const zeroQuad = 0x302c302c302c302c
+
 // IntsScratch decodes an int64 array into the reader's scratch and
 // returns it without copying: nil for null and on error, possibly nil
 // for []. The slice is the caller's to read and modify until the next
@@ -591,11 +637,13 @@ func (r *Reader) Floats() []float64 {
 // past that copies them.
 //
 // Stream bins make up most of an artifact: thousands of small
-// non-negative integers on one line. A tight loop takes each element
-// that is such a plain integer of at most 18 digits, right after the
-// opening bracket or a comma. Anything else (whitespace, a sign, a
-// fraction, an exponent, null, a 19th digit, a leading zero before a
-// digit, a missing element, the closing bracket) goes from that
+// non-negative integers on one line, mostly runs of zeros. A tight loop
+// takes four zeros at a time with one 8-byte compare against
+// ",0,0,0,0" when a comma or the closing bracket follows, and otherwise
+// each element that is such a plain integer of at most 18 digits, right
+// after the opening bracket or a comma. Anything else (whitespace, a
+// sign, a fraction, an exponent, null, a 19th digit, a leading zero
+// before a digit, a missing element, the closing bracket) goes from that
 // element's separator to the per-element path, more and Int64, so the
 // inputs accepted, the values decoded, the depth accounting and the
 // error messages are theirs.
@@ -607,6 +655,14 @@ func (r *Reader) IntsScratch() []int64 {
 	if r.open('[', "array") {
 		d, i := r.data, r.pos
 		for first := true; ; first = false {
+			// Four canonical zeros in one compare, when a separator
+			// follows the fourth.
+			if !first && i+8 < len(d) && binary.LittleEndian.Uint64(d[i:]) == zeroQuad &&
+				(d[i+8] == ',' || d[i+8] == ']') {
+				out = append(out, 0, 0, 0, 0)
+				i += 8
+				continue
+			}
 			j := i
 			if !first && j < len(d) && d[j] == ',' {
 				j++

@@ -108,6 +108,30 @@ func TestWriterLayoutMatchesMarshalIndent(t *testing.T) {
 	}
 }
 
+// TestWriterIntsZeroRunsMatchEncodingJSON pins Ints' copied zero runs
+// to encoding/json: runs shorter and longer than one copy, at the start,
+// between other values and at the end, and an array of zeros alone.
+func TestWriterIntsZeroRunsMatchEncodingJSON(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 128, 200} {
+		for _, xs := range [][]int64{
+			make([]int64, n),
+			append(make([]int64, n), 7),
+			append([]int64{-3}, make([]int64, n)...),
+			append(append([]int64{12}, make([]int64, n)...), 0, 5, 0),
+		} {
+			w := NewWriter(nil, true)
+			w.Ints(xs)
+			want, err := json.Marshal(xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := string(w.Bytes()); got != string(want) {
+				t.Errorf("Ints(%v) = %s, encoding/json writes %s", xs, got, want)
+			}
+		}
+	}
+}
+
 // TestReaderNumbersMatchEncodingJSON checks the number grammar and the
 // integer and range rules against encoding/json for each target type.
 func TestReaderNumbersMatchEncodingJSON(t *testing.T) {
@@ -184,7 +208,8 @@ func FuzzReaderInts(f *testing.F) {
 	f.Add(indented)
 	f.Add(compact)
 	for _, s := range []string{"[01]", "[-0]", "[1,]", "[,1]", "[1 2]", "[1e2]", "[1.0]", "[1234567890123456789]",
-		"[123456789012345678]", "[1,null]", "[\n\t 1 ,\t\n2\r\n,  3 ]", "[\n  1,\n  2,\n   3,\n 4\n]", "null", "[]", " [ ] "} {
+		"[123456789012345678]", "[1,null]", "[0,0,0,0,0]", "[1,0,0,0,0]", "[1,0,0,0,0,0,0,0,0,2]", "[1,0,0,0,01]",
+		"[1,0,0,0,0 ]", "[1,0,0,0,0.5]", "[1,0,0,0,0", "[1,0,0,0,0,]", "[\n\t 1 ,\t\n2\r\n,  3 ]", "[\n  1,\n  2,\n   3,\n 4\n]", "null", "[]", " [ ] "} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

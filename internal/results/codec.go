@@ -11,14 +11,15 @@ import (
 
 // The artifact file format is the indented JSON encoding/json's
 // MarshalIndent(a, "", "  ") produces for the struct tags in results.go,
-// with each array of numbers on one line in compact form, plus a
-// trailing newline. Shard files, fleet journal chunks, merged artifacts
+// with each array of numbers or bools on one line in compact form, plus
+// a trailing newline. Shard files, fleet journal chunks, merged artifacts
 // and store objects all use it, and store objects are addressed by its
 // SHA-256. Objects keep MarshalIndent's layout, so the files stay
 // readable; the number arrays (stream bins, samples and sums, row BERs
 // and HCfirsts) are most of an artifact's values, and one line each
 // keeps a one-seed multichip shard at 71 KB where one bin a line took
-// 443 KB. The codec below writes and reads the schema directly through
+// 443 KB. Row records' found and TRR records' refreshed flags go on one
+// line too, so a row record takes one line per member. The codec below writes and reads the schema directly through
 // jsonwire instead of reflecting over the structs, and FuzzArtifactCodec
 // holds it to encoding/json in both directions. Decode accepts any
 // whitespace, so files laid out by earlier builds, one number a line,
@@ -26,7 +27,8 @@ import (
 // it opens (see store.Open).
 
 // MarshalIndented renders the artifact in the artifact file format:
-// deterministic indented JSON, each array of numbers on one line, with a
+// deterministic indented JSON, each array of numbers or bools on one
+// line, with a
 // trailing newline. Fields come in struct order, omitempty fields are
 // left out when empty, nil slices are null, map keys sorted, streams in
 // their versioned wire form. It fails only on non-finite values, which
@@ -160,7 +162,7 @@ func (r *RowRecord) write(w *jsonwire.Writer) {
 		w.Close(']')
 	}
 	w.Key("found")
-	writeList(w, r.Found, w.Bool)
+	w.Bools(r.Found)
 	w.Key("wcdp")
 	w.Int(int64(r.WCDP))
 	w.Key("subarray")
@@ -206,7 +208,7 @@ func (r *TRRRecord) write(w *jsonwire.Writer) {
 	w.Key("retention_s")
 	w.Float(r.RetentionSec)
 	w.Key("refreshed")
-	writeList(w, r.Refreshed, w.Bool)
+	w.Bools(r.Refreshed)
 	w.Close('}')
 }
 

@@ -117,8 +117,8 @@ func codecArtifacts() map[string]*Artifact {
 }
 
 // refMarshal is the artifact file form built from encoding/json's
-// output: json.MarshalIndent(v, "", "  ") with each array of numbers
-// joined onto one line (refFileForm), plus a newline.
+// output: json.MarshalIndent(v, "", "  ") with each array of numbers or
+// bools joined onto one line (refFileForm), plus a newline.
 func refMarshal(t *testing.T, v any) []byte {
 	t.Helper()
 	return append(refFileForm(refMarshalIndent(t, v)), '\n')
@@ -136,8 +136,8 @@ func refMarshalIndent(t *testing.T, v any) []byte {
 }
 
 // refFileForm joins each non-empty array in indented JSON whose elements
-// are all numbers onto one line, dropping its whitespace. Brackets
-// inside strings are left alone.
+// are all numbers or all true/false onto one line, dropping its
+// whitespace. Brackets inside strings are left alone.
 func refFileForm(indented []byte) []byte {
 	out := make([]byte, 0, len(indented))
 	inString := false
@@ -155,11 +155,12 @@ func refFileForm(indented []byte) []byte {
 		case !inString && c == '[':
 			end := i + bytes.IndexByte(indented[i:], ']')
 			elems := bytes.Fields(bytes.ReplaceAll(indented[i+1:end], []byte(","), []byte(" ")))
-			numbers := len(elems) > 0
+			numbers, bools := len(elems) > 0, len(elems) > 0
 			for _, e := range elems {
 				numbers = numbers && len(bytes.Trim(e, "0123456789-+.eE")) == 0
+				bools = bools && (string(e) == "true" || string(e) == "false")
 			}
-			if numbers {
+			if numbers || bools {
 				out = append(out, '[')
 				out = append(out, bytes.Join(elems, []byte(","))...)
 				out = append(out, ']')

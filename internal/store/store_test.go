@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
 	"sort"
 	"strings"
@@ -466,12 +467,45 @@ func TestStoreQuarantineMisnamedObject(t *testing.T) {
 	}
 }
 
+// withRows gives a shard row records, each with its per-pattern found
+// flags.
+func withRows(a *results.Artifact) *results.Artifact {
+	for ch := 0; ch < 2; ch++ {
+		a.Rows = append(a.Rows, results.RowRecord{Channel: ch, PhysRow: 100 + int(a.Meta.SeedFirst), Region: "first",
+			BER: []float64{0.25, 0}, HCFirst: []int{9000, 0}, Found: []bool{true, false}, SubarraySize: 8})
+	}
+	return a
+}
+
+// boolArray matches a bool array the file form writes on one line, with
+// the indentation of its line.
+var boolArray = regexp.MustCompile(`(?m)^( *)(.*)\[((?:true|false)(?:,(?:true|false))*)\]`)
+
+// boolsOneALine respells each bool array of file-form bytes one element
+// a line, the layout of a build that put only number arrays on one line.
+func boolsOneALine(data []byte) []byte {
+	return boolArray.ReplaceAllFunc(data, func(m []byte) []byte {
+		sub := boolArray.FindSubmatch(m)
+		indent := string(sub[1])
+		out := append(append(append([]byte(nil), sub[1]...), sub[2]...), '[')
+		for i, e := range bytes.Split(sub[3], []byte(",")) {
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = append(append(out, "\n"+indent+"  "...), e...)
+		}
+		return append(out, "\n"+indent+"]"...)
+	})
+}
+
 // oldLayoutStore persists shards in a store directory, then rewrites
-// each object as a build that wrote the file form one number a line left
-// it: json.MarshalIndent of the artifact plus a newline, filed under the
-// hash of those bytes. keepNew leaves the canonical file beside it, as a
-// crash between re-addressing's write and its remove does. It returns
-// the canonical and the old object names, and the merged summary.
+// each object as an earlier build left it, filed under the hash of those
+// bytes: json.MarshalIndent of the artifact plus a newline (one number a
+// line), or, for the last shard, the file form with its row records'
+// found flags one a line. Two of the shards hold row records. keepNew
+// leaves the canonical file beside it, as a crash between
+// re-addressing's write and its remove does. It returns the canonical
+// and the old object names, and the merged summary.
 func oldLayoutStore(t *testing.T, dir string, keepNew bool) (canon, old []string, summary []byte) {
 	t.Helper()
 	s, err := Open(dir)
@@ -479,17 +513,27 @@ func oldLayoutStore(t *testing.T, dir string, keepNew bool) (canon, old []string
 		t.Fatal(err)
 	}
 	objects := filepath.Join(dir, "objects")
-	for _, a := range []*results.Artifact{shard(0, 2), shard(2, 3), shard(5, 1)} {
+	shards := []*results.Artifact{shard(0, 2), shard(2, 3), withRows(shard(5, 1)), withRows(shard(6, 1))}
+	for i, a := range shards {
 		hash := ingest(t, s, a).Hash
 		data, err := json.MarshalIndent(a, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
 		data = append(data, '\n')
+		if i == len(shards)-1 {
+			canonical, err := a.MarshalIndented()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data = boolsOneALine(canonical); bytes.Equal(data, canonical) {
+				t.Fatal("the found flags of the last shard did not move")
+			}
+		}
 		sum := sha256.Sum256(data)
 		name := hex.EncodeToString(sum[:]) + ".json"
 		if name == hash+".json" {
-			t.Fatal("the one-number-a-line layout hashes like the file form")
+			t.Fatal("the old layout hashes like the file form")
 		}
 		if err := os.WriteFile(filepath.Join(objects, name), data, 0o644); err != nil {
 			t.Fatal(err)
