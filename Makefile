@@ -61,15 +61,18 @@ golden-check:
 #
 #   1. the multichip fleet scan (`characterize -experiment multichip`,
 #      exported by region): a 32-seed scan, 4 chips at a time, once in a
-#      single process and once as four serialized seed-range shards
-#      plus a `characterize merge`. Then a scan sized to cross the
-#      stream's exact→sketch boundary in the merge (128 seeds, 9 rows
-#      per region: 288 samples per group in each of four shards, 1,152
-#      merged, against the cutoff of 1,024): the single-process
+#      single process and once as four serialized job-slice shards of
+#      the seed axis plus a `characterize merge`. Then a scan sized to
+#      cross the stream's exact→sketch boundary in the merge (128 seeds,
+#      9 rows per region: 288 samples per group in each of four shards,
+#      1,152 merged, against the cutoff of 1,024): the single-process
 #      artifact, the `characterize merge` artifact and the store's
-#      /v1/artifact must byte-match, and a grep checks that the merged
-#      artifact holds sketched streams and no shard does, so the step
-#      fails if the sizes stop crossing.
+#      /v1/artifact must byte-match, the last also from a second store
+#      that ingests the shards last to first (each later arrival sorts
+#      below the merged view, so the store re-folds its members in job
+#      order), and a grep checks that the merged artifact holds sketched
+#      streams and no shard does, so the step fails if the sizes stop
+#      crossing.
 #   2. rowpress (a newly lifted point-axis driver): once in a single
 #      process under the default queue planner and once as two job-slice
 #      shards under the weighted planner, merged through the generic
@@ -130,8 +133,12 @@ smoke:
 		'$(SMOKE_DIR)/cross-shard*.json' >/dev/null
 	$(GO) run ./cmd/resultsd -store $(SMOKE_DIR)/cross-store -quiet \
 		-query '/v1/artifact' '$(SMOKE_DIR)/cross-shard*.json' > $(SMOKE_DIR)/cross-store.bin
+	$(GO) run ./cmd/resultsd -store $(SMOKE_DIR)/cross-store-rev -quiet -query '/v1/artifact' \
+		$(SMOKE_DIR)/cross-shard3.json $(SMOKE_DIR)/cross-shard2.json \
+		$(SMOKE_DIR)/cross-shard1.json $(SMOKE_DIR)/cross-shard0.json > $(SMOKE_DIR)/cross-store-rev.bin
 	cmp $(SMOKE_DIR)/cross.bin $(SMOKE_DIR)/cross-merged.bin
 	cmp $(SMOKE_DIR)/cross.bin $(SMOKE_DIR)/cross-store.bin
+	cmp $(SMOKE_DIR)/cross.bin $(SMOKE_DIR)/cross-store-rev.bin
 	grep -q '"sketched": true' $(SMOKE_DIR)/cross-merged.bin
 	! grep -q '"sketched": true' $(SMOKE_DIR)/cross-shard*.json
 	# smoke-parallel: the same 32-seed scan flat-out at one chip per CPU

@@ -257,7 +257,7 @@ func NewQueryServer(st *ArtifactStore) *QueryServer { return query.New(st) }
 
 // Unified results layer: every driver that produces distributions emits
 // this serializable artifact schema — provenance metadata (config hash,
-// seed range, code version, format version), an aggregation axis, and
+// job slice, code version, format version), an aggregation axis, and
 // mergeable streaming accumulators — so shard outputs from different
 // processes and machines merge with conflict checking and render through
 // one CSV/JSON path.
@@ -296,13 +296,14 @@ func ParseGroupBy(s string) (ResultsGroupBy, error) { return results.ParseGroupB
 func ReadArtifact(path string) (*ResultsArtifact, error) { return results.ReadFile(path) }
 
 // MergeArtifacts folds shard b into a after verifying format, tool,
-// code-version, config-hash and axis compatibility plus seed-range (or
-// job-slice) contiguity; on success a covers both shards' ranges.
+// code-version, config-hash and axis compatibility, disjoint shards
+// (results.Disjoint) and job-slice contiguity; on success a covers both
+// shards' slices.
 func MergeArtifacts(a, b *ResultsArtifact) error { return results.Merge(a, b) }
 
 // MergeShardFiles expands merge arguments (artifact files, globs, and
 // directories holding *.json shards), loads every shard, and merges them
-// in canonical range order; failures name the offending shard file.
+// in job-slice order; failures name the offending shard file.
 func MergeShardFiles(args []string) (*ResultsArtifact, error) {
 	shards, paths, err := results.ReadShards(args)
 	if err != nil {

@@ -23,7 +23,11 @@ import (
 // their path shows up here. The
 // fig6, rowpress and tempsweep digests were taken before their probes
 // moved onto one batched program per chunk and pattern, which pins the
-// per-row BER and HCfirst probes they make.
+// per-row BER and HCfirst probes they make. The study digests were
+// re-taken at artifact format 5, whose provenance drops the seed range:
+// each equals the format-4 artifact's digest with "format" set to 5 and
+// the seed_first and seed_count members removed, so the measurements
+// they pin did not move.
 func TestSection5StudyDigests(t *testing.T) {
 	small, paper := config.SmallChip(), config.PaperChip()
 	study := func(name string, o Options) func() (string, error) {
@@ -48,15 +52,15 @@ func TestSection5StudyDigests(t *testing.T) {
 		run  func() (string, error)
 		want string
 	}{
-		{"trrstudy/small", study("trrstudy", Options{Cfg: small}), "1acb1f06257ed7ad5100a91a35a299cb1eb9f8f5574ab2d089b0366e909c502c"},
-		{"utrrprobe/small", study("utrrprobe", Options{Cfg: small}), "ea642044391772863f429d1c10288b2cacaed55b41d1f7acf2e362838d824ef4"},
-		{"trrbypass/small", study("trrbypass", Options{Cfg: small}), "7d104ecc501caa4cd505e2eb5866da82bf7efb7ed6a72c1dfd7d7786cdfd02f2"},
-		{"crosschannel/small", study("crosschannel", Options{Cfg: small}), "dcf48d90c353587b94a641198c1ab809d3774938f0839fc91520e27979a1749d"},
-		{"fig6/small", study("fig6", Options{Cfg: small, Rows: 2}), "0c5eba20a1e53b5b133a5b589d246753376fa022ba7a68be4a759b51444ff997"},
-		{"rowpress/small", study("rowpress", Options{Cfg: small}), "ca0851be837e19c9264cdc60a66ef532d47f4eb663be16e1b376eeebd5f8b61a"},
-		{"tempsweep/small", study("tempsweep", Options{Cfg: small}), "40f8d1e28acc5bc1a9953cfb33c9e465c3ba508349c9a05cc968d6b0f0deac8e"},
-		{"trrbypass/paper", study("trrbypass", Options{Cfg: paper, Hammers: 30000}), "ab5465e5819c4b3e27460e80daf894c87ea5b2cbe258d02cc7acc64268455e60"},
-		{"crosschannel/paper", study("crosschannel", Options{Cfg: paper, Rows: 1}), "3c1cc1b7aee60b4b13e8e629f8274d753a332170e902e49ed549651d76f7cfa4"},
+		{"trrstudy/small", study("trrstudy", Options{Cfg: small}), "c8df11989ddf11a293f602eaa22ff49061d8c0802321b23a712fe38c445ecf06"},
+		{"utrrprobe/small", study("utrrprobe", Options{Cfg: small}), "d39ad6d8568d58d42b82069fdc51d758b6a26b6d8899f50ab402327bd4e05436"},
+		{"trrbypass/small", study("trrbypass", Options{Cfg: small}), "a9e8d3d90fa52923f4633ea32059b2a822efcb2408274f85140b860cd0f54501"},
+		{"crosschannel/small", study("crosschannel", Options{Cfg: small}), "2ddf3ca1ed80337b4e218c99e4b0f414a53a679ccde723c6d51afa11032386de"},
+		{"fig6/small", study("fig6", Options{Cfg: small, Rows: 2}), "a4484123ce98be6c51071138a5be9249c7956376a20c69d32ed48c6ac768a795"},
+		{"rowpress/small", study("rowpress", Options{Cfg: small}), "0114c6f3ab9c9c0934327116a1bf3da9a72e00dc07e6f804b1d33c239e9744f8"},
+		{"tempsweep/small", study("tempsweep", Options{Cfg: small}), "bcbe6315c6733355ea645ffdc74338fb0ab21f221af91f4285c1c6d3c87a2833"},
+		{"trrbypass/paper", study("trrbypass", Options{Cfg: paper, Hammers: 30000}), "b143a0572b6835c57ef4caded93485657bbadf8fde6ef40aa176cbd5c22a19fc"},
+		{"crosschannel/paper", study("crosschannel", Options{Cfg: paper, Rows: 1}), "001853e28704c498424177cadc2c7dd86b7de53dd55561d73fb75e9880acabaa"},
 		{"retention/findrow", func() (string, error) {
 			row, sec, err := findRowSmall()
 			return fmt.Sprintf("%d %v", row, sec), err

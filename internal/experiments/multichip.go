@@ -26,7 +26,7 @@ import (
 // channel — as each chip completes, in deterministic seed-index order, so
 // resident sample memory is O(regions × channels), not O(chips × rows).
 // The aggregates live in a results.Artifact, which serializes to a shard
-// file: a 1000-seed scan can run as N seed-range shards on N machines and
+// file: a 1000-seed scan can run as N job-slice shards on N machines and
 // merge back into output byte-identical to a single-process run (the
 // accumulators merge order-independently bit for bit).
 
@@ -88,13 +88,12 @@ type chipResult struct {
 // job per chip instance of cfg (measureChip), folded in seed-index order
 // into the region×channel artifact. It reads Rows (default 8 per
 // region), Hammers and Iterations from o, pinned in Params, and Workers,
-// which bounds how many of a chip's per-channel WCDP jobs run at once. The fold runs in strict seed-index
-// order, so the artifact is byte-identical at any parallelism — and,
-// because the accumulators merge exactly, also between a single run over
-// all seeds and a merge of contiguous seed-range shards. Shard artifacts
-// record the range [seeds[0], seeds[0]+len(seeds)) and merge only
-// contiguously, so fleet shards must slice one ascending seed run
-// (results.ShardRange).
+// which bounds how many of a chip's per-channel WCDP jobs run at once.
+// The fold runs in strict seed-index order, so the artifact is
+// byte-identical at any parallelism — and, because the accumulators
+// merge exactly, also between a single run over all seeds and a merge of
+// contiguous job-slice shards (results.ShardRange), each keyed by its
+// chips' seeds.
 func multiChipPlan(cfg *config.Config, seeds []uint64, o Options) *Plan {
 	rows := orDefault(o.Rows, 8)
 	hammers := orDefault(o.Hammers, core.DefaultHammers)
@@ -119,11 +118,7 @@ func multiChipPlan(cfg *config.Config, seeds []uint64, o Options) *Plan {
 		},
 		NewFold: func(lo, hi int) *Fold {
 			a := &results.Artifact{
-				Meta: results.Meta{
-					GroupBy:   results.ByRegionChannel.String(),
-					SeedFirst: seeds[lo],
-					SeedCount: hi - lo,
-				},
+				Meta:   results.Meta{GroupBy: results.ByRegionChannel.String()},
 				Groups: newFineGroups(cfg),
 			}
 			return &Fold{
@@ -146,7 +141,7 @@ const maxSeeds = 1 << 20
 
 // multiChipExperiment registers the fleet scan: Options.Seeds chips
 // (default 3, at most maxSeeds) starting at the chip's own seed, on the
-// seed axis, sliced by -shard into contiguous seed ranges.
+// seed axis, sliced by -shard into contiguous job slices of seeds.
 func multiChipExperiment() *Experiment {
 	return &Experiment{
 		Name:  "multichip",

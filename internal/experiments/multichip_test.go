@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,7 +157,7 @@ func TestMultiChipDeterministicAcrossChipWorkers(t *testing.T) {
 
 // TestMultiChipShardMergeMatchesSingleProcess pins the fleet-sharding
 // contract end to end: 32 seeds measured in one process versus four
-// contiguous seed-range shards — each serialized to an artifact file, as
+// contiguous job-slice shards — each serialized to an artifact file, as
 // on four machines — loaded back and merged must render byte-identical
 // CSV and JSON on every axis.
 func TestMultiChipShardMergeMatchesSingleProcess(t *testing.T) {
@@ -365,7 +366,7 @@ func TestRecordsRefoldToArtifactGroups(t *testing.T) {
 	sameGroups(f6, groups)
 }
 
-// TestMultiChipDefaultSeedsStartAtTheChip pins the default seed range:
+// TestMultiChipDefaultSeedsStartAtTheChip pins the default seed jobs:
 // Seeds 0 scans the same three chips as Seeds 3, starting at the chip's
 // own seed.
 func TestMultiChipDefaultSeedsStartAtTheChip(t *testing.T) {
@@ -382,9 +383,12 @@ func TestMultiChipDefaultSeedsStartAtTheChip(t *testing.T) {
 	if !bytes.Equal(marshal(t, def), marshal(t, three)) {
 		t.Fatal("Seeds 0 and Seeds 3 scan different chips")
 	}
-	if def.Meta.SeedFirst != config.SmallChip().Seed || def.Meta.SeedCount != 3 {
-		t.Fatalf("default seed range [%#x,+%d), want [%#x,+3)",
-			def.Meta.SeedFirst, def.Meta.SeedCount, config.SmallChip().Seed)
+	seed := config.SmallChip().Seed
+	want := []string{fmt.Sprintf("seed:%#x", seed), fmt.Sprintf("seed:%#x", seed+1), fmt.Sprintf("seed:%#x", seed+2)}
+	if def.Meta.JobAxis != results.AxisSeed || def.Meta.JobFirst != 0 || def.Meta.JobCount != 3 ||
+		!slices.Equal(def.Meta.JobKeys, want) {
+		t.Fatalf("default scan covers %s jobs [%d,+%d) %v, want seed jobs [0,+3) %v",
+			def.Meta.JobAxis, def.Meta.JobFirst, def.Meta.JobCount, def.Meta.JobKeys, want)
 	}
 }
 

@@ -112,8 +112,8 @@ type Job struct {
 
 // Fold accumulates job payloads into an artifact. Add is called once per
 // job of the planned slice in strict job-index order; Finish seals the
-// artifact. Folds populate Groups/Chips and the seed range; the run
-// stamps the rest of the provenance.
+// artifact. Folds populate the groups and records; the run stamps the
+// provenance.
 type Fold struct {
 	Add    func(i int, payload any) error
 	Finish func() (*results.Artifact, error)
@@ -317,11 +317,10 @@ func Describe(name string, o Options) (PlanInfo, error) {
 // plan — the checkpoint-granular unit of the fleet worker, which journals
 // one sealed slice artifact per completed chunk. Unlike Run, the slice is
 // arbitrary rather than derived from a shard index; o.Shard/ShardCount
-// are ignored. Slice artifacts carry the same job-slice (or seed-range)
-// provenance as shard artifacts, so merging adjacent slices through
-// results.Merge reproduces, byte for byte, the artifact a single RunSlice
-// over the union would have produced — the invariant checkpoint/resume
-// rests on.
+// are ignored. Slice artifacts carry the same job-slice provenance as
+// shard artifacts, so merging adjacent slices through results.Merge
+// reproduces, byte for byte, the artifact a single RunSlice over the
+// union would have produced — the invariant checkpoint/resume rests on.
 func RunSlice(name string, o Options, lo, hi int) (*results.Artifact, error) {
 	e, p, err := plan(name, o)
 	if err != nil {
@@ -379,8 +378,9 @@ func executePlan(p *Plan, o Options, lo, hi int) (*results.Artifact, error) {
 }
 
 // stampMeta fills the provenance the run owns: schema and build
-// identity, the sharding coordinates, and the plan-axis job slice. Folds
-// own the group payload, Params and — on the seed axis — the seed range.
+// identity, the sharding coordinates, and the plan-axis job slice, on
+// every axis alike (the config hash pins the base seed). Folds own the
+// group payload and Params.
 func stampMeta(a *results.Artifact, tool string, p *Plan, lo, hi, shard, of int) {
 	m := &a.Meta
 	m.Format = results.FormatVersion
@@ -390,16 +390,10 @@ func stampMeta(a *results.Artifact, tool string, p *Plan, lo, hi, shard, of int)
 	m.Shard, m.ShardCount = shard, of
 	m.Params = p.Params
 	m.JobAxis = p.Axis
-	if p.Axis != results.AxisSeed {
-		// Non-seed axes shard one chip's study: the seed range is the
-		// single configured seed and the job slice carries the shard
-		// provenance.
-		m.SeedFirst, m.SeedCount = p.Cfg.Seed, 1
-		m.JobFirst, m.JobCount = lo, hi-lo
-		m.JobKeys = make([]string, 0, hi-lo)
-		for _, j := range p.Jobs[lo:hi] {
-			m.JobKeys = append(m.JobKeys, j.Key)
-		}
+	m.JobFirst, m.JobCount = lo, hi-lo
+	m.JobKeys = make([]string, 0, hi-lo)
+	for _, j := range p.Jobs[lo:hi] {
+		m.JobKeys = append(m.JobKeys, j.Key)
 	}
 }
 

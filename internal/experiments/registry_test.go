@@ -212,7 +212,7 @@ func TestRenderedArtifactsMentionTheirAxis(t *testing.T) {
 // declares reading (Experiment.Reads) shapes its plan: changing Rows,
 // Hammers, Iterations or Bank changes the plan's Params, so shards run
 // with different budgets refuse to merge, and changing multichip's Seeds,
-// its plan axis, changes the job count, whose seed range the artifact's
+// its plan axis, changes the job count, whose job slice the artifact's
 // provenance carries. Workers bounds device parallelism inside a job and
 // never changes an artifact, so no plan shows it.
 func TestNoExperimentIgnoresItsKnobs(t *testing.T) {

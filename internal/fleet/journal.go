@@ -360,14 +360,17 @@ func (j *Journal) Append(a *results.Artifact, lo, hi int) error {
 // Resume decodes the chunks a resumed journal sealed and hands each to
 // fold, in record order. It decodes the bytes OpenJournal read and
 // hash-checked, so no chunk file is read or hashed twice, and releases
-// them as it goes; a second call folds nothing.
+// them as it goes; a second call folds nothing. A chunk that is intact
+// but does not decode — one an earlier build sealed in another artifact
+// format, under the same unstamped "dev" code version — makes the
+// journal unusable (ErrJournal), so the shard restarts fresh.
 func (j *Journal) Resume(fold func(rec ChunkRecord, a *results.Artifact) error) error {
 	for i, data := range j.sealed {
 		rec := j.done[i]
 		j.sealed[i] = nil
 		a, err := results.Decode(data)
 		if err != nil {
-			return fmt.Errorf("%s: %w", filepath.Join(j.dir, rec.File), err)
+			return fmt.Errorf("%w: %s: %v", ErrJournal, filepath.Join(j.dir, rec.File), err)
 		}
 		if err := fold(rec, a); err != nil {
 			return err

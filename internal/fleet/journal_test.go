@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -173,6 +175,45 @@ func TestJournalChunkCorruptionRejected(t *testing.T) {
 	}
 	if _, err := reopen(t, dir, hdr); !errors.Is(err, ErrJournal) {
 		t.Fatalf("got %v, want ErrJournal", err)
+	}
+}
+
+// TestJournalEarlierFormatChunkRejected resumes a journal whose sealed
+// chunk an earlier build wrote at artifact format 4, under a header this
+// build accepts (two unstamped builds share the "dev" code version). The
+// chunk is intact, so the journal opens, but Resume must refuse it with
+// ErrJournal, which restarts the shard fresh, and name the version.
+func TestJournalEarlierFormatChunkRejected(t *testing.T) {
+	dir := t.TempDir()
+	hdr := testJournal(t, dir, 1)
+	chunk := filepath.Join(dir, chunkFileName(0, 1))
+	data, err := os.ReadFile(chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := fmt.Sprintf(`"format": %d,`, results.FormatVersion)
+	old := bytes.Replace(data, []byte(current), []byte(`"format": 4,`), 1)
+	if bytes.Equal(old, data) {
+		t.Fatalf("chunk has no %s member", current)
+	}
+	if err := os.WriteFile(chunk, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal = bytes.Replace(journal, []byte(sha256Hex(data)), []byte(sha256Hex(old)), 1)
+	if err := os.WriteFile(journalPath(dir), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := reopen(t, dir, hdr)
+	if err != nil {
+		t.Fatalf("an intact chunk of another format must open: %v", err)
+	}
+	err = j.Resume(func(ChunkRecord, *results.Artifact) error { return nil })
+	if !errors.Is(err, ErrJournal) || !strings.Contains(err.Error(), "format version 4") {
+		t.Fatalf("got %v, want ErrJournal naming format version 4", err)
 	}
 }
 

@@ -108,8 +108,6 @@ type Device struct {
 type pseudoChannel struct {
 	banks   []bankState // this pseudo channel's run of Device.banks
 	eng     *trr.Engine
-	doc     *trr.DocumentedMode
-	docBank int
 	lastRef int64
 	refPtr  int // next physical row to be refreshed in every bank
 }
@@ -249,8 +247,6 @@ func New(cfg *config.Config) (*Device, error) {
 		*pc = pseudoChannel{
 			banks:   d.banks[i*g.Banks : (i+1)*g.Banks],
 			eng:     eng,
-			doc:     trr.NewDocumentedMode(g.Rows, cfg.TRR.NeighborRadius),
-			docBank: -1,
 			lastRef: farPast,
 		}
 		for b := range pc.banks {
@@ -600,9 +596,8 @@ func uniform(buf []byte) bool {
 }
 
 // Refresh issues one periodic REF to a pseudo channel: it refreshes the
-// next chunk of rows in every bank, then lets the in-DRAM mitigations
-// (the proprietary TRR engine and, if engaged, the documented TRR mode)
-// perform their victim refreshes.
+// next chunk of rows in every bank, then lets the in-DRAM mitigation
+// (the proprietary TRR engine) perform its victim refreshes.
 func (d *Device) Refresh(ch, pc int) error {
 	if err := d.checkPC(ch, pc); err != nil {
 		return err
@@ -637,54 +632,9 @@ func (d *Device) Refresh(ch, pc int) error {
 			d.stats.TRRVictimRefreshes++
 		}
 	}
-	// Documented TRR mode, if the controller engaged it.
-	if p.doc.Active() && p.docBank >= 0 {
-		bank := &p.banks[p.docBank]
-		for _, phys := range p.doc.OnRefresh() {
-			d.senseAndRestore(bank, phys, d.now, true)
-			d.stats.TRRVictimRefreshes++
-		}
-	}
-
 	p.lastRef = d.now
 	d.stats.Refreshes++
 	d.now += d.cfg.Timing.TCK
-	return nil
-}
-
-// EnterTRRMode engages the documented (JESD235) TRR mode on a pseudo
-// channel: subsequent REFs refresh the neighbours of the given logical
-// target rows in the given bank.
-func (d *Device) EnterTRRMode(ch, pc, bank int, targets []int) error {
-	if err := d.checkPC(ch, pc); err != nil {
-		return err
-	}
-	if bank < 0 || bank >= d.cfg.Geometry.Banks {
-		return fmt.Errorf("hbm: TRR mode bank %d: %w", bank, ErrAddress)
-	}
-	phys := make([]int, len(targets))
-	for i, t := range targets {
-		if t < 0 || t >= d.cfg.Geometry.Rows {
-			return fmt.Errorf("hbm: TRR mode target row %d: %w", t, ErrAddress)
-		}
-		phys[i] = d.mapper.ToPhysical(t)
-	}
-	p := d.pcAt(ch, pc)
-	if err := p.doc.Enter(phys); err != nil {
-		return fmt.Errorf("hbm: %w", err)
-	}
-	p.docBank = bank
-	return nil
-}
-
-// ExitTRRMode disengages the documented TRR mode.
-func (d *Device) ExitTRRMode(ch, pc int) error {
-	if err := d.checkPC(ch, pc); err != nil {
-		return err
-	}
-	p := d.pcAt(ch, pc)
-	p.doc.Exit()
-	p.docBank = -1
 	return nil
 }
 

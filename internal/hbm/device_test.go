@@ -607,47 +607,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-func TestDocumentedTRRModeProtectsTargets(t *testing.T) {
-	cfg := config.SmallChip()
-	tm := cfg.Timing
-	d := newDevice(t, cfg)
-	disableECC(t, d)
-	b := bankAddr(7, 0, 0)
-	phys := midSubarrayRow(d, 1)
-	lv, la, lb := doubleSidedSetup(t, d, b, phys, 0xFF, 0x00)
-
-	// Engage the documented TRR mode naming one aggressor as the target:
-	// each REF then refreshes the aggressor's neighbours (the victim).
-	if err := d.EnterTRRMode(b.Channel, b.PseudoChannel, b.Bank, []int{la}); err != nil {
-		t.Fatal(err)
-	}
-	const chunks, perChunk = 64, 4096
-	for i := 0; i < chunks; i++ {
-		if err := hammerPair(d, b, la, lb, perChunk, d.Config().Timing.TRAS); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.AdvanceTime(tm.TRFC); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Refresh(b.Channel, b.PseudoChannel); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.AdvanceTime(tm.TRFC); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := readRow(d, b, lv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := countMismatches(got, rowPattern(d, 0xFF)); n != 0 {
-		t.Fatalf("documented TRR mode left %d flips; every REF refreshes the victim", n)
-	}
-	if err := d.ExitTRRMode(b.Channel, b.PseudoChannel); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRefreshRequiresTRFCSpacing(t *testing.T) {
 	d := newDevice(t, config.SmallChip())
 	if err := d.Refresh(0, 0); err != nil {

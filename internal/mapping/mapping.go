@@ -22,8 +22,6 @@ type Mapper interface {
 	ToLogical(physical int) int
 	// Rows returns the number of rows the mapping covers.
 	Rows() int
-	// Scheme identifies the underlying mapping scheme.
-	Scheme() config.MappingScheme
 }
 
 // New constructs the Mapper for the given scheme over rows rows.
@@ -46,10 +44,9 @@ func New(scheme config.MappingScheme, rows int) (Mapper, error) {
 // direct is the identity mapping.
 type direct struct{ rows int }
 
-func (d direct) ToPhysical(l int) int         { return l }
-func (d direct) ToLogical(p int) int          { return p }
-func (d direct) Rows() int                    { return d.rows }
-func (d direct) Scheme() config.MappingScheme { return config.MappingDirect }
+func (d direct) ToPhysical(l int) int { return l }
+func (d direct) ToLogical(p int) int  { return p }
+func (d direct) Rows() int            { return d.rows }
 
 // xorSwizzle swaps the middle pair of every 4-row group: logical rows
 // 0,1,2,3 occupy physical rows 0,1,3,2. The transform is an involution.
@@ -61,9 +58,8 @@ func (x xorSwizzle) ToPhysical(l int) int {
 	}
 	return l
 }
-func (x xorSwizzle) ToLogical(p int) int          { return x.ToPhysical(p) }
-func (x xorSwizzle) Rows() int                    { return x.rows }
-func (x xorSwizzle) Scheme() config.MappingScheme { return config.MappingXorSwizzle }
+func (x xorSwizzle) ToLogical(p int) int { return x.ToPhysical(p) }
+func (x xorSwizzle) Rows() int           { return x.rows }
 
 // mirrored reverses the low three address bits within every odd 8-row
 // group, a remapping observed in some DDR4 devices. Also an involution.
@@ -79,9 +75,8 @@ func (m mirrored) ToPhysical(l int) int {
 	}
 	return l
 }
-func (m mirrored) ToLogical(p int) int          { return m.ToPhysical(p) }
-func (m mirrored) Rows() int                    { return m.rows }
-func (m mirrored) Scheme() config.MappingScheme { return config.MappingMirrored }
+func (m mirrored) ToLogical(p int) int { return m.ToPhysical(p) }
+func (m mirrored) Rows() int           { return m.rows }
 
 // Verify checks that m is a bijection by exercising the round trip on
 // every row. It is O(rows) and intended for tests and device bring-up.

@@ -556,7 +556,7 @@ func renderKeys(st *store.Store) ([]byte, string, error) {
 		Gen      uint64 `json:"generation"`
 		Tool     string `json:"tool"`
 		GroupBy  string `json:"group_by"`
-		Seeds    int    `json:"seed_count"`
+		Jobs     int    `json:"jobs"`
 		Chips    int    `json:"chips"`
 		Members  int    `json:"members"`
 		Pending  int    `json:"pending"`
@@ -575,7 +575,7 @@ func renderKeys(st *store.Store) ([]byte, string, error) {
 		out.Corpora = append(out.Corpora, corpusJSON{
 			Corpus: snap.Corpus, Gen: snap.Gen,
 			Tool: snap.Meta.Tool, GroupBy: snap.Meta.GroupBy,
-			Seeds: snap.Meta.SeedCount, Chips: len(snap.Merged.Chips),
+			Jobs: snap.Meta.JobCount, Chips: len(snap.Merged.Chips),
 			Members: snap.Members, Pending: snap.Pending, Complete: snap.Complete,
 		})
 	}

@@ -25,7 +25,8 @@ import (
 )
 
 // shard fabricates a region×channel fleet shard over a seed range, with
-// chip records carrying HCfirst and TRR fingerprints.
+// chip records carrying HCfirst and TRR fingerprints: job s is the chip
+// of seed s.
 func shard(seedFirst uint64, seedCount int) *results.Artifact {
 	regions := []string{"first", "middle", "last"}
 	const channels = 4
@@ -36,9 +37,10 @@ func shard(seedFirst uint64, seedCount int) *results.Artifact {
 			CodeVersion: "test-build",
 			ConfigHash:  "deadbeef",
 			GroupBy:     results.ByRegionChannel.String(),
-			SeedFirst:   seedFirst,
-			SeedCount:   seedCount,
 			ShardCount:  1,
+			JobAxis:     results.AxisSeed,
+			JobFirst:    int(seedFirst),
+			JobCount:    seedCount,
 			Params:      map[string]string{"rows": "4"},
 		},
 	}
@@ -64,6 +66,7 @@ func shard(seedFirst uint64, seedCount int) *results.Artifact {
 		a.Chips = append(a.Chips, results.ChipRecord{
 			Seed: s, MinHCFirst: 10000 + int(s)*100, TRRPeriod: int(s%3) * 2048,
 		})
+		a.Meta.JobKeys = append(a.Meta.JobKeys, fmt.Sprintf("seed:%#x", s))
 	}
 	return a
 }
@@ -177,6 +180,7 @@ func TestQueryEndpoints(t *testing.T) {
 		StoreGen uint64 `json:"store_generation"`
 		Corpora  []struct {
 			Corpus   string `json:"corpus"`
+			Jobs     int    `json:"jobs"`
 			Chips    int    `json:"chips"`
 			Complete bool   `json:"complete"`
 		} `json:"corpora"`
@@ -185,7 +189,7 @@ func TestQueryEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(keys.Corpora) != 1 || keys.Corpora[0].Corpus != "multichip-deadbeef" ||
-		keys.Corpora[0].Chips != 4 || !keys.Corpora[0].Complete {
+		keys.Corpora[0].Jobs != 4 || keys.Corpora[0].Chips != 4 || !keys.Corpora[0].Complete {
 		t.Fatalf("keys: %+v", keys)
 	}
 

@@ -19,12 +19,13 @@ import (
 // and HCfirsts) are most of an artifact's values, and one line each
 // keeps a one-seed multichip shard at 71 KB where one bin a line took
 // 443 KB. Row records' found and TRR records' refreshed flags go on one
-// line too, so a row record takes one line per member. The codec below writes and reads the schema directly through
-// jsonwire instead of reflecting over the structs, and FuzzArtifactCodec
-// holds it to encoding/json in both directions. Decode accepts any
-// whitespace, so files laid out by earlier builds, one number a line,
-// still decode; the store re-addresses its objects from such builds when
-// it opens (see store.Open).
+// line too, so a row record takes one line per member. The codec below
+// writes and reads the schema directly through jsonwire instead of
+// reflecting over the structs, and FuzzArtifactCodec holds it to
+// encoding/json in both directions. Decode accepts any whitespace, so
+// the same artifact laid out one number a line decodes to the same
+// value; it refuses every other format version, so a file an earlier
+// build wrote (format 4 or below) is refused whatever its layout.
 
 // MarshalIndented renders the artifact in the artifact file format:
 // deterministic indented JSON, each array of numbers or bools on one
@@ -84,10 +85,6 @@ func (m *Meta) write(w *jsonwire.Writer) {
 	w.String(m.ConfigHash)
 	w.Key("group_by")
 	w.String(m.GroupBy)
-	w.Key("seed_first")
-	w.Uint(m.SeedFirst)
-	w.Key("seed_count")
-	w.Int(int64(m.SeedCount))
 	w.Key("shard")
 	w.Int(int64(m.Shard))
 	w.Key("shard_count")
@@ -376,7 +373,7 @@ func readArray[T any](r *jsonwire.Reader, read func(*T)) []T {
 var (
 	artifactFields = []string{"meta", "chips", "rows", "banks", "trr", "groups"}
 	metaFields     = []string{"format", "tool", "code_version", "config_hash", "group_by",
-		"seed_first", "seed_count", "shard", "shard_count",
+		"shard", "shard_count",
 		"job_axis", "job_first", "job_count", "job_keys", "params"}
 	chipFields = []string{"seed", "min_hc_first", "wcdp_ratio", "worst_channel", "trr_period"}
 	rowFields  = []string{"channel", "phys_row", "region", "ber", "hc_first", "found", "wcdp",
@@ -420,10 +417,6 @@ func (m *Meta) read(r *jsonwire.Reader) {
 			m.ConfigHash = r.String()
 		case "group_by":
 			m.GroupBy = r.String()
-		case "seed_first":
-			m.SeedFirst = r.Uint64()
-		case "seed_count":
-			m.SeedCount = r.Int()
 		case "shard":
 			m.Shard = r.Int()
 		case "shard_count":

@@ -3,12 +3,12 @@
 //
 // An Artifact names its aggregation axis (per region, per channel, or
 // region×channel — the paper's first-order axis is per channel), carries
-// the provenance that makes merging safe (config hash, seed range, code
+// the provenance that makes merging safe (config hash, job slice, code
 // version, format version), and holds one streaming accumulator
 // (stats.Stream) per group and metric. Because the accumulators merge
 // order-independently bit for bit, N shard artifacts produced on N
 // machines and merged with Merge render byte-identical summaries to a
-// single-process run over the union of their seed ranges — the property
+// single-process run over the union of their job slices — the property
 // that turns the multichip scan into a distributable fleet tool.
 //
 // The schema is deliberately driver-agnostic: the multi-chip study emits
@@ -21,13 +21,15 @@
 // run. Merge appends them in job order, so a merged or store-held
 // artifact renders what a single process renders.
 //
-// Sharding has two regimes (DESIGN.md §7, §9): seed-axis artifacts
-// carry contiguous seed-range provenance, while every other axis
-// carries its job-slice provenance (JobAxis/JobFirst/JobCount/JobKeys)
-// with contiguity and disjoint-key checks. ShardRange computes the
-// canonical contiguous partition all processes agree on, and
-// MergeShards folds shard files in canonical order — the merge path
-// under `characterize merge` and the fleet coordinator alike.
+// Every artifact names the job slice of its study's plan that it covers
+// (JobAxis/JobFirst/JobCount/JobKeys, DESIGN.md §7, §9), whatever the
+// planning axis: chip seeds for the multichip scan, channels, banks or
+// points for the rest. Two shards of a run must be compatible
+// (CompatibleWith) and satisfy the one order-free rule Disjoint, and
+// Merge adds contiguity in the order it folds.
+// ShardRange computes the canonical contiguous partition all processes
+// agree on, and MergeShards folds shard files in job order — the merge
+// path under `characterize merge` and the fleet coordinator alike.
 //
 // Artifacts have one serialized form, the indented JSON file format that
 // shard files, fleet chunks and store objects share (codec.go):
@@ -49,12 +51,13 @@ import (
 // Version 2 added the planning-axis provenance (Meta.JobAxis/JobFirst/
 // JobCount/JobKeys, Key.Point) and its merge conflict checks; version 3
 // added the sweep's row records and fig6's bank records; version 4 added
-// the Section 5 study's TRR records.
-const FormatVersion = 4
+// the Section 5 study's TRR records; version 5 dropped the seed range
+// (seed_first/seed_count), leaving the job slice as the one shard
+// provenance of every axis, the multichip scan's seed axis included.
+const FormatVersion = 5
 
 // AxisSeed is the Meta.JobAxis value of fleet scans sharded by chip
-// seed, where SeedFirst/SeedCount carry the provenance and merges check
-// seed-range contiguity instead of job slices.
+// seed: job i is the chip of seed base+i, keyed "seed:0x…".
 const AxisSeed = "seed"
 
 // GroupBy selects an aggregation axis.
@@ -229,7 +232,7 @@ type TRRRecord struct {
 }
 
 // Meta is an artifact's provenance: everything Merge must check before
-// two artifacts may be combined, plus the seed-range bookkeeping that
+// two artifacts may be combined, plus the job-slice bookkeeping that
 // keeps shard unions canonical.
 type Meta struct {
 	// Format is the schema version (FormatVersion at write time).
@@ -242,31 +245,24 @@ type Meta struct {
 	// have changed between builds).
 	CodeVersion string `json:"code_version"`
 	// ConfigHash fingerprints the base chip configuration
-	// (config.Config.Hash, hex). Shards of one fleet scan share it.
+	// (config.Config.Hash, hex), its seed included. Shards of one fleet
+	// scan share it.
 	ConfigHash string `json:"config_hash"`
 	// GroupBy is the stored aggregation axis (coarser views derive at
 	// render time).
 	GroupBy string `json:"group_by"`
-	// SeedFirst/SeedCount describe the contiguous seed range this
-	// artifact covers. Merge requires ranges to be contiguous and
-	// ascending, which makes the merged artifact independent of how the
-	// range was sharded.
-	SeedFirst uint64 `json:"seed_first"`
-	SeedCount int    `json:"seed_count"`
 	// Shard/ShardCount record which slice of a sharded run this artifact
 	// is (0/1 for unsharded and merged artifacts).
 	Shard      int `json:"shard"`
 	ShardCount int `json:"shard_count"`
 	// JobAxis names the experiment's planning axis — the unit a shard
 	// slices: "seed" for fleet scans, "channel"/"bank" for spatial
-	// studies, "point" for setpoint sweeps. On the seed axis the
-	// SeedFirst/SeedCount range above is the whole provenance and the
-	// job fields below stay zero; every other axis shards a study of ONE
-	// chip, so merging requires identical seed ranges and contiguous,
-	// non-overlapping job slices instead.
+	// studies, "point" for setpoint sweeps.
 	JobAxis string `json:"job_axis,omitempty"`
 	// JobFirst/JobCount describe the contiguous job-index slice of the
-	// experiment plan this artifact covers (zero on the seed axis).
+	// experiment plan this artifact covers. Merge requires slices to be
+	// contiguous and ascending, which makes the merged artifact
+	// independent of how the plan was sharded.
 	JobFirst int `json:"job_first,omitempty"`
 	JobCount int `json:"job_count,omitempty"`
 	// JobKeys names the covered jobs in index order (the temperature
@@ -368,12 +364,47 @@ func (a *Artifact) CompatibleWith(b *Artifact) error {
 	return nil
 }
 
-// Merge folds b into a after verifying compatibility and slice
-// provenance. On the seed axis (fleet scans; also artifacts predating
-// job provenance) shards must cover contiguous ascending seed ranges
-// with no chip appearing twice. On every other planning axis shards
-// slice one study of one chip: seed ranges must be identical and the
-// job-index slices contiguous with disjoint job keys. The merged
+// Disjoint reports, as an error, the first reason two compatible
+// artifacts (CompatibleWith) cannot be two shards of one run: a job key
+// or a chip seed in both, or overlapping job slices. It reads no order,
+// so the store applies it to an arriving shard against its members, and
+// Merge adds only the contiguity of the order it folds in.
+func Disjoint(a, b *Artifact) error {
+	am, bm := &a.Meta, &b.Meta
+	if k, ok := shared(am.JobKeys, bm.JobKeys, func(k string) string { return k }); ok {
+		return fmt.Errorf("results: job %q present in both artifacts (same shard merged twice?)", k)
+	}
+	if am.JobFirst < bm.JobFirst+bm.JobCount && bm.JobFirst < am.JobFirst+am.JobCount {
+		return fmt.Errorf("results: job slices [%d,+%d) and [%d,+%d) overlap (same shard merged twice?)",
+			am.JobFirst, am.JobCount, bm.JobFirst, bm.JobCount)
+	}
+	if seed, ok := shared(a.Chips, b.Chips, func(c ChipRecord) uint64 { return c.Seed }); ok {
+		return fmt.Errorf("results: chip seed %#x present in both artifacts", seed)
+	}
+	return nil
+}
+
+// shared returns the key of an element of xs and an element of ys with
+// equal keys, if there is one, hashing the shorter list.
+func shared[T any, K comparable](xs, ys []T, key func(T) K) (K, bool) {
+	if len(xs) > len(ys) {
+		xs, ys = ys, xs
+	}
+	set := make(map[K]struct{}, len(xs))
+	for _, x := range xs {
+		set[key(x)] = struct{}{}
+	}
+	for _, y := range ys {
+		if _, ok := set[key(y)]; ok {
+			return key(y), true
+		}
+	}
+	var zero K
+	return zero, false
+}
+
+// Merge folds b into a after checking that they are compatible and
+// Disjoint and that b's job slice starts where a's ends. The merged
 // artifact covers the union and is normalized to an unsharded view
 // (Shard 0/1), so merging all shards of a run reproduces the
 // single-process artifact's metadata. On error a is left unmodified.
@@ -381,41 +412,13 @@ func Merge(a, b *Artifact) error {
 	if err := a.CompatibleWith(b); err != nil {
 		return err
 	}
+	if err := Disjoint(a, b); err != nil {
+		return err
+	}
 	am, bm := &a.Meta, &b.Meta
-	jobSliced := am.JobCount > 0 || bm.JobCount > 0
-	if jobSliced && am.JobAxis == AxisSeed {
-		return fmt.Errorf("results: seed-axis artifacts must carry seed-range provenance, not job slices")
-	}
-	if jobSliced {
-		if am.SeedFirst != bm.SeedFirst || am.SeedCount != bm.SeedCount {
-			return fmt.Errorf("results: %s-axis shards of different seed ranges: [%d,+%d) vs [%d,+%d)",
-				am.JobAxis, am.SeedFirst, am.SeedCount, bm.SeedFirst, bm.SeedCount)
-		}
-		keys := make(map[string]bool, len(am.JobKeys))
-		for _, k := range am.JobKeys {
-			keys[k] = true
-		}
-		for _, k := range bm.JobKeys {
-			if keys[k] {
-				return fmt.Errorf("results: job %q present in both artifacts (same shard merged twice?)", k)
-			}
-		}
-		if bm.JobFirst != am.JobFirst+am.JobCount {
-			return fmt.Errorf("results: job slices not contiguous: [%d,+%d) then [%d,+%d) — merge shards in ascending job order with no gaps",
-				am.JobFirst, am.JobCount, bm.JobFirst, bm.JobCount)
-		}
-	} else if bm.SeedFirst != am.SeedFirst+uint64(am.SeedCount) {
-		return fmt.Errorf("results: seed ranges not contiguous: [%d,+%d) then [%d,+%d) — merge shards in ascending seed order with no gaps",
-			am.SeedFirst, am.SeedCount, bm.SeedFirst, bm.SeedCount)
-	}
-	seen := make(map[uint64]bool, len(a.Chips))
-	for _, c := range a.Chips {
-		seen[c.Seed] = true
-	}
-	for _, c := range b.Chips {
-		if seen[c.Seed] {
-			return fmt.Errorf("results: chip seed %#x present in both artifacts", c.Seed)
-		}
+	if bm.JobFirst != am.JobFirst+am.JobCount {
+		return fmt.Errorf("results: job slices not contiguous: [%d,+%d) then [%d,+%d) — merge shards in ascending job order with no gaps",
+			am.JobFirst, am.JobCount, bm.JobFirst, bm.JobCount)
 	}
 	for i := range a.Groups {
 		for j := range a.Groups[i].Metrics {
@@ -426,12 +429,8 @@ func Merge(a, b *Artifact) error {
 	a.Rows = append(a.Rows, b.Rows...)
 	a.Banks = append(a.Banks, b.Banks...)
 	a.TRR = append(a.TRR, b.TRR...)
-	if jobSliced {
-		am.JobCount += bm.JobCount
-		am.JobKeys = append(am.JobKeys, bm.JobKeys...)
-	} else {
-		am.SeedCount += bm.SeedCount
-	}
+	am.JobCount += bm.JobCount
+	am.JobKeys = append(am.JobKeys, bm.JobKeys...)
 	am.Shard, am.ShardCount = 0, 1
 	return nil
 }

@@ -13,7 +13,8 @@ import (
 )
 
 // fineArtifact builds a region×channel artifact over the given seed range
-// with deterministic pseudo-samples, shaped like a multichip shard.
+// with deterministic pseudo-samples, shaped like a multichip shard of a
+// scan whose base seed is 0: job s is the chip of seed s.
 func fineArtifact(seedFirst uint64, seedCount int) *Artifact {
 	regions := []string{"first", "middle", "last"}
 	const channels = 4
@@ -24,9 +25,10 @@ func fineArtifact(seedFirst uint64, seedCount int) *Artifact {
 			CodeVersion: "test-build",
 			ConfigHash:  "deadbeef",
 			GroupBy:     ByRegionChannel.String(),
-			SeedFirst:   seedFirst,
-			SeedCount:   seedCount,
 			ShardCount:  1,
+			JobAxis:     AxisSeed,
+			JobFirst:    int(seedFirst),
+			JobCount:    seedCount,
 			Params:      map[string]string{"rows": "4"},
 		},
 	}
@@ -50,6 +52,7 @@ func fineArtifact(seedFirst uint64, seedCount int) *Artifact {
 			}
 		}
 		a.Chips = append(a.Chips, ChipRecord{Seed: s, MinHCFirst: int(s * 7), WCDPRatio: 1.5})
+		a.Meta.JobKeys = append(a.Meta.JobKeys, fmt.Sprintf("seed:%#x", s))
 	}
 	return a
 }
@@ -62,8 +65,8 @@ func TestArtifactMergeEqualsSingleRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if merged.Meta.SeedFirst != 10 || merged.Meta.SeedCount != 8 {
-		t.Fatalf("merged range [%d,+%d)", merged.Meta.SeedFirst, merged.Meta.SeedCount)
+	if merged.Meta.JobFirst != 10 || merged.Meta.JobCount != 8 || !reflect.DeepEqual(merged.Meta.JobKeys, single.Meta.JobKeys) {
+		t.Fatalf("merged slice [%d,+%d) %v", merged.Meta.JobFirst, merged.Meta.JobCount, merged.Meta.JobKeys)
 	}
 	if merged.Meta.Shard != 0 || merged.Meta.ShardCount != 1 {
 		t.Fatalf("merged artifact not normalized: shard %d/%d", merged.Meta.Shard, merged.Meta.ShardCount)
@@ -105,13 +108,12 @@ func TestArtifactMergeConflicts(t *testing.T) {
 		"axis mismatch":   func(a, b *Artifact) { b.Meta.GroupBy = ByRegion.String() },
 		"param mismatch":  func(a, b *Artifact) { b.Meta.Params["rows"] = "8" },
 		"param missing":   func(a, b *Artifact) { delete(b.Meta.Params, "rows") },
-		"seed gap":        func(a, b *Artifact) { b.Meta.SeedFirst = 5 },
-		"seed overlap": func(a, b *Artifact) {
-			b.Meta.SeedFirst = 1
-			b.Chips[0].Seed = 1
-		},
-		"group key skew": func(a, b *Artifact) { b.Groups[0].Key.Channel = 9 },
-		"metric skew":    func(a, b *Artifact) { b.Groups[0].Metrics[0].Name = "other" },
+		"seed gap":        func(a, b *Artifact) { b.Meta.JobFirst = 5 },
+		"seed overlap":    func(a, b *Artifact) { b.Meta.JobFirst = 1 },
+		"job key overlap": func(a, b *Artifact) { b.Meta.JobKeys[0] = a.Meta.JobKeys[1] },
+		"chip overlap":    func(a, b *Artifact) { b.Chips[0].Seed = 1 },
+		"group key skew":  func(a, b *Artifact) { b.Groups[0].Key.Channel = 9 },
+		"metric skew":     func(a, b *Artifact) { b.Groups[0].Metrics[0].Name = "other" },
 		"stream domain skew": func(a, b *Artifact) {
 			b.Groups[0].Metrics[0].Stream = stats.NewStream(0, 2)
 		},

@@ -91,9 +91,8 @@ func ReadShards(args []string) ([]*Artifact, []string, error) {
 }
 
 // MergeShards merges a loaded shard set into one artifact. Shards are
-// ordered canonically first — by seed range on the seed axis, by job
-// slice otherwise — so the result is independent of argument and glob
-// order. A merge failure names the two shard files involved. The input
+// ordered by JobFirst first, so the result is independent of argument
+// and glob order. A merge failure names the two shard files involved. The input
 // artifacts are consumed (the first becomes the merge target).
 func MergeShards(shards []*Artifact, paths []string) (*Artifact, error) {
 	if len(shards) == 0 {
@@ -107,11 +106,7 @@ func MergeShards(shards []*Artifact, paths []string) (*Artifact, error) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(i, j int) bool {
-		a, b := &shards[order[i]].Meta, &shards[order[j]].Meta
-		if a.SeedFirst != b.SeedFirst {
-			return a.SeedFirst < b.SeedFirst
-		}
-		return a.JobFirst < b.JobFirst
+		return shards[order[i]].Meta.JobFirst < shards[order[j]].Meta.JobFirst
 	})
 	merged, mergedPath := shards[order[0]], paths[order[0]]
 	for _, idx := range order[1:] {

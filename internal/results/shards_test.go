@@ -27,8 +27,6 @@ func pointArtifact(points []string, lo, hi int) *Artifact {
 			CodeVersion: "test-build",
 			ConfigHash:  "deadbeef",
 			GroupBy:     ByPoint.String(),
-			SeedFirst:   42,
-			SeedCount:   1,
 			ShardCount:  1,
 			JobAxis:     "point",
 			JobFirst:    lo,
@@ -119,10 +117,10 @@ func TestPointShardMergeConflicts(t *testing.T) {
 			a: pointArtifact(testPoints, 0, 2),
 			b: func() *Artifact {
 				b := pointArtifact(testPoints, 2, 5)
-				b.Meta.SeedFirst = 7
+				b.Meta.ConfigHash = "cafef00d" // the seed is part of the config
 				return b
 			}(),
-			wantErr: "different seed ranges",
+			wantErr: "different chip configs",
 		},
 		"axis skew": {
 			a: pointArtifact(testPoints, 0, 2),
@@ -132,19 +130,6 @@ func TestPointShardMergeConflicts(t *testing.T) {
 				return b
 			}(),
 			wantErr: "planning axes",
-		},
-		"seed axis with job slice": {
-			a: func() *Artifact {
-				a := pointArtifact(testPoints, 0, 2)
-				a.Meta.JobAxis = AxisSeed
-				return a
-			}(),
-			b: func() *Artifact {
-				b := pointArtifact(testPoints, 2, 5)
-				b.Meta.JobAxis = AxisSeed
-				return b
-			}(),
-			wantErr: "seed-range provenance",
 		},
 	}
 	for name, tc := range cases {

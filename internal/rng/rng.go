@@ -39,11 +39,6 @@ func Uniform01(h uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// UniformRange maps a hash to [lo, hi).
-func UniformRange(h uint64, lo, hi float64) float64 {
-	return lo + (hi-lo)*Uniform01(h)
-}
-
 // Bool maps a hash to true with probability p.
 func Bool(h uint64, p float64) bool {
 	return Uniform01(h) < p

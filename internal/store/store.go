@@ -8,9 +8,10 @@
 // place. A corpus member keeps the decoded artifact, never mutated; the
 // persisted object is the durable copy. Artifacts group into corpora
 // keyed by (tool, config hash): the shards of one fleet scan or sharded
-// study land in one corpus, and ingest enforces the same conflict matrix
-// as results.Merge (format/build/axis/params skew, overlapping seed
-// ranges or job keys, duplicate chip seeds), so a corpus can always
+// study land in one corpus, and ingest holds an arriving shard to the
+// rule results.Merge applies — CompatibleWith (format/build/axis/params
+// skew) and results.Disjoint (overlapping job slices or job keys,
+// duplicate chip seeds) against every member — so a corpus can always
 // merge. After each accepted ingest the corpus's merged view advances
 // incrementally: when the accepted shard extends the already-merged
 // contiguous prefix, only that shard is folded into a clone of the
@@ -34,11 +35,9 @@
 // and Open replays them: objects are decoded on GOMAXPROCS goroutines and
 // admitted strictly in hash order, so a parallel replay reaches the same
 // state as a serial one. A file's name is its address: replay
-// quarantines an object whose canonical bytes hash to anything else,
-// unless its file bytes hash to its name. Such an object is intact but
-// was written by a build with another canonical layout, and Open moves
-// it to its current address. With an empty path the store is purely
-// in-memory (tests, one-shot queries).
+// quarantines an object whose canonical bytes hash to anything else, and
+// one of another format version, which an earlier build wrote. With an
+// empty path the store is purely in-memory (tests, one-shot queries).
 package store
 
 import (
@@ -62,9 +61,9 @@ import (
 // Ingest error classes, matched with errors.Is. ErrMalformed marks bytes
 // that do not decode to a valid, encodable artifact; ErrConflict marks an
 // artifact the merge gate refuses against its corpus (provenance or
-// structure skew, overlapping seed ranges, job slices or job keys,
-// duplicate chips, or a refused merge). Any other ingest error — a failed
-// persist, an injected fault — is neither.
+// structure skew, overlapping job slices or job keys, duplicate chips,
+// or a refused merge). Any other ingest error — a failed persist, an
+// injected fault — is neither.
 var (
 	ErrMalformed = errors.New("store: malformed artifact")
 	ErrConflict  = errors.New("store: artifact conflicts with its corpus")
@@ -119,7 +118,7 @@ type QuarantinedObject struct {
 type corpus struct {
 	id      string
 	gen     uint64
-	members []*member // canonical order: SeedFirst, then JobFirst
+	members []*member // canonical order: JobFirst
 	byHash  map[string]*member
 
 	// merged is the sealed union of the contiguous member prefix
@@ -197,21 +196,13 @@ type Snapshot struct {
 // opens an empty in-memory store. The directory is created if missing.
 //
 // An object that cannot be replayed — unreadable, torn by a crash
-// mid-write, filed under a name that is not its hash, or conflicting
-// with already-replayed members — does not
-// fail the open: it is moved to objects/quarantine/ and recorded, and
-// replay continues with the rest. One corrupt file costs one shard (its
-// data returns on the next ingest of those bytes), not the whole store;
-// Quarantined reports the damage and the query service surfaces it as a
-// degraded /healthz.
-//
-// An object whose file bytes hash to its name but whose canonical bytes
-// do not was persisted by a build that laid the file form out otherwise
-// (one number a line, before number arrays went on one line). It is
-// intact: replay admits it, and once every object is replayed Open
-// writes its canonical bytes under their address, syncs them and the
-// directory, and only then removes the old file. A crash in between
-// leaves both files, which replay to one member.
+// mid-write, of another format version, filed under a name that is not
+// the hash of its canonical bytes, or conflicting with already-replayed
+// members — does not fail the open: it is moved to objects/quarantine/
+// and recorded, and replay continues with the rest. One corrupt file
+// costs one shard (its data returns on the next ingest of those bytes),
+// not the whole store; Quarantined reports the damage and the query
+// service surfaces it as a degraded /healthz.
 func Open(dir string) (*Store, error) {
 	s := &Store{dir: dir, corpora: map[string]*corpus{}}
 	if dir == "" {
@@ -250,10 +241,7 @@ func Open(dir string) (*Store, error) {
 // replay. No goroutine outlives the return.
 func (s *Store) replay(objects string, names []string) error {
 	type outcome struct {
-		p *prepared
-		// old is set for an intact object filed under the hash of its
-		// file bytes, not of its canonical bytes.
-		old bool
+		p   *prepared
 		err error
 	}
 	workers := runtime.GOMAXPROCS(0)
@@ -271,8 +259,8 @@ func (s *Store) replay(objects string, names []string) error {
 			defer wg.Done()
 			var b replayBuffers
 			for i := range jobs {
-				p, old, err := b.prepareObject(objects, names[i])
-				done[i] <- outcome{p, old, err}
+				p, err := b.prepareObject(objects, names[i])
+				done[i] <- outcome{p, err}
 			}
 		}()
 	}
@@ -283,7 +271,6 @@ func (s *Store) replay(objects string, names []string) error {
 		}
 		wg.Wait()
 	}()
-	var moves []move
 	next := 0
 	for i, name := range names {
 		for ; next < len(names) && next < i+window; next++ {
@@ -298,70 +285,9 @@ func (s *Store) replay(objects string, names []string) error {
 			if qerr := s.quarantine(objects, name, err); qerr != nil {
 				return qerr
 			}
-			continue
-		}
-		if o.old {
-			moves = append(moves, move{name, o.p})
 		}
 	}
-	return readdress(objects, moves)
-}
-
-// move is an intact object replay admitted from a file named by the hash
-// of its bytes, to be filed under the hash of its canonical bytes.
-type move struct {
-	from string
-	p    *prepared
-}
-
-// readdress files each moved object under its canonical address and
-// then removes the file it was replayed from. It runs once every object
-// is replayed, so no replay worker reads a file it writes. An address
-// that is already a file was replayed intact from it (a damaged one was
-// quarantined away), so only the old file goes. The new files and the
-// directory are synced before any old file is removed: a crash leaves
-// either both files or the new one.
-func readdress(objects string, moves []move) error {
-	if len(moves) == 0 {
-		return nil
-	}
-	var canon []byte
-	for _, m := range moves {
-		path := filepath.Join(objects, m.p.hash+".json")
-		if _, err := os.Stat(path); err == nil {
-			continue
-		}
-		var err error
-		if canon, err = m.p.art.AppendIndented(canon[:0]); err != nil {
-			return fmt.Errorf("store: re-addressing %s: %w", m.from, err)
-		}
-		if err := writeObject(path, canon); err != nil {
-			return fmt.Errorf("store: re-addressing %s: %w", m.from, err)
-		}
-	}
-	if err := syncDir(objects); err != nil {
-		return fmt.Errorf("store: re-addressing: %w", err)
-	}
-	for _, m := range moves {
-		if err := os.Remove(filepath.Join(objects, m.from)); err != nil {
-			return fmt.Errorf("store: re-addressing %s: %w", m.from, err)
-		}
-	}
-	return syncDir(objects)
-}
-
-// syncDir syncs a directory, making the entries created and removed in
-// it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
+	return nil
 }
 
 // replayBuffers are one replay worker's read and canonical-encode
@@ -371,24 +297,19 @@ type replayBuffers struct{ data, canon []byte }
 // prepareObject reads and prepares one object file. The file name is
 // the object's address, so an object whose canonical bytes hash to
 // anything else is ErrMalformed: a renamed or mis-copied file must not
-// be admitted under an address it does not have. The exception is a
-// file whose own bytes hash to its name: it is intact, laid out by an
-// earlier build, and old reports it.
-func (b *replayBuffers) prepareObject(objects, name string) (p *prepared, old bool, err error) {
+// be admitted under an address it does not have.
+func (b *replayBuffers) prepareObject(objects, name string) (p *prepared, err error) {
 	if b.data, err = readFile(filepath.Join(objects, name), b.data[:0]); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	p, b.canon, err = prepare(b.data, b.canon)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if want := strings.TrimSuffix(name, ".json"); p.hash != want {
-		if sum := sha256.Sum256(b.data); hex.EncodeToString(sum[:]) == want {
-			return p, true, nil
-		}
-		return nil, false, malformed(fmt.Errorf("store: object %s has canonical hash %s", want, p.hash))
+		return nil, malformed(fmt.Errorf("store: object %s has canonical hash %s", want, p.hash))
 	}
-	return p, false, nil
+	return p, nil
 }
 
 // readFile appends the contents of the named file to buf, failing as
@@ -575,19 +496,16 @@ func (s *Store) admit(p *prepared, persist bool) (IngestResult, error) {
 	c.members = append(c.members, m)
 	c.byHash[hash] = m
 	sort.SliceStable(c.members, func(i, j int) bool {
-		a, b := &c.members[i].art.Meta, &c.members[j].art.Meta
-		if a.SeedFirst != b.SeedFirst {
-			return a.SeedFirst < b.SeedFirst
-		}
-		return a.JobFirst < b.JobFirst
+		return c.members[i].art.Meta.JobFirst < c.members[j].art.Meta.JobFirst
 	})
 	if err := c.refresh(m, persist); err != nil {
-		// The conflict precheck mirrors everything Merge refuses, so a
-		// merge failure means the precheck has a hole (or an injected
-		// fault). Degrade rather than risk a torn corpus: drop the member,
-		// quarantine the just-persisted object so replay cannot resurrect
-		// it unchecked, and keep serving the previous sealed view — exactly
-		// the contract Open's quarantine gives a corrupt object file.
+		// The conflict precheck applies Merge's own rule, and the fold
+		// merges only contiguous members, so a merge failure means the
+		// rule has a hole (or an injected fault). Degrade rather than
+		// risk a torn corpus: drop the member, quarantine the
+		// just-persisted object so replay cannot resurrect it unchecked,
+		// and keep serving the previous sealed view — exactly the
+		// contract Open's quarantine gives a corrupt object file.
 		delete(c.byHash, hash)
 		for i, mm := range c.members {
 			if mm.hash == hash {
@@ -640,56 +558,23 @@ func writeObject(path string, data []byte) error {
 	return f.Close()
 }
 
-// checkConflicts applies the results.Merge conflict matrix between the
-// candidate and the corpus's existing members, without mutating anything:
-// provenance/structure skew via CompatibleWith against the merged view
-// (which carries every member's meta, group and stream structure), plus
-// the cross-shard range and identity checks.
+// checkConflicts holds the candidate to the rule results.Merge applies,
+// against every member, without mutating anything: CompatibleWith the
+// merged view, which every member is compatible with, and
+// results.Disjoint from each member. The merged view stands for the
+// members it folds, since its job slice, job keys and chips are their
+// union, so one call covers the merged prefix and one more per pending
+// member covers the rest.
 func (c *corpus) checkConflicts(m *member) error {
 	if err := c.merged.CompatibleWith(m.art); err != nil {
 		return err
 	}
-	mm := &m.art.Meta
-	jobSliced := mm.JobCount > 0 || c.members[0].art.Meta.JobCount > 0
-	if jobSliced && mm.JobAxis == results.AxisSeed {
-		return fmt.Errorf("results: seed-axis artifacts must carry seed-range provenance, not job slices")
+	if err := results.Disjoint(c.merged, m.art); err != nil {
+		return err
 	}
-	seen := map[uint64]bool{}
-	keys := map[string]bool{}
-	for _, o := range c.members {
-		om := &o.art.Meta
-		for _, chip := range o.art.Chips {
-			seen[chip.Seed] = true
-		}
-		if jobSliced {
-			if om.SeedFirst != mm.SeedFirst || om.SeedCount != mm.SeedCount {
-				return fmt.Errorf("results: %s-axis shards of different seed ranges: [%d,+%d) vs [%d,+%d)",
-					mm.JobAxis, om.SeedFirst, om.SeedCount, mm.SeedFirst, mm.SeedCount)
-			}
-			for _, k := range om.JobKeys {
-				keys[k] = true
-			}
-			lo, hi := mm.JobFirst, mm.JobFirst+mm.JobCount
-			if om.JobFirst < hi && lo < om.JobFirst+om.JobCount {
-				return fmt.Errorf("results: job slices [%d,+%d) and [%d,+%d) overlap (same shard merged twice?)",
-					om.JobFirst, om.JobCount, mm.JobFirst, mm.JobCount)
-			}
-		} else {
-			lo, hi := mm.SeedFirst, mm.SeedFirst+uint64(mm.SeedCount)
-			if om.SeedFirst < hi && lo < om.SeedFirst+uint64(om.SeedCount) {
-				return fmt.Errorf("results: seed ranges [%d,+%d) and [%d,+%d) overlap (same shard merged twice?)",
-					om.SeedFirst, om.SeedCount, mm.SeedFirst, mm.SeedCount)
-			}
-		}
-	}
-	for _, k := range mm.JobKeys {
-		if keys[k] {
-			return fmt.Errorf("results: job %q present in both artifacts (same shard merged twice?)", k)
-		}
-	}
-	for _, chip := range m.art.Chips {
-		if seen[chip.Seed] {
-			return fmt.Errorf("results: chip seed %#x present in both artifacts", chip.Seed)
+	for _, o := range c.members[c.mergedCount:] {
+		if err := results.Disjoint(o.art, m.art); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -731,7 +616,7 @@ func (c *corpus) refresh(m *member, live bool) error {
 //
 // Byte-identity with results.MergeShards over the contiguous member
 // prefix (what `characterize merge` computes) is structural, not
-// incidental: MergeShards is a stable sort by (SeedFirst, JobFirst)
+// incidental: MergeShards is a stable sort by JobFirst
 // followed by a left fold of results.Merge, c.members is maintained in
 // exactly that order, and stats.Stream merges are exact (Shewchuk sums),
 // so folding the suffix into the previous fold's result IS the same left
@@ -744,12 +629,7 @@ func (c *corpus) advance(view *results.Artifact, n int) error {
 		if view == nil {
 			working = a.Clone()
 		} else {
-			vm, next := &view.Meta, &a.Meta
-			if next.JobCount > 0 || vm.JobCount > 0 {
-				if next.JobFirst != vm.JobFirst+vm.JobCount {
-					break
-				}
-			} else if next.SeedFirst != vm.SeedFirst+uint64(vm.SeedCount) {
+			if a.Meta.JobFirst != view.Meta.JobFirst+view.Meta.JobCount {
 				break
 			}
 			if working == nil {

@@ -6,24 +6,27 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/safari-repro/hbmrh/internal/config"
+	"github.com/safari-repro/hbmrh/internal/experiments"
 	"github.com/safari-repro/hbmrh/internal/failpoint"
 	"github.com/safari-repro/hbmrh/internal/results"
 	"github.com/safari-repro/hbmrh/internal/stats"
 )
 
 // shard builds a region×channel shard artifact over a seed range with
-// deterministic pseudo-samples, shaped like a multichip fleet shard.
+// deterministic pseudo-samples, shaped like a multichip fleet shard of a
+// scan whose base seed is 0: job s is the chip of seed s.
 func shard(seedFirst uint64, seedCount int) *results.Artifact {
 	regions := []string{"first", "middle", "last"}
 	const channels = 4
@@ -34,9 +37,10 @@ func shard(seedFirst uint64, seedCount int) *results.Artifact {
 			CodeVersion: "test-build",
 			ConfigHash:  "deadbeef",
 			GroupBy:     results.ByRegionChannel.String(),
-			SeedFirst:   seedFirst,
-			SeedCount:   seedCount,
 			ShardCount:  1,
+			JobAxis:     results.AxisSeed,
+			JobFirst:    int(seedFirst),
+			JobCount:    seedCount,
 			Params:      map[string]string{"rows": "4"},
 		},
 	}
@@ -60,6 +64,7 @@ func shard(seedFirst uint64, seedCount int) *results.Artifact {
 			}
 		}
 		a.Chips = append(a.Chips, results.ChipRecord{Seed: s, MinHCFirst: int(s * 7)})
+		a.Meta.JobKeys = append(a.Meta.JobKeys, fmt.Sprintf("seed:%#x", s))
 	}
 	return a
 }
@@ -74,8 +79,6 @@ func jobShard(first, count int) *results.Artifact {
 			CodeVersion: "test-build",
 			ConfigHash:  "deadbeef",
 			GroupBy:     results.ByPoint.String(),
-			SeedFirst:   7,
-			SeedCount:   1,
 			ShardCount:  1,
 			JobAxis:     "point",
 			JobFirst:    first,
@@ -165,17 +168,17 @@ func TestStoreOutOfOrderPending(t *testing.T) {
 		t.Fatalf("gapped shard: complete=%v pending=%d", r.Complete, r.Pending)
 	}
 	snap, _ := s.Resolve("")
-	if snap.Merged.Meta.SeedCount != 2 {
+	if snap.Merged.Meta.JobCount != 2 {
 		t.Fatalf("merged view covers [%d,+%d), want the contiguous prefix [0,+2)",
-			snap.Merged.Meta.SeedFirst, snap.Merged.Meta.SeedCount)
+			snap.Merged.Meta.JobFirst, snap.Merged.Meta.JobCount)
 	}
 	r = ingest(t, s, shard(2, 3)) // closes the gap
 	if !r.Complete || r.Pending != 0 {
 		t.Fatalf("gap closed: complete=%v pending=%d", r.Complete, r.Pending)
 	}
 	snap, _ = s.Resolve("")
-	if snap.Merged.Meta.SeedCount != 8 {
-		t.Fatalf("merged view covers +%d seeds, want 8", snap.Merged.Meta.SeedCount)
+	if snap.Merged.Meta.JobCount != 8 {
+		t.Fatalf("merged view covers +%d seeds, want 8", snap.Merged.Meta.JobCount)
 	}
 }
 
@@ -277,13 +280,22 @@ func TestStoreRejectsJobSliceConflicts(t *testing.T) {
 			t.Fatal("overlapping job slices accepted")
 		}
 	})
+	// The chip's seed is part of its config hash: a shard of another
+	// seed's study lands in a corpus of its own and never merges.
 	t.Run("different seed range", func(t *testing.T) {
 		s, _ := Open("")
-		ingest(t, s, jobShard(0, 2))
+		first := ingest(t, s, jobShard(0, 2))
 		b := jobShard(2, 2)
-		b.Meta.SeedFirst = 9
-		if _, err := ingestArtifact(s, b); err == nil {
-			t.Fatal("job shards of different seed ranges accepted")
+		b.Meta.ConfigHash = "cafef00d"
+		if r := ingest(t, s, b); r.Corpus == first.Corpus {
+			t.Fatal("job shards of different seeds share a corpus")
+		}
+		snap, err := s.Resolve(first.Corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Members != 1 || snap.Merged.Meta.JobCount != 2 {
+			t.Fatalf("the first seed's corpus holds %d members over %d jobs, want its 1 shard of 2", snap.Members, snap.Merged.Meta.JobCount)
 		}
 	})
 	t.Run("contiguous slices merge", func(t *testing.T) {
@@ -298,6 +310,115 @@ func TestStoreRejectsJobSliceConflicts(t *testing.T) {
 			t.Fatalf("merged job count %d, want 4", snap.Merged.Meta.JobCount)
 		}
 	})
+}
+
+// TestStoreAgreesWithMergeShards holds results.MergeShards and Ingest to
+// one verdict on shard sets of a multichip scan and of a sweep, measured
+// through the registry: a set in reverse order is accepted by both and
+// merges to the same bytes; the same shard twice is never counted twice
+// (Merge refuses it, the store keeps one copy); overlapping slices are
+// refused by both; and a gap is refused by Merge and left pending by the
+// store.
+func TestStoreAgreesWithMergeShards(t *testing.T) {
+	for _, study := range []struct {
+		name string
+		opts experiments.Options
+	}{
+		{"multichip", experiments.Options{Cfg: config.SmallChip(), Seeds: 4, Rows: 1, Hammers: 30000}},
+		{"sweep", experiments.Options{Cfg: config.SmallChip(), Rows: 1, Hammers: 30000}},
+	} {
+		t.Run(study.name, func(t *testing.T) {
+			info, err := experiments.Describe(study.name, study.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := info.Jobs / 4
+			slice := func(lo, hi int) []byte {
+				t.Helper()
+				a, err := experiments.RunSlice(study.name, study.opts, lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := a.MarshalIndented()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			quarter := make([][]byte, 4)
+			for i := range quarter {
+				quarter[i] = slice(i*q, (i+1)*q)
+			}
+			cases := []struct {
+				name   string
+				shards [][]byte
+				// mergeErr is the refusal MergeShards must give ("" to
+				// accept), store the store's verdict: "complete", "one
+				// copy", "conflict" or "pending".
+				mergeErr, store string
+			}{
+				{"reversed order", [][]byte{quarter[3], quarter[2], quarter[1], quarter[0]}, "", "complete"},
+				{"same shard twice", [][]byte{quarter[0], quarter[0]}, "present in both", "one copy"},
+				{"overlapping slice", [][]byte{slice(0, 2*q), slice(q, 3*q)}, "present in both", "conflict"},
+				{"gap", [][]byte{quarter[0], quarter[2]}, "not contiguous", "pending"},
+			}
+			for _, tc := range cases {
+				var arts []*results.Artifact
+				var paths []string
+				s, _ := Open("")
+				var last IngestResult
+				verdict := "complete"
+				for i, data := range tc.shards {
+					a, err := results.Decode(data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					arts, paths = append(arts, a), append(paths, fmt.Sprint(i))
+					r, err := s.Ingest(data)
+					switch {
+					case errors.Is(err, ErrConflict):
+						verdict = "conflict"
+					case err != nil:
+						t.Fatalf("%s: ingest %d: %v", tc.name, i, err)
+					case r.Duplicate:
+						verdict = "one copy"
+					}
+					last = r
+				}
+				if verdict == "complete" && !last.Complete {
+					verdict = "pending"
+				}
+				if verdict != tc.store {
+					t.Errorf("%s: the store's verdict is %s, want %s", tc.name, verdict, tc.store)
+				}
+				merged, err := results.MergeShards(arts, paths)
+				if tc.mergeErr != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.mergeErr) {
+						t.Errorf("%s: MergeShards: %v, want an error containing %q", tc.name, err, tc.mergeErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: MergeShards: %v", tc.name, err)
+				}
+				want, err := merged.MarshalIndented()
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap, err := s.Resolve("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := snap.Merged.MarshalIndented()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: the store's view and MergeShards differ", tc.name)
+				}
+			}
+		})
+	}
 }
 
 func TestStoreSeparateCorpora(t *testing.T) {
@@ -462,199 +583,71 @@ func TestStoreQuarantineMisnamedObject(t *testing.T) {
 	}
 	// The object's class is ErrMalformed, the class a live ingest of
 	// undecodable bytes gets.
-	if _, _, err := new(replayBuffers).prepareObject(filepath.Join(objects, "quarantine"), wrong+".json"); !errors.Is(err, ErrMalformed) {
+	if _, err := new(replayBuffers).prepareObject(filepath.Join(objects, "quarantine"), wrong+".json"); !errors.Is(err, ErrMalformed) {
 		t.Errorf("misnamed object error %v, want ErrMalformed", err)
 	}
 }
 
-// withRows gives a shard row records, each with its per-pattern found
-// flags.
-func withRows(a *results.Artifact) *results.Artifact {
-	for ch := 0; ch < 2; ch++ {
-		a.Rows = append(a.Rows, results.RowRecord{Channel: ch, PhysRow: 100 + int(a.Meta.SeedFirst), Region: "first",
-			BER: []float64{0.25, 0}, HCFirst: []int{9000, 0}, Found: []bool{true, false}, SubarraySize: 8})
-	}
-	return a
-}
-
-// boolArray matches a bool array the file form writes on one line, with
-// the indentation of its line.
-var boolArray = regexp.MustCompile(`(?m)^( *)(.*)\[((?:true|false)(?:,(?:true|false))*)\]`)
-
-// boolsOneALine respells each bool array of file-form bytes one element
-// a line, the layout of a build that put only number arrays on one line.
-func boolsOneALine(data []byte) []byte {
-	return boolArray.ReplaceAllFunc(data, func(m []byte) []byte {
-		sub := boolArray.FindSubmatch(m)
-		indent := string(sub[1])
-		out := append(append(append([]byte(nil), sub[1]...), sub[2]...), '[')
-		for i, e := range bytes.Split(sub[3], []byte(",")) {
-			if i > 0 {
-				out = append(out, ',')
-			}
-			out = append(append(out, "\n"+indent+"  "...), e...)
-		}
-		return append(out, "\n"+indent+"]"...)
-	})
-}
-
-// oldLayoutStore persists shards in a store directory, then rewrites
-// each object as an earlier build left it, filed under the hash of those
-// bytes: json.MarshalIndent of the artifact plus a newline (one number a
-// line), or, for the last shard, the file form with its row records'
-// found flags one a line. Two of the shards hold row records. keepNew
-// leaves the canonical file beside it, as a crash between
-// re-addressing's write and its remove does. It returns the canonical
-// and the old object names, and the merged summary.
-func oldLayoutStore(t *testing.T, dir string, keepNew bool) (canon, old []string, summary []byte) {
-	t.Helper()
+// TestStoreOpenQuarantinesEarlierBuilds opens a store holding what
+// earlier builds left: an object of format 4, filed under the hash of
+// its bytes, and an intact object laid out one number a line, filed
+// under the hash of its file bytes rather than of its canonical bytes.
+// Both are quarantined, the first with a reason naming its version, and
+// the correctly addressed object is served.
+func TestStoreOpenQuarantinesEarlierBuilds(t *testing.T) {
+	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	kept := ingest(t, s, shard(0, 2)).Hash
 	objects := filepath.Join(dir, "objects")
-	shards := []*results.Artifact{shard(0, 2), shard(2, 3), withRows(shard(5, 1)), withRows(shard(6, 1))}
-	for i, a := range shards {
-		hash := ingest(t, s, a).Hash
-		data, err := json.MarshalIndent(a, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		data = append(data, '\n')
-		if i == len(shards)-1 {
-			canonical, err := a.MarshalIndented()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if data = boolsOneALine(canonical); bytes.Equal(data, canonical) {
-				t.Fatal("the found flags of the last shard did not move")
-			}
-		}
+	fileAt := func(data []byte) string {
 		sum := sha256.Sum256(data)
 		name := hex.EncodeToString(sum[:]) + ".json"
-		if name == hash+".json" {
-			t.Fatal("the old layout hashes like the file form")
-		}
 		if err := os.WriteFile(filepath.Join(objects, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if !keepNew {
-			if err := os.Remove(filepath.Join(objects, hash+".json")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		canon, old = append(canon, hash+".json"), append(old, name)
+		return name
 	}
-	snap, err := s.Resolve("")
+	old := shard(2, 3)
+	old.Meta.Format = 4
+	data, err := old.MarshalIndented()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if summary, err = snap.Merged.SummaryJSON(results.ByChannel); err != nil {
-		t.Fatal(err)
-	}
-	return canon, old, summary
-}
-
-// checkReaddressed opens a store built by oldLayoutStore and checks that
-// every object was admitted, nothing quarantined, each canonical file
-// holds its canonical bytes and each old file is gone; a second open
-// must then find nothing left to move.
-func checkReaddressed(t *testing.T, dir string, canon, old []string, summary []byte) {
-	t.Helper()
-	for pass := 0; pass < 2; pass++ {
-		re, err := Open(dir)
-		if err != nil {
-			t.Fatalf("open %d: %v", pass, err)
-		}
-		if q := re.Quarantined(); len(q) != 0 {
-			t.Fatalf("open %d quarantined %+v", pass, q)
-		}
-		snap, err := re.Resolve("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.Members != len(canon) || !snap.Complete {
-			t.Fatalf("open %d: members=%d complete=%v, want %d complete", pass, snap.Members, snap.Complete, len(canon))
-		}
-		got, err := snap.Merged.SummaryJSON(results.ByChannel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, summary) {
-			t.Fatalf("open %d renders different bytes than the store that wrote the objects", pass)
-		}
-		objects := filepath.Join(dir, "objects")
-		for i, name := range canon {
-			data, err := os.ReadFile(filepath.Join(objects, name))
-			if err != nil {
-				t.Fatalf("open %d: object not at its address: %v", pass, err)
-			}
-			if sum := sha256.Sum256(data); hex.EncodeToString(sum[:])+".json" != name {
-				t.Fatalf("open %d: %s does not hold its canonical bytes", pass, name)
-			}
-			if _, err := os.Stat(filepath.Join(objects, old[i])); !os.IsNotExist(err) {
-				t.Fatalf("open %d: the old-layout file %s is still there (stat: %v)", pass, old[i], err)
-			}
-		}
-		if entries, err := os.ReadDir(objects); err != nil || len(entries) != len(canon) {
-			t.Fatalf("open %d: objects/ holds %d entries (err %v), want the %d objects", pass, len(entries), err, len(canon))
-		}
-	}
-}
-
-// TestStoreOpenReaddressesOldLayout opens a store whose objects were all
-// persisted one number a line, each named by the hash of its file bytes:
-// Open admits them, files each under the hash of its canonical bytes and
-// removes the old file.
-func TestStoreOpenReaddressesOldLayout(t *testing.T) {
-	dir := t.TempDir()
-	canon, old, summary := oldLayoutStore(t, dir, false)
-	checkReaddressed(t, dir, canon, old, summary)
-}
-
-// TestStoreOpenReaddressesAfterCrash opens a store that died between
-// re-addressing's write and its remove: each object is there in both
-// layouts, and replays to one member.
-func TestStoreOpenReaddressesAfterCrash(t *testing.T) {
-	dir := t.TempDir()
-	canon, old, summary := oldLayoutStore(t, dir, true)
-	checkReaddressed(t, dir, canon, old, summary)
-}
-
-// TestStoreOpenQuarantinesTamperedOldLayout changes one byte of an
-// old-layout object, a space that leaves it decoding to the same
-// artifact: its file bytes no longer hash to its name, so it is
-// quarantined, not re-addressed.
-func TestStoreOpenQuarantinesTamperedOldLayout(t *testing.T) {
-	dir := t.TempDir()
-	canon, old, _ := oldLayoutStore(t, dir, false)
-	objects := filepath.Join(dir, "objects")
-	victim := filepath.Join(objects, old[0])
-	data, err := os.ReadFile(victim)
+	format4 := fileAt(data)
+	data, err = json.MarshalIndent(shard(5, 1), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := bytes.IndexByte(data, ' ')
-	data[i] = '\t'
-	if err := os.WriteFile(victim, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	misnamed := fileAt(append(data, '\n'))
+
 	re, err := Open(dir)
 	if err != nil {
+		t.Fatalf("open with objects of earlier builds must degrade, not fail: %v", err)
+	}
+	reasons := map[string]string{}
+	for _, q := range re.Quarantined() {
+		reasons[q.File] = q.Reason
+	}
+	if len(reasons) != 2 || !strings.Contains(reasons[format4], "format version 4") || reasons[misnamed] == "" {
+		t.Fatalf("quarantined %+v, want %s for its format version 4 and %s", re.Quarantined(), format4, misnamed)
+	}
+	for name := range reasons {
+		if _, err := os.Stat(filepath.Join(objects, "quarantine", name)); err != nil {
+			t.Fatalf("%s not moved into objects/quarantine/: %v", name, err)
+		}
+	}
+	snap, err := re.Resolve("")
+	if err != nil {
 		t.Fatal(err)
 	}
-	q := re.Quarantined()
-	if len(q) != 1 || q[0].File != old[0] {
-		t.Fatalf("quarantined %+v, want exactly the tampered object", q)
+	if snap.Members != 1 {
+		t.Fatalf("store serves %d member(s), want the 1 current object", snap.Members)
 	}
-	if _, err := os.Stat(filepath.Join(objects, "quarantine", old[0])); err != nil {
-		t.Fatalf("tampered object not moved into objects/quarantine/: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(objects, canon[0])); !os.IsNotExist(err) {
-		t.Fatalf("the tampered object was re-addressed (stat: %v)", err)
-	}
-	if snap, err := re.Resolve(""); err != nil || snap.Members != len(canon)-1 {
-		t.Fatalf("members=%d err=%v, want the %d intact objects", snap.Members, err, len(canon)-1)
+	if _, err := os.Stat(filepath.Join(objects, kept+".json")); err != nil {
+		t.Fatalf("current object moved: %v", err)
 	}
 }
 
@@ -1255,11 +1248,12 @@ func tinyShard(i int) *results.Artifact {
 			CodeVersion: "test-build",
 			ConfigHash:  "0123456789abcdef",
 			GroupBy:     results.ByRegionChannel.String(),
-			SeedFirst:   seed,
-			SeedCount:   1,
 			Shard:       i,
 			ShardCount:  2,
 			JobAxis:     results.AxisSeed,
+			JobFirst:    i,
+			JobCount:    1,
+			JobKeys:     []string{fmt.Sprintf("seed:%#x", seed)},
 			Params:      map[string]string{"rows_per_region": "1"},
 		},
 		Chips: []results.ChipRecord{{Seed: seed, MinHCFirst: 28672, WorstChannel: 7, TRRPeriod: 17}},

@@ -1,14 +1,9 @@
-// Package trr implements the in-DRAM RowHammer mitigations of the
-// simulated HBM2 chip:
-//
-//   - The proprietary, undisclosed Target Row Refresh mechanism the paper
-//     uncovers in Section 5: a per-bank activation sampler whose sampled
-//     aggressors get their neighbours preventively refreshed once every
-//     RefPeriod (17) periodic REF commands, resembling the "Vendor C"
-//     mechanism fingerprinted by U-TRR.
-//   - The documented TRR mode from the HBM2 standard (JESD235), which the
-//     memory controller enables with a well-defined MRS sequence and which
-//     refreshes controller-specified target rows.
+// Package trr implements the in-DRAM RowHammer mitigation of the
+// simulated HBM2 chip: the proprietary, undisclosed Target Row Refresh
+// mechanism the paper uncovers in Section 5, a per-bank activation
+// sampler whose sampled aggressors get their neighbours preventively
+// refreshed once every RefPeriod (17) periodic REF commands, resembling
+// the "Vendor C" mechanism fingerprinted by U-TRR.
 //
 // The engine is deliberately oblivious to the fault model: it only
 // observes the command stream (activations and refreshes) and emits
@@ -132,63 +127,3 @@ func (e *Engine) OnRefresh() []VictimRefresh {
 // RefCount reports how many REF commands the engine has observed, for
 // tests and diagnostics.
 func (e *Engine) RefCount() int { return e.refCount }
-
-// DocumentedMode models the HBM2 standard's explicit TRR mode: the memory
-// controller enters the mode via mode register writes, supplies target row
-// addresses, and subsequent REF commands refresh the targets' neighbours.
-// The paper distinguishes this documented mode from the proprietary
-// mechanism above; both coexist in the device.
-type DocumentedMode struct {
-	active  bool
-	radius  int
-	rows    int
-	targets []int
-}
-
-// NewDocumentedMode builds the standard TRR mode handler for banks of the
-// given row count.
-func NewDocumentedMode(rows, radius int) *DocumentedMode {
-	return &DocumentedMode{rows: rows, radius: radius}
-}
-
-// Enter activates TRR mode with the given target rows, replacing any
-// previous target set.
-func (d *DocumentedMode) Enter(targets []int) error {
-	for _, t := range targets {
-		if t < 0 || t >= d.rows {
-			return fmt.Errorf("trr: documented-mode target row %d out of range [0, %d)", t, d.rows)
-		}
-	}
-	d.active = true
-	d.targets = append(d.targets[:0], targets...)
-	return nil
-}
-
-// Exit leaves TRR mode.
-func (d *DocumentedMode) Exit() {
-	d.active = false
-	d.targets = d.targets[:0]
-}
-
-// Active reports whether the mode is currently engaged.
-func (d *DocumentedMode) Active() bool { return d.active }
-
-// OnRefresh returns the neighbour rows refreshed by a REF while the mode
-// is active.
-func (d *DocumentedMode) OnRefresh() []int {
-	if !d.active {
-		return nil
-	}
-	var rows []int
-	for _, t := range d.targets {
-		for r := 1; r <= d.radius; r++ {
-			if t-r >= 0 {
-				rows = append(rows, t-r)
-			}
-			if t+r < d.rows {
-				rows = append(rows, t+r)
-			}
-		}
-	}
-	return rows
-}

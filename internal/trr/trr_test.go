@@ -189,41 +189,3 @@ func TestBanksAreIndependent(t *testing.T) {
 		t.Fatalf("want refreshes in 2 banks, got %+v", out)
 	}
 }
-
-func TestDocumentedModeLifecycle(t *testing.T) {
-	d := NewDocumentedMode(128, 1)
-	if d.Active() {
-		t.Fatal("fresh mode must be inactive")
-	}
-	if got := d.OnRefresh(); got != nil {
-		t.Fatal("inactive mode refreshed rows")
-	}
-	if err := d.Enter([]int{64}); err != nil {
-		t.Fatal(err)
-	}
-	if !d.Active() {
-		t.Fatal("mode should be active after Enter")
-	}
-	rows := d.OnRefresh()
-	got := map[int]bool{}
-	for _, r := range rows {
-		got[r] = true
-	}
-	if !got[63] || !got[65] {
-		t.Fatalf("documented mode refreshed %v, want {63, 65}", rows)
-	}
-	d.Exit()
-	if d.Active() || d.OnRefresh() != nil {
-		t.Fatal("mode still active after Exit")
-	}
-}
-
-func TestDocumentedModeRejectsBadTargets(t *testing.T) {
-	d := NewDocumentedMode(128, 1)
-	if err := d.Enter([]int{128}); err == nil {
-		t.Fatal("out-of-range target accepted")
-	}
-	if err := d.Enter([]int{-1}); err == nil {
-		t.Fatal("negative target accepted")
-	}
-}
